@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-smoke bench-check bench-record profile vet
+.PHONY: build test race bench bench-smoke bench-check bench-record bench-e2e bench-e2e-compare profile vet
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,17 @@ bench-check:
 # refreshes.
 bench-record:
 	$(GO) run ./cmd/benchcore -rounds 10 -record -o BENCH_core.json
+
+# bench-e2e runs the repository benchmark (bench/, a module of its own; see
+# bench/README.md): wall time to a census over five workloads, written to
+# bench/out/summary.json. bench-e2e-compare judges two such summaries row by
+# row: make bench-e2e-compare A=out/a.json B=out/b.json (paths as bench/
+# sees them).
+bench-e2e:
+	$(GO) run -C bench chipmunk/bench
+
+bench-e2e-compare:
+	$(GO) run -C bench chipmunk/bench -compare $(A) $(B)
 
 # profile writes pprof CPU and heap profiles of the measurement matrix for
 # `go tool pprof bench_cpu.pprof` / `go tool pprof bench_mem.pprof`.

@@ -17,23 +17,39 @@ import (
 // (every grab is a fresh allocation, every put a drop) for differential
 // testing.
 //
-// Ownership protocol, in one place:
+// Ownership protocol, in one place. "Owner" is whoever owns the checker: the
+// supervisor until it starts the run's runner, then the runner, and after a
+// takeover its replacement (sandbox.go).
 //
-//   - Arena memory is written only by the coordinator, during enumerate;
-//     checks (including parallel workers) only read it, and every in-fence
-//     reader finishes before the next fence's reset (runChecks joins its
-//     workers). The one escape is an ABANDONED sandbox goroutine, which may
-//     read its crash state's subset/spans/key indefinitely: the checker
-//     tracks abandonments and, instead of resetting, DROPS the arenas at the
-//     next fence when any occurred — the abandoned goroutine keeps its
-//     (now-private) blocks alive, and the coordinator starts clean. Reuse
-//     therefore never races with a reader.
-//   - Pooled buffers and images follow the existing image-lease protocol
-//     (sandbox.go): only cleanly-released ones return to the pools; retired
-//     or abandoned ones never do. Cross-run reuse of pooled images is made
+//   - Arena memory is written only by the owner, during enumerate; checks
+//     (including pool workers) only read it, and every in-fence reader
+//     finishes before the next fence's reset (runChecks joins its workers).
+//     The one escape is an ABANDONED guest phase, whose crash context still
+//     points at its state's subset/spans/key and may be read indefinitely:
+//     the checker counts abandonments and, instead of resetting, DROPS the
+//     arenas at the next fence when any occurred — the abandoned guest keeps
+//     its (now-private) blocks alive, and the owner starts clean. Reuse
+//     therefore never races with a reader. For the same reason the whole
+//     scratch bundle is withheld from the cross-run pool after an
+//     abandonment (returnScratch).
+//   - Slot images follow the lease protocol (sandbox.go): an image whose
+//     every guest phase settled clean goes back to the pool when the run
+//     ends; a poisoned or abandoned one never does. Cross-run reuse is made
 //     safe by run tokens (workerImage.run vs. checker.runID): prime treats
 //     an image from another run as never primed, so stale generation
 //     numbers can never alias a new run's generations.
+//   - The device-sized buffers of a run (engine.go) recycle when RunContext
+//     returns. recVol/recPers never reach a runner. The baseline (the
+//     working image) and the key scratch are touched by engine code on the
+//     runner only, never by a guest phase; RunContext returns only once
+//     every runner has exited or been abandoned INSIDE a guest phase, and an
+//     abandoned runner unwinds without touching anything but its image — so
+//     both recycle even after an abandonment. The trace log is covered by
+//     the same argument, but unlike those two it is not rewritten wholesale
+//     by its next user: a stray read of a recycled log would index a
+//     truncated entry slice instead of reading stale bytes. It stays
+//     forfeited after an abandonment — the conservative rule costs one log
+//     per hung check.
 
 // arenaBlock is the minimum element capacity of a fresh arena block. Blocks
 // grow geometrically toward the fence's running total, and saved slices are
@@ -82,8 +98,8 @@ func (a *sliceArena[T]) save(src []T) []T {
 // reset rewinds the arena for reuse of its current block.
 func (a *sliceArena[T]) reset() { a.cur = a.cur[:0]; a.need = 0 }
 
-// drop abandons the arena's block entirely (used when an abandoned sandbox
-// goroutine may still read previously saved slices).
+// drop abandons the arena's block entirely (used when an abandoned guest
+// phase may still read previously saved slices).
 func (a *sliceArena[T]) drop() { a.cur = nil; a.need = 0 }
 
 // internKey returns a string view over arena-saved key bytes without
@@ -101,7 +117,7 @@ func internKey(b []byte) string {
 // images recycled across engine runs are never mistaken for primed ones.
 var runIDs atomic.Int64
 
-// fenceScratch bundles the coordinator's per-fence scratch — the dedup map,
+// fenceScratch bundles the owner's per-fence scratch — the dedup map,
 // state list, recursion buffer, outcome slots, arenas, and state-key
 // buffers — so it can be recycled across runs. A fresh checker then starts
 // with converged, already-grown blocks instead of re-growing them from zero
@@ -122,9 +138,8 @@ type fenceScratch struct {
 var scratchPool sync.Pool
 
 // logPool recycles trace logs — the entry slice and the data arena — across
-// runs. A log is recycled only when the run abandoned no sandbox goroutine
-// (engine.go checks): an abandoned goroutine replays log entries
-// indefinitely, so its run's log is forfeited to it like the fence arenas.
+// runs. A log is recycled only when the run abandoned no guest phase
+// (engine.go checks; the protocol above says why).
 var logPool sync.Pool
 
 // grabLog returns an empty trace log, recycled when reuse is enabled.
@@ -140,7 +155,7 @@ func grabLog(fresh bool) *trace.Log {
 }
 
 // loanScratch moves a pooled bundle into the checker's scratch fields for
-// the duration of one walk. Stale contents are harmless: every consumer
+// the duration of one run. Stale contents are harmless: every consumer
 // truncates or clears before use (enumerate resets the arenas and dedup map
 // at each fence, stateKey rewinds keyBuf/spans per state).
 func (ck *checker) loanScratch() *fenceScratch {
@@ -162,8 +177,8 @@ func (ck *checker) loanScratch() *fenceScratch {
 }
 
 // returnScratch packages the scratch fields back into the bundle and
-// recycles it — unless any sandbox goroutine was abandoned this run: an
-// abandoned goroutine may read its crash state's arena saves indefinitely,
+// recycles it — unless any guest phase was abandoned this run: an
+// abandoned guest may read its crash state's arena saves indefinitely,
 // so the whole bundle is forfeited to it (same reasoning as
 // resetFenceScratch's drop path, extended across the run boundary).
 func (ck *checker) returnScratch(s *fenceScratch) {
@@ -222,7 +237,7 @@ func grabZeroBuf(size int, fresh bool) []byte {
 }
 
 // putBuf recycles a grabBuf buffer. Never put a buffer a goroutine may still
-// touch — the image-lease rules apply to these too.
+// touch — see the ownership protocol at the top of this file.
 func putBuf(b []byte, fresh bool) {
 	if fresh || len(b) == 0 {
 		return
@@ -230,11 +245,10 @@ func putBuf(b []byte, fresh bool) {
 	poolFor(&bufPools, len(b)).Put(b) //nolint:staticcheck // fixed-size []byte, pooled by design
 }
 
-// grabImage returns a pooled crash-image pair (possibly stale — prime
-// consults its run token and generation before trusting it). The checker
-// resolves its size-keyed pool once per run (walk) rather than per grab:
-// sync.Map.Load would box the int size on every call, an allocation the
-// zero-alloc check loop cannot afford.
+// grabImage returns a pooled crash image (possibly stale — prime consults
+// its run token and generation before trusting it) for a slot to keep until
+// the run ends. The checker resolves its size-keyed pool once per run
+// (supervise): sync.Map.Load would box the int size on every call.
 func (ck *checker) grabImage() *workerImage {
 	if ck.imgPool != nil {
 		if v := ck.imgPool.Get(); v != nil {
@@ -244,8 +258,9 @@ func (ck *checker) grabImage() *workerImage {
 	return newWorkerImage(ck.devSize)
 }
 
-// putImage recycles a cleanly-released image pair. Storing the *workerImage
-// pointer (not a slice) keeps the Put interface conversion allocation-free.
+// putImage recycles a slot's clean image at run end. Storing the
+// *workerImage pointer (not a slice) keeps the Put interface conversion
+// allocation-free.
 func (ck *checker) putImage(wi *workerImage) {
 	if ck.imgPool != nil {
 		ck.imgPool.Put(wi)

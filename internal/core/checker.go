@@ -18,15 +18,14 @@ import (
 // violation (nil when the state is legal). The device is this call's
 // private, just-rebooted view of the crash image (optionally carrying an
 // attached fault injector), so checkState is goroutine-safe; it normally
-// runs inside the sandbox (sandbox.go), which converts guest panics, media
-// faults, and hangs into classified outcomes.
+// runs under the sandbox's guard (sandbox.go), which converts guest panics,
+// media faults, and hangs into classified outcomes.
 //
-// The stage windows tile across the sandbox handoff so the -stats sum
-// tracks wall-clock: mountStart is an already-open mount window (opened by
-// the caller before spawning the sandbox goroutine, so the spawn and
-// scheduling costs bill to mount), and the returned checkStart is the open
-// check window, closed by the caller after the sandbox hands the result
-// back. Both are the zero time when observability is off.
+// The stage windows tile so the -stats sum tracks wall-clock: mountStart is
+// an already-open mount window (opened by the caller before arming the
+// guard), and the returned checkStart is the open check window, closed by
+// the caller after the lease is settled and the image restored. Both are
+// the zero time when observability is off.
 func (ck *checker) checkState(dev *pmem.Device, ctx crashCtx, mountStart time.Time) (v *Violation, checkStart time.Time) {
 	fs := ck.cfg.NewFS(persist.New(dev))
 
@@ -49,7 +48,7 @@ func (ck *checker) checkState(dev *pmem.Device, ctx crashCtx, mountStart time.Ti
 // returning the cache lines recovery consulted — the Vinter heuristic's
 // input. A failed mount returns nil (no filtering: everything is relevant
 // when recovery itself is broken); a panicking mount is contained the same
-// way — this runs on the coordinator, outside the per-state sandbox.
+// way — this runs during enumeration, outside the per-state guard.
 func (ck *checker) recoveryReadSet(img []byte) (rs *persist.ReadSet) {
 	defer func() {
 		if recover() != nil {
@@ -88,8 +87,8 @@ func (ck *checker) violation(ctx crashCtx, kind ViolationKind, detail string) *V
 }
 
 // reportViolation records a violation (bounded; overflow is counted).
-// Coordinator-only: parallel workers return violations to the coordinator,
-// which appends them in subset-rank order.
+// Owner-only: pool workers return violations to the main runner, which
+// appends them in subset-rank order.
 func (ck *checker) reportViolation(v Violation) {
 	if len(ck.res.Violations) >= maxViolationsPerRun {
 		ck.res.SuppressedViolations++

@@ -69,8 +69,8 @@ type Checker interface {
 }
 
 // CrashPointPreparer is an optional Checker extension: the engine calls
-// PrepareCrashPoint on the coordinator goroutine once per crash point,
-// before dispatching any of that point's states to check workers, so the
+// PrepareCrashPoint on the goroutine walking the trace, once per crash point,
+// before any of that point's states is checked there or by pool workers, so the
 // checker can precompute a shared, immutable view (e.g. the oracle snapshot
 // of oracle_checker.go) instead of re-deriving it inside every concurrent
 // Check call. The goroutine spawn gives every worker a happens-before edge

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"encoding/binary"
-	"hash/fnv"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -30,7 +29,7 @@ type crashCtx struct {
 const maxViolationsPerRun = 200
 
 // parallelThreshold is the minimum number of distinct crash states at one
-// fence worth dispatching to the worker pool; below it the coordinator
+// fence worth fanning out to the worker pool; below it the main runner
 // checks inline. The threshold never changes results, only scheduling.
 const parallelThreshold = 4
 
@@ -46,30 +45,51 @@ type checker struct {
 	// goroutines is safe.
 	contract Checker
 
+	// "Owner" below is whoever owns the checker: the supervisor until it
+	// starts the run's main runner, then that runner, and after a takeover
+	// its replacement (sandbox.go). Pool workers never are.
+	//
 	// obs is the run's private metrics collector and journal the shared
 	// event stream; both are nil-safe no-ops when observability is off.
 	// obs is recorded into from worker goroutines (atomics only); journal
-	// events are emitted from the coordinator exclusively, which is what
-	// makes the journal's event set deterministic across worker counts.
+	// events are emitted by the owner exclusively, which is what makes the
+	// journal's event set deterministic across worker counts.
 	obs     *obs.Collector
 	journal *obs.Journal
 
-	// tracer emits deterministic "span" events (coordinator-only, like the
+	// tracer emits deterministic "span" events (owner-only, like the
 	// journal); checkSpan is the precomputed ID of the run's "check" span,
 	// the parent every fence span hangs off.
 	tracer    *obs.Tracer
 	checkSpan string
 
-	// scratch is the coordinator-only buffer state-key computation
-	// materializes written ranges into; workers use pooled buffers.
+	// Supervision (sandbox.go): the run's slots ([0] the main runner's, the
+	// rest the pool workers'), the main runner line's exit channel, the
+	// supervision clock's epoch, the context's Done channel, and the resolved
+	// sandbox configuration.
+	slots   []*slot
+	exit    chan runnerExit
+	epoch   time.Time
+	doneC   <-chan struct{}
+	direct  bool
+	timeout time.Duration
+	retries int
+
+	// cur is the walk's position; pool the fan-out state of a fence the
+	// pool workers are on.
+	cur  cursor
+	pool fencePool
+
+	// scratch is the owner-only buffer state-key computation materializes
+	// written ranges into.
 	scratch []byte
 	keyBuf  []byte
 	spans   []span
 
-	// Per-fence scratch reused across fences (coordinator-only, see
-	// arena.go for the ownership protocol): the dedup map, the distinct
-	// state list, the subset recursion buffer, the parallel outcome slots,
-	// and the arenas behind every crash state's subset/spans/key.
+	// Per-fence scratch reused across fences (owner-only, see arena.go for
+	// the ownership protocol): the dedup map, the distinct state list, the
+	// subset recursion buffer, the parallel outcome slots, and the arenas
+	// behind every crash state's subset/spans/key.
 	seen      map[string]struct{}
 	distinct  []crashState
 	subsetBuf []int
@@ -78,12 +98,11 @@ type checker struct {
 	spanArena sliceArena[span]
 	keyArena  sliceArena[byte]
 
-	// abandoned counts sandbox goroutines the dispatcher walked away from
-	// (timeout/cancel); abandonedSeen is the coordinator's high-water mark.
-	// When they differ at a fence boundary the arenas are dropped instead of
-	// reset — an abandoned goroutine may still be reading last fence's
-	// saves. Incremented from check workers, read by the coordinator after
-	// the fence joins them.
+	// abandoned counts guest phases the supervisor walked away from
+	// (timeout/cancel); abandonedSeen is the owner's high-water mark. When
+	// they differ at a fence boundary the arenas are dropped instead of
+	// reset — an abandoned guest may still be reading last fence's saves.
+	// Incremented by the supervisor, read by the owner.
 	abandoned     atomic.Int64
 	abandonedSeen int64
 
@@ -96,26 +115,25 @@ type checker struct {
 	imgPool *sync.Pool
 
 	// prep is the contract's optional per-crash-point hook (nil when the
-	// contract has none or Config.DisableOracleSnapshot is set): the
-	// coordinator calls it once per fence before dispatching that fence's
-	// states, so workers share one immutable snapshot instead of each
-	// rebuilding the oracle-visible view.
+	// contract has none or Config.DisableOracleSnapshot is set): the owner
+	// calls it once per fence before checking that fence's states, so they
+	// share one immutable snapshot instead of each rebuilding the
+	// oracle-visible view.
 	prep CrashPointPreparer
 
 	// spansCoalesced counts raw write spans merged away during dedup
-	// keying (coordinator-only; mapped to obs.CtrSpansCoalesced at run end).
+	// keying (owner-only; mapped to obs.CtrSpansCoalesced at run end).
 	spansCoalesced int64
 
-	// baseGen is the generation of the coordinator's working image: the
+	// baseGen is the generation of the walk's working image: the
 	// walk accumulates fence-applied writes into advAccum (baseDirty set)
 	// and commitBase folds them into one generation step — advance becomes
 	// the accumulated write set (valid when advGen == baseGen), baseGen
-	// bumps once — immediately before the next check dispatch. Committing
+	// bumps once — immediately before the next crash point's checks. Committing
 	// lazily means back-to-back fences with no check in between cost ONE
 	// generation, so a pooled image is never more than one generation
 	// behind and catches up by replaying advance instead of re-copying the
-	// device; see prime. Written by the coordinator only, between check
-	// dispatches.
+	// device; see prime. Written by the owner only, between checks.
 	baseGen   int64
 	advance   []int
 	advGen    int64
@@ -123,11 +141,16 @@ type checker struct {
 	baseDirty bool
 }
 
+// cancelled polls the run context (nil doneC: a bare test checker or a
+// context that cannot be cancelled). A channel poll, not ctx.Err(): it is
+// called twice per crash state and Err takes the context's mutex.
 func (ck *checker) cancelled() error {
-	if ck.ctx == nil {
+	select {
+	case <-ck.doneC:
+		return ck.ctx.Err()
+	default:
 		return nil
 	}
-	return ck.ctx.Err()
 }
 
 // span is a half-open byte interval [lo, hi) on the device.
@@ -151,8 +174,42 @@ type crashState struct {
 	keyed  bool
 }
 
-// walk replays the trace, generating crash states at every fence and after
-// every system call (§3.3 "Constructing crash states").
+// walkStage says where inside log entry cur.idx the walk stands.
+type walkStage uint8
+
+const (
+	stageEntry walkStage = iota // the entry has not been looked at yet
+	stageFence                  // a fence: distinct states from cur.rank on remain
+	stagePost                   // a syscall end: its post-syscall state remains
+)
+
+// cursor is the walk's position. It lives on the checker rather than on the
+// walking goroutine's stack so the walk can change goroutines: the
+// supervisor walks until the first guest check is due and the runner picks
+// up from there, and after a takeover the replacement runner resumes
+// mid-fence without re-running a check or re-emitting an event. Owner-only:
+// a runner writes it only while its lease is not running.
+type cursor struct {
+	img      []byte // the working image: baseline, advanced in place
+	log      *trace.Log
+	idx      int
+	stage    walkStage
+	pending  []int
+	lastDone int
+	sig      uint64 // FNV-64a state of the enclosing call's trace-shape signature
+
+	// The fence being checked (stageFence): its crash context, the next rank
+	// to check, and what the closing journal event and span report.
+	cctx       crashCtx
+	rank       int
+	inFlight   int
+	deduped    int
+	fenceStart time.Time
+	spanStart  time.Time
+}
+
+// walk replays the trace from the cursor on, generating crash states at
+// every fence and after every system call (§3.3 "Constructing crash states").
 //
 // At a fence with n in-flight writes the engine checks the 2^n - 1
 // non-empty subsets (in increasing subset-size order, which Observation 7
@@ -160,92 +217,106 @@ type crashState struct {
 // always checked because it is the next persistent base. Crash points after
 // system calls use the current persistent image: writes that were never
 // fenced are — correctly — absent, which is how missing-fence bugs surface.
-func (ck *checker) walk(baseline []byte, log *trace.Log) error {
-	// Key scratch is a crash-state construction cost: bill it to the replay
-	// stage so the -stats sum tracks wall-clock. walk takes ownership of
-	// baseline and advances it in place as the working image — the caller
-	// hands over a private copy, so no defensive copy is needed — and the
-	// device-sized key scratch is a pooled grab released when walk returns.
-	wt := ck.obs.Start()
-	img := baseline
-	ck.devSize = len(img)
-	if !ck.cfg.DisableBufferReuse {
-		ck.imgPool = poolFor(&imagePools, ck.devSize)
-		scr := ck.loanScratch()
-		defer ck.returnScratch(scr)
+//
+// sl is the calling runner's slot. The supervisor walks with a nil slot and
+// gets errNeedRunner back at the first guest check; a runner whose guest
+// phase was abandoned gets errLost and must touch nothing on its way out.
+func (ck *checker) walk(sl *slot) error {
+	c := &ck.cur
+	entries := c.log.Entries()
+	for ; c.idx < len(entries); c.idx++ {
+		e := entries[c.idx]
+		if c.stage == stageEntry {
+			ck.enter(e)
+		}
+		if c.stage != stageEntry {
+			if sl == nil {
+				return errNeedRunner
+			}
+			if err := ck.checkPoint(sl, e.Sys); err != nil {
+				return err
+			}
+			c.stage = stageEntry
+		}
+		// Advancing the persistent base past the fence is replay work.
+		// The applied writes accumulate as the pending advance recipe;
+		// commitBase folds them into one generation step right before
+		// the next check. A fence with nothing in flight changes no bytes
+		// and costs nothing.
+		if e.Kind == trace.KindFence && len(c.pending) > 0 {
+			at := ck.obs.Start()
+			for _, idx := range c.pending {
+				trace.Apply(c.img, c.log.At(idx))
+			}
+			ck.advAccum = append(ck.advAccum, c.pending...)
+			ck.baseDirty = true
+			ck.obs.ObserveSince(obs.StageReplay, at)
+			c.pending = c.pending[:0]
+		}
 	}
-	ck.scratch = grabBuf(len(img), ck.cfg.DisableBufferReuse)
-	defer func() {
-		putBuf(ck.scratch, ck.cfg.DisableBufferReuse)
-		ck.scratch = nil
-	}()
-	// No advance recipe exists yet: a fresh image (gen -1) at generation 0
-	// must full-prime, not replay an empty recipe.
-	ck.advGen = -1
-	ck.obs.ObserveSince(obs.StageReplay, wt)
-	var pending []int
-	lastDone := -1
-	sig := fnv.New64a()
+	return nil
+}
 
-	for _, e := range log.Entries() {
-		if e.Sys >= 0 && e.Kind != trace.KindSyscallBegin && e.Kind != trace.KindSyscallEnd {
-			// Fold the event shape into the enclosing call's signature.
-			var shape [3]byte
-			shape[0] = byte(e.Kind)
-			shape[1] = sizeBucket(len(e.Data))
-			shape[2] = byte(e.Off % 64)
-			sig.Write(shape[:])
+// enter does an entry's engine-side work — signature, statistics, and at a
+// crash point the enumeration of its states — and leaves cur.stage saying
+// whether guest checks are due.
+func (ck *checker) enter(e trace.Entry) {
+	c := &ck.cur
+	if e.Sys >= 0 && e.Kind != trace.KindSyscallBegin && e.Kind != trace.KindSyscallEnd {
+		// Fold the event shape into the enclosing call's signature.
+		c.sig = fnvAdd(fnvAdd(fnvAdd(c.sig, byte(e.Kind)), sizeBucket(len(e.Data))), byte(e.Off%64))
+	}
+	switch e.Kind {
+	case trace.KindSyscallBegin:
+		c.sig = fnv64a(e.Name)
+	case trace.KindNT, trace.KindFlush:
+		c.pending = append(c.pending, e.Seq)
+	case trace.KindStore:
+		ck.res.StoreEntries++
+	case trace.KindFence:
+		ck.res.Fences++
+		ck.noteInFlight(len(c.pending))
+		if len(c.pending) > 0 && ck.caps.Strong && !ck.cfg.PostOnly {
+			ck.enumerate(e.Sys)
 		}
-		switch e.Kind {
-		case trace.KindSyscallBegin:
-			sig.Reset()
-			sig.Write([]byte(e.Name))
-		case trace.KindSyscallEnd:
-			ck.res.SyscallSigs = append(ck.res.SyscallSigs, sig.Sum64())
-		}
-		switch e.Kind {
-		case trace.KindNT, trace.KindFlush:
-			pending = append(pending, e.Seq)
-		case trace.KindStore:
-			ck.res.StoreEntries++
-		case trace.KindFence:
-			ck.res.Fences++
-			ck.noteInFlight(len(pending))
-			if len(pending) > 0 && ck.caps.Strong && !ck.cfg.PostOnly {
-				if err := ck.enumerate(img, log, pending, e.Sys, lastDone); err != nil {
-					return err
-				}
-			}
-			// Advancing the persistent base past the fence is replay work.
-			// The applied writes accumulate as the pending advance recipe;
-			// commitBase folds them into one generation step right before
-			// the next check dispatch. A fence with nothing in flight
-			// changes no bytes and costs nothing.
-			if len(pending) > 0 {
-				at := ck.obs.Start()
-				for _, idx := range pending {
-					trace.Apply(img, log.At(idx))
-				}
-				ck.advAccum = append(ck.advAccum, pending...)
-				ck.baseDirty = true
-				ck.obs.ObserveSince(obs.StageReplay, at)
-				pending = pending[:0]
-			}
-		case trace.KindSyscallEnd:
-			lastDone = e.Sys
-			if ck.shouldCheckPost(e.Sys) {
-				if err := ck.cancelled(); err != nil {
-					return err
-				}
-				ck.commitBase()
-				out := ck.checkOne(img, log, crashState{}, crashCtx{phase: PhasePost, sys: e.Sys, oracleIdx: e.Sys + 1})
-				ck.fold(out)
-				if out.cancelled {
-					return ck.cancelled()
-				}
-			}
+	case trace.KindSyscallEnd:
+		ck.res.SyscallSigs = append(ck.res.SyscallSigs, c.sig)
+		c.lastDone = e.Sys
+		if ck.shouldCheckPost(e.Sys) {
+			ck.commitBase()
+			c.stage = stagePost
 		}
 	}
+}
+
+// checkPoint runs the guest checks entry cur.idx still owes: the rest of
+// its fence, or its post-syscall state.
+func (ck *checker) checkPoint(sl *slot, sys int) error {
+	c := &ck.cur
+	if c.stage == stageFence {
+		if err := ck.runChecks(sl); err != nil {
+			return err
+		}
+		ck.journal.Emit(obs.Event{
+			Type: "fence", FS: ck.caps.Name, Workload: ck.w.Name,
+			Fence: c.cctx.fence, Sys: sys, Phase: c.cctx.phase.String(),
+			InFlight: c.inFlight, States: len(ck.distinct), Deduped: c.deduped,
+			DurNanos: sinceNanos(c.fenceStart),
+		})
+		ck.tracer.Span("fence", c.spanStart, ck.checkSpan, obs.Event{
+			FS: ck.caps.Name, Workload: ck.w.Name,
+			Fence: c.cctx.fence, Sys: sys, States: len(ck.distinct),
+		})
+		return nil
+	}
+	if err := ck.cancelled(); err != nil {
+		return err
+	}
+	out, err := ck.checkOne(sl, c.img, c.log, crashState{}, crashCtx{phase: PhasePost, sys: sys, oracleIdx: sys + 1})
+	if err != nil {
+		return err
+	}
+	ck.fold(out)
 	return nil
 }
 
@@ -268,10 +339,12 @@ func (ck *checker) shouldCheckPost(sys int) bool {
 	}
 }
 
-// enumerate generates the crash states of one fence, deduplicates subsets
-// that materialize byte-identical images, and checks the distinct ones —
-// serially or across the worker pool, with identical results either way.
-func (ck *checker) enumerate(img []byte, log *trace.Log, pending []int, sys, lastDone int) error {
+// enumerate generates the crash states of the fence at the cursor and
+// deduplicates subsets that materialize byte-identical images; the distinct
+// ones are left in ck.distinct for runChecks, with the cursor at stageFence.
+func (ck *checker) enumerate(sys int) {
+	c := &ck.cur
+	img, log, pending := c.img, c.log, c.pending
 	ck.commitBase()
 	full := pending
 	if ck.cfg.VinterFilter {
@@ -313,14 +386,14 @@ func (ck *checker) enumerate(img []byte, log *trace.Log, pending []int, sys, las
 		ck.res.TruncatedFences++
 	}
 
-	ctx := fenceCtx(sys, lastDone)
-	ctx.fence = ck.res.Fences // walk increments before enumerating: 1-based
+	ctx := fenceCtx(sys, c.lastDone)
+	ctx.fence = ck.res.Fences // enter increments before enumerating: 1-based
 
-	var fenceStart time.Time
+	c.fenceStart = time.Time{}
 	if ck.journal != nil {
-		fenceStart = time.Now()
+		c.fenceStart = time.Now()
 	}
-	ft := ck.tracer.Begin()
+	c.spanStart = ck.tracer.Begin()
 	dt := ck.obs.Start()
 
 	// Stream candidate subsets in canonical rank order — size ascending,
@@ -376,77 +449,95 @@ func (ck *checker) enumerate(img []byte, log *trace.Log, pending []int, sys, las
 	// One immutable oracle snapshot per crash point, shared by every state
 	// checked at it (nil when the contract has none or the knob is off).
 	if ck.prep != nil && len(distinct) > 0 {
-		c := ctx
-		ck.prep.PrepareCrashPoint(c.check())
+		ck.prep.PrepareCrashPoint(ctx.check())
 	}
-
-	if err := ck.runChecks(img, log, distinct, ctx); err != nil {
-		return err
-	}
-	ck.journal.Emit(obs.Event{
-		Type: "fence", FS: ck.caps.Name, Workload: ck.w.Name,
-		Fence: ctx.fence, Sys: sys, Phase: ctx.phase.String(),
-		InFlight: n, States: len(distinct), Deduped: dedupedHere,
-		DurNanos: sinceNanos(fenceStart),
-	})
-	ck.tracer.Span("fence", ft, ck.checkSpan, obs.Event{
-		FS: ck.caps.Name, Workload: ck.w.Name,
-		Fence: ctx.fence, Sys: sys, States: len(distinct),
-	})
-	return nil
+	c.cctx, c.rank, c.inFlight, c.deduped = ctx, 0, n, dedupedHere
+	c.stage = stageFence
 }
 
-// runChecks materializes and checks each distinct subset, inline or across
-// Workers goroutines. Outcomes — violations, quarantine entries, retry
-// accounting — are folded in subset-rank order either way, and
-// StatesChecked counts exactly the states whose check reached a classified
-// outcome (clean, violating, or quarantined).
-func (ck *checker) runChecks(img []byte, log *trace.Log, distinct []crashState, cctx crashCtx) error {
-	workers := ck.cfg.Workers
-	if workers > len(distinct) {
-		workers = len(distinct)
-	}
+// fencePool is the fan-out state of the fence the pool workers are on: the
+// next rank to claim, and the group the main runner waits on. The fence
+// itself they read from the cursor, ck.distinct and ck.outcomes, which stand
+// still while it waits.
+type fencePool struct {
+	next atomic.Int64
+	wg   sync.WaitGroup
+}
+
+// runChecks materializes and checks the fence's distinct subsets from
+// cur.rank on, inline or across Workers pool runners. Outcomes — violations,
+// quarantine entries, retry accounting — are folded in subset-rank order
+// either way, and StatesChecked counts exactly the states whose check
+// reached a classified outcome (clean, violating, or quarantined).
+func (ck *checker) runChecks(sl *slot) error {
+	c := &ck.cur
+	distinct := ck.distinct
+	workers := min(ck.cfg.Workers, len(distinct))
 	if workers <= 1 || len(distinct) < parallelThreshold {
-		for rank, st := range distinct {
+		for ; c.rank < len(distinct); c.rank++ {
 			if err := ck.cancelled(); err != nil {
 				return err
 			}
-			c := cctx
-			c.rank = rank
-			out := ck.checkOne(img, log, st, c)
-			ck.fold(out)
-			if out.cancelled {
-				return ck.cancelled()
+			cctx := c.cctx
+			cctx.rank = c.rank
+			out, err := ck.checkOne(sl, c.img, c.log, distinct[c.rank], cctx)
+			if err != nil {
+				return err
 			}
+			ck.fold(out)
 		}
 		return nil
 	}
 
-	outcomes := slices.Grow(ck.outcomes[:0], len(distinct))[:len(distinct)]
-	clear(outcomes)
-	ck.outcomes = outcomes
-	var next int64
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ck.cancelled() == nil {
-				j := int(atomic.AddInt64(&next, 1)) - 1
-				if j >= len(distinct) {
-					return
-				}
-				c := cctx
-				c.rank = j
-				outcomes[j] = ck.checkOne(img, log, distinct[j], c)
-			}
-		}()
+	p := &ck.pool
+	ck.outcomes = slices.Grow(ck.outcomes[:0], len(distinct))[:len(distinct)]
+	clear(ck.outcomes)
+	p.next.Store(0)
+	p.wg.Add(workers)
+	for _, wsl := range ck.slots[1 : 1+workers] {
+		go ck.runWorker(wsl)
 	}
-	wg.Wait()
-	for _, out := range outcomes {
+	p.wg.Wait()
+	if err := ck.cancelled(); err != nil {
+		return err
+	}
+	for _, out := range ck.outcomes {
 		ck.fold(out)
 	}
-	return ck.cancelled()
+	c.rank = len(distinct)
+	return nil
+}
+
+// runWorker is a pool runner: it claims ranks of the fanned-out fence until
+// none are left. A replacement started after a takeover enters with its
+// predecessor's claim and retry progress in sl.try and finishes that rank
+// first. A worker whose guest phase was abandoned leaves without reporting
+// in — the supervisor has passed its place in the group on.
+func (ck *checker) runWorker(sl *slot) {
+	c, p := &ck.cur, &ck.pool
+	for {
+		if sl.try.attempts == 0 {
+			if ck.cancelled() != nil {
+				break
+			}
+			sl.try.rank = int(p.next.Add(1)) - 1
+		}
+		rank := sl.try.rank
+		if rank >= len(ck.distinct) {
+			break
+		}
+		cctx := c.cctx
+		cctx.rank = rank
+		out, err := ck.checkOne(sl, c.img, c.log, ck.distinct[rank], cctx)
+		if err == errLost {
+			return
+		}
+		if err != nil {
+			break // cancelled
+		}
+		ck.outcomes[rank] = out
+	}
+	p.wg.Done()
 }
 
 // stateKey returns a canonical fingerprint of the crash image base+subset
@@ -559,10 +650,10 @@ func coalesceSpans(spans []span) []span {
 
 // resetFenceScratch readies the per-fence scratch for reuse: normally the
 // arenas rewind and the dedup map clears in place (zero allocations in
-// steady state). If any sandbox goroutine was abandoned since the last
-// fence, the arenas are dropped instead — the goroutine may still be
-// reading last fence's subset/spans/key saves, and reusing their memory
-// would race with it. Abandonments are rare (deterministic hangs, run
+// steady state). If any guest phase was abandoned since the last fence,
+// the arenas are dropped instead — its goroutine may still be reading last
+// fence's subset/spans/key saves, and reusing their memory would race with
+// it. Abandonments are rare (deterministic hangs, run
 // cancellation), so the steady state stays allocation-free.
 func (ck *checker) resetFenceScratch() {
 	if n := ck.abandoned.Load(); n != ck.abandonedSeen {
@@ -585,11 +676,11 @@ func (ck *checker) resetFenceScratch() {
 	}
 }
 
-// commitBase folds the writes fences applied since the last check dispatch
-// into one generation step: advance becomes the accumulated recipe and
-// baseGen bumps once. Coordinator-only, called immediately before dispatching
-// checks — so every pooled image primed at the previous dispatch is exactly
-// one generation (one advance replay) behind, never more.
+// commitBase folds the writes fences applied since the last check into one
+// generation step: advance becomes the accumulated recipe and baseGen bumps
+// once. Owner-only, called immediately before a crash point's checks — so
+// the main runner's image, primed at the previous one, is exactly one
+// generation (one advance replay) behind, never more.
 func (ck *checker) commitBase() {
 	if !ck.baseDirty {
 		return

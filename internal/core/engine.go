@@ -32,8 +32,8 @@ const (
 	DefaultSafetyCap       = 3
 )
 
-// Sandbox defaults: every per-crash-state check runs under a watchdogged
-// goroutine with panic containment (see sandbox.go). A check that panics or
+// Sandbox defaults: every per-crash-state check runs on a supervised runner
+// with panic containment and a deadline (see sandbox.go). A check that panics or
 // exceeds the deadline is retried with backoff to separate transient
 // failures (pool pressure) from deterministic ones; deterministic failures
 // are quarantined, never silently dropped.
@@ -137,7 +137,7 @@ type Config struct {
 	Obs *obs.Collector
 	// Journal, when non-nil, receives one event per workload, fence,
 	// violation, quarantine, and sandbox retry — the append-only JSONL run
-	// journal (-journal). All events are emitted from the coordinator, so
+	// journal (-journal). All events are emitted by the run's one walker, so
 	// the journal's order-normalized event set is identical between serial
 	// and parallel runs of the same suite.
 	Journal *obs.Journal
@@ -145,8 +145,8 @@ type Config struct {
 	// journal covering the engine stages of this run: a "workload" root span
 	// with "oracle", "record", and "check" children, plus one "fence" span
 	// per enumerated fence. Span IDs are pure functions of work coordinates
-	// (see obs.Tracer), and all engine spans are emitted from the
-	// coordinator goroutine, so the canonical span multiset is identical
+	// (see obs.Tracer), and all engine spans are emitted by the run's one
+	// walker, never by pool workers, so the canonical span multiset is identical
 	// across worker counts — the same contract Journal events honor.
 	Tracer *obs.Tracer
 	// Checker selects the correctness contract applied to every mounted
@@ -416,11 +416,15 @@ func RunContext(ctx context.Context, cfg Config, w workload.Workload) (*Result, 
 	tr.Span("oracle", obegin, wlSpan, obs.Event{Workload: w.Name})
 
 	// --- Record pass: run the workload on the target, tracing writes. The
-	// device images and the baseline crash image are pooled grabs — nothing
-	// retains them past the run (workload results carry no device memory,
-	// and walk's sandbox goroutines never see these buffers), so they
-	// recycle at return. WrapImages requires the just-rebooted
-	// volatile == persistent invariant, which two zeroed buffers satisfy.
+	// device images and the baseline crash image are pooled grabs that
+	// recycle at return (workload results carry no device memory). For
+	// recVol/recPers that is unconditional: no runner ever sees them. The
+	// baseline is the runner's working image, but only engine code on the
+	// runner touches it, never a guest phase — and when RunContext returns,
+	// every runner has either exited or was abandoned inside a guest phase
+	// and unwinds without touching it (arena.go has the whole protocol).
+	// WrapImages requires the just-rebooted volatile == persistent
+	// invariant, which two zeroed buffers satisfy.
 	rbegin := tr.Begin()
 	rt := col.Start()
 	recVol := grabZeroBuf(int(devSize), cfg.DisableBufferReuse)
@@ -492,7 +496,7 @@ func RunContext(ctx context.Context, cfg Config, w workload.Workload) (*Result, 
 	if !cfg.DisableOracleSnapshot {
 		ck.prep, _ = contract.(CrashPointPreparer)
 	}
-	if err := ck.walk(baseline, log); err != nil {
+	if err := ck.supervise(baseline, log); err != nil {
 		return nil, err
 	}
 	if !cfg.DisableBufferReuse && ck.abandoned.Load() == 0 {

@@ -22,8 +22,8 @@ type oracleChecker struct {
 	env RunEnv
 
 	// snaps caches per-syscall oracle snapshots, keyed by syscall index and
-	// published copy-on-write: PrepareCrashPoint (coordinator-only, called
-	// before a crash point's states are dispatched) stores a NEW map holding
+	// published copy-on-write: PrepareCrashPoint (walker-only, called
+	// before a crash point's states are checked) stores a NEW map holding
 	// the old entries plus the new one, so concurrent — and even abandoned —
 	// Check calls keep reading whichever map they loaded. Snapshots are
 	// immutable after build; a Check call that finds no cached entry (the

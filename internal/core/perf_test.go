@@ -3,9 +3,11 @@ package core
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/obs"
+	"chipmunk/internal/persist"
 	"chipmunk/internal/trace"
 	"chipmunk/internal/vfs"
 	"chipmunk/internal/workload"
@@ -210,12 +212,25 @@ func TestOracleSnapshotImmutable(t *testing.T) {
 	}
 }
 
+// stubGuest and stubContract stand in for the guest side of a check: Mount
+// succeeds, the contract finds nothing. Guest code allocates by design and is
+// not part of the zero-alloc contract; the stubs keep its share fixed and
+// tiny so the engine's share can be pinned exactly.
+type stubGuest struct{ vfs.FS }
+
+func (*stubGuest) Mount() error { return nil }
+
+type stubContract struct{}
+
+func (stubContract) Name() string                         { return "stub" }
+func (stubContract) Check(vfs.FS, *CheckContext) *Finding { return nil }
+
 // hotLoopChecker builds a bare checker plus a replayed-write log shaped like
 // one fence: overlapping and disjoint in-flight stores over a pool-sized
-// device. It drives exactly the coordinator+materializer hot path the engine
-// runs per crash state — dedup keying, arena saves, image lease, coalesced
-// apply, rollback, release — with the guest mount excluded (guest code
-// allocates by design and is sandboxed, not part of the zero-alloc contract).
+// device. It drives exactly the per-state hot path the engine's runner
+// executes — dedup keying, arena saves, prime, coalesced apply, arm → guard →
+// settle around a stub guest, rollback, revert — through checkOne, the same
+// entry point walk uses.
 func hotLoopChecker(col *obs.Collector) (ck *checker, base []byte, log *trace.Log, subsets [][]int) {
 	base = make([]byte, 1<<16)
 	for i := range base {
@@ -239,20 +254,27 @@ func hotLoopChecker(col *obs.Collector) (ck *checker, base []byte, log *trace.Lo
 		{0, 1}, {1, 0}, // same bytes, opposite order: the dedup-hit path
 		{0, 1, 2}, {3, 4}, {0, 1, 2, 3, 4},
 	}
+	guest := &stubGuest{}
 	ck = &checker{
-		cfg:     Config{},
-		res:     &Result{},
-		obs:     col,
-		runID:   runIDs.Add(1),
-		devSize: len(base),
-		imgPool: poolFor(&imagePools, len(base)),
+		cfg:      Config{NewFS: func(*persist.PM) vfs.FS { return guest }},
+		contract: stubContract{},
+		res:      &Result{},
+		obs:      col,
+		runID:    runIDs.Add(1),
+		devSize:  len(base),
+		imgPool:  poolFor(&imagePools, len(base)),
+		slots:    []*slot{newSlot(tryState{})},
+		epoch:    time.Now(),
+		timeout:  DefaultCheckTimeout,
+		retries:  DefaultCheckRetries,
 	}
 	ck.scratch = grabBuf(len(base), false)
 	return ck, base, log, subsets
 }
 
-// runHotLoop is one fence worth of per-state work on the hot path.
-func runHotLoop(ck *checker, base []byte, log *trace.Log, subsets [][]int) {
+// runHotLoop is one fence worth of per-state work on the hot path; it
+// returns how many distinct states it checked.
+func runHotLoop(ck *checker, base []byte, log *trace.Log, subsets [][]int) (states int) {
 	ck.resetFenceScratch()
 	for _, sub := range subsets {
 		k := ck.stateKey(base, log, sub)
@@ -267,17 +289,20 @@ func runHotLoop(ck *checker, base []byte, log *trace.Log, subsets [][]int) {
 			key:    key,
 			keyed:  true,
 		}
-		wi := ck.grabImage()
-		ck.prime(wi, base, log)
-		ck.applyDelta(wi, log, st, nil, true)
-		wi.dev.Reset()
-		wi.undo.Rollback()
-		ck.release(wi, base, st, true, 0, false)
+		out, err := ck.checkOne(ck.slots[0], base, log, st, crashCtx{phase: PhaseMid, fence: 1, rank: states})
+		if err != nil || !out.done || out.v != nil {
+			panic(fmt.Sprintf("hot-loop check: outcome %+v, err %v", out, err))
+		}
+		states++
 	}
+	return states
 }
 
 // TestCheckLoopZeroAlloc pins the tentpole claim: once warm, the per-state
-// check loop performs zero heap allocations — with observability on and off.
+// check loop — arm, guard and settle included — performs zero heap
+// allocations of its own, with observability on and off. The stub guest's
+// fixed share (the persist.PM and CheckContext every check hands its guest)
+// is measured on a bare checkState call and subtracted.
 func TestCheckLoopZeroAlloc(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless under -race")
@@ -292,14 +317,20 @@ func TestCheckLoopZeroAlloc(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ck, base, log, subsets := hotLoopChecker(c.col)
 			defer putBuf(ck.scratch, false)
-			for i := 0; i < 3; i++ { // warm arenas, pools, dedup map
-				runHotLoop(ck, base, log, subsets)
+			states := 0
+			for i := 0; i < 3; i++ { // warm arenas, the slot's image, dedup map
+				states = runHotLoop(ck, base, log, subsets)
 			}
+			dev := ck.slots[0].wi.dev
+			guest := testing.AllocsPerRun(20, func() {
+				ck.checkState(dev, crashCtx{phase: PhaseMid}, time.Time{})
+			})
 			allocs := testing.AllocsPerRun(20, func() {
 				runHotLoop(ck, base, log, subsets)
 			})
-			if allocs != 0 {
-				t.Errorf("per-fence check loop allocates %.1f times, want 0", allocs)
+			if engine := allocs - guest*float64(states); engine != 0 {
+				t.Errorf("per-fence check loop allocates %.1f times beyond the guest's %.0f x %d states, want 0",
+					engine, guest, states)
 			}
 		})
 	}
@@ -339,12 +370,12 @@ func BenchmarkDeltaApplyRelease(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ck.applyDelta(wi, log, st, nil, true)
-		ck.release(wi, base, st, true, 0, false)
+		ck.revert(wi, base, st, true, 0, false)
 	}
 }
 
 // BenchmarkMaterializeState is the end-to-end per-state hot loop (keying,
-// dedup, lease, apply, rollback, release) the zero-alloc test pins.
+// dedup, apply, guard, rollback, revert) the zero-alloc test pins.
 func BenchmarkMaterializeState(b *testing.B) {
 	ck, base, log, subsets := hotLoopChecker(nil)
 	defer putBuf(ck.scratch, false)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"runtime/debug"
@@ -17,9 +18,43 @@ import (
 // This file is the check sandbox: the in-process analogue of the paper's VM
 // farm (§4.2). The paper mounts every crash state inside a disposable VM
 // precisely because a corrupted state can take the guest kernel down with
-// it; here every per-crash-state check (mount, oracle comparison, usability
-// probe) runs on a watchdogged goroutine with panic containment, so a
-// hostile state costs one classified report instead of the whole census.
+// it; here the check loop of one engine run executes on a supervised runner
+// goroutine, so a hostile state costs one classified report instead of the
+// whole census — and a healthy one costs no hand-off at all.
+//
+// One set of roles per engine run:
+//   - The supervisor is the goroutine that called RunContext. It walks the
+//     trace itself until the first guest check is due (a run with no crash
+//     state never starts a goroutine), then starts the runner and blocks in
+//     one select on {runner finished, one timer, ctx.Done()}.
+//   - The runner executes walk → enumerate → checks inline. Around each
+//     guest phase (mount, contract check, undo rollback) it arms its slot —
+//     one atomic store of deadline|leaseRunning — runs the guest under a
+//     deferred recover, and settles with one CAS. Panic, media-error, retry
+//     and quarantine handling all happen inline on the runner.
+//   - A slot is what the two share: the lease word, the runner's run-long
+//     pooled image, the current state's retry progress. With Config.Workers
+//     > 1 every pool worker is a runner with its own slot, same supervisor.
+//   - The cursor (checker.cur) is the walk's position, kept off the
+//     goroutine stack so it outlives a runner.
+//
+// Takeover. The timer never fires on a clean run. When it does, the
+// supervisor abandons every slot whose armed deadline has passed — CAS
+// running → abandoned — and re-arms to the earliest deadline still pending.
+// The CAS can only be won during a guest phase, when the runner touches
+// nothing but its image and crash context, so winning it transfers ownership
+// of the checker: the supervisor retires the image, records the timed-out
+// attempt in a fresh slot and starts a fresh runner that resumes at the
+// cursor — backoff and retry, or quarantine and the next state. No earlier
+// check is re-run, no journal event or span emitted twice. A guest that
+// returns late finds its CAS lost and unwinds touching nothing; one that
+// never returns is leaked with its retired image (Go cannot kill a
+// goroutine) — the price of a census that always terminates, the same trade
+// the paper makes when it shoots a wedged VM. Cancellation abandons a
+// running guest phase the same way and returns ctx.Err(); a runner between
+// guest phases notices by itself. Engine panics outside the guard
+// (enumeration, PrepareCrashPoint, fold) are caught at the runner's top
+// frame and re-raised by the supervisor on RunContext's caller.
 //
 // Outcome taxonomy:
 //   - success: the check's verdict (violation or clean) is used as-is;
@@ -29,12 +64,7 @@ import (
 //     a failure that survives every retry is deterministic — the state is
 //     quarantined (Result.Quarantined) and classified VPanic/VTimeout.
 //
-// A timed-out goroutine cannot be killed in Go; it is abandoned together
-// with its pooled image (which is retired from the pool — see the lease
-// protocol below). That leak is the price of a census that always
-// terminates — the same trade the paper makes when it shoots a wedged VM.
-//
-// Crash-image materialization is O(diff), not O(device): pooled images are
+// Crash-image materialization is O(diff), not O(device): a slot's image is
 // primed with the fence's base once per generation, each crash state is
 // materialized by applying only its subset's merged byte spans (the spans
 // stateKey already computed during dedup), and after the check the image is
@@ -42,18 +72,18 @@ import (
 // delta spans by re-copying them from the base. Config.DisableDeltaMaterialize
 // selects the legacy two-full-copies-per-state path for differential tests.
 
-// checkOutcome is what one sandboxed check contributes to the result; the
-// caller folds it (serially, in canonical rank order) via fold.
+// checkOutcome is what one checked crash state contributes to the result;
+// the runner that owns the checker folds it (serially, in canonical rank
+// order) via fold.
 type checkOutcome struct {
-	done      bool // the check reached a classified outcome (counted)
-	v         *Violation
-	q         *Quarantine
-	retried   bool     // succeeded only after a retry (transient failure)
-	cancelled bool     // run context cancelled mid-check; nothing counted
-	ctx       crashCtx // crash point identity, for journal attribution
+	done    bool // the check reached a classified outcome (counted)
+	v       *Violation
+	q       *Quarantine
+	retried bool     // succeeded only after a retry (transient failure)
+	ctx     crashCtx // crash point identity, for journal attribution
 }
 
-// attemptResult is the raw outcome of one sandboxed attempt.
+// attemptResult is the raw outcome of one guarded attempt.
 type attemptResult struct {
 	ok        bool
 	v         *Violation
@@ -62,19 +92,30 @@ type attemptResult struct {
 	panicVal  string
 	stack     string
 	timedOut  bool
-	cancelled bool
-	// checkStart is the open check-stage window (see checkState): the
-	// dispatching side closes it after the hand-back so the stage total
-	// includes the sandbox return path. Zero when the attempt failed before
-	// the check phase or observability is off.
+	cancelled bool // the run was cancelled before the guest started
+	// lost: the supervisor abandoned this guest phase while it ran. The
+	// checker now belongs to someone else — the caller must unwind without
+	// touching it (or its own slot, which the supervisor has read).
+	lost bool
+	// checkStart is the open check-stage window (see checkState), closed by
+	// attempt after the image is restored. Zero when the attempt failed
+	// before the check phase or observability is off.
 	checkStart time.Time
+	rolledBack int64 // guest-mutated bytes the undo log restored
 }
 
-// fold applies one outcome to the result. Coordinator-only: parallel
-// workers hand their outcomes back in rank order instead. Zero-value
-// outcomes (cancelled runs leave unclaimed slots) fold to nothing.
+// errNeedRunner stops the supervisor's inline walk at the first guest check;
+// errLost unwinds a runner whose guest phase was abandoned.
+var (
+	errNeedRunner = errors.New("core: guest check due, runner not started")
+	errLost       = errors.New("core: runner abandoned")
+)
+
+// fold applies one outcome to the result. Owner-only: pool workers hand
+// their outcomes back in rank order instead. Zero-value outcomes (cancelled
+// runs leave unclaimed slots) fold to nothing.
 func (ck *checker) fold(out checkOutcome) {
-	if !out.done || out.cancelled {
+	if !out.done {
 		return
 	}
 	ck.res.StatesChecked++
@@ -112,57 +153,307 @@ func (ck *checker) fold(out checkOutcome) {
 	}
 }
 
-// checkOne checks one crash state (base image + replayed subset) end to end:
-// sandboxed attempt, bounded retry, quarantine on deterministic failure.
-// Safe to call from worker goroutines.
-func (ck *checker) checkOne(img []byte, log *trace.Log, st crashState, cctx crashCtx) checkOutcome {
-	cctx.subset = st.subset
-	if ck.cfg.DisableSandbox && !ck.cfg.Faults.Enabled() {
-		return checkOutcome{done: true, v: ck.checkDirect(img, log, st, cctx), ctx: cctx}
-	}
+// Lease states: the ownership protocol between a runner and the supervisor,
+// held in the low two bits of slot.lease. The runner arms running before a
+// guest phase and settles running → clean (guest returned, its mutations
+// rolled back) or running → poisoned (panic or media error left the check
+// half-done); the supervisor transitions running → abandoned when the armed
+// deadline passes or the run is cancelled. Exactly one side wins the CAS,
+// and with it ownership of the image and the checker: a clean image stays in
+// its slot, everything else is retired — an abandoned guest may still be
+// scribbling on its buffers, and a poisoned image can no longer be trusted
+// to equal base-plus-delta.
+const (
+	leaseRunning int64 = iota
+	leaseClean
+	leasePoisoned
+	leaseAbandoned
+	leaseBits = 2
+)
 
-	timeout := ck.cfg.CheckTimeout
-	if timeout == 0 {
-		timeout = DefaultCheckTimeout
-	}
-	retries := ck.cfg.CheckRetries
-	if retries == 0 {
-		retries = DefaultCheckRetries
-	} else if retries < 0 {
-		retries = 0
-	}
+// tryState is one crash state's retry progress. It lives in the slot, not on
+// the runner's stack, so a takeover can carry it to the replacement runner.
+type tryState struct {
+	rank     int // pool workers only: the rank claimed of the fanned-out fence
+	attempts int
+	last     attemptResult
+}
 
-	backoff := time.Millisecond
-	var last attemptResult
-	attempts := 0
+// slot is one runner's half of the supervision protocol. Everything but the
+// lease word is written by the runner only while the lease is not running,
+// and read by the supervisor only after it won the abandoning CAS — the CAS
+// is the hand-over.
+type slot struct {
+	// lease is deadline<<leaseBits | state: the armed deadline (nanoseconds
+	// since checker.epoch; unused without a timer) rides in the same word as
+	// the state, so the supervisor's CAS can only abandon the exact guest
+	// phase whose deadline it examined — never one armed in between.
+	lease atomic.Int64
+	// wi is the slot's pooled image, grabbed at the runner's first state and
+	// kept for the life of the run (nil after a retire until the next state).
+	wi  *workerImage
+	try tryState
+}
+
+func newSlot(try tryState) *slot {
+	sl := &slot{try: try}
+	sl.lease.Store(leaseClean)
+	return sl
+}
+
+func (sl *slot) abandoned() bool { return sl.lease.Load() == leaseAbandoned }
+
+// runnerExit is the one message a run's main runner line sends: the walk's
+// error, or the engine panic its top frame caught (never nil: a panic(nil)
+// reaches recover as a *runtime.PanicNilError).
+type runnerExit struct {
+	err      error
+	panicVal any
+	at       time.Time // when the hand-back began (zero: observability off)
+}
+
+// supervise drives the check phase of one engine run: the trace walk, the
+// runner that executes it once a guest check is due, and the clean-ups that
+// must outlive any runner. It takes ownership of baseline and advances it in
+// place as the working image — the caller hands over a private copy.
+func (ck *checker) supervise(baseline []byte, log *trace.Log) error {
+	// Key scratch is a crash-state construction cost: bill it to the replay
+	// stage so the -stats sum tracks wall-clock.
+	wt := ck.obs.Start()
+	fresh := ck.cfg.DisableBufferReuse
+	ck.devSize = len(baseline)
+	ck.direct = ck.cfg.DisableSandbox && !ck.cfg.Faults.Enabled()
+	if ck.timeout = ck.cfg.CheckTimeout; ck.timeout == 0 {
+		ck.timeout = DefaultCheckTimeout
+	}
+	if ck.retries = ck.cfg.CheckRetries; ck.retries == 0 {
+		ck.retries = DefaultCheckRetries
+	} else if ck.retries < 0 {
+		ck.retries = 0
+	}
+	if ck.ctx != nil {
+		ck.doneC = ck.ctx.Done()
+	}
+	var scr *fenceScratch
+	if !fresh {
+		ck.imgPool = poolFor(&imagePools, ck.devSize)
+		scr = ck.loanScratch()
+	}
+	ck.scratch = grabBuf(ck.devSize, fresh)
+	// A runner can be abandoned mid-walk, so the walk's clean-ups run here,
+	// once, after the last runner the supervisor waits for: images no guest
+	// can still be holding go back to the pool, and the fence scratch is
+	// recycled unless an abandoned guest may still be reading it.
+	defer func() {
+		for _, sl := range ck.slots {
+			if sl.wi != nil && !sl.abandoned() {
+				ck.putImage(sl.wi)
+			}
+		}
+		if scr != nil {
+			ck.returnScratch(scr)
+		}
+		putBuf(ck.scratch, fresh)
+		ck.scratch = nil
+	}()
+	ck.cur = cursor{img: baseline, log: log, lastDone: -1, sig: fnvOffset64}
+	// No advance recipe exists yet: a fresh image (gen -1) at generation 0
+	// must full-prime, not replay an empty recipe.
+	ck.advGen = -1
+	ck.obs.ObserveSince(obs.StageReplay, wt)
+
+	if ck.direct {
+		ck.newSlots()
+		ck.slots[0] = newSlot(tryState{})
+		return ck.walk(ck.slots[0])
+	}
+	// Walk inline until the first guest check is due; most short runs on
+	// weak systems end here without ever starting a goroutine.
+	if err := ck.walk(nil); err != errNeedRunner {
+		return err
+	}
+	ck.newSlots()
+	ck.exit = make(chan runnerExit, 1)
+	var timer *time.Timer
+	var timerC <-chan time.Time
+	ck.epoch = time.Now()
+	if ck.timeout > 0 {
+		timer = time.NewTimer(ck.timeout)
+		defer timer.Stop()
+		timerC = timer.C
+	}
+	cancelC := ck.doneC
+	ck.startRunner(0, tryState{})
 	for {
-		last = ck.attempt(img, log, st, cctx, timeout)
-		attempts++
+		select {
+		case ex := <-ck.exit:
+			if ex.panicVal != nil {
+				panic(ex.panicVal)
+			}
+			ck.obs.ObserveSince(obs.StageCheck, ex.at)
+			return ex.err
+		case <-timerC:
+		case <-cancelC:
+			cancelC = nil
+		}
+		// The timer fired or the run was cancelled: abandon every guest phase
+		// that is past its deadline (cancelled: every one that is running).
+		// Runners between guest phases re-check the context right after
+		// arming, so once a cancel scan is through no new guest phase starts.
+		cancelErr := ck.cancelled()
+		now := ck.now()
+		next := now + int64(ck.timeout)
+		for i, sl := range ck.slots {
+			w := sl.lease.Load()
+			if w&(1<<leaseBits-1) != leaseRunning {
+				continue
+			}
+			if dl := w >> leaseBits; cancelErr == nil && dl > now {
+				next = min(next, dl)
+				continue
+			}
+			if !sl.lease.CompareAndSwap(w, leaseAbandoned) {
+				continue // settled in the race window: the runner kept it
+			}
+			if sl.wi != nil { // the full-copy path holds no pooled image
+				ck.obs.Inc(obs.CtrImagesRetired)
+			}
+			ck.abandoned.Add(1)
+			switch {
+			case cancelErr == nil:
+				try := sl.try
+				try.attempts++
+				try.last = attemptResult{timedOut: true}
+				ck.startRunner(i, try)
+			case i == 0:
+				return cancelErr
+			default:
+				// A cancelled pool worker will never report in, so report
+				// for it: the main runner is waiting on the group and
+				// returns the cancellation itself.
+				ck.pool.wg.Done()
+			}
+		}
+		if timer != nil {
+			timer.Reset(time.Duration(next - now))
+		}
+	}
+}
+
+// newSlots creates the run's slots: [0] is the main runner's (filled in by
+// the caller), the rest the pool workers'. All exist before any runner
+// starts, so the supervisor can scan the slice without synchronizing with
+// the runner that fans out.
+func (ck *checker) newSlots() {
+	n := 1
+	if ck.cfg.Workers > 1 {
+		n += ck.cfg.Workers
+	}
+	ck.slots = make([]*slot, n)
+	for i := 1; i < n; i++ {
+		ck.slots[i] = newSlot(tryState{})
+	}
+}
+
+// now is the supervision clock: nanoseconds since the run's epoch.
+func (ck *checker) now() int64 { return int64(time.Since(ck.epoch)) }
+
+// startRunner starts a runner on a fresh slot in position i — the run's
+// first, or the replacement after a takeover, which resumes the abandoned
+// state from try. Supervisor-only.
+func (ck *checker) startRunner(i int, try tryState) {
+	sl := newSlot(try)
+	if i == 0 && !ck.cfg.DisableDeltaMaterialize {
+		// The main runner's image is taken out and put back by the same
+		// long-lived goroutine: the pool is per-P, and a fresh runner
+		// goroutine per run would keep finding it on the wrong one. It is
+		// primed here too (the runner's own prime is then a no-op): this
+		// goroutine just built the base, so the device copy is cache-warm,
+		// and a one-state run's runner lives no longer than its guest phase
+		// — short enough that the M its start woke is still spinning when
+		// it finishes, which saves the second futex wake-up.
+		rt := ck.obs.Start()
+		sl.wi = ck.grabImage()
+		ck.prime(sl.wi, ck.cur.img, ck.cur.log)
+		ck.obs.ObserveSince(obs.StageReplay, rt)
+	}
+	ck.slots[i] = sl
+	ck.obs.Inc(obs.CtrSandboxRunners)
+	if i > 0 {
+		go ck.runWorker(sl)
+		return
+	}
+	// The two hand-offs of a run bill where the per-state ones used to, so
+	// the stage windows keep tiling wall-clock: the runner's start to mount,
+	// its hand-back (closed by the supervisor) to check.
+	st := ck.obs.Start()
+	go func() {
+		ck.obs.ObserveSince(obs.StageMount, st)
+		defer func() {
+			// An engine panic outside the guard must surface on RunContext's
+			// caller, not kill the process from an unsupervised goroutine.
+			if r := recover(); r != nil && !sl.abandoned() {
+				ck.exit <- runnerExit{panicVal: r}
+			}
+		}()
+		if err := ck.walk(sl); err != errLost {
+			ck.exit <- runnerExit{err: err, at: ck.obs.Start()}
+		}
+	}()
+}
+
+// checkOne checks one crash state (base image + replayed subset) end to end
+// on the calling runner: guarded attempt, bounded retry with backoff,
+// quarantine on deterministic failure. The retry progress lives in sl.try, so
+// a replacement runner entering with attempts already recorded resumes at
+// the classification of the last one. Safe to call from pool workers.
+func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState, cctx crashCtx) (checkOutcome, error) {
+	cctx.subset = st.subset
+	if ck.direct {
+		return checkOutcome{done: true, v: ck.attempt(sl, img, log, st, cctx).v, ctx: cctx}, nil
+	}
+	try := &sl.try
+	for resumed := try.attempts > 0; ; resumed = false {
+		if !resumed {
+			r := ck.attempt(sl, img, log, st, cctx)
+			switch {
+			case r.lost:
+				return checkOutcome{}, errLost
+			case r.cancelled:
+				return checkOutcome{}, ck.cancelled()
+			}
+			try.last = r
+			try.attempts++
+		}
+		last, attempts := try.last, try.attempts
 		switch {
-		case last.cancelled:
-			return checkOutcome{cancelled: true}
 		case last.ok:
-			return checkOutcome{done: true, v: last.v, retried: attempts > 1, ctx: cctx}
+			*try = tryState{}
+			return checkOutcome{done: true, v: last.v, retried: attempts > 1, ctx: cctx}, nil
 		case last.media != nil:
 			// An injected media fault is deterministic by construction:
 			// classify immediately, no retry, no quarantine — it is a
 			// modeled crash outcome, not a checker failure.
+			*try = tryState{}
 			ck.obs.Inc(obs.CtrFaultsInjected)
 			return checkOutcome{done: true, v: ck.violation(cctx, VUnreadable,
-				fmt.Sprintf("reading recovered state failed: %v", last.media)), ctx: cctx}
+				fmt.Sprintf("reading recovered state failed: %v", last.media)), ctx: cctx}, nil
 		}
-		if attempts <= retries {
-			time.Sleep(backoff)
-			backoff *= 4
-			continue
+		if attempts > ck.retries {
+			break
 		}
-		break
+		// Backoff 1ms, x4 per retry; a cancelled run does not sit it out.
+		if err := ck.sleep(time.Millisecond << (2 * (attempts - 1))); err != nil {
+			return checkOutcome{}, err
+		}
 	}
 
 	// Deterministic panic or hang: quarantine the state and classify it.
+	last, attempts := try.last, try.attempts
+	*try = tryState{}
 	kind, detail := VPanic, "check panicked: "+firstLine(last.panicVal)
 	if last.timedOut {
-		kind, detail = VTimeout, fmt.Sprintf("check exceeded %v deadline", timeout)
+		kind, detail = VTimeout, fmt.Sprintf("check exceeded %v deadline", ck.timeout)
 	}
 	q := &Quarantine{
 		Workload: ck.w.Name,
@@ -177,14 +468,25 @@ func (ck *checker) checkOne(img []byte, log *trace.Log, st crashState, cctx cras
 		Stack:    last.stack,
 		Attempts: attempts,
 	}
-	return checkOutcome{done: true, v: ck.violation(cctx, kind, detail), q: q, ctx: cctx}
+	return checkOutcome{done: true, v: ck.violation(cctx, kind, detail), q: q, ctx: cctx}, nil
 }
 
-// workerImage is one pooled crash-image pair with its reusable device and
-// undo log. Invariant while pooled: both images hold exactly the contents of
-// run `run`'s working image at generation gen (-1 = never primed). prime
+// sleep waits out a retry backoff, or returns the context's error as soon as
+// the run is cancelled.
+func (ck *checker) sleep(d time.Duration) error {
+	select {
+	case <-ck.doneC:
+		return ck.ctx.Err()
+	case <-time.After(d):
+		return nil
+	}
+}
+
+// workerImage is one pooled crash image with its reusable device and undo
+// log. Invariant between checks: the image holds exactly the contents of run
+// `run`'s working image at generation gen (-1 = never primed). prime
 // re-establishes the invariant for the current run and generation, applyDelta
-// perturbs it for one crash state, and release restores it — so a state
+// perturbs it for one crash state, and revert restores it — so a state
 // whose base is already primed costs only its own diff, never a device copy.
 // Images recycle across engine runs through the process-wide pool
 // (arena.go); the run token is what keeps a stale image's generations from
@@ -213,43 +515,29 @@ func newWorkerImage(size int) *workerImage {
 	return wi
 }
 
-// Image-lease states: the ownership protocol between the dispatcher and the
-// sandbox goroutine it spawned. The goroutine transitions running → clean
-// (after rolling back the guest's mutations) or running → poisoned (panic or
-// media error left the check half-done); the dispatcher transitions
-// running → abandoned when the watchdog fires or the run is cancelled.
-// Exactly one side wins the CAS, and with it, ownership of the image:
-// clean images are released back to the pool, everything else is retired —
-// an abandoned goroutine may still be scribbling on its buffers, and a
-// poisoned image can no longer be trusted to equal base-plus-delta.
-const (
-	leaseRunning int32 = iota
-	leaseClean
-	leasePoisoned
-	leaseAbandoned
-)
-
-// attempt runs one sandboxed check attempt: lease a pooled image, prime it
-// with the fence's base if its generation is stale, apply the crash state's
-// delta (subset writes and injected faults) on the dispatching side, then
-// mount and check on a fresh goroutine guarded by recover() and a watchdog
-// timer. On a clean finish the image is restored and pooled; on
-// abandonment or poisoning it is retired.
+// attempt runs one check attempt on the calling runner: prime the slot's
+// image with the fence's base if its generation is stale, apply the crash
+// state's delta (subset writes and injected faults), then mount and check
+// under the guard. On a clean finish the delta is reverted and the image
+// stays in the slot; a poisoned image is retired.
 //
-// Replay runs OUTSIDE the sandbox goroutine on purpose: the working image
-// belongs to the coordinator, which keeps advancing it after a timed-out
-// goroutine is abandoned — a goroutine still reading img at that point is
-// a data race. Replay is trusted engine code (no guest involvement), so
-// only the guest-facing mount/check phase needs containment; media-error
-// panics are raised at read time, inside that phase. It also means the
-// replay stage window is a synchronous span of the dispatcher's timeline,
-// which keeps the -stats stage sum tracking wall-clock.
-func (ck *checker) attempt(img []byte, log *trace.Log, st crashState, cctx crashCtx, timeout time.Duration) attemptResult {
+// Replay runs OUTSIDE the guard on purpose: only while the lease is running
+// may the supervisor take the checker away, and the argument that makes that
+// safe is that a guest phase touches nothing but its image. Replay reads the
+// working image and the log, which the replacement runner keeps advancing.
+// It is trusted engine code (no guest involvement), so only the guest-facing
+// mount/check phase needs containment; media-error panics are raised at read
+// time, inside that phase.
+func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, cctx crashCtx) attemptResult {
 	if ck.cfg.DisableDeltaMaterialize {
-		return ck.attemptFullCopy(img, log, st.subset, cctx, timeout)
+		return ck.attemptFullCopy(sl, img, log, st.subset, cctx)
 	}
 	rt := ck.obs.Start()
-	wi := ck.grabImage()
+	wi := sl.wi
+	if wi == nil {
+		wi = ck.grabImage()
+		sl.wi = wi
+	}
 	inj := ck.injector(cctx)
 	// With faults off the state's diff key is its exact materialization
 	// recipe: apply (and later revert) each coalesced run once. Fault
@@ -262,98 +550,93 @@ func (ck *checker) attempt(img []byte, log *trace.Log, st crashState, cctx crash
 	wi.dev.Reset()
 	wi.dev.InjectFaults(inj)
 
-	// The mount window opens before the spawn so the goroutine handoff
-	// bills to mount — the windows tile across the sandbox boundary.
-	mt := ck.obs.Start()
-	var lease atomic.Int32 // leaseRunning
-	done := make(chan attemptResult, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				res := attemptResult{
-					panicked: true,
-					panicVal: fmt.Sprint(r),
-					stack:    string(debug.Stack()),
-				}
-				if me, ok := r.(*pmem.MediaError); ok {
-					res = attemptResult{media: me}
-				}
-				if lease.CompareAndSwap(leaseRunning, leasePoisoned) {
-					done <- res
-				}
-				// CAS lost: abandoned mid-check — the dispatcher already
-				// retired the image and stopped listening.
-			}
-		}()
-
-		v, ct := ck.checkState(wi.dev, cctx, mt)
-
-		// Undo the guest's mount-time mutations while still owning the
-		// image, THEN publish the clean hand-back: the dispatcher reverts
-		// only the delta spans. If abandonment won the CAS the rollback was
-		// wasted work on a retired buffer — harmless.
-		rolledBack := wi.undo.Rollback()
-		if lease.CompareAndSwap(leaseRunning, leaseClean) {
-			ck.obs.Add(obs.CtrBytesRolledBack, rolledBack)
-			done <- attemptResult{ok: true, v: v, checkStart: ct}
-		}
-	}()
-
-	// finish settles the image lease after a hand-back: clean images go
-	// back to the pool (delta reverted), poisoned ones are retired.
-	finish := func(r attemptResult) attemptResult {
-		if lease.Load() == leaseClean {
-			ck.release(wi, img, st, coal, flipOff, flipped)
-		} else {
-			ck.obs.Inc(obs.CtrImagesRetired)
-		}
-		if r.ok {
-			ck.obs.ObserveSince(obs.StageCheck, r.checkStart)
-		}
+	r := ck.guard(sl, wi.dev, wi.undo, cctx, ck.obs.Start())
+	switch {
+	case r.lost:
 		return r
+	case r.ok || r.cancelled:
+		// The guest's mutations are already rolled back; exactly the delta
+		// this attempt applied remains.
+		ck.obs.Add(obs.CtrBytesRolledBack, r.rolledBack)
+		ck.revert(wi, img, st, coal, flipOff, flipped)
+	default:
+		sl.wi = nil
+		ck.obs.Inc(obs.CtrImagesRetired)
 	}
-
-	var timerC <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timerC = t.C
+	if r.ok {
+		ck.obs.ObserveSince(obs.StageCheck, r.checkStart)
 	}
-	var cancelC <-chan struct{}
-	if ck.ctx != nil {
-		cancelC = ck.ctx.Done()
-	}
-	select {
-	case r := <-done:
-		return finish(r)
-	case <-timerC:
-		if lease.CompareAndSwap(leaseRunning, leaseAbandoned) {
-			ck.obs.Inc(obs.CtrImagesRetired)
-			ck.abandoned.Add(1)
-			return attemptResult{timedOut: true}
-		}
-		// The check finished inside the deadline/CAS race window; its send
-		// is already buffered (or imminent) — use the real result.
-		return finish(<-done)
-	case <-cancelC:
-		if lease.CompareAndSwap(leaseRunning, leaseAbandoned) {
-			ck.obs.Inc(obs.CtrImagesRetired)
-			ck.abandoned.Add(1)
-			return attemptResult{cancelled: true}
-		}
-		// Reclaim or retire the image, but still report cancellation: a
-		// cancelled run's partial results are discarded either way.
-		finish(<-done)
-		return attemptResult{cancelled: true}
-	}
+	return r
 }
 
-// prime establishes the pooled-image invariant for the current run and
+// guard is the one guarded-check body: it runs a guest phase — mount, the
+// run's contract, the undo rollback — on the calling runner under the slot's
+// lease. Arm, then settle: whoever wins the CAS on the armed word owns the
+// image and the checker afterwards. mt is the already-open mount window.
+// Config.DisableSandbox (ck.direct) runs the same phase with the guard
+// skipped: no lease, no recover.
+func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx crashCtx, mt time.Time) (res attemptResult) {
+	if ck.direct {
+		v, ct := ck.checkState(dev, cctx, mt)
+		return attemptResult{ok: true, v: v, checkStart: ct, rolledBack: rollback(undo)}
+	}
+	armed := leaseRunning
+	if ck.timeout > 0 {
+		armed |= (ck.now() + int64(ck.timeout)) << leaseBits
+	}
+	sl.lease.Store(armed)
+	// Re-check cancellation after arming: the supervisor's cancel scan either
+	// saw this lease running (and abandons it) or ran before the store, in
+	// which case the context was already done and this check sees it.
+	if ck.cancelled() != nil {
+		if sl.lease.CompareAndSwap(armed, leaseClean) {
+			return attemptResult{cancelled: true}
+		}
+		return attemptResult{lost: true}
+	}
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if !sl.lease.CompareAndSwap(armed, leasePoisoned) {
+			// Abandoned mid-check: the supervisor already retired the image.
+			res = attemptResult{lost: true}
+			return
+		}
+		if me, ok := r.(*pmem.MediaError); ok {
+			res = attemptResult{media: me}
+			return
+		}
+		res = attemptResult{panicked: true, panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
+	}()
+
+	v, ct := ck.checkState(dev, cctx, mt)
+	// Undo the guest's mount-time mutations while still holding the lease,
+	// THEN settle: the caller reverts only the delta spans. If abandonment
+	// won the CAS the rollback was wasted work on a retired buffer — harmless.
+	rolledBack := rollback(undo)
+	if !sl.lease.CompareAndSwap(armed, leaseClean) {
+		return attemptResult{lost: true}
+	}
+	return attemptResult{ok: true, v: v, checkStart: ct, rolledBack: rolledBack}
+}
+
+// rollback undoes the guest's mutations (the full-copy path has no undo log:
+// its buffers are rebuilt from scratch for every attempt).
+func rollback(undo *pmem.UndoLog) int64 {
+	if undo == nil {
+		return 0
+	}
+	return undo.Rollback()
+}
+
+// prime establishes the image invariant for the current run and
 // generation: a current image is untouched (zero copies — the empty-subset
 // fast path), an image exactly one generation behind catches up by replaying
 // the last fence's advance recipe (O(advance bytes)), and anything older —
-// fresh from the pool, left over from a previous run, or stale after the
-// coordinator moved on — is re-primed by full device copy, the only
+// fresh from the pool, left over from a previous run, or a pool worker's
+// image stale after the walk moved on — is re-primed by full device copy, the only
 // O(device) operation left on the check path. The run-token check comes
 // first: a recycled image's generation numbers are meaningless outside the
 // run that stamped them.
@@ -424,16 +707,16 @@ func (ck *checker) applyDelta(wi *workerImage, log *trace.Log, st crashState, in
 	return flipOff, flipped
 }
 
-// release returns a cleanly-finished image to the pool. The sandbox
-// goroutine already rolled back the guest's mutations, so exactly the delta
-// this attempt applied remains. On the coalesced path only the key's diff
-// runs were written, so only those bytes are re-copied from the base — the
+// revert restores a cleanly-finished image to the fence's base. The guard
+// already rolled back the guest's mutations, so exactly the delta this
+// attempt applied remains. On the coalesced path only the key's diff runs
+// were written, so only those bytes are re-copied from the base — the
 // minimal restore. Otherwise the subset's merged spans are re-copied (the
 // spans over-approximate the diff) plus the flipped byte, which may land
 // outside every span; when it lands inside, the span copy has already
 // restored it and the second write is a same-value no-op. Either way the
-// pooled-image invariant (contents == base at wi.gen) holds afterward.
-func (ck *checker) release(wi *workerImage, base []byte, st crashState, coal bool, flipOff int64, flipped bool) {
+// image invariant (contents == base at wi.gen) holds afterward.
+func (ck *checker) revert(wi *workerImage, base []byte, st crashState, coal bool, flipOff int64, flipped bool) {
 	var n int64
 	if coal {
 		forEachKeyRun(st.key, func(off int64, data string) {
@@ -451,7 +734,6 @@ func (ck *checker) release(wi *workerImage, base []byte, st crashState, coal boo
 		}
 	}
 	ck.obs.Add(obs.CtrBytesRolledBack, n)
-	ck.putImage(wi)
 }
 
 // forEachKeyRun decodes a byte-diff key's (offset, length, bytes) records.
@@ -481,9 +763,9 @@ func beUint32(s string) uint32 {
 
 // attemptFullCopy is the legacy materialization path
 // (Config.DisableDeltaMaterialize): two full-device copies into pooled
-// buffers per crash state. Kept so the differential tests can assert the
-// delta path changes nothing.
-func (ck *checker) attemptFullCopy(img []byte, log *trace.Log, subset []int, cctx crashCtx, timeout time.Duration) attemptResult {
+// buffers per crash state, checked under the same guard. Kept so the
+// differential tests can assert the delta path changes nothing.
+func (ck *checker) attemptFullCopy(sl *slot, img []byte, log *trace.Log, subset []int, cctx crashCtx) attemptResult {
 	rt := ck.obs.Start()
 	fresh := ck.cfg.DisableBufferReuse
 	persistent := grabBuf(ck.devSize, fresh)
@@ -500,98 +782,20 @@ func (ck *checker) attemptFullCopy(img []byte, log *trace.Log, subset []int, cct
 	dev := pmem.WrapImages(volatile, persistent)
 	dev.InjectFaults(inj)
 
-	// The mount window opens before the spawn so the goroutine handoff
-	// bills to mount — the windows tile across the sandbox boundary.
-	mt := ck.obs.Start()
-	done := make(chan attemptResult, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				// Every attempt re-copies the buffers in full before use,
-				// so they are safe to recycle even after a mid-check panic.
-				putBuf(persistent, fresh)
-				putBuf(volatile, fresh)
-				if me, ok := r.(*pmem.MediaError); ok {
-					done <- attemptResult{media: me}
-					return
-				}
-				done <- attemptResult{
-					panicked: true,
-					panicVal: fmt.Sprint(r),
-					stack:    string(debug.Stack()),
-				}
-			}
-		}()
-
-		v, ct := ck.checkState(dev, cctx, mt)
-
-		// A timed-out check was abandoned together with these buffers; only
-		// the goroutine itself knows when they are safe to recycle.
-		putBuf(persistent, fresh)
-		putBuf(volatile, fresh)
-		done <- attemptResult{ok: true, v: v, checkStart: ct}
-	}()
-
-	var timerC <-chan time.Time
-	if timeout > 0 {
-		t := time.NewTimer(timeout)
-		defer t.Stop()
-		timerC = t.C
-	}
-	var cancelC <-chan struct{}
-	if ck.ctx != nil {
-		cancelC = ck.ctx.Done()
-	}
-	select {
-	case r := <-done:
-		if r.ok {
-			ck.obs.ObserveSince(obs.StageCheck, r.checkStart)
-		}
+	r := ck.guard(sl, dev, nil, cctx, ck.obs.Start())
+	if r.lost {
+		// Abandoned together with these buffers: the late guest may still be
+		// writing them, so they are never recycled.
 		return r
-	case <-timerC:
-		ck.abandoned.Add(1)
-		return attemptResult{timedOut: true}
-	case <-cancelC:
-		ck.abandoned.Add(1)
-		return attemptResult{cancelled: true}
 	}
-}
-
-// checkDirect is the inline path (Config.DisableSandbox), kept so the
-// differential tests can assert the sandbox changes nothing for well-behaved
-// guests. It materializes the same way the sandboxed path does — delta by
-// default, full-copy under DisableDeltaMaterialize — minus fault injection
-// (faults force the sandbox on).
-func (ck *checker) checkDirect(img []byte, log *trace.Log, st crashState, cctx crashCtx) *Violation {
-	fresh := ck.cfg.DisableBufferReuse
-	if ck.cfg.DisableDeltaMaterialize {
-		persistent := grabBuf(ck.devSize, fresh)
-		volatile := grabBuf(ck.devSize, fresh)
-		defer func() {
-			putBuf(persistent, fresh)
-			putBuf(volatile, fresh)
-		}()
-		rt := ck.obs.Start()
-		ck.materialize(persistent, img, log, st.subset, nil)
-		copy(volatile, persistent)
-		ck.obs.ObserveSince(obs.StageReplay, rt)
-		v, ct := ck.checkState(pmem.WrapImages(volatile, persistent), cctx, ck.obs.Start())
-		ck.obs.ObserveSince(obs.StageCheck, ct)
-		return v
+	// Every attempt re-copies the buffers in full before use, so they are
+	// safe to recycle even after a mid-check panic.
+	putBuf(persistent, fresh)
+	putBuf(volatile, fresh)
+	if r.ok {
+		ck.obs.ObserveSince(obs.StageCheck, r.checkStart)
 	}
-
-	wi := ck.grabImage()
-	coal := st.keyed && !ck.cfg.DisableCoalescedApply
-	rt := ck.obs.Start()
-	ck.prime(wi, img, log)
-	ck.applyDelta(wi, log, st, nil, coal)
-	ck.obs.ObserveSince(obs.StageReplay, rt)
-	wi.dev.Reset()
-	v, ct := ck.checkState(wi.dev, cctx, ck.obs.Start())
-	ck.obs.ObserveSince(obs.StageCheck, ct)
-	ck.obs.Add(obs.CtrBytesRolledBack, wi.undo.Rollback())
-	ck.release(wi, img, st, coal, 0, false)
-	return v
+	return r
 }
 
 // materialize builds the crash image: base bytes plus the replayed subset,
@@ -668,16 +872,22 @@ func stateDigest(img []byte, log *trace.Log, st crashState) uint64 {
 	return h.Sum64()
 }
 
-// fnv64a is hash/fnv's 64-bit FNV-1a over a string, hand-rolled so the hot
-// path never allocates a hasher.
+// fnv64a is hash/fnv's 64-bit FNV-1a over a string, hand-rolled (with fnvAdd,
+// its one-byte step) so the hot paths never allocate a hasher.
 func fnv64a(s string) uint64 {
-	h := uint64(14695981039346656037)
+	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
+		h = fnvAdd(h, s[i])
 	}
 	return h
 }
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvAdd(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
 
 // tracePrefix renders the workload's ops up to and including the implicated
 // syscall — see TracePrefix, which it delegates to.

@@ -118,6 +118,10 @@ const (
 	// image (guest panic, media error), so the buffer can no longer be
 	// trusted to equal base-plus-delta. Measurement-class.
 	CtrImagesRetired
+	// CtrSandboxRunners counts check-sandbox runner goroutines started: one
+	// per engine run that reaches a guest check, plus one per takeover after
+	// a timed-out check (never one per crash state). Measurement-class.
+	CtrSandboxRunners
 	// CtrBytesMaterialized counts bytes copied applying crash-state deltas
 	// (replayed subset writes) onto primed images. Per-state this scales
 	// with the subset's span size, never with the device size — the O(diff)
@@ -179,6 +183,7 @@ var counterNames = [numCounters]string{
 
 	CtrImagePrimes:       "image-primes",
 	CtrImagesRetired:     "images-retired",
+	CtrSandboxRunners:    "sandbox-runners",
 	CtrBytesMaterialized: "bytes-materialized",
 	CtrBytesPrimed:       "bytes-primed",
 	CtrBytesRolledBack:   "bytes-rolled-back",
@@ -208,7 +213,7 @@ func (c Counter) String() string {
 // shifts prime/rollback work between full primes and incremental advances.
 func (c Counter) Deterministic() bool {
 	switch c {
-	case CtrFaultsInjected, CtrImagePrimes, CtrImagesRetired,
+	case CtrFaultsInjected, CtrImagePrimes, CtrImagesRetired, CtrSandboxRunners,
 		CtrBytesMaterialized, CtrBytesPrimed, CtrBytesRolledBack,
 		CtrShardsQuarantined, CtrOracleSnapshotHits,
 		CtrFuzzExecs, CtrCorpusEntries, CtrCoverageEdges, CtrDistinctBugs:
