@@ -387,114 +387,9 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	b.ReportMetric(float64(snap.Count(obs.CtrFences))/float64(b.N), "fences/op")
 }
 
-// BenchmarkEngineParallel measures the in-workload crash-state worker pool
-// on an exhaustive (cap=0) data-heavy workload — the seq-2-shaped case whose
-// fences carry the largest in-flight sets. serial and workers-4 check the
-// exact same states (the differential test asserts identical Results); the
-// wall-clock ratio is the parallel speedup.
-func BenchmarkEngineParallel(b *testing.B) {
-	w := workload.Workload{Name: "parallel", Ops: []workload.Op{
-		{Kind: workload.OpCreat, Path: "/f0", FDSlot: -1},
-		{Kind: workload.OpPwrite, Path: "/f0", FDSlot: -1, Off: 0, Size: 16384, Seed: 1},
-		{Kind: workload.OpRename, Path: "/f0", Path2: "/f1"},
-	}}
-	for _, tc := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"workers-4", 4}} {
-		b.Run(tc.name, func(b *testing.B) {
-			col := obs.New()
-			cfg := core.Config{
-				NewFS:   func(pm *persist.PM) vfs.FS { return nova.New(pm, bugs.None()) },
-				Cap:     0,
-				Workers: tc.workers,
-				Obs:     col,
-			}
-			for i := 0; i < b.N; i++ {
-				res, err := core.RunContext(context.Background(), cfg, w)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Buggy() {
-					b.Fatalf("false positives: %d", len(res.Violations))
-				}
-			}
-			snap := col.Snapshot()
-			b.ReportMetric(float64(snap.Count(obs.CtrStatesChecked))/float64(b.N), "crash-states")
-			b.ReportMetric(float64(snap.Count(obs.CtrDedupHits))/float64(b.N), "states-deduped")
-		})
-	}
-}
-
-// BenchmarkMaterializeState measures per-crash-state cost under the O(diff)
-// delta materialization path against the full-copy engine on the same
-// exhaustive data-heavy workload as BenchmarkEngineParallel. Headline
-// metrics: ns/state, states/sec, and (delta only) mat-bytes/state — bytes
-// copied to build each crash image. The latter is a property of the
-// workload's diff, not the device: the benchmark re-runs the workload on a
-// 2x device untimed and fails if per-state copied bytes move more than 10%.
-func BenchmarkMaterializeState(b *testing.B) {
-	w := workload.Workload{Name: "materialize", Ops: []workload.Op{
-		{Kind: workload.OpCreat, Path: "/f0", FDSlot: -1},
-		{Kind: workload.OpPwrite, Path: "/f0", FDSlot: -1, Off: 0, Size: 16384, Seed: 1},
-		{Kind: workload.OpRename, Path: "/f0", Path2: "/f1"},
-	}}
-	copiedPerState := func(devSize int64) float64 {
-		col := obs.New()
-		cfg := core.Config{
-			NewFS:   func(pm *persist.PM) vfs.FS { return nova.New(pm, bugs.None()) },
-			Cap:     0,
-			DevSize: devSize,
-			Obs:     col,
-		}
-		if _, err := core.RunContext(context.Background(), cfg, w); err != nil {
-			b.Fatal(err)
-		}
-		snap := col.Snapshot()
-		copied := snap.Count(obs.CtrBytesMaterialized) + snap.Count(obs.CtrBytesRolledBack)
-		return float64(copied) / float64(snap.Count(obs.CtrStatesChecked))
-	}
-	for _, tc := range []struct {
-		name     string
-		fullCopy bool
-	}{{"delta", false}, {"full-copy", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			col := obs.New()
-			cfg := core.Config{
-				NewFS:                   func(pm *persist.PM) vfs.FS { return nova.New(pm, bugs.None()) },
-				Cap:                     0,
-				Obs:                     col,
-				DisableDeltaMaterialize: tc.fullCopy,
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.RunContext(context.Background(), cfg, w); err != nil {
-					b.Fatal(err)
-				}
-			}
-			snap := col.Snapshot()
-			states := float64(snap.Count(obs.CtrStatesChecked))
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/states, "ns/state")
-			b.ReportMetric(states/b.Elapsed().Seconds(), "states/sec")
-			if !tc.fullCopy {
-				b.ReportMetric(float64(snap.Count(obs.CtrBytesMaterialized))/states, "mat-bytes/state")
-			}
-		})
-	}
-	small := copiedPerState(core.DefaultDevSize)
-	large := copiedPerState(2 * core.DefaultDevSize)
-	if small == 0 {
-		b.Fatal("no bytes copied per state; counters disconnected")
-	}
-	if large > small*1.1 || small > large*1.1 {
-		b.Fatalf("copied bytes per state moved with device size: 1x=%.0f 2x=%.0f", small, large)
-	}
-}
-
 // BenchmarkObsOverhead quantifies what the observability hooks cost the
 // engine's hot path. "off" leaves Config.Obs nil — every hook is a
-// nil-receiver no-op and the engine never reads the clock — and must match
-// BenchmarkEngineParallel/serial to within noise (<1%); "on" attaches a
+// nil-receiver no-op and the engine never reads the clock; "on" attaches a
 // collector and pays the clock reads and atomic adds. The zero-allocation
 // claim for the disabled path is asserted exactly by TestDisabledSinkAllocs
 // in internal/obs.

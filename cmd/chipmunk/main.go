@@ -6,7 +6,6 @@
 //	chipmunk -fs pmfs -bugs 13,16 -suite seq1   # selected injected bugs
 //	chipmunk -fs ext4-dax -suite seq1dax        # weak system, fsync-gated
 //	chipmunk -fs nova -suite seq2 -j 8          # suite sharded across workers
-//	chipmunk -fs nova -suite seq1 -workers 4    # crash states checked in parallel
 //
 // Distributed campaigns shard the suite across machines (or processes):
 //
@@ -123,6 +122,10 @@ func main() {
 		}
 		sys, _, err := opts.Resolve()
 		fatalIf(err)
+		// The removed -workers flag defaulted to 1, and the campaign ID hashes
+		// the spec: keeping the 1 keeps -resume checkpoints written by earlier
+		// builds valid.
+		const specWorkers = 1
 		if *fuzzMode {
 			capVal := opts.Cap
 			if !capExplicit {
@@ -130,14 +133,13 @@ func main() {
 			}
 			fspec := campaign.Spec{
 				FS: cli.FS, Bugs: cli.Bugs,
-				Cap: capVal, Workers: opts.Workers,
+				Cap: capVal, Workers: specWorkers,
 				CheckTimeoutNanos: int64(opts.CheckTimeout),
 				ExhaustiveLimit:   opts.ExhaustiveLimit,
-				FullCopy:          opts.DisableDeltaMaterialize,
 				Faults:            cli.Faults, FaultSeed: cli.FaultSeed,
 				Stats: cli.Stats,
 				App:   cli.App, AppBugs: cli.AppBugs,
-				Fuzz:  true, FuzzSeed: *fuzzSeed,
+				Fuzz: true, FuzzSeed: *fuzzSeed,
 				RoundExecs: *roundExecs, GenRounds: *genRounds,
 			}
 			execs, dur, err := fleet.ParseBudget(*budget)
@@ -151,10 +153,9 @@ func main() {
 		}
 		cspec := campaign.Spec{
 			FS: cli.FS, Bugs: cli.Bugs, Suite: *suite, Max: *max,
-			Cap: opts.Cap, Workers: opts.Workers,
+			Cap: opts.Cap, Workers: specWorkers,
 			CheckTimeoutNanos: int64(opts.CheckTimeout),
 			ExhaustiveLimit:   opts.ExhaustiveLimit,
-			FullCopy:          opts.DisableDeltaMaterialize,
 			Faults:            cli.Faults, FaultSeed: cli.FaultSeed,
 			Stats: cli.Stats,
 			App:   cli.App, AppBugs: cli.AppBugs,
@@ -231,7 +232,7 @@ func main() {
 		fatalIf(err)
 	}
 	interrupted := errors.Is(err, context.Canceled)
-	modeNote := fmt.Sprintf("j=%d, workers=%d", cli.Jobs, opts.Workers)
+	modeNote := fmt.Sprintf("j=%d", cli.Jobs)
 	finish(sys, census, viol, interrupted, false, modeNote, cli.Verbose, cli.OutDir, inst, cli.Journal, nil)
 }
 

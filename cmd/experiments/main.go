@@ -11,8 +11,7 @@
 //	experiments all               # everything
 //
 // Shared flags: -cap bounds replayed subset sizes for the detection runs
-// (0 = exhaustive) and -workers sets the engine's in-workload crash-state
-// worker count (<= 1 = serial).
+// (0 = exhaustive).
 package main
 
 import (
@@ -100,7 +99,7 @@ func finish(start time.Time) {
 // detectOpts builds the DetectOptions every detection-based experiment
 // shares, with the instrumentation wired in.
 func detectOpts(cap int) harness.DetectOptions {
-	return harness.DetectOptions{Cap: cap, Workers: cli.Workers, Obs: inst.Col, Journal: inst.Journal}
+	return harness.DetectOptions{Cap: cap, Obs: inst.Col, Journal: inst.Journal}
 }
 
 func fatalIfErr(err error) {

@@ -21,8 +21,8 @@ import (
 
 // kvConfig builds the engine config for one system with the KV app and
 // contract checker installed — what `chipmunk -app=kv` resolves to.
-func kvConfig(sys harness.System, kb kvstore.Bugs, workers int) core.Config {
-	cfg := harness.Options{Bugs: bugs.None(), Workers: workers}.ConfigFor(sys)
+func kvConfig(sys harness.System, kb kvstore.Bugs) core.Config {
+	cfg := harness.Options{Bugs: bugs.None()}.ConfigFor(sys)
 	cfg.AppFactory = kvwork.Factory(kb)
 	cfg.Checker = kvwork.NewChecker(kb)
 	return cfg
@@ -37,7 +37,7 @@ func TestReferenceModelHasNoViolations(t *testing.T) {
 		sys := sys
 		t.Run(sys.Name, func(t *testing.T) {
 			t.Parallel()
-			cfg := kvConfig(sys, kvstore.Bugs{}, 1)
+			cfg := kvConfig(sys, kvstore.Bugs{})
 			for _, w := range suite {
 				res, err := core.RunContext(context.Background(), cfg, w)
 				if err != nil {
@@ -73,7 +73,7 @@ func TestSeededAckLossIsCaught(t *testing.T) {
 		sys := sys
 		t.Run(sys.Name, func(t *testing.T) {
 			t.Parallel()
-			res, err := core.RunContext(context.Background(), kvConfig(sys, kb, 1), w)
+			res, err := core.RunContext(context.Background(), kvConfig(sys, kb), w)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -97,21 +97,21 @@ func TestSeededAckLossIsCaught(t *testing.T) {
 }
 
 // TestSerialParallelIdentical pins the determinism contract for the KV
-// checker: worker count must not change results.
+// checker: the suite-level worker count must not change results.
 func TestSerialParallelIdentical(t *testing.T) {
 	sys, err := harness.SystemByName("nova")
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := ace.KVSmoke()[0]
+	cfg := kvConfig(sys, kvstore.Bugs{DropSyncFlush: true})
 	fingerprint := func(workers int) string {
-		res, err := core.RunContext(context.Background(), kvConfig(sys, kvstore.Bugs{DropSyncFlush: true}, workers), w)
+		census, viol, err := harness.Run(context.Background(), cfg, ace.KVSmoke(), harness.WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
 		var b strings.Builder
-		fmt.Fprintf(&b, "states=%d violations=%d\n", res.StatesChecked, len(res.Violations))
-		for _, v := range res.Violations {
+		fmt.Fprintf(&b, "states=%d violations=%d\n", census.StatesChecked, len(viol))
+		for _, v := range viol {
 			b.WriteString(v.String())
 			b.WriteByte('\n')
 		}

@@ -61,14 +61,17 @@ type Spec struct {
 	// (0 = whole suite).
 	Suite string `json:"suite"`
 	Max   int    `json:"max,omitempty"`
-	// Cap, Workers, CheckTimeoutNanos, ExhaustiveLimit, and FullCopy are
-	// the engine tuning knobs every worker must share for results to be
-	// comparable.
-	Cap               int   `json:"cap"`
+	// Cap, CheckTimeoutNanos, and ExhaustiveLimit are the engine tuning
+	// knobs every worker must share for results to be comparable.
+	Cap int `json:"cap"`
+	// Workers is ignored by the engine; it stays on the wire (and in the
+	// campaign ID, which hashes the spec's JSON) so specs, checkpoints and
+	// IDs written before its removal keep matching.
+	//
+	// Deprecated: ignored; kept because the bench module sets it.
 	Workers           int   `json:"workers"`
 	CheckTimeoutNanos int64 `json:"check_timeout_ns"`
 	ExhaustiveLimit   int   `json:"exhaustive_limit"`
-	FullCopy          bool  `json:"full_copy,omitempty"`
 	// Faults/FaultSeed enable the deterministic pmem fault injector.
 	Faults    bool   `json:"faults,omitempty"`
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
@@ -123,13 +126,11 @@ func (s Spec) Options() (harness.Options, error) {
 		return harness.Options{}, fmt.Errorf("campaign spec: %w", err)
 	}
 	opts := harness.Options{
-		FS:                      s.FS,
-		Bugs:                    set,
-		Cap:                     s.Cap,
-		Workers:                 s.Workers,
-		CheckTimeout:            time.Duration(s.CheckTimeoutNanos),
-		ExhaustiveLimit:         s.ExhaustiveLimit,
-		DisableDeltaMaterialize: s.FullCopy,
+		FS:              s.FS,
+		Bugs:            set,
+		Cap:             s.Cap,
+		CheckTimeout:    time.Duration(s.CheckTimeoutNanos),
+		ExhaustiveLimit: s.ExhaustiveLimit,
 	}
 	if s.Faults {
 		opts.Faults = pmem.DefaultFaults(s.FaultSeed)
@@ -260,9 +261,10 @@ type ShardQuarantine struct {
 	End   int `json:"end"`
 	// SuiteHash pins the ledger entry to its campaign, like shard credits.
 	SuiteHash string `json:"suite_hash,omitempty"`
-	// Worker is the last worker that held the shard; Err the last failure
-	// (lease expiry, engine error payload, rejected result); Attempts the
-	// total failed dispatch attempts.
+	// Err is the failure the entry cites — the latest engine error payload
+	// if any attempt delivered one, else the latest transport failure (lease
+	// expiry, rejected result) — and Worker the worker that attempt ran on;
+	// Attempts the total failed dispatch attempts.
 	Worker   string `json:"worker,omitempty"`
 	Err      string `json:"err,omitempty"`
 	Attempts int    `json:"attempts"`
@@ -270,7 +272,7 @@ type ShardQuarantine struct {
 
 // String renders the ledger entry deterministically (reports, tests).
 func (q ShardQuarantine) String() string {
-	return fmt.Sprintf("shard %d [%d,%d): %d failed attempts, last worker %q: %s",
+	return fmt.Sprintf("shard %d [%d,%d): %d failed attempts, worker %q: %s",
 		q.Shard, q.Start, q.End, q.Attempts, q.Worker, q.Err)
 }
 

@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -35,29 +36,32 @@ var baselineErr error
 func baseline(t *testing.T) (*harness.Census, []core.Violation, string) {
 	t.Helper()
 	baselineOnce.Do(func() {
-		spec := testSpec()
-		suite, err := spec.BuildSuite()
-		if err != nil {
-			baselineErr = err
-			return
-		}
-		opts, err := spec.Options()
-		if err != nil {
-			baselineErr = err
-			return
-		}
-		opts.Obs = obs.New()
-		_, cfg, err := opts.Resolve()
-		if err != nil {
-			baselineErr = err
-			return
-		}
-		baselineCensus, baselineViol, baselineErr = harness.Run(context.Background(), cfg, suite)
+		baselineCensus, baselineViol, baselineErr = serialRun(testSpec(), 0)
 	})
 	if baselineErr != nil {
 		t.Fatalf("serial baseline: %v", baselineErr)
 	}
 	return baselineCensus, baselineViol, Fingerprint(baselineCensus, baselineViol)
+}
+
+// serialRun runs spec's suite through plain harness.Run, with the deprecated
+// harness.Options.Workers set to optWorkers.
+func serialRun(spec Spec, optWorkers int) (*harness.Census, []core.Violation, error) {
+	suite, err := spec.BuildSuite()
+	if err != nil {
+		return nil, nil, err
+	}
+	opts, err := spec.Options()
+	if err != nil {
+		return nil, nil, err
+	}
+	opts.Workers = optWorkers
+	opts.Obs = obs.New()
+	_, cfg, err := opts.Resolve()
+	if err != nil {
+		return nil, nil, err
+	}
+	return harness.Run(context.Background(), cfg, suite)
 }
 
 // campaignResult is one distributed run's outcome.
@@ -431,5 +435,46 @@ func TestCheckpointRejectsForeignCampaign(t *testing.T) {
 	if _, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 2, CheckpointPath: ckpt}); err == nil ||
 		!strings.Contains(err.Error(), "shard geometry mismatch") {
 		t.Fatalf("foreign geometry accepted: %v", err)
+	}
+}
+
+// TestSpecWorkersIgnoredButKept: the deprecated Workers fields select nothing
+// — 1 and 4 give the same fingerprint — yet the spec's "workers" key still
+// rides in its JSON, so a spec written by a build that had in-engine workers
+// decodes to the campaign ID that build computed and its -resume checkpoint
+// stays valid.
+func TestSpecWorkersIgnoredButKept(t *testing.T) {
+	_, _, want := baseline(t) // Workers: 1
+	spec := testSpec()
+	spec.Workers = 4
+	census, viol, err := serialRun(spec, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := Fingerprint(census, viol); got != want {
+		t.Errorf("Workers=4 fingerprint differs from Workers=1:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+
+	// testSpec as the parent of the Workers removal marshalled it, and the
+	// campaign ID that build derived from it.
+	const wire = `{"fs":"nova","bugs":"all","suite":"seq1","max":24,"cap":2,"workers":1,` +
+		`"check_timeout_ns":0,"exhaustive_limit":0,"stats":true}`
+	var back Spec
+	if err := json.Unmarshal([]byte(wire), &back); err != nil {
+		t.Fatal(err)
+	}
+	if back != testSpec() {
+		t.Fatalf("decoded spec %+v, want %+v", back, testSpec())
+	}
+	if b, _ := json.Marshal(back); string(b) != wire {
+		t.Errorf("spec re-encodes as %s, want %s", b, wire)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: back})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	if id := coord.Info().CampaignID; id != "c08cd1578b3d5ee8e" {
+		t.Errorf("campaign ID %s, want c08cd1578b3d5ee8e", id)
 	}
 }

@@ -199,6 +199,46 @@ func coordShardDone(c *Coordinator, i int) bool {
 	return c.shards[i].state == shardDone
 }
 
+// TestQuarantineCitesWorkerErrorOverTransport: the ledger entry of a shard
+// that failed under a live worker names that failure even when a later
+// attempt was merely lost — its result rejected at the wire, its lease
+// expired — and among causes of one kind the latest wins.
+func TestQuarantineCitesWorkerErrorOverTransport(t *testing.T) {
+	spec := testSpec()
+	spec.Max = 4
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4, ShardRetries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	hash := coord.Info().SuiteHash
+	lease := func(worker string) {
+		t.Helper()
+		if l, err := coord.Lease(LeaseRequest{Worker: worker, SuiteHash: hash}); err != nil || l.Status != LeaseGranted {
+			t.Fatalf("lease %s: %+v, %v", worker, l, err)
+		}
+	}
+	fail := func(worker, cause string) {
+		t.Helper()
+		lease(worker)
+		p := &ShardPayload{Shard: 0, Worker: worker, SuiteHash: hash, Err: cause}
+		if _, err := coord.Credit(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lease("w0")
+	coord.RejectResult(0, "w0", "checksum mismatch")
+	fail("w1", "engine: first")
+	fail("w2", "engine: second")
+	lease("w3")
+	coord.RejectResult(0, "w3", "truncated body")
+
+	ledger := coord.Quarantined()
+	if len(ledger) != 1 || ledger[0].Attempts != 4 || ledger[0].Worker != "w2" || ledger[0].Err != "engine: second" {
+		t.Fatalf("ledger %+v, want one entry citing w2's \"engine: second\" after 4 attempts", ledger)
+	}
+}
+
 // TestRetryQuarantined: a quarantined shard is re-runnable — and only it
 // re-runs. Phase 1 quarantines the poisoned shard; phase 2 resumes with
 // RetryQuarantined and a healthy worker, re-running exactly that shard to a

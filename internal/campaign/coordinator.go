@@ -80,10 +80,14 @@ type shardSlot struct {
 	worker     string
 	deadline   time.Time
 	payload    *ShardPayload
-	// attempts counts failed dispatch attempts; lastErr describes the most
-	// recent one (expiry, error payload, rejected result).
-	attempts int
-	lastErr  string
+	// attempts counts failed dispatch attempts. lastErr describes the one
+	// the quarantine ledger will cite and errWorker the worker it happened
+	// on; errFromWorker says it came from a worker's error payload (see
+	// failAttemptLocked for which attempt is cited).
+	attempts      int
+	lastErr       string
+	errWorker     string
+	errFromWorker bool
 	// leasedAt stamps the current lease grant (feeds the shard-lease span
 	// and the dashboard's in-flight age); lastBeat is the most recent
 	// heartbeat for this lease, and progress the states-checked count it
@@ -287,7 +291,7 @@ func (c *Coordinator) attachCheckpoint(path string, retryQuarantined bool) error
 				slot.state = shardPending
 				c.remaining++
 			}
-			slot.attempts, slot.lastErr, slot.worker = 0, "", ""
+			slot.attempts, slot.lastErr, slot.errWorker, slot.errFromWorker = 0, "", "", false
 			requeued++
 			continue
 		}
@@ -295,7 +299,7 @@ func (c *Coordinator) attachCheckpoint(path string, retryQuarantined bool) error
 			c.remaining--
 		}
 		slot.state = shardQuarantined
-		slot.worker = q.Worker
+		slot.errWorker = q.Worker
 		slot.attempts = q.Attempts
 		slot.lastErr = q.Err
 	}
@@ -353,7 +357,7 @@ func (c *Coordinator) reclaimLocked(now time.Time) {
 	for i := range c.shards {
 		s := &c.shards[i]
 		if s.state == shardLeased && now.After(s.deadline) {
-			c.failAttemptLocked(i, s.worker, "lease expired (worker gone or stalled)")
+			c.failAttemptLocked(i, s.worker, false, "lease expired (worker gone or stalled)")
 		}
 	}
 }
@@ -362,11 +366,20 @@ func (c *Coordinator) reclaimLocked(now time.Time) {
 // — lease expiry, structured error payload, or rejected result — and either
 // reverts it to pending for re-dispatch or, once the attempt budget is
 // spent, quarantines it. Caller holds c.mu.
-func (c *Coordinator) failAttemptLocked(i int, worker, cause string) {
+//
+// Which attempt the ledger cites: a transport cause — the lease ran out, the
+// result was rejected at the wire — says only that the attempt was lost,
+// while a worker's error payload (fromWorker) says the shard itself failed
+// under a live worker. So a payload's cause is never replaced by a later
+// transport one; otherwise the latest attempt wins. Which of a poisoned
+// shard's attempts happened to lose its payload to wire noise then does not
+// decide what the quarantine entry says.
+func (c *Coordinator) failAttemptLocked(i int, worker string, fromWorker bool, cause string) {
 	s := &c.shards[i]
 	s.attempts++
-	s.lastErr = cause
-	s.worker = worker
+	if fromWorker || !s.errFromWorker {
+		s.lastErr, s.errWorker, s.errFromWorker = cause, worker, fromWorker
+	}
 	if s.attempts >= c.shardRetries {
 		c.quarantineLocked(i)
 		return
@@ -409,7 +422,7 @@ func (c *Coordinator) quarantineEntryLocked(i int) ShardQuarantine {
 	s := &c.shards[i]
 	return ShardQuarantine{
 		Shard: i, Start: s.start, End: s.end, SuiteHash: c.info.SuiteHash,
-		Worker: s.worker, Err: s.lastErr, Attempts: s.attempts,
+		Worker: s.errWorker, Err: s.lastErr, Attempts: s.attempts,
 	}
 }
 
@@ -515,7 +528,7 @@ func (c *Coordinator) Credit(p *ShardPayload) (CreditResponse, error) {
 			c.log("stale error payload for shard %d from %s: discarded", p.Shard, p.Worker)
 			return CreditResponse{Accepted: false, Duplicate: true}, nil
 		}
-		c.failAttemptLocked(p.Shard, p.Worker, p.Err)
+		c.failAttemptLocked(p.Shard, p.Worker, true, p.Err)
 		quarantined := slot.state == shardQuarantined
 		done := c.remaining == 0
 		c.mu.Unlock()
@@ -658,7 +671,7 @@ func (c *Coordinator) RejectResult(shard int, worker, cause string) {
 	if s.state != shardLeased || s.worker != worker {
 		return
 	}
-	c.failAttemptLocked(shard, worker, cause)
+	c.failAttemptLocked(shard, worker, false, cause)
 }
 
 // Stats snapshots the control-plane counters.

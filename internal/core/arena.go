@@ -22,8 +22,8 @@ import (
 // takeover its replacement (sandbox.go).
 //
 //   - Arena memory is written only by the owner, during enumerate; checks
-//     (including pool workers) only read it, and every in-fence reader
-//     finishes before the next fence's reset (runChecks joins its workers).
+//     only read it, and run on the owner too, so every in-fence reader
+//     finishes before the next fence's reset.
 //     The one escape is an ABANDONED guest phase, whose crash context still
 //     points at its state's subset/spans/key and may be read indefinitely:
 //     the checker counts abandonments and, instead of resetting, DROPS the
@@ -118,7 +118,7 @@ func internKey(b []byte) string {
 var runIDs atomic.Int64
 
 // fenceScratch bundles the owner's per-fence scratch — the dedup map,
-// state list, recursion buffer, outcome slots, arenas, and state-key
+// state list, recursion buffer, arenas, and state-key
 // buffers — so it can be recycled across runs. A fresh checker then starts
 // with converged, already-grown blocks instead of re-growing them from zero
 // every run, which would otherwise dominate steady-state allocations in a
@@ -127,7 +127,6 @@ type fenceScratch struct {
 	seen      map[string]struct{}
 	distinct  []crashState
 	subsetBuf []int
-	outcomes  []checkOutcome
 	subArena  sliceArena[int]
 	spanArena sliceArena[span]
 	keyArena  sliceArena[byte]
@@ -167,7 +166,6 @@ func (ck *checker) loanScratch() *fenceScratch {
 	ck.seen = s.seen
 	ck.distinct = s.distinct
 	ck.subsetBuf = s.subsetBuf
-	ck.outcomes = s.outcomes
 	ck.subArena = s.subArena
 	ck.spanArena = s.spanArena
 	ck.keyArena = s.keyArena
@@ -188,7 +186,6 @@ func (ck *checker) returnScratch(s *fenceScratch) {
 	s.seen = ck.seen
 	s.distinct = ck.distinct
 	s.subsetBuf = ck.subsetBuf
-	s.outcomes = ck.outcomes
 	s.subArena = ck.subArena
 	s.spanArena = ck.spanArena
 	s.keyArena = ck.keyArena

@@ -87,8 +87,7 @@ func (ck *checker) violation(ctx crashCtx, kind ViolationKind, detail string) *V
 }
 
 // reportViolation records a violation (bounded; overflow is counted).
-// Owner-only: pool workers return violations to the main runner, which
-// appends them in subset-rank order.
+// Owner-only, so violations land in subset-rank order.
 func (ck *checker) reportViolation(v Violation) {
 	if len(ck.res.Violations) >= maxViolationsPerRun {
 		ck.res.SuppressedViolations++

@@ -58,10 +58,12 @@ type Finding struct {
 // sees the state. It returns the first failed contract (nil = the state is
 // legal), matching the engine's one-violation-per-state accounting.
 //
-// Checkers run concurrently from crash-state workers when Config.Workers
-// > 1: implementations must be safe for concurrent Check calls (read-only
-// over their RunEnv) and must not retain fs past the call — the device
-// behind it is rolled back and reused as soon as Check returns.
+// A run checks its crash states one at a time, but Check calls can still
+// overlap: a guest abandoned at its deadline keeps running on its old
+// goroutine while the replacement runner checks the following states.
+// Implementations must therefore be safe for concurrent Check calls
+// (read-only over their RunEnv) and must not retain fs past the call — the
+// device behind it is rolled back and reused as soon as Check returns.
 type Checker interface {
 	// Name identifies the contract in reports ("fs-oracle", "kv").
 	Name() string
@@ -70,12 +72,13 @@ type Checker interface {
 
 // CrashPointPreparer is an optional Checker extension: the engine calls
 // PrepareCrashPoint on the goroutine walking the trace, once per crash point,
-// before any of that point's states is checked there or by pool workers, so the
-// checker can precompute a shared, immutable view (e.g. the oracle snapshot
-// of oracle_checker.go) instead of re-deriving it inside every concurrent
-// Check call. The goroutine spawn gives every worker a happens-before edge
-// on whatever PrepareCrashPoint published; anything it builds must be
-// treated as frozen once Check calls may be in flight. The engine skips the
+// before any of that point's states is checked, so the checker can precompute
+// a shared, immutable view (e.g. the oracle snapshot of oracle_checker.go)
+// instead of re-deriving it inside every Check call. A runner started after
+// the call sees what it published through the goroutine start; a Check
+// abandoned at an earlier crash point may still be reading an older view, so
+// anything PrepareCrashPoint builds must be published by replacement and
+// treated as frozen from then on. The engine skips the
 // hook entirely under Config.DisableOracleSnapshot, so implementations must
 // also work without preparation (build-per-call), and the differential tests
 // hold them to byte-identical verdicts either way.

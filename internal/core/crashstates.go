@@ -28,11 +28,6 @@ type crashCtx struct {
 // silently dropped.
 const maxViolationsPerRun = 200
 
-// parallelThreshold is the minimum number of distinct crash states at one
-// fence worth fanning out to the worker pool; below it the main runner
-// checks inline. The threshold never changes results, only scheduling.
-const parallelThreshold = 4
-
 type checker struct {
 	ctx  context.Context // nil behaves as Background (bare test checkers)
 	cfg  Config
@@ -41,19 +36,19 @@ type checker struct {
 	res  *Result
 	// contract is the run's correctness contract (Config.Checker resolved,
 	// NewOracleChecker by default), applied to every mounted crash state.
-	// Checkers are read-only over their RunEnv, so calling Check from worker
-	// goroutines is safe.
+	// Checkers are read-only over their RunEnv, so a Check still running on
+	// an abandoned runner cannot disturb its replacement's.
 	contract Checker
 
 	// "Owner" below is whoever owns the checker: the supervisor until it
-	// starts the run's main runner, then that runner, and after a takeover
-	// its replacement (sandbox.go). Pool workers never are.
+	// starts the run's runner, then that runner, and after a takeover its
+	// replacement (sandbox.go).
 	//
 	// obs is the run's private metrics collector and journal the shared
 	// event stream; both are nil-safe no-ops when observability is off.
-	// obs is recorded into from worker goroutines (atomics only); journal
-	// events are emitted by the owner exclusively, which is what makes the
-	// journal's event set deterministic across worker counts.
+	// obs is recorded into by the supervisor and the runner alike (atomics
+	// only); journal events are emitted by the owner exclusively, in walk
+	// order.
 	obs     *obs.Collector
 	journal *obs.Journal
 
@@ -63,11 +58,10 @@ type checker struct {
 	tracer    *obs.Tracer
 	checkSpan string
 
-	// Supervision (sandbox.go): the run's slots ([0] the main runner's, the
-	// rest the pool workers'), the main runner line's exit channel, the
-	// supervision clock's epoch, the context's Done channel, and the resolved
-	// sandbox configuration.
-	slots   []*slot
+	// Supervision (sandbox.go): the current runner's slot, the runner line's
+	// exit channel, the supervision clock's epoch, the context's Done channel,
+	// and the resolved sandbox configuration.
+	slot    *slot
 	exit    chan runnerExit
 	epoch   time.Time
 	doneC   <-chan struct{}
@@ -75,10 +69,8 @@ type checker struct {
 	timeout time.Duration
 	retries int
 
-	// cur is the walk's position; pool the fan-out state of a fence the
-	// pool workers are on.
-	cur  cursor
-	pool fencePool
+	// cur is the walk's position.
+	cur cursor
 
 	// scratch is the owner-only buffer state-key computation materializes
 	// written ranges into.
@@ -88,12 +80,11 @@ type checker struct {
 
 	// Per-fence scratch reused across fences (owner-only, see arena.go for
 	// the ownership protocol): the dedup map, the distinct state list, the
-	// subset recursion buffer, the parallel outcome slots, and the arenas
-	// behind every crash state's subset/spans/key.
+	// subset recursion buffer, and the arenas behind every crash state's
+	// subset/spans/key.
 	seen      map[string]struct{}
 	distinct  []crashState
 	subsetBuf []int
-	outcomes  []checkOutcome
 	subArena  sliceArena[int]
 	spanArena sliceArena[span]
 	keyArena  sliceArena[byte]
@@ -404,8 +395,7 @@ func (ck *checker) enumerate(sys int) {
 	// merged write spans and diff key, which the delta materializer reuses
 	// as the replay and restore recipes). Duplicates cost one key
 	// computation and zero allocations; distinct states cost arena bumps,
-	// not per-state allocations. Rank order is the serial checking order,
-	// so the parallel path can restore it when merging results.
+	// not per-state allocations. Rank order is the checking order.
 	//
 	// Dedup key: the exact byte diff against the base image, so equal keys
 	// mean equal images — no hash collisions, no silently skipped distinct
@@ -455,89 +445,26 @@ func (ck *checker) enumerate(sys int) {
 	c.stage = stageFence
 }
 
-// fencePool is the fan-out state of the fence the pool workers are on: the
-// next rank to claim, and the group the main runner waits on. The fence
-// itself they read from the cursor, ck.distinct and ck.outcomes, which stand
-// still while it waits.
-type fencePool struct {
-	next atomic.Int64
-	wg   sync.WaitGroup
-}
-
 // runChecks materializes and checks the fence's distinct subsets from
-// cur.rank on, inline or across Workers pool runners. Outcomes — violations,
-// quarantine entries, retry accounting — are folded in subset-rank order
-// either way, and StatesChecked counts exactly the states whose check
-// reached a classified outcome (clean, violating, or quarantined).
+// cur.rank on. Outcomes — violations, quarantine entries, retry accounting —
+// are folded in subset-rank order, and StatesChecked counts exactly the
+// states whose check reached a classified outcome (clean, violating, or
+// quarantined).
 func (ck *checker) runChecks(sl *slot) error {
 	c := &ck.cur
-	distinct := ck.distinct
-	workers := min(ck.cfg.Workers, len(distinct))
-	if workers <= 1 || len(distinct) < parallelThreshold {
-		for ; c.rank < len(distinct); c.rank++ {
-			if err := ck.cancelled(); err != nil {
-				return err
-			}
-			cctx := c.cctx
-			cctx.rank = c.rank
-			out, err := ck.checkOne(sl, c.img, c.log, distinct[c.rank], cctx)
-			if err != nil {
-				return err
-			}
-			ck.fold(out)
-		}
-		return nil
-	}
-
-	p := &ck.pool
-	ck.outcomes = slices.Grow(ck.outcomes[:0], len(distinct))[:len(distinct)]
-	clear(ck.outcomes)
-	p.next.Store(0)
-	p.wg.Add(workers)
-	for _, wsl := range ck.slots[1 : 1+workers] {
-		go ck.runWorker(wsl)
-	}
-	p.wg.Wait()
-	if err := ck.cancelled(); err != nil {
-		return err
-	}
-	for _, out := range ck.outcomes {
-		ck.fold(out)
-	}
-	c.rank = len(distinct)
-	return nil
-}
-
-// runWorker is a pool runner: it claims ranks of the fanned-out fence until
-// none are left. A replacement started after a takeover enters with its
-// predecessor's claim and retry progress in sl.try and finishes that rank
-// first. A worker whose guest phase was abandoned leaves without reporting
-// in — the supervisor has passed its place in the group on.
-func (ck *checker) runWorker(sl *slot) {
-	c, p := &ck.cur, &ck.pool
-	for {
-		if sl.try.attempts == 0 {
-			if ck.cancelled() != nil {
-				break
-			}
-			sl.try.rank = int(p.next.Add(1)) - 1
-		}
-		rank := sl.try.rank
-		if rank >= len(ck.distinct) {
-			break
+	for ; c.rank < len(ck.distinct); c.rank++ {
+		if err := ck.cancelled(); err != nil {
+			return err
 		}
 		cctx := c.cctx
-		cctx.rank = rank
-		out, err := ck.checkOne(sl, c.img, c.log, ck.distinct[rank], cctx)
-		if err == errLost {
-			return
-		}
+		cctx.rank = c.rank
+		out, err := ck.checkOne(sl, c.img, c.log, ck.distinct[c.rank], cctx)
 		if err != nil {
-			break // cancelled
+			return err
 		}
-		ck.outcomes[rank] = out
+		ck.fold(out)
 	}
-	p.wg.Done()
+	return nil
 }
 
 // stateKey returns a canonical fingerprint of the crash image base+subset
@@ -545,7 +472,7 @@ func (ck *checker) runWorker(sl *slot) {
 // encoded as (offset, length, bytes) records. Two subsets produce identical
 // crash images if and only if their keys are equal. The returned slice
 // aliases ck.keyBuf, valid until the next call — callers that keep a key
-// arena-save it first. Coordinator-only (it reuses ck.scratch).
+// arena-save it first. Owner-only (it reuses ck.scratch).
 func (ck *checker) stateKey(base []byte, log *trace.Log, subset []int) []byte {
 	// Collect and coalesce the written intervals once; the merged spans are
 	// the materializer's replay recipe and the dedup scan's bounds.
@@ -663,7 +590,6 @@ func (ck *checker) resetFenceScratch() {
 		ck.keyArena.drop()
 		ck.seen = nil
 		ck.distinct = nil
-		ck.outcomes = nil
 	} else {
 		ck.subArena.reset()
 		ck.spanArena.reset()
@@ -679,7 +605,7 @@ func (ck *checker) resetFenceScratch() {
 // commitBase folds the writes fences applied since the last check into one
 // generation step: advance becomes the accumulated recipe and baseGen bumps
 // once. Owner-only, called immediately before a crash point's checks — so
-// the main runner's image, primed at the previous one, is exactly one
+// the runner's image, primed at the previous one, is exactly one
 // generation (one advance replay) behind, never more.
 func (ck *checker) commitBase() {
 	if !ck.baseDirty {

@@ -61,33 +61,28 @@ func compareDeltaResults(t *testing.T, name string, full, delta *Result) {
 
 // TestDeltaMaterializeMatchesFullCopy: the tentpole differential. The delta
 // path (default) must be byte-identical to the full-copy engine on clean
-// and violating runs, exhaustive and capped, serial and workers=8 — the
-// prime/apply/rollback lifecycle never leaks one crash state's bytes into
-// the next.
+// and violating runs, exhaustive and capped — the prime/apply/rollback
+// lifecycle never leaks one crash state's bytes into the next.
 func TestDeltaMaterializeMatchesFullCopy(t *testing.T) {
 	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
 		for _, cap := range []int{0, 2} {
-			for _, workers := range []int{1, 8} {
-				for _, w := range []struct {
-					name string
-					wl   func() workload.Workload
-				}{
-					{"mixed", mixedWorkload},
-					{"rename", renameWorkload},
-				} {
-					full := mustRun(t, Config{
-						NewFS: novaFS(set), Cap: cap, Workers: workers,
-						DisableDeltaMaterialize: true,
-					}, w.wl())
-					delta := mustRun(t, Config{
-						NewFS: novaFS(set), Cap: cap, Workers: workers,
-					}, w.wl())
-					name := w.name
-					if len(set.IDs()) > 0 {
-						name += "/buggy"
-					}
-					compareDeltaResults(t, name, full, delta)
+			for _, w := range []struct {
+				name string
+				wl   func() workload.Workload
+			}{
+				{"mixed", mixedWorkload},
+				{"rename", renameWorkload},
+			} {
+				full := mustRun(t, Config{
+					NewFS: novaFS(set), Cap: cap,
+					DisableDeltaMaterialize: true,
+				}, w.wl())
+				delta := mustRun(t, Config{NewFS: novaFS(set), Cap: cap}, w.wl())
+				name := w.name
+				if len(set.IDs()) > 0 {
+					name += "/buggy"
 				}
+				compareDeltaResults(t, name, full, delta)
 			}
 		}
 	}
@@ -100,16 +95,12 @@ func TestDeltaMaterializeMatchesFullCopy(t *testing.T) {
 // image exactly as materialize does.
 func TestDeltaMaterializeMatchesFullCopyUnderFaults(t *testing.T) {
 	fc := &pmem.FaultConfig{Seed: 11, TearOneInN: 2, FlipOneInN: 3}
-	for _, workers := range []int{1, 8} {
-		full := mustRun(t, Config{
-			NewFS: novaFS(bugs.None()), Workers: workers, Faults: fc,
-			DisableDeltaMaterialize: true,
-		}, mixedWorkload())
-		delta := mustRun(t, Config{
-			NewFS: novaFS(bugs.None()), Workers: workers, Faults: fc,
-		}, mixedWorkload())
-		compareDeltaResults(t, "faults", full, delta)
-	}
+	full := mustRun(t, Config{
+		NewFS: novaFS(bugs.None()), Faults: fc,
+		DisableDeltaMaterialize: true,
+	}, mixedWorkload())
+	delta := mustRun(t, Config{NewFS: novaFS(bugs.None()), Faults: fc}, mixedWorkload())
+	compareDeltaResults(t, "faults", full, delta)
 }
 
 // TestDeltaMaterializeRetiresPoisonedImages: a guest that panics during
@@ -118,19 +109,17 @@ func TestDeltaMaterializeMatchesFullCopyUnderFaults(t *testing.T) {
 // every state identically to the full-copy engine.
 func TestDeltaMaterializeRetiresPoisonedImages(t *testing.T) {
 	w := sandboxWorkload()
-	for _, workers := range []int{1, 8} {
-		col := obs.New()
-		delta := mustRun(t, Config{
-			NewFS: panicNovaFS(bugs.None()), CheckRetries: -1, Workers: workers, Obs: col,
-		}, w)
-		full := mustRun(t, Config{
-			NewFS: panicNovaFS(bugs.None()), CheckRetries: -1, Workers: workers,
-			DisableDeltaMaterialize: true,
-		}, w)
-		compareDeltaResults(t, "panic-guest", full, delta)
-		if retired := delta.Obs.Count(obs.CtrImagesRetired); retired == 0 {
-			t.Errorf("workers=%d: panicking guest retired no images", workers)
-		}
+	col := obs.New()
+	delta := mustRun(t, Config{
+		NewFS: panicNovaFS(bugs.None()), CheckRetries: -1, Obs: col,
+	}, w)
+	full := mustRun(t, Config{
+		NewFS: panicNovaFS(bugs.None()), CheckRetries: -1,
+		DisableDeltaMaterialize: true,
+	}, w)
+	compareDeltaResults(t, "panic-guest", full, delta)
+	if retired := delta.Obs.Count(obs.CtrImagesRetired); retired == 0 {
+		t.Error("panicking guest retired no images")
 	}
 }
 
@@ -164,8 +153,7 @@ func TestDeltaMaterializeRetiresAbandonedImages(t *testing.T) {
 // (pool reuse + advance-by-recipe), not once per state as in the full-copy
 // engine.
 func TestDeltaMaterializeBytesScaleWithDiff(t *testing.T) {
-	col := obs.New()
-	res := mustRun(t, Config{NewFS: novaFS(bugs.None()), Obs: col}, mixedWorkload())
+	res := mustRun(t, Config{NewFS: novaFS(bugs.None()), Obs: obs.New()}, mixedWorkload())
 	states := int64(res.StatesChecked)
 	if states == 0 {
 		t.Fatal("no states checked")
@@ -187,6 +175,16 @@ func TestDeltaMaterializeBytesScaleWithDiff(t *testing.T) {
 	// log is engaged on the hot path.
 	if res.Obs.Count(obs.CtrBytesRolledBack) == 0 {
 		t.Error("no bytes rolled back on a clean run")
+	}
+	// The same workload on a device twice the size copies the same bytes per
+	// state: apply and revert traffic is a property of the diff alone.
+	big := mustRun(t, Config{NewFS: novaFS(bugs.None()), DevSize: 2 * DefaultDevSize, Obs: obs.New()}, mixedWorkload())
+	copied := func(r *Result) float64 {
+		return float64(r.Obs.Count(obs.CtrBytesMaterialized)+r.Obs.Count(obs.CtrBytesRolledBack)) /
+			float64(r.StatesChecked)
+	}
+	if small, large := copied(res), copied(big); large > small*1.1 || small > large*1.1 {
+		t.Errorf("copied bytes per state moved with device size: 1x=%.0f 2x=%.0f", small, large)
 	}
 }
 

@@ -52,12 +52,6 @@ type Config struct {
 	// Cap bounds the size of replayed in-flight subsets (0 = exhaustive,
 	// the setting used for ACE runs; the paper uses 2 for fuzzing).
 	Cap int
-	// Workers is the number of goroutines checking crash states inside one
-	// engine run (<= 1 = serial) — the in-process analogue of the paper's
-	// VM farm (§4.2), applied at the fence level. Results are guaranteed
-	// byte-identical to a serial run: subsets are enumerated, deduplicated,
-	// and reported in canonical rank order regardless of worker count.
-	Workers int
 	// TraceStores enables instruction-level tracing (the Yat/Vinter-style
 	// ablation); the engine ignores KindStore entries, so this only adds
 	// overhead and statistics.
@@ -130,24 +124,24 @@ type Config struct {
 	// and the devices mounted on them, never to the recording pass.
 	Faults *pmem.FaultConfig
 	// Obs, when non-nil, enables per-stage metrics: the run records into a
-	// private collector (lock-free, safe from check workers), publishes the
-	// frozen per-workload snapshot as Result.Obs, and merges it into Obs at
-	// workload end so a long campaign's live totals can be watched via the
-	// debug server. Nil disables collection at zero hot-path cost.
+	// private collector (lock-free: supervisor and runner both record into it),
+	// publishes the frozen per-workload snapshot as Result.Obs, and merges it
+	// into Obs at workload end so a long campaign's live totals can be watched
+	// via the debug server. Nil disables collection at zero hot-path cost.
 	Obs *obs.Collector
 	// Journal, when non-nil, receives one event per workload, fence,
 	// violation, quarantine, and sandbox retry — the append-only JSONL run
-	// journal (-journal). All events are emitted by the run's one walker, so
-	// the journal's order-normalized event set is identical between serial
-	// and parallel runs of the same suite.
+	// journal (-journal). All events are emitted by the run's one walker, in
+	// walk order, so the journal's order-normalized event set depends only on
+	// the suite — not on how harness.WithWorkers spread it over goroutines.
 	Journal *obs.Journal
 	// Tracer, when non-nil, emits deterministic "span" events into its
 	// journal covering the engine stages of this run: a "workload" root span
 	// with "oracle", "record", and "check" children, plus one "fence" span
 	// per enumerated fence. Span IDs are pure functions of work coordinates
 	// (see obs.Tracer), and all engine spans are emitted by the run's one
-	// walker, never by pool workers, so the canonical span multiset is identical
-	// across worker counts — the same contract Journal events honor.
+	// walker, so the canonical span multiset is identical across suite-level
+	// worker counts — the same contract Journal events honor.
 	Tracer *obs.Tracer
 	// Checker selects the correctness contract applied to every mounted
 	// crash state (nil = NewOracleChecker, the classic FS-oracle comparison,
@@ -334,8 +328,8 @@ type Result struct {
 	OpResults     []workload.Result
 	// Obs is the run's frozen per-stage metrics snapshot (nil when
 	// Config.Obs was nil). Counters mirror the Result fields exactly —
-	// they are set from them at run end — so serial and parallel runs
-	// carry identical counter totals; stage durations are wall-clock
+	// they are set from them at run end — so repeated runs carry identical
+	// counter totals; stage durations are wall-clock
 	// measurements and vary with scheduling.
 	Obs *obs.Snapshot
 	// SyscallSigs holds one hash per system call summarizing the shape of
@@ -364,9 +358,10 @@ func RunContext(ctx context.Context, cfg Config, w workload.Workload) (*Result, 
 		devSize = DefaultDevSize
 	}
 
-	// Observability: a per-run collector keeps worker recording lock-free
-	// and gives the workload its own attribution; the frozen snapshot is
-	// merged into cfg.Obs at run end. Both stay nil when disabled.
+	// Observability: a per-run collector keeps concurrent runs
+	// (harness.WithWorkers) from contending on the shared one and gives the
+	// workload its own attribution; the frozen snapshot is merged into cfg.Obs
+	// at run end. Both stay nil when disabled.
 	var col *obs.Collector
 	if cfg.Obs != nil {
 		col = obs.New()
@@ -508,8 +503,7 @@ func RunContext(ctx context.Context, cfg Config, w workload.Workload) (*Result, 
 
 	// Freeze the run's metrics. Counters are copied from the Result fields
 	// — not accumulated on the hot path — so snapshot counters and Result
-	// agree exactly, and serial == parallel totals follow from the
-	// engine's own determinism guarantee.
+	// agree exactly, and their determinism follows from the engine's own.
 	if col != nil {
 		col.Add(obs.CtrWorkloads, 1)
 		col.Add(obs.CtrSpansCoalesced, ck.spansCoalesced)

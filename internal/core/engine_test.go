@@ -63,6 +63,16 @@ func renameWorkload() workload.Workload {
 	}}
 }
 
+// heavyWorkload is a seq-2-shaped data workload whose fences carry large
+// in-flight sets under exhaustive (cap=0) enumeration.
+func heavyWorkload() workload.Workload {
+	return workload.Workload{Name: "heavy", Ops: []workload.Op{
+		{Kind: workload.OpCreat, Path: "/f0", FDSlot: -1},
+		{Kind: workload.OpPwrite, Path: "/f0", FDSlot: -1, Off: 0, Size: 16384, Seed: 1},
+		{Kind: workload.OpRename, Path: "/f0", Path2: "/f1"},
+	}}
+}
+
 func mustRun(t *testing.T, cfg Config, w workload.Workload) *Result {
 	t.Helper()
 	res, err := RunContext(context.Background(), cfg, w)
@@ -70,6 +80,17 @@ func mustRun(t *testing.T, cfg Config, w workload.Workload) *Result {
 		t.Fatalf("Run: %v", err)
 	}
 	return res
+}
+
+// TestRunContextCancelDuringWalk: a cancelled context aborts the run and
+// returns the context error.
+func TestRunContextCancelDuringWalk(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := RunContext(ctx, Config{NewFS: novaFS(bugs.None())}, heavyWorkload())
+	if err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
 }
 
 // TestFixedSystemsClean: the engine must report NO violations for any fixed

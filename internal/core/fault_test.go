@@ -9,39 +9,32 @@ import (
 )
 
 // TestFaultInjectionDeterministic: fault decisions are pure functions of
-// (seed, site), so two runs with the same FaultConfig — and a serial and a
-// parallel run — must produce byte-identical results.
+// (seed, site), so two runs with the same FaultConfig must produce
+// byte-identical results.
 func TestFaultInjectionDeterministic(t *testing.T) {
 	w := heavyWorkload()
 	faults := &pmem.FaultConfig{Seed: 11, TearOneInN: 3, FlipOneInN: 4, ReadErrOneInN: 512}
-	mk := func(workers int) Config {
-		return Config{NewFS: novaFS(bugs.None()), Workers: workers, Faults: faults}
+	cfg := Config{NewFS: novaFS(bugs.None()), Faults: faults}
+	base, res := mustRun(t, cfg, w), mustRun(t, cfg, w)
+	if res.StatesChecked != base.StatesChecked || res.StatesDeduped != base.StatesDeduped ||
+		res.TruncatedFences != base.TruncatedFences {
+		t.Errorf("accounting diverged: %+v vs %+v", res, base)
 	}
-	base := mustRun(t, mk(1), w)
-	for name, res := range map[string]*Result{
-		"rerun":    mustRun(t, mk(1), w),
-		"workers4": mustRun(t, mk(4), w),
-	} {
-		if res.StatesChecked != base.StatesChecked || res.StatesDeduped != base.StatesDeduped ||
-			res.TruncatedFences != base.TruncatedFences {
-			t.Errorf("%s: accounting diverged: %+v vs %+v", name, res, base)
+	if len(res.Violations) != len(base.Violations) {
+		t.Fatalf("%d violations != %d", len(res.Violations), len(base.Violations))
+	}
+	for i := range res.Violations {
+		if res.Violations[i].String() != base.Violations[i].String() {
+			t.Errorf("violation %d differs\ngot:  %s\nwant: %s",
+				i, res.Violations[i], base.Violations[i])
 		}
-		if len(res.Violations) != len(base.Violations) {
-			t.Fatalf("%s: %d violations != %d", name, len(res.Violations), len(base.Violations))
-		}
-		for i := range res.Violations {
-			if res.Violations[i].String() != base.Violations[i].String() {
-				t.Errorf("%s: violation %d differs\ngot:  %s\nwant: %s",
-					name, i, res.Violations[i], base.Violations[i])
-			}
-		}
-		if len(res.Quarantined) != len(base.Quarantined) {
-			t.Fatalf("%s: ledger %d != %d", name, len(res.Quarantined), len(base.Quarantined))
-		}
-		for i := range res.Quarantined {
-			if res.Quarantined[i].String() != base.Quarantined[i].String() {
-				t.Errorf("%s: quarantine %d differs", name, i)
-			}
+	}
+	if len(res.Quarantined) != len(base.Quarantined) {
+		t.Fatalf("ledger %d != %d", len(res.Quarantined), len(base.Quarantined))
+	}
+	for i := range res.Quarantined {
+		if res.Quarantined[i].String() != base.Quarantined[i].String() {
+			t.Errorf("quarantine %d differs", i)
 		}
 	}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"sort"
+	"sync"
 	"testing"
 
 	"chipmunk/internal/bugs"
@@ -70,33 +72,6 @@ func TestObsDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestObsCountersSerialVsParallel: deterministic counters are pure
-// functions of the suite, never of scheduling — workers=1 and workers=8
-// agree exactly. Measurement-class counters (image primes, bytes primed /
-// rolled back) legitimately vary with pool scheduling and are excluded by
-// DeterministicCounters; the delta differential tests pin the Result-level
-// agreement instead.
-func TestObsCountersSerialVsParallel(t *testing.T) {
-	w := workload.Workload{Name: "obs-par", Ops: []workload.Op{
-		{Kind: workload.OpCreat, Path: "/f0", FDSlot: -1},
-		{Kind: workload.OpPwrite, Path: "/f0", FDSlot: -1, Off: 0, Size: 8192, Seed: 3},
-		{Kind: workload.OpRename, Path: "/f0", Path2: "/f1"},
-	}}
-	counters := map[int]map[string]int64{}
-	for _, workers := range []int{1, 8} {
-		col := obs.New()
-		res := mustRun(t, Config{NewFS: novaFS(bugs.None()), Workers: workers, Obs: col}, w)
-		if res.Obs == nil {
-			t.Fatal("no snapshot")
-		}
-		counters[workers] = res.Obs.DeterministicCounters()
-	}
-	if !reflect.DeepEqual(counters[1], counters[8]) {
-		t.Fatalf("counters diverge by worker count:\n serial:   %v\n workers8: %v",
-			counters[1], counters[8])
-	}
-}
-
 // TestObsFaultCounter: with faults forced on, the injected-fault counter
 // records landed tears/flips/media errors.
 func TestObsFaultCounter(t *testing.T) {
@@ -112,14 +87,25 @@ func TestObsFaultCounter(t *testing.T) {
 	}
 }
 
-// journalKeys runs w and returns the sorted canonical-key multiset of its
-// journal — the identity the determinism contract is stated over.
-func journalKeys(t *testing.T, cfg Config, w workload.Workload) []string {
+// journalKeys runs w on `runs` goroutines at once, all emitting into one
+// journal, and returns the sorted canonical-key multiset of that journal —
+// the identity the determinism contract is stated over.
+func journalKeys(t *testing.T, cfg Config, w workload.Workload, runs int) []string {
 	t.Helper()
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf)
 	cfg.Journal = j
-	mustRun(t, cfg, w)
+	var wg sync.WaitGroup
+	for range runs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := RunContext(context.Background(), cfg, w); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,10 +121,11 @@ func journalKeys(t *testing.T, cfg Config, w workload.Workload) []string {
 	return keys
 }
 
-// TestJournalDeterministicAcrossWorkers: serial and parallel runs of one
-// workload journal identical event multisets (order-normalized; wall-clock
-// fields excluded by CanonicalKey). Exercises fence, workload, violation,
-// and retry/quarantine-free paths on both a clean and a buggy system.
+// TestJournalDeterministicAcrossWorkers: a workload journals the same event
+// multiset (order-normalized; wall-clock fields excluded by CanonicalKey)
+// whether it runs alone or beside other engine runs sharing the journal —
+// what harness.WithWorkers does to a suite. Exercises fence, workload, and
+// violation events on both a clean and a buggy system.
 func TestJournalDeterministicAcrossWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -149,16 +136,19 @@ func TestJournalDeterministicAcrossWorkers(t *testing.T) {
 		{"buggy", Config{NewFS: novaFS(bugs.Of(bugs.NovaRenameInPlaceDelete))}, renameWorkload()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := journalKeys(t, tc.cfg, tc.w)
+			const workers = 4
+			serial := journalKeys(t, tc.cfg, tc.w, 1)
 			if len(serial) == 0 {
 				t.Fatal("empty journal")
 			}
-			par := tc.cfg
-			par.Workers = 4
-			parallel := journalKeys(t, par, tc.w)
-			if !reflect.DeepEqual(serial, parallel) {
-				t.Fatalf("journal multisets diverge: serial %d events, parallel %d",
-					len(serial), len(parallel))
+			var want []string
+			for range workers {
+				want = append(want, serial...)
+			}
+			sort.Strings(want)
+			if shared := journalKeys(t, tc.cfg, tc.w, workers); !reflect.DeepEqual(want, shared) {
+				t.Fatalf("journal multisets diverge: %d× serial is %d events, %d concurrent runs journalled %d",
+					workers, len(want), workers, len(shared))
 			}
 		})
 	}

@@ -94,8 +94,8 @@ func (oc *oracleChecker) Check(fs vfs.FS, cctx *CheckContext) *Finding {
 }
 
 // PrepareCrashPoint implements CrashPointPreparer: it builds and publishes
-// the crash point's oracle snapshot before any of its states reach a check
-// worker. Coordinator-only; fences inside the same syscall reuse the entry.
+// the crash point's oracle snapshot before any of its states is checked.
+// Walker-only; fences inside the same syscall reuse the entry.
 func (oc *oracleChecker) PrepareCrashPoint(cctx *CheckContext) {
 	if cctx.Phase != PhaseMid || cctx.Sys < 0 || cctx.Sys+1 >= len(oc.env.OracleStates) {
 		return

@@ -63,28 +63,26 @@ func TestCoalesceSpans(t *testing.T) {
 
 // perfKnobMatrix runs one Disable* knob through the same differential the
 // delta materializer is held to: full-Result agreement across clean and buggy
-// systems, serial and parallel, on two workloads.
+// systems, on two workloads.
 func perfKnobMatrix(t *testing.T, name string, legacy func(*Config)) {
 	t.Helper()
 	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
-		for _, workers := range []int{1, 8} {
-			for _, w := range []struct {
-				name string
-				wl   func() workload.Workload
-			}{
-				{"mixed", mixedWorkload},
-				{"rename", renameWorkload},
-			} {
-				legacyCfg := Config{NewFS: novaFS(set), Workers: workers}
-				legacy(&legacyCfg)
-				old := mustRun(t, legacyCfg, w.wl())
-				new := mustRun(t, Config{NewFS: novaFS(set), Workers: workers}, w.wl())
-				label := fmt.Sprintf("%s/%s/workers=%d", name, w.name, workers)
-				if len(set.IDs()) > 0 {
-					label += "/buggy"
-				}
-				compareDeltaResults(t, label, old, new)
+		for _, w := range []struct {
+			name string
+			wl   func() workload.Workload
+		}{
+			{"mixed", mixedWorkload},
+			{"rename", renameWorkload},
+		} {
+			legacyCfg := Config{NewFS: novaFS(set)}
+			legacy(&legacyCfg)
+			old := mustRun(t, legacyCfg, w.wl())
+			new := mustRun(t, Config{NewFS: novaFS(set)}, w.wl())
+			label := name + "/" + w.name
+			if len(set.IDs()) > 0 {
+				label += "/buggy"
 			}
+			compareDeltaResults(t, label, old, new)
 		}
 	}
 }
@@ -263,7 +261,7 @@ func hotLoopChecker(col *obs.Collector) (ck *checker, base []byte, log *trace.Lo
 		runID:    runIDs.Add(1),
 		devSize:  len(base),
 		imgPool:  poolFor(&imagePools, len(base)),
-		slots:    []*slot{newSlot(tryState{})},
+		slot:     newSlot(tryState{}),
 		epoch:    time.Now(),
 		timeout:  DefaultCheckTimeout,
 		retries:  DefaultCheckRetries,
@@ -289,8 +287,8 @@ func runHotLoop(ck *checker, base []byte, log *trace.Log, subsets [][]int) (stat
 			key:    key,
 			keyed:  true,
 		}
-		out, err := ck.checkOne(ck.slots[0], base, log, st, crashCtx{phase: PhaseMid, fence: 1, rank: states})
-		if err != nil || !out.done || out.v != nil {
+		out, err := ck.checkOne(ck.slot, base, log, st, crashCtx{phase: PhaseMid, fence: 1, rank: states})
+		if err != nil || out.v != nil {
 			panic(fmt.Sprintf("hot-loop check: outcome %+v, err %v", out, err))
 		}
 		states++
@@ -321,7 +319,7 @@ func TestCheckLoopZeroAlloc(t *testing.T) {
 			for i := 0; i < 3; i++ { // warm arenas, the slot's image, dedup map
 				states = runHotLoop(ck, base, log, subsets)
 			}
-			dev := ck.slots[0].wi.dev
+			dev := ck.slot.wi.dev
 			guest := testing.AllocsPerRun(20, func() {
 				ck.checkState(dev, crashCtx{phase: PhaseMid}, time.Time{})
 			})

@@ -32,15 +32,14 @@ import (
 //     one atomic store of deadline|leaseRunning — runs the guest under a
 //     deferred recover, and settles with one CAS. Panic, media-error, retry
 //     and quarantine handling all happen inline on the runner.
-//   - A slot is what the two share: the lease word, the runner's run-long
-//     pooled image, the current state's retry progress. With Config.Workers
-//     > 1 every pool worker is a runner with its own slot, same supervisor.
+//   - The slot is what the two share: the lease word, the runner's run-long
+//     pooled image, the current state's retry progress.
 //   - The cursor (checker.cur) is the walk's position, kept off the
 //     goroutine stack so it outlives a runner.
 //
 // Takeover. The timer never fires on a clean run. When it does, the
-// supervisor abandons every slot whose armed deadline has passed — CAS
-// running → abandoned — and re-arms to the earliest deadline still pending.
+// supervisor abandons the slot if its armed deadline has passed — CAS
+// running → abandoned — and otherwise re-arms to the deadline still pending.
 // The CAS can only be won during a guest phase, when the runner touches
 // nothing but its image and crash context, so winning it transfers ownership
 // of the checker: the supervisor retires the image, records the timed-out
@@ -73,10 +72,8 @@ import (
 // selects the legacy two-full-copies-per-state path for differential tests.
 
 // checkOutcome is what one checked crash state contributes to the result;
-// the runner that owns the checker folds it (serially, in canonical rank
-// order) via fold.
+// the runner folds it, in canonical rank order, via fold.
 type checkOutcome struct {
-	done    bool // the check reached a classified outcome (counted)
 	v       *Violation
 	q       *Quarantine
 	retried bool     // succeeded only after a retry (transient failure)
@@ -111,13 +108,8 @@ var (
 	errLost       = errors.New("core: runner abandoned")
 )
 
-// fold applies one outcome to the result. Owner-only: pool workers hand
-// their outcomes back in rank order instead. Zero-value outcomes (cancelled
-// runs leave unclaimed slots) fold to nothing.
+// fold applies one outcome to the result.
 func (ck *checker) fold(out checkOutcome) {
-	if !out.done {
-		return
-	}
 	ck.res.StatesChecked++
 	if out.retried {
 		ck.res.RetriedChecks++
@@ -174,7 +166,6 @@ const (
 // tryState is one crash state's retry progress. It lives in the slot, not on
 // the runner's stack, so a takeover can carry it to the replacement runner.
 type tryState struct {
-	rank     int // pool workers only: the rank claimed of the fanned-out fence
 	attempts int
 	last     attemptResult
 }
@@ -203,7 +194,7 @@ func newSlot(try tryState) *slot {
 
 func (sl *slot) abandoned() bool { return sl.lease.Load() == leaseAbandoned }
 
-// runnerExit is the one message a run's main runner line sends: the walk's
+// runnerExit is the one message a run's runner line sends: the walk's
 // error, or the engine panic its top frame caught (never nil: a panic(nil)
 // reaches recover as a *runtime.PanicNilError).
 type runnerExit struct {
@@ -245,10 +236,8 @@ func (ck *checker) supervise(baseline []byte, log *trace.Log) error {
 	// can still be holding go back to the pool, and the fence scratch is
 	// recycled unless an abandoned guest may still be reading it.
 	defer func() {
-		for _, sl := range ck.slots {
-			if sl.wi != nil && !sl.abandoned() {
-				ck.putImage(sl.wi)
-			}
+		if sl := ck.slot; sl != nil && sl.wi != nil && !sl.abandoned() {
+			ck.putImage(sl.wi)
 		}
 		if scr != nil {
 			ck.returnScratch(scr)
@@ -263,16 +252,14 @@ func (ck *checker) supervise(baseline []byte, log *trace.Log) error {
 	ck.obs.ObserveSince(obs.StageReplay, wt)
 
 	if ck.direct {
-		ck.newSlots()
-		ck.slots[0] = newSlot(tryState{})
-		return ck.walk(ck.slots[0])
+		ck.slot = newSlot(tryState{})
+		return ck.walk(ck.slot)
 	}
 	// Walk inline until the first guest check is due; most short runs on
 	// weak systems end here without ever starting a goroutine.
 	if err := ck.walk(nil); err != errNeedRunner {
 		return err
 	}
-	ck.newSlots()
 	ck.exit = make(chan runnerExit, 1)
 	var timer *time.Timer
 	var timerC <-chan time.Time
@@ -283,7 +270,7 @@ func (ck *checker) supervise(baseline []byte, log *trace.Log) error {
 		timerC = timer.C
 	}
 	cancelC := ck.doneC
-	ck.startRunner(0, tryState{})
+	ck.startRunner(tryState{})
 	for {
 		select {
 		case ex := <-ck.exit:
@@ -296,43 +283,33 @@ func (ck *checker) supervise(baseline []byte, log *trace.Log) error {
 		case <-cancelC:
 			cancelC = nil
 		}
-		// The timer fired or the run was cancelled: abandon every guest phase
-		// that is past its deadline (cancelled: every one that is running).
-		// Runners between guest phases re-check the context right after
+		// The timer fired or the run was cancelled: abandon the guest phase if
+		// it is past its deadline (cancelled: if it is running at all). A
+		// runner between guest phases re-checks the context right after
 		// arming, so once a cancel scan is through no new guest phase starts.
 		cancelErr := ck.cancelled()
 		now := ck.now()
 		next := now + int64(ck.timeout)
-		for i, sl := range ck.slots {
-			w := sl.lease.Load()
-			if w&(1<<leaseBits-1) != leaseRunning {
-				continue
-			}
-			if dl := w >> leaseBits; cancelErr == nil && dl > now {
-				next = min(next, dl)
-				continue
-			}
-			if !sl.lease.CompareAndSwap(w, leaseAbandoned) {
-				continue // settled in the race window: the runner kept it
-			}
+		sl := ck.slot
+		w := sl.lease.Load()
+		switch dl := w >> leaseBits; {
+		case w&(1<<leaseBits-1) != leaseRunning:
+		case cancelErr == nil && dl > now:
+			next = dl
+		case sl.lease.CompareAndSwap(w, leaseAbandoned):
+			// (A lost CAS means the phase settled in the race window: the
+			// runner kept it.)
 			if sl.wi != nil { // the full-copy path holds no pooled image
 				ck.obs.Inc(obs.CtrImagesRetired)
 			}
 			ck.abandoned.Add(1)
-			switch {
-			case cancelErr == nil:
-				try := sl.try
-				try.attempts++
-				try.last = attemptResult{timedOut: true}
-				ck.startRunner(i, try)
-			case i == 0:
+			if cancelErr != nil {
 				return cancelErr
-			default:
-				// A cancelled pool worker will never report in, so report
-				// for it: the main runner is waiting on the group and
-				// returns the cancellation itself.
-				ck.pool.wg.Done()
 			}
+			try := sl.try
+			try.attempts++
+			try.last = attemptResult{timedOut: true}
+			ck.startRunner(try)
 		}
 		if timer != nil {
 			timer.Reset(time.Duration(next - now))
@@ -340,31 +317,16 @@ func (ck *checker) supervise(baseline []byte, log *trace.Log) error {
 	}
 }
 
-// newSlots creates the run's slots: [0] is the main runner's (filled in by
-// the caller), the rest the pool workers'. All exist before any runner
-// starts, so the supervisor can scan the slice without synchronizing with
-// the runner that fans out.
-func (ck *checker) newSlots() {
-	n := 1
-	if ck.cfg.Workers > 1 {
-		n += ck.cfg.Workers
-	}
-	ck.slots = make([]*slot, n)
-	for i := 1; i < n; i++ {
-		ck.slots[i] = newSlot(tryState{})
-	}
-}
-
 // now is the supervision clock: nanoseconds since the run's epoch.
 func (ck *checker) now() int64 { return int64(time.Since(ck.epoch)) }
 
-// startRunner starts a runner on a fresh slot in position i — the run's
-// first, or the replacement after a takeover, which resumes the abandoned
-// state from try. Supervisor-only.
-func (ck *checker) startRunner(i int, try tryState) {
+// startRunner starts a runner on a fresh slot — the run's first, or the
+// replacement after a takeover, which resumes the abandoned state from try.
+// Supervisor-only.
+func (ck *checker) startRunner(try tryState) {
 	sl := newSlot(try)
-	if i == 0 && !ck.cfg.DisableDeltaMaterialize {
-		// The main runner's image is taken out and put back by the same
+	if !ck.cfg.DisableDeltaMaterialize {
+		// The runner's image is taken out and put back by the same
 		// long-lived goroutine: the pool is per-P, and a fresh runner
 		// goroutine per run would keep finding it on the wrong one. It is
 		// primed here too (the runner's own prime is then a no-op): this
@@ -377,12 +339,8 @@ func (ck *checker) startRunner(i int, try tryState) {
 		ck.prime(sl.wi, ck.cur.img, ck.cur.log)
 		ck.obs.ObserveSince(obs.StageReplay, rt)
 	}
-	ck.slots[i] = sl
+	ck.slot = sl
 	ck.obs.Inc(obs.CtrSandboxRunners)
-	if i > 0 {
-		go ck.runWorker(sl)
-		return
-	}
 	// The two hand-offs of a run bill where the per-state ones used to, so
 	// the stage windows keep tiling wall-clock: the runner's start to mount,
 	// its hand-back (closed by the supervisor) to check.
@@ -406,11 +364,11 @@ func (ck *checker) startRunner(i int, try tryState) {
 // on the calling runner: guarded attempt, bounded retry with backoff,
 // quarantine on deterministic failure. The retry progress lives in sl.try, so
 // a replacement runner entering with attempts already recorded resumes at
-// the classification of the last one. Safe to call from pool workers.
+// the classification of the last one.
 func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState, cctx crashCtx) (checkOutcome, error) {
 	cctx.subset = st.subset
 	if ck.direct {
-		return checkOutcome{done: true, v: ck.attempt(sl, img, log, st, cctx).v, ctx: cctx}, nil
+		return checkOutcome{v: ck.attempt(sl, img, log, st, cctx).v, ctx: cctx}, nil
 	}
 	try := &sl.try
 	for resumed := try.attempts > 0; ; resumed = false {
@@ -429,14 +387,14 @@ func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState,
 		switch {
 		case last.ok:
 			*try = tryState{}
-			return checkOutcome{done: true, v: last.v, retried: attempts > 1, ctx: cctx}, nil
+			return checkOutcome{v: last.v, retried: attempts > 1, ctx: cctx}, nil
 		case last.media != nil:
 			// An injected media fault is deterministic by construction:
 			// classify immediately, no retry, no quarantine — it is a
 			// modeled crash outcome, not a checker failure.
 			*try = tryState{}
 			ck.obs.Inc(obs.CtrFaultsInjected)
-			return checkOutcome{done: true, v: ck.violation(cctx, VUnreadable,
+			return checkOutcome{v: ck.violation(cctx, VUnreadable,
 				fmt.Sprintf("reading recovered state failed: %v", last.media)), ctx: cctx}, nil
 		}
 		if attempts > ck.retries {
@@ -468,7 +426,7 @@ func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState,
 		Stack:    last.stack,
 		Attempts: attempts,
 	}
-	return checkOutcome{done: true, v: ck.violation(cctx, kind, detail), q: q, ctx: cctx}, nil
+	return checkOutcome{v: ck.violation(cctx, kind, detail), q: q, ctx: cctx}, nil
 }
 
 // sleep waits out a retry backoff, or returns the context's error as soon as
@@ -635,11 +593,10 @@ func rollback(undo *pmem.UndoLog) int64 {
 // generation: a current image is untouched (zero copies — the empty-subset
 // fast path), an image exactly one generation behind catches up by replaying
 // the last fence's advance recipe (O(advance bytes)), and anything older —
-// fresh from the pool, left over from a previous run, or a pool worker's
-// image stale after the walk moved on — is re-primed by full device copy, the only
-// O(device) operation left on the check path. The run-token check comes
-// first: a recycled image's generation numbers are meaningless outside the
-// run that stamped them.
+// fresh from the pool or left over from a previous run — is re-primed by
+// full device copy, the only O(device) operation left on the check path. The
+// run-token check comes first: a recycled image's generation numbers are
+// meaningless outside the run that stamped them.
 func (ck *checker) prime(wi *workerImage, base []byte, log *trace.Log) {
 	if wi.run == ck.runID {
 		if wi.gen == ck.baseGen {
@@ -818,7 +775,7 @@ func (ck *checker) materialize(persistent, img []byte, log *trace.Log, subset []
 // injector builds the per-state fault injector (nil when faults are off).
 // The salt mixes the crash point's identity — fence ordinal, subset rank,
 // syscall, phase — so every state faults independently yet identically on
-// retry, in any worker, serial or parallel.
+// retry and on any runner.
 func (ck *checker) injector(cctx crashCtx) *pmem.Injector {
 	if !ck.cfg.Faults.Enabled() {
 		return nil
@@ -839,7 +796,6 @@ func (ck *checker) injector(cctx crashCtx) *pmem.Injector {
 // full-image copy per quarantine). Post-syscall states, which ARE their base
 // image, digest the whole image. The unkeyed-subset fallback re-derives the
 // diff the slow way; it only runs for states built outside enumerate (tests).
-// Safe from worker goroutines.
 func stateDigest(img []byte, log *trace.Log, st crashState) uint64 {
 	if st.keyed {
 		return fnv64a(st.key)

@@ -139,37 +139,6 @@ func TestSandboxContainsCaptureHang(t *testing.T) {
 	}
 }
 
-// TestSandboxSerialParallelAgreeOnHostileGuest: quarantining must honor the
-// same determinism contract as everything else — serial and parallel runs
-// produce identical violations and identical ledgers. Stack is diagnostic
-// and excluded (Quarantine.String omits it).
-func TestSandboxSerialParallelAgreeOnHostileGuest(t *testing.T) {
-	w := sandboxWorkload()
-	ser := mustRun(t, Config{NewFS: panicNovaFS(bugs.None()), CheckRetries: -1, Workers: 1}, w)
-	par := mustRun(t, Config{NewFS: panicNovaFS(bugs.None()), CheckRetries: -1, Workers: 4}, w)
-	if ser.StatesChecked != par.StatesChecked {
-		t.Errorf("StatesChecked serial %d != parallel %d", ser.StatesChecked, par.StatesChecked)
-	}
-	if len(ser.Violations) != len(par.Violations) {
-		t.Fatalf("violations: serial %d != parallel %d", len(ser.Violations), len(par.Violations))
-	}
-	for i := range ser.Violations {
-		if ser.Violations[i].String() != par.Violations[i].String() {
-			t.Errorf("violation %d differs\nserial:   %s\nparallel: %s",
-				i, ser.Violations[i], par.Violations[i])
-		}
-	}
-	if len(ser.Quarantined) != len(par.Quarantined) {
-		t.Fatalf("ledger: serial %d != parallel %d", len(ser.Quarantined), len(par.Quarantined))
-	}
-	for i := range ser.Quarantined {
-		if ser.Quarantined[i].String() != par.Quarantined[i].String() {
-			t.Errorf("quarantine %d differs\nserial:   %s\nparallel: %s",
-				i, ser.Quarantined[i], par.Quarantined[i])
-		}
-	}
-}
-
 // TestSandboxRetryAbsorbsTransientPanic: a failure that vanishes on retry is
 // transient — counted in RetriedChecks, not quarantined, not a violation.
 func TestSandboxRetryAbsorbsTransientPanic(t *testing.T) {

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"context"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -108,7 +107,7 @@ func journaledRun(t *testing.T, cfg Config, w workload.Workload) (*Result, []obs
 }
 
 // stallTarget picks the state the takeover tests stall: rank 1 of the first
-// fence wide enough for the worker pool to engage, with fences still to come.
+// fence with a state on either side of it, with fences still to come.
 func stallTarget(t *testing.T, healthy []obs.Event) (fence, rank int) {
 	t.Helper()
 	var fences []obs.Event
@@ -118,7 +117,7 @@ func stallTarget(t *testing.T, healthy []obs.Event) (fence, rank int) {
 		}
 	}
 	for _, e := range fences[:len(fences)-1] {
-		if e.States >= parallelThreshold {
+		if e.States >= 3 {
 			return e.Fence, 1
 		}
 	}
@@ -213,8 +212,7 @@ func sameVerdicts(t *testing.T, name string, a, b *Result) {
 }
 
 // TestTakeoverResumesAtCursor: a guest that hangs in one mid-run state costs
-// that state and nothing else — serially, and with the worker pool, where the
-// replacement worker retries the claimed rank and keeps pulling.
+// that state and nothing else.
 func TestTakeoverResumesAtCursor(t *testing.T) {
 	w := takeoverWorkload()
 	base := Config{NewFS: novaFS(bugs.AllSet()), CheckTimeout: takeoverTimeout, CheckRetries: -1}
@@ -224,22 +222,10 @@ func TestTakeoverResumesAtCursor(t *testing.T) {
 	}
 	fence, rank := stallTarget(t, hEvents)
 
-	var serial *Result
-	for _, workers := range []int{1, 4} {
-		cfg := base
-		cfg.Workers = workers
-		cfg.Checker, _ = stallAt(t, fence, rank, 0)
-		res, events := journaledRun(t, cfg, w)
-		name := fmt.Sprintf("workers=%d", workers)
-		// Pool workers fold in rank order and journal per fence, so the event
-		// order is the serial one with them too.
-		checkTakenOver(t, name, healthy, res, hEvents, events, fence, rank)
-		if workers == 1 {
-			serial = res
-			continue
-		}
-		sameVerdicts(t, "workers=4 vs serial", serial, res)
-	}
+	cfg := base
+	cfg.Checker, _ = stallAt(t, fence, rank, 0)
+	res, events := journaledRun(t, cfg, w)
+	checkTakenOver(t, "hung guest", healthy, res, hEvents, events, fence, rank)
 }
 
 // TestTakeoverLateGuestChangesNothing: a guest that is slow, not hung,
@@ -300,30 +286,28 @@ func (f signalHangFS) ReadDir(string) ([]vfs.DirEnt, error) {
 // deadline instead of waiting the deadline out.
 func TestTakeoverCancelDuringHungCheck(t *testing.T) {
 	const deadline = 5 * time.Second
-	for _, workers := range []int{1, 4} {
-		hanging, once := make(chan struct{}), new(sync.Once)
-		inner := novaFS(bugs.None())
-		cfg := Config{
-			NewFS: func(pm *persist.PM) vfs.FS {
-				return signalHangFS{inner(pm), hanging, once}
-			},
-			CheckTimeout: deadline, Workers: workers,
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		errc := make(chan error, 1)
-		go func() {
-			_, err := RunContext(ctx, cfg, mixedWorkload())
-			errc <- err
-		}()
-		<-hanging
-		cancelled := time.Now()
-		cancel()
-		if err := <-errc; err != context.Canceled {
-			t.Errorf("workers=%d: err = %v, want context.Canceled", workers, err)
-		}
-		if waited := time.Since(cancelled); waited >= deadline {
-			t.Errorf("workers=%d: cancel took %v, a whole %v deadline", workers, waited, deadline)
-		}
+	hanging, once := make(chan struct{}), new(sync.Once)
+	inner := novaFS(bugs.None())
+	cfg := Config{
+		NewFS: func(pm *persist.PM) vfs.FS {
+			return signalHangFS{inner(pm), hanging, once}
+		},
+		CheckTimeout: deadline,
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	errc := make(chan error, 1)
+	go func() {
+		_, err := RunContext(ctx, cfg, mixedWorkload())
+		errc <- err
+	}()
+	<-hanging
+	cancelled := time.Now()
+	cancel()
+	if err := <-errc; err != context.Canceled {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if waited := time.Since(cancelled); waited >= deadline {
+		t.Errorf("cancel took %v, a whole %v deadline", waited, deadline)
 	}
 }
 

@@ -51,9 +51,29 @@ type roundSlot struct {
 	leasedAt time.Time
 	lastBeat time.Time
 	progress int
-	attempts int
-	lastErr  string
-	result   *FuzzResult
+	failures
+	result *FuzzResult
+}
+
+// failures is a unit's failed-dispatch record: how many attempts failed, and
+// the one its drop record will cite. A worker's structured error payload
+// (fromWorker) says the unit itself failed under a live worker; a transport
+// cause — lease expiry, a result rejected at the wire — says only that the
+// attempt was lost. So a payload's cause is never replaced by a later
+// transport one; otherwise the latest attempt wins (the rule campaign's
+// failAttemptLocked applies to shards).
+type failures struct {
+	attempts      int
+	lastErr       string
+	errWorker     string
+	errFromWorker bool
+}
+
+func (f *failures) note(worker string, fromWorker bool, cause string) {
+	f.attempts++
+	if fromWorker || !f.errFromWorker {
+		f.lastErr, f.errWorker, f.errFromWorker = cause, worker, fromWorker
+	}
 }
 
 type minState uint8
@@ -77,8 +97,7 @@ type minTask struct {
 	deadline time.Time
 	leasedAt time.Time
 	lastBeat time.Time
-	attempts int
-	lastErr  string
+	failures
 	// Outcome: dropped means the task spent its attempts (done, unverified,
 	// no result); verified means the minimized form re-tripped the cluster.
 	dropped  bool
@@ -454,12 +473,12 @@ func (c *Coordinator) reclaimLocked(now time.Time) {
 	for i := range c.rounds {
 		s := &c.rounds[i]
 		if s.state == roundLeased && now.After(s.deadline) {
-			c.failRoundLocked(i, s.worker, "lease expired (worker gone or stalled)")
+			c.failRoundLocked(i, s.worker, false, "lease expired (worker gone or stalled)")
 		}
 	}
 	for _, m := range c.mins {
 		if m.state == minLeased && now.After(m.deadline) {
-			c.failMinLocked(m, m.worker, "lease expired (worker gone or stalled)")
+			c.failMinLocked(m, m.worker, false, "lease expired (worker gone or stalled)")
 		}
 	}
 }
@@ -468,11 +487,9 @@ func (c *Coordinator) reclaimLocked(now time.Time) {
 // revert to pending, or drop once the attempt budget is spent. A drop
 // resolves the round for the generation barrier, is persisted (the fold
 // depends on it), journaled, and marks the soak degraded. Caller holds c.mu.
-func (c *Coordinator) failRoundLocked(i int, worker, cause string) {
+func (c *Coordinator) failRoundLocked(i int, worker string, fromWorker bool, cause string) {
 	s := &c.rounds[i]
-	s.attempts++
-	s.lastErr = cause
-	s.worker = worker
+	s.note(worker, fromWorker, cause)
 	if s.attempts < c.retries {
 		c.log("round %d attempt %d/%d failed (worker %s): %s — re-dispatching",
 			i, s.attempts, c.retries, worker, cause)
@@ -482,12 +499,12 @@ func (c *Coordinator) failRoundLocked(i int, worker, cause string) {
 	}
 	s.state = roundDropped
 	c.roundsDropped++
-	d := RoundDrop{Round: i, Worker: worker, Err: cause, Attempts: s.attempts}
-	c.log("round DROPPED: round %d after %d failed attempts, last worker %q: %s",
-		i, s.attempts, worker, cause)
+	d := RoundDrop{Round: i, Worker: s.errWorker, Err: s.lastErr, Attempts: s.attempts}
+	c.log("round DROPPED: round %d after %d failed attempts, worker %q: %s",
+		i, s.attempts, d.Worker, d.Err)
 	c.journal.Emit(obs.Event{
 		Type: "fuzz-round-drop", FS: c.spec.FS, Workload: "fuzz",
-		Worker: worker, Sys: -1, Rank: i, Detail: cause,
+		Worker: d.Worker, Sys: -1, Rank: i, Detail: d.Err,
 	})
 	if err := c.ckpt.AppendDrop(d); err != nil && c.failed == nil {
 		c.failed = err
@@ -499,10 +516,8 @@ func (c *Coordinator) failRoundLocked(i int, worker, cause string) {
 // failMinLocked is failRoundLocked for minimization tasks. A spent task
 // resolves done-unverified: the census falls back to the unminimized
 // representative rather than stalling the soak. Caller holds c.mu.
-func (c *Coordinator) failMinLocked(m *minTask, worker, cause string) {
-	m.attempts++
-	m.lastErr = cause
-	m.worker = worker
+func (c *Coordinator) failMinLocked(m *minTask, worker string, fromWorker bool, cause string) {
+	m.note(worker, fromWorker, cause)
 	if m.attempts < c.retries {
 		c.log("minimize task %d attempt %d/%d failed (worker %s): %s — re-dispatching",
 			m.id, m.attempts, c.retries, worker, cause)
@@ -515,7 +530,7 @@ func (c *Coordinator) failMinLocked(m *minTask, worker, cause string) {
 	c.log("minimize task %d DROPPED after %d failed attempts: census keeps the unminimized reproducer", m.id, m.attempts)
 	c.journal.Emit(obs.Event{
 		Type: "fuzz-min-drop", FS: c.spec.FS, Workload: "fuzz",
-		Worker: worker, Sys: -1, Rank: m.id, Detail: m.cluster + ": " + cause,
+		Worker: m.errWorker, Sys: -1, Rank: m.id, Detail: m.cluster + ": " + m.lastErr,
 	})
 	if err := c.ckpt.AppendMinDrop(m.cluster); err != nil && c.failed == nil {
 		c.failed = err
@@ -669,7 +684,7 @@ func (c *Coordinator) creditRound(p *FuzzResult) (campaign.CreditResponse, error
 			c.log("stale error payload for round %d from %s: discarded", p.Round, p.Worker)
 			return campaign.CreditResponse{Accepted: false, Duplicate: true}, nil
 		}
-		c.failRoundLocked(p.Round, p.Worker, p.Err)
+		c.failRoundLocked(p.Round, p.Worker, true, p.Err)
 		dropped := slot.state == roundDropped
 		done := c.completedLocked()
 		c.mu.Unlock()
@@ -761,7 +776,7 @@ func (c *Coordinator) creditMin(p *FuzzResult) (campaign.CreditResponse, error) 
 			c.log("stale error payload for minimize task %d from %s: discarded", p.MinID, p.Worker)
 			return campaign.CreditResponse{Accepted: false, Duplicate: true}, nil
 		}
-		c.failMinLocked(m, p.Worker, p.Err)
+		c.failMinLocked(m, p.Worker, true, p.Err)
 		done := c.completedLocked()
 		c.mu.Unlock()
 		if done {
@@ -864,7 +879,7 @@ func (c *Coordinator) RejectResult(kind string, id int, worker, cause string) {
 		if s.state != roundLeased || s.worker != worker {
 			return
 		}
-		c.failRoundLocked(id, worker, cause)
+		c.failRoundLocked(id, worker, false, cause)
 	case ResultMinimize:
 		if id < 0 || id >= len(c.mins) {
 			return
@@ -873,7 +888,7 @@ func (c *Coordinator) RejectResult(kind string, id int, worker, cause string) {
 		if m.state != minLeased || m.worker != worker {
 			return
 		}
-		c.failMinLocked(m, worker, cause)
+		c.failMinLocked(m, worker, false, cause)
 	}
 }
 
@@ -1135,7 +1150,7 @@ func (c *Coordinator) attachCheckpoint(path string) error {
 			continue
 		}
 		slot.state = roundDropped
-		slot.worker = d.Worker
+		slot.errWorker = d.Worker
 		slot.lastErr = d.Err
 		slot.attempts = d.Attempts
 		c.roundsDropped++

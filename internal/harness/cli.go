@@ -38,10 +38,8 @@ type CLIOptions struct {
 	FS              string
 	Bugs            string
 	Cap             int
-	Workers         int
 	CheckTimeout    time.Duration
 	ExhaustiveLimit int
-	FullCopy        bool
 
 	// Application-level durability checking.
 	App              string
@@ -77,13 +75,10 @@ func BindCLI(fl *flag.FlagSet, def CLIDefaults) *CLIOptions {
 	fl.StringVar(&c.FS, "fs", def.FS, "file system: nova, nova-fortis, pmfs, winefs, splitfs, ext4-dax, xfs-dax")
 	fl.StringVar(&c.Bugs, "bugs", def.Bugs, `injected bugs: "none", "all", or comma-separated IDs (e.g. "4,5")`)
 	fl.IntVar(&c.Cap, "cap", def.Cap, "max in-flight writes replayed per crash state (0 = exhaustive)")
-	fl.IntVar(&c.Workers, "workers", 1, "crash-state check workers inside each engine run (<=1 = serial)")
 	fl.DurationVar(&c.CheckTimeout, "check-timeout", core.DefaultCheckTimeout,
 		"per-crash-state check deadline; hung checks are quarantined as check-timeout (negative = no deadline)")
 	fl.IntVar(&c.ExhaustiveLimit, "exhaustive-limit", core.DefaultExhaustiveLimit,
 		"max in-flight writes for exhaustive subset enumeration before falling back to the safety cap")
-	fl.BoolVar(&c.FullCopy, "full-copy", false,
-		"materialize each crash state by full device copy instead of delta replay (slow; results identical)")
 
 	fl.StringVar(&c.App, "app", "",
 		`application-level durability checking: "kv" runs the WAL KV store workload and checks its crash contract instead of the FS oracle`)
@@ -125,15 +120,13 @@ func (c *CLIOptions) Options() (Options, error) {
 		return Options{}, err
 	}
 	o := Options{
-		FS:                      c.FS,
-		Bugs:                    set,
-		Cap:                     c.Cap,
-		Workers:                 c.Workers,
-		CheckTimeout:            c.CheckTimeout,
-		ExhaustiveLimit:         c.ExhaustiveLimit,
-		DisableDeltaMaterialize: c.FullCopy,
-		App:                     c.App,
-		AppBugs:                 appBugs,
+		FS:              c.FS,
+		Bugs:            set,
+		Cap:             c.Cap,
+		CheckTimeout:    c.CheckTimeout,
+		ExhaustiveLimit: c.ExhaustiveLimit,
+		App:             c.App,
+		AppBugs:         appBugs,
 	}
 	if c.Faults {
 		o.Faults = pmem.DefaultFaults(c.FaultSeed)

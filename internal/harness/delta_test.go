@@ -2,7 +2,6 @@ package harness
 
 import (
 	"context"
-	"flag"
 	"testing"
 
 	"chipmunk/internal/ace"
@@ -15,9 +14,7 @@ import (
 
 // TestDeltaMaterializeMatchesFullCopyAllSystems: the O(diff) delta path
 // must be byte-identical to the full-copy engine across all seven systems,
-// on violating runs (published bug sets) and clean ones alike, serial and
-// at workers=8. Reuses the same Result comparison the parallel-vs-serial
-// differential is stated over.
+// on violating runs (published bug sets) and clean ones alike.
 func TestDeltaMaterializeMatchesFullCopyAllSystems(t *testing.T) {
 	for _, sys := range Systems() {
 		sys := sys
@@ -29,28 +26,27 @@ func TestDeltaMaterializeMatchesFullCopyAllSystems(t *testing.T) {
 				set = bugs.None()
 				suite = ace.Seq1Dax()[:8]
 			}
-			for _, workers := range []int{1, 8} {
-				full := Options{Bugs: set, Cap: 2, Workers: workers, DisableDeltaMaterialize: true}.ConfigFor(sys)
-				delta := Options{Bugs: set, Cap: 2, Workers: workers}.ConfigFor(sys)
-				for _, w := range suite {
-					rf, err := core.RunContext(context.Background(), full, w)
-					if err != nil {
-						t.Fatalf("%s full-copy: %v", w.Name, err)
-					}
-					rd, err := core.RunContext(context.Background(), delta, w)
-					if err != nil {
-						t.Fatalf("%s delta: %v", w.Name, err)
-					}
-					compareResults(t, w.Name, rf, rd)
-					if len(rf.Quarantined) != len(rd.Quarantined) {
-						t.Fatalf("%s: quarantine ledgers diverge: full %d, delta %d",
-							w.Name, len(rf.Quarantined), len(rd.Quarantined))
-					}
-					for i := range rf.Quarantined {
-						if rf.Quarantined[i].String() != rd.Quarantined[i].String() {
-							t.Errorf("%s: quarantine %d differs\nfull:  %s\ndelta: %s",
-								w.Name, i, rf.Quarantined[i], rd.Quarantined[i])
-						}
+			delta := Options{Bugs: set, Cap: 2}.ConfigFor(sys)
+			full := delta
+			full.DisableDeltaMaterialize = true
+			for _, w := range suite {
+				rf, err := core.RunContext(context.Background(), full, w)
+				if err != nil {
+					t.Fatalf("%s full-copy: %v", w.Name, err)
+				}
+				rd, err := core.RunContext(context.Background(), delta, w)
+				if err != nil {
+					t.Fatalf("%s delta: %v", w.Name, err)
+				}
+				compareResults(t, w.Name, rf, rd)
+				if len(rf.Quarantined) != len(rd.Quarantined) {
+					t.Fatalf("%s: quarantine ledgers diverge: full %d, delta %d",
+						w.Name, len(rf.Quarantined), len(rd.Quarantined))
+				}
+				for i := range rf.Quarantined {
+					if rf.Quarantined[i].String() != rd.Quarantined[i].String() {
+						t.Errorf("%s: quarantine %d differs\nfull:  %s\ndelta: %s",
+							w.Name, i, rf.Quarantined[i], rd.Quarantined[i])
 					}
 				}
 			}
@@ -65,67 +61,26 @@ func (f deltaPanicFS) Mount() error { panic("hostile crash state") }
 
 // TestDeltaMaterializeHostileGuestAgreement: a guest that panics mid-mount
 // poisons pooled images (the retirement path), and the classification must
-// still agree with the full-copy engine, serially and in parallel.
+// still agree with the full-copy engine.
 func TestDeltaMaterializeHostileGuestAgreement(t *testing.T) {
 	newFS := func(pm *persist.PM) vfs.FS {
 		return deltaPanicFS{nova.New(pm, bugs.None())}
 	}
 	suite := ace.Seq1()[:2]
-	for _, workers := range []int{1, 8} {
-		full := core.Config{NewFS: newFS, Cap: 2, CheckRetries: -1, Workers: workers,
-			DisableDeltaMaterialize: true}
-		delta := core.Config{NewFS: newFS, Cap: 2, CheckRetries: -1, Workers: workers}
-		for _, w := range suite {
-			rf, err := core.RunContext(context.Background(), full, w)
-			if err != nil {
-				t.Fatalf("%s full-copy: %v", w.Name, err)
-			}
-			rd, err := core.RunContext(context.Background(), delta, w)
-			if err != nil {
-				t.Fatalf("%s delta: %v", w.Name, err)
-			}
-			compareResults(t, w.Name, rf, rd)
-			if len(rd.Quarantined) == 0 {
-				t.Fatalf("%s: hostile guest quarantined nothing", w.Name)
-			}
+	full := core.Config{NewFS: newFS, Cap: 2, CheckRetries: -1, DisableDeltaMaterialize: true}
+	delta := core.Config{NewFS: newFS, Cap: 2, CheckRetries: -1}
+	for _, w := range suite {
+		rf, err := core.RunContext(context.Background(), full, w)
+		if err != nil {
+			t.Fatalf("%s full-copy: %v", w.Name, err)
 		}
-	}
-}
-
-// TestDeltaMaterializeFlagPlumbing: -full-copy plumbs from the shared flag
-// surface through Options into the engine Config, and defaults to the
-// delta path.
-func TestDeltaMaterializeFlagPlumbing(t *testing.T) {
-	fl := flag.NewFlagSet("test", flag.ContinueOnError)
-	spec := BindCLI(fl, CLIDefaults{FS: "nova"})
-	if err := fl.Parse([]string{"-full-copy"}); err != nil {
-		t.Fatal(err)
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !opts.DisableDeltaMaterialize {
-		t.Fatal("-full-copy did not set Options.DisableDeltaMaterialize")
-	}
-	_, cfg, err := opts.Resolve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cfg.DisableDeltaMaterialize {
-		t.Fatal("-full-copy did not reach core.Config")
-	}
-
-	fl2 := flag.NewFlagSet("test2", flag.ContinueOnError)
-	spec2 := BindCLI(fl2, CLIDefaults{FS: "nova"})
-	if err := fl2.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	opts2, err := spec2.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts2.DisableDeltaMaterialize {
-		t.Fatal("delta materialization not the default")
+		rd, err := core.RunContext(context.Background(), delta, w)
+		if err != nil {
+			t.Fatalf("%s delta: %v", w.Name, err)
+		}
+		compareResults(t, w.Name, rf, rd)
+		if len(rd.Quarantined) == 0 {
+			t.Fatalf("%s: hostile guest quarantined nothing", w.Name)
+		}
 	}
 }

@@ -32,8 +32,6 @@ type DetectOptions struct {
 	Cap int
 	// PostOnly restricts crash points to syscall boundaries (Obs 5).
 	PostOnly bool
-	// Workers is the in-engine crash-state worker count (<= 1 = serial).
-	Workers int
 	// Obs receives per-stage metrics from the detection's engine runs
 	// (nil = off); Journal receives their run-journal events.
 	Obs     *obs.Collector
@@ -42,8 +40,7 @@ type DetectOptions struct {
 
 // config builds the engine Config for one detection run.
 func (o DetectOptions) config(sys System, set bugs.Set) core.Config {
-	cfg := Options{Bugs: set, Cap: o.Cap, Workers: o.Workers,
-		Obs: o.Obs, Journal: o.Journal}.ConfigFor(sys)
+	cfg := Options{Bugs: set, Cap: o.Cap, Obs: o.Obs, Journal: o.Journal}.ConfigFor(sys)
 	cfg.PostOnly = o.PostOnly
 	return cfg
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"chipmunk/internal/ace"
@@ -9,10 +10,10 @@ import (
 	"chipmunk/internal/core"
 )
 
-// TestParallelEngineMatchesSerial: the tentpole guarantee. For every system,
-// a workload checked with a worker pool must produce a Result byte-identical
-// to the serial engine: same violations in the same order, same state
-// accounting (checked, deduped, truncated), same census statistics.
+// TestParallelEngineMatchesSerial: for every system, a suite whose engine
+// runs are spread over four suite-level workers must produce the serial run's
+// census and violation list exactly: same violations in the same order, same
+// state accounting (checked, deduped, truncated), same quarantine ledger.
 func TestParallelEngineMatchesSerial(t *testing.T) {
 	for _, sys := range Systems() {
 		sys := sys
@@ -27,18 +28,26 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 				set = bugs.None()
 				suite = ace.Seq1Dax()[:12]
 			}
-			serial := Options{Bugs: set, Cap: 0, Workers: 1}.ConfigFor(sys)
-			par := Options{Bugs: set, Cap: 0, Workers: 4}.ConfigFor(sys)
-			for _, w := range suite {
-				rs, err := core.RunContext(context.Background(), serial, w)
-				if err != nil {
-					t.Fatalf("%s serial: %v", w.Name, err)
+			cfg := Options{Bugs: set, Cap: 0}.ConfigFor(sys)
+			serial, sViol, err := Run(context.Background(), cfg, suite)
+			if err != nil {
+				t.Fatalf("serial: %v", err)
+			}
+			par, pViol, err := Run(context.Background(), cfg, suite, WithWorkers(4))
+			if err != nil {
+				t.Fatalf("parallel: %v", err)
+			}
+			serial.Elapsed, par.Elapsed = 0, 0
+			if !reflect.DeepEqual(serial, par) {
+				t.Errorf("census diverged:\nserial:   %+v\nparallel: %+v", serial, par)
+			}
+			if len(sViol) != len(pViol) {
+				t.Fatalf("%d serial violations != %d parallel", len(sViol), len(pViol))
+			}
+			for i := range sViol {
+				if sViol[i].String() != pViol[i].String() {
+					t.Errorf("violation %d differs\nserial:   %s\nparallel: %s", i, sViol[i], pViol[i])
 				}
-				rp, err := core.RunContext(context.Background(), par, w)
-				if err != nil {
-					t.Fatalf("%s parallel: %v", w.Name, err)
-				}
-				compareResults(t, w.Name, rs, rp)
 			}
 		})
 	}
@@ -163,12 +172,12 @@ func TestRunContextPreCancelled(t *testing.T) {
 // TestOptionsResolve: the shared flag/Options surface used by all three
 // CLI frontends.
 func TestOptionsResolve(t *testing.T) {
-	opts := Options{FS: "pmfs", Bugs: bugs.AllSet(), Cap: 2, Workers: 3}
+	opts := Options{FS: "pmfs", Bugs: bugs.AllSet(), Cap: 2}
 	sys, cfg, err := opts.Resolve()
 	if err != nil || sys.Name != "pmfs" {
 		t.Fatalf("Resolve = %v, %v", sys.Name, err)
 	}
-	if cfg.Cap != 2 || cfg.Workers != 3 || cfg.NewFS == nil {
+	if cfg.Cap != 2 || cfg.NewFS == nil {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if _, _, err := (Options{FS: "nope"}).Resolve(); err == nil {

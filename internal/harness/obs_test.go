@@ -89,11 +89,10 @@ func TestSuiteJournalDeterministic(t *testing.T) {
 }
 
 // TestSpanMultisetDeterministic: the canonical span multiset a suite emits
-// is byte-identical between serial and 8-worker runs (engine-level AND
-// suite-level parallelism) — the acceptance contract of the deterministic
-// span layer. Span IDs are pure functions of work coordinates and all
-// engine spans are coordinator-emitted, so only wall-clock fields (cleared
-// by CanonicalKey) may differ.
+// is byte-identical between serial and 8-worker suite runs — the acceptance
+// contract of the deterministic span layer. Span IDs are pure functions of
+// work coordinates, so only wall-clock fields (cleared by CanonicalKey) may
+// differ.
 func TestSpanMultisetDeterministic(t *testing.T) {
 	sys, _ := SystemByName("pmfs")
 	suite := ace.Seq1()[:6]
@@ -103,7 +102,7 @@ func TestSpanMultisetDeterministic(t *testing.T) {
 		var buf bytes.Buffer
 		jr := obs.NewJournal(&buf)
 		opts := Options{
-			Bugs: bugs.None(), Cap: 2, Workers: workers,
+			Bugs: bugs.None(), Cap: 2,
 			Journal: jr, Tracer: obs.NewTracer(jr, 0, 0),
 		}
 		if _, _, err := Run(context.Background(), opts.ConfigFor(sys), suite, WithWorkers(workers)); err != nil {

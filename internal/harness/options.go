@@ -24,7 +24,10 @@ type Options struct {
 	Bugs bugs.Set
 	// Cap bounds replayed in-flight subsets (0 = exhaustive).
 	Cap int
-	// Workers is the in-engine crash-state worker count (<= 1 = serial).
+	// Workers is ignored: the engine checks each run's crash states on one
+	// supervised runner. Suite-level fan-out is WithWorkers.
+	//
+	// Deprecated: ignored; kept because the bench module sets it.
 	Workers int
 	// CheckTimeout is the per-crash-state sandbox deadline
 	// (0 = core.DefaultCheckTimeout, negative = none).
@@ -35,20 +38,6 @@ type Options struct {
 	// Faults enables the pmem fault injector for crash-state checks
 	// (nil = off).
 	Faults *pmem.FaultConfig
-	// DisableDeltaMaterialize selects the legacy full-copy crash-image
-	// materialization instead of the default O(diff) delta path — the
-	// -full-copy escape hatch, mirroring DisableSandbox, kept for
-	// differential testing and perf comparison. Results are identical.
-	DisableDeltaMaterialize bool
-	// DisableCoalescedApply materializes per in-flight store instead of per
-	// coalesced diff run; DisableOracleSnapshot rebuilds the oracle view in
-	// every check instead of sharing one snapshot per crash point;
-	// DisableBufferReuse allocates fresh device-sized buffers instead of
-	// recycling pooled ones. All three mirror DisableDeltaMaterialize:
-	// legacy code paths kept for differential testing, identical results.
-	DisableCoalescedApply bool
-	DisableOracleSnapshot bool
-	DisableBufferReuse    bool
 	// Obs receives per-stage metrics from every engine run (nil = off;
 	// the engine then skips all clock reads).
 	Obs *obs.Collector
@@ -80,19 +69,14 @@ func (o Options) Resolve() (System, core.Config, error) {
 // default FS-oracle comparison.
 func (o Options) ConfigFor(sys System) core.Config {
 	cfg := core.Config{
-		NewFS:                   sys.Factory(o.Bugs),
-		Cap:                     o.Cap,
-		Workers:                 o.Workers,
-		CheckTimeout:            o.CheckTimeout,
-		ExhaustiveLimit:         o.ExhaustiveLimit,
-		Faults:                  o.Faults,
-		DisableDeltaMaterialize: o.DisableDeltaMaterialize,
-		DisableCoalescedApply:   o.DisableCoalescedApply,
-		DisableOracleSnapshot:   o.DisableOracleSnapshot,
-		DisableBufferReuse:      o.DisableBufferReuse,
-		Obs:                     o.Obs,
-		Journal:                 o.Journal,
-		Tracer:                  o.Tracer,
+		NewFS:           sys.Factory(o.Bugs),
+		Cap:             o.Cap,
+		CheckTimeout:    o.CheckTimeout,
+		ExhaustiveLimit: o.ExhaustiveLimit,
+		Faults:          o.Faults,
+		Obs:             o.Obs,
+		Journal:         o.Journal,
+		Tracer:          o.Tracer,
 	}
 	if o.App == "kv" {
 		cfg.AppFactory = kvwork.Factory(o.AppBugs)

@@ -13,17 +13,16 @@ import (
 // delta application, shared per-crash-point oracle snapshots, cross-run
 // buffer pooling — must be byte-identical to its legacy code path across all
 // seven systems, on violating runs (published bug sets) and clean ones
-// alike, serial and at workers=8. One default-config run serves as the
-// baseline every legacy knob is compared against, including quarantine
-// ledgers.
+// alike. One default-config run serves as the baseline every legacy knob is
+// compared against, including quarantine ledgers.
 func TestPerfFastPathsMatchLegacyAllSystems(t *testing.T) {
 	knobs := []struct {
 		name string
-		set  func(*Options)
+		set  func(*core.Config)
 	}{
-		{"per-store-apply", func(o *Options) { o.DisableCoalescedApply = true }},
-		{"per-check-oracle", func(o *Options) { o.DisableOracleSnapshot = true }},
-		{"fresh-buffers", func(o *Options) { o.DisableBufferReuse = true }},
+		{"per-store-apply", func(c *core.Config) { c.DisableCoalescedApply = true }},
+		{"per-check-oracle", func(c *core.Config) { c.DisableOracleSnapshot = true }},
+		{"fresh-buffers", func(c *core.Config) { c.DisableBufferReuse = true }},
 	}
 	for _, sys := range Systems() {
 		sys := sys
@@ -35,31 +34,28 @@ func TestPerfFastPathsMatchLegacyAllSystems(t *testing.T) {
 				set = bugs.None()
 				suite = ace.Seq1Dax()[:4]
 			}
-			for _, workers := range []int{1, 8} {
-				base := Options{Bugs: set, Cap: 2, Workers: workers}
-				fastCfg := base.ConfigFor(sys)
-				for _, w := range suite {
-					fast, err := core.RunContext(context.Background(), fastCfg, w)
+			fastCfg := Options{Bugs: set, Cap: 2}.ConfigFor(sys)
+			for _, w := range suite {
+				fast, err := core.RunContext(context.Background(), fastCfg, w)
+				if err != nil {
+					t.Fatalf("%s fast: %v", w.Name, err)
+				}
+				for _, k := range knobs {
+					legacyCfg := fastCfg
+					k.set(&legacyCfg)
+					legacy, err := core.RunContext(context.Background(), legacyCfg, w)
 					if err != nil {
-						t.Fatalf("%s fast: %v", w.Name, err)
+						t.Fatalf("%s %s: %v", w.Name, k.name, err)
 					}
-					for _, k := range knobs {
-						opts := base
-						k.set(&opts)
-						legacy, err := core.RunContext(context.Background(), opts.ConfigFor(sys), w)
-						if err != nil {
-							t.Fatalf("%s %s: %v", w.Name, k.name, err)
-						}
-						compareResults(t, w.Name+"/"+k.name, legacy, fast)
-						if len(legacy.Quarantined) != len(fast.Quarantined) {
-							t.Fatalf("%s/%s: quarantine ledgers diverge: legacy %d, fast %d",
-								w.Name, k.name, len(legacy.Quarantined), len(fast.Quarantined))
-						}
-						for i := range legacy.Quarantined {
-							if legacy.Quarantined[i].String() != fast.Quarantined[i].String() {
-								t.Errorf("%s/%s: quarantine %d differs\nlegacy: %s\nfast:   %s",
-									w.Name, k.name, i, legacy.Quarantined[i], fast.Quarantined[i])
-							}
+					compareResults(t, w.Name+"/"+k.name, legacy, fast)
+					if len(legacy.Quarantined) != len(fast.Quarantined) {
+						t.Fatalf("%s/%s: quarantine ledgers diverge: legacy %d, fast %d",
+							w.Name, k.name, len(legacy.Quarantined), len(fast.Quarantined))
+					}
+					for i := range legacy.Quarantined {
+						if legacy.Quarantined[i].String() != fast.Quarantined[i].String() {
+							t.Errorf("%s/%s: quarantine %d differs\nlegacy: %s\nfast:   %s",
+								w.Name, k.name, i, legacy.Quarantined[i], fast.Quarantined[i])
 						}
 					}
 				}

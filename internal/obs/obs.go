@@ -13,7 +13,7 @@
 // The package depends on the standard library alone.
 //
 // Concurrency model: the Collector is a bag of atomics — stage duration
-// histograms and monotonic counters — safe to record into from any worker
+// histograms and monotonic counters — safe to record into from any
 // goroutine without locks. Each engine run records into its own Collector
 // and publishes an immutable Snapshot on its Result; the harness merges
 // those snapshots on the coordinator, so serial and parallel runs of the
@@ -77,7 +77,7 @@ func (s Stage) String() string {
 // parallel run of the same suite report identical values; Deterministic
 // distinguishes those from the measurement-class counters (fault and
 // materialization accounting), which are recorded per attempt and may vary
-// with retries, worker counts, and pool scheduling.
+// with retries and abandoned checks.
 type Counter uint8
 
 const (
@@ -110,8 +110,8 @@ const (
 	CtrViolations
 	// CtrImagePrimes counts full-device primes of pooled crash-state images
 	// (delta materialization). Measurement-class like CtrFaultsInjected:
-	// recorded per attempt and dependent on pool scheduling — a parallel run
-	// primes roughly one image per worker where a serial run primes one.
+	// recorded per attempt — one per run that checks a state, plus one for
+	// every image a run retires and replaces.
 	CtrImagePrimes
 	// CtrImagesRetired counts pooled images retired instead of rolled back:
 	// their check was abandoned (timeout, cancellation) or poisoned the

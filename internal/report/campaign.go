@@ -84,7 +84,7 @@ func (w *Writer) WriteCampaignSummary(s CampaignSummary) (string, error) {
 	if len(s.Quarantined) > 0 {
 		fmt.Fprintf(&b, "\nDEGRADED — quarantined shards (census excludes these slices; re-run with -retry-quarantined):\n")
 		for _, q := range s.Quarantined {
-			fmt.Fprintf(&b, "  shard %d [%d,%d): %d failed attempts, last worker %q: %s\n",
+			fmt.Fprintf(&b, "  shard %d [%d,%d): %d failed attempts, worker %q: %s\n",
 				q.Shard, q.Start, q.End, q.Attempts, q.Worker, q.Err)
 		}
 	}
