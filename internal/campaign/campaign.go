@@ -15,25 +15,16 @@
 // checkpoint so a killed coordinator restarts with -resume and skips
 // finished work.
 //
-// Fault tolerance falls out of the lease state machine (see coordinator.go):
-// pending -> leased(worker, deadline) -> done | quarantined. A worker that
-// dies mid-shard simply lets its lease expire; the shard reverts to pending
-// and is re-dispatched. A shard that keeps failing — lease expiries,
-// structured error payloads from a worker's watchdog, results rejected at
-// the wire — spends a bounded number of dispatch attempts and then moves to
-// the shard-quarantine ledger instead of failing the campaign or looping:
-// the campaign completes degraded with a partial census over the healthy
-// shards. Workers heartbeat live leases so a conservative TTL never loses a
-// legitimately long shard, and result payloads carry an FNV-64a
-// self-checksum so wire corruption is rejected, never mis-credited. Nothing
-// a worker does before its result is credited has any effect on the
-// campaign state.
+// Fault tolerance is the lease engine's (internal/lease): a worker that dies
+// mid-shard lets its lease expire and the shard is re-dispatched; a shard
+// that keeps failing spends a bounded number of dispatch attempts and then
+// moves to the shard-quarantine ledger instead of failing the campaign or
+// looping, so the campaign completes degraded with a partial census over the
+// healthy shards.
 package campaign
 
 import (
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"sort"
 	"strings"
 	"time"
@@ -42,6 +33,7 @@ import (
 	"chipmunk/internal/app/kvwork"
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/pmem"
 	"chipmunk/internal/workload"
@@ -230,21 +222,12 @@ type ShardPayload struct {
 	Sum string `json:"sum,omitempty"`
 }
 
-// PayloadSum computes the payload's wire self-checksum: FNV-64a over the
-// canonical JSON encoding with the Sum field cleared. Pure function of the
-// payload's content, so worker and coordinator agree independently.
+// PayloadSum computes the payload's wire self-checksum (lease.Sum with the
+// Sum field cleared).
 func PayloadSum(p *ShardPayload) string {
 	cp := *p
 	cp.Sum = ""
-	b, err := json.Marshal(&cp)
-	if err != nil {
-		// ShardPayload is a plain struct of marshalable fields; unreachable,
-		// but never let checksumming panic the wire path.
-		return fmt.Sprintf("unmarshalable: %v", err)
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return lease.Sum(&cp)
 }
 
 // ShardQuarantine is one entry of the shard-quarantine ledger: a shard that

@@ -14,6 +14,7 @@ import (
 
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"path/filepath"
 )
@@ -312,6 +313,61 @@ func TestLeaseExpiryAtMostOnce(t *testing.T) {
 	}
 }
 
+// TestLeaseRegrant: a worker only asks for a shard when it believes it holds
+// none, so a second request from a live lease holder means its lease response
+// was lost, duplicated or discarded — it gets the same shard back with a
+// fresh deadline instead of a second one, and no failed attempt is booked
+// against the healthy first. A lease that really expired is accounted, not
+// renewed.
+func TestLeaseRegrant(t *testing.T) {
+	spec := testSpec()
+	spec.Max = 12 // three shards of 4
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4, LeaseTTL: 40 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	hash := coord.Info().SuiteHash
+	lease := func(worker string) int {
+		t.Helper()
+		l, err := coord.Lease(LeaseRequest{Worker: worker, SuiteHash: hash})
+		if err != nil || l.Status != LeaseGranted {
+			t.Fatalf("lease %s: %+v, %v", worker, l, err)
+		}
+		return l.Shard
+	}
+	if a, b := lease("w0"), lease("w0"); a != 0 || b != 0 {
+		t.Fatalf("one worker's two lease calls returned shards %d and %d, want 0 both times", a, b)
+	}
+	if st := coord.Stats(); st.Redispatched != 0 || shardAttempts(coord, 0) != 0 {
+		t.Fatalf("re-grant booked a failed attempt: %+v, attempts %d", st, shardAttempts(coord, 0))
+	}
+	if got := lease("w1"); got != 1 {
+		t.Fatalf("a different worker got shard %d, want the next one (1)", got)
+	}
+	// w0's lease runs out: its heartbeat is refused (lease lost), and its next
+	// request goes through expiry accounting — one failed attempt, one
+	// re-dispatch — before it is granted a shard afresh.
+	time.Sleep(60 * time.Millisecond)
+	if hb, err := coord.Heartbeat(HeartbeatRequest{Worker: "w0", Shard: 0, SuiteHash: hash}); err != nil || hb.Extended {
+		t.Fatalf("expired lease extended: %+v, %v", hb, err)
+	}
+	if got := lease("w0"); got != 0 {
+		t.Fatalf("after losing its lease w0 got shard %d, want the lowest pending (0)", got)
+	}
+	if st := coord.Stats(); st.Redispatched != 2 || shardAttempts(coord, 0) != 1 || shardAttempts(coord, 1) != 1 {
+		t.Fatalf("expired leases not accounted: %+v, attempts %d and %d",
+			st, shardAttempts(coord, 0), shardAttempts(coord, 1))
+	}
+}
+
+// shardAttempts reads shard i's failed-attempt count.
+func shardAttempts(c *Coordinator, i int) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.shards.Slots[i].Attempts
+}
+
 // TestSuiteFingerprintMismatch checks both rejection sides: the
 // coordinator refuses leases and results carrying a foreign fingerprint
 // (HTTP 409 with a diagnosable message), and a worker whose local
@@ -348,7 +404,7 @@ func TestSuiteFingerprintMismatch(t *testing.T) {
 	info := coord.Info()
 	info.SuiteHash = "0000000000000000"
 	liar := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, info)
+		lease.WriteJSON(w, http.StatusOK, info)
 	}))
 	defer liar.Close()
 	err = RunWorker(context.Background(), WorkerConfig{

@@ -18,6 +18,7 @@ import (
 
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
@@ -196,7 +197,7 @@ func TestChaosDifferential(t *testing.T) {
 func coordShardDone(c *Coordinator, i int) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.shards[i].state == shardDone
+	return c.shards.Slots[i].State == lease.Done
 }
 
 // TestQuarantineCitesWorkerErrorOverTransport: the ledger entry of a shard

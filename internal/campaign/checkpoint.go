@@ -1,22 +1,18 @@
 package campaign
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"os"
+
+	"chipmunk/internal/lease"
 )
 
-// The checkpoint is an append-only JSONL file: one header line identifying
-// the campaign (suite fingerprint, spec summary, shard geometry) followed
-// by one line per credited shard, each carrying the full ShardPayload. The
-// coordinator appends and fsyncs a line the moment a shard is credited, so
-// a SIGKILLed coordinator loses at most the line it was writing — and the
-// tolerant loader skips a torn tail the same way obs.ReadJournal does.
-// Restarting with -resume folds the recorded shards as if their workers
-// had just reported, and only the missing shards are leased out again.
+// The campaign's records in its lease.Log checkpoint: one header line
+// identifying the campaign (suite fingerprint, spec summary, shard geometry)
+// followed by one line per credited shard, each carrying the full
+// ShardPayload, and one per quarantined shard. Restarting with -resume folds
+// the recorded shards as if their workers had just reported, and only the
+// missing shards are leased out again.
 
 // ckptLine is the on-disk record: Type discriminates the header from shard
 // credits and shard quarantines so the file stays self-describing and
@@ -39,11 +35,6 @@ type ckptLine struct {
 	Quarantine *ShardQuarantine `json:"quarantine,omitempty"`
 }
 
-// Checkpoint appends credited shards to the campaign's checkpoint file.
-type Checkpoint struct {
-	f *os.File
-}
-
 // CheckpointState is what a resumed coordinator recovers from disk.
 type CheckpointState struct {
 	Header *ckptLine
@@ -60,64 +51,32 @@ type CheckpointState struct {
 	Skipped int
 }
 
-// maxCkptLine bounds one checkpoint line during reads. Shard payloads
-// carry full violation ledgers, so the cap is generous.
-const maxCkptLine = 16 << 20
-
-// LoadCheckpoint reads the checkpoint at path tolerantly. A missing file
-// returns an empty state and no error (first run); corrupt lines —
-// including the torn final line of a SIGKILLed coordinator — are skipped
-// and counted.
+// LoadCheckpoint reads the checkpoint at path (see lease.ReadLog for what is
+// tolerated). A missing file returns an empty state and no error (first run).
 func LoadCheckpoint(path string) (*CheckpointState, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return &CheckpointState{}, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
-	}
-	defer f.Close()
-	return readCheckpoint(f)
-}
-
-func readCheckpoint(r io.Reader) (*CheckpointState, error) {
 	st := &CheckpointState{}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), maxCkptLine)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
+	var err error
+	st.Skipped, err = lease.ReadLog("campaign", path, func(line []byte) bool {
 		var rec ckptLine
 		if json.Unmarshal(line, &rec) != nil {
-			st.Skipped++
-			continue
+			return false
 		}
-		switch rec.Type {
-		case "campaign":
+		switch {
+		case rec.Type == "campaign":
 			if st.Header == nil {
-				rec2 := rec
-				st.Header = &rec2
+				st.Header = &rec
 			}
-		case "shard":
-			if rec.Payload != nil {
-				st.Payloads = append(st.Payloads, rec.Payload)
-			} else {
-				st.Skipped++
-			}
-		case "quarantine":
-			if rec.Quarantine != nil {
-				st.Quarantined = append(st.Quarantined, rec.Quarantine)
-			} else {
-				st.Skipped++
-			}
+		case rec.Type == "shard" && rec.Payload != nil:
+			st.Payloads = append(st.Payloads, rec.Payload)
+		case rec.Type == "quarantine" && rec.Quarantine != nil:
+			st.Quarantined = append(st.Quarantined, rec.Quarantine)
 		default:
-			st.Skipped++
+			return false
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	return st, nil
 }
@@ -139,72 +98,4 @@ func (st *CheckpointState) Validate(info SpecInfo) error {
 			h.Shards, h.ShardSize, info.Shards, info.ShardSize)
 	}
 	return nil
-}
-
-// OpenCheckpoint opens path for appending, writing the header when the
-// file is new or empty. Call after LoadCheckpoint+Validate.
-func OpenCheckpoint(path string, info SpecInfo, fresh bool) (*Checkpoint, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("campaign: checkpoint: %w", err)
-	}
-	ck := &Checkpoint{f: f}
-	if fresh {
-		err := ck.append(ckptLine{
-			Type:       "campaign",
-			CampaignID: info.CampaignID,
-			SuiteHash:  info.SuiteHash,
-			FS:         info.Spec.FS,
-			Suite:      info.Spec.Suite,
-			Workloads:  info.Workloads,
-			Shards:     info.Shards,
-			ShardSize:  info.ShardSize,
-		})
-		if err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	return ck, nil
-}
-
-// AppendShard records one credited shard durably (fsync per shard: shards
-// are coarse units, and surviving a coordinator SIGKILL is the point).
-func (ck *Checkpoint) AppendShard(p *ShardPayload) error {
-	if ck == nil {
-		return nil
-	}
-	return ck.append(ckptLine{Type: "shard", Payload: p})
-}
-
-// AppendQuarantine records one quarantined shard durably, with the same
-// fsync contract as credits: a resumed coordinator must never silently
-// re-run (or worse, re-credit) a shard the ledger already condemned.
-func (ck *Checkpoint) AppendQuarantine(q ShardQuarantine) error {
-	if ck == nil {
-		return nil
-	}
-	return ck.append(ckptLine{Type: "quarantine", Quarantine: &q})
-}
-
-func (ck *Checkpoint) append(rec ckptLine) error {
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("campaign: checkpoint: %w", err)
-	}
-	if _, err := ck.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("campaign: checkpoint: %w", err)
-	}
-	if err := ck.f.Sync(); err != nil {
-		return fmt.Errorf("campaign: checkpoint: %w", err)
-	}
-	return nil
-}
-
-// Close closes the checkpoint file.
-func (ck *Checkpoint) Close() error {
-	if ck == nil {
-		return nil
-	}
-	return ck.f.Close()
 }

@@ -2,10 +2,11 @@ package campaign
 
 import (
 	"html/template"
+	"io"
 	"net/http"
-	"sort"
 	"time"
 
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 )
 
@@ -57,13 +58,7 @@ type CampaignStatus struct {
 }
 
 // WorkerStatus is one worker's liveness row, sorted by ID.
-type WorkerStatus struct {
-	ID string `json:"id"`
-	// LastSeenSec is the age of the worker's most recent lease, heartbeat,
-	// or result — the dashboard's liveness column.
-	LastSeenSec float64 `json:"last_seen_sec"`
-	ShardsDone  int     `json:"shards_done"`
-}
+type WorkerStatus = lease.WorkerStatus
 
 // ShardStatus is one in-flight lease, in shard order.
 type ShardStatus struct {
@@ -95,37 +90,38 @@ func (c *Coordinator) Status() CampaignStatus {
 		SuiteHash:  c.info.SuiteHash,
 		Workloads:  c.info.Workloads,
 		ShardSize:  c.info.ShardSize,
-		Shards:     len(c.shards),
+		Shards:     len(c.shards.Slots),
 		Resumed:    c.resumed,
 		Draining:   c.draining,
 		ElapsedSec: now.Sub(c.started).Seconds(),
 	}
-	shardMap := make([]byte, len(c.shards))
+	shardMap := make([]byte, len(c.shards.Slots))
 	var credited int64
-	for i := range c.shards {
-		s := &c.shards[i]
-		switch s.state {
-		case shardPending:
+	for i := range c.shards.Slots {
+		s := &c.shards.Slots[i]
+		switch s.State {
+		case lease.Pending:
 			st.Pending++
 			shardMap[i] = '.'
-		case shardLeased:
+		case lease.Leased:
 			st.Leased++
 			shardMap[i] = 'r'
-			credited += int64(s.progress)
+			credited += int64(s.Progress)
+			start, end := shardRange(i, c.info.ShardSize, c.info.Workloads)
 			st.InFlight = append(st.InFlight, ShardStatus{
-				Shard: i, Start: s.start, End: s.end, Worker: s.worker,
-				AgeSec:     now.Sub(s.leasedAt).Seconds(),
-				BeatAgeSec: now.Sub(s.lastBeat).Seconds(),
-				StatesChecked: s.progress, Attempts: s.attempts,
+				Shard: i, Start: start, End: end, Worker: s.Worker,
+				AgeSec:        now.Sub(s.LeasedAt).Seconds(),
+				BeatAgeSec:    now.Sub(s.LastBeat).Seconds(),
+				StatesChecked: s.Progress, Attempts: s.Attempts,
 			})
-		case shardDone:
+		case lease.Done:
 			st.Done++
 			shardMap[i] = '#'
-			if s.payload != nil {
-				credited += int64(s.payload.StatesChecked)
-				st.Violations += s.payload.ViolationTotal
+			if p := c.payloads[i]; p != nil {
+				credited += int64(p.StatesChecked)
+				st.Violations += p.ViolationTotal
 			}
-		case shardQuarantined:
+		case lease.Spent:
 			st.Quarantined++
 			shardMap[i] = 'X'
 		}
@@ -139,26 +135,26 @@ func (c *Coordinator) Status() CampaignStatus {
 		remaining := st.Pending + st.Leased
 		st.ETASec = st.ElapsedSec * float64(remaining) / float64(live)
 	}
-	for id, seen := range c.workers {
-		st.Workers = append(st.Workers, WorkerStatus{
-			ID: id, LastSeenSec: now.Sub(seen).Seconds(), ShardsDone: c.perWorker[id],
-		})
-	}
-	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].ID < st.Workers[j].ID })
+	st.Workers = c.shards.WorkerStatuses(now)
 	return st
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	lease.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 // handleMetrics exposes the merged census collector in Prometheus text
 // format — the same exposition the engine's -debug-addr listener serves, so
-// one scrape config covers local runs and campaign coordinators alike.
+// one scrape config covers local runs and campaign coordinators alike —
+// followed by the lease table's control-plane series.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	cen, _ := c.Merged()
+	c.mu.Lock()
+	leases := lease.MetricsText(c.shards)
+	c.mu.Unlock()
 	w.Header().Set("Content-Type", obs.MetricsContentType)
 	cen.Obs.WriteMetrics(w)
+	io.WriteString(w, leases) //nolint:errcheck // client gone = client's problem
 }
 
 // dashTmpl is the whole dashboard: one HTML page, no scripts, no external

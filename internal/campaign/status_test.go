@@ -160,6 +160,10 @@ func TestStatusHTTPSurface(t *testing.T) {
 	if !strings.Contains(body, "chipmunk_states_checked_total 1") {
 		t.Fatalf("metrics missing credited counter:\n%s", body)
 	}
+	// The lease table's control plane rides on the same scrape.
+	if !strings.Contains(body, "# TYPE chipmunk_lease_units_leased gauge\nchipmunk_lease_units_leased 0\n") {
+		t.Fatalf("metrics missing the lease series:\n%s", body)
+	}
 }
 
 // TestWorkerWatchdogJournal wedges every engine call so the worker's shard

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
 	"chipmunk/internal/campaign"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/report"
 )
@@ -35,72 +37,17 @@ type CoordinatorConfig struct {
 	Logf func(format string, args ...any)
 }
 
-type roundState uint8
-
-const (
-	roundPending roundState = iota
-	roundLeased
-	roundDone
-	roundDropped
-)
-
-type roundSlot struct {
-	state    roundState
-	worker   string
-	deadline time.Time
-	leasedAt time.Time
-	lastBeat time.Time
-	progress int
-	failures
-	result *FuzzResult
-}
-
-// failures is a unit's failed-dispatch record: how many attempts failed, and
-// the one its drop record will cite. A worker's structured error payload
-// (fromWorker) says the unit itself failed under a live worker; a transport
-// cause — lease expiry, a result rejected at the wire — says only that the
-// attempt was lost. So a payload's cause is never replaced by a later
-// transport one; otherwise the latest attempt wins (the rule campaign's
-// failAttemptLocked applies to shards).
-type failures struct {
-	attempts      int
-	lastErr       string
-	errWorker     string
-	errFromWorker bool
-}
-
-func (f *failures) note(worker string, fromWorker bool, cause string) {
-	f.attempts++
-	if fromWorker || !f.errFromWorker {
-		f.lastErr, f.errWorker, f.errFromWorker = cause, worker, fromWorker
-	}
-}
-
-type minState uint8
-
-const (
-	minPending minState = iota
-	minLeased
-	minDone
-)
-
-// minTask is one reproducer-minimization unit. Tasks are created at
-// generation folds — one per first-seen violation cluster, in sorted
-// cluster-key order — so their ids are a pure function of the credited
-// round set, like everything else in the fold.
+// minTask is one reproducer-minimization unit (its lease lives in the
+// coordinator's mins table, at its id). Tasks are created at generation
+// folds — one per first-seen violation cluster, in sorted cluster-key order
+// — so their ids are a pure function of the credited round set, like
+// everything else in the fold. A task that spends its attempts resolves
+// unverified: the census falls back to the unminimized representative
+// rather than stalling the soak.
 type minTask struct {
-	id       int
-	cluster  string
-	text     string // representative reproducer (minimization input)
-	state    minState
-	worker   string
-	deadline time.Time
-	leasedAt time.Time
-	lastBeat time.Time
-	failures
-	// Outcome: dropped means the task spent its attempts (done, unverified,
-	// no result); verified means the minimized form re-tripped the cluster.
-	dropped  bool
+	cluster string
+	text    string // representative reproducer (minimization input)
+	// Outcome: verified means the minimized form re-tripped the cluster.
 	verified bool
 	minText  string
 	minExecs int
@@ -139,47 +86,39 @@ func (st Stats) String() string {
 			"  DEGRADED: %d rounds dropped after exhausting their dispatch attempts — their fuzzing work is missing from the census",
 			st.RoundsDropped))
 	}
-	workers := make([]string, 0, len(st.PerWorker))
-	for w := range st.PerWorker {
-		workers = append(workers, w)
-	}
-	sort.Strings(workers)
-	for _, w := range workers {
-		lines = append(lines, fmt.Sprintf("  %-20s %d units", w, st.PerWorker[w]))
-	}
-	out := ""
-	for i, l := range lines {
-		if i > 0 {
-			out += "\n"
-		}
-		out += l
-	}
-	return out
+	lines = append(lines, lease.PerWorkerLines(st.PerWorker, "  %-20s %d units")...)
+	return strings.Join(lines, "\n")
 }
 
 // Coordinator owns a fleet-fuzzing soak: the round/generation state
 // machine, the canonical corpus log, the minimization queue, the bug
 // census, and the checkpoint. It is an http.Handler serving the fuzzing
 // wire protocol (plus the campaign handshake path).
+//
+// Rounds and minimization tasks are two lease tables over one set of
+// counters, both under c.mu: the generation fold reads the rounds and grows
+// the mins. A spent round is a dropped one — it resolves its generation, is
+// persisted (the fold depends on it) and marks the soak degraded; a spent
+// minimization task is done, unverified.
 type Coordinator struct {
-	info     campaign.SpecInfo
-	spec     campaign.Spec
-	leaseTTL time.Duration
-	retries  int
-	journal  *obs.Journal
-	started  time.Time
-	logf     func(format string, args ...any)
-	mux      *http.ServeMux
+	info    campaign.SpecInfo
+	spec    campaign.Spec
+	journal *obs.Journal
+	started time.Time
+	logf    func(format string, args ...any)
+	mux     *http.ServeMux
 
 	// execMode: BudgetExecs bounds the soak (fully deterministic).
 	// Otherwise BudgetNanos bounds wall-clock from soakStart (persisted in
 	// the checkpoint header, so a resumed soak keeps its original deadline).
-	execMode    bool
-	totalRounds int // exec mode: fixed; duration mode: len(rounds), growing
-	soakStart   time.Time
+	execMode  bool
+	soakStart time.Time
 
-	mu           sync.Mutex
-	rounds       []roundSlot
+	mu sync.Mutex
+	// rounds grows a generation at a time in duration mode; results[r] is
+	// set exactly when round r is Done.
+	rounds       *lease.Table
+	results      []*FuzzResult
 	budgetClosed bool
 
 	corpus   []CorpusEntry
@@ -188,29 +127,20 @@ type Coordinator struct {
 	// foldedGens = len(genCut)-1 is the number of fully folded generations.
 	genCut []int
 
-	mins        []*minTask
+	mins        *lease.Table
+	minTasks    []minTask // by task id, parallel to mins.Slots
 	clusterSeen map[string]bool
 
 	execs             int
 	statesChecked     int
 	retriedChecks     int
 	quarantinedChecks int
-	roundsCredited    int
-	roundsDropped     int
 	obsMerged         *obs.Snapshot
 
-	resumed      int
-	redispatched int
-	duplicates   int
-	rejected     int
-	badPayloads  int
-	heartbeats   int
-	perWorker    map[string]int
-	workers      map[string]time.Time
-
+	resumed  int
 	draining bool
 	failed   error
-	ckpt     *Checkpoint
+	ckpt     *lease.Log
 
 	doneOnce sync.Once
 	doneCh   chan struct{}
@@ -231,20 +161,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if _, err := spec.Options(); err != nil {
 		return nil, err
 	}
-	ttl := cfg.LeaseTTL
-	if ttl <= 0 {
-		ttl = campaign.DefaultLeaseTTL
-	}
-	retries := cfg.Retries
-	if retries <= 0 {
-		retries = campaign.DefaultShardRetries
-	}
 	hash := SpecHash(spec)
 	execMode := spec.BudgetExecs > 0
 	total := 0
 	if execMode {
 		total = (spec.BudgetExecs + spec.RoundExecs - 1) / spec.RoundExecs
 	}
+	ctr := lease.NewCounters()
 	c := &Coordinator{
 		info: campaign.SpecInfo{
 			CampaignID: soakID(spec, hash),
@@ -255,27 +178,31 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			Workloads:  spec.BudgetExecs,
 		},
 		spec:        spec,
-		leaseTTL:    ttl,
-		retries:     retries,
 		journal:     cfg.Journal,
 		started:     time.Now(),
 		soakStart:   time.Now(),
 		logf:        cfg.Logf,
 		execMode:    execMode,
-		totalRounds: total,
-		rounds:      make([]roundSlot, total),
+		rounds:      lease.NewTable(total, cfg.LeaseTTL, cfg.Retries, ctr),
+		results:     make([]*FuzzResult, total),
+		mins:        lease.NewTable(0, cfg.LeaseTTL, cfg.Retries, ctr),
 		coverage:    map[uint64]bool{},
 		genCut:      []int{0},
 		clusterSeen: map[string]bool{},
-		perWorker:   map[string]int{},
-		workers:     map[string]time.Time{},
 		doneCh:      make(chan struct{}),
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc(campaign.PathSpec, c.handleSpec)
-	mux.HandleFunc(PathFuzzLease, c.handleLease)
-	mux.HandleFunc(PathFuzzResult, c.handleResult)
-	mux.HandleFunc(PathFuzzHeartbeat, c.handleHeartbeat)
+	mux.HandleFunc(campaign.PathSpec, func(w http.ResponseWriter, r *http.Request) { lease.WriteJSON(w, http.StatusOK, c.info) })
+	mux.HandleFunc(PathFuzzLease, lease.Handle("lease", c.Lease))
+	mux.HandleFunc(PathFuzzResult, lease.HandleResult(
+		func(p *FuzzResult) (string, string) { return p.Sum, ResultSum(p) },
+		func(p *FuzzResult, cause string) {
+			if p == nil {
+				p = &FuzzResult{Round: -1}
+			}
+			c.RejectResult(p.Kind, unitID(p), p.Worker, cause)
+		}, c.Credit))
+	mux.HandleFunc(PathFuzzHeartbeat, lease.Handle("heartbeat", c.Heartbeat))
 	mux.HandleFunc(campaign.PathStatus, c.handleStatus)
 	mux.HandleFunc(campaign.PathDash, c.handleDash)
 	mux.HandleFunc("/debug/metrics", c.handleMetrics)
@@ -309,6 +236,7 @@ func (c *Coordinator) log(format string, args ...any) {
 	}
 }
 
+// complete only closes a channel (sync.Once); safe under c.mu.
 func (c *Coordinator) complete() {
 	c.doneOnce.Do(func() { close(c.doneCh) })
 }
@@ -321,7 +249,7 @@ func (c *Coordinator) foldedGensLocked() int { return len(c.genCut) - 1 }
 // roundExecsLocked is round r's iteration count: RoundExecs, except the
 // last round of an exec budget takes the remainder.
 func (c *Coordinator) roundExecsLocked(r int) int {
-	if c.execMode && r == c.totalRounds-1 {
+	if c.execMode && r == len(c.rounds.Slots)-1 {
 		if rem := c.spec.BudgetExecs - r*c.spec.RoundExecs; rem > 0 {
 			return rem
 		}
@@ -329,15 +257,11 @@ func (c *Coordinator) roundExecsLocked(r int) int {
 	return c.spec.RoundExecs
 }
 
-// genRangeLocked returns the round index range of generation g among
-// currently scheduled rounds.
-func (c *Coordinator) genRangeLocked(g int) (lo, hi int) {
-	lo = g * c.spec.GenRounds
-	hi = lo + c.spec.GenRounds
-	if hi > len(c.rounds) {
-		hi = len(c.rounds)
-	}
-	return lo, hi
+// growRoundsLocked schedules n more rounds (duration mode, whole
+// generations at a time).
+func (c *Coordinator) growRoundsLocked(n int) {
+	c.rounds.Grow(n)
+	c.results = append(c.results, make([]*FuzzResult, n)...)
 }
 
 // foldLocked advances the generation barrier as far as the resolved rounds
@@ -348,23 +272,22 @@ func (c *Coordinator) genRangeLocked(g int) (lo, hi int) {
 func (c *Coordinator) foldLocked() {
 	for {
 		g := c.foldedGensLocked()
-		lo, hi := c.genRangeLocked(g)
+		lo := g * c.spec.GenRounds
+		hi := min(lo+c.spec.GenRounds, len(c.rounds.Slots))
 		if lo >= hi {
 			return // generation not scheduled (yet)
-		}
-		for r := lo; r < hi; r++ {
-			if s := c.rounds[r].state; s != roundDone && s != roundDropped {
-				return // generation still has unresolved rounds
-			}
 		}
 		var cands []CorpusEntry
 		var viols []FuzzViolation
 		for r := lo; r < hi; r++ {
-			if c.rounds[r].state != roundDone {
-				continue
+			switch c.rounds.Slots[r].State {
+			case lease.Done:
+				cands = append(cands, c.results[r].NewEntries...)
+				viols = append(viols, c.results[r].Violations...)
+			case lease.Spent:
+			default:
+				return // generation still has unresolved rounds
 			}
-			cands = append(cands, c.rounds[r].result.NewEntries...)
-			viols = append(viols, c.rounds[r].result.Violations...)
 		}
 		sort.Slice(cands, func(i, j int) bool {
 			ki, kj := entryKey(cands[i]), entryKey(cands[j])
@@ -417,9 +340,9 @@ func (c *Coordinator) foldLocked() {
 		sort.Strings(keys)
 		for _, k := range keys {
 			c.clusterSeen[k] = true
-			m := &minTask{id: len(c.mins), cluster: k, text: rep[k]}
-			c.mins = append(c.mins, m)
-			c.log("minimize: task %d opened for cluster %q", m.id, k)
+			c.log("minimize: task %d opened for cluster %q", len(c.minTasks), k)
+			c.mins.Grow(1)
+			c.minTasks = append(c.minTasks, minTask{cluster: k, text: rep[k]})
 		}
 	}
 }
@@ -436,11 +359,10 @@ func (c *Coordinator) extendScheduleLocked(now time.Time) {
 		c.log("budget: wall-clock budget spent; no new generations")
 		return
 	}
-	if len(c.rounds) != c.foldedGensLocked()*c.spec.GenRounds {
+	if len(c.rounds.Slots) != c.foldedGensLocked()*c.spec.GenRounds {
 		return // the current generation block is still in flight
 	}
-	c.rounds = append(c.rounds, make([]roundSlot, c.spec.GenRounds)...)
-	c.totalRounds = len(c.rounds)
+	c.growRoundsLocked(c.spec.GenRounds)
 }
 
 // completedLocked reports whether the soak is finished: every scheduled
@@ -450,15 +372,7 @@ func (c *Coordinator) completedLocked() bool {
 	if !c.execMode && !c.budgetClosed {
 		return false
 	}
-	if c.foldedGensLocked()*c.spec.GenRounds < len(c.rounds) {
-		return false
-	}
-	for _, m := range c.mins {
-		if m.state != minDone {
-			return false
-		}
-	}
-	return true
+	return c.foldedGensLocked()*c.spec.GenRounds >= len(c.rounds.Slots) && c.mins.Open() == 0
 }
 
 func (c *Coordinator) maybeCompleteLocked() {
@@ -467,124 +381,111 @@ func (c *Coordinator) maybeCompleteLocked() {
 	}
 }
 
-// reclaimLocked reverts expired leases for re-dispatch; each expiry is a
-// failed dispatch attempt. Caller holds c.mu.
+// unitLocked resolves a wire identity (kind, id) to the table it names and
+// that table's noun in log lines. Caller holds c.mu.
+func (c *Coordinator) unitLocked(kind string, id int) (*lease.Table, string, error) {
+	tab, noun := c.rounds, "round"
+	switch kind {
+	case ResultRound:
+	case ResultMinimize:
+		tab, noun = c.mins, "minimize task"
+	default:
+		return nil, "", fmt.Errorf("unknown unit kind %q", kind)
+	}
+	if id < 0 || id >= len(tab.Slots) {
+		return nil, "", fmt.Errorf("%s %d out of range [0,%d)", noun, id, len(tab.Slots))
+	}
+	return tab, noun, nil
+}
+
+// reclaimLocked expires overdue leases for re-dispatch. Caller holds c.mu.
 func (c *Coordinator) reclaimLocked(now time.Time) {
-	for i := range c.rounds {
-		s := &c.rounds[i]
-		if s.state == roundLeased && now.After(s.deadline) {
-			c.failRoundLocked(i, s.worker, false, "lease expired (worker gone or stalled)")
-		}
-	}
-	for _, m := range c.mins {
-		if m.state == minLeased && now.After(m.deadline) {
-			c.failMinLocked(m, m.worker, false, "lease expired (worker gone or stalled)")
+	for _, tab := range []*lease.Table{c.rounds, c.mins} {
+		for _, i := range tab.Expire(now) {
+			c.attemptFailedLocked(tab, i, tab.Slots[i].Worker, lease.CauseExpired)
 		}
 	}
 }
 
-// failRoundLocked records one failed dispatch attempt for a leased round:
-// revert to pending, or drop once the attempt budget is spent. A drop
-// resolves the round for the generation barrier, is persisted (the fold
-// depends on it), journaled, and marks the soak degraded. Caller holds c.mu.
-func (c *Coordinator) failRoundLocked(i int, worker string, fromWorker bool, cause string) {
-	s := &c.rounds[i]
-	s.note(worker, fromWorker, cause)
-	if s.attempts < c.retries {
-		c.log("round %d attempt %d/%d failed (worker %s): %s — re-dispatching",
-			i, s.attempts, c.retries, worker, cause)
-		s.state = roundPending
-		c.redispatched++
+// attemptFailedLocked is the fleet's policy for a failed dispatch attempt the
+// table just booked against unit i of tab: log the re-dispatch, or, once the
+// attempt budget is spent, record the drop — persisted, journaled — and let
+// whatever waited on the unit move on. Caller holds c.mu.
+func (c *Coordinator) attemptFailedLocked(tab *lease.Table, i int, worker, cause string) {
+	s := &tab.Slots[i]
+	switch {
+	case s.State != lease.Spent:
+		noun := "round"
+		if tab == c.mins {
+			noun = "minimize task"
+		}
+		c.log("%s %d attempt %d/%d failed (worker %s): %s — re-dispatching",
+			noun, i, s.Attempts, tab.Retries, worker, cause)
 		return
-	}
-	s.state = roundDropped
-	c.roundsDropped++
-	d := RoundDrop{Round: i, Worker: s.errWorker, Err: s.lastErr, Attempts: s.attempts}
-	c.log("round DROPPED: round %d after %d failed attempts, worker %q: %s",
-		i, s.attempts, d.Worker, d.Err)
-	c.journal.Emit(obs.Event{
-		Type: "fuzz-round-drop", FS: c.spec.FS, Workload: "fuzz",
-		Worker: d.Worker, Sys: -1, Rank: i, Detail: d.Err,
-	})
-	if err := c.ckpt.AppendDrop(d); err != nil && c.failed == nil {
-		c.failed = err
-	}
-	c.foldLocked()
-	c.maybeCompleteLocked()
-}
-
-// failMinLocked is failRoundLocked for minimization tasks. A spent task
-// resolves done-unverified: the census falls back to the unminimized
-// representative rather than stalling the soak. Caller holds c.mu.
-func (c *Coordinator) failMinLocked(m *minTask, worker string, fromWorker bool, cause string) {
-	m.note(worker, fromWorker, cause)
-	if m.attempts < c.retries {
-		c.log("minimize task %d attempt %d/%d failed (worker %s): %s — re-dispatching",
-			m.id, m.attempts, c.retries, worker, cause)
-		m.state = minPending
-		c.redispatched++
-		return
-	}
-	m.state = minDone
-	m.dropped = true
-	c.log("minimize task %d DROPPED after %d failed attempts: census keeps the unminimized reproducer", m.id, m.attempts)
-	c.journal.Emit(obs.Event{
-		Type: "fuzz-min-drop", FS: c.spec.FS, Workload: "fuzz",
-		Worker: m.errWorker, Sys: -1, Rank: m.id, Detail: m.cluster + ": " + m.lastErr,
-	})
-	if err := c.ckpt.AppendMinDrop(m.cluster); err != nil && c.failed == nil {
-		c.failed = err
+	case tab == c.rounds:
+		c.log("round DROPPED: round %d after %d failed attempts, worker %q: %s",
+			i, s.Attempts, s.ErrWorker, s.LastErr)
+		c.journal.Emit(obs.Event{
+			Type: "fuzz-round-drop", FS: c.spec.FS, Workload: "fuzz",
+			Worker: s.ErrWorker, Sys: -1, Rank: i, Detail: s.LastErr,
+		})
+		c.appendLocked(fleetCkptLine{Type: "drop", Round: i, Worker: s.ErrWorker, Err: s.LastErr, Attempts: s.Attempts})
+		c.foldLocked()
+	default:
+		m := &c.minTasks[i]
+		c.log("minimize task %d DROPPED after %d failed attempts: census keeps the unminimized reproducer", i, s.Attempts)
+		c.journal.Emit(obs.Event{
+			Type: "fuzz-min-drop", FS: c.spec.FS, Workload: "fuzz",
+			Worker: s.ErrWorker, Sys: -1, Rank: i, Detail: m.cluster + ": " + s.LastErr,
+		})
+		c.appendLocked(fleetCkptLine{Type: "mindrop", MinCluster: m.cluster})
 	}
 	c.maybeCompleteLocked()
 }
 
-// Lease hands out the next unit of fuzzing work: minimization tasks first
-// (they gate completion and are cheap), then the lowest pending round whose
-// generation is open. A worker that re-requests while still holding a lease
-// gets the same unit back with a fresh deadline — the recovery path for a
-// lease response discarded as corrupt.
+// appendLocked checkpoints rec, failing the soak if the append does (see
+// lease.Log.Append). Caller holds c.mu.
+func (c *Coordinator) appendLocked(rec fleetCkptLine) bool {
+	if err := c.ckpt.Append(rec); err != nil {
+		if c.failed == nil {
+			c.failed = err
+		}
+		c.complete()
+		return false
+	}
+	return true
+}
+
+// Lease hands out the next unit of fuzzing work: the unit the worker still
+// holds, if any (its last lease response was lost or discarded; see
+// lease.Table.HeldBy), then minimization tasks (they gate completion and are
+// cheap), then the lowest pending round whose generation is open.
 func (c *Coordinator) Lease(req FuzzLeaseRequest) (FuzzLeaseResponse, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if req.SpecHash != c.info.SuiteHash {
-		c.rejected++
-		return FuzzLeaseResponse{}, fmt.Errorf(
-			"spec fingerprint mismatch: coordinator has %s, worker %q sent %s — fuzz specs differ, refusing to merge incomparable results",
-			c.info.SuiteHash, req.Worker, req.SpecHash)
+		return FuzzLeaseResponse{}, c.rounds.Foreign("spec", c.info.SuiteHash, req.Worker, req.SpecHash,
+			"fuzz specs differ, refusing to merge incomparable results")
 	}
 	if c.draining || c.failed != nil || c.completedLocked() {
 		return FuzzLeaseResponse{Status: campaign.LeaseDone}, nil
 	}
 	now := time.Now()
 	c.reclaimLocked(now)
-	c.workers[req.Worker] = now
+	c.rounds.Workers[req.Worker] = now
 
-	// Re-grant a unit this worker still holds (it would not ask otherwise).
-	for _, m := range c.mins {
-		if m.state == minLeased && m.worker == req.Worker {
-			return c.grantMinLocked(m, req, now), nil
-		}
+	if i := c.mins.HeldBy(req.Worker); i >= 0 {
+		return c.grantMinLocked(i, req, now), nil
 	}
-	for i := range c.rounds {
-		if c.rounds[i].state == roundLeased && c.rounds[i].worker == req.Worker {
-			return c.grantRoundLocked(i, req, now), nil
-		}
+	if i := c.rounds.HeldBy(req.Worker); i >= 0 {
+		return c.grantRoundLocked(i, req, now), nil
 	}
-
-	for _, m := range c.mins {
-		if m.state == minPending {
-			return c.grantMinLocked(m, req, now), nil
-		}
+	if i := c.mins.First(lease.Pending); i >= 0 {
+		return c.grantMinLocked(i, req, now), nil
 	}
 	c.extendScheduleLocked(now)
-	open := c.foldedGensLocked()
-	for i := range c.rounds {
-		if c.rounds[i].state != roundPending {
-			continue
-		}
-		if c.genOf(i) > open {
-			break // generation barrier: later rounds wait for the fold
-		}
+	// Generation barrier: a round past the open generation waits for the fold.
+	if i := c.rounds.First(lease.Pending); i >= 0 && c.genOf(i) <= c.foldedGensLocked() {
 		return c.grantRoundLocked(i, req, now), nil
 	}
 	c.maybeCompleteLocked()
@@ -597,13 +498,7 @@ func (c *Coordinator) Lease(req FuzzLeaseRequest) (FuzzLeaseResponse, error) {
 // grantRoundLocked leases round i, shipping the corpus suffix the worker is
 // missing. Caller holds c.mu.
 func (c *Coordinator) grantRoundLocked(i int, req FuzzLeaseRequest, now time.Time) FuzzLeaseResponse {
-	s := &c.rounds[i]
-	s.state = roundLeased
-	s.worker = req.Worker
-	s.deadline = now.Add(c.leaseTTL)
-	s.leasedAt = now
-	s.lastBeat = now
-	s.progress = 0
+	c.rounds.Grant(i, req.Worker, now)
 	cut := c.genCut[c.genOf(i)]
 	base := req.Cursor
 	if base > cut {
@@ -613,34 +508,31 @@ func (c *Coordinator) grantRoundLocked(i int, req FuzzLeaseRequest, now time.Tim
 		base = 0
 	}
 	c.log("lease: round %d (gen %d, %d execs, corpus cut %d) -> %s (ttl %v)",
-		i, c.genOf(i), c.roundExecsLocked(i), cut, req.Worker, c.leaseTTL)
+		i, c.genOf(i), c.roundExecsLocked(i), cut, req.Worker, c.rounds.TTL)
 	return FuzzLeaseResponse{
-		Status: LeaseRound,
-		Round:  i,
-		Execs:  c.roundExecsLocked(i),
-		Seed:   RoundSeed(c.spec.FuzzSeed, i),
-		Corpus: append([]CorpusEntry(nil), c.corpus[base:cut]...),
-		Base:   base,
-		Cursor: cut,
-		TTLNanos: int64(c.leaseTTL),
+		Status:   LeaseRound,
+		Round:    i,
+		Execs:    c.roundExecsLocked(i),
+		Seed:     RoundSeed(c.spec.FuzzSeed, i),
+		Corpus:   append([]CorpusEntry(nil), c.corpus[base:cut]...),
+		Base:     base,
+		Cursor:   cut,
+		TTLNanos: int64(c.rounds.TTL),
 	}
 }
 
-// grantMinLocked leases minimization task m. Caller holds c.mu.
-func (c *Coordinator) grantMinLocked(m *minTask, req FuzzLeaseRequest, now time.Time) FuzzLeaseResponse {
-	m.state = minLeased
-	m.worker = req.Worker
-	m.deadline = now.Add(c.leaseTTL)
-	m.leasedAt = now
-	m.lastBeat = now
-	c.log("lease: minimize task %d (cluster %q) -> %s (ttl %v)", m.id, m.cluster, req.Worker, c.leaseTTL)
+// grantMinLocked leases minimization task i. Caller holds c.mu.
+func (c *Coordinator) grantMinLocked(i int, req FuzzLeaseRequest, now time.Time) FuzzLeaseResponse {
+	c.mins.Grant(i, req.Worker, now)
+	m := &c.minTasks[i]
+	c.log("lease: minimize task %d (cluster %q) -> %s (ttl %v)", i, m.cluster, req.Worker, c.mins.TTL)
 	return FuzzLeaseResponse{
 		Status:     LeaseMinimize,
-		MinID:      m.id,
+		MinID:      i,
 		MinCluster: m.cluster,
 		MinText:    m.text,
 		MinBudget:  c.spec.MinExecs,
-		TTLNanos:   int64(c.leaseTTL),
+		TTLNanos:   int64(c.mins.TTL),
 	}
 }
 
@@ -650,93 +542,62 @@ func (c *Coordinator) grantMinLocked(m *minTask, req FuzzLeaseRequest, now time.
 // contract — counting both would double-credit); error payloads are failed
 // dispatch attempts.
 func (c *Coordinator) Credit(p *FuzzResult) (campaign.CreditResponse, error) {
-	switch p.Kind {
-	case ResultRound:
-		return c.creditRound(p)
-	case ResultMinimize:
-		return c.creditMin(p)
-	default:
-		c.mu.Lock()
-		c.rejected++
-		c.mu.Unlock()
-		return campaign.CreditResponse{}, fmt.Errorf("unknown result kind %q", p.Kind)
-	}
-}
-
-func (c *Coordinator) creditRound(p *FuzzResult) (campaign.CreditResponse, error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	var none campaign.CreditResponse
 	if p.SpecHash != c.info.SuiteHash {
-		c.rejected++
-		c.mu.Unlock()
-		return campaign.CreditResponse{}, fmt.Errorf(
-			"spec fingerprint mismatch: coordinator has %s, worker %q sent %s — discarding result",
-			c.info.SuiteHash, p.Worker, p.SpecHash)
+		return none, c.rounds.Foreign("spec", c.info.SuiteHash, p.Worker, p.SpecHash, "discarding result")
 	}
-	if p.Round < 0 || p.Round >= len(c.rounds) {
-		c.rejected++
-		c.mu.Unlock()
-		return campaign.CreditResponse{}, fmt.Errorf("round %d out of range [0,%d)", p.Round, len(c.rounds))
+	id := unitID(p)
+	tab, noun, err := c.unitLocked(p.Kind, id)
+	if err == nil && tab == c.mins && p.MinCluster != c.minTasks[id].cluster {
+		err = fmt.Errorf("minimize task %d cluster mismatch: coordinator has %q, result says %q",
+			id, c.minTasks[id].cluster, p.MinCluster)
 	}
-	slot := &c.rounds[p.Round]
-	if p.Err != "" {
-		if slot.state != roundLeased || slot.worker != p.Worker {
-			c.mu.Unlock()
-			c.log("stale error payload for round %d from %s: discarded", p.Round, p.Worker)
-			return campaign.CreditResponse{Accepted: false, Duplicate: true}, nil
-		}
-		c.failRoundLocked(p.Round, p.Worker, true, p.Err)
-		dropped := slot.state == roundDropped
-		done := c.completedLocked()
-		c.mu.Unlock()
-		if done {
-			c.complete()
-		}
-		return campaign.CreditResponse{Accepted: false, Quarantined: dropped, Done: done}, nil
+	if err != nil {
+		c.rounds.Rejected++
+		return none, err
 	}
-	if slot.state == roundDropped {
-		c.duplicates++
-		c.mu.Unlock()
-		c.log("result for dropped round %d from %s: discarded", p.Round, p.Worker)
-		return campaign.CreditResponse{Accepted: false, Duplicate: true, Quarantined: true}, nil
+	switch tab.Settle(id, p.Worker, p.Err, time.Now()) {
+	case lease.Stale:
+		c.log("stale error payload for %s %d from %s: discarded", noun, id, p.Worker)
+		return campaign.CreditResponse{Duplicate: true}, nil
+	case lease.Failed:
+		c.attemptFailedLocked(tab, id, p.Worker, p.Err)
+		return campaign.CreditResponse{Quarantined: tab.Slots[id].State == lease.Spent, Done: c.completedLocked()}, nil
+	case lease.Discarded:
+		c.log("result for dropped %s %d from %s: discarded", noun, id, p.Worker)
+		return campaign.CreditResponse{Duplicate: true, Quarantined: true}, nil
+	case lease.Duplicate:
+		c.log("duplicate result for %s %d from %s: discarded", noun, id, p.Worker)
+		return campaign.CreditResponse{Duplicate: true}, nil
 	}
-	if slot.state == roundDone {
-		c.duplicates++
-		c.mu.Unlock()
-		c.log("duplicate result for round %d from %s: discarded", p.Round, p.Worker)
-		return campaign.CreditResponse{Accepted: false, Duplicate: true}, nil
+	rec := fleetCkptLine{Type: "min", Payload: p}
+	if tab == c.rounds {
+		rec.Type = "round"
+		c.applyRoundLocked(p)
+	} else {
+		c.applyMinLocked(id, p)
 	}
-	c.creditRoundLocked(slot, p)
-	c.perWorker[p.Worker]++
-	c.workers[p.Worker] = time.Now()
-	if err := c.ckpt.AppendRound(p); err != nil {
-		// A checkpoint that silently stops recording is worse than a failed
-		// soak: resume would re-run rounds it believes missing and fold a
-		// corpus the recorded rounds never saw.
-		if c.failed == nil {
-			c.failed = err
-		}
-		c.mu.Unlock()
-		c.complete()
-		return campaign.CreditResponse{Accepted: false, Done: true}, nil
+	if !c.appendLocked(rec) {
+		// A fold over a round the checkpoint never recorded would hand later
+		// rounds a corpus a resume cannot rebuild.
+		return campaign.CreditResponse{Done: true}, nil
 	}
-	c.foldLocked()
-	done := c.completedLocked()
-	credited, total := c.roundsCredited, len(c.rounds)
-	c.mu.Unlock()
-	c.log("credit: round %d from %s (%d/%d rounds)", p.Round, p.Worker, credited, total)
-	if done {
-		c.complete()
+	if tab == c.rounds {
+		c.foldLocked()
+		c.log("credit: round %d from %s (%d/%d rounds)", id, p.Worker, c.rounds.Count(lease.Done), len(c.rounds.Slots))
+	} else {
+		c.log("credit: minimize task %d from %s (verified=%v)", id, p.Worker, p.MinVerified)
 	}
-	return campaign.CreditResponse{Accepted: true, Done: done}, nil
+	c.maybeCompleteLocked()
+	return campaign.CreditResponse{Accepted: true, Done: c.completedLocked()}, nil
 }
 
-// creditRoundLocked applies a round result to the slot and the running
-// totals — shared by the wire path and checkpoint replay. Caller holds c.mu.
-func (c *Coordinator) creditRoundLocked(slot *roundSlot, p *FuzzResult) {
-	slot.state = roundDone
-	slot.worker = p.Worker
-	slot.result = p
-	c.roundsCredited++
+// applyRoundLocked adds a credited round result to the running totals —
+// shared by the wire path and checkpoint replay. Caller holds c.mu.
+func (c *Coordinator) applyRoundLocked(p *FuzzResult) {
+	c.results[p.Round] = p
 	c.execs += p.Execs
 	c.statesChecked += p.StatesChecked
 	c.retriedChecks += p.RetriedChecks
@@ -749,75 +610,11 @@ func (c *Coordinator) creditRoundLocked(slot *roundSlot, p *FuzzResult) {
 	}
 }
 
-func (c *Coordinator) creditMin(p *FuzzResult) (campaign.CreditResponse, error) {
-	c.mu.Lock()
-	if p.SpecHash != c.info.SuiteHash {
-		c.rejected++
-		c.mu.Unlock()
-		return campaign.CreditResponse{}, fmt.Errorf(
-			"spec fingerprint mismatch: coordinator has %s, worker %q sent %s — discarding result",
-			c.info.SuiteHash, p.Worker, p.SpecHash)
-	}
-	if p.MinID < 0 || p.MinID >= len(c.mins) {
-		c.rejected++
-		c.mu.Unlock()
-		return campaign.CreditResponse{}, fmt.Errorf("minimize task %d out of range [0,%d)", p.MinID, len(c.mins))
-	}
-	m := c.mins[p.MinID]
-	if p.MinCluster != m.cluster {
-		c.rejected++
-		c.mu.Unlock()
-		return campaign.CreditResponse{}, fmt.Errorf(
-			"minimize task %d cluster mismatch: coordinator has %q, result says %q", p.MinID, m.cluster, p.MinCluster)
-	}
-	if p.Err != "" {
-		if m.state != minLeased || m.worker != p.Worker {
-			c.mu.Unlock()
-			c.log("stale error payload for minimize task %d from %s: discarded", p.MinID, p.Worker)
-			return campaign.CreditResponse{Accepted: false, Duplicate: true}, nil
-		}
-		c.failMinLocked(m, p.Worker, true, p.Err)
-		done := c.completedLocked()
-		c.mu.Unlock()
-		if done {
-			c.complete()
-		}
-		return campaign.CreditResponse{Accepted: false, Quarantined: m.dropped, Done: done}, nil
-	}
-	if m.state == minDone {
-		c.duplicates++
-		c.mu.Unlock()
-		c.log("duplicate result for minimize task %d from %s: discarded", p.MinID, p.Worker)
-		return campaign.CreditResponse{Accepted: false, Duplicate: true}, nil
-	}
-	c.creditMinLocked(m, p)
-	c.perWorker[p.Worker]++
-	c.workers[p.Worker] = time.Now()
-	if err := c.ckpt.AppendMin(p); err != nil {
-		if c.failed == nil {
-			c.failed = err
-		}
-		c.mu.Unlock()
-		c.complete()
-		return campaign.CreditResponse{Accepted: false, Done: true}, nil
-	}
-	done := c.completedLocked()
-	c.mu.Unlock()
-	c.log("credit: minimize task %d from %s (verified=%v)", p.MinID, p.Worker, p.MinVerified)
-	if done {
-		c.complete()
-	}
-	return campaign.CreditResponse{Accepted: true, Done: done}, nil
-}
-
-// creditMinLocked applies a minimization result — shared by the wire path
-// and checkpoint replay. Caller holds c.mu.
-func (c *Coordinator) creditMinLocked(m *minTask, p *FuzzResult) {
-	m.state = minDone
-	m.worker = p.Worker
-	m.verified = p.MinVerified
-	m.minText = p.MinText
-	m.minExecs = p.MinExecs
+// applyMinLocked records a credited minimization outcome — shared by the
+// wire path and checkpoint replay. Caller holds c.mu.
+func (c *Coordinator) applyMinLocked(i int, p *FuzzResult) {
+	m := &c.minTasks[i]
+	m.verified, m.minText, m.minExecs = p.MinVerified, p.MinText, p.MinExecs
 }
 
 // Heartbeat extends a live lease; refusal tells the worker it lost the
@@ -826,69 +623,31 @@ func (c *Coordinator) Heartbeat(req FuzzHeartbeat) (campaign.HeartbeatResponse, 
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if req.SpecHash != c.info.SuiteHash {
-		c.rejected++
-		return campaign.HeartbeatResponse{}, fmt.Errorf(
-			"spec fingerprint mismatch: coordinator has %s, worker %q sent %s — refusing heartbeat",
-			c.info.SuiteHash, req.Worker, req.SpecHash)
+		return campaign.HeartbeatResponse{}, c.rounds.Foreign("spec", c.info.SuiteHash, req.Worker, req.SpecHash, "refusing heartbeat")
 	}
-	c.workers[req.Worker] = time.Now()
-	now := time.Now()
-	switch req.Kind {
-	case ResultRound:
-		if req.ID < 0 || req.ID >= len(c.rounds) {
-			return campaign.HeartbeatResponse{}, fmt.Errorf("round %d out of range [0,%d)", req.ID, len(c.rounds))
-		}
-		s := &c.rounds[req.ID]
-		if s.state != roundLeased || s.worker != req.Worker || now.After(s.deadline) {
-			return campaign.HeartbeatResponse{Extended: false}, nil
-		}
-		s.deadline = now.Add(c.leaseTTL)
-		s.lastBeat = now
-		if req.Execs > s.progress {
-			s.progress = req.Execs
-		}
-	case ResultMinimize:
-		if req.ID < 0 || req.ID >= len(c.mins) {
-			return campaign.HeartbeatResponse{}, fmt.Errorf("minimize task %d out of range [0,%d)", req.ID, len(c.mins))
-		}
-		m := c.mins[req.ID]
-		if m.state != minLeased || m.worker != req.Worker || now.After(m.deadline) {
-			return campaign.HeartbeatResponse{Extended: false}, nil
-		}
-		m.deadline = now.Add(c.leaseTTL)
-		m.lastBeat = now
-	default:
-		return campaign.HeartbeatResponse{}, fmt.Errorf("unknown heartbeat kind %q", req.Kind)
+	tab, _, err := c.unitLocked(req.Kind, req.ID)
+	if err != nil {
+		return campaign.HeartbeatResponse{}, err
 	}
-	c.heartbeats++
-	return campaign.HeartbeatResponse{Extended: true, TTLNanos: int64(c.leaseTTL)}, nil
+	if !tab.Beat(req.ID, req.Worker, req.Execs, time.Now()) {
+		return campaign.HeartbeatResponse{Extended: false}, nil
+	}
+	return campaign.HeartbeatResponse{Extended: true, TTLNanos: int64(tab.TTL)}, nil
 }
 
-// RejectResult records a result rejected at the wire boundary as a failed
-// dispatch attempt when the claimed identity matches a live lease.
+// RejectResult records a result rejected at the wire boundary; see
+// lease.Table.Reject. A kind or id that names no unit is itself implausible:
+// only the bad-payload counter moves.
 func (c *Coordinator) RejectResult(kind string, id int, worker, cause string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.badPayloads++
-	switch kind {
-	case ResultRound:
-		if id < 0 || id >= len(c.rounds) {
-			return
-		}
-		s := &c.rounds[id]
-		if s.state != roundLeased || s.worker != worker {
-			return
-		}
-		c.failRoundLocked(id, worker, false, cause)
-	case ResultMinimize:
-		if id < 0 || id >= len(c.mins) {
-			return
-		}
-		m := c.mins[id]
-		if m.state != minLeased || m.worker != worker {
-			return
-		}
-		c.failMinLocked(m, worker, false, cause)
+	tab, _, err := c.unitLocked(kind, id)
+	if err != nil {
+		c.rounds.BadPayloads++
+		return
+	}
+	if tab.Reject(id, worker, cause) == lease.Failed {
+		c.attemptFailedLocked(tab, id, worker, cause)
 	}
 }
 
@@ -897,45 +656,31 @@ func (c *Coordinator) RejectResult(kind string, id int, worker, cause string) {
 func (c *Coordinator) Degraded() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.roundsDropped > 0
+	return c.rounds.Count(lease.Spent) > 0
 }
 
 // Stats snapshots the control-plane counters.
 func (c *Coordinator) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	per := make(map[string]int, len(c.perWorker))
-	for k, v := range c.perWorker {
-		per[k] = v
-	}
-	mDone, mDropped := 0, 0
-	for _, m := range c.mins {
-		if m.state == minDone {
-			mDone++
-		}
-		if m.dropped {
-			mDropped++
-		}
-	}
+	dropped := c.mins.Count(lease.Spent)
 	return Stats{
-		Rounds:         len(c.rounds),
-		RoundsCredited: c.roundsCredited,
-		RoundsDropped:  c.roundsDropped,
-		MinTasks:       len(c.mins),
-		MinDone:        mDone,
-		MinDropped:     mDropped,
+		Rounds:         len(c.rounds.Slots),
+		RoundsCredited: c.rounds.Count(lease.Done),
+		RoundsDropped:  c.rounds.Count(lease.Spent),
+		MinTasks:       len(c.minTasks),
+		MinDone:        c.mins.Count(lease.Done) + dropped,
+		MinDropped:     dropped,
 		Resumed:        c.resumed,
-		Redispatched:   c.redispatched,
-		Duplicates:     c.duplicates,
-		Rejected:       c.rejected,
-		BadPayloads:    c.badPayloads,
-		Heartbeats:     c.heartbeats,
+		Redispatched:   c.rounds.Redispatched,
+		Duplicates:     c.rounds.Duplicates,
+		Rejected:       c.rounds.Rejected,
+		BadPayloads:    c.rounds.BadPayloads,
+		Heartbeats:     c.rounds.Heartbeats,
 		Generations:    c.foldedGensLocked(),
-		PerWorker:      per,
+		PerWorker:      c.rounds.PerWorkerCopy(),
 	}
 }
-
-func minDone2() minState { return minDone }
 
 // Census folds the credited rounds — in round order, which checkpoint
 // replay and live crediting both preserve — into the deduplicated bug
@@ -951,11 +696,11 @@ func (c *Coordinator) Census() report.FuzzCensus {
 func (c *Coordinator) censusLocked() report.FuzzCensus {
 	var events []obs.Event
 	rep := map[string]string{}
-	for i := range c.rounds {
-		if c.rounds[i].state != roundDone {
+	for _, res := range c.results {
+		if res == nil {
 			continue
 		}
-		for _, v := range c.rounds[i].result.Violations {
+		for _, v := range res.Violations {
 			events = append(events, v.Event())
 			key := v.ClusterKey()
 			if cur, ok := rep[key]; !ok || v.Text < cur {
@@ -966,7 +711,8 @@ func (c *Coordinator) censusLocked() report.FuzzCensus {
 	clusters := report.TriageEvents(events)
 	minByCluster := map[string]*minTask{}
 	minVerified := 0
-	for _, m := range c.mins {
+	for i := range c.minTasks {
+		m := &c.minTasks[i]
 		minByCluster[m.cluster] = m
 		if m.verified {
 			minVerified++
@@ -982,11 +728,11 @@ func (c *Coordinator) censusLocked() report.FuzzCensus {
 		Execs:             c.execs,
 		StatesChecked:     c.statesChecked,
 		QuarantinedChecks: c.quarantinedChecks,
-		RoundsCredited:    c.roundsCredited,
-		RoundsDropped:     c.roundsDropped,
+		RoundsCredited:    c.rounds.Count(lease.Done),
+		RoundsDropped:     c.rounds.Count(lease.Spent),
 		CorpusSize:        len(c.corpus),
 		CoverageEdges:     len(c.coverage),
-		MinTasks:          len(c.mins),
+		MinTasks:          len(c.minTasks),
 		MinVerified:       minVerified,
 	}
 	for _, tc := range clusters {
@@ -1037,51 +783,15 @@ func (c *Coordinator) Drain() {
 	c.mu.Unlock()
 }
 
-func (c *Coordinator) leasedLocked() int {
-	n := 0
-	for i := range c.rounds {
-		if c.rounds[i].state == roundLeased {
-			n++
-		}
-	}
-	for _, m := range c.mins {
-		if m.state == minLeased {
-			n++
-		}
-	}
-	return n
-}
-
-// Wait blocks until the soak completes, fails, or ctx is cancelled.
-// Cancellation is the graceful path: stop leasing, keep crediting in-flight
-// units to the checkpoint until they report or expire, return the partial
-// census with ctx's error.
+// Wait blocks until the soak completes, fails, or ctx is cancelled
+// (lease.Await: drain, then the partial census with ctx's error).
 func (c *Coordinator) Wait(ctx context.Context) (report.FuzzCensus, error) {
-	select {
-	case <-c.doneCh:
-		return c.finish(nil)
-	case <-ctx.Done():
-	}
-	c.Drain()
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-c.doneCh:
-			return c.finish(nil)
-		case <-tick.C:
-			c.mu.Lock()
-			c.reclaimLocked(time.Now())
-			leased := c.leasedLocked()
-			c.mu.Unlock()
-			if leased == 0 {
-				return c.finish(ctx.Err())
-			}
-		}
-	}
-}
-
-func (c *Coordinator) finish(err error) (report.FuzzCensus, error) {
+	err := lease.Await(ctx, c.doneCh, c.Drain, func() int {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.reclaimLocked(time.Now())
+		return c.rounds.Count(lease.Leased) + c.mins.Count(lease.Leased)
+	})
 	c.mu.Lock()
 	failed := c.failed
 	c.mu.Unlock()
@@ -1132,75 +842,69 @@ func (c *Coordinator) attachCheckpoint(path string) error {
 			c.log("checkpoint: ignoring foreign round record (round %d, hash %s)", p.Round, p.SpecHash)
 			continue
 		}
-		slot := &c.rounds[p.Round]
-		if slot.state == roundDone {
+		if c.rounds.Slots[p.Round].State == lease.Done {
 			continue
 		}
-		c.creditRoundLocked(slot, p)
+		c.rounds.Slots[p.Round] = lease.Slot{State: lease.Done, Worker: p.Worker}
+		c.applyRoundLocked(p)
 		c.resumed++
-		c.perWorker["checkpoint"]++
+		c.rounds.PerWorker["checkpoint"]++
 	}
 	for _, d := range st.Drops {
 		if d.Round < 0 || !c.ensureRoundLocked(d.Round) {
 			c.log("checkpoint: ignoring out-of-range drop record (round %d)", d.Round)
 			continue
 		}
-		slot := &c.rounds[d.Round]
-		if slot.state == roundDone || slot.state == roundDropped {
+		if c.rounds.Slots[d.Round].State != lease.Pending {
 			continue
 		}
-		slot.state = roundDropped
-		slot.errWorker = d.Worker
-		slot.lastErr = d.Err
-		slot.attempts = d.Attempts
-		c.roundsDropped++
+		c.rounds.Slots[d.Round] = lease.Slot{State: lease.Spent, ErrWorker: d.Worker, LastErr: d.Err, Attempts: d.Attempts}
 	}
 	c.foldLocked()
 
 	// Minimization records match by cluster key: task ids are deterministic,
 	// but the key is self-describing and survives id-order evolution.
-	byCluster := map[string]*minTask{}
-	for _, m := range c.mins {
-		byCluster[m.cluster] = m
+	byCluster := map[string]int{}
+	for i := range c.minTasks {
+		byCluster[c.minTasks[i].cluster] = i
 	}
 	for _, p := range st.Mins {
-		m := byCluster[p.MinCluster]
-		if m == nil || p.SpecHash != c.info.SuiteHash {
+		i, ok := byCluster[p.MinCluster]
+		if !ok || p.SpecHash != c.info.SuiteHash {
 			c.log("checkpoint: ignoring foreign minimize record (cluster %q)", p.MinCluster)
 			continue
 		}
-		if m.state == minDone {
+		if c.mins.Slots[i].State != lease.Pending {
 			continue
 		}
-		c.creditMinLocked(m, p)
+		c.mins.Slots[i] = lease.Slot{State: lease.Done, Worker: p.Worker}
+		c.applyMinLocked(i, p)
 		c.resumed++
-		c.perWorker["checkpoint"]++
+		c.mins.PerWorker["checkpoint"]++
 	}
 	for _, cluster := range st.MinDrops {
-		m := byCluster[cluster]
-		if m == nil || m.state == minDone {
-			continue
+		if i, ok := byCluster[cluster]; ok && c.mins.Slots[i].State == lease.Pending {
+			c.mins.Slots[i].State = lease.Spent
 		}
-		m.state = minDone
-		m.dropped = true
 	}
 
-	fresh := st.Header == nil
-	header := fleetCkptLine{
-		CampaignID:     c.info.CampaignID,
-		SpecHash:       c.info.SuiteHash,
-		FS:             c.spec.FS,
-		RoundExecs:     c.spec.RoundExecs,
-		GenRounds:      c.spec.GenRounds,
-		BudgetExecs:    c.spec.BudgetExecs,
-		BudgetNanos:    c.spec.BudgetNanos,
-		StartUnixNanos: c.soakStart.UnixNano(),
+	var header any
+	if st.Header == nil {
+		header = fleetCkptLine{
+			Type:           "fleet",
+			CampaignID:     c.info.CampaignID,
+			SpecHash:       c.info.SuiteHash,
+			FS:             c.spec.FS,
+			RoundExecs:     c.spec.RoundExecs,
+			GenRounds:      c.spec.GenRounds,
+			BudgetExecs:    c.spec.BudgetExecs,
+			BudgetNanos:    c.spec.BudgetNanos,
+			StartUnixNanos: c.soakStart.UnixNano(),
+		}
 	}
-	ck, err := OpenCheckpoint(path, header, fresh)
-	if err != nil {
+	if c.ckpt, err = lease.OpenLog("fleet", path, header); err != nil {
 		return err
 	}
-	c.ckpt = ck
 	if c.resumed > 0 {
 		c.log("checkpoint: resumed %d units from %s (%d generations folded, corpus %d)",
 			c.resumed, path, c.foldedGensLocked(), len(c.corpus))
@@ -1214,96 +918,29 @@ func (c *Coordinator) attachCheckpoint(path string) error {
 // range. Caller owns the coordinator exclusively (construction) or holds
 // c.mu.
 func (c *Coordinator) ensureRoundLocked(r int) bool {
-	if r < len(c.rounds) {
+	if r < len(c.rounds.Slots) {
 		return true
 	}
 	if c.execMode {
 		return false
 	}
-	need := (c.genOf(r) + 1) * c.spec.GenRounds
-	c.rounds = append(c.rounds, make([]roundSlot, need-len(c.rounds))...)
-	c.totalRounds = len(c.rounds)
+	c.growRoundsLocked((c.genOf(r)+1)*c.spec.GenRounds - len(c.rounds.Slots))
 	return true
 }
-
-// --- HTTP surface -------------------------------------------------------
-
-// maxResultBody bounds one result POST; aligned with maxCkptLine.
-const maxResultBody = maxCkptLine
 
 // ServeHTTP serves the fuzzing wire protocol.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	c.mux.ServeHTTP(w, r)
 }
 
-func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
-	campaign.WriteJSON(w, http.StatusOK, c.info)
-}
-
-func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	var req FuzzLeaseRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		campaign.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad lease request: %v", err))
-		return
-	}
-	resp, err := c.Lease(req)
-	if err != nil {
-		campaign.WriteJSONError(w, http.StatusConflict, err.Error())
-		return
-	}
-	campaign.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	// Results mutate the corpus and census, so the wire boundary is
-	// paranoid, like the campaign's: the body must parse AND match its
-	// FNV-64a self-checksum, or it is a failed attempt, never a mis-credit.
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxResultBody))
-	if err != nil {
-		c.RejectResult("", -1, "", "truncated result body")
-		campaign.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("truncated result body: %v", err))
-		return
-	}
-	var p FuzzResult
-	if err := json.Unmarshal(data, &p); err != nil {
-		c.RejectResult("", -1, "", "corrupt result body")
-		campaign.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad result payload: %v", err))
-		return
-	}
-	if want := ResultSum(&p); p.Sum == "" || p.Sum != want {
-		cause := fmt.Sprintf("payload checksum mismatch: body carries %q, content hashes to %s", p.Sum, want)
-		id := p.Round
-		if p.Kind == ResultMinimize {
-			id = p.MinID
-		}
-		c.RejectResult(p.Kind, id, p.Worker, cause)
-		campaign.WriteJSONError(w, http.StatusBadRequest, cause)
-		return
-	}
-	resp, err := c.Credit(&p)
-	if err != nil {
-		campaign.WriteJSONError(w, http.StatusConflict, err.Error())
-		return
-	}
-	campaign.WriteJSON(w, http.StatusOK, resp)
-}
-
-func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
-	var req FuzzHeartbeat
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		campaign.WriteJSONError(w, http.StatusBadRequest, fmt.Sprintf("bad heartbeat request: %v", err))
-		return
-	}
-	resp, err := c.Heartbeat(req)
-	if err != nil {
-		campaign.WriteJSONError(w, http.StatusConflict, err.Error())
-		return
-	}
-	campaign.WriteJSON(w, http.StatusOK, resp)
-}
-
+// handleMetrics exposes MergedObs in Prometheus text format, followed by the
+// lease tables' control-plane series.
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s := c.MergedObs()
+	c.mu.Lock()
+	leases := lease.MetricsText(c.rounds, c.mins)
+	c.mu.Unlock()
 	w.Header().Set("Content-Type", obs.MetricsContentType)
 	s.WriteMetrics(w)
+	io.WriteString(w, leases) //nolint:errcheck // client gone = client's problem
 }

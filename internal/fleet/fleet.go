@@ -42,6 +42,7 @@ import (
 
 	"chipmunk/internal/campaign"
 	"chipmunk/internal/core"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
@@ -156,14 +157,11 @@ type CorpusEntry struct {
 	Sum  string   `json:"sum,omitempty"`
 }
 
-// EntrySum computes a corpus entry's self-checksum: FNV-64a over the JSON
-// encoding with Sum cleared.
+// EntrySum computes a corpus entry's self-checksum (lease.Sum with the Sum
+// field cleared).
 func EntrySum(e CorpusEntry) string {
 	e.Sum = ""
-	b, _ := json.Marshal(e)
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return lease.Sum(e)
 }
 
 // entryKey orders corpus candidates canonically at generation folds:
@@ -329,13 +327,7 @@ type FuzzResult struct {
 func ResultSum(p *FuzzResult) string {
 	cp := *p
 	cp.Sum = ""
-	b, err := json.Marshal(&cp)
-	if err != nil {
-		return fmt.Sprintf("unmarshalable: %v", err)
-	}
-	h := fnv.New64a()
-	h.Write(b)
-	return fmt.Sprintf("%016x", h.Sum64())
+	return lease.Sum(&cp)
 }
 
 // FuzzHeartbeat extends a live round or minimization lease

@@ -3,10 +3,10 @@ package fleet
 import (
 	"html/template"
 	"net/http"
-	"sort"
 	"time"
 
 	"chipmunk/internal/campaign"
+	"chipmunk/internal/lease"
 )
 
 // This file is the fleet coordinator's read-only observability surface: the
@@ -97,7 +97,7 @@ func (c *Coordinator) Status() FuzzStatus {
 		RoundExecs:  c.spec.RoundExecs,
 		GenRounds:   c.spec.GenRounds,
 		BudgetExecs: c.spec.BudgetExecs,
-		Rounds:      len(c.rounds),
+		Rounds:      len(c.rounds.Slots),
 		Resumed:     c.resumed,
 		Draining:    c.draining,
 		Generations: c.foldedGensLocked(),
@@ -110,29 +110,32 @@ func (c *Coordinator) Status() FuzzStatus {
 	if c.spec.BudgetNanos > 0 {
 		st.BudgetSec = time.Duration(c.spec.BudgetNanos).Seconds()
 	}
-	roundMap := make([]byte, 0, len(c.rounds)+len(c.rounds)/c.spec.GenRounds)
-	for i := range c.rounds {
+	inFlight := func(kind string, id int, s *lease.Slot) {
+		st.InFlight = append(st.InFlight, FuzzLeaseStatus{
+			Kind: kind, ID: id, Worker: s.Worker,
+			AgeSec:     now.Sub(s.LeasedAt).Seconds(),
+			BeatAgeSec: now.Sub(s.LastBeat).Seconds(),
+			Progress:   s.Progress, Attempts: s.Attempts,
+		})
+	}
+	roundMap := make([]byte, 0, len(c.rounds.Slots)+len(c.rounds.Slots)/c.spec.GenRounds)
+	for i := range c.rounds.Slots {
 		if i > 0 && i%c.spec.GenRounds == 0 {
 			roundMap = append(roundMap, '|')
 		}
-		s := &c.rounds[i]
-		switch s.state {
-		case roundPending:
+		s := &c.rounds.Slots[i]
+		switch s.State {
+		case lease.Pending:
 			st.Pending++
 			roundMap = append(roundMap, '.')
-		case roundLeased:
+		case lease.Leased:
 			st.Leased++
 			roundMap = append(roundMap, 'r')
-			st.InFlight = append(st.InFlight, FuzzLeaseStatus{
-				Kind: ResultRound, ID: i, Worker: s.worker,
-				AgeSec:     now.Sub(s.leasedAt).Seconds(),
-				BeatAgeSec: now.Sub(s.lastBeat).Seconds(),
-				Progress:   s.progress, Attempts: s.attempts,
-			})
-		case roundDone:
+			inFlight(ResultRound, i, s)
+		case lease.Done:
 			st.Done++
 			roundMap = append(roundMap, '#')
-		case roundDropped:
+		case lease.Spent:
 			st.Dropped++
 			roundMap = append(roundMap, 'X')
 		}
@@ -141,37 +144,28 @@ func (c *Coordinator) Status() FuzzStatus {
 	if st.ElapsedSec > 0 {
 		st.ExecsPerSec = float64(c.execs) / st.ElapsedSec
 	}
-	for _, m := range c.mins {
-		switch m.state {
-		case minPending:
+	for i := range c.mins.Slots {
+		s := &c.mins.Slots[i]
+		switch s.State {
+		case lease.Pending:
 			st.MinPending++
-		case minLeased:
+		case lease.Leased:
 			st.MinLeased++
-			st.InFlight = append(st.InFlight, FuzzLeaseStatus{
-				Kind: ResultMinimize, ID: m.id, Worker: m.worker,
-				AgeSec:     now.Sub(m.leasedAt).Seconds(),
-				BeatAgeSec: now.Sub(m.lastBeat).Seconds(),
-				Attempts:   m.attempts,
-			})
-		case minDone:
+			inFlight(ResultMinimize, i, s)
+		default:
 			st.MinDone++
-			if m.verified {
+			if c.minTasks[i].verified {
 				st.MinVerified++
 			}
 		}
 	}
 	st.DistinctBugs = len(c.clusterSeen)
-	for id, seen := range c.workers {
-		st.Workers = append(st.Workers, campaign.WorkerStatus{
-			ID: id, LastSeenSec: now.Sub(seen).Seconds(), ShardsDone: c.perWorker[id],
-		})
-	}
-	sort.Slice(st.Workers, func(i, j int) bool { return st.Workers[i].ID < st.Workers[j].ID })
+	st.Workers = c.rounds.WorkerStatuses(now)
 	return st
 }
 
 func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	campaign.WriteJSON(w, http.StatusOK, c.Status())
+	lease.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 // fuzzDashTmpl mirrors the campaign dashboard: one HTML page, no scripts,

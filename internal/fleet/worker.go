@@ -2,16 +2,15 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
-	"os"
 	"sync/atomic"
 	"time"
 
 	"chipmunk/internal/campaign"
 	"chipmunk/internal/core"
 	"chipmunk/internal/fuzz"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
@@ -33,7 +32,7 @@ type WorkerConfig struct {
 	// negative = no watchdog).
 	RoundTimeout time.Duration
 	// DialBudget bounds the total retry time of each wire call
-	// (0 = campaign.DefaultDialBudget). Post-handshake exhaustion means the
+	// (0 = lease.DefaultDialBudget). Post-handshake exhaustion means the
 	// soak is over (completed, or crashed with its checkpoint safe) and the
 	// worker exits cleanly.
 	DialBudget time.Duration
@@ -58,12 +57,8 @@ type WorkerConfig struct {
 // the two modes share the handshake path precisely so workers need no
 // mode flag.
 func FetchSpec(ctx context.Context, addr string, budget time.Duration) (*campaign.SpecInfo, error) {
-	if budget <= 0 {
-		budget = campaign.DefaultDialBudget
-	}
 	var info campaign.SpecInfo
-	client := &http.Client{}
-	if err := campaign.GetJSON(ctx, client, "http://"+addr+campaign.PathSpec, &info, budget); err != nil {
+	if err := lease.GetJSON(ctx, &http.Client{}, "http://"+addr+campaign.PathSpec, &info, budget); err != nil {
 		return nil, fmt.Errorf("fleet: handshake with %s: %w", addr, err)
 	}
 	return &info, nil
@@ -73,43 +68,23 @@ func FetchSpec(ctx context.Context, addr string, budget time.Duration) (*campaig
 // and minimization tasks — until the coordinator reports the soak done, the
 // context is cancelled, or an error is fatal.
 //
-// The fault-model contract is the campaign worker's: no soak-visible
-// progress except by a credited result POST; dying mid-unit lets the lease
-// expire for re-dispatch; engine errors, contained panics, and tripped
-// watchdogs become structured error payloads. On top of that, fuzz workers
-// maintain a local cache of the coordinator's corpus log. Every entry is
-// verified against its self-checksum on receipt, and a round lease carries
-// (Base, Cursor) so the worker rebuilds exactly the log prefix the round
-// must fuzz against; any mismatch discards the response — the re-grant path
-// resends it intact — so a corrupted wire can slow a worker down but never
-// make it fuzz against the wrong corpus.
+// On top of the lease engine's fault-model contract
+// (internal/lease/worker.go), fuzz workers maintain a local cache of the
+// coordinator's corpus log. Every entry is verified against its
+// self-checksum on receipt, and a round lease carries (Base, Cursor) so the
+// worker rebuilds exactly the log prefix the round must fuzz against; any
+// mismatch discards the response — the re-grant path resends it intact — so
+// a corrupted wire can slow a worker down but never make it fuzz against the
+// wrong corpus.
 func RunWorker(ctx context.Context, wc WorkerConfig) error {
-	if wc.ID == "" {
-		host, _ := os.Hostname()
-		if host == "" {
-			host = "worker"
-		}
-		wc.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if wc.Poll <= 0 {
-		wc.Poll = 300 * time.Millisecond
-	}
-	if wc.RoundTimeout == 0 {
-		wc.RoundTimeout = DefaultRoundTimeout
-	}
-	if wc.DialBudget <= 0 {
-		wc.DialBudget = campaign.DefaultDialBudget
-	}
-	logf := wc.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	client := &http.Client{}
+	w := &lease.Worker{Addr: wc.Addr, ID: wc.ID, Poll: wc.Poll, DialBudget: wc.DialBudget,
+		Timeout: wc.RoundTimeout, Logf: wc.Logf}
+	w.Init(DefaultRoundTimeout)
 
 	info := wc.Info
 	if info == nil {
 		var err error
-		if info, err = FetchSpec(ctx, wc.Addr, wc.DialBudget); err != nil {
+		if info, err = FetchSpec(ctx, wc.Addr, w.DialBudget); err != nil {
 			return err
 		}
 	}
@@ -137,97 +112,32 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	if err != nil {
 		return err
 	}
-	kv := spec.App == "kv"
-	logf("worker %s joined fuzz soak %s: %s, seed %d, %d execs/round, %d rounds/gen, fingerprint %s",
-		wc.ID, info.CampaignID, sys.Name, spec.FuzzSeed, spec.RoundExecs, spec.GenRounds, info.SuiteHash)
+	w.Logf("worker %s joined fuzz soak %s: %s, seed %d, %d execs/round, %d rounds/gen, fingerprint %s",
+		w.ID, info.CampaignID, sys.Name, spec.FuzzSeed, spec.RoundExecs, spec.GenRounds, info.SuiteHash)
+	return w.Work(ctx, "soak", &fuzzJob{Worker: w, wc: wc, fs: spec.FS, hash: info.SuiteHash, cfg: cfg, kv: spec.App == "kv"})
+}
 
-	var cache []CorpusEntry
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		var lease FuzzLeaseResponse
-		err := campaign.PostJSON(ctx, client, "http://"+wc.Addr+PathFuzzLease,
-			FuzzLeaseRequest{Worker: wc.ID, SpecHash: info.SuiteHash, Cursor: len(cache)},
-			&lease, wc.DialBudget)
-		if err != nil {
-			if gone(err) {
-				logf("worker %s: coordinator %s gone; assuming soak over", wc.ID, wc.Addr)
-				return nil
-			}
-			return fmt.Errorf("fleet: lease: %w", err)
-		}
-		var payload *FuzzResult
-		var abandoned bool
-		switch lease.Status {
-		case campaign.LeaseDone:
-			logf("worker %s: soak done", wc.ID)
-			return nil
-		case campaign.LeaseWait:
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(wc.Poll):
-			}
-			continue
-		case LeaseRound:
-			if wc.OnLease != nil {
-				wc.OnLease(lease)
-			}
-			if !absorbLease(&cache, lease, wc.ID, logf) {
-				continue // corrupt corpus delta: discard, re-poll (re-grant resends)
-			}
-			logf("worker %s: running round %d (%d execs, seed %d, corpus %d)",
-				wc.ID, lease.Round, lease.Execs, lease.Seed, lease.Cursor)
-			payload, abandoned = runRound(ctx, client, wc, cfg, kv, cache[:lease.Cursor], lease, info)
-		case LeaseMinimize:
-			if wc.OnLease != nil {
-				wc.OnLease(lease)
-			}
-			logf("worker %s: minimizing cluster %q (task %d, budget %d)",
-				wc.ID, lease.MinCluster, lease.MinID, lease.MinBudget)
-			payload, abandoned = runMinimize(ctx, client, wc, cfg, lease, info)
-		default:
-			// Only in-flight corruption produces an unknown status: discard
-			// and re-poll — whatever was granted expires or is re-granted.
-			logf("worker %s: unknown lease status %q; discarding (corrupt response?)", wc.ID, lease.Status)
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(wc.Poll):
-			}
-			continue
-		}
-		if payload == nil {
-			if abandoned {
-				logf("worker %s: lease lost mid-run; abandoning", wc.ID)
-				continue
-			}
-			return ctx.Err()
-		}
-		payload.Sum = ResultSum(payload)
-		var credit campaign.CreditResponse
-		err = campaign.PostJSON(ctx, client, "http://"+wc.Addr+PathFuzzResult, payload, &credit, wc.DialBudget)
-		if err != nil {
-			if gone(err) {
-				logf("worker %s: coordinator %s gone before result; lease will expire elsewhere", wc.ID, wc.Addr)
-				return nil
-			}
-			return fmt.Errorf("fleet: result: %w", err)
-		}
-		switch {
-		case payload.Err != "":
-			logf("worker %s: %s %d failed (%s); coordinator decides", wc.ID, payload.Kind, unitID(payload), payload.Err)
-		case credit.Duplicate:
-			logf("worker %s: %s %d was already credited (re-dispatched past our lease)", wc.ID, payload.Kind, unitID(payload))
-		case credit.Accepted:
-			logf("worker %s: %s %d credited", wc.ID, payload.Kind, unitID(payload))
-		}
-		if credit.Done {
-			logf("worker %s: soak done", wc.ID)
-			return nil
-		}
-	}
+// fuzzJob is the fuzzing side of the worker loop: the handshake's constants
+// and the corpus cache, then the unit currently held and what its run
+// produced.
+type fuzzJob struct {
+	*lease.Worker
+	wc    WorkerConfig
+	fs    string
+	hash  string // the soak's spec fingerprint
+	cfg   core.Config
+	kv    bool
+	cache []CorpusEntry
+
+	held FuzzLeaseResponse
+	// kind and id are the held unit's identity on the wire (ResultRound and
+	// the round index, or ResultMinimize and the task id).
+	kind  string
+	id    int
+	start time.Time
+	// node is the running round's fuzzer; heartbeats read its progress.
+	node   atomic.Pointer[Node]
+	result *FuzzResult
 }
 
 func unitID(p *FuzzResult) int {
@@ -237,232 +147,189 @@ func unitID(p *FuzzResult) int {
 	return p.Round
 }
 
+func (j *fuzzJob) Lease(ctx context.Context) (lease.Poll, time.Duration, error) {
+	var l FuzzLeaseResponse
+	err := j.Post(ctx, PathFuzzLease, FuzzLeaseRequest{Worker: j.ID, SpecHash: j.hash, Cursor: len(j.cache)}, &l, 0)
+	if err != nil {
+		return 0, 0, fmt.Errorf("fleet: lease: %w", err)
+	}
+	switch l.Status {
+	case campaign.LeaseDone:
+		return lease.PollDone, 0, nil
+	case campaign.LeaseWait:
+		return lease.PollWait, 0, nil
+	case LeaseRound, LeaseMinimize:
+	default:
+		j.Logf("worker %s: unknown lease status %q; discarding (corrupt response?)", j.ID, l.Status)
+		return lease.PollWait, 0, nil
+	}
+	if j.wc.OnLease != nil {
+		j.wc.OnLease(l)
+	}
+	if l.Status == LeaseMinimize {
+		j.kind, j.id = ResultMinimize, l.MinID
+		j.Logf("worker %s: minimizing cluster %q (task %d, budget %d)", j.ID, l.MinCluster, l.MinID, l.MinBudget)
+	} else {
+		if !absorbLease(&j.cache, l, j.ID, j.Logf) {
+			return lease.PollAgain, 0, nil
+		}
+		j.kind, j.id = ResultRound, l.Round
+		j.Logf("worker %s: running round %d (%d execs, seed %d, corpus %d)", j.ID, l.Round, l.Execs, l.Seed, l.Cursor)
+	}
+	j.held, j.result = l, nil
+	j.node.Store(nil)
+	return lease.PollRun, time.Duration(l.TTLNanos), nil
+}
+
 // absorbLease applies a round lease's corpus delta to the worker's cache,
 // verifying geometry and per-entry checksums. false = the response was
 // corrupted in flight; the caller discards it and re-polls.
-func absorbLease(cache *[]CorpusEntry, lease FuzzLeaseResponse, id string, logf func(string, ...any)) bool {
-	if lease.Base < 0 || lease.Base > len(*cache) || lease.Base > lease.Cursor ||
-		lease.Base+len(lease.Corpus) != lease.Cursor {
+func absorbLease(cache *[]CorpusEntry, l FuzzLeaseResponse, id string, logf func(string, ...any)) bool {
+	if l.Base < 0 || l.Base > len(*cache) || l.Base > l.Cursor ||
+		l.Base+len(l.Corpus) != l.Cursor {
 		logf("worker %s: lease round %d corpus delta [%d,+%d) fails geometry check against cursor %d (cache %d); discarding (corrupt response?)",
-			id, lease.Round, lease.Base, len(lease.Corpus), lease.Cursor, len(*cache))
+			id, l.Round, l.Base, len(l.Corpus), l.Cursor, len(*cache))
 		return false
 	}
-	for i, e := range lease.Corpus {
+	for i, e := range l.Corpus {
 		if e.Sum == "" || e.Sum != EntrySum(e) {
 			logf("worker %s: lease round %d corpus entry %d fails its checksum; discarding (corrupt response?)",
-				id, lease.Round, lease.Base+i)
+				id, l.Round, l.Base+i)
 			return false
 		}
 	}
-	*cache = append((*cache)[:lease.Base], lease.Corpus...)
+	*cache = append((*cache)[:l.Base], l.Corpus...)
 	return true
 }
 
-// heartbeatLoop extends the unit's lease every TTL/3 while it runs,
-// piggybacking live progress. An explicit refusal sets lost and cancels the
-// unit. Identical contract to the campaign worker's inline loop.
-func heartbeatLoop(runCtx context.Context, cancel context.CancelFunc, client *http.Client,
-	wc WorkerConfig, info *campaign.SpecInfo, kind string, id int,
-	ttlNanos int64, progress *atomic.Int64, lost *atomic.Bool, done chan struct{}) {
-	defer close(done)
-	interval := time.Duration(ttlNanos) / 3
-	if interval <= 0 {
-		interval = campaign.DefaultLeaseTTL / 3
-	}
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-runCtx.Done():
-			return
-		case <-t.C:
-		}
-		var hb campaign.HeartbeatResponse
-		err := campaign.PostJSON(runCtx, client, "http://"+wc.Addr+PathFuzzHeartbeat,
-			FuzzHeartbeat{Worker: wc.ID, SpecHash: info.SuiteHash, Kind: kind, ID: id,
-				Execs: int(progress.Load())}, &hb, interval)
-		if err != nil {
-			return // the result POST or the lease expiry decides
-		}
-		if !hb.Extended {
-			wc.Journal.Emit(obs.Event{
-				Type: "heartbeat-refused", FS: info.Spec.FS, Workload: "fuzz",
-				Worker: wc.ID, Sys: -1, Rank: id,
-				Detail: "coordinator refused lease extension (expired or re-dispatched); abandoning " + kind,
-			})
-			lost.Store(true)
-			cancel()
-			return
-		}
-	}
+// failure is the held unit's error payload.
+func (j *fuzzJob) failure(msg string) *FuzzResult {
+	return &FuzzResult{Kind: j.kind, Worker: j.ID, SpecHash: j.hash, Err: msg,
+		Round: j.held.Round, MinID: j.held.MinID, MinCluster: j.held.MinCluster}
 }
 
-// runRound executes one leased fuzzing round under the worker's
-// self-defense layers and freezes the result. Returns (nil, false) on
-// cancellation (nothing to report), (nil, true) when the lease was lost
-// mid-run. Engine errors, contained panics, and tripped watchdogs become
-// payloads with Err set — one failed dispatch attempt.
-func runRound(ctx context.Context, client *http.Client, wc WorkerConfig, cfg core.Config,
-	kv bool, corpus []CorpusEntry, lease FuzzLeaseResponse, info *campaign.SpecInfo) (*FuzzResult, bool) {
-	runCtx, cancel := context.WithCancel(ctx)
-	if wc.RoundTimeout > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, wc.RoundTimeout)
+func (j *fuzzJob) Beat(ctx context.Context, budget time.Duration, n int) (bool, error) {
+	hb := FuzzHeartbeat{Worker: j.ID, SpecHash: j.hash, Kind: j.kind, ID: j.id}
+	if node := j.node.Load(); node != nil {
+		hb.Execs = node.Progress()
 	}
-	defer cancel()
-
-	var lost atomic.Bool
-	var progress atomic.Int64
-	hbDone := make(chan struct{})
-	go heartbeatLoop(runCtx, cancel, client, wc, info, ResultRound, lease.Round,
-		lease.TTLNanos, &progress, &lost, hbDone)
-
-	start := time.Now()
-	delta, err := func() (d RoundDelta, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("engine panic: %v", r)
-			}
-		}()
-		node, err := NewNode(cfg, lease.Seed, kv, corpus)
-		if err != nil {
-			return RoundDelta{}, err
-		}
-		ticker := make(chan struct{})
-		defer close(ticker)
-		go func() {
-			// Mirror the node's states-checked count into the heartbeat
-			// piggyback without threading a callback through the fuzz loop.
-			t := time.NewTicker(200 * time.Millisecond)
-			defer t.Stop()
-			for {
-				select {
-				case <-ticker:
-					return
-				case <-t.C:
-					progress.Store(int64(node.Progress()))
-				}
-			}
-		}()
-		return node.RunRound(runCtx, lease.Execs)
-	}()
-	cancel()
-	<-hbDone
-
-	errPayload := func(msg string) *FuzzResult {
-		return &FuzzResult{Kind: ResultRound, Worker: wc.ID, SpecHash: info.SuiteHash,
-			Round: lease.Round, Err: msg}
+	var resp campaign.HeartbeatResponse
+	if err := j.Post(ctx, PathFuzzHeartbeat, hb, &resp, budget); err != nil {
+		return false, err
 	}
-	switch {
-	case err == nil:
-		return &FuzzResult{
-			Kind: ResultRound, Worker: wc.ID, SpecHash: info.SuiteHash,
-			Round:             lease.Round,
-			Execs:             delta.Execs,
-			StatesChecked:     delta.StatesChecked,
-			RetriedChecks:     delta.RetriedChecks,
-			QuarantinedChecks: delta.QuarantinedChecks,
-			ElapsedNanos:      time.Since(start).Nanoseconds(),
-			NewEntries:        delta.NewEntries,
-			Violations:        delta.Violations,
-			Obs:               delta.Obs,
-		}, false
-	case lost.Load():
-		return nil, true
-	case ctx.Err() != nil:
-		return nil, false
-	case runCtx.Err() == context.DeadlineExceeded:
-		msg := fmt.Sprintf("round watchdog: engine exceeded %v", wc.RoundTimeout)
-		wc.Journal.Emit(obs.Event{
-			Type: "shard-watchdog", FS: info.Spec.FS, Workload: "fuzz",
-			Worker: wc.ID, Sys: -1, Rank: lease.Round, Detail: msg,
+	if !resp.Extended {
+		j.wc.Journal.Emit(obs.Event{
+			Type: "heartbeat-refused", FS: j.fs, Workload: "fuzz",
+			Worker: j.ID, Sys: -1, Rank: j.id,
+			Detail: "coordinator refused lease extension (expired or re-dispatched); abandoning " + hb.Kind,
 		})
-		return errPayload(msg), false
-	default:
-		return errPayload(err.Error()), false
 	}
+	return resp.Extended, nil
 }
 
-// runMinimize shrinks a leased reproducer with fuzz.Minimize, then re-runs
+func (j *fuzzJob) Run(ctx context.Context) error {
+	j.start = time.Now()
+	if j.kind == ResultMinimize {
+		return j.minimize(ctx)
+	}
+	node, err := NewNode(j.cfg, j.held.Seed, j.kv, j.cache[:j.held.Cursor])
+	if err != nil {
+		return err
+	}
+	j.node.Store(node)
+	delta, err := node.RunRound(ctx, j.held.Execs)
+	if err != nil {
+		return err
+	}
+	j.result = &FuzzResult{
+		Kind: ResultRound, Worker: j.ID, SpecHash: j.hash,
+		Round:             j.held.Round,
+		Execs:             delta.Execs,
+		StatesChecked:     delta.StatesChecked,
+		RetriedChecks:     delta.RetriedChecks,
+		QuarantinedChecks: delta.QuarantinedChecks,
+		ElapsedNanos:      time.Since(j.start).Nanoseconds(),
+		NewEntries:        delta.NewEntries,
+		Violations:        delta.Violations,
+		Obs:               delta.Obs,
+	}
+	return nil
+}
+
+// minimize shrinks the leased reproducer with fuzz.Minimize, then re-runs
 // the minimized workload once and reports whether it still trips the same
 // violation cluster — the census only labels a reproducer "minimized" on a
 // verified shrink.
-func runMinimize(ctx context.Context, client *http.Client, wc WorkerConfig, cfg core.Config,
-	lease FuzzLeaseResponse, info *campaign.SpecInfo) (*FuzzResult, bool) {
-	runCtx, cancel := context.WithCancel(ctx)
-	if wc.RoundTimeout > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, wc.RoundTimeout)
+func (j *fuzzJob) minimize(ctx context.Context) error {
+	w, err := workload.Parse(j.held.MinText)
+	if err != nil {
+		return fmt.Errorf("reproducer unparseable: %w", err)
 	}
-	defer cancel()
-
-	var lost atomic.Bool
-	var progress atomic.Int64
-	hbDone := make(chan struct{})
-	go heartbeatLoop(runCtx, cancel, client, wc, info, ResultMinimize, lease.MinID,
-		lease.TTLNanos, &progress, &lost, hbDone)
-
-	payload, err := func() (p *FuzzResult, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("engine panic: %v", r)
-			}
-		}()
-		w, err := workload.Parse(lease.MinText)
-		if err != nil {
-			return nil, fmt.Errorf("reproducer unparseable: %w", err)
-		}
-		if w.Name == "" {
-			w.Name = fmt.Sprintf("fleet-min-%d", lease.MinID)
-		}
-		minimized, execs, err := fuzz.Minimize(cfg, w, lease.MinBudget)
-		if err != nil {
-			return nil, err
-		}
-		progress.Store(int64(execs))
-		if err := runCtx.Err(); err != nil {
-			return nil, err
-		}
-		res, err := core.RunContext(runCtx, cfg, minimized)
-		if err != nil {
-			return nil, err
-		}
-		// Verify against the cluster's stable coordinates (kind, FS): the
-		// trace prefix changes whenever minimization drops an op, so the full
-		// key cannot survive a successful shrink.
-		wantKind, wantFS := ClusterKindFS(lease.MinCluster)
-		verified := false
-		for _, v := range res.Violations {
-			if v.Kind.String() == wantKind && v.FS == wantFS {
-				verified = true
-				break
-			}
-		}
-		return &FuzzResult{
-			Kind: ResultMinimize, Worker: wc.ID, SpecHash: info.SuiteHash,
-			MinID: lease.MinID, MinCluster: lease.MinCluster,
-			MinText: workload.Format(minimized), MinExecs: execs + 1, MinVerified: verified,
-		}, nil
-	}()
-	cancel()
-	<-hbDone
-
-	switch {
-	case err == nil:
-		return payload, false
-	case lost.Load():
-		return nil, true
-	case ctx.Err() != nil:
-		return nil, false
-	case runCtx.Err() == context.DeadlineExceeded:
-		return &FuzzResult{Kind: ResultMinimize, Worker: wc.ID, SpecHash: info.SuiteHash,
-			MinID: lease.MinID, MinCluster: lease.MinCluster,
-			Err: fmt.Sprintf("minimize watchdog: exceeded %v", wc.RoundTimeout)}, false
-	default:
-		return &FuzzResult{Kind: ResultMinimize, Worker: wc.ID, SpecHash: info.SuiteHash,
-			MinID: lease.MinID, MinCluster: lease.MinCluster, Err: err.Error()}, false
+	if w.Name == "" {
+		w.Name = fmt.Sprintf("fleet-min-%d", j.held.MinID)
 	}
+	minimized, execs, err := fuzz.Minimize(j.cfg, w, j.held.MinBudget)
+	if err != nil {
+		return err
+	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	res, err := core.RunContext(ctx, j.cfg, minimized)
+	if err != nil {
+		return err
+	}
+	// Verify against the cluster's stable coordinates (kind, FS): the
+	// trace prefix changes whenever minimization drops an op, so the full
+	// key cannot survive a successful shrink.
+	wantKind, wantFS := ClusterKindFS(j.held.MinCluster)
+	verified := false
+	for _, v := range res.Violations {
+		if v.Kind.String() == wantKind && v.FS == wantFS {
+			verified = true
+			break
+		}
+	}
+	j.result = &FuzzResult{
+		Kind: ResultMinimize, Worker: j.ID, SpecHash: j.hash,
+		MinID: j.held.MinID, MinCluster: j.held.MinCluster,
+		MinText: workload.Format(minimized), MinExecs: execs + 1, MinVerified: verified,
+	}
+	return nil
 }
 
-// gone mirrors the campaign worker's transport-vs-protocol classification.
-func gone(err error) bool {
-	return errors.Is(err, campaign.ErrCoordinatorGone)
+// Report posts the unit's result — engine errors, contained panics and
+// tripped watchdogs as payloads with Err set: one failed dispatch attempt.
+func (j *fuzzJob) Report(ctx context.Context, o lease.RunOutcome, runErr error) (bool, error) {
+	payload := j.result
+	switch o {
+	case lease.RunLost:
+		return false, nil
+	case lease.RunFailed:
+		payload = j.failure(runErr.Error())
+	case lease.RunWatchdog:
+		if j.kind == ResultMinimize {
+			payload = j.failure(fmt.Sprintf("minimize watchdog: exceeded %v", j.Timeout))
+			break
+		}
+		payload = j.failure(fmt.Sprintf("round watchdog: engine exceeded %v", j.Timeout))
+		j.wc.Journal.Emit(obs.Event{
+			Type: "shard-watchdog", FS: j.fs, Workload: "fuzz",
+			Worker: j.ID, Sys: -1, Rank: j.held.Round, Detail: payload.Err,
+		})
+	}
+	payload.Sum = ResultSum(payload)
+	var credit campaign.CreditResponse
+	if err := j.Post(ctx, PathFuzzResult, payload, &credit, 0); err != nil {
+		return false, fmt.Errorf("fleet: result: %w", err)
+	}
+	switch {
+	case payload.Err != "":
+		j.Logf("worker %s: %s %d failed (%s); coordinator decides", j.ID, payload.Kind, unitID(payload), payload.Err)
+	case credit.Duplicate:
+		j.Logf("worker %s: %s %d was already credited (re-dispatched past our lease)", j.ID, payload.Kind, unitID(payload))
+	case credit.Accepted:
+		j.Logf("worker %s: %s %d credited", j.ID, payload.Kind, unitID(payload))
+	}
+	return credit.Done, nil
 }
