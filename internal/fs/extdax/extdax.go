@@ -85,8 +85,7 @@ type FS struct {
 
 	nodes   map[uint64]*node
 	nextIno uint64
-	fds     map[vfs.FD]uint64
-	nextFD  vfs.FD
+	descs   vfs.FDTable[*node]
 
 	dirty   map[uint64]bool // nodes dirtied since the last commit
 	deleted map[uint64]bool
@@ -132,7 +131,7 @@ func (f *FS) Caps() vfs.Caps {
 
 // Mkfs implements vfs.FS.
 func (f *FS) Mkfs() error {
-	f.pm.MemsetNT(0, 0, int(min64(int64(64<<10), f.pm.Size())))
+	f.pm.MemsetNT(0, 0, int(min(64<<10, f.pm.Size())))
 	f.pm.Fence()
 	f.pm.Store64(sbMagicOff, f.magic())
 	f.pm.Store64(sbSizeOff, uint64(f.pm.Size()))
@@ -143,8 +142,7 @@ func (f *FS) Mkfs() error {
 
 	f.nodes = map[uint64]*node{1: {ino: 1, typ: vfs.TypeDir, nlink: 2, children: map[string]uint64{}}}
 	f.nextIno = 2
-	f.fds = map[vfs.FD]uint64{}
-	f.nextFD = 3
+	f.descs.Reset()
 	f.dirty = map[uint64]bool{1: true}
 	f.deleted = map[uint64]bool{}
 	f.txid = 1
@@ -159,7 +157,7 @@ func (f *FS) Mkfs() error {
 // like unplugging a weak file system without sync.
 func (f *FS) Unmount() error {
 	f.mounted = false
-	f.fds = map[vfs.FD]uint64{}
+	f.descs.Reset()
 	return nil
 }
 
@@ -169,8 +167,7 @@ func (f *FS) Mount() error {
 		return fmt.Errorf("%w: bad superblock magic", vfs.ErrCorrupt)
 	}
 	f.nodes = map[uint64]*node{}
-	f.fds = map[vfs.FD]uint64{}
-	f.nextFD = 3
+	f.descs.Reset()
 	f.dirty = map[uint64]bool{}
 	f.deleted = map[uint64]bool{}
 	f.nextIno = 2
@@ -337,8 +334,8 @@ func (f *FS) encodeBody() []byte {
 	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
 	for _, ino := range inos {
 		n := f.nodes[ino]
-		if n == nil {
-			continue
+		if n == nil || n.nlink == 0 {
+			continue // an unlinked node a descriptor holds is deleted on media
 		}
 		out = append(out, recNode)
 		out = appendU64(out, ino)
@@ -489,14 +486,7 @@ func appendU32(b []byte, v uint32) []byte {
 	return append(b, tmp[:]...)
 }
 
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 var _ vfs.FS = (*FS)(nil)
 
 // OpenFDs implements vfs.FDCounter.
-func (f *FS) OpenFDs() int { return len(f.fds) }
+func (f *FS) OpenFDs() int { return f.descs.OpenFDs() }

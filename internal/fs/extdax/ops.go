@@ -9,48 +9,41 @@ import (
 // All namespace and data operations mutate only the volatile tree and mark
 // the touched nodes dirty; durability happens at commit (fsync/sync).
 
-func (f *FS) lookup(path string) (*node, error) {
-	n := f.nodes[1]
-	if n == nil {
-		return nil, vfs.ErrCorrupt
+// child is the path walk's step (vfs.Walk).
+func (f *FS) child(n *node, name string) (*node, error) {
+	if n.typ != vfs.TypeDir {
+		return nil, vfs.ErrNotDir
 	}
-	for _, c := range vfs.Components(path) {
-		if n.typ != vfs.TypeDir {
-			return nil, vfs.ErrNotDir
-		}
-		ino, ok := n.children[c]
-		if !ok {
-			return nil, vfs.ErrNotExist
-		}
-		n = f.nodes[ino]
-		if n == nil {
-			return nil, vfs.ErrIO
-		}
+	ino, ok := n.children[name]
+	if !ok {
+		return nil, vfs.ErrNotExist
 	}
-	return n, nil
+	if c := f.nodes[ino]; c != nil {
+		return c, nil
+	}
+	return nil, vfs.ErrIO
 }
 
-func (f *FS) lookupParent(path string) (*node, string, error) {
-	dir, name := vfs.SplitPath(path)
-	if name == "" {
-		return nil, "", vfs.ErrInvalid
-	}
-	if !vfs.ValidName(name) {
-		return nil, "", vfs.ErrNameTooLong
-	}
-	p, err := f.lookup(dir)
-	if err != nil {
-		return nil, "", err
-	}
-	if p.typ != vfs.TypeDir {
-		return nil, "", vfs.ErrNotDir
-	}
-	return p, name, nil
+func (f *FS) node(path string) (*node, error) { return vfs.Walk(f.nodes[1], path, f.child) }
+
+func (f *FS) parent(path string) (*node, string, error) {
+	return vfs.WalkParent(f.nodes[1], path, f.child)
 }
+
+// unlinked records that ino lost its last link, so the next commit
+// deletes it, and hands it to the lifetime rule.
+func (f *FS) unlinked(ino uint64) {
+	f.deleted[ino] = true
+	delete(f.dirty, ino)
+	f.descs.Unlinked(ino, 0, f.reclaim)
+}
+
+// reclaim drops a node with no links and no descriptors left.
+func (f *FS) reclaim(ino uint64) { delete(f.nodes, ino) }
 
 // Create implements vfs.FS.
 func (f *FS) Create(path string) (vfs.FD, error) {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return -1, err
 	}
@@ -63,39 +56,27 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	f.nodes[n.ino] = n
 	f.dirty[n.ino] = true
 	f.dirty[p.ino] = true
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = n.ino
-	return fd, nil
+	return f.descs.Open(n.ino, n), nil
 }
 
 // Open implements vfs.FS.
 func (f *FS) Open(path string) (vfs.FD, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return -1, err
 	}
 	if n.typ == vfs.TypeDir {
 		return -1, vfs.ErrIsDir
 	}
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = n.ino
-	return fd, nil
+	return f.descs.Open(n.ino, n), nil
 }
 
 // Close implements vfs.FS.
-func (f *FS) Close(fd vfs.FD) error {
-	if _, ok := f.fds[fd]; !ok {
-		return vfs.ErrBadFD
-	}
-	delete(f.fds, fd)
-	return nil
-}
+func (f *FS) Close(fd vfs.FD) error { return f.descs.Close(fd, f.reclaim) }
 
 // Mkdir implements vfs.FS.
 func (f *FS) Mkdir(path string) error {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return err
 	}
@@ -114,7 +95,7 @@ func (f *FS) Mkdir(path string) error {
 
 // Rmdir implements vfs.FS.
 func (f *FS) Rmdir(path string) error {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return err
 	}
@@ -134,23 +115,21 @@ func (f *FS) Rmdir(path string) error {
 	}
 	delete(p.children, name)
 	p.nlink--
-	delete(f.nodes, ino)
-	f.deleted[ino] = true
-	delete(f.dirty, ino)
+	f.unlinked(ino)
 	f.dirty[p.ino] = true
 	return nil
 }
 
 // Link implements vfs.FS.
 func (f *FS) Link(oldPath, newPath string) error {
-	n, err := f.lookup(oldPath)
+	n, err := f.node(oldPath)
 	if err != nil {
 		return err
 	}
 	if n.typ == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	p, name, err := f.lookupParent(newPath)
+	p, name, err := f.parent(newPath)
 	if err != nil {
 		return err
 	}
@@ -166,7 +145,7 @@ func (f *FS) Link(oldPath, newPath string) error {
 
 // Unlink implements vfs.FS.
 func (f *FS) Unlink(path string) error {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return err
 	}
@@ -185,9 +164,7 @@ func (f *FS) Unlink(path string) error {
 	n.nlink--
 	f.dirty[p.ino] = true
 	if n.nlink == 0 {
-		delete(f.nodes, ino)
-		f.deleted[ino] = true
-		delete(f.dirty, ino)
+		f.unlinked(ino)
 	} else {
 		f.dirty[ino] = true
 	}
@@ -203,7 +180,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if vfs.IsAncestor(oldPath, newPath) {
 		return vfs.ErrInvalid
 	}
-	op, oname, err := f.lookupParent(oldPath)
+	op, oname, err := f.parent(oldPath)
 	if err != nil {
 		return err
 	}
@@ -212,7 +189,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 		return vfs.ErrNotExist
 	}
 	n := f.nodes[ino]
-	np, nname, err := f.lookupParent(newPath)
+	np, nname, err := f.parent(newPath)
 	if err != nil {
 		return err
 	}
@@ -221,29 +198,19 @@ func (f *FS) Rename(oldPath, newPath string) error {
 		if victim == nil {
 			return vfs.ErrIO
 		}
-		if n.typ == vfs.TypeDir {
-			if victim.typ != vfs.TypeDir {
-				return vfs.ErrNotDir
-			}
-			if len(victim.children) > 0 {
-				return vfs.ErrNotEmpty
-			}
+		if err := vfs.CheckReplace(n.typ, victim.typ, len(victim.children) == 0); err != nil {
+			return err
+		}
+		if victim.typ == vfs.TypeDir {
 			np.nlink--
-			delete(f.nodes, vIno)
-			f.deleted[vIno] = true
-			delete(f.dirty, vIno)
+			victim.nlink = 0
 		} else {
-			if victim.typ == vfs.TypeDir {
-				return vfs.ErrIsDir
-			}
 			victim.nlink--
-			if victim.nlink == 0 {
-				delete(f.nodes, vIno)
-				f.deleted[vIno] = true
-				delete(f.dirty, vIno)
-			} else {
-				f.dirty[vIno] = true
-			}
+		}
+		if victim.nlink == 0 {
+			f.unlinked(vIno)
+		} else {
+			f.dirty[vIno] = true
 		}
 	}
 	delete(op.children, oname)
@@ -262,7 +229,7 @@ func (f *FS) Truncate(path string, size int64) error {
 	if size < 0 {
 		return vfs.ErrInvalid
 	}
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return err
 	}
@@ -282,7 +249,7 @@ func (f *FS) Truncate(path string, size int64) error {
 
 // Fallocate implements vfs.FS.
 func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
-	n, err := f.fdNode(fd)
+	n, err := f.descs.Get(fd)
 	if err != nil {
 		return err
 	}
@@ -296,21 +263,9 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 	return nil
 }
 
-func (f *FS) fdNode(fd vfs.FD) (*node, error) {
-	ino, ok := f.fds[fd]
-	if !ok {
-		return nil, vfs.ErrBadFD
-	}
-	n := f.nodes[ino]
-	if n == nil {
-		return nil, vfs.ErrBadFD
-	}
-	return n, nil
-}
-
 // Pwrite implements vfs.FS.
 func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
-	n, err := f.fdNode(fd)
+	n, err := f.descs.Get(fd)
 	if err != nil {
 		return 0, err
 	}
@@ -328,7 +283,7 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 
 // Pread implements vfs.FS.
 func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
-	n, err := f.fdNode(fd)
+	n, err := f.descs.Get(fd)
 	if err != nil {
 		return 0, err
 	}
@@ -344,8 +299,8 @@ func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
 // Fsync implements vfs.FS: commits the running journal transaction, making
 // everything dirty so far durable (ext4's global journal semantics).
 func (f *FS) Fsync(fd vfs.FD) error {
-	if _, ok := f.fds[fd]; !ok {
-		return vfs.ErrBadFD
+	if _, err := f.descs.Get(fd); err != nil {
+		return err
 	}
 	return f.commit()
 }
@@ -355,7 +310,7 @@ func (f *FS) Sync() error { return f.commit() }
 
 // Stat implements vfs.FS.
 func (f *FS) Stat(path string) (vfs.Stat, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return vfs.Stat{}, err
 	}
@@ -364,7 +319,7 @@ func (f *FS) Stat(path string) (vfs.Stat, error) {
 
 // ReadDir implements vfs.FS.
 func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return nil, err
 	}
@@ -379,14 +334,14 @@ func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
 		}
 		out = append(out, vfs.DirEnt{Name: name, Ino: ino, Type: typ})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	vfs.SortDirEnts(out)
 	return out, nil
 }
 
 // Setxattr implements vfs.XattrFS (ext4-DAX and XFS-DAX support extended
 // attributes; the other tested systems do not, matching §4.1).
 func (f *FS) Setxattr(path, name string, value []byte) error {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return err
 	}
@@ -403,7 +358,7 @@ func (f *FS) Setxattr(path, name string, value []byte) error {
 
 // Getxattr implements vfs.XattrFS.
 func (f *FS) Getxattr(path, name string) ([]byte, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return nil, err
 	}
@@ -416,7 +371,7 @@ func (f *FS) Getxattr(path, name string) ([]byte, error) {
 
 // Removexattr implements vfs.XattrFS.
 func (f *FS) Removexattr(path, name string) error {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return err
 	}
@@ -430,7 +385,7 @@ func (f *FS) Removexattr(path, name string) error {
 
 // Listxattr implements vfs.XattrFS.
 func (f *FS) Listxattr(path string) ([]string, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ func (f *FS) HasIno(ino uint64) bool { return f.nodes[ino] != nil }
 
 // InoOf resolves a path to its inode number.
 func (f *FS) InoOf(path string) (uint64, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return 0, err
 	}

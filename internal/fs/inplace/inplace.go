@@ -1,0 +1,287 @@
+// Package inplace is the inode and namespace layer PMFS and WineFS share.
+// WineFS descends from PMFS and keeps its metadata design: 128-byte inodes
+// with direct block pointers in an inode table, 64-byte directory-entry
+// slots in directory blocks, and every metadata change written in place
+// through the host's redo journal. What differs between the two — block
+// layout, the journal itself (one log, or one per CPU), the allocator,
+// PMFS's truncate list, recovery, and every injected bug — stays in the
+// host package, behind Host.
+package inplace
+
+import (
+	"cmp"
+	"encoding/binary"
+	"fmt"
+	"slices"
+
+	"chipmunk/internal/persist"
+	"chipmunk/internal/vfs"
+)
+
+const (
+	// BlockSize is the allocation unit.
+	BlockSize = 4096
+	// InodeSize is the on-PM inode footprint.
+	InodeSize = 128
+	// NDirect is the number of direct block pointers per inode.
+	NDirect = 12
+	// MaxFileSize is NDirect blocks.
+	MaxFileSize = NDirect * BlockSize
+	// RootIno is the root directory inode.
+	RootIno = 1
+
+	// Inode field offsets.
+	inoValidOff  = 0  // u32: 1 = in use
+	inoTypeOff   = 4  // u32: vfs.FileType
+	inoNlinkOff  = 8  // u64
+	InoSizeOff   = 16 // u64
+	InoBlocksOff = 24 // NDirect u64 block pointers (0 = hole)
+
+	// DirentSize is one directory-entry slot: {ino u64 (0 = free), name
+	// length u8, name}.
+	DirentSize      = 64
+	deInoOff        = 0
+	deNameLenOff    = 8
+	deNameOff       = 9
+	direntsPerBlock = BlockSize / DirentSize
+)
+
+// Inode is an inode's DRAM copy.
+type Inode struct {
+	Ino    uint64
+	Typ    vfs.FileType
+	Nlink  uint64
+	Size   int64
+	Blocks [NDirect]uint64
+
+	// Dirents maps a directory's names to their slots.
+	Dirents map[string]DirentRef
+	// Bad marks a placeholder for a dirent whose inode recovery did not
+	// find: every use of it is ErrIO.
+	Bad bool
+	// orphan marks an inode that lost its last link while a descriptor
+	// held it open: its slot keeps its image, with nlink 0, until the last
+	// Close reclaims it.
+	orphan bool
+}
+
+// Zero images invalidate an inode slot or a directory-entry slot. They are
+// shared: a transaction only reads its records.
+var (
+	zeroInode  = make([]byte, InodeSize)
+	zeroDirent = make([]byte, DirentSize)
+)
+
+// DirentRef locates a name's directory-entry slot.
+type DirentRef struct {
+	Ino uint64
+	Off int64 // device offset of the slot
+}
+
+// Tx is a redo-journal transaction: byte-range records, made durable
+// together by Commit. Set keeps data, which the caller must not change
+// afterwards.
+type Tx interface {
+	Set(off int64, data []byte)
+	Commit()
+}
+
+// Host is what the namespace needs from the file system it belongs to.
+type Host interface {
+	// Begin opens a transaction on the host's journal.
+	Begin() Tx
+	// AllocDirBlock allocates a block for directory entries.
+	AllocDirBlock() (uint64, error)
+	// Release returns a block to the allocator.
+	Release(b uint64)
+	// Freeing runs before a transaction after which ino's blocks are
+	// freed, and Freed once they are: PMFS's truncate list.
+	Freeing(ino uint64)
+	Freed()
+	// EndOp runs as every mutating system call returns: WineFS spreads
+	// system calls over its per-CPU journals.
+	EndOp()
+}
+
+// FS is the namespace half of an in-place file system: the DRAM inodes,
+// the inode-slot map and the descriptor table, over the inode table at
+// device offset Table. The host embeds it and sets PM, Host and Table.
+type FS struct {
+	PM    *persist.PM
+	Host  Host
+	Table int64
+
+	Inodes map[uint64]*Inode
+	Slots  []bool // inode slots in use
+	Descs  vfs.FDTable[*Inode]
+}
+
+// Reset empties the DRAM state for a table of n inode slots. Slot 0 is
+// never used.
+func (f *FS) Reset(n int) {
+	f.Inodes = map[uint64]*Inode{}
+	f.Slots = make([]bool, n)
+	f.Slots[0] = true
+	f.Descs.Reset()
+}
+
+// Drop discards the DRAM state at unmount.
+func (f *FS) Drop() {
+	f.Inodes = nil
+	f.Descs.Reset()
+}
+
+// InodeOff returns the device offset of inode slot ino.
+func (f *FS) InodeOff(ino uint64) int64 { return f.Table + int64(ino)*InodeSize }
+
+// BlockOff returns the device offset of block b.
+func BlockOff(b uint64) int64 { return int64(b) * BlockSize }
+
+// Image encodes d's on-PM inode.
+func Image(d *Inode) []byte {
+	buf := make([]byte, InodeSize)
+	binary.LittleEndian.PutUint32(buf[inoValidOff:], 1)
+	binary.LittleEndian.PutUint32(buf[inoTypeOff:], uint32(d.Typ))
+	binary.LittleEndian.PutUint64(buf[inoNlinkOff:], d.Nlink)
+	binary.LittleEndian.PutUint64(buf[InoSizeOff:], uint64(d.Size))
+	for i, b := range d.Blocks {
+		binary.LittleEndian.PutUint64(buf[InoBlocksOff+i*8:], b)
+	}
+	return buf
+}
+
+// SetInode records d's whole inode image in t.
+func (f *FS) SetInode(t Tx, d *Inode) { t.Set(f.InodeOff(d.Ino), Image(d)) }
+
+func corrupt(format string, args ...interface{}) error {
+	return fmt.Errorf("%w: "+format, append([]interface{}{vfs.ErrCorrupt}, args...)...)
+}
+
+// Load rebuilds the DRAM state from the inode table and the directory
+// blocks after the host's journal recovery. Every block an inode points to
+// must lie in the pool [first, end) and is claimed through markUsed; a
+// block claimed twice is corruption.
+func (f *FS) Load(slots int, first, end uint64, markUsed func(b uint64) bool) error {
+	f.Reset(slots)
+	for ino := uint64(1); ino < uint64(slots); ino++ {
+		img := f.PM.Load(f.InodeOff(ino), InodeSize)
+		if binary.LittleEndian.Uint32(img[inoValidOff:]) != 1 {
+			continue
+		}
+		d := &Inode{
+			Ino:   ino,
+			Typ:   vfs.FileType(binary.LittleEndian.Uint32(img[inoTypeOff:])),
+			Nlink: binary.LittleEndian.Uint64(img[inoNlinkOff:]),
+			Size:  int64(binary.LittleEndian.Uint64(img[InoSizeOff:])),
+		}
+		for i := range d.Blocks {
+			d.Blocks[i] = binary.LittleEndian.Uint64(img[InoBlocksOff+i*8:])
+		}
+		if d.Typ == vfs.TypeDir {
+			d.Dirents = map[string]DirentRef{}
+		}
+		f.Slots[ino] = true
+		f.Inodes[ino] = d
+	}
+	root := f.Inodes[RootIno]
+	if root == nil || root.Typ != vfs.TypeDir {
+		return corrupt("root inode missing or not a directory")
+	}
+
+	for _, d := range f.Inodes {
+		for i, b := range d.Blocks {
+			if b == 0 {
+				continue
+			}
+			if b < first || b >= end {
+				return corrupt("inode %d block[%d]=%d out of range", d.Ino, i, b)
+			}
+			if !markUsed(b) {
+				return corrupt("block %d referenced twice", b)
+			}
+		}
+	}
+
+	for _, d := range f.Inodes {
+		if d.Typ != vfs.TypeDir {
+			continue
+		}
+		for _, b := range d.Blocks {
+			if b == 0 {
+				continue
+			}
+			for s := 0; s < direntsPerBlock; s++ {
+				off := BlockOff(b) + int64(s)*DirentSize
+				slot := f.PM.Load(off, DirentSize)
+				ino := binary.LittleEndian.Uint64(slot[deInoOff:])
+				if ino == 0 {
+					continue
+				}
+				nameLen := int(slot[deNameLenOff])
+				if ino >= uint64(slots) || nameLen == 0 || nameLen > DirentSize-deNameOff {
+					return corrupt("bad dirent in block %d slot %d", b, s)
+				}
+				d.Dirents[string(slot[deNameOff:deNameOff+nameLen])] = DirentRef{Ino: ino, Off: off}
+			}
+		}
+	}
+	return nil
+}
+
+// Orphans finishes the namespace rebuild: a dirent whose inode is missing
+// gets a Bad placeholder, and a valid inode no directory reaches — left by
+// an interrupted operation, or unlinked while open — is returned, in inode
+// order, for the host's orphan pass to reclaim.
+func (f *FS) Orphans() []*Inode {
+	for _, d := range f.Inodes {
+		if d.Typ != vfs.TypeDir {
+			continue
+		}
+		for _, ref := range d.Dirents {
+			if f.Inodes[ref.Ino] == nil {
+				f.Inodes[ref.Ino] = &Inode{Ino: ref.Ino, Typ: vfs.TypeRegular, Bad: true}
+			}
+		}
+	}
+	reachable := map[uint64]bool{RootIno: true}
+	f.markReachable(f.Inodes[RootIno], reachable)
+	var out []*Inode
+	for ino, d := range f.Inodes {
+		switch {
+		case reachable[ino]:
+		case d.Bad:
+			delete(f.Inodes, ino)
+		default:
+			out = append(out, d)
+		}
+	}
+	slices.SortFunc(out, func(a, b *Inode) int { return cmp.Compare(a.Ino, b.Ino) })
+	return out
+}
+
+func (f *FS) markReachable(d *Inode, seen map[uint64]bool) {
+	if d.Typ != vfs.TypeDir || d.Bad {
+		return
+	}
+	for _, ref := range d.Dirents {
+		if seen[ref.Ino] {
+			continue
+		}
+		seen[ref.Ino] = true
+		if c := f.Inodes[ref.Ino]; c != nil {
+			f.markReachable(c, seen)
+		}
+	}
+}
+
+// Destroy frees an inode's blocks, slot and DRAM state. Its on-PM slot is
+// the caller's business.
+func (f *FS) Destroy(n *Inode) {
+	for _, b := range n.Blocks {
+		if b != 0 {
+			f.Host.Release(b)
+		}
+	}
+	f.Slots[n.Ino] = false
+	delete(f.Inodes, n.Ino)
+}

@@ -1,0 +1,528 @@
+package inplace
+
+import (
+	"encoding/binary"
+
+	"chipmunk/internal/vfs"
+)
+
+// child is the path walk's step (vfs.Walk): a dirent whose inode recovery
+// found missing is ErrIO.
+func (f *FS) child(d *Inode, name string) (*Inode, error) {
+	if d.Bad {
+		return nil, vfs.ErrIO
+	}
+	if d.Typ != vfs.TypeDir {
+		return nil, vfs.ErrNotDir
+	}
+	ref, ok := d.Dirents[name]
+	if !ok {
+		return nil, vfs.ErrNotExist
+	}
+	if c := f.Inodes[ref.Ino]; c != nil {
+		return c, nil
+	}
+	return nil, vfs.ErrIO
+}
+
+// Node resolves path to an inode that can be used: a missing one is ErrIO.
+func (f *FS) Node(path string) (*Inode, error) {
+	d, err := vfs.Walk(f.Inodes[RootIno], path, f.child)
+	if err == nil && d.Bad {
+		return nil, vfs.ErrIO
+	}
+	return d, err
+}
+
+// parent resolves the directory that holds path's last component.
+func (f *FS) parent(path string) (*Inode, string, error) {
+	return vfs.WalkParent(f.Inodes[RootIno], path, f.child)
+}
+
+// Stat implements vfs.FS.
+func (f *FS) Stat(path string) (vfs.Stat, error) {
+	d, err := f.Node(path)
+	if err != nil {
+		return vfs.Stat{}, err
+	}
+	return vfs.Stat{Ino: d.Ino, Type: d.Typ, Nlink: uint32(d.Nlink), Size: d.Size}, nil
+}
+
+// ReadDir implements vfs.FS.
+func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
+	d, err := f.Node(path)
+	if err != nil {
+		return nil, err
+	}
+	if d.Typ != vfs.TypeDir {
+		return nil, vfs.ErrNotDir
+	}
+	out := make([]vfs.DirEnt, 0, len(d.Dirents))
+	for name, ref := range d.Dirents {
+		typ := vfs.TypeRegular
+		if c := f.Inodes[ref.Ino]; c != nil {
+			typ = c.Typ
+		}
+		out = append(out, vfs.DirEnt{Name: name, Ino: ref.Ino, Type: typ})
+	}
+	vfs.SortDirEnts(out)
+	return out, nil
+}
+
+// Open implements vfs.FS.
+func (f *FS) Open(path string) (vfs.FD, error) {
+	d, err := f.Node(path)
+	if err != nil {
+		return -1, err
+	}
+	if d.Typ == vfs.TypeDir {
+		return -1, vfs.ErrIsDir
+	}
+	return f.Descs.Open(d.Ino, d), nil
+}
+
+// Close implements vfs.FS.
+func (f *FS) Close(fd vfs.FD) error { return f.Descs.Close(fd, f.reclaim) }
+
+// Fsync implements vfs.FS: every operation is synchronous, so this only
+// validates fd.
+func (f *FS) Fsync(fd vfs.FD) error {
+	_, err := f.Descs.Get(fd)
+	return err
+}
+
+// Sync implements vfs.FS.
+func (f *FS) Sync() error { return nil }
+
+// OpenFDs implements vfs.FDCounter.
+func (f *FS) OpenFDs() int { return f.Descs.OpenFDs() }
+
+// Pread implements vfs.FS.
+func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
+	d, err := f.Descs.Get(fd)
+	if err != nil {
+		return 0, err
+	}
+	if off < 0 {
+		return 0, vfs.ErrInvalid
+	}
+	if off >= d.Size {
+		return 0, nil
+	}
+	n := min(int64(len(buf)), d.Size-off)
+	for pos := off; pos < off+n; {
+		i := int(pos / BlockSize)
+		blkStart := int64(i) * BlockSize
+		chunk := min(blkStart+BlockSize, off+n) - pos
+		if b := d.Blocks[i]; b != 0 {
+			f.PM.LoadInto(BlockOff(b)+(pos-blkStart), buf[pos-off:pos-off+chunk])
+		} else {
+			clear(buf[pos-off : pos-off+chunk])
+		}
+		pos += chunk
+	}
+	return int(n), nil
+}
+
+// Truncate implements vfs.FS. A shrink commits the new size and block
+// pointers first and frees the blocks beyond it after, inside the host's
+// Freeing/Freed bracket.
+func (f *FS) Truncate(path string, size int64) error {
+	defer f.Host.EndOp()
+	if size < 0 {
+		return vfs.ErrInvalid
+	}
+	if size > MaxFileSize {
+		return vfs.ErrNoSpace
+	}
+	d, err := f.Node(path)
+	if err != nil {
+		return err
+	}
+	if d.Typ == vfs.TypeDir {
+		return vfs.ErrIsDir
+	}
+	if size == d.Size {
+		return nil
+	}
+	if size > d.Size {
+		d.Size = size
+		t := f.Host.Begin()
+		f.SetInode(t, d)
+		t.Commit()
+		return nil
+	}
+
+	f.Host.Freeing(d.Ino)
+	oldBlocks := d.Blocks
+	firstDead := int((size + BlockSize - 1) / BlockSize)
+	for i := firstDead; i < NDirect; i++ {
+		d.Blocks[i] = 0
+	}
+	d.Size = size
+	t := f.Host.Begin()
+	f.SetInode(t, d)
+	t.Commit()
+
+	// Zero the tail remainder so a later extension reads zeros (beyond the
+	// committed size, hence crash-invisible).
+	if rem := size % BlockSize; rem != 0 && d.Blocks[size/BlockSize] != 0 {
+		f.PM.MemsetNT(BlockOff(d.Blocks[size/BlockSize])+rem, 0, int(BlockSize-rem))
+		f.PM.Fence()
+	}
+	for i := firstDead; i < NDirect; i++ {
+		if oldBlocks[i] != 0 {
+			f.Host.Release(oldBlocks[i])
+		}
+	}
+	f.Host.Freed()
+	return nil
+}
+
+// direntImage encodes a directory-entry slot.
+func direntImage(ino uint64, name string) []byte {
+	b := make([]byte, DirentSize)
+	binary.LittleEndian.PutUint64(b[deInoOff:], ino)
+	b[deNameLenOff] = byte(len(name))
+	copy(b[deNameOff:], name)
+	return b
+}
+
+// findFreeSlot locates a free dirent slot in p's blocks, allocating a fresh
+// directory block if needed and publishing its pointer with t.
+func (f *FS) findFreeSlot(p *Inode, t Tx) (int64, error) {
+	for _, b := range p.Blocks {
+		if b == 0 {
+			continue
+		}
+		for s := 0; s < direntsPerBlock; s++ {
+			off := BlockOff(b) + int64(s)*DirentSize
+			if f.PM.Load64(off) == 0 && !slotPending(p, off) {
+				return off, nil
+			}
+		}
+	}
+	idx := -1
+	for i, b := range p.Blocks {
+		if b == 0 {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 {
+		return 0, vfs.ErrNoSpace
+	}
+	nb, err := f.Host.AllocDirBlock()
+	if err != nil {
+		return 0, err
+	}
+	f.PM.MemsetNT(BlockOff(nb), 0, BlockSize)
+	f.PM.Fence()
+	p.Blocks[idx] = nb
+	f.SetInode(t, p)
+	return BlockOff(nb), nil
+}
+
+// slotPending reports whether a slot is being consumed by the current
+// operation's DRAM state (two adds in one tx must not collide).
+func slotPending(p *Inode, off int64) bool {
+	for _, ref := range p.Dirents {
+		if ref.Off == off {
+			return true
+		}
+	}
+	return false
+}
+
+func (f *FS) allocInode() (uint64, error) {
+	for i, used := range f.Slots {
+		if !used {
+			f.Slots[i] = true
+			return uint64(i), nil
+		}
+	}
+	return 0, vfs.ErrNoSpace
+}
+
+// Create implements vfs.FS.
+func (f *FS) Create(path string) (vfs.FD, error) {
+	defer f.Host.EndOp()
+	p, name, err := f.parent(path)
+	if err != nil {
+		return -1, err
+	}
+	if _, ok := p.Dirents[name]; ok {
+		return -1, vfs.ErrExist
+	}
+	ino, err := f.allocInode()
+	if err != nil {
+		return -1, err
+	}
+	d := &Inode{Ino: ino, Typ: vfs.TypeRegular, Nlink: 1}
+	// The inode image is journaled together with the dirent: redo replay
+	// re-applies transactions in order, so every write that can overlap a
+	// journaled target must itself be journaled (inode slots are reused).
+	t := f.Host.Begin()
+	f.SetInode(t, d)
+	slot, err := f.findFreeSlot(p, t)
+	if err != nil {
+		f.Slots[ino] = false
+		return -1, err
+	}
+	t.Set(slot, direntImage(ino, name))
+	t.Commit()
+
+	f.Inodes[ino] = d
+	p.Dirents[name] = DirentRef{Ino: ino, Off: slot}
+	return f.Descs.Open(ino, d), nil
+}
+
+// Mkdir implements vfs.FS.
+func (f *FS) Mkdir(path string) error {
+	defer f.Host.EndOp()
+	p, name, err := f.parent(path)
+	if err != nil {
+		return err
+	}
+	if _, ok := p.Dirents[name]; ok {
+		return vfs.ErrExist
+	}
+	ino, err := f.allocInode()
+	if err != nil {
+		return err
+	}
+	d := &Inode{Ino: ino, Typ: vfs.TypeDir, Nlink: 2, Dirents: map[string]DirentRef{}}
+	p.Nlink++
+	t := f.Host.Begin()
+	f.SetInode(t, d)
+	slot, err := f.findFreeSlot(p, t)
+	if err != nil {
+		p.Nlink--
+		f.Slots[ino] = false
+		return err
+	}
+	t.Set(slot, direntImage(ino, name))
+	f.SetInode(t, p)
+	t.Commit()
+
+	f.Inodes[ino] = d
+	p.Dirents[name] = DirentRef{Ino: ino, Off: slot}
+	return nil
+}
+
+// Link implements vfs.FS.
+func (f *FS) Link(oldPath, newPath string) error {
+	defer f.Host.EndOp()
+	n, err := f.Node(oldPath)
+	if err != nil {
+		return err
+	}
+	if n.Typ == vfs.TypeDir {
+		return vfs.ErrIsDir
+	}
+	p, name, err := f.parent(newPath)
+	if err != nil {
+		return err
+	}
+	if _, ok := p.Dirents[name]; ok {
+		return vfs.ErrExist
+	}
+	n.Nlink++
+	t := f.Host.Begin()
+	slot, err := f.findFreeSlot(p, t)
+	if err != nil {
+		n.Nlink--
+		return err
+	}
+	t.Set(slot, direntImage(n.Ino, name))
+	f.SetInode(t, n)
+	t.Commit()
+	p.Dirents[name] = DirentRef{Ino: n.Ino, Off: slot}
+	return nil
+}
+
+// Unlink implements vfs.FS. Dropping the last link frees the inode's
+// blocks, inside the host's Freeing/Freed bracket.
+func (f *FS) Unlink(path string) error {
+	defer f.Host.EndOp()
+	p, name, err := f.parent(path)
+	if err != nil {
+		return err
+	}
+	ref, ok := p.Dirents[name]
+	if !ok {
+		return vfs.ErrNotExist
+	}
+	n := f.Inodes[ref.Ino]
+	if n == nil || n.Bad {
+		return vfs.ErrIO
+	}
+	if n.Typ == vfs.TypeDir {
+		return vfs.ErrIsDir
+	}
+
+	lastLink := n.Nlink == 1
+	if lastLink {
+		f.Host.Freeing(n.Ino)
+	}
+	n.Nlink--
+	t := f.Host.Begin()
+	t.Set(ref.Off, zeroDirent)
+	f.dropLink(t, n)
+	t.Commit()
+	delete(p.Dirents, name)
+	f.Descs.Unlinked(n.Ino, n.Nlink, f.reclaim)
+	if lastLink {
+		f.Host.Freed()
+	}
+	return nil
+}
+
+// dropLink journals n's slot after n lost a link. Once no link and no
+// descriptor reaches n its slot is invalidated here, inside the
+// transaction, so redo replay stays ordered with respect to inode-slot
+// reuse; the lifetime rule then reclaims n right after the commit. An n
+// that a descriptor still holds keeps its image, with nlink 0, until its
+// last Close.
+func (f *FS) dropLink(t Tx, n *Inode) {
+	if n.Nlink == 0 && f.Descs.Opens(n.Ino) == 0 {
+		t.Set(f.InodeOff(n.Ino), zeroInode)
+		return
+	}
+	n.orphan = n.Nlink == 0
+	f.SetInode(t, n)
+}
+
+// reclaim frees an inode with no links and no descriptors left (the
+// vfs.FDTable lifetime rule). An orphan's slot outlived its last link, so
+// it is invalidated now; a crash before that leaves it to the host's
+// orphan pass at mount.
+func (f *FS) reclaim(ino uint64) {
+	n := f.Inodes[ino]
+	if n.orphan {
+		t := f.Host.Begin()
+		t.Set(f.InodeOff(ino), zeroInode)
+		t.Commit()
+	}
+	f.Destroy(n)
+}
+
+// Rmdir implements vfs.FS.
+func (f *FS) Rmdir(path string) error {
+	defer f.Host.EndOp()
+	p, name, err := f.parent(path)
+	if err != nil {
+		return err
+	}
+	ref, ok := p.Dirents[name]
+	if !ok {
+		return vfs.ErrNotExist
+	}
+	n := f.Inodes[ref.Ino]
+	if n == nil || n.Bad {
+		return vfs.ErrIO
+	}
+	if n.Typ != vfs.TypeDir {
+		return vfs.ErrNotDir
+	}
+	if len(n.Dirents) > 0 {
+		return vfs.ErrNotEmpty
+	}
+
+	f.Host.Freeing(n.Ino)
+	p.Nlink--
+	n.Nlink = 0
+	t := f.Host.Begin()
+	t.Set(ref.Off, zeroDirent)
+	f.SetInode(t, p)
+	f.dropLink(t, n)
+	t.Commit()
+	delete(p.Dirents, name)
+	f.Descs.Unlinked(n.Ino, 0, f.reclaim)
+	f.Host.Freed()
+	return nil
+}
+
+// Rename implements vfs.FS. All metadata changes go through one journal
+// transaction; a victim that dies frees its blocks inside the host's
+// Freeing/Freed bracket, like unlink.
+func (f *FS) Rename(oldPath, newPath string) error {
+	defer f.Host.EndOp()
+	oldPath, newPath = vfs.Clean(oldPath), vfs.Clean(newPath)
+	if oldPath == newPath {
+		return nil
+	}
+	if vfs.IsAncestor(oldPath, newPath) {
+		return vfs.ErrInvalid
+	}
+	op, oname, err := f.parent(oldPath)
+	if err != nil {
+		return err
+	}
+	oref, ok := op.Dirents[oname]
+	if !ok {
+		return vfs.ErrNotExist
+	}
+	n := f.Inodes[oref.Ino]
+	if n == nil || n.Bad {
+		return vfs.ErrIO
+	}
+	np, nname, err := f.parent(newPath)
+	if err != nil {
+		return err
+	}
+
+	var victim *Inode
+	vref, hasVictim := np.Dirents[nname]
+	if hasVictim {
+		victim = f.Inodes[vref.Ino]
+		if victim == nil {
+			return vfs.ErrIO
+		}
+		if err := vfs.CheckReplace(n.Typ, victim.Typ, len(victim.Dirents) == 0); err != nil {
+			return err
+		}
+	}
+	victimDies := victim != nil && (victim.Typ == vfs.TypeDir || victim.Nlink == 1)
+	if victimDies {
+		f.Host.Freeing(victim.Ino)
+	}
+
+	t := f.Host.Begin()
+	// Clear the old slot; write (or overwrite) the new one.
+	t.Set(oref.Off, zeroDirent)
+	slot := vref.Off
+	if victim == nil {
+		if slot, err = f.findFreeSlot(np, t); err != nil {
+			return err
+		}
+	}
+	t.Set(slot, direntImage(n.Ino, nname))
+	if n.Typ == vfs.TypeDir && op != np {
+		op.Nlink--
+		np.Nlink++
+		f.SetInode(t, op)
+		f.SetInode(t, np)
+	}
+	if victim != nil {
+		if victim.Typ == vfs.TypeDir {
+			np.Nlink--
+			victim.Nlink = 0
+			f.SetInode(t, np)
+		} else {
+			victim.Nlink--
+		}
+		f.dropLink(t, victim)
+	}
+	t.Commit()
+
+	delete(op.Dirents, oname)
+	np.Dirents[nname] = DirentRef{Ino: n.Ino, Off: slot}
+	if victim != nil {
+		f.Descs.Unlinked(victim.Ino, victim.Nlink, f.reclaim)
+	}
+	if victimDies {
+		f.Host.Freed()
+	}
+	return nil
+}

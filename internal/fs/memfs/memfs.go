@@ -27,8 +27,7 @@ type node struct {
 type FS struct {
 	root    *node
 	nextIno uint64
-	fds     map[vfs.FD]*node
-	nextFD  vfs.FD
+	descs   vfs.FDTable[*node]
 	mounted bool
 }
 
@@ -46,8 +45,7 @@ func (f *FS) Mkfs() error {
 	f.root = &node{ino: 1, typ: vfs.TypeDir, nlink: 2, children: map[string]*node{}}
 	f.root.parent = f.root
 	f.nextIno = 2
-	f.fds = map[vfs.FD]*node{}
-	f.nextFD = 3
+	f.descs.Reset()
 	f.mounted = true
 	return nil
 }
@@ -58,7 +56,7 @@ func (f *FS) Mount() error {
 	if f.root == nil {
 		return f.Mkfs()
 	}
-	f.fds = map[vfs.FD]*node{}
+	f.descs.Reset()
 	f.mounted = true
 	return nil
 }
@@ -66,48 +64,30 @@ func (f *FS) Mount() error {
 // Unmount implements vfs.FS.
 func (f *FS) Unmount() error {
 	f.mounted = false
-	f.fds = map[vfs.FD]*node{}
+	f.descs.Reset()
 	return nil
 }
 
-// lookup resolves path to a node.
-func (f *FS) lookup(path string) (*node, error) {
-	n := f.root
-	for _, c := range vfs.Components(path) {
-		if n.typ != vfs.TypeDir {
-			return nil, vfs.ErrNotDir
-		}
-		child, ok := n.children[c]
-		if !ok {
-			return nil, vfs.ErrNotExist
-		}
-		n = child
+// child is the path walk's step (vfs.Walk).
+func (f *FS) child(n *node, name string) (*node, error) {
+	if n.typ != vfs.TypeDir {
+		return nil, vfs.ErrNotDir
 	}
-	return n, nil
+	if c, ok := n.children[name]; ok {
+		return c, nil
+	}
+	return nil, vfs.ErrNotExist
 }
 
-// lookupParent resolves the parent directory and final name of path.
-func (f *FS) lookupParent(path string) (*node, string, error) {
-	dir, name := vfs.SplitPath(path)
-	if name == "" {
-		return nil, "", vfs.ErrInvalid
-	}
-	if !vfs.ValidName(name) {
-		return nil, "", vfs.ErrNameTooLong
-	}
-	p, err := f.lookup(dir)
-	if err != nil {
-		return nil, "", err
-	}
-	if p.typ != vfs.TypeDir {
-		return nil, "", vfs.ErrNotDir
-	}
-	return p, name, nil
+func (f *FS) node(path string) (*node, error) { return vfs.Walk(f.root, path, f.child) }
+
+func (f *FS) parent(path string) (*node, string, error) {
+	return vfs.WalkParent(f.root, path, f.child)
 }
 
 // Create implements vfs.FS (O_CREAT|O_EXCL semantics, like ACE's creat).
 func (f *FS) Create(path string) (vfs.FD, error) {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return -1, err
 	}
@@ -117,39 +97,28 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	n := &node{ino: f.nextIno, typ: vfs.TypeRegular, nlink: 1}
 	f.nextIno++
 	p.children[name] = n
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = n
-	return fd, nil
+	return f.descs.Open(n.ino, n), nil
 }
 
 // Open implements vfs.FS.
 func (f *FS) Open(path string) (vfs.FD, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return -1, err
 	}
 	if n.typ == vfs.TypeDir {
 		return -1, vfs.ErrIsDir
 	}
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = n
-	return fd, nil
+	return f.descs.Open(n.ino, n), nil
 }
 
-// Close implements vfs.FS.
-func (f *FS) Close(fd vfs.FD) error {
-	if _, ok := f.fds[fd]; !ok {
-		return vfs.ErrBadFD
-	}
-	delete(f.fds, fd)
-	return nil
-}
+// Close implements vfs.FS. An unlinked node lives on while a descriptor
+// holds it, and the garbage collector reclaims it after.
+func (f *FS) Close(fd vfs.FD) error { return f.descs.Close(fd, nil) }
 
 // Mkdir implements vfs.FS.
 func (f *FS) Mkdir(path string) error {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return err
 	}
@@ -165,7 +134,7 @@ func (f *FS) Mkdir(path string) error {
 
 // Rmdir implements vfs.FS.
 func (f *FS) Rmdir(path string) error {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return err
 	}
@@ -186,14 +155,14 @@ func (f *FS) Rmdir(path string) error {
 
 // Link implements vfs.FS.
 func (f *FS) Link(oldPath, newPath string) error {
-	n, err := f.lookup(oldPath)
+	n, err := f.node(oldPath)
 	if err != nil {
 		return err
 	}
 	if n.typ == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	p, name, err := f.lookupParent(newPath)
+	p, name, err := f.parent(newPath)
 	if err != nil {
 		return err
 	}
@@ -207,7 +176,7 @@ func (f *FS) Link(oldPath, newPath string) error {
 
 // Unlink implements vfs.FS.
 func (f *FS) Unlink(path string) error {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return err
 	}
@@ -232,7 +201,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if vfs.IsAncestor(oldPath, newPath) {
 		return vfs.ErrInvalid
 	}
-	op, oname, err := f.lookupParent(oldPath)
+	op, oname, err := f.parent(oldPath)
 	if err != nil {
 		return err
 	}
@@ -240,23 +209,17 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if !ok {
 		return vfs.ErrNotExist
 	}
-	np, nname, err := f.lookupParent(newPath)
+	np, nname, err := f.parent(newPath)
 	if err != nil {
 		return err
 	}
 	if existing, ok := np.children[nname]; ok {
+		if err := vfs.CheckReplace(n.typ, existing.typ, len(existing.children) == 0); err != nil {
+			return err
+		}
 		if n.typ == vfs.TypeDir {
-			if existing.typ != vfs.TypeDir {
-				return vfs.ErrNotDir
-			}
-			if len(existing.children) > 0 {
-				return vfs.ErrNotEmpty
-			}
 			np.nlink--
 		} else {
-			if existing.typ == vfs.TypeDir {
-				return vfs.ErrIsDir
-			}
 			existing.nlink--
 		}
 	}
@@ -275,7 +238,7 @@ func (f *FS) Truncate(path string, size int64) error {
 	if size < 0 {
 		return vfs.ErrInvalid
 	}
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return err
 	}
@@ -298,9 +261,9 @@ func (n *node) setSize(size int64) {
 
 // Fallocate implements vfs.FS (mode 0: allocate, extending size).
 func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
-	n, ok := f.fds[fd]
-	if !ok {
-		return vfs.ErrBadFD
+	n, err := f.descs.Get(fd)
+	if err != nil {
+		return err
 	}
 	if off < 0 || length <= 0 {
 		return vfs.ErrInvalid
@@ -313,9 +276,9 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 
 // Pwrite implements vfs.FS.
 func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
-	n, ok := f.fds[fd]
-	if !ok {
-		return 0, vfs.ErrBadFD
+	n, err := f.descs.Get(fd)
+	if err != nil {
+		return 0, err
 	}
 	if off < 0 {
 		return 0, vfs.ErrInvalid
@@ -330,9 +293,9 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 
 // Pread implements vfs.FS.
 func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
-	n, ok := f.fds[fd]
-	if !ok {
-		return 0, vfs.ErrBadFD
+	n, err := f.descs.Get(fd)
+	if err != nil {
+		return 0, err
 	}
 	if off < 0 {
 		return 0, vfs.ErrInvalid
@@ -345,10 +308,8 @@ func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
 
 // Fsync implements vfs.FS (no-op: memfs has no volatile/durable split).
 func (f *FS) Fsync(fd vfs.FD) error {
-	if _, ok := f.fds[fd]; !ok {
-		return vfs.ErrBadFD
-	}
-	return nil
+	_, err := f.descs.Get(fd)
+	return err
 }
 
 // Sync implements vfs.FS.
@@ -356,7 +317,7 @@ func (f *FS) Sync() error { return nil }
 
 // Stat implements vfs.FS.
 func (f *FS) Stat(path string) (vfs.Stat, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return vfs.Stat{}, err
 	}
@@ -365,7 +326,7 @@ func (f *FS) Stat(path string) (vfs.Stat, error) {
 
 // ReadDir implements vfs.FS.
 func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return nil, err
 	}
@@ -376,13 +337,13 @@ func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
 	for name, c := range n.children {
 		out = append(out, vfs.DirEnt{Name: name, Ino: c.ino, Type: c.typ})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	vfs.SortDirEnts(out)
 	return out, nil
 }
 
 // Setxattr implements vfs.XattrFS.
 func (f *FS) Setxattr(path, name string, value []byte) error {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return err
 	}
@@ -398,7 +359,7 @@ func (f *FS) Setxattr(path, name string, value []byte) error {
 
 // Getxattr implements vfs.XattrFS.
 func (f *FS) Getxattr(path, name string) ([]byte, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return nil, err
 	}
@@ -411,7 +372,7 @@ func (f *FS) Getxattr(path, name string) ([]byte, error) {
 
 // Removexattr implements vfs.XattrFS.
 func (f *FS) Removexattr(path, name string) error {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return err
 	}
@@ -424,7 +385,7 @@ func (f *FS) Removexattr(path, name string) error {
 
 // Listxattr implements vfs.XattrFS.
 func (f *FS) Listxattr(path string) ([]string, error) {
-	n, err := f.lookup(path)
+	n, err := f.node(path)
 	if err != nil {
 		return nil, err
 	}
@@ -442,4 +403,4 @@ var (
 )
 
 // OpenFDs implements vfs.FDCounter.
-func (f *FS) OpenFDs() int { return len(f.fds) }
+func (f *FS) OpenFDs() int { return f.descs.OpenFDs() }

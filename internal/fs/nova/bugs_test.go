@@ -1,6 +1,7 @@
 package nova
 
 import (
+	"encoding/binary"
 	"errors"
 	"testing"
 
@@ -137,7 +138,7 @@ func TestJournalRecoveryRedoesCommitted(t *testing.T) {
 	// Manually stage a journal record changing /a's inode nlink to 5.
 	d := f.inodes[f.inodes[RootIno].dirents["a"].ino]
 	img := f.inodeImage(d)
-	put64(img[inoNlinkOff:], 5)
+	binary.LittleEndian.PutUint64(img[inoNlinkOff:], 5)
 	base := int64(journalPage) * PageSize
 	off := base + jRecsOff
 	f.pm.Store64(off, uint64(inodeOff(d.ino)))

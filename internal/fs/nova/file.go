@@ -61,12 +61,9 @@ func (f *FS) verifyPageCsum(poolPage uint64) bool {
 // update, making multi-page writes crash-atomic. Old pages are freed in
 // DRAM only after the publish.
 func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
-	d, err := f.fdInode(fd)
+	d, err := f.descs.Get(fd)
 	if err != nil {
 		return 0, err
-	}
-	if d.bad {
-		return 0, vfs.ErrIO
 	}
 	if off < 0 {
 		return 0, vfs.ErrInvalid
@@ -110,8 +107,8 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 			clear(content)
 		}
 		pageStart := int64(fp) * PageSize
-		from := max64(off, pageStart)
-		to := min64(end, pageStart+PageSize)
+		from := max(off, pageStart)
+		to := min(end, pageStart+PageSize)
 		copy(content[from-pageStart:], data[from-off:to-off])
 		f.pm.MemcpyNT(pageOff(np), content)
 		f.writePageCsum(np, content)
@@ -174,12 +171,9 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 
 // Pread implements vfs.FS.
 func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
-	d, err := f.fdInode(fd)
+	d, err := f.descs.Get(fd)
 	if err != nil {
 		return 0, err
-	}
-	if d.bad {
-		return 0, vfs.ErrIO
 	}
 	if off < 0 {
 		return 0, vfs.ErrInvalid
@@ -194,14 +188,14 @@ func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
 	for pos := off; pos < off+n; {
 		fp := uint64(pos / PageSize)
 		pageStart := int64(fp) * PageSize
-		chunk := min64(pageStart+PageSize, off+n) - pos
+		chunk := min(pageStart+PageSize, off+n) - pos
 		if pp, ok := d.pages[fp]; ok {
 			if !f.verifyPageCsum(pp) {
 				return 0, vfs.ErrIO
 			}
 			f.pm.LoadInto(pageOff(pp)+(pos-pageStart), buf[pos-off:pos-off+chunk])
 		} else {
-			zero(buf[pos-off : pos-off+chunk])
+			clear(buf[pos-off : pos-off+chunk])
 		}
 		pos += chunk
 	}
@@ -223,12 +217,9 @@ func (f *FS) Truncate(path string, size int64) error {
 	if size > maxFileSize {
 		return vfs.ErrNoSpace
 	}
-	d, err := f.lookup(path)
+	d, err := f.node(path)
 	if err != nil {
 		return err
-	}
-	if d.bad {
-		return vfs.ErrIO
 	}
 	if d.typ == vfs.TypeDir {
 		return vfs.ErrIsDir
@@ -286,7 +277,7 @@ func (f *FS) truncateShrink(d *dnode, size int64) error {
 		}
 		content := make([]byte, PageSize)
 		f.pm.LoadInto(pageOff(d.pages[tailPage]), content)
-		zero(content[tailLen:])
+		clear(content[tailLen:])
 		f.pm.MemcpyNT(pageOff(np), content)
 		f.writePageCsum(np, content)
 		f.pm.Fence()
@@ -410,12 +401,9 @@ func (f *FS) clearFreeLog() {
 // emits them for every page in the range; the live DRAM state stays correct
 // but the rebuild maps the fresh zero pages over existing data.
 func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
-	d, err := f.fdInode(fd)
+	d, err := f.descs.Get(fd)
 	if err != nil {
 		return err
-	}
-	if d.bad {
-		return vfs.ErrIO
 	}
 	if off < 0 || length <= 0 {
 		return vfs.ErrInvalid
@@ -491,24 +479,4 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 	d.size = newSize
 	f.endOp()
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }

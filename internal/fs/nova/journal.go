@@ -1,6 +1,10 @@
 package nova
 
-import "chipmunk/internal/bugs"
+import (
+	"encoding/binary"
+
+	"chipmunk/internal/bugs"
+)
 
 // The journal is a small redo log used to make multi-inode operations
 // (link, unlink, rename, mkdir, rmdir) atomic. Each record is a byte-range
@@ -38,7 +42,7 @@ func (fs *FS) beginTx() *txn { return &txn{fs: fs} }
 // set records an 8-byte word write.
 func (t *txn) set(off int64, val uint64) {
 	b := make([]byte, 8)
-	put64(b, val)
+	binary.LittleEndian.PutUint64(b, val)
 	t.setBytes(off, b)
 }
 

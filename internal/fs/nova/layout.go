@@ -121,11 +121,6 @@ func inodeOff(ino uint64) int64 {
 // pageOff returns the device offset of pool page p (absolute page index).
 func pageOff(p uint64) int64 { return int64(p) * PageSize }
 
-func le64(b []byte) uint64     { return binary.LittleEndian.Uint64(b) }
-func le32(b []byte) uint32     { return binary.LittleEndian.Uint32(b) }
-func put64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
-func put32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
-
 // entry is the decoded form of a log entry.
 type entry struct {
 	typ     uint8
@@ -157,19 +152,19 @@ func (e entry) encode() []byte {
 	}
 	switch e.typ {
 	case etDentryAdd, etDentryRemove:
-		put64(b[deIno:], e.ino)
+		binary.LittleEndian.PutUint64(b[deIno:], e.ino)
 		b[deFType] = byte(e.ftype)
 		b[deNameLen] = byte(len(e.name))
 		copy(b[deName:], e.name)
 	case etWrite:
-		put64(b[weFilePage:], e.filePage)
-		put64(b[wePoolPage:], e.poolPage)
-		put64(b[weSizeHint:], e.sizeHint)
+		binary.LittleEndian.PutUint64(b[weFilePage:], e.filePage)
+		binary.LittleEndian.PutUint64(b[wePoolPage:], e.poolPage)
+		binary.LittleEndian.PutUint64(b[weSizeHint:], e.sizeHint)
 		if e.falloc {
 			b[weFalloc] = 1
 		}
 	case etAttr:
-		put64(b[atSize:], e.size)
+		binary.LittleEndian.PutUint64(b[atSize:], e.size)
 	}
 	return b
 }
@@ -182,11 +177,11 @@ func decodeEntry(b []byte) entry {
 	e := entry{
 		typ:     b[entType],
 		invalid: b[entFlags]&1 != 0,
-		csum:    le32(b[entCsum:]),
+		csum:    binary.LittleEndian.Uint32(b[entCsum:]),
 	}
 	switch e.typ {
 	case etDentryAdd, etDentryRemove:
-		e.ino = le64(b[deIno:])
+		e.ino = binary.LittleEndian.Uint64(b[deIno:])
 		e.ftype = vfs.FileType(b[deFType])
 		n := int(b[deNameLen])
 		if n > EntrySize-deName {
@@ -194,12 +189,12 @@ func decodeEntry(b []byte) entry {
 		}
 		e.name = string(b[deName : deName+n])
 	case etWrite:
-		e.filePage = le64(b[weFilePage:])
-		e.poolPage = le64(b[wePoolPage:])
-		e.sizeHint = le64(b[weSizeHint:])
+		e.filePage = binary.LittleEndian.Uint64(b[weFilePage:])
+		e.poolPage = binary.LittleEndian.Uint64(b[wePoolPage:])
+		e.sizeHint = binary.LittleEndian.Uint64(b[weSizeHint:])
 		e.falloc = b[weFalloc] != 0
 	case etAttr:
-		e.size = le64(b[atSize:])
+		e.size = binary.LittleEndian.Uint64(b[atSize:])
 	}
 	return e
 }

@@ -2,6 +2,7 @@ package nova
 
 import (
 	"chipmunk/internal/bugs"
+	"encoding/binary"
 )
 
 // reserveSlot returns the device offset where the next entry at the given
@@ -57,7 +58,7 @@ func (fs *FS) writeEntry(off int64, raw []byte) {
 // for the late-checksum path (bug 9).
 func (fs *FS) finishEncode(raw []byte, lateCsum bool) {
 	if fs.fortis && !lateCsum {
-		put32(raw[entCsum:], payloadCsum(raw))
+		binary.LittleEndian.PutUint32(raw[entCsum:], payloadCsum(raw))
 	}
 }
 
@@ -99,8 +100,8 @@ func (fs *FS) appendEntry(d *dnode, e entry, risky, lateCsum bool) (int64, error
 	if fs.fortis && lateCsum {
 		// Bug 9: checksum lands in a separate persistence step after the
 		// entry is already reachable.
-		put32(raw[entCsum:], payloadCsum(raw))
-		fs.pm.Store32(entryOff+entCsum, le32(raw[entCsum:]))
+		binary.LittleEndian.PutUint32(raw[entCsum:], payloadCsum(raw))
+		fs.pm.Store32(entryOff+entCsum, binary.LittleEndian.Uint32(raw[entCsum:]))
 		fs.pm.Flush(entryOff+entCsum, 4)
 		fs.pm.Fence()
 	}
@@ -135,8 +136,8 @@ type deferredCsum struct {
 // postponed past the publish (bug 9).
 func (fs *FS) flushDeferredCsums() {
 	for _, dc := range fs.deferredCsums {
-		put32(dc.raw[entCsum:], payloadCsum(dc.raw))
-		fs.pm.Store32(dc.off+entCsum, le32(dc.raw[entCsum:]))
+		binary.LittleEndian.PutUint32(dc.raw[entCsum:], payloadCsum(dc.raw))
+		fs.pm.Store32(dc.off+entCsum, binary.LittleEndian.Uint32(dc.raw[entCsum:]))
 		fs.pm.Flush(dc.off+entCsum, 4)
 		fs.pm.Fence()
 	}
@@ -165,15 +166,7 @@ func (fs *FS) invalidateEntry(entryOff int64) {
 // primary/replica skew window.
 func (fs *FS) syncInode(d *dnode, lazyReplica bool) {
 	off := inodeOff(d.ino)
-	buf := make([]byte, 128)
-	put32(buf[inoValidOff:], 1)
-	put32(buf[inoTypeOff:], uint32(d.typ))
-	put64(buf[inoNlinkOff:], d.nlink)
-	put64(buf[inoHeadOff:], d.head)
-	put64(buf[inoTailOff:], uint64(d.tail))
-	if fs.fortis {
-		put32(buf[inoCsumOff:], csum32(buf[:inoCsumOff]))
-	}
+	buf := fs.inodeImage(d)
 	fs.pm.Store(off, buf)
 	fs.pm.Flush(off, 128)
 	fs.pm.Fence()

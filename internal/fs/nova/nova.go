@@ -1,6 +1,7 @@
 package nova
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"chipmunk/internal/bugs"
@@ -30,13 +31,6 @@ type dnode struct {
 	dirents  map[string]*dirent // name -> entry (directories)
 	logPages []uint64           // log-page chain (DRAM bookkeeping)
 
-	// openFDs counts live descriptors (DRAM only). An inode whose last
-	// link goes away while descriptors remain stays allocated — readable
-	// and writable through those descriptors, invisible by path — and is
-	// reclaimed on the last close, as real NOVA does at inode eviction. A
-	// crash in that window leaves a valid-but-unreachable PM inode, which
-	// Mount's orphan-GC pass reclaims.
-	openFDs int
 	// bad marks an inode that a dentry references but whose on-PM state is
 	// invalid or inconsistent (bugs 2 and 10); operations return ErrIO.
 	bad bool
@@ -55,8 +49,7 @@ type FS struct {
 	alloc      *pageAlloc
 	ialloc     *inodeAlloc
 	inodes     map[uint64]*dnode
-	fds        map[vfs.FD]uint64
-	nextFD     vfs.FD
+	descs      vfs.FDTable[*dnode]
 	mounted    bool
 
 	// lazyReplicas holds inodes whose Fortis replica update was deferred
@@ -71,13 +64,13 @@ type FS struct {
 // state, with the Fortis checksum stamped when applicable.
 func (f *FS) inodeImage(d *dnode) []byte {
 	buf := make([]byte, 128)
-	put32(buf[inoValidOff:], 1)
-	put32(buf[inoTypeOff:], uint32(d.typ))
-	put64(buf[inoNlinkOff:], d.nlink)
-	put64(buf[inoHeadOff:], d.head)
-	put64(buf[inoTailOff:], uint64(d.tail))
+	binary.LittleEndian.PutUint32(buf[inoValidOff:], 1)
+	binary.LittleEndian.PutUint32(buf[inoTypeOff:], uint32(d.typ))
+	binary.LittleEndian.PutUint64(buf[inoNlinkOff:], d.nlink)
+	binary.LittleEndian.PutUint64(buf[inoHeadOff:], d.head)
+	binary.LittleEndian.PutUint64(buf[inoTailOff:], uint64(d.tail))
 	if f.fortis {
-		put32(buf[inoCsumOff:], csum32(buf[:inoCsumOff]))
+		binary.LittleEndian.PutUint32(buf[inoCsumOff:], csum32(buf[:inoCsumOff]))
 	}
 	return buf
 }
@@ -130,8 +123,7 @@ func (f *FS) Mkfs() error {
 	f.ialloc = newInodeAlloc(InodeCount)
 	f.ialloc.markUsed(RootIno)
 	f.inodes = map[uint64]*dnode{}
-	f.fds = map[vfs.FD]uint64{}
-	f.nextFD = 3
+	f.descs.Reset()
 
 	// Root directory inode with an empty log page.
 	headPage, err := f.alloc.alloc()
@@ -189,160 +181,96 @@ func (f *FS) writeInodeInit(d *dnode, flush bool) {
 // Unmount implements vfs.FS.
 func (f *FS) Unmount() error {
 	f.mounted = false
-	f.fds = map[vfs.FD]uint64{}
+	f.descs.Reset()
 	f.inodes = nil
 	f.alloc = nil
 	f.ialloc = nil
 	return nil
 }
 
-func (f *FS) fdInode(fd vfs.FD) (*dnode, error) {
-	ino, ok := f.fds[fd]
-	if !ok {
-		return nil, vfs.ErrBadFD
-	}
-	d := f.inodes[ino]
-	if d == nil {
-		return nil, vfs.ErrBadFD
-	}
-	return d, nil
-}
-
-// lookup resolves an absolute path.
-func (f *FS) lookup(path string) (*dnode, error) {
-	d := f.inodes[RootIno]
-	if d == nil {
-		return nil, vfs.ErrCorrupt
-	}
-	for _, c := range vfs.Components(path) {
-		if d.bad {
-			return nil, vfs.ErrIO
-		}
-		if d.typ != vfs.TypeDir {
-			return nil, vfs.ErrNotDir
-		}
-		de, ok := d.dirents[c]
-		if !ok {
-			return nil, vfs.ErrNotExist
-		}
-		d = f.inodes[de.ino]
-		if d == nil {
-			return nil, vfs.ErrIO
-		}
-	}
-	return d, nil
-}
-
-// lookupParent resolves the parent directory and final component.
-func (f *FS) lookupParent(path string) (*dnode, string, error) {
-	dir, name := vfs.SplitPath(path)
-	if name == "" {
-		return nil, "", vfs.ErrInvalid
-	}
-	if !vfs.ValidName(name) {
-		return nil, "", vfs.ErrNameTooLong
-	}
-	p, err := f.lookup(dir)
-	if err != nil {
-		return nil, "", err
-	}
-	if p.bad {
-		return nil, "", vfs.ErrIO
-	}
-	if p.typ != vfs.TypeDir {
-		return nil, "", vfs.ErrNotDir
-	}
-	return p, name, nil
-}
-
-// Stat implements vfs.FS.
-func (f *FS) Stat(path string) (vfs.Stat, error) {
-	d, err := f.lookup(path)
-	if err != nil {
-		return vfs.Stat{}, err
-	}
-	if d.bad {
-		return vfs.Stat{}, vfs.ErrIO
-	}
-	return vfs.Stat{Ino: d.ino, Type: d.typ, Nlink: uint32(d.nlink), Size: d.size}, nil
-}
-
-// ReadDir implements vfs.FS.
-func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
-	d, err := f.lookup(path)
-	if err != nil {
-		return nil, err
-	}
+// child is the path walk's step (vfs.Walk): a directory the log scan found
+// damaged, or an entry whose inode is gone, is ErrIO.
+func (f *FS) child(d *dnode, name string) (*dnode, error) {
 	if d.bad {
 		return nil, vfs.ErrIO
 	}
 	if d.typ != vfs.TypeDir {
 		return nil, vfs.ErrNotDir
 	}
+	de, ok := d.dirents[name]
+	if !ok {
+		return nil, vfs.ErrNotExist
+	}
+	if c := f.inodes[de.ino]; c != nil {
+		return c, nil
+	}
+	return nil, vfs.ErrIO
+}
+
+// node resolves path to an inode that can be used: a damaged one is ErrIO.
+func (f *FS) node(path string) (*dnode, error) {
+	d, err := vfs.Walk(f.inodes[RootIno], path, f.child)
+	if err == nil && d.bad {
+		return nil, vfs.ErrIO
+	}
+	return d, err
+}
+
+// parent resolves the directory that holds path's last component.
+func (f *FS) parent(path string) (*dnode, string, error) {
+	return vfs.WalkParent(f.inodes[RootIno], path, f.child)
+}
+
+// Stat implements vfs.FS.
+func (f *FS) Stat(path string) (vfs.Stat, error) {
+	d, err := f.node(path)
+	if err != nil {
+		return vfs.Stat{}, err
+	}
+	return vfs.Stat{Ino: d.ino, Type: d.typ, Nlink: uint32(d.nlink), Size: d.size}, nil
+}
+
+// ReadDir implements vfs.FS.
+func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
+	d, err := f.node(path)
+	if err != nil {
+		return nil, err
+	}
+	if d.typ != vfs.TypeDir {
+		return nil, vfs.ErrNotDir
+	}
 	out := make([]vfs.DirEnt, 0, len(d.dirents))
 	for name, de := range d.dirents {
-		child := f.inodes[de.ino]
 		typ := vfs.TypeRegular
-		if child != nil {
+		if child := f.inodes[de.ino]; child != nil {
 			typ = child.typ
 		}
 		out = append(out, vfs.DirEnt{Name: name, Ino: de.ino, Type: typ})
 	}
-	sortDirEnts(out)
+	vfs.SortDirEnts(out)
 	return out, nil
-}
-
-func sortDirEnts(ents []vfs.DirEnt) {
-	for i := 1; i < len(ents); i++ {
-		for j := i; j > 0 && ents[j].Name < ents[j-1].Name; j-- {
-			ents[j], ents[j-1] = ents[j-1], ents[j]
-		}
-	}
 }
 
 // Open implements vfs.FS.
 func (f *FS) Open(path string) (vfs.FD, error) {
-	d, err := f.lookup(path)
+	d, err := f.node(path)
 	if err != nil {
 		return -1, err
-	}
-	if d.bad {
-		return -1, vfs.ErrIO
 	}
 	if d.typ == vfs.TypeDir {
 		return -1, vfs.ErrIsDir
 	}
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = d.ino
-	d.openFDs++
-	return fd, nil
+	return f.descs.Open(d.ino, d), nil
 }
 
-// Close implements vfs.FS. Closing the last descriptor of an unlinked
-// inode performs the deferred destroy (NOVA's eviction-time reclaim).
-func (f *FS) Close(fd vfs.FD) error {
-	ino, ok := f.fds[fd]
-	if !ok {
-		return vfs.ErrBadFD
-	}
-	delete(f.fds, fd)
-	if d := f.inodes[ino]; d != nil {
-		d.openFDs--
-		if d.nlink == 0 && d.openFDs == 0 {
-			f.destroyInode(d)
-		}
-	}
-	return nil
-}
+// Close implements vfs.FS.
+func (f *FS) Close(fd vfs.FD) error { return f.descs.Close(fd, f.reclaim) }
 
 // Fsync implements vfs.FS. NOVA is synchronous: every operation is durable
 // when it returns, so fsync only validates the descriptor.
 func (f *FS) Fsync(fd vfs.FD) error {
-	if _, ok := f.fds[fd]; !ok {
-		return vfs.ErrBadFD
-	}
-	return nil
+	_, err := f.descs.Get(fd)
+	return err
 }
 
 // Sync implements vfs.FS (no-op for the same reason).
@@ -351,4 +279,4 @@ func (f *FS) Sync() error { return nil }
 var _ vfs.FS = (*FS)(nil)
 
 // OpenFDs implements vfs.FDCounter.
-func (f *FS) OpenFDs() int { return len(f.fds) }
+func (f *FS) OpenFDs() int { return f.descs.OpenFDs() }

@@ -653,7 +653,7 @@ func TestLogGCOnFileOverwrites(t *testing.T) {
 		}
 	}
 	f.Pwrite(fd, []byte("final"), 0)
-	d := f.inodes[f.fds[fd]]
+	d, _ := f.descs.Get(fd)
 	if len(d.logPages) > 10 {
 		t.Fatalf("file log grew to %d pages despite GC", len(d.logPages))
 	}
@@ -680,68 +680,53 @@ func TestLogGCFortis(t *testing.T) {
 	}
 }
 
-// TestUnlinkWhileOpen covers the deferred-destroy window: an inode whose
-// last link is removed while a descriptor is open must stay readable and
-// writable through that descriptor, and its inode number must not be
-// reused until the last close. Regression for a fuzz-found panic where a
-// mkdir reused the freed ino and a write through the stale fd landed in
-// the directory's (nil) page map.
-func TestUnlinkWhileOpen(t *testing.T) {
-	f, _ := newNova(t, bugs.None())
+// TestUnlinkWhileOpenCrashReclaims covers a crash between unlink and the
+// last close: the inode is valid on PM but unreachable, and Mount's orphan
+// GC reclaims it, so the free page and inode counts return to their values
+// before the file was created. Without a crash the last close reclaims it.
+func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
+	f, dev := newNova(t, bugs.None())
+	pages, inodes := f.alloc.freePages(), freeInodes(f)
 	fd, err := f.Create("/victim")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Pwrite(fd, []byte("before"), 0); err != nil {
+	if _, err := f.Pwrite(fd, make([]byte, 3*PageSize), 0); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := f.Stat("/victim")
 	if err := f.Unlink("/victim"); err != nil {
 		t.Fatal(err)
 	}
-	// Allocate aggressively: none of these may reuse the victim's ino.
-	if err := f.Mkdir("/d0"); err != nil {
+	if f.alloc.freePages() >= pages || freeInodes(f) >= inodes {
+		t.Fatal("the unlinked-but-open file is already reclaimed")
+	}
+
+	f2 := New(persist.New(pmem.FromImage(dev.CrashImage())), bugs.None())
+	if err := f2.Mount(); err != nil {
 		t.Fatal(err)
 	}
-	fd2, err := f.Create("/f0")
-	if err != nil {
-		t.Fatal(err)
+	if got := f2.alloc.freePages(); got != pages {
+		t.Errorf("after crash and mount: %d free pages, want %d", got, pages)
 	}
-	for _, p := range []string{"/d0", "/f0"} {
-		s, err := f.Stat(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Ino == st.Ino {
-			t.Fatalf("%s reused ino %d of the unlinked-but-open inode", p, st.Ino)
-		}
+	if got := freeInodes(f2); got != inodes {
+		t.Errorf("after crash and mount: %d free inodes, want %d", got, inodes)
 	}
-	// The stale descriptor still addresses the original inode.
-	if _, err := f.Pwrite(fd, []byte("after"), 6); err != nil {
-		t.Fatalf("pwrite through unlinked fd: %v", err)
-	}
-	buf := make([]byte, 16)
-	n, err := f.Pread(fd, buf, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(buf[:n]) != "beforeafter" {
-		t.Fatalf("read through unlinked fd = %q", buf[:n])
-	}
-	if err := f.Close(fd2); err != nil {
-		t.Fatal(err)
-	}
-	// Last close reclaims: the ino becomes reusable afterwards.
+
 	if err := f.Close(fd); err != nil {
 		t.Fatal(err)
 	}
-	fd3, err := f.Create("/f1")
-	if err != nil {
-		t.Fatal(err)
+	if f.alloc.freePages() != pages || freeInodes(f) != inodes {
+		t.Errorf("after the last close: %d free pages, %d free inodes; want %d, %d",
+			f.alloc.freePages(), freeInodes(f), pages, inodes)
 	}
-	defer f.Close(fd3)
-	s, _ := f.Stat("/f1")
-	if s.Ino != st.Ino {
-		t.Fatalf("ino %d not reclaimed after last close (got %d)", st.Ino, s.Ino)
+}
+
+func freeInodes(f *FS) int {
+	n := 0
+	for _, used := range f.ialloc.used {
+		if !used {
+			n++
+		}
 	}
+	return n
 }

@@ -13,7 +13,7 @@ import (
 // that mount-time GC reclaims. Bug 2 omits the flush of the inode
 // initialization, so the dentry can point at an all-zero inode slot.
 func (f *FS) Create(path string) (vfs.FD, error) {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return -1, err
 	}
@@ -36,18 +36,13 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	}
 	f.inodes[ino] = d
 	p.dirents[name] = &dirent{ino: ino, entryOff: entryOff}
-
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = ino
-	d.openFDs++
-	return fd, nil
+	return f.descs.Open(ino, d), nil
 }
 
 // Mkdir implements vfs.FS. The parent's tail and nlink change together, so
 // the publish is journaled.
 func (f *FS) Mkdir(path string) error {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return err
 	}
@@ -99,17 +94,14 @@ func (f *FS) Mkdir(path string) error {
 // dentry is durable; bug 3 additionally publishes the directory tail before
 // the dentry bytes.
 func (f *FS) Link(oldPath, newPath string) error {
-	n, err := f.lookup(oldPath)
+	n, err := f.node(oldPath)
 	if err != nil {
 		return err
-	}
-	if n.bad {
-		return vfs.ErrIO
 	}
 	if n.typ == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	p, name, err := f.lookupParent(newPath)
+	p, name, err := f.parent(newPath)
 	if err != nil {
 		return err
 	}
@@ -164,7 +156,7 @@ func (f *FS) Link(oldPath, newPath string) error {
 // are journaled together; under bug 3 the listed fast path appends the
 // remove entry with the tail-first ordering instead.
 func (f *FS) Unlink(path string) error {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return err
 	}
@@ -209,18 +201,18 @@ func (f *FS) Unlink(path string) error {
 	}
 
 	delete(p.dirents, name)
-	// Open descriptors defer the destroy to the last Close: the inode
-	// number must not be reused while an fd can still reach it.
-	if n.nlink == 0 && n.openFDs == 0 {
-		f.destroyInode(n)
-	}
+	f.descs.Unlinked(n.ino, n.nlink, f.reclaim)
 	f.endOp()
 	f.maybeGC(p)
 	return nil
 }
 
-// destroyInode releases an inode with zero links: PM valid flag cleared,
-// data and log pages returned to the DRAM allocator.
+// reclaim destroys an inode with no links and no open descriptors (the
+// vfs.FDTable lifetime rule), as real NOVA does at inode eviction.
+func (f *FS) reclaim(ino uint64) { f.destroyInode(f.inodes[ino]) }
+
+// destroyInode frees n: PM valid flag cleared, data and log pages returned
+// to the DRAM allocator.
 func (f *FS) destroyInode(n *dnode) {
 	f.invalidateInode(n.ino)
 	for _, pp := range n.pages {
@@ -250,7 +242,7 @@ func (f *FS) releaseLogChain(head uint64) {
 
 // Rmdir implements vfs.FS.
 func (f *FS) Rmdir(path string) error {
-	p, name, err := f.lookupParent(path)
+	p, name, err := f.parent(path)
 	if err != nil {
 		return err
 	}
@@ -290,7 +282,7 @@ func (f *FS) Rmdir(path string) error {
 
 	delete(p.dirents, name)
 	n.nlink = 0
-	f.destroyInode(n)
+	f.descs.Unlinked(n.ino, 0, f.reclaim)
 	f.endOp()
 	f.maybeGC(p)
 	return nil
@@ -314,7 +306,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if vfs.IsAncestor(oldPath, newPath) {
 		return vfs.ErrInvalid
 	}
-	op, oname, err := f.lookupParent(oldPath)
+	op, oname, err := f.parent(oldPath)
 	if err != nil {
 		return err
 	}
@@ -326,7 +318,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if n == nil || n.bad {
 		return vfs.ErrIO
 	}
-	np, nname, err := f.lookupParent(newPath)
+	np, nname, err := f.parent(newPath)
 	if err != nil {
 		return err
 	}
@@ -338,15 +330,8 @@ func (f *FS) Rename(oldPath, newPath string) error {
 		if victim == nil {
 			return vfs.ErrIO
 		}
-		if n.typ == vfs.TypeDir {
-			if victim.typ != vfs.TypeDir {
-				return vfs.ErrNotDir
-			}
-			if len(victim.dirents) > 0 {
-				return vfs.ErrNotEmpty
-			}
-		} else if victim.typ == vfs.TypeDir {
-			return vfs.ErrIsDir
+		if err := vfs.CheckReplace(n.typ, victim.typ, len(victim.dirents) == 0); err != nil {
+			return err
 		}
 		if victim.conflicted {
 			return vfs.ErrIO
@@ -491,8 +476,8 @@ func (f *FS) renameFinishVictim(np *dnode, n, victim *dnode, op *dnode) {
 func (f *FS) renameApplyDRAM(op *dnode, oname string, np *dnode, nname string, n, victim *dnode, addOff int64) {
 	delete(op.dirents, oname)
 	np.dirents[nname] = &dirent{ino: n.ino, entryOff: addOff}
-	if victim != nil && victim.nlink == 0 && victim.openFDs == 0 {
-		f.destroyInode(victim)
+	if victim != nil {
+		f.descs.Unlinked(victim.ino, victim.nlink, f.reclaim)
 	}
 }
 

@@ -2,6 +2,7 @@ package nova
 
 import (
 	"bytes"
+	"encoding/binary"
 	"sort"
 
 	"chipmunk/internal/bugs"
@@ -27,8 +28,7 @@ func (f *FS) Mount() error {
 	f.alloc = newPageAlloc(poolStartPage, f.totalPages)
 	f.ialloc = newInodeAlloc(InodeCount)
 	f.inodes = map[uint64]*dnode{}
-	f.fds = map[vfs.FD]uint64{}
-	f.nextFD = 3
+	f.descs.Reset()
 	f.lazyReplicas = nil
 	f.deferredCsums = nil
 
@@ -185,15 +185,15 @@ func (f *FS) readInode(ino uint64) (*dnode, bool) {
 	off := inodeOff(ino)
 	primary := f.pm.Load(off, 128)
 	if !f.fortis {
-		if le32(primary[inoValidOff:]) != 1 {
+		if binary.LittleEndian.Uint32(primary[inoValidOff:]) != 1 {
 			return nil, false
 		}
 		return f.dnodeFromImage(ino, primary), true
 	}
 
 	replica := f.pm.Load(off+inoReplicaOff, 128)
-	pOK := le32(primary[inoValidOff:]) == 1 && csum32(primary[:inoCsumOff]) == le32(primary[inoCsumOff:])
-	rOK := le32(replica[inoValidOff:]) == 1 && csum32(replica[:inoCsumOff]) == le32(replica[inoCsumOff:])
+	pOK := binary.LittleEndian.Uint32(primary[inoValidOff:]) == 1 && csum32(primary[:inoCsumOff]) == binary.LittleEndian.Uint32(primary[inoCsumOff:])
+	rOK := binary.LittleEndian.Uint32(replica[inoValidOff:]) == 1 && csum32(replica[:inoCsumOff]) == binary.LittleEndian.Uint32(replica[inoCsumOff:])
 	switch {
 	case pOK && rOK:
 		d := f.dnodeFromImage(ino, primary)
@@ -225,10 +225,10 @@ func (f *FS) readInode(ino uint64) (*dnode, bool) {
 func (f *FS) dnodeFromImage(ino uint64, img []byte) *dnode {
 	d := &dnode{
 		ino:   ino,
-		typ:   vfs.FileType(le32(img[inoTypeOff:])),
-		nlink: le64(img[inoNlinkOff:]),
-		head:  le64(img[inoHeadOff:]),
-		tail:  int64(le64(img[inoTailOff:])),
+		typ:   vfs.FileType(binary.LittleEndian.Uint32(img[inoTypeOff:])),
+		nlink: binary.LittleEndian.Uint64(img[inoNlinkOff:]),
+		head:  binary.LittleEndian.Uint64(img[inoHeadOff:]),
+		tail:  int64(binary.LittleEndian.Uint64(img[inoTailOff:])),
 	}
 	if d.typ == vfs.TypeDir {
 		d.dirents = map[string]*dirent{}

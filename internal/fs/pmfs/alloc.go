@@ -1,15 +1,6 @@
 package pmfs
 
-import (
-	"encoding/binary"
-
-	"chipmunk/internal/vfs"
-)
-
-func le64(b []byte) uint64     { return binary.LittleEndian.Uint64(b) }
-func le32(b []byte) uint32     { return binary.LittleEndian.Uint32(b) }
-func put64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
-func put32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
+import "chipmunk/internal/vfs"
 
 // blockAlloc is the DRAM-only free-block list. PMFS famously keeps it in
 // DRAM and rebuilds it at mount by scanning inode block pointers; bug 13

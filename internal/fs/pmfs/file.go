@@ -2,6 +2,7 @@ package pmfs
 
 import (
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/inplace"
 	"chipmunk/internal/vfs"
 )
 
@@ -17,12 +18,9 @@ import (
 // path fences the 8-byte-aligned body but not the sub-word tail of
 // unaligned writes.
 func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
-	d, err := f.fdInode(fd)
+	d, err := f.Descs.Get(fd)
 	if err != nil {
 		return 0, err
-	}
-	if d.bad {
-		return 0, vfs.ErrIO
 	}
 	if off < 0 {
 		return 0, vfs.ErrInvalid
@@ -41,7 +39,7 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 	metaDirty := false
 	var fresh []uint64
 	for i := firstBlk; i <= lastBlk; i++ {
-		if d.blocks[i] != 0 {
+		if d.Blocks[i] != 0 {
 			continue
 		}
 		nb, err := f.alloc.alloc()
@@ -51,31 +49,31 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 			}
 			return 0, err
 		}
-		f.pm.MemsetNT(blockOff(nb), 0, BlockSize)
-		d.blocks[i] = nb
+		f.PM.MemsetNT(inplace.BlockOff(nb), 0, BlockSize)
+		d.Blocks[i] = nb
 		fresh = append(fresh, nb)
 		metaDirty = true
 	}
 	if len(fresh) > 0 {
-		f.pm.Fence()
+		f.PM.Fence()
 	}
-	if end > d.size {
-		d.size = end
+	if end > d.Size {
+		d.Size = end
 		metaDirty = true
 	}
 	if metaDirty {
 		t := f.beginTx()
-		t.setInode(d)
-		t.commit()
+		f.SetInode(t, d)
+		t.Commit()
 	}
 
 	// Phase 2: stream the data in place.
 	for i := firstBlk; i <= lastBlk; i++ {
 		blkStart := int64(i) * BlockSize
-		from := max64(off, blkStart)
-		to := min64(end, blkStart+BlockSize)
+		from := max(off, blkStart)
+		to := min(end, blkStart+BlockSize)
 		chunk := data[from-off : to-off]
-		dst := blockOff(d.blocks[i]) + (from - blkStart)
+		dst := inplace.BlockOff(d.Blocks[i]) + (from - blkStart)
 		last := i == lastBlk
 
 		switch {
@@ -83,127 +81,29 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 			// Fast-path copy: fence the aligned body, forget the tail.
 			body := len(chunk) &^ 7
 			if body > 0 {
-				f.pm.MemcpyNT(dst, chunk[:body])
+				f.PM.MemcpyNT(dst, chunk[:body])
 			}
-			f.pm.Fence()
-			f.pm.MemcpyNT(dst+int64(body), chunk[body:])
+			f.PM.Fence()
+			f.PM.MemcpyNT(dst+int64(body), chunk[body:])
 			// Missing fence: the sub-word tail stays in flight.
 		case last && f.has(bugs.WriteNotSync):
 			// Missing fence on the final extent: write not synchronous.
-			f.pm.MemcpyNT(dst, chunk)
+			f.PM.MemcpyNT(dst, chunk)
 		default:
-			f.pm.MemcpyNT(dst, chunk)
+			f.PM.MemcpyNT(dst, chunk)
 			if last {
-				f.pm.Fence()
+				f.PM.Fence()
 			}
 		}
 	}
 	return len(data), nil
 }
 
-// Pread implements vfs.FS.
-func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
-	d, err := f.fdInode(fd)
-	if err != nil {
-		return 0, err
-	}
-	if d.bad {
-		return 0, vfs.ErrIO
-	}
-	if off < 0 {
-		return 0, vfs.ErrInvalid
-	}
-	if off >= d.size {
-		return 0, nil
-	}
-	n := int64(len(buf))
-	if off+n > d.size {
-		n = d.size - off
-	}
-	for pos := off; pos < off+n; {
-		i := int(pos / BlockSize)
-		blkStart := int64(i) * BlockSize
-		chunk := min64(blkStart+BlockSize, off+n) - pos
-		if b := d.blocks[i]; b != 0 {
-			f.pm.LoadInto(blockOff(b)+(pos-blkStart), buf[pos-off:pos-off+chunk])
-		} else {
-			for j := pos - off; j < pos-off+chunk; j++ {
-				buf[j] = 0
-			}
-		}
-		pos += chunk
-	}
-	return int(n), nil
-}
-
-// Truncate implements vfs.FS. Shrinks are protected by the truncate list:
-// the inode is recorded before the new size commits, so recovery can finish
-// freeing blocks beyond the committed size.
-func (f *FS) Truncate(path string, size int64) error {
-	if size < 0 {
-		return vfs.ErrInvalid
-	}
-	if size > MaxFileSize {
-		return vfs.ErrNoSpace
-	}
-	d, err := f.lookup(path)
-	if err != nil {
-		return err
-	}
-	if d.bad {
-		return vfs.ErrIO
-	}
-	if d.typ == vfs.TypeDir {
-		return vfs.ErrIsDir
-	}
-	if size == d.size {
-		return nil
-	}
-
-	if size > d.size {
-		d.size = size
-		t := f.beginTx()
-		t.setInode(d)
-		t.commit()
-		return nil
-	}
-
-	// Shrink: list first, then commit the size, then reclaim.
-	f.truncAdd(d.ino)
-	oldBlocks := d.blocks
-	firstDead := int((size + BlockSize - 1) / BlockSize)
-	for i := firstDead; i < NDirect; i++ {
-		d.blocks[i] = 0
-	}
-	d.size = size
-	t := f.beginTx()
-	t.setInode(d)
-	t.commit()
-
-	// Zero the tail remainder so a later extension reads zeros (beyond the
-	// committed size, hence crash-invisible).
-	if rem := size % BlockSize; rem != 0 && d.blocks[size/BlockSize] != 0 {
-		b := d.blocks[size/BlockSize]
-		f.pm.MemsetNT(blockOff(b)+rem, 0, int(BlockSize-rem))
-		f.pm.Fence()
-	}
-	for i := firstDead; i < NDirect; i++ {
-		if oldBlocks[i] != 0 {
-			f.alloc.release(oldBlocks[i])
-		}
-	}
-	f.truncRemove()
-	return nil
-}
-
 // Fallocate implements vfs.FS: allocate blocks and extend the size.
 func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
-	d, err := f.fdInode(fd)
+	d, err := f.Descs.Get(fd)
 	if err != nil {
 		return err
-	}
-	if d.bad {
-		return vfs.ErrIO
 	}
 	if off < 0 || length <= 0 {
 		return vfs.ErrInvalid
@@ -215,7 +115,7 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 	metaDirty := false
 	var fresh []uint64
 	for i := int(off / BlockSize); i <= int((end-1)/BlockSize); i++ {
-		if d.blocks[i] != 0 {
+		if d.Blocks[i] != 0 {
 			continue
 		}
 		nb, err := f.alloc.alloc()
@@ -225,36 +125,22 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 			}
 			return err
 		}
-		f.pm.MemsetNT(blockOff(nb), 0, BlockSize)
-		d.blocks[i] = nb
+		f.PM.MemsetNT(inplace.BlockOff(nb), 0, BlockSize)
+		d.Blocks[i] = nb
 		fresh = append(fresh, nb)
 		metaDirty = true
 	}
 	if len(fresh) > 0 {
-		f.pm.Fence()
+		f.PM.Fence()
 	}
-	if end > d.size {
-		d.size = end
+	if end > d.Size {
+		d.Size = end
 		metaDirty = true
 	}
 	if metaDirty {
 		t := f.beginTx()
-		t.setInode(d)
-		t.commit()
+		f.SetInode(t, d)
+		t.Commit()
 	}
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

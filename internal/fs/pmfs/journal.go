@@ -1,6 +1,10 @@
 package pmfs
 
-import "chipmunk/internal/bugs"
+import (
+	"encoding/binary"
+
+	"chipmunk/internal/bugs"
+)
 
 // PMFS's journal is a small circular redo log. Records carry byte-range
 // writes; the persistent head and tail words delimit the committed region.
@@ -36,16 +40,11 @@ type txn struct {
 
 func (f *FS) beginTx() *txn { return &txn{fs: f} }
 
-func (t *txn) set(off int64, data []byte) {
+func (t *txn) Set(off int64, data []byte) {
 	if len(data) > jRecDataMax {
 		panic("pmfs: journal record too large")
 	}
-	t.recs = append(t.recs, jrec{off, append([]byte(nil), data...)})
-}
-
-// setInode records d's full inode image.
-func (t *txn) setInode(d *dnode) {
-	t.set(inodeOff(d.ino), t.fs.inodeImage(d))
+	t.recs = append(t.recs, jrec{off, data})
 }
 
 func pad8(n int) int { return (n + 7) &^ 7 }
@@ -67,8 +66,8 @@ func (f *FS) storeWrapped(pos int64, data []byte) {
 		if n > room {
 			n = room
 		}
-		f.pm.Store(dev, data[i:i+n])
-		f.pm.Flush(dev, n)
+		f.PM.Store(dev, data[i:i+n])
+		f.PM.Flush(dev, n)
 		i += n
 	}
 }
@@ -83,14 +82,14 @@ func (f *FS) loadWrapped(pos int64, n int) []byte {
 		if take > room {
 			take = room
 		}
-		out = append(out, f.pm.Load(dev, take)...)
+		out = append(out, f.PM.Load(dev, take)...)
 	}
 	return out
 }
 
 // commit appends the records, advances the tail (the commit point), applies
 // the records in place, and occasionally reclaims the log.
-func (t *txn) commit() {
+func (t *txn) Commit() {
 	fs := t.fs
 	base := int64(journalBlock) * BlockSize
 	// Reclaim eagerly if this transaction would overrun un-reclaimed
@@ -99,38 +98,38 @@ func (t *txn) commit() {
 	for _, r := range t.recs {
 		need += 16 + int64(pad8(len(r.data)))
 	}
-	head := int64(fs.pm.Load64(base + jHeadOff))
+	head := int64(fs.PM.Load64(base + jHeadOff))
 	if fs.jTail+need-head > int64(jAreaSize-jRecsStart) {
-		fs.pm.PersistStore64(base+jHeadOff, uint64(fs.jTail))
-		fs.pm.Fence()
+		fs.PM.PersistStore64(base+jHeadOff, uint64(fs.jTail))
+		fs.PM.Fence()
 	}
 	pos := fs.jTail
 	for _, r := range t.recs {
 		hdr := make([]byte, 16)
-		put64(hdr, uint64(r.off))
-		put64(hdr[8:], uint64(len(r.data)))
+		binary.LittleEndian.PutUint64(hdr, uint64(r.off))
+		binary.LittleEndian.PutUint64(hdr[8:], uint64(len(r.data)))
 		fs.storeWrapped(pos, hdr)
 		padded := make([]byte, pad8(len(r.data)))
 		copy(padded, r.data)
 		fs.storeWrapped(pos+16, padded)
 		pos += 16 + int64(len(padded))
 	}
-	fs.pm.Fence()
+	fs.PM.Fence()
 	// Commit point: publish the new tail.
 	fs.jTail = pos
-	fs.pm.PersistStore64(base+jTailOff, uint64(pos))
-	fs.pm.Fence()
+	fs.PM.PersistStore64(base+jTailOff, uint64(pos))
+	fs.PM.Fence()
 	// Apply in place.
 	for _, r := range t.recs {
-		fs.pm.Store(r.off, r.data)
-		fs.pm.Flush(r.off, len(r.data))
+		fs.PM.Store(r.off, r.data)
+		fs.PM.Flush(r.off, len(r.data))
 	}
-	fs.pm.Fence()
+	fs.PM.Fence()
 	// Lazy reclamation: advance the head in batches.
-	head = int64(fs.pm.Load64(base + jHeadOff))
+	head = int64(fs.PM.Load64(base + jHeadOff))
 	if pos-head >= int64(jReclaimThreshold) {
-		fs.pm.PersistStore64(base+jHeadOff, uint64(pos))
-		fs.pm.Fence()
+		fs.PM.PersistStore64(base+jHeadOff, uint64(pos))
+		fs.PM.Fence()
 	}
 }
 
@@ -139,8 +138,8 @@ func (t *txn) commit() {
 // them linearly and walked out of the journal area.
 func (f *FS) recoverJournal() error {
 	base := int64(journalBlock) * BlockSize
-	head := int64(f.pm.Load64(base + jHeadOff))
-	tail := int64(f.pm.Load64(base + jTailOff))
+	head := int64(f.PM.Load64(base + jHeadOff))
+	tail := int64(f.PM.Load64(base + jTailOff))
 	if head < jRecsStart || tail < head {
 		return corrupt("journal pointers head=%d tail=%d", head, tail)
 	}
@@ -155,37 +154,37 @@ func (f *FS) recoverJournal() error {
 			if dev+16 > base+jAreaSize {
 				return corrupt("out-of-bounds journal read at device offset %d", dev+16)
 			}
-			recLen := int64(f.pm.Load64(dev + 8))
+			recLen := int64(f.PM.Load64(dev + 8))
 			if recLen > jRecDataMax {
 				return corrupt("out-of-bounds journal record length %d at %d", recLen, dev)
 			}
 			if dev+16+int64(pad8(int(recLen))) > base+jAreaSize {
 				return corrupt("out-of-bounds journal read: record at %d runs past area end", dev)
 			}
-			target := int64(f.pm.Load64(dev))
-			data := f.pm.Load(dev+16, int(recLen))
-			if target < 0 || target+recLen > f.pm.Size() {
+			target := int64(f.PM.Load64(dev))
+			data := f.PM.Load(dev+16, int(recLen))
+			if target < 0 || target+recLen > f.PM.Size() {
 				return corrupt("journal replay targets invalid offset %d", target)
 			}
-			f.pm.Store(target, data)
-			f.pm.Flush(target, int(recLen))
+			f.PM.Store(target, data)
+			f.PM.Flush(target, int(recLen))
 			pos += 16 + int64(pad8(int(recLen)))
 			continue
 		}
 		hdr := f.loadWrapped(pos, 16)
-		target := int64(le64(hdr))
-		recLen := int(le64(hdr[8:]))
+		target := int64(binary.LittleEndian.Uint64(hdr))
+		recLen := int(binary.LittleEndian.Uint64(hdr[8:]))
 		if recLen > jRecDataMax {
 			return corrupt("journal record length %d out of range", recLen)
 		}
-		if target < 0 || target+int64(recLen) > f.pm.Size() {
+		if target < 0 || target+int64(recLen) > f.PM.Size() {
 			return corrupt("journal replay targets invalid offset %d", target)
 		}
 		data := f.loadWrapped(pos+16, recLen)
-		f.pm.Store(target, data)
-		f.pm.Flush(target, recLen)
+		f.PM.Store(target, data)
+		f.PM.Flush(target, recLen)
 		pos += 16 + int64(pad8(recLen))
 	}
-	f.pm.Fence()
+	f.PM.Fence()
 	return nil
 }

@@ -18,21 +18,18 @@ import (
 	"fmt"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/inplace"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/vfs"
 )
 
 const (
 	// BlockSize is the allocation unit.
-	BlockSize = 4096
-	// InodeSize is the on-PM inode footprint.
-	InodeSize = 128
+	BlockSize = inplace.BlockSize
+	// MaxFileSize is what the inode's direct block pointers reach.
+	MaxFileSize = inplace.MaxFileSize
 	// Magic identifies a formatted PMFS image.
 	Magic = 0x504D4653 // "PMFS"
-	// NDirect is the number of direct block pointers per inode.
-	NDirect = 12
-	// MaxFileSize is NDirect blocks.
-	MaxFileSize = NDirect * BlockSize
 
 	// Block layout.
 	sbBlock        = 0
@@ -43,27 +40,11 @@ const (
 	poolStart      = inodeTblBlock + inodeTblBlocks
 
 	// InodeCount is the number of inode slots.
-	InodeCount = inodeTblBlocks * (BlockSize / InodeSize)
-	// RootIno is the root directory inode.
-	RootIno = 1
+	InodeCount = inodeTblBlocks * (BlockSize / inplace.InodeSize)
 
 	// Superblock offsets.
 	sbMagicOff  = 0
 	sbBlocksOff = 8
-
-	// Inode field offsets.
-	inoValidOff  = 0  // u32
-	inoTypeOff   = 4  // u32
-	inoNlinkOff  = 8  // u64
-	inoSizeOff   = 16 // u64
-	inoBlocksOff = 24 // NDirect u64 block pointers (0 = hole)
-
-	// Directory entry slots inside directory data blocks.
-	DirentSize      = 64
-	deInoOff        = 0 // u64 (0 = free slot)
-	deNameLenOff    = 8 // u8
-	deNameOff       = 9 // up to 55 bytes
-	direntsPerBlock = BlockSize / DirentSize
 
 	// Truncate list block: count u64 at 0, then {ino u64, size u64} pairs.
 	truncCountOff = 0
@@ -71,35 +52,15 @@ const (
 	truncMaxEnts  = (BlockSize - truncEntsOff) / 16
 )
 
-// dnode caches an inode in DRAM.
-type dnode struct {
-	ino    uint64
-	typ    vfs.FileType
-	nlink  uint64
-	size   int64
-	blocks [NDirect]uint64
-
-	dirents map[string]direntRef // directories
-	bad     bool
-}
-
-// direntRef locates a directory entry slot on PM.
-type direntRef struct {
-	ino uint64
-	off int64 // device offset of the 64-byte slot
-}
-
-// FS is the PMFS instance.
+// FS is the PMFS instance: the in-place inode and namespace layer it
+// shares with WineFS, over PMFS's own journal, truncate list and
+// allocator.
 type FS struct {
-	pm   *persist.PM
+	inplace.FS
 	bugs bugs.Set
 
 	totalBlocks uint64
 	alloc       *blockAlloc
-	ialloc      []bool
-	inodes      map[uint64]*dnode
-	fds         map[vfs.FD]uint64
-	nextFD      vfs.FD
 	mounted     bool
 
 	jTail int64 // next free byte in the journal record area (DRAM mirror)
@@ -107,8 +68,21 @@ type FS struct {
 
 // New creates a PMFS instance on pm with the given injected bug set.
 func New(pm *persist.PM, set bugs.Set) *FS {
-	return &FS{pm: pm, bugs: set}
+	f := &FS{bugs: set}
+	f.PM, f.Host, f.Table = pm, (*host)(f), inodeTblBlock*BlockSize
+	return f
 }
+
+// host is FS as the namespace layer's inplace.Host: deletions and shrinks
+// are bracketed by the truncate list.
+type host FS
+
+func (h *host) Begin() inplace.Tx              { return (*FS)(h).beginTx() }
+func (h *host) AllocDirBlock() (uint64, error) { return h.alloc.alloc() }
+func (h *host) Release(b uint64)               { h.alloc.release(b) }
+func (h *host) Freeing(ino uint64)             { (*FS)(h).truncAdd(ino) }
+func (h *host) Freed()                         { (*FS)(h).truncRemove() }
+func (h *host) EndOp()                         {}
 
 // Caps implements vfs.FS.
 func (f *FS) Caps() vfs.Caps {
@@ -121,28 +95,19 @@ func corrupt(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: "+format, append([]interface{}{vfs.ErrCorrupt}, args...)...)
 }
 
-func inodeOff(ino uint64) int64 {
-	return int64(inodeTblBlock)*BlockSize + int64(ino)*InodeSize
-}
-
-func blockOff(b uint64) int64 { return int64(b) * BlockSize }
-
 // Mkfs implements vfs.FS.
 func (f *FS) Mkfs() error {
-	f.totalBlocks = uint64(f.pm.Size()) / BlockSize
+	f.totalBlocks = uint64(f.PM.Size()) / BlockSize
 	if f.totalBlocks < poolStart+8 {
 		return vfs.ErrNoSpace
 	}
-	pm := f.pm
+	pm := f.PM
 	pm.MemsetNT(0, 0, poolStart*BlockSize)
 	pm.Fence()
 
 	f.alloc = newBlockAlloc(poolStart, f.totalBlocks)
-	f.ialloc = make([]bool, InodeCount)
-	f.ialloc[0], f.ialloc[RootIno] = true, true
-	f.inodes = map[uint64]*dnode{}
-	f.fds = map[vfs.FD]uint64{}
-	f.nextFD = 3
+	f.Reset(InodeCount)
+	f.Slots[inplace.RootIno] = true
 	f.jTail = jRecsStart
 
 	// Journal pointers start at the record region.
@@ -151,10 +116,10 @@ func (f *FS) Mkfs() error {
 	pm.Flush(int64(journalBlock)*BlockSize, 16)
 	pm.Fence()
 
-	root := &dnode{ino: RootIno, typ: vfs.TypeDir, nlink: 2, dirents: map[string]direntRef{}}
+	root := &inplace.Inode{Ino: inplace.RootIno, Typ: vfs.TypeDir, Nlink: 2, Dirents: map[string]inplace.DirentRef{}}
 	f.persistInode(root)
 	pm.Fence()
-	f.inodes[RootIno] = root
+	f.Inodes[inplace.RootIno] = root
 
 	pm.Store64(sbMagicOff, Magic)
 	pm.Store64(sbBlocksOff, f.totalBlocks)
@@ -165,174 +130,17 @@ func (f *FS) Mkfs() error {
 }
 
 // persistInode writes d's full on-PM inode image (flushed, not fenced).
-func (f *FS) persistInode(d *dnode) {
-	buf := f.inodeImage(d)
-	f.pm.Store(inodeOff(d.ino), buf)
-	f.pm.Flush(inodeOff(d.ino), InodeSize)
-}
-
-func (f *FS) inodeImage(d *dnode) []byte {
-	buf := make([]byte, InodeSize)
-	put32(buf[inoValidOff:], 1)
-	put32(buf[inoTypeOff:], uint32(d.typ))
-	put64(buf[inoNlinkOff:], d.nlink)
-	put64(buf[inoSizeOff:], uint64(d.size))
-	for i, b := range d.blocks {
-		put64(buf[inoBlocksOff+i*8:], b)
-	}
-	return buf
+func (f *FS) persistInode(d *inplace.Inode) {
+	f.PM.Store(f.InodeOff(d.Ino), inplace.Image(d))
+	f.PM.Flush(f.InodeOff(d.Ino), inplace.InodeSize)
 }
 
 // Unmount implements vfs.FS.
 func (f *FS) Unmount() error {
 	f.mounted = false
-	f.fds = map[vfs.FD]uint64{}
-	f.inodes = nil
+	f.Drop()
 	f.alloc = nil
 	return nil
 }
 
-// lookup resolves an absolute path.
-func (f *FS) lookup(path string) (*dnode, error) {
-	d := f.inodes[RootIno]
-	if d == nil {
-		return nil, vfs.ErrCorrupt
-	}
-	for _, c := range vfs.Components(path) {
-		if d.bad {
-			return nil, vfs.ErrIO
-		}
-		if d.typ != vfs.TypeDir {
-			return nil, vfs.ErrNotDir
-		}
-		ref, ok := d.dirents[c]
-		if !ok {
-			return nil, vfs.ErrNotExist
-		}
-		d = f.inodes[ref.ino]
-		if d == nil {
-			return nil, vfs.ErrIO
-		}
-	}
-	return d, nil
-}
-
-func (f *FS) lookupParent(path string) (*dnode, string, error) {
-	dir, name := vfs.SplitPath(path)
-	if name == "" {
-		return nil, "", vfs.ErrInvalid
-	}
-	if !vfs.ValidName(name) {
-		return nil, "", vfs.ErrNameTooLong
-	}
-	p, err := f.lookup(dir)
-	if err != nil {
-		return nil, "", err
-	}
-	if p.typ != vfs.TypeDir {
-		return nil, "", vfs.ErrNotDir
-	}
-	if p.bad {
-		return nil, "", vfs.ErrIO
-	}
-	return p, name, nil
-}
-
-// Stat implements vfs.FS.
-func (f *FS) Stat(path string) (vfs.Stat, error) {
-	d, err := f.lookup(path)
-	if err != nil {
-		return vfs.Stat{}, err
-	}
-	if d.bad {
-		return vfs.Stat{}, vfs.ErrIO
-	}
-	return vfs.Stat{Ino: d.ino, Type: d.typ, Nlink: uint32(d.nlink), Size: d.size}, nil
-}
-
-// ReadDir implements vfs.FS.
-func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
-	d, err := f.lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if d.bad {
-		return nil, vfs.ErrIO
-	}
-	if d.typ != vfs.TypeDir {
-		return nil, vfs.ErrNotDir
-	}
-	out := make([]vfs.DirEnt, 0, len(d.dirents))
-	for name, ref := range d.dirents {
-		typ := vfs.TypeRegular
-		if c := f.inodes[ref.ino]; c != nil {
-			typ = c.typ
-		}
-		out = append(out, vfs.DirEnt{Name: name, Ino: ref.ino, Type: typ})
-	}
-	sortDirEnts(out)
-	return out, nil
-}
-
-func sortDirEnts(ents []vfs.DirEnt) {
-	for i := 1; i < len(ents); i++ {
-		for j := i; j > 0 && ents[j].Name < ents[j-1].Name; j-- {
-			ents[j], ents[j-1] = ents[j-1], ents[j]
-		}
-	}
-}
-
-// Open implements vfs.FS.
-func (f *FS) Open(path string) (vfs.FD, error) {
-	d, err := f.lookup(path)
-	if err != nil {
-		return -1, err
-	}
-	if d.bad {
-		return -1, vfs.ErrIO
-	}
-	if d.typ == vfs.TypeDir {
-		return -1, vfs.ErrIsDir
-	}
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = d.ino
-	return fd, nil
-}
-
-// Close implements vfs.FS.
-func (f *FS) Close(fd vfs.FD) error {
-	if _, ok := f.fds[fd]; !ok {
-		return vfs.ErrBadFD
-	}
-	delete(f.fds, fd)
-	return nil
-}
-
-func (f *FS) fdInode(fd vfs.FD) (*dnode, error) {
-	ino, ok := f.fds[fd]
-	if !ok {
-		return nil, vfs.ErrBadFD
-	}
-	d := f.inodes[ino]
-	if d == nil {
-		return nil, vfs.ErrBadFD
-	}
-	return d, nil
-}
-
-// Fsync implements vfs.FS: PMFS is synchronous, so this only validates fd.
-func (f *FS) Fsync(fd vfs.FD) error {
-	if _, ok := f.fds[fd]; !ok {
-		return vfs.ErrBadFD
-	}
-	return nil
-}
-
-// Sync implements vfs.FS.
-func (f *FS) Sync() error { return nil }
-
 var _ vfs.FS = (*FS)(nil)
-
-// OpenFDs implements vfs.FDCounter.
-func (f *FS) OpenFDs() int { return len(f.fds) }

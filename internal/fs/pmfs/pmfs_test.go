@@ -398,3 +398,63 @@ func TestNoSpaceExhaustion(t *testing.T) {
 		t.Fatalf("expected ENOSPC, got %v", lastErr)
 	}
 }
+
+// TestUnlinkWhileOpenCrashReclaims covers a crash between unlink and the
+// last close: the inode's slot is still valid, with nlink 0, but no
+// directory reaches it, and Mount's orphan GC reclaims it — the free block
+// and inode counts return to their values before the file was created.
+// Without a crash the last close reclaims it, and a crash after that
+// finds nothing to reclaim.
+func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
+	f, dev := newPmfs(t, bugs.None())
+	// The first create gives the root its directory block (or log page),
+	// which stays: count from there.
+	if _, err := f.Create("/keep"); err != nil {
+		t.Fatal(err)
+	}
+	blocks, inodes := f.alloc.freeBlocks(), freeInodes(f)
+	fd, err := f.Create("/victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Pwrite(fd, make([]byte, 3*BlockSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Unlink("/victim"); err != nil {
+		t.Fatal(err)
+	}
+	if f.alloc.freeBlocks() >= blocks || freeInodes(f) >= inodes {
+		t.Fatal("the unlinked-but-open file is already reclaimed")
+	}
+	mounted := func(img []byte) *FS {
+		t.Helper()
+		f2 := New(persist.New(pmem.FromImage(img)), bugs.None())
+		if err := f2.Mount(); err != nil {
+			t.Fatal(err)
+		}
+		return f2
+	}
+	check := func(when string, f *FS) {
+		t.Helper()
+		if got, gotI := f.alloc.freeBlocks(), freeInodes(f); got != blocks || gotI != inodes {
+			t.Errorf("%s: %d free blocks, %d free inodes; want %d, %d", when, got, gotI, blocks, inodes)
+		}
+	}
+	check("after crash and mount", mounted(dev.CrashImage()))
+
+	if err := f.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	check("after the last close", f)
+	check("after the last close, crash and mount", mounted(dev.CrashImage()))
+}
+
+func freeInodes(f *FS) int {
+	n := 0
+	for _, used := range f.Slots {
+		if !used {
+			n++
+		}
+	}
+	return n
+}

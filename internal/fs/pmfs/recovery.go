@@ -1,25 +1,26 @@
 package pmfs
 
 import (
+	"chipmunk/internal/fs/inplace"
+
 	"chipmunk/internal/bugs"
-	"chipmunk/internal/vfs"
 )
 
 // truncAdd records ino on the persistent truncate list before an operation
 // that frees its blocks, so recovery can finish an interrupted reclamation.
 func (f *FS) truncAdd(ino uint64) {
 	base := int64(truncBlock) * BlockSize
-	f.pm.Store64(base+truncEntsOff, ino)
-	f.pm.Flush(base+truncEntsOff, 8)
-	f.pm.Fence()
-	f.pm.PersistStore64(base+truncCountOff, 1)
-	f.pm.Fence()
+	f.PM.Store64(base+truncEntsOff, ino)
+	f.PM.Flush(base+truncEntsOff, 8)
+	f.PM.Fence()
+	f.PM.PersistStore64(base+truncCountOff, 1)
+	f.PM.Fence()
 }
 
 // truncRemove clears the list once the reclamation completed.
 func (f *FS) truncRemove() {
-	f.pm.PersistStore64(int64(truncBlock)*BlockSize+truncCountOff, 0)
-	f.pm.Fence()
+	f.PM.PersistStore64(int64(truncBlock)*BlockSize+truncCountOff, 0)
+	f.PM.Fence()
 }
 
 // Mount implements vfs.FS: journal recovery, inode-table scan, DRAM
@@ -30,7 +31,7 @@ func (f *FS) truncRemove() {
 // replay's attempt to return blocks dereferenced a null pointer. We model
 // the kernel oops as a mount failure.
 func (f *FS) Mount() error {
-	pm := f.pm
+	pm := f.PM
 	if pm.Load64(sbMagicOff) != Magic {
 		return corrupt("bad superblock magic %#x", pm.Load64(sbMagicOff))
 	}
@@ -55,77 +56,8 @@ func (f *FS) Mount() error {
 	}
 
 	f.alloc = newBlockAlloc(poolStart, f.totalBlocks)
-	f.ialloc = make([]bool, InodeCount)
-	f.ialloc[0] = true
-	f.inodes = map[uint64]*dnode{}
-	f.fds = map[vfs.FD]uint64{}
-	f.nextFD = 3
-
-	// Inode scan.
-	for ino := uint64(1); ino < InodeCount; ino++ {
-		img := pm.Load(inodeOff(ino), InodeSize)
-		if le32(img[inoValidOff:]) != 1 {
-			continue
-		}
-		d := &dnode{
-			ino:   ino,
-			typ:   vfs.FileType(le32(img[inoTypeOff:])),
-			nlink: le64(img[inoNlinkOff:]),
-			size:  int64(le64(img[inoSizeOff:])),
-		}
-		for i := 0; i < NDirect; i++ {
-			d.blocks[i] = le64(img[inoBlocksOff+i*8:])
-		}
-		if d.typ == vfs.TypeDir {
-			d.dirents = map[string]direntRef{}
-		}
-		f.ialloc[ino] = true
-		f.inodes[ino] = d
-	}
-	root := f.inodes[RootIno]
-	if root == nil || root.typ != vfs.TypeDir {
-		return corrupt("root inode missing or not a directory")
-	}
-
-	// Claim blocks; double references are corruption.
-	for _, d := range f.inodes {
-		for i, b := range d.blocks {
-			if b == 0 {
-				continue
-			}
-			if b < poolStart || b >= f.totalBlocks {
-				return corrupt("inode %d block[%d]=%d out of range", d.ino, i, b)
-			}
-			if !f.alloc.markUsed(b) {
-				return corrupt("block %d referenced twice", b)
-			}
-		}
-	}
-
-	// Directory scan.
-	for _, d := range f.inodes {
-		if d.typ != vfs.TypeDir {
-			continue
-		}
-		for _, b := range d.blocks {
-			if b == 0 {
-				continue
-			}
-			for s := 0; s < direntsPerBlock; s++ {
-				off := blockOff(b) + int64(s)*DirentSize
-				slot := pm.Load(off, DirentSize)
-				ino := le64(slot[deInoOff:])
-				if ino == 0 {
-					continue
-				}
-				nameLen := int(slot[deNameLenOff])
-				if ino >= InodeCount || nameLen == 0 || nameLen > DirentSize-deNameOff {
-					return corrupt("bad dirent in block %d slot %d", b, s)
-				}
-				name := string(slot[deNameOff : deNameOff+nameLen])
-				d.dirents[name] = direntRef{ino: ino, off: off}
-			}
-		}
+	if err := f.Load(InodeCount, poolStart, f.totalBlocks, f.alloc.markUsed); err != nil {
+		return err
 	}
 
 	// Truncate-list replay (fixed ordering: after the allocator rebuild).
@@ -135,15 +67,15 @@ func (f *FS) Mount() error {
 	}
 	if count > 0 {
 		ino := pm.Load64(int64(truncBlock)*BlockSize + truncEntsOff)
-		if d := f.inodes[ino]; d != nil {
+		if d := f.Inodes[ino]; d != nil {
 			// Free blocks beyond the committed size and persist the
 			// cleaned pointers — finishing the interrupted operation.
-			firstDead := int((d.size + BlockSize - 1) / BlockSize)
+			firstDead := int((d.Size + BlockSize - 1) / BlockSize)
 			dirty := false
-			for i := firstDead; i < NDirect; i++ {
-				if d.blocks[i] != 0 {
-					f.alloc.release(d.blocks[i])
-					d.blocks[i] = 0
+			for i := firstDead; i < inplace.NDirect; i++ {
+				if d.Blocks[i] != 0 {
+					f.alloc.release(d.Blocks[i])
+					d.Blocks[i] = 0
 					dirty = true
 				}
 			}
@@ -155,48 +87,11 @@ func (f *FS) Mount() error {
 		f.truncRemove()
 	}
 
-	// Dangling dirents become bad placeholders; then orphan GC.
-	referenced := map[uint64]bool{RootIno: true}
-	for _, d := range f.inodes {
-		if d.typ != vfs.TypeDir {
-			continue
-		}
-		for _, ref := range d.dirents {
-			referenced[ref.ino] = true
-			if f.inodes[ref.ino] == nil {
-				f.inodes[ref.ino] = &dnode{ino: ref.ino, typ: vfs.TypeRegular, bad: true}
-			}
-		}
+	// Orphan GC: reclaiming in DRAM is enough, a free slot is rewritten
+	// whole by the transaction that reuses it.
+	for _, d := range f.Orphans() {
+		f.Destroy(d)
 	}
-	reachable := map[uint64]bool{RootIno: true}
-	f.markReachable(root, reachable)
-	for ino, d := range f.inodes {
-		if reachable[ino] || d.bad {
-			continue
-		}
-		f.destroyInode(d)
-	}
-	for ino, d := range f.inodes {
-		if d.bad && !reachable[ino] {
-			delete(f.inodes, ino)
-		}
-	}
-
 	f.mounted = true
 	return nil
-}
-
-func (f *FS) markReachable(d *dnode, seen map[uint64]bool) {
-	if d.typ != vfs.TypeDir || d.bad {
-		return
-	}
-	for _, ref := range d.dirents {
-		if seen[ref.ino] {
-			continue
-		}
-		seen[ref.ino] = true
-		if c := f.inodes[ref.ino]; c != nil {
-			f.markReachable(c, seen)
-		}
-	}
 }

@@ -17,10 +17,7 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	if err := f.appendEntry(opCreat, -1, pstr(vfs.Clean(path)), true); err != nil {
 		return -1, err
 	}
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = &openFile{kfd: kfd, path: vfs.Clean(path), ino: ino}
-	return fd, nil
+	return f.descs.Open(ino, &openFile{kfd: kfd, path: vfs.Clean(path), ino: ino}), nil
 }
 
 // Open implements vfs.FS.
@@ -30,19 +27,16 @@ func (f *FS) Open(path string) (vfs.FD, error) {
 		return -1, err
 	}
 	ino, _ := f.kernel.InoOf(path)
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = &openFile{kfd: kfd, path: vfs.Clean(path), ino: ino}
-	return fd, nil
+	return f.descs.Open(ino, &openFile{kfd: kfd, path: vfs.Clean(path), ino: ino}), nil
 }
 
 // Close implements vfs.FS.
 func (f *FS) Close(fd vfs.FD) error {
-	of, ok := f.fds[fd]
-	if !ok {
-		return vfs.ErrBadFD
+	of, err := f.descs.Get(fd)
+	if err != nil {
+		return err
 	}
-	delete(f.fds, fd)
+	f.descs.Close(fd, nil)
 	delete(f.fdCursor, fd)
 	return f.kernel.Close(of.kfd)
 }
@@ -120,9 +114,9 @@ func (f *FS) Truncate(path string, size int64) error {
 
 // Fallocate implements vfs.FS.
 func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
-	of, ok := f.fds[fd]
-	if !ok {
-		return vfs.ErrBadFD
+	of, err := f.descs.Get(fd)
+	if err != nil {
+		return err
 	}
 	if err := f.kernel.Fallocate(of.kfd, off, length); err != nil {
 		return err
@@ -134,9 +128,9 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 // Pwrite implements vfs.FS: stage the data, log the record, update the
 // kernel's volatile state.
 func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
-	of, ok := f.fds[fd]
-	if !ok {
-		return 0, vfs.ErrBadFD
+	of, err := f.descs.Get(fd)
+	if err != nil {
+		return 0, err
 	}
 	if off < 0 {
 		return 0, vfs.ErrInvalid
@@ -173,7 +167,7 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 	if f.has(bugs.SplitfsStagePerFD) {
 		c, ok := f.fdCursor[fd]
 		if !ok {
-			if f.anotherOpenFD(fd, of.ino) {
+			if f.descs.Opens(of.ino) > 1 {
 				c = 0 // the forgotten concurrent-open case
 			} else {
 				c = f.inoCursor[of.ino]
@@ -219,17 +213,17 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 // Pread implements vfs.FS (reads come from the kernel's volatile tree,
 // which SplitFS keeps current).
 func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
-	of, ok := f.fds[fd]
-	if !ok {
-		return 0, vfs.ErrBadFD
+	of, err := f.descs.Get(fd)
+	if err != nil {
+		return 0, err
 	}
 	return f.kernel.Pread(of.kfd, buf, off)
 }
 
 // Fsync implements vfs.FS: relink.
 func (f *FS) Fsync(fd vfs.FD) error {
-	if _, ok := f.fds[fd]; !ok {
-		return vfs.ErrBadFD
+	if _, err := f.descs.Get(fd); err != nil {
+		return err
 	}
 	return f.relink()
 }
@@ -242,17 +236,6 @@ func (f *FS) Stat(path string) (vfs.Stat, error) { return f.kernel.Stat(path) }
 
 // ReadDir implements vfs.FS.
 func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) { return f.kernel.ReadDir(path) }
-
-// anotherOpenFD reports whether a different descriptor currently has ino
-// open.
-func (f *FS) anotherOpenFD(fd vfs.FD, ino uint64) bool {
-	for other, of := range f.fds {
-		if other != fd && of.ino == ino {
-			return true
-		}
-	}
-	return false
-}
 
 // decodeWrite unpacks a pwrite payload.
 func decodeWrite(p []byte) (ino uint64, off, n, stageOff int64) {

@@ -80,8 +80,9 @@ type FS struct {
 	logRg  *persist.Region
 	stage  *persist.Region
 
-	fds    map[vfs.FD]*openFile
-	nextFD vfs.FD
+	// descs holds each descriptor's openFile, the state bugs 22 and 23 key
+	// on.
+	descs vfs.FDTable[*openFile]
 
 	seq     uint64 // last op sequence number issued
 	logTail int64  // next free byte in the op-log region
@@ -134,8 +135,7 @@ func (f *FS) Mkfs() error {
 }
 
 func (f *FS) resetVolatile() {
-	f.fds = map[vfs.FD]*openFile{}
-	f.nextFD = 3
+	f.descs.Reset()
 	f.stageBump = 0
 	f.stageBase = map[uint64]int64{}
 	f.inoCursor = map[uint64]int64{}
@@ -146,7 +146,7 @@ func (f *FS) resetVolatile() {
 // Unmount implements vfs.FS.
 func (f *FS) Unmount() error {
 	f.mounted = false
-	f.fds = map[vfs.FD]*openFile{}
+	f.descs.Reset()
 	return f.kernel.Unmount()
 }
 
@@ -242,9 +242,4 @@ var _ vfs.FS = (*FS)(nil)
 // OpenFDs implements vfs.FDCounter. Every SplitFS descriptor wraps one
 // kernel descriptor, so the two tables must agree; reporting the larger
 // count surfaces leaks on either side of the delegation.
-func (f *FS) OpenFDs() int {
-	if k := f.kernel.OpenFDs(); k > len(f.fds) {
-		return k
-	}
-	return len(f.fds)
-}
+func (f *FS) OpenFDs() int { return max(f.kernel.OpenFDs(), f.descs.OpenFDs()) }

@@ -19,7 +19,7 @@ const (
 // fastPublish publishes two 8-byte metadata words via the mini-journal with
 // the missing record/commit fence.
 func (f *FS) fastPublish(target0 int64, val0 uint64, target1 int64, val1 uint64) {
-	pm := f.pm
+	pm := f.PM
 	// The fast path writes words the per-CPU redo windows may also cover;
 	// it retires them first so replay cannot roll the publish back.
 	f.reclaimAll()
@@ -46,7 +46,7 @@ func (f *FS) fastPublish(target0 int64, val0 uint64, target1 int64, val1 uint64)
 // recoverMiniJournal redoes a committed fast-publish transaction. Record
 // slots holding zero targets are skipped (the cleared state).
 func (f *FS) recoverMiniJournal() error {
-	pm := f.pm
+	pm := f.PM
 	if pm.Load64(mjCommitOff) != 1 {
 		return nil
 	}

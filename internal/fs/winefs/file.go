@@ -2,6 +2,7 @@ package winefs
 
 import (
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/inplace"
 	"chipmunk/internal/pmem"
 	"chipmunk/internal/vfs"
 )
@@ -18,12 +19,9 @@ import (
 // when the write starts at a sub-cache-line offset, breaking atomicity.
 func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 	defer f.nextOp()
-	d, err := f.fdInode(fd)
+	d, err := f.Descs.Get(fd)
 	if err != nil {
 		return 0, err
-	}
-	if d.bad {
-		return 0, vfs.ErrIO
 	}
 	if off < 0 {
 		return 0, vfs.ErrInvalid
@@ -43,10 +41,10 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 }
 
 // pwriteStrict is the copy-on-write path.
-func (f *FS) pwriteStrict(d *dnode, data []byte, off, end int64) (int, error) {
+func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, error) {
 	firstBlk := int(off / BlockSize)
 	lastBlk := int((end - 1) / BlockSize)
-	newSize := d.size
+	newSize := d.Size
 	if end > newSize {
 		newSize = end
 	}
@@ -60,25 +58,25 @@ func (f *FS) pwriteStrict(d *dnode, data []byte, off, end int64) (int, error) {
 	// it requires replaying exactly two in-flight writes (the size record
 	// and the commit), the "one bug needs two writes" of Observation 7.
 	if f.has(bugs.WinefsStrictInPlace) && off%pmem.CacheLineSize != 0 &&
-		firstBlk == lastBlk && end > d.size {
+		firstBlk == lastBlk && end > d.Size {
 		nb, err := f.alloc.alloc(kindData)
 		if err != nil {
 			return 0, err
 		}
 		content := make([]byte, BlockSize)
-		if old := d.blocks[firstBlk]; old != 0 {
-			f.pm.LoadInto(blockOff(old), content)
+		if old := d.Blocks[firstBlk]; old != 0 {
+			f.PM.LoadInto(inplace.BlockOff(old), content)
 		}
 		blkStart := int64(firstBlk) * BlockSize
 		copy(content[off-blkStart:], data)
-		f.pm.MemcpyNT(blockOff(nb), content)
-		f.pm.Fence()
+		f.PM.MemcpyNT(inplace.BlockOff(nb), content)
+		f.PM.Fence()
 
-		old := d.blocks[firstBlk]
-		d.blocks[firstBlk] = nb
-		d.size = end
-		f.fastPublish(inodeOff(d.ino)+inoBlocksOff+int64(firstBlk)*8, nb,
-			inodeOff(d.ino)+inoSizeOff, uint64(end))
+		old := d.Blocks[firstBlk]
+		d.Blocks[firstBlk] = nb
+		d.Size = end
+		f.fastPublish(f.InodeOff(d.Ino)+inplace.InoBlocksOff+int64(firstBlk)*8, nb,
+			f.InodeOff(d.Ino)+inplace.InoSizeOff, uint64(end))
 		if old != 0 {
 			f.alloc.release(old)
 		}
@@ -100,12 +98,12 @@ func (f *FS) pwriteStrict(d *dnode, data []byte, off, end int64) (int, error) {
 			return 0, err
 		}
 		content := make([]byte, BlockSize)
-		if old := d.blocks[i]; old != 0 {
-			f.pm.LoadInto(blockOff(old), content)
+		if old := d.Blocks[i]; old != 0 {
+			f.PM.LoadInto(inplace.BlockOff(old), content)
 		}
 		blkStart := int64(i) * BlockSize
-		from := max64(off, blkStart)
-		to := min64(end, blkStart+BlockSize)
+		from := max(off, blkStart)
+		to := min(end, blkStart+BlockSize)
 		copy(content[from-blkStart:], data[from-off:to-off])
 		pend = append(pend, pending{i, nb, content})
 	}
@@ -113,23 +111,23 @@ func (f *FS) pwriteStrict(d *dnode, data []byte, off, end int64) (int, error) {
 	// Stream the new blocks; the publish must not overtake the data.
 	for pi, p := range pend {
 		last := pi == len(pend)-1
-		dst := blockOff(p.block)
+		dst := inplace.BlockOff(p.block)
 		switch {
 		case last && f.has(bugs.NTTailNotFenced) && int(end)%8 != 0:
 			// The copy helper fences the aligned body only.
 			valid := int(end - int64(p.idx)*BlockSize)
 			body := valid &^ 7
-			f.pm.MemcpyNT(dst, p.content[:body])
-			f.pm.Fence()
-			f.pm.MemcpyNT(dst+int64(body), p.content[body:])
+			f.PM.MemcpyNT(dst, p.content[:body])
+			f.PM.Fence()
+			f.PM.MemcpyNT(dst+int64(body), p.content[body:])
 			// Missing fence for the tail.
 		case last && f.has(bugs.WriteNotSync):
 			// Missing fence: the publish below can land without the data.
-			f.pm.MemcpyNT(dst, p.content)
+			f.PM.MemcpyNT(dst, p.content)
 		default:
-			f.pm.MemcpyNT(dst, p.content)
+			f.PM.MemcpyNT(dst, p.content)
 			if last {
-				f.pm.Fence()
+				f.PM.Fence()
 			}
 		}
 	}
@@ -137,15 +135,15 @@ func (f *FS) pwriteStrict(d *dnode, data []byte, off, end int64) (int, error) {
 	// Publish atomically via the journal.
 	var olds []uint64
 	for _, p := range pend {
-		if old := d.blocks[p.idx]; old != 0 {
+		if old := d.Blocks[p.idx]; old != 0 {
 			olds = append(olds, old)
 		}
-		d.blocks[p.idx] = p.block
+		d.Blocks[p.idx] = p.block
 	}
-	d.size = newSize
+	d.Size = newSize
 	t := f.beginTx()
-	t.setInode(d)
-	t.commit()
+	f.SetInode(t, d)
+	t.Commit()
 	for _, b := range olds {
 		f.alloc.release(b)
 	}
@@ -153,158 +151,67 @@ func (f *FS) pwriteStrict(d *dnode, data []byte, off, end int64) (int, error) {
 }
 
 // pwriteRelaxed is the PMFS-style in-place path.
-func (f *FS) pwriteRelaxed(d *dnode, data []byte, off, end int64) (int, error) {
+func (f *FS) pwriteRelaxed(d *inplace.Inode, data []byte, off, end int64) (int, error) {
 	firstBlk := int(off / BlockSize)
 	lastBlk := int((end - 1) / BlockSize)
 	metaDirty := false
 	for i := firstBlk; i <= lastBlk; i++ {
-		if d.blocks[i] != 0 {
+		if d.Blocks[i] != 0 {
 			continue
 		}
 		nb, err := f.alloc.alloc(kindData)
 		if err != nil {
 			return 0, err
 		}
-		f.pm.MemsetNT(blockOff(nb), 0, BlockSize)
-		d.blocks[i] = nb
+		f.PM.MemsetNT(inplace.BlockOff(nb), 0, BlockSize)
+		d.Blocks[i] = nb
 		metaDirty = true
 	}
 	if metaDirty {
-		f.pm.Fence()
+		f.PM.Fence()
 	}
-	if end > d.size {
-		d.size = end
+	if end > d.Size {
+		d.Size = end
 		metaDirty = true
 	}
 	if metaDirty {
 		t := f.beginTx()
-		t.setInode(d)
-		t.commit()
+		f.SetInode(t, d)
+		t.Commit()
 	}
 	for i := firstBlk; i <= lastBlk; i++ {
 		blkStart := int64(i) * BlockSize
-		from := max64(off, blkStart)
-		to := min64(end, blkStart+BlockSize)
+		from := max(off, blkStart)
+		to := min(end, blkStart+BlockSize)
 		chunk := data[from-off : to-off]
-		dst := blockOff(d.blocks[i]) + (from - blkStart)
+		dst := inplace.BlockOff(d.Blocks[i]) + (from - blkStart)
 		last := i == lastBlk
 		switch {
 		case last && f.has(bugs.NTTailNotFenced) && len(chunk)%8 != 0:
 			body := len(chunk) &^ 7
 			if body > 0 {
-				f.pm.MemcpyNT(dst, chunk[:body])
+				f.PM.MemcpyNT(dst, chunk[:body])
 			}
-			f.pm.Fence()
-			f.pm.MemcpyNT(dst+int64(body), chunk[body:])
+			f.PM.Fence()
+			f.PM.MemcpyNT(dst+int64(body), chunk[body:])
 		case last && f.has(bugs.WriteNotSync):
-			f.pm.MemcpyNT(dst, chunk)
+			f.PM.MemcpyNT(dst, chunk)
 		default:
-			f.pm.MemcpyNT(dst, chunk)
+			f.PM.MemcpyNT(dst, chunk)
 			if last {
-				f.pm.Fence()
+				f.PM.Fence()
 			}
 		}
 	}
 	return len(data), nil
 }
 
-// Pread implements vfs.FS.
-func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
-	d, err := f.fdInode(fd)
-	if err != nil {
-		return 0, err
-	}
-	if d.bad {
-		return 0, vfs.ErrIO
-	}
-	if off < 0 {
-		return 0, vfs.ErrInvalid
-	}
-	if off >= d.size {
-		return 0, nil
-	}
-	n := int64(len(buf))
-	if off+n > d.size {
-		n = d.size - off
-	}
-	for pos := off; pos < off+n; {
-		i := int(pos / BlockSize)
-		blkStart := int64(i) * BlockSize
-		chunk := min64(blkStart+BlockSize, off+n) - pos
-		if b := d.blocks[i]; b != 0 {
-			f.pm.LoadInto(blockOff(b)+(pos-blkStart), buf[pos-off:pos-off+chunk])
-		} else {
-			for j := pos - off; j < pos-off+chunk; j++ {
-				buf[j] = 0
-			}
-		}
-		pos += chunk
-	}
-	return int(n), nil
-}
-
-// Truncate implements vfs.FS.
-func (f *FS) Truncate(path string, size int64) error {
-	defer f.nextOp()
-	if size < 0 {
-		return vfs.ErrInvalid
-	}
-	if size > MaxFileSize {
-		return vfs.ErrNoSpace
-	}
-	d, err := f.lookup(path)
-	if err != nil {
-		return err
-	}
-	if d.bad {
-		return vfs.ErrIO
-	}
-	if d.typ == vfs.TypeDir {
-		return vfs.ErrIsDir
-	}
-	if size == d.size {
-		return nil
-	}
-	if size > d.size {
-		d.size = size
-		t := f.beginTx()
-		t.setInode(d)
-		t.commit()
-		return nil
-	}
-
-	oldBlocks := d.blocks
-	firstDead := int((size + BlockSize - 1) / BlockSize)
-	for i := firstDead; i < NDirect; i++ {
-		d.blocks[i] = 0
-	}
-	d.size = size
-	t := f.beginTx()
-	t.setInode(d)
-	t.commit()
-
-	if rem := size % BlockSize; rem != 0 && d.blocks[size/BlockSize] != 0 {
-		b := d.blocks[size/BlockSize]
-		f.pm.MemsetNT(blockOff(b)+rem, 0, int(BlockSize-rem))
-		f.pm.Fence()
-	}
-	for i := firstDead; i < NDirect; i++ {
-		if oldBlocks[i] != 0 {
-			f.alloc.release(oldBlocks[i])
-		}
-	}
-	return nil
-}
-
 // Fallocate implements vfs.FS.
 func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 	defer f.nextOp()
-	d, err := f.fdInode(fd)
+	d, err := f.Descs.Get(fd)
 	if err != nil {
 		return err
-	}
-	if d.bad {
-		return vfs.ErrIO
 	}
 	if off < 0 || length <= 0 {
 		return vfs.ErrInvalid
@@ -315,42 +222,28 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 	}
 	metaDirty := false
 	for i := int(off / BlockSize); i <= int((end-1)/BlockSize); i++ {
-		if d.blocks[i] != 0 {
+		if d.Blocks[i] != 0 {
 			continue
 		}
 		nb, err := f.alloc.alloc(kindData)
 		if err != nil {
 			return err
 		}
-		f.pm.MemsetNT(blockOff(nb), 0, BlockSize)
-		d.blocks[i] = nb
+		f.PM.MemsetNT(inplace.BlockOff(nb), 0, BlockSize)
+		d.Blocks[i] = nb
 		metaDirty = true
 	}
 	if metaDirty {
-		f.pm.Fence()
+		f.PM.Fence()
 	}
-	if end > d.size {
-		d.size = end
+	if end > d.Size {
+		d.Size = end
 		metaDirty = true
 	}
 	if metaDirty {
 		t := f.beginTx()
-		t.setInode(d)
-		t.commit()
+		f.SetInode(t, d)
+		t.Commit()
 	}
 	return nil
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -1,6 +1,8 @@
 package winefs
 
 import (
+	"encoding/binary"
+
 	"sort"
 
 	"chipmunk/internal/bugs"
@@ -42,15 +44,11 @@ type txn struct {
 
 func (f *FS) beginTx() *txn { return &txn{fs: f, cpu: f.curCPU()} }
 
-func (t *txn) set(off int64, data []byte) {
+func (t *txn) Set(off int64, data []byte) {
 	if len(data) > jRecDataMax {
 		panic("winefs: journal record too large")
 	}
-	t.recs = append(t.recs, jrec{off, append([]byte(nil), data...)})
-}
-
-func (t *txn) setInode(d *dnode) {
-	t.set(inodeOff(d.ino), t.fs.inodeImage(d))
+	t.recs = append(t.recs, jrec{off, data})
 }
 
 func pad8(n int) int { return (n + 7) &^ 7 }
@@ -70,8 +68,8 @@ func (f *FS) storeWrapped(cpu int, pos int64, data []byte) {
 		if n > room {
 			n = room
 		}
-		f.pm.Store(dev, data[i:i+n])
-		f.pm.Flush(dev, n)
+		f.PM.Store(dev, data[i:i+n])
+		f.PM.Flush(dev, n)
 		i += n
 	}
 }
@@ -85,14 +83,14 @@ func (f *FS) loadWrapped(cpu int, pos int64, n int) []byte {
 		if take > room {
 			take = room
 		}
-		out = append(out, f.pm.Load(dev, take)...)
+		out = append(out, f.PM.Load(dev, take)...)
 	}
 	return out
 }
 
 // commit writes the tx (header + records), publishes the tail, applies the
 // records in place, and reclaims lazily.
-func (t *txn) commit() {
+func (t *txn) Commit() {
 	fs := t.fs
 	cpu := t.cpu
 	base := journalBase(cpu)
@@ -101,41 +99,41 @@ func (t *txn) commit() {
 	for _, r := range t.recs {
 		need += 16 + int64(pad8(len(r.data)))
 	}
-	head := int64(fs.pm.Load64(base + jHeadOff))
+	head := int64(fs.PM.Load64(base + jHeadOff))
 	if fs.jTails[cpu]+need-head > int64(jAreaSize-jRecsStart) {
 		fs.reclaimAll()
 	}
 
 	pos := fs.jTails[cpu]
 	hdr := make([]byte, jTxHdrSize)
-	put64(hdr, fs.txid)
-	put64(hdr[8:], uint64(len(t.recs)))
+	binary.LittleEndian.PutUint64(hdr, fs.txid)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(t.recs)))
 	fs.txid++
 	fs.storeWrapped(cpu, pos, hdr)
 	pos += jTxHdrSize
 	for _, r := range t.recs {
 		rh := make([]byte, 16)
-		put64(rh, uint64(r.off))
-		put64(rh[8:], uint64(len(r.data)))
+		binary.LittleEndian.PutUint64(rh, uint64(r.off))
+		binary.LittleEndian.PutUint64(rh[8:], uint64(len(r.data)))
 		fs.storeWrapped(cpu, pos, rh)
 		padded := make([]byte, pad8(len(r.data)))
 		copy(padded, r.data)
 		fs.storeWrapped(cpu, pos+16, padded)
 		pos += 16 + int64(len(padded))
 	}
-	fs.pm.Fence()
+	fs.PM.Fence()
 
 	fs.jTails[cpu] = pos
-	fs.pm.PersistStore64(base+jTailOff, uint64(pos))
-	fs.pm.Fence()
+	fs.PM.PersistStore64(base+jTailOff, uint64(pos))
+	fs.PM.Fence()
 
 	for _, r := range t.recs {
-		fs.pm.Store(r.off, r.data)
-		fs.pm.Flush(r.off, len(r.data))
+		fs.PM.Store(r.off, r.data)
+		fs.PM.Flush(r.off, len(r.data))
 	}
-	fs.pm.Fence()
+	fs.PM.Fence()
 
-	head = int64(fs.pm.Load64(base + jHeadOff))
+	head = int64(fs.PM.Load64(base + jHeadOff))
 	if pos-head >= int64((jAreaSize-jRecsStart)*3/4) {
 		fs.reclaimAll()
 	}
@@ -150,12 +148,12 @@ func (t *txn) commit() {
 // apply (execution is sequential), so recovery skips it — even if a crash
 // leaves only some heads advanced.
 func (fs *FS) reclaimAll() {
-	fs.pm.PersistStore64(sbReclaimOff, fs.txid)
-	fs.pm.Fence()
+	fs.PM.PersistStore64(sbReclaimOff, fs.txid)
+	fs.PM.Fence()
 	for c := 0; c < NumCPUs; c++ {
-		fs.pm.PersistStore64(journalBase(c)+jHeadOff, uint64(fs.jTails[c]))
+		fs.PM.PersistStore64(journalBase(c)+jHeadOff, uint64(fs.jTails[c]))
 	}
-	fs.pm.Fence()
+	fs.PM.Fence()
 }
 
 // parsedTx is one transaction recovered from a journal window.
@@ -171,7 +169,7 @@ func (f *FS) recoverJournals() error {
 	if f.has(bugs.WinefsJournalIndex) {
 		cpus = 1 // only the live CPU's journal is consulted
 	}
-	epoch := f.pm.Load64(sbReclaimOff)
+	epoch := f.PM.Load64(sbReclaimOff)
 	var txs []parsedTx
 	for cpu := 0; cpu < cpus; cpu++ {
 		parsed, err := f.parseJournal(cpu)
@@ -186,7 +184,7 @@ func (f *FS) recoverJournals() error {
 	}
 	// Journals not consulted still need their DRAM tails for later commits.
 	for cpu := 0; cpu < NumCPUs; cpu++ {
-		f.jTails[cpu] = int64(f.pm.Load64(journalBase(cpu) + jTailOff))
+		f.jTails[cpu] = int64(f.PM.Load64(journalBase(cpu) + jTailOff))
 		if f.txid <= f.lastTxid(cpu) {
 			f.txid = f.lastTxid(cpu) + 1
 		}
@@ -194,11 +192,11 @@ func (f *FS) recoverJournals() error {
 	sort.Slice(txs, func(i, j int) bool { return txs[i].txid < txs[j].txid })
 	for _, tx := range txs {
 		for _, r := range tx.recs {
-			f.pm.Store(r.off, r.data)
-			f.pm.Flush(r.off, len(r.data))
+			f.PM.Store(r.off, r.data)
+			f.PM.Flush(r.off, len(r.data))
 		}
 	}
-	f.pm.Fence()
+	f.PM.Fence()
 	return nil
 }
 
@@ -213,16 +211,16 @@ func (f *FS) lastTxid(cpu int) uint64 {
 
 func (f *FS) parseJournal(cpu int) ([]parsedTx, error) {
 	base := journalBase(cpu)
-	head := int64(f.pm.Load64(base + jHeadOff))
-	tail := int64(f.pm.Load64(base + jTailOff))
+	head := int64(f.PM.Load64(base + jHeadOff))
+	tail := int64(f.PM.Load64(base + jTailOff))
 	if head < jRecsStart || tail < head {
 		return nil, corrupt("journal %d pointers head=%d tail=%d", cpu, head, tail)
 	}
 	var txs []parsedTx
 	for pos := head; pos < tail; {
 		hdr := f.loadWrapped(cpu, pos, jTxHdrSize)
-		txid := le64(hdr)
-		nrecs := le64(hdr[8:])
+		txid := binary.LittleEndian.Uint64(hdr)
+		nrecs := binary.LittleEndian.Uint64(hdr[8:])
 		if nrecs > 64 {
 			return nil, corrupt("journal %d: tx with %d records", cpu, nrecs)
 		}
@@ -230,12 +228,12 @@ func (f *FS) parseJournal(cpu int) ([]parsedTx, error) {
 		tx := parsedTx{txid: txid}
 		for i := uint64(0); i < nrecs; i++ {
 			rh := f.loadWrapped(cpu, pos, 16)
-			target := int64(le64(rh))
-			n := int(le64(rh[8:]))
+			target := int64(binary.LittleEndian.Uint64(rh))
+			n := int(binary.LittleEndian.Uint64(rh[8:]))
 			if n > jRecDataMax {
 				return nil, corrupt("journal %d: record length %d", cpu, n)
 			}
-			if target < 0 || target+int64(n) > f.pm.Size() {
+			if target < 0 || target+int64(n) > f.PM.Size() {
 				return nil, corrupt("journal %d: record target %d", cpu, target)
 			}
 			tx.recs = append(tx.recs, jrec{target, f.loadWrapped(cpu, pos+16, n)})

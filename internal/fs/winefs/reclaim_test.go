@@ -85,10 +85,10 @@ func TestReclaimPartialHeadAdvance(t *testing.T) {
 	}
 	// Simulate a crash mid-reclaim: epoch persisted, only journal 1's head
 	// advanced. Journal 0 still holds tx 1 with the OLD root image.
-	f.pm.PersistStore64(sbReclaimOff, f.txid)
-	f.pm.Fence()
-	f.pm.PersistStore64(journalBase(1)+jHeadOff, uint64(f.jTails[1]))
-	f.pm.Fence()
+	f.PM.PersistStore64(sbReclaimOff, f.txid)
+	f.PM.Fence()
+	f.PM.PersistStore64(journalBase(1)+jHeadOff, uint64(f.jTails[1]))
+	f.PM.Fence()
 
 	f2 := New(persist.New(pmem.FromImage(dev.CrashImage())), bugs.None())
 	if err := f2.Mount(); err != nil {

@@ -1,13 +1,9 @@
 package winefs
 
-import (
-	"chipmunk/internal/vfs"
-)
-
 // Mount implements vfs.FS: per-CPU journal recovery (merged by transaction
 // id), inode scan, allocator rebuild, orphan GC.
 func (f *FS) Mount() error {
-	pm := f.pm
+	pm := f.PM
 	if pm.Load64(sbMagicOff) != Magic {
 		return corrupt("bad superblock magic %#x", pm.Load64(sbMagicOff))
 	}
@@ -24,124 +20,15 @@ func (f *FS) Mount() error {
 	}
 
 	f.alloc = newAlignAlloc(poolStart, f.totalBlocks)
-	f.ialloc = make([]bool, InodeCount)
-	f.ialloc[0] = true
-	f.inodes = map[uint64]*dnode{}
-	f.fds = map[vfs.FD]uint64{}
-	f.nextFD = 3
-
-	for ino := uint64(1); ino < InodeCount; ino++ {
-		img := pm.Load(inodeOff(ino), InodeSize)
-		if le32(img[inoValidOff:]) != 1 {
-			continue
-		}
-		d := &dnode{
-			ino:   ino,
-			typ:   vfs.FileType(le32(img[inoTypeOff:])),
-			nlink: le64(img[inoNlinkOff:]),
-			size:  int64(le64(img[inoSizeOff:])),
-		}
-		for i := 0; i < NDirect; i++ {
-			d.blocks[i] = le64(img[inoBlocksOff+i*8:])
-		}
-		if d.typ == vfs.TypeDir {
-			d.dirents = map[string]direntRef{}
-		}
-		f.ialloc[ino] = true
-		f.inodes[ino] = d
+	if err := f.Load(InodeCount, poolStart, f.totalBlocks, f.alloc.markUsed); err != nil {
+		return err
 	}
-	root := f.inodes[RootIno]
-	if root == nil || root.typ != vfs.TypeDir {
-		return corrupt("root inode missing or not a directory")
+	// Orphan GC clears each orphan's slot on PM as it reclaims it.
+	for _, d := range f.Orphans() {
+		f.PM.PersistStore64(f.InodeOff(d.Ino), 0)
+		f.PM.Fence()
+		f.Destroy(d)
 	}
-
-	for _, d := range f.inodes {
-		for i, b := range d.blocks {
-			if b == 0 {
-				continue
-			}
-			if b < poolStart || b >= f.totalBlocks {
-				return corrupt("inode %d block[%d]=%d out of range", d.ino, i, b)
-			}
-			if !f.alloc.markUsed(b) {
-				return corrupt("block %d referenced twice", b)
-			}
-		}
-	}
-
-	for _, d := range f.inodes {
-		if d.typ != vfs.TypeDir {
-			continue
-		}
-		for _, b := range d.blocks {
-			if b == 0 {
-				continue
-			}
-			for s := 0; s < direntsPerBlock; s++ {
-				off := blockOff(b) + int64(s)*DirentSize
-				slot := pm.Load(off, DirentSize)
-				ino := le64(slot[deInoOff:])
-				if ino == 0 {
-					continue
-				}
-				nameLen := int(slot[deNameLenOff])
-				if ino >= InodeCount || nameLen == 0 || nameLen > DirentSize-deNameOff {
-					return corrupt("bad dirent in block %d slot %d", b, s)
-				}
-				name := string(slot[deNameOff : deNameOff+nameLen])
-				d.dirents[name] = direntRef{ino: ino, off: off}
-			}
-		}
-	}
-
-	referenced := map[uint64]bool{RootIno: true}
-	for _, d := range f.inodes {
-		if d.typ != vfs.TypeDir {
-			continue
-		}
-		for _, ref := range d.dirents {
-			referenced[ref.ino] = true
-			if f.inodes[ref.ino] == nil {
-				f.inodes[ref.ino] = &dnode{ino: ref.ino, typ: vfs.TypeRegular, bad: true}
-			}
-		}
-	}
-	reachable := map[uint64]bool{RootIno: true}
-	f.markReachable(root, reachable)
-	for ino, d := range f.inodes {
-		if reachable[ino] || d.bad {
-			continue
-		}
-		f.destroyInodePM(d)
-	}
-	for ino, d := range f.inodes {
-		if d.bad && !reachable[ino] {
-			delete(f.inodes, ino)
-		}
-	}
-
 	f.mounted = true
 	return nil
-}
-
-// destroyInodePM reclaims an orphan at mount time, clearing its PM slot.
-func (f *FS) destroyInodePM(d *dnode) {
-	f.pm.PersistStore64(inodeOff(d.ino), 0)
-	f.pm.Fence()
-	f.destroyInode(d)
-}
-
-func (f *FS) markReachable(d *dnode, seen map[uint64]bool) {
-	if d.typ != vfs.TypeDir || d.bad {
-		return
-	}
-	for _, ref := range d.dirents {
-		if seen[ref.ino] {
-			continue
-		}
-		seen[ref.ino] = true
-		if c := f.inodes[ref.ino]; c != nil {
-			f.markReachable(c, seen)
-		}
-	}
 }

@@ -17,25 +17,21 @@
 package winefs
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/inplace"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/vfs"
 )
 
 const (
 	// BlockSize is the allocation unit.
-	BlockSize = 4096
-	// InodeSize is the on-PM inode footprint.
-	InodeSize = 128
+	BlockSize = inplace.BlockSize
+	// MaxFileSize is what the inode's direct block pointers reach.
+	MaxFileSize = inplace.MaxFileSize
 	// Magic identifies a formatted WineFS image.
 	Magic = 0x57494E45 // "WINE"
-	// NDirect is the number of direct block pointers per inode.
-	NDirect = 12
-	// MaxFileSize is NDirect blocks.
-	MaxFileSize = NDirect * BlockSize
 	// NumCPUs is the size of the per-CPU journal array.
 	NumCPUs = 4
 
@@ -47,50 +43,14 @@ const (
 	poolStart      = inodeTblBlock + inodeTblBlocks
 
 	// InodeCount is the number of inode slots.
-	InodeCount = inodeTblBlocks * (BlockSize / InodeSize)
-	// RootIno is the root directory inode.
-	RootIno = 1
+	InodeCount = inodeTblBlocks * (BlockSize / inplace.InodeSize)
 
 	sbMagicOff  = 0
 	sbBlocksOff = 8
 	// sbReclaimOff holds the reclaim epoch: every transaction with a txid
 	// below it is durably applied in place, and recovery must skip it.
 	sbReclaimOff = 16
-
-	inoValidOff  = 0
-	inoTypeOff   = 4
-	inoNlinkOff  = 8
-	inoSizeOff   = 16
-	inoBlocksOff = 24
-
-	// Directory entry slots.
-	DirentSize      = 64
-	deInoOff        = 0
-	deNameLenOff    = 8
-	deNameOff       = 9
-	direntsPerBlock = BlockSize / DirentSize
 )
-
-func le64(b []byte) uint64     { return binary.LittleEndian.Uint64(b) }
-func le32(b []byte) uint32     { return binary.LittleEndian.Uint32(b) }
-func put64(b []byte, v uint64) { binary.LittleEndian.PutUint64(b, v) }
-func put32(b []byte, v uint32) { binary.LittleEndian.PutUint32(b, v) }
-
-type dnode struct {
-	ino    uint64
-	typ    vfs.FileType
-	nlink  uint64
-	size   int64
-	blocks [NDirect]uint64
-
-	dirents map[string]direntRef
-	bad     bool
-}
-
-type direntRef struct {
-	ino uint64
-	off int64
-}
 
 // Mode selects WineFS's crash-consistency mode.
 type Mode int
@@ -102,18 +62,15 @@ const (
 	Relaxed
 )
 
-// FS is the WineFS instance.
+// FS is the WineFS instance: the in-place inode and namespace layer it
+// shares with PMFS, over WineFS's per-CPU journals and aligned allocator.
 type FS struct {
-	pm   *persist.PM
+	inplace.FS
 	bugs bugs.Set
 	mode Mode
 
 	totalBlocks uint64
 	alloc       *alignAlloc
-	ialloc      []bool
-	inodes      map[uint64]*dnode
-	fds         map[vfs.FD]uint64
-	nextFD      vfs.FD
 	mounted     bool
 
 	// Per-CPU journal state: DRAM tail mirrors and the global tx counter.
@@ -121,6 +78,18 @@ type FS struct {
 	txid   uint64
 	opSeq  uint64 // drives the CPU assignment of operations
 }
+
+// host is FS as the namespace layer's inplace.Host: directory blocks come
+// from the metadata end of the pool, and every mutating system call moves
+// on to the next CPU's journal.
+type host FS
+
+func (h *host) Begin() inplace.Tx              { return (*FS)(h).beginTx() }
+func (h *host) AllocDirBlock() (uint64, error) { return h.alloc.alloc(kindMeta) }
+func (h *host) Release(b uint64)               { h.alloc.release(b) }
+func (h *host) Freeing(uint64)                 {}
+func (h *host) Freed()                         {}
+func (h *host) EndOp()                         { (*FS)(h).nextOp() }
 
 // Option configures the FS.
 type Option func(*FS)
@@ -130,7 +99,8 @@ func WithMode(m Mode) Option { return func(f *FS) { f.mode = m } }
 
 // New creates a WineFS instance with the given injected bug set.
 func New(pm *persist.PM, set bugs.Set, opts ...Option) *FS {
-	f := &FS{pm: pm, bugs: set, mode: Strict}
+	f := &FS{bugs: set, mode: Strict}
+	f.PM, f.Host, f.Table = pm, (*host)(f), inodeTblBlock*BlockSize
 	for _, o := range opts {
 		o(f)
 	}
@@ -161,28 +131,19 @@ func corrupt(format string, args ...interface{}) error {
 	return fmt.Errorf("%w: "+format, append([]interface{}{vfs.ErrCorrupt}, args...)...)
 }
 
-func inodeOff(ino uint64) int64 {
-	return int64(inodeTblBlock)*BlockSize + int64(ino)*InodeSize
-}
-
-func blockOff(b uint64) int64 { return int64(b) * BlockSize }
-
 // Mkfs implements vfs.FS.
 func (f *FS) Mkfs() error {
-	f.totalBlocks = uint64(f.pm.Size()) / BlockSize
+	f.totalBlocks = uint64(f.PM.Size()) / BlockSize
 	if f.totalBlocks < poolStart+8 {
 		return vfs.ErrNoSpace
 	}
-	pm := f.pm
+	pm := f.PM
 	pm.MemsetNT(0, 0, poolStart*BlockSize)
 	pm.Fence()
 
 	f.alloc = newAlignAlloc(poolStart, f.totalBlocks)
-	f.ialloc = make([]bool, InodeCount)
-	f.ialloc[0], f.ialloc[RootIno] = true, true
-	f.inodes = map[uint64]*dnode{}
-	f.fds = map[vfs.FD]uint64{}
-	f.nextFD = 3
+	f.Reset(InodeCount)
+	f.Slots[inplace.RootIno] = true
 	f.txid = 1
 	for c := 0; c < NumCPUs; c++ {
 		f.jTails[c] = jRecsStart
@@ -193,11 +154,11 @@ func (f *FS) Mkfs() error {
 	}
 	pm.Fence()
 
-	root := &dnode{ino: RootIno, typ: vfs.TypeDir, nlink: 2, dirents: map[string]direntRef{}}
-	f.pm.Store(inodeOff(RootIno), f.inodeImage(root))
-	f.pm.Flush(inodeOff(RootIno), InodeSize)
+	root := &inplace.Inode{Ino: inplace.RootIno, Typ: vfs.TypeDir, Nlink: 2, Dirents: map[string]inplace.DirentRef{}}
+	pm.Store(f.InodeOff(inplace.RootIno), inplace.Image(root))
+	pm.Flush(f.InodeOff(inplace.RootIno), inplace.InodeSize)
 	pm.Fence()
-	f.inodes[RootIno] = root
+	f.Inodes[inplace.RootIno] = root
 
 	pm.Store64(sbMagicOff, Magic)
 	pm.Store64(sbBlocksOff, f.totalBlocks)
@@ -207,163 +168,12 @@ func (f *FS) Mkfs() error {
 	return nil
 }
 
-func (f *FS) inodeImage(d *dnode) []byte {
-	buf := make([]byte, InodeSize)
-	put32(buf[inoValidOff:], 1)
-	put32(buf[inoTypeOff:], uint32(d.typ))
-	put64(buf[inoNlinkOff:], d.nlink)
-	put64(buf[inoSizeOff:], uint64(d.size))
-	for i, b := range d.blocks {
-		put64(buf[inoBlocksOff+i*8:], b)
-	}
-	return buf
-}
-
 // Unmount implements vfs.FS.
 func (f *FS) Unmount() error {
 	f.mounted = false
-	f.fds = map[vfs.FD]uint64{}
-	f.inodes = nil
+	f.Drop()
 	f.alloc = nil
 	return nil
 }
 
-func (f *FS) lookup(path string) (*dnode, error) {
-	d := f.inodes[RootIno]
-	if d == nil {
-		return nil, vfs.ErrCorrupt
-	}
-	for _, c := range vfs.Components(path) {
-		if d.bad {
-			return nil, vfs.ErrIO
-		}
-		if d.typ != vfs.TypeDir {
-			return nil, vfs.ErrNotDir
-		}
-		ref, ok := d.dirents[c]
-		if !ok {
-			return nil, vfs.ErrNotExist
-		}
-		d = f.inodes[ref.ino]
-		if d == nil {
-			return nil, vfs.ErrIO
-		}
-	}
-	return d, nil
-}
-
-func (f *FS) lookupParent(path string) (*dnode, string, error) {
-	dir, name := vfs.SplitPath(path)
-	if name == "" {
-		return nil, "", vfs.ErrInvalid
-	}
-	if !vfs.ValidName(name) {
-		return nil, "", vfs.ErrNameTooLong
-	}
-	p, err := f.lookup(dir)
-	if err != nil {
-		return nil, "", err
-	}
-	if p.typ != vfs.TypeDir {
-		return nil, "", vfs.ErrNotDir
-	}
-	if p.bad {
-		return nil, "", vfs.ErrIO
-	}
-	return p, name, nil
-}
-
-// Stat implements vfs.FS.
-func (f *FS) Stat(path string) (vfs.Stat, error) {
-	d, err := f.lookup(path)
-	if err != nil {
-		return vfs.Stat{}, err
-	}
-	if d.bad {
-		return vfs.Stat{}, vfs.ErrIO
-	}
-	return vfs.Stat{Ino: d.ino, Type: d.typ, Nlink: uint32(d.nlink), Size: d.size}, nil
-}
-
-// ReadDir implements vfs.FS.
-func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
-	d, err := f.lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if d.bad {
-		return nil, vfs.ErrIO
-	}
-	if d.typ != vfs.TypeDir {
-		return nil, vfs.ErrNotDir
-	}
-	out := make([]vfs.DirEnt, 0, len(d.dirents))
-	for name, ref := range d.dirents {
-		typ := vfs.TypeRegular
-		if c := f.inodes[ref.ino]; c != nil {
-			typ = c.typ
-		}
-		out = append(out, vfs.DirEnt{Name: name, Ino: ref.ino, Type: typ})
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Name < out[j-1].Name; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out, nil
-}
-
-// Open implements vfs.FS.
-func (f *FS) Open(path string) (vfs.FD, error) {
-	d, err := f.lookup(path)
-	if err != nil {
-		return -1, err
-	}
-	if d.bad {
-		return -1, vfs.ErrIO
-	}
-	if d.typ == vfs.TypeDir {
-		return -1, vfs.ErrIsDir
-	}
-	fd := f.nextFD
-	f.nextFD++
-	f.fds[fd] = d.ino
-	return fd, nil
-}
-
-// Close implements vfs.FS.
-func (f *FS) Close(fd vfs.FD) error {
-	if _, ok := f.fds[fd]; !ok {
-		return vfs.ErrBadFD
-	}
-	delete(f.fds, fd)
-	return nil
-}
-
-func (f *FS) fdInode(fd vfs.FD) (*dnode, error) {
-	ino, ok := f.fds[fd]
-	if !ok {
-		return nil, vfs.ErrBadFD
-	}
-	d := f.inodes[ino]
-	if d == nil {
-		return nil, vfs.ErrBadFD
-	}
-	return d, nil
-}
-
-// Fsync implements vfs.FS (synchronous system).
-func (f *FS) Fsync(fd vfs.FD) error {
-	if _, ok := f.fds[fd]; !ok {
-		return vfs.ErrBadFD
-	}
-	return nil
-}
-
-// Sync implements vfs.FS.
-func (f *FS) Sync() error { return nil }
-
 var _ vfs.FS = (*FS)(nil)
-
-// OpenFDs implements vfs.FDCounter.
-func (f *FS) OpenFDs() int { return len(f.fds) }

@@ -1,6 +1,9 @@
 package winefs
 
 import (
+	"chipmunk/internal/fs/inplace"
+	"encoding/binary"
+
 	"bytes"
 	"errors"
 	"math/rand"
@@ -171,41 +174,45 @@ func TestBug19SingleJournalRecovery(t *testing.T) {
 	f.Create("/b") // cpu 1
 	// Manually append a committed tx to journal 2 that creates a dirent for
 	// a valid inode, simulating a crash before its in-place apply.
-	d := &dnode{ino: 9, typ: vfs.TypeRegular, nlink: 1}
-	f.ialloc[9] = true
+	d := &inplace.Inode{Ino: 9, Typ: vfs.TypeRegular, Nlink: 1}
+	f.Slots[9] = true
 	tx := &txn{fs: f, cpu: 2}
-	tx.setInode(d)
+	f.SetInode(tx, d)
 	slotOff := int64(0)
-	for _, b := range f.inodes[RootIno].blocks {
+	for _, b := range f.Inodes[inplace.RootIno].Blocks {
 		if b != 0 {
-			slotOff = blockOff(b) + 2*DirentSize
+			slotOff = inplace.BlockOff(b) + 2*inplace.DirentSize
 			break
 		}
 	}
-	tx.set(slotOff, direntImage(9, "ghost"))
+	ghost := make([]byte, inplace.DirentSize) // {ino u64, name length u8, name}
+	binary.LittleEndian.PutUint64(ghost, 9)
+	ghost[8] = byte(len("ghost"))
+	copy(ghost[9:], "ghost")
+	tx.Set(slotOff, ghost)
 	// Commit writes + tail publish, but skip the in-place apply: emulate by
 	// committing into the journal only.
 	base := journalBase(2)
 	pos := f.jTails[2]
 	hdr := make([]byte, jTxHdrSize)
-	put64(hdr, f.txid)
-	put64(hdr[8:], uint64(len(tx.recs)))
+	binary.LittleEndian.PutUint64(hdr, f.txid)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(tx.recs)))
 	f.txid++
 	f.storeWrapped(2, pos, hdr)
 	pos += jTxHdrSize
 	for _, r := range tx.recs {
 		rh := make([]byte, 16)
-		put64(rh, uint64(r.off))
-		put64(rh[8:], uint64(len(r.data)))
+		binary.LittleEndian.PutUint64(rh, uint64(r.off))
+		binary.LittleEndian.PutUint64(rh[8:], uint64(len(r.data)))
 		f.storeWrapped(2, pos, rh)
 		padded := make([]byte, pad8(len(r.data)))
 		copy(padded, r.data)
 		f.storeWrapped(2, pos+16, padded)
 		pos += 16 + int64(len(padded))
 	}
-	f.pm.Fence()
-	f.pm.PersistStore64(base+jTailOff, uint64(pos))
-	f.pm.Fence()
+	f.PM.Fence()
+	f.PM.PersistStore64(base+jTailOff, uint64(pos))
+	f.PM.Fence()
 
 	img := dev.CrashImage()
 
@@ -376,4 +383,64 @@ func TestCaps(t *testing.T) {
 	if g.Caps().AtomicWrite {
 		t.Fatal("relaxed mode should not advertise atomic writes")
 	}
+}
+
+// TestUnlinkWhileOpenCrashReclaims covers a crash between unlink and the
+// last close: the inode's slot is still valid, with nlink 0, but no
+// directory reaches it, and Mount's orphan GC reclaims it — the free block
+// and inode counts return to their values before the file was created.
+// Without a crash the last close reclaims it, and a crash after that
+// finds nothing to reclaim.
+func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
+	f, dev := newWinefs(t, bugs.None())
+	// The first create gives the root its directory block (or log page),
+	// which stays: count from there.
+	if _, err := f.Create("/keep"); err != nil {
+		t.Fatal(err)
+	}
+	blocks, inodes := f.alloc.freeBlocks(), freeInodes(f)
+	fd, err := f.Create("/victim")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Pwrite(fd, make([]byte, 3*BlockSize), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Unlink("/victim"); err != nil {
+		t.Fatal(err)
+	}
+	if f.alloc.freeBlocks() >= blocks || freeInodes(f) >= inodes {
+		t.Fatal("the unlinked-but-open file is already reclaimed")
+	}
+	mounted := func(img []byte) *FS {
+		t.Helper()
+		f2 := New(persist.New(pmem.FromImage(img)), bugs.None())
+		if err := f2.Mount(); err != nil {
+			t.Fatal(err)
+		}
+		return f2
+	}
+	check := func(when string, f *FS) {
+		t.Helper()
+		if got, gotI := f.alloc.freeBlocks(), freeInodes(f); got != blocks || gotI != inodes {
+			t.Errorf("%s: %d free blocks, %d free inodes; want %d, %d", when, got, gotI, blocks, inodes)
+		}
+	}
+	check("after crash and mount", mounted(dev.CrashImage()))
+
+	if err := f.Close(fd); err != nil {
+		t.Fatal(err)
+	}
+	check("after the last close", f)
+	check("after the last close, crash and mount", mounted(dev.CrashImage()))
+}
+
+func freeInodes(f *FS) int {
+	n := 0
+	for _, used := range f.Slots {
+		if !used {
+			n++
+		}
+	}
+	return n
 }
