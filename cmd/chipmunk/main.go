@@ -41,6 +41,7 @@ import (
 	"chipmunk/internal/core"
 	"chipmunk/internal/fleet"
 	"chipmunk/internal/harness"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/report"
 	"chipmunk/internal/workload"
 )
@@ -56,9 +57,9 @@ func main() {
 		workerFor = flag.String("worker", "", "join the distributed campaign coordinated at this host:port (spec comes from the coordinator)")
 		resume    = flag.String("resume", "", "(with -serve) append completed shards to this checkpoint file and skip the shards it already records")
 		shardSize = flag.Int("shard-size", campaign.DefaultShardSize, "(with -serve) workloads per lease")
-		leaseTTL  = flag.Duration("lease", campaign.DefaultLeaseTTL, "(with -serve) lease deadline before a shard is re-dispatched")
+		leaseTTL  = flag.Duration("lease", lease.DefaultTTL, "(with -serve) lease deadline before a shard is re-dispatched")
 
-		shardRetries = flag.Int("shard-retries", campaign.DefaultShardRetries,
+		shardRetries = flag.Int("shard-retries", lease.DefaultRetries,
 			"(with -serve) failed dispatch attempts before a shard is quarantined instead of re-dispatched")
 		retryQuar = flag.Bool("retry-quarantined", false,
 			"(with -serve -resume) re-run the shards the checkpoint records as quarantined")
@@ -101,8 +102,7 @@ func main() {
 	}
 
 	if *workerFor != "" {
-		runWorker(*workerFor, cli, cli.Jobs, *shardTimeout, *poisonShard)
-		return
+		os.Exit(runWorker(*workerFor, cli, *shardTimeout, *poisonShard))
 	}
 
 	opts, err := cli.Options()
@@ -120,51 +120,31 @@ func main() {
 		if *repro != "" {
 			fatalIf(errors.New("-serve shards a named suite; -repro runs locally"))
 		}
-		sys, _, err := opts.Resolve()
+		_, _, err := opts.Resolve()
 		fatalIf(err)
 		// The removed -workers flag defaulted to 1, and the campaign ID hashes
 		// the spec: keeping the 1 keeps -resume checkpoints written by earlier
 		// builds valid.
-		const specWorkers = 1
+		spec := campaign.Spec{
+			FS: cli.FS, Bugs: cli.Bugs, Cap: opts.Cap, Workers: 1,
+			CheckTimeoutNanos: int64(opts.CheckTimeout), ExhaustiveLimit: opts.ExhaustiveLimit,
+			Faults: cli.Faults, FaultSeed: cli.FaultSeed, Stats: cli.Stats, App: cli.App, AppBugs: cli.AppBugs,
+		}
 		if *fuzzMode {
-			capVal := opts.Cap
-			if !capExplicit {
-				capVal = 2
-			}
-			fspec := campaign.Spec{
-				FS: cli.FS, Bugs: cli.Bugs,
-				Cap: capVal, Workers: specWorkers,
-				CheckTimeoutNanos: int64(opts.CheckTimeout),
-				ExhaustiveLimit:   opts.ExhaustiveLimit,
-				Faults:            cli.Faults, FaultSeed: cli.FaultSeed,
-				Stats: cli.Stats,
-				App:   cli.App, AppBugs: cli.AppBugs,
-				Fuzz: true, FuzzSeed: *fuzzSeed,
-				RoundExecs: *roundExecs, GenRounds: *genRounds,
-			}
 			execs, dur, err := fleet.ParseBudget(*budget)
 			fatalIf(err)
-			fspec.BudgetExecs, fspec.BudgetNanos = execs, int64(dur)
-			runFuzzCoordinator(*serve, fspec, coordinatorKnobs{
-				leaseTTL: *leaseTTL, checkpoint: *resume,
-				shardRetries: *shardRetries, wireFaultSeed: *wireFaults,
-			}, sys, inst, cli)
-			return
+			spec.Fuzz, spec.FuzzSeed, spec.RoundExecs, spec.GenRounds = true, *fuzzSeed, *roundExecs, *genRounds
+			spec.BudgetExecs, spec.BudgetNanos = execs, int64(dur)
+			if !capExplicit {
+				spec.Cap = 2
+			}
+		} else {
+			spec.Suite, spec.Max = *suite, *max
 		}
-		cspec := campaign.Spec{
-			FS: cli.FS, Bugs: cli.Bugs, Suite: *suite, Max: *max,
-			Cap: opts.Cap, Workers: specWorkers,
-			CheckTimeoutNanos: int64(opts.CheckTimeout),
-			ExhaustiveLimit:   opts.ExhaustiveLimit,
-			Faults:            cli.Faults, FaultSeed: cli.FaultSeed,
-			Stats: cli.Stats,
-			App:   cli.App, AppBugs: cli.AppBugs,
-		}
-		runCoordinator(*serve, cspec, coordinatorKnobs{
-			shardSize: *shardSize, leaseTTL: *leaseTTL, checkpoint: *resume,
-			shardRetries: *shardRetries, retryQuarantined: *retryQuar, wireFaultSeed: *wireFaults,
-		}, sys, inst, cli, cli.Verbose, cli.OutDir)
-		return
+		os.Exit(runCoordinator(*serve, spec, serveKnobs{
+			shardSize: *shardSize, retries: *shardRetries, leaseTTL: *leaseTTL, checkpoint: *resume,
+			retryQuarantined: *retryQuar, wireFaultSeed: *wireFaults,
+		}, inst, cli))
 	}
 
 	var suiteWs []workload.Workload
@@ -232,8 +212,8 @@ func main() {
 		fatalIf(err)
 	}
 	interrupted := errors.Is(err, context.Canceled)
-	modeNote := fmt.Sprintf("j=%d", cli.Jobs)
-	finish(sys, census, viol, interrupted, false, modeNote, cli.Verbose, cli.OutDir, inst, cli.Journal, nil)
+	found := reportCensus(sys.Name, census, viol, interrupted, fmt.Sprintf("j=%d", cli.Jobs), cli, inst, nil)
+	os.Exit(exitCode(inst, cli.Journal, false, found, interrupted))
 }
 
 // runApp is the -app mode: check the application's crash contract on one
@@ -312,48 +292,32 @@ func runApp(cli *harness.CLIOptions, opts harness.Options, suiteName string,
 	}
 	fmt.Printf("%s: %d file systems, %d contract violations in %d clusters\n",
 		status, len(runs), len(all), len(clusters))
-	fatalIf(inst.Close())
-	if len(all) > 0 {
-		os.Exit(harness.ExitViolations)
-	}
-	if interrupted {
-		os.Exit(harness.ExitInterrupted)
-	}
+	os.Exit(exitCode(inst, cli.Journal, false, len(all) > 0, interrupted))
 }
 
 // runWorker is the -worker mode: the engine spec comes from the
 // coordinator, so only the local knobs (-j, watchdog, observability flags)
 // apply. One handshake decides the mode — a fuzz spec routes to the fleet
 // fuzzing worker, a suite spec to the campaign worker — so the worker
-// command line is identical for both. A coordinator that was never
-// reachable exits with the distinct ExitCoordinatorUnreachable code so
-// fleet tooling can retry joining.
-func runWorker(addr string, cli *harness.CLIOptions, jobs int, shardTimeout time.Duration, poisonShard int) {
+// command line is identical for both, and the spec is fetched once. A
+// coordinator that was never reachable exits with the distinct
+// ExitCoordinatorUnreachable code so fleet tooling can retry joining.
+func runWorker(addr string, cli *harness.CLIOptions, shardTimeout time.Duration, poisonShard int) int {
 	inst, err := cli.Instrument()
 	fatalIf(err)
 	ctx, stop := harness.SignalContext(context.Background())
 	defer stop()
-	logf := func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
-	}
-	info, err := fleet.FetchSpec(ctx, addr, 0)
+	logf := func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
+	info, err := campaign.FetchSpec(ctx, addr, 0)
 	switch {
 	case err != nil:
 	case info.Spec.Fuzz:
 		err = fleet.RunWorker(ctx, fleet.WorkerConfig{
-			Addr:         addr,
-			RoundTimeout: shardTimeout,
-			Journal:      inst.Journal,
-			Logf:         logf,
-			Info:         info,
+			Addr: addr, RoundTimeout: shardTimeout, Journal: inst.Journal, Logf: logf, Info: info,
 		})
 	default:
 		wc := campaign.WorkerConfig{
-			Addr:         addr,
-			Jobs:         jobs,
-			ShardTimeout: shardTimeout,
-			Journal:      inst.Journal,
-			Logf:         logf,
+			Addr: addr, Jobs: cli.Jobs, ShardTimeout: shardTimeout, Journal: inst.Journal, Logf: logf, Info: info,
 		}
 		if poisonShard >= 0 {
 			wc.PoisonShards = []int{poisonShard}
@@ -366,170 +330,115 @@ func runWorker(addr string, cli *harness.CLIOptions, jobs int, shardTimeout time
 	if err != nil && !interrupted {
 		fmt.Fprintln(os.Stderr, "chipmunk:", err)
 		inst.Close() //nolint:errcheck // already failing
-		if errors.Is(err, campaign.ErrCoordinatorGone) {
-			os.Exit(harness.ExitCoordinatorUnreachable)
+		if errors.Is(err, lease.ErrCoordinatorGone) {
+			return harness.ExitCoordinatorUnreachable
 		}
-		os.Exit(harness.ExitFatal)
+		return harness.ExitFatal
 	}
-	if inst.Journal != nil {
-		fmt.Printf("journal: %d events written\n", inst.Journal.Events())
-	}
-	fatalIf(inst.Close())
-	if interrupted {
-		os.Exit(harness.ExitInterrupted)
-	}
+	return exitCode(inst, cli.Journal, false, false, interrupted)
 }
 
-// coordinatorKnobs bundles the -serve flag surface.
-type coordinatorKnobs struct {
-	shardSize        int
-	leaseTTL         time.Duration
-	checkpoint       string
-	shardRetries     int
-	retryQuarantined bool
-	wireFaultSeed    uint64
+// serveKnobs is the -serve flag surface beyond the spec.
+type serveKnobs struct {
+	shardSize, retries int
+	leaseTTL           time.Duration
+	checkpoint         string
+	retryQuarantined   bool
+	wireFaultSeed      uint64
 }
 
-// runCoordinator is the -serve mode: shard the suite, lease shards to
-// workers, fold the credited results, and report exactly like a local run.
-// A campaign that completes with quarantined shards exits ExitDegraded.
-func runCoordinator(addr string, cspec campaign.Spec, knobs coordinatorKnobs,
-	sys harness.System, inst *harness.Instrumentation,
-	cli *harness.CLIOptions, verbose bool, outDir string) {
-	coord, err := campaign.NewCoordinator(campaign.CoordinatorConfig{
-		Spec:             cspec,
-		ShardSize:        knobs.shardSize,
-		LeaseTTL:         knobs.leaseTTL,
-		ShardRetries:     knobs.shardRetries,
-		CheckpointPath:   knobs.checkpoint,
-		RetryQuarantined: knobs.retryQuarantined,
-		Journal:          inst.Journal,
-		Progress: func(done, total int, c harness.Census) {
-			inst.Progress(done, total, c)
-			fmt.Printf("  ... %d/%d workloads (%d crash states, %d violations)\n",
-				done, total, c.StatesChecked, c.Violations)
-		},
-		Logf: func(format string, args ...any) {
-			if verbose {
-				fmt.Printf(format+"\n", args...)
-			}
-		},
-	})
-	fatalIf(err)
-	var handler http.Handler = coord
-	var faultStats func() campaign.WireFaultStats
-	if knobs.wireFaultSeed != 0 {
-		handler, faultStats = campaign.WrapWireFaults(coord, campaign.DefaultWireFaults(knobs.wireFaultSeed))
-		fmt.Printf("CHAOS: wire-fault injector armed (seed %d)\n", knobs.wireFaultSeed)
+// runCoordinator is the -serve mode. The spec picks the coordinator: a fuzz
+// spec a fleet soak (round and minimization leases, generation-barrier
+// corpus folds, a deduplicated bug census), any other a suite campaign
+// (shard leases folded into the serial census). Both then share one tail:
+// arm the wire-fault injector, listen, drain in-flight units to the
+// checkpoint on the first SIGINT (a second force-exits 130), report, and
+// return the exit code.
+func runCoordinator(addr string, spec campaign.Spec, k serveKnobs, inst *harness.Instrumentation, cli *harness.CLIOptions) int {
+	logf := func(format string, args ...any) {
+		if cli.Verbose {
+			fmt.Printf(format+"\n", args...)
+		}
 	}
-	srv, err := campaign.ListenAndServe(addr, handler)
-	fatalIf(err)
-	info := coord.Info()
-	fmt.Printf("chipmunk coordinator on %s: campaign %s, %s (bugs %s), suite %s: %d workloads in %d shards of %d, fingerprint %s, lease %v\n",
-		srv.Addr(), info.CampaignID, sys.Name, cspec.Bugs, cspec.Suite,
-		info.Workloads, info.Shards, info.ShardSize, info.SuiteHash, knobs.leaseTTL)
-	fmt.Printf("watch the campaign at http://%s%s (JSON: %s, metrics: /debug/metrics)\n",
-		srv.Addr(), campaign.PathDash, campaign.PathStatus)
-	inst.EmitRun(sys.Name, info.Workloads)
-	if daddr := inst.Debug.Addr(); daddr != "" {
-		fmt.Printf("debug listener on http://%s (/progress aggregates across workers)\n", daddr)
-	}
-
-	// First SIGINT: stop issuing leases, drain in-flight shards to the
-	// checkpoint, report the partial census. Second: force-exit 130.
-	ctx, stop := harness.SignalContextNotify(context.Background(),
-		"interrupt: draining — no new leases; crediting in-flight shards to the checkpoint (interrupt again to force exit)")
-	defer stop()
-	census, viol, err := coord.Wait(ctx)
-	srv.Close() //nolint:errcheck // listener teardown on the way out
-	stop()
-	interrupted := errors.Is(err, context.Canceled)
-	if err != nil && !interrupted {
-		coord.Close() //nolint:errcheck // already failing
-		fatalIf(err)
-	}
-	fatalIf(coord.Close())
-	finish(sys, census, viol, interrupted, coord.Degraded(), "distributed", verbose, outDir, inst, cli.Journal, func() {
-		st := coord.Stats()
+	var (
+		coord interface {
+			http.Handler
+			Info() campaign.SpecInfo
+			Degraded() bool
+			Close() error
+		}
+		plan       string                      // the banner's account of the work
+		wait       func(context.Context) error // the owner's Wait, keeping its census
+		summarize  func(interrupted bool) bool // prints the census; true when it holds violations
+		faultStats func() campaign.WireFaultStats
+	)
+	// stats prints the control plane; each owner's report calls it midway.
+	stats := func(st fmt.Stringer) {
 		fmt.Printf("%s\n", st)
 		if faultStats != nil {
 			fmt.Printf("%s\n", faultStats())
 		}
-		if outDir == "" {
-			return
-		}
-		quarantined := make([]report.QuarantinedShard, 0)
-		for _, q := range coord.Quarantined() {
-			quarantined = append(quarantined, report.QuarantinedShard{
-				Shard: q.Shard, Start: q.Start, End: q.End,
-				Worker: q.Worker, Err: q.Err, Attempts: q.Attempts,
-			})
-		}
-		wr, err := report.NewWriter(outDir)
+	}
+	if spec.Fuzz {
+		c, err := fleet.NewCoordinator(fleet.CoordinatorConfig{Spec: spec, LeaseTTL: k.leaseTTL, Retries: k.retries,
+			CheckpointPath: k.checkpoint, Journal: inst.Journal, Logf: logf})
 		fatalIf(err)
-		path, err := wr.WriteCampaignSummary(report.CampaignSummary{
-			CampaignID: info.CampaignID, FS: sys.Name, Suite: cspec.Suite,
-			SuiteHash: info.SuiteHash, Workloads: info.Workloads,
-			Shards: info.Shards, ShardSize: info.ShardSize,
-			Resumed: st.Resumed, Redispatched: st.Redispatched,
-			Duplicates: st.Duplicates, Rejected: st.Rejected,
-			BadPayloads: st.BadPayloads, Heartbeats: st.Heartbeats,
-			PerWorker:   st.PerWorker,
-			Quarantined: quarantined,
-			Fingerprint: campaign.Fingerprint(census, viol),
+		s := c.Info().Spec
+		budget := fmt.Sprintf("%d execs", s.BudgetExecs)
+		if s.BudgetNanos > 0 {
+			budget = time.Duration(s.BudgetNanos).String() + " wall-clock"
+		}
+		plan = fmt.Sprintf("soak %s, budget %s in rounds of %d (gen width %d), seed %d",
+			c.Info().CampaignID, budget, s.RoundExecs, s.GenRounds, s.FuzzSeed)
+		var census report.FuzzCensus
+		coord, wait = c, func(ctx context.Context) (err error) { census, err = c.Wait(ctx); return err }
+		summarize = func(interrupted bool) bool {
+			return reportSoak(census, interrupted, cli.OutDir, func() { stats(c.Stats()) })
+		}
+	} else {
+		c, err := campaign.NewCoordinator(campaign.CoordinatorConfig{
+			Spec: spec, ShardSize: k.shardSize, LeaseTTL: k.leaseTTL, ShardRetries: k.retries,
+			CheckpointPath: k.checkpoint, RetryQuarantined: k.retryQuarantined, Journal: inst.Journal, Logf: logf,
+			Progress: func(done, total int, c harness.Census) {
+				inst.Progress(done, total, c)
+				fmt.Printf("  ... %d/%d workloads (%d crash states, %d violations)\n", done, total, c.StatesChecked, c.Violations)
+			},
 		})
 		fatalIf(err)
-		fmt.Printf("wrote campaign summary to %s\n", path)
-	})
-}
-
-// runFuzzCoordinator is the -serve -fuzz mode: coordinate a distributed
-// coverage-guided fuzzing soak — round leases, generation-barrier corpus
-// folds, minimization leases — and render the deduplicated bug census.
-// Exit status follows the campaign convention: degraded 3 (rounds dropped,
-// census incomplete), distinct bugs 1, interrupted 130.
-func runFuzzCoordinator(addr string, fspec campaign.Spec, knobs coordinatorKnobs,
-	sys harness.System, inst *harness.Instrumentation, cli *harness.CLIOptions) {
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		Spec:           fspec,
-		LeaseTTL:       knobs.leaseTTL,
-		Retries:        knobs.shardRetries,
-		CheckpointPath: knobs.checkpoint,
-		Journal:        inst.Journal,
-		Logf: func(format string, args ...any) {
-			if cli.Verbose {
-				fmt.Printf(format+"\n", args...)
-			}
-		},
-	})
-	fatalIf(err)
+		info := c.Info()
+		plan = fmt.Sprintf("campaign %s, suite %s: %d workloads in %d shards of %d",
+			info.CampaignID, spec.Suite, info.Workloads, info.Shards, info.ShardSize)
+		var census *harness.Census
+		var viol []core.Violation
+		coord, wait = c, func(ctx context.Context) (err error) { census, viol, err = c.Wait(ctx); return err }
+		summarize = func(interrupted bool) bool {
+			return reportCensus(spec.FS, census, viol, interrupted, "distributed", cli, inst, func() {
+				st := c.Stats()
+				stats(st)
+				writeCampaignSummary(cli.OutDir, c, st, census, viol)
+			})
+		}
+	}
 	var handler http.Handler = coord
-	var faultStats func() campaign.WireFaultStats
-	if knobs.wireFaultSeed != 0 {
-		handler, faultStats = campaign.WrapWireFaults(coord, campaign.DefaultWireFaults(knobs.wireFaultSeed))
-		fmt.Printf("CHAOS: wire-fault injector armed (seed %d)\n", knobs.wireFaultSeed)
+	if k.wireFaultSeed != 0 {
+		handler, faultStats = campaign.WrapWireFaults(coord, campaign.DefaultWireFaults(k.wireFaultSeed))
+		fmt.Printf("CHAOS: wire-fault injector armed (seed %d)\n", k.wireFaultSeed)
 	}
 	srv, err := campaign.ListenAndServe(addr, handler)
 	fatalIf(err)
 	info := coord.Info()
-	spec := info.Spec
-	budgetNote := fmt.Sprintf("%d execs", spec.BudgetExecs)
-	if spec.BudgetNanos > 0 {
-		budgetNote = time.Duration(spec.BudgetNanos).String() + " wall-clock"
+	fmt.Printf("chipmunk coordinator on %s: %s, %s (bugs %s), fingerprint %s, lease %v\n",
+		srv.Addr(), plan, spec.FS, spec.Bugs, info.SuiteHash, k.leaseTTL)
+	fmt.Printf("watch it at http://%s%s (JSON: %s, metrics: /debug/metrics)\n", srv.Addr(), lease.PathDash, lease.PathStatus)
+	inst.EmitRun(spec.FS, info.Workloads)
+	if daddr := inst.Debug.Addr(); daddr != "" {
+		fmt.Printf("debug listener on http://%s\n", daddr)
 	}
-	fmt.Printf("chipmunk fuzz coordinator on %s: soak %s, %s (bugs %s), budget %s in rounds of %d (gen width %d), seed %d, fingerprint %s, lease %v\n",
-		srv.Addr(), info.CampaignID, sys.Name, spec.Bugs, budgetNote,
-		spec.RoundExecs, spec.GenRounds, spec.FuzzSeed, info.SuiteHash, knobs.leaseTTL)
-	fmt.Printf("watch the soak at http://%s%s (JSON: %s, metrics: /debug/metrics)\n",
-		srv.Addr(), campaign.PathDash, campaign.PathStatus)
-	inst.EmitRun(sys.Name, info.Workloads)
 
-	// First SIGINT: stop issuing leases, drain in-flight units to the
-	// checkpoint, report the partial census. Second: force-exit 130.
 	ctx, stop := harness.SignalContextNotify(context.Background(),
-		"interrupt: draining — no new leases; crediting in-flight rounds to the checkpoint (interrupt again to force exit)")
+		"interrupt: draining — no new leases; crediting in-flight units to the checkpoint (interrupt again to force exit)")
 	defer stop()
-	census, err := coord.Wait(ctx)
+	err = wait(ctx)
 	srv.Close() //nolint:errcheck // listener teardown on the way out
 	stop()
 	interrupted := errors.Is(err, context.Canceled)
@@ -538,63 +447,71 @@ func runFuzzCoordinator(addr string, fspec campaign.Spec, knobs coordinatorKnobs
 		fatalIf(err)
 	}
 	fatalIf(coord.Close())
-	degraded := coord.Degraded()
+	return exitCode(inst, cli.Journal, coord.Degraded(), summarize(interrupted), interrupted)
+}
 
+// writeCampaignSummary writes CAMPAIGN.txt under dir, when -o is given.
+func writeCampaignSummary(dir string, c *campaign.Coordinator, st campaign.Stats, census *harness.Census, viol []core.Violation) {
+	if dir == "" {
+		return
+	}
+	quarantined := make([]report.QuarantinedShard, 0)
+	for _, q := range c.Quarantined() {
+		quarantined = append(quarantined, report.QuarantinedShard{
+			Shard: q.Shard, Start: q.Start, End: q.End, Worker: q.Worker, Err: q.Err, Attempts: q.Attempts,
+		})
+	}
+	wr, err := report.NewWriter(dir)
+	fatalIf(err)
+	info := c.Info()
+	path, err := wr.WriteCampaignSummary(report.CampaignSummary{
+		CampaignID: info.CampaignID, FS: info.Spec.FS, Suite: info.Spec.Suite,
+		SuiteHash: info.SuiteHash, Workloads: info.Workloads, Shards: info.Shards, ShardSize: info.ShardSize,
+		Resumed: st.Resumed, Redispatched: st.Redispatched, Duplicates: st.Duplicates, Rejected: st.Rejected,
+		BadPayloads: st.BadPayloads, Heartbeats: st.Heartbeats, PerWorker: st.PerWorker,
+		Quarantined: quarantined, Fingerprint: campaign.Fingerprint(census, viol),
+	})
+	fatalIf(err)
+	fmt.Printf("wrote campaign summary to %s\n", path)
+}
+
+// reportSoak prints a fuzz soak's census, with stats printing the control
+// plane midway, writes FUZZCENSUS.md under dir, and says whether the census
+// holds bugs.
+func reportSoak(census report.FuzzCensus, interrupted bool, dir string, stats func()) bool {
 	status := "done"
 	if interrupted {
 		status = "interrupted (partial census)"
 	}
 	fmt.Printf("\n%s: %d execs in %d rounds, %d crash states checked, corpus %d entries (%d coverage edges)\n",
-		status, census.Execs, census.RoundsCredited, census.StatesChecked,
-		census.CorpusSize, census.CoverageEdges)
+		status, census.Execs, census.RoundsCredited, census.StatesChecked, census.CorpusSize, census.CoverageEdges)
 	if census.QuarantinedChecks > 0 {
 		fmt.Printf("sandbox: %d crash states quarantined\n", census.QuarantinedChecks)
 	}
-	st := coord.Stats()
-	fmt.Printf("%s\n", st)
-	if faultStats != nil {
-		fmt.Printf("%s\n", faultStats())
-	}
+	stats()
 	fmt.Printf("distinct bugs: %d\n", len(census.Clusters))
 	for i, b := range census.Clusters {
 		note := ""
 		if b.Minimized && b.Verified {
 			note = ", minimized"
 		}
-		fmt.Printf("  bug %d: %s on %s — %d reports (prefix %s%s)\n",
-			i+1, b.Kind, b.FS, b.Count, b.Prefix, note)
+		fmt.Printf("  bug %d: %s on %s — %d reports (prefix %s%s)\n", i+1, b.Kind, b.FS, b.Count, b.Prefix, note)
 	}
-	if cli.OutDir != "" {
-		wr, err := report.NewWriter(cli.OutDir)
+	if dir != "" {
+		wr, err := report.NewWriter(dir)
 		fatalIf(err)
 		path, err := wr.WriteFuzzCensus(census)
 		fatalIf(err)
 		fmt.Printf("wrote fuzzing census to %s\n", path)
 	}
-	if inst.Journal != nil {
-		fmt.Printf("journal: %d events written to %s\n", inst.Journal.Events(), cli.Journal)
-	}
-	fatalIf(inst.Close())
-	if degraded {
-		os.Exit(harness.ExitDegraded)
-	}
-	if len(census.Clusters) > 0 {
-		os.Exit(harness.ExitViolations)
-	}
-	if interrupted {
-		os.Exit(harness.ExitInterrupted)
-	}
+	return len(census.Clusters) > 0
 }
 
-// finish prints the census summary, triaged clusters, and optional
-// reports, closes the instrumentation, and exits with the shared status
-// convention (harness.Exit*): degraded campaigns exit 3 — ahead of
-// violations, because an incomplete census is the more urgent fact — then
-// violations 1, interrupted 130. extra, when non-nil, runs after the census
-// block (campaign stats).
-func finish(sys harness.System, census *harness.Census, viol []core.Violation,
-	interrupted, degraded bool, modeNote string, verbose bool, outDir string,
-	inst *harness.Instrumentation, journalPath string, extra func()) {
+// reportCensus prints the census summary, triaged clusters, and optional
+// reports, and says whether the run found violations. extra, when non-nil,
+// runs after the census block (campaign stats).
+func reportCensus(fsName string, census *harness.Census, viol []core.Violation, interrupted bool,
+	modeNote string, cli *harness.CLIOptions, inst *harness.Instrumentation, extra func()) bool {
 	clusters := core.Triage(viol)
 	status := "done"
 	if interrupted {
@@ -606,7 +523,7 @@ func finish(sys harness.System, census *harness.Census, viol []core.Violation,
 	if n := len(census.Quarantined) + census.SuppressedQuarantine; n > 0 || census.RetriedChecks > 0 {
 		fmt.Printf("sandbox: %d states quarantined (%d suppressed past ledger cap), %d transient retries\n",
 			n, census.SuppressedQuarantine, census.RetriedChecks)
-		if verbose {
+		if cli.Verbose {
 			for _, q := range census.Quarantined {
 				fmt.Printf("  %s\n", q)
 			}
@@ -617,7 +534,7 @@ func finish(sys harness.System, census *harness.Census, viol []core.Violation,
 	}
 	fmt.Printf("reports: %d; triaged clusters: %d\n", len(viol), len(clusters))
 	for i, c := range clusters {
-		if verbose {
+		if cli.Verbose {
 			fmt.Printf("\ncluster %d (%d reports):\n%s\n", i+1, c.Count, c.Representative)
 		} else {
 			fmt.Printf("cluster %d (%d reports): %s (%s)\n",
@@ -631,21 +548,28 @@ func finish(sys harness.System, census *harness.Census, viol []core.Violation,
 	if statsOut != "" {
 		fmt.Printf("\n%s", statsOut)
 	}
+	writeReports(cli.OutDir, fsName, clusters, census)
+	return len(viol) > 0
+}
+
+// exitCode notes the journal, closes the instrumentation (os.Exit skips
+// defers), and applies the shared status convention (harness.Exit*):
+// degraded runs exit 3 — ahead of violations, because an incomplete census
+// is the more urgent fact — then violations 1, interrupted 130.
+func exitCode(inst *harness.Instrumentation, journal string, degraded, found, interrupted bool) int {
 	if inst.Journal != nil {
-		fmt.Printf("journal: %d events written to %s\n", inst.Journal.Events(), journalPath)
+		fmt.Printf("journal: %d events written to %s\n", inst.Journal.Events(), journal)
 	}
-	writeReports(outDir, sys.Name, clusters, census)
-	// os.Exit skips defers: flush the journal and stop the listener first.
 	fatalIf(inst.Close())
-	if degraded {
-		os.Exit(harness.ExitDegraded)
+	switch {
+	case degraded:
+		return harness.ExitDegraded
+	case found:
+		return harness.ExitViolations
+	case interrupted:
+		return harness.ExitInterrupted
 	}
-	if len(viol) > 0 {
-		os.Exit(harness.ExitViolations)
-	}
-	if interrupted {
-		os.Exit(harness.ExitInterrupted)
-	}
+	return harness.ExitClean
 }
 
 // writeReports persists triaged clusters and the quarantine ledger when -o

@@ -1,0 +1,182 @@
+package main
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"net"
+	"net/http"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"chipmunk/internal/campaign"
+	"chipmunk/internal/fleet"
+	"chipmunk/internal/harness"
+)
+
+// suiteSpec is seq1's first max workloads on NOVA with every bug injected.
+func suiteSpec(max int) campaign.Spec {
+	return campaign.Spec{FS: "nova", Bugs: "all", Suite: "seq1", Max: max, Cap: 2, Workers: 1}
+}
+
+// fuzzSpec is a small exec-budget soak on NOVA with the two rename bugs.
+func fuzzSpec(execs, genRounds int) campaign.Spec {
+	return campaign.Spec{
+		FS: "nova", Bugs: "4,5", Cap: 2, Workers: 1, Fuzz: true, FuzzSeed: 11,
+		BudgetExecs: execs, RoundExecs: 15, GenRounds: genRounds, MinExecs: 20,
+	}
+}
+
+// freeAddr returns a loopback address nothing listens on yet.
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	return ln.Addr().String()
+}
+
+// serveRun drives the -serve path in process: runCoordinator on a loopback
+// address with n in-process workers (each panicking on the poison shards),
+// reports written under outDir. It returns the exit code.
+func serveRun(t *testing.T, spec campaign.Spec, outDir string, n int, poison ...int) int {
+	t.Helper()
+	addr := freeAddr(t)
+	cli := &harness.CLIOptions{FS: spec.FS, Bugs: spec.Bugs, OutDir: outDir}
+	inst, err := cli.Instrument()
+	if err != nil {
+		t.Fatal(err)
+	}
+	codes := make(chan int, 1)
+	go func() { codes <- runCoordinator(addr, spec, serveKnobs{shardSize: 4}, inst, cli) }()
+	// Workers join once the coordinator listens, so none backs off past a
+	// run the others finish.
+	for {
+		if conn, err := net.Dial("tcp", addr); err == nil {
+			conn.Close()
+			break
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("w%d", i)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var err error
+			if spec.Fuzz {
+				err = fleet.RunWorker(context.Background(), fleet.WorkerConfig{
+					Addr: addr, ID: id, Poll: 5 * time.Millisecond, DialBudget: 2 * time.Second,
+				})
+			} else {
+				err = campaign.RunWorker(context.Background(), campaign.WorkerConfig{
+					Addr: addr, ID: id, Poll: 5 * time.Millisecond, DialBudget: 2 * time.Second, PoisonShards: poison,
+				})
+			}
+			if err != nil {
+				t.Errorf("worker %s: %v", id, err)
+			}
+		}()
+	}
+	wg.Wait()
+	return <-codes
+}
+
+// TestServeSuiteCampaign: a suite spec takes the campaign path; bugs-all
+// violations give exit 1 and CAMPAIGN.txt lands under -o.
+func TestServeSuiteCampaign(t *testing.T) {
+	dir := t.TempDir()
+	if code := serveRun(t, suiteSpec(24), dir, 2); code != harness.ExitViolations {
+		t.Fatalf("exit %d, want %d", code, harness.ExitViolations)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "CAMPAIGN.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "fingerprint") {
+		t.Fatalf("CAMPAIGN.txt:\n%s", data)
+	}
+}
+
+// TestServePoisonedShardDegrades: a shard that panics every worker is
+// quarantined, and the degraded exit code outranks the violations found.
+func TestServePoisonedShardDegrades(t *testing.T) {
+	dir := t.TempDir()
+	if code := serveRun(t, suiteSpec(24), dir, 2, 2); code != harness.ExitDegraded {
+		t.Fatalf("exit %d, want %d", code, harness.ExitDegraded)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "CAMPAIGN.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), "chaos: poisoned shard 2") {
+		t.Fatalf("CAMPAIGN.txt lacks the quarantined shard:\n%s", data)
+	}
+}
+
+// TestServeFuzzSoak: a fuzz spec takes the fleet path, and on an exec budget
+// FUZZCENSUS.md is byte-identical with one worker and with two.
+func TestServeFuzzSoak(t *testing.T) {
+	var censuses [][]byte
+	for _, n := range []int{1, 2} {
+		dir := t.TempDir()
+		if code := serveRun(t, fuzzSpec(120, 4), dir, n); code != harness.ExitViolations {
+			t.Fatalf("workers=%d: exit %d, want %d", n, code, harness.ExitViolations)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "FUZZCENSUS.md"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		censuses = append(censuses, data)
+	}
+	if !bytes.Equal(censuses[0], censuses[1]) {
+		t.Fatalf("FUZZCENSUS.md differs between 1 and 2 workers:\n--- 1 ---\n%s\n--- 2 ---\n%s", censuses[0], censuses[1])
+	}
+}
+
+// TestWorkerFetchesSpecOnce: the -worker path makes exactly one handshake
+// GET in either mode — it routes on the spec it fetched and hands it to the
+// worker instead of letting the worker fetch it again.
+func TestWorkerFetchesSpecOnce(t *testing.T) {
+	for _, spec := range []campaign.Spec{suiteSpec(4), fuzzSpec(15, 1)} {
+		var coord interface {
+			http.Handler
+			Close() error
+		}
+		var err error
+		if spec.Fuzz {
+			coord, err = fleet.NewCoordinator(fleet.CoordinatorConfig{Spec: spec})
+		} else {
+			coord, err = campaign.NewCoordinator(campaign.CoordinatorConfig{Spec: spec, ShardSize: 4})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var gets atomic.Int32
+		srv, err := campaign.ListenAndServe("127.0.0.1:0", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == campaign.PathSpec {
+				gets.Add(1)
+			}
+			coord.ServeHTTP(w, r)
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code := runWorker(srv.Addr(), &harness.CLIOptions{Jobs: 1}, 0, -1); code != harness.ExitClean {
+			t.Errorf("fuzz=%v: worker exit %d", spec.Fuzz, code)
+		}
+		srv.Close()
+		coord.Close()
+		if n := gets.Load(); n != 1 {
+			t.Errorf("fuzz=%v: %d spec GETs, want 1", spec.Fuzz, n)
+		}
+	}
+}

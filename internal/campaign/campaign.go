@@ -233,7 +233,7 @@ func PayloadSum(p *ShardPayload) string {
 // ShardQuarantine is one entry of the shard-quarantine ledger: a shard that
 // failed -shard-retries dispatch attempts (lease expiries, structured error
 // payloads, rejected results) and was removed from the campaign instead of
-// failing it or looping forever. Mirrors PR 2's per-check quarantine one
+// failing it or looping forever. It mirrors the per-check quarantine one
 // level up: the campaign completes with a partial census, and the ledger is
 // never silent — persisted in the checkpoint, rendered in CAMPAIGN.txt,
 // counted in obs, and reflected in the degraded exit code.
@@ -244,10 +244,8 @@ type ShardQuarantine struct {
 	End   int `json:"end"`
 	// SuiteHash pins the ledger entry to its campaign, like shard credits.
 	SuiteHash string `json:"suite_hash,omitempty"`
-	// Err is the failure the entry cites — the latest engine error payload
-	// if any attempt delivered one, else the latest transport failure (lease
-	// expiry, rejected result) — and Worker the worker that attempt ran on;
-	// Attempts the total failed dispatch attempts.
+	// Err is the failure the entry cites (lease.Table.Fail's rule) and
+	// Worker the worker that attempt ran on; Attempts the failed attempts.
 	Worker   string `json:"worker,omitempty"`
 	Err      string `json:"err,omitempty"`
 	Attempts int    `json:"attempts"`
@@ -273,29 +271,13 @@ type HeartbeatRequest struct {
 	StatesChecked int `json:"states_checked,omitempty"`
 }
 
-// HeartbeatResponse answers a heartbeat. Extended is false when the shard
-// is no longer leased to this worker (expired and re-dispatched, done, or
-// quarantined): the worker should abandon the shard rather than burn
-// compute on a result that would be discarded.
-type HeartbeatResponse struct {
-	Extended bool  `json:"extended"`
-	TTLNanos int64 `json:"ttl_ns,omitempty"`
-}
-
-// CreditResponse answers a result post.
-type CreditResponse struct {
-	Accepted bool `json:"accepted"`
-	// Duplicate means the shard was already credited (at-most-once): the
-	// payload was discarded.
-	Duplicate bool `json:"duplicate"`
-	// Quarantined means the shard is in the shard-quarantine ledger — either
-	// this error payload spent its last dispatch attempt, or a late result
-	// arrived for an already-quarantined shard (discarded: a shard is never
-	// both credited and quarantined).
-	Quarantined bool `json:"quarantined,omitempty"`
-	// Done means the campaign completed with this credit.
-	Done bool `json:"done"`
-}
+// HeartbeatResponse and CreditResponse answer the heartbeat and result verbs
+// of both distributed modes (see lease.HeartbeatResponse); Quarantined on a
+// credit means the shard is in the shard-quarantine ledger.
+type (
+	HeartbeatResponse = lease.HeartbeatResponse
+	CreditResponse    = lease.CreditResponse
+)
 
 // NewShardPayload freezes a shard's harness.Run outcome into its wire form.
 func NewShardPayload(shard int, worker, suiteHash string, c *harness.Census, viol []core.Violation) *ShardPayload {

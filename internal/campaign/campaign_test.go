@@ -363,8 +363,8 @@ func TestLeaseRegrant(t *testing.T) {
 
 // shardAttempts reads shard i's failed-attempt count.
 func shardAttempts(c *Coordinator, i int) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	return c.shards.Slots[i].Attempts
 }
 

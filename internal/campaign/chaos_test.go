@@ -195,8 +195,8 @@ func TestChaosDifferential(t *testing.T) {
 
 // coordShardDone reports whether shard i is credited.
 func coordShardDone(c *Coordinator, i int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	return c.shards.Slots[i].State == lease.Done
 }
 
@@ -497,7 +497,7 @@ func TestWorkerPanicContained(t *testing.T) {
 }
 
 // TestDialBudgetExhausted: a worker that can never reach the coordinator
-// exhausts its bounded retry budget and fails with ErrCoordinatorGone —
+// exhausts its bounded retry budget and fails with lease.ErrCoordinatorGone —
 // the distinct "could not join" outcome — instead of retrying forever.
 func TestDialBudgetExhausted(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -508,8 +508,8 @@ func TestDialBudgetExhausted(t *testing.T) {
 	ln.Close() // nothing listens here anymore
 	start := time.Now()
 	err = RunWorker(context.Background(), WorkerConfig{Addr: addr, ID: "w", DialBudget: 250 * time.Millisecond})
-	if !errors.Is(err, ErrCoordinatorGone) {
-		t.Fatalf("want ErrCoordinatorGone, got: %v", err)
+	if !errors.Is(err, lease.ErrCoordinatorGone) {
+		t.Fatalf("want lease.ErrCoordinatorGone, got: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
 		t.Fatalf("dial retry not bounded by budget: took %v", elapsed)

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"chipmunk/internal/lease"
 )
@@ -75,27 +74,5 @@ func LoadCheckpoint(path string) (*CheckpointState, error) {
 		}
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// Validate checks a recovered checkpoint against the campaign about to
-// resume it. A mismatched suite fingerprint or shard geometry means the
-// file belongs to a different campaign — refusing is the only safe answer.
-func (st *CheckpointState) Validate(info SpecInfo) error {
-	if st.Header == nil {
-		return nil // empty or headerless file: nothing to contradict
-	}
-	h := st.Header
-	if h.SuiteHash != info.SuiteHash {
-		return fmt.Errorf("campaign: checkpoint suite fingerprint mismatch: file has %s (fs=%s suite=%s), campaign is %s (fs=%s suite=%s) — wrong checkpoint or diverged generator",
-			h.SuiteHash, h.FS, h.Suite, info.SuiteHash, info.Spec.FS, info.Spec.Suite)
-	}
-	if h.Shards != info.Shards || h.ShardSize != info.ShardSize {
-		return fmt.Errorf("campaign: checkpoint shard geometry mismatch: file has %d shards of %d, campaign wants %d of %d — rerun with the original -shard-size",
-			h.Shards, h.ShardSize, info.Shards, info.ShardSize)
-	}
-	return nil
+	return st, err
 }

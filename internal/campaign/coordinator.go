@@ -7,8 +7,6 @@ import (
 	"hash/fnv"
 	"net/http"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
 	"chipmunk/internal/core"
@@ -23,20 +21,13 @@ import (
 // lost worker forfeits little work and stragglers rebalance.
 const DefaultShardSize = 32
 
-// DefaultLeaseTTL (-lease) and DefaultShardRetries (-shard-retries) are the
-// lease engine's defaults under the names the campaign flags document.
-const (
-	DefaultLeaseTTL     = lease.DefaultTTL
-	DefaultShardRetries = lease.DefaultRetries
-)
-
 // CoordinatorConfig configures NewCoordinator.
 type CoordinatorConfig struct {
 	Spec      Spec
 	ShardSize int           // 0 = DefaultShardSize
-	LeaseTTL  time.Duration // 0 = DefaultLeaseTTL
+	LeaseTTL  time.Duration // 0 = lease.DefaultTTL
 	// ShardRetries bounds failed dispatch attempts per shard before it is
-	// quarantined (0 = DefaultShardRetries). A shard that crash-loops its
+	// quarantined (0 = lease.DefaultRetries). A shard that crash-loops its
 	// worker — OOM, SIGKILL, an engine panic that escapes the check sandbox
 	// — degrades the campaign instead of stalling or failing it.
 	ShardRetries int
@@ -52,62 +43,34 @@ type CoordinatorConfig struct {
 	// folded census so far (drives the -debug-addr /progress view).
 	Progress func(doneWorkloads, totalWorkloads int, c harness.Census)
 	// Journal, when non-nil, receives one "shard-quarantine" event per
-	// quarantined shard — the campaign-layer mirror of the per-check
-	// quarantine events the engine emits.
+	// quarantined shard.
 	Journal *obs.Journal
 	// Logf, when set, receives one line per lease/credit/expiry event.
 	Logf func(format string, args ...any)
 }
 
-// Stats summarizes the campaign's control-plane history.
+// Stats summarizes the campaign's control-plane history: the lease counters
+// and the shard accounting. ShardsQuarantined counts the ledger, carried-over
+// entries included; nonzero means the campaign completed degraded.
 type Stats struct {
-	Shards int
-	Done   int
-	// Resumed counts shards credited from the checkpoint at startup,
-	// Redispatched lease expiries, Duplicates at-most-once discards, and
-	// Rejected fingerprint-mismatch requests.
-	Resumed      int
-	Redispatched int
-	Duplicates   int
-	Rejected     int
-	// ShardsQuarantined counts shards in the shard-quarantine ledger
-	// (including ones carried forward from the checkpoint); a nonzero value
-	// means the campaign completed degraded. BadPayloads counts result
-	// bodies rejected at the wire (truncated, corrupt, checksum mismatch);
-	// Heartbeats counts granted lease extensions.
-	ShardsQuarantined int
-	BadPayloads       int
-	Heartbeats        int
-	// PerWorker counts shards credited per worker ID (checkpoint resumes
-	// appear under "checkpoint").
-	PerWorker map[string]int
+	lease.Counters
+	Shards, Done, Resumed, ShardsQuarantined int
 }
 
 // Coordinator owns a campaign: the sharded suite, its lease table (shard i is
-// unit i; a spent shard is a quarantined one), the credited payloads, and
-// the checkpoint. It is an http.Handler serving the campaign wire protocol.
+// unit i; a spent shard is a quarantined one), and the credited payloads, on
+// the lease shell. It is an http.Handler serving the campaign wire protocol.
 type Coordinator struct {
+	lease.Shell
 	info     SpecInfo
 	progress func(done, total int, c harness.Census)
 	journal  *obs.Journal
 	// tracer emits "shard-lease" spans (one per credited shard, spanning
 	// lease grant to credit) under the campaign's coordinates: seed = suite
 	// hash, shard index -1. Nil when no journal is attached.
-	tracer  *obs.Tracer
-	started time.Time
-	logf    func(format string, args ...any)
-	mux     *http.ServeMux
-
-	mu       sync.Mutex
+	tracer   *obs.Tracer
 	shards   *lease.Table
 	payloads []*ShardPayload // by shard; set exactly when the shard is Done
-	draining bool
-	failed   error
-	ckpt     *lease.Log
-	resumed  int
-
-	doneOnce sync.Once
-	doneCh   chan struct{}
 }
 
 // NewCoordinator builds the campaign: generates the suite, fingerprints
@@ -129,7 +92,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	hash := workload.FormatSuiteHash(workload.SuiteHash(suite))
 	n := numShards(len(suite), shardSize)
 	info := SpecInfo{
-		CampaignID: campaignID(cfg.Spec, hash),
+		CampaignID: RunID("c", cfg.Spec, hash),
 		Spec:       cfg.Spec,
 		SuiteHash:  hash,
 		Shards:     n,
@@ -140,11 +103,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		info:     info,
 		progress: cfg.Progress,
 		journal:  cfg.Journal,
-		started:  time.Now(),
-		logf:     cfg.Logf,
 		shards:   lease.NewTable(n, cfg.LeaseTTL, cfg.ShardRetries, lease.NewCounters()),
 		payloads: make([]*ShardPayload, n),
-		doneCh:   make(chan struct{}),
 	}
 	if cfg.Journal != nil {
 		// The campaign traces under (suite hash, shard -1): deterministic for
@@ -152,7 +112,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		seed, _ := strconv.ParseUint(hash, 16, 64)
 		c.tracer = obs.NewTracer(cfg.Journal, seed, -1)
 	}
-	mux := http.NewServeMux()
+	mux := c.Init(cfg.Logf, []lease.Kind{{Name: "shard", SpentAs: "quarantined", Table: c.shards}},
+		func() any { return c.Status() },
+		func() *obs.Snapshot { cen, _ := c.Merged(); return cen.Obs })
 	mux.HandleFunc(PathSpec, func(w http.ResponseWriter, r *http.Request) { lease.WriteJSON(w, http.StatusOK, c.info) })
 	mux.HandleFunc(PathLease, lease.Handle("lease", c.Lease))
 	mux.HandleFunc(PathResult, lease.HandleResult(
@@ -164,10 +126,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			c.RejectResult(p.Shard, p.Worker, cause)
 		}, c.Credit))
 	mux.HandleFunc(PathHeartbeat, lease.Handle("heartbeat", c.Heartbeat))
-	mux.HandleFunc(PathStatus, c.handleStatus)
-	mux.HandleFunc(PathDash, c.handleDash)
-	mux.HandleFunc("/debug/metrics", c.handleMetrics)
-	c.mux = mux
 
 	if cfg.CheckpointPath != "" {
 		if err := c.attachCheckpoint(cfg.CheckpointPath, cfg.RetryQuarantined); err != nil {
@@ -177,12 +135,15 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-func campaignID(spec Spec, suiteHash string) string {
+// RunID names a run on the wire and in its checkpoint: prefix ("c" for a
+// campaign, "f" for a fuzz soak) and FNV-64a over the spec's JSON and the
+// run's fingerprint.
+func RunID(prefix string, spec Spec, fingerprint string) string {
 	h := fnv.New64a()
 	b, _ := json.Marshal(spec)
 	h.Write(b)
-	h.Write([]byte(suiteHash))
-	return fmt.Sprintf("c%016x", h.Sum64())
+	h.Write([]byte(fingerprint))
+	return fmt.Sprintf("%s%016x", prefix, h.Sum64())
 }
 
 func (c *Coordinator) attachCheckpoint(path string, retryQuarantined bool) error {
@@ -190,25 +151,25 @@ func (c *Coordinator) attachCheckpoint(path string, retryQuarantined bool) error
 	if err != nil {
 		return err
 	}
-	if err := st.Validate(c.info); err != nil {
-		return err
-	}
-	if st.Skipped > 0 {
-		c.log("checkpoint: skipped %d corrupt/torn lines in %s", st.Skipped, path)
+	// A mismatched suite fingerprint or shard geometry means the file
+	// belongs to a different campaign: refusing is the only safe answer.
+	if h, info := st.Header, c.info; h != nil && h.SuiteHash != info.SuiteHash {
+		return fmt.Errorf("campaign: checkpoint suite fingerprint mismatch: file has %s (fs=%s suite=%s), campaign is %s (fs=%s suite=%s) — wrong checkpoint or diverged generator",
+			h.SuiteHash, h.FS, h.Suite, info.SuiteHash, info.Spec.FS, info.Spec.Suite)
+	} else if h != nil && (h.Shards != info.Shards || h.ShardSize != info.ShardSize) {
+		return fmt.Errorf("campaign: checkpoint shard geometry mismatch: file has %d shards of %d, campaign wants %d of %d — rerun with the original -shard-size",
+			h.Shards, h.ShardSize, info.Shards, info.ShardSize)
 	}
 	slots := c.shards.Slots
 	for _, p := range st.Payloads {
 		if p.SuiteHash != c.info.SuiteHash || p.Shard < 0 || p.Shard >= len(slots) {
-			c.log("checkpoint: ignoring foreign shard record (shard %d, hash %s)", p.Shard, p.SuiteHash)
+			c.Log("checkpoint: ignoring foreign shard record (shard %d, hash %s)", p.Shard, p.SuiteHash)
 			continue
 		}
-		if slots[p.Shard].State == lease.Done {
-			continue
+		if slots[p.Shard].State != lease.Done {
+			c.shards.Resume(p.Shard, p.Worker)
+			c.payloads[p.Shard] = p
 		}
-		slots[p.Shard].State = lease.Done
-		c.payloads[p.Shard] = p
-		c.resumed++
-		c.shards.PerWorker["checkpoint"]++
 	}
 	// Quarantine records: a credit anywhere in the file wins (the shard was
 	// eventually checked, e.g. by a prior -retry-quarantined run); otherwise
@@ -217,11 +178,11 @@ func (c *Coordinator) attachCheckpoint(path string, retryQuarantined bool) error
 	requeued := 0
 	for _, q := range st.Quarantined {
 		if q.SuiteHash != "" && q.SuiteHash != c.info.SuiteHash {
-			c.log("checkpoint: ignoring foreign quarantine record (shard %d, hash %s)", q.Shard, q.SuiteHash)
+			c.Log("checkpoint: ignoring foreign quarantine record (shard %d, hash %s)", q.Shard, q.SuiteHash)
 			continue
 		}
 		if q.Shard < 0 || q.Shard >= len(slots) {
-			c.log("checkpoint: ignoring out-of-range quarantine record (shard %d)", q.Shard)
+			c.Log("checkpoint: ignoring out-of-range quarantine record (shard %d)", q.Shard)
 			continue
 		}
 		slot := &slots[q.Shard]
@@ -248,20 +209,17 @@ func (c *Coordinator) attachCheckpoint(path string, retryQuarantined bool) error
 			ShardSize:  c.info.ShardSize,
 		}
 	}
-	if c.ckpt, err = lease.OpenLog("campaign", path, header); err != nil {
+	if err := c.Attach("campaign", path, st.Skipped, header); err != nil {
 		return err
 	}
-	if c.resumed > 0 {
-		c.log("checkpoint: resumed %d/%d shards from %s", c.resumed, len(slots), path)
-	}
 	if n := c.shards.Count(lease.Spent); n > 0 {
-		c.log("checkpoint: carrying %d quarantined shards forward (re-run them with -retry-quarantined)", n)
+		c.Log("checkpoint: carrying %d quarantined shards forward (re-run them with -retry-quarantined)", n)
 	}
 	if requeued > 0 {
-		c.log("checkpoint: re-queued %d quarantined shards for retry", requeued)
+		c.Log("checkpoint: re-queued %d quarantined shards for retry", requeued)
 	}
 	if c.shards.Open() == 0 {
-		c.complete()
+		c.Complete()
 	}
 	return nil
 }
@@ -269,19 +227,8 @@ func (c *Coordinator) attachCheckpoint(path string, retryQuarantined bool) error
 // Info returns the campaign identity served on handshake.
 func (c *Coordinator) Info() SpecInfo { return c.info }
 
-func (c *Coordinator) log(format string, args ...any) {
-	if c.logf != nil {
-		c.logf(format, args...)
-	}
-}
-
-// complete only closes a channel (sync.Once); safe under c.mu.
-func (c *Coordinator) complete() {
-	c.doneOnce.Do(func() { close(c.doneCh) })
-}
-
 // reclaimLocked expires overdue leases so the next lease request
-// re-dispatches them. Caller holds c.mu.
+// re-dispatches them. Caller holds c.Mu.
 func (c *Coordinator) reclaimLocked(now time.Time) {
 	for _, i := range c.shards.Expire(now) {
 		c.attemptFailedLocked(i, c.shards.Slots[i].Worker, lease.CauseExpired)
@@ -289,33 +236,29 @@ func (c *Coordinator) reclaimLocked(now time.Time) {
 }
 
 // attemptFailedLocked is the campaign's policy for a failed dispatch attempt
-// the table just booked against shard i — lease expiry, structured error
-// payload, or rejected result: log the re-dispatch, or, once the attempt
-// budget is spent, move the shard to the quarantine ledger — removed from the
-// campaign (never re-credited), persisted in the checkpoint, journaled, and
-// reported; never silent, never fatal. Caller holds c.mu.
+// the table just booked against shard i: log the re-dispatch, or, once the
+// budget is spent, move the shard to the quarantine ledger — never
+// re-credited, checkpointed, journaled and reported. Caller holds c.Mu.
 func (c *Coordinator) attemptFailedLocked(i int, worker, cause string) {
 	s := &c.shards.Slots[i]
 	if s.State != lease.Spent {
-		c.log("shard %d attempt %d/%d failed (worker %s): %s — re-dispatching",
+		c.Log("shard %d attempt %d/%d failed (worker %s): %s — re-dispatching",
 			i, s.Attempts, c.shards.Retries, worker, cause)
 		return
 	}
 	q := c.quarantineEntryLocked(i)
-	c.log("shard QUARANTINED: %s", q)
+	c.Log("shard QUARANTINED: %s", q)
 	c.journal.Emit(obs.Event{
 		Type: "shard-quarantine", FS: c.info.Spec.FS, Workload: c.info.Spec.Suite,
 		Sys: -1, Rank: i, States: q.End - q.Start, Detail: q.String(),
 	})
-	if err := c.ckpt.Append(ckptLine{Type: "quarantine", Quarantine: &q}); err != nil && c.failed == nil {
-		c.failed = err
-	}
-	if c.shards.Open() == 0 || c.failed != nil {
-		c.complete()
+	c.AppendLocked(ckptLine{Type: "quarantine", Quarantine: &q})
+	if c.shards.Open() == 0 {
+		c.Complete()
 	}
 }
 
-// quarantineEntryLocked renders shard i's ledger entry. Caller holds c.mu.
+// quarantineEntryLocked renders shard i's ledger entry. Caller holds c.Mu.
 func (c *Coordinator) quarantineEntryLocked(i int) ShardQuarantine {
 	s := &c.shards.Slots[i]
 	start, end := shardRange(i, c.info.ShardSize, c.info.Workloads)
@@ -327,8 +270,8 @@ func (c *Coordinator) quarantineEntryLocked(i int) ShardQuarantine {
 
 // Quarantined returns the shard-quarantine ledger in shard order.
 func (c *Coordinator) Quarantined() []ShardQuarantine {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	var out []ShardQuarantine
 	for i := range c.shards.Slots {
 		if c.shards.Slots[i].State == lease.Spent {
@@ -338,28 +281,18 @@ func (c *Coordinator) Quarantined() []ShardQuarantine {
 	return out
 }
 
-// Degraded reports whether the campaign carries quarantined shards: its
-// census is partial (the quarantined slices went unchecked) and the CLI
-// exits with the distinct degraded code so CI can tell "degraded" from
-// "failed".
-func (c *Coordinator) Degraded() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.shards.Count(lease.Spent) > 0
-}
-
 // Lease hands a worker the shard it still holds (its last lease response was
 // lost or discarded; see lease.Table.HeldBy), else the lowest-numbered
 // pending shard, or tells it to wait (everything in flight) or exit (done,
 // draining, or failed).
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	if req.SuiteHash != c.info.SuiteHash {
 		return LeaseResponse{}, c.shards.Foreign("suite", c.info.SuiteHash, req.Worker, req.SuiteHash,
 			"generators differ, refusing to merge incomparable results")
 	}
-	if c.draining || c.failed != nil || c.shards.Open() == 0 {
+	if c.StoppedLocked() || c.shards.Open() == 0 {
 		return LeaseResponse{Status: LeaseDone}, nil
 	}
 	now := time.Now()
@@ -374,20 +307,17 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	}
 	c.shards.Grant(i, req.Worker, now)
 	start, end := shardRange(i, c.info.ShardSize, c.info.Workloads)
-	c.log("lease: shard %d [%d,%d) -> %s (ttl %v)", i, start, end, req.Worker, c.shards.TTL)
+	c.Log("lease: shard %d [%d,%d) -> %s (ttl %v)", i, start, end, req.Worker, c.shards.TTL)
 	return LeaseResponse{
 		Status: LeaseGranted, Shard: i, Start: start, End: end,
 		TTLNanos: int64(c.shards.TTL),
 	}, nil
 }
 
-// Credit records one shard result, at most once per (shard id, suite
-// fingerprint): a resurrected slow worker whose lease expired and whose
-// shard was re-run elsewhere gets Duplicate, and its payload is discarded.
-// A structured error payload is one failed dispatch attempt: the shard is
-// re-dispatched until its budget is spent, then quarantined — the campaign
-// never fails or loops on one bad shard — and a healthy late result for a
-// quarantined shard is discarded too (re-run it with -retry-quarantined).
+// Credit records one shard result, at most once (lease.Shell.SettleLocked).
+// An error payload is a failed dispatch attempt, and a shard that spends its
+// attempts is quarantined: the campaign never fails or loops on one bad
+// shard (re-run it with -retry-quarantined).
 func (c *Coordinator) Credit(p *ShardPayload) (CreditResponse, error) {
 	resp, credited, err := c.creditLocked(p)
 	if credited && c.progress != nil {
@@ -395,37 +325,23 @@ func (c *Coordinator) Credit(p *ShardPayload) (CreditResponse, error) {
 		c.progress(cen.Workloads, c.info.Workloads, *cen)
 	}
 	if credited && resp.Done {
-		c.complete()
+		c.Complete()
 	}
 	return resp, err
 }
 
 func (c *Coordinator) creditLocked(p *ShardPayload) (resp CreditResponse, credited bool, err error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	if p.SuiteHash != c.info.SuiteHash {
 		return resp, false, c.shards.Foreign("suite", c.info.SuiteHash, p.Worker, p.SuiteHash, "discarding result")
 	}
-	if p.Shard < 0 || p.Shard >= len(c.shards.Slots) {
-		c.shards.Rejected++
-		return resp, false, fmt.Errorf("shard %d out of range [0,%d)", p.Shard, len(c.shards.Slots))
-	}
-	switch c.shards.Settle(p.Shard, p.Worker, p.Err, time.Now()) {
-	case lease.Stale:
-		c.log("stale error payload for shard %d from %s: discarded", p.Shard, p.Worker)
-		return CreditResponse{Duplicate: true}, false, nil
-	case lease.Failed:
+	switch o, resp, err := c.SettleLocked("shard", p.Shard, p.Worker, p.Err); {
+	case err != nil || resp.Duplicate:
+		return resp, false, err
+	case o == lease.Failed:
 		c.attemptFailedLocked(p.Shard, p.Worker, p.Err)
-		return CreditResponse{
-			Quarantined: c.shards.Slots[p.Shard].State == lease.Spent,
-			Done:        c.shards.Open() == 0,
-		}, false, nil
-	case lease.Discarded:
-		c.log("result for quarantined shard %d from %s: discarded", p.Shard, p.Worker)
-		return CreditResponse{Duplicate: true, Quarantined: true}, false, nil
-	case lease.Duplicate:
-		c.log("duplicate result for shard %d from %s: discarded", p.Shard, p.Worker)
-		return CreditResponse{Duplicate: true}, false, nil
+		return CreditResponse{Quarantined: c.shards.Slots[p.Shard].State == lease.Spent, Done: c.shards.Open() == 0}, false, nil
 	}
 	c.payloads[p.Shard] = p
 	// One measurement span per credited shard, spanning lease grant to
@@ -435,15 +351,11 @@ func (c *Coordinator) creditLocked(p *ShardPayload) (resp CreditResponse, credit
 		FS: c.info.Spec.FS, Workload: c.info.Spec.Suite, Worker: p.Worker,
 		Sys: -1, Rank: p.Shard, States: p.StatesChecked,
 	})
-	if err := c.ckpt.Append(ckptLine{Type: "shard", Payload: p}); err != nil {
-		if c.failed == nil {
-			c.failed = err
-		}
-		c.complete()
+	if !c.AppendLocked(ckptLine{Type: "shard", Payload: p}) {
 		return CreditResponse{Done: true}, false, nil
 	}
 	open := c.shards.Open()
-	c.log("credit: shard %d from %s (%d/%d done)", p.Shard, p.Worker, len(c.shards.Slots)-open, len(c.shards.Slots))
+	c.Log("credit: shard %d from %s (%d/%d done)", p.Shard, p.Worker, len(c.shards.Slots)-open, len(c.shards.Slots))
 	return CreditResponse{Accepted: true, Done: open == 0}, true, nil
 }
 
@@ -454,7 +366,7 @@ func (c *Coordinator) creditLocked(p *ShardPayload) (resp CreditResponse, credit
 // excludes — the census over the healthy shards stays byte-identical to a
 // serial run over the same slices.
 func (c *Coordinator) Merged() (*harness.Census, []core.Violation) {
-	c.mu.Lock()
+	c.Mu.Lock()
 	payloads := make([]*ShardPayload, 0, len(c.payloads))
 	for _, p := range c.payloads {
 		if p != nil {
@@ -462,7 +374,7 @@ func (c *Coordinator) Merged() (*harness.Census, []core.Violation) {
 		}
 	}
 	quarantined := c.shards.Count(lease.Spent)
-	c.mu.Unlock()
+	c.Mu.Unlock()
 	cen, viol := Fold(payloads)
 	if quarantined > 0 {
 		if cen.Obs == nil {
@@ -479,25 +391,19 @@ func (c *Coordinator) Merged() (*harness.Census, []core.Violation) {
 // Heartbeat extends a live lease (POST /campaign/heartbeat); a refusal tells
 // the worker it lost the lease and should abandon the shard.
 func (c *Coordinator) Heartbeat(req HeartbeatRequest) (HeartbeatResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	if req.SuiteHash != c.info.SuiteHash {
 		return HeartbeatResponse{}, c.shards.Foreign("suite", c.info.SuiteHash, req.Worker, req.SuiteHash, "refusing heartbeat")
 	}
-	if req.Shard < 0 || req.Shard >= len(c.shards.Slots) {
-		return HeartbeatResponse{}, fmt.Errorf("shard %d out of range [0,%d)", req.Shard, len(c.shards.Slots))
-	}
-	if !c.shards.Beat(req.Shard, req.Worker, req.StatesChecked, time.Now()) {
-		return HeartbeatResponse{Extended: false}, nil
-	}
-	return HeartbeatResponse{Extended: true, TTLNanos: int64(c.shards.TTL)}, nil
+	return c.BeatLocked("shard", req.Shard, req.Worker, req.StatesChecked)
 }
 
 // RejectResult records a result payload rejected at the wire (truncated
 // body, corrupt JSON, checksum mismatch); see lease.Table.Reject.
 func (c *Coordinator) RejectResult(shard int, worker, cause string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	if c.shards.Reject(shard, worker, cause) == lease.Failed {
 		c.attemptFailedLocked(shard, worker, cause)
 	}
@@ -505,56 +411,25 @@ func (c *Coordinator) RejectResult(shard int, worker, cause string) {
 
 // Stats snapshots the control-plane counters.
 func (c *Coordinator) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return Stats{
-		Shards:            len(c.shards.Slots),
-		Done:              c.shards.Count(lease.Done),
-		Resumed:           c.resumed,
-		Redispatched:      c.shards.Redispatched,
-		Duplicates:        c.shards.Duplicates,
-		Rejected:          c.shards.Rejected,
-		ShardsQuarantined: c.shards.Count(lease.Spent),
-		BadPayloads:       c.shards.BadPayloads,
-		Heartbeats:        c.shards.Heartbeats,
-		PerWorker:         c.shards.PerWorkerCopy(),
-	}
-}
-
-// Drain stops issuing new leases; in-flight shards may still report and
-// be credited (and checkpointed) until their deadlines expire.
-func (c *Coordinator) Drain() {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
+	return Stats{Counters: c.shards.Snapshot(), Shards: len(c.shards.Slots), Done: c.shards.Count(lease.Done),
+		Resumed: c.shards.Resumed, ShardsQuarantined: c.shards.Count(lease.Spent)}
 }
 
 // Wait blocks until the campaign completes, fails, or ctx is cancelled
-// (lease.Await: drain, then the partial census with ctx's error).
+// (lease.Shell.Await: drain, then the partial census with ctx's error).
 func (c *Coordinator) Wait(ctx context.Context) (*harness.Census, []core.Violation, error) {
-	err := lease.Await(ctx, c.doneCh, c.Drain, func() int {
-		c.mu.Lock()
-		defer c.mu.Unlock()
+	failed, err := c.Await(ctx, func() {
+		c.Mu.Lock()
+		defer c.Mu.Unlock()
 		c.reclaimLocked(time.Now())
-		return c.shards.Count(lease.Leased)
 	})
-	c.mu.Lock()
-	failed := c.failed
-	c.mu.Unlock()
 	if failed != nil {
 		return nil, nil, failed
 	}
 	cen, viol := c.Merged()
 	return cen, viol, err
-}
-
-// Close releases the checkpoint file handle.
-func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	ck := c.ckpt
-	c.ckpt = nil
-	c.mu.Unlock()
-	return ck.Close()
 }
 
 // --- HTTP surface -------------------------------------------------------
@@ -566,18 +441,7 @@ const (
 	PathLease     = "/campaign/lease"
 	PathResult    = "/campaign/result"
 	PathHeartbeat = "/campaign/heartbeat"
-	// PathStatus and PathDash are the read-only observability surface:
-	// PathStatus serves the live JSON shard map (dashboards, scripts, the CI
-	// smoke), PathDash a stdlib-only auto-refreshing HTML view of the same
-	// snapshot. Neither mutates campaign state.
-	PathStatus = "/campaign/status"
-	PathDash   = "/campaign/dash"
 )
-
-// ServeHTTP serves the campaign protocol.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.mux.ServeHTTP(w, r)
-}
 
 // Server binds a Coordinator to a TCP listener (-serve ADDR).
 type Server = lease.Server
@@ -588,18 +452,55 @@ func ListenAndServe(addr string, h http.Handler) (*Server, error) {
 	return lease.ListenAndServe(addr, h)
 }
 
-// String formats the control-plane summary the -serve frontend prints:
-// shard accounting first, then per-worker credit counts sorted by worker
-// name (deterministic output for logs and tests).
+// String formats the control-plane summary the -serve frontend prints.
 func (st Stats) String() string {
-	lines := []string{fmt.Sprintf(
-		"campaign: %d/%d shards done (%d resumed from checkpoint, %d re-dispatched, %d duplicates discarded, %d rejected, %d bad payloads, %d heartbeats)",
-		st.Done, st.Shards, st.Resumed, st.Redispatched, st.Duplicates, st.Rejected, st.BadPayloads, st.Heartbeats)}
+	degraded := ""
 	if st.ShardsQuarantined > 0 {
-		lines = append(lines, fmt.Sprintf(
-			"  DEGRADED: %d shards quarantined after exhausting their dispatch attempts — census excludes their workloads (re-run with -retry-quarantined)",
-			st.ShardsQuarantined))
+		degraded = fmt.Sprintf("DEGRADED: %d shards quarantined after exhausting their dispatch attempts — census excludes their workloads (re-run with -retry-quarantined)",
+			st.ShardsQuarantined)
 	}
-	lines = append(lines, lease.PerWorkerLines(st.PerWorker, "  %s: %d shards")...)
-	return strings.Join(lines, "\n")
+	return st.Report(fmt.Sprintf("campaign: %d/%d shards done", st.Done, st.Shards), st.Resumed, "shards", degraded)
+}
+
+// CampaignStatus is one point-in-time view of a campaign, served at
+// lease.PathStatus and rendered at lease.PathDash: the shared lease.Status plus the
+// suite's identity and its shards in campaign terms.
+type CampaignStatus struct {
+	lease.Status
+	Suite     string `json:"suite"`
+	SuiteHash string `json:"suite_hash"`
+	Workloads int    `json:"workloads"`
+	ShardSize int    `json:"shard_size"`
+
+	// Shards = Pending+Leased+Done+Quarantined; ShardMap is the shard
+	// table's map (lease.Tally).
+	Shards      int    `json:"shards"`
+	Quarantined int    `json:"quarantined"`
+	ShardMap    string `json:"shard_map"`
+	Violations  int    `json:"violations"`
+}
+
+// Status snapshots the campaign (lease.Shell.StatusLocked).
+func (c *Coordinator) Status() CampaignStatus {
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
+	var credited int64
+	violations := 0
+	for _, p := range c.payloads {
+		if p != nil {
+			credited += int64(p.StatesChecked)
+			violations += p.ViolationTotal
+		}
+	}
+	st := c.StatusLocked(time.Now(), credited)
+	info := c.info
+	st.CampaignID, st.FS = info.CampaignID, info.Spec.FS
+	st.Dash.Title = "campaign " + info.CampaignID
+	st.Dash.About = fmt.Sprintf("%s / %s (%d workloads, hash %s)", info.Spec.FS, info.Spec.Suite, info.Workloads, info.SuiteHash)
+	st.Dash.Facts = []string{fmt.Sprintf("%d violations", violations)}
+	return CampaignStatus{
+		Status: st, Suite: info.Spec.Suite, SuiteHash: info.SuiteHash,
+		Workloads: info.Workloads, ShardSize: info.ShardSize,
+		Shards: st.Dash.Units, Quarantined: st.Dash.Spent, ShardMap: st.Dash.Map, Violations: violations,
+	}
 }

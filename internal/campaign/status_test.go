@@ -15,13 +15,15 @@ import (
 
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
+	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
 
 // TestStatusSnapshot drives the lease state machine directly and checks the
-// dashboard snapshot tracks it: shard states, the shard map, piggybacked
-// heartbeat progress, credited throughput, and worker liveness.
+// campaign's own status fields track it: identity, the shard map under its
+// campaign key, credited plus live states, violations, and per-worker
+// credits. The owner-independent view is lease.TestShellStatusView's.
 func TestStatusSnapshot(t *testing.T) {
 	spec := testSpec()
 	spec.Max = 8
@@ -35,28 +37,18 @@ func TestStatusSnapshot(t *testing.T) {
 	if st.Shards != 2 || st.Pending != 2 || st.ShardMap != ".." {
 		t.Fatalf("fresh status: %+v", st)
 	}
-	if st.SuiteHash != hash || st.Workloads != 8 || st.ShardSize != 4 {
+	if st.SuiteHash != hash || st.Workloads != 8 || st.ShardSize != 4 || st.CampaignID != coord.Info().CampaignID {
 		t.Fatalf("status identity: %+v", st)
 	}
 
-	l0, err := coord.Lease(LeaseRequest{Worker: "w0", SuiteHash: hash})
-	if err != nil || l0.Status != LeaseGranted || l0.Shard != 0 {
-		t.Fatalf("lease: %+v, %v", l0, err)
+	if l, err := coord.Lease(LeaseRequest{Worker: "w0", SuiteHash: hash}); err != nil || l.Shard != 0 {
+		t.Fatalf("lease: %+v, %v", l, err)
 	}
-	if _, err := coord.Heartbeat(HeartbeatRequest{
-		Worker: "w0", Shard: 0, SuiteHash: hash, StatesChecked: 7,
-	}); err != nil {
+	if _, err := coord.Heartbeat(HeartbeatRequest{Worker: "w0", Shard: 0, SuiteHash: hash, StatesChecked: 7}); err != nil {
 		t.Fatal(err)
 	}
-	// A lagging (smaller) progress report must not regress the gauge.
-	if _, err := coord.Heartbeat(HeartbeatRequest{
-		Worker: "w0", Shard: 0, SuiteHash: hash, StatesChecked: 3,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	l1, err := coord.Lease(LeaseRequest{Worker: "w1", SuiteHash: hash})
-	if err != nil || l1.Status != LeaseGranted || l1.Shard != 1 {
-		t.Fatalf("lease: %+v, %v", l1, err)
+	if l, err := coord.Lease(LeaseRequest{Worker: "w1", SuiteHash: hash}); err != nil || l.Shard != 1 {
+		t.Fatalf("lease: %+v, %v", l, err)
 	}
 	if cr, err := coord.Credit(&ShardPayload{
 		Shard: 1, Worker: "w1", SuiteHash: hash,
@@ -66,35 +58,45 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 
 	st = coord.Status()
-	if st.Pending != 0 || st.Leased != 1 || st.Done != 1 || st.Quarantined != 0 {
-		t.Fatalf("status counts: %+v", st)
+	if st.ShardMap != "r#" || st.Leased != 1 || st.Done != 1 || st.Quarantined != 0 {
+		t.Fatalf("status: %+v", st)
 	}
-	if st.ShardMap != "r#" {
-		t.Fatalf("shard map %q, want \"r#\"", st.ShardMap)
-	}
-	if st.StatesChecked != 107 { // 100 credited + 7 in flight
-		t.Fatalf("states checked %d, want 107", st.StatesChecked)
-	}
-	if st.Violations != 2 {
-		t.Fatalf("violations %d, want 2", st.Violations)
+	if st.StatesChecked != 107 || st.Violations != 2 { // 100 credited + 7 in flight
+		t.Fatalf("states checked %d, violations %d; want 107, 2", st.StatesChecked, st.Violations)
 	}
 	if st.StatesPerSec <= 0 || st.ETASec <= 0 {
 		t.Fatalf("rate/ETA not derived: %+v", st)
 	}
-	if len(st.InFlight) != 1 || st.InFlight[0].Shard != 0 ||
-		st.InFlight[0].Worker != "w0" || st.InFlight[0].StatesChecked != 7 {
-		t.Fatalf("in-flight: %+v", st.InFlight)
-	}
-	if len(st.Workers) != 2 || st.Workers[0].ID != "w0" || st.Workers[1].ID != "w1" ||
-		st.Workers[1].ShardsDone != 1 {
+	if len(st.Workers) != 2 || st.Workers[1].ID != "w1" || st.Workers[1].ShardsDone != 1 {
 		t.Fatalf("workers: %+v", st.Workers)
 	}
 }
 
-// TestStatusHTTPSurface serves the three read-only endpoints over a real
-// listener: /campaign/status parses as JSON, /campaign/dash renders HTML,
-// and /debug/metrics speaks the Prometheus text format with the shared
-// content type.
+// TestStatusRateCountsCreditedOnly: states_per_sec divides the credited
+// states by wall-clock. A shard still in flight adds its heartbeat progress
+// to states_checked but nothing to the rate.
+func TestStatusRateCountsCreditedOnly(t *testing.T) {
+	spec := testSpec()
+	spec.Max = 4
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hash := coord.Info().SuiteHash
+	if l, err := coord.Lease(LeaseRequest{Worker: "w0", SuiteHash: hash}); err != nil || l.Status != LeaseGranted {
+		t.Fatalf("lease: %+v, %v", l, err)
+	}
+	if hb, err := coord.Heartbeat(HeartbeatRequest{Worker: "w0", Shard: 0, SuiteHash: hash, StatesChecked: 50}); err != nil || !hb.Extended {
+		t.Fatalf("heartbeat: %+v, %v", hb, err)
+	}
+	if st := coord.Status(); st.StatesChecked != 50 || st.StatesPerSec != 0 {
+		t.Fatalf("states_checked %d, states_per_sec %v; want 50, 0", st.StatesChecked, st.StatesPerSec)
+	}
+}
+
+// TestStatusHTTPSurface serves the read-only endpoints over a real listener
+// and checks what the campaign puts on them: its JSON keys, its dashboard
+// wording, and its merged census on the /debug/metrics scrape.
 func TestStatusHTTPSurface(t *testing.T) {
 	spec := testSpec()
 	spec.Max = 4
@@ -114,55 +116,38 @@ func TestStatusHTTPSurface(t *testing.T) {
 	}
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
-
-	get := func(path string) (string, string) {
+	get := func(path string) string {
+		t.Helper()
 		resp, err := http.Get(srv.URL + path)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s: %s", path, resp.Status)
-		}
 		body, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s (%v)", path, resp.Status, err)
 		}
-		return string(body), resp.Header.Get("Content-Type")
+		return string(body)
 	}
 
-	body, ctype := get(PathStatus)
-	if !strings.Contains(ctype, "application/json") {
-		t.Fatalf("status content type %q", ctype)
-	}
+	body := get(lease.PathStatus)
 	var st CampaignStatus
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("status does not parse: %v\n%s", err, body)
 	}
-	if st.Done != 1 || st.ShardMap != "#" || st.CampaignID != coord.Info().CampaignID {
-		t.Fatalf("wire status: %+v", st)
+	for _, key := range []string{`"campaign_id"`, `"shard_map":"#"`, `"states_per_sec"`, `"suite_hash"`} {
+		if !strings.Contains(body, key) {
+			t.Fatalf("status lacks %s:\n%s", key, body)
+		}
 	}
-
-	body, ctype = get(PathDash)
-	if !strings.Contains(ctype, "text/html") {
-		t.Fatalf("dash content type %q", ctype)
-	}
-	for _, want := range []string{"<!DOCTYPE html>", coord.Info().CampaignID, "1/1 shards done", "shard map"} {
+	body = get(lease.PathDash)
+	for _, want := range []string{coord.Info().CampaignID, "1/1 shards done", "shard map", "0 violations"} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("dash missing %q:\n%s", want, body)
 		}
 	}
-
-	body, ctype = get("/debug/metrics")
-	if ctype != obs.MetricsContentType {
-		t.Fatalf("metrics content type %q, want %q", ctype, obs.MetricsContentType)
-	}
-	if !strings.Contains(body, "chipmunk_states_checked_total 1") {
-		t.Fatalf("metrics missing credited counter:\n%s", body)
-	}
-	// The lease table's control plane rides on the same scrape.
-	if !strings.Contains(body, "# TYPE chipmunk_lease_units_leased gauge\nchipmunk_lease_units_leased 0\n") {
-		t.Fatalf("metrics missing the lease series:\n%s", body)
+	if body = get("/debug/metrics"); !strings.Contains(body, "chipmunk_states_checked_total 1\n") {
+		t.Fatalf("metrics missing the credited census counter:\n%s", body)
 	}
 }
 
@@ -212,11 +197,11 @@ func TestWorkerWatchdogJournal(t *testing.T) {
 			}
 		}
 	}
-	if watchdogs != DefaultShardRetries {
-		t.Fatalf("%d shard-watchdog events, want %d (one per dispatch attempt)", watchdogs, DefaultShardRetries)
+	if watchdogs != lease.DefaultRetries {
+		t.Fatalf("%d shard-watchdog events, want %d (one per dispatch attempt)", watchdogs, lease.DefaultRetries)
 	}
-	if shardSpans != DefaultShardRetries {
-		t.Fatalf("%d shard spans, want %d", shardSpans, DefaultShardRetries)
+	if shardSpans != lease.DefaultRetries {
+		t.Fatalf("%d shard spans, want %d", shardSpans, lease.DefaultRetries)
 	}
 }
 

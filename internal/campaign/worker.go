@@ -40,7 +40,7 @@ type WorkerConfig struct {
 	ShardTimeout time.Duration
 	// DialBudget bounds the total retry time of each wire call
 	// (0 = lease.DefaultDialBudget). Exhausting it at handshake fails RunWorker
-	// with ErrCoordinatorGone; after the handshake it means the campaign is
+	// with lease.ErrCoordinatorGone; after the handshake it means the campaign is
 	// over (completed, or crashed with its checkpoint safe) and the worker
 	// exits cleanly.
 	DialBudget time.Duration
@@ -62,10 +62,26 @@ type WorkerConfig struct {
 	PoisonShards []int
 	// Logf, when set, receives one line per lease/result event.
 	Logf func(format string, args ...any)
+	// Info, when non-nil, is a handshake result already fetched by the
+	// frontend (the -worker CLI fetches once to pick fuzz vs. suite mode);
+	// RunWorker skips its own fetch.
+	Info *SpecInfo
 
 	// runEngine overrides the shard engine call in tests (slow shards,
 	// hangs, deterministic failures). nil = harness.Run.
 	runEngine func(ctx context.Context, cfg core.Config, slice []workload.Workload, lease LeaseResponse, jobs int) (*harness.Census, []core.Violation, error)
+}
+
+// FetchSpec performs the coordinator handshake: fetch the SpecInfo served at
+// PathSpec. A suite campaign and a fuzz soak (internal/fleet) share the
+// handshake path precisely so workers need no mode flag: frontends fetch
+// once and route on Spec.Fuzz.
+func FetchSpec(ctx context.Context, addr string, budget time.Duration) (*SpecInfo, error) {
+	var info SpecInfo
+	if err := lease.GetJSON(ctx, &http.Client{}, "http://"+addr+PathSpec, &info, budget); err != nil {
+		return nil, fmt.Errorf("campaign: handshake with %s: %w", addr, err)
+	}
+	return &info, nil
 }
 
 // RunWorker joins the campaign at wc.Addr and processes leases until the
@@ -83,9 +99,12 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	// Handshake: fetch the spec, rebuild the suite locally, and verify the
 	// fingerprint — a worker whose generator diverged must stop here, not
 	// merge incomparable results.
-	var info SpecInfo
-	if err := lease.GetJSON(ctx, &http.Client{}, "http://"+wc.Addr+PathSpec, &info, w.DialBudget); err != nil {
-		return fmt.Errorf("campaign: handshake with %s: %w", wc.Addr, err)
+	info := wc.Info
+	if info == nil {
+		var err error
+		if info, err = FetchSpec(ctx, wc.Addr, w.DialBudget); err != nil {
+			return err
+		}
 	}
 	suite, err := info.Spec.BuildSuite()
 	if err != nil {
@@ -111,7 +130,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	}
 	w.Logf("worker %s joined campaign %s: %s suite %s (%d workloads, %d shards), fingerprint %s",
 		w.ID, info.CampaignID, sys.Name, info.Spec.Suite, info.Workloads, info.Shards, info.SuiteHash)
-	job := &shardJob{Worker: w, wc: wc, info: info, cfg: cfg, suite: suite}
+	job := &shardJob{Worker: w, wc: wc, info: *info, cfg: cfg, suite: suite}
 	// Per-shard traces key off (suite hash, shard index): any worker that
 	// runs shard k of this campaign emits the same trace ID, so a
 	// re-dispatched shard's attempts land in one waterfall.
@@ -282,7 +301,3 @@ func (j *shardJob) Report(ctx context.Context, o lease.RunOutcome, runErr error)
 	}
 	return credit.Done, nil
 }
-
-// ErrCoordinatorGone marks a wire call whose whole retry budget was spent on
-// transport errors; see lease.ErrCoordinatorGone.
-var ErrCoordinatorGone = lease.ErrCoordinatorGone

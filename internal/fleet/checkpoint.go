@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"chipmunk/internal/lease"
 )
@@ -91,24 +90,5 @@ func LoadCheckpoint(path string) (*CheckpointState, error) {
 		}
 		return true
 	})
-	if err != nil {
-		return nil, err
-	}
-	return st, nil
-}
-
-// Validate checks a recovered checkpoint against the soak about to resume
-// it. The spec hash covers every knob that shapes the deterministic fold —
-// seed, budgets, round and generation geometry — so a single comparison
-// refuses every flavor of "wrong checkpoint".
-func (st *CheckpointState) Validate(specHash string) error {
-	if st.Header == nil {
-		return nil
-	}
-	if st.Header.SpecHash != specHash {
-		return fmt.Errorf(
-			"fleet: checkpoint spec fingerprint mismatch: file has %s (fs=%s), soak is %s — wrong checkpoint or changed fuzz spec",
-			st.Header.SpecHash, st.Header.FS, specHash)
-	}
-	return nil
+	return st, err
 }

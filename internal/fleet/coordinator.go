@@ -2,14 +2,9 @@ package fleet
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"hash/fnv"
-	"io"
 	"net/http"
 	"sort"
-	"strings"
-	"sync"
 	"time"
 
 	"chipmunk/internal/campaign"
@@ -18,23 +13,19 @@ import (
 	"chipmunk/internal/report"
 )
 
-// CoordinatorConfig configures NewCoordinator.
+// CoordinatorConfig configures NewCoordinator. Spec must have Fuzz set and
+// exactly one of BudgetExecs/BudgetNanos nonzero; defaulted knobs are
+// normalized before hashing, so workers see the resolved values. The other
+// fields mean what campaign.CoordinatorConfig's do, with Retries bounding the
+// attempts of a round or minimization task before it is dropped, and Journal
+// receiving one event per dropped round or task.
 type CoordinatorConfig struct {
-	// Spec must have Fuzz set and exactly one of BudgetExecs/BudgetNanos
-	// nonzero. Defaulted knobs are normalized before hashing, so workers see
-	// the resolved values.
-	Spec     campaign.Spec
-	LeaseTTL time.Duration // 0 = campaign.DefaultLeaseTTL
-	// Retries bounds failed dispatch attempts per round or minimization task
-	// before it is dropped (0 = campaign.DefaultShardRetries).
-	Retries int
-	// CheckpointPath, when set, appends credited results durably and — when
-	// the file records this same soak — resumes by replaying them.
+	Spec           campaign.Spec
+	LeaseTTL       time.Duration
+	Retries        int
 	CheckpointPath string
-	// Journal, when non-nil, receives one event per dropped round/task.
-	Journal *obs.Journal
-	// Logf, when set, receives one line per lease/credit/fold event.
-	Logf func(format string, args ...any)
+	Journal        *obs.Journal
+	Logf           func(format string, args ...any)
 }
 
 // minTask is one reproducer-minimization unit (its lease lives in the
@@ -53,60 +44,44 @@ type minTask struct {
 	minExecs int
 }
 
-// Stats summarizes the soak's control-plane history.
+// Stats summarizes the soak's control-plane history: the lease counters of
+// both tables and the round and minimization accounting.
 type Stats struct {
-	Rounds         int
-	RoundsCredited int
-	RoundsDropped  int
-	MinTasks       int
-	MinDone        int
-	MinDropped     int
-	Resumed        int
-	Redispatched   int
-	Duplicates     int
-	Rejected       int
-	BadPayloads    int
-	Heartbeats     int
-	Generations    int
-	PerWorker      map[string]int
+	lease.Counters
+	Rounds, RoundsCredited, RoundsDropped int
+	MinTasks, MinDone, MinDropped         int
+	Resumed, Generations                  int
 }
 
 // String renders the control-plane summary the -serve frontend prints.
 func (st Stats) String() string {
-	lines := []string{fmt.Sprintf(
-		"fleet: %d/%d rounds credited in %d generations (%d resumed from checkpoint, %d re-dispatched, %d duplicates discarded, %d rejected, %d bad payloads, %d heartbeats)",
-		st.RoundsCredited, st.Rounds, st.Generations, st.Resumed, st.Redispatched,
-		st.Duplicates, st.Rejected, st.BadPayloads, st.Heartbeats)}
+	var notes []string
 	if st.MinTasks > 0 {
-		lines = append(lines, fmt.Sprintf("  minimization: %d/%d tasks done (%d dropped)",
-			st.MinDone, st.MinTasks, st.MinDropped))
+		notes = append(notes, fmt.Sprintf("minimization: %d/%d tasks done (%d dropped)", st.MinDone, st.MinTasks, st.MinDropped))
 	}
 	if st.RoundsDropped > 0 {
-		lines = append(lines, fmt.Sprintf(
-			"  DEGRADED: %d rounds dropped after exhausting their dispatch attempts — their fuzzing work is missing from the census",
+		notes = append(notes, fmt.Sprintf("DEGRADED: %d rounds dropped after exhausting their dispatch attempts — their fuzzing work is missing from the census",
 			st.RoundsDropped))
 	}
-	lines = append(lines, lease.PerWorkerLines(st.PerWorker, "  %-20s %d units")...)
-	return strings.Join(lines, "\n")
+	return st.Report(fmt.Sprintf("fleet: %d/%d rounds credited in %d generations", st.RoundsCredited, st.Rounds, st.Generations),
+		st.Resumed, "units", notes...)
 }
 
-// Coordinator owns a fleet-fuzzing soak: the round/generation state
-// machine, the canonical corpus log, the minimization queue, the bug
-// census, and the checkpoint. It is an http.Handler serving the fuzzing
-// wire protocol (plus the campaign handshake path).
+// Coordinator owns a fleet-fuzzing soak on the lease shell: the
+// round/generation state machine, the canonical corpus log, the
+// minimization queue, and the bug census. It is an http.Handler serving the
+// fuzzing wire protocol (plus the campaign handshake path).
 //
 // Rounds and minimization tasks are two lease tables over one set of
-// counters, both under c.mu: the generation fold reads the rounds and grows
-// the mins. A spent round is a dropped one — it resolves its generation, is
-// persisted (the fold depends on it) and marks the soak degraded; a spent
-// minimization task is done, unverified.
+// counters, all under the shell's Mu: the generation fold reads the rounds
+// and grows the mins in one critical section. A spent round is a dropped one
+// — it resolves its generation, is persisted (the fold depends on it) and
+// marks the soak degraded; a spent minimization task is done, unverified.
 type Coordinator struct {
+	lease.Shell
 	info    campaign.SpecInfo
 	spec    campaign.Spec
 	journal *obs.Journal
-	started time.Time
-	logf    func(format string, args ...any)
-	mux     *http.ServeMux
 
 	// execMode: BudgetExecs bounds the soak (fully deterministic).
 	// Otherwise BudgetNanos bounds wall-clock from soakStart (persisted in
@@ -114,7 +89,6 @@ type Coordinator struct {
 	execMode  bool
 	soakStart time.Time
 
-	mu sync.Mutex
 	// rounds grows a generation at a time in duration mode; results[r] is
 	// set exactly when round r is Done.
 	rounds       *lease.Table
@@ -136,14 +110,6 @@ type Coordinator struct {
 	retriedChecks     int
 	quarantinedChecks int
 	obsMerged         *obs.Snapshot
-
-	resumed  int
-	draining bool
-	failed   error
-	ckpt     *lease.Log
-
-	doneOnce sync.Once
-	doneCh   chan struct{}
 }
 
 // NewCoordinator builds the soak: normalizes and fingerprints the spec,
@@ -170,7 +136,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	ctr := lease.NewCounters()
 	c := &Coordinator{
 		info: campaign.SpecInfo{
-			CampaignID: soakID(spec, hash),
+			CampaignID: campaign.RunID("f", spec, hash),
 			Spec:       spec,
 			SuiteHash:  hash,
 			Shards:     total,
@@ -179,9 +145,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		},
 		spec:        spec,
 		journal:     cfg.Journal,
-		started:     time.Now(),
 		soakStart:   time.Now(),
-		logf:        cfg.Logf,
 		execMode:    execMode,
 		rounds:      lease.NewTable(total, cfg.LeaseTTL, cfg.Retries, ctr),
 		results:     make([]*FuzzResult, total),
@@ -189,9 +153,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		coverage:    map[uint64]bool{},
 		genCut:      []int{0},
 		clusterSeen: map[string]bool{},
-		doneCh:      make(chan struct{}),
 	}
-	mux := http.NewServeMux()
+	mux := c.Init(cfg.Logf, []lease.Kind{
+		{Name: ResultRound, SpentAs: "dropped", Group: spec.GenRounds, Table: c.rounds},
+		{Name: ResultMinimize, SpentAs: "dropped", Table: c.mins},
+	}, func() any { return c.Status() }, c.MergedObs)
 	mux.HandleFunc(campaign.PathSpec, func(w http.ResponseWriter, r *http.Request) { lease.WriteJSON(w, http.StatusOK, c.info) })
 	mux.HandleFunc(PathFuzzLease, lease.Handle("lease", c.Lease))
 	mux.HandleFunc(PathFuzzResult, lease.HandleResult(
@@ -203,10 +169,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			c.RejectResult(p.Kind, unitID(p), p.Worker, cause)
 		}, c.Credit))
 	mux.HandleFunc(PathFuzzHeartbeat, lease.Handle("heartbeat", c.Heartbeat))
-	mux.HandleFunc(campaign.PathStatus, c.handleStatus)
-	mux.HandleFunc(campaign.PathDash, c.handleDash)
-	mux.HandleFunc("/debug/metrics", c.handleMetrics)
-	c.mux = mux
 
 	if cfg.CheckpointPath != "" {
 		if err := c.attachCheckpoint(cfg.CheckpointPath); err != nil {
@@ -216,30 +178,11 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-func soakID(spec campaign.Spec, hash string) string {
-	h := fnv.New64a()
-	b, _ := json.Marshal(spec)
-	h.Write(b)
-	h.Write([]byte(hash))
-	return fmt.Sprintf("f%016x", h.Sum64())
-}
-
 // Info returns the soak identity served on handshake. The campaign.SpecInfo
 // fields are reinterpreted for fuzz mode: SuiteHash is the spec fingerprint
 // (SpecHash), Shards the round count (0 while a duration budget is open),
 // ShardSize the round exec count, Workloads the exec budget.
 func (c *Coordinator) Info() campaign.SpecInfo { return c.info }
-
-func (c *Coordinator) log(format string, args ...any) {
-	if c.logf != nil {
-		c.logf(format, args...)
-	}
-}
-
-// complete only closes a channel (sync.Once); safe under c.mu.
-func (c *Coordinator) complete() {
-	c.doneOnce.Do(func() { close(c.doneCh) })
-}
 
 func (c *Coordinator) genOf(r int) int { return r / c.spec.GenRounds }
 
@@ -268,7 +211,7 @@ func (c *Coordinator) growRoundsLocked(n int) {
 // allow. For each fully resolved generation it absorbs the credited rounds'
 // corpus candidates in canonical order — sorted by (FNV-64a of text, text),
 // admitted iff still carrying an unseen signature — and opens minimization
-// tasks for first-seen violation clusters. Caller holds c.mu.
+// tasks for first-seen violation clusters. Caller holds c.Mu.
 func (c *Coordinator) foldLocked() {
 	for {
 		g := c.foldedGensLocked()
@@ -316,7 +259,7 @@ func (c *Coordinator) foldLocked() {
 			admitted++
 		}
 		c.genCut = append(c.genCut, len(c.corpus))
-		c.log("fold: generation %d closed (rounds [%d,%d)): +%d corpus entries (%d total, %d edges)",
+		c.Log("fold: generation %d closed (rounds [%d,%d)): +%d corpus entries (%d total, %d edges)",
 			g, lo, hi, admitted, len(c.corpus), len(c.coverage))
 
 		// First-seen clusters open minimization tasks. The representative is
@@ -340,7 +283,7 @@ func (c *Coordinator) foldLocked() {
 		sort.Strings(keys)
 		for _, k := range keys {
 			c.clusterSeen[k] = true
-			c.log("minimize: task %d opened for cluster %q", len(c.minTasks), k)
+			c.Log("minimize: task %d opened for cluster %q", len(c.minTasks), k)
 			c.mins.Grow(1)
 			c.minTasks = append(c.minTasks, minTask{cluster: k, text: rep[k]})
 		}
@@ -349,14 +292,14 @@ func (c *Coordinator) foldLocked() {
 
 // extendScheduleLocked appends one more generation of rounds in duration
 // mode when the previous ones are fully folded and the wall-clock budget is
-// still open. Caller holds c.mu.
+// still open. Caller holds c.Mu.
 func (c *Coordinator) extendScheduleLocked(now time.Time) {
 	if c.execMode || c.budgetClosed {
 		return
 	}
 	if now.Sub(c.soakStart) >= time.Duration(c.spec.BudgetNanos) {
 		c.budgetClosed = true
-		c.log("budget: wall-clock budget spent; no new generations")
+		c.Log("budget: wall-clock budget spent; no new generations")
 		return
 	}
 	if len(c.rounds.Slots) != c.foldedGensLocked()*c.spec.GenRounds {
@@ -367,7 +310,7 @@ func (c *Coordinator) extendScheduleLocked(now time.Time) {
 
 // completedLocked reports whether the soak is finished: every scheduled
 // round resolved and folded, the budget closed (duration mode), and every
-// minimization task done. Caller holds c.mu.
+// minimization task done. Caller holds c.Mu.
 func (c *Coordinator) completedLocked() bool {
 	if !c.execMode && !c.budgetClosed {
 		return false
@@ -376,29 +319,12 @@ func (c *Coordinator) completedLocked() bool {
 }
 
 func (c *Coordinator) maybeCompleteLocked() {
-	if c.failed != nil || c.completedLocked() {
-		c.complete()
+	if c.completedLocked() {
+		c.Complete()
 	}
 }
 
-// unitLocked resolves a wire identity (kind, id) to the table it names and
-// that table's noun in log lines. Caller holds c.mu.
-func (c *Coordinator) unitLocked(kind string, id int) (*lease.Table, string, error) {
-	tab, noun := c.rounds, "round"
-	switch kind {
-	case ResultRound:
-	case ResultMinimize:
-		tab, noun = c.mins, "minimize task"
-	default:
-		return nil, "", fmt.Errorf("unknown unit kind %q", kind)
-	}
-	if id < 0 || id >= len(tab.Slots) {
-		return nil, "", fmt.Errorf("%s %d out of range [0,%d)", noun, id, len(tab.Slots))
-	}
-	return tab, noun, nil
-}
-
-// reclaimLocked expires overdue leases for re-dispatch. Caller holds c.mu.
+// reclaimLocked expires overdue leases for re-dispatch. Caller holds c.Mu.
 func (c *Coordinator) reclaimLocked(now time.Time) {
 	for _, tab := range []*lease.Table{c.rounds, c.mins} {
 		for _, i := range tab.Expire(now) {
@@ -410,7 +336,7 @@ func (c *Coordinator) reclaimLocked(now time.Time) {
 // attemptFailedLocked is the fleet's policy for a failed dispatch attempt the
 // table just booked against unit i of tab: log the re-dispatch, or, once the
 // attempt budget is spent, record the drop — persisted, journaled — and let
-// whatever waited on the unit move on. Caller holds c.mu.
+// whatever waited on the unit move on. Caller holds c.Mu.
 func (c *Coordinator) attemptFailedLocked(tab *lease.Table, i int, worker, cause string) {
 	s := &tab.Slots[i]
 	switch {
@@ -419,41 +345,28 @@ func (c *Coordinator) attemptFailedLocked(tab *lease.Table, i int, worker, cause
 		if tab == c.mins {
 			noun = "minimize task"
 		}
-		c.log("%s %d attempt %d/%d failed (worker %s): %s — re-dispatching",
+		c.Log("%s %d attempt %d/%d failed (worker %s): %s — re-dispatching",
 			noun, i, s.Attempts, tab.Retries, worker, cause)
 		return
 	case tab == c.rounds:
-		c.log("round DROPPED: round %d after %d failed attempts, worker %q: %s",
+		c.Log("round DROPPED: round %d after %d failed attempts, worker %q: %s",
 			i, s.Attempts, s.ErrWorker, s.LastErr)
 		c.journal.Emit(obs.Event{
 			Type: "fuzz-round-drop", FS: c.spec.FS, Workload: "fuzz",
 			Worker: s.ErrWorker, Sys: -1, Rank: i, Detail: s.LastErr,
 		})
-		c.appendLocked(fleetCkptLine{Type: "drop", Round: i, Worker: s.ErrWorker, Err: s.LastErr, Attempts: s.Attempts})
+		c.AppendLocked(fleetCkptLine{Type: "drop", Round: i, Worker: s.ErrWorker, Err: s.LastErr, Attempts: s.Attempts})
 		c.foldLocked()
 	default:
 		m := &c.minTasks[i]
-		c.log("minimize task %d DROPPED after %d failed attempts: census keeps the unminimized reproducer", i, s.Attempts)
+		c.Log("minimize task %d DROPPED after %d failed attempts: census keeps the unminimized reproducer", i, s.Attempts)
 		c.journal.Emit(obs.Event{
 			Type: "fuzz-min-drop", FS: c.spec.FS, Workload: "fuzz",
 			Worker: s.ErrWorker, Sys: -1, Rank: i, Detail: m.cluster + ": " + s.LastErr,
 		})
-		c.appendLocked(fleetCkptLine{Type: "mindrop", MinCluster: m.cluster})
+		c.AppendLocked(fleetCkptLine{Type: "mindrop", MinCluster: m.cluster})
 	}
 	c.maybeCompleteLocked()
-}
-
-// appendLocked checkpoints rec, failing the soak if the append does (see
-// lease.Log.Append). Caller holds c.mu.
-func (c *Coordinator) appendLocked(rec fleetCkptLine) bool {
-	if err := c.ckpt.Append(rec); err != nil {
-		if c.failed == nil {
-			c.failed = err
-		}
-		c.complete()
-		return false
-	}
-	return true
 }
 
 // Lease hands out the next unit of fuzzing work: the unit the worker still
@@ -461,13 +374,13 @@ func (c *Coordinator) appendLocked(rec fleetCkptLine) bool {
 // lease.Table.HeldBy), then minimization tasks (they gate completion and are
 // cheap), then the lowest pending round whose generation is open.
 func (c *Coordinator) Lease(req FuzzLeaseRequest) (FuzzLeaseResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	if req.SpecHash != c.info.SuiteHash {
 		return FuzzLeaseResponse{}, c.rounds.Foreign("spec", c.info.SuiteHash, req.Worker, req.SpecHash,
 			"fuzz specs differ, refusing to merge incomparable results")
 	}
-	if c.draining || c.failed != nil || c.completedLocked() {
+	if c.StoppedLocked() || c.completedLocked() {
 		return FuzzLeaseResponse{Status: campaign.LeaseDone}, nil
 	}
 	now := time.Now()
@@ -496,7 +409,7 @@ func (c *Coordinator) Lease(req FuzzLeaseRequest) (FuzzLeaseResponse, error) {
 }
 
 // grantRoundLocked leases round i, shipping the corpus suffix the worker is
-// missing. Caller holds c.mu.
+// missing. Caller holds c.Mu.
 func (c *Coordinator) grantRoundLocked(i int, req FuzzLeaseRequest, now time.Time) FuzzLeaseResponse {
 	c.rounds.Grant(i, req.Worker, now)
 	cut := c.genCut[c.genOf(i)]
@@ -507,7 +420,7 @@ func (c *Coordinator) grantRoundLocked(i int, req FuzzLeaseRequest, now time.Tim
 	if base < 0 {
 		base = 0
 	}
-	c.log("lease: round %d (gen %d, %d execs, corpus cut %d) -> %s (ttl %v)",
+	c.Log("lease: round %d (gen %d, %d execs, corpus cut %d) -> %s (ttl %v)",
 		i, c.genOf(i), c.roundExecsLocked(i), cut, req.Worker, c.rounds.TTL)
 	return FuzzLeaseResponse{
 		Status:   LeaseRound,
@@ -521,11 +434,11 @@ func (c *Coordinator) grantRoundLocked(i int, req FuzzLeaseRequest, now time.Tim
 	}
 }
 
-// grantMinLocked leases minimization task i. Caller holds c.mu.
+// grantMinLocked leases minimization task i. Caller holds c.Mu.
 func (c *Coordinator) grantMinLocked(i int, req FuzzLeaseRequest, now time.Time) FuzzLeaseResponse {
 	c.mins.Grant(i, req.Worker, now)
 	m := &c.minTasks[i]
-	c.log("lease: minimize task %d (cluster %q) -> %s (ttl %v)", i, m.cluster, req.Worker, c.mins.TTL)
+	c.Log("lease: minimize task %d (cluster %q) -> %s (ttl %v)", i, m.cluster, req.Worker, c.mins.TTL)
 	return FuzzLeaseResponse{
 		Status:     LeaseMinimize,
 		MinID:      i,
@@ -536,41 +449,30 @@ func (c *Coordinator) grantMinLocked(i int, req FuzzLeaseRequest, now time.Time)
 	}
 }
 
-// Credit records one result, at most once per unit: round results feed the
-// generation fold, minimization results close their tasks. Duplicate
-// results are discarded (they are byte-identical by the determinism
-// contract — counting both would double-credit); error payloads are failed
-// dispatch attempts.
-func (c *Coordinator) Credit(p *FuzzResult) (campaign.CreditResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var none campaign.CreditResponse
+// Credit records one result, at most once (lease.Shell.SettleLocked): round
+// results feed the generation fold, minimization results close their tasks,
+// and error payloads are failed dispatch attempts.
+func (c *Coordinator) Credit(p *FuzzResult) (lease.CreditResponse, error) {
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	if p.SpecHash != c.info.SuiteHash {
-		return none, c.rounds.Foreign("spec", c.info.SuiteHash, p.Worker, p.SpecHash, "discarding result")
+		return lease.CreditResponse{}, c.rounds.Foreign("spec", c.info.SuiteHash, p.Worker, p.SpecHash, "discarding result")
 	}
-	id := unitID(p)
-	tab, noun, err := c.unitLocked(p.Kind, id)
-	if err == nil && tab == c.mins && p.MinCluster != c.minTasks[id].cluster {
-		err = fmt.Errorf("minimize task %d cluster mismatch: coordinator has %q, result says %q",
-			id, c.minTasks[id].cluster, p.MinCluster)
+	id, tab := unitID(p), c.rounds
+	if p.Kind == ResultMinimize {
+		tab = c.mins
+		if id >= 0 && id < len(c.minTasks) && p.MinCluster != c.minTasks[id].cluster {
+			c.rounds.Rejected++
+			return lease.CreditResponse{}, fmt.Errorf("minimize task %d cluster mismatch: coordinator has %q, result says %q",
+				id, c.minTasks[id].cluster, p.MinCluster)
+		}
 	}
-	if err != nil {
-		c.rounds.Rejected++
-		return none, err
-	}
-	switch tab.Settle(id, p.Worker, p.Err, time.Now()) {
-	case lease.Stale:
-		c.log("stale error payload for %s %d from %s: discarded", noun, id, p.Worker)
-		return campaign.CreditResponse{Duplicate: true}, nil
-	case lease.Failed:
+	switch o, resp, err := c.SettleLocked(p.Kind, id, p.Worker, p.Err); {
+	case err != nil || resp.Duplicate:
+		return resp, err
+	case o == lease.Failed:
 		c.attemptFailedLocked(tab, id, p.Worker, p.Err)
-		return campaign.CreditResponse{Quarantined: tab.Slots[id].State == lease.Spent, Done: c.completedLocked()}, nil
-	case lease.Discarded:
-		c.log("result for dropped %s %d from %s: discarded", noun, id, p.Worker)
-		return campaign.CreditResponse{Duplicate: true, Quarantined: true}, nil
-	case lease.Duplicate:
-		c.log("duplicate result for %s %d from %s: discarded", noun, id, p.Worker)
-		return campaign.CreditResponse{Duplicate: true}, nil
+		return lease.CreditResponse{Quarantined: tab.Slots[id].State == lease.Spent, Done: c.completedLocked()}, nil
 	}
 	rec := fleetCkptLine{Type: "min", Payload: p}
 	if tab == c.rounds {
@@ -579,23 +481,23 @@ func (c *Coordinator) Credit(p *FuzzResult) (campaign.CreditResponse, error) {
 	} else {
 		c.applyMinLocked(id, p)
 	}
-	if !c.appendLocked(rec) {
+	if !c.AppendLocked(rec) {
 		// A fold over a round the checkpoint never recorded would hand later
 		// rounds a corpus a resume cannot rebuild.
-		return campaign.CreditResponse{Done: true}, nil
+		return lease.CreditResponse{Done: true}, nil
 	}
 	if tab == c.rounds {
 		c.foldLocked()
-		c.log("credit: round %d from %s (%d/%d rounds)", id, p.Worker, c.rounds.Count(lease.Done), len(c.rounds.Slots))
+		c.Log("credit: round %d from %s (%d/%d rounds)", id, p.Worker, c.rounds.Count(lease.Done), len(c.rounds.Slots))
 	} else {
-		c.log("credit: minimize task %d from %s (verified=%v)", id, p.Worker, p.MinVerified)
+		c.Log("credit: minimize task %d from %s (verified=%v)", id, p.Worker, p.MinVerified)
 	}
 	c.maybeCompleteLocked()
-	return campaign.CreditResponse{Accepted: true, Done: c.completedLocked()}, nil
+	return lease.CreditResponse{Accepted: true, Done: c.completedLocked()}, nil
 }
 
 // applyRoundLocked adds a credited round result to the running totals —
-// shared by the wire path and checkpoint replay. Caller holds c.mu.
+// shared by the wire path and checkpoint replay. Caller holds c.Mu.
 func (c *Coordinator) applyRoundLocked(p *FuzzResult) {
 	c.results[p.Round] = p
 	c.execs += p.Execs
@@ -611,7 +513,7 @@ func (c *Coordinator) applyRoundLocked(p *FuzzResult) {
 }
 
 // applyMinLocked records a credited minimization outcome — shared by the
-// wire path and checkpoint replay. Caller holds c.mu.
+// wire path and checkpoint replay. Caller holds c.Mu.
 func (c *Coordinator) applyMinLocked(i int, p *FuzzResult) {
 	m := &c.minTasks[i]
 	m.verified, m.minText, m.minExecs = p.MinVerified, p.MinText, p.MinExecs
@@ -619,66 +521,41 @@ func (c *Coordinator) applyMinLocked(i int, p *FuzzResult) {
 
 // Heartbeat extends a live lease; refusal tells the worker it lost the
 // lease and should abandon the unit.
-func (c *Coordinator) Heartbeat(req FuzzHeartbeat) (campaign.HeartbeatResponse, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+func (c *Coordinator) Heartbeat(req FuzzHeartbeat) (lease.HeartbeatResponse, error) {
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	if req.SpecHash != c.info.SuiteHash {
-		return campaign.HeartbeatResponse{}, c.rounds.Foreign("spec", c.info.SuiteHash, req.Worker, req.SpecHash, "refusing heartbeat")
+		return lease.HeartbeatResponse{}, c.rounds.Foreign("spec", c.info.SuiteHash, req.Worker, req.SpecHash, "refusing heartbeat")
 	}
-	tab, _, err := c.unitLocked(req.Kind, req.ID)
-	if err != nil {
-		return campaign.HeartbeatResponse{}, err
-	}
-	if !tab.Beat(req.ID, req.Worker, req.Execs, time.Now()) {
-		return campaign.HeartbeatResponse{Extended: false}, nil
-	}
-	return campaign.HeartbeatResponse{Extended: true, TTLNanos: int64(tab.TTL)}, nil
+	return c.BeatLocked(req.Kind, req.ID, req.Worker, req.Execs)
 }
 
 // RejectResult records a result rejected at the wire boundary; see
 // lease.Table.Reject. A kind or id that names no unit is itself implausible:
 // only the bad-payload counter moves.
 func (c *Coordinator) RejectResult(kind string, id int, worker, cause string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	tab, _, err := c.unitLocked(kind, id)
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
+	k, err := c.UnitLocked(kind, id)
 	if err != nil {
 		c.rounds.BadPayloads++
 		return
 	}
-	if tab.Reject(id, worker, cause) == lease.Failed {
-		c.attemptFailedLocked(tab, id, worker, cause)
+	if k.Table.Reject(id, worker, cause) == lease.Failed {
+		c.attemptFailedLocked(k.Table, id, worker, cause)
 	}
-}
-
-// Degraded reports whether the soak dropped rounds: the census is missing
-// their fuzzing work, and the CLI exits with the degraded code.
-func (c *Coordinator) Degraded() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.rounds.Count(lease.Spent) > 0
 }
 
 // Stats snapshots the control-plane counters.
 func (c *Coordinator) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	dropped := c.mins.Count(lease.Spent)
 	return Stats{
-		Rounds:         len(c.rounds.Slots),
-		RoundsCredited: c.rounds.Count(lease.Done),
-		RoundsDropped:  c.rounds.Count(lease.Spent),
-		MinTasks:       len(c.minTasks),
-		MinDone:        c.mins.Count(lease.Done) + dropped,
-		MinDropped:     dropped,
-		Resumed:        c.resumed,
-		Redispatched:   c.rounds.Redispatched,
-		Duplicates:     c.rounds.Duplicates,
-		Rejected:       c.rounds.Rejected,
-		BadPayloads:    c.rounds.BadPayloads,
-		Heartbeats:     c.rounds.Heartbeats,
-		Generations:    c.foldedGensLocked(),
-		PerWorker:      c.rounds.PerWorkerCopy(),
+		Counters: c.rounds.Snapshot(),
+		Rounds:   len(c.rounds.Slots), RoundsCredited: c.rounds.Count(lease.Done), RoundsDropped: c.rounds.Count(lease.Spent),
+		MinTasks: len(c.minTasks), MinDone: c.mins.Count(lease.Done) + dropped, MinDropped: dropped,
+		Resumed: c.rounds.Resumed + c.mins.Resumed, Generations: c.foldedGensLocked(),
 	}
 }
 
@@ -688,8 +565,8 @@ func (c *Coordinator) Stats() Stats {
 // with a duration budget it is still independent of result arrival order
 // over the same credited round set.
 func (c *Coordinator) Census() report.FuzzCensus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	return c.censusLocked()
 }
 
@@ -752,8 +629,8 @@ func (c *Coordinator) censusLocked() report.FuzzCensus {
 // collectors plus the fleet-level series (fuzz-execs, corpus-entries,
 // coverage-edges, distinct-bugs) /debug/metrics exposes.
 func (c *Coordinator) MergedObs() *obs.Snapshot {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	s := &obs.Snapshot{}
 	if c.obsMerged != nil {
 		s.Merge(*c.obsMerged)
@@ -771,43 +648,23 @@ func (c *Coordinator) MergedObs() *obs.Snapshot {
 
 // Corpus returns a copy of the canonical corpus log (tests, corpus export).
 func (c *Coordinator) Corpus() []CorpusEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
 	return append([]CorpusEntry(nil), c.corpus...)
 }
 
-// Drain stops issuing new leases; in-flight units may still credit.
-func (c *Coordinator) Drain() {
-	c.mu.Lock()
-	c.draining = true
-	c.mu.Unlock()
-}
-
 // Wait blocks until the soak completes, fails, or ctx is cancelled
-// (lease.Await: drain, then the partial census with ctx's error).
+// (lease.Shell.Await: drain, then the partial census with ctx's error).
 func (c *Coordinator) Wait(ctx context.Context) (report.FuzzCensus, error) {
-	err := lease.Await(ctx, c.doneCh, c.Drain, func() int {
-		c.mu.Lock()
-		defer c.mu.Unlock()
+	failed, err := c.Await(ctx, func() {
+		c.Mu.Lock()
+		defer c.Mu.Unlock()
 		c.reclaimLocked(time.Now())
-		return c.rounds.Count(lease.Leased) + c.mins.Count(lease.Leased)
 	})
-	c.mu.Lock()
-	failed := c.failed
-	c.mu.Unlock()
 	if failed != nil {
 		return report.FuzzCensus{}, failed
 	}
 	return c.Census(), err
-}
-
-// Close releases the checkpoint file handle.
-func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	ck := c.ckpt
-	c.ckpt = nil
-	c.mu.Unlock()
-	return ck.Close()
 }
 
 // attachCheckpoint loads, validates, and replays the checkpoint, then opens
@@ -820,11 +677,12 @@ func (c *Coordinator) attachCheckpoint(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := st.Validate(c.info.SuiteHash); err != nil {
-		return err
-	}
-	if st.Skipped > 0 {
-		c.log("checkpoint: skipped %d corrupt/torn lines in %s", st.Skipped, path)
+	// The spec hash covers every knob that shapes the deterministic fold —
+	// seed, budgets, round and generation geometry — so one comparison
+	// refuses every flavor of "wrong checkpoint".
+	if h := st.Header; h != nil && h.SpecHash != c.info.SuiteHash {
+		return fmt.Errorf("fleet: checkpoint spec fingerprint mismatch: file has %s (fs=%s), soak is %s — wrong checkpoint or changed fuzz spec",
+			h.SpecHash, h.FS, c.info.SuiteHash)
 	}
 	if st.Header != nil && st.Header.StartUnixNanos != 0 {
 		// Duration budgets measure wall-clock from the soak's original start:
@@ -839,20 +697,17 @@ func (c *Coordinator) attachCheckpoint(path string) error {
 	sort.Slice(st.Rounds, func(i, j int) bool { return st.Rounds[i].Round < st.Rounds[j].Round })
 	for _, p := range st.Rounds {
 		if p.SpecHash != c.info.SuiteHash || p.Round < 0 || !c.ensureRoundLocked(p.Round) {
-			c.log("checkpoint: ignoring foreign round record (round %d, hash %s)", p.Round, p.SpecHash)
+			c.Log("checkpoint: ignoring foreign round record (round %d, hash %s)", p.Round, p.SpecHash)
 			continue
 		}
-		if c.rounds.Slots[p.Round].State == lease.Done {
-			continue
+		if c.rounds.Slots[p.Round].State != lease.Done {
+			c.rounds.Resume(p.Round, p.Worker)
+			c.applyRoundLocked(p)
 		}
-		c.rounds.Slots[p.Round] = lease.Slot{State: lease.Done, Worker: p.Worker}
-		c.applyRoundLocked(p)
-		c.resumed++
-		c.rounds.PerWorker["checkpoint"]++
 	}
 	for _, d := range st.Drops {
 		if d.Round < 0 || !c.ensureRoundLocked(d.Round) {
-			c.log("checkpoint: ignoring out-of-range drop record (round %d)", d.Round)
+			c.Log("checkpoint: ignoring out-of-range drop record (round %d)", d.Round)
 			continue
 		}
 		if c.rounds.Slots[d.Round].State != lease.Pending {
@@ -871,16 +726,13 @@ func (c *Coordinator) attachCheckpoint(path string) error {
 	for _, p := range st.Mins {
 		i, ok := byCluster[p.MinCluster]
 		if !ok || p.SpecHash != c.info.SuiteHash {
-			c.log("checkpoint: ignoring foreign minimize record (cluster %q)", p.MinCluster)
+			c.Log("checkpoint: ignoring foreign minimize record (cluster %q)", p.MinCluster)
 			continue
 		}
-		if c.mins.Slots[i].State != lease.Pending {
-			continue
+		if c.mins.Slots[i].State == lease.Pending {
+			c.mins.Resume(i, p.Worker)
+			c.applyMinLocked(i, p)
 		}
-		c.mins.Slots[i] = lease.Slot{State: lease.Done, Worker: p.Worker}
-		c.applyMinLocked(i, p)
-		c.resumed++
-		c.mins.PerWorker["checkpoint"]++
 	}
 	for _, cluster := range st.MinDrops {
 		if i, ok := byCluster[cluster]; ok && c.mins.Slots[i].State == lease.Pending {
@@ -902,12 +754,8 @@ func (c *Coordinator) attachCheckpoint(path string) error {
 			StartUnixNanos: c.soakStart.UnixNano(),
 		}
 	}
-	if c.ckpt, err = lease.OpenLog("fleet", path, header); err != nil {
+	if err := c.Attach("fleet", path, st.Skipped, header); err != nil {
 		return err
-	}
-	if c.resumed > 0 {
-		c.log("checkpoint: resumed %d units from %s (%d generations folded, corpus %d)",
-			c.resumed, path, c.foldedGensLocked(), len(c.corpus))
 	}
 	c.maybeCompleteLocked()
 	return nil
@@ -916,7 +764,7 @@ func (c *Coordinator) attachCheckpoint(path string) error {
 // ensureRoundLocked grows the duration-mode schedule (whole generations at
 // a time) to cover round r; in exec mode it only reports whether r is in
 // range. Caller owns the coordinator exclusively (construction) or holds
-// c.mu.
+// c.Mu.
 func (c *Coordinator) ensureRoundLocked(r int) bool {
 	if r < len(c.rounds.Slots) {
 		return true
@@ -928,19 +776,75 @@ func (c *Coordinator) ensureRoundLocked(r int) bool {
 	return true
 }
 
-// ServeHTTP serves the fuzzing wire protocol.
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.mux.ServeHTTP(w, r)
+// FuzzStatus is one point-in-time view of a fleet-fuzzing soak, served at
+// lease.PathStatus and rendered at lease.PathDash: the shared
+// lease.Status (its counts are the rounds') plus the soak's identity, rounds
+// and generations, corpus, throughput and bug census.
+type FuzzStatus struct {
+	lease.Status
+	SpecHash   string `json:"spec_hash"`
+	RoundExecs int    `json:"round_execs"`
+	GenRounds  int    `json:"gen_rounds"`
+	// Budget: exactly one of BudgetExecs / BudgetSec is nonzero.
+	BudgetExecs int     `json:"budget_execs,omitempty"`
+	BudgetSec   float64 `json:"budget_sec,omitempty"`
+
+	// Rounds = Pending+Leased+Done+Dropped; in duration mode it grows a
+	// generation at a time until the wall-clock budget closes. Rounds of
+	// generation g lease only once generation g-1 has folded — the barrier
+	// the corpus determinism rests on — and RoundMap marks it with '|'.
+	Rounds      int    `json:"rounds"`
+	Dropped     int    `json:"dropped"`
+	Generations int    `json:"generations"`
+	RoundMap    string `json:"round_map"`
+
+	// Corpus and coverage as of the last fold; Execs and ExecsPerSec count
+	// credited rounds only.
+	CorpusSize    int     `json:"corpus_size"`
+	CoverageEdges int     `json:"coverage_edges"`
+	Execs         int     `json:"execs"`
+	ExecsPerSec   float64 `json:"execs_per_sec"`
+
+	// Bug census as of the credited rounds.
+	DistinctBugs int `json:"distinct_bugs"`
+	MinPending   int `json:"min_pending"`
+	MinLeased    int `json:"min_leased"`
+	MinDone      int `json:"min_done"`
+	MinVerified  int `json:"min_verified"`
 }
 
-// handleMetrics exposes MergedObs in Prometheus text format, followed by the
-// lease tables' control-plane series.
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s := c.MergedObs()
-	c.mu.Lock()
-	leases := lease.MetricsText(c.rounds, c.mins)
-	c.mu.Unlock()
-	w.Header().Set("Content-Type", obs.MetricsContentType)
-	s.WriteMetrics(w)
-	io.WriteString(w, leases) //nolint:errcheck // client gone = client's problem
+// Status snapshots the soak (lease.Shell.StatusLocked).
+func (c *Coordinator) Status() FuzzStatus {
+	c.Mu.Lock()
+	defer c.Mu.Unlock()
+	st := c.StatusLocked(time.Now(), int64(c.statesChecked))
+	st.CampaignID, st.FS = c.info.CampaignID, c.spec.FS
+	f := FuzzStatus{
+		Status: st, SpecHash: c.info.SuiteHash, RoundExecs: c.spec.RoundExecs, GenRounds: c.spec.GenRounds,
+		BudgetExecs: c.spec.BudgetExecs, BudgetSec: time.Duration(c.spec.BudgetNanos).Seconds(),
+		Rounds: st.Dash.Units, Dropped: st.Dash.Spent, Generations: c.foldedGensLocked(), RoundMap: st.Dash.Map,
+		CorpusSize: len(c.corpus), CoverageEdges: len(c.coverage), Execs: c.execs, DistinctBugs: len(c.clusterSeen),
+		MinPending: c.mins.Count(lease.Pending), MinLeased: c.mins.Count(lease.Leased),
+		MinDone: c.mins.Count(lease.Done) + c.mins.Count(lease.Spent),
+	}
+	if st.ElapsedSec > 0 {
+		f.ExecsPerSec = float64(c.execs) / st.ElapsedSec
+	}
+	for i := range c.minTasks {
+		if c.minTasks[i].verified {
+			f.MinVerified++
+		}
+	}
+	budget := fmt.Sprintf("%d execs", f.BudgetExecs)
+	if f.BudgetSec > 0 {
+		budget = fmt.Sprintf("%.0fs", f.BudgetSec)
+	}
+	f.Dash.Title = "fuzz soak " + c.info.CampaignID
+	f.Dash.About = fmt.Sprintf("%s (spec %s, %d execs/round, %d rounds/gen)", c.spec.FS, c.info.SuiteHash, c.spec.RoundExecs, c.spec.GenRounds)
+	f.Dash.Facts = []string{
+		fmt.Sprintf("gen %d · %d execs · %.1f execs/sec · corpus %d (%d edges) · %d distinct bugs · budget %s",
+			f.Generations, f.Execs, f.ExecsPerSec, f.CorpusSize, f.CoverageEdges, f.DistinctBugs, budget),
+		fmt.Sprintf("minimization: %d done (%d re-verified) · %d running · %d pending", f.MinDone, f.MinVerified, f.MinLeased, f.MinPending),
+	}
+	return f
 }

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -21,47 +20,18 @@ import (
 // pinning a fleet slot.
 const DefaultRoundTimeout = 10 * time.Minute
 
-// WorkerConfig configures RunWorker.
+// WorkerConfig configures RunWorker. Its fields mean what
+// campaign.WorkerConfig's do; RoundTimeout is the per-unit engine watchdog
+// (0 = DefaultRoundTimeout, negative = no watchdog).
 type WorkerConfig struct {
-	// Addr is the coordinator's host:port.
-	Addr string
-	// ID names this worker in leases and per-worker stats (default:
-	// hostname-pid).
-	ID string
-	// RoundTimeout is the per-unit engine watchdog (0 = DefaultRoundTimeout,
-	// negative = no watchdog).
+	Addr, ID     string
 	RoundTimeout time.Duration
-	// DialBudget bounds the total retry time of each wire call
-	// (0 = lease.DefaultDialBudget). Post-handshake exhaustion means the
-	// soak is over (completed, or crashed with its checkpoint safe) and the
-	// worker exits cleanly.
-	DialBudget time.Duration
-	// Journal, when non-nil, receives this worker's run-journal events.
-	Journal *obs.Journal
-	// Poll is the wait-state poll interval (default 300ms).
-	Poll time.Duration
-	// OnLease, when set, is called after each granted lease before the unit
-	// runs — the hook kill-mid-round tests use to die at a precise point.
-	OnLease func(FuzzLeaseResponse)
-	// Logf, when set, receives one line per lease/result event.
-	Logf func(format string, args ...any)
-	// Info, when non-nil, is a handshake result already fetched by the
-	// frontend (the -worker CLI fetches once to pick fuzz vs. suite mode);
-	// RunWorker skips its own fetch.
-	Info *campaign.SpecInfo
-}
-
-// FetchSpec performs the coordinator handshake: fetch the campaign.SpecInfo
-// served at campaign.PathSpec. Frontends call it once to route between the
-// suite worker (campaign.RunWorker) and the fuzz worker (RunWorker here) —
-// the two modes share the handshake path precisely so workers need no
-// mode flag.
-func FetchSpec(ctx context.Context, addr string, budget time.Duration) (*campaign.SpecInfo, error) {
-	var info campaign.SpecInfo
-	if err := lease.GetJSON(ctx, &http.Client{}, "http://"+addr+campaign.PathSpec, &info, budget); err != nil {
-		return nil, fmt.Errorf("fleet: handshake with %s: %w", addr, err)
-	}
-	return &info, nil
+	DialBudget   time.Duration
+	Journal      *obs.Journal
+	Poll         time.Duration
+	OnLease      func(FuzzLeaseResponse)
+	Logf         func(format string, args ...any)
+	Info         *campaign.SpecInfo
 }
 
 // RunWorker joins the fuzzing soak at wc.Addr and processes leases — rounds
@@ -84,7 +54,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	info := wc.Info
 	if info == nil {
 		var err error
-		if info, err = FetchSpec(ctx, wc.Addr, w.DialBudget); err != nil {
+		if info, err = campaign.FetchSpec(ctx, wc.Addr, w.DialBudget); err != nil {
 			return err
 		}
 	}

@@ -4,6 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,6 +15,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"chipmunk/internal/obs"
 )
 
 // TestTableMachine walks the lease state machine once, step by step, on one
@@ -117,17 +123,6 @@ func TestTableMachine(t *testing.T) {
 	}
 	if tab.Count(Spent) != 1 || tab.Count(Done) != 1 || tab.Open() != 0 {
 		t.Fatalf("final states: %+v", tab.Slots)
-	}
-	text := MetricsText(tab)
-	for _, series := range []string{
-		"# TYPE chipmunk_lease_granted_total counter\nchipmunk_lease_granted_total 6\n",
-		"chipmunk_lease_payloads_rejected_total 3\n",
-		"# TYPE chipmunk_lease_units_spent gauge\nchipmunk_lease_units_spent 1\n",
-		"chipmunk_lease_units_leased 0\n",
-	} {
-		if !strings.Contains(text, series) {
-			t.Errorf("metrics missing %q:\n%s", series, text)
-		}
 	}
 }
 
@@ -247,5 +242,98 @@ func TestRunUnitOutcomes(t *testing.T) {
 	}
 	if n := beats.Load(); n != 1 {
 		t.Errorf("heartbeat kept posting after a failed POST: %d beats", n)
+	}
+}
+
+// TestShellStatusView pins the one status model both coordinators serve: the
+// state-to-character map with its barrier separator, the in-flight rows in
+// kind then unit order, progress and rate (credited states only), the ETA,
+// and the read-only rule — a lease past its deadline still shows as leased
+// and nothing is re-dispatched by looking. It then reads the same view over
+// the shell's HTTP surface.
+func TestShellStatusView(t *testing.T) {
+	ctr := NewCounters()
+	rounds := NewTable(6, 10*time.Second, 2, ctr)
+	mins := NewTable(2, 10*time.Second, 2, ctr)
+	var sh Shell
+	mux := sh.Init(nil, []Kind{
+		{Name: "round", SpentAs: "dropped", Group: 2, Table: rounds},
+		{Name: "minimize", SpentAs: "dropped", Table: mins},
+	}, nil, nil)
+	// Rounds 0..5, in barrier groups of 2: resumed, credited live, leased with
+	// progress 7, spent, leased past its deadline, pending. Minimization task
+	// 1 is leased with progress 5.
+	now := time.Now().Add(time.Minute)
+	rounds.Resume(0, "w")
+	rounds.Grant(1, "a", now)
+	rounds.Settle(1, "a", "", now)
+	rounds.Grant(2, "b", now)
+	rounds.Beat(2, "b", 7, now)
+	for attempt := 0; attempt < 2; attempt++ {
+		rounds.Grant(3, "c", now)
+		rounds.Settle(3, "c", "engine: boom", now)
+	}
+	rounds.Grant(4, "c", now.Add(-20*time.Second))
+	mins.Grant(1, "d", now)
+	mins.Beat(1, "d", 5, now)
+
+	st := sh.StatusLocked(now, 100)
+	if d := st.Dash; d.Map != "##|rX|r." || d.Units != 6 || d.Spent != 1 || d.Noun != "round" || d.Group != 2 {
+		t.Errorf("primary table: %+v", d)
+	}
+	if st.Pending != 1 || st.Leased != 2 || st.Done != 2 || st.Resumed != 1 {
+		t.Errorf("counts: %+v", st)
+	}
+	var rows []string
+	for _, u := range st.InFlight {
+		rows = append(rows, fmt.Sprintf("%s %d %s %d", u.Kind, u.ID, u.Worker, u.Progress))
+	}
+	if got := strings.Join(rows, ", "); got != "round 2 b 7, round 4 c 0, minimize 1 d 5" {
+		t.Errorf("in-flight rows: %s", got)
+	}
+	if st.StatesChecked != 112 || st.StatesPerSec != 100/st.ElapsedSec || st.ETASec != 3*st.ElapsedSec {
+		t.Errorf("progress: checked %d, rate %v, eta %v over %vs", st.StatesChecked, st.StatesPerSec, st.ETASec, st.ElapsedSec)
+	}
+	if len(st.Workers) != 3 || st.Workers[0].ID != "a" || st.Workers[0].ShardsDone != 1 {
+		t.Errorf("workers: %+v", st.Workers)
+	}
+	if rounds.Slots[4].State != Leased || rounds.Slots[4].Attempts != 0 || ctr.Redispatched != 1 {
+		t.Errorf("a status probe advanced the machine: %+v, %d re-dispatched", rounds.Slots[4], ctr.Redispatched)
+	}
+	if _, err := sh.UnitLocked("round", 6); err == nil {
+		t.Error("out-of-range unit resolved")
+	}
+	if _, err := sh.UnitLocked("shard", 0); err == nil {
+		t.Error("unknown kind resolved")
+	}
+
+	sh.status = func() any { return sh.StatusLocked(now, 100) }
+	sh.census = func() *obs.Snapshot { return nil }
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	for path, want := range map[string][]string{
+		PathStatus: {"application/json", `"campaign_id":""`, `"progress":7`, `"states_checked":112`},
+		PathDash: {"text/html", "<!DOCTYPE html>", "2/6 rounds done", "1 dropped", "round map", "'|' barrier every 2",
+			"<td>minimize</td><td>1</td><td>d</td>"},
+		"/debug/metrics": {obs.MetricsContentType, "chipmunk_states_checked_total 0\n",
+			"# TYPE chipmunk_lease_granted_total counter\nchipmunk_lease_granted_total 6\n",
+			"chipmunk_lease_redispatched_total 1\n", "chipmunk_lease_heartbeats_total 2\n", "chipmunk_lease_payloads_rejected_total 0\n",
+			"# TYPE chipmunk_lease_units_spent gauge\nchipmunk_lease_units_spent 1\n", "chipmunk_lease_units_leased 3\n"},
+	} {
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: %s (%v)", path, resp.Status, err)
+		}
+		got := resp.Header.Get("Content-Type") + "\n" + string(body)
+		for _, w := range want {
+			if !strings.Contains(got, w) {
+				t.Errorf("GET %s lacks %q:\n%s", path, w, got)
+			}
+		}
 	}
 }

@@ -1,18 +1,21 @@
 // Package lease is the one mechanism the distributed modes share: hand a
 // unit of work out, take it back at most once, survive a dead worker. Suite
 // shards (internal/campaign), fuzz rounds and minimization tasks
-// (internal/fleet) are three unit families over the same four pieces — the
-// slot Table, the checkpoint Log, the wire gate and client, and the worker's
-// unit runner — and differ only in policy, which stays with the owner: which
-// pending unit goes out next, and what a unit that spent its attempts means.
+// (internal/fleet) are three unit families over the same pieces — the slot
+// Table, the checkpoint Log, the wire gate and client, the worker's unit
+// runner, and the coordinator Shell around the tables — and differ only in
+// policy, which stays with the owner: which pending unit goes out next, and
+// what a unit that spent its attempts means.
 //
-// The package imports neither owner, and the Table takes no lock and makes
-// no callbacks: an owner mutates it under the mutex it already holds, reads
-// what happened from the return value, and applies its own policy.
+// The package imports neither owner, and nothing in it calls back into an
+// owner while holding the owner's lock: the Table takes no lock at all, and
+// an owner mutates it under the Shell's mutex, reads what happened from the
+// return value, and applies its own policy.
 package lease
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"time"
@@ -93,13 +96,12 @@ func (c *Counters) Foreign(what, have, worker, got, consequence string) error {
 		what, have, worker, got, consequence)
 }
 
-// PerWorkerCopy snapshots the per-worker credit counts.
-func (c *Counters) PerWorkerCopy() map[string]int {
-	per := make(map[string]int, len(c.PerWorker))
-	for k, v := range c.PerWorker {
-		per[k] = v
-	}
-	return per
+// Snapshot copies the counters, maps included, for a stats value that
+// outlives the owner's lock.
+func (c *Counters) Snapshot() Counters {
+	s := *c
+	s.PerWorker, s.Workers = maps.Clone(c.PerWorker), maps.Clone(c.Workers)
+	return s
 }
 
 // WorkerStatus is one worker's liveness row on a status page.
@@ -121,19 +123,26 @@ func (c *Counters) WorkerStatuses(now time.Time) []WorkerStatus {
 	return out
 }
 
-// PerWorkerLines renders one line per worker through format (a worker ID and
-// a count), sorted by worker ID: the tail of a coordinator's stats summary.
-func PerWorkerLines(per map[string]int, format string) []string {
-	workers := make([]string, 0, len(per))
-	for w := range per {
+// Report renders a coordinator's stats summary: head and the counters on
+// one line (resumed is the units credited from the checkpoint), each
+// nonempty note, then each worker's credits in unit, sorted by worker ID.
+func (c *Counters) Report(head string, resumed int, unit string, notes ...string) string {
+	lines := []string{fmt.Sprintf("%s (%d resumed from checkpoint, %d re-dispatched, %d duplicates discarded, %d rejected, %d bad payloads, %d heartbeats)",
+		head, resumed, c.Redispatched, c.Duplicates, c.Rejected, c.BadPayloads, c.Heartbeats)}
+	for _, n := range notes {
+		if n != "" {
+			lines = append(lines, "  "+n)
+		}
+	}
+	workers := make([]string, 0, len(c.PerWorker))
+	for w := range c.PerWorker {
 		workers = append(workers, w)
 	}
 	sort.Strings(workers)
-	lines := make([]string, len(workers))
-	for i, w := range workers {
-		lines[i] = fmt.Sprintf(format, w, per[w])
+	for _, w := range workers {
+		lines = append(lines, fmt.Sprintf("  %-20s %d %s", w, c.PerWorker[w], unit))
 	}
-	return lines
+	return strings.Join(lines, "\n")
 }
 
 // Table is a passive table of lease slots, indexed by unit id.
@@ -141,6 +150,9 @@ type Table struct {
 	TTL     time.Duration
 	Retries int
 	Slots   []Slot
+	// Resumed counts the units credited from a checkpoint (Resume) rather
+	// than by a worker of this run.
+	Resumed int
 	*Counters
 }
 
@@ -201,6 +213,14 @@ func (t *Table) HeldBy(worker string) int {
 		}
 	}
 	return -1
+}
+
+// Resume marks unit i done from a checkpoint record of worker's result; the
+// per-worker counts credit it to "checkpoint".
+func (t *Table) Resume(i int, worker string) {
+	t.Slots[i] = Slot{State: Done, Worker: worker}
+	t.Resumed++
+	t.PerWorker["checkpoint"]++
 }
 
 // Grant leases unit i to worker until now+TTL.
@@ -333,33 +353,4 @@ func (t *Table) Reject(i int, worker, cause string) Outcome {
 	}
 	t.Fail(i, worker, false, cause)
 	return Failed
-}
-
-// MetricsText renders the control plane of the coordinator that owns tables
-// (which share one Counters) as Prometheus text series. These describe the
-// fleet's health, not the census: they are appended by the /debug/metrics
-// handlers only and never enter an obs.Snapshot.
-func MetricsText(tables ...*Table) string {
-	ctr := tables[0].Counters
-	spent, leased := 0, 0
-	for _, t := range tables {
-		spent += t.Count(Spent)
-		leased += t.Count(Leased)
-	}
-	var b strings.Builder
-	for _, m := range []struct {
-		name, kind string
-		v          int
-	}{
-		{"chipmunk_lease_granted_total", "counter", ctr.Granted},
-		{"chipmunk_lease_redispatched_total", "counter", ctr.Redispatched},
-		{"chipmunk_lease_duplicates_discarded_total", "counter", ctr.Duplicates},
-		{"chipmunk_lease_payloads_rejected_total", "counter", ctr.BadPayloads},
-		{"chipmunk_lease_heartbeats_total", "counter", ctr.Heartbeats},
-		{"chipmunk_lease_units_spent", "gauge", spent},
-		{"chipmunk_lease_units_leased", "gauge", leased},
-	} {
-		fmt.Fprintf(&b, "# TYPE %s %s\n%s %d\n", m.name, m.kind, m.name, m.v)
-	}
-	return b.String()
 }

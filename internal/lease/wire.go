@@ -129,32 +129,6 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Close stops the listener.
 func (s *Server) Close() error { return s.srv.Close() }
 
-// Await blocks until done closes (nil) or ctx is cancelled and the in-flight
-// units have drained (ctx's error). Cancellation is the graceful path (first
-// SIGINT): drain stops the coordinator issuing leases, and inFlight — which
-// also expires overdue leases — is polled until every unit still out has
-// reported or timed out, so their results reach the checkpoint.
-func Await(ctx context.Context, done <-chan struct{}, drain func(), inFlight func() int) error {
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-	}
-	drain()
-	tick := time.NewTicker(20 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		select {
-		case <-done:
-			return nil
-		case <-tick.C:
-			if inFlight() == 0 {
-				return ctx.Err()
-			}
-		}
-	}
-}
-
 // --- worker side ---------------------------------------------------------
 
 // DefaultDialBudget is the total retry budget one wire call gets before the
