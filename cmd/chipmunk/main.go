@@ -18,13 +18,21 @@
 // coordinator restarts where it left off. The merged census is
 // byte-identical to a serial run of the same suite.
 //
+// -fuzz runs a coverage-guided fuzzing soak, the counterpart of the paper's
+// modified Syzkaller (§3.4.2), and writes FUZZCENSUS.md under -o. Without
+// -serve the coordinator listens on loopback and -j fleet workers run in
+// the same process; with -serve, -worker processes join it:
+//
+//	chipmunk -fuzz -budget 2000 -bugs all -fs splitfs -j 2 -o out
+//	chipmunk -fuzz -budget 2h -serve :9090 -resume soak.ckpt
+//
 // The -bugs flag selects which of the paper's Table 1 bugs are injected:
 // "none" (the fixed systems, default), "all" (as published), or a
 // comma-separated ID list. -faults turns on pmem fault injection (torn
 // stores, bit corruption, media errors) against the sandboxed checker.
 // Ctrl-C cancels the run and prints the partial census; a second Ctrl-C
-// force-exits. Under -serve, the first Ctrl-C instead stops issuing leases
-// and drains in-flight shards to the checkpoint.
+// force-exits. Under -serve or -fuzz, the first Ctrl-C instead stops
+// issuing leases and drains in-flight units to the checkpoint.
 package main
 
 import (
@@ -34,6 +42,8 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"runtime"
+	"sync"
 	"time"
 
 	"chipmunk/internal/ace"
@@ -48,14 +58,14 @@ import (
 
 func main() {
 	var (
-		cli       = harness.BindCLI(flag.CommandLine, harness.CLIDefaults{FS: "nova"})
+		cli       = harness.BindCLI(flag.CommandLine)
 		suite     = flag.String("suite", "seq1", "workload suite: seq1, seq2, seq3m, seq1dax, seq2dax, kv, kv-smoke")
 		max       = flag.Int("max", 0, "stop after N workloads (0 = whole suite)")
 		stopOne   = flag.Bool("stop-on-bug", false, "stop at the first violating workload")
 		repro     = flag.String("repro", "", "run a single reproducer file (workload.Format syntax) instead of a suite")
 		serve     = flag.String("serve", "", "coordinate a distributed campaign on this host:port instead of running locally")
 		workerFor = flag.String("worker", "", "join the distributed campaign coordinated at this host:port (spec comes from the coordinator)")
-		resume    = flag.String("resume", "", "(with -serve) append completed shards to this checkpoint file and skip the shards it already records")
+		resume    = flag.String("resume", "", "(with -serve or -fuzz) append completed units to this checkpoint file and skip the units it already records")
 		shardSize = flag.Int("shard-size", campaign.DefaultShardSize, "(with -serve) workloads per lease")
 		leaseTTL  = flag.Duration("lease", lease.DefaultTTL, "(with -serve) lease deadline before a shard is re-dispatched")
 
@@ -71,15 +81,15 @@ func main() {
 			"(with -worker) chaos hook: panic on this shard id to model a crash-looping workload (-1 = off)")
 
 		fuzzMode = flag.Bool("fuzz", false,
-			"(with -serve) coordinate a distributed coverage-guided fuzzing soak instead of a suite campaign")
+			"run a coverage-guided fuzzing soak instead of a suite: on -j in-process workers, or distributed with -serve")
 		budget = flag.String("budget", "",
-			"(with -serve -fuzz) soak budget: a duration (\"2h\") or a total exec count (\"2000\"; exec budgets make the soak byte-reproducible)")
+			"(with -fuzz) soak budget: a duration (\"2h\") or a total exec count (\"2000\"; exec budgets make the soak byte-reproducible)")
 		fuzzSeed = flag.Int64("fuzz-seed", 1,
-			"(with -serve -fuzz) master fuzzing seed; round r runs with RNG stream splitmix64(seed, r)")
+			"(with -fuzz) master fuzzing seed; round r runs with RNG stream splitmix64(seed, r)")
 		roundExecs = flag.Int("round-execs", fleet.DefaultRoundExecs,
-			"(with -serve -fuzz) fuzzing iterations per round lease")
+			"(with -fuzz) fuzzing iterations per round lease")
 		genRounds = flag.Int("gen-rounds", fleet.DefaultGenRounds,
-			"(with -serve -fuzz) rounds per generation (the corpus-fold barrier width)")
+			"(with -fuzz) rounds per generation (the corpus-fold barrier width)")
 	)
 	flag.Parse()
 
@@ -112,13 +122,9 @@ func main() {
 	defer inst.Close() //nolint:errcheck // re-checked explicitly below
 	inst.Apply(&opts)
 
-	if *fuzzMode && *serve == "" {
-		fatalIf(errors.New("-fuzz coordinates a distributed soak and needs -serve; for local fuzzing use chipmunkfuzz"))
-	}
-
-	if *serve != "" {
+	if *serve != "" || *fuzzMode {
 		if *repro != "" {
-			fatalIf(errors.New("-serve shards a named suite; -repro runs locally"))
+			fatalIf(errors.New("-repro runs one workload locally; it combines with neither -serve nor -fuzz"))
 		}
 		_, _, err := opts.Resolve()
 		fatalIf(err)
@@ -141,10 +147,20 @@ func main() {
 		} else {
 			spec.Suite, spec.Max = *suite, *max
 		}
-		os.Exit(runCoordinator(*serve, spec, serveKnobs{
+		k := serveKnobs{
 			shardSize: *shardSize, retries: *shardRetries, leaseTTL: *leaseTTL, checkpoint: *resume,
 			retryQuarantined: *retryQuar, wireFaultSeed: *wireFaults,
-		}, inst, cli))
+		}
+		// Local fuzzing is a one-process fleet soak: the coordinator on a
+		// loopback port, and -j fleet workers in process against it.
+		addr := *serve
+		if addr == "" {
+			addr, k.localWorkers = "127.0.0.1:0", cli.Jobs
+			if k.localWorkers <= 0 {
+				k.localWorkers = runtime.GOMAXPROCS(0)
+			}
+		}
+		os.Exit(runCoordinator(addr, spec, k, inst, cli))
 	}
 
 	var suiteWs []workload.Workload
@@ -338,6 +354,11 @@ func runWorker(addr string, cli *harness.CLIOptions, shardTimeout time.Duration,
 	return exitCode(inst, cli.Journal, false, false, interrupted)
 }
 
+// localPoll is the in-process workers' wait-state poll: a loopback round
+// trip costs microseconds, so they re-poll a generation barrier far sooner
+// than a remote worker's default.
+const localPoll = 10 * time.Millisecond
+
 // serveKnobs is the -serve flag surface beyond the spec.
 type serveKnobs struct {
 	shardSize, retries int
@@ -345,6 +366,10 @@ type serveKnobs struct {
 	checkpoint         string
 	retryQuarantined   bool
 	wireFaultSeed      uint64
+	// localWorkers is how many fleet workers run in process against the
+	// coordinator (-fuzz without -serve); 0 leaves the work to -worker
+	// processes.
+	localWorkers int
 }
 
 // runCoordinator is the -serve mode. The spec picks the coordinator: a fuzz
@@ -438,7 +463,25 @@ func runCoordinator(addr string, spec campaign.Spec, k serveKnobs, inst *harness
 	ctx, stop := harness.SignalContextNotify(context.Background(),
 		"interrupt: draining — no new leases; crediting in-flight units to the checkpoint (interrupt again to force exit)")
 	defer stop()
+	// Local workers keep their own context: a drain lets them credit the
+	// units they hold, and they are cancelled only once the census is in.
+	wctx, cancelWorkers := context.WithCancel(context.Background())
+	var workers sync.WaitGroup
+	for i := 0; i < k.localWorkers; i++ {
+		workers.Add(1)
+		go func(id string) {
+			defer workers.Done()
+			err := fleet.RunWorker(wctx, fleet.WorkerConfig{
+				Addr: srv.Addr(), ID: id, Poll: localPoll, Journal: inst.Journal, Logf: logf,
+			})
+			if !errors.Is(err, context.Canceled) {
+				fatalIf(err)
+			}
+		}(fmt.Sprintf("local-%d", i))
+	}
 	err = wait(ctx)
+	cancelWorkers()
+	workers.Wait()
 	srv.Close() //nolint:errcheck // listener teardown on the way out
 	stop()
 	interrupted := errors.Is(err, context.Canceled)

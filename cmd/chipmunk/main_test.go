@@ -142,6 +142,50 @@ func TestServeFuzzSoak(t *testing.T) {
 	}
 }
 
+// localRun drives -fuzz without -serve in process: runCoordinator on a
+// loopback port with n in-process workers. It returns the exit code.
+func localRun(t *testing.T, spec campaign.Spec, outDir string, n int) int {
+	t.Helper()
+	cli := &harness.CLIOptions{FS: spec.FS, Bugs: spec.Bugs, OutDir: outDir}
+	inst, err := cli.Instrument()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runCoordinator("127.0.0.1:0", spec, serveKnobs{localWorkers: n}, inst, cli)
+}
+
+// TestLocalFuzzMatchesServe: local -fuzz is the fleet soak in one process,
+// so with -j 1 and -j 2 it writes the FUZZCENSUS.md a -serve soak with one
+// worker writes for the same spec; with no bugs injected it exits clean.
+func TestLocalFuzzMatchesServe(t *testing.T) {
+	dir := t.TempDir()
+	if code := serveRun(t, fuzzSpec(120, 4), dir, 1); code != harness.ExitViolations {
+		t.Fatalf("serve: exit %d, want %d", code, harness.ExitViolations)
+	}
+	want, err := os.ReadFile(filepath.Join(dir, "FUZZCENSUS.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{1, 2} {
+		dir := t.TempDir()
+		if code := localRun(t, fuzzSpec(120, 4), dir, n); code != harness.ExitViolations {
+			t.Fatalf("-j %d: exit %d, want %d", n, code, harness.ExitViolations)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "FUZZCENSUS.md"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("-j %d: FUZZCENSUS.md differs from the -serve soak's:\n--- local ---\n%s\n--- serve ---\n%s", n, got, want)
+		}
+	}
+	clean := fuzzSpec(60, 4)
+	clean.Bugs = "none"
+	if code := localRun(t, clean, t.TempDir(), 2); code != harness.ExitClean {
+		t.Fatalf("-bugs none: exit %d, want %d", code, harness.ExitClean)
+	}
+}
+
 // TestWorkerFetchesSpecOnce: the -worker path makes exactly one handshake
 // GET in either mode — it routes on the spec it fetched and hands it to the
 // worker instead of letting the worker fetch it again.

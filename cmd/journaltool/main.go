@@ -1,5 +1,5 @@
 // Command journaltool inspects run journals written by the -journal flag
-// of chipmunk, chipmunkfuzz, and experiments:
+// of chipmunk and experiments:
 //
 //	journaltool run.jsonl                       # human-readable summary
 //	journaltool -strict run.jsonl               # fail (exit 1) on corrupt lines

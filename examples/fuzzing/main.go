@@ -40,13 +40,14 @@ func main() {
 		}
 		if (i+1)%150 == 0 {
 			fmt.Printf("  %4d execs | corpus %3d | trace-coverage %4d | clusters so far: %d\n",
-				i+1, fz.CorpusSize(), fz.CoverageSize(), len(fz.Clusters))
+				i+1, fz.CorpusSize(), fz.CoverageSize(), len(core.Triage(fz.Violations)))
 		}
 	}
 	fmt.Printf("\n%d executions, %d crash states in %v\n",
 		fz.Execs, fz.StatesChecked, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("%d raw reports triaged into %d clusters:\n", len(fz.Violations), len(fz.Clusters))
-	for i, c := range fz.Clusters {
+	clusters := core.Triage(fz.Violations)
+	fmt.Printf("%d raw reports triaged into %d clusters:\n", len(fz.Violations), len(clusters))
+	for i, c := range clusters {
 		fmt.Printf("\n--- cluster %d (%d reports) ---\n%s\n", i+1, c.Count, c.Representative)
 	}
 }

@@ -98,9 +98,6 @@ type RunEnv struct {
 	OracleStates []vfs.State
 	// OpResults are the target's live per-op outcomes from the record pass.
 	OpResults []workload.Result
-	// SkipUsability mirrors Config.SkipUsability for checkers implementing
-	// the usability probe.
-	SkipUsability bool
 	// Obs is the run's metrics collector for checker-side counters (e.g.
 	// oracle-snapshot-hits). Nil when observability is off; the Collector's
 	// methods are nil-safe, so checkers record unconditionally.

@@ -56,8 +56,6 @@ type Config struct {
 	// ablation); the engine ignores KindStore entries, so this only adds
 	// overhead and statistics.
 	TraceStores bool
-	// SkipUsability disables the usability probe phase (used by ablations).
-	SkipUsability bool
 	// PostOnly restricts crash points to system-call boundaries even for
 	// strong systems — the policy of disk-era tools like CrashMonkey,
 	// used to measure Observation 5 (how many bugs need mid-call crashes).
@@ -479,12 +477,11 @@ func RunContext(ctx context.Context, cfg Config, w workload.Workload) (*Result, 
 		factory = NewOracleChecker
 	}
 	contract := factory(RunEnv{
-		Caps:          caps,
-		Workload:      w,
-		OracleStates:  states,
-		OpResults:     targetResults,
-		SkipUsability: cfg.SkipUsability,
-		Obs:           col,
+		Caps:         caps,
+		Workload:     w,
+		OracleStates: states,
+		OpResults:    targetResults,
+		Obs:          col,
 	})
 	cbegin := tr.Begin()
 	ck := &checker{ctx: ctx, cfg: cfg, caps: caps, w: w, contract: contract, res: res,

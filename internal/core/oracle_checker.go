@@ -85,10 +85,8 @@ func (oc *oracleChecker) Check(fs vfs.FS, cctx *CheckContext) *Finding {
 		}
 	}
 
-	if !oc.env.SkipUsability {
-		if detail := usability(fs, st); detail != "" {
-			return &Finding{Kind: VUsability, Detail: detail}
-		}
+	if detail := usability(fs, st); detail != "" {
+		return &Finding{Kind: VUsability, Detail: detail}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
-// Package fleet is the distributed coverage-guided fuzzing mode of the
-// campaign runner: the scale-out counterpart of cmd/chipmunkfuzz, the way
-// internal/campaign is the scale-out counterpart of suite runs.
+// Package fleet is the coverage-guided fuzzing mode of the campaign runner,
+// and the only fuzz loop behind `chipmunk -fuzz`: a local soak runs its
+// coordinator and workers in one process, a distributed one spreads the
+// workers over -worker processes.
 //
 // Workers run the gray-box fuzzer (internal/fuzz) locally in fixed-size
 // rounds and ship what each round contributed — corpus candidates with

@@ -1,9 +1,6 @@
 package fuzz
 
 import (
-	"os"
-	"path/filepath"
-	"strings"
 	"testing"
 
 	"chipmunk/internal/bugs"
@@ -11,7 +8,6 @@ import (
 	"chipmunk/internal/fs/nova"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/vfs"
-	"chipmunk/internal/workload"
 )
 
 // mountPanicFS panics when a crash state is mounted; the record pass (Mkfs
@@ -21,30 +17,15 @@ type mountPanicFS struct{ vfs.FS }
 func (f mountPanicFS) Mount() error { panic("hostile crash state") }
 
 // mkfsPanicFS panics on the coordinator path (Mkfs), escaping the engine's
-// per-check sandbox entirely — the case the fuzzer's own containment covers.
+// per-check sandbox entirely.
 type mkfsPanicFS struct{ vfs.FS }
 
 func (f mkfsPanicFS) Mkfs() error { panic("coordinator panic") }
 
-func listCrashFiles(t *testing.T, dir, prefix string) []string {
-	t.Helper()
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	for _, e := range ents {
-		if strings.HasPrefix(e.Name(), prefix) {
-			out = append(out, filepath.Join(dir, e.Name()))
-		}
-	}
-	return out
-}
-
-// TestFuzzerSavesSandboxReproducer: a candidate whose crash states are
-// quarantined is persisted to CrashDir as a sandbox-* reproducer, and the
-// campaign's quarantine counter advances.
-func TestFuzzerSavesSandboxReproducer(t *testing.T) {
+// TestFuzzerCountsQuarantinedStates: a candidate whose crash states are
+// quarantined advances the campaign's quarantine counter, which fleet rounds
+// report as QuarantinedChecks.
+func TestFuzzerCountsQuarantinedStates(t *testing.T) {
 	cfg := core.Config{
 		NewFS: func(pm *persist.PM) vfs.FS {
 			return mountPanicFS{nova.New(pm, bugs.None())}
@@ -53,30 +34,18 @@ func TestFuzzerSavesSandboxReproducer(t *testing.T) {
 		CheckRetries: -1,
 	}
 	f := New(cfg, 1, nil)
-	f.CrashDir = t.TempDir()
 	if _, _, err := f.Step(); err != nil {
 		t.Fatal(err)
 	}
 	if f.Quarantined == 0 {
 		t.Fatal("hostile guest quarantined nothing")
 	}
-	files := listCrashFiles(t, f.CrashDir, "sandbox-")
-	if len(files) != 1 {
-		t.Fatalf("got %d sandbox reproducers, want 1", len(files))
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, err := workload.Parse(string(data)); err != nil || len(w.Ops) == 0 {
-		t.Fatalf("saved reproducer does not parse back: %v", err)
-	}
 }
 
-// TestFuzzerSavesPanicReproducerBeforeReraise: a panic that escapes the
-// engine is re-raised to the caller, but only after the triggering workload
-// lands in CrashDir.
-func TestFuzzerSavesPanicReproducerBeforeReraise(t *testing.T) {
+// TestFuzzerPanicReachesCaller: a panic that escapes the engine is not
+// swallowed by the fuzzer; it reaches the caller, where a fleet worker's
+// lease.RunUnit turns it into a failed round.
+func TestFuzzerPanicReachesCaller(t *testing.T) {
 	cfg := core.Config{
 		NewFS: func(pm *persist.PM) vfs.FS {
 			return mkfsPanicFS{nova.New(pm, bugs.None())}
@@ -84,24 +53,10 @@ func TestFuzzerSavesPanicReproducerBeforeReraise(t *testing.T) {
 		Cap: 2,
 	}
 	f := New(cfg, 1, nil)
-	f.CrashDir = t.TempDir()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("coordinator panic was swallowed instead of re-raised")
-			}
-		}()
-		f.Step()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("coordinator panic was swallowed")
+		}
 	}()
-	files := listCrashFiles(t, f.CrashDir, "panic-")
-	if len(files) != 1 {
-		t.Fatalf("got %d panic reproducers, want 1", len(files))
-	}
-	data, err := os.ReadFile(files[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w, err := workload.Parse(string(data)); err != nil || len(w.Ops) == 0 {
-		t.Fatalf("saved reproducer does not parse back: %v", err)
-	}
+	f.Step()
 }

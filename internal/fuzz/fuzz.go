@@ -38,20 +38,13 @@ type Fuzzer struct {
 
 	// KV adds the application-level KV ops (kvput/kvdel/kvsync/kvget) to
 	// the mutation vocabulary. Set it when Config carries the KV app
-	// factory and contract checker (chipmunkfuzz -app=kv); the flag is read
-	// only inside randOp, so KV=false campaigns replay byte-identically to
-	// builds that predate it.
+	// factory and contract checker (chipmunk -fuzz -app kv); the flag is
+	// read only inside randOp, so KV=false campaigns replay byte-identically
+	// to builds that predate it.
 	KV bool
 
-	// CrashDir, when set, receives the triggering workload whenever a
-	// candidate escapes the engine's sandbox with a panic (saved before the
-	// panic is re-raised, so a crashed campaign still leaves a reproducer)
-	// or produces quarantined crash states (saved as a sandbox-* artifact).
-	CrashDir string
-
-	// Violations accumulates every report; Clusters is the triaged view.
+	// Violations accumulates every report; core.Triage clusters them.
 	Violations []core.Violation
-	Clusters   []*core.Cluster
 
 	// Stats.
 	Execs         int
@@ -64,8 +57,7 @@ type Fuzzer struct {
 	// ObsTotals merges every exec's per-run metrics snapshot — the
 	// campaign-wide stage/counter totals. Nil until an exec runs with
 	// Config.Obs set.
-	ObsTotals  *obs.Snapshot
-	crashSaves int
+	ObsTotals *obs.Snapshot
 }
 
 // New builds a fuzzer. seeds may be empty (the paper's runs start with an
@@ -242,16 +234,9 @@ func (f *Fuzzer) StepDelta() (Delta, error) {
 	} else {
 		w = f.mutate(f.corpus[f.rng.Intn(len(f.corpus))])
 	}
-	// The engine's sandbox contains per-crash-state panics, but a panic on
-	// the coordinator path (trace recording, enumeration) would still take
-	// the campaign down. Save the triggering workload first, then re-raise:
-	// a crashed campaign must leave its reproducer behind.
-	defer func() {
-		if r := recover(); r != nil {
-			f.saveCrash("panic", workload.Format(w), w)
-			panic(r)
-		}
-	}()
+	// The engine's sandbox contains per-crash-state panics; one on the
+	// coordinator path (trace recording, enumeration) propagates to the
+	// caller, where fleet's lease.RunUnit turns it into a failed round.
 	res, err := core.RunContext(context.Background(), f.cfg, w)
 	if err != nil {
 		return Delta{Workload: w}, err
@@ -265,10 +250,7 @@ func (f *Fuzzer) StepDelta() (Delta, error) {
 		}
 		f.ObsTotals.Merge(*res.Obs)
 	}
-	if n := len(res.Quarantined) + res.SuppressedQuarantine; n > 0 {
-		f.Quarantined += n
-		f.saveCrash("sandbox", workload.Format(w), w)
-	}
+	f.Quarantined += len(res.Quarantined) + res.SuppressedQuarantine
 
 	// Coverage feedback: new trace-shape signatures promote the workload
 	// into the corpus.
@@ -284,13 +266,7 @@ func (f *Fuzzer) StepDelta() (Delta, error) {
 		f.CorpusAdds++
 		d.Admitted = true
 	}
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			f.saveCrash("crash", v.ClusterKey(), w)
-		}
-		f.Violations = append(f.Violations, res.Violations...)
-		f.Clusters = core.Triage(f.Violations)
-	}
+	f.Violations = append(f.Violations, res.Violations...)
 	return d, nil
 }
 

@@ -100,10 +100,11 @@ func TestTriageIntegration(t *testing.T) {
 	if len(f.Violations) == 0 {
 		t.Skip("rename bug not hit in this seed's budget (mutation-dependent)")
 	}
-	if len(f.Clusters) == 0 {
+	clusters := core.Triage(f.Violations)
+	if len(clusters) == 0 {
 		t.Fatal("violations but no clusters")
 	}
-	if len(f.Clusters) > len(f.Violations) {
+	if len(clusters) > len(f.Violations) {
 		t.Fatal("more clusters than violations")
 	}
 }

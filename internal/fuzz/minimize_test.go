@@ -2,7 +2,6 @@ package fuzz
 
 import (
 	"context"
-	"os"
 	"testing"
 
 	"chipmunk/internal/bugs"
@@ -93,56 +92,6 @@ func TestMinimizeRespectsBudget(t *testing.T) {
 	}
 	if execs > 3 {
 		t.Fatalf("budget exceeded: %d", execs)
-	}
-}
-
-func TestCorpusSaveLoadRoundTrip(t *testing.T) {
-	cfg := core.Config{
-		NewFS: func(pm *persist.PM) vfs.FS { return nova.New(pm, bugs.None()) },
-		Cap:   2,
-	}
-	f := New(cfg, 3, nil)
-	if err := f.Run(20); err != nil {
-		t.Fatal(err)
-	}
-	if f.CorpusSize() == 0 {
-		t.Skip("no corpus growth this seed")
-	}
-	dir := t.TempDir()
-	if err := f.SaveCorpus(dir); err != nil {
-		t.Fatal(err)
-	}
-	seeds, skipped, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(skipped) != 0 {
-		t.Fatalf("skipped = %v", skipped)
-	}
-	if len(seeds) != f.CorpusSize() {
-		t.Fatalf("loaded %d, saved %d", len(seeds), f.CorpusSize())
-	}
-	// A fuzzer seeded from the saved corpus starts warm.
-	g := New(cfg, 4, seeds)
-	if g.CorpusSize() != len(seeds) {
-		t.Fatal("seeds not adopted")
-	}
-	if err := g.Run(5); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLoadCorpusSkipsGarbage(t *testing.T) {
-	dir := t.TempDir()
-	os.WriteFile(dir+"/good.txt", []byte("creat /f0\n"), 0o644)
-	os.WriteFile(dir+"/bad.txt", []byte("explode /f0\n"), 0o644)
-	os.WriteFile(dir+"/notes.md", []byte("ignored"), 0o644)
-	seeds, skipped, err := LoadCorpus(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seeds) != 1 || len(skipped) != 1 {
-		t.Fatalf("seeds=%d skipped=%v", len(seeds), skipped)
 	}
 }
 

@@ -11,25 +11,16 @@ import (
 )
 
 // This file is the CLIs' single flag frontend: every flag shared by
-// cmd/chipmunk, cmd/chipmunkfuzz, and cmd/experiments — engine tuning,
-// application selection, fault injection, output, and observability — binds
-// through one BindCLI call into one CLIOptions value, replacing the old
-// FlagSpec + ObsFlagSpec pair plus the ad-hoc per-command flags. Lifecycle:
+// cmd/chipmunk and cmd/experiments — engine tuning, application selection,
+// fault injection, output, and observability — binds through one BindCLI
+// call into one CLIOptions value. Lifecycle:
 //
-//	cli := harness.BindCLI(flag.CommandLine, harness.CLIDefaults{FS: "nova"})
+//	cli := harness.BindCLI(flag.CommandLine)
 //	flag.Parse()
 //	opts, err := cli.Options()     // engine Options (validated)
 //	inst, err := cli.Instrument()  // -stats/-journal/-debug-addr plumbing
 //	defer inst.Close()
 //	inst.Apply(&opts)
-
-// CLIDefaults sets the per-command default values of the flags whose
-// defaults differ between commands.
-type CLIDefaults struct {
-	FS   string // -fs default ("nova")
-	Bugs string // -bugs default ("none" for the fixed systems, "all" for the fuzzer)
-	Cap  int    // -cap default (0 = exhaustive; the fuzzer uses the paper's 2)
-}
 
 // CLIOptions holds the parsed values of every shared CLI flag. Fields are
 // plain values (not pointers): read them after flag parsing.
@@ -61,20 +52,14 @@ type CLIOptions struct {
 	DebugAddr string
 }
 
-// BindCLI registers the shared flags on fl with the given defaults. Call
-// fl.Parse (or flag.Parse for the default set), then Options and Instrument
-// to resolve the parsed values.
-func BindCLI(fl *flag.FlagSet, def CLIDefaults) *CLIOptions {
-	if def.FS == "" {
-		def.FS = "nova"
-	}
-	if def.Bugs == "" {
-		def.Bugs = "none"
-	}
+// BindCLI registers the shared flags on fl. Call fl.Parse (or flag.Parse
+// for the default set), then Options and Instrument to resolve the parsed
+// values.
+func BindCLI(fl *flag.FlagSet) *CLIOptions {
 	c := &CLIOptions{}
-	fl.StringVar(&c.FS, "fs", def.FS, "file system: nova, nova-fortis, pmfs, winefs, splitfs, ext4-dax, xfs-dax")
-	fl.StringVar(&c.Bugs, "bugs", def.Bugs, `injected bugs: "none", "all", or comma-separated IDs (e.g. "4,5")`)
-	fl.IntVar(&c.Cap, "cap", def.Cap, "max in-flight writes replayed per crash state (0 = exhaustive)")
+	fl.StringVar(&c.FS, "fs", "nova", "file system: nova, nova-fortis, pmfs, winefs, splitfs, ext4-dax, xfs-dax")
+	fl.StringVar(&c.Bugs, "bugs", "none", `injected bugs: "none", "all", or comma-separated IDs (e.g. "4,5")`)
+	fl.IntVar(&c.Cap, "cap", 0, "max in-flight writes replayed per crash state (0 = exhaustive)")
 	fl.DurationVar(&c.CheckTimeout, "check-timeout", core.DefaultCheckTimeout,
 		"per-crash-state check deadline; hung checks are quarantined as check-timeout (negative = no deadline)")
 	fl.IntVar(&c.ExhaustiveLimit, "exhaustive-limit", core.DefaultExhaustiveLimit,

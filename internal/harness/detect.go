@@ -156,8 +156,9 @@ func DetectWithACE(id bugs.ID, maxWorkloads int, opts DetectOptions) (Detection,
 }
 
 // DetectWithFuzzer fuzzes until the bug is found or the exec budget runs
-// out, mirroring the paper's Syzkaller runs (cap 2, §4.2).
-func DetectWithFuzzer(id bugs.ID, seed int64, maxExecs int) (Detection, error) {
+// out, mirroring the paper's Syzkaller runs (cap 2, §4.2, when opts.Cap is
+// 2).
+func DetectWithFuzzer(id bugs.ID, seed int64, maxExecs int, opts DetectOptions) (Detection, error) {
 	info, ok := bugs.Lookup(id)
 	if !ok {
 		return Detection{}, fmt.Errorf("unknown bug %d", id)
@@ -166,7 +167,7 @@ func DetectWithFuzzer(id bugs.ID, seed int64, maxExecs int) (Detection, error) {
 	if err != nil {
 		return Detection{}, err
 	}
-	cfg := Options{Bugs: bugs.Of(id), Cap: 2}.ConfigFor(sys)
+	cfg := opts.config(sys, bugs.Of(id))
 	det := Detection{Bug: info, System: sys.Name}
 	start := time.Now()
 	fz := fuzz.New(cfg, seed, nil)

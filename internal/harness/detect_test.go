@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/obs"
 )
 
 // TestTable1AllBugsDetected is the central soundness result of the
@@ -44,6 +45,21 @@ func TestCapTwoSufficient(t *testing.T) {
 		if !det.Found {
 			t.Errorf("bug %d not found with cap=2", info.ID)
 		}
+	}
+}
+
+// TestDetectWithFuzzerInstruments: the fuzzer half of Figure 3 feeds the
+// DetectOptions collector like its ACE and targeted siblings, so
+// `experiments -stats fig3` counts every fuzzer exec.
+func TestDetectWithFuzzerInstruments(t *testing.T) {
+	col := obs.New()
+	det, err := DetectWithFuzzer(bugs.NovaRenameInPlaceDelete, 42, 20, DetectOptions{Cap: 2, Obs: col})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := col.Snapshot()
+	if det.Workloads == 0 || snap.Count(obs.CtrWorkloads) != int64(det.Workloads) {
+		t.Fatalf("collector counted %d workloads, detection ran %d", snap.Count(obs.CtrWorkloads), det.Workloads)
 	}
 }
 

@@ -179,10 +179,10 @@ func Fig3ACE(maxPerBug int, opts DetectOptions) ([]DiscoveryPoint, error) {
 }
 
 // Fig3Fuzz measures per-bug discovery with the fuzzer.
-func Fig3Fuzz(seed int64, maxExecs int) ([]DiscoveryPoint, error) {
+func Fig3Fuzz(seed int64, maxExecs int, opts DetectOptions) ([]DiscoveryPoint, error) {
 	var out []DiscoveryPoint
 	for _, info := range bugs.All() {
-		det, err := DetectWithFuzzer(info.ID, seed+int64(info.ID), maxExecs)
+		det, err := DetectWithFuzzer(info.ID, seed+int64(info.ID), maxExecs, opts)
 		if err != nil {
 			return nil, err
 		}

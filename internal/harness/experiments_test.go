@@ -130,7 +130,7 @@ func TestFuzzerFindsACEUnreachableBugs(t *testing.T) {
 		if info.ACEReachable {
 			continue
 		}
-		det, err := DetectWithFuzzer(info.ID, 42, 600)
+		det, err := DetectWithFuzzer(info.ID, 42, 600, DetectOptions{Cap: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -164,7 +164,8 @@ func TestInFlightCensusMatchesPaperShape(t *testing.T) {
 }
 
 func TestRunSuiteCleanOnFixedSeq1Sample(t *testing.T) {
-	// Fixed NOVA over the first 20 seq-1 workloads: no violations.
+	// Fixed NOVA over the first 20 seq-1 workloads with no replay cap (the
+	// seven-system table runs at cap 2): no violations.
 	sys, _ := SystemByName("nova")
 	cfg := Options{Bugs: bugs.None(), Cap: 0}.ConfigFor(sys)
 	c, viol, err := Run(context.Background(), cfg, ace.Seq1()[:20])

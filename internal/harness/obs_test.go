@@ -204,7 +204,7 @@ func TestProgressNotSerializedBySlowCallback(t *testing.T) {
 // Instrumentation and Apply threads it into Options.
 func TestObsFlagsInstrument(t *testing.T) {
 	fl := flag.NewFlagSet("test", flag.ContinueOnError)
-	spec := BindCLI(fl, CLIDefaults{})
+	spec := BindCLI(fl)
 	journal := t.TempDir() + "/run.jsonl"
 	if err := fl.Parse([]string{"-stats", "-journal", journal, "-debug-addr", "127.0.0.1:0"}); err != nil {
 		t.Fatal(err)
@@ -239,7 +239,7 @@ func TestObsFlagsInstrument(t *testing.T) {
 
 	// All facilities off: Instrument still returns a safe bundle.
 	fl2 := flag.NewFlagSet("test2", flag.ContinueOnError)
-	spec2 := BindCLI(fl2, CLIDefaults{})
+	spec2 := BindCLI(fl2)
 	if err := fl2.Parse(nil); err != nil {
 		t.Fatal(err)
 	}

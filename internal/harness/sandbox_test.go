@@ -97,7 +97,7 @@ func TestCensusCarriesQuarantine(t *testing.T) {
 // from the shared flag surface through Options into the engine Config.
 func TestBindCLISandboxOptions(t *testing.T) {
 	fl := flag.NewFlagSet("test", flag.ContinueOnError)
-	spec := BindCLI(fl, CLIDefaults{FS: "nova"})
+	spec := BindCLI(fl)
 	if err := fl.Parse([]string{"-check-timeout", "250ms", "-exhaustive-limit", "10"}); err != nil {
 		t.Fatal(err)
 	}
@@ -118,9 +118,12 @@ func TestBindCLISandboxOptions(t *testing.T) {
 
 	// Defaults: unparsed flags resolve to the engine defaults.
 	fl2 := flag.NewFlagSet("test2", flag.ContinueOnError)
-	spec2 := BindCLI(fl2, CLIDefaults{FS: "nova"})
+	spec2 := BindCLI(fl2)
 	if err := fl2.Parse(nil); err != nil {
 		t.Fatal(err)
+	}
+	if spec2.FS != "nova" || spec2.Bugs != "none" || spec2.Cap != 0 {
+		t.Fatalf("default flags: -fs %q -bugs %q -cap %d", spec2.FS, spec2.Bugs, spec2.Cap)
 	}
 	opts2, err := spec2.Options()
 	if err != nil {

@@ -46,19 +46,47 @@ func TestSeq2SweepFixedSystemsClean(t *testing.T) {
 	}
 }
 
+// TestSeq1SweepAllSystemsClean is the §4.3 no-false-positive table: every
+// fixed system runs its full seq-1 suite at cap 2 — PM-mode seq-1 on the
+// five strong systems, DAX-mode seq-1 on the two weak ones — and must
+// produce zero violations.
+func TestSeq1SweepAllSystemsClean(t *testing.T) {
+	for _, sys := range Systems() {
+		checkSeq1Clean(t, sys)
+	}
+}
+
 // TestSeq1SweepWeakSystemsClean: the full DAX-mode seq-1 suite against both
 // weak systems.
 func TestSeq1SweepWeakSystemsClean(t *testing.T) {
-	suite := ace.Seq1Dax()
 	for _, name := range []string{"ext4-dax", "xfs-dax"} {
-		sys, _ := SystemByName(name)
-		cfg := Options{Bugs: bugs.None(), Cap: 2}.ConfigFor(sys)
-		_, viol, err := Run(context.Background(), cfg, suite)
+		sys, err := SystemByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range viol {
-			t.Errorf("%s false positive: %s", name, v)
-		}
+		checkSeq1Clean(t, sys)
 	}
+}
+
+// checkSeq1Clean runs sys's full seq-1 suite (seq-1-dax on a weak system)
+// at cap 2 and fails on any violation or on a run that skipped workloads or
+// checked no crash state.
+func checkSeq1Clean(t *testing.T, sys System) {
+	t.Helper()
+	suite := ace.Seq1()
+	if sys.Weak {
+		suite = ace.Seq1Dax()
+	}
+	cfg := Options{Bugs: bugs.None(), Cap: 2}.ConfigFor(sys)
+	c, viol, err := Run(context.Background(), cfg, suite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range viol {
+		t.Errorf("%s false positive: %s", sys.Name, v)
+	}
+	if c.Workloads != len(suite) || c.StatesChecked == 0 {
+		t.Errorf("%s: %d/%d workloads, %d crash states", sys.Name, c.Workloads, len(suite), c.StatesChecked)
+	}
+	t.Logf("%-12s %3d workloads, %6d crash states (%d deduped)", sys.Name, c.Workloads, c.StatesChecked, c.StatesDeduped)
 }

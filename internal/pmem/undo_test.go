@@ -158,3 +158,32 @@ func TestPropertyTrackingDeviceAlwaysRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkAblation_UndoLogVsCopy compares the paper's undo-log approach to
+// checker-state restoration against whole-image copying (§3.3: Chipmunk
+// rolls back checker mutations with an undo log because its images are
+// 128 MB; ours are small enough that copying competes).
+func BenchmarkAblation_UndoLogVsCopy(b *testing.B) {
+	const imgSize = 1 << 20
+	img := make([]byte, imgSize)
+	b.Run("undo-log", func(b *testing.B) {
+		td := NewTrackingDevice(img)
+		buf := []byte("mutation")
+		for i := 0; i < b.N; i++ {
+			for off := int64(0); off < 64*1024; off += 4096 {
+				td.Store(off, buf)
+			}
+			td.Rollback()
+		}
+	})
+	b.Run("full-copy", func(b *testing.B) {
+		buf := []byte("mutation")
+		for i := 0; i < b.N; i++ {
+			cp := append([]byte(nil), img...)
+			dev := FromImage(cp)
+			for off := int64(0); off < 64*1024; off += 4096 {
+				dev.Store(off, buf)
+			}
+		}
+	})
+}
