@@ -134,11 +134,11 @@ func internKey(b []byte) string {
 var runIDs atomic.Int64
 
 // fenceScratch bundles the owner's per-fence scratch — the dedup map,
-// state list, recursion buffer, arenas, and state-key
-// buffers — so it can be recycled across runs. A fresh checker then starts
-// with converged, already-grown blocks instead of re-growing them from zero
-// every run, which would otherwise dominate steady-state allocations in a
-// campaign of many short runs.
+// state list, recursion buffer, arenas, state-key buffers and the prefix
+// memo's key — so it can be recycled across runs. A fresh checker then
+// starts with converged, already-grown blocks instead of re-growing them
+// from zero every run, which would otherwise dominate steady-state
+// allocations in a campaign of many short runs.
 type fenceScratch struct {
 	seen      map[string]struct{}
 	distinct  []crashState
@@ -148,6 +148,7 @@ type fenceScratch struct {
 	keyArena  sliceArena[byte]
 	keyBuf    []byte
 	spans     []span
+	prefix    []byte
 }
 
 var scratchPool sync.Pool
@@ -187,6 +188,7 @@ func (ck *checker) loanScratch() *fenceScratch {
 	ck.keyArena = s.keyArena
 	ck.keyBuf = s.keyBuf
 	ck.spans = s.spans
+	ck.memo.key = s.prefix[:0]
 	return s
 }
 
@@ -207,6 +209,7 @@ func (ck *checker) returnScratch(s *fenceScratch) {
 	s.keyArena = ck.keyArena
 	s.keyBuf = ck.keyBuf
 	s.spans = ck.spans
+	s.prefix = ck.memo.key
 	scratchPool.Put(s)
 }
 

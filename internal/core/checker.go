@@ -68,15 +68,11 @@ func (ck *checker) recoveryReadSet(img []byte) (rs *persist.ReadSet) {
 
 // violation builds (but does not record) the report for one failed check.
 func (ck *checker) violation(ctx crashCtx, kind ViolationKind, detail string) *Violation {
-	sysName := ""
-	if ctx.sys >= 0 && ctx.sys < len(ck.w.Ops) {
-		sysName = ck.w.Ops[ctx.sys].String()
-	}
 	return &Violation{
 		FS:       ck.caps.Name,
 		Workload: ck.w,
 		Syscall:  ctx.sys,
-		SysName:  sysName,
+		SysName:  ck.sysName(ctx.sys),
 		Phase:    ctx.phase,
 		// Cloned, not aliased: violations outlive the fence whose arena
 		// backs ctx.subset (see arena.go). Empty subsets stay nil.
@@ -84,6 +80,14 @@ func (ck *checker) violation(ctx crashCtx, kind ViolationKind, detail string) *V
 		Kind:   kind,
 		Detail: detail,
 	}
+}
+
+// sysName renders the implicated call ("" when sys names none).
+func (ck *checker) sysName(sys int) string {
+	if sys >= 0 && sys < len(ck.w.Ops) {
+		return ck.w.Ops[sys].String()
+	}
+	return ""
 }
 
 // reportViolation records a violation (bounded; overflow is counted).

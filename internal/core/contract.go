@@ -64,6 +64,15 @@ type Finding struct {
 // Implementations must therefore be safe for concurrent Check calls
 // (read-only over their RunEnv) and must not retain fs past the call — the
 // device behind it is rolled back and reused as soon as Check returns.
+//
+// Verdicts must be prefix-pure. harness.Run's prefix memo (memo.go) hands
+// the verdicts of a crash point in op s to every workload of the suite that
+// shares ops[0..s], so a verdict may depend on nothing after the crash. Let
+// k = max(Sys+1, AckedOps): Check may read only Workload.Ops[:k],
+// OracleStates[:k+1] and OpResults[:k] of its RunEnv, and not the workload's
+// name. TestCheckersArePrefixPure (internal/harness) holds the oracle and KV
+// contracts to it by checking every state again with a contract built from a
+// RunEnv cut to that bound.
 type Checker interface {
 	// Name identifies the contract in reports ("fs-oracle", "kv").
 	Name() string

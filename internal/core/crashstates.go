@@ -116,6 +116,9 @@ type checker struct {
 	// keying (owner-only; mapped to obs.CtrSpansCoalesced at run end).
 	spansCoalesced int64
 
+	// memo is the run's position in its prefix memo (memo.go).
+	memo memoWalk
+
 	// baseGen is the generation of the walk's working image: the
 	// walk accumulates fence-applied writes into advAccum (baseDirty set)
 	// and commitBase folds them into one generation step — advance becomes
@@ -218,7 +221,9 @@ func (ck *checker) walk(sl *slot) error {
 	for ; c.idx < len(entries); c.idx++ {
 		e := entries[c.idx]
 		if c.stage == stageEntry {
-			ck.enter(e)
+			if err := ck.enter(e); err != nil {
+				return err
+			}
 		}
 		if c.stage != stageEntry {
 			if sl == nil {
@@ -228,6 +233,11 @@ func (ck *checker) walk(sl *slot) error {
 				return err
 			}
 			c.stage = stageEntry
+		}
+		if e.Kind == trace.KindSyscallEnd {
+			if err := ck.closeOp(e.Sys); err != nil {
+				return err
+			}
 		}
 		// Advancing the persistent base past the fence is replay work.
 		// The applied writes accumulate as the pending advance recipe;
@@ -249,9 +259,9 @@ func (ck *checker) walk(sl *slot) error {
 }
 
 // enter does an entry's engine-side work — signature, statistics, and at a
-// crash point the enumeration of its states — and leaves cur.stage saying
-// whether guest checks are due.
-func (ck *checker) enter(e trace.Entry) {
+// crash point either serving it from the prefix memo or the enumeration of
+// its states — and leaves cur.stage saying whether guest checks are due.
+func (ck *checker) enter(e trace.Entry) error {
 	c := &ck.cur
 	if e.Sys >= 0 && e.Kind != trace.KindSyscallBegin && e.Kind != trace.KindSyscallEnd {
 		// Fold the event shape into the enclosing call's signature.
@@ -268,16 +278,24 @@ func (ck *checker) enter(e trace.Entry) {
 		ck.res.Fences++
 		ck.noteInFlight(len(c.pending))
 		if len(c.pending) > 0 && ck.caps.Strong && !ck.cfg.PostOnly {
+			if served, err := ck.serveMemo(e.Sys, ck.res.Fences); served || err != nil {
+				return err
+			}
 			ck.enumerate(e.Sys)
 		}
 	case trace.KindSyscallEnd:
 		ck.res.SyscallSigs = append(ck.res.SyscallSigs, c.sig)
 		c.lastDone = e.Sys
 		if ck.shouldCheckPost(e.Sys) {
+			if served, err := ck.serveMemo(e.Sys, 0); served || err != nil {
+				return err
+			}
+			ck.recordPoint(memoPoint{states: 1})
 			ck.commitBase()
 			c.stage = stagePost
 		}
 	}
+	return nil
 }
 
 // checkPoint runs the guest checks entry cur.idx still owes: the rest of
@@ -288,16 +306,7 @@ func (ck *checker) checkPoint(sl *slot, sys int) error {
 		if err := ck.runChecks(sl); err != nil {
 			return err
 		}
-		ck.journal.Emit(obs.Event{
-			Type: "fence", FS: ck.caps.Name, Workload: ck.w.Name,
-			Fence: c.cctx.fence, Sys: sys, Phase: c.cctx.phase.String(),
-			InFlight: c.inFlight, States: len(ck.distinct), Deduped: c.deduped,
-			DurNanos: sinceNanos(c.fenceStart),
-		})
-		ck.tracer.Span("fence", c.spanStart, ck.checkSpan, obs.Event{
-			FS: ck.caps.Name, Workload: ck.w.Name,
-			Fence: c.cctx.fence, Sys: sys, States: len(ck.distinct),
-		})
+		ck.fenceDone(sys, len(ck.distinct))
 		return nil
 	}
 	if err := ck.cancelled(); err != nil {
@@ -309,6 +318,22 @@ func (ck *checker) checkPoint(sl *slot, sys int) error {
 	}
 	ck.fold(out)
 	return nil
+}
+
+// fenceDone emits the closing journal event and span of the fence at the
+// cursor, which had states distinct states.
+func (ck *checker) fenceDone(sys, states int) {
+	c := &ck.cur
+	ck.journal.Emit(obs.Event{
+		Type: "fence", FS: ck.caps.Name, Workload: ck.w.Name,
+		Fence: c.cctx.fence, Sys: sys, Phase: c.cctx.phase.String(),
+		InFlight: c.inFlight, States: states, Deduped: c.deduped,
+		DurNanos: sinceNanos(c.fenceStart),
+	})
+	ck.tracer.Span("fence", c.spanStart, ck.checkSpan, obs.Event{
+		FS: ck.caps.Name, Workload: ck.w.Name,
+		Fence: c.cctx.fence, Sys: sys, States: states,
+	})
 }
 
 // shouldCheckPost selects post-syscall crash points: every call for strong
@@ -421,6 +446,7 @@ func (ck *checker) enumerate(sys int) {
 			keyed:  true,
 		})
 	}
+	coalesced := ck.spansCoalesced
 	// slices.Grow (not the cap builtin — shadowed by the subset-size cap
 	// above) keeps the recursion buffer allocation-free across fences.
 	ck.subsetBuf = slices.Grow(ck.subsetBuf[:0], n)
@@ -435,6 +461,10 @@ func (ck *checker) enumerate(sys int) {
 	}
 	ck.distinct = distinct
 	ck.obs.ObserveSince(obs.StageDedup, dt)
+	ck.recordPoint(memoPoint{
+		fence: ctx.fence, inFlight: n, states: len(distinct), deduped: dedupedHere,
+		filtered: len(full) - n, truncated: truncated, coalesced: ck.spansCoalesced - coalesced,
+	})
 
 	// One immutable oracle snapshot per crash point, shared by every state
 	// checked at it (nil when the contract has none or the knob is off).

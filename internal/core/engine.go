@@ -345,6 +345,11 @@ func (r *Result) Buggy() bool { return len(r.Violations) > 0 }
 // context cancels the run between crash-state checks; a cancelled run
 // returns ctx's error and no result.
 func RunContext(ctx context.Context, cfg Config, w workload.Workload) (*Result, error) {
+	return run(ctx, cfg, w, nil)
+}
+
+// run is RunContext sharing crash points through memo (nil: none).
+func run(ctx context.Context, cfg Config, w workload.Workload, memo *PrefixMemo) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -487,7 +492,7 @@ func RunContext(ctx context.Context, cfg Config, w workload.Workload) (*Result, 
 	ck := &checker{ctx: ctx, cfg: cfg, caps: caps, w: w, contract: contract, res: res,
 		obs: col, journal: cfg.Journal,
 		tracer: tr, checkSpan: tr.ID("check", w.Name, 0, 0),
-		runID: runIDs.Add(1)}
+		runID: runIDs.Add(1), memo: memoWalk{m: memo, op: -1}}
 	if !cfg.DisableOracleSnapshot {
 		ck.prep, _ = contract.(CrashPointPreparer)
 	}

@@ -108,8 +108,10 @@ var (
 	errLost       = errors.New("core: runner abandoned")
 )
 
-// fold applies one outcome to the result.
+// fold applies one outcome to the result, and keeps it for the prefix memo
+// when the run is recording its op.
 func (ck *checker) fold(out checkOutcome) {
+	ck.recordOutcome(out)
 	ck.res.StatesChecked++
 	if out.retried {
 		ck.res.RetriedChecks++

@@ -1,0 +1,311 @@
+package harness
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"strings"
+	"testing"
+
+	"chipmunk/internal/ace"
+	"chipmunk/internal/app/kvstore"
+	"chipmunk/internal/bugs"
+	"chipmunk/internal/core"
+	"chipmunk/internal/obs"
+	"chipmunk/internal/pmem"
+	"chipmunk/internal/vfs"
+	"chipmunk/internal/workload"
+)
+
+// memoCase is one configuration the prefix-memo differential runs a suite
+// under.
+type memoCase struct {
+	name  string
+	cfg   core.Config
+	suite []workload.Workload
+	// shares says the suite has op prefixes whose crash points the memo must
+	// serve, so a shared run that served nothing fails the case.
+	shares bool
+}
+
+func memoCases(t *testing.T) []memoCase {
+	var cases []memoCase
+	add := func(name string, sys System, opts Options, suite []workload.Workload) {
+		opts.Obs = obs.New()
+		cases = append(cases, memoCase{name: name, cfg: opts.ConfigFor(sys), suite: suite, shares: !sys.Weak})
+	}
+	bugModes := []struct {
+		name string
+		set  bugs.Set
+	}{{"no-bugs", bugs.None()}, {"all-bugs", bugs.AllSet()}}
+	faultModes := []struct {
+		name   string
+		faults *pmem.FaultConfig
+	}{{"clean", nil}, {"faults", pmem.DefaultFaults(5)}}
+	for _, sys := range Systems() {
+		seq1 := ace.Seq1()
+		if sys.Weak {
+			seq1 = ace.Seq1Dax()
+		}
+		for _, bm := range bugModes {
+			for _, fm := range faultModes {
+				tag := fmt.Sprintf("%s/%s/%s", sys.Name, bm.name, fm.name)
+				add(tag+"/seq1", sys, Options{Bugs: bm.set, Faults: fm.faults}, seq1)
+				add(tag+"/kv", sys, Options{Bugs: bm.set, Faults: fm.faults, App: "kv"}, ace.KV())
+				if sys.Name == "nova" || sys.Name == "pmfs" {
+					add(tag+"/seq2", sys, Options{Bugs: bm.set, Faults: fm.faults}, ace.Seq2()[:112])
+				}
+			}
+		}
+	}
+	nova, _ := SystemByName("nova")
+	vinter := Options{Bugs: bugs.AllSet(), Obs: obs.New()}.ConfigFor(nova)
+	vinter.VinterFilter = true
+	cases = append(cases, memoCase{name: "nova/all-bugs/vinter/seq1", cfg: vinter, suite: ace.Seq1(), shares: true})
+
+	// A workload that is a strict op prefix of others, in both orders. The
+	// short one ends with a descriptor open on an unlinked file, so closing
+	// it after the last op reclaims the inode: crash points outside any
+	// syscall, which depend on the whole workload and must never be served.
+	short := workload.Workload{Name: "short", Ops: []workload.Op{
+		{Kind: workload.OpCreat, Path: "/f", FDSlot: 0},
+		{Kind: workload.OpWrite, Path: "/f", FDSlot: 0, Size: 4096, Seed: 7},
+		{Kind: workload.OpUnlink, Path: "/f", FDSlot: -1},
+	}}
+	long := func(name string, op workload.Op) workload.Workload {
+		return workload.Workload{Name: name, Ops: append(slices.Clone(short.Ops), op)}
+	}
+	tail := []workload.Workload{
+		short,
+		long("long-close", workload.Op{Kind: workload.OpClose, FDSlot: 0}),
+		long("long-mkdir", workload.Op{Kind: workload.OpMkdir, Path: "/d", FDSlot: -1}),
+		{Name: "short-again", Ops: short.Ops},
+	}
+	if !hasTailCrashPoint(t, Options{Bugs: bugs.None()}.ConfigFor(nova), short) {
+		t.Fatal("the prefix case's short workload has no crash point after its last op")
+	}
+	for _, bm := range bugModes {
+		cfg := Options{Bugs: bm.set, Obs: obs.New()}.ConfigFor(nova)
+		cases = append(cases,
+			memoCase{name: "nova/" + bm.name + "/prefix", cfg: cfg, suite: tail, shares: true},
+			memoCase{name: "nova/" + bm.name + "/prefix-reversed", cfg: cfg, suite: reversed(tail), shares: true})
+	}
+	return cases
+}
+
+// TestPrefixMemoMatchesUnshared is the prefix memo's differential: over
+// every system, bug set and fault mode, Run — serially, and over a seeded
+// permutation with two workers — returns for each workload exactly the
+// Result a loop of memo-less core.RunContext calls does. Only stage timings
+// and measurement-class counters may differ; a quarantined state's captured
+// stack is diagnostic and excluded.
+func TestPrefixMemoMatchesUnshared(t *testing.T) {
+	for i, c := range memoCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			ctx := context.Background()
+			want := make([]*core.Result, len(c.suite))
+			for j, w := range c.suite {
+				res, err := core.RunContext(ctx, c.cfg, w)
+				if err != nil {
+					t.Fatalf("unshared %s: %v", w.Name, err)
+				}
+				want[j] = res
+			}
+			perm := rand.New(rand.NewSource(int64(i))).Perm(len(c.suite))
+			for _, mode := range []struct {
+				name  string
+				order []int
+				rc    runConfig
+			}{
+				{"serial", identity(len(c.suite)), runConfig{workers: 1}},
+				{"j=2", perm, runConfig{workers: 2}},
+			} {
+				suite := make([]workload.Workload, len(c.suite))
+				for k, j := range mode.order {
+					suite[k] = c.suite[j]
+				}
+				got := make([]*core.Result, len(c.suite))
+				mode.rc.results = func(k int, res *core.Result) { got[mode.order[k]] = res }
+				if _, _, err := mode.rc.run(ctx, c.cfg, suite); err != nil {
+					t.Fatalf("%s: %v", mode.name, err)
+				}
+				var served int64
+				for j := range c.suite {
+					if d := resultDiff(want[j], got[j]); d != "" {
+						t.Errorf("%s: %s differs from the unshared run: %s", mode.name, c.suite[j].Name, d)
+					}
+					served += got[j].Obs.Count(obs.CtrMemoServed)
+				}
+				if c.shares && served == 0 {
+					t.Errorf("%s: the memo served no crash state", mode.name)
+				}
+			}
+		})
+	}
+}
+
+// resultDiff names the Result fields a and b disagree on ("" if none),
+// comparing the Obs snapshots by their deterministic counters only.
+func resultDiff(a, b *core.Result) string {
+	if b == nil {
+		return "no result"
+	}
+	canon := func(r *core.Result) core.Result {
+		c := *r
+		c.Obs = nil
+		c.Quarantined = slices.Clone(c.Quarantined)
+		for i := range c.Quarantined {
+			c.Quarantined[i].Stack = ""
+		}
+		return c
+	}
+	ca, cb := canon(a), canon(b)
+	va, vb := reflect.ValueOf(ca), reflect.ValueOf(cb)
+	var diff []string
+	for i := 0; i < va.NumField(); i++ {
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			diff = append(diff, fmt.Sprintf("%s: %v != %v", va.Type().Field(i).Name, va.Field(i), vb.Field(i)))
+		}
+	}
+	if da, db := a.Obs.DeterministicCounters(), b.Obs.DeterministicCounters(); !reflect.DeepEqual(da, db) {
+		diff = append(diff, fmt.Sprintf("Obs counters: %v != %v", da, db))
+	}
+	return strings.Join(diff, "; ")
+}
+
+// hasTailCrashPoint reports whether checking w journals a fence outside any
+// syscall.
+func hasTailCrashPoint(t *testing.T, cfg core.Config, w workload.Workload) bool {
+	t.Helper()
+	var buf bytes.Buffer
+	cfg.Journal = obs.NewJournal(&buf)
+	if _, err := core.RunContext(context.Background(), cfg, w); err != nil {
+		t.Fatal(err)
+	}
+	if err := cfg.Journal.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, _, err := obs.ReadJournal(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return slices.ContainsFunc(events, func(e obs.Event) bool {
+		return e.Type == "fence" && e.Sys < 0 && e.States > 0
+	})
+}
+
+func identity(n int) []int {
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+
+func reversed(suite []workload.Workload) []workload.Workload {
+	out := slices.Clone(suite)
+	slices.Reverse(out)
+	return out
+}
+
+// TestPrefixMemoServedCounter: the memo-served counter reports sharing on a
+// seq-2 sample, in the -stats counters line and as a /debug/metrics series,
+// and two consecutive Run calls with one Config serve exactly as many states
+// — each call starts with an empty memo, so nothing carries over.
+func TestPrefixMemoServedCounter(t *testing.T) {
+	sys, _ := SystemByName("nova")
+	cfg := Options{Bugs: bugs.None(), Obs: obs.New()}.ConfigFor(sys)
+	suite := ace.Seq2()[:112]
+	var served [2]int64
+	for i := range served {
+		c, _, err := Run(context.Background(), cfg, suite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served[i] = c.Obs.Count(obs.CtrMemoServed)
+		if i == 0 {
+			var metrics bytes.Buffer
+			c.Obs.WriteMetrics(&metrics)
+			if !strings.Contains(c.Obs.Render(0), fmt.Sprintf("memo-served=%d", served[i])) ||
+				!strings.Contains(metrics.String(), fmt.Sprintf("\nchipmunk_memo_served_total %d\n", served[i])) {
+				t.Errorf("memo-served=%d missing from -stats or /debug/metrics", served[i])
+			}
+		}
+	}
+	if served[0] == 0 || served[0] != served[1] {
+		t.Fatalf("memo-served over two Run calls = %v, want equal and > 0", served)
+	}
+}
+
+// TestCheckersArePrefixPure holds the shipped contracts to the Checker's
+// prefix-purity obligation (core/contract.go): every workload is checked
+// twice, once with its contract built from the full RunEnv and once through
+// a wrapping factory that builds the same contract, for each crash state,
+// from the RunEnv cut to k = max(Sys+1, AckedOps) — ops, oracle states and
+// op results past the bound removed, the name blanked. Any Finding that
+// differs shows up as a differing violation.
+func TestCheckersArePrefixPure(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		fs    string
+		opts  Options
+		suite []workload.Workload
+	}{
+		{"oracle/nova", "nova", Options{Bugs: bugs.AllSet()}, ace.Seq1()},
+		{"oracle/pmfs", "pmfs", Options{Bugs: bugs.AllSet()}, ace.Seq1()},
+		{"kv/nova", "nova", Options{Bugs: bugs.None(), App: "kv", AppBugs: kvstore.Bugs{DropSyncFlush: true}}, ace.KV()},
+		{"kv/pmfs", "pmfs", Options{Bugs: bugs.AllSet(), App: "kv", AppBugs: kvstore.Bugs{AcceptBadCRC: true}}, ace.KV()},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			sys, _ := SystemByName(c.fs)
+			cfg := c.opts.ConfigFor(sys)
+			inner := cfg.Checker
+			if inner == nil {
+				inner = core.NewOracleChecker
+			}
+			cut := cfg
+			cut.Checker = func(env core.RunEnv) core.Checker { return &prefixBound{env: env, inner: inner} }
+			findings := 0
+			for _, w := range c.suite {
+				want, err := core.RunContext(context.Background(), cfg, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := core.RunContext(context.Background(), cut, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := resultDiff(want, got); d != "" {
+					t.Errorf("%s: a contract read past its prefix: %s", w.Name, d)
+				}
+				findings += len(want.Violations)
+			}
+			if findings == 0 {
+				t.Fatal("no findings: the comparison is vacuous")
+			}
+		})
+	}
+}
+
+// prefixBound checks each crash state with inner's contract built from its
+// RunEnv cut to the state's prefix bound.
+type prefixBound struct {
+	env   core.RunEnv
+	inner core.CheckerFactory
+}
+
+func (p *prefixBound) Name() string { return "prefix-bound" }
+
+func (p *prefixBound) Check(fs vfs.FS, cctx *core.CheckContext) *core.Finding {
+	k := max(cctx.Sys+1, cctx.AckedOps)
+	env := p.env
+	env.Workload = workload.Workload{Ops: env.Workload.Ops[:k:k]}
+	env.OracleStates = env.OracleStates[: k+1 : k+1]
+	env.OpResults = env.OpResults[:k:k]
+	return p.inner(env).Check(fs, cctx)
+}

@@ -13,7 +13,9 @@ import (
 
 	"chipmunk/internal/ace"
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/core"
 	"chipmunk/internal/obs"
+	"chipmunk/internal/workload"
 )
 
 // TestCensusObsMerged: Run merges every engine run's snapshot into
@@ -52,19 +54,41 @@ func TestCensusObsMerged(t *testing.T) {
 	}
 }
 
+// journalModes are the three ways a suite must journal the same canonical
+// multiset: a loop of memo-less core.RunContext calls, and Run — which
+// shares crash points through its prefix memo — serially and over four
+// workers.
+var journalModes = []struct {
+	name    string
+	workers int // 0: the unshared core.RunContext loop
+}{{"unshared", 0}, {"j=1", 1}, {"j=4", 4}}
+
+func runJournalMode(t *testing.T, workers int, cfg core.Config, suite []workload.Workload) {
+	t.Helper()
+	if workers > 0 {
+		if _, _, err := Run(context.Background(), cfg, suite, WithWorkers(workers)); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	for _, w := range suite {
+		if _, err := core.RunContext(context.Background(), cfg, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestSuiteJournalDeterministic: a whole suite's journal is the same
-// canonical multiset whether workloads run serially or across 4 workers.
+// canonical multiset unshared, and shared serially or across 4 workers.
 func TestSuiteJournalDeterministic(t *testing.T) {
 	sys, _ := SystemByName("pmfs")
 	suite := ace.Seq1()[:6]
-	keys := map[int][]string{}
-	for _, j := range []int{1, 4} {
+	keys := map[string][]string{}
+	for _, mode := range journalModes {
 		var buf bytes.Buffer
 		jr := obs.NewJournal(&buf)
 		opts := Options{Bugs: bugs.None(), Cap: 2, Journal: jr}
-		if _, _, err := Run(context.Background(), opts.ConfigFor(sys), suite, WithWorkers(j)); err != nil {
-			t.Fatal(err)
-		}
+		runJournalMode(t, mode.workers, opts.ConfigFor(sys), suite)
 		if err := jr.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -77,37 +101,37 @@ func TestSuiteJournalDeterministic(t *testing.T) {
 			ks[i] = e.CanonicalKey()
 		}
 		sort.Strings(ks)
-		keys[j] = ks
+		keys[mode.name] = ks
 	}
-	if len(keys[1]) == 0 {
+	if len(keys["unshared"]) == 0 {
 		t.Fatal("empty suite journal")
 	}
-	if !reflect.DeepEqual(keys[1], keys[4]) {
-		t.Fatalf("suite journal multisets diverge: j=1 has %d events, j=4 has %d",
-			len(keys[1]), len(keys[4]))
+	for _, mode := range journalModes[1:] {
+		if !reflect.DeepEqual(keys["unshared"], keys[mode.name]) {
+			t.Fatalf("suite journal multisets diverge: unshared has %d events, %s has %d",
+				len(keys["unshared"]), mode.name, len(keys[mode.name]))
+		}
 	}
 }
 
 // TestSpanMultisetDeterministic: the canonical span multiset a suite emits
-// is byte-identical between serial and 8-worker suite runs — the acceptance
-// contract of the deterministic span layer. Span IDs are pure functions of
-// work coordinates, so only wall-clock fields (cleared by CanonicalKey) may
-// differ.
+// is byte-identical unshared, and shared serially or across 4 workers — the
+// acceptance contract of the deterministic span layer. Span IDs are pure
+// functions of work coordinates, so only wall-clock fields (cleared by
+// CanonicalKey) may differ.
 func TestSpanMultisetDeterministic(t *testing.T) {
 	sys, _ := SystemByName("pmfs")
 	suite := ace.Seq1()[:6]
-	multisets := map[int]string{}
+	multisets := map[string]string{}
 	spanCount := 0
-	for _, workers := range []int{1, 8} {
+	for _, mode := range journalModes {
 		var buf bytes.Buffer
 		jr := obs.NewJournal(&buf)
 		opts := Options{
 			Bugs: bugs.None(), Cap: 2,
 			Journal: jr, Tracer: obs.NewTracer(jr, 0, 0),
 		}
-		if _, _, err := Run(context.Background(), opts.ConfigFor(sys), suite, WithWorkers(workers)); err != nil {
-			t.Fatal(err)
-		}
+		runJournalMode(t, mode.workers, opts.ConfigFor(sys), suite)
 		if err := jr.Flush(); err != nil {
 			t.Fatal(err)
 		}
@@ -130,18 +154,20 @@ func TestSpanMultisetDeterministic(t *testing.T) {
 			ks = append(ks, e.CanonicalKey())
 		}
 		if roots != len(suite) {
-			t.Fatalf("workers=%d: %d root spans, want %d", workers, roots, len(suite))
+			t.Fatalf("%s: %d root spans, want %d", mode.name, roots, len(suite))
 		}
 		sort.Strings(ks)
 		spanCount = len(ks)
-		multisets[workers] = strings.Join(ks, "\n")
+		multisets[mode.name] = strings.Join(ks, "\n")
 	}
 	if spanCount == 0 {
 		t.Fatal("no spans emitted")
 	}
-	if multisets[1] != multisets[8] {
-		t.Fatalf("canonical span multisets diverge between workers=1 and workers=8:\n--- j=1 ---\n%s\n--- j=8 ---\n%s",
-			multisets[1], multisets[8])
+	for _, mode := range journalModes[1:] {
+		if multisets["unshared"] != multisets[mode.name] {
+			t.Fatalf("canonical span multisets diverge between unshared and %s:\n--- unshared ---\n%s\n--- %s ---\n%s",
+				mode.name, multisets["unshared"], mode.name, multisets[mode.name])
+		}
 	}
 }
 

@@ -31,6 +31,16 @@ type runConfig struct {
 	workers  int
 	stopOnce bool
 	progress Progress
+	// results, when set, receives each workload's engine Result at its
+	// suite index — for the differential tests, which compare Results, not
+	// censuses. Calls may be concurrent.
+	results func(i int, res *core.Result)
+}
+
+func (rc runConfig) onResult(i int, res *core.Result) {
+	if rc.results != nil {
+		rc.results(i, res)
+	}
 }
 
 // WithWorkers runs the suite across n worker goroutines — the in-process
@@ -137,11 +147,22 @@ func (n *notifier) stop() {
 //
 // Cancelling ctx stops the run promptly; the partial census of workloads
 // that completed is returned together with ctx's error.
+//
+// The suite's engine runs share one core.PrefixMemo, which lives for this
+// call: a crash point inside an op prefix an earlier workload already
+// checked is served from it instead of being checked again, with the same
+// Result (core/memo.go has the argument, TestPrefixMemoMatchesUnshared the
+// differential).
 func Run(ctx context.Context, cfg core.Config, suite []workload.Workload, opts ...Option) (*Census, []core.Violation, error) {
 	rc := runConfig{workers: 1}
 	for _, o := range opts {
 		o(&rc)
 	}
+	return rc.run(ctx, cfg, suite)
+}
+
+func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.Workload) (*Census, []core.Violation, error) {
+	memo := core.NewPrefixMemo()
 	workers := rc.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -163,13 +184,14 @@ func Run(ctx context.Context, cfg core.Config, suite []workload.Workload, opts .
 			if err := ctx.Err(); err != nil {
 				return finalize(viol, err)
 			}
-			res, err := core.RunContext(ctx, cfg, w)
+			res, err := memo.Run(ctx, cfg, w)
 			if err != nil {
 				if ctx.Err() != nil {
 					return finalize(viol, ctx.Err())
 				}
 				return nil, nil, fmt.Errorf("workload %s: %w", w.Name, err)
 			}
+			rc.onResult(i, res)
 			agg.add(res)
 			viol = append(viol, res.Violations...)
 			if rc.progress != nil {
@@ -205,7 +227,7 @@ func Run(ctx context.Context, cfg core.Config, suite []workload.Workload, opts .
 				if j >= len(suite) {
 					return
 				}
-				res, err := core.RunContext(ctx, cfg, suite[j])
+				res, err := memo.Run(ctx, cfg, suite[j])
 				if err != nil {
 					errs[j] = err
 					if ctx.Err() == nil {
@@ -214,6 +236,7 @@ func Run(ctx context.Context, cfg core.Config, suite []workload.Workload, opts .
 					continue
 				}
 				results[j] = res
+				rc.onResult(j, res)
 				mu.Lock()
 				agg.add(res)
 				done, snap := agg.c.Workloads, *agg.c

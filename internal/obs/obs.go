@@ -170,6 +170,12 @@ const (
 	// CtrDistinctBugs counts deduplicated violation clusters in the fleet
 	// bug census: distinct (kind, FS, trace prefix) triples.
 	CtrDistinctBugs
+	// CtrMemoServed counts crash states whose verdict a run took from its
+	// prefix memo (core.PrefixMemo) instead of checking them: they are also
+	// counted in CtrStatesChecked. Measurement-class: which member of a
+	// shared prefix checks it and which are served depends on the order
+	// workloads complete in.
+	CtrMemoServed
 	numCounters
 )
 
@@ -199,6 +205,8 @@ var counterNames = [numCounters]string{
 	CtrCorpusEntries: "corpus-entries",
 	CtrCoverageEdges: "coverage-edges",
 	CtrDistinctBugs:  "distinct-bugs",
+
+	CtrMemoServed: "memo-served",
 }
 
 func (c Counter) String() string {
@@ -219,7 +227,8 @@ func (c Counter) Deterministic() bool {
 	case CtrFaultsInjected, CtrImagePrimes, CtrImagesRetired, CtrSandboxRunners,
 		CtrBytesMaterialized, CtrBytesPrimed, CtrBytesRolledBack,
 		CtrShardsQuarantined, CtrOracleSnapshotHits,
-		CtrFuzzExecs, CtrCorpusEntries, CtrCoverageEdges, CtrDistinctBugs:
+		CtrFuzzExecs, CtrCorpusEntries, CtrCoverageEdges, CtrDistinctBugs,
+		CtrMemoServed:
 		return false
 	}
 	return true

@@ -17,52 +17,54 @@ import (
 //	rename /f0 /f1
 //	sync
 func Format(w Workload) string {
-	var b strings.Builder
+	var b []byte
 	if w.Name != "" {
-		fmt.Fprintf(&b, "# name: %s\n", w.Name)
+		b = append(append(append(b, "# name: "...), w.Name...), '\n')
 	}
 	for _, op := range w.Ops {
-		b.WriteString(formatOp(op))
-		b.WriteByte('\n')
+		b = append(AppendOp(b, op), '\n')
 	}
-	return b.String()
+	return string(b)
 }
 
-func formatOp(op Op) string {
-	parts := []string{op.Kind.String()}
+// AppendOp appends op's Format line, without the newline, to b. It
+// allocates only to grow b, so the engine can key per-op prefixes on the
+// canonical text cheaply.
+func AppendOp(b []byte, op Op) []byte {
+	b = append(b, op.Kind.String()...)
 	switch op.Kind {
 	case OpLink, OpRename:
-		parts = append(parts, op.Path, op.Path2)
+		b = append(append(append(append(b, ' '), op.Path...), ' '), op.Path2...)
 	case OpSetxattr, OpRemovexattr:
-		parts = append(parts, op.Path, "attr="+op.Path2)
+		b = append(append(append(append(b, ' '), op.Path...), " attr="...), op.Path2...)
 	case OpClose:
 		// fd-only
 	case OpSync, OpKVSync:
 		// no args
 	case OpKVPut, OpKVDel, OpKVGet:
 		// Keys are not "/"-prefixed paths, so they need an explicit tag.
-		parts = append(parts, "key="+op.Path)
+		b = append(append(b, " key="...), op.Path...)
 	default:
 		if op.Path != "" {
-			parts = append(parts, op.Path)
+			b = append(append(b, ' '), op.Path...)
 		}
 	}
 	if op.FDSlot >= 0 && !op.Kind.AppLevel() {
-		parts = append(parts, fmt.Sprintf("fd=%d", op.FDSlot))
+		b = strconv.AppendInt(append(b, " fd="...), int64(op.FDSlot), 10)
 	}
 	switch op.Kind {
 	case OpPwrite, OpFalloc:
-		parts = append(parts, fmt.Sprintf("off=%d", op.Off))
+		b = strconv.AppendInt(append(b, " off="...), op.Off, 10)
 	}
 	switch op.Kind {
 	case OpWrite, OpPwrite, OpTruncate, OpFalloc, OpKVPut, OpKVGet:
-		parts = append(parts, fmt.Sprintf("size=%d", op.Size))
+		b = strconv.AppendInt(append(b, " size="...), op.Size, 10)
 	}
 	switch op.Kind {
 	case OpWrite, OpPwrite, OpSetxattr, OpKVPut, OpKVGet:
-		parts = append(parts, fmt.Sprintf("seed=%d", op.Seed))
+		b = strconv.AppendUint(append(b, " seed="...), uint64(op.Seed), 10)
 	}
-	return strings.Join(parts, " ")
+	return b
 }
 
 var kindByName = func() map[string]OpKind {

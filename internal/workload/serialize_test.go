@@ -40,8 +40,8 @@ func TestFormatParseRoundTrip(t *testing.T) {
 		a, b := w.Ops[i], got.Ops[i]
 		// Normalize: fields Format does not emit for this kind are zeroed
 		// in the round-trip; compare the emitted surface instead.
-		if formatOp(a) != formatOp(b) {
-			t.Errorf("op %d: %q != %q", i, formatOp(a), formatOp(b))
+		if fa, fb := string(AppendOp(nil, a)), string(AppendOp(nil, b)); fa != fb {
+			t.Errorf("op %d: %q != %q", i, fa, fb)
 		}
 	}
 }
