@@ -15,6 +15,7 @@ import (
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/core"
 	"chipmunk/internal/obs"
+	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
 	"chipmunk/internal/vfs"
 	"chipmunk/internal/workload"
@@ -93,6 +94,17 @@ func memoCases(t *testing.T) []memoCase {
 			memoCase{name: "nova/" + bm.name + "/prefix", cfg: cfg, suite: tail, shares: true},
 			memoCase{name: "nova/" + bm.name + "/prefix-reversed", cfg: cfg, suite: reversed(tail), shares: true})
 	}
+
+	// The hostile guest: every crash state's Mount panics, and with retries
+	// off each is quarantined on its first attempt, retiring its image.
+	for _, name := range []string{"nova", "pmfs"} {
+		sys, _ := SystemByName(name)
+		cfg := Options{Bugs: bugs.None(), Obs: obs.New()}.ConfigFor(sys)
+		newFS := cfg.NewFS
+		cfg.NewFS = func(pm *persist.PM) vfs.FS { return mountPanicFS{newFS(pm)} }
+		cfg.CheckRetries = -1
+		cases = append(cases, memoCase{name: name + "/hostile/seq1", cfg: cfg, suite: ace.Seq1(), shares: true})
+	}
 	return cases
 }
 
@@ -148,22 +160,26 @@ func TestPrefixMemoMatchesUnshared(t *testing.T) {
 	}
 }
 
+// canonical is the part of r the engine guarantees deterministic: everything
+// but the Obs snapshot, which resultDiff compares by its deterministic
+// counters, and a quarantined state's captured stack, which is diagnostic.
+func canonical(r *core.Result) core.Result {
+	c := *r
+	c.Obs = nil
+	c.Quarantined = slices.Clone(c.Quarantined)
+	for i := range c.Quarantined {
+		c.Quarantined[i].Stack = ""
+	}
+	return c
+}
+
 // resultDiff names the Result fields a and b disagree on ("" if none),
 // comparing the Obs snapshots by their deterministic counters only.
 func resultDiff(a, b *core.Result) string {
 	if b == nil {
 		return "no result"
 	}
-	canon := func(r *core.Result) core.Result {
-		c := *r
-		c.Obs = nil
-		c.Quarantined = slices.Clone(c.Quarantined)
-		for i := range c.Quarantined {
-			c.Quarantined[i].Stack = ""
-		}
-		return c
-	}
-	ca, cb := canon(a), canon(b)
+	ca, cb := canonical(a), canonical(b)
 	va, vb := reflect.ValueOf(ca), reflect.ValueOf(cb)
 	var diff []string
 	for i := 0; i < va.NumField(); i++ {
