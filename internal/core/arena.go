@@ -13,12 +13,10 @@ import (
 // This file holds the allocation machinery behind the zero-alloc check loop:
 // per-fence bump arenas for the small per-state slices (subset indices,
 // merged spans, byte-diff keys) and a process-wide, size-keyed free list of
-// recording rigs, crash images and full-copy buffers, so steady-state runs
-// recycle their device-sized memory across fences, workloads, and engine
-// runs instead of reallocating it — and, through the page sets, clear and
-// copy it at the cost of the pages a run touched, not of the device.
-// Config.DisableBufferReuse bypasses the free list (every grab is a fresh
-// allocation, every put a drop) for differential testing.
+// recording rigs and crash images, so steady-state runs recycle their
+// device-sized memory across fences, workloads, and engine runs instead of
+// reallocating it — and, through the page sets, clear and copy it at the
+// cost of the pages a run touched, not of the device.
 //
 // Ownership protocol, in one place. "Owner" is whoever owns the checker: the
 // supervisor until it starts the run's runner, then the runner, and after a
@@ -158,14 +156,12 @@ var scratchPool sync.Pool
 // (engine.go checks; the protocol above says why).
 var logPool sync.Pool
 
-// grabLog returns an empty trace log, recycled when reuse is enabled.
-func grabLog(fresh bool) *trace.Log {
-	if !fresh {
-		if v := logPool.Get(); v != nil {
-			l := v.(*trace.Log)
-			l.Reset()
-			return l
-		}
+// grabLog returns an empty trace log, recycled when the pool has one.
+func grabLog() *trace.Log {
+	if v := logPool.Get(); v != nil {
+		l := v.(*trace.Log)
+		l.Reset()
+		return l
 	}
 	return trace.NewLog()
 }
@@ -228,7 +224,6 @@ type freeList[T any] struct {
 var (
 	rigs   freeList[*rig]
 	images freeList[*workerImage]
-	bufs   freeList[[]byte]
 )
 
 func (f *freeList[T]) get(size int) (v T, ok bool) {
@@ -284,65 +279,31 @@ func newRig(size int) *rig {
 // grabRig returns a rig whose recording device is just-rebooted over two
 // zeroed images; the baseline and scratch hold stale bytes until the run
 // writes them. A recycled rig clears only the pages its last run's device
-// wrote. fresh (Config.DisableBufferReuse) always allocates.
-func grabRig(size int, fresh bool) *rig {
-	if !fresh {
-		if r, ok := rigs.get(size); ok {
-			r.devPages.Clear(r.vol, r.pers)
-			r.dev.Reset()
-			return r
-		}
+// wrote.
+func grabRig(size int) *rig {
+	if r, ok := rigs.get(size); ok {
+		r.devPages.Clear(r.vol, r.pers)
+		r.dev.Reset()
+		return r
 	}
 	return newRig(size)
 }
 
 // putRig recycles a rig at the end of its run (see the ownership protocol).
-func putRig(r *rig, fresh bool) {
-	if !fresh {
-		rigs.put(len(r.vol), r)
-	}
-}
-
-// grabBuf returns a []byte of the given size with unspecified contents: the
-// full-copy reference engine's per-state buffers
-// (Config.DisableDeltaMaterialize), which it re-copies in full before every
-// use, so they need no page set. fresh bypasses the free list
-// (Config.DisableBufferReuse).
-func grabBuf(size int, fresh bool) []byte {
-	if !fresh {
-		if b, ok := bufs.get(size); ok {
-			return b
-		}
-	}
-	return make([]byte, size)
-}
-
-// putBuf recycles a grabBuf buffer. Never put a buffer a goroutine may still
-// touch — see the ownership protocol at the top of this file.
-func putBuf(b []byte, fresh bool) {
-	if !fresh {
-		bufs.put(len(b), b)
-	}
-}
+func putRig(r *rig) { rigs.put(len(r.vol), r) }
 
 // grabImage returns a recycled crash image (possibly stale — prime consults
 // its run token and generation before trusting it) for a slot to keep until
 // the run ends.
 func (ck *checker) grabImage() *workerImage {
-	if !ck.cfg.DisableBufferReuse {
-		if wi, ok := images.get(ck.devSize); ok {
-			return wi
-		}
+	if wi, ok := images.get(ck.devSize); ok {
+		return wi
 	}
 	return newWorkerImage(ck.devSize)
 }
 
 // putImage recycles a slot's clean image at run end.
-func (ck *checker) putImage(wi *workerImage) {
-	if !ck.cfg.DisableBufferReuse {
-		images.put(ck.devSize, wi)
-	}
-}
+func (ck *checker) putImage(wi *workerImage) { images.put(ck.devSize, wi) }
 
 // CheckPooledPages reports the first free-listed buffer that holds a
 // non-zero byte outside its page set, or nil when every one keeps the

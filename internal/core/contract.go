@@ -87,10 +87,9 @@ type Checker interface {
 // the call sees what it published through the goroutine start; a Check
 // abandoned at an earlier crash point may still be reading an older view, so
 // anything PrepareCrashPoint builds must be published by replacement and
-// treated as frozen from then on. The engine skips the
-// hook entirely under Config.DisableOracleSnapshot, so implementations must
-// also work without preparation (build-per-call), and the differential tests
-// hold them to byte-identical verdicts either way.
+// treated as frozen from then on. A checker used outside an engine run is
+// never prepared, so implementations must also work without preparation
+// (build-per-call), with byte-identical verdicts.
 type CrashPointPreparer interface {
 	PrepareCrashPoint(cctx *CheckContext)
 }

@@ -65,7 +65,6 @@ type checker struct {
 	exit    chan runnerExit
 	epoch   time.Time
 	doneC   <-chan struct{}
-	direct  bool
 	timeout time.Duration
 	retries int
 
@@ -106,10 +105,9 @@ type checker struct {
 	basePages *pmem.PageSet
 
 	// prep is the contract's optional per-crash-point hook (nil when the
-	// contract has none or Config.DisableOracleSnapshot is set): the owner
-	// calls it once per fence before checking that fence's states, so they
-	// share one immutable snapshot instead of each rebuilding the
-	// oracle-visible view.
+	// contract has none): the owner calls it once per fence before checking
+	// that fence's states, so they share one immutable snapshot instead of
+	// each rebuilding the oracle-visible view.
 	prep CrashPointPreparer
 
 	// spansCoalesced counts raw write spans merged away during dedup
@@ -467,7 +465,7 @@ func (ck *checker) enumerate(sys int) {
 	})
 
 	// One immutable oracle snapshot per crash point, shared by every state
-	// checked at it (nil when the contract has none or the knob is off).
+	// checked at it (nil when the contract has none).
 	if ck.prep != nil && len(distinct) > 0 {
 		ck.prep.PrepareCrashPoint(ctx.check())
 	}

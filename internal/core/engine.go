@@ -78,37 +78,6 @@ type Config struct {
 	// pressure) from deterministic ones (0 = DefaultCheckRetries;
 	// negative = no retries).
 	CheckRetries int
-	// DisableSandbox runs every check inline on the caller's goroutine — the
-	// pre-sandbox engine, kept for differential testing. A panicking or
-	// hanging guest then takes the engine down with it. Ignored (the sandbox
-	// is forced) when Faults is enabled, because media errors surface as
-	// panics only the sandbox can classify.
-	DisableSandbox bool
-	// DisableDeltaMaterialize materializes every crash state by two full
-	// device copies into pooled buffers — the pre-O(diff) engine — instead
-	// of the default prime-once/delta-apply/rollback-after path. Kept for
-	// differential testing (mirroring DisableSandbox): results are
-	// guaranteed byte-identical either way; only the copy cost differs.
-	DisableDeltaMaterialize bool
-	// DisableCoalescedApply materializes and reverts each crash state per
-	// in-flight store instead of per coalesced byte-diff run — the
-	// pre-coalescing delta engine. Kept for differential testing (results
-	// are guaranteed byte-identical; only the copy count differs). Fault
-	// injection always uses the per-store path regardless, because torn
-	// stores are a per-store phenomenon.
-	DisableCoalescedApply bool
-	// DisableOracleSnapshot stops the engine from offering contracts the
-	// per-crash-point preparation hook (CrashPointPreparer): every check
-	// then re-derives the oracle-visible view itself, as the pre-snapshot
-	// engine did. Kept for differential testing — verdicts are guaranteed
-	// byte-identical; only the per-check setup cost differs.
-	DisableOracleSnapshot bool
-	// DisableBufferReuse gives every device-sized buffer and crash image a
-	// fresh, zeroed allocation instead of recycling it through the
-	// process-wide free list — the pre-pooling allocation behavior. Kept
-	// for differential testing: byte-identical results, pessimal
-	// allocation rate.
-	DisableBufferReuse bool
 	// ExhaustiveLimit overrides the exhaustive-enumeration bound: fences
 	// with more in-flight writes fall back to SafetyCap, counted in
 	// Result.TruncatedFences (0 = DefaultExhaustiveLimit).
@@ -426,8 +395,8 @@ func run(ctx context.Context, cfg Config, w workload.Workload, memo *PrefixMemo)
 	// next grab can clear by pages.
 	rbegin := tr.Begin()
 	rt := col.Start()
-	rg := grabRig(int(devSize), cfg.DisableBufferReuse)
-	defer putRig(rg, cfg.DisableBufferReuse)
+	rg := grabRig(int(devSize))
+	defer putRig(rg)
 	dev := rg.dev
 	pm := persist.New(dev)
 	pm.TraceStores = cfg.TraceStores
@@ -438,7 +407,7 @@ func run(ctx context.Context, cfg Config, w workload.Workload, memo *PrefixMemo)
 	// The baseline is the persistent image after Mkfs, copied over the
 	// pages either may hold non-zero bytes on.
 	rg.basePages.Copy(rg.baseline, rg.pers, rg.devPages)
-	log := grabLog(cfg.DisableBufferReuse)
+	log := grabLog()
 	rec := persist.NewRecorder(log)
 	pm.Attach(rec)
 	targetResults := workload.Run(target, w, workload.Hooks{
@@ -489,17 +458,15 @@ func run(ctx context.Context, cfg Config, w workload.Workload, memo *PrefixMemo)
 		Obs:          col,
 	})
 	cbegin := tr.Begin()
-	ck := &checker{ctx: ctx, cfg: cfg, caps: caps, w: w, contract: contract, res: res,
+	prep, _ := contract.(CrashPointPreparer)
+	ck := &checker{ctx: ctx, cfg: cfg, caps: caps, w: w, contract: contract, prep: prep, res: res,
 		obs: col, journal: cfg.Journal,
 		tracer: tr, checkSpan: tr.ID("check", w.Name, 0, 0),
 		runID: runIDs.Add(1), memo: memoWalk{m: memo, op: -1}}
-	if !cfg.DisableOracleSnapshot {
-		ck.prep, _ = contract.(CrashPointPreparer)
-	}
 	if err := ck.supervise(rg, log); err != nil {
 		return nil, err
 	}
-	if !cfg.DisableBufferReuse && ck.abandoned.Load() == 0 {
+	if ck.abandoned.Load() == 0 {
 		logPool.Put(log)
 	}
 	tr.Span("check", cbegin, wlSpan, obs.Event{

@@ -1,11 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/obs"
 	"chipmunk/internal/pmem"
+	"chipmunk/internal/workload"
 )
 
 // TestFaultInjectionDeterministic: fault decisions are pure functions of
@@ -68,33 +71,17 @@ func TestFaultMediaErrorsClassified(t *testing.T) {
 	}
 }
 
-// TestFaultsForceSandbox: DisableSandbox must be ignored when faults are on
-// — media errors surface as panics only the sandbox can classify, so an
-// inline run would crash the engine.
-func TestFaultsForceSandbox(t *testing.T) {
-	w := renameWorkload()
-	res := mustRun(t, Config{
-		NewFS:          novaFS(bugs.None()),
-		DisableSandbox: true,
-		Faults:         &pmem.FaultConfig{Seed: 1, ReadErrOneInN: 1},
-	}, w)
-	if len(res.Violations) == 0 {
-		t.Fatal("poisoned run reported nothing")
-	}
-	for i, v := range res.Violations {
-		if v.Kind != VUnreadable {
-			t.Fatalf("violation %d: kind %v, want VUnreadable", i, v.Kind)
-		}
-	}
-}
-
-// TestFaultsOffMatchesBaseline: a nil/zero FaultConfig is a no-op — the run
-// must equal a fault-free run exactly.
+// TestFaultsOffMatchesBaseline: a zero-rate FaultConfig is a no-op — the run
+// must equal a fault-free run in every Result field but the Obs snapshot.
 func TestFaultsOffMatchesBaseline(t *testing.T) {
-	w := renameWorkload()
-	base := mustRun(t, Config{NewFS: novaFS(bugs.None())}, w)
-	zero := mustRun(t, Config{NewFS: novaFS(bugs.None()), Faults: &pmem.FaultConfig{Seed: 9}}, w)
-	if base.StatesChecked != zero.StatesChecked || len(base.Violations) != len(zero.Violations) {
-		t.Errorf("zero-rate FaultConfig changed the run: %+v vs %+v", zero, base)
+	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
+		for _, w := range []workload.Workload{renameWorkload(), mixedWorkload()} {
+			base := mustRun(t, Config{NewFS: novaFS(set), Obs: obs.New()}, w)
+			zero := mustRun(t, Config{NewFS: novaFS(set), Obs: obs.New(), Faults: &pmem.FaultConfig{Seed: 9}}, w)
+			base.Obs, zero.Obs = nil, nil
+			if !reflect.DeepEqual(base, zero) {
+				t.Errorf("%s: zero-rate FaultConfig changed the run:\n%+v\nvs fault-free\n%+v", w.Name, zero, base)
+			}
+		}
 	}
 }

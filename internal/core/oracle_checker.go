@@ -111,9 +111,8 @@ func (oc *oracleChecker) PrepareCrashPoint(cctx *CheckContext) {
 }
 
 // snapshotFor returns the crash point's prepared snapshot, or builds a
-// throwaway one when none was published (Config.DisableOracleSnapshot, or a
-// checker used outside an engine run) — the legacy per-check cost, with the
-// identical verdict.
+// throwaway one when none was published (a checker used outside an engine
+// run) — the per-check cost, with the identical verdict.
 func (oc *oracleChecker) snapshotFor(cctx *CheckContext) *oracleSnapshot {
 	if m, _ := oc.snaps.Load().(map[int]*oracleSnapshot); m != nil {
 		if s, ok := m[cctx.Sys]; ok {

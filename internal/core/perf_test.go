@@ -67,63 +67,6 @@ func TestCoalesceSpans(t *testing.T) {
 	}
 }
 
-// perfKnobMatrix runs one Disable* knob through the same differential the
-// delta materializer is held to: full-Result agreement across clean and buggy
-// systems, on two workloads.
-func perfKnobMatrix(t *testing.T, name string, legacy func(*Config)) {
-	t.Helper()
-	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
-		for _, w := range []struct {
-			name string
-			wl   func() workload.Workload
-		}{
-			{"mixed", mixedWorkload},
-			{"rename", renameWorkload},
-		} {
-			legacyCfg := Config{NewFS: novaFS(set)}
-			legacy(&legacyCfg)
-			old := mustRun(t, legacyCfg, w.wl())
-			new := mustRun(t, Config{NewFS: novaFS(set)}, w.wl())
-			label := name + "/" + w.name
-			if len(set.IDs()) > 0 {
-				label += "/buggy"
-			}
-			compareDeltaResults(t, label, old, new)
-		}
-	}
-}
-
-// TestCoalescedApplyMatchesPerStore: materializing a crash state by copying
-// its coalesced diff runs must be byte-identical to replaying every in-flight
-// store individually — overlaps were already resolved last-writer-wins when
-// the key was computed.
-func TestCoalescedApplyMatchesPerStore(t *testing.T) {
-	perfKnobMatrix(t, "coalesce", func(c *Config) { c.DisableCoalescedApply = true })
-}
-
-// TestOracleSnapshotMatchesPerCheck: sharing one frozen oracle snapshot per
-// crash point must produce verdicts byte-identical to rebuilding the
-// pre/post view inside every check.
-func TestOracleSnapshotMatchesPerCheck(t *testing.T) {
-	perfKnobMatrix(t, "snapshot", func(c *Config) { c.DisableOracleSnapshot = true })
-}
-
-// TestBufferReuseMatchesFresh: recycling device-sized buffers and image pairs
-// through the cross-run pools must change nothing — including on a warm
-// second run, where every grab is a recycle of the first run's memory.
-func TestBufferReuseMatchesFresh(t *testing.T) {
-	perfKnobMatrix(t, "pooling", func(c *Config) { c.DisableBufferReuse = true })
-
-	// Warm-pool differential: the second pooled run recycles the first one's
-	// buffers; a stale byte surviving a recycle shows up here.
-	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
-		fresh := mustRun(t, Config{NewFS: novaFS(set), DisableBufferReuse: true}, mixedWorkload())
-		_ = mustRun(t, Config{NewFS: novaFS(set)}, mixedWorkload())
-		warm := mustRun(t, Config{NewFS: novaFS(set)}, mixedWorkload())
-		compareDeltaResults(t, "pooling/warm", fresh, warm)
-	}
-}
-
 // TestOracleSnapshotShared: on an engine run the coordinator prepares each
 // crash point's snapshot before dispatch, so every mid-syscall check is a
 // cache hit — the counter that proves the sharing actually engages.
@@ -133,13 +76,6 @@ func TestOracleSnapshotShared(t *testing.T) {
 	hits := res.Obs.Count(obs.CtrOracleSnapshotHits)
 	if hits == 0 {
 		t.Fatal("no oracle snapshot hits on a mid-syscall-heavy workload")
-	}
-	off := obs.New()
-	resOff := mustRun(t, Config{
-		NewFS: novaFS(bugs.None()), Obs: off, DisableOracleSnapshot: true,
-	}, mixedWorkload())
-	if h := resOff.Obs.Count(obs.CtrOracleSnapshotHits); h != 0 {
-		t.Errorf("DisableOracleSnapshot still hit the cache %d times", h)
 	}
 }
 

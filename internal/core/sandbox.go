@@ -68,8 +68,7 @@ import (
 // materialized by applying only its subset's merged byte spans (the spans
 // stateKey already computed during dedup), and after the check the image is
 // restored — guest mount-time mutations via the device's undo log, the
-// delta spans by re-copying them from the base. Config.DisableDeltaMaterialize
-// selects the legacy two-full-copies-per-state path for differential tests.
+// delta spans by re-copying them from the base.
 
 // checkOutcome is what one checked crash state contributes to the result;
 // the runner folds it, in canonical rank order, via fold.
@@ -217,7 +216,6 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 	ck.devSize = len(rg.baseline)
 	ck.scratch = rg.scratch
 	ck.basePages = rg.basePages
-	ck.direct = ck.cfg.DisableSandbox && !ck.cfg.Faults.Enabled()
 	if ck.timeout = ck.cfg.CheckTimeout; ck.timeout == 0 {
 		ck.timeout = DefaultCheckTimeout
 	}
@@ -229,26 +227,20 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 	if ck.ctx != nil {
 		ck.doneC = ck.ctx.Done()
 	}
-	var scr *fenceScratch
-	if !ck.cfg.DisableBufferReuse {
-		scr = ck.loanScratch()
-	}
+	scr := ck.loanScratch()
 	// A runner can be abandoned mid-walk, so the walk's clean-ups run here,
 	// once, after the last runner the supervisor waits for: images no guest
 	// can still be holding go back to the free list, and the fence scratch
-	// is recycled unless an abandoned guest may still be reading it. A
-	// panic on its way to RunContext's caller — an engine panic, or a guest
-	// panic without the sandbox — may have left the image between
-	// applyDelta and revert, with bytes outside its page set: it is
+	// is recycled unless an abandoned guest may still be reading it. An
+	// engine panic on its way to RunContext's caller may have left the image
+	// between applyDelta and revert, with bytes outside its page set: it is
 	// forfeited, not recycled.
 	defer func() {
 		r := recover()
 		if sl := ck.slot; r == nil && sl != nil && sl.wi != nil && !sl.abandoned() {
 			ck.putImage(sl.wi)
 		}
-		if scr != nil {
-			ck.returnScratch(scr)
-		}
+		ck.returnScratch(scr)
 		if r != nil {
 			panic(r)
 		}
@@ -259,10 +251,6 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 	ck.advGen = -1
 	ck.obs.ObserveSince(obs.StageReplay, wt)
 
-	if ck.direct {
-		ck.slot = newSlot(tryState{})
-		return ck.walk(ck.slot)
-	}
 	// Walk inline until the first guest check is due; most short runs on
 	// weak systems end here without ever starting a goroutine.
 	if err := ck.walk(nil); err != errNeedRunner {
@@ -307,9 +295,7 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 		case sl.lease.CompareAndSwap(w, leaseAbandoned):
 			// (A lost CAS means the phase settled in the race window: the
 			// runner kept it.)
-			if sl.wi != nil { // the full-copy path holds no pooled image
-				ck.obs.Inc(obs.CtrImagesRetired)
-			}
+			ck.obs.Inc(obs.CtrImagesRetired)
 			ck.abandoned.Add(1)
 			if cancelErr != nil {
 				return cancelErr
@@ -333,18 +319,15 @@ func (ck *checker) now() int64 { return int64(time.Since(ck.epoch)) }
 // Supervisor-only.
 func (ck *checker) startRunner(try tryState) {
 	sl := newSlot(try)
-	if !ck.cfg.DisableDeltaMaterialize {
-		// The runner's image is grabbed and primed here (the runner's own
-		// prime is then a no-op): this goroutine just built the base, so
-		// the copy is cache-warm, and a one-state run's runner lives no
-		// longer than its guest phase — short enough that the M its start
-		// woke is still spinning when it finishes, which saves the second
-		// futex wake-up.
-		rt := ck.obs.Start()
-		sl.wi = ck.grabImage()
-		ck.prime(sl.wi, ck.cur.img, ck.cur.log)
-		ck.obs.ObserveSince(obs.StageReplay, rt)
-	}
+	// The runner's image is grabbed and primed here (the runner's own prime
+	// is then a no-op): this goroutine just built the base, so the copy is
+	// cache-warm, and a one-state run's runner lives no longer than its
+	// guest phase — short enough that the M its start woke is still spinning
+	// when it finishes, which saves the second futex wake-up.
+	rt := ck.obs.Start()
+	sl.wi = ck.grabImage()
+	ck.prime(sl.wi, ck.cur.img, ck.cur.log)
+	ck.obs.ObserveSince(obs.StageReplay, rt)
 	ck.slot = sl
 	ck.obs.Inc(obs.CtrSandboxRunners)
 	// The two hand-offs of a run bill where the per-state ones used to, so
@@ -373,9 +356,6 @@ func (ck *checker) startRunner(try tryState) {
 // the classification of the last one.
 func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState, cctx crashCtx) (checkOutcome, error) {
 	cctx.subset = st.subset
-	if ck.direct {
-		return checkOutcome{v: ck.attempt(sl, img, log, st, cctx).v, ctx: cctx}, nil
-	}
 	try := &sl.try
 	for resumed := try.attempts > 0; ; resumed = false {
 		if !resumed {
@@ -496,9 +476,6 @@ func newWorkerImage(size int) *workerImage {
 // mount/check phase needs containment; media-error panics are raised at read
 // time, inside that phase.
 func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, cctx crashCtx) attemptResult {
-	if ck.cfg.DisableDeltaMaterialize {
-		return ck.attemptFullCopy(sl, img, log, st.subset, cctx)
-	}
 	rt := ck.obs.Start()
 	wi := sl.wi
 	if wi == nil {
@@ -510,7 +487,7 @@ func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, 
 	// recipe: apply (and later revert) each coalesced run once. Fault
 	// injection tears individual stores, so it must go through the
 	// per-store path — a torn prefix can differ from the diff runs.
-	coal := st.keyed && inj == nil && !ck.cfg.DisableCoalescedApply
+	coal := st.keyed && inj == nil
 	ck.prime(wi, img, log)
 	flipOff, flipped := ck.applyDelta(wi, log, st, inj, coal)
 	ck.obs.ObserveSince(obs.StageReplay, rt)
@@ -540,13 +517,7 @@ func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, 
 // run's contract, the undo rollback — on the calling runner under the slot's
 // lease. Arm, then settle: whoever wins the CAS on the armed word owns the
 // image and the checker afterwards. mt is the already-open mount window.
-// Config.DisableSandbox (ck.direct) runs the same phase with the guard
-// skipped: no lease, no recover.
 func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx crashCtx, mt time.Time) (res attemptResult) {
-	if ck.direct {
-		v, ct := ck.checkState(dev, cctx, mt)
-		return attemptResult{ok: true, v: v, checkStart: ct, rolledBack: rollback(undo)}
-	}
 	armed := leaseRunning
 	if ck.timeout > 0 {
 		armed |= (ck.now() + int64(ck.timeout)) << leaseBits
@@ -582,20 +553,11 @@ func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx cr
 	// Undo the guest's mount-time mutations while still holding the lease,
 	// THEN settle: the caller reverts only the delta spans. If abandonment
 	// won the CAS the rollback was wasted work on a retired buffer — harmless.
-	rolledBack := rollback(undo)
+	rolledBack := undo.Rollback()
 	if !sl.lease.CompareAndSwap(armed, leaseClean) {
 		return attemptResult{lost: true}
 	}
 	return attemptResult{ok: true, v: v, checkStart: ct, rolledBack: rolledBack}
-}
-
-// rollback undoes the guest's mutations (the full-copy path has no undo log:
-// its buffers are rebuilt from scratch for every attempt).
-func rollback(undo *pmem.UndoLog) int64 {
-	if undo == nil {
-		return 0
-	}
-	return undo.Rollback()
 }
 
 // prime establishes the image invariant for the current run and
@@ -637,9 +599,9 @@ func (ck *checker) prime(wi *workerImage, base []byte, log *trace.Log) {
 // overlapping stores were already resolved, last-writer-wins, when the key
 // was computed. Otherwise the subset's writes land per store in program
 // order (torn to a word-aligned prefix when the injector says so), then the
-// injected bit flip. The just-rebooted volatile == persistent invariant the
-// legacy path establishes by copying is structural here: the unified device
-// serves both images from wi.img. Cost is O(diff bytes) coalesced,
+// injected bit flip. The just-rebooted volatile == persistent invariant is
+// structural: the unified device serves both images from wi.img. Cost is
+// O(diff bytes) coalesced,
 // O(subset bytes) otherwise; both independent of device size.
 func (ck *checker) applyDelta(wi *workerImage, log *trace.Log, st crashState, inj *pmem.Injector, coal bool) (flipOff int64, flipped bool) {
 	if coal {
@@ -726,60 +688,6 @@ func beUint64(s string) uint64 {
 func beUint32(s string) uint32 {
 	_ = s[3]
 	return uint32(s[0])<<24 | uint32(s[1])<<16 | uint32(s[2])<<8 | uint32(s[3])
-}
-
-// attemptFullCopy is the legacy materialization path
-// (Config.DisableDeltaMaterialize): two full-device copies into pooled
-// buffers per crash state, checked under the same guard. Kept so the
-// differential tests can assert the delta path changes nothing.
-func (ck *checker) attemptFullCopy(sl *slot, img []byte, log *trace.Log, subset []int, cctx crashCtx) attemptResult {
-	rt := ck.obs.Start()
-	fresh := ck.cfg.DisableBufferReuse
-	persistent := grabBuf(ck.devSize, fresh)
-	volatile := grabBuf(ck.devSize, fresh)
-	inj := ck.injector(cctx)
-	ck.materialize(persistent, img, log, subset, inj)
-	if inj != nil {
-		if _, _, flipped := inj.FlipBit(persistent); flipped {
-			ck.obs.Inc(obs.CtrFaultsInjected)
-		}
-	}
-	copy(volatile, persistent)
-	ck.obs.ObserveSince(obs.StageReplay, rt)
-	dev := pmem.WrapImages(volatile, persistent)
-	dev.InjectFaults(inj)
-
-	r := ck.guard(sl, dev, nil, cctx, ck.obs.Start())
-	if r.lost {
-		// Abandoned together with these buffers: the late guest may still be
-		// writing them, so they are never recycled.
-		return r
-	}
-	// Every attempt re-copies the buffers in full before use, so they are
-	// safe to recycle even after a mid-check panic.
-	putBuf(persistent, fresh)
-	putBuf(volatile, fresh)
-	if r.ok {
-		ck.obs.ObserveSince(obs.StageCheck, r.checkStart)
-	}
-	return r
-}
-
-// materialize builds the crash image: base bytes plus the replayed subset,
-// each write torn down to a word-aligned prefix when the injector says so.
-func (ck *checker) materialize(persistent, img []byte, log *trace.Log, subset []int, inj *pmem.Injector) {
-	copy(persistent, img)
-	for _, idx := range subset {
-		e := log.At(idx)
-		if !e.IsWrite() {
-			continue
-		}
-		n := inj.TornPrefix(uint64(e.Seq), len(e.Data))
-		if n < len(e.Data) {
-			ck.obs.Inc(obs.CtrFaultsInjected)
-		}
-		copy(persistent[e.Off:e.Off+int64(n)], e.Data[:n])
-	}
 }
 
 // injector builds the per-state fault injector (nil when faults are off).

@@ -159,39 +159,6 @@ func TestSandboxRetryAbsorbsTransientPanic(t *testing.T) {
 	}
 }
 
-// TestSandboxDifferentialAgainstDirect: with faults off, the sandboxed
-// checker must be byte-identical to the inline pre-sandbox path, on clean
-// and on violating runs alike (the all-seven-systems version lives in
-// internal/harness).
-func TestSandboxDifferentialAgainstDirect(t *testing.T) {
-	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
-		for _, w := range []workload.Workload{mixedWorkload(), renameWorkload()} {
-			direct := mustRun(t, Config{NewFS: novaFS(set), DisableSandbox: true}, w)
-			sand := mustRun(t, Config{NewFS: novaFS(set)}, w)
-			if direct.StatesChecked != sand.StatesChecked ||
-				direct.StatesDeduped != sand.StatesDeduped ||
-				direct.Fences != sand.Fences ||
-				direct.TruncatedFences != sand.TruncatedFences {
-				t.Errorf("%s: accounting diverged: direct %+v vs sandboxed %+v", w.Name, direct, sand)
-			}
-			if len(direct.Violations) != len(sand.Violations) {
-				t.Fatalf("%s: %d direct violations != %d sandboxed",
-					w.Name, len(direct.Violations), len(sand.Violations))
-			}
-			for i := range direct.Violations {
-				if direct.Violations[i].String() != sand.Violations[i].String() {
-					t.Errorf("%s: violation %d differs\ndirect:    %s\nsandboxed: %s",
-						w.Name, i, direct.Violations[i], sand.Violations[i])
-				}
-			}
-			if len(sand.Quarantined) != 0 || sand.RetriedChecks != 0 {
-				t.Errorf("%s: healthy guest quarantined %d states, retried %d",
-					w.Name, len(sand.Quarantined), sand.RetriedChecks)
-			}
-		}
-	}
-}
-
 // TestExhaustiveLimitOverride: lowering Config.ExhaustiveLimit/SafetyCap
 // must truncate more fences (visibly, in TruncatedFences) and check fewer
 // states than the defaults.

@@ -369,7 +369,9 @@ func (p *prepPanicChecker) PrepareCrashPoint(*CheckContext) {
 // TestEnginePanicSurfacesOnCaller: an engine panic outside the guard, on the
 // runner goroutine, must reach RunContext's caller as a panic it can recover
 // (fuzz.StepDelta saves its reproducer there; campaign and fleet workers turn
-// it into an error payload) — not kill the process from the runner.
+// it into an error payload) — not kill the process from the runner. The
+// unwind may leave the runner's image mid-state, so it must be forfeited,
+// never recycled with bytes outside its pages.
 func TestEnginePanicSurfacesOnCaller(t *testing.T) {
 	var recovered any
 	func() {
@@ -382,6 +384,9 @@ func TestEnginePanicSurfacesOnCaller(t *testing.T) {
 	}()
 	if recovered != "prepare-crash-point bug" {
 		t.Fatalf("recovered %v, want the PrepareCrashPoint panic value", recovered)
+	}
+	if err := CheckPooledPages(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -7,84 +7,12 @@ import (
 	"chipmunk/internal/ace"
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/core"
-	"chipmunk/internal/fs/nova"
+	"chipmunk/internal/obs"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
 	"chipmunk/internal/vfs"
+	"chipmunk/internal/workload"
 )
-
-// TestDeltaMaterializeMatchesFullCopyAllSystems: the O(diff) delta path
-// must be byte-identical to the full-copy engine across all seven systems,
-// on violating runs (published bug sets) and clean ones alike.
-func TestDeltaMaterializeMatchesFullCopyAllSystems(t *testing.T) {
-	for _, sys := range Systems() {
-		sys := sys
-		t.Run(sys.Name, func(t *testing.T) {
-			t.Parallel()
-			set := bugs.AllSet()
-			suite := ace.Seq1()[:8]
-			if sys.Weak {
-				set = bugs.None()
-				suite = ace.Seq1Dax()[:8]
-			}
-			delta := Options{Bugs: set, Cap: 2}.ConfigFor(sys)
-			full := delta
-			full.DisableDeltaMaterialize = true
-			for _, w := range suite {
-				rf, err := core.RunContext(context.Background(), full, w)
-				if err != nil {
-					t.Fatalf("%s full-copy: %v", w.Name, err)
-				}
-				rd, err := core.RunContext(context.Background(), delta, w)
-				if err != nil {
-					t.Fatalf("%s delta: %v", w.Name, err)
-				}
-				compareResults(t, w.Name, rf, rd)
-				if len(rf.Quarantined) != len(rd.Quarantined) {
-					t.Fatalf("%s: quarantine ledgers diverge: full %d, delta %d",
-						w.Name, len(rf.Quarantined), len(rd.Quarantined))
-				}
-				for i := range rf.Quarantined {
-					if rf.Quarantined[i].String() != rd.Quarantined[i].String() {
-						t.Errorf("%s: quarantine %d differs\nfull:  %s\ndelta: %s",
-							w.Name, i, rf.Quarantined[i], rd.Quarantined[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// deltaPanicFS panics on Mount; the record pass underneath is real nova.
-type deltaPanicFS struct{ vfs.FS }
-
-func (f deltaPanicFS) Mount() error { panic("hostile crash state") }
-
-// TestDeltaMaterializeHostileGuestAgreement: a guest that panics mid-mount
-// poisons pooled images (the retirement path), and the classification must
-// still agree with the full-copy engine.
-func TestDeltaMaterializeHostileGuestAgreement(t *testing.T) {
-	newFS := func(pm *persist.PM) vfs.FS {
-		return deltaPanicFS{nova.New(pm, bugs.None())}
-	}
-	suite := ace.Seq1()[:2]
-	full := core.Config{NewFS: newFS, Cap: 2, CheckRetries: -1, DisableDeltaMaterialize: true}
-	delta := core.Config{NewFS: newFS, Cap: 2, CheckRetries: -1}
-	for _, w := range suite {
-		rf, err := core.RunContext(context.Background(), full, w)
-		if err != nil {
-			t.Fatalf("%s full-copy: %v", w.Name, err)
-		}
-		rd, err := core.RunContext(context.Background(), delta, w)
-		if err != nil {
-			t.Fatalf("%s delta: %v", w.Name, err)
-		}
-		compareResults(t, w.Name, rf, rd)
-		if len(rd.Quarantined) == 0 {
-			t.Fatalf("%s: hostile guest quarantined nothing", w.Name)
-		}
-	}
-}
 
 // unflushedFS leaves one cached store at the end of Mkfs that is never
 // flushed, on a page no system otherwise writes: the footprint of a
@@ -106,14 +34,22 @@ func (f unflushedFS) Mkfs() error {
 // TestDeltaMaterializePagedPoolsMatchFresh: recycled rigs and crash images
 // are cleared and copied only over their page sets, so a byte some writer
 // failed to mark would survive into whichever run recycles the buffer next.
-// Runs here alternate the seven systems over distinct seq-1 / seq-1-dax
-// workloads on one device size, so every run inherits its rig and image from
-// another system's workload, and each must equal a run on fresh zeroed
-// memory — clean, with every published bug, and with faults injected (the
-// torn-write and bit-flip revert paths) — while every free-listed buffer
-// stays zero outside its page set.
+// A rotation of the seven systems over distinct seq-1 / seq-1-dax workloads
+// on one device size — clean, with every published bug, and with faults
+// injected (the torn-write and bit-flip revert paths) — runs forward and
+// then reversed, so every run inherits its rig and image from a different
+// predecessor each time; each run's Result must be the same both ways, and
+// every free-listed buffer must stay zero outside its page set.
 func TestDeltaMaterializePagedPoolsMatchFresh(t *testing.T) {
-	modes := []struct {
+	type pooledRun struct {
+		name string
+		cfg  core.Config
+		w    workload.Workload
+	}
+	var runs []pooledRun
+	seq1, dax := ace.Seq1(), ace.Seq1Dax()
+	systems := Systems()
+	for _, m := range []struct {
 		name   string
 		buggy  bool
 		faults *pmem.FaultConfig
@@ -121,10 +57,7 @@ func TestDeltaMaterializePagedPoolsMatchFresh(t *testing.T) {
 		{"clean", false, nil},
 		{"buggy", true, nil},
 		{"faults", false, pmem.DefaultFaults(5)},
-	}
-	seq1, dax := ace.Seq1(), ace.Seq1Dax()
-	systems := Systems()
-	for _, m := range modes {
+	} {
 		for round := 0; round < 3; round++ {
 			for i, sys := range systems {
 				set, suite := bugs.None(), seq1
@@ -135,33 +68,28 @@ func TestDeltaMaterializePagedPoolsMatchFresh(t *testing.T) {
 					set, suite = bugs.None(), dax
 				}
 				w := suite[(round*len(systems)+i)*5%len(suite)]
-				name := m.name + "/" + sys.Name + "/" + w.Name
-				cfg := Options{Bugs: set, Cap: 2, Faults: m.faults}.ConfigFor(sys)
+				cfg := Options{Bugs: set, Cap: 2, Faults: m.faults, Obs: obs.New()}.ConfigFor(sys)
 				newFS := cfg.NewFS
 				cfg.NewFS = func(pm *persist.PM) vfs.FS { return unflushedFS{newFS(pm), pm} }
-				got, err := core.RunContext(context.Background(), cfg, w)
-				if err != nil {
-					t.Fatalf("%s recycled: %v", name, err)
-				}
-				if err := core.CheckPooledPages(); err != nil {
-					t.Fatalf("after %s: %v", name, err)
-				}
-				cfg.DisableBufferReuse = true
-				want, err := core.RunContext(context.Background(), cfg, w)
-				if err != nil {
-					t.Fatalf("%s fresh: %v", name, err)
-				}
-				compareResults(t, name, want, got)
-				if len(want.Quarantined) != len(got.Quarantined) {
-					t.Fatalf("%s: quarantine ledgers diverge: fresh %d, recycled %d",
-						name, len(want.Quarantined), len(got.Quarantined))
-				}
-				for j := range want.Quarantined {
-					if want.Quarantined[j].String() != got.Quarantined[j].String() {
-						t.Errorf("%s: quarantine %d differs\nfresh:    %s\nrecycled: %s",
-							name, j, want.Quarantined[j], got.Quarantined[j])
-					}
-				}
+				runs = append(runs, pooledRun{m.name + "/" + sys.Name + "/" + w.Name, cfg, w})
+			}
+		}
+	}
+	forward := make([]*core.Result, len(runs))
+	for _, order := range [][]int{identity(len(runs)), reversed(identity(len(runs)))} {
+		for _, i := range order {
+			r := runs[i]
+			res, err := core.RunContext(context.Background(), r.cfg, r.w)
+			if err != nil {
+				t.Fatalf("%s: %v", r.name, err)
+			}
+			if err := core.CheckPooledPages(); err != nil {
+				t.Fatalf("after %s: %v", r.name, err)
+			}
+			if forward[i] == nil {
+				forward[i] = res
+			} else if d := resultDiff(forward[i], res); d != "" {
+				t.Errorf("%s: forward and reversed rotations differ: %s", r.name, d)
 			}
 		}
 	}

@@ -53,51 +53,6 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 	}
 }
 
-func compareResults(t *testing.T, name string, rs, rp *core.Result) {
-	t.Helper()
-	if rs.StatesChecked != rp.StatesChecked {
-		t.Errorf("%s: StatesChecked serial %d != parallel %d", name, rs.StatesChecked, rp.StatesChecked)
-	}
-	if rs.StatesDeduped != rp.StatesDeduped {
-		t.Errorf("%s: StatesDeduped serial %d != parallel %d", name, rs.StatesDeduped, rp.StatesDeduped)
-	}
-	if rs.Fences != rp.Fences {
-		t.Errorf("%s: Fences serial %d != parallel %d", name, rs.Fences, rp.Fences)
-	}
-	if rs.TruncatedFences != rp.TruncatedFences {
-		t.Errorf("%s: TruncatedFences serial %d != parallel %d", name, rs.TruncatedFences, rp.TruncatedFences)
-	}
-	if rs.MaxInFlight != rp.MaxInFlight {
-		t.Errorf("%s: MaxInFlight serial %d != parallel %d", name, rs.MaxInFlight, rp.MaxInFlight)
-	}
-	if rs.FilteredWrites != rp.FilteredWrites {
-		t.Errorf("%s: FilteredWrites serial %d != parallel %d", name, rs.FilteredWrites, rp.FilteredWrites)
-	}
-	if rs.SuppressedViolations != rp.SuppressedViolations {
-		t.Errorf("%s: SuppressedViolations serial %d != parallel %d", name, rs.SuppressedViolations, rp.SuppressedViolations)
-	}
-	if len(rs.InFlightCounts) != len(rp.InFlightCounts) {
-		t.Errorf("%s: InFlightCounts len %d != %d", name, len(rs.InFlightCounts), len(rp.InFlightCounts))
-	} else {
-		for i := range rs.InFlightCounts {
-			if rs.InFlightCounts[i] != rp.InFlightCounts[i] {
-				t.Errorf("%s: InFlightCounts[%d] serial %d != parallel %d",
-					name, i, rs.InFlightCounts[i], rp.InFlightCounts[i])
-			}
-		}
-	}
-	if len(rs.Violations) != len(rp.Violations) {
-		t.Errorf("%s: %d serial violations != %d parallel", name, len(rs.Violations), len(rp.Violations))
-		return
-	}
-	for i := range rs.Violations {
-		if rs.Violations[i].String() != rp.Violations[i].String() {
-			t.Errorf("%s: violation %d differs\nserial:   %s\nparallel: %s",
-				name, i, rs.Violations[i], rp.Violations[i])
-		}
-	}
-}
-
 // TestDedupActuallyFires: on an exhaustive (cap=0) run of a journal-heavy
 // in-place system, the dedup must skip a nonzero number of identical crash
 // states, and the skips must be visible in the Result — never silent.

@@ -109,9 +109,10 @@ func memoCases(t *testing.T) []memoCase {
 }
 
 // TestPrefixMemoMatchesUnshared is the prefix memo's differential: over
-// every system, bug set and fault mode, Run — serially, and over a seeded
-// permutation with two workers — returns for each workload exactly the
-// Result a loop of memo-less core.RunContext calls does. Only stage timings
+// every system, bug set and fault mode, and a hostile guest, Run —
+// serially, and over a seeded permutation with two workers — returns for
+// each workload exactly the Result a loop of memo-less core.RunContext
+// calls does. Only stage timings
 // and measurement-class counters may differ; a quarantined state's captured
 // stack is diagnostic and excluded.
 func TestPrefixMemoMatchesUnshared(t *testing.T) {
@@ -222,8 +223,8 @@ func identity(n int) []int {
 	return ids
 }
 
-func reversed(suite []workload.Workload) []workload.Workload {
-	out := slices.Clone(suite)
+func reversed[T any](s []T) []T {
+	out := slices.Clone(s)
 	slices.Reverse(out)
 	return out
 }

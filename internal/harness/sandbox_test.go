@@ -14,42 +14,6 @@ import (
 	"chipmunk/internal/vfs"
 )
 
-// TestSandboxedCheckerMatchesDirect: with faults off, the sandboxed checker
-// must be byte-identical to the pre-sandbox inline path across all seven
-// systems, on violating runs (published bug sets) and clean ones alike.
-func TestSandboxedCheckerMatchesDirect(t *testing.T) {
-	for _, sys := range Systems() {
-		sys := sys
-		t.Run(sys.Name, func(t *testing.T) {
-			t.Parallel()
-			set := bugs.AllSet()
-			suite := ace.Seq1()[:8]
-			if sys.Weak {
-				set = bugs.None()
-				suite = ace.Seq1Dax()[:8]
-			}
-			direct := Options{Bugs: set, Cap: 2}.ConfigFor(sys)
-			direct.DisableSandbox = true
-			sandboxed := Options{Bugs: set, Cap: 2}.ConfigFor(sys)
-			for _, w := range suite {
-				rd, err := core.RunContext(context.Background(), direct, w)
-				if err != nil {
-					t.Fatalf("%s direct: %v", w.Name, err)
-				}
-				rs, err := core.RunContext(context.Background(), sandboxed, w)
-				if err != nil {
-					t.Fatalf("%s sandboxed: %v", w.Name, err)
-				}
-				compareResults(t, w.Name, rd, rs)
-				if len(rs.Quarantined) != 0 || rs.RetriedChecks != 0 {
-					t.Errorf("%s: well-behaved guest quarantined %d states, retried %d",
-						w.Name, len(rs.Quarantined), rs.RetriedChecks)
-				}
-			}
-		})
-	}
-}
-
 // mountPanicFS panics on Mount (crash-state checks only); the record pass
 // underneath is the real system.
 type mountPanicFS struct{ vfs.FS }

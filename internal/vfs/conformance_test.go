@@ -149,11 +149,13 @@ func conform(t *testing.T, s system, w workload.Workload) string {
 // fuzzStream is a fixed-seed stream of random workloads in the fuzzer's
 // style: two descriptor slots, aligned and unaligned offsets and sizes, and
 // a small name pool, so writes go through a second descriptor and unlink,
-// rename and truncate often hit a file that a descriptor holds open.
+// rename and truncate often hit a file that a descriptor holds open. Paths
+// nest a level deep, pwrite, truncate and fallocate reach well past EOF,
+// and rename and link land on directories as often as on files.
 func fuzzStream(seed int64, n int) []workload.Workload {
 	rng := rand.New(rand.NewSource(seed))
 	paths := []string{"/f0", "/f1", "/f2", "/d0", "/d1", "/d0/f3", "/d0/d2", "/d1/f4"}
-	offs := []int64{0, 1, 3, 8, 64, 100, 1024, 2048, 4095, 4096, 4097}
+	offs := []int64{0, 1, 3, 8, 64, 100, 1024, 2048, 4095, 4096, 4097, 5000}
 	sizes := []int64{1, 5, 8, 13, 100, 512, 1000, 1024, 4096, 5000}
 	path := func() string { return paths[rng.Intn(len(paths))] }
 	pick := func(v []int64) int64 { return v[rng.Intn(len(v))] }
@@ -168,7 +170,7 @@ func fuzzStream(seed int64, n int) []workload.Workload {
 		for j := rng.Intn(6) + 3; j > 0; j-- {
 			slot := rng.Intn(3) - 1
 			var op workload.Op
-			switch rng.Intn(13) {
+			switch rng.Intn(14) {
 			case 0:
 				op = workload.Op{Kind: workload.OpCreat, Path: path(), FDSlot: slot}
 			case 1:
@@ -193,6 +195,8 @@ func fuzzStream(seed int64, n int) []workload.Workload {
 				op = workload.Op{Kind: workload.OpRmdir, Path: path()}
 			case 11:
 				op = workload.Op{Kind: workload.OpFalloc, Path: path(), FDSlot: slot, Off: pick(offs), Size: pick(sizes)}
+			case 12:
+				op = workload.Op{Kind: workload.OpSync}
 			default:
 				op = workload.Op{Kind: workload.OpFsync, Path: path(), FDSlot: slot}
 			}
