@@ -1,12 +1,160 @@
 package core
 
 import (
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/nova"
 	"chipmunk/internal/obs"
+	"chipmunk/internal/persist"
+	"chipmunk/internal/pmem"
+	"chipmunk/internal/vfs"
+	"chipmunk/internal/workload"
 )
+
+// coldRecheckFS fingerprints every crash image it is handed to mount and
+// panics on every other Mount. The panic retires the image, so the retry of
+// the same state runs on a freshly grabbed image, cold-primed by copying the
+// fence's base in full before the state's writes land; its fingerprint must
+// equal the delta-materialized one. Checks run one at a time on a run's
+// runner, so odd mounts are first attempts and even mounts their retries.
+type coldRecheckFS struct {
+	vfs.FS
+	pm *persist.PM
+	cr *coldRecheck
+}
+
+type coldRecheck struct {
+	mu         sync.Mutex
+	mounts     int
+	warm       [sha256.Size]byte
+	mismatches int
+}
+
+func (f coldRecheckFS) Mount() error {
+	img := make([]byte, f.pm.Size())
+	f.pm.Mem().Peek(0, img)
+	sum := sha256.Sum256(img)
+	c := f.cr
+	c.mu.Lock()
+	c.mounts++
+	first := c.mounts%2 == 1
+	if first {
+		c.warm = sum
+	} else if sum != c.warm {
+		c.mismatches++
+	}
+	c.mu.Unlock()
+	if first {
+		panic("recheck on a cold image")
+	}
+	return f.FS.Mount()
+}
+
+// fullCopyRecheck runs w under cfg plainly and with every crash state
+// rematerialized by coldRecheckFS, and requires each delta-materialized
+// image to equal its full-copy rematerialization and the two runs to
+// classify every state alike, one retry per state apart.
+func fullCopyRecheck(t *testing.T, name string, cfg Config, w workload.Workload) {
+	t.Helper()
+	plain := mustRun(t, cfg, w)
+	cr := &coldRecheck{}
+	inner := cfg.NewFS
+	cfg.NewFS = func(pm *persist.PM) vfs.FS { return coldRecheckFS{inner(pm), pm, cr} }
+	rechecked := mustRun(t, cfg, w)
+	if cr.mismatches != 0 {
+		t.Errorf("%s: %d of %d delta-materialized images differ from their full-copy rematerialization",
+			name, cr.mismatches, cr.mounts/2)
+	}
+	if cr.mounts != 2*rechecked.StatesChecked || rechecked.RetriedChecks != rechecked.StatesChecked {
+		t.Errorf("%s: %d mounts and %d retries over %d states, want two mounts and one retry per state",
+			name, cr.mounts, rechecked.RetriedChecks, rechecked.StatesChecked)
+	}
+	rechecked.RetriedChecks = plain.RetriedChecks
+	sameResult(t, name, plain, rechecked)
+}
+
+// TestDeltaMaterializeMatchesFullCopy: every crash image the delta path
+// materializes — a recycled image advanced, perturbed and reverted state by
+// state — must be byte-identical to the same state rematerialized on a cold
+// image from a full copy of the fence's base, on clean and violating runs,
+// exhaustive and capped: the prime/apply/rollback lifecycle never leaks one
+// crash state's bytes into the next.
+func TestDeltaMaterializeMatchesFullCopy(t *testing.T) {
+	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
+		for _, cap := range []int{0, 2} {
+			for _, w := range []workload.Workload{mixedWorkload(), renameWorkload()} {
+				name := fmt.Sprintf("%s cap %d", w.Name, cap)
+				if len(set.IDs()) > 0 {
+					name += " buggy"
+				}
+				fullCopyRecheck(t, name, Config{NewFS: novaFS(set), Cap: cap}, w)
+			}
+		}
+	}
+}
+
+// TestDeltaMaterializeMatchesFullCopyUnderFaults: with the fault injector
+// on, tears and bit flips must land identically on a recycled image and on
+// a cold full copy — the injector is a pure function of (seed, state
+// identity), and the per-store path's revert restores the torn spans and
+// the flipped byte.
+func TestDeltaMaterializeMatchesFullCopyUnderFaults(t *testing.T) {
+	fc := &pmem.FaultConfig{Seed: 11, TearOneInN: 2, FlipOneInN: 3}
+	fullCopyRecheck(t, "faults", Config{NewFS: novaFS(bugs.None()), Faults: fc, Obs: obs.New()}, mixedWorkload())
+}
+
+// scribblePanicFS writes the device's last byte — on a page no recorded
+// write touches — and then panics in Mount.
+type scribblePanicFS struct {
+	vfs.FS
+	pm     *persist.PM
+	mounts *atomic.Int32
+}
+
+func (f scribblePanicFS) Mount() error {
+	f.mounts.Add(1)
+	f.pm.Store(f.pm.Size()-1, []byte{0xFF})
+	panic("scribbled, then crashed")
+}
+
+// TestDeltaMaterializePanicForfeitsImage: a guest that scribbles outside the
+// run's pages and panics poisons its image, and an engine panic then unwinds
+// RunContext with the runner's image mid-state. Neither image may be
+// recycled: a byte outside the pages would survive every later cold prime,
+// which copies only set pages.
+func TestDeltaMaterializePanicForfeitsImage(t *testing.T) {
+	var mounts atomic.Int32
+	cfg := Config{
+		NewFS: func(pm *persist.PM) vfs.FS {
+			return scribblePanicFS{nova.New(pm, bugs.None()), pm, &mounts}
+		},
+		CheckRetries: -1,
+		Checker: func(env RunEnv) Checker {
+			return &prepPanicChecker{Checker: NewOracleChecker(env)}
+		},
+	}
+	var recovered any
+	func() {
+		defer func() { recovered = recover() }()
+		RunContext(context.Background(), cfg, renameWorkload())
+	}()
+	if recovered != "prepare-crash-point bug" {
+		t.Fatalf("recovered %v, want the PrepareCrashPoint panic value", recovered)
+	}
+	if mounts.Load() == 0 {
+		t.Fatal("no guest scribbled before the engine panic")
+	}
+	if err := CheckPooledPages(); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // TestDeltaMaterializeRetiresPoisonedImages: a guest that panics during
 // Mount leaves its pooled image in an unknown state; the lease protocol

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"sync"
@@ -64,6 +66,128 @@ func TestCoalesceSpans(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// sameResult requires got to agree with want in every field but the Obs
+// snapshot, whose measurement counters legitimately differ between paths.
+func sameResult(t *testing.T, name string, want, got *Result) {
+	t.Helper()
+	w, g := *want, *got
+	w.Obs, g.Obs = nil, nil
+	if !reflect.DeepEqual(w, g) {
+		t.Errorf("%s: results differ:\n%+v\nwant\n%+v", name, g, w)
+	}
+}
+
+// legacyMatrix runs the default engine and a configuration that routes it
+// through the path a fast path replaced, on clean and buggy nova over two
+// workloads, and requires the two Results to agree. check, when non-nil,
+// proves the legacy run really took the legacy path.
+func legacyMatrix(t *testing.T, legacy func(*Config), check func(name string, old *Result)) {
+	t.Helper()
+	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
+		for _, w := range []workload.Workload{mixedWorkload(), renameWorkload()} {
+			name := w.Name
+			if len(set.IDs()) > 0 {
+				name += "/buggy"
+			}
+			oldCfg := Config{NewFS: novaFS(set), Obs: obs.New()}
+			legacy(&oldCfg)
+			old := mustRun(t, oldCfg, w)
+			if check != nil {
+				check(name, old)
+			}
+			sameResult(t, name, mustRun(t, Config{NewFS: novaFS(set)}, w), old)
+		}
+	}
+}
+
+// TestCoalescedApplyMatchesPerStore: materializing a crash state by copying
+// its coalesced diff runs must be byte-identical to replaying every in-flight
+// store individually — overlaps were already resolved last-writer-wins when
+// the key was computed. Fault injection is what routes a state through the
+// per-store path; a tear rate no write ever hits routes it there without
+// injecting anything.
+func TestCoalescedApplyMatchesPerStore(t *testing.T) {
+	legacyMatrix(t, func(c *Config) {
+		c.Faults = &pmem.FaultConfig{Seed: 1, TearOneInN: math.MaxInt64}
+	}, func(name string, old *Result) {
+		if n := old.Obs.Count(obs.CtrFaultsInjected); n != 0 {
+			t.Fatalf("%s: the per-store run injected %d faults", name, n)
+		}
+	})
+}
+
+// unpreparedChecker hides its contract's PrepareCrashPoint, so the engine
+// publishes no oracle snapshot and every check builds its own view.
+type unpreparedChecker struct{ Checker }
+
+// TestOracleSnapshotMatchesPerCheck: sharing one frozen oracle snapshot per
+// crash point must produce verdicts byte-identical to rebuilding the
+// pre/post view inside every check.
+func TestOracleSnapshotMatchesPerCheck(t *testing.T) {
+	legacyMatrix(t, func(c *Config) {
+		c.Checker = func(env RunEnv) Checker { return unpreparedChecker{NewOracleChecker(env)} }
+	}, func(name string, old *Result) {
+		if h := old.Obs.Count(obs.CtrOracleSnapshotHits); h != 0 {
+			t.Fatalf("%s: the unprepared checker hit the snapshot cache %d times", name, h)
+		}
+	})
+}
+
+// drainFreeLists empties the rig and image free lists for size, so the next
+// run allocates fresh zeroed buffers, and returns a func that puts the
+// drained buffers back.
+func drainFreeLists(size int) (restore func()) {
+	var rs []*rig
+	for r, ok := rigs.get(size); ok; r, ok = rigs.get(size) {
+		rs = append(rs, r)
+	}
+	var ws []*workerImage
+	for wi, ok := images.get(size); ok; wi, ok = images.get(size) {
+		ws = append(ws, wi)
+	}
+	return func() {
+		for _, r := range rs {
+			rigs.put(size, r)
+		}
+		for _, wi := range ws {
+			images.put(size, wi)
+		}
+	}
+}
+
+// TestBufferReuseMatchesFresh: recycling device-sized rigs and crash images
+// through the cross-run free lists must change nothing. With the lists
+// drained a run allocates fresh zeroed memory; the same run repeated on
+// buffers another system's workload just dirtied, on pages the first system
+// never writes, must agree with it, and every free-listed buffer must stay
+// zero outside its page set.
+func TestBufferReuseMatchesFresh(t *testing.T) {
+	systems := []struct {
+		name  string
+		newFS func(bugs.Set) func(*persist.PM) vfs.FS
+	}{{"nova", novaFS}, {"splitfs", splitfsFS}, {"pmfs", pmfsFS}}
+	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
+		for i, sys := range systems {
+			dirty := systems[(i+1)%len(systems)]
+			for _, w := range []struct{ run, dirty workload.Workload }{
+				{mixedWorkload(), renameWorkload()},
+				{renameWorkload(), mixedWorkload()},
+			} {
+				cfg := Config{NewFS: sys.newFS(set)}
+				restore := drainFreeLists(DefaultDevSize)
+				fresh := mustRun(t, cfg, w.run)
+				restore()
+				mustRun(t, Config{NewFS: dirty.newFS(set)}, w.dirty)
+				warm := mustRun(t, cfg, w.run)
+				sameResult(t, sys.name+" "+w.run.Name+" after "+dirty.name+" "+w.dirty.Name, fresh, warm)
+				if err := CheckPooledPages(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 	}
 }
 

@@ -1,7 +1,11 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -9,6 +13,7 @@ import (
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/fs/nova"
 	"chipmunk/internal/persist"
+	"chipmunk/internal/pmem"
 	"chipmunk/internal/vfs"
 	"chipmunk/internal/workload"
 )
@@ -156,6 +161,150 @@ func TestSandboxRetryAbsorbsTransientPanic(t *testing.T) {
 	}
 	if res.Buggy() {
 		t.Errorf("transient failure reported as violation: %v", res.Violations)
+	}
+}
+
+// directRecheck records every crash state a run mounts — the image before
+// the guest touched it, the mount error or the contract's finding — so each
+// can be checked again outside the engine.
+type directRecheck struct {
+	mu     sync.Mutex
+	env    RunEnv
+	states []mountedState
+}
+
+type mountedState struct {
+	pages    map[int64][]byte // the image's non-zero 4 KiB pages
+	size     int64
+	mountErr string
+	checked  bool
+	cctx     CheckContext
+	finding  *Finding
+}
+
+// recordingFS copies the crash image it is handed before the guest mounts it.
+type recordingFS struct {
+	vfs.FS
+	pm  *persist.PM
+	dr  *directRecheck
+	idx int
+}
+
+func (f *recordingFS) Mount() error {
+	img := make([]byte, f.pm.Size())
+	f.pm.Mem().Peek(0, img)
+	st := mountedState{pages: map[int64][]byte{}, size: int64(len(img))}
+	for off := 0; off < len(img); off += 4096 {
+		if p := img[off : off+4096]; !bytes.Equal(p, make([]byte, 4096)) {
+			st.pages[int64(off)] = p
+		}
+	}
+	err := f.FS.Mount()
+	if err != nil {
+		st.mountErr = err.Error()
+	}
+	f.dr.mu.Lock()
+	f.idx = len(f.dr.states)
+	f.dr.states = append(f.dr.states, st)
+	f.dr.mu.Unlock()
+	return err
+}
+
+// recordingChecker is the default oracle contract, recording each verdict
+// against the state its recordingFS mounted.
+type recordingChecker struct {
+	*oracleChecker
+	dr *directRecheck
+}
+
+func (c recordingChecker) Check(fs vfs.FS, cctx *CheckContext) *Finding {
+	f := c.oracleChecker.Check(fs, cctx)
+	c.dr.mu.Lock()
+	st := &c.dr.states[fs.(*recordingFS).idx]
+	st.checked, st.cctx, st.finding = true, *cctx, f
+	st.cctx.Subset = slices.Clone(cctx.Subset)
+	c.dr.mu.Unlock()
+	return f
+}
+
+// config routes cfg's crash-state mounts and checks through the recorder.
+func (dr *directRecheck) config(cfg Config) Config {
+	newFS := cfg.NewFS
+	cfg.NewFS = func(pm *persist.PM) vfs.FS { return &recordingFS{FS: newFS(pm), pm: pm, dr: dr} }
+	cfg.Checker = func(env RunEnv) Checker {
+		dr.env = env
+		return recordingChecker{NewOracleChecker(env).(*oracleChecker), dr}
+	}
+	return cfg
+}
+
+// verify mounts every recorded state on a fresh device, on the test's own
+// goroutine with no sandbox around it, and requires the mount outcome and
+// an unprepared oracle's finding to match what the sandboxed run recorded —
+// and res, the sandboxed run's Result, to report one crash-state violation
+// per failed mount or finding.
+func (dr *directRecheck) verify(t *testing.T, name string, newFS func(*persist.PM) vfs.FS, res *Result) {
+	t.Helper()
+	env := dr.env
+	env.Obs = nil
+	oracle := NewOracleChecker(env)
+	failed, reported := 0, res.SuppressedViolations
+	for _, v := range res.Violations {
+		if v.Kind != VOpBehavior {
+			reported++
+		}
+	}
+	for i, st := range dr.states {
+		if st.mountErr != "" || st.finding != nil {
+			failed++
+		}
+		img := make([]byte, st.size)
+		for off, p := range st.pages {
+			copy(img[off:], p)
+		}
+		fs := newFS(persist.New(pmem.FromImage(img)))
+		var mountErr string
+		if err := fs.Mount(); err != nil {
+			mountErr = err.Error()
+		}
+		switch {
+		case mountErr != st.mountErr:
+			t.Errorf("%s state %d: direct mount error %q, sandboxed %q", name, i, mountErr, st.mountErr)
+		case mountErr != "":
+		case !st.checked:
+			t.Errorf("%s state %d: mounted in the sandbox but never checked", name, i)
+		default:
+			if f := oracle.Check(fs, &st.cctx); !reflect.DeepEqual(f, st.finding) {
+				t.Errorf("%s state %d (%+v): direct finding %+v, sandboxed %+v", name, i, st.cctx, f, st.finding)
+			}
+		}
+	}
+	if failed != reported {
+		t.Errorf("%s: %d crash states failed their check, the Result reports %d", name, failed, reported)
+	}
+}
+
+// TestSandboxDifferentialAgainstDirect: with faults off, every crash state
+// the sandboxed checker classified must classify identically when mounted
+// and checked directly, outside the engine, on clean and violating runs
+// alike; and the recording itself must change nothing (the all-seven-systems
+// version lives in internal/harness).
+func TestSandboxDifferentialAgainstDirect(t *testing.T) {
+	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
+		for _, w := range []workload.Workload{mixedWorkload(), renameWorkload()} {
+			plain := mustRun(t, Config{NewFS: novaFS(set)}, w)
+			dr := &directRecheck{}
+			sand := mustRun(t, dr.config(Config{NewFS: novaFS(set)}), w)
+			sameResult(t, w.Name, plain, sand)
+			if len(sand.Quarantined) != 0 || sand.RetriedChecks != 0 {
+				t.Errorf("%s: healthy guest quarantined %d states, retried %d",
+					w.Name, len(sand.Quarantined), sand.RetriedChecks)
+			}
+			if len(dr.states) == 0 {
+				t.Fatalf("%s: no crash state recorded", w.Name)
+			}
+			dr.verify(t, w.Name, novaFS(set), sand)
+		}
 	}
 }
 

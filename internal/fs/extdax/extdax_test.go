@@ -3,8 +3,11 @@ package extdax
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
+	"chipmunk/internal/fs/memfs"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
 	"chipmunk/internal/vfs"
@@ -132,6 +135,108 @@ func TestTagPlumbing(t *testing.T) {
 	if f2.Tag() != 42 {
 		t.Fatalf("tag = %d", f2.Tag())
 	}
+}
+
+func TestPropertyDifferentialVsMemfsWithSync(t *testing.T) {
+	paths := []string{"/f0", "/f1", "/d0/f2", "/d0", "/d1"}
+	prop := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		dev := pmem.NewDevice(testDevSize)
+		ef := New(persist.New(dev), Ext4)
+		if err := ef.Mkfs(); err != nil {
+			t.Fatal(err)
+		}
+		ref := memfs.New()
+		ref.Mkfs()
+		for i := 0; i < 25; i++ {
+			kind := rng.Intn(10)
+			a := paths[rng.Intn(len(paths))]
+			b := paths[rng.Intn(len(paths))]
+			off := rng.Int63n(5000)
+			n := rng.Intn(3000) + 1
+			s2 := rng.Int63()
+			e1 := applyOp(ef, kind, a, b, off, n, s2)
+			e2 := applyOp(ref, kind, a, b, off, n, s2)
+			if (e1 == nil) != (e2 == nil) {
+				t.Logf("seed %d op %d: ext=%v ref=%v", seed, kind, e1, e2)
+				return false
+			}
+		}
+		s1, err1 := vfs.Capture(ef)
+		s2c, err2 := vfs.Capture(ref)
+		if err1 != nil || err2 != nil {
+			return false
+		}
+		if d := vfs.Diff(s1, s2c); d != "" {
+			t.Logf("seed %d diff: %s", seed, d)
+			return false
+		}
+		// Sync, crash, remount: must equal the reference exactly.
+		if err := ef.Sync(); err != nil {
+			t.Logf("sync: %v", err)
+			return false
+		}
+		ef2 := New(persist.New(pmem.FromImage(dev.CrashImage())), Ext4)
+		if err := ef2.Mount(); err != nil {
+			t.Logf("seed %d remount: %v", seed, err)
+			return false
+		}
+		s3, err := vfs.Capture(ef2)
+		if err != nil {
+			return false
+		}
+		if d := vfs.Diff(s3, s2c); d != "" {
+			t.Logf("seed %d post-sync diff: %s", seed, d)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func applyOp(f vfs.FS, kind int, a, b string, off int64, n int, seed int64) error {
+	switch kind {
+	case 0:
+		fd, err := f.Create(a)
+		if err != nil {
+			return err
+		}
+		return f.Close(fd)
+	case 1:
+		return f.Mkdir(a)
+	case 2:
+		fd, err := f.Open(a)
+		if err != nil {
+			return err
+		}
+		defer f.Close(fd)
+		buf := make([]byte, n)
+		rand.New(rand.NewSource(seed)).Read(buf)
+		_, err = f.Pwrite(fd, buf, off)
+		return err
+	case 3:
+		return f.Unlink(a)
+	case 4:
+		return f.Rmdir(a)
+	case 5:
+		return f.Rename(a, b)
+	case 6:
+		return f.Link(a, b)
+	case 7:
+		return f.Truncate(a, off)
+	case 8:
+		fd, err := f.Open(a)
+		if err != nil {
+			return err
+		}
+		defer f.Close(fd)
+		return f.Fallocate(fd, off, int64(n))
+	case 9:
+		return f.Sync()
+	}
+	return nil
 }
 
 func TestHardLinkSurvivesSync(t *testing.T) {

@@ -3,13 +3,25 @@ package nova
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/memfs"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
 	"chipmunk/internal/vfs"
 )
+
+func newRef(t *testing.T) vfs.FS {
+	t.Helper()
+	ref := memfs.New()
+	if err := ref.Mkfs(); err != nil {
+		t.Fatal(err)
+	}
+	return ref
+}
 
 const testDevSize = 4 << 20
 
@@ -467,6 +479,140 @@ func TestMountGarbageImageFails(t *testing.T) {
 	f := New(persist.New(dev), bugs.None())
 	if err := f.Mount(); !errors.Is(err, vfs.ErrCorrupt) {
 		t.Fatalf("mount of unformatted device: %v", err)
+	}
+}
+
+// applyOps drives the same random operation sequence against two file
+// systems and reports whether every op returned equivalent errors.
+type refOp struct {
+	kind int
+	a, b string
+	off  int64
+	n    int
+	seed int64
+}
+
+func genOps(rng *rand.Rand, count int) []refOp {
+	paths := []string{"/f0", "/f1", "/d0/f2", "/d0", "/d1"}
+	ops := make([]refOp, count)
+	for i := range ops {
+		ops[i] = refOp{
+			kind: rng.Intn(9),
+			a:    paths[rng.Intn(len(paths))],
+			b:    paths[rng.Intn(len(paths))],
+			off:  rng.Int63n(5000),
+			n:    rng.Intn(3000) + 1,
+			seed: rng.Int63(),
+		}
+	}
+	return ops
+}
+
+func applyOp(f vfs.FS, op refOp) error {
+	switch op.kind {
+	case 0:
+		fd, err := f.Create(op.a)
+		if err != nil {
+			return err
+		}
+		return f.Close(fd)
+	case 1:
+		return f.Mkdir(op.a)
+	case 2:
+		fd, err := f.Open(op.a)
+		if err != nil {
+			return err
+		}
+		defer f.Close(fd)
+		buf := make([]byte, op.n)
+		r := rand.New(rand.NewSource(op.seed))
+		r.Read(buf)
+		_, err = f.Pwrite(fd, buf, op.off)
+		return err
+	case 3:
+		return f.Unlink(op.a)
+	case 4:
+		return f.Rmdir(op.a)
+	case 5:
+		return f.Rename(op.a, op.b)
+	case 6:
+		return f.Link(op.a, op.b)
+	case 7:
+		return f.Truncate(op.a, op.off)
+	case 8:
+		fd, err := f.Open(op.a)
+		if err != nil {
+			return err
+		}
+		defer f.Close(fd)
+		return f.Fallocate(fd, op.off, int64(op.n))
+	}
+	return nil
+}
+
+// TestPropertyDifferentialVsMemfs: fixed NOVA must be observationally
+// equivalent to the in-memory reference model under random workloads,
+// including after a remount.
+func TestPropertyDifferentialVsMemfs(t *testing.T) {
+	runDifferential(t, false)
+}
+
+func TestPropertyDifferentialVsMemfsFortis(t *testing.T) {
+	runDifferential(t, true)
+}
+
+func runDifferential(t *testing.T, fortis bool) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var opts []Option
+		if fortis {
+			opts = append(opts, WithFortis())
+		}
+		dev := pmem.NewDevice(testDevSize)
+		nv := New(persist.New(dev), bugs.None(), opts...)
+		if err := nv.Mkfs(); err != nil {
+			t.Fatalf("mkfs: %v", err)
+		}
+		ref := newRef(t)
+
+		for _, op := range genOps(rng, 30) {
+			errN := applyOp(nv, op)
+			errR := applyOp(ref, op)
+			if (errN == nil) != (errR == nil) {
+				t.Logf("seed %d: op %+v: nova=%v ref=%v", seed, op, errN, errR)
+				return false
+			}
+		}
+		sN, errN := vfs.Capture(nv)
+		sR, errR := vfs.Capture(ref)
+		if errN != nil || errR != nil {
+			t.Logf("capture: %v %v", errN, errR)
+			return false
+		}
+		if d := vfs.Diff(sN, sR); d != "" {
+			t.Logf("seed %d live diff: %s", seed, d)
+			return false
+		}
+		// Remount and compare again.
+		nv.Unmount()
+		nv2 := New(persist.New(dev), bugs.None(), opts...)
+		if err := nv2.Mount(); err != nil {
+			t.Logf("seed %d remount: %v", seed, err)
+			return false
+		}
+		s2, err := vfs.Capture(nv2)
+		if err != nil {
+			t.Logf("capture2: %v", err)
+			return false
+		}
+		if d := vfs.Diff(s2, sR); d != "" {
+			t.Logf("seed %d remount diff: %s", seed, d)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -3,9 +3,12 @@ package pmfs
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/memfs"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
 	"chipmunk/internal/vfs"
@@ -275,6 +278,105 @@ func TestBug13MountFailsWithPendingTruncate(t *testing.T) {
 	if err := f3.Mount(); err != nil {
 		t.Fatalf("fixed mount: %v", err)
 	}
+}
+
+func TestPropertyDifferentialVsMemfs(t *testing.T) {
+	paths := []string{"/f0", "/f1", "/d0/f2", "/d0", "/d1"}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		dev := pmem.NewDevice(testDevSize)
+		pf := New(persist.New(dev), bugs.None())
+		if err := pf.Mkfs(); err != nil {
+			t.Fatal(err)
+		}
+		ref := memfs.New()
+		ref.Mkfs()
+
+		for i := 0; i < 30; i++ {
+			kind := rng.Intn(9)
+			a := paths[rng.Intn(len(paths))]
+			b := paths[rng.Intn(len(paths))]
+			off := rng.Int63n(5000)
+			n := rng.Intn(3000) + 1
+			seed2 := rng.Int63()
+			e1 := applyOp(pf, kind, a, b, off, n, seed2)
+			e2 := applyOp(ref, kind, a, b, off, n, seed2)
+			if (e1 == nil) != (e2 == nil) {
+				t.Logf("seed %d op %d(%s,%s): pmfs=%v ref=%v", seed, kind, a, b, e1, e2)
+				return false
+			}
+		}
+		s1, err1 := vfs.Capture(pf)
+		s2, err2 := vfs.Capture(ref)
+		if err1 != nil || err2 != nil {
+			t.Logf("capture: %v %v", err1, err2)
+			return false
+		}
+		if d := vfs.Diff(s1, s2); d != "" {
+			t.Logf("seed %d diff: %s", seed, d)
+			return false
+		}
+		pf.Unmount()
+		pf2 := New(persist.New(dev), bugs.None())
+		if err := pf2.Mount(); err != nil {
+			t.Logf("seed %d remount: %v", seed, err)
+			return false
+		}
+		s3, err := vfs.Capture(pf2)
+		if err != nil {
+			t.Logf("capture3: %v", err)
+			return false
+		}
+		if d := vfs.Diff(s3, s2); d != "" {
+			t.Logf("seed %d remount diff: %s", seed, d)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func applyOp(f vfs.FS, kind int, a, b string, off int64, n int, seed int64) error {
+	switch kind {
+	case 0:
+		fd, err := f.Create(a)
+		if err != nil {
+			return err
+		}
+		return f.Close(fd)
+	case 1:
+		return f.Mkdir(a)
+	case 2:
+		fd, err := f.Open(a)
+		if err != nil {
+			return err
+		}
+		defer f.Close(fd)
+		buf := make([]byte, n)
+		rand.New(rand.NewSource(seed)).Read(buf)
+		_, err = f.Pwrite(fd, buf, off)
+		return err
+	case 3:
+		return f.Unlink(a)
+	case 4:
+		return f.Rmdir(a)
+	case 5:
+		return f.Rename(a, b)
+	case 6:
+		return f.Link(a, b)
+	case 7:
+		return f.Truncate(a, off)
+	case 8:
+		fd, err := f.Open(a)
+		if err != nil {
+			return err
+		}
+		defer f.Close(fd)
+		return f.Fallocate(fd, off, int64(n))
+	}
+	return nil
 }
 
 func TestNoSpaceExhaustion(t *testing.T) {

@@ -2,6 +2,9 @@ package harness
 
 import (
 	"context"
+	"crypto/sha256"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"chipmunk/internal/ace"
@@ -13,6 +16,102 @@ import (
 	"chipmunk/internal/vfs"
 	"chipmunk/internal/workload"
 )
+
+// crashStateFS wraps the crash-state file systems newFS builds in wrap. A
+// run's first file system is its recording target, which stays unwrapped so
+// the record pass keeps the system's optional interfaces (xattrs).
+func crashStateFS(newFS func(*persist.PM) vfs.FS, wrap func(vfs.FS, *persist.PM) vfs.FS) func(*persist.PM) vfs.FS {
+	var recorded atomic.Bool
+	return func(pm *persist.PM) vfs.FS {
+		if !recorded.Swap(true) {
+			return newFS(pm)
+		}
+		return wrap(newFS(pm), pm)
+	}
+}
+
+// coldRecheckFS fingerprints every crash image it is handed to mount and
+// panics on every other Mount. The panic retires the image, so the retry of
+// the same state runs on a freshly grabbed image, cold-primed by copying the
+// fence's base in full before the state's writes land; its fingerprint must
+// equal the delta-materialized one. Checks run one at a time on a run's
+// runner, so odd mounts are first attempts and even mounts their retries.
+type coldRecheckFS struct {
+	vfs.FS
+	pm *persist.PM
+	cr *coldRecheck
+}
+
+type coldRecheck struct {
+	mu         sync.Mutex
+	mounts     int
+	warm       [sha256.Size]byte
+	mismatches int
+}
+
+func (f coldRecheckFS) Mount() error {
+	img := make([]byte, f.pm.Size())
+	f.pm.Mem().Peek(0, img)
+	sum := sha256.Sum256(img)
+	c := f.cr
+	c.mu.Lock()
+	c.mounts++
+	first := c.mounts%2 == 1
+	if first {
+		c.warm = sum
+	} else if sum != c.warm {
+		c.mismatches++
+	}
+	c.mu.Unlock()
+	if first {
+		panic("recheck on a cold image")
+	}
+	return f.FS.Mount()
+}
+
+// TestDeltaMaterializeMatchesFullCopyAllSystems: the O(diff) delta path
+// must match a full copy across all seven systems, on violating runs
+// (published bug sets) and clean ones alike. Each workload must reproduce
+// its engine-matrix golden — the full-copy engine's recorded output — and
+// every crash image the delta path materializes must be byte-identical to
+// the same state rematerialized on a cold image from a full base copy, with
+// every state classified as in the plain run, one retry apart.
+func TestDeltaMaterializeMatchesFullCopyAllSystems(t *testing.T) {
+	for _, sys := range Systems() {
+		t.Run(sys.Name, func(t *testing.T) {
+			t.Parallel()
+			cfg, suite, want := matrixSlice(t, sys, 8)
+			for i, w := range suite {
+				plain, err := core.RunContext(context.Background(), cfg, w)
+				if err != nil {
+					t.Fatalf("%s: %v", w.Name, err)
+				}
+				checkGolden(t, w.Name, plain, want[i])
+				cr := &coldRecheck{}
+				cold := cfg
+				cold.NewFS = crashStateFS(cfg.NewFS, func(fs vfs.FS, pm *persist.PM) vfs.FS {
+					return coldRecheckFS{fs, pm, cr}
+				})
+				rechecked, err := core.RunContext(context.Background(), cold, w)
+				if err != nil {
+					t.Fatalf("%s rechecked: %v", w.Name, err)
+				}
+				if cr.mismatches != 0 {
+					t.Errorf("%s: %d of %d delta-materialized images differ from their full-copy rematerialization",
+						w.Name, cr.mismatches, cr.mounts/2)
+				}
+				if cr.mounts != 2*rechecked.StatesChecked || rechecked.RetriedChecks != rechecked.StatesChecked {
+					t.Errorf("%s: %d mounts and %d retries over %d states, want two mounts and one retry per state",
+						w.Name, cr.mounts, rechecked.RetriedChecks, rechecked.StatesChecked)
+				}
+				rechecked.RetriedChecks = plain.RetriedChecks
+				if d := diffButObs(plain, rechecked); d != "" {
+					t.Errorf("%s: the rechecked run differs: %s", w.Name, d)
+				}
+			}
+		})
+	}
+}
 
 // unflushedFS leaves one cached store at the end of Mkfs that is never
 // flushed, on a page no system otherwise writes: the footprint of a

@@ -10,7 +10,11 @@ import (
 	"strings"
 	"testing"
 
+	"chipmunk/internal/ace"
+	"chipmunk/internal/bugs"
 	"chipmunk/internal/core"
+	"chipmunk/internal/obs"
+	"chipmunk/internal/workload"
 )
 
 // TestEngineMatrix is the engine's reference: for every case of the memo
@@ -37,8 +41,8 @@ func TestEngineMatrix(t *testing.T) {
 				}
 				got[i] = goldenLine(w.Name, res)
 			}
-			path := filepath.Join("testdata", "engine", strings.ReplaceAll(c.name, "/", "_")+".golden")
 			if update {
+				path := goldenPath(c.name)
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
@@ -47,11 +51,7 @@ func TestEngineMatrix(t *testing.T) {
 				}
 				return
 			}
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden (generate with CHIPMUNK_UPDATE_GOLDENS=1): %v", err)
-			}
-			want := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+			want := readGolden(t, c.name)
 			if len(want) != len(got) {
 				t.Fatalf("%d workloads, golden has %d", len(got), len(want))
 			}
@@ -65,6 +65,42 @@ func TestEngineMatrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// goldenPath is where the matrix case named name keeps its golden.
+func goldenPath(name string) string {
+	return filepath.Join("testdata", "engine", strings.ReplaceAll(name, "/", "_")+".golden")
+}
+
+// readGolden returns the golden lines of the matrix case named name.
+func readGolden(t *testing.T, name string) []string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		t.Fatalf("missing golden (generate with CHIPMUNK_UPDATE_GOLDENS=1): %v", err)
+	}
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+// matrixSlice is sys's clean seq-1 matrix case — every published bug on a
+// strong system, none on a weak one — cut to its first n workloads, with
+// their golden lines.
+func matrixSlice(t *testing.T, sys System, n int) (core.Config, []workload.Workload, []string) {
+	t.Helper()
+	set, tag, suite := bugs.AllSet(), "all-bugs", ace.Seq1()
+	if sys.Weak {
+		set, tag, suite = bugs.None(), "no-bugs", ace.Seq1Dax()
+	}
+	want := readGolden(t, sys.Name+"/"+tag+"/clean/seq1")
+	return Options{Bugs: set, Obs: obs.New()}.ConfigFor(sys), suite[:n], want[:n]
+}
+
+// checkGolden requires res to reproduce its golden line.
+func checkGolden(t *testing.T, name string, res *core.Result, want string) {
+	t.Helper()
+	if got := goldenLine(name, res); got != want {
+		t.Errorf("%s diverged from the golden\n got: %s\nwant: %s", name, got, want)
 	}
 }
 

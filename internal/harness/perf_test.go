@@ -2,61 +2,70 @@ package harness
 
 import (
 	"context"
+	"math"
 	"testing"
 
-	"chipmunk/internal/ace"
-	"chipmunk/internal/bugs"
 	"chipmunk/internal/core"
+	"chipmunk/internal/obs"
+	"chipmunk/internal/pmem"
 )
 
-// TestPerfFastPathsMatchLegacyAllSystems: each perf fast path — coalesced
-// delta application, shared per-crash-point oracle snapshots, cross-run
-// buffer pooling — must be byte-identical to its legacy code path across all
-// seven systems, on violating runs (published bug sets) and clean ones
-// alike. One default-config run serves as the baseline every legacy knob is
-// compared against, including quarantine ledgers.
+// diffButObs is resultDiff for runs whose Obs snapshots legitimately differ.
+func diffButObs(want, got *core.Result) string {
+	w, g := *want, *got
+	w.Obs, g.Obs = nil, nil
+	return resultDiff(&w, &g)
+}
+
+// unpreparedChecker hides its contract's PrepareCrashPoint, so the engine
+// publishes no oracle snapshot and every check builds its own view.
+type unpreparedChecker struct{ core.Checker }
+
+// TestPerfFastPathsMatchLegacyAllSystems: each perf fast path must reproduce
+// the path it replaced across all seven systems, on violating runs
+// (published bug sets) and clean ones alike. The default run — coalesced
+// delta application, shared per-crash-point oracle snapshots, pooled
+// buffers — must reproduce its engine-matrix golden, and equal in every
+// Result field a run applying each in-flight store individually (fault
+// injection's path, selected by a tear rate no write hits) and a run whose
+// checker rebuilds the oracle view in every check.
 func TestPerfFastPathsMatchLegacyAllSystems(t *testing.T) {
-	knobs := []struct {
+	// Each legacy run must leave its counter at zero: no fault injected, no
+	// shared snapshot consulted.
+	legacies := []struct {
 		name string
 		set  func(*core.Config)
+		zero obs.Counter
 	}{
-		{"per-store-apply", func(c *core.Config) { c.DisableCoalescedApply = true }},
-		{"per-check-oracle", func(c *core.Config) { c.DisableOracleSnapshot = true }},
-		{"fresh-buffers", func(c *core.Config) { c.DisableBufferReuse = true }},
+		{"per-store-apply", func(c *core.Config) {
+			c.Faults = &pmem.FaultConfig{Seed: 1, TearOneInN: math.MaxInt64}
+		}, obs.CtrFaultsInjected},
+		{"per-check-oracle", func(c *core.Config) {
+			c.Checker = func(env core.RunEnv) core.Checker { return unpreparedChecker{core.NewOracleChecker(env)} }
+		}, obs.CtrOracleSnapshotHits},
 	}
 	for _, sys := range Systems() {
-		sys := sys
 		t.Run(sys.Name, func(t *testing.T) {
 			t.Parallel()
-			set := bugs.AllSet()
-			suite := ace.Seq1()[:4]
-			if sys.Weak {
-				set = bugs.None()
-				suite = ace.Seq1Dax()[:4]
-			}
-			fastCfg := Options{Bugs: set, Cap: 2}.ConfigFor(sys)
-			for _, w := range suite {
-				fast, err := core.RunContext(context.Background(), fastCfg, w)
+			cfg, suite, want := matrixSlice(t, sys, 4)
+			for i, w := range suite {
+				fast, err := core.RunContext(context.Background(), cfg, w)
 				if err != nil {
 					t.Fatalf("%s fast: %v", w.Name, err)
 				}
-				for _, k := range knobs {
-					legacyCfg := fastCfg
-					k.set(&legacyCfg)
+				checkGolden(t, w.Name, fast, want[i])
+				for _, l := range legacies {
+					legacyCfg := cfg
+					l.set(&legacyCfg)
 					legacy, err := core.RunContext(context.Background(), legacyCfg, w)
 					if err != nil {
-						t.Fatalf("%s %s: %v", w.Name, k.name, err)
+						t.Fatalf("%s %s: %v", w.Name, l.name, err)
 					}
-					compareResults(t, w.Name+"/"+k.name, legacy, fast)
-					if len(legacy.Quarantined) != len(fast.Quarantined) {
-						t.Fatalf("%s/%s: quarantine ledgers diverge: legacy %d, fast %d",
-							w.Name, k.name, len(legacy.Quarantined), len(fast.Quarantined))
+					if n := legacy.Obs.Count(l.zero); n != 0 {
+						t.Errorf("%s %s: %s = %d, want 0", w.Name, l.name, l.zero, n)
 					}
-					for i := range legacy.Quarantined {
-						if legacy.Quarantined[i].String() != fast.Quarantined[i].String() {
-							t.Errorf("%s/%s: quarantine %d differs\nlegacy: %s\nfast:   %s",
-								w.Name, k.name, i, legacy.Quarantined[i], fast.Quarantined[i])
-						}
+					if d := diffButObs(fast, legacy); d != "" {
+						t.Errorf("%s %s: %s", w.Name, l.name, d)
 					}
 				}
 			}
