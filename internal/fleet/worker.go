@@ -108,6 +108,10 @@ type fuzzJob struct {
 	// node is the running round's fuzzer; heartbeats read its progress.
 	node   atomic.Pointer[Node]
 	result *FuzzResult
+	// memo serves the minimization tasks run since the last round: a fold
+	// opens one task per violating syscall of a workload, so a batch
+	// re-checks the same op prefixes. A round drops it.
+	memo *core.PrefixMemo
 }
 
 func unitID(p *FuzzResult) int {
@@ -200,8 +204,12 @@ func (j *fuzzJob) Beat(ctx context.Context, budget time.Duration, n int) (bool, 
 func (j *fuzzJob) Run(ctx context.Context) error {
 	j.start = time.Now()
 	if j.kind == ResultMinimize {
+		if j.memo == nil {
+			j.memo = core.NewPrefixMemo()
+		}
 		return j.minimize(ctx)
 	}
+	j.memo = nil
 	node, err := NewNode(j.cfg, j.held.Seed, j.kv, j.cache[:j.held.Cursor])
 	if err != nil {
 		return err
@@ -238,14 +246,11 @@ func (j *fuzzJob) minimize(ctx context.Context) error {
 	if w.Name == "" {
 		w.Name = fmt.Sprintf("fleet-min-%d", j.held.MinID)
 	}
-	minimized, execs, err := fuzz.Minimize(j.cfg, w, j.held.MinBudget)
+	minimized, execs, err := fuzz.Minimize(ctx, j.memo, j.cfg, w, j.held.MinBudget)
 	if err != nil {
 		return err
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	res, err := core.RunContext(ctx, j.cfg, minimized)
+	res, err := j.memo.Run(ctx, j.cfg, minimized)
 	if err != nil {
 		return err
 	}

@@ -12,16 +12,20 @@ import (
 // triggers a violation. The result is what a developer reads in the bug
 // report, so smaller is better.
 //
-// check runs the engine on a candidate; budget bounds the number of engine
-// invocations (each one replays every crash state).
-func Minimize(cfg core.Config, w workload.Workload, budget int) (workload.Workload, int, error) {
+// Every candidate runs under ctx through m, which serves the crash points of
+// the op prefixes candidates share (nil: unshared); a cancelled ctx stops the
+// shrink with its error. budget bounds the number of engine invocations.
+func Minimize(ctx context.Context, m *core.PrefixMemo, cfg core.Config, w workload.Workload, budget int) (workload.Workload, int, error) {
 	execs := 0
 	stillBuggy := func(cand workload.Workload) (bool, error) {
+		if err := ctx.Err(); err != nil {
+			return false, err
+		}
 		if execs >= budget {
 			return false, nil
 		}
 		execs++
-		res, err := core.RunContext(context.Background(), cfg, cand)
+		res, err := m.Run(ctx, cfg, cand)
 		if err != nil {
 			return false, err
 		}

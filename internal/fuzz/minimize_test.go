@@ -2,6 +2,7 @@ package fuzz
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"chipmunk/internal/bugs"
@@ -30,7 +31,7 @@ func TestMinimizeShrinksReproducer(t *testing.T) {
 		{Kind: workload.OpMkdir, Path: "/junk4"},
 		{Kind: workload.OpRmdir, Path: "/junk4"},
 	}}
-	min, execs, err := Minimize(cfg, w, 100)
+	min, execs, err := Minimize(context.Background(), nil, cfg, w, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestMinimizeNonBuggyUnchanged(t *testing.T) {
 		NewFS: func(pm *persist.PM) vfs.FS { return nova.New(pm, bugs.None()) },
 	}
 	w := workload.Workload{Ops: []workload.Op{{Kind: workload.OpCreat, Path: "/a", FDSlot: -1}}}
-	min, _, err := Minimize(cfg, w, 20)
+	min, _, err := Minimize(context.Background(), nil, cfg, w, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestMinimizeRespectsBudget(t *testing.T) {
 		{Kind: workload.OpCreat, Path: "/f0", FDSlot: -1},
 		{Kind: workload.OpRename, Path: "/f0", Path2: "/f1"},
 	}}
-	_, execs, err := Minimize(cfg, w, 3)
+	_, execs, err := Minimize(context.Background(), nil, cfg, w, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +114,11 @@ func TestMinimizeDeterministic(t *testing.T) {
 		{Kind: workload.OpMkdir, Path: "/junk2"},
 		{Kind: workload.OpRename, Path: "/f0", Path2: "/f1"},
 	}}
-	min1, execs1, err := Minimize(cfg, w, 60)
+	min1, execs1, err := Minimize(context.Background(), nil, cfg, w, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
-	min2, execs2, err := Minimize(cfg, w, 60)
+	min2, execs2, err := Minimize(context.Background(), nil, cfg, w, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestMinimizePreservesCluster(t *testing.T) {
 		}
 		wantKeys[v.Kind.String()+"|"+v.FS+"|"+op] = true
 	}
-	min, _, err := Minimize(cfg, w, 60)
+	min, _, err := Minimize(context.Background(), nil, cfg, w, 60)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,4 +185,45 @@ func TestMinimizePreservesCluster(t *testing.T) {
 		}
 	}
 	t.Fatalf("minimized workload preserves no original (kind, fs, op) triple; got %d violations", len(res.Violations))
+}
+
+// Minimize runs its candidates under the caller's context: one cancelled
+// during the first candidate's engine run stops the shrink there, with the
+// context's error, so a fleet worker whose task was cancelled (watchdog,
+// refused heartbeat) does not run out the task's budget first.
+func TestMinimizeHonoursContext(t *testing.T) {
+	var cancel context.CancelFunc
+	runs := 0
+	cfg := core.Config{
+		NewFS: func(pm *persist.PM) vfs.FS {
+			return nova.New(pm, bugs.Of(bugs.NovaRenameInPlaceDelete))
+		},
+		Cap: 2,
+		// The contract is built once per engine run, before its crash states
+		// are checked.
+		Checker: func(env core.RunEnv) core.Checker {
+			runs++
+			cancel()
+			return core.NewOracleChecker(env)
+		},
+	}
+	w := workload.Workload{Name: "bloated", Ops: []workload.Op{
+		{Kind: workload.OpMkdir, Path: "/junk1"},
+		{Kind: workload.OpCreat, Path: "/f0", FDSlot: -1},
+		{Kind: workload.OpPwrite, Path: "/f0", FDSlot: -1, Size: 64, Seed: 1},
+		{Kind: workload.OpMkdir, Path: "/junk2"},
+		{Kind: workload.OpRename, Path: "/f0", Path2: "/f1"},
+	}}
+	for _, m := range []*core.PrefixMemo{nil, core.NewPrefixMemo()} {
+		ctx, stop := context.WithCancel(context.Background())
+		cancel, runs = stop, 0
+		_, execs, err := Minimize(ctx, m, cfg, w, 60)
+		stop()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("memo %v: err = %v, want context.Canceled", m != nil, err)
+		}
+		if runs > 1 || execs > 1 {
+			t.Fatalf("memo %v: %d engine runs (%d execs) after the cancel, want at most 1", m != nil, runs, execs)
+		}
+	}
 }

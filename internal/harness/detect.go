@@ -59,8 +59,9 @@ func DetectWithTargeted(id bugs.ID, opts DetectOptions) (Detection, error) {
 	cfg := opts.config(sys, bugs.Of(id))
 	det := Detection{Bug: info, System: sys.Name}
 	start := time.Now()
+	memo := core.NewPrefixMemo()
 	for _, w := range TargetedWorkloads(id) {
-		res, err := core.RunContext(context.Background(), cfg, w)
+		res, err := memo.Run(context.Background(), cfg, w)
 		if err != nil {
 			return det, fmt.Errorf("bug %d workload %s: %w", id, w.Name, err)
 		}
@@ -91,8 +92,9 @@ func VerifyFixedClean(id bugs.ID, opts DetectOptions) ([]core.Violation, error) 
 	}
 	cfg := opts.config(sys, bugs.None())
 	var out []core.Violation
+	memo := core.NewPrefixMemo()
 	for _, w := range TargetedWorkloads(id) {
-		res, err := core.RunContext(context.Background(), cfg, w)
+		res, err := memo.Run(context.Background(), cfg, w)
 		if err != nil {
 			return nil, err
 		}
@@ -117,12 +119,15 @@ func DetectWithACE(id bugs.ID, maxWorkloads int, opts DetectOptions) (Detection,
 	det := Detection{Bug: info, System: sys.Name}
 	start := time.Now()
 
+	// seq-1, seq-2 and seq-3-metadata are products over one op alphabet, so
+	// one memo serves the whole scan.
+	memo := core.NewPrefixMemo()
 	run := func(suite []workload.Workload) (bool, error) {
 		for _, w := range suite {
 			if maxWorkloads > 0 && det.Workloads >= maxWorkloads {
 				return false, nil
 			}
-			res, err := core.RunContext(context.Background(), cfg, w)
+			res, err := memo.Run(context.Background(), cfg, w)
 			if err != nil {
 				return false, fmt.Errorf("bug %d on %s: %w", id, w.Name, err)
 			}

@@ -1,9 +1,15 @@
 package harness
 
 import (
+	"context"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 
+	"chipmunk/internal/ace"
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/core"
 	"chipmunk/internal/obs"
 )
 
@@ -79,5 +85,55 @@ func TestObservation5MidSyscallRequirement(t *testing.T) {
 		if !info.NeedsMidCrash && !det.Found {
 			t.Errorf("bug %d should be detectable from post-syscall states alone", info.ID)
 		}
+	}
+}
+
+// TestDetectPrefixMemoMatchesUnshared: DetectWithACE shares one prefix memo
+// across its seq-1, seq-2 and seq-3-metadata scan, and must reach exactly
+// the Detection a memo-less core.RunContext loop over the same scan does —
+// for a bug seq-1 finds and for one no ACE workload reaches, whose scan runs
+// out its bound inside seq-2.
+func TestDetectPrefixMemoMatchesUnshared(t *testing.T) {
+	const maxWorkloads = 300
+	for _, c := range []struct {
+		id    bugs.ID
+		found bool
+	}{{bugs.NovaRenameInPlaceDelete, true}, {bugs.NTTailNotFenced, false}} {
+		id := c.id
+		t.Run(fmt.Sprint(id), func(t *testing.T) {
+			t.Parallel()
+			got, err := DetectWithACE(id, maxWorkloads, DetectOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			info, _ := bugs.Lookup(id)
+			sys, err := BugSystem(info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := DetectOptions{}.config(sys, bugs.Of(id))
+			want := Detection{Bug: info, System: sys.Name}
+			scan := slices.Concat(ace.Seq1(), ace.Seq2(), ace.Seq3Metadata())
+			for _, w := range scan[:maxWorkloads] {
+				res, err := core.RunContext(context.Background(), cfg, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want.Workloads++
+				want.StatesChecked += res.StatesChecked
+				if res.Buggy() {
+					want.Found, want.Via = true, w.Name
+					want.Kind, want.Phase = res.Violations[0].Kind, res.Violations[0].Phase
+					break
+				}
+			}
+			got.Elapsed = 0
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("shared scan: %+v\nunshared scan: %+v", got, want)
+			}
+			if got.Found != c.found || !got.Found && got.Workloads != maxWorkloads {
+				t.Fatalf("bug %d: found %v after %d workloads; the case expects found=%v", id, got.Found, got.Workloads, c.found)
+			}
+		})
 	}
 }

@@ -189,6 +189,17 @@ func captureDir(fs FS, dir string, st State, s *Scratch) error {
 			return fmt.Errorf("stat %s: %w", child, err)
 		}
 		if ci.Type == TypeDir {
+			// A corrupt image can list a directory inside itself or below
+			// itself (an empty name, a dirent naming an ancestor's inode);
+			// descending would never end.
+			for p := dir; ; p, _ = SplitPath(p) {
+				if st[p].ino == ci.Ino {
+					return fmt.Errorf("stat %s: directory cycle through %s", child, p)
+				}
+				if p == "/" {
+					break
+				}
+			}
 			if err := captureDir(fs, child, st, s); err != nil {
 				return err
 			}

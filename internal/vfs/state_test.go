@@ -41,6 +41,45 @@ func TestCaptureState(t *testing.T) {
 	}
 }
 
+// loopFS is a memfs whose directory listings carry one extra entry that
+// resolves to the directory target names, as a corrupt image's can.
+type loopFS struct {
+	*memfs.FS
+	dir, name, target string
+}
+
+func (f loopFS) ReadDir(path string) ([]vfs.DirEnt, error) {
+	ents, err := f.FS.ReadDir(path)
+	if path == f.dir {
+		ents = append(ents, vfs.DirEnt{Name: f.name, Type: vfs.TypeDir})
+	}
+	return ents, err
+}
+
+func (f loopFS) Stat(path string) (vfs.Stat, error) {
+	if path == vfs.Join(f.dir, f.name) {
+		path = f.target
+	}
+	return f.FS.Stat(path)
+}
+
+// A capture of a directory that lists itself or an ancestor fails with an
+// error instead of descending forever.
+func TestCaptureRefusesDirectoryCycle(t *testing.T) {
+	for _, f := range []loopFS{
+		{FS: buildFS(t), dir: "/", name: "", target: "/"},
+		{FS: buildFS(t), dir: "/d", name: "up", target: "/"},
+		{FS: buildFS(t), dir: "/d", name: "self", target: "/d"},
+	} {
+		if _, err := vfs.Capture(f); err == nil || !strings.Contains(err.Error(), "directory cycle") {
+			t.Errorf("%s lists %q -> %s: err = %v, want a directory cycle", f.dir, f.name, f.target, err)
+		}
+		if _, err := vfs.CaptureWith(f, new(vfs.Scratch)); err == nil {
+			t.Errorf("%s lists %q -> %s: CaptureWith succeeded", f.dir, f.name, f.target)
+		}
+	}
+}
+
 func TestStateEqualAndDiff(t *testing.T) {
 	f1 := buildFS(t)
 	f2 := buildFS(t)
