@@ -43,10 +43,9 @@ type Fuzzer struct {
 	// to builds that predate it.
 	KV bool
 
-	// Memo shares checked crash points across the candidates StepDelta
-	// runs, which mutation and splicing build from common op prefixes. New
-	// makes a fresh one; nil runs every candidate unshared.
-	Memo *core.PrefixMemo
+	// memo shares checked crash points across the candidates StepDelta
+	// runs, which mutation and splicing build from common op prefixes.
+	memo *core.PrefixMemo
 
 	// Violations accumulates every report; core.Triage clusters them.
 	Violations []core.Violation
@@ -72,7 +71,7 @@ func New(cfg core.Config, seed int64, seeds []workload.Workload) *Fuzzer {
 		cfg:      cfg,
 		rng:      rand.New(rand.NewSource(seed)),
 		coverage: map[uint64]bool{},
-		Memo:     core.NewPrefixMemo(),
+		memo:     core.NewPrefixMemo(),
 	}
 	f.corpus = append(f.corpus, seeds...)
 	return f
@@ -243,7 +242,7 @@ func (f *Fuzzer) StepDelta() (Delta, error) {
 	// The engine's sandbox contains per-crash-state panics; one on the
 	// coordinator path (trace recording, enumeration) propagates to the
 	// caller, where fleet's lease.RunUnit turns it into a failed round.
-	res, err := f.Memo.Run(context.Background(), f.cfg, w)
+	res, err := f.memo.Run(context.Background(), f.cfg, w)
 	if err != nil {
 		return Delta{Workload: w}, err
 	}

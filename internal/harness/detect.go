@@ -59,9 +59,8 @@ func DetectWithTargeted(id bugs.ID, opts DetectOptions) (Detection, error) {
 	cfg := opts.config(sys, bugs.Of(id))
 	det := Detection{Bug: info, System: sys.Name}
 	start := time.Now()
-	memo := core.NewPrefixMemo()
 	for _, w := range TargetedWorkloads(id) {
-		res, err := memo.Run(context.Background(), cfg, w)
+		res, err := core.RunContext(context.Background(), cfg, w)
 		if err != nil {
 			return det, fmt.Errorf("bug %d workload %s: %w", id, w.Name, err)
 		}
@@ -92,9 +91,8 @@ func VerifyFixedClean(id bugs.ID, opts DetectOptions) ([]core.Violation, error) 
 	}
 	cfg := opts.config(sys, bugs.None())
 	var out []core.Violation
-	memo := core.NewPrefixMemo()
 	for _, w := range TargetedWorkloads(id) {
-		res, err := memo.Run(context.Background(), cfg, w)
+		res, err := core.RunContext(context.Background(), cfg, w)
 		if err != nil {
 			return nil, err
 		}

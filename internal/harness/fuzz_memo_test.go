@@ -18,10 +18,12 @@ import (
 // differential. Over every system, bug set and fault mode, plus nova with
 // the KV vocabulary, each of 40 seeded StepDelta candidates — run through
 // the Fuzzer's memo — must carry exactly the Result a memo-less
-// core.RunContext gives it. So must a copy of the candidate with every op
-// field its Format line omits perturbed: the memo keys ops by that line, so
-// the copy is served the original's crash points, and mutation writes such
-// fields into any op kind. The first three buggy candidates are then
+// core.RunContext gives it. Each candidate then runs through a memo the test
+// owns, followed by a copy with every op field its Format line omits
+// perturbed: the memo keys ops by that line, so the copy is served the
+// candidate's crash points, and mutation writes such fields into any op
+// kind. Both must match their unshared runs. The first three buggy
+// candidates are then
 // minimized through one shared memo, as a fleet worker's batch of tasks
 // does, and unshared: the minimized text, the exec count and the
 // re-verification Result must agree.
@@ -68,6 +70,7 @@ func TestFuzzPrefixMemoMatchesUnshared(t *testing.T) {
 			}
 			fz := fuzz.New(c.cfg, int64(i+1), nil)
 			fz.KV = c.kv
+			own := core.NewPrefixMemo()
 			var served int64
 			var buggy []workload.Workload
 			for step := 0; step < 40; step++ {
@@ -84,12 +87,15 @@ func TestFuzzPrefixMemoMatchesUnshared(t *testing.T) {
 				if workload.Format(p) != workload.Format(d.Workload) {
 					t.Fatalf("step %d: the perturbed copy has another key:\n%s", step, workload.Format(p))
 				}
-				got, err := fz.Memo.Run(ctx, c.cfg, p)
-				if err != nil {
-					t.Fatalf("step %d: perturbed copy: %v", step, err)
-				}
-				if diff := resultDiff(unshared(p), got); diff != "" {
-					t.Errorf("step %d: the perturbed copy of %s differs from its unshared run: %s", step, d.Workload.Name, diff)
+				for k, w := range []workload.Workload{d.Workload, p} {
+					got, err := own.Run(ctx, c.cfg, w)
+					if err != nil {
+						t.Fatalf("step %d: %s through the test's memo: %v", step, w.Name, err)
+					}
+					if diff := resultDiff(unshared(w), got); diff != "" {
+						t.Errorf("step %d: %s (perturbed copy: %v) through the test's memo differs from its unshared run: %s",
+							step, w.Name, k == 1, diff)
+					}
 				}
 				if d.Result.Buggy() && len(buggy) < 3 {
 					buggy = append(buggy, d.Workload)
