@@ -354,11 +354,6 @@ func runWorker(addr string, cli *harness.CLIOptions, shardTimeout time.Duration,
 	return exitCode(inst, cli.Journal, false, false, interrupted)
 }
 
-// localPoll is the in-process workers' wait-state poll: a loopback round
-// trip costs microseconds, so they re-poll a generation barrier far sooner
-// than a remote worker's default.
-const localPoll = 10 * time.Millisecond
-
 // serveKnobs is the -serve flag surface beyond the spec.
 type serveKnobs struct {
 	shardSize, retries int
@@ -472,7 +467,7 @@ func runCoordinator(addr string, spec campaign.Spec, k serveKnobs, inst *harness
 		go func(id string) {
 			defer workers.Done()
 			err := fleet.RunWorker(wctx, fleet.WorkerConfig{
-				Addr: srv.Addr(), ID: id, Poll: localPoll, Journal: inst.Journal, Logf: logf,
+				Addr: srv.Addr(), ID: id, Journal: inst.Journal, Logf: logf,
 			})
 			if !errors.Is(err, context.Canceled) {
 				fatalIf(err)

@@ -74,11 +74,11 @@ func serveRun(t *testing.T, spec campaign.Spec, outDir string, n int, poison ...
 			var err error
 			if spec.Fuzz {
 				err = fleet.RunWorker(context.Background(), fleet.WorkerConfig{
-					Addr: addr, ID: id, Poll: 5 * time.Millisecond, DialBudget: 2 * time.Second,
+					Addr: addr, ID: id, DialBudget: 2 * time.Second,
 				})
 			} else {
 				err = campaign.RunWorker(context.Background(), campaign.WorkerConfig{
-					Addr: addr, ID: id, Poll: 5 * time.Millisecond, DialBudget: 2 * time.Second, PoisonShards: poison,
+					Addr: addr, ID: id, DialBudget: 2 * time.Second, PoisonShards: poison,
 				})
 			}
 			if err != nil {

@@ -91,7 +91,7 @@ func runCampaign(t *testing.T, cc CoordinatorConfig, n int, ctxFor func(i int) c
 	res := campaignResult{workerErrs: make([]error, n)}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
-		wc := WorkerConfig{Addr: srv.Addr(), ID: fmt.Sprintf("w%d", i), Poll: 5 * time.Millisecond}
+		wc := WorkerConfig{Addr: srv.Addr(), ID: fmt.Sprintf("w%d", i)}
 		if mut != nil {
 			mut(i, &wc)
 		}
@@ -232,7 +232,7 @@ func TestDistributedMatchesSerialResume(t *testing.T) {
 		go func(i int) {
 			defer wg1.Done()
 			RunWorker(wctx1, WorkerConfig{ //nolint:errcheck // interrupted on purpose
-				Addr: srv1.Addr(), ID: fmt.Sprintf("p1-w%d", i), Poll: 5 * time.Millisecond,
+				Addr: srv1.Addr(), ID: fmt.Sprintf("p1-w%d", i),
 			})
 		}(i)
 	}
@@ -408,7 +408,7 @@ func TestSuiteFingerprintMismatch(t *testing.T) {
 	}))
 	defer liar.Close()
 	err = RunWorker(context.Background(), WorkerConfig{
-		Addr: strings.TrimPrefix(liar.URL, "http://"), ID: "w", Poll: time.Millisecond,
+		Addr: strings.TrimPrefix(liar.URL, "http://"), ID: "w",
 	})
 	if err == nil || !strings.Contains(err.Error(), "suite fingerprint mismatch") {
 		t.Fatalf("worker accepted a mismatched handshake: %v", err)

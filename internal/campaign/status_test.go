@@ -234,7 +234,7 @@ func TestWorkerHeartbeatRefusedJournal(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- RunWorker(context.Background(), WorkerConfig{
-			Addr: srv.Addr(), ID: "w0", Poll: 5 * time.Millisecond, Journal: jr,
+			Addr: srv.Addr(), ID: "w0", Journal: jr,
 			runEngine: func(ctx context.Context, cfg core.Config, slice []workload.Workload, lease LeaseResponse, jobs int) (*harness.Census, []core.Violation, error) {
 				if calls.Add(1) == 1 {
 					// First attempt wedges until the refused heartbeat

@@ -47,8 +47,6 @@ type WorkerConfig struct {
 	// Journal, when non-nil, receives this worker's run-journal events —
 	// per-worker journals are merged afterwards with journaltool -merge.
 	Journal *obs.Journal
-	// Poll is the wait-state poll interval (default 300ms).
-	Poll time.Duration
 	// OnLease, when set, is called after each granted lease before the
 	// shard runs — the hook kill-mid-shard tests use to die at a precise
 	// point.
@@ -92,8 +90,7 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	if wc.Jobs == 0 {
 		wc.Jobs = 1
 	}
-	w := &lease.Worker{Addr: wc.Addr, ID: wc.ID, Poll: wc.Poll, DialBudget: wc.DialBudget,
-		Timeout: wc.ShardTimeout, Logf: wc.Logf}
+	w := &lease.Worker{Addr: wc.Addr, ID: wc.ID, DialBudget: wc.DialBudget, Timeout: wc.ShardTimeout, Logf: wc.Logf}
 	w.Init(DefaultShardTimeout)
 
 	// Handshake: fetch the spec, rebuild the suite locally, and verify the

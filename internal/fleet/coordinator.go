@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"time"
 
@@ -28,20 +29,29 @@ type CoordinatorConfig struct {
 	Logf           func(format string, args ...any)
 }
 
-// minTask is one reproducer-minimization unit (its lease lives in the
-// coordinator's mins table, at its id). Tasks are created at generation
-// folds — one per first-seen violation cluster, in sorted cluster-key order
-// — so their ids are a pure function of the credited round set, like
-// everything else in the fold. A task that spends its attempts resolves
-// unverified: the census falls back to the unminimized representative
-// rather than stalling the soak.
+// minTask is one first-seen violation cluster's minimization. Tasks are
+// created at generation folds, in sorted cluster-key order, so their ids are
+// a pure function of the credited round set, like everything else in the
+// fold. Tasks with one text share a unit (a mins table slot), whose result
+// settles them all. A task whose unit spends its attempts resolves
+// unverified: the census falls back to the unminimized representative.
 type minTask struct {
 	cluster string
-	text    string // representative reproducer (minimization input)
-	// Outcome: verified means the minimized form re-tripped the cluster.
-	verified bool
-	minText  string
-	minExecs int
+	text    string      // representative reproducer (minimization input)
+	unit    int         // its mins table slot
+	res     *FuzzResult // the result that settled it; nil until then
+}
+
+// verified: the minimized form re-tripped the task's (kind, FS).
+func (m *minTask) verified() bool {
+	if m.res == nil {
+		return false
+	}
+	if tripped := m.res.MinTripped; tripped != nil {
+		kind, fs := ClusterKindFS(m.cluster)
+		return slices.Contains(*tripped, kind+"|"+fs)
+	}
+	return m.res.MinVerified // a result without the set settles only the task it names
 }
 
 // Stats summarizes the soak's control-plane history: the lease counters of
@@ -102,8 +112,9 @@ type Coordinator struct {
 	genCut []int
 
 	mins        *lease.Table
-	minTasks    []minTask // by task id, parallel to mins.Slots
-	clusterSeen map[string]bool
+	minTasks    []minTask
+	leads       []int          // by unit: its first task, whose cluster and text it leases
+	clusterTask map[string]int // cluster key -> its task
 
 	execs             int
 	statesChecked     int
@@ -152,7 +163,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		mins:        lease.NewTable(0, cfg.LeaseTTL, cfg.Retries, ctr),
 		coverage:    map[uint64]bool{},
 		genCut:      []int{0},
-		clusterSeen: map[string]bool{},
+		clusterTask: map[string]int{},
 	}
 	mux := c.Init(cfg.Logf, []lease.Kind{
 		{Name: ResultRound, SpentAs: "dropped", Group: spec.GenRounds, Table: c.rounds},
@@ -269,7 +280,7 @@ func (c *Coordinator) foldLocked() {
 		rep := map[string]string{}
 		for _, v := range viols {
 			key := v.ClusterKey()
-			if c.clusterSeen[key] {
+			if _, seen := c.clusterTask[key]; seen {
 				continue
 			}
 			if cur, ok := rep[key]; !ok || v.Text < cur {
@@ -282,13 +293,43 @@ func (c *Coordinator) foldLocked() {
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			c.clusterSeen[k] = true
-			c.Log("minimize: task %d opened for cluster %q", len(c.minTasks), k)
-			c.mins.Grow(1)
+			t := len(c.minTasks)
+			c.clusterTask[k] = t
 			c.minTasks = append(c.minTasks, minTask{cluster: k, text: rep[k]})
+			c.joinLocked(t)
+			c.Log("minimize: task %d for cluster %q in unit %d", t, k, c.minTasks[t].unit)
 		}
 	}
 }
+
+// joinLocked adds task t to the unit of the latest task with its text, if
+// that unit is open or settled by a result that speaks for every task (which
+// settles t too); after a drop or a result without the tripped set, t opens
+// a unit with a fresh attempt budget. Caller holds c.Mu.
+func (c *Coordinator) joinLocked(t int) {
+	m := &c.minTasks[t]
+	for i := t - 1; i >= 0; i-- {
+		if q := &c.minTasks[i]; q.text == m.text {
+			if q.res == nil && c.mins.Slots[q.unit].State != lease.Spent || q.res != nil && q.res.MinTripped != nil {
+				m.unit, m.res = q.unit, q.res
+				return
+			}
+			break
+		}
+	}
+	c.openUnitLocked(t)
+}
+
+// openUnitLocked opens a unit for tasks, which share a text. Caller holds c.Mu.
+func (c *Coordinator) openUnitLocked(tasks ...int) {
+	for _, t := range tasks {
+		c.minTasks[t].unit = len(c.leads)
+	}
+	c.leads = append(c.leads, tasks[0])
+	c.mins.Grow(1)
+}
+
+func (c *Coordinator) leadLocked(u int) *minTask { return &c.minTasks[c.leads[u]] }
 
 // extendScheduleLocked appends one more generation of rounds in duration
 // mode when the previous ones are fully folded and the wall-clock budget is
@@ -343,7 +384,7 @@ func (c *Coordinator) attemptFailedLocked(tab *lease.Table, i int, worker, cause
 	case s.State != lease.Spent:
 		noun := "round"
 		if tab == c.mins {
-			noun = "minimize task"
+			noun = "minimize unit"
 		}
 		c.Log("%s %d attempt %d/%d failed (worker %s): %s — re-dispatching",
 			noun, i, s.Attempts, tab.Retries, worker, cause)
@@ -358,20 +399,24 @@ func (c *Coordinator) attemptFailedLocked(tab *lease.Table, i int, worker, cause
 		c.AppendLocked(fleetCkptLine{Type: "drop", Round: i, Worker: s.ErrWorker, Err: s.LastErr, Attempts: s.Attempts})
 		c.foldLocked()
 	default:
-		m := &c.minTasks[i]
-		c.Log("minimize task %d DROPPED after %d failed attempts: census keeps the unminimized reproducer", i, s.Attempts)
+		m := c.leadLocked(i)
+		c.Log("minimize unit %d DROPPED after %d failed attempts: census keeps the unminimized reproducer", i, s.Attempts)
 		c.journal.Emit(obs.Event{
 			Type: "fuzz-min-drop", FS: c.spec.FS, Workload: "fuzz",
 			Worker: s.ErrWorker, Sys: -1, Rank: i, Detail: m.cluster + ": " + s.LastErr,
 		})
-		c.AppendLocked(fleetCkptLine{Type: "mindrop", MinCluster: m.cluster})
+		for t := range c.minTasks { // one record per task the unit held
+			if q := &c.minTasks[t]; q.unit == i && q.res == nil {
+				c.AppendLocked(fleetCkptLine{Type: "mindrop", MinCluster: q.cluster})
+			}
+		}
 	}
 	c.maybeCompleteLocked()
 }
 
 // Lease hands out the next unit of fuzzing work: the unit the worker still
 // holds, if any (its last lease response was lost or discarded; see
-// lease.Table.HeldBy), then minimization tasks (they gate completion and are
+// lease.Table.HeldBy), then minimization units (they gate completion and are
 // cheap), then the lowest pending round whose generation is open.
 func (c *Coordinator) Lease(req FuzzLeaseRequest) (FuzzLeaseResponse, error) {
 	c.Mu.Lock()
@@ -434,11 +479,11 @@ func (c *Coordinator) grantRoundLocked(i int, req FuzzLeaseRequest, now time.Tim
 	}
 }
 
-// grantMinLocked leases minimization task i. Caller holds c.Mu.
+// grantMinLocked leases minimization unit i. Caller holds c.Mu.
 func (c *Coordinator) grantMinLocked(i int, req FuzzLeaseRequest, now time.Time) FuzzLeaseResponse {
 	c.mins.Grant(i, req.Worker, now)
-	m := &c.minTasks[i]
-	c.Log("lease: minimize task %d (cluster %q) -> %s (ttl %v)", i, m.cluster, req.Worker, c.mins.TTL)
+	m := c.leadLocked(i)
+	c.Log("lease: minimize unit %d (cluster %q) -> %s (ttl %v)", i, m.cluster, req.Worker, c.mins.TTL)
 	return FuzzLeaseResponse{
 		Status:     LeaseMinimize,
 		MinID:      i,
@@ -450,8 +495,8 @@ func (c *Coordinator) grantMinLocked(i int, req FuzzLeaseRequest, now time.Time)
 }
 
 // Credit records one result, at most once (lease.Shell.SettleLocked): round
-// results feed the generation fold, minimization results close their tasks,
-// and error payloads are failed dispatch attempts.
+// results feed the generation fold, minimization results settle their unit's
+// tasks, and error payloads are failed dispatch attempts.
 func (c *Coordinator) Credit(p *FuzzResult) (lease.CreditResponse, error) {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
@@ -461,10 +506,10 @@ func (c *Coordinator) Credit(p *FuzzResult) (lease.CreditResponse, error) {
 	id, tab := unitID(p), c.rounds
 	if p.Kind == ResultMinimize {
 		tab = c.mins
-		if id >= 0 && id < len(c.minTasks) && p.MinCluster != c.minTasks[id].cluster {
+		if id >= 0 && id < len(c.mins.Slots) && p.MinCluster != c.leadLocked(id).cluster {
 			c.rounds.Rejected++
-			return lease.CreditResponse{}, fmt.Errorf("minimize task %d cluster mismatch: coordinator has %q, result says %q",
-				id, c.minTasks[id].cluster, p.MinCluster)
+			return lease.CreditResponse{}, fmt.Errorf("minimize unit %d cluster mismatch: coordinator has %q, result says %q",
+				id, c.leadLocked(id).cluster, p.MinCluster)
 		}
 	}
 	switch o, resp, err := c.SettleLocked(p.Kind, id, p.Worker, p.Err); {
@@ -490,7 +535,7 @@ func (c *Coordinator) Credit(p *FuzzResult) (lease.CreditResponse, error) {
 		c.foldLocked()
 		c.Log("credit: round %d from %s (%d/%d rounds)", id, p.Worker, c.rounds.Count(lease.Done), len(c.rounds.Slots))
 	} else {
-		c.Log("credit: minimize task %d from %s (verified=%v)", id, p.Worker, p.MinVerified)
+		c.Log("credit: minimize unit %d from %s (tripped %v)", id, p.Worker, p.MinTripped)
 	}
 	c.maybeCompleteLocked()
 	return lease.CreditResponse{Accepted: true, Done: c.completedLocked()}, nil
@@ -512,11 +557,40 @@ func (c *Coordinator) applyRoundLocked(p *FuzzResult) {
 	}
 }
 
-// applyMinLocked records a credited minimization outcome — shared by the
-// wire path and checkpoint replay. Caller holds c.Mu.
-func (c *Coordinator) applyMinLocked(i int, p *FuzzResult) {
-	m := &c.minTasks[i]
-	m.verified, m.minText, m.minExecs = p.MinVerified, p.MinText, p.MinExecs
+// minCountsLocked tallies tasks by state (Done once settled, else their
+// unit's) and counts the verified ones. Caller holds c.Mu.
+func (c *Coordinator) minCountsLocked() (n [4]int, verified int) {
+	for i := range c.minTasks {
+		m, st := &c.minTasks[i], lease.Done
+		if m.res == nil {
+			st = c.mins.Slots[m.unit].State
+		}
+		n[st]++
+		if m.verified() {
+			verified++
+		}
+	}
+	return n, verified
+}
+
+// applyMinLocked settles unit u's tasks — shared by the wire path and
+// checkpoint replay. A result without the tripped set (from a worker
+// predating shared units) settles only the task it names; the rest move to
+// a new unit. Caller holds c.Mu.
+func (c *Coordinator) applyMinLocked(u int, p *FuzzResult) {
+	var rest []int
+	for t := range c.minTasks {
+		switch m := &c.minTasks[t]; {
+		case m.unit != u || m.res != nil:
+		case p.MinTripped != nil || m.cluster == p.MinCluster:
+			m.res = p
+		default:
+			rest = append(rest, t)
+		}
+	}
+	if len(rest) > 0 {
+		c.openUnitLocked(rest...)
+	}
 }
 
 // Heartbeat extends a live lease; refusal tells the worker it lost the
@@ -550,11 +624,11 @@ func (c *Coordinator) RejectResult(kind string, id int, worker, cause string) {
 func (c *Coordinator) Stats() Stats {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	dropped := c.mins.Count(lease.Spent)
+	n, _ := c.minCountsLocked()
 	return Stats{
 		Counters: c.rounds.Snapshot(),
 		Rounds:   len(c.rounds.Slots), RoundsCredited: c.rounds.Count(lease.Done), RoundsDropped: c.rounds.Count(lease.Spent),
-		MinTasks: len(c.minTasks), MinDone: c.mins.Count(lease.Done) + dropped, MinDropped: dropped,
+		MinTasks: len(c.minTasks), MinDone: n[lease.Done] + n[lease.Spent], MinDropped: n[lease.Spent],
 		Resumed: c.rounds.Resumed + c.mins.Resumed, Generations: c.foldedGensLocked(),
 	}
 }
@@ -586,15 +660,7 @@ func (c *Coordinator) censusLocked() report.FuzzCensus {
 		}
 	}
 	clusters := report.TriageEvents(events)
-	minByCluster := map[string]*minTask{}
-	minVerified := 0
-	for i := range c.minTasks {
-		m := &c.minTasks[i]
-		minByCluster[m.cluster] = m
-		if m.verified {
-			minVerified++
-		}
-	}
+	_, minVerified := c.minCountsLocked()
 	out := report.FuzzCensus{
 		SpecHash:          c.info.SuiteHash,
 		FS:                c.spec.FS,
@@ -615,8 +681,8 @@ func (c *Coordinator) censusLocked() report.FuzzCensus {
 	for _, tc := range clusters {
 		key := tc.Kind + "|" + tc.FS + "|" + tc.Prefix
 		b := report.FuzzBug{TriageCluster: tc, Reproducer: rep[key]}
-		if m := minByCluster[key]; m != nil && m.verified && m.minText != "" {
-			b.Reproducer = m.minText
+		if i, ok := c.clusterTask[key]; ok && c.minTasks[i].verified() && c.minTasks[i].res.MinText != "" {
+			b.Reproducer = c.minTasks[i].res.MinText
 			b.Minimized = true
 			b.Verified = true
 		}
@@ -717,26 +783,37 @@ func (c *Coordinator) attachCheckpoint(path string) error {
 	}
 	c.foldLocked()
 
-	// Minimization records match by cluster key: task ids are deterministic,
-	// but the key is self-describing and survives id-order evolution.
-	byCluster := map[string]int{}
-	for i := range c.minTasks {
-		byCluster[c.minTasks[i].cluster] = i
+	// Minimization records match by cluster key, which survives id-order
+	// evolution. Drops first: one names each task its unit held, and the
+	// tasks that joined the text later get a unit of their own, as live.
+	gone := map[int]bool{}
+	for _, cluster := range st.MinDrops {
+		if i, ok := c.clusterTask[cluster]; ok {
+			gone[i] = true
+			c.mins.Slots[c.minTasks[i].unit].State = lease.Spent
+		}
 	}
+	rest := make([][]int, len(c.leads))
+	for t := range c.minTasks {
+		if u := c.minTasks[t].unit; !gone[t] && c.mins.Slots[u].State == lease.Spent {
+			rest[u] = append(rest[u], t)
+		}
+	}
+	for _, tasks := range rest {
+		if len(tasks) > 0 {
+			c.openUnitLocked(tasks...)
+		}
+	}
+	// A result names its unit's lead, or the task it settles.
 	for _, p := range st.Mins {
-		i, ok := byCluster[p.MinCluster]
+		i, ok := c.clusterTask[p.MinCluster]
 		if !ok || p.SpecHash != c.info.SuiteHash {
 			c.Log("checkpoint: ignoring foreign minimize record (cluster %q)", p.MinCluster)
 			continue
 		}
-		if c.mins.Slots[i].State == lease.Pending {
-			c.mins.Resume(i, p.Worker)
-			c.applyMinLocked(i, p)
-		}
-	}
-	for _, cluster := range st.MinDrops {
-		if i, ok := byCluster[cluster]; ok && c.mins.Slots[i].State == lease.Pending {
-			c.mins.Slots[i].State = lease.Spent
+		if u := c.minTasks[i].unit; c.mins.Slots[u].State == lease.Pending && c.minTasks[i].res == nil {
+			c.mins.Resume(u, p.Worker)
+			c.applyMinLocked(u, p)
 		}
 	}
 
@@ -805,7 +882,7 @@ type FuzzStatus struct {
 	Execs         int     `json:"execs"`
 	ExecsPerSec   float64 `json:"execs_per_sec"`
 
-	// Bug census as of the credited rounds.
+	// Bug census as of the credited rounds; Min* count minimization tasks.
 	DistinctBugs int `json:"distinct_bugs"`
 	MinPending   int `json:"min_pending"`
 	MinLeased    int `json:"min_leased"`
@@ -819,21 +896,16 @@ func (c *Coordinator) Status() FuzzStatus {
 	defer c.Mu.Unlock()
 	st := c.StatusLocked(time.Now(), int64(c.statesChecked))
 	st.CampaignID, st.FS = c.info.CampaignID, c.spec.FS
+	n, verified := c.minCountsLocked()
 	f := FuzzStatus{
 		Status: st, SpecHash: c.info.SuiteHash, RoundExecs: c.spec.RoundExecs, GenRounds: c.spec.GenRounds,
 		BudgetExecs: c.spec.BudgetExecs, BudgetSec: time.Duration(c.spec.BudgetNanos).Seconds(),
 		Rounds: st.Dash.Units, Dropped: st.Dash.Spent, Generations: c.foldedGensLocked(), RoundMap: st.Dash.Map,
-		CorpusSize: len(c.corpus), CoverageEdges: len(c.coverage), Execs: c.execs, DistinctBugs: len(c.clusterSeen),
-		MinPending: c.mins.Count(lease.Pending), MinLeased: c.mins.Count(lease.Leased),
-		MinDone: c.mins.Count(lease.Done) + c.mins.Count(lease.Spent),
+		CorpusSize: len(c.corpus), CoverageEdges: len(c.coverage), Execs: c.execs, DistinctBugs: len(c.clusterTask),
+		MinPending: n[lease.Pending], MinLeased: n[lease.Leased], MinDone: n[lease.Done] + n[lease.Spent], MinVerified: verified,
 	}
 	if st.ElapsedSec > 0 {
 		f.ExecsPerSec = float64(c.execs) / st.ElapsedSec
-	}
-	for i := range c.minTasks {
-		if c.minTasks[i].verified {
-			f.MinVerified++
-		}
 	}
 	budget := fmt.Sprintf("%d execs", f.BudgetExecs)
 	if f.BudgetSec > 0 {

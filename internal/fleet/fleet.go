@@ -27,10 +27,11 @@
 //
 // Minimization rides the same machinery: the first fold that sees a new
 // violation cluster (kind, FS, canonical trace prefix) creates a
-// minimization task for its lexicographically-smallest reproducer, and the
-// tasks are handed out as priority leases. Workers shrink the reproducer
-// with fuzz.Minimize and re-verify that the minimized workload still trips
-// the same cluster before the census trusts it.
+// minimization task for its lexicographically-smallest reproducer; tasks
+// with one text share a unit, handed out as a priority lease. Workers
+// shrink the text with fuzz.Minimize and report every (kind, FS) the
+// minimized workload trips; the census trusts it for a task whose pair is
+// among them.
 package fleet
 
 import (
@@ -204,7 +205,7 @@ type FuzzLeaseResponse struct {
 	// first Cursor entries of the log.
 	Cursor int `json:"cursor"`
 
-	// Minimization lease (Status == LeaseMinimize).
+	// Minimization lease (Status == LeaseMinimize) of unit MinID.
 	MinID      int    `json:"min_id,omitempty"`
 	MinCluster string `json:"min_cluster,omitempty"`
 	// MinText is the representative reproducer to shrink; MinBudget the
@@ -310,13 +311,15 @@ type FuzzResult struct {
 	Violations        []FuzzViolation `json:"violations,omitempty"`
 	Obs               *obs.Snapshot   `json:"obs,omitempty"`
 
-	// Minimization result fields. MinVerified reports that the minimized
-	// workload was re-run and still tripped the same violation cluster.
-	MinID       int    `json:"min_id,omitempty"`
-	MinCluster  string `json:"min_cluster,omitempty"`
-	MinText     string `json:"min_text,omitempty"`
-	MinExecs    int    `json:"min_execs,omitempty"`
-	MinVerified bool   `json:"min_verified,omitempty"`
+	// Minimization result fields. MinTripped points at the sorted "kind|fs"
+	// pairs the minimized workload's re-run tripped (empty: none); it is nil
+	// only from a worker predating shared units. MinVerified is MinCluster's.
+	MinID       int       `json:"min_id,omitempty"`
+	MinCluster  string    `json:"min_cluster,omitempty"`
+	MinText     string    `json:"min_text,omitempty"`
+	MinExecs    int       `json:"min_execs,omitempty"`
+	MinVerified bool      `json:"min_verified,omitempty"`
+	MinTripped  *[]string `json:"min_tripped,omitempty"`
 
 	Err string `json:"err,omitempty"`
 	// Sum is the FNV-64a self-checksum (ResultSum with Sum cleared),
@@ -333,7 +336,7 @@ func ResultSum(p *FuzzResult) string {
 
 // FuzzHeartbeat extends a live round or minimization lease
 // (POST /campaign/fuzz-heartbeat). Kind is ResultRound or ResultMinimize;
-// ID the round index or minimization task id.
+// ID the round index or minimization unit id.
 type FuzzHeartbeat struct {
 	Worker   string `json:"worker"`
 	SpecHash string `json:"spec_hash"`

@@ -85,6 +85,15 @@ func TestWireAndCheckpointFormat(t *testing.T) {
 		result(&FuzzResult{Kind: ResultMinimize, Worker: "w0", MinID: 1,
 			MinCluster: viol("synchrony-violation").ClusterKey(), Err: "engine: boom"}), `{"accepted":false,"duplicate":false,"quarantined":true,"done":false}` + "\n"})
 	wire = append(wire, struct{ name, got, want string }{"FuzzLeaseResponse (generation 1)", lease("w1"), `{"status":"round","round":4,"execs":15,"seed":3047264704176347588,"corpus":[{"text":"mkdir A\n","sigs":[7,9],"sum":"921974c55ebfb82c"}],"base":0,"cursor":1,"ttl_ns":60000000000}` + "\n"})
+	// A shared unit's result carries the (kind, FS) pairs its re-run tripped;
+	// the wire body and the checkpoint record's payload are the same bytes.
+	tripped := &FuzzResult{Kind: ResultMinimize, Worker: "w0", SpecHash: hash, MinID: 2,
+		MinCluster: viol("atomicity-violation").ClusterKey(), MinText: "mkdir A\n", MinExecs: 3, MinVerified: true,
+		MinTripped: &[]string{"atomicity-violation|nova", "synchrony-violation|nova"}}
+	tripped.Sum = ResultSum(tripped)
+	rec, _ := json.Marshal(fleetCkptLine{Type: "min", Payload: tripped})
+	wire = append(wire, struct{ name, got, want string }{"min record (tripped set)", string(rec),
+		`{"type":"min","payload":{"kind":"minimize","worker":"w0","spec_hash":"fz47f27475cbcb79ec","min_id":2,"min_cluster":"atomicity-violation|nova|mkdir A","min_text":"mkdir A\n","min_execs":3,"min_verified":true,"min_tripped":["atomicity-violation|nova","synchrony-violation|nova"],"sum":"6ed49aee7c978864"}}`})
 	for _, w := range wire {
 		if w.got != w.want {
 			t.Errorf("%s on the wire:\n got %q\nwant %q", w.name, w.got, w.want)

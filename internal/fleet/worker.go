@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -28,7 +29,6 @@ type WorkerConfig struct {
 	RoundTimeout time.Duration
 	DialBudget   time.Duration
 	Journal      *obs.Journal
-	Poll         time.Duration
 	OnLease      func(FuzzLeaseResponse)
 	Logf         func(format string, args ...any)
 	Info         *campaign.SpecInfo
@@ -47,8 +47,7 @@ type WorkerConfig struct {
 // a corrupted wire can slow a worker down but never make it fuzz against the
 // wrong corpus.
 func RunWorker(ctx context.Context, wc WorkerConfig) error {
-	w := &lease.Worker{Addr: wc.Addr, ID: wc.ID, Poll: wc.Poll, DialBudget: wc.DialBudget,
-		Timeout: wc.RoundTimeout, Logf: wc.Logf}
+	w := &lease.Worker{Addr: wc.Addr, ID: wc.ID, DialBudget: wc.DialBudget, Timeout: wc.RoundTimeout, Logf: wc.Logf}
 	w.Init(DefaultRoundTimeout)
 
 	info := wc.Info
@@ -101,16 +100,16 @@ type fuzzJob struct {
 
 	held FuzzLeaseResponse
 	// kind and id are the held unit's identity on the wire (ResultRound and
-	// the round index, or ResultMinimize and the task id).
+	// the round index, or ResultMinimize and the minimization unit id).
 	kind  string
 	id    int
 	start time.Time
 	// node is the running round's fuzzer; heartbeats read its progress.
 	node   atomic.Pointer[Node]
 	result *FuzzResult
-	// memo serves the minimization tasks run since the last round: a fold
-	// opens one task per violating syscall of a workload, so a batch
-	// re-checks the same op prefixes. A round drops it.
+	// memo serves the minimization units run since the last round: a fold
+	// opens units for mutants of one workload, so a batch re-checks the same
+	// op prefixes. A round drops it.
 	memo *core.PrefixMemo
 }
 
@@ -142,7 +141,7 @@ func (j *fuzzJob) Lease(ctx context.Context) (lease.Poll, time.Duration, error) 
 	}
 	if l.Status == LeaseMinimize {
 		j.kind, j.id = ResultMinimize, l.MinID
-		j.Logf("worker %s: minimizing cluster %q (task %d, budget %d)", j.ID, l.MinCluster, l.MinID, l.MinBudget)
+		j.Logf("worker %s: minimizing cluster %q (unit %d, budget %d)", j.ID, l.MinCluster, l.MinID, l.MinBudget)
 	} else {
 		if !absorbLease(&j.cache, l, j.ID, j.Logf) {
 			return lease.PollAgain, 0, nil
@@ -235,16 +234,16 @@ func (j *fuzzJob) Run(ctx context.Context) error {
 }
 
 // minimize shrinks the leased reproducer with fuzz.Minimize, then re-runs
-// the minimized workload once and reports whether it still trips the same
-// violation cluster — the census only labels a reproducer "minimized" on a
-// verified shrink.
+// the minimized workload once and reports every (kind, FS) it trips — the
+// census only labels a task's reproducer "minimized" on a shrink that still
+// trips its own. An unnamed reproducer is named after its text, not the unit.
 func (j *fuzzJob) minimize(ctx context.Context) error {
 	w, err := workload.Parse(j.held.MinText)
 	if err != nil {
 		return fmt.Errorf("reproducer unparseable: %w", err)
 	}
 	if w.Name == "" {
-		w.Name = fmt.Sprintf("fleet-min-%d", j.held.MinID)
+		w.Name = fmt.Sprintf("fleet-min-%016x", entryKey(CorpusEntry{Text: j.held.MinText}))
 	}
 	minimized, execs, err := fuzz.Minimize(ctx, j.memo, j.cfg, w, j.held.MinBudget)
 	if err != nil {
@@ -254,21 +253,21 @@ func (j *fuzzJob) minimize(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	// Verify against the cluster's stable coordinates (kind, FS): the
+	// Verification reads a cluster's stable coordinates (kind, FS): the
 	// trace prefix changes whenever minimization drops an op, so the full
 	// key cannot survive a successful shrink.
-	wantKind, wantFS := ClusterKindFS(j.held.MinCluster)
-	verified := false
+	tripped := []string{} // non-nil: the result speaks for every task of its unit
 	for _, v := range res.Violations {
-		if v.Kind.String() == wantKind && v.FS == wantFS {
-			verified = true
-			break
+		if pair := v.Kind.String() + "|" + v.FS; !slices.Contains(tripped, pair) {
+			tripped = append(tripped, pair)
 		}
 	}
+	slices.Sort(tripped)
+	wantKind, wantFS := ClusterKindFS(j.held.MinCluster)
 	j.result = &FuzzResult{
 		Kind: ResultMinimize, Worker: j.ID, SpecHash: j.hash,
-		MinID: j.held.MinID, MinCluster: j.held.MinCluster,
-		MinText: workload.Format(minimized), MinExecs: execs + 1, MinVerified: verified,
+		MinID: j.held.MinID, MinCluster: j.held.MinCluster, MinText: workload.Format(minimized), MinExecs: execs + 1,
+		MinVerified: slices.Contains(tripped, wantKind+"|"+wantFS), MinTripped: &tripped,
 	}
 	return nil
 }

@@ -337,3 +337,62 @@ func TestShellStatusView(t *testing.T) {
 		}
 	}
 }
+
+// waitJob answers PollWait waits times, then PollDone, and stamps each ask.
+type waitJob struct {
+	waits int
+	asks  []time.Time
+}
+
+func (j *waitJob) Lease(context.Context) (Poll, time.Duration, error) {
+	j.asks = append(j.asks, time.Now())
+	if len(j.asks) > j.waits {
+		return PollDone, 0, nil
+	}
+	return PollWait, 0, nil
+}
+func (j *waitJob) Beat(context.Context, time.Duration, int) (bool, error) { return true, nil }
+func (j *waitJob) Run(context.Context) error                              { return nil }
+func (j *waitJob) Report(context.Context, RunOutcome, error) (bool, error) {
+	return false, nil
+}
+
+// TestWaitRepollsWithBackoff: a worker told to wait re-polls after a
+// jittered pause whose cap doubles from waitBase to waitCeil — soon after a
+// short wait, never in a hot loop, and never slower than waitCeil.
+func TestWaitRepollsWithBackoff(t *testing.T) {
+	for n := 1; n <= 40; n++ {
+		ceil := min(waitBase<<min(n-1, 30), waitCeil)
+		for k := 0; k < 50; k++ {
+			if d := jitter(waitBase, n, waitCeil); d < 0 || d > ceil {
+				t.Fatalf("jitter(%v, %d, %v) = %v, outside [0, %v]", waitBase, n, waitCeil, d, ceil)
+			}
+		}
+	}
+	var sum time.Duration
+	for k := 0; k < 1000; k++ {
+		sum += jitter(waitBase, 30, waitCeil)
+	}
+	if mean := sum / 1000; mean < waitCeil*3/8 || mean > waitCeil*5/8 {
+		t.Errorf("mean pause at the ceiling %v, want about %v", mean, waitCeil/2)
+	}
+
+	w := &Worker{Addr: "unused", ID: "w"}
+	w.Init(time.Second)
+	job := &waitJob{waits: 8}
+	start := time.Now()
+	if err := w.Work(context.Background(), "run", job); err != nil || len(job.asks) != 9 {
+		t.Fatalf("Work = %v after %d asks, want done on the 9th", err, len(job.asks))
+	}
+	// The eight pauses are capped at 1, 2, 4, ..., 64, 64 ms (expected sum
+	// ~96ms): a hot loop takes microseconds, the cap bounds the total.
+	if el := time.Since(start); el < 2*time.Millisecond || el > 8*waitCeil+time.Second {
+		t.Errorf("eight waits took %v", el)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := w.Work(ctx, "run", &waitJob{waits: 1 << 30}); !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Work = %v", err)
+	}
+}

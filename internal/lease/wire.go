@@ -176,6 +176,16 @@ func rejection(resp *http.Response, data []byte) string {
 	return resp.Status
 }
 
+// jitter is full jitter over an exponentially growing cap: a random pause in
+// [0, min(base·2^(n-1), ceil)] before the n-th retry (n ≥ 1).
+func jitter(base time.Duration, n int, ceil time.Duration) time.Duration {
+	c := base << uint(min(n-1, 30))
+	if c <= 0 || c > ceil {
+		c = ceil
+	}
+	return time.Duration(rand.Int63n(int64(c) + 1)) //nolint:gosec // jitter, not crypto
+}
+
 func doJSON(ctx context.Context, client *http.Client, method, url string, body []byte, out any, budget time.Duration) error {
 	if budget <= 0 {
 		budget = DefaultDialBudget
@@ -189,14 +199,9 @@ func doJSON(ctx context.Context, client *http.Client, method, url string, body [
 	var lastErr error
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
-			// Full jitter over an exponentially growing cap: spreads a fleet
-			// of workers hammering a restarting coordinator, instead of the
-			// old fixed-250ms lockstep.
-			sleepCap := base << uint(min(attempt-1, 30))
-			if sleepCap <= 0 || sleepCap > maxSleep {
-				sleepCap = maxSleep
-			}
-			sleep := time.Duration(rand.Int63n(int64(sleepCap) + 1)) //nolint:gosec // jitter, not crypto
+			// Jittered: spreads a fleet of workers hammering a restarting
+			// coordinator, instead of the old fixed-250ms lockstep.
+			sleep := jitter(base, attempt, maxSleep)
 			if time.Now().Add(sleep).After(deadline) {
 				return fmt.Errorf("%w after %d attempts over %v: %v", ErrCoordinatorGone, attempt, budget, lastErr)
 			}

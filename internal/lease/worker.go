@@ -30,16 +30,16 @@ type Worker struct {
 	// Addr is the coordinator's host:port; ID names this worker in leases and
 	// per-worker stats.
 	Addr, ID string
-	// Poll is the wait-state poll interval, DialBudget the total retry time of
-	// each wire call, Timeout the per-unit engine watchdog (negative = none).
-	Poll, DialBudget, Timeout time.Duration
-	Logf                      func(format string, args ...any)
+	// DialBudget is the total retry time of each wire call, Timeout the
+	// per-unit engine watchdog (negative = none).
+	DialBudget, Timeout time.Duration
+	Logf                func(format string, args ...any)
 
 	client http.Client
 }
 
-// Init fills the defaults: ID hostname-pid, Poll 300ms, DialBudget
-// DefaultDialBudget, Timeout defaultTimeout when zero, Logf a no-op.
+// Init fills the defaults: ID hostname-pid, DialBudget DefaultDialBudget,
+// Timeout defaultTimeout when zero, Logf a no-op.
 func (w *Worker) Init(defaultTimeout time.Duration) {
 	if w.ID == "" {
 		host, _ := os.Hostname()
@@ -47,9 +47,6 @@ func (w *Worker) Init(defaultTimeout time.Duration) {
 			host = "worker"
 		}
 		w.ID = fmt.Sprintf("%s-%d", host, os.Getpid())
-	}
-	if w.Poll <= 0 {
-		w.Poll = 300 * time.Millisecond
 	}
 	if w.DialBudget <= 0 {
 		w.DialBudget = DefaultDialBudget
@@ -168,7 +165,10 @@ const (
 	PollRun Poll = iota
 	// PollWait: everything is leased out, or the answer carried a status
 	// outside the protocol, which can only be a response corrupted in flight
-	// (whatever was actually granted expires or is re-granted). Sleep, re-poll.
+	// (whatever was actually granted expires or is re-granted). Re-poll after
+	// a jittered pause whose cap doubles from waitBase to waitCeil while the
+	// waits last: soon after a short wait, a few requests a second in a long
+	// one, never a hot loop.
 	PollWait
 	// PollAgain: the granted unit failed the job's own checks (geometry,
 	// checksums) — a corrupt response. Discard it and re-poll at once: the
@@ -177,6 +177,8 @@ const (
 	// PollDone: the run is complete, draining, or failed: exit.
 	PollDone
 )
+
+const waitBase, waitCeil = time.Millisecond, 64 * time.Millisecond
 
 // Job is a unit family's side of the worker loop: how to ask for a unit, keep
 // its lease alive, run it, and report it.
@@ -197,7 +199,7 @@ type Job interface {
 // Work drives job until the coordinator reports the run (noun: "campaign",
 // "soak") done, ctx is cancelled, or an error is fatal.
 func (w *Worker) Work(ctx context.Context, noun string, job Job) error {
-	for {
+	for waits := 0; ; {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -214,15 +216,17 @@ func (w *Worker) Work(ctx context.Context, noun string, job Job) error {
 			w.Logf("worker %s: %s done", w.ID, noun)
 			return nil
 		case PollWait:
+			waits++
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
-			case <-time.After(w.Poll):
+			case <-time.After(jitter(waitBase, waits, waitCeil)):
 			}
 			continue
 		case PollAgain:
 			continue
 		}
+		waits = 0
 		outcome, runErr := RunUnit(ctx, w.Timeout, ttl, job.Beat, job.Run)
 		if outcome == RunCancelled {
 			return ctx.Err()
