@@ -39,18 +39,18 @@ import (
 //     safe by run tokens (workerImage.run vs. checker.runID): prime treats
 //     an image from another run as never primed, so stale generation
 //     numbers can never alias a new run's generations.
-//   - A run's rig (engine.go) recycles when RunContext returns. Its
+//   - A chain's rig (fork.go) recycles when the chain closes. Its
 //     recording images and device never reach a runner. The baseline (the
 //     working image) and the key scratch are touched by engine code on the
-//     runner only, never by a guest phase; RunContext returns only once
-//     every runner has exited or been abandoned INSIDE a guest phase, and an
+//     runner only, never by a guest phase; a run returns only once every
+//     runner has exited or been abandoned INSIDE a guest phase, and an
 //     abandoned runner unwinds without touching anything but its image — so
-//     the whole rig recycles even after an abandonment. The trace log is
-//     covered by the same argument, but unlike the rig it is not rewritten
-//     by its next user before use: a stray read of a recycled log would
-//     index a truncated entry slice instead of reading stale bytes. It stays
-//     forfeited after an abandonment — the conservative rule costs one log
-//     per hung check.
+//     the rig serves the chain's next run even after an abandonment. The
+//     trace log is covered by the same argument, but unlike the rig it is
+//     not rewritten by its next user before use: a stray read of a recycled
+//     log would index a truncated entry slice instead of reading stale
+//     bytes. It stays forfeited after an abandonment, with the chain's fork
+//     points — the conservative rule costs one log per hung check.
 //   - Page sets. Every buffer in the free list except the key scratch has
 //     a pmem.PageSet, and every byte outside its set pages is zero — so a
 //     grab clears, and a baseline or cold prime copies, only pages some run
@@ -58,7 +58,9 @@ import (
 //     device marks devPages itself (Store, NTStore, Fence, Patch); the
 //     baseline is written by the page-union copy from the persistent image
 //     and then by walker applies, all inside devPages, which is why
-//     basePages = devPages after recording; an image equals some
+//     basePages = devPages after recording; a fork chain's template is
+//     written only by the page-union copy from the persistent image; an
+//     image equals some
 //     generation of the baseline between checks (prime, and revert after
 //     every clean check), so its set is basePages. stateKey's scratch needs
 //     none: it reads only bytes it has just written.
@@ -253,11 +255,12 @@ func (f *freeList[T]) put(size int, v T) {
 // recording device and its two images, the baseline the walk advances in
 // place as its working image, and stateKey's scratch. devPages is the page
 // set the recording device marks, covering both of its images; basePages
-// covers the baseline.
+// covers the baseline. A fork chain (fork.go) adds tmpl, the post-Mkfs
+// persistent image its runs' baselines start from, covered by tmplPages.
 type rig struct {
-	vol, pers, baseline, scratch []byte
-	dev                          *pmem.Device
-	devPages, basePages          *pmem.PageSet
+	vol, pers, baseline, scratch, tmpl []byte
+	dev                                *pmem.Device
+	devPages, basePages, tmplPages     *pmem.PageSet
 }
 
 func newRig(size int) *rig {
@@ -321,6 +324,8 @@ func CheckPooledPages() error {
 				return fmt.Errorf("free rig %d (size %d): persistent image non-zero outside its pages", i, size)
 			case !r.basePages.Covers(r.baseline):
 				return fmt.Errorf("free rig %d (size %d): baseline non-zero outside its pages", i, size)
+			case r.tmpl != nil && !r.tmplPages.Covers(r.tmpl):
+				return fmt.Errorf("free rig %d (size %d): template non-zero outside its pages", i, size)
 			}
 		}
 	}

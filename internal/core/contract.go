@@ -102,7 +102,8 @@ type RunEnv struct {
 	// Workload is the program whose crash states are being checked.
 	Workload workload.Workload
 	// OracleStates holds the reference model's observable state captured
-	// before every op, plus the final state (len(Workload.Ops)+1 entries).
+	// before every op, plus the final state (len(Workload.Ops)+1 entries);
+	// runs forked from a common op prefix share its states, read-only.
 	OracleStates []vfs.State
 	// OpResults are the target's live per-op outcomes from the record pass.
 	OpResults []workload.Result

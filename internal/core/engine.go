@@ -314,11 +314,15 @@ func (r *Result) Buggy() bool { return len(r.Violations) > 0 }
 // context cancels the run between crash-state checks; a cancelled run
 // returns ctx's error and no result.
 func RunContext(ctx context.Context, cfg Config, w workload.Workload) (*Result, error) {
-	return run(ctx, cfg, w, nil)
+	return (*PrefixMemo)(nil).Run(ctx, cfg, w)
 }
 
-// run is RunContext sharing crash points through memo (nil: none).
-func run(ctx context.Context, cfg Config, w workload.Workload, memo *PrefixMemo) (*Result, error) {
+// Run executes the full pipeline for w, the chain's next workload. It
+// starts from the deepest fork point an earlier run of the chain left on an
+// op prefix of w (fork.go), and leaves fork points at the op depths in keep
+// where w's ops allow one: the prefixes later runs of the chain share.
+func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Result, error) {
+	cfg := c.cfg
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -349,17 +353,35 @@ func run(ctx context.Context, cfg Config, w workload.Workload, memo *PrefixMemo)
 	runBegin := tr.Begin()
 	wlSpan := tr.ID("workload", w.Name, 0, 0)
 
+	from, points := c.plan(w, keep)
+
 	// --- Oracle pass: run the workload on the reference model, recording
 	// the observable state around every system call.
 	obegin := tr.Begin()
 	ot := col.Start()
-	oracle := memfs.New()
-	if err := oracle.Mkfs(); err != nil {
-		return nil, fmt.Errorf("oracle mkfs: %w", err)
-	}
+	var oracle *memfs.FS
 	states := make([]vfs.State, 0, len(w.Ops)+1)
+	oracleResults := make([]workload.Result, 0, len(w.Ops))
+	if from != nil {
+		oracle = from.oracle.Clone()
+		states = append(states, from.states...)
+		oracleResults = append(oracleResults, from.oracleResults...)
+	} else {
+		oracle = memfs.New()
+		if err := oracle.Mkfs(); err != nil {
+			return nil, fmt.Errorf("oracle mkfs: %w", err)
+		}
+	}
 	var oracleErr error
-	oracleResults := workload.Run(oracle, w, workload.Hooks{
+	var next int // the point each pass fills next
+	markOracle := func(k int) {
+		if next < len(points) && points[next].depth == k {
+			points[next].oracle, points[next].states = oracle.Clone(), states[:k:k]
+			next++
+		}
+	}
+	markOracle(len(oracleResults))
+	oracleResults = workload.Resume(oracle, w, oracleResults, workload.Hooks{
 		Before: func(i int, op workload.Op) {
 			st, err := vfs.Capture(oracle)
 			if err != nil && oracleErr == nil {
@@ -367,7 +389,8 @@ func run(ctx context.Context, cfg Config, w workload.Workload, memo *PrefixMemo)
 			}
 			states = append(states, st)
 		},
-		App: cfg.AppFactory,
+		After: func(i int, op workload.Op, err error) { markOracle(i + 1) },
+		App:   cfg.AppFactory,
 	})
 	if oracleErr != nil {
 		return nil, fmt.Errorf("oracle capture: %w", oracleErr)
@@ -384,38 +407,58 @@ func run(ctx context.Context, cfg Config, w workload.Workload, memo *PrefixMemo)
 
 	// --- Record pass: run the workload on the target, tracing writes. The
 	// recording device, its images and the baseline crash image come from
-	// one recycled rig that goes back to the free list at return (workload
-	// results carry no device memory). The recording side never reaches a
-	// runner. The baseline is the runner's working image, but only engine
-	// code on the runner touches it, never a guest phase — and when
-	// RunContext returns, every runner has either exited or was abandoned
+	// the chain's rig, which goes back to the free list when the chain
+	// closes (workload results carry no device memory). The recording side
+	// never reaches a runner. The baseline is the runner's working image, but
+	// only engine code on the runner touches it, never a guest phase — and
+	// when Run returns, every runner has either exited or was abandoned
 	// inside a guest phase and unwinds without touching it (arena.go has the
 	// whole protocol). Each step below keeps the rig's page sets covering
-	// its buffers, so a run that panics out of here still returns a rig the
+	// its buffers, so a run that panics out of here still leaves a rig the
 	// next grab can clear by pages.
 	rbegin := tr.Begin()
 	rt := col.Start()
-	rg := grabRig(int(devSize))
-	defer putRig(rg)
-	dev := rg.dev
-	pm := persist.New(dev)
-	pm.TraceStores = cfg.TraceStores
-	target := cfg.NewFS(pm)
-	if err := target.Mkfs(); err != nil {
-		return nil, fmt.Errorf("target mkfs: %w", err)
+	target, err := c.restore(from, int(devSize), len(points) > 0)
+	if err != nil {
+		return nil, err
 	}
-	// The baseline is the persistent image after Mkfs, copied over the
-	// pages either may hold non-zero bytes on.
-	rg.basePages.Copy(rg.baseline, rg.pers, rg.devPages)
-	log := grabLog()
+	rg, log := c.rg, c.log
+	dev := rg.dev
+	targetResults := make([]workload.Result, 0, len(w.Ops))
+	if from != nil {
+		targetResults = append(targetResults, from.results...)
+	}
+	next = 0
+	markRecord := func(k int) {
+		if next < len(points) && points[next].depth == k {
+			pt := points[next]
+			if f, ok := target.(vfs.Forker); ok {
+				pt.guest = f.Fork(c.pm)
+			}
+			pt.dev, pt.logLen, pt.logData = dev.Mark(), log.Len(), log.DataLen()
+			next++
+		}
+	}
+	markRecord(len(targetResults))
 	rec := persist.NewRecorder(log)
-	pm.Attach(rec)
-	targetResults := workload.Run(target, w, workload.Hooks{
+	c.pm.Attach(rec)
+	targetResults = workload.Resume(target, w, targetResults, workload.Hooks{
 		Before: func(i int, op workload.Op) { log.BeginSyscall(i, op.String()) },
-		After:  func(i int, op workload.Op, err error) { log.EndSyscall(i, op.String()) },
-		App:    cfg.AppFactory,
+		After: func(i int, op workload.Op, err error) {
+			log.EndSyscall(i, op.String())
+			markRecord(i + 1)
+		},
+		App: cfg.AppFactory,
 	})
-	pm.Detach(rec)
+	c.pm.Detach(rec)
+	// The complete points join the chain, and w's ops become its path.
+	for _, pt := range points {
+		if pt.oracle != nil && pt.guest != nil {
+			pt.oracleResults, pt.results = oracleResults[:pt.depth:pt.depth], targetResults[:pt.depth:pt.depth]
+			c.points = append(c.points, pt)
+		}
+	}
+	c.path = w.Ops
 	// The walk writes the baseline only by replaying log entries at fences,
 	// and every entry it replays was persisted by a device Fence, which
 	// marked its pages: the recorded devPages covers all of them.
@@ -462,12 +505,16 @@ func run(ctx context.Context, cfg Config, w workload.Workload, memo *PrefixMemo)
 	ck := &checker{ctx: ctx, cfg: cfg, caps: caps, w: w, contract: contract, prep: prep, res: res,
 		obs: col, journal: cfg.Journal,
 		tracer: tr, checkSpan: tr.ID("check", w.Name, 0, 0),
-		runID: runIDs.Add(1), memo: memoWalk{m: memo, op: -1}}
+		runID: runIDs.Add(1), memo: memoWalk{m: c.memo, op: -1}}
+	// A guest phase the run abandoned may still read the log: it is left
+	// to it, with the fork points that index into it.
+	defer func() {
+		if ck.abandoned.Load() != 0 {
+			c.log, c.points, c.path = nil, nil, nil
+		}
+	}()
 	if err := ck.supervise(rg, log); err != nil {
 		return nil, err
-	}
-	if ck.abandoned.Load() == 0 {
-		logPool.Put(log)
 	}
 	tr.Span("check", cbegin, wlSpan, obs.Event{
 		FS: caps.Name, Workload: w.Name, States: res.StatesChecked,

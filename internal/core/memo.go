@@ -36,9 +36,11 @@ func NewPrefixMemo() *PrefixMemo {
 }
 
 // Run is RunContext with the crash points of already-checked op prefixes
-// served from m instead of checked again.
+// served from m (nil: none) instead of checked again.
 func (m *PrefixMemo) Run(ctx context.Context, cfg Config, w workload.Workload) (*Result, error) {
-	return run(ctx, cfg, w, m)
+	c := m.Chain(cfg)
+	defer c.Close()
+	return c.Run(ctx, w, nil)
 }
 
 // prefixNode is the record of one op's crash points, in walk order.

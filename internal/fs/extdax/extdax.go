@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"sort"
 
 	"chipmunk/internal/persist"
@@ -208,6 +209,26 @@ func (f *FS) Mount() error {
 	}
 	f.mounted = true
 	return nil
+}
+
+// Fork implements vfs.Forker. Everything before a commit lives in DRAM, so
+// the copy takes the whole tree, the dirty and deleted sets, and the
+// journal cursors. File data is shared: no node's is written in place.
+func (f *FS) Fork(pm persist.Space) vfs.FS {
+	descs, ok := f.descs.Fork()
+	if !ok || !f.mounted {
+		return nil
+	}
+	g := *f
+	g.pm, g.descs = pm, descs
+	g.nodes = make(map[uint64]*node, len(f.nodes))
+	for ino, n := range f.nodes {
+		c := *n
+		c.children, c.xattrs = maps.Clone(n.children), maps.Clone(n.xattrs)
+		g.nodes[ino] = &c
+	}
+	g.dirty, g.deleted = maps.Clone(f.dirty), maps.Clone(f.deleted)
+	return &g
 }
 
 // Tag returns the tag of the newest committed transaction (used by SplitFS
@@ -486,7 +507,10 @@ func appendU32(b []byte, v uint32) []byte {
 	return append(b, tmp[:]...)
 }
 
-var _ vfs.FS = (*FS)(nil)
+var (
+	_ vfs.FS     = (*FS)(nil)
+	_ vfs.Forker = (*FS)(nil)
+)
 
 // OpenFDs implements vfs.FDCounter.
 func (f *FS) OpenFDs() int { return f.descs.OpenFDs() }

@@ -236,13 +236,7 @@ func (f *FS) Truncate(path string, size int64) error {
 	if n.typ == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	cur := int64(len(n.data))
-	switch {
-	case size < cur:
-		n.data = n.data[:size]
-	case size > cur:
-		n.data = append(n.data, make([]byte, size-cur)...)
-	}
+	n.data = vfs.Rewrite(n.data, size, 0, nil)
 	f.dirty[n.ino] = true
 	return nil
 }
@@ -257,7 +251,7 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 		return vfs.ErrInvalid
 	}
 	if off+length > int64(len(n.data)) {
-		n.data = append(n.data, make([]byte, off+length-int64(len(n.data)))...)
+		n.data = vfs.Rewrite(n.data, off+length, 0, nil)
 	}
 	f.dirty[n.ino] = true
 	return nil
@@ -272,11 +266,7 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrInvalid
 	}
-	end := off + int64(len(data))
-	if end > int64(len(n.data)) {
-		n.data = append(n.data, make([]byte, end-int64(len(n.data)))...)
-	}
-	copy(n.data[off:], data)
+	n.data = vfs.Rewrite(n.data, max(int64(len(n.data)), off+int64(len(data))), off, data)
 	f.dirty[n.ino] = true
 	return len(data), nil
 }

@@ -28,11 +28,7 @@ func (f *FS) PwriteIno(ino uint64, data []byte, off int64) error {
 	if n.typ == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	end := off + int64(len(data))
-	if end > int64(len(n.data)) {
-		n.data = append(n.data, make([]byte, end-int64(len(n.data)))...)
-	}
-	copy(n.data[off:], data)
+	n.data = vfs.Rewrite(n.data, max(int64(len(n.data)), off+int64(len(data))), off, data)
 	f.dirty[ino] = true
 	return nil
 }
@@ -44,7 +40,7 @@ func (f *FS) ExtendIno(ino uint64, size int64) error {
 		return vfs.ErrNotExist
 	}
 	if int64(len(n.data)) < size {
-		n.data = append(n.data, make([]byte, size-int64(len(n.data)))...)
+		n.data = vfs.Rewrite(n.data, size, 0, nil)
 	}
 	f.dirty[ino] = true
 	return nil
@@ -56,13 +52,7 @@ func (f *FS) TruncateIno(ino uint64, size int64) error {
 	if n == nil {
 		return vfs.ErrNotExist
 	}
-	cur := int64(len(n.data))
-	switch {
-	case size < cur:
-		n.data = n.data[:size]
-	case size > cur:
-		n.data = append(n.data, make([]byte, size-cur)...)
-	}
+	n.data = vfs.Rewrite(n.data, size, 0, nil)
 	f.dirty[ino] = true
 	return nil
 }

@@ -8,6 +8,7 @@
 package memfs
 
 import (
+	"maps"
 	"sort"
 
 	"chipmunk/internal/vfs"
@@ -66,6 +67,41 @@ func (f *FS) Unmount() error {
 	f.mounted = false
 	f.descs.Reset()
 	return nil
+}
+
+// Clone returns a copy of f that changes without moving f, or the reverse,
+// or nil when a descriptor is open: a fork point's oracle (vfs.Forker).
+// File data, never written in place, is shared.
+func (f *FS) Clone() *FS {
+	descs, ok := f.descs.Fork()
+	if !ok {
+		return nil
+	}
+	g := &FS{nextIno: f.nextIno, descs: descs, mounted: f.mounted}
+	if f.root != nil {
+		g.root = f.root.clone(nil, map[*node]*node{})
+		g.root.parent = g.root
+	}
+	return g
+}
+
+// clone copies the subtree under n into directory parent. links holds the
+// copies of files with more than one link.
+func (n *node) clone(parent *node, links map[*node]*node) *node {
+	if c := links[n]; c != nil {
+		return c
+	}
+	c := &node{ino: n.ino, typ: n.typ, nlink: n.nlink, data: n.data, xattrs: maps.Clone(n.xattrs)}
+	if n.typ == vfs.TypeDir {
+		c.parent = parent
+		c.children = make(map[string]*node, len(n.children))
+		for name, ch := range n.children {
+			c.children[name] = ch.clone(c, links)
+		}
+	} else if n.nlink > 1 {
+		links[n] = c
+	}
+	return c
 }
 
 // child is the path walk's step (vfs.Walk).
@@ -245,18 +281,8 @@ func (f *FS) Truncate(path string, size int64) error {
 	if n.typ == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	n.setSize(size)
+	n.data = vfs.Rewrite(n.data, size, 0, nil)
 	return nil
-}
-
-func (n *node) setSize(size int64) {
-	cur := int64(len(n.data))
-	switch {
-	case size < cur:
-		n.data = n.data[:size]
-	case size > cur:
-		n.data = append(n.data, make([]byte, size-cur)...)
-	}
 }
 
 // Fallocate implements vfs.FS (mode 0: allocate, extending size).
@@ -269,7 +295,7 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 		return vfs.ErrInvalid
 	}
 	if off+length > int64(len(n.data)) {
-		n.setSize(off + length)
+		n.data = vfs.Rewrite(n.data, off+length, 0, nil)
 	}
 	return nil
 }
@@ -283,11 +309,7 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 	if off < 0 {
 		return 0, vfs.ErrInvalid
 	}
-	end := off + int64(len(data))
-	if end > int64(len(n.data)) {
-		n.setSize(end)
-	}
-	copy(n.data[off:], data)
+	n.data = vfs.Rewrite(n.data, max(int64(len(n.data)), off+int64(len(data))), off, data)
 	return len(data), nil
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"chipmunk/internal/ace"
@@ -30,6 +31,9 @@ type memoCase struct {
 	// shares says the suite has op prefixes whose crash points the memo must
 	// serve, so a shared run that served nothing fails the case.
 	shares bool
+	// mkfs, when set, counts the guest's Mkfs calls (forkingFS): a serial
+	// Run that formatted once per workload forked nothing, and fails.
+	mkfs *atomic.Int64
 }
 
 func memoCases(t *testing.T) []memoCase {
@@ -108,15 +112,78 @@ func memoCases(t *testing.T) []memoCase {
 	return cases
 }
 
-// TestPrefixMemoMatchesUnshared is the prefix memo's differential: over
-// every system, bug set and fault mode, and a hostile guest, Run —
+// forkCases run the forking systems over a seq-2-dax slice of nested op
+// prefixes — clean, faulted, and hostile — counting their Mkfs calls. The
+// engine matrix has no goldens for them: their reference is the unforked
+// loop alone.
+func forkCases() []memoCase {
+	var cases []memoCase
+	for _, name := range []string{"ext4-dax", "xfs-dax"} {
+		sys, _ := SystemByName(name)
+		for _, fm := range []struct {
+			name   string
+			faults *pmem.FaultConfig
+		}{{"clean", nil}, {"faults", pmem.DefaultFaults(5)}, {"hostile", nil}} {
+			cfg := Options{Bugs: bugs.None(), Faults: fm.faults, Obs: obs.New()}.ConfigFor(sys)
+			mkfs := new(atomic.Int64)
+			newFS := cfg.NewFS
+			hostile := fm.name == "hostile"
+			cfg.NewFS = func(pm *persist.PM) vfs.FS { return forkingFS{newFS(pm).(forkerFS), mkfs, hostile} }
+			if hostile {
+				cfg.CheckRetries = -1
+			}
+			cases = append(cases, memoCase{name: name + "/" + fm.name + "/seq2dax", cfg: cfg, suite: ace.Seq2Dax()[:240], mkfs: mkfs})
+		}
+	}
+	return cases
+}
+
+// forkerFS is a forking guest with extended attributes: the DAX systems.
+type forkerFS interface {
+	vfs.FS
+	vfs.XattrFS
+	vfs.Forker
+}
+
+// forkingFS wraps a forking guest to count its Mkfs calls and, when
+// hostile, to panic on Mount (crash-state checks only). Its forks are
+// wrapped alike.
+type forkingFS struct {
+	forkerFS
+	mkfs    *atomic.Int64
+	hostile bool
+}
+
+func (f forkingFS) Mkfs() error {
+	f.mkfs.Add(1)
+	return f.forkerFS.Mkfs()
+}
+
+func (f forkingFS) Mount() error {
+	if f.hostile {
+		panic("hostile crash state")
+	}
+	return f.forkerFS.Mount()
+}
+
+func (f forkingFS) Fork(pm persist.Space) vfs.FS {
+	g := f.forkerFS.Fork(pm)
+	if g == nil {
+		return nil
+	}
+	return forkingFS{g.(forkerFS), f.mkfs, f.hostile}
+}
+
+// TestPrefixMemoMatchesUnshared is the differential of the prefix memo and
+// of the fork chains: over every system, bug set and fault mode, and a
+// hostile guest, and seq-2-dax slices on the forking systems, Run —
 // serially, and over a seeded permutation with two workers — returns for
-// each workload exactly the Result a loop of memo-less core.RunContext
-// calls does. Only stage timings
+// each workload exactly the Result a loop of memo-less, unforked
+// core.RunContext calls does. Only stage timings
 // and measurement-class counters may differ; a quarantined state's captured
 // stack is diagnostic and excluded.
 func TestPrefixMemoMatchesUnshared(t *testing.T) {
-	for i, c := range memoCases(t) {
+	for i, c := range append(memoCases(t), forkCases()...) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			ctx := context.Background()
@@ -143,8 +210,14 @@ func TestPrefixMemoMatchesUnshared(t *testing.T) {
 				}
 				got := make([]*core.Result, len(c.suite))
 				mode.rc.results = func(k int, res *core.Result) { got[mode.order[k]] = res }
+				if c.mkfs != nil {
+					c.mkfs.Store(0)
+				}
 				if _, _, err := mode.rc.run(ctx, c.cfg, suite); err != nil {
 					t.Fatalf("%s: %v", mode.name, err)
+				}
+				if c.mkfs != nil && mode.rc.workers == 1 && c.mkfs.Load() >= int64(len(suite)) {
+					t.Errorf("%s: %d Mkfs calls for %d workloads: nothing forked", mode.name, c.mkfs.Load(), len(suite))
 				}
 				var served int64
 				for j := range c.suite {
@@ -163,7 +236,8 @@ func TestPrefixMemoMatchesUnshared(t *testing.T) {
 
 // canonical is the part of r the engine guarantees deterministic: everything
 // but the Obs snapshot, which resultDiff compares by its deterministic
-// counters, and a quarantined state's captured stack, which is diagnostic.
+// counters and its simulated-PM counters, and a quarantined state's
+// captured stack, which is diagnostic.
 func canonical(r *core.Result) core.Result {
 	c := *r
 	c.Obs = nil
@@ -190,6 +264,9 @@ func resultDiff(a, b *core.Result) string {
 	}
 	if da, db := a.Obs.DeterministicCounters(), b.Obs.DeterministicCounters(); !reflect.DeepEqual(da, db) {
 		diff = append(diff, fmt.Sprintf("Obs counters: %v != %v", da, db))
+	}
+	if a.Obs != nil && b.Obs != nil && a.Obs.PM != b.Obs.PM {
+		diff = append(diff, fmt.Sprintf("Obs PM counters: %+v != %+v", a.Obs.PM, b.Obs.PM))
 	}
 	return strings.Join(diff, "; ")
 }

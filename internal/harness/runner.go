@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -148,11 +149,12 @@ func (n *notifier) stop() {
 // Cancelling ctx stops the run promptly; the partial census of workloads
 // that completed is returned together with ctx's error.
 //
-// The suite's engine runs share one core.PrefixMemo, which lives for this
-// call: a crash point inside an op prefix an earlier workload already
-// checked is served from it instead of being checked again, with the same
-// Result (core/memo.go has the argument, TestPrefixMemoMatchesUnshared the
-// differential).
+// The suite's runs share the work and the verdicts of their common op
+// prefixes, with the same Result: Run walks the suite's op trie on one
+// core.Chain per worker, which forks a run from the point an earlier one
+// left at their shared prefix (core/fork.go), and one core.PrefixMemo
+// serves the crash points of prefixes already checked (core/memo.go;
+// TestPrefixMemoMatchesUnshared is the differential).
 func Run(ctx context.Context, cfg core.Config, suite []workload.Workload, opts ...Option) (*Census, []core.Violation, error) {
 	rc := runConfig{workers: 1}
 	for _, o := range opts {
@@ -167,73 +169,42 @@ func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.W
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(suite) {
-		workers = len(suite)
-	}
+	p := newPlan(suite, workers, rc.stopOnce)
+	workers = min(workers, len(p.units)-1)
 
+	// Workers (serially, the caller) pull whole units of the plan onto their
+	// own chains. The census is order-independent sums and maxima, folded as
+	// results land; the violations and the quarantine ledger are rebuilt
+	// from the results in suite order at the end.
 	start := time.Now()
 	agg := &aggregator{c: &Census{}}
-	finalize := func(viol []core.Violation, err error) (*Census, []core.Violation, error) {
-		agg.finish(time.Since(start))
-		return agg.c, viol, err
-	}
-
-	if workers <= 1 {
-		var viol []core.Violation
-		for i, w := range suite {
-			if err := ctx.Err(); err != nil {
-				return finalize(viol, err)
-			}
-			res, err := memo.Run(ctx, cfg, w)
-			if err != nil {
-				if ctx.Err() != nil {
-					return finalize(viol, ctx.Err())
-				}
-				return nil, nil, fmt.Errorf("workload %s: %w", w.Name, err)
-			}
-			rc.onResult(i, res)
-			agg.add(res)
-			viol = append(viol, res.Violations...)
-			if rc.progress != nil {
-				rc.progress(i+1, len(suite), *agg.c)
-			}
-			if rc.stopOnce && res.Buggy() {
-				break
-			}
-		}
-		return finalize(viol, nil)
-	}
-
-	// Parallel: workers pull workload indices; results are kept per index
-	// and violations merged in suite order so the output is deterministic.
-	// The census itself is all order-independent sums and maxima, so it is
-	// folded as results land (progress and partial-cancel censuses see it).
 	results := make([]*core.Result, len(suite))
 	errs := make([]error, len(suite))
-	var next int64
+	var next atomic.Int64
 	var stop atomic.Bool
 	var mu sync.Mutex // guards agg only; progress runs on the notifier goroutine
+	post := func(int, Census) {}
 	var note *notifier
-	if rc.progress != nil {
+	if rc.progress != nil && workers > 1 {
 		note = newNotifier(rc.progress, len(suite))
+		post = note.post
+	} else if rc.progress != nil {
+		post = func(done int, c Census) { rc.progress(done, len(suite), c) }
 	}
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil && !stop.Load() {
-				j := int(atomic.AddInt64(&next, 1)) - 1
-				if j >= len(suite) {
+	work := func() {
+		c := memo.Chain(cfg)
+		defer c.Close()
+		for u := int(next.Add(1)) - 1; u < len(p.units)-1; u = int(next.Add(1)) - 1 {
+			for pos := p.units[u]; pos < p.units[u+1]; pos++ {
+				if ctx.Err() != nil || stop.Load() {
 					return
 				}
-				res, err := memo.Run(ctx, cfg, suite[j])
+				j := p.order[pos]
+				res, err := c.Run(ctx, suite[j], p.keep[pos])
 				if err != nil {
 					errs[j] = err
-					if ctx.Err() == nil {
-						stop.Store(true) // engine error: fail fast
-					}
-					continue
+					stop.Store(true) // engine error: fail fast
+					return
 				}
 				results[j] = res
 				rc.onResult(j, res)
@@ -241,19 +212,28 @@ func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.W
 				agg.add(res)
 				done, snap := agg.c.Workloads, *agg.c
 				mu.Unlock()
-				note.post(done, snap)
+				post(done, snap)
 				if rc.stopOnce && res.Buggy() {
 					stop.Store(true)
 				}
 			}
-		}()
+		}
 	}
-	wg.Wait()
-	note.stop()
+	if workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for i := 0; i < workers; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+		note.stop()
+	}
 
-	// Rebuild the quarantine ledger in suite order: add folded it in
-	// completion order (fine for progress snapshots), but the final census
-	// promises deterministic ordering regardless of worker count.
 	var viol []core.Violation
 	agg.c.Quarantined = nil
 	for i, res := range results {
@@ -265,7 +245,102 @@ func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.W
 			agg.c.Quarantined = append(agg.c.Quarantined, res.Quarantined...)
 		}
 	}
-	return finalize(viol, ctx.Err())
+	agg.finish(time.Since(start))
+	return agg.c, viol, ctx.Err()
+}
+
+// unitsPerWorker is how many units newPlan cuts each worker's share of a
+// suite into. A unit costs a Mkfs and its shallow prefix; one per worker
+// share idles a worker behind the largest subtree (EXPERIMENTS.md §4.3).
+const unitsPerWorker = 16
+
+// plan is the order Run executes a suite in: suite indices, the positions
+// units[u]..units[u+1] one worker's chain runs whole, and per position the
+// op depths its chain keeps fork points at (core.Chain.Run).
+type plan struct {
+	order []int
+	units []int
+	keep  [][]int
+}
+
+// newPlan orders the suite depth-first over its op trie, so each subtree
+// of shared prefixes runs on one chain, one workload after another. Under
+// stopOnce it keeps suite order, since "workloads to the first bug" counts
+// in suite order; a workload then forks only from its predecessor's path,
+// and under workers only from the root.
+func newPlan(suite []workload.Workload, workers int, stopOnce bool) plan {
+	p := plan{order: make([]int, len(suite)), keep: make([][]int, len(suite))}
+	ids := map[workload.Op]int32{}
+	seqs := make([][]int32, len(suite))
+	var buf []int32
+	for i, w := range suite {
+		p.order[i] = i
+		for _, op := range w.Ops {
+			id, ok := ids[op]
+			if !ok {
+				id = int32(len(ids))
+				ids[op] = id
+			}
+			buf = append(buf, id)
+		}
+		seqs[i] = buf[len(buf)-len(w.Ops) : len(buf) : len(buf)]
+	}
+	if !stopOnce {
+		slices.SortStableFunc(p.order, func(a, b int) int { return slices.Compare(seqs[a], seqs[b]) })
+	}
+	// lcp[pos] is the op prefix positions pos-1 and pos share.
+	lcp := make([]int, len(suite))
+	for pos := 1; pos < len(suite); pos++ {
+		a, b := seqs[p.order[pos-1]], seqs[p.order[pos]]
+		for lcp[pos] < min(len(a), len(b)) && a[lcp[pos]] == b[lcp[pos]] {
+			lcp[pos]++
+		}
+	}
+	// Units are subtrees of at most size positions: serially the whole
+	// suite; under workers a unitsPerWorker-th of each worker's share, so
+	// the last unit leaves little idle tail; one position when stopOnce puts
+	// workers on suite order. A subtree too large splits at its children.
+	size := len(suite)
+	if workers > 1 && stopOnce {
+		size = 1
+	} else if workers > 1 {
+		size = max(1, len(suite)/(unitsPerWorker*workers))
+	}
+	p.units = []int{0}
+	var split func(lo, hi int)
+	split = func(lo, hi int) {
+		if hi-lo <= size {
+			p.units = append(p.units, hi)
+			return
+		}
+		d := slices.Min(lcp[lo+1 : hi])
+		for pos := lo + 1; pos < hi; pos++ {
+			if lcp[pos] == d {
+				split(lo, pos)
+				lo = pos
+			}
+		}
+		split(lo, hi)
+	}
+	split(0, len(suite))
+	// A position keeps a point at every depth a later position of its unit
+	// forks at: the running minima of the shared prefixes after it.
+	depths := []int{0}
+	var keep []int
+	for u := 0; u+1 < len(p.units); u++ {
+		depths = depths[:1]
+		for pos := p.units[u+1] - 1; pos >= p.units[u]; pos-- {
+			if pos+1 < p.units[u+1] {
+				for len(depths) > 1 && depths[len(depths)-1] >= lcp[pos+1] {
+					depths = depths[:len(depths)-1]
+				}
+				depths = append(depths, lcp[pos+1])
+			}
+			keep = append(keep, depths...)
+			p.keep[pos] = keep[len(keep)-len(depths) : len(keep) : len(keep)]
+		}
+	}
+	return p
 }
 
 // aggregator folds engine results into a Census.

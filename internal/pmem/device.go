@@ -414,6 +414,34 @@ func (d *Device) DirtyUnflushedLines() []int64 {
 	return out
 }
 
+// DeviceMark is a device's state at one moment: a position in its undo log,
+// and copies of the in-flight writes, dirty lines and counters.
+type DeviceMark struct {
+	undo     UndoMark
+	inflight []InFlight
+	dirty    []int64
+	stats    Stats
+}
+
+// Mark captures the device's state for Restore. The attached undo log (see
+// TrackUndo) must stay attached until the last Restore to the mark.
+func (d *Device) Mark() DeviceMark {
+	return DeviceMark{undo: d.undo.Mark(), inflight: d.InFlightWrites(), dirty: d.DirtyUnflushedLines(), stats: d.stats}
+}
+
+// Restore returns the device to mark m at the cost of the bytes written
+// since. Marks taken after m become invalid; m may be restored again.
+func (d *Device) Restore(m DeviceMark) {
+	d.undo.RollbackTo(m.undo)
+	d.inflight = append(d.inflight[:0], m.inflight...)
+	clear(d.dirty)
+	for _, l := range m.dirty {
+		d.dirty[l] = struct{}{}
+	}
+	d.writes.reset()
+	d.stats = m.stats
+}
+
 // Stats returns a copy of the accumulated cost-model counters.
 func (d *Device) Stats() Stats { return d.stats }
 

@@ -57,15 +57,25 @@ func (u *UndoLog) Bytes() int64 { return int64(len(u.arena)) }
 
 // Rollback restores all saved ranges in reverse order, clears the log, and
 // returns the number of bytes restored. The arena is retained for reuse.
-func (u *UndoLog) Rollback() int64 {
+func (u *UndoLog) Rollback() int64 { return u.RollbackTo(UndoMark{}) }
+
+// UndoMark is a position in an UndoLog.
+type UndoMark struct{ records, arena int }
+
+// Mark returns the log's current position, for RollbackTo.
+func (u *UndoLog) Mark() UndoMark { return UndoMark{len(u.records), len(u.arena)} }
+
+// RollbackTo restores the ranges saved since m in reverse order, drops them,
+// and returns the bytes restored. Marks taken after m become invalid.
+func (u *UndoLog) RollbackTo(m UndoMark) int64 {
 	var restored int64
-	for i := len(u.records) - 1; i >= 0; i-- {
+	for i := len(u.records) - 1; i >= m.records; i-- {
 		r := u.records[i]
 		copy(r.dst[r.off:], u.arena[r.start:r.start+r.n])
 		restored += int64(r.n)
 	}
-	u.records = u.records[:0]
-	u.arena = u.arena[:0]
+	u.records = u.records[:m.records]
+	u.arena = u.arena[:m.arena]
 	return restored
 }
 

@@ -3,6 +3,7 @@ package pmem
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -186,4 +187,42 @@ func BenchmarkAblation_UndoLogVsCopy(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestDeviceMarkRestore: restoring a mark undoes everything the device did
+// since — both images, the in-flight set, the dirty lines and the counters —
+// and a mark can be restored again after the device ran on from it.
+func TestDeviceMarkRestore(t *testing.T) {
+	d := NewDevice(4096)
+	d.TrackUndo(NewUndoLog(nil))
+	d.Store(0, []byte("base"))
+	d.Flush(0, 4)
+	d.Fence()
+	d.Store(64, []byte("dirty"))
+	d.NTStore(128, []byte("in flight"))
+	type snap struct {
+		vol, pers []byte
+		inflight  []InFlight
+		dirty     []int64
+		stats     Stats
+	}
+	take := func() snap {
+		return snap{d.VolatileImage(), d.CrashImage(), d.InFlightWrites(), d.DirtyUnflushedLines(), d.Stats()}
+	}
+	m, want := d.Mark(), take()
+	for round := 0; round < 2; round++ {
+		d.Store(0, []byte("over"))
+		d.Flush(0, 256)
+		d.NTStore(1024, []byte("more"))
+		d.Fence()
+		d.Store(2048, []byte("x"))
+		d.Restore(m)
+		if got := take(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: restored %+v, want %+v", round, got, want)
+		}
+	}
+	d.Fence()
+	if !bytes.Equal(d.CrashImage()[128:137], []byte("in flight")) {
+		t.Fatal("a restored in-flight write did not persist at the next fence")
+	}
 }

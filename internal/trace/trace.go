@@ -105,6 +105,18 @@ func (l *Log) Reset() {
 	l.curSys = -1
 }
 
+// DataLen returns the bytes of entry data the log holds.
+func (l *Log) DataLen() int { return len(l.arena) }
+
+// Truncate cuts the log back to its first n entries and dataLen data bytes
+// (its Len and DataLen then), outside any system call, for a fork to record
+// on. Callers must guarantee no reader still holds a dropped entry.
+func (l *Log) Truncate(n, dataLen int) {
+	l.entries = l.entries[:n]
+	l.arena = l.arena[:dataLen]
+	l.curSys = -1
+}
+
 // Append adds an entry, assigning its sequence number and current syscall.
 // The data bytes are copied, so callers may reuse their buffer immediately.
 func (l *Log) Append(kind Kind, off int64, data []byte, name string) {

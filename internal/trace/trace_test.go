@@ -123,3 +123,30 @@ func TestEntryStringVariants(t *testing.T) {
 		t.Fatal("marker entry string")
 	}
 }
+
+// TestTruncate: a log cut back to an earlier length records on as if the
+// dropped entries had never been appended.
+func TestTruncate(t *testing.T) {
+	l := NewLog()
+	l.BeginSyscall(0, "a")
+	l.Append(KindNT, 0, []byte("keep"), "memcpy_nt")
+	l.EndSyscall(0, "a")
+	n, data := l.Len(), l.DataLen()
+	l.BeginSyscall(1, "b")
+	l.Append(KindNT, 8, []byte("dropped"), "memcpy_nt")
+	l.Truncate(n, data)
+	l.BeginSyscall(1, "c")
+	l.Append(KindNT, 16, []byte("new"), "memcpy_nt")
+	l.EndSyscall(1, "c")
+
+	want := NewLog()
+	want.BeginSyscall(0, "a")
+	want.Append(KindNT, 0, []byte("keep"), "memcpy_nt")
+	want.EndSyscall(0, "a")
+	want.BeginSyscall(1, "c")
+	want.Append(KindNT, 16, []byte("new"), "memcpy_nt")
+	want.EndSyscall(1, "c")
+	if got, w := l.Dump(), want.Dump(); got != w || string(l.At(1).Data) != "keep" || string(l.At(4).Data) != "new" {
+		t.Fatalf("truncated log:\n%s\nwant:\n%s", got, w)
+	}
+}

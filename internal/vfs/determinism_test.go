@@ -17,6 +17,9 @@ import (
 // run to run. Each seq-1 workload, and each of the fuzz stream's, runs
 // twice on fresh devices: the persistent image after the workload, and
 // after a mount has recovered it, must be byte-identical across the runs.
+// A system that forks (vfs.Forker) also runs seq-1-dax and the stream
+// forked at every op boundary with no descriptor open: the images after
+// every later op, and after recovery, must be the unforked run's.
 func TestPersistentImageDeterministic(t *testing.T) {
 	ws := append(ace.Seq1(), fuzzStream(2, 100)...)
 	for _, s := range systems() {
@@ -30,6 +33,16 @@ func TestPersistentImageDeterministic(t *testing.T) {
 				}
 				if off := firstDiff(a2, b2); off >= 0 {
 					t.Errorf("%s: images after recovery differ from byte %d", w.Name, off)
+				}
+			}
+		})
+	}
+	for _, s := range forkers() {
+		t.Run(s.name+"/forked", func(t *testing.T) {
+			t.Parallel()
+			for _, w := range append(ace.Seq1Dax(), fuzzStream(2, 100)...) {
+				if d := forkedRuns(t, s, w, false); d != "" {
+					t.Errorf("%s: %s", w.Name, d)
 				}
 			}
 		})

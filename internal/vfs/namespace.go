@@ -114,6 +114,26 @@ func (t *FDTable[V]) Reset() {
 	t.n = 0
 }
 
+// Fork returns an empty table that numbers its descriptors on from where t
+// does, and false when t has a descriptor open: a model forks only with
+// none open (see Forker).
+func (t *FDTable[V]) Fork() (FDTable[V], bool) {
+	return FDTable[V]{n: t.n}, len(t.open) == 0
+}
+
+// Rewrite returns data resized to size with p at off, in a new slice
+// unless it only shrinks. A model that never writes file data in place
+// shares it with its forks (Forker).
+func Rewrite(data []byte, size, off int64, p []byte) []byte {
+	if len(p) == 0 && size <= int64(len(data)) {
+		return data[:size]
+	}
+	d := make([]byte, size)
+	copy(d, data)
+	copy(d[off:], p)
+	return d
+}
+
 // Open returns a new descriptor on inode ino carrying v.
 func (t *FDTable[V]) Open(ino uint64, v V) FD {
 	fd := 3 + t.n

@@ -8,6 +8,8 @@
 // truncate, rmdir) plus open/close/fsync/sync plumbing.
 package vfs
 
+import "chipmunk/internal/persist"
+
 // FD is a file descriptor handle returned by Open/Create.
 type FD int
 
@@ -115,4 +117,12 @@ type XattrFS interface {
 // and application paths close everything they open (FD-leak detection).
 type FDCounter interface {
 	OpenFDs() int
+}
+
+// Forker is an optional interface: a model that copies its whole DRAM state
+// forks at an op boundary instead of running again from Mkfs. Fork returns
+// a model over pm, a device equal to f's now, that behaves as f would and
+// shares nothing with it; nil when f cannot fork (a descriptor is open).
+type Forker interface {
+	Fork(pm persist.Space) FS
 }

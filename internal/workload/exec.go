@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"slices"
 
 	"chipmunk/internal/vfs"
 )
@@ -41,13 +42,22 @@ type Result struct {
 // fail the same way. Harness-level failures (slot misuse on a path with no
 // file) surface as op errors too.
 func Run(fs vfs.FS, w Workload, hooks Hooks) []Result {
+	return Resume(fs, w, make([]Result, 0, len(w.Ops)), hooks)
+}
+
+// Resume continues a run of w on fs after its first len(done) ops, whose
+// results done holds, and appends the rest. Those ops must leave no FD slot
+// open (the models' Fork refuses one) and start no application
+// (w.Forkable(len(done))).
+func Resume(fs vfs.FS, w Workload, done []Result, hooks Hooks) []Result {
 	slots := map[int]vfs.FD{}
 	slotPath := map[int]string{}
-	results := make([]Result, 0, len(w.Ops))
+	results := done
 
 	var app AppInstance
 	var appErr error
-	for i, op := range w.Ops {
+	for i := len(done); i < len(w.Ops); i++ {
+		op := w.Ops[i]
 		if hooks.Before != nil {
 			hooks.Before(i, op)
 		}
@@ -223,4 +233,11 @@ func closeSlot(fs vfs.FS, slots map[int]vfs.FD, slot int) {
 		fs.Close(fd)
 		delete(slots, slot)
 	}
+}
+
+// Forkable reports whether a run of w may fork after its first k ops: none
+// is app-level, since Resume starts no application. Open descriptors are
+// the models' to refuse (vfs.Forker).
+func (w Workload) Forkable(k int) bool {
+	return !slices.ContainsFunc(w.Ops[:k], func(op Op) bool { return op.Kind.AppLevel() })
 }
