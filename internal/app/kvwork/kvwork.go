@@ -88,6 +88,37 @@ func (c *kvChecker) Name() string { return "kv-wal" }
 // concurrent calls: it reads only the frozen RunEnv and the state's private
 // file system.
 func (c *kvChecker) Check(fs vfs.FS, cctx *core.CheckContext) *core.Finding {
+	return c.Judge(c.Observe(fs, nil), cctx)
+}
+
+// observation is what recovering the store from one crash image shows:
+// why recovery failed, or the recovered seqno and contents.
+type observation struct {
+	err  string
+	seq  uint64
+	snap map[string][]byte
+}
+
+func (o *observation) Bytes() int {
+	n := len(o.err)
+	for k, v := range o.snap {
+		n += len(k) + len(v) + 48
+	}
+	return n
+}
+
+// Observe implements core.Observer: it recovers the store.
+func (c *kvChecker) Observe(fs vfs.FS, _ *core.Interner) core.Observation {
+	st, err := kvstore.Open(fs, c.bugs)
+	if err != nil {
+		return &observation{err: fmt.Sprintf("store recovery failed: %v", err)}
+	}
+	defer st.Close()
+	return &observation{seq: st.Seq(), snap: st.Snapshot()}
+}
+
+// Judge implements core.Observer: the seqno bounds, then the contents.
+func (c *kvChecker) Judge(ob core.Observation, cctx *core.CheckContext) *core.Finding {
 	ops := c.env.Workload.Ops
 
 	// Bound the legal recovery outcomes by seqno. low: mutations covered by
@@ -118,14 +149,12 @@ func (c *kvChecker) Check(fs vfs.FS, cctx *core.CheckContext) *core.Finding {
 		}
 	}
 
-	st, err := kvstore.Open(fs, c.bugs)
-	if err != nil {
-		return &core.Finding{Kind: core.VAppContract, Contract: "recoverable",
-			Detail: fmt.Sprintf("store recovery failed: %v", err)}
+	o := ob.(*observation)
+	if o.err != "" {
+		return &core.Finding{Kind: core.VAppContract, Contract: "recoverable", Detail: o.err}
 	}
-	defer st.Close()
 
-	m := int(st.Seq())
+	m := int(o.seq)
 	if m < low {
 		return &core.Finding{Kind: core.VAppContract, Contract: "acked-durability",
 			Detail: fmt.Sprintf("recovered %d mutations, but %d were acknowledged by kvsync", m, low)}
@@ -137,7 +166,7 @@ func (c *kvChecker) Check(fs vfs.FS, cctx *core.CheckContext) *core.Finding {
 
 	// The recovered content must equal the model at exactly m mutations.
 	model := replayPrefix(ops, m)
-	got := st.Snapshot()
+	got := o.snap
 
 	keys := map[string]bool{}
 	for k := range model {
@@ -170,6 +199,9 @@ func (c *kvChecker) Check(fs vfs.FS, cctx *core.CheckContext) *core.Finding {
 	}
 	return nil
 }
+
+// Probe implements core.Observer: there is nothing to probe.
+func (c *kvChecker) Probe(vfs.FS, core.Observation) *core.Finding { return nil }
 
 // replayPrefix builds the reference state after the first m mutations of
 // the issued history.

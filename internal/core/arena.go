@@ -261,6 +261,8 @@ type rig struct {
 	vol, pers, baseline, scratch, tmpl []byte
 	dev                                *pmem.Device
 	devPages, basePages, tmplPages     *pmem.PageSet
+	// hasher hashes the baseline for the observation table (observe.go).
+	hasher *imageHasher
 }
 
 func newRig(size int) *rig {

@@ -7,6 +7,7 @@ import (
 	"chipmunk/internal/obs"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
+	"chipmunk/internal/vfs"
 )
 
 // checkState mounts the target file system on one crash state and applies
@@ -27,21 +28,34 @@ import (
 // the caller after the lease is settled and the image restored. Both are
 // the zero time when observability is off.
 func (ck *checker) checkState(dev *pmem.Device, ctx crashCtx, mountStart time.Time) (v *Violation, checkStart time.Time) {
-	fs := ck.cfg.NewFS(persist.New(dev))
+	fs, f, ct := ck.mount(dev, mountStart)
+	if f == nil {
+		f = ck.contract.Check(fs, ctx.check())
+	}
+	return ck.finding(ctx, f), ct
+}
 
+// mount mounts the target on the device, closing the mount window and
+// opening the check window. A failed mount returns its finding.
+func (ck *checker) mount(dev *pmem.Device, mountStart time.Time) (vfs.FS, *Finding, time.Time) {
+	fs := ck.cfg.NewFS(persist.New(dev))
 	err := fs.Mount()
 	ck.obs.ObserveSince(obs.StageMount, mountStart)
 	ct := ck.obs.Start()
 	if err != nil {
-		return ck.violation(ctx, VUnmountable, fmt.Sprintf("mount failed: %v", err)), ct
+		return nil, &Finding{Kind: VUnmountable, Detail: fmt.Sprintf("mount failed: %v", err)}, ct
 	}
+	return fs, nil, ct
+}
 
-	if f := ck.contract.Check(fs, ctx.check()); f != nil {
-		v := ck.violation(ctx, f.Kind, f.Detail)
-		v.Contract = f.Contract
-		return v, ct
+// finding builds the violation a failed check reports (nil: none).
+func (ck *checker) finding(ctx crashCtx, f *Finding) *Violation {
+	if f == nil {
+		return nil
 	}
-	return nil, ct
+	v := ck.violation(ctx, f.Kind, f.Detail)
+	v.Contract = f.Contract
+	return v
 }
 
 // recoveryReadSet mounts the base image once with PM reads recorded,

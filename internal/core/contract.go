@@ -79,6 +79,25 @@ type Checker interface {
 	Check(fs vfs.FS, cctx *CheckContext) *Finding
 }
 
+// Observer is an optional Checker extension that splits Check at the crash
+// context, so a memo's runs judge an image already mounted without mounting
+// it again (observe.go). Observe reads the mounted state, a function of the
+// image alone (never of the RunEnv), into an immutable Observation that
+// aliases nothing of fs; it may intern bytes through in. Judge is the
+// prefix-pure verdict in a context; Probe runs the image-only checks due
+// after a passing judgement and may change fs. Check must equal Observe,
+// Judge, then Probe; all must be safe for concurrent calls.
+type Observer interface {
+	Checker
+	Observe(fs vfs.FS, in *Interner) Observation
+	Judge(o Observation, cctx *CheckContext) *Finding
+	Probe(fs vfs.FS, o Observation) *Finding
+}
+
+// Observation is an Observer's reading of one image; Bytes is the memory it
+// holds beyond what it interned.
+type Observation interface{ Bytes() int }
+
 // CrashPointPreparer is an optional Checker extension: the engine calls
 // PrepareCrashPoint on the goroutine walking the trace, once per crash point,
 // before any of that point's states is checked, so the checker can precompute

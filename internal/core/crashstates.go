@@ -117,6 +117,13 @@ type checker struct {
 	// memo is the run's position in its prefix memo (memo.go).
 	memo memoWalk
 
+	// The observation table (observe.go), nil when the run shares no mounts;
+	// the contract as an Observer; the rig's hasher, valid at hashGen.
+	table    *obsTable
+	observer Observer
+	hasher   *imageHasher
+	hashGen  int64
+
 	// baseGen is the generation of the walk's working image: the
 	// walk accumulates fence-applied writes into advAccum (baseDirty set)
 	// and commitBase folds them into one generation step — advance becomes

@@ -372,7 +372,6 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 			return nil, fmt.Errorf("oracle mkfs: %w", err)
 		}
 	}
-	var oracleErr error
 	var next int // the point each pass fills next
 	markOracle := func(k int) {
 		if next < len(points) && points[next].depth == k {
@@ -382,24 +381,11 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 	}
 	markOracle(len(oracleResults))
 	oracleResults = workload.Resume(oracle, w, oracleResults, workload.Hooks{
-		Before: func(i int, op workload.Op) {
-			st, err := vfs.Capture(oracle)
-			if err != nil && oracleErr == nil {
-				oracleErr = err
-			}
-			states = append(states, st)
-		},
-		After: func(i int, op workload.Op, err error) { markOracle(i + 1) },
-		App:   cfg.AppFactory,
+		Before: func(i int, op workload.Op) { states = append(states, oracle.State()) },
+		After:  func(i int, op workload.Op, err error) { markOracle(i + 1) },
+		App:    cfg.AppFactory,
 	})
-	if oracleErr != nil {
-		return nil, fmt.Errorf("oracle capture: %w", oracleErr)
-	}
-	final, err := vfs.Capture(oracle)
-	if err != nil {
-		return nil, fmt.Errorf("oracle final capture: %w", err)
-	}
-	states = append(states, final)
+	states = append(states, oracle.State())
 	col.ObserveSince(obs.StageOracle, ot)
 	// The oracle pass runs on the reference model, not the target, so its
 	// span carries no FS attribution.
@@ -506,6 +492,9 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 		obs: col, journal: cfg.Journal,
 		tracer: tr, checkSpan: tr.ID("check", w.Name, 0, 0),
 		runID: runIDs.Add(1), memo: memoWalk{m: c.memo, op: -1}}
+	if ob, ok := contract.(Observer); ok && c.memo != nil && !cfg.Faults.Enabled() {
+		ck.table, ck.observer = &c.memo.table, ob
+	}
 	// A guest phase the run abandoned may still read the log: it is left
 	// to it, with the fork points that index into it.
 	defer func() {

@@ -28,11 +28,13 @@ import (
 type PrefixMemo struct {
 	mu    sync.Mutex
 	nodes map[string]*prefixNode
+	// table shares the observations of mounted crash images (observe.go).
+	table obsTable
 }
 
 // NewPrefixMemo returns an empty memo.
 func NewPrefixMemo() *PrefixMemo {
-	return &PrefixMemo{nodes: make(map[string]*prefixNode)}
+	return &PrefixMemo{nodes: make(map[string]*prefixNode), table: obsTable{entries: make(map[imageHash]*obsEntry)}}
 }
 
 // Run is RunContext with the crash points of already-checked op prefixes

@@ -1,0 +1,237 @@
+package core
+
+import (
+	"bytes"
+	"hash/maphash"
+	"sync"
+	"time"
+	"unsafe"
+
+	"chipmunk/internal/obs"
+	"chipmunk/internal/pmem"
+)
+
+// This file is the observation table: each prefix memo keeps, per crash
+// image it mounted (by a 128-bit content hash), what mounting it showed, and
+// judges a state whose image is there in its own context without a mount.
+// The check order is kept — mount, observation, judgement, then the probe
+// after a passing judgement — so an entry whose judgement failed holds no
+// probe result and cannot pass a state, which is mounted again. Nothing is
+// stored with faults on, for a contract that is no Observer, or from a guest
+// phase that panicked, timed out or was abandoned.
+
+// obsTableBytes bounds a table's entries and interned contents; a full
+// table still serves. obsEntryBytes is an entry's or a string's overhead.
+const (
+	obsTableBytes = 64 << 20
+	obsEntryBytes = 96
+)
+
+// imageHash is a 128-bit content hash of a crash image: the XOR of its
+// 64-byte lines' hashes, keyed by index, an all-zero line hashing to zero.
+type imageHash [2]uint64
+
+func (h *imageHash) xor(o imageHash) { h[0] ^= o[0]; h[1] ^= o[1] }
+
+const hashLine = 64
+
+var (
+	lineSeeds = [2]maphash.Seed{maphash.MakeSeed(), maphash.MakeSeed()}
+	zeroLine  = [2]uint64{
+		maphash.Bytes(lineSeeds[0], make([]byte, hashLine)),
+		maphash.Bytes(lineSeeds[1], make([]byte, hashLine)),
+	}
+)
+
+// line returns line l of img.
+func line(img []byte, l int64) []byte {
+	return img[l*hashLine : min((l+1)*hashLine, int64(len(img)))]
+}
+
+// lineHash hashes line l of img.
+func lineHash(img []byte, l int64) imageHash {
+	b := line(img, l)
+	x, y := maphash.Bytes(lineSeeds[0], b), maphash.Bytes(lineSeeds[1], b)
+	if len(b) == hashLine && x == zeroLine[0] && y == zeroLine[1] ||
+		len(b) < hashLine && bytes.Count(b, []byte{0}) == len(b) {
+		return imageHash{}
+	}
+	i := uint64(l) + 1
+	return imageHash{mix64(x ^ i*0x9e3779b97f4a7c15), mix64(y ^ i*0xc2b2ae3d27d4eb4f)}
+}
+
+// mix64 is MurmurHash3's 64-bit finalizer, a bijection.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
+}
+
+// imageHasher keeps a rig's working image hash line by line, with a mirror
+// of the image it describes (zero outside pages): moving it to another image
+// rehashes only the lines that differ.
+type imageHasher struct {
+	lines  []imageHash
+	total  imageHash
+	mirror []byte
+	pages  *pmem.PageSet
+}
+
+func newImageHasher(size int) *imageHasher {
+	return &imageHasher{
+		lines:  make([]imageHash, (int64(size)+hashLine-1)/hashLine),
+		mirror: make([]byte, size),
+		pages:  pmem.NewPageSet(int64(size)),
+	}
+}
+
+// sync makes the hashes describe img on [lo, hi).
+func (h *imageHasher) sync(img []byte, lo, hi int64) {
+	for l := lo / hashLine; l*hashLine < hi; l++ {
+		if b, m := line(img, l), line(h.mirror, l); !bytes.Equal(b, m) {
+			copy(m, b)
+			h.total.xor(h.lines[l])
+			h.lines[l] = lineHash(img, l)
+			h.total.xor(h.lines[l])
+		}
+	}
+}
+
+// hashBase brings the hasher to the working image: one advance past it
+// syncs the advance's writes, anything else every page either image may be
+// non-zero on. Owner-only, between checks, like prime.
+func (ck *checker) hashBase() {
+	h, img := ck.hasher, ck.cur.img
+	switch {
+	case ck.hashGen == ck.baseGen:
+	case ck.hashGen == ck.baseGen-1 && ck.advGen == ck.baseGen:
+		for _, idx := range ck.advance {
+			e := ck.cur.log.At(idx)
+			h.sync(img, e.Off, e.Off+int64(len(e.Data)))
+		}
+	default:
+		ck.basePages.Runs(h.pages, func(lo, hi int64) {
+			for p := lo; p < hi; p += pmem.PageSize {
+				if end := min(p+pmem.PageSize, hi); !bytes.Equal(img[p:end], h.mirror[p:end]) {
+					h.sync(img, p, end)
+				}
+			}
+		})
+		h.pages.Assign(ck.basePages)
+	}
+	ck.hashGen = ck.baseGen
+}
+
+// stateHash returns the image hash of crash state st materialized in img
+// on the current base: the base's, with the lines its key's runs touch
+// rehashed. A post-syscall state is its base.
+func (ck *checker) stateHash(img []byte, st crashState) imageHash {
+	ck.hashBase()
+	h, last := ck.hasher.total, int64(-1)
+	forEachKeyRun(st.key, func(off int64, data string) {
+		for l := max(off/hashLine, last+1); l*hashLine < off+int64(len(data)); l, last = l+1, l {
+			h.xor(ck.hasher.lines[l])
+			h.xor(lineHash(img, l))
+		}
+	})
+	return h
+}
+
+// Interner shares immutable copies of byte strings among a memo's
+// observations; held counts what it and its table hold. Safe for
+// concurrent use; a nil Interner copies.
+type Interner struct {
+	mu   sync.Mutex
+	m    map[string][]byte
+	held int64
+}
+
+// Bytes returns a copy of b that is never written, shared with every
+// earlier equal b. Nil stays nil.
+func (in *Interner) Bytes(b []byte) []byte {
+	if len(b) == 0 || in == nil {
+		return bytes.Clone(b)
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if v, ok := in.m[string(b)]; ok {
+		return v
+	}
+	if in.m == nil {
+		in.m = make(map[string][]byte)
+	}
+	s := string(b)
+	in.m[s] = unsafe.Slice(unsafe.StringData(s), len(s))
+	in.held += int64(len(s)) + obsEntryBytes
+	return in.m[s]
+}
+
+// obsTable maps image hashes to what mounting them showed: the mount's
+// failure, or the observation and, once a judgement passed, the probe's
+// finding. Entries are immutable once stored.
+type obsTable struct {
+	Interner
+	entries map[imageHash]*obsEntry
+}
+
+type obsEntry struct {
+	mount, probe *Finding
+	o            Observation
+	probed       bool
+}
+
+func (t *obsTable) lookup(key imageHash) *obsEntry {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.entries[key]
+}
+
+func (t *obsTable) store(key imageHash, e *obsEntry) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.held >= obsTableBytes {
+		return
+	}
+	t.entries[key] = e
+	t.held += obsEntryBytes
+	if e.o != nil {
+		t.held += int64(e.o.Bytes())
+	}
+}
+
+// checkObserved is checkState through the run's table, if it has one: a
+// state the slot's entry settles in this context is judged from it,
+// anything else is mounted and observed, leaving the entry in sl.kept.
+func (ck *checker) checkObserved(sl *slot, dev *pmem.Device, ctx crashCtx, mountStart time.Time) (*Violation, time.Time) {
+	if ck.table == nil {
+		return ck.checkState(dev, ctx, mountStart)
+	}
+	if e := sl.hit; e != nil {
+		f := e.mount
+		if f == nil {
+			f = ck.observer.Judge(e.o, ctx.check())
+		}
+		// An entry without a probe result cannot pass a state.
+		if f != nil || e.probed {
+			if f == nil {
+				f = e.probe
+			}
+			ck.obs.Inc(obs.CtrObservationsServed)
+			return ck.finding(ctx, f), mountStart
+		}
+	}
+	fs, f, ct := ck.mount(dev, mountStart)
+	e := &obsEntry{mount: f}
+	sl.kept = e
+	if f != nil {
+		return ck.finding(ctx, f), ct
+	}
+	e.o = ck.observer.Observe(fs, &ck.table.Interner)
+	if f = ck.observer.Judge(e.o, ctx.check()); f == nil {
+		f = ck.observer.Probe(fs, e.o)
+		e.probed, e.probe = true, f
+	}
+	return ck.finding(ctx, f), ct
+}

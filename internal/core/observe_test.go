@@ -1,0 +1,185 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"chipmunk/internal/ace"
+	"chipmunk/internal/bugs"
+	"chipmunk/internal/obs"
+	"chipmunk/internal/pmem"
+	"chipmunk/internal/trace"
+	"chipmunk/internal/vfs"
+)
+
+// TestImageHashKeysLines: the image hash is a function of content and
+// place. Zero images hash to zero, and the same line moved, or repeated
+// at another index, changes it.
+func TestImageHashKeysLines(t *testing.T) {
+	img := func(at ...int64) []byte {
+		b := make([]byte, 3*pmem.PageSize)
+		for _, l := range at {
+			for i := range hashLine {
+				b[l*hashLine+int64(i)] = byte(i + 1)
+			}
+		}
+		return b
+	}
+	if h := hashImage(img()); h != (imageHash{}) {
+		t.Fatalf("zero image hashes to %x", h)
+	}
+	if hashImage(img(1)) != hashImage(img(1)) {
+		t.Fatal("equal images hash differently")
+	}
+	if hashImage(img(1)) == hashImage(img(2)) {
+		t.Error("a line hashes the same at two indices")
+	}
+	if hashImage(img(1, 70)) == (imageHash{}) {
+		t.Error("a line repeated at two indices cancels out")
+	}
+}
+
+// TestStateHashMatchesImageHash holds the incremental hash to hashImage:
+// every subset of writes that straddle lines and pages, materialized on the
+// base, after each advance of the base, and after the hasher moves to
+// another run's start image.
+func TestStateHashMatchesImageHash(t *testing.T) {
+	const size = 4 * pmem.PageSize
+	base := make([]byte, size)
+	for i := range base[:2*pmem.PageSize] {
+		base[i] = byte(i * 7)
+	}
+	log := trace.NewLog()
+	write := func(off int64, n int, seed byte) {
+		data := make([]byte, n)
+		for i := range data {
+			data[i] = seed + byte(i)
+		}
+		log.Append(trace.KindNT, off, data, "w")
+	}
+	write(100, 200, 1)             // four lines of one page
+	write(pmem.PageSize-10, 20, 2) // across a page boundary
+	write(3*pmem.PageSize+8, 64, 3)
+	write(150, 8, 4) // inside the first write
+	write(size-2, 2, 5)
+	pages := pmem.NewPageSet(size)
+	pages.Mark(0, size)
+
+	newChecker := func(img []byte) *checker {
+		return &checker{
+			scratch: make([]byte, size), basePages: pages,
+			cur: cursor{img: img, log: log}, advGen: -1, hashGen: -1,
+		}
+	}
+	ck := newChecker(base)
+	ck.hasher = newImageHasher(size)
+	all := []int{0, 1, 2, 3, 4}
+	checkStates := func(when string) {
+		t.Helper()
+		if got, want := ck.stateHash(ck.cur.img, crashState{}), hashImage(ck.cur.img); got != want {
+			t.Fatalf("%s: base hash %x, want %x", when, got, want)
+		}
+		for mask := 1; mask < 1<<len(all); mask++ {
+			var sub []int
+			for i, idx := range all {
+				if mask&(1<<i) != 0 {
+					sub = append(sub, idx)
+				}
+			}
+			key := string(ck.stateKey(ck.cur.img, log, sub))
+			img := append([]byte(nil), ck.cur.img...)
+			for _, idx := range sub {
+				trace.Apply(img, log.At(idx))
+			}
+			if got, want := ck.stateHash(img, crashState{key: key, keyed: true}), hashImage(img); got != want {
+				t.Fatalf("%s: subset %v hashes to %x, want %x", when, sub, got, want)
+			}
+		}
+	}
+	checkStates("generation 0")
+	for gen, adv := range [][]int{{0, 3}, {1, 4}, {2}} {
+		for _, idx := range adv {
+			trace.Apply(ck.cur.img, log.At(idx))
+		}
+		ck.advAccum, ck.baseDirty = append(ck.advAccum, adv...), true
+		ck.commitBase()
+		checkStates(fmt.Sprintf("generation %d", gen+1))
+	}
+
+	other := make([]byte, size)
+	copy(other[pmem.PageSize:], base[:pmem.PageSize])
+	next := newChecker(other)
+	next.hasher = ck.hasher
+	ck = next
+	checkStates("another start image")
+}
+
+// judgeMidOnly is an oracle contract whose judgement fails every state
+// inside a call and passes every state between calls, and whose probe
+// fails every state it sees: a post-syscall state whose image equals its
+// call's last fence's full set was observed there without a probe.
+type judgeMidOnly struct{ *oracleChecker }
+
+func (j judgeMidOnly) Check(fs vfs.FS, cctx *CheckContext) *Finding {
+	o := j.Observe(fs, nil)
+	if f := j.Judge(o, cctx); f != nil {
+		return f
+	}
+	return j.Probe(fs, o)
+}
+
+func (j judgeMidOnly) Judge(o Observation, cctx *CheckContext) *Finding {
+	if cctx.Phase == PhaseMid {
+		return &Finding{Kind: VAtomicity, Detail: "mid"}
+	}
+	return nil
+}
+
+func (judgeMidOnly) Probe(vfs.FS, Observation) *Finding {
+	return &Finding{Kind: VUsability, Detail: "probe"}
+}
+
+// TestObservationWithoutProbeIsMountedAgain: a state whose image's entry
+// holds no probe result, because its judgement failed, is not passed by
+// the entry but mounted again and probed, as an unshared run does.
+func TestObservationWithoutProbeIsMountedAgain(t *testing.T) {
+	cfg := Config{
+		NewFS:   novaFS(bugs.None()),
+		Checker: func(env RunEnv) Checker { return judgeMidOnly{NewOracleChecker(env).(*oracleChecker)} },
+		Obs:     obs.New(),
+	}
+	memo := NewPrefixMemo()
+	var served int64
+	for _, w := range ace.Seq1()[:40] {
+		want, err := RunContext(context.Background(), cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := memo.Run(context.Background(), cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		served += got.Obs.Count(obs.CtrObservationsServed)
+		if len(got.Violations) != len(want.Violations) {
+			t.Fatalf("%s: %d violations through the table, %d unshared", w.Name, len(got.Violations), len(want.Violations))
+		}
+		for i := range want.Violations {
+			if g, w := got.Violations[i], want.Violations[i]; g.Kind != w.Kind || g.Detail != w.Detail || g.Syscall != w.Syscall || g.Phase != w.Phase {
+				t.Fatalf("%s: violation %d is %v through the table, %v unshared", w.Workload.Name, i, g, w)
+			}
+		}
+	}
+	if served == 0 {
+		t.Fatal("no observation served: the comparison is vacuous")
+	}
+}
+
+// hashImage is the image hash of img, from scratch.
+func hashImage(img []byte) imageHash {
+	var h imageHash
+	for l := int64(0); l*hashLine < int64(len(img)); l++ {
+		h.xor(lineHash(img, l))
+	}
+	return h
+}

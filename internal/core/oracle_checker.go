@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"chipmunk/internal/obs"
 	"chipmunk/internal/vfs"
@@ -71,7 +72,65 @@ func (oc *oracleChecker) Check(fs vfs.FS, cctx *CheckContext) *Finding {
 	if err != nil {
 		return &Finding{Kind: VUnreadable, Detail: fmt.Sprintf("reading recovered state failed: %v", err)}
 	}
+	if f := oc.judge(st, cctx); f != nil {
+		return f
+	}
+	return probe(fs, st)
+}
 
+// oracleObservation is the recovered state, or why it could not be read.
+type oracleObservation struct {
+	st     vfs.State // nil: unreadable
+	failed *Finding
+	bytes  int
+}
+
+func (o *oracleObservation) Bytes() int { return o.bytes }
+
+// Observe implements Observer: it copies a capture out of its pooled
+// scratch, directory entries into one block, file contents interned.
+func (oc *oracleChecker) Observe(fs vfs.FS, in *Interner) Observation {
+	scr := captureScratches.Get().(*vfs.Scratch)
+	defer captureScratches.Put(scr)
+	st, err := vfs.CaptureWith(fs, scr)
+	if err != nil {
+		f := &Finding{Kind: VUnreadable, Detail: fmt.Sprintf("reading recovered state failed: %v", err)}
+		return &oracleObservation{failed: f, bytes: len(f.Detail)}
+	}
+	names := 0
+	for _, f := range st {
+		names += len(f.Entries)
+	}
+	block := make([]string, 0, names)
+	o := &oracleObservation{st: make(vfs.State, len(st))}
+	for p, f := range st {
+		f.Data = in.Bytes(f.Data)
+		if f.Entries != nil {
+			block = append(block, f.Entries...)
+			f.Entries = block[len(block)-len(f.Entries) : len(block) : len(block)]
+		}
+		o.st[p] = f
+		o.bytes += int(unsafe.Sizeof(f)) + len(p) + 16*(len(f.Entries)+len(f.Xattrs))
+	}
+	return o
+}
+
+// Judge implements Observer: readability, then synchrony or atomicity.
+func (oc *oracleChecker) Judge(o Observation, cctx *CheckContext) *Finding {
+	ob := o.(*oracleObservation)
+	if ob.failed != nil {
+		return ob.failed
+	}
+	return oc.judge(ob.st, cctx)
+}
+
+// Probe implements Observer: the usability probe.
+func (oc *oracleChecker) Probe(fs vfs.FS, o Observation) *Finding {
+	return probe(fs, o.(*oracleObservation).st)
+}
+
+// judge checks synchrony after a call, atomicity inside one.
+func (oc *oracleChecker) judge(st vfs.State, cctx *CheckContext) *Finding {
 	switch cctx.Phase {
 	case PhasePost:
 		if cctx.AckedOps >= 0 && cctx.AckedOps < len(oc.env.OracleStates) {
@@ -84,7 +143,10 @@ func (oc *oracleChecker) Check(fs vfs.FS, cctx *CheckContext) *Finding {
 			return &Finding{Kind: VAtomicity, Detail: detail}
 		}
 	}
+	return nil
+}
 
+func probe(fs vfs.FS, st vfs.State) *Finding {
 	if detail := usability(fs, st); detail != "" {
 		return &Finding{Kind: VUsability, Detail: detail}
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -185,6 +184,10 @@ type slot struct {
 	// kept for the life of the run (nil after a retire until the next state).
 	wi  *workerImage
 	try tryState
+	// The attempt's use of the observation table: its image's hash, the
+	// entry the table held for it, and the entry its guest phase made.
+	key       imageHash
+	hit, kept *obsEntry
 }
 
 func newSlot(try tryState) *slot {
@@ -246,6 +249,10 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 		}
 	}()
 	ck.cur = cursor{img: rg.baseline, log: log, lastDone: -1, sig: fnvOffset64}
+	if ck.table != nil && rg.hasher == nil {
+		rg.hasher = newImageHasher(ck.devSize)
+	}
+	ck.hasher, ck.hashGen = rg.hasher, -1
 	// No advance recipe exists yet: a fresh image (gen -1) at generation 0
 	// must cold-prime, not replay an empty recipe.
 	ck.advGen = -1
@@ -273,7 +280,7 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 			if ex.panicVal != nil {
 				panic(ex.panicVal)
 			}
-			ck.obs.ObserveSince(obs.StageCheck, ex.at)
+			ck.obs.ExtendSince(obs.StageCheck, ex.at)
 			return ex.err
 		case <-timerC:
 		case <-cancelC:
@@ -330,12 +337,12 @@ func (ck *checker) startRunner(try tryState) {
 	ck.obs.ObserveSince(obs.StageReplay, rt)
 	ck.slot = sl
 	ck.obs.Inc(obs.CtrSandboxRunners)
-	// The two hand-offs of a run bill where the per-state ones used to, so
-	// the stage windows keep tiling wall-clock: the runner's start to mount,
-	// its hand-back (closed by the supervisor) to check.
+	// The two hand-offs of a run bill their time, but no count, where the
+	// per-state ones used to, so the stage windows keep tiling wall-clock:
+	// the runner's start to mount, its hand-back to check.
 	st := ck.obs.Start()
 	go func() {
-		ck.obs.ObserveSince(obs.StageMount, st)
+		ck.obs.ExtendSince(obs.StageMount, st)
 		defer func() {
 			// An engine panic outside the guard must surface on RunContext's
 			// caller, not kill the process from an unsupervised goroutine.
@@ -406,7 +413,7 @@ func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState,
 		Phase:    cctx.phase,
 		Rank:     cctx.rank,
 		Subset:   append([]int(nil), st.subset...),
-		StateKey: stateDigest(img, log, st),
+		StateKey: stateDigest(img, st),
 		Kind:     kind,
 		Detail:   detail,
 		Stack:    last.stack,
@@ -490,6 +497,10 @@ func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, 
 	coal := st.keyed && inj == nil
 	ck.prime(wi, img, log)
 	flipOff, flipped := ck.applyDelta(wi, log, st, inj, coal)
+	if ck.table != nil {
+		sl.key = ck.stateHash(wi.img, st)
+		sl.hit, sl.kept = ck.table.lookup(sl.key), nil
+	}
 	ck.obs.ObserveSince(obs.StageReplay, rt)
 	wi.dev.Reset()
 	wi.dev.InjectFaults(inj)
@@ -508,6 +519,9 @@ func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, 
 		ck.obs.Inc(obs.CtrImagesRetired)
 	}
 	if r.ok {
+		if sl.kept != nil {
+			ck.table.store(sl.key, sl.kept)
+		}
 		ck.obs.ObserveSince(obs.StageCheck, r.checkStart)
 	}
 	return r
@@ -549,7 +563,7 @@ func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx cr
 		res = attemptResult{panicked: true, panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
 	}()
 
-	v, ct := ck.checkState(dev, cctx, mt)
+	v, ct := ck.checkObserved(sl, dev, cctx, mt)
 	// Undo the guest's mount-time mutations while still holding the lease,
 	// THEN settle: the caller reverts only the delta spans. If abandonment
 	// won the CAS the rollback was wasted work on a retired buffer — harmless.
@@ -706,43 +720,15 @@ func (ck *checker) injector(cctx crashCtx) *pmem.Injector {
 }
 
 // stateDigest fingerprints a crash state for the quarantine ledger: the
-// FNV-64a digest of the byte-diff key (the (offset, length, bytes) runs
-// where the materialized image differs from the fence's base image — the
-// same identity stateKey deduplicates on). Keyed states hash their key
-// directly — the key IS the record stream the legacy digest hashed, so the
-// digests are identical without re-deriving the diff (which used to cost a
-// full-image copy per quarantine). Post-syscall states, which ARE their base
-// image, digest the whole image. The unkeyed-subset fallback re-derives the
-// diff the slow way; it only runs for states built outside enumerate (tests).
-func stateDigest(img []byte, log *trace.Log, st crashState) uint64 {
+// FNV-64a digest of its byte-diff key against the fence's base, the identity
+// dedup keys on, or of the whole image for a post-syscall state, which is
+// its base.
+func stateDigest(img []byte, st crashState) uint64 {
 	if st.keyed {
 		return fnv64a(st.key)
 	}
 	h := fnv.New64a()
-	if len(st.subset) == 0 {
-		h.Write(img)
-		return h.Sum64()
-	}
-	scratch := append([]byte(nil), img...)
-	for _, idx := range st.subset {
-		trace.Apply(scratch, log.At(idx))
-	}
-	var rec [12]byte
-	for i := 0; i < len(img); {
-		if scratch[i] == img[i] {
-			i++
-			continue
-		}
-		j := i + 1
-		for j < len(img) && scratch[j] != img[j] {
-			j++
-		}
-		binary.BigEndian.PutUint64(rec[:8], uint64(i))
-		binary.BigEndian.PutUint32(rec[8:], uint32(j-i))
-		h.Write(rec[:])
-		h.Write(scratch[i:j])
-		i = j
-	}
+	h.Write(img)
 	return h.Sum64()
 }
 

@@ -104,6 +104,37 @@ func (n *node) clone(parent *node, links map[*node]*node) *node {
 	return c
 }
 
+// State returns what vfs.Capture reads of f, built from the node tree. File
+// data aliases the nodes', never written in place (vfs.Rewrite), so the
+// state stays as it was however f changes later.
+func (f *FS) State() vfs.State {
+	st := make(vfs.State)
+	f.root.state("/", st)
+	return st
+}
+
+func (n *node) state(path string, st vfs.State) {
+	f := vfs.FileState{Path: path, Type: n.typ, Nlink: n.nlink, Xattrs: make([]string, 0, len(n.xattrs))}
+	for name, v := range n.xattrs {
+		f.Xattrs = append(f.Xattrs, name+"="+v)
+	}
+	sort.Strings(f.Xattrs)
+	f.SetIno(n.ino)
+	if n.typ == vfs.TypeDir {
+		f.Entries = make([]string, 0, len(n.children))
+		for name := range n.children {
+			f.Entries = append(f.Entries, name)
+		}
+		sort.Strings(f.Entries)
+	} else if f.Size, f.Data = int64(len(n.data)), n.data[:len(n.data):len(n.data)]; f.Data == nil {
+		f.Data = []byte{}
+	}
+	st[path] = f
+	for _, name := range f.Entries {
+		n.children[name].state(vfs.Join(path, name), st)
+	}
+}
+
 // child is the path walk's step (vfs.Walk).
 func (f *FS) child(n *node, name string) (*node, error) {
 	if n.typ != vfs.TypeDir {

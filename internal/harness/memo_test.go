@@ -34,6 +34,9 @@ type memoCase struct {
 	// mkfs, when set, counts the guest's Mkfs calls (forkingFS): a serial
 	// Run that formatted once per workload forked nothing, and fails.
 	mkfs *atomic.Int64
+	// hostile says every crash state's check panics, so no mounted image
+	// is ever observed.
+	hostile bool
 }
 
 func memoCases(t *testing.T) []memoCase {
@@ -107,7 +110,7 @@ func memoCases(t *testing.T) []memoCase {
 		newFS := cfg.NewFS
 		cfg.NewFS = func(pm *persist.PM) vfs.FS { return mountPanicFS{newFS(pm)} }
 		cfg.CheckRetries = -1
-		cases = append(cases, memoCase{name: name + "/hostile/seq1", cfg: cfg, suite: ace.Seq1(), shares: true})
+		cases = append(cases, memoCase{name: name + "/hostile/seq1", cfg: cfg, suite: ace.Seq1(), shares: true, hostile: true})
 	}
 	return cases
 }
@@ -186,52 +189,67 @@ func TestPrefixMemoMatchesUnshared(t *testing.T) {
 	for i, c := range append(memoCases(t), forkCases()...) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			ctx := context.Background()
-			want := make([]*core.Result, len(c.suite))
-			for j, w := range c.suite {
-				res, err := core.RunContext(ctx, c.cfg, w)
-				if err != nil {
-					t.Fatalf("unshared %s: %v", w.Name, err)
-				}
-				want[j] = res
-			}
-			perm := rand.New(rand.NewSource(int64(i))).Perm(len(c.suite))
-			for _, mode := range []struct {
-				name  string
-				order []int
-				rc    runConfig
-			}{
-				{"serial", identity(len(c.suite)), runConfig{workers: 1}},
-				{"j=2", perm, runConfig{workers: 2}},
-			} {
-				suite := make([]workload.Workload, len(c.suite))
-				for k, j := range mode.order {
-					suite[k] = c.suite[j]
-				}
-				got := make([]*core.Result, len(c.suite))
-				mode.rc.results = func(k int, res *core.Result) { got[mode.order[k]] = res }
-				if c.mkfs != nil {
-					c.mkfs.Store(0)
-				}
-				if _, _, err := mode.rc.run(ctx, c.cfg, suite); err != nil {
-					t.Fatalf("%s: %v", mode.name, err)
-				}
-				if c.mkfs != nil && mode.rc.workers == 1 && c.mkfs.Load() >= int64(len(suite)) {
-					t.Errorf("%s: %d Mkfs calls for %d workloads: nothing forked", mode.name, c.mkfs.Load(), len(suite))
-				}
+			for mode, got := range runShared(t, int64(i), c) {
 				var served int64
-				for j := range c.suite {
-					if d := resultDiff(want[j], got[j]); d != "" {
-						t.Errorf("%s: %s differs from the unshared run: %s", mode.name, c.suite[j].Name, d)
-					}
-					served += got[j].Obs.Count(obs.CtrMemoServed)
+				for _, res := range got {
+					served += res.Obs.Count(obs.CtrMemoServed)
 				}
 				if c.shares && served == 0 {
-					t.Errorf("%s: the memo served no crash state", mode.name)
+					t.Errorf("%s: the memo served no crash state", mode)
 				}
 			}
 		})
 	}
+}
+
+// runShared runs c's suite through Run serially and, over a permutation
+// seeded by seed, with two workers, and fails t on every Result that
+// differs from a loop of memo-less, unforked core.RunContext calls. It
+// returns each mode's Results in suite order.
+func runShared(t *testing.T, seed int64, c memoCase) map[string][]*core.Result {
+	t.Helper()
+	ctx := context.Background()
+	want := make([]*core.Result, len(c.suite))
+	for j, w := range c.suite {
+		res, err := core.RunContext(ctx, c.cfg, w)
+		if err != nil {
+			t.Fatalf("unshared %s: %v", w.Name, err)
+		}
+		want[j] = res
+	}
+	perm := rand.New(rand.NewSource(seed)).Perm(len(c.suite))
+	out := map[string][]*core.Result{}
+	for _, mode := range []struct {
+		name  string
+		order []int
+		rc    runConfig
+	}{
+		{"serial", identity(len(c.suite)), runConfig{workers: 1}},
+		{"j=2", perm, runConfig{workers: 2}},
+	} {
+		suite := make([]workload.Workload, len(c.suite))
+		for k, j := range mode.order {
+			suite[k] = c.suite[j]
+		}
+		got := make([]*core.Result, len(c.suite))
+		mode.rc.results = func(k int, res *core.Result) { got[mode.order[k]] = res }
+		if c.mkfs != nil {
+			c.mkfs.Store(0)
+		}
+		if _, _, err := mode.rc.run(ctx, c.cfg, suite); err != nil {
+			t.Fatalf("%s: %v", mode.name, err)
+		}
+		if c.mkfs != nil && mode.rc.workers == 1 && c.mkfs.Load() >= int64(len(suite)) {
+			t.Errorf("%s: %d Mkfs calls for %d workloads: nothing forked", mode.name, c.mkfs.Load(), len(suite))
+		}
+		for j := range c.suite {
+			if d := resultDiff(want[j], got[j]); d != "" {
+				t.Errorf("%s: %s differs from the unshared run: %s", mode.name, c.suite[j].Name, d)
+			}
+		}
+		out[mode.name] = got
+	}
+	return out
 }
 
 // canonical is the part of r the engine guarantees deterministic: everything
@@ -341,7 +359,9 @@ func TestPrefixMemoServedCounter(t *testing.T) {
 // a wrapping factory that builds the same contract, for each crash state,
 // from the RunEnv cut to k = max(Sys+1, AckedOps) — ops, oracle states and
 // op results past the bound removed, the name blanked. Any Finding that
-// differs shows up as a differing violation.
+// differs shows up as a differing violation. The cut contract's runs go
+// through one prefix memo too, so it also judges the observations the memo
+// serves, which it reads from a contract built on an empty RunEnv.
 func TestCheckersArePrefixPure(t *testing.T) {
 	for _, c := range []struct {
 		name  string
@@ -357,6 +377,7 @@ func TestCheckersArePrefixPure(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			sys, _ := SystemByName(c.fs)
+			c.opts.Obs = obs.New()
 			cfg := c.opts.ConfigFor(sys)
 			inner := cfg.Checker
 			if inner == nil {
@@ -364,7 +385,8 @@ func TestCheckersArePrefixPure(t *testing.T) {
 			}
 			cut := cfg
 			cut.Checker = func(env core.RunEnv) core.Checker { return &prefixBound{env: env, inner: inner} }
-			findings := 0
+			memo := core.NewPrefixMemo()
+			findings, served := 0, int64(0)
 			for _, w := range c.suite {
 				want, err := core.RunContext(context.Background(), cfg, w)
 				if err != nil {
@@ -377,10 +399,18 @@ func TestCheckersArePrefixPure(t *testing.T) {
 				if d := resultDiff(want, got); d != "" {
 					t.Errorf("%s: a contract read past its prefix: %s", w.Name, d)
 				}
+				shared, err := memo.Run(context.Background(), cut, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if d := resultDiff(want, shared); d != "" {
+					t.Errorf("%s: a served observation judged past its prefix: %s", w.Name, d)
+				}
 				findings += len(want.Violations)
+				served += shared.Obs.Count(obs.CtrObservationsServed)
 			}
-			if findings == 0 {
-				t.Fatal("no findings: the comparison is vacuous")
+			if findings == 0 || served == 0 {
+				t.Fatalf("%d findings, %d observations served: the comparison is vacuous", findings, served)
 			}
 		})
 	}
@@ -396,10 +426,30 @@ type prefixBound struct {
 func (p *prefixBound) Name() string { return "prefix-bound" }
 
 func (p *prefixBound) Check(fs vfs.FS, cctx *core.CheckContext) *core.Finding {
+	return p.cut(cctx).Check(fs, cctx)
+}
+
+// cut builds inner's contract from the RunEnv cut to cctx's prefix bound.
+func (p *prefixBound) cut(cctx *core.CheckContext) core.Checker {
 	k := max(cctx.Sys+1, cctx.AckedOps)
 	env := p.env
 	env.Workload = workload.Workload{Ops: env.Workload.Ops[:k:k]}
 	env.OracleStates = env.OracleStates[: k+1 : k+1]
 	env.OpResults = env.OpResults[:k:k]
-	return p.inner(env).Check(fs, cctx)
+	return p.inner(env)
+}
+
+// Observe, Judge and Probe make prefixBound an Observer when inner's
+// contract is one: the observation and the probe come from a contract that
+// sees no RunEnv, the judgement from one that sees the cut RunEnv.
+func (p *prefixBound) Observe(fs vfs.FS, in *core.Interner) core.Observation {
+	return p.inner(core.RunEnv{}).(core.Observer).Observe(fs, in)
+}
+
+func (p *prefixBound) Judge(o core.Observation, cctx *core.CheckContext) *core.Finding {
+	return p.cut(cctx).(core.Observer).Judge(o, cctx)
+}
+
+func (p *prefixBound) Probe(fs vfs.FS, o core.Observation) *core.Finding {
+	return p.inner(core.RunEnv{}).(core.Observer).Probe(fs, o)
 }

@@ -176,6 +176,10 @@ const (
 	// shared prefix checks it and which are served depends on the order
 	// workloads complete in.
 	CtrMemoServed
+	// CtrObservationsServed counts crash states judged from the memo's
+	// observation table without a mount: a run of the memo had mounted the
+	// same image. Measurement-class like CtrMemoServed.
+	CtrObservationsServed
 	numCounters
 )
 
@@ -206,7 +210,8 @@ var counterNames = [numCounters]string{
 	CtrCoverageEdges: "coverage-edges",
 	CtrDistinctBugs:  "distinct-bugs",
 
-	CtrMemoServed: "memo-served",
+	CtrMemoServed:         "memo-served",
+	CtrObservationsServed: "observations-served",
 }
 
 func (c Counter) String() string {
@@ -228,7 +233,7 @@ func (c Counter) Deterministic() bool {
 		CtrBytesMaterialized, CtrBytesPrimed, CtrBytesRolledBack,
 		CtrShardsQuarantined, CtrOracleSnapshotHits,
 		CtrFuzzExecs, CtrCorpusEntries, CtrCoverageEdges, CtrDistinctBugs,
-		CtrMemoServed:
+		CtrMemoServed, CtrObservationsServed:
 		return false
 	}
 	return true
@@ -286,6 +291,15 @@ func (c *Collector) ObserveSince(s Stage, start time.Time) {
 		return
 	}
 	c.Observe(s, time.Since(start))
+}
+
+// ExtendSince adds the time since start to stage s without counting an
+// observation. No-op on a nil collector.
+func (c *Collector) ExtendSince(s Stage, start time.Time) {
+	if c == nil {
+		return
+	}
+	c.stages[s].nanos.Add(int64(time.Since(start)))
 }
 
 // Observe records one observation of stage s with duration d.

@@ -36,7 +36,7 @@ func (s *PageSet) Assign(o *PageSet) { copy(s.bits, o.bits) }
 // Clear zeroes the set's pages in every buffer it tracks and empties the
 // set: afterwards each buffer is zero throughout.
 func (s *PageSet) Clear(bufs ...[]byte) {
-	s.runs(nil, func(lo, hi int64) {
+	s.Runs(nil, func(lo, hi int64) {
 		for _, b := range bufs {
 			clear(b[lo:hi])
 		}
@@ -49,7 +49,7 @@ func (s *PageSet) Clear(bufs ...[]byte) {
 // them both buffers are zero already. It returns the bytes copied.
 func (s *PageSet) Copy(dst, src []byte, o *PageSet) int64 {
 	var n int64
-	s.runs(o, func(lo, hi int64) {
+	s.Runs(o, func(lo, hi int64) {
 		copy(dst[lo:hi], src[lo:hi])
 		n += hi - lo
 	})
@@ -62,7 +62,7 @@ func (s *PageSet) Copy(dst, src []byte, o *PageSet) int64 {
 func (s *PageSet) Covers(buf []byte) bool {
 	var lo int64
 	zero := true
-	s.runs(nil, func(runLo, runHi int64) {
+	s.Runs(nil, func(runLo, runHi int64) {
 		zero = zero && allZero(buf[lo:runLo])
 		lo = runHi
 	})
@@ -78,9 +78,9 @@ func allZero(b []byte) bool {
 	return true
 }
 
-// runs calls fn for each maximal run of pages in s ∪ o (o may be nil) as
+// Runs calls fn for each maximal run of pages in s ∪ o (o may be nil) as
 // the byte range [lo, hi), in ascending order.
-func (s *PageSet) runs(o *PageSet, fn func(lo, hi int64)) {
+func (s *PageSet) Runs(o *PageSet, fn func(lo, hi int64)) {
 	start := int64(-1)
 	for i, w := range s.bits {
 		if o != nil {

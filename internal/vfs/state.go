@@ -22,6 +22,9 @@ type FileState struct {
 	ino     uint64
 }
 
+// SetIno sets the inode number link partitions group by (a State built without Capture).
+func (f *FileState) SetIno(ino uint64) { f.ino = ino }
+
 // Equal compares two file states (ignoring inode numbers).
 func (f FileState) Equal(other FileState) bool {
 	return f.Path == other.Path &&
