@@ -66,7 +66,6 @@ func main() {
 		serve     = flag.String("serve", "", "coordinate a distributed campaign on this host:port instead of running locally")
 		workerFor = flag.String("worker", "", "join the distributed campaign coordinated at this host:port (spec comes from the coordinator)")
 		resume    = flag.String("resume", "", "(with -serve or -fuzz) append completed units to this checkpoint file and skip the units it already records")
-		shardSize = flag.Int("shard-size", campaign.DefaultShardSize, "(with -serve) workloads per lease")
 		leaseTTL  = flag.Duration("lease", lease.DefaultTTL, "(with -serve) lease deadline before a shard is re-dispatched")
 
 		shardRetries = flag.Int("shard-retries", lease.DefaultRetries,
@@ -148,7 +147,7 @@ func main() {
 			spec.Suite, spec.Max = *suite, *max
 		}
 		k := serveKnobs{
-			shardSize: *shardSize, retries: *shardRetries, leaseTTL: *leaseTTL, checkpoint: *resume,
+			retries: *shardRetries, leaseTTL: *leaseTTL, checkpoint: *resume,
 			retryQuarantined: *retryQuar, wireFaultSeed: *wireFaults,
 		}
 		// Local fuzzing is a one-process fleet soak: the coordinator on a
@@ -356,11 +355,11 @@ func runWorker(addr string, cli *harness.CLIOptions, shardTimeout time.Duration,
 
 // serveKnobs is the -serve flag surface beyond the spec.
 type serveKnobs struct {
-	shardSize, retries int
-	leaseTTL           time.Duration
-	checkpoint         string
-	retryQuarantined   bool
-	wireFaultSeed      uint64
+	retries          int
+	leaseTTL         time.Duration
+	checkpoint       string
+	retryQuarantined bool
+	wireFaultSeed    uint64
 	// localWorkers is how many fleet workers run in process against the
 	// coordinator (-fuzz without -serve); 0 leaves the work to -worker
 	// processes.
@@ -417,7 +416,7 @@ func runCoordinator(addr string, spec campaign.Spec, k serveKnobs, inst *harness
 		}
 	} else {
 		c, err := campaign.NewCoordinator(campaign.CoordinatorConfig{
-			Spec: spec, ShardSize: k.shardSize, LeaseTTL: k.leaseTTL, ShardRetries: k.retries,
+			Spec: spec, LeaseTTL: k.leaseTTL, ShardRetries: k.retries,
 			CheckpointPath: k.checkpoint, RetryQuarantined: k.retryQuarantined, Journal: inst.Journal, Logf: logf,
 			Progress: func(done, total int, c harness.Census) {
 				inst.Progress(done, total, c)
@@ -426,7 +425,7 @@ func runCoordinator(addr string, spec campaign.Spec, k serveKnobs, inst *harness
 		})
 		fatalIf(err)
 		info := c.Info()
-		plan = fmt.Sprintf("campaign %s, suite %s: %d workloads in %d shards of %d",
+		plan = fmt.Sprintf("campaign %s, suite %s: %d workloads in %d trie units of at most %d",
 			info.CampaignID, spec.Suite, info.Workloads, info.Shards, info.ShardSize)
 		var census *harness.Census
 		var viol []core.Violation

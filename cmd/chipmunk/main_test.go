@@ -55,7 +55,7 @@ func serveRun(t *testing.T, spec campaign.Spec, outDir string, n int, poison ...
 		t.Fatal(err)
 	}
 	codes := make(chan int, 1)
-	go func() { codes <- runCoordinator(addr, spec, serveKnobs{shardSize: 4}, inst, cli) }()
+	go func() { codes <- runCoordinator(addr, spec, serveKnobs{}, inst, cli) }()
 	// Workers join once the coordinator listens, so none backs off past a
 	// run the others finish.
 	for {
@@ -199,7 +199,7 @@ func TestWorkerFetchesSpecOnce(t *testing.T) {
 		if spec.Fuzz {
 			coord, err = fleet.NewCoordinator(fleet.CoordinatorConfig{Spec: spec})
 		} else {
-			coord, err = campaign.NewCoordinator(campaign.CoordinatorConfig{Spec: spec, ShardSize: 4})
+			coord, err = campaign.NewCoordinator(campaign.CoordinatorConfig{Spec: spec})
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -1,19 +1,21 @@
 // Package campaign is the distributed campaign runner: a stdlib-only
-// coordinator/worker subsystem that shards a workload suite into numbered
+// coordinator/worker subsystem that cuts a workload suite into numbered
 // leases, dispatches them to worker processes over HTTP/JSON, and folds
 // the results back into one Census.
 //
-// The design extends the engine's determinism contract one level up. A
-// shard is a contiguous slice of the suite, identified by (shard index,
-// suite fingerprint); a worker runs harness.Run on its slice and posts
-// back the frozen census. Because every census field is either a sum, a
-// maximum, or a suite-ordered concatenation, folding shard payloads in
-// shard-index order reproduces the serial census byte for byte — for any
-// worker count, any lease-expiry schedule, and any mid-campaign worker
-// kill. Crediting is at-most-once (a resurrected slow worker's duplicate
-// result is discarded), and completed shards are appended to an append-only
-// checkpoint so a killed coordinator restarts with -resume and skips
-// finished work.
+// The design extends the engine's determinism contract one level up. The
+// coordinator cuts the suite once, the way harness.Run cuts it for two
+// workers (harness.NewCut): a lease is one unit of that cut — a run of
+// adjacent op-trie subtrees — identified by (unit index, suite fingerprint).
+// A worker rebuilds the same cut, runs each unit it is granted through
+// harness.Run on one prefix memo that outlives its leases, and posts back
+// the frozen census. Every census field is a sum or a maximum, and the fold
+// sorts the violation and quarantine ledgers back into suite order, so the
+// folded census reproduces the serial one byte for byte — for any worker
+// count, any lease-expiry schedule, and any mid-campaign worker kill.
+// Crediting is at-most-once (a resurrected slow worker's duplicate result is
+// discarded), and completed units are appended to an append-only checkpoint
+// so a killed coordinator restarts with -resume and skips finished work.
 //
 // Fault tolerance is the lease engine's (internal/lease): a worker that dies
 // mid-shard lets its lease expire and the shard is re-dispatched; a shard
@@ -24,7 +26,12 @@
 package campaign
 
 import (
+	"cmp"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/fnv"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -142,16 +149,18 @@ func (s Spec) Options() (harness.Options, error) {
 }
 
 // SpecInfo is the handshake response (GET /campaign/spec): the spec plus
-// the coordinator's view of the sharded suite. Workers rebuild the suite
-// from Spec, hash it, and refuse to proceed on a fingerprint mismatch —
+// the coordinator's view of the cut suite. Workers rebuild the suite from
+// Spec and its cut, and refuse to proceed on a fingerprint or cut mismatch —
 // diverged generators must fail loudly, never merge silently.
 type SpecInfo struct {
 	CampaignID string `json:"campaign_id"`
 	Spec       Spec   `json:"spec"`
 	// SuiteHash is workload.FormatSuiteHash of the coordinator's suite.
 	SuiteHash string `json:"suite_hash"`
+	// Shards counts the cut's units, ShardSize bounds one, Cut hashes them.
 	Shards    int    `json:"shards"`
 	ShardSize int    `json:"shard_size"`
+	Cut       string `json:"cut,omitempty"`
 	Workloads int    `json:"workloads"`
 }
 
@@ -174,7 +183,8 @@ const (
 // LeaseResponse answers a lease request.
 type LeaseResponse struct {
 	Status string `json:"status"`
-	// Shard/Start/End identify the granted suite slice (Status=="lease").
+	// Shard is the granted unit (Status=="lease") and Start/End its
+	// positions in the cut's order (harness.Cut.Units).
 	Shard int `json:"shard,omitempty"`
 	Start int `json:"start,omitempty"`
 	End   int `json:"end,omitempty"`
@@ -183,11 +193,11 @@ type LeaseResponse struct {
 	TTLNanos int64 `json:"ttl_ns,omitempty"`
 }
 
-// ShardPayload is one completed shard's result (POST /campaign/result):
-// the frozen census of harness.Run over suite[Start:End], carried field by
-// field in wire-friendly integers plus the violation and quarantine
-// ledgers verbatim. The coordinator folds payloads in shard order, so the
-// distributed census is byte-identical to the serial one.
+// ShardPayload is one completed unit's result (POST /campaign/result): the
+// frozen census of harness.Run over the unit's workloads, carried field by
+// field in wire-friendly integers plus the violation and quarantine ledgers
+// verbatim. Fold puts the ledgers back in suite order, so the distributed
+// census is byte-identical to the serial one.
 type ShardPayload struct {
 	Shard     int    `json:"shard"`
 	Worker    string `json:"worker"`
@@ -238,7 +248,7 @@ func PayloadSum(p *ShardPayload) string {
 // never silent — persisted in the checkpoint, rendered in CAMPAIGN.txt,
 // counted in obs, and reflected in the degraded exit code.
 type ShardQuarantine struct {
-	// Shard and Start/End identify the suite slice that went unchecked.
+	// Shard and Start/End identify the unit that went unchecked (LeaseResponse).
 	Shard int `json:"shard"`
 	Start int `json:"start"`
 	End   int `json:"end"`
@@ -303,13 +313,13 @@ func NewShardPayload(shard int, worker, suiteHash string, c *harness.Census, vio
 	}
 }
 
-// Fold merges shard payloads — in shard-index order — into one Census plus
-// the suite-ordered violation list, exactly the way the serial aggregator
-// would have built them. Payloads must be complete (one per shard) and
-// sorted by Shard; the coordinator guarantees both. Elapsed is the sum of
-// shard wall-clocks (the campaign's total compute, not its wall-clock —
-// the coordinator reports its own wall-clock separately).
-func Fold(payloads []*ShardPayload) (*harness.Census, []core.Violation) {
+// Fold merges unit payloads into one Census plus the violation list,
+// exactly the way the serial aggregator would have built them: the sums and
+// maxima in any order, the violation and quarantine ledgers stable-sorted by
+// the suite index (index, by workload name) of their workload. Elapsed is
+// the sum of unit wall-clocks (the campaign's total compute, not its
+// wall-clock — the coordinator reports its own wall-clock separately).
+func Fold(payloads []*ShardPayload, index map[string]int) (*harness.Census, []core.Violation) {
 	c := &harness.Census{}
 	var viol []core.Violation
 	var elapsed int64
@@ -340,6 +350,12 @@ func Fold(payloads []*ShardPayload) (*harness.Census, []core.Violation) {
 			c.Obs.Merge(*p.Obs)
 		}
 	}
+	slices.SortStableFunc(viol, func(a, b core.Violation) int {
+		return cmp.Compare(index[a.Workload.Name], index[b.Workload.Name])
+	})
+	slices.SortStableFunc(c.Quarantined, func(a, b core.Quarantine) int {
+		return cmp.Compare(index[a.Workload], index[b.Workload])
+	})
 	if c.InFlightN > 0 {
 		c.AvgInFlight = float64(c.InFlightSum) / float64(c.InFlightN)
 	}
@@ -381,20 +397,39 @@ func Fingerprint(c *harness.Census, viol []core.Violation) string {
 	return b.String()
 }
 
-// shardRange returns shard i's suite slice bounds for a given shard size.
-func shardRange(i, shardSize, workloads int) (start, end int) {
-	start = i * shardSize
-	end = start + shardSize
-	if end > workloads {
-		end = workloads
+var (
+	// ErrDuplicateName refuses a suite in which two workloads share a name:
+	// the fold orders the ledgers by the suite index of a workload's name.
+	ErrDuplicateName = errors.New("campaign: suite has duplicate workload names")
+	// ErrIndexCheckpoint refuses a checkpoint whose header has a shard_size:
+	// an older build's suite-index shards, not this build's units.
+	ErrIndexCheckpoint = errors.New("campaign: checkpoint holds suite-index shards written by an older build — rerun without -resume")
+)
+
+// cutWorkers cuts a campaign's suite as harness.Run cuts it for two workers:
+// units of at most a 32nd of the suite, so workers balance (56 on seq2).
+const cutWorkers = 2
+
+// suiteCut returns the campaign's cut of suite and the hash of its units.
+func suiteCut(suite []workload.Workload) (harness.Cut, string) {
+	cut := harness.NewCut(suite, cutWorkers)
+	var b []byte
+	for _, x := range slices.Concat(cut.Order, cut.Units) {
+		b = binary.LittleEndian.AppendUint32(b, uint32(x))
 	}
-	return start, end
+	h := fnv.New64a()
+	h.Write(b)
+	return cut, fmt.Sprintf("%016x", h.Sum64())
 }
 
-// numShards returns how many shards a suite splits into.
-func numShards(workloads, shardSize int) int {
-	if workloads == 0 {
-		return 0
+// suiteIndex maps each workload's name to its suite index.
+func suiteIndex(suite []workload.Workload) (map[string]int, error) {
+	index := make(map[string]int, len(suite))
+	for i, w := range suite {
+		if _, dup := index[w.Name]; dup {
+			return nil, fmt.Errorf("%w: %q", ErrDuplicateName, w.Name)
+		}
+		index[w.Name] = i
 	}
-	return (workloads + shardSize - 1) / shardSize
+	return index, nil
 }

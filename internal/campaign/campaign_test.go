@@ -3,6 +3,7 @@ package campaign
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -130,7 +131,7 @@ func TestDistributedMatchesSerial(t *testing.T) {
 	for _, n := range []int{1, 2, 4} {
 		n := n
 		t.Run(fmt.Sprintf("workers=%d", n), func(t *testing.T) {
-			res := runCampaign(t, CoordinatorConfig{Spec: testSpec(), ShardSize: 4}, n, nil, nil)
+			res := runCampaign(t, CoordinatorConfig{Spec: testSpec()}, n, nil, nil)
 			for i, err := range res.workerErrs {
 				if err != nil {
 					t.Errorf("worker %d: %v", i, err)
@@ -159,7 +160,7 @@ func TestDistributedMatchesSerialWorkerKill(t *testing.T) {
 	defer killVictim()
 	var killed sync.Once
 	res := runCampaign(t,
-		CoordinatorConfig{Spec: testSpec(), ShardSize: 4, LeaseTTL: 250 * time.Millisecond},
+		CoordinatorConfig{Spec: testSpec(), LeaseTTL: 250 * time.Millisecond},
 		3, func(i int) context.Context {
 			if i == 0 {
 				return victimCtx
@@ -212,7 +213,7 @@ func TestDistributedMatchesSerialResume(t *testing.T) {
 	wctx1, stopWorkers1 := context.WithCancel(context.Background())
 	defer stopWorkers1()
 	coord1, err := NewCoordinator(CoordinatorConfig{
-		Spec: testSpec(), ShardSize: 4, CheckpointPath: ckpt,
+		Spec: testSpec(), CheckpointPath: ckpt,
 		Progress: func(done, total int, c harness.Census) {
 			if done >= 8 { // 2 shards of 4 workloads
 				interrupt()
@@ -254,7 +255,7 @@ func TestDistributedMatchesSerialResume(t *testing.T) {
 
 	// Phase 2: a fresh coordinator resumes from the checkpoint. Exactly k
 	// shards come back from disk; the workers run only the rest.
-	res := runCampaign(t, CoordinatorConfig{Spec: testSpec(), ShardSize: 4, CheckpointPath: ckpt},
+	res := runCampaign(t, CoordinatorConfig{Spec: testSpec(), CheckpointPath: ckpt},
 		2, nil, nil)
 	for i, err := range res.workerErrs {
 		if err != nil {
@@ -283,8 +284,8 @@ func TestDistributedMatchesSerialResume(t *testing.T) {
 // is discarded as a duplicate rather than double-credited.
 func TestLeaseExpiryAtMostOnce(t *testing.T) {
 	spec := testSpec()
-	spec.Max = 4
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4, LeaseTTL: 30 * time.Millisecond})
+	spec.Max = 1 // one unit
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, LeaseTTL: 30 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,11 +299,11 @@ func TestLeaseExpiryAtMostOnce(t *testing.T) {
 	if err != nil || lb.Status != LeaseGranted || lb.Shard != la.Shard {
 		t.Fatalf("expired lease not re-dispatched: %+v, %v", lb, err)
 	}
-	payload := &ShardPayload{Shard: lb.Shard, Worker: "fast", SuiteHash: hash, Workloads: 4}
+	payload := &ShardPayload{Shard: lb.Shard, Worker: "fast", SuiteHash: hash, Workloads: 1}
 	if cr, err := coord.Credit(payload); err != nil || !cr.Accepted || !cr.Done {
 		t.Fatalf("credit fast: %+v, %v", cr, err)
 	}
-	late := &ShardPayload{Shard: la.Shard, Worker: "slow", SuiteHash: hash, Workloads: 4}
+	late := &ShardPayload{Shard: la.Shard, Worker: "slow", SuiteHash: hash, Workloads: 1}
 	cr, err := coord.Credit(late)
 	if err != nil || cr.Accepted || !cr.Duplicate {
 		t.Fatalf("late result not discarded as duplicate: %+v, %v", cr, err)
@@ -318,11 +319,11 @@ func TestLeaseExpiryAtMostOnce(t *testing.T) {
 // was lost, duplicated or discarded — it gets the same shard back with a
 // fresh deadline instead of a second one, and no failed attempt is booked
 // against the healthy first. A lease that really expired is accounted, not
-// renewed.
+// renewed. Grants follow the lease affinity of nextLocked.
 func TestLeaseRegrant(t *testing.T) {
 	spec := testSpec()
-	spec.Max = 12 // three shards of 4
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4, LeaseTTL: 40 * time.Millisecond})
+	spec.Max = 12 // twelve units of one workload
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, LeaseTTL: 40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,8 +343,8 @@ func TestLeaseRegrant(t *testing.T) {
 	if st := coord.Stats(); st.Redispatched != 0 || shardAttempts(coord, 0) != 0 {
 		t.Fatalf("re-grant booked a failed attempt: %+v, attempts %d", st, shardAttempts(coord, 0))
 	}
-	if got := lease("w1"); got != 1 {
-		t.Fatalf("a different worker got shard %d, want the next one (1)", got)
+	if got := lease("w1"); got != 6 {
+		t.Fatalf("a different worker got shard %d, want the middle of the pending run behind w0's (6)", got)
 	}
 	// w0's lease runs out: its heartbeat is refused (lease lost), and its next
 	// request goes through expiry accounting — one failed attempt, one
@@ -353,11 +354,11 @@ func TestLeaseRegrant(t *testing.T) {
 		t.Fatalf("expired lease extended: %+v, %v", hb, err)
 	}
 	if got := lease("w0"); got != 0 {
-		t.Fatalf("after losing its lease w0 got shard %d, want the lowest pending (0)", got)
+		t.Fatalf("after losing its lease w0 got shard %d, want its own pending shard back (0)", got)
 	}
-	if st := coord.Stats(); st.Redispatched != 2 || shardAttempts(coord, 0) != 1 || shardAttempts(coord, 1) != 1 {
+	if st := coord.Stats(); st.Redispatched != 2 || shardAttempts(coord, 0) != 1 || shardAttempts(coord, 6) != 1 {
 		t.Fatalf("expired leases not accounted: %+v, attempts %d and %d",
-			st, shardAttempts(coord, 0), shardAttempts(coord, 1))
+			st, shardAttempts(coord, 0), shardAttempts(coord, 6))
 	}
 }
 
@@ -373,7 +374,7 @@ func shardAttempts(c *Coordinator, i int) int {
 // (HTTP 409 with a diagnosable message), and a worker whose local
 // generator disagrees with the handshake refuses to run at all.
 func TestSuiteFingerprintMismatch(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: testSpec(), ShardSize: 4})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: testSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,7 +426,7 @@ func TestCheckpointTornTail(t *testing.T) {
 
 	// Record a full campaign, then tear the tail the way a crash mid-write
 	// would.
-	res := runCampaign(t, CoordinatorConfig{Spec: testSpec(), ShardSize: 4, CheckpointPath: ckpt},
+	res := runCampaign(t, CoordinatorConfig{Spec: testSpec(), CheckpointPath: ckpt},
 		2, nil, nil)
 	if got := Fingerprint(res.census, res.viol); got != want {
 		t.Fatalf("recorded campaign diverges:\n%s\nvs\n%s", want, got)
@@ -451,7 +452,7 @@ func TestCheckpointTornTail(t *testing.T) {
 	// Resume against the torn file: every shard comes back from disk, the
 	// campaign completes with zero workers, and the census round-tripped
 	// through JSON still matches serial byte for byte.
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: testSpec(), ShardSize: 4, CheckpointPath: ckpt})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: testSpec(), CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,12 +472,14 @@ func TestCheckpointTornTail(t *testing.T) {
 }
 
 // TestCheckpointRejectsForeignCampaign: resuming with a different suite or
-// shard geometry must refuse loudly, never merge.
+// cut must refuse loudly, never merge — and a checkpoint an older build cut
+// into suite-index shards (its header records a shard_size) is refused with
+// ErrIndexCheckpoint.
 func TestCheckpointRejectsForeignCampaign(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 	spec := testSpec()
 	spec.Max = 8
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4, CheckpointPath: ckpt})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -484,13 +487,30 @@ func TestCheckpointRejectsForeignCampaign(t *testing.T) {
 
 	other := testSpec()
 	other.Max = 12 // different suite prefix -> different fingerprint
-	if _, err := NewCoordinator(CoordinatorConfig{Spec: other, ShardSize: 4, CheckpointPath: ckpt}); err == nil ||
+	if _, err := NewCoordinator(CoordinatorConfig{Spec: other, CheckpointPath: ckpt}); err == nil ||
 		!strings.Contains(err.Error(), "suite fingerprint mismatch") {
 		t.Fatalf("foreign suite accepted: %v", err)
 	}
-	if _, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 2, CheckpointPath: ckpt}); err == nil ||
-		!strings.Contains(err.Error(), "shard geometry mismatch") {
-		t.Fatalf("foreign geometry accepted: %v", err)
+	info := coord.Info()
+	header := func(geometry string) string {
+		path := filepath.Join(t.TempDir(), "campaign.ckpt")
+		line := fmt.Sprintf(`{"type":"campaign","campaign_id":%q,"suite_hash":%q,"fs":"nova","suite":"seq1","workloads":8,%s}`+"\n",
+			info.CampaignID, info.SuiteHash, geometry)
+		if err := os.WriteFile(path, []byte(line), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	foreignCut := header(fmt.Sprintf(`"shards":%d,"cut":"0123456789abcdef"`, info.Shards))
+	if _, err := NewCoordinator(CoordinatorConfig{Spec: spec, CheckpointPath: foreignCut}); err == nil ||
+		!strings.Contains(err.Error(), "cut mismatch") {
+		t.Fatalf("foreign cut accepted: %v", err)
+	}
+	// The header the parent build wrote for this campaign: two shards of 4.
+	indexCut := header(`"shards":2,"shard_size":4`)
+	if _, err := NewCoordinator(CoordinatorConfig{Spec: spec, CheckpointPath: indexCut}); !errors.Is(err, ErrIndexCheckpoint) ||
+		!strings.Contains(err.Error(), "rerun without -resume") {
+		t.Fatalf("suite-index checkpoint accepted: %v", err)
 	}
 }
 

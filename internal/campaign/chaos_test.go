@@ -23,25 +23,30 @@ import (
 	"chipmunk/internal/workload"
 )
 
-// restrictedBaseline runs the suite minus the excluded shards through plain
-// harness.Run — the ground truth a degraded campaign's partial census must
-// reproduce byte for byte. Valid because every census field is a sum, a
-// maximum, or a suite-ordered concatenation: one run over the concatenated
-// healthy slices equals the fold of per-shard runs over the same slices.
-func restrictedBaseline(t *testing.T, spec Spec, shardSize int, exclude map[int]bool) string {
+// restrictedBaseline runs the suite minus the excluded units' workloads,
+// taken from the exported cut, through plain harness.Run — the ground truth
+// a degraded campaign's partial census must reproduce byte for byte. Valid
+// because every census field is a sum, a maximum, or a ledger the fold puts
+// in suite order: one run over the healthy workloads equals the fold of
+// per-unit runs over the same workloads.
+func restrictedBaseline(t *testing.T, spec Spec, exclude map[int]bool) string {
 	t.Helper()
 	suite, err := spec.BuildSuite()
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := numShards(len(suite), shardSize)
-	var restricted []workload.Workload
-	for i := 0; i < n; i++ {
-		if exclude[i] {
-			continue
+	cut := harness.NewCut(suite, 2)
+	dropped := map[string]bool{}
+	for u := range exclude {
+		for _, w := range cut.Unit(suite, u) {
+			dropped[w.Name] = true
 		}
-		s, e := shardRange(i, shardSize, len(suite))
-		restricted = append(restricted, suite[s:e]...)
+	}
+	var restricted []workload.Workload
+	for _, w := range suite {
+		if !dropped[w.Name] {
+			restricted = append(restricted, w)
+		}
 	}
 	opts, err := spec.Options()
 	if err != nil {
@@ -68,18 +73,17 @@ func restrictedBaseline(t *testing.T, spec Spec, shardSize int, exclude map[int]
 // resume preserves the quarantine ledger exactly.
 func TestChaosDifferential(t *testing.T) {
 	const (
-		shardSize   = 4
 		poisoned    = 2
 		retries     = 5 // poison always fails; wire noise must not quarantine a healthy shard
 		chaosSeed   = 42
 		leaseTTL    = 300 * time.Millisecond
 		workerCount = 3
 	)
-	spec := testSpec() // Max=24 -> 6 shards of 4
+	spec := testSpec() // Max=24 -> 24 units of 1
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Spec: spec, ShardSize: shardSize, LeaseTTL: leaseTTL,
+		Spec: spec, LeaseTTL: leaseTTL,
 		ShardRetries: retries, CheckpointPath: ckpt,
 		Logf: t.Logf,
 	})
@@ -153,7 +157,7 @@ func TestChaosDifferential(t *testing.T) {
 	}
 
 	// The partial census is byte-identical to serial over the healthy shards.
-	want := restrictedBaseline(t, spec, shardSize, map[int]bool{poisoned: true})
+	want := restrictedBaseline(t, spec, map[int]bool{poisoned: true})
 	if got := Fingerprint(census, viol); got != want {
 		t.Fatalf("degraded census diverges from restricted serial:\n--- serial ---\n%s--- chaos ---\n%s", want, got)
 	}
@@ -169,7 +173,7 @@ func TestChaosDifferential(t *testing.T) {
 	// Coordinator kill + resume: the quarantine ledger survives exactly, the
 	// credited shards come back from the checkpoint, and no worker is needed.
 	resumed, err := NewCoordinator(CoordinatorConfig{
-		Spec: spec, ShardSize: shardSize, ShardRetries: retries, CheckpointPath: ckpt,
+		Spec: spec, ShardRetries: retries, CheckpointPath: ckpt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +211,7 @@ func coordShardDone(c *Coordinator, i int) bool {
 func TestQuarantineCitesWorkerErrorOverTransport(t *testing.T) {
 	spec := testSpec()
 	spec.Max = 4
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4, ShardRetries: 4})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardRetries: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,17 +250,14 @@ func TestQuarantineCitesWorkerErrorOverTransport(t *testing.T) {
 // full, non-degraded census; phase 3 resumes once more and finds everything
 // credited (the later credit wins over the older quarantine records).
 func TestRetryQuarantined(t *testing.T) {
-	const (
-		shardSize = 4
-		poisoned  = 2
-	)
+	const poisoned = 2
 	spec := testSpec()
 	_, _, fullWant := baseline(t)
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 
 	// Phase 1: poison quarantines shard 2.
 	res := runCampaign(t, CoordinatorConfig{
-		Spec: spec, ShardSize: shardSize, ShardRetries: 2, CheckpointPath: ckpt,
+		Spec: spec, ShardRetries: 2, CheckpointPath: ckpt,
 	}, 2, nil, func(i int, wc *WorkerConfig) {
 		wc.PoisonShards = []int{poisoned}
 	})
@@ -267,7 +268,7 @@ func TestRetryQuarantined(t *testing.T) {
 	// Phase 2: -retry-quarantined with healthy workers re-runs exactly the
 	// quarantined shard.
 	res2 := runCampaign(t, CoordinatorConfig{
-		Spec: spec, ShardSize: shardSize, CheckpointPath: ckpt, RetryQuarantined: true,
+		Spec: spec, CheckpointPath: ckpt, RetryQuarantined: true,
 	}, 2, nil, nil)
 	if res2.stats.Resumed != res.stats.Shards-1 {
 		t.Fatalf("phase 2 resumed %d shards, want %d: %+v", res2.stats.Resumed, res.stats.Shards-1, res2.stats)
@@ -287,7 +288,7 @@ func TestRetryQuarantined(t *testing.T) {
 
 	// Phase 3: the credit now outranks the old quarantine records — a plain
 	// resume completes fully with zero workers.
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: shardSize, CheckpointPath: ckpt})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,11 +311,10 @@ func TestRetryQuarantined(t *testing.T) {
 // line is torn (coordinator SIGKILLed mid-append) still resumes; the torn
 // line is skipped and counted, the intact quarantine records carry forward.
 func TestCheckpointTornQuarantineTail(t *testing.T) {
-	const shardSize = 4
 	spec := testSpec()
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 	res := runCampaign(t, CoordinatorConfig{
-		Spec: spec, ShardSize: shardSize, ShardRetries: 2, CheckpointPath: ckpt,
+		Spec: spec, ShardRetries: 2, CheckpointPath: ckpt,
 	}, 2, nil, func(i int, wc *WorkerConfig) {
 		wc.PoisonShards = []int{1}
 	})
@@ -331,7 +331,7 @@ func TestCheckpointTornQuarantineTail(t *testing.T) {
 		t.Fatalf("torn checkpoint: skipped=%d quarantined=%+v", st.Skipped, st.Quarantined)
 	}
 
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: shardSize, CheckpointPath: ckpt})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, CheckpointPath: ckpt})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +341,7 @@ func TestCheckpointTornQuarantineTail(t *testing.T) {
 	if rst := coord.Stats(); rst.ShardsQuarantined != 1 || rst.Resumed != rst.Shards-1 {
 		t.Fatalf("resume stats: %+v", rst)
 	}
-	want := restrictedBaseline(t, spec, shardSize, map[int]bool{1: true})
+	want := restrictedBaseline(t, spec, map[int]bool{1: true})
 	cen, viol := coord.Merged()
 	if got := Fingerprint(cen, viol); got != want {
 		t.Fatalf("resumed degraded census diverges:\n--- serial ---\n%s--- resumed ---\n%s", want, got)
@@ -371,7 +371,7 @@ func tearCheckpoint(t *testing.T, path, torn string) {
 func TestHeartbeatSemantics(t *testing.T) {
 	spec := testSpec()
 	spec.Max = 4
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4, LeaseTTL: 60 * time.Millisecond})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, LeaseTTL: 60 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,9 +408,9 @@ func TestHeartbeatSemantics(t *testing.T) {
 // the shard.
 func TestHeartbeatKeepsSlowShardAlive(t *testing.T) {
 	spec := testSpec()
-	spec.Max = 4 // one shard
+	spec.Max = 1 // one unit
 	const ttl = 150 * time.Millisecond
-	res := runCampaign(t, CoordinatorConfig{Spec: spec, ShardSize: 4, LeaseTTL: ttl},
+	res := runCampaign(t, CoordinatorConfig{Spec: spec, LeaseTTL: ttl},
 		2, nil, func(i int, wc *WorkerConfig) {
 			// Whichever worker wins the shard runs slow; the other keeps
 			// polling Lease, which is what reclaims expired leases.
@@ -439,8 +439,8 @@ func TestHeartbeatKeepsSlowShardAlive(t *testing.T) {
 // fleet.
 func TestShardWatchdog(t *testing.T) {
 	spec := testSpec()
-	spec.Max = 4 // one shard
-	res := runCampaign(t, CoordinatorConfig{Spec: spec, ShardSize: 4, ShardRetries: 2},
+	spec.Max = 1 // one unit
+	res := runCampaign(t, CoordinatorConfig{Spec: spec, ShardRetries: 2},
 		1, nil, func(i int, wc *WorkerConfig) {
 			wc.ShardTimeout = 50 * time.Millisecond
 			wc.runEngine = func(ctx context.Context, cfg core.Config, slice []workload.Workload, lease LeaseResponse, jobs int) (*harness.Census, []core.Violation, error) {
@@ -467,7 +467,7 @@ func TestWorkerPanicContained(t *testing.T) {
 	_, _, fullWant := baseline(t)
 	var panicked sync.Once
 	var tripped bool
-	res := runCampaign(t, CoordinatorConfig{Spec: testSpec(), ShardSize: 4, ShardRetries: 3},
+	res := runCampaign(t, CoordinatorConfig{Spec: testSpec(), ShardRetries: 3},
 		2, nil, func(i int, wc *WorkerConfig) {
 			wc.runEngine = func(ctx context.Context, cfg core.Config, slice []workload.Workload, lease LeaseResponse, jobs int) (*harness.Census, []core.Violation, error) {
 				if lease.Shard == 1 {
@@ -520,7 +520,7 @@ func TestDialBudgetExhausted(t *testing.T) {
 // fail their self-checksum (HTTP 400) and counts them, so corruption is
 // re-dispatched, never mis-credited.
 func TestResultChecksumRejected(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: testSpec(), ShardSize: 4})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: testSpec()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 )
 
 // The campaign's records in its lease.Log checkpoint: one header line
-// identifying the campaign (suite fingerprint, spec summary, shard geometry)
+// identifying the campaign (suite fingerprint, spec summary, cut geometry)
 // followed by one line per credited shard, each carrying the full
 // ShardPayload, and one per quarantined shard. Restarting with -resume folds
 // the recorded shards as if their workers had just reported, and only the
@@ -25,7 +25,8 @@ type ckptLine struct {
 	Suite      string `json:"suite,omitempty"`
 	Workloads  int    `json:"workloads,omitempty"`
 	Shards     int    `json:"shards,omitempty"`
-	ShardSize  int    `json:"shard_size,omitempty"`
+	Cut        string `json:"cut,omitempty"`
+	ShardSize  int    `json:"shard_size,omitempty"` // read only: ErrIndexCheckpoint
 	// Shard credit.
 	Payload *ShardPayload `json:"payload,omitempty"`
 	// Shard quarantine (type "quarantine"): the ledger entry, persisted so

@@ -16,15 +16,13 @@ import (
 	"chipmunk/internal/workload"
 )
 
-// DefaultShardSize is how many workloads one lease covers. Coarse enough
-// that per-shard HTTP and checkpoint overhead is noise, fine enough that a
-// lost worker forfeits little work and stragglers rebalance.
-const DefaultShardSize = 32
-
 // CoordinatorConfig configures NewCoordinator.
 type CoordinatorConfig struct {
-	Spec      Spec
-	ShardSize int           // 0 = DefaultShardSize
+	Spec Spec
+	// ShardSize is ignored: the suite's cut sizes its units (suiteCut).
+	//
+	// Deprecated: ignored; kept because the bench module sets it.
+	ShardSize int
 	LeaseTTL  time.Duration // 0 = lease.DefaultTTL
 	// ShardRetries bounds failed dispatch attempts per shard before it is
 	// quarantined (0 = lease.DefaultRetries). A shard that crash-loops its
@@ -57,12 +55,16 @@ type Stats struct {
 	Shards, Done, Resumed, ShardsQuarantined int
 }
 
-// Coordinator owns a campaign: the sharded suite, its lease table (shard i is
-// unit i; a spent shard is a quarantined one), and the credited payloads, on
-// the lease shell. It is an http.Handler serving the campaign wire protocol.
+// Coordinator owns a campaign: the cut suite, its lease table (shard i is
+// unit i of the cut; a spent shard is a quarantined one), and the credited
+// payloads, on the lease shell. It is an http.Handler serving the campaign
+// wire protocol.
 type Coordinator struct {
 	lease.Shell
 	info     SpecInfo
+	cut      harness.Cut
+	index    map[string]int // suite index by workload name, for the fold
+	last     map[string]int // each worker's latest unit (nextLocked)
 	progress func(done, total int, c harness.Census)
 	journal  *obs.Journal
 	// tracer emits "shard-lease" spans (one per credited shard, spanning
@@ -74,8 +76,8 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds the campaign: generates the suite, fingerprints
-// it, shards it, and — when CheckpointPath names a file recording this
-// same campaign — folds the already-completed shards back in so only the
+// it, cuts it, and — when CheckpointPath names a file recording this
+// same campaign — folds the already-completed units back in so only the
 // rest are leased out.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	suite, err := cfg.Spec.BuildSuite()
@@ -85,22 +87,27 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if len(suite) == 0 {
 		return nil, fmt.Errorf("campaign: empty suite %q", cfg.Spec.Suite)
 	}
-	shardSize := cfg.ShardSize
-	if shardSize <= 0 {
-		shardSize = DefaultShardSize
+	index, err := suiteIndex(suite)
+	if err != nil {
+		return nil, err
 	}
+	cut, cutHash := suiteCut(suite)
 	hash := workload.FormatSuiteHash(workload.SuiteHash(suite))
-	n := numShards(len(suite), shardSize)
+	n := cut.Size()
 	info := SpecInfo{
 		CampaignID: RunID("c", cfg.Spec, hash),
 		Spec:       cfg.Spec,
 		SuiteHash:  hash,
 		Shards:     n,
-		ShardSize:  shardSize,
+		ShardSize:  cut.Max,
+		Cut:        cutHash,
 		Workloads:  len(suite),
 	}
 	c := &Coordinator{
 		info:     info,
+		cut:      cut,
+		index:    index,
+		last:     make(map[string]int),
 		progress: cfg.Progress,
 		journal:  cfg.Journal,
 		shards:   lease.NewTable(n, cfg.LeaseTTL, cfg.ShardRetries, lease.NewCounters()),
@@ -151,14 +158,16 @@ func (c *Coordinator) attachCheckpoint(path string, retryQuarantined bool) error
 	if err != nil {
 		return err
 	}
-	// A mismatched suite fingerprint or shard geometry means the file
-	// belongs to a different campaign: refusing is the only safe answer.
+	// A mismatched suite fingerprint or cut means the file belongs to a
+	// different campaign: refusing is the only safe answer.
 	if h, info := st.Header, c.info; h != nil && h.SuiteHash != info.SuiteHash {
 		return fmt.Errorf("campaign: checkpoint suite fingerprint mismatch: file has %s (fs=%s suite=%s), campaign is %s (fs=%s suite=%s) — wrong checkpoint or diverged generator",
 			h.SuiteHash, h.FS, h.Suite, info.SuiteHash, info.Spec.FS, info.Spec.Suite)
-	} else if h != nil && (h.Shards != info.Shards || h.ShardSize != info.ShardSize) {
-		return fmt.Errorf("campaign: checkpoint shard geometry mismatch: file has %d shards of %d, campaign wants %d of %d — rerun with the original -shard-size",
-			h.Shards, h.ShardSize, info.Shards, info.ShardSize)
+	} else if h != nil && h.ShardSize != 0 {
+		return fmt.Errorf("%w: %s", ErrIndexCheckpoint, path)
+	} else if h != nil && (h.Shards != info.Shards || h.Cut != info.Cut) {
+		return fmt.Errorf("campaign: checkpoint cut mismatch: file has %d units (cut %s), campaign has %d (cut %s) — written by a build that cuts the suite differently",
+			h.Shards, h.Cut, info.Shards, info.Cut)
 	}
 	slots := c.shards.Slots
 	for _, p := range st.Payloads {
@@ -206,7 +215,7 @@ func (c *Coordinator) attachCheckpoint(path string, retryQuarantined bool) error
 			Suite:      c.info.Spec.Suite,
 			Workloads:  c.info.Workloads,
 			Shards:     c.info.Shards,
-			ShardSize:  c.info.ShardSize,
+			Cut:        c.info.Cut,
 		}
 	}
 	if err := c.Attach("campaign", path, st.Skipped, header); err != nil {
@@ -261,9 +270,8 @@ func (c *Coordinator) attemptFailedLocked(i int, worker, cause string) {
 // quarantineEntryLocked renders shard i's ledger entry. Caller holds c.Mu.
 func (c *Coordinator) quarantineEntryLocked(i int) ShardQuarantine {
 	s := &c.shards.Slots[i]
-	start, end := shardRange(i, c.info.ShardSize, c.info.Workloads)
 	return ShardQuarantine{
-		Shard: i, Start: start, End: end, SuiteHash: c.info.SuiteHash,
+		Shard: i, Start: c.cut.Units[i], End: c.cut.Units[i+1], SuiteHash: c.info.SuiteHash,
 		Worker: s.ErrWorker, Err: s.LastErr, Attempts: s.Attempts,
 	}
 }
@@ -282,9 +290,9 @@ func (c *Coordinator) Quarantined() []ShardQuarantine {
 }
 
 // Lease hands a worker the shard it still holds (its last lease response was
-// lost or discarded; see lease.Table.HeldBy), else the lowest-numbered
-// pending shard, or tells it to wait (everything in flight) or exit (done,
-// draining, or failed).
+// lost or discarded; see lease.Table.HeldBy), else the pending unit that
+// nextLocked picks, or tells it to wait (everything in flight) or exit
+// (done, draining, or failed).
 func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
@@ -300,18 +308,48 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 	c.shards.Workers[req.Worker] = now
 	i := c.shards.HeldBy(req.Worker)
 	if i < 0 {
-		i = c.shards.First(lease.Pending)
+		i = c.nextLocked(req.Worker)
 	}
 	if i < 0 {
 		return LeaseResponse{Status: LeaseWait}, nil
 	}
 	c.shards.Grant(i, req.Worker, now)
-	start, end := shardRange(i, c.info.ShardSize, c.info.Workloads)
+	c.last[req.Worker] = i
+	start, end := c.cut.Units[i], c.cut.Units[i+1]
 	c.Log("lease: shard %d [%d,%d) -> %s (ttl %v)", i, start, end, req.Worker, c.shards.TTL)
 	return LeaseResponse{
 		Status: LeaseGranted, Shard: i, Start: start, End: end,
 		TTLNanos: int64(c.shards.TTL),
 	}, nil
+}
+
+// nextLocked picks the pending unit to grant worker, keeping each worker's
+// prefix memo on one stretch of the trie: its last unit again if that went
+// back to pending (the lease was lost), else the unit after it. Failing both
+// it opens a new stretch in the longest pending run: at the run's start, or
+// at its middle when a leased unit precedes it — that unit's worker walks on
+// into the first half. -1 when nothing is pending. Caller holds c.Mu.
+func (c *Coordinator) nextLocked(worker string) int {
+	slots := c.shards.Slots
+	pending := func(i int) bool { return i < len(slots) && slots[i].State == lease.Pending }
+	k, ok := c.last[worker]
+	for _, i := range []int{k, k + 1} {
+		if ok && pending(i) {
+			return i
+		}
+	}
+	best, n := -1, 0
+	for lo, hi := 0, 0; lo < len(slots); lo = hi + 1 {
+		for hi = lo; pending(hi); hi++ {
+		}
+		if hi-lo > n {
+			best, n = lo, hi-lo
+		}
+	}
+	if best > 0 && slots[best-1].State == lease.Leased {
+		return best + n/2
+	}
+	return best
 }
 
 // Credit records one shard result, at most once (lease.Shell.SettleLocked).
@@ -359,12 +397,12 @@ func (c *Coordinator) creditLocked(p *ShardPayload) (resp CreditResponse, credit
 	return CreditResponse{Accepted: true, Done: open == 0}, true, nil
 }
 
-// Merged folds the credited shards, in shard order, into the campaign
-// census so far. Quarantined shards contribute nothing (their slices went
-// unchecked); their count lands in the census obs snapshot under the
-// measurement-class "shards-quarantined" counter, which Fingerprint
-// excludes — the census over the healthy shards stays byte-identical to a
-// serial run over the same slices.
+// Merged folds the credited shards into the campaign census so far.
+// Quarantined shards contribute nothing (their workloads went unchecked);
+// their count lands in the census obs snapshot under the measurement-class
+// "shards-quarantined" counter, which Fingerprint excludes — the census over
+// the healthy shards stays byte-identical to a serial run over their
+// workloads.
 func (c *Coordinator) Merged() (*harness.Census, []core.Violation) {
 	c.Mu.Lock()
 	payloads := make([]*ShardPayload, 0, len(c.payloads))
@@ -375,7 +413,7 @@ func (c *Coordinator) Merged() (*harness.Census, []core.Violation) {
 	}
 	quarantined := c.shards.Count(lease.Spent)
 	c.Mu.Unlock()
-	cen, viol := Fold(payloads)
+	cen, viol := Fold(payloads, c.index)
 	if quarantined > 0 {
 		if cen.Obs == nil {
 			cen.Obs = &obs.Snapshot{}

@@ -16,13 +16,14 @@ import (
 // TestWireAndCheckpointFormat pins the bytes a worker and a resumed
 // coordinator of another build would have to parse: one line of each
 // checkpoint record kind and the JSON of each wire response, as the parent of
-// the lease-engine extraction wrote them.
+// the lease-engine extraction wrote them, with the header and lease bounds
+// of the trie cut.
 func TestWireAndCheckpointFormat(t *testing.T) {
 	spec := testSpec()
-	spec.Max = 8 // two shards of 4
+	spec.Max = 2 // two units of one workload
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Spec: spec, ShardSize: 4, ShardRetries: 1, LeaseTTL: time.Minute, CheckpointPath: ckpt,
+		Spec: spec, ShardRetries: 1, LeaseTTL: time.Minute, CheckpointPath: ckpt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -52,11 +53,11 @@ func TestWireAndCheckpointFormat(t *testing.T) {
 		return post(PathResult, p)
 	}
 	wire := []struct{ name, got, want string }{
-		{"LeaseResponse", post(PathLease, LeaseRequest{Worker: "w0", SuiteHash: hash}), `{"status":"lease","end":4,"ttl_ns":60000000000}` + "\n"},
+		{"LeaseResponse", post(PathLease, LeaseRequest{Worker: "w0", SuiteHash: hash}), `{"status":"lease","end":1,"ttl_ns":60000000000}` + "\n"},
 		{"HeartbeatResponse", post(PathHeartbeat, HeartbeatRequest{Worker: "w0", Shard: 0, SuiteHash: hash, StatesChecked: 3}), `{"extended":true,"ttl_ns":60000000000}` + "\n"},
 		{"HeartbeatResponse (refused)", post(PathHeartbeat, HeartbeatRequest{Worker: "w1", Shard: 0, SuiteHash: hash}), `{"extended":false}` + "\n"},
-		{"CreditResponse", result(&ShardPayload{Shard: 0, Worker: "w0", SuiteHash: hash, Workloads: 4, StatesChecked: 9, Fences: 2}), `{"accepted":true,"duplicate":false,"done":false}` + "\n"},
-		{"LeaseResponse (shard 1)", post(PathLease, LeaseRequest{Worker: "w1", SuiteHash: hash}), `{"status":"lease","shard":1,"start":4,"end":8,"ttl_ns":60000000000}` + "\n"},
+		{"CreditResponse", result(&ShardPayload{Shard: 0, Worker: "w0", SuiteHash: hash, Workloads: 1, StatesChecked: 9, Fences: 2}), `{"accepted":true,"duplicate":false,"done":false}` + "\n"},
+		{"LeaseResponse (shard 1)", post(PathLease, LeaseRequest{Worker: "w1", SuiteHash: hash}), `{"status":"lease","shard":1,"start":1,"end":2,"ttl_ns":60000000000}` + "\n"},
 		{"CreditResponse (quarantined)", result(&ShardPayload{Shard: 1, Worker: "w1", SuiteHash: hash, Err: "engine: boom"}), `{"accepted":false,"duplicate":false,"quarantined":true,"done":true}` + "\n"},
 		{"LeaseResponse (done)", post(PathLease, LeaseRequest{Worker: "w0", SuiteHash: hash}), `{"status":"done"}` + "\n"},
 	}
@@ -73,9 +74,9 @@ func TestWireAndCheckpointFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		`{"type":"campaign","campaign_id":"cb92ce552e54dc463","suite_hash":"5d6a7d634ea24a3f","fs":"nova","suite":"seq1","workloads":8,"shards":2,"shard_size":4}`,
-		`{"type":"shard","payload":{"shard":0,"worker":"w0","suite_hash":"5d6a7d634ea24a3f","workloads":4,"states_checked":9,"states_deduped":0,"truncated_fences":0,"fences":2,"max_in_flight":0,"in_flight_sum":0,"in_flight_n":0,"violation_total":0,"suppressed_quarantine":0,"retried_checks":0,"elapsed_ns":0,"sum":"cdcc4a0a596ec8af"}}`,
-		`{"type":"quarantine","quarantine":{"shard":1,"start":4,"end":8,"suite_hash":"5d6a7d634ea24a3f","worker":"w1","err":"engine: boom","attempts":1}}`,
+		`{"type":"campaign","campaign_id":"c74e52077c360ef1c","suite_hash":"55d7aff62bec9f39","fs":"nova","suite":"seq1","workloads":2,"shards":2,"cut":"fe78044ed990b437"}`,
+		`{"type":"shard","payload":{"shard":0,"worker":"w0","suite_hash":"55d7aff62bec9f39","workloads":1,"states_checked":9,"states_deduped":0,"truncated_fences":0,"fences":2,"max_in_flight":0,"in_flight_sum":0,"in_flight_n":0,"violation_total":0,"suppressed_quarantine":0,"retried_checks":0,"elapsed_ns":0,"sum":"17f1e2800a83072f"}}`,
+		`{"type":"quarantine","quarantine":{"shard":1,"start":1,"end":2,"suite_hash":"55d7aff62bec9f39","worker":"w1","err":"engine: boom","attempts":1}}`,
 		"", // every record ends in a newline
 	}
 	got := strings.Split(string(data), "\n")

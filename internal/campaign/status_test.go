@@ -26,8 +26,8 @@ import (
 // credits. The owner-independent view is lease.TestShellStatusView's.
 func TestStatusSnapshot(t *testing.T) {
 	spec := testSpec()
-	spec.Max = 8
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4})
+	spec.Max = 2 // two units of one workload
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestStatusSnapshot(t *testing.T) {
 	if st.Shards != 2 || st.Pending != 2 || st.ShardMap != ".." {
 		t.Fatalf("fresh status: %+v", st)
 	}
-	if st.SuiteHash != hash || st.Workloads != 8 || st.ShardSize != 4 || st.CampaignID != coord.Info().CampaignID {
+	if st.SuiteHash != hash || st.Workloads != 2 || st.ShardSize != 1 || st.CampaignID != coord.Info().CampaignID {
 		t.Fatalf("status identity: %+v", st)
 	}
 
@@ -52,7 +52,7 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if cr, err := coord.Credit(&ShardPayload{
 		Shard: 1, Worker: "w1", SuiteHash: hash,
-		Workloads: 4, StatesChecked: 100, ViolationTotal: 2,
+		Workloads: 1, StatesChecked: 100, ViolationTotal: 2,
 	}); err != nil || !cr.Accepted {
 		t.Fatalf("credit: %+v, %v", cr, err)
 	}
@@ -78,7 +78,7 @@ func TestStatusSnapshot(t *testing.T) {
 func TestStatusRateCountsCreditedOnly(t *testing.T) {
 	spec := testSpec()
 	spec.Max = 4
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,8 +99,8 @@ func TestStatusRateCountsCreditedOnly(t *testing.T) {
 // wording, and its merged census on the /debug/metrics scrape.
 func TestStatusHTTPSurface(t *testing.T) {
 	spec := testSpec()
-	spec.Max = 4
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4})
+	spec.Max = 1 // one unit
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,10 +157,10 @@ func TestStatusHTTPSurface(t *testing.T) {
 // campaign must complete degraded with the shard quarantined — never hung.
 func TestWorkerWatchdogJournal(t *testing.T) {
 	spec := testSpec()
-	spec.Max = 4
+	spec.Max = 1 // one unit
 	var buf bytes.Buffer
 	jr := obs.NewJournal(&buf)
-	res := runCampaign(t, CoordinatorConfig{Spec: spec, ShardSize: 4, LeaseTTL: time.Second},
+	res := runCampaign(t, CoordinatorConfig{Spec: spec, LeaseTTL: time.Second},
 		1, nil, func(i int, wc *WorkerConfig) {
 			wc.Journal = jr
 			wc.ShardTimeout = 30 * time.Millisecond
@@ -212,7 +212,7 @@ func TestWorkerWatchdogJournal(t *testing.T) {
 func TestWorkerHeartbeatRefusedJournal(t *testing.T) {
 	spec := testSpec()
 	spec.Max = 4
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardSize: 4, LeaseTTL: 120 * time.Millisecond})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, LeaseTTL: 120 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}

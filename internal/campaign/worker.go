@@ -18,9 +18,9 @@ import (
 // DefaultShardTimeout is the worker-side watchdog deadline for one shard's
 // engine call (-shard-timeout): a shard that exceeds it is reported to the
 // coordinator as a structured error payload instead of wedging the worker
-// forever. Generous — a shard is DefaultShardSize small workloads — but
-// finite, because the paper's weeks-long campaigns only work if no single
-// target hang can pin a fleet slot.
+// forever. Generous — a shard is a 32nd of the suite — but finite, because
+// the paper's weeks-long campaigns only work if no single target hang can
+// pin a fleet slot.
 const DefaultShardTimeout = 10 * time.Minute
 
 // WorkerConfig configures RunWorker.
@@ -30,7 +30,7 @@ type WorkerConfig struct {
 	// ID names this worker in leases and per-worker stats (default:
 	// hostname-pid).
 	ID string
-	// Jobs is the suite-level worker count within each shard (harness
+	// Jobs is the suite-level worker count within each unit (harness
 	// WithWorkers; determinism holds for any value). Default 1.
 	Jobs int
 	// ShardTimeout is the per-shard engine watchdog (0 = DefaultShardTimeout,
@@ -67,7 +67,7 @@ type WorkerConfig struct {
 
 	// runEngine overrides the shard engine call in tests (slow shards,
 	// hangs, deterministic failures). nil = harness.Run.
-	runEngine func(ctx context.Context, cfg core.Config, slice []workload.Workload, lease LeaseResponse, jobs int) (*harness.Census, []core.Violation, error)
+	runEngine func(ctx context.Context, cfg core.Config, unit []workload.Workload, lease LeaseResponse, jobs int) (*harness.Census, []core.Violation, error)
 }
 
 // FetchSpec performs the coordinator handshake: fetch the SpecInfo served at
@@ -93,9 +93,9 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	w := &lease.Worker{Addr: wc.Addr, ID: wc.ID, DialBudget: wc.DialBudget, Timeout: wc.ShardTimeout, Logf: wc.Logf}
 	w.Init(DefaultShardTimeout)
 
-	// Handshake: fetch the spec, rebuild the suite locally, and verify the
-	// fingerprint — a worker whose generator diverged must stop here, not
-	// merge incomparable results.
+	// Handshake: fetch the spec, rebuild the suite and its cut locally, and
+	// verify both — a worker whose generator or cut rule diverged must stop
+	// here, not merge incomparable results.
 	info := wc.Info
 	if info == nil {
 		var err error
@@ -113,6 +113,11 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 			"campaign: suite fingerprint mismatch: coordinator %s has %s for %q (%d workloads), this worker generated %s (%d workloads) — binaries/generators differ, refusing to run",
 			wc.Addr, info.SuiteHash, info.Spec.Suite, info.Workloads, localHash, len(suite))
 	}
+	cut, cutHash := suiteCut(suite)
+	if cut.Size() != info.Shards || cutHash != info.Cut {
+		return fmt.Errorf("campaign: cut mismatch: coordinator %s cuts %q into %d units (cut %q), this worker into %d (cut %s) — binaries differ, refusing to run",
+			wc.Addr, info.Spec.Suite, info.Shards, info.Cut, cut.Size(), cutHash)
+	}
 	opts, err := info.Spec.Options()
 	if err != nil {
 		return err
@@ -127,7 +132,8 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	}
 	w.Logf("worker %s joined campaign %s: %s suite %s (%d workloads, %d shards), fingerprint %s",
 		w.ID, info.CampaignID, sys.Name, info.Spec.Suite, info.Workloads, info.Shards, info.SuiteHash)
-	job := &shardJob{Worker: w, wc: wc, info: *info, cfg: cfg, suite: suite}
+	// One memo for all leases, as in one harness.Run over the whole suite.
+	job := &shardJob{Worker: w, wc: wc, info: *info, cfg: cfg, suite: suite, cut: cut, memo: core.NewPrefixMemo()}
 	// Per-shard traces key off (suite hash, shard index): any worker that
 	// runs shard k of this campaign emits the same trace ID, so a
 	// re-dispatched shard's attempts land in one waterfall.
@@ -143,6 +149,8 @@ type shardJob struct {
 	info      SpecInfo
 	cfg       core.Config
 	suite     []workload.Workload
+	cut       harness.Cut
+	memo      *core.PrefixMemo
 	traceSeed uint64
 
 	held LeaseResponse
@@ -187,14 +195,13 @@ func (j *shardJob) Lease(ctx context.Context) (lease.Poll, time.Duration, error)
 	if j.wc.OnLease != nil {
 		j.wc.OnLease(l)
 	}
-	// Geometry check: the slice bounds are fully determined by (shard id,
-	// shard size, suite length), all known since the handshake, so a lease
-	// response corrupted in flight — a flipped bit in shard, start, or end
-	// — cannot make the worker silently run the wrong slice.
-	wantStart, wantEnd := shardRange(l.Shard, j.info.ShardSize, len(j.suite))
-	if l.Shard < 0 || l.Shard >= j.info.Shards || l.Start != wantStart || l.End != wantEnd {
-		j.Logf("worker %s: lease shard %d [%d,%d) fails geometry check (want [%d,%d)); discarding (corrupt response?)",
-			j.ID, l.Shard, l.Start, l.End, wantStart, wantEnd)
+	// Geometry check: a unit's bounds are fixed by the worker's own cut,
+	// built at the handshake, so a lease response corrupted in flight — a
+	// flipped bit in shard, start, or end — cannot make the worker silently
+	// run the wrong unit.
+	if l.Shard < 0 || l.Shard >= j.cut.Size() || l.Start != j.cut.Units[l.Shard] || l.End != j.cut.Units[l.Shard+1] {
+		j.Logf("worker %s: lease shard %d [%d,%d) fails geometry check; discarding (corrupt response?)",
+			j.ID, l.Shard, l.Start, l.End)
 		return lease.PollAgain, 0, nil
 	}
 	j.Logf("worker %s: running shard %d [%d,%d)", j.ID, l.Shard, l.Start, l.End)
@@ -232,12 +239,12 @@ func (j *shardJob) Run(ctx context.Context) (err error) {
 			panic(fmt.Sprintf("chaos: poisoned shard %d", j.held.Shard))
 		}
 	}
-	slice := j.suite[j.held.Start:j.held.End]
+	unit := j.cut.Unit(j.suite, j.held.Shard)
 	if j.wc.runEngine != nil {
-		j.census, j.viol, err = j.wc.runEngine(ctx, j.cfg, slice, j.held, j.wc.Jobs)
+		j.census, j.viol, err = j.wc.runEngine(ctx, j.cfg, unit, j.held, j.wc.Jobs)
 		return err
 	}
-	j.census, j.viol, err = harness.Run(ctx, j.cfg, slice, harness.WithWorkers(j.wc.Jobs),
+	j.census, j.viol, err = harness.Run(ctx, j.cfg, unit, harness.WithWorkers(j.wc.Jobs), harness.WithMemo(j.memo),
 		harness.WithProgress(func(done, total int, c harness.Census) {
 			j.progress.Store(int64(c.StatesChecked))
 		}))

@@ -32,6 +32,7 @@ type runConfig struct {
 	workers  int
 	stopOnce bool
 	progress Progress
+	memo     *core.PrefixMemo
 	// results, when set, receives each workload's engine Result at its
 	// suite index — for the differential tests, which compare Results, not
 	// censuses. Calls may be concurrent.
@@ -63,6 +64,12 @@ func WithStopOnFirstBug() Option {
 // for the delivery contract).
 func WithProgress(fn Progress) Option {
 	return func(rc *runConfig) { rc.progress = fn }
+}
+
+// WithMemo runs the suite on m instead of a fresh core.PrefixMemo: a caller
+// running one suite in pieces (a campaign worker's leases) shares it.
+func WithMemo(m *core.PrefixMemo) Option {
+	return func(rc *runConfig) { rc.memo = m }
 }
 
 // notifier delivers progress callbacks for the parallel path from its own
@@ -164,13 +171,16 @@ func Run(ctx context.Context, cfg core.Config, suite []workload.Workload, opts .
 }
 
 func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.Workload) (*Census, []core.Violation, error) {
-	memo := core.NewPrefixMemo()
+	memo := rc.memo
+	if memo == nil {
+		memo = core.NewPrefixMemo()
+	}
 	workers := rc.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	p := newPlan(suite, workers, rc.stopOnce)
-	workers = min(workers, len(p.units)-1)
+	workers = min(workers, p.Size())
 
 	// Workers (serially, the caller) pull whole units of the plan onto their
 	// own chains. The census is order-independent sums and maxima, folded as
@@ -194,12 +204,12 @@ func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.W
 	work := func() {
 		c := memo.Chain(cfg)
 		defer c.Close()
-		for u := int(next.Add(1)) - 1; u < len(p.units)-1; u = int(next.Add(1)) - 1 {
-			for pos := p.units[u]; pos < p.units[u+1]; pos++ {
+		for u := int(next.Add(1)) - 1; u < p.Size(); u = int(next.Add(1)) - 1 {
+			for pos := p.Units[u]; pos < p.Units[u+1]; pos++ {
 				if ctx.Err() != nil || stop.Load() {
 					return
 				}
-				j := p.order[pos]
+				j := p.Order[pos]
 				res, err := c.Run(ctx, suite[j], p.keep[pos])
 				if err != nil {
 					errs[j] = err
@@ -254,13 +264,33 @@ func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.W
 // share idles a worker behind the largest subtree (EXPERIMENTS.md §4.3).
 const unitsPerWorker = 16
 
-// plan is the order Run executes a suite in: suite indices, the positions
-// units[u]..units[u+1] one worker's chain runs whole, and per position the
-// op depths its chain keeps fork points at (core.Chain.Run).
-type plan struct {
-	order []int
-	units []int
+// Cut is the order Run executes a suite in: suite indices depth-first over
+// its op trie, the positions Units[u]..Units[u+1] one worker's chain runs
+// whole (at most Max of them), and per position the op depths its chain
+// keeps fork points at (core.Chain.Run). A campaign leases the units of one
+// cut (internal/campaign).
+type Cut struct {
+	Order []int
+	Units []int
+	Max   int
 	keep  [][]int
+}
+
+// NewCut is the cut Run makes of suite for workers workers.
+func NewCut(suite []workload.Workload, workers int) Cut { return newPlan(suite, workers, false) }
+
+// Size returns how many units the cut has.
+func (c Cut) Size() int { return len(c.Units) - 1 }
+
+// Unit returns unit u's workloads in suite order.
+func (c Cut) Unit(suite []workload.Workload, u int) []workload.Workload {
+	idx := slices.Clone(c.Order[c.Units[u]:c.Units[u+1]])
+	slices.Sort(idx)
+	unit := make([]workload.Workload, len(idx))
+	for k, i := range idx {
+		unit[k] = suite[i]
+	}
+	return unit
 }
 
 // newPlan orders the suite depth-first over its op trie, so each subtree
@@ -268,14 +298,24 @@ type plan struct {
 // stopOnce it keeps suite order, since "workloads to the first bug" counts
 // in suite order; a workload then forks only from its predecessor's path,
 // and under workers only from the root.
-func newPlan(suite []workload.Workload, workers int, stopOnce bool) plan {
-	p := plan{order: make([]int, len(suite)), keep: make([][]int, len(suite))}
+func newPlan(suite []workload.Workload, workers int, stopOnce bool) Cut {
+	p := Cut{Order: make([]int, len(suite)), keep: make([][]int, len(suite))}
 	ids := map[workload.Op]int32{}
 	seqs := make([][]int32, len(suite))
-	var buf []int32
+	n := 0
+	for _, w := range suite {
+		n += len(w.Ops)
+	}
+	buf := make([]int32, 0, n)
 	for i, w := range suite {
-		p.order[i] = i
-		for _, op := range w.Ops {
+		p.Order[i] = i
+		for k, op := range w.Ops {
+			// Generated suites repeat their predecessor's prefix: its ids
+			// skip most map lookups.
+			if i > 0 && k < len(seqs[i-1]) && suite[i-1].Ops[k] == op {
+				buf = append(buf, seqs[i-1][k])
+				continue
+			}
 			id, ok := ids[op]
 			if !ok {
 				id = int32(len(ids))
@@ -286,12 +326,39 @@ func newPlan(suite []workload.Workload, workers int, stopOnce bool) plan {
 		seqs[i] = buf[len(buf)-len(w.Ops) : len(buf) : len(buf)]
 	}
 	if !stopOnce {
-		slices.SortStableFunc(p.order, func(a, b int) int { return slices.Compare(seqs[a], seqs[b]) })
+		// A stable LSD radix sort on the id sequences, last op first; past a
+		// sequence's end sorts before every id. Campaign coordinators and
+		// workers cut the suite at start-up, so its cost is set-up time.
+		maxLen := 0
+		for _, seq := range seqs {
+			maxLen = max(maxLen, len(seq))
+		}
+		tmp, count := make([]int, len(suite)), make([]int, len(ids)+2)
+		for k := maxLen - 1; k >= 0; k-- {
+			key := func(i int) int {
+				if k < len(seqs[i]) {
+					return int(seqs[i][k]) + 1
+				}
+				return 0
+			}
+			clear(count)
+			for _, i := range p.Order {
+				count[key(i)+1]++
+			}
+			for c := 1; c < len(count); c++ {
+				count[c] += count[c-1]
+			}
+			for _, i := range p.Order {
+				tmp[count[key(i)]] = i
+				count[key(i)]++
+			}
+			p.Order, tmp = tmp, p.Order
+		}
 	}
 	// lcp[pos] is the op prefix positions pos-1 and pos share.
 	lcp := make([]int, len(suite))
 	for pos := 1; pos < len(suite); pos++ {
-		a, b := seqs[p.order[pos-1]], seqs[p.order[pos]]
+		a, b := seqs[p.Order[pos-1]], seqs[p.Order[pos]]
 		for lcp[pos] < min(len(a), len(b)) && a[lcp[pos]] == b[lcp[pos]] {
 			lcp[pos]++
 		}
@@ -299,38 +366,53 @@ func newPlan(suite []workload.Workload, workers int, stopOnce bool) plan {
 	// Units are subtrees of at most size positions: serially the whole
 	// suite; under workers a unitsPerWorker-th of each worker's share, so
 	// the last unit leaves little idle tail; one position when stopOnce puts
-	// workers on suite order. A subtree too large splits at its children.
+	// workers on suite order. A subtree too large splits at its children,
+	// and adjacent children that fit together pack into one unit, so a wide
+	// node of small subtrees does not explode into one unit per child.
 	size := len(suite)
 	if workers > 1 && stopOnce {
 		size = 1
 	} else if workers > 1 {
 		size = max(1, len(suite)/(unitsPerWorker*workers))
 	}
-	p.units = []int{0}
+	p.Units, p.Max = []int{0}, size
 	var split func(lo, hi int)
 	split = func(lo, hi int) {
 		if hi-lo <= size {
-			p.units = append(p.units, hi)
+			p.Units = append(p.Units, hi)
 			return
 		}
 		d := slices.Min(lcp[lo+1 : hi])
-		for pos := lo + 1; pos < hi; pos++ {
-			if lcp[pos] == d {
-				split(lo, pos)
-				lo = pos
+		start := lo // the open pack of children [start, a)
+		for a, b := lo, lo+1; a < hi; a, b = b, b+1 {
+			for b < hi && lcp[b] != d {
+				b++
+			}
+			if b-start <= size {
+				continue
+			}
+			if a > start {
+				p.Units = append(p.Units, a)
+			}
+			start = a
+			if b-a > size {
+				split(a, b)
+				start = b
 			}
 		}
-		split(lo, hi)
+		if hi > start {
+			p.Units = append(p.Units, hi)
+		}
 	}
 	split(0, len(suite))
 	// A position keeps a point at every depth a later position of its unit
 	// forks at: the running minima of the shared prefixes after it.
 	depths := []int{0}
 	var keep []int
-	for u := 0; u+1 < len(p.units); u++ {
+	for u := 0; u+1 < len(p.Units); u++ {
 		depths = depths[:1]
-		for pos := p.units[u+1] - 1; pos >= p.units[u]; pos-- {
-			if pos+1 < p.units[u+1] {
+		for pos := p.Units[u+1] - 1; pos >= p.Units[u]; pos-- {
+			if pos+1 < p.Units[u+1] {
 				for len(depths) > 1 && depths[len(depths)-1] >= lcp[pos+1] {
 					depths = depths[:len(depths)-1]
 				}

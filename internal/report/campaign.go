@@ -9,7 +9,7 @@ import (
 )
 
 // CampaignSummary is the distributed-run record persisted next to the bug
-// reports: which campaign produced them, how the suite was sharded, and
+// reports: which campaign produced them, how the suite was cut, and
 // what the control plane saw. The struct is deliberately plain values (no
 // campaign package types) so report stays importable from anywhere.
 type CampaignSummary struct {
@@ -38,7 +38,7 @@ type CampaignSummary struct {
 	// Quarantined lists the shard-quarantine ledger: shards that exhausted
 	// their dispatch attempts and were removed from the campaign. A
 	// non-empty list means the census is partial (degraded), and the listed
-	// slices went unchecked until re-run with -retry-quarantined.
+	// units went unchecked until re-run with -retry-quarantined.
 	Quarantined []QuarantinedShard
 
 	// Fingerprint is the deterministic census identity — equal to the
@@ -65,7 +65,7 @@ func (w *Writer) WriteCampaignSummary(s CampaignSummary) (string, error) {
 	fmt.Fprintf(&b, "# Chipmunk distributed campaign %s\n\n", s.CampaignID)
 	fmt.Fprintf(&b, "file system:      %s\n", s.FS)
 	fmt.Fprintf(&b, "suite:            %s (%d workloads, fingerprint %s)\n", s.Suite, s.Workloads, s.SuiteHash)
-	fmt.Fprintf(&b, "shards:           %d x %d workloads\n", s.Shards, s.ShardSize)
+	fmt.Fprintf(&b, "units:            %d trie subtrees (≤ %d workloads)\n", s.Shards, s.ShardSize)
 	fmt.Fprintf(&b, "resumed:          %d shards from checkpoint\n", s.Resumed)
 	fmt.Fprintf(&b, "re-dispatched:    %d expired leases\n", s.Redispatched)
 	fmt.Fprintf(&b, "duplicates:       %d results discarded (at-most-once)\n", s.Duplicates)
@@ -82,7 +82,7 @@ func (w *Writer) WriteCampaignSummary(s CampaignSummary) (string, error) {
 		fmt.Fprintf(&b, "  %-24s %d\n", wkr, s.PerWorker[wkr])
 	}
 	if len(s.Quarantined) > 0 {
-		fmt.Fprintf(&b, "\nDEGRADED — quarantined shards (census excludes these slices; re-run with -retry-quarantined):\n")
+		fmt.Fprintf(&b, "\nDEGRADED — quarantined shards (census excludes their workloads; re-run with -retry-quarantined):\n")
 		for _, q := range s.Quarantined {
 			fmt.Fprintf(&b, "  shard %d [%d,%d): %d failed attempts, worker %q: %s\n",
 				q.Shard, q.Start, q.End, q.Attempts, q.Worker, q.Err)
