@@ -19,9 +19,10 @@ import (
 	"chipmunk/internal/harness"
 )
 
-// suiteSpec is seq1's first max workloads on NOVA with every bug injected.
+// suiteSpec is seq2's first max workloads on NOVA with every bug injected;
+// 128 of them cut into four units.
 func suiteSpec(max int) campaign.Spec {
-	return campaign.Spec{FS: "nova", Bugs: "all", Suite: "seq1", Max: max, Cap: 2, Workers: 1}
+	return campaign.Spec{FS: "nova", Bugs: "all", Suite: "seq2", Max: max, Cap: 2, Workers: 1}
 }
 
 // fuzzSpec is a small exec-budget soak on NOVA with the two rename bugs.
@@ -94,7 +95,7 @@ func serveRun(t *testing.T, spec campaign.Spec, outDir string, n int, poison ...
 // violations give exit 1 and CAMPAIGN.txt lands under -o.
 func TestServeSuiteCampaign(t *testing.T) {
 	dir := t.TempDir()
-	if code := serveRun(t, suiteSpec(24), dir, 2); code != harness.ExitViolations {
+	if code := serveRun(t, suiteSpec(128), dir, 2); code != harness.ExitViolations {
 		t.Fatalf("exit %d, want %d", code, harness.ExitViolations)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "CAMPAIGN.txt"))
@@ -110,7 +111,7 @@ func TestServeSuiteCampaign(t *testing.T) {
 // quarantined, and the degraded exit code outranks the violations found.
 func TestServePoisonedShardDegrades(t *testing.T) {
 	dir := t.TempDir()
-	if code := serveRun(t, suiteSpec(24), dir, 2, 2); code != harness.ExitDegraded {
+	if code := serveRun(t, suiteSpec(128), dir, 2, 2); code != harness.ExitDegraded {
 		t.Fatalf("exit %d, want %d", code, harness.ExitDegraded)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "CAMPAIGN.txt"))

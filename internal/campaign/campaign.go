@@ -4,9 +4,9 @@
 // the results back into one Census.
 //
 // The design extends the engine's determinism contract one level up. The
-// coordinator cuts the suite once, the way harness.Run cuts it for two
-// workers (harness.NewCut): a lease is one unit of that cut — a run of
-// adjacent op-trie subtrees — identified by (unit index, suite fingerprint).
+// coordinator cuts the suite once (harness.NewCut, at unitSize): a lease is
+// one unit of that cut — a run of adjacent op-trie subtrees — identified by
+// (unit index, suite fingerprint).
 // A worker rebuilds the same cut, runs each unit it is granted through
 // harness.Run on one prefix memo that outlives its leases, and posts back
 // the frozen census. Every census field is a sum or a maximum, and the fold
@@ -168,6 +168,9 @@ type SpecInfo struct {
 type LeaseRequest struct {
 	Worker    string `json:"worker"`
 	SuiteHash string `json:"suite_hash"`
+	// Cut is the worker's SpecInfo.Cut. A worker that sends none is an
+	// older build that would run suite-index shards: it is refused.
+	Cut string `json:"cut,omitempty"`
 }
 
 // Lease states returned to workers.
@@ -406,13 +409,18 @@ var (
 	ErrIndexCheckpoint = errors.New("campaign: checkpoint holds suite-index shards written by an older build — rerun without -resume")
 )
 
-// cutWorkers cuts a campaign's suite as harness.Run cuts it for two workers:
-// units of at most a 32nd of the suite, so workers balance (56 on seq2).
-const cutWorkers = 2
+// unitSize bounds a campaign's units as harness.Run bounds them for two
+// workers, at a 32nd of the suite (56 units on seq2), but never below
+// minUnit: a lease costs a round trip, a checkpoint record and a fresh fork
+// chain, so a small suite is a few leases, no more than 32-workload index
+// shards would be (seq1 2, seq1dax 4; at 32, seq1dax's subtrees cut into 5).
+func unitSize(n int) int { return max(minUnit, n/32) }
+
+const minUnit = 40
 
 // suiteCut returns the campaign's cut of suite and the hash of its units.
 func suiteCut(suite []workload.Workload) (harness.Cut, string) {
-	cut := harness.NewCut(suite, cutWorkers)
+	cut := harness.NewCut(suite, unitSize(len(suite)))
 	var b []byte
 	for _, x := range slices.Concat(cut.Order, cut.Units) {
 		b = binary.LittleEndian.AppendUint32(b, uint32(x))

@@ -10,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,10 +22,11 @@ import (
 )
 
 // testSpec is the shared campaign under test: injected-bug NOVA over a
-// seq1 prefix, small enough for -race, bug-rich enough that the violation
-// ledger (the hard part of the determinism contract) is non-trivial.
+// seq2 prefix, small enough for -race, bug-rich enough that the violation
+// ledger (the hard part of the determinism contract) is non-trivial, and
+// large enough to cut into four units.
 func testSpec() Spec {
-	return Spec{FS: "nova", Bugs: "all", Suite: "seq1", Max: 24, Cap: 2, Workers: 1, Stats: true}
+	return Spec{FS: "nova", Bugs: "all", Suite: "seq2", Max: 128, Cap: 2, Workers: 1, Stats: true}
 }
 
 // serialBaseline runs testSpec's suite through plain harness.Run once per
@@ -208,6 +210,7 @@ func TestDistributedMatchesSerialResume(t *testing.T) {
 
 	// Phase 1: interrupt the coordinator once 2 shards are credited. The
 	// drain path keeps crediting in-flight shards, so K >= 2.
+	var credited atomic.Int64
 	ctx1, interrupt := context.WithCancel(context.Background())
 	defer interrupt()
 	wctx1, stopWorkers1 := context.WithCancel(context.Background())
@@ -215,7 +218,7 @@ func TestDistributedMatchesSerialResume(t *testing.T) {
 	coord1, err := NewCoordinator(CoordinatorConfig{
 		Spec: testSpec(), CheckpointPath: ckpt,
 		Progress: func(done, total int, c harness.Census) {
-			if done >= 8 { // 2 shards of 4 workloads
+			if credited.Add(1) >= 2 {
 				interrupt()
 			}
 		},
@@ -290,12 +293,12 @@ func TestLeaseExpiryAtMostOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	hash := coord.Info().SuiteHash
-	la, err := coord.Lease(LeaseRequest{Worker: "slow", SuiteHash: hash})
+	la, err := coord.Lease(LeaseRequest{Worker: "slow", SuiteHash: hash, Cut: coord.Info().Cut})
 	if err != nil || la.Status != LeaseGranted {
 		t.Fatalf("lease A: %+v, %v", la, err)
 	}
 	time.Sleep(50 * time.Millisecond) // past the TTL
-	lb, err := coord.Lease(LeaseRequest{Worker: "fast", SuiteHash: hash})
+	lb, err := coord.Lease(LeaseRequest{Worker: "fast", SuiteHash: hash, Cut: coord.Info().Cut})
 	if err != nil || lb.Status != LeaseGranted || lb.Shard != la.Shard {
 		t.Fatalf("expired lease not re-dispatched: %+v, %v", lb, err)
 	}
@@ -321,9 +324,7 @@ func TestLeaseExpiryAtMostOnce(t *testing.T) {
 // against the healthy first. A lease that really expired is accounted, not
 // renewed. Grants follow the lease affinity of nextLocked.
 func TestLeaseRegrant(t *testing.T) {
-	spec := testSpec()
-	spec.Max = 12 // twelve units of one workload
-	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec, LeaseTTL: 40 * time.Millisecond})
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: testSpec(), LeaseTTL: 40 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +332,7 @@ func TestLeaseRegrant(t *testing.T) {
 	hash := coord.Info().SuiteHash
 	lease := func(worker string) int {
 		t.Helper()
-		l, err := coord.Lease(LeaseRequest{Worker: worker, SuiteHash: hash})
+		l, err := coord.Lease(LeaseRequest{Worker: worker, SuiteHash: hash, Cut: coord.Info().Cut})
 		if err != nil || l.Status != LeaseGranted {
 			t.Fatalf("lease %s: %+v, %v", worker, l, err)
 		}
@@ -343,22 +344,63 @@ func TestLeaseRegrant(t *testing.T) {
 	if st := coord.Stats(); st.Redispatched != 0 || shardAttempts(coord, 0) != 0 {
 		t.Fatalf("re-grant booked a failed attempt: %+v, attempts %d", st, shardAttempts(coord, 0))
 	}
-	if got := lease("w1"); got != 6 {
-		t.Fatalf("a different worker got shard %d, want the middle of the pending run behind w0's (6)", got)
+	if got := lease("w1"); got != 2 {
+		t.Fatalf("a different worker got shard %d, want the middle of the pending run behind w0's (2)", got)
 	}
 	// w0's lease runs out: its heartbeat is refused (lease lost), and its next
 	// request goes through expiry accounting — one failed attempt, one
-	// re-dispatch — before it is granted a shard afresh.
+	// re-dispatch — before it is granted a shard afresh: the one after its
+	// own, which its failed attempt leaves to another worker.
 	time.Sleep(60 * time.Millisecond)
 	if hb, err := coord.Heartbeat(HeartbeatRequest{Worker: "w0", Shard: 0, SuiteHash: hash}); err != nil || hb.Extended {
 		t.Fatalf("expired lease extended: %+v, %v", hb, err)
 	}
-	if got := lease("w0"); got != 0 {
-		t.Fatalf("after losing its lease w0 got shard %d, want its own pending shard back (0)", got)
+	if got := lease("w0"); got != 1 {
+		t.Fatalf("after losing its lease w0 got shard %d, want the next one (1)", got)
 	}
-	if st := coord.Stats(); st.Redispatched != 2 || shardAttempts(coord, 0) != 1 || shardAttempts(coord, 6) != 1 {
+	if st := coord.Stats(); st.Redispatched != 2 || shardAttempts(coord, 0) != 1 || shardAttempts(coord, 2) != 1 {
 		t.Fatalf("expired leases not accounted: %+v, attempts %d and %d",
-			st, shardAttempts(coord, 0), shardAttempts(coord, 6))
+			st, shardAttempts(coord, 0), shardAttempts(coord, 2))
+	}
+}
+
+// TestFailedUnitGoesToAnotherWorker: lease affinity never hands a unit back
+// to the worker whose attempt on it failed — a slow host or a bad disk fails
+// every unit it runs — so with two attempts allowed, the unit a poisoned
+// worker failed is credited by a healthy one, not quarantined.
+func TestFailedUnitGoesToAnotherWorker(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: testSpec(), ShardRetries: 2, LeaseTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	hash := coord.Info().SuiteHash
+	lease := func(worker string) int {
+		t.Helper()
+		l, err := coord.Lease(LeaseRequest{Worker: worker, SuiteHash: hash, Cut: coord.Info().Cut})
+		if err != nil || l.Status != LeaseGranted {
+			t.Fatalf("lease %s: %+v, %v", worker, l, err)
+		}
+		return l.Shard
+	}
+	credit := func(worker string, u int, failure string) {
+		t.Helper()
+		if _, err := coord.Credit(&ShardPayload{Shard: u, Worker: worker, SuiteHash: hash, Err: failure}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := lease("bad"); got != 0 {
+		t.Fatalf("first lease got shard %d, want 0", got)
+	}
+	credit("bad", 0, "engine: disk full")
+	if got := lease("bad"); got == 0 {
+		t.Fatal("the worker that failed shard 0 was handed it again")
+	}
+	for !coordShardDone(coord, 0) {
+		credit("good", lease("good"), "")
+	}
+	if st := coord.Stats(); st.ShardsQuarantined != 0 || !coordShardDone(coord, 0) {
+		t.Fatalf("shard 0 not credited: %+v", st)
 	}
 }
 
@@ -531,7 +573,7 @@ func TestSpecWorkersIgnoredButKept(t *testing.T) {
 		t.Errorf("Workers=4 fingerprint differs from Workers=1:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 
-	// testSpec as the parent of the Workers removal marshalled it, and the
+	// A spec as the parent of the Workers removal marshalled it, and the
 	// campaign ID that build derived from it.
 	const wire = `{"fs":"nova","bugs":"all","suite":"seq1","max":24,"cap":2,"workers":1,` +
 		`"check_timeout_ns":0,"exhaustive_limit":0,"stats":true}`
@@ -539,8 +581,8 @@ func TestSpecWorkersIgnoredButKept(t *testing.T) {
 	if err := json.Unmarshal([]byte(wire), &back); err != nil {
 		t.Fatal(err)
 	}
-	if back != testSpec() {
-		t.Fatalf("decoded spec %+v, want %+v", back, testSpec())
+	if old := (Spec{FS: "nova", Bugs: "all", Suite: "seq1", Max: 24, Cap: 2, Workers: 1, Stats: true}); back != old {
+		t.Fatalf("decoded spec %+v, want %+v", back, old)
 	}
 	if b, _ := json.Marshal(back); string(b) != wire {
 		t.Errorf("spec re-encodes as %s, want %s", b, wire)

@@ -35,7 +35,7 @@ func restrictedBaseline(t *testing.T, spec Spec, exclude map[int]bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cut := harness.NewCut(suite, 2)
+	cut, _ := suiteCut(suite)
 	dropped := map[string]bool{}
 	for u := range exclude {
 		for _, w := range cut.Unit(suite, u) {
@@ -219,7 +219,7 @@ func TestQuarantineCitesWorkerErrorOverTransport(t *testing.T) {
 	hash := coord.Info().SuiteHash
 	lease := func(worker string) {
 		t.Helper()
-		if l, err := coord.Lease(LeaseRequest{Worker: worker, SuiteHash: hash}); err != nil || l.Status != LeaseGranted {
+		if l, err := coord.Lease(LeaseRequest{Worker: worker, SuiteHash: hash, Cut: coord.Info().Cut}); err != nil || l.Status != LeaseGranted {
 			t.Fatalf("lease %s: %+v, %v", worker, l, err)
 		}
 	}
@@ -376,7 +376,7 @@ func TestHeartbeatSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	hash := coord.Info().SuiteHash
-	lease, err := coord.Lease(LeaseRequest{Worker: "holder", SuiteHash: hash})
+	lease, err := coord.Lease(LeaseRequest{Worker: "holder", SuiteHash: hash, Cut: coord.Info().Cut})
 	if err != nil || lease.Status != LeaseGranted {
 		t.Fatalf("lease: %+v, %v", lease, err)
 	}

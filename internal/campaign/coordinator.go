@@ -99,7 +99,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		Spec:       cfg.Spec,
 		SuiteHash:  hash,
 		Shards:     n,
-		ShardSize:  cut.Max,
+		ShardSize:  unitSize(len(suite)),
 		Cut:        cutHash,
 		Workloads:  len(suite),
 	}
@@ -300,6 +300,11 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 		return LeaseResponse{}, c.shards.Foreign("suite", c.info.SuiteHash, req.Worker, req.SuiteHash,
 			"generators differ, refusing to merge incomparable results")
 	}
+	if req.Cut != c.info.Cut {
+		// An older build sends no cut and would run suite-index shards.
+		return LeaseResponse{}, fmt.Errorf("%w: %w", lease.ErrOlderBuild, c.shards.Foreign("cut", c.info.Cut, req.Worker, req.Cut,
+			"it would read a lease as suite indices, refusing it"))
+	}
 	if c.StoppedLocked() || c.shards.Open() == 0 {
 		return LeaseResponse{Status: LeaseDone}, nil
 	}
@@ -324,19 +329,18 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 }
 
 // nextLocked picks the pending unit to grant worker, keeping each worker's
-// prefix memo on one stretch of the trie: its last unit again if that went
-// back to pending (the lease was lost), else the unit after it. Failing both
-// it opens a new stretch in the longest pending run: at the run's start, or
-// at its middle when a leased unit precedes it — that unit's worker walks on
-// into the first half. -1 when nothing is pending. Caller holds c.Mu.
+// prefix memo on one stretch of the trie: the unit after its last one,
+// unless its latest failed attempt was this worker's (a slow host or a bad
+// disk fails every unit it runs; a healthy worker should get the retry).
+// Failing that it opens a new stretch in the longest pending run: at the
+// run's start, or at its middle when a leased unit precedes it — that unit's
+// worker walks on into the first half. -1 when nothing is pending. Caller
+// holds c.Mu.
 func (c *Coordinator) nextLocked(worker string) int {
 	slots := c.shards.Slots
 	pending := func(i int) bool { return i < len(slots) && slots[i].State == lease.Pending }
-	k, ok := c.last[worker]
-	for _, i := range []int{k, k + 1} {
-		if ok && pending(i) {
-			return i
-		}
+	if k, ok := c.last[worker]; ok && pending(k+1) && slots[k+1].ErrWorker != worker {
+		return k + 1
 	}
 	best, n := -1, 0
 	for lo, hi := 0, 0; lo < len(slots); lo = hi + 1 {

@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -55,9 +59,10 @@ func TestCampaignMemoOutlivesLease(t *testing.T) {
 
 // TestSuiteCut: every built-in suite cuts into units that cover it, none over
 // the cut's bound; seq2's 3,136 workloads into 56 units, against the 98
-// 32-workload index shards campaigns leased before the trie cut, and packing
-// keeps every large suite at or under its index-shard count. A suite with
-// two workloads of one name is refused: the fold orders ledgers by name.
+// 32-workload index shards campaigns leased before the trie cut, and no
+// suite, small ones included, into more units than it had index shards. A
+// suite with two workloads of one name is refused: the fold orders ledgers
+// by name.
 func TestSuiteCut(t *testing.T) {
 	for _, name := range []string{"seq1", "seq1dax", "seq2", "seq2dax", "seq3m", "kv", "kv-smoke"} {
 		suite, err := ace.SuiteByName(name)
@@ -69,12 +74,12 @@ func TestSuiteCut(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		cut, _ := suiteCut(suite)
-		size := max(1, len(suite)/(16*cutWorkers))
+		size := unitSize(len(suite))
 		seen := make([]bool, len(suite))
 		for u := 0; u < cut.Size(); u++ {
 			unit := cut.Unit(suite, u)
-			if len(unit) < 1 || len(unit) > size || size != cut.Max {
-				t.Fatalf("%s: unit %d has %d workloads, want 1..%d (cut bound %d)", name, u, len(unit), size, cut.Max)
+			if len(unit) < 1 || len(unit) > size {
+				t.Fatalf("%s: unit %d has %d workloads, want 1..%d", name, u, len(unit), size)
 			}
 			for _, w := range unit {
 				seen[index[w.Name]] = true
@@ -88,15 +93,63 @@ func TestSuiteCut(t *testing.T) {
 		if name == "seq2" && cut.Size() != 56 {
 			t.Fatalf("seq2 cuts into %d units, want 56", cut.Size())
 		}
-		// From 1,024 workloads on, units hold 32 or more: never more units
-		// than 32-workload index shards. Smaller suites get one per workload.
-		if shards := (len(suite) + 31) / 32; len(suite) >= 1024 && cut.Size() > shards {
+		if shards := (len(suite) + 31) / 32; cut.Size() > shards {
 			t.Fatalf("%s cuts into %d units, more than its %d index shards", name, cut.Size(), shards)
 		}
 	}
 	dup := []workload.Workload{{Name: "a"}, {Name: "b"}, {Name: "a"}}
 	if _, err := suiteIndex(dup); !errors.Is(err, ErrDuplicateName) {
 		t.Fatalf("duplicate names accepted: %v", err)
+	}
+}
+
+// TestIndexShardWorkerRefused: a worker built before the trie cut passes
+// the handshake, since the suite fingerprint is unchanged, but reads a
+// lease's bounds as suite indices (shardRange over SpecInfo.ShardSize): on
+// seq1 it would run other workloads than the unit's. Its lease requests carry
+// no cut, so the coordinator refuses them before granting anything, with the
+// HTTP 412 that such a build does not retry. This build retries a 412, as a
+// cut damaged in flight draws one too.
+func TestIndexShardWorkerRefused(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{Spec: Spec{FS: "nova", Bugs: "all", Suite: "seq1", Cap: 2, Workers: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	srv := httptest.NewServer(coord)
+	defer srv.Close()
+	info, err := FetchSpec(context.Background(), srv.Listener.Addr().String(), time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	suite, err := info.Spec.BuildSuite()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if workload.FormatSuiteHash(workload.SuiteHash(suite)) != info.SuiteHash {
+		t.Fatal("the older build's handshake check fails; this test no longer covers it")
+	}
+	byName := func(a, b workload.Workload) bool { return a.Name == b.Name }
+	if unit := coord.cut.Unit(suite, 0); slices.EqualFunc(unit, suite[:len(unit)], byName) {
+		t.Fatal("unit 0 is a suite prefix; an index-shard worker would run it right")
+	}
+	old := fmt.Sprintf(`{"worker":"old","suite_hash":%q}`, info.SuiteHash)
+	resp, err := http.Post(srv.URL+PathLease, "application/json", strings.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusPreconditionFailed || !strings.Contains(string(body), "older build") {
+		t.Fatalf("older build's lease request: %s %s", resp.Status, body)
+	}
+	var l LeaseResponse
+	err = lease.PostJSON(context.Background(), &http.Client{}, srv.URL+PathLease, json.RawMessage(old), &l, 50*time.Millisecond)
+	if !errors.Is(err, lease.ErrCoordinatorGone) {
+		t.Fatalf("this build gave up on a 412 before its budget: %v", err)
+	}
+	if st := coord.Stats(); st.Granted != 0 || st.Rejected < 2 {
+		t.Fatalf("stats after the cut-less requests: %+v", st)
 	}
 }
 
@@ -115,7 +168,7 @@ func TestShardSizeIgnoredButKept(t *testing.T) {
 		infos = append(infos, coord.Info())
 		var g []LeaseResponse
 		for _, w := range []string{"w0", "w1", "w2", "w0"} {
-			l, err := coord.Lease(LeaseRequest{Worker: w, SuiteHash: coord.Info().SuiteHash})
+			l, err := coord.Lease(LeaseRequest{Worker: w, SuiteHash: coord.Info().SuiteHash, Cut: coord.Info().Cut})
 			if err != nil {
 				t.Fatal(err)
 			}

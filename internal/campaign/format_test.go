@@ -20,7 +20,7 @@ import (
 // of the trie cut.
 func TestWireAndCheckpointFormat(t *testing.T) {
 	spec := testSpec()
-	spec.Max = 2 // two units of one workload
+	spec.Max = 56 // two units: [0,31) and [31,56)
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 	coord, err := NewCoordinator(CoordinatorConfig{
 		Spec: spec, ShardRetries: 1, LeaseTTL: time.Minute, CheckpointPath: ckpt,
@@ -53,13 +53,13 @@ func TestWireAndCheckpointFormat(t *testing.T) {
 		return post(PathResult, p)
 	}
 	wire := []struct{ name, got, want string }{
-		{"LeaseResponse", post(PathLease, LeaseRequest{Worker: "w0", SuiteHash: hash}), `{"status":"lease","end":1,"ttl_ns":60000000000}` + "\n"},
+		{"LeaseResponse", post(PathLease, LeaseRequest{Worker: "w0", SuiteHash: hash, Cut: coord.Info().Cut}), `{"status":"lease","end":31,"ttl_ns":60000000000}` + "\n"},
 		{"HeartbeatResponse", post(PathHeartbeat, HeartbeatRequest{Worker: "w0", Shard: 0, SuiteHash: hash, StatesChecked: 3}), `{"extended":true,"ttl_ns":60000000000}` + "\n"},
 		{"HeartbeatResponse (refused)", post(PathHeartbeat, HeartbeatRequest{Worker: "w1", Shard: 0, SuiteHash: hash}), `{"extended":false}` + "\n"},
 		{"CreditResponse", result(&ShardPayload{Shard: 0, Worker: "w0", SuiteHash: hash, Workloads: 1, StatesChecked: 9, Fences: 2}), `{"accepted":true,"duplicate":false,"done":false}` + "\n"},
-		{"LeaseResponse (shard 1)", post(PathLease, LeaseRequest{Worker: "w1", SuiteHash: hash}), `{"status":"lease","shard":1,"start":1,"end":2,"ttl_ns":60000000000}` + "\n"},
+		{"LeaseResponse (shard 1)", post(PathLease, LeaseRequest{Worker: "w1", SuiteHash: hash, Cut: coord.Info().Cut}), `{"status":"lease","shard":1,"start":31,"end":56,"ttl_ns":60000000000}` + "\n"},
 		{"CreditResponse (quarantined)", result(&ShardPayload{Shard: 1, Worker: "w1", SuiteHash: hash, Err: "engine: boom"}), `{"accepted":false,"duplicate":false,"quarantined":true,"done":true}` + "\n"},
-		{"LeaseResponse (done)", post(PathLease, LeaseRequest{Worker: "w0", SuiteHash: hash}), `{"status":"done"}` + "\n"},
+		{"LeaseResponse (done)", post(PathLease, LeaseRequest{Worker: "w0", SuiteHash: hash, Cut: coord.Info().Cut}), `{"status":"done"}` + "\n"},
 	}
 	for _, w := range wire {
 		if w.got != w.want {
@@ -74,9 +74,9 @@ func TestWireAndCheckpointFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		`{"type":"campaign","campaign_id":"c74e52077c360ef1c","suite_hash":"55d7aff62bec9f39","fs":"nova","suite":"seq1","workloads":2,"shards":2,"cut":"fe78044ed990b437"}`,
-		`{"type":"shard","payload":{"shard":0,"worker":"w0","suite_hash":"55d7aff62bec9f39","workloads":1,"states_checked":9,"states_deduped":0,"truncated_fences":0,"fences":2,"max_in_flight":0,"in_flight_sum":0,"in_flight_n":0,"violation_total":0,"suppressed_quarantine":0,"retried_checks":0,"elapsed_ns":0,"sum":"17f1e2800a83072f"}}`,
-		`{"type":"quarantine","quarantine":{"shard":1,"start":1,"end":2,"suite_hash":"55d7aff62bec9f39","worker":"w1","err":"engine: boom","attempts":1}}`,
+		`{"type":"campaign","campaign_id":"c0de057b7353cfd34","suite_hash":"421ed5dcc3c81fc6","fs":"nova","suite":"seq2","workloads":56,"shards":2,"cut":"a1db330a5c4a29d2"}`,
+		`{"type":"shard","payload":{"shard":0,"worker":"w0","suite_hash":"421ed5dcc3c81fc6","workloads":1,"states_checked":9,"states_deduped":0,"truncated_fences":0,"fences":2,"max_in_flight":0,"in_flight_sum":0,"in_flight_n":0,"violation_total":0,"suppressed_quarantine":0,"retried_checks":0,"elapsed_ns":0,"sum":"de4ee0d5696f21f9"}}`,
+		`{"type":"quarantine","quarantine":{"shard":1,"start":31,"end":56,"suite_hash":"421ed5dcc3c81fc6","worker":"w1","err":"engine: boom","attempts":1}}`,
 		"", // every record ends in a newline
 	}
 	got := strings.Split(string(data), "\n")

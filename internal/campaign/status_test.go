@@ -26,7 +26,7 @@ import (
 // credits. The owner-independent view is lease.TestShellStatusView's.
 func TestStatusSnapshot(t *testing.T) {
 	spec := testSpec()
-	spec.Max = 2 // two units of one workload
+	spec.Max = 56 // two units
 	coord, err := NewCoordinator(CoordinatorConfig{Spec: spec})
 	if err != nil {
 		t.Fatal(err)
@@ -37,17 +37,17 @@ func TestStatusSnapshot(t *testing.T) {
 	if st.Shards != 2 || st.Pending != 2 || st.ShardMap != ".." {
 		t.Fatalf("fresh status: %+v", st)
 	}
-	if st.SuiteHash != hash || st.Workloads != 2 || st.ShardSize != 1 || st.CampaignID != coord.Info().CampaignID {
+	if st.SuiteHash != hash || st.Workloads != 56 || st.ShardSize != minUnit || st.CampaignID != coord.Info().CampaignID {
 		t.Fatalf("status identity: %+v", st)
 	}
 
-	if l, err := coord.Lease(LeaseRequest{Worker: "w0", SuiteHash: hash}); err != nil || l.Shard != 0 {
+	if l, err := coord.Lease(LeaseRequest{Worker: "w0", SuiteHash: hash, Cut: coord.Info().Cut}); err != nil || l.Shard != 0 {
 		t.Fatalf("lease: %+v, %v", l, err)
 	}
 	if _, err := coord.Heartbeat(HeartbeatRequest{Worker: "w0", Shard: 0, SuiteHash: hash, StatesChecked: 7}); err != nil {
 		t.Fatal(err)
 	}
-	if l, err := coord.Lease(LeaseRequest{Worker: "w1", SuiteHash: hash}); err != nil || l.Shard != 1 {
+	if l, err := coord.Lease(LeaseRequest{Worker: "w1", SuiteHash: hash, Cut: coord.Info().Cut}); err != nil || l.Shard != 1 {
 		t.Fatalf("lease: %+v, %v", l, err)
 	}
 	if cr, err := coord.Credit(&ShardPayload{
@@ -83,7 +83,7 @@ func TestStatusRateCountsCreditedOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	hash := coord.Info().SuiteHash
-	if l, err := coord.Lease(LeaseRequest{Worker: "w0", SuiteHash: hash}); err != nil || l.Status != LeaseGranted {
+	if l, err := coord.Lease(LeaseRequest{Worker: "w0", SuiteHash: hash, Cut: coord.Info().Cut}); err != nil || l.Status != LeaseGranted {
 		t.Fatalf("lease: %+v, %v", l, err)
 	}
 	if hb, err := coord.Heartbeat(HeartbeatRequest{Worker: "w0", Shard: 0, SuiteHash: hash, StatesChecked: 50}); err != nil || !hb.Extended {

@@ -18,9 +18,9 @@ import (
 // DefaultShardTimeout is the worker-side watchdog deadline for one shard's
 // engine call (-shard-timeout): a shard that exceeds it is reported to the
 // coordinator as a structured error payload instead of wedging the worker
-// forever. Generous — a shard is a 32nd of the suite — but finite, because
-// the paper's weeks-long campaigns only work if no single target hang can
-// pin a fleet slot.
+// forever. Generous — a shard is at most a 32nd of the suite or 40
+// workloads — but finite, because the paper's weeks-long campaigns only work
+// if no single target hang can pin a fleet slot.
 const DefaultShardTimeout = 10 * time.Minute
 
 // WorkerConfig configures RunWorker.
@@ -178,7 +178,7 @@ func (j *shardJob) Lease(ctx context.Context) (lease.Poll, time.Duration, error)
 		lstart = time.Now()
 	}
 	var l LeaseResponse
-	if err := j.Post(ctx, PathLease, LeaseRequest{Worker: j.ID, SuiteHash: j.info.SuiteHash}, &l, 0); err != nil {
+	if err := j.Post(ctx, PathLease, LeaseRequest{Worker: j.ID, SuiteHash: j.info.SuiteHash, Cut: j.info.Cut}, &l, 0); err != nil {
 		return 0, 0, fmt.Errorf("campaign: lease: %w", err)
 	}
 	switch l.Status {

@@ -179,7 +179,16 @@ func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.W
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := newPlan(suite, workers, rc.stopOnce)
+	// Units are a unitsPerWorker-th of each worker's share, so the last unit
+	// leaves little idle tail; serially the whole suite; one position when
+	// stopOnce puts workers on suite order.
+	size := len(suite)
+	if workers > 1 && rc.stopOnce {
+		size = 1
+	} else if workers > 1 {
+		size = max(1, len(suite)/(unitsPerWorker*workers))
+	}
+	p := newPlan(suite, size, rc.stopOnce)
 	workers = min(workers, p.Size())
 
 	// Workers (serially, the caller) pull whole units of the plan onto their
@@ -266,18 +275,17 @@ const unitsPerWorker = 16
 
 // Cut is the order Run executes a suite in: suite indices depth-first over
 // its op trie, the positions Units[u]..Units[u+1] one worker's chain runs
-// whole (at most Max of them), and per position the op depths its chain
-// keeps fork points at (core.Chain.Run). A campaign leases the units of one
-// cut (internal/campaign).
+// whole, and per position the op depths its chain keeps fork points at
+// (core.Chain.Run). A campaign leases the units of one cut
+// (internal/campaign).
 type Cut struct {
 	Order []int
 	Units []int
-	Max   int
 	keep  [][]int
 }
 
-// NewCut is the cut Run makes of suite for workers workers.
-func NewCut(suite []workload.Workload, workers int) Cut { return newPlan(suite, workers, false) }
+// NewCut cuts suite as Run does, into units of at most size positions.
+func NewCut(suite []workload.Workload, size int) Cut { return newPlan(suite, size, false) }
 
 // Size returns how many units the cut has.
 func (c Cut) Size() int { return len(c.Units) - 1 }
@@ -298,24 +306,14 @@ func (c Cut) Unit(suite []workload.Workload, u int) []workload.Workload {
 // stopOnce it keeps suite order, since "workloads to the first bug" counts
 // in suite order; a workload then forks only from its predecessor's path,
 // and under workers only from the root.
-func newPlan(suite []workload.Workload, workers int, stopOnce bool) Cut {
+func newPlan(suite []workload.Workload, size int, stopOnce bool) Cut {
 	p := Cut{Order: make([]int, len(suite)), keep: make([][]int, len(suite))}
 	ids := map[workload.Op]int32{}
 	seqs := make([][]int32, len(suite))
-	n := 0
-	for _, w := range suite {
-		n += len(w.Ops)
-	}
-	buf := make([]int32, 0, n)
+	var buf []int32
 	for i, w := range suite {
 		p.Order[i] = i
-		for k, op := range w.Ops {
-			// Generated suites repeat their predecessor's prefix: its ids
-			// skip most map lookups.
-			if i > 0 && k < len(seqs[i-1]) && suite[i-1].Ops[k] == op {
-				buf = append(buf, seqs[i-1][k])
-				continue
-			}
+		for _, op := range w.Ops {
 			id, ok := ids[op]
 			if !ok {
 				id = int32(len(ids))
@@ -326,34 +324,7 @@ func newPlan(suite []workload.Workload, workers int, stopOnce bool) Cut {
 		seqs[i] = buf[len(buf)-len(w.Ops) : len(buf) : len(buf)]
 	}
 	if !stopOnce {
-		// A stable LSD radix sort on the id sequences, last op first; past a
-		// sequence's end sorts before every id. Campaign coordinators and
-		// workers cut the suite at start-up, so its cost is set-up time.
-		maxLen := 0
-		for _, seq := range seqs {
-			maxLen = max(maxLen, len(seq))
-		}
-		tmp, count := make([]int, len(suite)), make([]int, len(ids)+2)
-		for k := maxLen - 1; k >= 0; k-- {
-			key := func(i int) int {
-				if k < len(seqs[i]) {
-					return int(seqs[i][k]) + 1
-				}
-				return 0
-			}
-			clear(count)
-			for _, i := range p.Order {
-				count[key(i)+1]++
-			}
-			for c := 1; c < len(count); c++ {
-				count[c] += count[c-1]
-			}
-			for _, i := range p.Order {
-				tmp[count[key(i)]] = i
-				count[key(i)]++
-			}
-			p.Order, tmp = tmp, p.Order
-		}
+		slices.SortStableFunc(p.Order, func(a, b int) int { return slices.Compare(seqs[a], seqs[b]) })
 	}
 	// lcp[pos] is the op prefix positions pos-1 and pos share.
 	lcp := make([]int, len(suite))
@@ -363,24 +334,17 @@ func newPlan(suite []workload.Workload, workers int, stopOnce bool) Cut {
 			lcp[pos]++
 		}
 	}
-	// Units are subtrees of at most size positions: serially the whole
-	// suite; under workers a unitsPerWorker-th of each worker's share, so
-	// the last unit leaves little idle tail; one position when stopOnce puts
-	// workers on suite order. A subtree too large splits at its children,
-	// and adjacent children that fit together pack into one unit, so a wide
-	// node of small subtrees does not explode into one unit per child.
-	size := len(suite)
-	if workers > 1 && stopOnce {
-		size = 1
-	} else if workers > 1 {
-		size = max(1, len(suite)/(unitsPerWorker*workers))
-	}
-	p.Units, p.Max = []int{0}, size
-	var split func(lo, hi int)
-	split = func(lo, hi int) {
+	// Units are subtrees of at most size positions. A subtree too large
+	// splits at its children, and adjacent children that fit together pack
+	// into one unit, so a wide node of small subtrees does not explode into
+	// one unit per child.
+	p.Units = []int{0}
+	// split closes the units of [lo,hi) but the last, and returns where that
+	// open one starts: it packs on with the siblings after it.
+	var split func(lo, hi int) int
+	split = func(lo, hi int) int {
 		if hi-lo <= size {
-			p.Units = append(p.Units, hi)
-			return
+			return lo
 		}
 		d := slices.Min(lcp[lo+1 : hi])
 		start := lo // the open pack of children [start, a)
@@ -396,15 +360,13 @@ func newPlan(suite []workload.Workload, workers int, stopOnce bool) Cut {
 			}
 			start = a
 			if b-a > size {
-				split(a, b)
-				start = b
+				start = split(a, b)
 			}
 		}
-		if hi > start {
-			p.Units = append(p.Units, hi)
-		}
+		return start
 	}
 	split(0, len(suite))
+	p.Units = append(p.Units, len(suite))
 	// A position keeps a point at every depth a later position of its unit
 	// forks at: the running minima of the shared prefixes after it.
 	depths := []int{0}

@@ -47,9 +47,16 @@ func WriteJSONError(w http.ResponseWriter, status int, msg string) {
 	WriteJSON(w, status, wireError{Error: msg})
 }
 
+// ErrOlderBuild marks a refusal of a request only an older build's worker
+// sends. Handle answers it with HTTP 412, which this build's workers retry
+// like a 409 (the same request corrupted in flight looks alike) and older
+// builds, which retry only 400 and 409, take as final.
+var ErrOlderBuild = errors.New("request from an older build")
+
 // Handle serves one control verb (lease, heartbeat): decode the request,
-// call, answer 200 — or 400 for a body that does not parse and 409 for one
-// call refuses (a foreign fingerprint, an out-of-range unit).
+// call, answer 200 — or 400 for a body that does not parse, 409 for one
+// call refuses (a foreign fingerprint, an out-of-range unit) and 412 for
+// ErrOlderBuild.
 func Handle[Req, Resp any](verb string, call func(Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req Req
@@ -58,7 +65,10 @@ func Handle[Req, Resp any](verb string, call func(Req) (Resp, error)) http.Handl
 			return
 		}
 		resp, err := call(req)
-		if err != nil {
+		if errors.Is(err, ErrOlderBuild) {
+			WriteJSONError(w, http.StatusPreconditionFailed, err.Error())
+			return
+		} else if err != nil {
 			WriteJSONError(w, http.StatusConflict, err.Error())
 			return
 		}
@@ -152,11 +162,12 @@ func GetJSON(ctx context.Context, client *http.Client, url string, out any, budg
 }
 
 // PostJSON posts body (JSON) to url and decodes the response into out, with
-// the same retry contract as GetJSON. HTTP 400 and 409 are retried like
-// transport errors: 400 means the coordinator could not parse or verify the
-// body, and 409 means it refused the identity it carried — and since an
-// honest worker's fingerprint is verified at handshake, both can only mean
-// the request was corrupted in flight; the next attempt sends a fresh copy.
+// the same retry contract as GetJSON. HTTP 400, 409 and 412 are retried
+// like transport errors: 400 means the coordinator could not parse or verify
+// the body, and 409 and 412 mean it refused the identity it carried — and
+// since an honest worker's fingerprint is verified at handshake, all three
+// can only mean the request was corrupted in flight; the next attempt sends
+// a fresh copy.
 // Any other non-2xx response is returned immediately, never retried.
 func PostJSON(ctx context.Context, client *http.Client, url string, body, out any, budget time.Duration) error {
 	b, err := json.Marshal(body)
@@ -236,7 +247,8 @@ func doJSON(ctx context.Context, client *http.Client, method, url string, body [
 			lastErr = err
 			continue
 		}
-		if resp.StatusCode == http.StatusBadRequest || resp.StatusCode == http.StatusConflict {
+		switch resp.StatusCode {
+		case http.StatusBadRequest, http.StatusConflict, http.StatusPreconditionFailed:
 			// The coordinator could not parse, verify, or accept what arrived
 			// — truncation or corruption on the wire. Retrying sends a fresh,
 			// intact copy; the budget bounds a genuinely bad sender.
