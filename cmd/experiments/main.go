@@ -11,8 +11,8 @@
 //	experiments perf              # §5.1 Obs 2: rename/link fix overheads
 //	experiments all               # everything
 //
-// Shared flags: -cap bounds replayed subset sizes for the detection runs
-// (0 = exhaustive).
+// Flags: -cap bounds replayed subset sizes for the detection runs
+// (0 = exhaustive); -stats, -journal and -debug-addr are chipmunk's.
 package main
 
 import (
@@ -35,7 +35,8 @@ import (
 )
 
 var (
-	cli = harness.BindCLI(flag.CommandLine)
+	cli     = harness.BindObsCLI(flag.CommandLine)
+	capFlag = flag.Int("cap", 0, "max in-flight writes replayed per crash state in Table 1's detection runs (0 = exhaustive)")
 
 	// inst carries the -stats/-journal/-debug-addr plumbing shared by every
 	// experiment's engine runs; resolved once in main, nil-safe throughout.
@@ -116,7 +117,7 @@ func header(s string) {
 
 func table1() error {
 	header("Table 1 — bugs found by Chipmunk (targeted workloads, exhaustive replay)")
-	rows, err := harness.RunTable1(detectOpts(cli.Cap))
+	rows, err := harness.RunTable1(detectOpts(*capFlag))
 	if err != nil {
 		return err
 	}

@@ -83,14 +83,6 @@ type kvChecker struct {
 
 func (c *kvChecker) Name() string { return "kv-wal" }
 
-// Check recovers the store from one mounted crash state and verifies the
-// durability contract against the issued mutation history. Safe for
-// concurrent calls: it reads only the frozen RunEnv and the state's private
-// file system.
-func (c *kvChecker) Check(fs vfs.FS, cctx *core.CheckContext) *core.Finding {
-	return c.Judge(c.Observe(fs, nil), cctx)
-}
-
 // observation is what recovering the store from one crash image shows:
 // why recovery failed, or the recovered seqno and contents.
 type observation struct {
@@ -107,7 +99,9 @@ func (o *observation) Bytes() int {
 	return n
 }
 
-// Observe implements core.Observer: it recovers the store.
+// Observe implements core.Checker: it recovers the store from one mounted
+// crash state. Safe for concurrent calls, like Judge and Probe: they read
+// only the frozen RunEnv and the state's private file system.
 func (c *kvChecker) Observe(fs vfs.FS, _ *core.Interner) core.Observation {
 	st, err := kvstore.Open(fs, c.bugs)
 	if err != nil {
@@ -117,7 +111,8 @@ func (c *kvChecker) Observe(fs vfs.FS, _ *core.Interner) core.Observation {
 	return &observation{seq: st.Seq(), snap: st.Snapshot()}
 }
 
-// Judge implements core.Observer: the seqno bounds, then the contents.
+// Judge implements core.Checker: it verifies the durability contract
+// against the issued mutation history — the seqno bounds, then the contents.
 func (c *kvChecker) Judge(ob core.Observation, cctx *core.CheckContext) *core.Finding {
 	ops := c.env.Workload.Ops
 
@@ -200,7 +195,7 @@ func (c *kvChecker) Judge(ob core.Observation, cctx *core.CheckContext) *core.Fi
 	return nil
 }
 
-// Probe implements core.Observer: there is nothing to probe.
+// Probe implements core.Checker: there is nothing to probe.
 func (c *kvChecker) Probe(vfs.FS, core.Observation) *core.Finding { return nil }
 
 // replayPrefix builds the reference state after the first m mutations of

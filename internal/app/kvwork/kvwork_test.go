@@ -162,10 +162,20 @@ var kvUnitWorkload = workload.Workload{Name: "kv-unit", Ops: []workload.Op{
 	{Kind: workload.OpKVSync, FDSlot: -1},
 }}
 
+// check applies c to a mounted state outside the engine: observe, judge,
+// then probe after a passing judgement.
+func check(c core.Checker, fs vfs.FS, cctx *core.CheckContext) *core.Finding {
+	o := c.Observe(fs, nil)
+	if f := c.Judge(o, cctx); f != nil {
+		return f
+	}
+	return c.Probe(fs, o)
+}
+
 func TestCheckerAcceptsFaithfulState(t *testing.T) {
 	fs := runStore(t, kvUnitWorkload, kvstore.Bugs{})
 	env, cctx := checkEnv(kvUnitWorkload)
-	if f := kvwork.NewChecker(kvstore.Bugs{})(env).Check(fs, cctx); f != nil {
+	if f := check(kvwork.NewChecker(kvstore.Bugs{})(env), fs, cctx); f != nil {
 		t.Fatalf("faithful state flagged: %+v", f)
 	}
 }
@@ -181,7 +191,7 @@ func TestCheckerFlagsAckedLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	env, cctx := checkEnv(kvUnitWorkload)
-	f := kvwork.NewChecker(kvstore.Bugs{})(env).Check(fs, cctx)
+	f := check(kvwork.NewChecker(kvstore.Bugs{})(env), fs, cctx)
 	if f == nil || f.Contract != "acked-durability" {
 		t.Fatalf("torn acked record not flagged as acked-durability: %+v", f)
 	}
@@ -212,7 +222,7 @@ func TestCheckerFlagsSilentCorruption(t *testing.T) {
 	fs.Close(fd)
 
 	env, cctx := checkEnv(kvUnitWorkload)
-	f := kvwork.NewChecker(kb)(env).Check(fs, cctx)
+	f := check(kvwork.NewChecker(kb)(env), fs, cctx)
 	if f == nil || f.Contract != "no-silent-corruption" {
 		t.Fatalf("corrupt value not flagged as no-silent-corruption: %+v", f)
 	}

@@ -37,12 +37,10 @@ import (
 	"time"
 
 	"chipmunk/internal/ace"
-	"chipmunk/internal/app/kvwork"
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
 	"chipmunk/internal/lease"
 	"chipmunk/internal/obs"
-	"chipmunk/internal/pmem"
 	"chipmunk/internal/workload"
 )
 
@@ -120,30 +118,20 @@ func (s Spec) BuildSuite() ([]workload.Workload, error) {
 
 // Options resolves the spec into the harness Options a worker runs with.
 func (s Spec) Options() (harness.Options, error) {
-	set, err := harness.ParseBugSpec(s.Bugs)
-	if err != nil {
-		return harness.Options{}, fmt.Errorf("campaign spec: %w", err)
-	}
-	opts := harness.Options{
+	cli := harness.CLIOptions{
 		FS:              s.FS,
-		Bugs:            set,
+		Bugs:            s.Bugs,
 		Cap:             s.Cap,
 		CheckTimeout:    time.Duration(s.CheckTimeoutNanos),
 		ExhaustiveLimit: s.ExhaustiveLimit,
+		App:             s.App,
+		AppBugs:         s.AppBugs,
+		Faults:          s.Faults,
+		FaultSeed:       s.FaultSeed,
 	}
-	if s.Faults {
-		opts.Faults = pmem.DefaultFaults(s.FaultSeed)
-	}
-	if s.App != "" {
-		if err := harness.AppByName(s.App); err != nil {
-			return harness.Options{}, fmt.Errorf("campaign spec: %w", err)
-		}
-		appBugs, err := kvwork.ParseBugs(s.AppBugs)
-		if err != nil {
-			return harness.Options{}, fmt.Errorf("campaign spec: %w", err)
-		}
-		opts.App = s.App
-		opts.AppBugs = appBugs
+	opts, err := cli.Options()
+	if err != nil {
+		return harness.Options{}, fmt.Errorf("campaign spec: %w", err)
 	}
 	return opts, nil
 }

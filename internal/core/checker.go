@@ -1,52 +1,9 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
-	"chipmunk/internal/obs"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
-	"chipmunk/internal/vfs"
 )
-
-// checkState mounts the target file system on one crash state and applies
-// the run's correctness contract (§3.3): mountability is classified here —
-// recovery itself failing is a bug no contract needs to see — and every
-// mountable state is handed to the pluggable Checker (the FS-oracle
-// comparison by default, an application contract like the KV store's when
-// Config.Checker says so). The first failed check produces the state's
-// violation (nil when the state is legal). The device is this call's
-// private, just-rebooted view of the crash image (optionally carrying an
-// attached fault injector), so checkState is goroutine-safe; it normally
-// runs under the sandbox's guard (sandbox.go), which converts guest panics,
-// media faults, and hangs into classified outcomes.
-//
-// The stage windows tile so the -stats sum tracks wall-clock: mountStart is
-// an already-open mount window (opened by the caller before arming the
-// guard), and the returned checkStart is the open check window, closed by
-// the caller after the lease is settled and the image restored. Both are
-// the zero time when observability is off.
-func (ck *checker) checkState(dev *pmem.Device, ctx crashCtx, mountStart time.Time) (v *Violation, checkStart time.Time) {
-	fs, f, ct := ck.mount(dev, mountStart)
-	if f == nil {
-		f = ck.contract.Check(fs, ctx.check())
-	}
-	return ck.finding(ctx, f), ct
-}
-
-// mount mounts the target on the device, closing the mount window and
-// opening the check window. A failed mount returns its finding.
-func (ck *checker) mount(dev *pmem.Device, mountStart time.Time) (vfs.FS, *Finding, time.Time) {
-	fs := ck.cfg.NewFS(persist.New(dev))
-	err := fs.Mount()
-	ck.obs.ObserveSince(obs.StageMount, mountStart)
-	ct := ck.obs.Start()
-	if err != nil {
-		return nil, &Finding{Kind: VUnmountable, Detail: fmt.Sprintf("mount failed: %v", err)}, ct
-	}
-	return fs, nil, ct
-}
 
 // finding builds the violation a failed check reports (nil: none).
 func (ck *checker) finding(ctx crashCtx, f *Finding) *Violation {

@@ -21,12 +21,12 @@ func dirState(path string, entries ...string) vfs.FileState {
 
 func newAtomChecker(op workload.Op, pre, post vfs.State, atomicWrite bool) *oracleChecker {
 	w := workload.Workload{Ops: []workload.Op{op}}
-	return &oracleChecker{env: RunEnv{
+	return NewOracleChecker(RunEnv{
 		Caps:         vfs.Caps{Name: "test", Strong: true, AtomicWrite: atomicWrite},
 		Workload:     w,
 		OracleStates: []vfs.State{pre, post},
 		OpResults:    []workload.Result{{Op: op}},
-	}}
+	}).(*oracleChecker)
 }
 
 func TestCheckAtomicAcceptsPreAndPost(t *testing.T) {

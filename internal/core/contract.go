@@ -52,66 +52,47 @@ type Finding struct {
 	Detail string
 }
 
-// Checker is a pluggable correctness contract. Check is called once per
-// crash state with the file system already mounted — recovery has run; a
-// mount failure is classified VUnmountable by the engine before any Checker
-// sees the state. It returns the first failed contract (nil = the state is
-// legal), matching the engine's one-violation-per-state accounting.
+// Checker is a pluggable correctness contract, applied to every crash state
+// the file system mounts — recovery has run; a mount failure is classified
+// VUnmountable by the engine before any Checker sees the state. The engine
+// calls Observe on the mounted state, then Judge, then Probe if the
+// judgement passed; the first non-nil Finding is the state's one violation.
 //
-// A run checks its crash states one at a time, but Check calls can still
+// Observe reads the mounted state into an immutable Observation, a
+// function of the image alone (never of the RunEnv) that aliases nothing of
+// fs; it may intern bytes through in (nil: copy). A prefix memo keeps each
+// mounted image's observation (observe.go) and judges a later state with
+// the same image without mounting it again. Judge is the verdict in one
+// crash context; Probe runs the image-only checks due after a passing
+// judgement and may change fs.
+//
+// A run checks its crash states one at a time, but calls can still
 // overlap: a guest abandoned at its deadline keeps running on its old
 // goroutine while the replacement runner checks the following states.
-// Implementations must therefore be safe for concurrent Check calls
-// (read-only over their RunEnv) and must not retain fs past the call — the
-// device behind it is rolled back and reused as soon as Check returns.
+// Implementations must therefore be safe for concurrent calls — anything a
+// call caches for later ones is built once and never changed — and must not
+// retain fs past the call: the device behind it is rolled back and reused
+// as soon as the call returns.
 //
-// Verdicts must be prefix-pure. harness.Run's prefix memo (memo.go) hands
+// Judgements must be prefix-pure. harness.Run's prefix memo (memo.go) hands
 // the verdicts of a crash point in op s to every workload of the suite that
 // shares ops[0..s], so a verdict may depend on nothing after the crash. Let
-// k = max(Sys+1, AckedOps): Check may read only Workload.Ops[:k],
+// k = max(Sys+1, AckedOps): Judge may read only Workload.Ops[:k],
 // OracleStates[:k+1] and OpResults[:k] of its RunEnv, and not the workload's
 // name. TestCheckersArePrefixPure (internal/harness) holds the oracle and KV
-// contracts to it by checking every state again with a contract built from a
+// contracts to it by judging every state again with a contract built from a
 // RunEnv cut to that bound.
 type Checker interface {
 	// Name identifies the contract in reports ("fs-oracle", "kv").
 	Name() string
-	Check(fs vfs.FS, cctx *CheckContext) *Finding
-}
-
-// Observer is an optional Checker extension that splits Check at the crash
-// context, so a memo's runs judge an image already mounted without mounting
-// it again (observe.go). Observe reads the mounted state, a function of the
-// image alone (never of the RunEnv), into an immutable Observation that
-// aliases nothing of fs; it may intern bytes through in. Judge is the
-// prefix-pure verdict in a context; Probe runs the image-only checks due
-// after a passing judgement and may change fs. Check must equal Observe,
-// Judge, then Probe; all must be safe for concurrent calls.
-type Observer interface {
-	Checker
 	Observe(fs vfs.FS, in *Interner) Observation
 	Judge(o Observation, cctx *CheckContext) *Finding
 	Probe(fs vfs.FS, o Observation) *Finding
 }
 
-// Observation is an Observer's reading of one image; Bytes is the memory it
+// Observation is a Checker's reading of one image; Bytes is the memory it
 // holds beyond what it interned.
 type Observation interface{ Bytes() int }
-
-// CrashPointPreparer is an optional Checker extension: the engine calls
-// PrepareCrashPoint on the goroutine walking the trace, once per crash point,
-// before any of that point's states is checked, so the checker can precompute
-// a shared, immutable view (e.g. the oracle snapshot of oracle_checker.go)
-// instead of re-deriving it inside every Check call. A runner started after
-// the call sees what it published through the goroutine start; a Check
-// abandoned at an earlier crash point may still be reading an older view, so
-// anything PrepareCrashPoint builds must be published by replacement and
-// treated as frozen from then on. A checker used outside an engine run is
-// never prepared, so implementations must also work without preparation
-// (build-per-call), with byte-identical verdicts.
-type CrashPointPreparer interface {
-	PrepareCrashPoint(cctx *CheckContext)
-}
 
 // RunEnv is the per-workload context a CheckerFactory builds its Checker
 // from: everything the engine learned in the oracle and record passes.

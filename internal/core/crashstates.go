@@ -104,12 +104,6 @@ type checker struct {
 	devSize   int
 	basePages *pmem.PageSet
 
-	// prep is the contract's optional per-crash-point hook (nil when the
-	// contract has none): the owner calls it once per fence before checking
-	// that fence's states, so they share one immutable snapshot instead of
-	// each rebuilding the oracle-visible view.
-	prep CrashPointPreparer
-
 	// spansCoalesced counts raw write spans merged away during dedup
 	// keying (owner-only; mapped to obs.CtrSpansCoalesced at run end).
 	spansCoalesced int64
@@ -118,11 +112,10 @@ type checker struct {
 	memo memoWalk
 
 	// The observation table (observe.go), nil when the run shares no mounts;
-	// the contract as an Observer; the rig's hasher, valid at hashGen.
-	table    *obsTable
-	observer Observer
-	hasher   *imageHasher
-	hashGen  int64
+	// the rig's hasher, valid at hashGen.
+	table   *obsTable
+	hasher  *imageHasher
+	hashGen int64
 
 	// baseGen is the generation of the walk's working image: the
 	// walk accumulates fence-applied writes into advAccum (baseDirty set)
@@ -470,12 +463,6 @@ func (ck *checker) enumerate(sys int) {
 		fence: ctx.fence, inFlight: n, states: len(distinct), deduped: dedupedHere,
 		filtered: len(full) - n, truncated: truncated, coalesced: ck.spansCoalesced - coalesced,
 	})
-
-	// One immutable oracle snapshot per crash point, shared by every state
-	// checked at it (nil when the contract has none).
-	if ck.prep != nil && len(distinct) > 0 {
-		ck.prep.PrepareCrashPoint(ctx.check())
-	}
 	c.cctx, c.rank, c.inFlight, c.deduped = ctx, 0, n, dedupedHere
 	c.stage = stageFence
 }

@@ -110,8 +110,8 @@ func TestDeltaMaterializeMatchesFullCopyUnderFaults(t *testing.T) {
 	fullCopyRecheck(t, "faults", Config{NewFS: novaFS(bugs.None()), Faults: fc, Obs: obs.New()}, mixedWorkload())
 }
 
-// scribblePanicFS writes the device's last byte — on a page no recorded
-// write touches — and then panics in Mount.
+// scribblePanicFS, on its first mount, writes the device's last byte — on
+// a page no recorded write touches — and then panics in Mount.
 type scribblePanicFS struct {
 	vfs.FS
 	pm     *persist.PM
@@ -119,16 +119,18 @@ type scribblePanicFS struct {
 }
 
 func (f scribblePanicFS) Mount() error {
-	f.mounts.Add(1)
+	if f.mounts.Add(1) > 1 {
+		return f.FS.Mount()
+	}
 	f.pm.Store(f.pm.Size()-1, []byte{0xFF})
 	panic("scribbled, then crashed")
 }
 
 // TestDeltaMaterializePanicForfeitsImage: a guest that scribbles outside the
-// run's pages and panics poisons its image, and an engine panic then unwinds
-// RunContext with the runner's image mid-state. Neither image may be
-// recycled: a byte outside the pages would survive every later cold prime,
-// which copies only set pages.
+// run's pages and panics poisons its image, and an engine panic after the
+// next state's check then unwinds the run. Neither image may be recycled: a
+// byte outside the pages would survive every later cold prime, which copies
+// only set pages.
 func TestDeltaMaterializePanicForfeitsImage(t *testing.T) {
 	var mounts atomic.Int32
 	cfg := Config{
@@ -137,16 +139,16 @@ func TestDeltaMaterializePanicForfeitsImage(t *testing.T) {
 		},
 		CheckRetries: -1,
 		Checker: func(env RunEnv) Checker {
-			return &prepPanicChecker{Checker: NewOracleChecker(env)}
+			return bytesPanicChecker{NewOracleChecker(env)}
 		},
 	}
 	var recovered any
 	func() {
 		defer func() { recovered = recover() }()
-		RunContext(context.Background(), cfg, renameWorkload())
+		NewPrefixMemo().Run(context.Background(), cfg, renameWorkload())
 	}()
-	if recovered != "prepare-crash-point bug" {
-		t.Fatalf("recovered %v, want the PrepareCrashPoint panic value", recovered)
+	if recovered != "observation-bytes bug" {
+		t.Fatalf("recovered %v, want the Observation.Bytes panic value", recovered)
 	}
 	if mounts.Load() == 0 {
 		t.Fatal("no guest scribbled before the engine panic")

@@ -487,13 +487,12 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 		Obs:          col,
 	})
 	cbegin := tr.Begin()
-	prep, _ := contract.(CrashPointPreparer)
-	ck := &checker{ctx: ctx, cfg: cfg, caps: caps, w: w, contract: contract, prep: prep, res: res,
+	ck := &checker{ctx: ctx, cfg: cfg, caps: caps, w: w, contract: contract, res: res,
 		obs: col, journal: cfg.Journal,
 		tracer: tr, checkSpan: tr.ID("check", w.Name, 0, 0),
 		runID: runIDs.Add(1), memo: memoWalk{m: c.memo, op: -1}}
-	if ob, ok := contract.(Observer); ok && c.memo != nil && !cfg.Faults.Enabled() {
-		ck.table, ck.observer = &c.memo.table, ob
+	if c.memo != nil && !cfg.Faults.Enabled() {
+		ck.table = &c.memo.table
 	}
 	// A guest phase the run abandoned may still read the log: it is left
 	// to it, with the fork points that index into it.

@@ -2,12 +2,14 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"hash/maphash"
 	"sync"
 	"time"
 	"unsafe"
 
 	"chipmunk/internal/obs"
+	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
 )
 
@@ -17,8 +19,8 @@ import (
 // The check order is kept — mount, observation, judgement, then the probe
 // after a passing judgement — so an entry whose judgement failed holds no
 // probe result and cannot pass a state, which is mounted again. Nothing is
-// stored with faults on, for a contract that is no Observer, or from a guest
-// phase that panicked, timed out or was abandoned.
+// stored with faults on or from a guest phase that panicked, timed out or
+// was abandoned.
 
 // obsTableBytes bounds a table's entries and interned contents; a full
 // table still serves. obsEntryBytes is an entry's or a string's overhead.
@@ -201,17 +203,27 @@ func (t *obsTable) store(key imageHash, e *obsEntry) {
 	}
 }
 
-// checkObserved is checkState through the run's table, if it has one: a
-// state the slot's entry settles in this context is judged from it,
-// anything else is mounted and observed, leaving the entry in sl.kept.
-func (ck *checker) checkObserved(sl *slot, dev *pmem.Device, ctx crashCtx, mountStart time.Time) (*Violation, time.Time) {
-	if ck.table == nil {
-		return ck.checkState(dev, ctx, mountStart)
-	}
+// checkState checks one crash state under the run's correctness contract
+// (§3.3). A state the slot's table entry settles in this context is judged
+// from the entry. Anything else is mounted on dev — a failed mount is
+// classified here, as recovery itself failing is a bug no contract needs to
+// see — observed, judged, and probed after a passing judgement; with a
+// table, the entry is left in sl.kept. The device is this call's private,
+// just-rebooted view of the crash image (optionally carrying an attached
+// fault injector), so checkState is goroutine-safe; it normally runs under
+// the sandbox's guard (sandbox.go), which converts guest panics, media
+// faults, and hangs into classified outcomes.
+//
+// The stage windows tile so the -stats sum tracks wall-clock: mountStart is
+// an already-open mount window (opened by the caller before arming the
+// guard), and the returned checkStart is the open check window, closed by
+// the caller after the lease is settled and the image restored. Both are
+// the zero time when observability is off.
+func (ck *checker) checkState(sl *slot, dev *pmem.Device, ctx crashCtx, mountStart time.Time) (v *Violation, checkStart time.Time) {
 	if e := sl.hit; e != nil {
 		f := e.mount
 		if f == nil {
-			f = ck.observer.Judge(e.o, ctx.check())
+			f = ck.contract.Judge(e.o, ctx.check())
 		}
 		// An entry without a probe result cannot pass a state.
 		if f != nil || e.probed {
@@ -222,16 +234,29 @@ func (ck *checker) checkObserved(sl *slot, dev *pmem.Device, ctx crashCtx, mount
 			return ck.finding(ctx, f), mountStart
 		}
 	}
-	fs, f, ct := ck.mount(dev, mountStart)
-	e := &obsEntry{mount: f}
-	sl.kept = e
-	if f != nil {
-		return ck.finding(ctx, f), ct
+	fs := ck.cfg.NewFS(persist.New(dev))
+	err := fs.Mount()
+	ck.obs.ObserveSince(obs.StageMount, mountStart)
+	checkStart = ck.obs.Start()
+	var e obsEntry
+	var f *Finding
+	if err != nil {
+		f = &Finding{Kind: VUnmountable, Detail: fmt.Sprintf("mount failed: %v", err)}
+		e.mount = f
+	} else {
+		var in *Interner
+		if ck.table != nil {
+			in = &ck.table.Interner
+		}
+		e.o = ck.contract.Observe(fs, in)
+		if f = ck.contract.Judge(e.o, ctx.check()); f == nil {
+			f = ck.contract.Probe(fs, e.o)
+			e.probed, e.probe = true, f
+		}
 	}
-	e.o = ck.observer.Observe(fs, &ck.table.Interner)
-	if f = ck.observer.Judge(e.o, ctx.check()); f == nil {
-		f = ck.observer.Probe(fs, e.o)
-		e.probed, e.probe = true, f
+	if ck.table != nil {
+		kept := e // a copy, so the table-less path allocates no entry
+		sl.kept = &kept
 	}
-	return ck.finding(ctx, f), ct
+	return ck.finding(ctx, f), checkStart
 }

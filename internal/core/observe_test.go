@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"chipmunk/internal/ace"
 	"chipmunk/internal/bugs"
@@ -121,14 +123,6 @@ func TestStateHashMatchesImageHash(t *testing.T) {
 // call's last fence's full set was observed there without a probe.
 type judgeMidOnly struct{ *oracleChecker }
 
-func (j judgeMidOnly) Check(fs vfs.FS, cctx *CheckContext) *Finding {
-	o := j.Observe(fs, nil)
-	if f := j.Judge(o, cctx); f != nil {
-		return f
-	}
-	return j.Probe(fs, o)
-}
-
 func (j judgeMidOnly) Judge(o Observation, cctx *CheckContext) *Finding {
 	if cctx.Phase == PhaseMid {
 		return &Finding{Kind: VAtomicity, Detail: "mid"}
@@ -172,6 +166,67 @@ func TestObservationWithoutProbeIsMountedAgain(t *testing.T) {
 	}
 	if served == 0 {
 		t.Fatal("no observation served: the comparison is vacuous")
+	}
+}
+
+// hangOnceJudge is an oracle contract whose first failing judgement hangs
+// until the supervisor has abandoned it and started the replacement
+// runner, then returns — while that runner backs off before the retry.
+type hangOnceJudge struct {
+	Checker
+	runners func() int64
+	hung    atomic.Bool
+}
+
+func (h *hangOnceJudge) Judge(o Observation, cctx *CheckContext) *Finding {
+	f := h.Checker.Judge(o, cctx)
+	if f != nil && h.hung.CompareAndSwap(false, true) {
+		for end := time.Now().Add(10 * time.Second); h.runners() < 2 && time.Now().Before(end); {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	return f
+}
+
+// TestObservationNotStoredFromAbandonedPhase: a guest phase the supervisor
+// abandoned stores nothing in the observation table, even when it returns
+// before the state's retry looks there: the retry mounts the image again.
+// The run must equal the memo-less one but for the retry, and mount once
+// more than an unstalled run through a memo, serving as many observations.
+func TestObservationNotStoredFromAbandonedPhase(t *testing.T) {
+	ctx := context.Background()
+	cfg := Config{NewFS: novaFS(bugs.AllSet()), CheckTimeout: takeoverTimeout, Obs: obs.New()}
+	w := renameWorkload()
+	want := mustRun(t, cfg, w)
+	plain, err := NewPrefixMemo().Run(ctx, cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h *hangOnceJudge
+	cfg.Checker = func(env RunEnv) Checker {
+		h = &hangOnceJudge{Checker: NewOracleChecker(env), runners: func() int64 {
+			s := env.Obs.Snapshot()
+			return s.Count(obs.CtrSandboxRunners)
+		}}
+		return h
+	}
+	got, err := NewPrefixMemo().Run(ctx, cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !h.hung.Load() || got.RetriedChecks != 1 || len(got.Quarantined) != 0 {
+		t.Fatalf("hung %v, %d retried, %d quarantined; want a hang, 1, 0", h.hung.Load(), got.RetriedChecks, len(got.Quarantined))
+	}
+	same := *got
+	same.RetriedChecks = want.RetriedChecks
+	sameResult(t, w.Name, want, &same)
+	mounts := func(r *Result) int64 { return r.Obs.Stage(obs.StageMount).Count }
+	if g, p := mounts(got), mounts(plain); g != p+1 {
+		t.Errorf("%d guest mounts with the hang, %d without; want one more", g, p)
+	}
+	served := func(r *Result) int64 { return r.Obs.Count(obs.CtrObservationsServed) }
+	if g, p := served(got), served(plain); g != p || p == 0 {
+		t.Errorf("%d observations served with the hang, %d without; want the same, not 0", g, p)
 	}
 }
 

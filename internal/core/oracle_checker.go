@@ -22,15 +22,10 @@ import (
 type oracleChecker struct {
 	env RunEnv
 
-	// snaps caches per-syscall oracle snapshots, keyed by syscall index and
-	// published copy-on-write: PrepareCrashPoint (walker-only, called
-	// before a crash point's states are checked) stores a NEW map holding
-	// the old entries plus the new one, so concurrent — and even abandoned —
-	// Check calls keep reading whichever map they loaded. Snapshots are
-	// immutable after build; a Check call that finds no cached entry (the
-	// engine skipped preparation, or a bare test checker) builds its own
-	// throwaway snapshot, which is exactly the pre-snapshot per-call cost.
-	snaps atomic.Value // map[int]*oracleSnapshot
+	// snaps holds each op's oracle snapshot, built by the first Judge at a
+	// crash point inside the op and never replaced, so concurrent — and
+	// even abandoned — judges of that point read one immutable value.
+	snaps []atomic.Pointer[oracleSnapshot]
 }
 
 // oracleSnapshot is the frozen oracle-visible view of one mid-syscall crash
@@ -38,8 +33,8 @@ type oracleChecker struct {
 // pre- and post-op oracle paths with the per-path facts checkAtomic needs —
 // presence, file states, whether the op modifies the path, and whether a
 // pre/post byte mix is legal there. All fields are read-only after
-// buildSnapshot returns (the copy-on-write invariant PrepareCrashPoint's
-// publication relies on); per-state data stays in checkAtomic's locals.
+// buildSnapshot returns (the invariant concurrent judges rely on);
+// per-state data stays in checkAtomic's locals.
 type oracleSnapshot struct {
 	sys           int
 	paths         []string
@@ -53,30 +48,14 @@ type oracleSnapshot struct {
 // NewOracleChecker builds the default FS-oracle contract — what
 // Config.Checker == nil resolves to.
 func NewOracleChecker(env RunEnv) Checker {
-	return &oracleChecker{env: env}
+	return &oracleChecker{env: env, snaps: make([]atomic.Pointer[oracleSnapshot], len(env.OracleStates))}
 }
 
 func (oc *oracleChecker) Name() string { return "fs-oracle" }
 
 // captureScratches recycles crash-state capture storage across checks and
-// runs. Safe because the capture never escapes Check: every consumer (Diff,
-// checkAtomic, usability) reduces it to verdict strings before returning.
+// runs. Safe because Observe copies the capture out before returning it.
 var captureScratches = sync.Pool{New: func() any { return new(vfs.Scratch) }}
-
-// Check applies the oracle contract to one mounted crash state. Safe for
-// concurrent calls: it only reads the run's frozen RunEnv.
-func (oc *oracleChecker) Check(fs vfs.FS, cctx *CheckContext) *Finding {
-	scr := captureScratches.Get().(*vfs.Scratch)
-	defer captureScratches.Put(scr)
-	st, err := vfs.CaptureWith(fs, scr)
-	if err != nil {
-		return &Finding{Kind: VUnreadable, Detail: fmt.Sprintf("reading recovered state failed: %v", err)}
-	}
-	if f := oc.judge(st, cctx); f != nil {
-		return f
-	}
-	return probe(fs, st)
-}
 
 // oracleObservation is the recovered state, or why it could not be read.
 type oracleObservation struct {
@@ -87,7 +66,7 @@ type oracleObservation struct {
 
 func (o *oracleObservation) Bytes() int { return o.bytes }
 
-// Observe implements Observer: it copies a capture out of its pooled
+// Observe implements Checker: it copies a capture out of its pooled
 // scratch, directory entries into one block, file contents interned.
 func (oc *oracleChecker) Observe(fs vfs.FS, in *Interner) Observation {
 	scr := captureScratches.Get().(*vfs.Scratch)
@@ -115,74 +94,48 @@ func (oc *oracleChecker) Observe(fs vfs.FS, in *Interner) Observation {
 	return o
 }
 
-// Judge implements Observer: readability, then synchrony or atomicity.
+// Judge implements Checker: readability, then synchrony after a call or
+// atomicity inside one.
 func (oc *oracleChecker) Judge(o Observation, cctx *CheckContext) *Finding {
 	ob := o.(*oracleObservation)
 	if ob.failed != nil {
 		return ob.failed
 	}
-	return oc.judge(ob.st, cctx)
-}
-
-// Probe implements Observer: the usability probe.
-func (oc *oracleChecker) Probe(fs vfs.FS, o Observation) *Finding {
-	return probe(fs, o.(*oracleObservation).st)
-}
-
-// judge checks synchrony after a call, atomicity inside one.
-func (oc *oracleChecker) judge(st vfs.State, cctx *CheckContext) *Finding {
 	switch cctx.Phase {
 	case PhasePost:
 		if cctx.AckedOps >= 0 && cctx.AckedOps < len(oc.env.OracleStates) {
-			if d := vfs.Diff(st, oc.env.OracleStates[cctx.AckedOps]); d != "" {
+			if d := vfs.Diff(ob.st, oc.env.OracleStates[cctx.AckedOps]); d != "" {
 				return &Finding{Kind: VSynchrony, Detail: d}
 			}
 		}
 	case PhaseMid:
-		if detail := oc.checkAtomic(st, cctx); detail != "" {
+		if detail := oc.checkAtomic(ob.st, cctx); detail != "" {
 			return &Finding{Kind: VAtomicity, Detail: detail}
 		}
 	}
 	return nil
 }
 
-func probe(fs vfs.FS, st vfs.State) *Finding {
-	if detail := usability(fs, st); detail != "" {
+// Probe implements Checker: the usability probe.
+func (oc *oracleChecker) Probe(fs vfs.FS, o Observation) *Finding {
+	if detail := usability(fs, o.(*oracleObservation).st); detail != "" {
 		return &Finding{Kind: VUsability, Detail: detail}
 	}
 	return nil
 }
 
-// PrepareCrashPoint implements CrashPointPreparer: it builds and publishes
-// the crash point's oracle snapshot before any of its states is checked.
-// Walker-only; fences inside the same syscall reuse the entry.
-func (oc *oracleChecker) PrepareCrashPoint(cctx *CheckContext) {
-	if cctx.Phase != PhaseMid || cctx.Sys < 0 || cctx.Sys+1 >= len(oc.env.OracleStates) {
-		return
-	}
-	old, _ := oc.snaps.Load().(map[int]*oracleSnapshot)
-	if _, ok := old[cctx.Sys]; ok {
-		return
-	}
-	next := make(map[int]*oracleSnapshot, len(old)+1)
-	for k, v := range old {
-		next[k] = v
-	}
-	next[cctx.Sys] = oc.buildSnapshot(cctx.Sys)
-	oc.snaps.Store(next)
-}
-
-// snapshotFor returns the crash point's prepared snapshot, or builds a
-// throwaway one when none was published (a checker used outside an engine
-// run) — the per-check cost, with the identical verdict.
+// snapshotFor returns the crash point's snapshot, building it if this is
+// the point's first judgement. A judge that loses the race to store it
+// uses its own, identical copy.
 func (oc *oracleChecker) snapshotFor(cctx *CheckContext) *oracleSnapshot {
-	if m, _ := oc.snaps.Load().(map[int]*oracleSnapshot); m != nil {
-		if s, ok := m[cctx.Sys]; ok {
-			oc.env.Obs.Inc(obs.CtrOracleSnapshotHits)
-			return s
-		}
+	p := &oc.snaps[cctx.Sys]
+	if s := p.Load(); s != nil {
+		oc.env.Obs.Inc(obs.CtrOracleSnapshotHits)
+		return s
 	}
-	return oc.buildSnapshot(cctx.Sys)
+	s := oc.buildSnapshot(cctx.Sys)
+	p.CompareAndSwap(nil, s)
+	return s
 }
 
 // buildSnapshot derives one syscall's frozen oracle view: the sorted

@@ -119,19 +119,26 @@ func TestCoalescedApplyMatchesPerStore(t *testing.T) {
 	})
 }
 
-// unpreparedChecker hides its contract's PrepareCrashPoint, so the engine
-// publishes no oracle snapshot and every check builds its own view.
-type unpreparedChecker struct{ Checker }
+// perCheckOracle judges every state with a fresh oracle contract, so every
+// judgement builds its own oracle view.
+type perCheckOracle struct {
+	Checker
+	env RunEnv
+}
+
+func (p perCheckOracle) Judge(o Observation, cctx *CheckContext) *Finding {
+	return NewOracleChecker(p.env).Judge(o, cctx)
+}
 
 // TestOracleSnapshotMatchesPerCheck: sharing one frozen oracle snapshot per
 // crash point must produce verdicts byte-identical to rebuilding the
 // pre/post view inside every check.
 func TestOracleSnapshotMatchesPerCheck(t *testing.T) {
 	legacyMatrix(t, func(c *Config) {
-		c.Checker = func(env RunEnv) Checker { return unpreparedChecker{NewOracleChecker(env)} }
+		c.Checker = func(env RunEnv) Checker { return perCheckOracle{NewOracleChecker(env), env} }
 	}, func(name string, old *Result) {
 		if h := old.Obs.Count(obs.CtrOracleSnapshotHits); h != 0 {
-			t.Fatalf("%s: the unprepared checker hit the snapshot cache %d times", name, h)
+			t.Fatalf("%s: the per-check oracle hit the snapshot cache %d times", name, h)
 		}
 	})
 }
@@ -191,9 +198,9 @@ func TestBufferReuseMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestOracleSnapshotShared: on an engine run the coordinator prepares each
-// crash point's snapshot before dispatch, so every mid-syscall check is a
-// cache hit — the counter that proves the sharing actually engages.
+// TestOracleSnapshotShared: on an engine run a crash point's first
+// judgement builds its snapshot and every later one there is a cache hit —
+// the counter that proves the sharing actually engages.
 func TestOracleSnapshotShared(t *testing.T) {
 	col := obs.New()
 	res := mustRun(t, Config{NewFS: novaFS(bugs.None()), Obs: col}, mixedWorkload())
@@ -203,9 +210,9 @@ func TestOracleSnapshotShared(t *testing.T) {
 	}
 }
 
-// TestOracleSnapshotImmutable: a prepared snapshot must be bitwise unchanged
+// TestOracleSnapshotImmutable: a stored snapshot must be bitwise unchanged
 // by the checks that consume it — including violating ones — and the
-// prepared verdict must equal the fresh (unprepared) checker's verdict.
+// verdict from it must equal a fresh checker's verdict.
 func TestOracleSnapshotImmutable(t *testing.T) {
 	pre := vfs.State{
 		"/":  dirState("/", "a", "b"),
@@ -216,12 +223,11 @@ func TestOracleSnapshotImmutable(t *testing.T) {
 	post["/a"] = fileState("/a", "new", 1)
 	op := workload.Op{Kind: workload.OpPwrite, Path: "/a", FDSlot: -1, Size: 3}
 
-	prepared := newAtomChecker(op, pre, post, true)
+	shared := newAtomChecker(op, pre, post, true)
 	ctx := crashCtx{phase: PhaseMid, sys: 0}.check()
-	prepared.PrepareCrashPoint(ctx)
-	snap := prepared.snaps.Load().(map[int]*oracleSnapshot)[0]
-	if snap == nil {
-		t.Fatal("PrepareCrashPoint published no snapshot")
+	snap := shared.snapshotFor(ctx)
+	if shared.snaps[0].Load() != snap {
+		t.Fatal("the crash point's first snapshot was not stored")
 	}
 	frozen := *snap
 	frozenPre := append([]vfs.FileState(nil), snap.pre...)
@@ -245,10 +251,10 @@ func TestOracleSnapshotImmutable(t *testing.T) {
 		}(),
 	}
 	for i, crash := range crashes {
-		got := prepared.checkAtomic(crash, ctx)
+		got := shared.checkAtomic(crash, ctx)
 		want := fresh.checkAtomic(crash, ctx)
 		if got != want {
-			t.Errorf("crash %d: prepared verdict %q != fresh verdict %q", i, got, want)
+			t.Errorf("crash %d: shared verdict %q != fresh verdict %q", i, got, want)
 		}
 	}
 
@@ -268,11 +274,10 @@ func TestOracleSnapshotImmutable(t *testing.T) {
 		}
 	}
 
-	// Preparing the same crash point again must be a no-op on the published
-	// map (same snapshot pointer — no rebuild).
-	prepared.PrepareCrashPoint(ctx)
-	if again := prepared.snaps.Load().(map[int]*oracleSnapshot)[0]; again != snap {
-		t.Error("re-preparing an already-prepared crash point rebuilt the snapshot")
+	// A later judgement at the same crash point must reuse the stored
+	// snapshot (same pointer — no rebuild).
+	if again := shared.snapshotFor(ctx); again != snap {
+		t.Error("a later judgement at the crash point rebuilt the snapshot")
 	}
 }
 
@@ -286,8 +291,10 @@ func (*stubGuest) Mount() error { return nil }
 
 type stubContract struct{}
 
-func (stubContract) Name() string                         { return "stub" }
-func (stubContract) Check(vfs.FS, *CheckContext) *Finding { return nil }
+func (stubContract) Name() string                              { return "stub" }
+func (stubContract) Observe(vfs.FS, *Interner) Observation     { return nil }
+func (stubContract) Judge(Observation, *CheckContext) *Finding { return nil }
+func (stubContract) Probe(vfs.FS, Observation) *Finding        { return nil }
 
 // hotLoopChecker builds a bare checker plus a replayed-write log shaped like
 // one fence: overlapping and disjoint in-flight stores over a pool-sized
@@ -389,7 +396,7 @@ func TestCheckLoopZeroAlloc(t *testing.T) {
 			}
 			dev := ck.slot.wi.dev
 			guest := testing.AllocsPerRun(20, func() {
-				ck.checkState(dev, crashCtx{phase: PhaseMid}, time.Time{})
+				ck.checkState(ck.slot, dev, crashCtx{phase: PhaseMid}, time.Time{})
 			})
 			allocs := testing.AllocsPerRun(20, func() {
 				runHotLoop(ck, base, log, subsets)

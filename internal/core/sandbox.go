@@ -51,7 +51,7 @@ import (
 // the paper makes when it shoots a wedged VM. Cancellation abandons a
 // running guest phase the same way and returns ctx.Err(); a runner between
 // guest phases notices by itself. Engine panics outside the guard
-// (enumeration, PrepareCrashPoint, fold) are caught at the runner's top
+// (enumeration, an observation's Bytes, fold) are caught at the runner's top
 // frame and re-raised by the supervisor on RunContext's caller.
 //
 // Outcome taxonomy:
@@ -563,7 +563,7 @@ func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx cr
 		res = attemptResult{panicked: true, panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
 	}()
 
-	v, ct := ck.checkObserved(sl, dev, cctx, mt)
+	v, ct := ck.checkState(sl, dev, cctx, mt)
 	// Undo the guest's mount-time mutations while still holding the lease,
 	// THEN settle: the caller reverts only the delta spans. If abandonment
 	// won the CAS the rollback was wasted work on a retired buffer — harmless.

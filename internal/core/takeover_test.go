@@ -33,7 +33,7 @@ func takeoverWorkload() workload.Workload { return heavyWorkload() }
 // phase of one crash state, named by its coordinates — a Mount ordinal would
 // name a different state for every worker count. hold == 0 hangs until
 // release is closed (test clean-up); otherwise the guest is slow, not hung,
-// and returns after hold. returned is closed when the stalled Check is back.
+// and returns after hold. returned is closed when the stalled Judge is back.
 // transient stalls only the first attempt at the state, so a retry succeeds.
 type stallChecker struct {
 	Checker
@@ -46,12 +46,12 @@ type stallChecker struct {
 	once        sync.Once
 }
 
-func (s *stallChecker) Check(fs vfs.FS, cctx *CheckContext) *Finding {
-	// The real check runs first and the stall last, so nothing after the
+func (s *stallChecker) Judge(o Observation, cctx *CheckContext) *Finding {
+	// The real judgement runs first and the stall last, so nothing after the
 	// stall synchronizes with another goroutine (the oracle checker's
-	// sync.Pool would): the race detector then sees the abandoned runner's
-	// way out with no accidental happens-before edge to hide behind.
-	f := s.Checker.Check(fs, cctx)
+	// snapshot store would): the race detector then sees the abandoned
+	// runner's way out with no accidental happens-before edge to hide behind.
+	f := s.Checker.Judge(o, cctx)
 	if cctx.Fence == s.fence && cctx.Rank == s.rank && (s.attempts.Add(1) == 1 || !s.transient) {
 		if s.hold > 0 {
 			time.Sleep(s.hold)
@@ -61,10 +61,6 @@ func (s *stallChecker) Check(fs vfs.FS, cctx *CheckContext) *Finding {
 		s.once.Do(func() { close(s.returned) })
 	}
 	return f
-}
-
-func (s *stallChecker) PrepareCrashPoint(cctx *CheckContext) {
-	s.Checker.(CrashPointPreparer).PrepareCrashPoint(cctx)
 }
 
 // stallAt returns a Config.Checker factory stalling at (fence, rank), and
@@ -353,17 +349,25 @@ func TestRetryBackoffHonoursCancel(t *testing.T) {
 	}
 }
 
-// prepPanicChecker panics in its second PrepareCrashPoint: the first runs on
-// the supervisor (the walk is still inline), the second on the runner.
-type prepPanicChecker struct {
-	Checker
-	calls int
+// bytesPanicChecker's observations panic in Bytes, which the observation
+// table calls as it stores one, after the guard settled: an engine panic
+// outside the guard, on the runner goroutine.
+type bytesPanicChecker struct{ Checker }
+
+type bytesPanicObservation struct{ Observation }
+
+func (bytesPanicObservation) Bytes() int { panic("observation-bytes bug") }
+
+func (p bytesPanicChecker) Observe(fs vfs.FS, in *Interner) Observation {
+	return bytesPanicObservation{p.Checker.Observe(fs, in)}
 }
 
-func (p *prepPanicChecker) PrepareCrashPoint(*CheckContext) {
-	if p.calls++; p.calls == 2 {
-		panic("prepare-crash-point bug")
-	}
+func (p bytesPanicChecker) Judge(o Observation, cctx *CheckContext) *Finding {
+	return p.Checker.Judge(o.(bytesPanicObservation).Observation, cctx)
+}
+
+func (p bytesPanicChecker) Probe(fs vfs.FS, o Observation) *Finding {
+	return p.Checker.Probe(fs, o.(bytesPanicObservation).Observation)
 }
 
 // TestEnginePanicSurfacesOnCaller: an engine panic outside the guard, on the
@@ -377,13 +381,13 @@ func TestEnginePanicSurfacesOnCaller(t *testing.T) {
 	func() {
 		defer func() { recovered = recover() }()
 		cfg := Config{NewFS: novaFS(bugs.None()), Checker: func(env RunEnv) Checker {
-			return &prepPanicChecker{Checker: NewOracleChecker(env)}
+			return bytesPanicChecker{NewOracleChecker(env)}
 		}}
-		_, err := RunContext(context.Background(), cfg, mixedWorkload())
-		t.Errorf("RunContext returned (err %v) past a panicking PrepareCrashPoint", err)
+		_, err := NewPrefixMemo().Run(context.Background(), cfg, mixedWorkload())
+		t.Errorf("the run returned (err %v) past a panicking Observation.Bytes", err)
 	}()
-	if recovered != "prepare-crash-point bug" {
-		t.Fatalf("recovered %v, want the PrepareCrashPoint panic value", recovered)
+	if recovered != "observation-bytes bug" {
+		t.Fatalf("recovered %v, want the Observation.Bytes panic value", recovered)
 	}
 	if err := CheckPooledPages(); err != nil {
 		t.Fatal(err)

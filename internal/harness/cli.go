@@ -10,10 +10,11 @@ import (
 	"chipmunk/internal/pmem"
 )
 
-// This file is the CLIs' single flag frontend: every flag shared by
-// cmd/chipmunk and cmd/experiments — engine tuning, application selection,
-// fault injection, output, and observability — binds through one BindCLI
-// call into one CLIOptions value. Lifecycle:
+// This file is the CLIs' single flag frontend: every shared flag — engine
+// tuning, application selection, fault injection, output, and
+// observability — binds through one BindCLI call into one CLIOptions value;
+// cmd/experiments, which builds its own engine configurations, binds only
+// the observability flags through BindObsCLI. Lifecycle:
 //
 //	cli := harness.BindCLI(flag.CommandLine)
 //	flag.Parse()
@@ -56,7 +57,7 @@ type CLIOptions struct {
 // for the default set), then Options and Instrument to resolve the parsed
 // values.
 func BindCLI(fl *flag.FlagSet) *CLIOptions {
-	c := &CLIOptions{}
+	c := BindObsCLI(fl)
 	fl.StringVar(&c.FS, "fs", "nova", "file system: nova, nova-fortis, pmfs, winefs, splitfs, ext4-dax, xfs-dax")
 	fl.StringVar(&c.Bugs, "bugs", "none", `injected bugs: "none", "all", or comma-separated IDs (e.g. "4,5")`)
 	fl.IntVar(&c.Cap, "cap", 0, "max in-flight writes replayed per crash state (0 = exhaustive)")
@@ -79,7 +80,13 @@ func BindCLI(fl *flag.FlagSet) *CLIOptions {
 	fl.IntVar(&c.Jobs, "j", 1, "suite-level workers (like the paper's VM sharding; 0 = all cores)")
 	fl.StringVar(&c.OutDir, "o", "", "write triaged bug reports and reproducers to this directory")
 	fl.BoolVar(&c.Verbose, "v", false, "print every violation")
+	return c
+}
 
+// BindObsCLI registers only the observability flags (-stats, -journal,
+// -debug-addr) on fl; Instrument resolves them.
+func BindObsCLI(fl *flag.FlagSet) *CLIOptions {
+	c := &CLIOptions{}
 	fl.BoolVar(&c.Stats, "stats", false,
 		"print the per-stage time/counter breakdown after the run")
 	fl.StringVar(&c.Journal, "journal", "",

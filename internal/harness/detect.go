@@ -3,6 +3,7 @@ package harness
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"chipmunk/internal/ace"
@@ -45,9 +46,10 @@ func (o DetectOptions) config(sys System, set bugs.Set) core.Config {
 	return cfg
 }
 
-// DetectWithTargeted checks whether the generic checker flags the bug on
-// its minimal reproduction workloads — the fast developer-loop validation.
-func DetectWithTargeted(id bugs.ID, opts DetectOptions) (Detection, error) {
+// detect scans for bug id on its system and times the scan: scan runs
+// workloads in order and hands each Result to see, which records it and
+// reports whether the bug was found (the scan then stops).
+func detect(id bugs.ID, opts DetectOptions, scan func(cfg core.Config, see func(*core.Result, workload.Workload) bool) error) (Detection, error) {
 	info, ok := bugs.Lookup(id)
 	if !ok {
 		return Detection{}, fmt.Errorf("unknown bug %d", id)
@@ -56,26 +58,37 @@ func DetectWithTargeted(id bugs.ID, opts DetectOptions) (Detection, error) {
 	if err != nil {
 		return Detection{}, err
 	}
-	cfg := opts.config(sys, bugs.Of(id))
 	det := Detection{Bug: info, System: sys.Name}
 	start := time.Now()
-	for _, w := range TargetedWorkloads(id) {
-		res, err := core.RunContext(context.Background(), cfg, w)
-		if err != nil {
-			return det, fmt.Errorf("bug %d workload %s: %w", id, w.Name, err)
-		}
+	err = scan(opts.config(sys, bugs.Of(id)), func(res *core.Result, w workload.Workload) bool {
 		det.Workloads++
 		det.StatesChecked += res.StatesChecked
-		if res.Buggy() {
-			det.Found = true
-			det.Via = w.Name
-			det.Kind = res.Violations[0].Kind
-			det.Phase = res.Violations[0].Phase
-			break
+		if !res.Buggy() {
+			return false
 		}
-	}
+		det.Found, det.Via = true, w.Name
+		det.Kind, det.Phase = res.Violations[0].Kind, res.Violations[0].Phase
+		return true
+	})
 	det.Elapsed = time.Since(start)
-	return det, nil
+	return det, err
+}
+
+// DetectWithTargeted checks whether the generic checker flags the bug on
+// its minimal reproduction workloads — the fast developer-loop validation.
+func DetectWithTargeted(id bugs.ID, opts DetectOptions) (Detection, error) {
+	return detect(id, opts, func(cfg core.Config, see func(*core.Result, workload.Workload) bool) error {
+		for _, w := range TargetedWorkloads(id) {
+			res, err := core.RunContext(context.Background(), cfg, w)
+			if err != nil {
+				return fmt.Errorf("bug %d workload %s: %w", id, w.Name, err)
+			}
+			if see(res, w) {
+				return nil
+			}
+		}
+		return nil
+	})
 }
 
 // VerifyFixedClean runs the bug's targeted workloads against the FIXED
@@ -105,90 +118,42 @@ func VerifyFixedClean(id bugs.ID, opts DetectOptions) ([]core.Violation, error) 
 // found, mirroring how the paper's ACE runs discover bugs. maxWorkloads
 // bounds the scan (0 = the full seq-1 + seq-2 + seq-3-metadata corpus).
 func DetectWithACE(id bugs.ID, maxWorkloads int, opts DetectOptions) (Detection, error) {
-	info, ok := bugs.Lookup(id)
-	if !ok {
-		return Detection{}, fmt.Errorf("unknown bug %d", id)
-	}
-	sys, err := BugSystem(info)
-	if err != nil {
-		return Detection{}, err
-	}
-	cfg := opts.config(sys, bugs.Of(id))
-	det := Detection{Bug: info, System: sys.Name}
-	start := time.Now()
-
-	// seq-1, seq-2 and seq-3-metadata are products over one op alphabet, so
-	// one memo serves the whole scan.
-	memo := core.NewPrefixMemo()
-	run := func(suite []workload.Workload) (bool, error) {
+	return detect(id, opts, func(cfg core.Config, see func(*core.Result, workload.Workload) bool) error {
+		suite := slices.Concat(ace.Seq1(), ace.Seq2(), ace.Seq3Metadata())
+		if maxWorkloads > 0 {
+			suite = suite[:min(maxWorkloads, len(suite))]
+		}
+		// seq-1, seq-2 and seq-3-metadata are products over one op alphabet,
+		// so one memo serves the whole scan.
+		memo := core.NewPrefixMemo()
 		for _, w := range suite {
-			if maxWorkloads > 0 && det.Workloads >= maxWorkloads {
-				return false, nil
-			}
 			res, err := memo.Run(context.Background(), cfg, w)
 			if err != nil {
-				return false, fmt.Errorf("bug %d on %s: %w", id, w.Name, err)
+				return fmt.Errorf("bug %d on %s: %w", id, w.Name, err)
 			}
-			det.Workloads++
-			det.StatesChecked += res.StatesChecked
-			if res.Buggy() {
-				det.Found = true
-				det.Via = w.Name
-				det.Kind = res.Violations[0].Kind
-				det.Phase = res.Violations[0].Phase
-				return true, nil
+			if see(res, w) {
+				return nil
 			}
 		}
-		return false, nil
-	}
-
-	for _, suite := range [][]workload.Workload{ace.Seq1(), ace.Seq2(), ace.Seq3Metadata()} {
-		found, err := run(suite)
-		if err != nil {
-			return det, err
-		}
-		if found {
-			break
-		}
-		if maxWorkloads > 0 && det.Workloads >= maxWorkloads {
-			break
-		}
-	}
-	det.Elapsed = time.Since(start)
-	return det, nil
+		return nil
+	})
 }
 
 // DetectWithFuzzer fuzzes until the bug is found or the exec budget runs
 // out, mirroring the paper's Syzkaller runs (cap 2, §4.2, when opts.Cap is
 // 2).
 func DetectWithFuzzer(id bugs.ID, seed int64, maxExecs int, opts DetectOptions) (Detection, error) {
-	info, ok := bugs.Lookup(id)
-	if !ok {
-		return Detection{}, fmt.Errorf("unknown bug %d", id)
-	}
-	sys, err := BugSystem(info)
-	if err != nil {
-		return Detection{}, err
-	}
-	cfg := opts.config(sys, bugs.Of(id))
-	det := Detection{Bug: info, System: sys.Name}
-	start := time.Now()
-	fz := fuzz.New(cfg, seed, nil)
-	for i := 0; i < maxExecs; i++ {
-		res, w, err := fz.Step()
-		if err != nil {
-			return det, err
+	return detect(id, opts, func(cfg core.Config, see func(*core.Result, workload.Workload) bool) error {
+		fz := fuzz.New(cfg, seed, nil)
+		for i := 0; i < maxExecs; i++ {
+			res, w, err := fz.Step()
+			if err != nil {
+				return err
+			}
+			if see(res, w) {
+				return nil
+			}
 		}
-		det.Workloads++
-		det.StatesChecked += res.StatesChecked
-		if res.Buggy() {
-			det.Found = true
-			det.Via = w.Name
-			det.Kind = res.Violations[0].Kind
-			det.Phase = res.Violations[0].Phase
-			break
-		}
-	}
-	det.Elapsed = time.Since(start)
-	return det, nil
+		return nil
+	})
 }

@@ -40,7 +40,7 @@ func stateDigest(st vfs.State) uint64 {
 // stateLedger wraps a contract to record every oracle state a run's RunEnv
 // holds, with its digest when the run's contract was built — before any of
 // its crash states was checked. With scribble, the contract also writes
-// into the first state of its run whenever it prepares or checks one.
+// into the first state of its run whenever it judges a crash state.
 type stateLedger struct {
 	mu       sync.Mutex
 	states   []vfs.State
@@ -83,22 +83,11 @@ type ledgerChecker struct {
 	scribble bool
 }
 
-func (c *ledgerChecker) PrepareCrashPoint(cctx *core.CheckContext) {
-	c.write()
-	if p, ok := c.Checker.(core.CrashPointPreparer); ok {
-		p.PrepareCrashPoint(cctx)
-	}
-}
-
-func (c *ledgerChecker) Check(fs vfs.FS, cctx *core.CheckContext) *core.Finding {
-	c.write()
-	return c.Checker.Check(fs, cctx)
-}
-
-func (c *ledgerChecker) write() {
+func (c *ledgerChecker) Judge(o core.Observation, cctx *core.CheckContext) *core.Finding {
 	if c.scribble {
 		c.env.OracleStates[0]["/scribble"] = vfs.FileState{Path: "/scribble"}
 	}
+	return c.Checker.Judge(o, cctx)
 }
 
 // TestPrefixForkOracleStatesReadOnly: the oracle states of a fork point's
@@ -107,8 +96,7 @@ func (c *ledgerChecker) write() {
 // not its own. Over a seq-2-dax slice on both forking systems, each run's
 // oracle states are hashed when its contract is built and again after the
 // Run; none may move, and some must have been shared. A contract that
-// writes into its first state from Check or PrepareCrashPoint must be
-// caught.
+// writes into its first state from Judge must be caught.
 func TestPrefixForkOracleStatesReadOnly(t *testing.T) {
 	suite := ace.Seq2Dax()[:240]
 	for _, name := range []string{"ext4-dax", "xfs-dax"} {
@@ -146,7 +134,10 @@ type renameChecker struct{ w workload.Workload }
 
 func (renameChecker) Name() string { return "rename-flag" }
 
-func (c renameChecker) Check(_ vfs.FS, cctx *core.CheckContext) *core.Finding {
+func (renameChecker) Observe(vfs.FS, *core.Interner) core.Observation { return nil }
+func (renameChecker) Probe(vfs.FS, core.Observation) *core.Finding    { return nil }
+
+func (c renameChecker) Judge(_ core.Observation, cctx *core.CheckContext) *core.Finding {
 	k := max(cctx.Sys+1, cctx.AckedOps)
 	for _, op := range c.w.Ops[:k] {
 		if op.Kind == workload.OpRename {

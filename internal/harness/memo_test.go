@@ -425,10 +425,6 @@ type prefixBound struct {
 
 func (p *prefixBound) Name() string { return "prefix-bound" }
 
-func (p *prefixBound) Check(fs vfs.FS, cctx *core.CheckContext) *core.Finding {
-	return p.cut(cctx).Check(fs, cctx)
-}
-
 // cut builds inner's contract from the RunEnv cut to cctx's prefix bound.
 func (p *prefixBound) cut(cctx *core.CheckContext) core.Checker {
 	k := max(cctx.Sys+1, cctx.AckedOps)
@@ -439,17 +435,16 @@ func (p *prefixBound) cut(cctx *core.CheckContext) core.Checker {
 	return p.inner(env)
 }
 
-// Observe, Judge and Probe make prefixBound an Observer when inner's
-// contract is one: the observation and the probe come from a contract that
-// sees no RunEnv, the judgement from one that sees the cut RunEnv.
+// The observation and the probe come from a contract that sees no RunEnv,
+// the judgement from one that sees the cut RunEnv.
 func (p *prefixBound) Observe(fs vfs.FS, in *core.Interner) core.Observation {
-	return p.inner(core.RunEnv{}).(core.Observer).Observe(fs, in)
+	return p.inner(core.RunEnv{}).Observe(fs, in)
 }
 
 func (p *prefixBound) Judge(o core.Observation, cctx *core.CheckContext) *core.Finding {
-	return p.cut(cctx).(core.Observer).Judge(o, cctx)
+	return p.cut(cctx).Judge(o, cctx)
 }
 
 func (p *prefixBound) Probe(fs vfs.FS, o core.Observation) *core.Finding {
-	return p.inner(core.RunEnv{}).(core.Observer).Probe(fs, o)
+	return p.inner(core.RunEnv{}).Probe(fs, o)
 }

@@ -17,9 +17,16 @@ func diffButObs(want, got *core.Result) string {
 	return resultDiff(&w, &g)
 }
 
-// unpreparedChecker hides its contract's PrepareCrashPoint, so the engine
-// publishes no oracle snapshot and every check builds its own view.
-type unpreparedChecker struct{ core.Checker }
+// perCheckOracle judges every state with a fresh oracle contract, so every
+// judgement builds its own oracle view.
+type perCheckOracle struct {
+	core.Checker
+	env core.RunEnv
+}
+
+func (p perCheckOracle) Judge(o core.Observation, cctx *core.CheckContext) *core.Finding {
+	return core.NewOracleChecker(p.env).Judge(o, cctx)
+}
 
 // TestPerfFastPathsMatchLegacyAllSystems: each perf fast path must reproduce
 // the path it replaced across all seven systems, on violating runs
@@ -28,7 +35,7 @@ type unpreparedChecker struct{ core.Checker }
 // buffers — must reproduce its engine-matrix golden, and equal in every
 // Result field a run applying each in-flight store individually (fault
 // injection's path, selected by a tear rate no write hits) and a run whose
-// checker rebuilds the oracle view in every check.
+// checker rebuilds the oracle view in every judgement.
 func TestPerfFastPathsMatchLegacyAllSystems(t *testing.T) {
 	// Each legacy run must leave its counter at zero: no fault injected, no
 	// shared snapshot consulted.
@@ -41,7 +48,7 @@ func TestPerfFastPathsMatchLegacyAllSystems(t *testing.T) {
 			c.Faults = &pmem.FaultConfig{Seed: 1, TearOneInN: math.MaxInt64}
 		}, obs.CtrFaultsInjected},
 		{"per-check-oracle", func(c *core.Config) {
-			c.Checker = func(env core.RunEnv) core.Checker { return unpreparedChecker{core.NewOracleChecker(env)} }
+			c.Checker = func(env core.RunEnv) core.Checker { return perCheckOracle{core.NewOracleChecker(env), env} }
 		}, obs.CtrOracleSnapshotHits},
 	}
 	for _, sys := range Systems() {

@@ -72,24 +72,51 @@ func (f *recordingFS) Mount() error {
 }
 
 // recordingChecker is the default oracle contract, recording each verdict
-// against the state its recordingFS mounted.
+// against the state its recordingFS mounted: the judgement with its
+// context, then the probe's finding if the judgement passed.
 type recordingChecker struct {
 	core.Checker
 	dr *directRecheck
 }
 
-func (c recordingChecker) PrepareCrashPoint(cctx *core.CheckContext) {
-	c.Checker.(core.CrashPointPreparer).PrepareCrashPoint(cctx)
+// recordedObservation carries the index of the state it was read from.
+type recordedObservation struct {
+	core.Observation
+	idx int
 }
 
-func (c recordingChecker) Check(fs vfs.FS, cctx *core.CheckContext) *core.Finding {
-	f := c.Checker.Check(fs, cctx)
+func (c recordingChecker) Observe(fs vfs.FS, in *core.Interner) core.Observation {
+	return recordedObservation{c.Checker.Observe(fs, in), fs.(*recordingFS).idx}
+}
+
+func (c recordingChecker) Judge(o core.Observation, cctx *core.CheckContext) *core.Finding {
+	r := o.(recordedObservation)
+	f := c.Checker.Judge(r.Observation, cctx)
 	c.dr.mu.Lock()
-	st := &c.dr.states[fs.(*recordingFS).idx]
+	st := &c.dr.states[r.idx]
 	st.checked, st.cctx, st.finding = true, *cctx, f
 	st.cctx.Subset = slices.Clone(cctx.Subset)
 	c.dr.mu.Unlock()
 	return f
+}
+
+func (c recordingChecker) Probe(fs vfs.FS, o core.Observation) *core.Finding {
+	r := o.(recordedObservation)
+	f := c.Checker.Probe(fs, r.Observation)
+	c.dr.mu.Lock()
+	c.dr.states[r.idx].finding = f
+	c.dr.mu.Unlock()
+	return f
+}
+
+// checkDirect applies c to a mounted state outside the engine: observe,
+// judge, then probe after a passing judgement.
+func checkDirect(c core.Checker, fs vfs.FS, cctx *core.CheckContext) *core.Finding {
+	o := c.Observe(fs, nil)
+	if f := c.Judge(o, cctx); f != nil {
+		return f
+	}
+	return c.Probe(fs, o)
 }
 
 // config routes cfg's crash-state mounts and checks through the recorder.
@@ -106,7 +133,7 @@ func (dr *directRecheck) config(cfg core.Config) core.Config {
 
 // verify mounts every recorded state on a fresh device, on the test's own
 // goroutine with no sandbox around it, and requires the mount outcome and
-// an unprepared oracle's finding to match what the sandboxed run recorded —
+// a fresh oracle's finding to match what the sandboxed run recorded —
 // and res, the sandboxed run's Result, to report one crash-state violation
 // per failed mount or finding.
 func (dr *directRecheck) verify(t *testing.T, name string, newFS func(*persist.PM) vfs.FS, res *core.Result) {
@@ -140,7 +167,7 @@ func (dr *directRecheck) verify(t *testing.T, name string, newFS func(*persist.P
 		case !st.checked:
 			t.Errorf("%s state %d: mounted in the sandbox but never checked", name, i)
 		default:
-			if f := oracle.Check(fs, &st.cctx); !reflect.DeepEqual(f, st.finding) {
+			if f := checkDirect(oracle, fs, &st.cctx); !reflect.DeepEqual(f, st.finding) {
 				t.Errorf("%s state %d (%+v): direct finding %+v, sandboxed %+v", name, i, st.cctx, f, st.finding)
 			}
 		}
