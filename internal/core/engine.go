@@ -413,7 +413,10 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 	targetResults := make([]workload.Result, 0, len(w.Ops))
 	if from != nil {
 		targetResults = append(targetResults, from.results...)
+	} else {
+		col.Inc(obs.CtrMkfs)
 	}
+	col.Add(obs.CtrOpsRecorded, int64(len(w.Ops)-len(targetResults)))
 	next = 0
 	markRecord := func(k int) {
 		if next < len(points) && points[next].depth == k {
@@ -422,6 +425,8 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 				pt.guest = f.Fork(c.pm)
 			}
 			pt.dev, pt.logLen, pt.logData = dev.Mark(), log.Len(), log.DataLen()
+			pt.pages = pmem.NewPageSet(int64(devSize))
+			pt.pages.Assign(rg.devPages)
 			next++
 		}
 	}

@@ -15,9 +15,10 @@ import (
 // shares the verdicts of an op prefix's crash points, a chain the work
 // before them. Its runs share one recording rig and one trace log. At an op
 // boundary a later run shares, a run leaves a fork point — the oracle and
-// the guest copied, the recording device marked in its undo log, the log's
-// length — and the later run restores it and oracles and records only its
-// suffix. The walk still replays the whole log from the post-Mkfs baseline.
+// the guest copied, the recording device marked in its undo log and its
+// page set copied, the log's length — and the later run restores it and
+// oracles and records only its suffix. The walk still replays the whole log
+// from the post-Mkfs baseline.
 // DESIGN.md ("Prefix memo") argues why a forked run returns the unforked
 // Result. A guest that is no vfs.Forker starts every run from Mkfs.
 
@@ -48,7 +49,8 @@ type forkPoint struct {
 	oracleResults []workload.Result
 	guest         vfs.FS // a Forker's copy, never run
 	dev           pmem.DeviceMark
-	logLen        int // the log's Len and DataLen
+	pages         *pmem.PageSet // the recording device's pages
+	logLen        int           // the log's Len and DataLen
 	logData       int
 	results       []workload.Result
 }
@@ -108,6 +110,8 @@ func (c *Chain) restore(from *forkPoint, size int, mark bool) (vfs.FS, error) {
 			copy(c.rg.baseline[e.Off:], c.rg.tmpl[e.Off:e.Off+int64(len(e.Data))])
 		}
 		c.rg.dev.Restore(from.dev)
+		// The rollback zeroed every page first written since the mark.
+		c.rg.devPages.Assign(from.pages)
 		c.log.Truncate(from.logLen, from.logData)
 		return from.guest.(vfs.Forker).Fork(c.pm), nil
 	}

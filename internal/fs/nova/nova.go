@@ -3,6 +3,8 @@ package nova
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/persist"
@@ -188,6 +190,37 @@ func (f *FS) Unmount() error {
 	return nil
 }
 
+// Fork implements vfs.Forker. File data lives on PM, never in DRAM, so the
+// copy takes the allocator bitmaps and every DRAM inode with its page map,
+// its entries and its log-page chain, and shares nothing. Only a
+// whole-device PM with no deferred per-syscall work pending forks.
+func (f *FS) Fork(pm persist.Space) vfs.FS {
+	p, isPM := pm.(*persist.PM)
+	descs, ok := f.descs.Fork()
+	if !ok || !isPM || len(f.lazyReplicas) > 0 || len(f.deferredCsums) > 0 {
+		return nil
+	}
+	g := *f
+	g.pm, g.descs = p, descs
+	alloc, ialloc := *f.alloc, *f.ialloc
+	alloc.used, ialloc.used = slices.Clone(alloc.used), slices.Clone(ialloc.used)
+	g.alloc, g.ialloc = &alloc, &ialloc
+	g.inodes = make(map[uint64]*dnode, len(f.inodes))
+	for ino, d := range f.inodes {
+		c := *d
+		c.pages, c.logPages = maps.Clone(d.pages), slices.Clone(d.logPages)
+		if d.dirents != nil {
+			c.dirents = make(map[string]*dirent, len(d.dirents))
+			for name, de := range d.dirents {
+				e := *de
+				c.dirents[name] = &e
+			}
+		}
+		g.inodes[ino] = &c
+	}
+	return &g
+}
+
 // child is the path walk's step (vfs.Walk): a directory the log scan found
 // damaged, or an entry whose inode is gone, is ErrIO.
 func (f *FS) child(d *dnode, name string) (*dnode, error) {
@@ -276,7 +309,10 @@ func (f *FS) Fsync(fd vfs.FD) error {
 // Sync implements vfs.FS (no-op for the same reason).
 func (f *FS) Sync() error { return nil }
 
-var _ vfs.FS = (*FS)(nil)
+var (
+	_ vfs.FS     = (*FS)(nil)
+	_ vfs.Forker = (*FS)(nil)
+)
 
 // OpenFDs implements vfs.FDCounter.
 func (f *FS) OpenFDs() int { return f.descs.OpenFDs() }

@@ -115,36 +115,46 @@ func memoCases(t *testing.T) []memoCase {
 	return cases
 }
 
-// forkCases run the forking systems over a seq-2-dax slice of nested op
-// prefixes — clean, faulted, and hostile — counting their Mkfs calls. The
-// engine matrix has no goldens for them: their reference is the unforked
-// loop alone.
+// forkCases run the forking systems over slices of nested op prefixes —
+// seq-2-dax on the DAX systems, seq-2 on NOVA and NOVA-Fortis — clean,
+// faulted, and hostile, and NOVA-Fortis with every bug, whose bugs 9 and 10
+// defer work to each syscall's end, counting their Mkfs calls. The engine
+// matrix has no goldens for them: their reference is the unforked loop
+// alone.
 func forkCases() []memoCase {
 	var cases []memoCase
-	for _, name := range []string{"ext4-dax", "xfs-dax"} {
+	add := func(name string, set bugs.Set, mode string, faults *pmem.FaultConfig, suite string, ws []workload.Workload) {
 		sys, _ := SystemByName(name)
-		for _, fm := range []struct {
-			name   string
-			faults *pmem.FaultConfig
-		}{{"clean", nil}, {"faults", pmem.DefaultFaults(5)}, {"hostile", nil}} {
-			cfg := Options{Bugs: bugs.None(), Faults: fm.faults, Obs: obs.New()}.ConfigFor(sys)
-			mkfs := new(atomic.Int64)
-			newFS := cfg.NewFS
-			hostile := fm.name == "hostile"
-			cfg.NewFS = func(pm *persist.PM) vfs.FS { return forkingFS{newFS(pm).(forkerFS), mkfs, hostile} }
-			if hostile {
-				cfg.CheckRetries = -1
-			}
-			cases = append(cases, memoCase{name: name + "/" + fm.name + "/seq2dax", cfg: cfg, suite: ace.Seq2Dax()[:240], mkfs: mkfs})
+		cfg := Options{Bugs: set, Faults: faults, Obs: obs.New()}.ConfigFor(sys)
+		mkfs := new(atomic.Int64)
+		newFS := cfg.NewFS
+		hostile := mode == "hostile"
+		cfg.NewFS = func(pm *persist.PM) vfs.FS { return forking(newFS(pm), mkfs, hostile) }
+		if hostile {
+			cfg.CheckRetries = -1
 		}
+		cases = append(cases, memoCase{name: name + "/" + mode + "/" + suite, cfg: cfg, suite: ws, shares: !sys.Weak, mkfs: mkfs})
 	}
+	for _, s := range []struct {
+		name, suite string
+		ws          []workload.Workload
+	}{
+		{"ext4-dax", "seq2dax", ace.Seq2Dax()[:240]},
+		{"xfs-dax", "seq2dax", ace.Seq2Dax()[:240]},
+		{"nova", "seq2", ace.Seq2()[:112]},
+		{"nova-fortis", "seq2", ace.Seq2()[:112]},
+	} {
+		add(s.name, bugs.None(), "clean", nil, s.suite, s.ws)
+		add(s.name, bugs.None(), "faults", pmem.DefaultFaults(5), s.suite, s.ws)
+		add(s.name, bugs.None(), "hostile", nil, s.suite, s.ws)
+	}
+	add("nova-fortis", bugs.AllSet(), "all-bugs", nil, "seq2", ace.Seq2()[:112])
 	return cases
 }
 
-// forkerFS is a forking guest with extended attributes: the DAX systems.
+// forkerFS is a forking guest.
 type forkerFS interface {
 	vfs.FS
-	vfs.XattrFS
 	vfs.Forker
 }
 
@@ -155,6 +165,19 @@ type forkingFS struct {
 	forkerFS
 	mkfs    *atomic.Int64
 	hostile bool
+}
+
+// forking wraps fs in a forkingFS that keeps fs's extended attributes, if
+// it has them (the DAX systems).
+func forking(fs vfs.FS, mkfs *atomic.Int64, hostile bool) vfs.FS {
+	f := forkingFS{fs.(forkerFS), mkfs, hostile}
+	if x, ok := fs.(vfs.XattrFS); ok {
+		return struct {
+			forkingFS
+			vfs.XattrFS
+		}{f, x}
+	}
+	return f
 }
 
 func (f forkingFS) Mkfs() error {
@@ -174,14 +197,14 @@ func (f forkingFS) Fork(pm persist.Space) vfs.FS {
 	if g == nil {
 		return nil
 	}
-	return forkingFS{g.(forkerFS), f.mkfs, f.hostile}
+	return forking(g, f.mkfs, f.hostile)
 }
 
 // TestPrefixMemoMatchesUnshared is the differential of the prefix memo and
 // of the fork chains: over every system, bug set and fault mode, and a
-// hostile guest, and seq-2-dax slices on the forking systems, Run —
-// serially, and over a seeded permutation with two workers — returns for
-// each workload exactly the Result a loop of memo-less, unforked
+// hostile guest, and seq-2 and seq-2-dax slices on the forking systems,
+// Run — serially, and over a seeded permutation with two workers — returns
+// for each workload exactly the Result a loop of memo-less, unforked
 // core.RunContext calls does. Only stage timings
 // and measurement-class counters may differ; a quarantined state's captured
 // stack is diagnostic and excluded.

@@ -1,10 +1,12 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"chipmunk/internal/ace"
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/core"
 	"chipmunk/internal/obs"
 )
 
@@ -16,6 +18,14 @@ import (
 // of the suite had already mounted: every case serves some, but a faulted
 // one, whose images are not stored, and a hostile one, whose checks all
 // panic.
+//
+// The permuted run is held only to the serving no schedule can change. An
+// image one workload repeats is stored before the repeat looks it up,
+// whichever worker runs it, so where a workload alone serves, the permuted
+// run must serve. An image only different workloads share (the DAX
+// systems') may be mounted by both workers at once and served by neither:
+// there the permuted run must serve, or mount more images than the serial
+// run, which mounted each image once.
 func TestObservationTableMatchesUnshared(t *testing.T) {
 	cases := memoCases(t)
 	for _, name := range []string{"nova", "pmfs", "winefs"} {
@@ -29,18 +39,42 @@ func TestObservationTableMatchesUnshared(t *testing.T) {
 	for i, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			for mode, got := range runShared(t, int64(i), c) {
-				var served int64
-				for _, res := range got {
-					served += res.Obs.Count(obs.CtrObservationsServed)
+			repeats := !c.cfg.Faults.Enabled() && !c.hostile
+			got := runShared(t, int64(i), c)
+			served, mounts := map[string]int64{}, map[string]int64{}
+			for mode, rs := range got {
+				for _, res := range rs {
+					served[mode] += res.Obs.Count(obs.CtrObservationsServed)
+					mounts[mode] += res.Obs.Stage(obs.StageMount).Count
 				}
-				switch repeats := !c.cfg.Faults.Enabled() && !c.hostile; {
-				case !repeats && served != 0:
-					t.Errorf("%s: %d observations served, want none", mode, served)
-				case repeats && served == 0:
-					t.Errorf("%s: no observation served", mode)
+				if !repeats && served[mode] != 0 {
+					t.Errorf("%s: %d observations served, want none", mode, served[mode])
 				}
+			}
+			switch {
+			case !repeats:
+			case served["serial"] == 0:
+				t.Error("serial: no observation served")
+			case served["j=2"] == 0 && servesAlone(t, c):
+				t.Error("j=2: no observation served, though a workload alone serves")
+			case served["j=2"] == 0 && mounts["j=2"] <= mounts["serial"]:
+				t.Errorf("j=2: no observation served, and %d mounts against the serial run's %d", mounts["j=2"], mounts["serial"])
 			}
 		})
 	}
+}
+
+// servesAlone reports whether a workload of c's suite, run alone on a memo
+// of its own, serves an observation: it repeats an image within its run.
+func servesAlone(t *testing.T, c memoCase) bool {
+	for _, w := range c.suite {
+		res, err := core.NewPrefixMemo().Run(context.Background(), c.cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Obs.Count(obs.CtrObservationsServed) > 0 {
+			return true
+		}
+	}
+	return false
 }

@@ -180,6 +180,12 @@ const (
 	// observation table without a mount: a run of the memo had mounted the
 	// same image. Measurement-class like CtrMemoServed.
 	CtrObservationsServed
+	// CtrMkfs counts guest Mkfs calls in record passes, and CtrOpsRecorded
+	// the ops the guest ran in them: a run that forks at an op prefix
+	// formats nothing and runs only its suffix. Measurement-class: which
+	// runs share a prefix depends on how the suite is cut over workers.
+	CtrMkfs
+	CtrOpsRecorded
 	numCounters
 )
 
@@ -212,6 +218,8 @@ var counterNames = [numCounters]string{
 
 	CtrMemoServed:         "memo-served",
 	CtrObservationsServed: "observations-served",
+	CtrMkfs:               "mkfs",
+	CtrOpsRecorded:        "ops-recorded",
 }
 
 func (c Counter) String() string {
@@ -233,7 +241,7 @@ func (c Counter) Deterministic() bool {
 		CtrBytesMaterialized, CtrBytesPrimed, CtrBytesRolledBack,
 		CtrShardsQuarantined, CtrOracleSnapshotHits,
 		CtrFuzzExecs, CtrCorpusEntries, CtrCoverageEdges, CtrDistinctBugs,
-		CtrMemoServed, CtrObservationsServed:
+		CtrMemoServed, CtrObservationsServed, CtrMkfs, CtrOpsRecorded:
 		return false
 	}
 	return true

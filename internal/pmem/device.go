@@ -62,7 +62,8 @@ type Device struct {
 	inflight   []InFlight
 
 	// dirty tracks cache lines holding store()d bytes that have not been
-	// flushed yet, so MissingFlushCheck and line-granular Flush work.
+	// flushed yet: DirtyUnflushedLines reports them, and Mark saves them
+	// for Restore.
 	dirty map[int64]struct{}
 
 	// faults, when non-nil, poisons cache lines: loads touching one panic

@@ -122,7 +122,10 @@ type FDCounter interface {
 // Forker is an optional interface: a model that copies its whole DRAM state
 // forks at an op boundary instead of running again from Mkfs. Fork returns
 // a model over pm, a device equal to f's now, that behaves as f would and
-// shares nothing with it; nil when f cannot fork (a descriptor is open).
+// shares nothing with it; nil when f cannot fork: a descriptor is open,
+// per-syscall deferred work is pending (never at an op boundary), or pm is
+// not the kind of space the model runs on (NOVA: a whole-device
+// *persist.PM).
 type Forker interface {
 	Fork(pm persist.Space) FS
 }
