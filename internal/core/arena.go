@@ -11,8 +11,8 @@ import (
 )
 
 // This file holds the allocation machinery behind the zero-alloc check loop:
-// per-fence bump arenas for the small per-state slices (subset indices,
-// merged spans, byte-diff keys) and a process-wide, size-keyed free list of
+// per-fence bump arenas for the small per-state slices (subset indices and
+// byte-diff keys) and a process-wide, size-keyed free list of
 // recording rigs and crash images, so steady-state runs recycle their
 // device-sized memory across fences, workloads, and engine runs instead of
 // reallocating it — and, through the page sets, clear and copy it at the
@@ -26,7 +26,7 @@ import (
 //     only read it, and run on the owner too, so every in-fence reader
 //     finishes before the next fence's reset.
 //     The one escape is an ABANDONED guest phase, whose crash context still
-//     points at its state's subset/spans/key and may be read indefinitely:
+//     points at its state's subset and may be read indefinitely:
 //     the checker counts abandonments and, instead of resetting, DROPS the
 //     arenas at the next fence when any occurred — the abandoned guest keeps
 //     its (now-private) blocks alive, and the owner starts clean. Reuse
@@ -144,7 +144,6 @@ type fenceScratch struct {
 	distinct  []crashState
 	subsetBuf []int
 	subArena  sliceArena[int]
-	spanArena sliceArena[span]
 	keyArena  sliceArena[byte]
 	keyBuf    []byte
 	spans     []span
@@ -182,7 +181,6 @@ func (ck *checker) loanScratch() *fenceScratch {
 	ck.distinct = s.distinct
 	ck.subsetBuf = s.subsetBuf
 	ck.subArena = s.subArena
-	ck.spanArena = s.spanArena
 	ck.keyArena = s.keyArena
 	ck.keyBuf = s.keyBuf
 	ck.spans = s.spans
@@ -203,7 +201,6 @@ func (ck *checker) returnScratch(s *fenceScratch) {
 	s.distinct = ck.distinct
 	s.subsetBuf = ck.subsetBuf
 	s.subArena = ck.subArena
-	s.spanArena = ck.spanArena
 	s.keyArena = ck.keyArena
 	s.keyBuf = ck.keyBuf
 	s.spans = ck.spans

@@ -6,7 +6,7 @@ import (
 )
 
 // finding builds the violation a failed check reports (nil: none).
-func (ck *checker) finding(ctx crashCtx, f *Finding) *Violation {
+func (ck *checker) finding(ctx *CheckContext, f *Finding) *Violation {
 	if f == nil {
 		return nil
 	}
@@ -38,16 +38,16 @@ func (ck *checker) recoveryReadSet(img []byte) (rs *persist.ReadSet) {
 }
 
 // violation builds (but does not record) the report for one failed check.
-func (ck *checker) violation(ctx crashCtx, kind ViolationKind, detail string) *Violation {
+func (ck *checker) violation(ctx *CheckContext, kind ViolationKind, detail string) *Violation {
 	return &Violation{
 		FS:       ck.caps.Name,
 		Workload: ck.w,
-		Syscall:  ctx.sys,
-		SysName:  ck.sysName(ctx.sys),
-		Phase:    ctx.phase,
+		Syscall:  ctx.Sys,
+		SysName:  ck.sysName(ctx.Sys),
+		Phase:    ctx.Phase,
 		// Cloned, not aliased: violations outlive the fence whose arena
-		// backs ctx.subset (see arena.go). Empty subsets stay nil.
-		Subset: append([]int(nil), ctx.subset...),
+		// backs ctx.Subset (see arena.go). Empty subsets stay nil.
+		Subset: append([]int(nil), ctx.Subset...),
 		Kind:   kind,
 		Detail: detail,
 	}
@@ -72,6 +72,6 @@ func (ck *checker) reportViolation(v Violation) {
 }
 
 // report records a violation for the given crash context (bounded).
-func (ck *checker) report(ctx crashCtx, kind ViolationKind, detail string) {
+func (ck *checker) report(ctx *CheckContext, kind ViolationKind, detail string) {
 	ck.reportViolation(*ck.violation(ctx, kind, detail))
 }

@@ -34,7 +34,7 @@ func TestCheckAtomicAcceptsPreAndPost(t *testing.T) {
 	post := vfs.State{"/": dirState("/", "a"), "/a": fileState("/a", "new", 1)}
 	op := workload.Op{Kind: workload.OpPwrite, Path: "/a", FDSlot: -1, Size: 3}
 	ck := newAtomChecker(op, pre, post, true)
-	ctx := crashCtx{phase: PhaseMid, sys: 0}.check()
+	ctx := &CheckContext{Phase: PhaseMid, Sys: 0}
 	if d := ck.checkAtomic(pre.Clone(), ctx); d != "" {
 		t.Fatalf("pre state rejected: %s", d)
 	}
@@ -49,7 +49,7 @@ func TestCheckAtomicRejectsMixedVersions(t *testing.T) {
 	post := vfs.State{"/": dirState("/", "new"), "/new": fileState("/new", "x", 1)}
 	op := workload.Op{Kind: workload.OpRename, Path: "/old", Path2: "/new"}
 	ck := newAtomChecker(op, pre, post, true)
-	ctx := crashCtx{phase: PhaseMid, sys: 0}.check()
+	ctx := &CheckContext{Phase: PhaseMid, Sys: 0}
 
 	both := vfs.State{
 		"/":    dirState("/", "new", "old"),
@@ -75,7 +75,7 @@ func TestCheckAtomicUntouchedFileMustNotChange(t *testing.T) {
 	post["/a"] = fileState("/a", "new", 1)
 	op := workload.Op{Kind: workload.OpPwrite, Path: "/a", FDSlot: -1, Size: 3}
 	ck := newAtomChecker(op, pre, post, true)
-	ctx := crashCtx{phase: PhaseMid, sys: 0}.check()
+	ctx := &CheckContext{Phase: PhaseMid, Sys: 0}
 
 	crash := post.Clone()
 	crash["/b"] = fileState("/b", "CORRUPTED", 1)
@@ -126,18 +126,18 @@ func TestMixAllowedOnlyForWritesOnNonAtomicFS(t *testing.T) {
 	rOp := workload.Op{Kind: workload.OpRename, Path: "/a", Path2: "/b"}
 
 	ckAtomic := newAtomChecker(wOp, pre, post, true)
-	if ckAtomic.mixAllowed(crashCtx{sys: 0}.check(), "/a") {
+	if ckAtomic.mixAllowed(&CheckContext{Sys: 0}, "/a") {
 		t.Error("mix allowed on atomic-write FS")
 	}
 	ckTorn := newAtomChecker(wOp, pre, post, false)
-	if !ckTorn.mixAllowed(crashCtx{sys: 0}.check(), "/a") {
+	if !ckTorn.mixAllowed(&CheckContext{Sys: 0}, "/a") {
 		t.Error("mix not allowed for write on non-atomic FS")
 	}
 	ckRename := newAtomChecker(rOp, pre, post, false)
-	if ckRename.mixAllowed(crashCtx{sys: 0}.check(), "/a") {
+	if ckRename.mixAllowed(&CheckContext{Sys: 0}, "/a") {
 		t.Error("mix allowed for rename")
 	}
-	if ckTorn.mixAllowed(crashCtx{sys: -1}.check(), "/a") {
+	if ckTorn.mixAllowed(&CheckContext{Sys: -1}, "/a") {
 		t.Error("mix allowed outside any syscall")
 	}
 }
@@ -150,7 +150,7 @@ func TestReportBounded(t *testing.T) {
 		res:  &Result{OpResults: []workload.Result{{Op: op}}},
 	}
 	for i := 0; i < maxViolationsPerRun+50; i++ {
-		ck.report(crashCtx{sys: 0}, VAtomicity, "x")
+		ck.report(&CheckContext{Sys: 0}, VAtomicity, "x")
 	}
 	if len(ck.res.Violations) != maxViolationsPerRun {
 		t.Fatalf("violations = %d", len(ck.res.Violations))

@@ -14,9 +14,11 @@ import (
 // internal/app/kvwork — receives exactly the same crash states and judges
 // them against the application's own acknowledgement semantics instead.
 
-// CheckContext describes one crash state to a Checker: when the simulated
-// crash happened relative to the workload's system calls, and the state's
-// replay coordinates.
+// CheckContext describes one crash state: when the simulated crash happened
+// relative to the workload's system calls, and the state's replay
+// coordinates. It is the engine's one coordinate record — the walk, the
+// sandbox, the prefix memo, the fault injector's salt and the quarantine
+// ledger all read it — and the Checker sees it as the engine holds it.
 type CheckContext struct {
 	// Phase says whether the crash interrupted a call (PhaseMid) or fell
 	// between calls (PhasePost).
@@ -71,8 +73,9 @@ type Finding struct {
 // goroutine while the replacement runner checks the following states.
 // Implementations must therefore be safe for concurrent calls — anything a
 // call caches for later ones is built once and never changed — and must not
-// retain fs past the call: the device behind it is rolled back and reused
-// as soon as the call returns.
+// retain fs or cctx past the call: the device behind fs is rolled back and
+// reused as soon as the call returns, and cctx is rewritten for the next
+// state.
 //
 // Judgements must be prefix-pure. harness.Run's prefix memo (memo.go) hands
 // the verdicts of a crash point in op s to every workload of the suite that
@@ -116,16 +119,3 @@ type RunEnv struct {
 // CheckerFactory builds the run's Checker. It is invoked once per workload,
 // after the oracle and record passes and before any crash state is checked.
 type CheckerFactory func(env RunEnv) Checker
-
-// check converts the engine's internal crash coordinates into the public
-// CheckContext handed to the run's Checker.
-func (c crashCtx) check() *CheckContext {
-	return &CheckContext{
-		Phase:    c.phase,
-		Sys:      c.sys,
-		AckedOps: c.oracleIdx,
-		Fence:    c.fence,
-		Rank:     c.rank,
-		Subset:   c.subset,
-	}
-}

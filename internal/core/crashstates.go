@@ -14,16 +14,6 @@ import (
 	"chipmunk/internal/workload"
 )
 
-// crashCtx says which crash point a state belongs to.
-type crashCtx struct {
-	phase     Phase
-	sys       int   // syscall index (-1 outside any call)
-	oracleIdx int   // index into checker.states used for comparison
-	subset    []int // replayed in-flight write indices (nil = all fenced)
-	fence     int   // 1-based fence ordinal (0 = post-syscall, no fence)
-	rank      int   // canonical rank among this crash point's distinct states
-}
-
 // maxViolationsPerRun bounds report memory; overflow is counted, never
 // silently dropped.
 const maxViolationsPerRun = 200
@@ -72,7 +62,7 @@ type checker struct {
 	cur cursor
 
 	// scratch is the owner-only buffer state-key computation materializes
-	// written ranges into.
+	// written ranges into; keyBuf and spans are its key and merge buffers.
 	scratch []byte
 	keyBuf  []byte
 	spans   []span
@@ -80,12 +70,11 @@ type checker struct {
 	// Per-fence scratch reused across fences (owner-only, see arena.go for
 	// the ownership protocol): the dedup map, the distinct state list, the
 	// subset recursion buffer, and the arenas behind every crash state's
-	// subset/spans/key.
+	// subset and key.
 	seen      map[string]struct{}
 	distinct  []crashState
 	subsetBuf []int
 	subArena  sliceArena[int]
-	spanArena sliceArena[span]
 	keyArena  sliceArena[byte]
 
 	// abandoned counts guest phases the supervisor walked away from
@@ -149,21 +138,18 @@ func (ck *checker) cancelled() error {
 type span struct{ lo, hi int64 }
 
 // crashState is one distinct crash state queued for checking: the replayed
-// in-flight subset, the merged byte spans its writes cover — the exact
-// spans stateKey computed during dedup, reused by the delta materializer as
-// the replay recipe (apply) and the restore recipe (revert) — and the
-// byte-diff dedup key itself. The key's (offset, length, bytes) runs are the
-// state's minimal diff against the fence base: when faults are off the
-// materializer applies and reverts exactly those runs, one copy per merged
-// run, and the quarantine digest hashes the key instead of re-deriving the
-// diff. All three slices are arena-backed and valid until the fence after
-// next begins (see arena.go). The zero value is a post-syscall state: empty
-// subset, no key, the base image itself.
+// in-flight subset and its byte-diff dedup key. The key's (offset, length,
+// bytes) runs are the state's minimal diff against the fence base, and so
+// its materialization recipe: the materializer applies and reverts exactly
+// those runs, one copy per merged run, and the quarantine digest hashes the
+// key instead of re-deriving the diff. Under fault injection the recipe is
+// the same key computed over torn write lengths (attempt). Both slices are
+// arena-backed and valid until the fence after next begins (see arena.go).
+// The zero value is a post-syscall state: empty subset, no key, the base
+// image itself.
 type crashState struct {
 	subset []int
-	spans  []span
 	key    string
-	keyed  bool
 }
 
 // walkStage says where inside log entry cur.idx the walk stands.
@@ -192,7 +178,7 @@ type cursor struct {
 
 	// The fence being checked (stageFence): its crash context, the next rank
 	// to check, and what the closing journal event and span report.
-	cctx       crashCtx
+	cctx       CheckContext
 	rank       int
 	inFlight   int
 	deduped    int
@@ -310,7 +296,7 @@ func (ck *checker) checkPoint(sl *slot, sys int) error {
 	if err := ck.cancelled(); err != nil {
 		return err
 	}
-	out, err := ck.checkOne(sl, c.img, c.log, crashState{}, crashCtx{phase: PhasePost, sys: sys, oracleIdx: sys + 1})
+	out, err := ck.checkOne(sl, c.img, c.log, crashState{}, CheckContext{Phase: PhasePost, Sys: sys, AckedOps: sys + 1})
 	if err != nil {
 		return err
 	}
@@ -324,13 +310,13 @@ func (ck *checker) fenceDone(sys, states int) {
 	c := &ck.cur
 	ck.journal.Emit(obs.Event{
 		Type: "fence", FS: ck.caps.Name, Workload: ck.w.Name,
-		Fence: c.cctx.fence, Sys: sys, Phase: c.cctx.phase.String(),
+		Fence: c.cctx.Fence, Sys: sys, Phase: c.cctx.Phase.String(),
 		InFlight: c.inFlight, States: states, Deduped: c.deduped,
 		DurNanos: sinceNanos(c.fenceStart),
 	})
 	ck.tracer.Span("fence", c.spanStart, ck.checkSpan, obs.Event{
 		FS: ck.caps.Name, Workload: ck.w.Name,
-		Fence: c.cctx.fence, Sys: sys, States: states,
+		Fence: c.cctx.Fence, Sys: sys, States: states,
 	})
 }
 
@@ -401,7 +387,7 @@ func (ck *checker) enumerate(sys int) {
 	}
 
 	ctx := fenceCtx(sys, c.lastDone)
-	ctx.fence = ck.res.Fences // enter increments before enumerating: 1-based
+	ctx.Fence = ck.res.Fences // enter increments before enumerating: 1-based
 
 	c.fenceStart = time.Time{}
 	if ck.journal != nil {
@@ -415,8 +401,8 @@ func (ck *checker) enumerate(sys int) {
 	// final combination — deduplicating as they are generated: each
 	// candidate's key is computed from the enumerator's shared recursion
 	// buffer, and only the distinct ones are saved (together with their
-	// merged write spans and diff key, which the delta materializer reuses
-	// as the replay and restore recipes). Duplicates cost one key
+	// diff key, which the delta materializer reuses as the replay and
+	// restore recipe). Duplicates cost one key
 	// computation and zero allocations; distinct states cost arena bumps,
 	// not per-state allocations. Rank order is the checking order.
 	//
@@ -429,7 +415,7 @@ func (ck *checker) enumerate(sys int) {
 	distinct := ck.distinct[:0]
 	dedupedHere := 0
 	admit := func(s []int) {
-		k := ck.stateKey(img, log, s)
+		k := ck.stateKey(img, log, s, nil)
 		if _, dup := seen[internKey(k)]; dup {
 			ck.res.StatesDeduped++
 			dedupedHere++
@@ -437,12 +423,7 @@ func (ck *checker) enumerate(sys int) {
 		}
 		key := internKey(ck.keyArena.save(k))
 		seen[key] = struct{}{}
-		distinct = append(distinct, crashState{
-			subset: ck.subArena.save(s),
-			spans:  ck.spanArena.save(ck.spans),
-			key:    key,
-			keyed:  true,
-		})
+		distinct = append(distinct, crashState{subset: ck.subArena.save(s), key: key})
 	}
 	coalesced := ck.spansCoalesced
 	// slices.Grow (not the cap builtin — shadowed by the subset-size cap
@@ -460,7 +441,7 @@ func (ck *checker) enumerate(sys int) {
 	ck.distinct = distinct
 	ck.obs.ObserveSince(obs.StageDedup, dt)
 	ck.recordPoint(memoPoint{
-		fence: ctx.fence, inFlight: n, states: len(distinct), deduped: dedupedHere,
+		fence: ctx.Fence, inFlight: n, states: len(distinct), deduped: dedupedHere,
 		filtered: len(full) - n, truncated: truncated, coalesced: ck.spansCoalesced - coalesced,
 	})
 	c.cctx, c.rank, c.inFlight, c.deduped = ctx, 0, n, dedupedHere
@@ -479,7 +460,7 @@ func (ck *checker) runChecks(sl *slot) error {
 			return err
 		}
 		cctx := c.cctx
-		cctx.rank = c.rank
+		cctx.Rank = c.rank
 		out, err := ck.checkOne(sl, c.img, c.log, ck.distinct[c.rank], cctx)
 		if err != nil {
 			return err
@@ -492,33 +473,39 @@ func (ck *checker) runChecks(sl *slot) error {
 // stateKey returns a canonical fingerprint of the crash image base+subset
 // materializes: the exact byte runs where that image differs from base,
 // encoded as (offset, length, bytes) records. Two subsets produce identical
-// crash images if and only if their keys are equal. The returned slice
-// aliases ck.keyBuf, valid until the next call — callers that keep a key
-// arena-save it first. Owner-only (it reuses ck.scratch).
-func (ck *checker) stateKey(base []byte, log *trace.Log, subset []int) []byte {
-	// Collect and coalesce the written intervals once; the merged spans are
-	// the materializer's replay recipe and the dedup scan's bounds.
+// crash images if and only if their keys are equal. With an injector each
+// write lands cut to its torn prefix, so the key is the faulted image's
+// recipe (the injector tears by trace seq alone, never by state); that pass
+// counts its tears, not its merged spans. The returned slice aliases
+// ck.keyBuf, valid until the next call — callers that keep a key arena-save
+// it first. Owner-only (it reuses ck.scratch).
+func (ck *checker) stateKey(base []byte, log *trace.Log, subset []int, inj *pmem.Injector) []byte {
+	// Materialize the written ranges into the scratch buffer, in program
+	// order (ascending log index — the same last-writer-wins order replay
+	// uses), and collect their intervals. Every byte of every merged span
+	// is covered by some write's extent — the spans ARE the union of those
+	// extents — so the applies fully overwrite the scanned region and no
+	// base pre-copy is needed: scratch bytes outside the spans are never
+	// read.
 	spans := ck.spans[:0]
 	for _, idx := range subset {
 		e := log.At(idx)
-		if len(e.Data) == 0 {
-			continue
+		n := len(e.Data)
+		if inj != nil {
+			if n = inj.TornPrefix(uint64(e.Seq), n); n < len(e.Data) {
+				ck.obs.Inc(obs.CtrFaultsInjected)
+			}
 		}
-		spans = append(spans, span{e.Off, e.Off + int64(len(e.Data))})
+		if n > 0 {
+			copy(ck.scratch[e.Off:], e.Data[:n])
+			spans = append(spans, span{e.Off, e.Off + int64(n)})
+		}
 	}
 	raw := len(spans)
 	merged := coalesceSpans(spans)
 	ck.spans = merged
-	ck.spansCoalesced += int64(raw - len(merged))
-
-	// Materialize the written ranges into the scratch buffer, in program
-	// order (ascending log index — the same last-writer-wins order replay
-	// uses). Every byte of every merged span is covered by some write's
-	// extent — the spans ARE the union of those extents — so the applies
-	// fully overwrite the scanned region and no base pre-copy is needed:
-	// scratch bytes outside the spans are never read.
-	for _, idx := range subset {
-		trace.Apply(ck.scratch, log.At(idx))
+	if inj == nil {
+		ck.spansCoalesced += int64(raw - len(merged))
 	}
 
 	// Emit the differing runs. Distinct merged spans are separated by at
@@ -568,8 +555,8 @@ func hasZeroByte(x uint64) bool {
 // coalesceSpans sorts spans by start and merges overlapping or touching
 // intervals in place, returning the merged prefix. Touching spans merge
 // (lo == hi), so distinct merged spans are always separated by at least one
-// byte no write covers — the invariant stateKey's per-span diff scan and the
-// coalesced apply/revert paths rely on.
+// byte no write covers — the invariant stateKey's per-span diff scan relies
+// on.
 func coalesceSpans(spans []span) []span {
 	if len(spans) < 2 {
 		return spans
@@ -601,20 +588,18 @@ func coalesceSpans(spans []span) []span {
 // arenas rewind and the dedup map clears in place (zero allocations in
 // steady state). If any guest phase was abandoned since the last fence,
 // the arenas are dropped instead — its goroutine may still be reading last
-// fence's subset/spans/key saves, and reusing their memory would race with
+// fence's subset/key saves, and reusing their memory would race with
 // it. Abandonments are rare (deterministic hangs, run
 // cancellation), so the steady state stays allocation-free.
 func (ck *checker) resetFenceScratch() {
 	if n := ck.abandoned.Load(); n != ck.abandonedSeen {
 		ck.abandonedSeen = n
 		ck.subArena.drop()
-		ck.spanArena.drop()
 		ck.keyArena.drop()
 		ck.seen = nil
 		ck.distinct = nil
 	} else {
 		ck.subArena.reset()
-		ck.spanArena.reset()
 		ck.keyArena.reset()
 	}
 	if ck.seen == nil {
@@ -641,11 +626,11 @@ func (ck *checker) commitBase() {
 
 // fenceCtx builds the crash context for a fence inside syscall sys (or
 // deferred work after lastDone).
-func fenceCtx(sys, lastDone int) crashCtx {
+func fenceCtx(sys, lastDone int) CheckContext {
 	if sys < 0 {
-		return crashCtx{phase: PhasePost, sys: lastDone, oracleIdx: lastDone + 1}
+		return CheckContext{Phase: PhasePost, Sys: lastDone, AckedOps: lastDone + 1}
 	}
-	return crashCtx{phase: PhaseMid, sys: sys, oracleIdx: sys}
+	return CheckContext{Phase: PhaseMid, Sys: sys, AckedOps: sys}
 }
 
 // combinations enumerates size-k subsets of pending[from:] recursively,

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +16,7 @@ import (
 	"chipmunk/internal/obs"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
+	"chipmunk/internal/trace"
 	"chipmunk/internal/vfs"
 	"chipmunk/internal/workload"
 )
@@ -103,11 +106,202 @@ func TestDeltaMaterializeMatchesFullCopy(t *testing.T) {
 // TestDeltaMaterializeMatchesFullCopyUnderFaults: with the fault injector
 // on, tears and bit flips must land identically on a recycled image and on
 // a cold full copy — the injector is a pure function of (seed, state
-// identity), and the per-store path's revert restores the torn spans and
-// the flipped byte.
+// identity), and revert restores the torn key's runs and the flipped byte.
 func TestDeltaMaterializeMatchesFullCopyUnderFaults(t *testing.T) {
 	fc := &pmem.FaultConfig{Seed: 11, TearOneInN: 2, FlipOneInN: 3}
 	fullCopyRecheck(t, "faults", Config{NewFS: novaFS(bugs.None()), Faults: fc, Obs: obs.New()}, mixedWorkload())
+}
+
+// refFS records like the file system it wraps and, on the check path,
+// mounts nothing, so its contract sees each crash image exactly as the
+// engine materialized it.
+type refFS struct {
+	vfs.FS
+	pm *persist.PM
+}
+
+func (refFS) Mount() error { return nil }
+
+// refImage is a crash image as refFS showed it to refContract.
+type refImage []byte
+
+func (refImage) Bytes() int { return 0 }
+
+// refContract rebuilds every crash state it is handed by a per-store
+// replay over its own recording of the workload: the fence's base, then
+// the subset's writes in program order, each cut to its torn prefix, then
+// the state's bit flip. The engine's image must equal it; so must the
+// engine's recipe applied to a primed image of the contract's own, and
+// reverting that recipe must give the base back. Checks run one at a time,
+// and a refFS guest never hangs, so no call overlaps another.
+type refContract struct {
+	t       *testing.T
+	name    string
+	fc      *pmem.FaultConfig
+	log     *trace.Log
+	fences  []int // log position of each fence, in ordinal order
+	ends    []int // log position of each op's end
+	base    []byte
+	pending []int
+	at      int // base holds what the walk persisted before log position at
+	states  int
+	tears   int
+	flips   int
+	ck      *checker
+	wi      *workerImage
+}
+
+func newRefContract(t *testing.T, name string, fc *pmem.FaultConfig, newFS func(*persist.PM) vfs.FS, w workload.Workload) *refContract {
+	dev := pmem.NewDevice(DefaultDevSize)
+	pm := persist.New(dev)
+	fs := newFS(pm)
+	if err := fs.Mkfs(); err != nil {
+		t.Fatal(err)
+	}
+	c := &refContract{t: t, name: name, fc: fc, log: trace.NewLog(), base: dev.CrashImage(),
+		ck: &checker{scratch: make([]byte, DefaultDevSize)}, wi: newWorkerImage(DefaultDevSize)}
+	pm.Attach(persist.NewRecorder(c.log))
+	workload.Resume(fs, w, nil, workload.Hooks{
+		Before: func(i int, op workload.Op) { c.log.BeginSyscall(i, op.String()) },
+		After:  func(i int, op workload.Op, _ error) { c.log.EndSyscall(i, op.String()) },
+	})
+	for i, e := range c.log.Entries() {
+		switch e.Kind {
+		case trace.KindFence:
+			c.fences = append(c.fences, i)
+		case trace.KindSyscallEnd:
+			c.ends = append(c.ends, i)
+		}
+	}
+	return c
+}
+
+func (c *refContract) Name() string { return "reference" }
+
+func (c *refContract) Observe(fs vfs.FS, _ *Interner) Observation {
+	pm := fs.(refFS).pm
+	img := make(refImage, pm.Size())
+	pm.Mem().Peek(0, img)
+	return img
+}
+
+func (c *refContract) Probe(vfs.FS, Observation) *Finding { return nil }
+
+func (c *refContract) Judge(o Observation, cctx *CheckContext) *Finding {
+	pos := c.ends[cctx.Sys]
+	if cctx.Fence > 0 {
+		pos = c.fences[cctx.Fence-1]
+	}
+	if pos < c.at {
+		c.t.Fatalf("%s: state %+v arrived after the walk passed it", c.name, *cctx)
+	}
+	// The base is every write some fence before pos persisted.
+	for ; c.at < pos; c.at++ {
+		switch e := c.log.At(c.at); {
+		case e.IsWrite():
+			c.pending = append(c.pending, c.at)
+		case e.Kind == trace.KindFence:
+			for _, idx := range c.pending {
+				trace.Apply(c.base, c.log.At(idx))
+			}
+			c.pending = c.pending[:0]
+		}
+	}
+	inj := c.ck.injector(cctx)
+	ref := slices.Clone(c.base)
+	sub := slices.Clone(cctx.Subset)
+	slices.Sort(sub)
+	for _, idx := range sub {
+		e := c.log.At(idx)
+		n := inj.TornPrefix(uint64(e.Seq), len(e.Data))
+		if n < len(e.Data) {
+			c.tears++
+		}
+		copy(ref[e.Off:], e.Data[:n])
+	}
+	if _, _, flipped := inj.FlipBit(ref); flipped {
+		c.flips++
+	}
+	c.states++
+	if !bytes.Equal(o.(refImage), ref) {
+		c.t.Errorf("%s: engine image of %+v differs from its per-store replay", c.name, *cctx)
+	}
+	copy(c.wi.img, c.base)
+	key := internKey(c.ck.stateKey(c.base, c.log, cctx.Subset, inj))
+	off, flipped := c.ck.applyDelta(c.wi, key, inj)
+	if !bytes.Equal(c.wi.img, ref) {
+		c.t.Errorf("%s: the recipe of %+v builds another image than its per-store replay", c.name, *cctx)
+	}
+	c.ck.revert(c.wi, c.base, key, off, flipped)
+	if !bytes.Equal(c.wi.img, c.base) {
+		c.t.Errorf("%s: reverting the recipe of %+v leaves the image off its base", c.name, *cctx)
+	}
+	return nil
+}
+
+// TestStateKeyTornWriteExposesEarlierWrite: when a later write over an
+// earlier one tears, the faulted key must show the earlier write's bytes
+// past the cut — the image replay in program order produces, which a key
+// built from untorn extents or from the later write alone would miss.
+func TestStateKeyTornWriteExposesEarlierWrite(t *testing.T) {
+	const size = 256
+	log := trace.NewLog()
+	log.Append(trace.KindNT, 64, bytes.Repeat([]byte{0xAA}, 32), "w")
+	log.Append(trace.KindNT, 64, bytes.Repeat([]byte{0xBB}, 32), "w")
+	var inj *pmem.Injector
+	cut := 0
+	for seed := uint64(1); inj == nil; seed++ {
+		in := pmem.NewInjector(&pmem.FaultConfig{Seed: seed, TearOneInN: 2}, 0)
+		if in.TornPrefix(0, 32) == 32 && in.TornPrefix(1, 32) < 32 {
+			inj, cut = in, in.TornPrefix(1, 32)
+		}
+	}
+	base := make([]byte, size)
+	want := slices.Clone(base)
+	copy(want[64:96], bytes.Repeat([]byte{0xAA}, 32))
+	copy(want[64:64+cut], bytes.Repeat([]byte{0xBB}, cut))
+	ck := &checker{scratch: make([]byte, size)}
+	key := string(ck.stateKey(base, log, []int{0, 1}, inj))
+	got := slices.Clone(base)
+	forEachKeyRun(key, func(off int64, data string) { copy(got[off:], data) })
+	if !bytes.Equal(got, want) {
+		t.Fatalf("torn key (cut %d) builds %x, want %x", cut, got[64:96], want[64:96])
+	}
+	if ck.spansCoalesced != 0 {
+		t.Fatalf("the torn pass counted %d coalesced spans", ck.spansCoalesced)
+	}
+}
+
+// TestDeltaMaterializeMatchesReference: under torn writes and bit flips,
+// every crash state the engine materializes from its one recipe — the diff
+// key over torn write lengths, plus the flip — must equal a per-store replay
+// built independently of the engine's keys, at every fence and after every
+// call, on two systems with every bug injected; and reverting the recipe
+// must restore the base.
+func TestDeltaMaterializeMatchesReference(t *testing.T) {
+	fc := &pmem.FaultConfig{Seed: 5, TearOneInN: 2, FlipOneInN: 3}
+	for _, sys := range []struct {
+		name  string
+		newFS func(bugs.Set) func(*persist.PM) vfs.FS
+	}{{"nova", novaFS}, {"pmfs", pmfsFS}} {
+		for _, w := range []workload.Workload{mixedWorkload(), renameWorkload()} {
+			name := sys.name + " " + w.Name
+			newFS := sys.newFS(bugs.AllSet())
+			c := newRefContract(t, name, fc, newFS, w)
+			c.ck.cfg.Faults = fc
+			res := mustRun(t, Config{
+				NewFS:   func(pm *persist.PM) vfs.FS { return refFS{newFS(pm), pm} },
+				Checker: func(RunEnv) Checker { return c },
+				Faults:  fc,
+			}, w)
+			if c.states != res.StatesChecked || c.states == 0 {
+				t.Errorf("%s: %d states compared, %d checked", name, c.states, res.StatesChecked)
+			}
+			if c.tears == 0 || c.flips == 0 {
+				t.Errorf("%s: %d tears and %d flips; the case must exercise both", name, c.tears, c.flips)
+			}
+		}
+	}
 }
 
 // scribblePanicFS, on its first mount, writes the device's last byte — on

@@ -129,7 +129,7 @@ func (ck *checker) serveMemo(sys, fence int) (bool, error) {
 	if fence > 0 {
 		c := &ck.cur
 		c.cctx = fenceCtx(sys, c.lastDone)
-		c.cctx.fence = fence
+		c.cctx.Fence = fence
 		c.inFlight, c.deduped = pt.inFlight, pt.deduped
 		c.fenceStart, c.spanStart = time.Time{}, time.Time{}
 		ck.fenceDone(sys, pt.states)
@@ -190,7 +190,7 @@ func (ck *checker) memoDiverged(sys int) error {
 // stripOutcome is an outcome as the memo stores it: no workload identity,
 // no arena-backed slices (violation and quarantine subsets are clones).
 func stripOutcome(out checkOutcome) checkOutcome {
-	out.ctx.subset = nil
+	out.ctx.Subset = nil
 	if out.v != nil {
 		v := *out.v
 		v.Workload = workload.Workload{}

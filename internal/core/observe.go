@@ -219,11 +219,11 @@ func (t *obsTable) store(key imageHash, e *obsEntry) {
 // guard), and the returned checkStart is the open check window, closed by
 // the caller after the lease is settled and the image restored. Both are
 // the zero time when observability is off.
-func (ck *checker) checkState(sl *slot, dev *pmem.Device, ctx crashCtx, mountStart time.Time) (v *Violation, checkStart time.Time) {
+func (ck *checker) checkState(sl *slot, dev *pmem.Device, ctx *CheckContext, mountStart time.Time) (v *Violation, checkStart time.Time) {
 	if e := sl.hit; e != nil {
 		f := e.mount
 		if f == nil {
-			f = ck.contract.Judge(e.o, ctx.check())
+			f = ck.contract.Judge(e.o, ctx)
 		}
 		// An entry without a probe result cannot pass a state.
 		if f != nil || e.probed {
@@ -249,7 +249,7 @@ func (ck *checker) checkState(sl *slot, dev *pmem.Device, ctx crashCtx, mountSta
 			in = &ck.table.Interner
 		}
 		e.o = ck.contract.Observe(fs, in)
-		if f = ck.contract.Judge(e.o, ctx.check()); f == nil {
+		if f = ck.contract.Judge(e.o, ctx); f == nil {
 			f = ck.contract.Probe(fs, e.o)
 			e.probed, e.probe = true, f
 		}

@@ -89,12 +89,12 @@ func TestStateHashMatchesImageHash(t *testing.T) {
 					sub = append(sub, idx)
 				}
 			}
-			key := string(ck.stateKey(ck.cur.img, log, sub))
+			key := string(ck.stateKey(ck.cur.img, log, sub, nil))
 			img := append([]byte(nil), ck.cur.img...)
 			for _, idx := range sub {
 				trace.Apply(img, log.At(idx))
 			}
-			if got, want := ck.stateHash(img, crashState{key: key, keyed: true}), hashImage(img); got != want {
+			if got, want := ck.stateHash(img, crashState{subset: sub, key: key}), hashImage(img); got != want {
 				t.Fatalf("%s: subset %v hashes to %x, want %x", when, sub, got, want)
 			}
 		}

@@ -21,10 +21,9 @@ import (
 	"chipmunk/internal/workload"
 )
 
-// TestCoalesceSpans pins the span-merging rules the dedup scan, the coalesced
-// apply, and the release path all rely on: sorted output, overlapping and
-// touching spans merged, contained spans absorbed, disjoint spans kept with
-// their gap intact.
+// TestCoalesceSpans pins the span-merging rules the dedup scan relies on:
+// sorted output, overlapping and touching spans merged, contained spans
+// absorbed, disjoint spans kept with their gap intact.
 func TestCoalesceSpans(t *testing.T) {
 	cases := []struct {
 		name string
@@ -103,12 +102,10 @@ func legacyMatrix(t *testing.T, legacy func(*Config), check func(name string, ol
 	}
 }
 
-// TestCoalescedApplyMatchesPerStore: materializing a crash state by copying
-// its coalesced diff runs must be byte-identical to replaying every in-flight
-// store individually — overlaps were already resolved last-writer-wins when
-// the key was computed. Fault injection is what routes a state through the
-// per-store path; a tear rate no write ever hits routes it there without
-// injecting anything.
+// TestCoalescedApplyMatchesPerStore: with faults on, each state's recipe is
+// its diff key recomputed over torn write lengths; at a tear rate no write
+// ever hits, that faulted key must equal the dedup key, so the run must
+// match the unfaulted one exactly and inject nothing.
 func TestCoalescedApplyMatchesPerStore(t *testing.T) {
 	legacyMatrix(t, func(c *Config) {
 		c.Faults = &pmem.FaultConfig{Seed: 1, TearOneInN: math.MaxInt64}
@@ -224,7 +221,7 @@ func TestOracleSnapshotImmutable(t *testing.T) {
 	op := workload.Op{Kind: workload.OpPwrite, Path: "/a", FDSlot: -1, Size: 3}
 
 	shared := newAtomChecker(op, pre, post, true)
-	ctx := crashCtx{phase: PhaseMid, sys: 0}.check()
+	ctx := &CheckContext{Phase: PhaseMid, Sys: 0}
 	snap := shared.snapshotFor(ctx)
 	if shared.snaps[0].Load() != snap {
 		t.Fatal("the crash point's first snapshot was not stored")
@@ -299,7 +296,7 @@ func (stubContract) Probe(vfs.FS, Observation) *Finding        { return nil }
 // hotLoopChecker builds a bare checker plus a replayed-write log shaped like
 // one fence: overlapping and disjoint in-flight stores over a pool-sized
 // device. It drives exactly the per-state hot path the engine's runner
-// executes — dedup keying, arena saves, prime, coalesced apply, arm → guard →
+// executes — dedup keying, arena saves, prime, key apply, arm → guard →
 // settle around a stub guest, rollback, revert — through checkOne, the same
 // entry point walk uses.
 func hotLoopChecker(col *obs.Collector) (ck *checker, base []byte, log *trace.Log, subsets [][]int) {
@@ -351,19 +348,14 @@ func hotLoopChecker(col *obs.Collector) (ck *checker, base []byte, log *trace.Lo
 func runHotLoop(ck *checker, base []byte, log *trace.Log, subsets [][]int) (states int) {
 	ck.resetFenceScratch()
 	for _, sub := range subsets {
-		k := ck.stateKey(base, log, sub)
+		k := ck.stateKey(base, log, sub, nil)
 		if _, dup := ck.seen[internKey(k)]; dup {
 			continue
 		}
 		key := internKey(ck.keyArena.save(k))
 		ck.seen[key] = struct{}{}
-		st := crashState{
-			subset: ck.subArena.save(sub),
-			spans:  ck.spanArena.save(ck.spans),
-			key:    key,
-			keyed:  true,
-		}
-		out, err := ck.checkOne(ck.slot, base, log, st, crashCtx{phase: PhaseMid, fence: 1, rank: states})
+		st := crashState{subset: ck.subArena.save(sub), key: key}
+		out, err := ck.checkOne(ck.slot, base, log, st, CheckContext{Phase: PhaseMid, Fence: 1, Rank: states})
 		if err != nil || out.v != nil {
 			panic(fmt.Sprintf("hot-loop check: outcome %+v, err %v", out, err))
 		}
@@ -394,9 +386,9 @@ func TestCheckLoopZeroAlloc(t *testing.T) {
 			for i := 0; i < 3; i++ { // warm arenas, the slot's image, dedup map
 				states = runHotLoop(ck, base, log, subsets)
 			}
-			dev := ck.slot.wi.dev
+			dev, cctx := ck.slot.wi.dev, &CheckContext{Phase: PhaseMid}
 			guest := testing.AllocsPerRun(20, func() {
-				ck.checkState(ck.slot, dev, crashCtx{phase: PhaseMid}, time.Time{})
+				ck.checkState(ck.slot, dev, cctx, time.Time{})
 			})
 			allocs := testing.AllocsPerRun(20, func() {
 				runHotLoop(ck, base, log, subsets)
@@ -500,30 +492,24 @@ func BenchmarkStateKey(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ck.stateKey(base, log, sub)
+		ck.stateKey(base, log, sub, nil)
 	}
 }
 
 // BenchmarkDeltaApplyRelease measures one crash state's materialize + restore
-// round trip on the coalesced path; allocs/op must read 0 once warm.
+// round trip from its diff key; allocs/op must read 0 once warm.
 func BenchmarkDeltaApplyRelease(b *testing.B) {
 	ck, base, log, subsets := hotLoopChecker(nil)
 	ck.resetFenceScratch()
 	sub := subsets[len(subsets)-1]
-	k := ck.stateKey(base, log, sub)
-	st := crashState{
-		subset: ck.subArena.save(sub),
-		spans:  ck.spanArena.save(ck.spans),
-		key:    internKey(ck.keyArena.save(k)),
-		keyed:  true,
-	}
+	key := internKey(ck.keyArena.save(ck.stateKey(base, log, sub, nil)))
 	wi := ck.grabImage()
 	ck.prime(wi, base, log)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ck.applyDelta(wi, log, st, nil, true)
-		ck.revert(wi, base, st, true, 0, false)
+		ck.applyDelta(wi, key, nil)
+		ck.revert(wi, base, key, 0, false)
 	}
 }
 

@@ -64,18 +64,19 @@ import (
 //
 // Crash-image materialization is O(diff), not O(device): a slot's image is
 // primed with the fence's base once per generation, each crash state is
-// materialized by applying only its subset's merged byte spans (the spans
-// stateKey already computed during dedup), and after the check the image is
-// restored — guest mount-time mutations via the device's undo log, the
-// delta spans by re-copying them from the base.
+// materialized by applying only its diff key's runs (the key stateKey
+// already computed during dedup, or its torn-length twin under faults) plus
+// an injected bit flip, and after the check the image is restored — guest
+// mount-time mutations via the device's undo log, the key runs and the
+// flipped byte by re-copying them from the base.
 
 // checkOutcome is what one checked crash state contributes to the result;
 // the runner folds it, in canonical rank order, via fold.
 type checkOutcome struct {
 	v       *Violation
 	q       *Quarantine
-	retried bool     // succeeded only after a retry (transient failure)
-	ctx     crashCtx // crash point identity, for journal attribution
+	retried bool         // succeeded only after a retry (transient failure)
+	ctx     CheckContext // crash point identity, for journal attribution
 }
 
 // attemptResult is the raw outcome of one guarded attempt.
@@ -115,8 +116,8 @@ func (ck *checker) fold(out checkOutcome) {
 		ck.res.RetriedChecks++
 		ck.journal.Emit(obs.Event{
 			Type: "retry", FS: ck.caps.Name, Workload: ck.w.Name,
-			Fence: out.ctx.fence, Sys: out.ctx.sys, Rank: out.ctx.rank,
-			Phase: out.ctx.phase.String(),
+			Fence: out.ctx.Fence, Sys: out.ctx.Sys, Rank: out.ctx.Rank,
+			Phase: out.ctx.Phase.String(),
 		})
 	}
 	if out.q != nil {
@@ -137,10 +138,10 @@ func (ck *checker) fold(out checkOutcome) {
 		ck.reportViolation(*out.v)
 		ck.journal.Emit(obs.Event{
 			Type: "violation", FS: ck.caps.Name, Workload: ck.w.Name,
-			Fence: out.ctx.fence, Sys: out.ctx.sys, Rank: out.ctx.rank,
+			Fence: out.ctx.Fence, Sys: out.ctx.Sys, Rank: out.ctx.Rank,
 			Phase: out.v.Phase.String(), Kind: out.v.Kind.String(),
 			Detail: firstLine(out.v.Detail),
-			Prefix: ck.tracePrefix(out.ctx.sys),
+			Prefix: ck.tracePrefix(out.ctx.Sys),
 		})
 	}
 }
@@ -184,6 +185,10 @@ type slot struct {
 	// kept for the life of the run (nil after a retire until the next state).
 	wi  *workerImage
 	try tryState
+	// cctx is the state's crash context, which its guest phase reads: a
+	// replacement runner gets a fresh slot, so an abandoned guest's copy is
+	// never rewritten under it.
+	cctx CheckContext
 	// The attempt's use of the observation table: its image's hash, the
 	// entry the table held for it, and the entry its guest phase made.
 	key       imageHash
@@ -361,12 +366,13 @@ func (ck *checker) startRunner(try tryState) {
 // quarantine on deterministic failure. The retry progress lives in sl.try, so
 // a replacement runner entering with attempts already recorded resumes at
 // the classification of the last one.
-func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState, cctx crashCtx) (checkOutcome, error) {
-	cctx.subset = st.subset
+func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState, cctx CheckContext) (checkOutcome, error) {
+	cctx.Subset = st.subset
+	sl.cctx = cctx
 	try := &sl.try
 	for resumed := try.attempts > 0; ; resumed = false {
 		if !resumed {
-			r := ck.attempt(sl, img, log, st, cctx)
+			r := ck.attempt(sl, img, log, st, &sl.cctx)
 			switch {
 			case r.lost:
 				return checkOutcome{}, errLost
@@ -387,7 +393,7 @@ func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState,
 			// modeled crash outcome, not a checker failure.
 			*try = tryState{}
 			ck.obs.Inc(obs.CtrFaultsInjected)
-			return checkOutcome{v: ck.violation(cctx, VUnreadable,
+			return checkOutcome{v: ck.violation(&cctx, VUnreadable,
 				fmt.Sprintf("reading recovered state failed: %v", last.media)), ctx: cctx}, nil
 		}
 		if attempts > ck.retries {
@@ -408,10 +414,10 @@ func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState,
 	}
 	q := &Quarantine{
 		Workload: ck.w.Name,
-		Fence:    cctx.fence,
-		Sys:      cctx.sys,
-		Phase:    cctx.phase,
-		Rank:     cctx.rank,
+		Fence:    cctx.Fence,
+		Sys:      cctx.Sys,
+		Phase:    cctx.Phase,
+		Rank:     cctx.Rank,
 		Subset:   append([]int(nil), st.subset...),
 		StateKey: stateDigest(img, st),
 		Kind:     kind,
@@ -419,7 +425,7 @@ func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState,
 		Stack:    last.stack,
 		Attempts: attempts,
 	}
-	return checkOutcome{v: ck.violation(cctx, kind, detail), q: q, ctx: cctx}, nil
+	return checkOutcome{v: ck.violation(&cctx, kind, detail), q: q, ctx: cctx}, nil
 }
 
 // sleep waits out a retry backoff, or returns the context's error as soon as
@@ -471,8 +477,8 @@ func newWorkerImage(size int) *workerImage {
 
 // attempt runs one check attempt on the calling runner: prime the slot's
 // image with the fence's base if its generation is stale, apply the crash
-// state's delta (subset writes and injected faults), then mount and check
-// under the guard. On a clean finish the delta is reverted and the image
+// state's delta (its key's runs and an injected bit flip), then mount and
+// check under the guard. On a clean finish the delta is reverted and the image
 // stays in the slot; a poisoned image is retired.
 //
 // Replay runs OUTSIDE the guard on purpose: only while the lease is running
@@ -482,7 +488,7 @@ func newWorkerImage(size int) *workerImage {
 // It is trusted engine code (no guest involvement), so only the guest-facing
 // mount/check phase needs containment; media-error panics are raised at read
 // time, inside that phase.
-func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, cctx crashCtx) attemptResult {
+func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, cctx *CheckContext) attemptResult {
 	rt := ck.obs.Start()
 	wi := sl.wi
 	if wi == nil {
@@ -490,13 +496,15 @@ func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, 
 		sl.wi = wi
 	}
 	inj := ck.injector(cctx)
-	// With faults off the state's diff key is its exact materialization
-	// recipe: apply (and later revert) each coalesced run once. Fault
-	// injection tears individual stores, so it must go through the
-	// per-store path — a torn prefix can differ from the diff runs.
-	coal := st.keyed && inj == nil
+	// The state's diff key is its exact materialization recipe. A faulted
+	// state's is the same key over its writes' torn prefixes; it aliases
+	// keyBuf, which nothing else on this runner writes before revert.
+	key := st.key
+	if inj != nil {
+		key = internKey(ck.stateKey(img, log, st.subset, inj))
+	}
 	ck.prime(wi, img, log)
-	flipOff, flipped := ck.applyDelta(wi, log, st, inj, coal)
+	flipOff, flipped := ck.applyDelta(wi, key, inj)
 	if ck.table != nil {
 		sl.key = ck.stateHash(wi.img, st)
 		sl.hit, sl.kept = ck.table.lookup(sl.key), nil
@@ -513,7 +521,7 @@ func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, 
 		// The guest's mutations are already rolled back; exactly the delta
 		// this attempt applied remains.
 		ck.obs.Add(obs.CtrBytesRolledBack, r.rolledBack)
-		ck.revert(wi, img, st, coal, flipOff, flipped)
+		ck.revert(wi, img, key, flipOff, flipped)
 	default:
 		sl.wi = nil
 		ck.obs.Inc(obs.CtrImagesRetired)
@@ -531,7 +539,7 @@ func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, 
 // run's contract, the undo rollback — on the calling runner under the slot's
 // lease. Arm, then settle: whoever wins the CAS on the armed word owns the
 // image and the checker afterwards. mt is the already-open mount window.
-func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx crashCtx, mt time.Time) (res attemptResult) {
+func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx *CheckContext, mt time.Time) (res attemptResult) {
 	armed := leaseRunning
 	if ck.timeout > 0 {
 		armed |= (ck.now() + int64(ck.timeout)) << leaseBits
@@ -565,7 +573,7 @@ func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx cr
 
 	v, ct := ck.checkState(sl, dev, cctx, mt)
 	// Undo the guest's mount-time mutations while still holding the lease,
-	// THEN settle: the caller reverts only the delta spans. If abandonment
+	// THEN settle: the caller reverts only the delta. If abandonment
 	// won the CAS the rollback was wasted work on a retired buffer — harmless.
 	rolledBack := undo.Rollback()
 	if !sl.lease.CompareAndSwap(armed, leaseClean) {
@@ -607,44 +615,22 @@ func (ck *checker) prime(wi *workerImage, base []byte, log *trace.Log) {
 	ck.obs.Add(obs.CtrBytesPrimed, n)
 }
 
-// applyDelta perturbs a primed image into one crash state. On the coalesced
-// path (faults off) the state's byte-diff key is the recipe: each merged
-// (offset, length, bytes) run lands on the unified image exactly once —
+// applyDelta perturbs a primed image into one crash state: each of key's
+// (offset, length, bytes) runs lands on the unified image exactly once —
 // overlapping stores were already resolved, last-writer-wins, when the key
-// was computed. Otherwise the subset's writes land per store in program
-// order (torn to a word-aligned prefix when the injector says so), then the
-// injected bit flip. The just-rebooted volatile == persistent invariant is
-// structural: the unified device serves both images from wi.img. Cost is
-// O(diff bytes) coalesced,
-// O(subset bytes) otherwise; both independent of device size.
-func (ck *checker) applyDelta(wi *workerImage, log *trace.Log, st crashState, inj *pmem.Injector, coal bool) (flipOff int64, flipped bool) {
-	if coal {
-		var n int64
-		forEachKeyRun(st.key, func(off int64, data string) {
-			copy(wi.img[off:off+int64(len(data))], data)
-			n += int64(len(data))
-		})
-		ck.obs.Add(obs.CtrBytesMaterialized, n)
-		return 0, false
-	}
+// was computed — then the injected bit flip, if any. The just-rebooted
+// volatile == persistent invariant is structural: the unified device serves
+// both images from wi.img. Cost is O(diff bytes), independent of device
+// size.
+func (ck *checker) applyDelta(wi *workerImage, key string, inj *pmem.Injector) (flipOff int64, flipped bool) {
 	var n int64
-	for _, idx := range st.subset {
-		e := log.At(idx)
-		if !e.IsWrite() {
-			continue
-		}
-		tn := inj.TornPrefix(uint64(e.Seq), len(e.Data))
-		if tn < len(e.Data) {
-			ck.obs.Inc(obs.CtrFaultsInjected)
-		}
-		copy(wi.img[e.Off:e.Off+int64(tn)], e.Data[:tn])
-		n += int64(tn)
-	}
-	if inj != nil {
-		if flipOff, _, flipped = inj.FlipBit(wi.img); flipped {
-			ck.obs.Inc(obs.CtrFaultsInjected)
-			n++
-		}
+	forEachKeyRun(key, func(off int64, data string) {
+		copy(wi.img[off:off+int64(len(data))], data)
+		n += int64(len(data))
+	})
+	if flipOff, _, flipped = inj.FlipBit(wi.img); flipped {
+		ck.obs.Inc(obs.CtrFaultsInjected)
+		n++
 	}
 	ck.obs.Add(obs.CtrBytesMaterialized, n)
 	return flipOff, flipped
@@ -652,29 +638,19 @@ func (ck *checker) applyDelta(wi *workerImage, log *trace.Log, st crashState, in
 
 // revert restores a cleanly-finished image to the fence's base. The guard
 // already rolled back the guest's mutations, so exactly the delta this
-// attempt applied remains. On the coalesced path only the key's diff runs
-// were written, so only those bytes are re-copied from the base — the
-// minimal restore. Otherwise the subset's merged spans are re-copied (the
-// spans over-approximate the diff) plus the flipped byte, which may land
-// outside every span; when it lands inside, the span copy has already
-// restored it and the second write is a same-value no-op. Either way the
-// image invariant (contents == base at wi.gen) holds afterward.
-func (ck *checker) revert(wi *workerImage, base []byte, st crashState, coal bool, flipOff int64, flipped bool) {
+// attempt applied remains: key's runs, re-copied from the base — the
+// minimal restore — and the flipped byte, which may land outside every run
+// (inside one, its second restore is a same-value no-op). The image
+// invariant (contents == base at wi.gen) holds afterward.
+func (ck *checker) revert(wi *workerImage, base []byte, key string, flipOff int64, flipped bool) {
 	var n int64
-	if coal {
-		forEachKeyRun(st.key, func(off int64, data string) {
-			copy(wi.img[off:off+int64(len(data))], base[off:off+int64(len(data))])
-			n += int64(len(data))
-		})
-	} else {
-		for _, s := range st.spans {
-			copy(wi.img[s.lo:s.hi], base[s.lo:s.hi])
-			n += s.hi - s.lo
-		}
-		if flipped {
-			wi.img[flipOff] = base[flipOff]
-			n++
-		}
+	forEachKeyRun(key, func(off int64, data string) {
+		copy(wi.img[off:off+int64(len(data))], base[off:off+int64(len(data))])
+		n += int64(len(data))
+	})
+	if flipped {
+		wi.img[flipOff] = base[flipOff]
+		n++
 	}
 	ck.obs.Add(obs.CtrBytesRolledBack, n)
 }
@@ -708,14 +684,14 @@ func beUint32(s string) uint32 {
 // The salt mixes the crash point's identity — fence ordinal, subset rank,
 // syscall, phase — so every state faults independently yet identically on
 // retry and on any runner.
-func (ck *checker) injector(cctx crashCtx) *pmem.Injector {
+func (ck *checker) injector(cctx *CheckContext) *pmem.Injector {
 	if !ck.cfg.Faults.Enabled() {
 		return nil
 	}
-	salt := uint64(cctx.fence)*0x100000001b3 ^
-		uint64(cctx.rank)*0x9e3779b97f4a7c15 ^
-		uint64(cctx.sys+2)<<1 ^
-		uint64(cctx.phase)
+	salt := uint64(cctx.Fence)*0x100000001b3 ^
+		uint64(cctx.Rank)*0x9e3779b97f4a7c15 ^
+		uint64(cctx.Sys+2)<<1 ^
+		uint64(cctx.Phase)
 	return pmem.NewInjector(ck.cfg.Faults, salt)
 }
 
@@ -724,7 +700,7 @@ func (ck *checker) injector(cctx crashCtx) *pmem.Injector {
 // dedup keys on, or of the whole image for a post-syscall state, which is
 // its base.
 func stateDigest(img []byte, st crashState) uint64 {
-	if st.keyed {
+	if len(st.subset) > 0 {
 		return fnv64a(st.key)
 	}
 	h := fnv.New64a()

@@ -46,10 +46,10 @@ func (o DetectOptions) config(sys System, set bugs.Set) core.Config {
 	return cfg
 }
 
-// detect scans for bug id on its system and times the scan: scan runs
-// workloads in order and hands each Result to see, which records it and
-// reports whether the bug was found (the scan then stops).
-func detect(id bugs.ID, opts DetectOptions, scan func(cfg core.Config, see func(*core.Result, workload.Workload) bool) error) (Detection, error) {
+// detect scans for bug id on its system and times the scan: scan runs its
+// workloads in order, stopping at the first violating one, and returns
+// what it ran and the violations it found in order.
+func detect(id bugs.ID, opts DetectOptions, scan func(cfg core.Config) (*Census, []core.Violation, error)) (Detection, error) {
 	info, ok := bugs.Lookup(id)
 	if !ok {
 		return Detection{}, fmt.Errorf("unknown bug %d", id)
@@ -60,35 +60,31 @@ func detect(id bugs.ID, opts DetectOptions, scan func(cfg core.Config, see func(
 	}
 	det := Detection{Bug: info, System: sys.Name}
 	start := time.Now()
-	err = scan(opts.config(sys, bugs.Of(id)), func(res *core.Result, w workload.Workload) bool {
-		det.Workloads++
-		det.StatesChecked += res.StatesChecked
-		if !res.Buggy() {
-			return false
-		}
-		det.Found, det.Via = true, w.Name
-		det.Kind, det.Phase = res.Violations[0].Kind, res.Violations[0].Phase
-		return true
-	})
+	c, viol, err := scan(opts.config(sys, bugs.Of(id)))
 	det.Elapsed = time.Since(start)
-	return det, err
+	if err != nil {
+		return det, fmt.Errorf("bug %d: %w", id, err)
+	}
+	det.Workloads, det.StatesChecked = c.Workloads, c.StatesChecked
+	if len(viol) > 0 {
+		v := viol[0]
+		det.Found, det.Via, det.Kind, det.Phase = true, v.Workload.Name, v.Kind, v.Phase
+	}
+	return det, nil
+}
+
+// scanSuite is a detect scan of suite through Run, which shares the memo
+// and forks of every suite run.
+func scanSuite(suite []workload.Workload) func(core.Config) (*Census, []core.Violation, error) {
+	return func(cfg core.Config) (*Census, []core.Violation, error) {
+		return Run(context.Background(), cfg, suite, WithStopOnFirstBug())
+	}
 }
 
 // DetectWithTargeted checks whether the generic checker flags the bug on
 // its minimal reproduction workloads — the fast developer-loop validation.
 func DetectWithTargeted(id bugs.ID, opts DetectOptions) (Detection, error) {
-	return detect(id, opts, func(cfg core.Config, see func(*core.Result, workload.Workload) bool) error {
-		for _, w := range TargetedWorkloads(id) {
-			res, err := core.RunContext(context.Background(), cfg, w)
-			if err != nil {
-				return fmt.Errorf("bug %d workload %s: %w", id, w.Name, err)
-			}
-			if see(res, w) {
-				return nil
-			}
-		}
-		return nil
-	})
+	return detect(id, opts, scanSuite(TargetedWorkloads(id)))
 }
 
 // VerifyFixedClean runs the bug's targeted workloads against the FIXED
@@ -102,58 +98,41 @@ func VerifyFixedClean(id bugs.ID, opts DetectOptions) ([]core.Violation, error) 
 	if err != nil {
 		return nil, err
 	}
-	cfg := opts.config(sys, bugs.None())
-	var out []core.Violation
-	for _, w := range TargetedWorkloads(id) {
-		res, err := core.RunContext(context.Background(), cfg, w)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, res.Violations...)
-	}
-	return out, nil
+	_, viol, err := Run(context.Background(), opts.config(sys, bugs.None()), TargetedWorkloads(id))
+	return viol, err
 }
 
 // DetectWithACE scans ACE workloads in generation order until the bug is
 // found, mirroring how the paper's ACE runs discover bugs. maxWorkloads
 // bounds the scan (0 = the full seq-1 + seq-2 + seq-3-metadata corpus).
+// seq-1, seq-2 and seq-3-metadata are products over one op alphabet, so
+// one Run's memo serves the whole scan.
 func DetectWithACE(id bugs.ID, maxWorkloads int, opts DetectOptions) (Detection, error) {
-	return detect(id, opts, func(cfg core.Config, see func(*core.Result, workload.Workload) bool) error {
-		suite := slices.Concat(ace.Seq1(), ace.Seq2(), ace.Seq3Metadata())
-		if maxWorkloads > 0 {
-			suite = suite[:min(maxWorkloads, len(suite))]
-		}
-		// seq-1, seq-2 and seq-3-metadata are products over one op alphabet,
-		// so one memo serves the whole scan.
-		memo := core.NewPrefixMemo()
-		for _, w := range suite {
-			res, err := memo.Run(context.Background(), cfg, w)
-			if err != nil {
-				return fmt.Errorf("bug %d on %s: %w", id, w.Name, err)
-			}
-			if see(res, w) {
-				return nil
-			}
-		}
-		return nil
-	})
+	suite := slices.Concat(ace.Seq1(), ace.Seq2(), ace.Seq3Metadata())
+	if maxWorkloads > 0 {
+		suite = suite[:min(maxWorkloads, len(suite))]
+	}
+	return detect(id, opts, scanSuite(suite))
 }
 
 // DetectWithFuzzer fuzzes until the bug is found or the exec budget runs
 // out, mirroring the paper's Syzkaller runs (cap 2, §4.2, when opts.Cap is
 // 2).
 func DetectWithFuzzer(id bugs.ID, seed int64, maxExecs int, opts DetectOptions) (Detection, error) {
-	return detect(id, opts, func(cfg core.Config, see func(*core.Result, workload.Workload) bool) error {
+	return detect(id, opts, func(cfg core.Config) (*Census, []core.Violation, error) {
 		fz := fuzz.New(cfg, seed, nil)
-		for i := 0; i < maxExecs; i++ {
-			res, w, err := fz.Step()
+		c := &Census{}
+		for c.Workloads < maxExecs {
+			res, _, err := fz.Step()
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
-			if see(res, w) {
-				return nil
+			c.Workloads++
+			c.StatesChecked += res.StatesChecked
+			if res.Buggy() {
+				return c, res.Violations, nil
 			}
 		}
-		return nil
+		return c, nil, nil
 	})
 }

@@ -18,30 +18,9 @@ import (
 	"chipmunk/internal/pmem"
 )
 
-// Memory is the device contract the persistence functions drive. Both
-// *pmem.Device and *pmem.TrackingDevice satisfy it.
-type Memory interface {
-	Store(off int64, p []byte)
-	NTStore(off int64, p []byte)
-	Flush(off int64, n int)
-	Fence() int
-	Load(off int64, n int) []byte
-	LoadInto(off int64, p []byte)
-	Peek(off int64, p []byte)
-	Size() int64
-}
-
-var (
-	_ Memory = (*pmem.Device)(nil)
-	_ Memory = trackingAdapter{}
-)
-
-// trackingAdapter lifts *pmem.TrackingDevice (whose Fence is promoted from
-// the embedded Device) to the Memory interface.
-type trackingAdapter struct{ *pmem.TrackingDevice }
-
-// WrapTracking adapts a TrackingDevice to Memory.
-func WrapTracking(t *pmem.TrackingDevice) Memory { return trackingAdapter{t} }
+// WrapTracking returns the device a TrackingDevice records the mutations
+// of, for New.
+func WrapTracking(t *pmem.TrackingDevice) *pmem.Device { return t.Device }
 
 // Probe observes persistence-function invocations. Implementations must not
 // mutate data.
@@ -62,7 +41,7 @@ type Probe interface {
 // PM couples a device with the persistence-function set. All file systems
 // receive a *PM and perform durable I/O exclusively through it.
 type PM struct {
-	mem    Memory
+	mem    *pmem.Device
 	probes []Probe
 
 	// TraceStores enables per-store probing, emulating instruction-level
@@ -107,7 +86,7 @@ func zeros(n int) []byte {
 }
 
 // New wraps mem. Probes can be attached later with Attach.
-func New(mem Memory) *PM { return &PM{mem: mem} }
+func New(mem *pmem.Device) *PM { return &PM{mem: mem} }
 
 // Attach registers a probe. Probes fire in attach order.
 func (p *PM) Attach(pr Probe) { p.probes = append(p.probes, pr) }
@@ -124,7 +103,7 @@ func (p *PM) Detach(pr Probe) {
 
 // Mem exposes the underlying device (for harness-level snapshots; file
 // systems must not use it).
-func (p *PM) Mem() Memory { return p.mem }
+func (p *PM) Mem() *pmem.Device { return p.mem }
 
 // Size returns the device capacity.
 func (p *PM) Size() int64 { return p.mem.Size() }
