@@ -188,7 +188,13 @@ func (f *FS) Load(slots int, first, end uint64, markUsed func(b uint64) bool) er
 		return corrupt("root inode missing or not a directory")
 	}
 
-	for _, d := range f.Inodes {
+	// Walk the inodes in slot order, not map order: when an image holds
+	// two faults, the one a mount reports is decided by the image.
+	for ino := uint64(1); ino < uint64(slots); ino++ {
+		if !f.Slots[ino] {
+			continue
+		}
+		d := f.Inodes[ino]
 		for i, b := range d.Blocks {
 			if b == 0 {
 				continue
@@ -202,8 +208,9 @@ func (f *FS) Load(slots int, first, end uint64, markUsed func(b uint64) bool) er
 		}
 	}
 
-	for _, d := range f.Inodes {
-		if d.Typ != vfs.TypeDir {
+	for ino := uint64(1); ino < uint64(slots); ino++ {
+		d := f.Inodes[ino]
+		if !f.Slots[ino] || d.Typ != vfs.TypeDir {
 			continue
 		}
 		for _, b := range d.Blocks {
@@ -213,15 +220,15 @@ func (f *FS) Load(slots int, first, end uint64, markUsed func(b uint64) bool) er
 			for s := 0; s < direntsPerBlock; s++ {
 				off := BlockOff(b) + int64(s)*DirentSize
 				slot := f.PM.Load(off, DirentSize)
-				ino := binary.LittleEndian.Uint64(slot[deInoOff:])
-				if ino == 0 {
+				child := binary.LittleEndian.Uint64(slot[deInoOff:])
+				if child == 0 {
 					continue
 				}
 				nameLen := int(slot[deNameLenOff])
-				if ino >= uint64(slots) || nameLen == 0 || nameLen > DirentSize-deNameOff {
+				if child >= uint64(slots) || nameLen == 0 || nameLen > DirentSize-deNameOff {
 					return corrupt("bad dirent in block %d slot %d", b, s)
 				}
-				d.Dirents[string(slot[deNameOff:deNameOff+nameLen])] = DirentRef{Ino: ino, Off: off}
+				d.Dirents[string(slot[deNameOff:deNameOff+nameLen])] = DirentRef{Ino: child, Off: off}
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/inplace"
 	"chipmunk/internal/fs/memfs"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
@@ -157,6 +158,45 @@ func TestRemountPreservesState(t *testing.T) {
 	}
 	if _, err := f2.Stat("/d/x"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMountReportsBadDirentsInSlotOrder: an image with a bad dirent in
+// each of two directories fails every mount with one error, the one the
+// inode scan meets first in slot order, never whichever directory a map
+// iteration happens to visit first.
+func TestMountReportsBadDirentsInSlotOrder(t *testing.T) {
+	f, dev := newPmfs(t, bugs.None())
+	for _, dir := range []string{"/a", "/b"} {
+		if err := f.Mkdir(dir); err != nil {
+			t.Fatal(err)
+		}
+		fd, err := f.Create(dir + "/x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Close(fd)
+	}
+	// Retire the journal window, so recovery replays nothing over the
+	// damage, then zero each entry's name-length byte (after its 8-byte
+	// ino).
+	f.PM.PersistStore64(int64(journalBlock)*BlockSize+jHeadOff, uint64(f.jTail))
+	for _, dir := range []string{"a", "b"} {
+		d := f.Inodes[f.Inodes[inplace.RootIno].Dirents[dir].Ino]
+		f.PM.PersistStore(d.Dirents["x"].Off+8, []byte{0})
+	}
+	f.PM.Fence()
+	img := dev.CrashImage()
+	seen := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		err := New(persist.New(pmem.FromImage(img)), bugs.None()).Mount()
+		if !errors.Is(err, vfs.ErrCorrupt) {
+			t.Fatalf("mount %d: %v, want a bad-dirent error", i, err)
+		}
+		seen[err.Error()] = true
+	}
+	if len(seen) != 1 {
+		t.Fatalf("50 mounts of one image gave %d error texts: %v", len(seen), seen)
 	}
 }
 
