@@ -112,7 +112,7 @@ type FS struct {
 	Table int64
 
 	Inodes map[uint64]*Inode
-	Slots  []bool // inode slots in use
+	Slots  *vfs.Bitmap // inode slots, from RootIno on
 	Descs  vfs.FDTable[*Inode]
 }
 
@@ -120,8 +120,7 @@ type FS struct {
 // never used.
 func (f *FS) Reset(n int) {
 	f.Inodes = map[uint64]*Inode{}
-	f.Slots = make([]bool, n)
-	f.Slots[0] = true
+	f.Slots = vfs.NewBitmap(RootIno, uint64(n))
 	f.Descs.Reset()
 }
 
@@ -159,9 +158,9 @@ func corrupt(format string, args ...interface{}) error {
 
 // Load rebuilds the DRAM state from the inode table and the directory
 // blocks after the host's journal recovery. Every block an inode points to
-// must lie in the pool [first, end) and is claimed through markUsed; a
-// block claimed twice is corruption.
-func (f *FS) Load(slots int, first, end uint64, markUsed func(b uint64) bool) error {
+// must lie in the pool and is claimed in blocks; a block claimed twice is
+// corruption.
+func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 	f.Reset(slots)
 	for ino := uint64(1); ino < uint64(slots); ino++ {
 		img := f.PM.Load(f.InodeOff(ino), InodeSize)
@@ -180,7 +179,7 @@ func (f *FS) Load(slots int, first, end uint64, markUsed func(b uint64) bool) er
 		if d.Typ == vfs.TypeDir {
 			d.Dirents = map[string]DirentRef{}
 		}
-		f.Slots[ino] = true
+		f.Slots.Claim(ino)
 		f.Inodes[ino] = d
 	}
 	root := f.Inodes[RootIno]
@@ -191,7 +190,7 @@ func (f *FS) Load(slots int, first, end uint64, markUsed func(b uint64) bool) er
 	// Walk the inodes in slot order, not map order: when an image holds
 	// two faults, the one a mount reports is decided by the image.
 	for ino := uint64(1); ino < uint64(slots); ino++ {
-		if !f.Slots[ino] {
+		if !f.Slots.Used(ino) {
 			continue
 		}
 		d := f.Inodes[ino]
@@ -199,18 +198,18 @@ func (f *FS) Load(slots int, first, end uint64, markUsed func(b uint64) bool) er
 			if b == 0 {
 				continue
 			}
-			if b < first || b >= end {
+			if !blocks.Claim(b) {
+				if blocks.Used(b) {
+					return corrupt("block %d referenced twice", b)
+				}
 				return corrupt("inode %d block[%d]=%d out of range", d.Ino, i, b)
-			}
-			if !markUsed(b) {
-				return corrupt("block %d referenced twice", b)
 			}
 		}
 	}
 
 	for ino := uint64(1); ino < uint64(slots); ino++ {
 		d := f.Inodes[ino]
-		if !f.Slots[ino] || d.Typ != vfs.TypeDir {
+		if !f.Slots.Used(ino) || d.Typ != vfs.TypeDir {
 			continue
 		}
 		for _, b := range d.Blocks {
@@ -289,6 +288,6 @@ func (f *FS) Destroy(n *Inode) {
 			f.Host.Release(b)
 		}
 	}
-	f.Slots[n.Ino] = false
+	f.Slots.Release(n.Ino)
 	delete(f.Inodes, n.Ino)
 }

@@ -234,16 +234,6 @@ func slotPending(p *Inode, off int64) bool {
 	return false
 }
 
-func (f *FS) allocInode() (uint64, error) {
-	for i, used := range f.Slots {
-		if !used {
-			f.Slots[i] = true
-			return uint64(i), nil
-		}
-	}
-	return 0, vfs.ErrNoSpace
-}
-
 // Create implements vfs.FS.
 func (f *FS) Create(path string) (vfs.FD, error) {
 	defer f.Host.EndOp()
@@ -254,7 +244,7 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	if _, ok := p.Dirents[name]; ok {
 		return -1, vfs.ErrExist
 	}
-	ino, err := f.allocInode()
+	ino, err := f.Slots.Lowest()
 	if err != nil {
 		return -1, err
 	}
@@ -266,7 +256,7 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	f.SetInode(t, d)
 	slot, err := f.findFreeSlot(p, t)
 	if err != nil {
-		f.Slots[ino] = false
+		f.Slots.Release(ino)
 		return -1, err
 	}
 	t.Set(slot, direntImage(ino, name))
@@ -287,7 +277,7 @@ func (f *FS) Mkdir(path string) error {
 	if _, ok := p.Dirents[name]; ok {
 		return vfs.ErrExist
 	}
-	ino, err := f.allocInode()
+	ino, err := f.Slots.Lowest()
 	if err != nil {
 		return err
 	}
@@ -298,7 +288,7 @@ func (f *FS) Mkdir(path string) error {
 	slot, err := f.findFreeSlot(p, t)
 	if err != nil {
 		p.Nlink--
-		f.Slots[ino] = false
+		f.Slots.Release(ino)
 		return err
 	}
 	t.Set(slot, direntImage(ino, name))

@@ -162,18 +162,18 @@ func TestJournalRecoveryRedoesCommitted(t *testing.T) {
 
 func TestAllocInUse(t *testing.T) {
 	f, _ := newNova(t, bugs.None())
-	p, err := f.alloc.alloc()
+	p, err := f.alloc.Next()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !f.alloc.inUse(p) {
+	if !f.alloc.Used(p) {
 		t.Fatal("allocated page not in use")
 	}
-	f.alloc.release(p)
-	if f.alloc.inUse(p) {
+	f.alloc.Release(p)
+	if f.alloc.Used(p) {
 		t.Fatal("released page still in use")
 	}
-	if f.alloc.inUse(0) {
+	if f.alloc.Used(0) {
 		t.Fatal("page outside pool in use")
 	}
 }

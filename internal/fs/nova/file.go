@@ -94,10 +94,10 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 	content := grabPage()
 	defer putPage(content)
 	for fp := firstPage; fp <= lastPage; fp++ {
-		np, err := f.alloc.alloc()
+		np, err := f.alloc.Next()
 		if err != nil {
 			for _, p := range pend {
-				f.alloc.release(p.poolPage)
+				f.alloc.Release(p.poolPage)
 			}
 			return 0, err
 		}
@@ -159,7 +159,7 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 	// Phase 3: DRAM state and old-page reclamation.
 	for _, p := range pend {
 		if old, ok := d.pages[p.filePage]; ok {
-			f.alloc.release(old)
+			f.alloc.Release(old)
 		}
 		d.pages[p.filePage] = p.poolPage
 	}
@@ -271,7 +271,7 @@ func (f *FS) truncateShrink(d *dnode, size int64) error {
 	case f.fortis && tailMapped && !f.has(bugs.FortisCsumStaleData):
 		// Fixed Fortis: CoW the partial tail page so data and checksum are
 		// published together.
-		np, err := f.alloc.alloc()
+		np, err := f.alloc.Next()
 		if err != nil {
 			return err
 		}
@@ -284,10 +284,10 @@ func (f *FS) truncateShrink(d *dnode, size int64) error {
 		if _, err := f.appendEntry(d, entry{
 			typ: etWrite, filePage: tailPage, poolPage: np, sizeHint: uint64(size),
 		}, false, true); err != nil {
-			f.alloc.release(np)
+			f.alloc.Release(np)
 			return err
 		}
-		f.alloc.release(d.pages[tailPage])
+		f.alloc.Release(d.pages[tailPage])
 		d.pages[tailPage] = np
 
 	default:
@@ -318,7 +318,7 @@ func (f *FS) truncateShrink(d *dnode, size int64) error {
 
 	for fp := range d.pages {
 		if fp >= firstDead {
-			f.alloc.release(d.pages[fp])
+			f.alloc.Release(d.pages[fp])
 			delete(d.pages, fp)
 		}
 	}
@@ -430,10 +430,10 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 		if mapped && !buggy {
 			continue
 		}
-		np, err := f.alloc.alloc()
+		np, err := f.alloc.Next()
 		if err != nil {
 			for _, p := range pend {
-				f.alloc.release(p.poolPage)
+				f.alloc.Release(p.poolPage)
 			}
 			return err
 		}

@@ -52,13 +52,13 @@ func (fs *FS) collectLog(d *dnode, live int) {
 	if pagesNeeded == 0 {
 		pagesNeeded = 1
 	}
-	if fs.alloc.freePages() < pagesNeeded+1 {
+	if fs.alloc.Free() < pagesNeeded+1 {
 		return
 	}
 
 	// Build the new chain off to the side.
 	newPages := make([]uint64, 0, pagesNeeded)
-	firstPage, err := fs.alloc.alloc()
+	firstPage, err := fs.alloc.Next()
 	if err != nil {
 		return
 	}
@@ -68,7 +68,7 @@ func (fs *FS) collectLog(d *dnode, live int) {
 
 	writeOne := func(e entry) bool {
 		if tail%PageSize == logNextOff {
-			next, err := fs.alloc.alloc()
+			next, err := fs.alloc.Next()
 			if err != nil {
 				return false
 			}
@@ -124,7 +124,7 @@ func (fs *FS) collectLog(d *dnode, live int) {
 	}
 	if !ok {
 		for _, p := range newPages {
-			fs.alloc.release(p)
+			fs.alloc.Release(p)
 		}
 		return
 	}
@@ -142,6 +142,6 @@ func (fs *FS) collectLog(d *dnode, live int) {
 		d.dirents = newDirents
 	}
 	for _, p := range oldPages {
-		fs.alloc.release(p)
+		fs.alloc.Release(p)
 	}
 }

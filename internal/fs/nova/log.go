@@ -19,7 +19,7 @@ func (fs *FS) reserveSlot(d *dnode, tail int64) (entryOff, newTail int64, err er
 	if tail == 0 {
 		// First log page of a fresh file inode; the head pointer is
 		// published together with the tail in the inode image.
-		newPage, err := fs.alloc.alloc()
+		newPage, err := fs.alloc.Next()
 		if err != nil {
 			return 0, 0, err
 		}
@@ -29,7 +29,7 @@ func (fs *FS) reserveSlot(d *dnode, tail int64) (entryOff, newTail int64, err er
 		d.logPages = append(d.logPages, newPage)
 		tail = pageOff(newPage)
 	} else if tail%PageSize == logNextOff {
-		newPage, err := fs.alloc.alloc()
+		newPage, err := fs.alloc.Next()
 		if err != nil {
 			return 0, 0, err
 		}

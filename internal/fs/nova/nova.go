@@ -48,11 +48,15 @@ type FS struct {
 	fortis bool
 
 	totalPages uint64
-	alloc      *pageAlloc
-	ialloc     *inodeAlloc
-	inodes     map[uint64]*dnode
-	descs      vfs.FDTable[*dnode]
-	mounted    bool
+	// alloc (pool pages) and ialloc (inode slots from RootIno on; 0 is
+	// "no inode") are DRAM-only: NOVA keeps allocator state volatile and
+	// rebuilds it at mount by scanning inode logs (§5.1 Observation 3),
+	// which makes the rebuild a bug hotspot.
+	alloc   *vfs.Bitmap
+	ialloc  *vfs.Bitmap
+	inodes  map[uint64]*dnode
+	descs   vfs.FDTable[*dnode]
+	mounted bool
 
 	// lazyReplicas holds inodes whose Fortis replica update was deferred
 	// to the end of the system call (bug 10).
@@ -121,14 +125,13 @@ func (f *FS) Mkfs() error {
 	pm.MemsetNT(0, 0, (inodeTblPage+inodeTblPages)*PageSize)
 	pm.Fence()
 
-	f.alloc = newPageAlloc(poolStartPage, f.totalPages)
-	f.ialloc = newInodeAlloc(InodeCount)
-	f.ialloc.markUsed(RootIno)
+	f.alloc, f.ialloc = vfs.NewBitmap(poolStartPage, f.totalPages), vfs.NewBitmap(RootIno, InodeCount)
+	f.ialloc.Claim(RootIno)
 	f.inodes = map[uint64]*dnode{}
 	f.descs.Reset()
 
 	// Root directory inode with an empty log page.
-	headPage, err := f.alloc.alloc()
+	headPage, err := f.alloc.Next()
 	if err != nil {
 		return err
 	}
@@ -202,9 +205,7 @@ func (f *FS) Fork(pm persist.Space) vfs.FS {
 	}
 	g := *f
 	g.pm, g.descs = p, descs
-	alloc, ialloc := *f.alloc, *f.ialloc
-	alloc.used, ialloc.used = slices.Clone(alloc.used), slices.Clone(ialloc.used)
-	g.alloc, g.ialloc = &alloc, &ialloc
+	g.alloc, g.ialloc = f.alloc.Clone(), f.ialloc.Clone()
 	g.inodes = make(map[uint64]*dnode, len(f.inodes))
 	for ino, d := range f.inodes {
 		c := *d

@@ -427,10 +427,10 @@ func TestOrphanGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	free1 := f.alloc.freePages()
+	free1 := f.alloc.Free()
 	f.Unmount()
 	f2 := remount(t, dev, bugs.None())
-	free2 := f2.alloc.freePages()
+	free2 := f2.alloc.Free()
 	if free2 < free1 {
 		t.Fatalf("pages leaked across remount: %d -> %d", free1, free2)
 	}
@@ -686,7 +686,7 @@ func TestLogGCFortis(t *testing.T) {
 // before the file was created. Without a crash the last close reclaims it.
 func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	f, dev := newNova(t, bugs.None())
-	pages, inodes := f.alloc.freePages(), freeInodes(f)
+	pages, inodes := f.alloc.Free(), f.ialloc.Free()
 	fd, err := f.Create("/victim")
 	if err != nil {
 		t.Fatal(err)
@@ -697,7 +697,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	if err := f.Unlink("/victim"); err != nil {
 		t.Fatal(err)
 	}
-	if f.alloc.freePages() >= pages || freeInodes(f) >= inodes {
+	if f.alloc.Free() >= pages || f.ialloc.Free() >= inodes {
 		t.Fatal("the unlinked-but-open file is already reclaimed")
 	}
 
@@ -705,28 +705,18 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	if err := f2.Mount(); err != nil {
 		t.Fatal(err)
 	}
-	if got := f2.alloc.freePages(); got != pages {
+	if got := f2.alloc.Free(); got != pages {
 		t.Errorf("after crash and mount: %d free pages, want %d", got, pages)
 	}
-	if got := freeInodes(f2); got != inodes {
+	if got := f2.ialloc.Free(); got != inodes {
 		t.Errorf("after crash and mount: %d free inodes, want %d", got, inodes)
 	}
 
 	if err := f.Close(fd); err != nil {
 		t.Fatal(err)
 	}
-	if f.alloc.freePages() != pages || freeInodes(f) != inodes {
+	if f.alloc.Free() != pages || f.ialloc.Free() != inodes {
 		t.Errorf("after the last close: %d free pages, %d free inodes; want %d, %d",
-			f.alloc.freePages(), freeInodes(f), pages, inodes)
+			f.alloc.Free(), f.ialloc.Free(), pages, inodes)
 	}
-}
-
-func freeInodes(f *FS) int {
-	n := 0
-	for _, used := range f.ialloc.used {
-		if !used {
-			n++
-		}
-	}
-	return n
 }

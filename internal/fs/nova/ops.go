@@ -20,7 +20,7 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	if _, ok := p.dirents[name]; ok {
 		return -1, vfs.ErrExist
 	}
-	ino, err := f.ialloc.alloc()
+	ino, err := f.ialloc.Lowest()
 	if err != nil {
 		return -1, err
 	}
@@ -31,7 +31,7 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 		typ: etDentryAdd, ino: ino, ftype: vfs.TypeRegular, name: name,
 	}, false, false)
 	if err != nil {
-		f.ialloc.release(ino)
+		f.ialloc.Release(ino)
 		return -1, err
 	}
 	f.inodes[ino] = d
@@ -49,13 +49,13 @@ func (f *FS) Mkdir(path string) error {
 	if _, ok := p.dirents[name]; ok {
 		return vfs.ErrExist
 	}
-	ino, err := f.ialloc.alloc()
+	ino, err := f.ialloc.Lowest()
 	if err != nil {
 		return err
 	}
-	headPage, err := f.alloc.alloc()
+	headPage, err := f.alloc.Next()
 	if err != nil {
-		f.ialloc.release(ino)
+		f.ialloc.Release(ino)
 		return err
 	}
 	f.pm.MemsetNT(pageOff(headPage), 0, PageSize)
@@ -72,8 +72,8 @@ func (f *FS) Mkdir(path string) error {
 		typ: etDentryAdd, ino: ino, ftype: vfs.TypeDir, name: name,
 	}, false)
 	if err != nil {
-		f.alloc.release(headPage)
-		f.ialloc.release(ino)
+		f.alloc.Release(headPage)
+		f.ialloc.Release(ino)
 		return err
 	}
 	p.tail = newTail
@@ -216,15 +216,15 @@ func (f *FS) reclaim(ino uint64) { f.destroyInode(f.inodes[ino]) }
 func (f *FS) destroyInode(n *dnode) {
 	f.invalidateInode(n.ino)
 	for _, pp := range n.pages {
-		f.alloc.release(pp)
+		f.alloc.Release(pp)
 	}
 	for _, lp := range n.logPages {
-		f.alloc.release(lp)
+		f.alloc.Release(lp)
 	}
 	if n.head != 0 && len(n.logPages) == 0 {
 		f.releaseLogChain(n.head)
 	}
-	f.ialloc.release(n.ino)
+	f.ialloc.Release(n.ino)
 	delete(f.inodes, n.ino)
 }
 
@@ -235,7 +235,7 @@ func (f *FS) releaseLogChain(head uint64) {
 	for p := head; p != 0 && !seen[p]; {
 		seen[p] = true
 		next := f.pm.Load64(pageOff(p) + logNextOff)
-		f.alloc.release(p)
+		f.alloc.Release(p)
 		p = next
 	}
 }

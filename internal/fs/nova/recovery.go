@@ -25,8 +25,7 @@ func (f *FS) Mount() error {
 		return corrupt("superblock page count %d exceeds device", f.totalPages)
 	}
 
-	f.alloc = newPageAlloc(poolStartPage, f.totalPages)
-	f.ialloc = newInodeAlloc(InodeCount)
+	f.alloc, f.ialloc = vfs.NewBitmap(poolStartPage, f.totalPages), vfs.NewBitmap(RootIno, InodeCount)
 	f.inodes = map[uint64]*dnode{}
 	f.descs.Reset()
 	f.lazyReplicas = nil
@@ -41,7 +40,7 @@ func (f *FS) Mount() error {
 		if !ok {
 			continue
 		}
-		if !f.ialloc.markUsed(ino) {
+		if !f.ialloc.Claim(ino) {
 			return corrupt("inode %d claimed twice", ino)
 		}
 		f.inodes[ino] = d
@@ -67,13 +66,13 @@ func (f *FS) Mount() error {
 	for _, ino := range f.sortedInos() {
 		d := f.inodes[ino]
 		for _, lp := range d.logPages {
-			if !f.alloc.markUsed(lp) {
+			if !f.alloc.Claim(lp) {
 				return corrupt("log page %d referenced twice", lp)
 			}
 			refset[lp] = true
 		}
 		for _, fp := range sortedPageKeys(d.pages) {
-			if !f.alloc.markUsed(d.pages[fp]) {
+			if !f.alloc.Claim(d.pages[fp]) {
 				return corrupt("data page %d referenced twice", d.pages[fp])
 			}
 			refset[d.pages[fp]] = true
@@ -94,7 +93,7 @@ func (f *FS) Mount() error {
 			if refset[p] {
 				return corrupt("free-log deallocates in-use page %d", p)
 			}
-			if !f.alloc.release(p) {
+			if !f.alloc.Release(p) {
 				return corrupt("free-log deallocates already-free page %d", p)
 			}
 		}

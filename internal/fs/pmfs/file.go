@@ -42,10 +42,10 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 		if d.Blocks[i] != 0 {
 			continue
 		}
-		nb, err := f.alloc.alloc()
+		nb, err := f.alloc.Next()
 		if err != nil {
 			for _, b := range fresh {
-				f.alloc.release(b)
+				f.alloc.Release(b)
 			}
 			return 0, err
 		}
@@ -118,10 +118,10 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 		if d.Blocks[i] != 0 {
 			continue
 		}
-		nb, err := f.alloc.alloc()
+		nb, err := f.alloc.Next()
 		if err != nil {
 			for _, b := range fresh {
-				f.alloc.release(b)
+				f.alloc.Release(b)
 			}
 			return err
 		}

@@ -60,8 +60,11 @@ type FS struct {
 	bugs bugs.Set
 
 	totalBlocks uint64
-	alloc       *blockAlloc
-	mounted     bool
+	// alloc is the DRAM-only free-block list, rebuilt at mount by scanning
+	// inode block pointers and handed out next fit. Bug 13 is the
+	// truncate-list replay touching it before that rebuild.
+	alloc   *vfs.Bitmap
+	mounted bool
 
 	jTail int64 // next free byte in the journal record area (DRAM mirror)
 }
@@ -78,8 +81,8 @@ func New(pm *persist.PM, set bugs.Set) *FS {
 type host FS
 
 func (h *host) Begin() inplace.Tx              { return (*FS)(h).beginTx() }
-func (h *host) AllocDirBlock() (uint64, error) { return h.alloc.alloc() }
-func (h *host) Release(b uint64)               { h.alloc.release(b) }
+func (h *host) AllocDirBlock() (uint64, error) { return h.alloc.Next() }
+func (h *host) Release(b uint64)               { h.alloc.Release(b) }
 func (h *host) Freeing(ino uint64)             { (*FS)(h).truncAdd(ino) }
 func (h *host) Freed()                         { (*FS)(h).truncRemove() }
 func (h *host) EndOp()                         {}
@@ -105,9 +108,9 @@ func (f *FS) Mkfs() error {
 	pm.MemsetNT(0, 0, poolStart*BlockSize)
 	pm.Fence()
 
-	f.alloc = newBlockAlloc(poolStart, f.totalBlocks)
+	f.alloc = vfs.NewBitmap(poolStart, f.totalBlocks)
 	f.Reset(InodeCount)
-	f.Slots[inplace.RootIno] = true
+	f.Slots.Claim(inplace.RootIno)
 	f.jTail = jRecsStart
 
 	// Journal pointers start at the record region.

@@ -452,7 +452,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	if _, err := f.Create("/keep"); err != nil {
 		t.Fatal(err)
 	}
-	blocks, inodes := f.alloc.freeBlocks(), freeInodes(f)
+	blocks, inodes := f.alloc.Free(), f.Slots.Free()
 	fd, err := f.Create("/victim")
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +463,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	if err := f.Unlink("/victim"); err != nil {
 		t.Fatal(err)
 	}
-	if f.alloc.freeBlocks() >= blocks || freeInodes(f) >= inodes {
+	if f.alloc.Free() >= blocks || f.Slots.Free() >= inodes {
 		t.Fatal("the unlinked-but-open file is already reclaimed")
 	}
 	mounted := func(img []byte) *FS {
@@ -476,7 +476,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	}
 	check := func(when string, f *FS) {
 		t.Helper()
-		if got, gotI := f.alloc.freeBlocks(), freeInodes(f); got != blocks || gotI != inodes {
+		if got, gotI := f.alloc.Free(), f.Slots.Free(); got != blocks || gotI != inodes {
 			t.Errorf("%s: %d free blocks, %d free inodes; want %d, %d", when, got, gotI, blocks, inodes)
 		}
 	}
@@ -487,14 +487,4 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	}
 	check("after the last close", f)
 	check("after the last close, crash and mount", mounted(dev.CrashImage()))
-}
-
-func freeInodes(f *FS) int {
-	n := 0
-	for _, used := range f.Slots {
-		if !used {
-			n++
-		}
-	}
-	return n
 }

@@ -1,9 +1,9 @@
 package pmfs
 
 import (
-	"chipmunk/internal/fs/inplace"
-
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/inplace"
+	"chipmunk/internal/vfs"
 )
 
 // truncAdd records ino on the persistent truncate list before an operation
@@ -55,8 +55,8 @@ func (f *FS) Mount() error {
 		}
 	}
 
-	f.alloc = newBlockAlloc(poolStart, f.totalBlocks)
-	if err := f.Load(InodeCount, poolStart, f.totalBlocks, f.alloc.markUsed); err != nil {
+	f.alloc = vfs.NewBitmap(poolStart, f.totalBlocks)
+	if err := f.Load(InodeCount, f.alloc); err != nil {
 		return err
 	}
 
@@ -74,7 +74,7 @@ func (f *FS) Mount() error {
 			dirty := false
 			for i := firstDead; i < inplace.NDirect; i++ {
 				if d.Blocks[i] != 0 {
-					f.alloc.release(d.Blocks[i])
+					f.alloc.Release(d.Blocks[i])
 					d.Blocks[i] = 0
 					dirty = true
 				}

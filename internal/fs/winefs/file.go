@@ -59,7 +59,7 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 	// and the commit), the "one bug needs two writes" of Observation 7.
 	if f.has(bugs.WinefsStrictInPlace) && off%pmem.CacheLineSize != 0 &&
 		firstBlk == lastBlk && end > d.Size {
-		nb, err := f.alloc.alloc(kindData)
+		nb, err := f.alloc.Lowest()
 		if err != nil {
 			return 0, err
 		}
@@ -78,7 +78,7 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 		f.fastPublish(f.InodeOff(d.Ino)+inplace.InoBlocksOff+int64(firstBlk)*8, nb,
 			f.InodeOff(d.Ino)+inplace.InoSizeOff, uint64(end))
 		if old != 0 {
-			f.alloc.release(old)
+			f.alloc.Release(old)
 		}
 		return len(data), nil
 	}
@@ -90,10 +90,10 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 	}
 	var pend []pending
 	for i := firstBlk; i <= lastBlk; i++ {
-		nb, err := f.alloc.alloc(kindData)
+		nb, err := f.alloc.Lowest()
 		if err != nil {
 			for _, p := range pend {
-				f.alloc.release(p.block)
+				f.alloc.Release(p.block)
 			}
 			return 0, err
 		}
@@ -145,7 +145,7 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 	f.SetInode(t, d)
 	t.Commit()
 	for _, b := range olds {
-		f.alloc.release(b)
+		f.alloc.Release(b)
 	}
 	return int(end - off), nil
 }
@@ -159,7 +159,7 @@ func (f *FS) pwriteRelaxed(d *inplace.Inode, data []byte, off, end int64) (int, 
 		if d.Blocks[i] != 0 {
 			continue
 		}
-		nb, err := f.alloc.alloc(kindData)
+		nb, err := f.alloc.Lowest()
 		if err != nil {
 			return 0, err
 		}
@@ -225,7 +225,7 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 		if d.Blocks[i] != 0 {
 			continue
 		}
-		nb, err := f.alloc.alloc(kindData)
+		nb, err := f.alloc.Lowest()
 		if err != nil {
 			return err
 		}

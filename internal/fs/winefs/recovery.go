@@ -1,5 +1,7 @@
 package winefs
 
+import "chipmunk/internal/vfs"
+
 // Mount implements vfs.FS: per-CPU journal recovery (merged by transaction
 // id), inode scan, allocator rebuild, orphan GC.
 func (f *FS) Mount() error {
@@ -19,8 +21,8 @@ func (f *FS) Mount() error {
 		return err
 	}
 
-	f.alloc = newAlignAlloc(poolStart, f.totalBlocks)
-	if err := f.Load(InodeCount, poolStart, f.totalBlocks, f.alloc.markUsed); err != nil {
+	f.alloc = vfs.NewBitmap(poolStart, f.totalBlocks)
+	if err := f.Load(InodeCount, f.alloc); err != nil {
 		return err
 	}
 	// Orphan GC clears each orphan's slot on PM as it reclaims it.

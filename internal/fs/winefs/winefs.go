@@ -70,8 +70,11 @@ type FS struct {
 	mode Mode
 
 	totalBlocks uint64
-	alloc       *alignAlloc
-	mounted     bool
+	// alloc is the DRAM-only block pool, rebuilt at mount. Data blocks
+	// come from its bottom and metadata blocks from its top, so long runs
+	// of huge-page-aligned free space survive metadata churn.
+	alloc   *vfs.Bitmap
+	mounted bool
 
 	// Per-CPU journal state: DRAM tail mirrors and the global tx counter.
 	jTails [NumCPUs]int64
@@ -85,8 +88,8 @@ type FS struct {
 type host FS
 
 func (h *host) Begin() inplace.Tx              { return (*FS)(h).beginTx() }
-func (h *host) AllocDirBlock() (uint64, error) { return h.alloc.alloc(kindMeta) }
-func (h *host) Release(b uint64)               { h.alloc.release(b) }
+func (h *host) AllocDirBlock() (uint64, error) { return h.alloc.Highest() }
+func (h *host) Release(b uint64)               { h.alloc.Release(b) }
 func (h *host) Freeing(uint64)                 {}
 func (h *host) Freed()                         {}
 func (h *host) EndOp()                         { (*FS)(h).nextOp() }
@@ -141,9 +144,9 @@ func (f *FS) Mkfs() error {
 	pm.MemsetNT(0, 0, poolStart*BlockSize)
 	pm.Fence()
 
-	f.alloc = newAlignAlloc(poolStart, f.totalBlocks)
+	f.alloc = vfs.NewBitmap(poolStart, f.totalBlocks)
 	f.Reset(InodeCount)
-	f.Slots[inplace.RootIno] = true
+	f.Slots.Claim(inplace.RootIno)
 	f.txid = 1
 	for c := 0; c < NumCPUs; c++ {
 		f.jTails[c] = jRecsStart

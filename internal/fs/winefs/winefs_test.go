@@ -138,26 +138,44 @@ func TestRemountAfterJournalWrap(t *testing.T) {
 
 func TestAlignedAllocatorSeparatesKinds(t *testing.T) {
 	f, _ := newWinefs(t, bugs.None())
-	data, err := f.alloc.alloc(kindData)
+	data, err := f.alloc.Lowest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := f.alloc.alloc(kindMeta)
+	meta, err := f.alloc.Highest()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if data >= meta {
 		t.Fatalf("data block %d should be below metadata block %d", data, meta)
 	}
-	before := f.alloc.alignedFreeExtents()
+	before := alignedFreeExtents(f)
 	// Metadata churn must not erode aligned extents faster than data.
 	for i := 0; i < 8; i++ {
-		f.alloc.alloc(kindMeta)
+		f.alloc.Highest()
 	}
-	after := f.alloc.alignedFreeExtents()
+	after := alignedFreeExtents(f)
 	if before-after > 1 {
 		t.Fatalf("metadata allocations fragmented %d aligned extents", before-after)
 	}
+}
+
+// alignedFreeExtents counts the fully free huge-page extents (16 blocks,
+// 16-block aligned) in f's pool: what WineFS's allocator preserves by
+// serving metadata from the top of the pool and data from the bottom.
+func alignedFreeExtents(f *FS) int {
+	const hugeRun = 16
+	n := 0
+	for b := uint64(poolStart+hugeRun-1) / hugeRun * hugeRun; b+hugeRun <= f.totalBlocks; b += hugeRun {
+		free := true
+		for i := uint64(0); i < hugeRun; i++ {
+			free = free && !f.alloc.Used(b+i)
+		}
+		if free {
+			n++
+		}
+	}
+	return n
 }
 
 func TestBug19SingleJournalRecovery(t *testing.T) {
@@ -175,7 +193,7 @@ func TestBug19SingleJournalRecovery(t *testing.T) {
 	// Manually append a committed tx to journal 2 that creates a dirent for
 	// a valid inode, simulating a crash before its in-place apply.
 	d := &inplace.Inode{Ino: 9, Typ: vfs.TypeRegular, Nlink: 1}
-	f.Slots[9] = true
+	f.Slots.Claim(9)
 	tx := &txn{fs: f, cpu: 2}
 	f.SetInode(tx, d)
 	slotOff := int64(0)
@@ -398,7 +416,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	if _, err := f.Create("/keep"); err != nil {
 		t.Fatal(err)
 	}
-	blocks, inodes := f.alloc.freeBlocks(), freeInodes(f)
+	blocks, inodes := f.alloc.Free(), f.Slots.Free()
 	fd, err := f.Create("/victim")
 	if err != nil {
 		t.Fatal(err)
@@ -409,7 +427,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	if err := f.Unlink("/victim"); err != nil {
 		t.Fatal(err)
 	}
-	if f.alloc.freeBlocks() >= blocks || freeInodes(f) >= inodes {
+	if f.alloc.Free() >= blocks || f.Slots.Free() >= inodes {
 		t.Fatal("the unlinked-but-open file is already reclaimed")
 	}
 	mounted := func(img []byte) *FS {
@@ -422,7 +440,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	}
 	check := func(when string, f *FS) {
 		t.Helper()
-		if got, gotI := f.alloc.freeBlocks(), freeInodes(f); got != blocks || gotI != inodes {
+		if got, gotI := f.alloc.Free(), f.Slots.Free(); got != blocks || gotI != inodes {
 			t.Errorf("%s: %d free blocks, %d free inodes; want %d, %d", when, got, gotI, blocks, inodes)
 		}
 	}
@@ -433,14 +451,4 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	}
 	check("after the last close", f)
 	check("after the last close, crash and mount", mounted(dev.CrashImage()))
-}
-
-func freeInodes(f *FS) int {
-	n := 0
-	for _, used := range f.Slots {
-		if !used {
-			n++
-		}
-	}
-	return n
 }
