@@ -20,7 +20,6 @@ package extdax
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"maps"
 	"sort"
@@ -165,7 +164,7 @@ func (f *FS) Unmount() error {
 // Mount implements vfs.FS: replay all committed transactions.
 func (f *FS) Mount() error {
 	if f.pm.Load64(sbMagicOff) != f.magic() {
-		return fmt.Errorf("%w: bad superblock magic", vfs.ErrCorrupt)
+		return vfs.Corruptf("bad superblock magic")
 	}
 	f.nodes = map[uint64]*node{}
 	f.descs.Reset()
@@ -183,7 +182,7 @@ func (f *FS) Mount() error {
 	case b1:
 		f.jLimit = l1
 	default:
-		return fmt.Errorf("%w: active journal pointer %d", vfs.ErrCorrupt, f.jBase)
+		return vfs.Corruptf("active journal pointer %d", f.jBase)
 	}
 	pos := f.jBase
 	f.txid = 0 // the first tx of an area sets the expected sequence
@@ -200,7 +199,7 @@ func (f *FS) Mount() error {
 
 	root := f.nodes[1]
 	if root == nil || root.typ != vfs.TypeDir {
-		return fmt.Errorf("%w: no committed root", vfs.ErrCorrupt)
+		return vfs.Corruptf("no committed root")
 	}
 	for ino := range f.nodes {
 		if ino >= f.nextIno {

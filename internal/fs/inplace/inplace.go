@@ -1,17 +1,20 @@
-// Package inplace is the inode and namespace layer PMFS and WineFS share.
-// WineFS descends from PMFS and keeps its metadata design: 128-byte inodes
-// with direct block pointers in an inode table, 64-byte directory-entry
-// slots in directory blocks, and every metadata change written in place
-// through the host's redo journal. What differs between the two — block
-// layout, the journal itself (one log, or one per CPU), the allocator,
-// PMFS's truncate list, recovery, and every injected bug — stays in the
-// host package, behind Host.
+// Package inplace is what PMFS and WineFS share. WineFS descends from PMFS
+// and keeps its metadata design: 128-byte inodes with direct block
+// pointers in an inode table, 64-byte directory-entry slots in directory
+// blocks, and every metadata change written in place through a redo
+// journal. This package holds the inode and namespace layer, its rebuild
+// at mount, and the redo ring both journals are made of (ring.go): the
+// record format, the wrapped store and load, record append and header
+// read, and the in-place apply. What differs between the two — block
+// layout, how many rings and what frames a transaction in them, when a
+// ring's head moves, how the block allocator hands out blocks, PMFS's
+// truncate list, recovery order, corruption messages, and every injected
+// bug — stays in the host package, behind Host.
 package inplace
 
 import (
 	"cmp"
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"chipmunk/internal/persist"
@@ -152,10 +155,6 @@ func Image(d *Inode) []byte {
 // SetInode records d's whole inode image in t.
 func (f *FS) SetInode(t Tx, d *Inode) { t.Set(f.InodeOff(d.Ino), Image(d)) }
 
-func corrupt(format string, args ...interface{}) error {
-	return fmt.Errorf("%w: "+format, append([]interface{}{vfs.ErrCorrupt}, args...)...)
-}
-
 // Load rebuilds the DRAM state from the inode table and the directory
 // blocks after the host's journal recovery. Every block an inode points to
 // must lie in the pool and is claimed in blocks; a block claimed twice is
@@ -184,7 +183,7 @@ func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 	}
 	root := f.Inodes[RootIno]
 	if root == nil || root.Typ != vfs.TypeDir {
-		return corrupt("root inode missing or not a directory")
+		return vfs.Corruptf("root inode missing or not a directory")
 	}
 
 	// Walk the inodes in slot order, not map order: when an image holds
@@ -200,9 +199,9 @@ func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 			}
 			if !blocks.Claim(b) {
 				if blocks.Used(b) {
-					return corrupt("block %d referenced twice", b)
+					return vfs.Corruptf("block %d referenced twice", b)
 				}
-				return corrupt("inode %d block[%d]=%d out of range", d.Ino, i, b)
+				return vfs.Corruptf("inode %d block[%d]=%d out of range", d.Ino, i, b)
 			}
 		}
 	}
@@ -225,7 +224,7 @@ func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 				}
 				nameLen := int(slot[deNameLenOff])
 				if child >= uint64(slots) || nameLen == 0 || nameLen > DirentSize-deNameOff {
-					return corrupt("bad dirent in block %d slot %d", b, s)
+					return vfs.Corruptf("bad dirent in block %d slot %d", b, s)
 				}
 				d.Dirents[string(slot[deNameOff:deNameOff+nameLen])] = DirentRef{Ino: child, Off: off}
 			}

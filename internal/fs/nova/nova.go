@@ -2,7 +2,6 @@ package nova
 
 import (
 	"encoding/binary"
-	"fmt"
 	"maps"
 	"slices"
 
@@ -108,11 +107,6 @@ func (f *FS) Caps() vfs.Caps {
 }
 
 func (f *FS) has(id bugs.ID) bool { return f.bugs.Has(id) }
-
-// corrupt builds the standard unmountable error.
-func corrupt(format string, args ...interface{}) error {
-	return fmt.Errorf("%w: "+format, append([]interface{}{vfs.ErrCorrupt}, args...)...)
-}
 
 // Mkfs implements vfs.FS: formats the device and mounts.
 func (f *FS) Mkfs() error {

@@ -17,12 +17,12 @@ import (
 func (f *FS) Mount() error {
 	pm := f.pm
 	if pm.Load64(sbMagicOff) != Magic {
-		return corrupt("bad superblock magic %#x", pm.Load64(sbMagicOff))
+		return vfs.Corruptf("bad superblock magic %#x", pm.Load64(sbMagicOff))
 	}
 	f.fortis = pm.Load64(sbFortisOff) == 1
 	f.totalPages = pm.Load64(sbPagesOff)
 	if f.totalPages == 0 || int64(f.totalPages)*PageSize > pm.Size() {
-		return corrupt("superblock page count %d exceeds device", f.totalPages)
+		return vfs.Corruptf("superblock page count %d exceeds device", f.totalPages)
 	}
 
 	f.alloc, f.ialloc = vfs.NewBitmap(poolStartPage, f.totalPages), vfs.NewBitmap(RootIno, InodeCount)
@@ -41,13 +41,13 @@ func (f *FS) Mount() error {
 			continue
 		}
 		if !f.ialloc.Claim(ino) {
-			return corrupt("inode %d claimed twice", ino)
+			return vfs.Corruptf("inode %d claimed twice", ino)
 		}
 		f.inodes[ino] = d
 	}
 	root, ok := f.inodes[RootIno]
 	if !ok || root.typ != vfs.TypeDir {
-		return corrupt("root inode missing or not a directory")
+		return vfs.Corruptf("root inode missing or not a directory")
 	}
 
 	// Passes 2, 3, 5 and 6 iterate inodes in ascending order, never in map
@@ -67,13 +67,13 @@ func (f *FS) Mount() error {
 		d := f.inodes[ino]
 		for _, lp := range d.logPages {
 			if !f.alloc.Claim(lp) {
-				return corrupt("log page %d referenced twice", lp)
+				return vfs.Corruptf("log page %d referenced twice", lp)
 			}
 			refset[lp] = true
 		}
 		for _, fp := range sortedPageKeys(d.pages) {
 			if !f.alloc.Claim(d.pages[fp]) {
-				return corrupt("data page %d referenced twice", d.pages[fp])
+				return vfs.Corruptf("data page %d referenced twice", d.pages[fp])
 			}
 			refset[d.pages[fp]] = true
 		}
@@ -86,15 +86,15 @@ func (f *FS) Mount() error {
 		base := int64(freeLogPage) * PageSize
 		count := pm.Load64(base)
 		if count > (PageSize-8)/8 {
-			return corrupt("free-log count %d out of range", count)
+			return vfs.Corruptf("free-log count %d out of range", count)
 		}
 		for i := uint64(0); i < count; i++ {
 			p := pm.Load64(base + 8 + int64(i)*8)
 			if refset[p] {
-				return corrupt("free-log deallocates in-use page %d", p)
+				return vfs.Corruptf("free-log deallocates in-use page %d", p)
 			}
 			if !f.alloc.Release(p) {
-				return corrupt("free-log deallocates already-free page %d", p)
+				return vfs.Corruptf("free-log deallocates already-free page %d", p)
 			}
 		}
 	}
@@ -243,12 +243,12 @@ func (f *FS) dnodeFromImage(ino uint64, img []byte) *dnode {
 func (f *FS) rebuildLog(d *dnode) error {
 	if d.head == 0 {
 		if d.tail != 0 {
-			return corrupt("inode %d: tail %d with no log", d.ino, d.tail)
+			return vfs.Corruptf("inode %d: tail %d with no log", d.ino, d.tail)
 		}
 		return nil
 	}
 	if d.head < poolStartPage || d.head >= f.totalPages {
-		return corrupt("inode %d: log head %d out of range", d.ino, d.head)
+		return vfs.Corruptf("inode %d: log head %d out of range", d.ino, d.head)
 	}
 	page := d.head
 	pos := pageOff(page)
@@ -261,10 +261,10 @@ func (f *FS) rebuildLog(d *dnode) error {
 			if next == 0 {
 				// The tail says more entries follow, but the link that
 				// reaches them was lost — bug 1's crash signature.
-				return corrupt("inode %d: log ends at %d before tail %d", d.ino, pos, d.tail)
+				return vfs.Corruptf("inode %d: log ends at %d before tail %d", d.ino, pos, d.tail)
 			}
 			if next < poolStartPage || next >= f.totalPages || seen[next] {
-				return corrupt("inode %d: bad log link %d", d.ino, next)
+				return vfs.Corruptf("inode %d: bad log link %d", d.ino, next)
 			}
 			seen[next] = true
 			d.logPages = append(d.logPages, next)
@@ -277,7 +277,7 @@ func (f *FS) rebuildLog(d *dnode) error {
 		if e.typ == etInvalid || e.typ > etAttr {
 			// The tail points past bytes that never became a valid entry —
 			// bug 3's crash signature.
-			return corrupt("inode %d: invalid log entry type %d at %d", d.ino, e.typ, pos)
+			return vfs.Corruptf("inode %d: invalid log entry type %d at %d", d.ino, e.typ, pos)
 		}
 		if f.fortis && payloadCsum(raw) != e.csum {
 			// Bug 9: a published entry whose checksum never landed.

@@ -15,8 +15,6 @@
 package pmfs
 
 import (
-	"fmt"
-
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/fs/inplace"
 	"chipmunk/internal/persist"
@@ -66,12 +64,12 @@ type FS struct {
 	alloc   *vfs.Bitmap
 	mounted bool
 
-	jTail int64 // next free byte in the journal record area (DRAM mirror)
+	ring inplace.Ring // the metadata journal
 }
 
 // New creates a PMFS instance on pm with the given injected bug set.
 func New(pm *persist.PM, set bugs.Set) *FS {
-	f := &FS{bugs: set}
+	f := &FS{bugs: set, ring: inplace.Ring{PM: pm, Base: journalBlock * BlockSize, Size: jAreaSize}}
 	f.PM, f.Host, f.Table = pm, (*host)(f), inodeTblBlock*BlockSize
 	return f
 }
@@ -94,10 +92,6 @@ func (f *FS) Caps() vfs.Caps {
 
 func (f *FS) has(id bugs.ID) bool { return f.bugs.Has(id) }
 
-func corrupt(format string, args ...interface{}) error {
-	return fmt.Errorf("%w: "+format, append([]interface{}{vfs.ErrCorrupt}, args...)...)
-}
-
 // Mkfs implements vfs.FS.
 func (f *FS) Mkfs() error {
 	f.totalBlocks = uint64(f.PM.Size()) / BlockSize
@@ -111,12 +105,7 @@ func (f *FS) Mkfs() error {
 	f.alloc = vfs.NewBitmap(poolStart, f.totalBlocks)
 	f.Reset(InodeCount)
 	f.Slots.Claim(inplace.RootIno)
-	f.jTail = jRecsStart
-
-	// Journal pointers start at the record region.
-	pm.Store64(int64(journalBlock)*BlockSize+jHeadOff, jRecsStart)
-	pm.Store64(int64(journalBlock)*BlockSize+jTailOff, jRecsStart)
-	pm.Flush(int64(journalBlock)*BlockSize, 16)
+	f.ring.Format()
 	pm.Fence()
 
 	root := &inplace.Inode{Ino: inplace.RootIno, Typ: vfs.TypeDir, Nlink: 2, Dirents: map[string]inplace.DirentRef{}}

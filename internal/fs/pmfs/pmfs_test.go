@@ -180,7 +180,7 @@ func TestMountReportsBadDirentsInSlotOrder(t *testing.T) {
 	// Retire the journal window, so recovery replays nothing over the
 	// damage, then zero each entry's name-length byte (after its 8-byte
 	// ino).
-	f.PM.PersistStore64(int64(journalBlock)*BlockSize+jHeadOff, uint64(f.jTail))
+	f.PM.PersistStore64(f.ring.Base+inplace.RingHeadOff, uint64(f.ring.Tail))
 	for _, dir := range []string{"a", "b"} {
 		d := f.Inodes[f.Inodes[inplace.RootIno].Dirents[dir].Ino]
 		f.PM.PersistStore(d.Dirents["x"].Off+8, []byte{0})

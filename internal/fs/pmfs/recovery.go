@@ -33,11 +33,11 @@ func (f *FS) truncRemove() {
 func (f *FS) Mount() error {
 	pm := f.PM
 	if pm.Load64(sbMagicOff) != Magic {
-		return corrupt("bad superblock magic %#x", pm.Load64(sbMagicOff))
+		return vfs.Corruptf("bad superblock magic %#x", pm.Load64(sbMagicOff))
 	}
 	f.totalBlocks = pm.Load64(sbBlocksOff)
 	if f.totalBlocks == 0 || int64(f.totalBlocks)*BlockSize > pm.Size() {
-		return corrupt("superblock block count %d exceeds device", f.totalBlocks)
+		return vfs.Corruptf("superblock block count %d exceeds device", f.totalBlocks)
 	}
 
 	if err := f.recoverJournal(); err != nil {
@@ -50,7 +50,7 @@ func (f *FS) Mount() error {
 		// dereference.
 		count := pm.Load64(int64(truncBlock)*BlockSize + truncCountOff)
 		if count > 0 {
-			return corrupt("null pointer dereference: truncate-list replay before free-list rebuild (ino %d)",
+			return vfs.Corruptf("null pointer dereference: truncate-list replay before free-list rebuild (ino %d)",
 				pm.Load64(int64(truncBlock)*BlockSize+truncEntsOff))
 		}
 	}
@@ -63,7 +63,7 @@ func (f *FS) Mount() error {
 	// Truncate-list replay (fixed ordering: after the allocator rebuild).
 	count := pm.Load64(int64(truncBlock)*BlockSize + truncCountOff)
 	if count > truncMaxEnts {
-		return corrupt("truncate-list count %d out of range", count)
+		return vfs.Corruptf("truncate-list count %d out of range", count)
 	}
 	if count > 0 {
 		ino := pm.Load64(int64(truncBlock)*BlockSize + truncEntsOff)

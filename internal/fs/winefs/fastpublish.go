@@ -1,5 +1,7 @@
 package winefs
 
+import "chipmunk/internal/vfs"
+
 // The mini-journal backs the strict-mode "fast publish" path of bug 20: a
 // fixed two-record redo area in the superblock block. The CORRECT protocol
 // would fence the records before the commit word; the published fast path
@@ -56,7 +58,7 @@ func (f *FS) recoverMiniJournal() error {
 			continue
 		}
 		if target < 0 || target+8 > pm.Size() {
-			return corrupt("mini-journal target %d out of range", target)
+			return vfs.Corruptf("mini-journal target %d out of range", target)
 		}
 		pm.PersistStore64(target, pm.Load64(off+8))
 	}

@@ -2,10 +2,11 @@ package winefs
 
 import (
 	"encoding/binary"
-
 	"sort"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/inplace"
+	"chipmunk/internal/vfs"
 )
 
 // WineFS keeps one redo journal per CPU. Each transaction is stamped with a
@@ -19,124 +20,59 @@ import (
 // every journal, so committed transactions in the other journals were never
 // re-applied after a crash.
 const (
-	jHeadOff    = 0
-	jTailOff    = 8
-	jRecsStart  = 16
-	jAreaSize   = 2048
-	jRecDataMax = 128
-	jTxHdrSize  = 24 // {txid u64, nrecs u64, reserved u64}
+	jAreaSize  = 2048
+	jTxHdrSize = 24 // {txid u64, nrecs u64, reserved u64}
+	// jReclaimThreshold: reclaim every journal once one is this full.
+	jReclaimThreshold = (jAreaSize - inplace.RingStart) * 3 / 4
 )
 
-func journalBase(cpu int) int64 {
-	return int64(journalBlock0+cpu) * BlockSize
-}
-
-type jrec struct {
-	off  int64
-	data []byte
-}
-
 type txn struct {
-	fs   *FS
-	cpu  int
-	recs []jrec
+	fs  *FS
+	cpu int
+	inplace.Redo
 }
 
 func (f *FS) beginTx() *txn { return &txn{fs: f, cpu: f.curCPU()} }
 
-func (t *txn) Set(off int64, data []byte) {
-	if len(data) > jRecDataMax {
-		panic("winefs: journal record too large")
-	}
-	t.recs = append(t.recs, jrec{off, data})
-}
-
-func pad8(n int) int { return (n + 7) &^ 7 }
-
-// regionByte maps a monotonically increasing region offset to a device
-// offset inside cpu's journal, wrapping modularly.
-func regionByte(cpu int, pos int64) int64 {
-	wrapped := jRecsStart + (pos-jRecsStart)%(jAreaSize-jRecsStart)
-	return journalBase(cpu) + wrapped
-}
-
-func (f *FS) storeWrapped(cpu int, pos int64, data []byte) {
-	for i := 0; i < len(data); {
-		dev := regionByte(cpu, pos+int64(i))
-		room := int(journalBase(cpu) + jAreaSize - dev)
-		n := len(data) - i
-		if n > room {
-			n = room
-		}
-		f.PM.Store(dev, data[i:i+n])
-		f.PM.Flush(dev, n)
-		i += n
-	}
-}
-
-func (f *FS) loadWrapped(cpu int, pos int64, n int) []byte {
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		dev := regionByte(cpu, pos+int64(len(out)))
-		room := int(journalBase(cpu) + jAreaSize - dev)
-		take := n - len(out)
-		if take > room {
-			take = room
-		}
-		out = append(out, f.PM.Load(dev, take)...)
-	}
-	return out
-}
-
-// commit writes the tx (header + records), publishes the tail, applies the
+// Commit writes the tx (header + records), publishes the tail, applies the
 // records in place, and reclaims lazily.
 func (t *txn) Commit() {
 	fs := t.fs
-	cpu := t.cpu
-	base := journalBase(cpu)
-
-	need := int64(jTxHdrSize)
-	for _, r := range t.recs {
-		need += 16 + int64(pad8(len(r.data)))
-	}
-	head := int64(fs.PM.Load64(base + jHeadOff))
-	if fs.jTails[cpu]+need-head > int64(jAreaSize-jRecsStart) {
+	r := &fs.rings[t.cpu]
+	head := int64(fs.PM.Load64(r.Base + inplace.RingHeadOff))
+	if r.Tail+jTxHdrSize+t.Size()-head > r.Room() {
 		fs.reclaimAll()
 	}
+	pos := t.append(r)
+	fs.PM.Fence()
 
-	pos := fs.jTails[cpu]
+	r.Tail = pos
+	fs.PM.PersistStore64(r.Base+inplace.RingTailOff, uint64(pos))
+	fs.PM.Fence()
+
+	t.Apply(fs.PM)
+	fs.PM.Fence()
+
+	head = int64(fs.PM.Load64(r.Base + inplace.RingHeadOff))
+	if pos-head >= jReclaimThreshold {
+		fs.reclaimAll()
+	}
+}
+
+// append stamps t with the next txid and writes its header and records at
+// r's tail, flushed and not fenced. It returns the region offset past
+// them.
+func (t *txn) append(r *inplace.Ring) int64 {
 	hdr := make([]byte, jTxHdrSize)
-	binary.LittleEndian.PutUint64(hdr, fs.txid)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(t.recs)))
-	fs.txid++
-	fs.storeWrapped(cpu, pos, hdr)
-	pos += jTxHdrSize
-	for _, r := range t.recs {
-		rh := make([]byte, 16)
-		binary.LittleEndian.PutUint64(rh, uint64(r.off))
-		binary.LittleEndian.PutUint64(rh[8:], uint64(len(r.data)))
-		fs.storeWrapped(cpu, pos, rh)
-		padded := make([]byte, pad8(len(r.data)))
-		copy(padded, r.data)
-		fs.storeWrapped(cpu, pos+16, padded)
-		pos += 16 + int64(len(padded))
+	binary.LittleEndian.PutUint64(hdr, t.fs.txid)
+	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(t.Recs)))
+	t.fs.txid++
+	r.Store(r.Tail, hdr)
+	pos := r.Tail + jTxHdrSize
+	for _, rec := range t.Recs {
+		pos = r.Append(pos, rec)
 	}
-	fs.PM.Fence()
-
-	fs.jTails[cpu] = pos
-	fs.PM.PersistStore64(base+jTailOff, uint64(pos))
-	fs.PM.Fence()
-
-	for _, r := range t.recs {
-		fs.PM.Store(r.off, r.data)
-		fs.PM.Flush(r.off, len(r.data))
-	}
-	fs.PM.Fence()
-
-	head = int64(fs.PM.Load64(base + jHeadOff))
-	if pos-head >= int64((jAreaSize-jRecsStart)*3/4) {
-		fs.reclaimAll()
-	}
+	return pos
 }
 
 // reclaimAll retires every journal window. Reclamation must be globally
@@ -150,8 +86,9 @@ func (t *txn) Commit() {
 func (fs *FS) reclaimAll() {
 	fs.PM.PersistStore64(sbReclaimOff, fs.txid)
 	fs.PM.Fence()
-	for c := 0; c < NumCPUs; c++ {
-		fs.PM.PersistStore64(journalBase(c)+jHeadOff, uint64(fs.jTails[c]))
+	for c := range fs.rings {
+		r := &fs.rings[c]
+		fs.PM.PersistStore64(r.Base+inplace.RingHeadOff, uint64(r.Tail))
 	}
 	fs.PM.Fence()
 }
@@ -159,7 +96,7 @@ func (fs *FS) reclaimAll() {
 // parsedTx is one transaction recovered from a journal window.
 type parsedTx struct {
 	txid uint64
-	recs []jrec
+	inplace.Redo
 }
 
 // recoverJournals re-applies committed transactions. Fixed code merges all
@@ -183,18 +120,16 @@ func (f *FS) recoverJournals() error {
 		}
 	}
 	// Journals not consulted still need their DRAM tails for later commits.
-	for cpu := 0; cpu < NumCPUs; cpu++ {
-		f.jTails[cpu] = int64(f.PM.Load64(journalBase(cpu) + jTailOff))
+	for cpu := range f.rings {
+		r := &f.rings[cpu]
+		r.Tail = int64(f.PM.Load64(r.Base + inplace.RingTailOff))
 		if f.txid <= f.lastTxid(cpu) {
 			f.txid = f.lastTxid(cpu) + 1
 		}
 	}
 	sort.Slice(txs, func(i, j int) bool { return txs[i].txid < txs[j].txid })
 	for _, tx := range txs {
-		for _, r := range tx.recs {
-			f.PM.Store(r.off, r.data)
-			f.PM.Flush(r.off, len(r.data))
-		}
+		tx.Apply(f.PM)
 	}
 	f.PM.Fence()
 	return nil
@@ -210,34 +145,32 @@ func (f *FS) lastTxid(cpu int) uint64 {
 }
 
 func (f *FS) parseJournal(cpu int) ([]parsedTx, error) {
-	base := journalBase(cpu)
-	head := int64(f.PM.Load64(base + jHeadOff))
-	tail := int64(f.PM.Load64(base + jTailOff))
-	if head < jRecsStart || tail < head {
-		return nil, corrupt("journal %d pointers head=%d tail=%d", cpu, head, tail)
+	r := &f.rings[cpu]
+	head := int64(f.PM.Load64(r.Base + inplace.RingHeadOff))
+	tail := int64(f.PM.Load64(r.Base + inplace.RingTailOff))
+	if head < inplace.RingStart || tail < head {
+		return nil, vfs.Corruptf("journal %d pointers head=%d tail=%d", cpu, head, tail)
 	}
 	var txs []parsedTx
 	for pos := head; pos < tail; {
-		hdr := f.loadWrapped(cpu, pos, jTxHdrSize)
+		hdr := r.Load(pos, jTxHdrSize)
 		txid := binary.LittleEndian.Uint64(hdr)
 		nrecs := binary.LittleEndian.Uint64(hdr[8:])
 		if nrecs > 64 {
-			return nil, corrupt("journal %d: tx with %d records", cpu, nrecs)
+			return nil, vfs.Corruptf("journal %d: tx with %d records", cpu, nrecs)
 		}
 		pos += jTxHdrSize
 		tx := parsedTx{txid: txid}
 		for i := uint64(0); i < nrecs; i++ {
-			rh := f.loadWrapped(cpu, pos, 16)
-			target := int64(binary.LittleEndian.Uint64(rh))
-			n := int(binary.LittleEndian.Uint64(rh[8:]))
-			if n > jRecDataMax {
-				return nil, corrupt("journal %d: record length %d", cpu, n)
+			target, n := r.Header(pos)
+			if n > inplace.RecDataMax {
+				return nil, vfs.Corruptf("journal %d: record length %d", cpu, n)
 			}
 			if target < 0 || target+int64(n) > f.PM.Size() {
-				return nil, corrupt("journal %d: record target %d", cpu, target)
+				return nil, vfs.Corruptf("journal %d: record target %d", cpu, target)
 			}
-			tx.recs = append(tx.recs, jrec{target, f.loadWrapped(cpu, pos+16, n)})
-			pos += 16 + int64(pad8(n))
+			tx.Recs = append(tx.Recs, inplace.Rec{Off: target, Data: r.Load(pos+inplace.RecHdrSize, n)})
+			pos += inplace.RecSize(n)
 		}
 		txs = append(txs, tx)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/inplace"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
 	"chipmunk/internal/vfs"
@@ -87,7 +88,7 @@ func TestReclaimPartialHeadAdvance(t *testing.T) {
 	// advanced. Journal 0 still holds tx 1 with the OLD root image.
 	f.PM.PersistStore64(sbReclaimOff, f.txid)
 	f.PM.Fence()
-	f.PM.PersistStore64(journalBase(1)+jHeadOff, uint64(f.jTails[1]))
+	f.PM.PersistStore64(f.rings[1].Base+inplace.RingHeadOff, uint64(f.rings[1].Tail))
 	f.PM.Fence()
 
 	f2 := New(persist.New(pmem.FromImage(dev.CrashImage())), bugs.None())

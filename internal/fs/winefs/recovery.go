@@ -7,11 +7,11 @@ import "chipmunk/internal/vfs"
 func (f *FS) Mount() error {
 	pm := f.PM
 	if pm.Load64(sbMagicOff) != Magic {
-		return corrupt("bad superblock magic %#x", pm.Load64(sbMagicOff))
+		return vfs.Corruptf("bad superblock magic %#x", pm.Load64(sbMagicOff))
 	}
 	f.totalBlocks = pm.Load64(sbBlocksOff)
 	if f.totalBlocks == 0 || int64(f.totalBlocks)*BlockSize > pm.Size() {
-		return corrupt("superblock block count %d exceeds device", f.totalBlocks)
+		return vfs.Corruptf("superblock block count %d exceeds device", f.totalBlocks)
 	}
 
 	if err := f.recoverJournals(); err != nil {

@@ -17,8 +17,6 @@
 package winefs
 
 import (
-	"fmt"
-
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/fs/inplace"
 	"chipmunk/internal/persist"
@@ -76,10 +74,10 @@ type FS struct {
 	alloc   *vfs.Bitmap
 	mounted bool
 
-	// Per-CPU journal state: DRAM tail mirrors and the global tx counter.
-	jTails [NumCPUs]int64
-	txid   uint64
-	opSeq  uint64 // drives the CPU assignment of operations
+	// The per-CPU journals and the global tx counter.
+	rings [NumCPUs]inplace.Ring
+	txid  uint64
+	opSeq uint64 // drives the CPU assignment of operations
 }
 
 // host is FS as the namespace layer's inplace.Host: directory blocks come
@@ -104,6 +102,9 @@ func WithMode(m Mode) Option { return func(f *FS) { f.mode = m } }
 func New(pm *persist.PM, set bugs.Set, opts ...Option) *FS {
 	f := &FS{bugs: set, mode: Strict}
 	f.PM, f.Host, f.Table = pm, (*host)(f), inodeTblBlock*BlockSize
+	for c := range f.rings {
+		f.rings[c] = inplace.Ring{PM: pm, Base: int64(journalBlock0+c) * BlockSize, Size: jAreaSize}
+	}
 	for _, o := range opts {
 		o(f)
 	}
@@ -130,10 +131,6 @@ func (f *FS) curCPU() int { return int(f.opSeq % NumCPUs) }
 // system call.
 func (f *FS) nextOp() { f.opSeq++ }
 
-func corrupt(format string, args ...interface{}) error {
-	return fmt.Errorf("%w: "+format, append([]interface{}{vfs.ErrCorrupt}, args...)...)
-}
-
 // Mkfs implements vfs.FS.
 func (f *FS) Mkfs() error {
 	f.totalBlocks = uint64(f.PM.Size()) / BlockSize
@@ -148,12 +145,8 @@ func (f *FS) Mkfs() error {
 	f.Reset(InodeCount)
 	f.Slots.Claim(inplace.RootIno)
 	f.txid = 1
-	for c := 0; c < NumCPUs; c++ {
-		f.jTails[c] = jRecsStart
-		base := journalBase(c)
-		pm.Store64(base+jHeadOff, jRecsStart)
-		pm.Store64(base+jTailOff, jRecsStart)
-		pm.Flush(base, 16)
+	for c := range f.rings {
+		f.rings[c].Format()
 	}
 	pm.Fence()
 

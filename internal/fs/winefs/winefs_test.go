@@ -210,26 +210,9 @@ func TestBug19SingleJournalRecovery(t *testing.T) {
 	tx.Set(slotOff, ghost)
 	// Commit writes + tail publish, but skip the in-place apply: emulate by
 	// committing into the journal only.
-	base := journalBase(2)
-	pos := f.jTails[2]
-	hdr := make([]byte, jTxHdrSize)
-	binary.LittleEndian.PutUint64(hdr, f.txid)
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(tx.recs)))
-	f.txid++
-	f.storeWrapped(2, pos, hdr)
-	pos += jTxHdrSize
-	for _, r := range tx.recs {
-		rh := make([]byte, 16)
-		binary.LittleEndian.PutUint64(rh, uint64(r.off))
-		binary.LittleEndian.PutUint64(rh[8:], uint64(len(r.data)))
-		f.storeWrapped(2, pos, rh)
-		padded := make([]byte, pad8(len(r.data)))
-		copy(padded, r.data)
-		f.storeWrapped(2, pos+16, padded)
-		pos += 16 + int64(len(padded))
-	}
+	pos := tx.append(&f.rings[2])
 	f.PM.Fence()
-	f.PM.PersistStore64(base+jTailOff, uint64(pos))
+	f.PM.PersistStore64(f.rings[2].Base+inplace.RingTailOff, uint64(pos))
 	f.PM.Fence()
 
 	img := dev.CrashImage()

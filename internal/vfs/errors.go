@@ -1,6 +1,9 @@
 package vfs
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // Sentinel errors shared by all file systems, mirroring the POSIX errnos
 // the tested operations can return. The checker treats any error from Mount
@@ -34,3 +37,8 @@ var (
 	// (e.g. checksum mismatch in NOVA-Fortis).
 	ErrIO = errors.New("input/output error")
 )
+
+// Corruptf returns ErrCorrupt with what recovery found wrong.
+func Corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorrupt}, args...)...)
+}
