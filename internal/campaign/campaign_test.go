@@ -208,17 +208,23 @@ func TestDistributedMatchesSerialResume(t *testing.T) {
 	_, _, want := baseline(t)
 	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
 
-	// Phase 1: interrupt the coordinator once 2 shards are credited. The
-	// drain path keeps crediting in-flight shards, so K >= 2.
+	// Phase 1: interrupt the coordinator once 2 shards are credited. Every
+	// credit from the 2nd on drains the coordinator before its response
+	// goes back, and a worker asks for its next lease only once its credit
+	// returns, so phase 1 leases at most 3 shards: the 2 first leases and
+	// one after the 1st credit. The drain keeps crediting in-flight shards,
+	// so 2 <= K <= 3, strictly below the suite's 4 shards.
 	var credited atomic.Int64
 	ctx1, interrupt := context.WithCancel(context.Background())
 	defer interrupt()
 	wctx1, stopWorkers1 := context.WithCancel(context.Background())
 	defer stopWorkers1()
+	var coord1 *Coordinator
 	coord1, err := NewCoordinator(CoordinatorConfig{
 		Spec: testSpec(), CheckpointPath: ckpt,
 		Progress: func(done, total int, c harness.Census) {
 			if credited.Add(1) >= 2 {
+				coord1.Drain()
 				interrupt()
 			}
 		},
