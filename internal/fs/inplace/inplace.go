@@ -188,10 +188,7 @@ func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 
 	// Walk the inodes in slot order, not map order: when an image holds
 	// two faults, the one a mount reports is decided by the image.
-	for ino := uint64(1); ino < uint64(slots); ino++ {
-		if !f.Slots.Used(ino) {
-			continue
-		}
+	for ino, ok := f.Slots.NextUsed(RootIno); ok; ino, ok = f.Slots.NextUsed(ino + 1) {
 		d := f.Inodes[ino]
 		for i, b := range d.Blocks {
 			if b == 0 {
@@ -206,9 +203,9 @@ func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 		}
 	}
 
-	for ino := uint64(1); ino < uint64(slots); ino++ {
+	for ino, ok := f.Slots.NextUsed(RootIno); ok; ino, ok = f.Slots.NextUsed(ino + 1) {
 		d := f.Inodes[ino]
-		if !f.Slots.Used(ino) || d.Typ != vfs.TypeDir {
+		if d.Typ != vfs.TypeDir {
 			continue
 		}
 		for _, b := range d.Blocks {

@@ -87,6 +87,18 @@ func (b *Bitmap) Release(u uint64) bool {
 // Used reports whether unit u lies in the pool and is in use.
 func (b *Bitmap) Used(u uint64) bool { return u >= b.lo && u < b.hi && b.isSet(u) }
 
+// NextUsed returns the lowest unit at or after u that is in use, and
+// false when there is none.
+func (b *Bitmap) NextUsed(u uint64) (uint64, bool) {
+	for u < b.hi {
+		if w := b.words[u/64] >> (u % 64); w != 0 {
+			return u + uint64(bits.TrailingZeros64(w)), true
+		}
+		u = u/64*64 + 64
+	}
+	return 0, false
+}
+
 // Free counts the free units.
 func (b *Bitmap) Free() int {
 	used := 0

@@ -31,6 +31,15 @@ func TestBitmap(t *testing.T) {
 	if u, _ := b.Next(); u != 5 {
 		t.Fatalf("Next = %d, want 5 (next fit, not lowest)", u)
 	}
+	// Used: 4, 5 and 69, across both words.
+	for _, want := range [][2]uint64{{0, 4}, {5, 5}, {6, 69}, {69, 69}} {
+		if u, ok := b.NextUsed(want[0]); !ok || u != want[1] {
+			t.Fatalf("NextUsed(%d) = %d, %v; want %d", want[0], u, ok, want[1])
+		}
+	}
+	if _, ok := b.NextUsed(70); ok {
+		t.Fatal("NextUsed past the last used unit found one")
+	}
 	c := b.Clone()
 	for b.Free() > 0 {
 		b.Next()
