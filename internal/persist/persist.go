@@ -8,6 +8,10 @@
 // and instrumenting those functions (Kprobes/Uprobes in the paper, a probe
 // interface here) records every durable write without modifying file-system
 // code and without per-instruction overhead.
+//
+// PM keeps no caller's buffer: a probe sees the bytes of a Store or a
+// MemcpyNT through a PM-owned scratch copy, valid only during the call, so
+// the buffer a file system writes from can live on its own stack.
 package persist
 
 import (
@@ -23,7 +27,8 @@ import (
 func WrapTracking(t *pmem.TrackingDevice) *pmem.Device { return t.Device }
 
 // Probe observes persistence-function invocations. Implementations must not
-// mutate data.
+// mutate data, and data is valid only during the call: PM reuses the
+// buffer, so a probe copies what it keeps (as trace.Log.Append does).
 type Probe interface {
 	// OnNT fires for non-temporal memcpy/memset; data is the full buffer.
 	OnNT(off int64, data []byte, fn string)
@@ -48,13 +53,22 @@ type PM struct {
 	// tracers like Yat and Vinter for the overhead ablation.
 	TraceStores bool
 
-	// memset is MemsetNT's reusable pattern buffer (non-zero bytes only;
-	// zero fills use the shared zeros buffer) and flushCap Flush's reusable
-	// line-capture buffer. Reuse across calls is safe because every
-	// consumer copies: the device captures the bytes into its own in-flight
-	// storage and probes append private copies.
-	memset   []byte
-	flushCap []byte
+	// scratch is the buffer probes see: MemsetNT's non-zero pattern (zero
+	// fills use the shared zeros buffer), Flush's line capture, and the
+	// copy of a Store's or MemcpyNT's source. Handing probes a copy keeps
+	// the caller's buffer from escaping through the interface call. Reuse
+	// across calls is safe because every consumer copies: the device
+	// captures the bytes into its own in-flight storage and probes append
+	// private copies.
+	scratch []byte
+}
+
+// scratchBuf returns p's scratch buffer resized to n bytes.
+func (p *PM) scratchBuf(n int) []byte {
+	if cap(p.scratch) < n {
+		p.scratch = make([]byte, n)
+	}
+	return p.scratch[:n]
 }
 
 // zeroBuf publishes a shared all-zero buffer for MemsetNT's dominant b==0
@@ -112,8 +126,13 @@ func (p *PM) Size() int64 { return p.mem.Size() }
 // durable write; durable after the next Fence.
 func (p *PM) MemcpyNT(off int64, src []byte) {
 	p.mem.NTStore(off, src)
+	if len(p.probes) == 0 {
+		return
+	}
+	data := p.scratchBuf(len(src))
+	copy(data, src)
 	for _, pr := range p.probes {
-		pr.OnNT(off, src, "memcpy_nt")
+		pr.OnNT(off, data, "memcpy_nt")
 	}
 }
 
@@ -123,10 +142,7 @@ func (p *PM) MemsetNT(off int64, b byte, n int) {
 	if b == 0 {
 		buf = zeros(n)
 	} else {
-		if cap(p.memset) < n {
-			p.memset = make([]byte, n)
-		}
-		buf = p.memset[:n]
+		buf = p.scratchBuf(n)
 		for i := range buf {
 			buf[i] = b
 		}
@@ -141,10 +157,13 @@ func (p *PM) MemsetNT(off int64, b byte, n int) {
 // after Flush + Fence. Not individually traced (function-level logging).
 func (p *PM) Store(off int64, src []byte) {
 	p.mem.Store(off, src)
-	if p.TraceStores {
-		for _, pr := range p.probes {
-			pr.OnStore(off, src)
-		}
+	if !p.TraceStores || len(p.probes) == 0 {
+		return
+	}
+	data := p.scratchBuf(len(src))
+	copy(data, src)
+	for _, pr := range p.probes {
+		pr.OnStore(off, data)
 	}
 }
 
@@ -181,10 +200,7 @@ func (p *PM) Flush(off int64, n int) {
 	if hi > p.mem.Size() {
 		hi = p.mem.Size()
 	}
-	if cap(p.flushCap) < int(hi-lo) {
-		p.flushCap = make([]byte, hi-lo)
-	}
-	capture := p.flushCap[:hi-lo]
+	capture := p.scratchBuf(int(hi - lo))
 	p.mem.Peek(lo, capture)
 	p.mem.Flush(off, n)
 	for _, pr := range p.probes {

@@ -220,3 +220,103 @@ func TestPropertyTraceOmitsUnflushedStores(t *testing.T) {
 		t.Fatal("unflushed store appeared in trace replay")
 	}
 }
+
+// TestPMWritesZeroAlloc pins that PM keeps no caller's buffer: every write
+// function, handed a buffer on the caller's stack, allocates nothing, with
+// no probe, with a Recorder, and with a Recorder tracing every store. A
+// probe that saw the caller's slice would move that buffer to the heap on
+// every call.
+func TestPMWritesZeroAlloc(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	for _, c := range []struct {
+		name        string
+		record      bool
+		traceStores bool
+	}{
+		{"no-probe", false, false},
+		{"recorder", true, false},
+		{"recorder-trace-stores", true, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pm := New(pmem.NewDevice(4096))
+			log := trace.NewLog()
+			if c.record {
+				pm.Attach(NewRecorder(log))
+			}
+			pm.TraceStores = c.traceStores
+			for _, w := range []struct {
+				name  string
+				write func(byte)
+			}{
+				{"Store", func(v byte) {
+					var b [64]byte
+					b[0] = v
+					pm.Store(0, b[:])
+				}},
+				{"Store64", func(v byte) { pm.Store64(64, uint64(v)) }},
+				{"Store32", func(v byte) { pm.Store32(128, uint32(v)) }},
+				{"PersistStore", func(v byte) {
+					var b [64]byte
+					b[0] = v
+					pm.PersistStore(192, b[:])
+				}},
+				{"PersistStore64", func(v byte) { pm.PersistStore64(256, uint64(v)) }},
+				{"MemcpyNT", func(v byte) {
+					var b [256]byte
+					b[0] = v
+					pm.MemcpyNT(512, b[:])
+				}},
+			} {
+				v := byte(0)
+				allocs := testing.AllocsPerRun(100, func() {
+					v++
+					w.write(v)
+					pm.Fence()
+					log.Reset()
+				})
+				if allocs != 0 {
+					t.Errorf("%s allocates %.1f times per call, want 0", w.name, allocs)
+				}
+			}
+		})
+	}
+}
+
+// TestProbeSeesEachCallsBytes pins the other half of the contract: probes
+// get PM's scratch copy, which the next call overwrites, so what a probe
+// keeps it must copy. After two non-temporal copies and two traced stores
+// from one caller buffer, rewritten between the calls, the log still holds
+// each call's own bytes.
+func TestProbeSeesEachCallsBytes(t *testing.T) {
+	pm, log, _ := newRecorded(256)
+	pm.TraceStores = true
+	buf := []byte("AAAA")
+	pm.MemcpyNT(0, buf)
+	copy(buf, "BBBB")
+	pm.MemcpyNT(8, buf)
+	copy(buf, "CCCC")
+	pm.Store(16, buf)
+	copy(buf, "DDDD")
+	pm.Store(24, buf)
+	copy(buf, "XXXX")
+	want := []struct {
+		kind trace.Kind
+		off  int64
+		data string
+	}{
+		{trace.KindNT, 0, "AAAA"},
+		{trace.KindNT, 8, "BBBB"},
+		{trace.KindStore, 16, "CCCC"},
+		{trace.KindStore, 24, "DDDD"},
+	}
+	if log.Len() != len(want) {
+		t.Fatalf("log len = %d, want %d", log.Len(), len(want))
+	}
+	for i, w := range want {
+		if e := log.At(i); e.Kind != w.kind || e.Off != w.off || string(e.Data) != w.data {
+			t.Errorf("entry %d = {%v %d %q}, want {%v %d %q}", i, e.Kind, e.Off, e.Data, w.kind, w.off, w.data)
+		}
+	}
+}
