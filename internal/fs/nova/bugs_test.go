@@ -143,7 +143,7 @@ func TestJournalRecoveryRedoesCommitted(t *testing.T) {
 	off := base + jRecsOff
 	f.pm.Store64(off, uint64(inodeOff(d.ino)))
 	f.pm.Store64(off+8, uint64(len(img)))
-	f.pm.Store(off+16, img)
+	f.pm.Store(off+16, img[:])
 	f.pm.Store64(base+jCountOff, 1)
 	f.pm.Flush(base, jRecsOff+jRecSize)
 	f.pm.Fence()

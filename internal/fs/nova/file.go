@@ -1,28 +1,12 @@
 package nova
 
 import (
-	"sync"
-
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/vfs"
 )
 
-// pagePool recycles Pwrite's page staging buffers across calls and mounts —
-// the crash-state checker's usability probe writes through a fresh FS on
-// every mounted state, so per-call page allocations would dominate the
-// check loop's heap traffic.
-var pagePool sync.Pool
-
-func grabPage() []byte {
-	if v := pagePool.Get(); v != nil {
-		return v.([]byte)
-	}
-	return make([]byte, PageSize)
-}
-
-func putPage(b []byte) {
-	pagePool.Put(b) //nolint:staticcheck // fixed-size []byte, pooled by design
-}
+// zeroPage is the content of a page fallocate zeroes.
+var zeroPage [PageSize]byte
 
 // maxFileSize bounds file growth so fuzzer-generated offsets cannot exhaust
 // the pool (cf. the paper's §4.4 non-crash-consistency finding that NOVA
@@ -41,7 +25,7 @@ func (f *FS) writePageCsum(poolPage uint64, content []byte) {
 	if !f.fortis {
 		return
 	}
-	f.pm.Store32(csumOff(poolPage), csum32(content))
+	f.pm.Store32(csumOff(poolPage), f.csumCopy(content))
 	f.pm.Flush(csumOff(poolPage), 4)
 }
 
@@ -83,16 +67,14 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 	firstPage := uint64(off / PageSize)
 	lastPage := uint64((end - 1) / PageSize)
 
-	// Phase 1: build the new data pages with NT stores. The staging buffer
-	// is pooled: the device and the trace both copy the bytes they keep, so
-	// it can be recycled as soon as the page is stored.
+	// Phase 1: build the new data pages with NT stores. The staging page
+	// is on the stack: PM and the trace copy the bytes they keep.
 	type pendingPage struct {
 		filePage uint64
 		poolPage uint64
 	}
 	var pend []pendingPage
-	content := grabPage()
-	defer putPage(content)
+	var content [PageSize]byte
 	for fp := firstPage; fp <= lastPage; fp++ {
 		np, err := f.alloc.Next()
 		if err != nil {
@@ -102,16 +84,16 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 			return 0, err
 		}
 		if old, ok := d.pages[fp]; ok {
-			f.pm.LoadInto(pageOff(old), content)
+			f.pm.LoadInto(pageOff(old), content[:])
 		} else {
-			clear(content)
+			clear(content[:])
 		}
 		pageStart := int64(fp) * PageSize
 		from := max(off, pageStart)
 		to := min(end, pageStart+PageSize)
 		copy(content[from-pageStart:], data[from-off:to-off])
-		f.pm.MemcpyNT(pageOff(np), content)
-		f.writePageCsum(np, content)
+		f.pm.MemcpyNT(pageOff(np), content[:])
+		f.writePageCsum(np, content[:])
 		pend = append(pend, pendingPage{fp, np})
 	}
 	f.pm.Fence()
@@ -126,10 +108,10 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 		// Bug 3: publish the final tail first, then write the entries.
 		tail := d.tail
 		offs := make([]int64, len(entries))
-		raws := make([][]byte, len(entries))
+		raws := make([][EntrySize]byte, len(entries))
 		for i, e := range entries {
 			raw := e.encode()
-			f.finishEncode(raw, false)
+			f.finishEncode(&raw, false)
 			var err error
 			offs[i], tail, err = f.reserveSlot(d, tail)
 			if err != nil {
@@ -140,7 +122,7 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 		d.tail = tail
 		f.syncInode(d, true)
 		for i := range raws {
-			f.writeEntry(offs[i], raws[i])
+			f.writeEntry(offs[i], &raws[i])
 		}
 		f.pm.Fence()
 	} else {
@@ -275,11 +257,11 @@ func (f *FS) truncateShrink(d *dnode, size int64) error {
 		if err != nil {
 			return err
 		}
-		content := make([]byte, PageSize)
-		f.pm.LoadInto(pageOff(d.pages[tailPage]), content)
+		var content [PageSize]byte
+		f.pm.LoadInto(pageOff(d.pages[tailPage]), content[:])
 		clear(content[tailLen:])
-		f.pm.MemcpyNT(pageOff(np), content)
-		f.writePageCsum(np, content)
+		f.pm.MemcpyNT(pageOff(np), content[:])
+		f.writePageCsum(np, content[:])
 		f.pm.Fence()
 		if _, err := f.appendEntry(d, entry{
 			typ: etWrite, filePage: tailPage, poolPage: np, sizeHint: uint64(size),
@@ -438,7 +420,7 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 			return err
 		}
 		f.pm.MemsetNT(pageOff(np), 0, PageSize)
-		f.writePageCsum(np, make([]byte, PageSize))
+		f.writePageCsum(np, zeroPage[:])
 		pend = append(pend, pendingPage{fp, np, mapped})
 	}
 	if len(pend) > 0 {

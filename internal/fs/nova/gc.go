@@ -80,8 +80,8 @@ func (fs *FS) collectLog(d *dnode, live int) {
 			tail = pageOff(next)
 		}
 		raw := e.encode()
-		fs.finishEncode(raw, false)
-		fs.writeEntry(tail, raw)
+		fs.finishEncode(&raw, false)
+		fs.writeEntry(tail, &raw)
 		tail += EntrySize
 		return true
 	}

@@ -26,48 +26,57 @@ const (
 	jMaxRecs = (PageSize - jRecsOff) / jRecSize
 )
 
+// jrec is one record: the first n bytes of data belong at off.
 type jrec struct {
 	off  int64
-	data []byte
+	n    int
+	data [jRecDataMax]byte
 }
 
-// txn accumulates byte-range writes to be applied atomically.
+// txn accumulates byte-range writes to be applied atomically. Its records
+// are inline, so a transaction lives on its caller's stack.
 type txn struct {
 	fs   *FS
-	recs []jrec
+	n    int
+	recs [jMaxRecs]jrec
 }
 
 func (fs *FS) beginTx() *txn { return &txn{fs: fs} }
 
 // set records an 8-byte word write.
 func (t *txn) set(off int64, val uint64) {
-	b := make([]byte, 8)
-	binary.LittleEndian.PutUint64(b, val)
-	t.setBytes(off, b)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], val)
+	t.setBytes(off, b[:])
 }
 
 // setBytes records a byte-range write of up to jRecDataMax bytes.
 func (t *txn) setBytes(off int64, data []byte) {
-	if len(t.recs) >= jMaxRecs {
+	if t.n >= jMaxRecs {
 		panic("nova: journal transaction overflow")
 	}
 	if len(data) > jRecDataMax {
 		panic("nova: journal record too large")
 	}
-	t.recs = append(t.recs, jrec{off, append([]byte(nil), data...)})
+	r := &t.recs[t.n]
+	r.off, r.n = off, copy(r.data[:], data)
+	t.n++
 }
+
+// bytes returns r's data.
+func (r *jrec) bytes() []byte { return r.data[:r.n] }
 
 // addInode records the primary inode image for d (reflecting d's current
 // DRAM fields) and, unless lazyReplica is in effect under bug 10, the
 // replica image as well.
 func (t *txn) addInode(d *dnode, lazyReplica bool) {
 	img := t.fs.inodeImage(d)
-	t.setBytes(inodeOff(d.ino), img)
+	t.setBytes(inodeOff(d.ino), img[:])
 	if t.fs.fortis {
 		if lazyReplica && t.fs.has(bugs.FortisReplicaSkew) {
 			t.fs.lazyReplicas = append(t.fs.lazyReplicas, d.ino)
 		} else {
-			t.setBytes(inodeOff(d.ino)+inoReplicaOff, img)
+			t.setBytes(inodeOff(d.ino)+inoReplicaOff, img[:])
 		}
 	}
 }
@@ -77,22 +86,25 @@ func (t *txn) commit() {
 	fs := t.fs
 	base := int64(journalPage) * PageSize
 	// 1. Record the writes.
-	for i, r := range t.recs {
+	recs := t.recs[:t.n]
+	for i := range recs {
+		r := &recs[i]
 		off := base + jRecsOff + int64(i)*jRecSize
 		fs.pm.Store64(off, uint64(r.off))
-		fs.pm.Store64(off+8, uint64(len(r.data)))
-		fs.pm.Store(off+16, r.data)
+		fs.pm.Store64(off+8, uint64(r.n))
+		fs.pm.Store(off+16, r.bytes())
 	}
-	fs.pm.Store64(base+jCountOff, uint64(len(t.recs)))
-	fs.pm.Flush(base+jCountOff, 8+len(t.recs)*jRecSize)
+	fs.pm.Store64(base+jCountOff, uint64(t.n))
+	fs.pm.Flush(base+jCountOff, 8+t.n*jRecSize)
 	fs.pm.Fence()
 	// 2. Commit.
 	fs.pm.PersistStore64(base+jStateOff, 1)
 	fs.pm.Fence()
 	// 3. Apply in place.
-	for _, r := range t.recs {
-		fs.pm.Store(r.off, r.data)
-		fs.pm.Flush(r.off, len(r.data))
+	for i := range recs {
+		r := &recs[i]
+		fs.pm.Store(r.off, r.bytes())
+		fs.pm.Flush(r.off, r.n)
 	}
 	fs.pm.Fence()
 	// 4. Free the journal.

@@ -142,10 +142,9 @@ type entry struct {
 	size uint64
 }
 
-// encode serializes e into a fresh EntrySize buffer. Fortis callers patch
-// the csum afterwards (or deliberately skip it — bug 9).
-func (e entry) encode() []byte {
-	b := make([]byte, EntrySize)
+// encode serializes e. Fortis callers stamp the csum afterwards (or
+// deliberately skip it — bug 9).
+func (e entry) encode() (b [EntrySize]byte) {
 	b[entType] = e.typ
 	if e.invalid {
 		b[entFlags] = 1
@@ -169,7 +168,7 @@ func (e entry) encode() []byte {
 	return b
 }
 
-// payloadCsum computes the Fortis checksum of an encoded entry.
+// payloadCsum computes the Fortis checksum of an entry loaded from PM.
 func payloadCsum(b []byte) uint32 { return csum32(b[8:EntrySize]) }
 
 // decodeEntry parses an entry from raw bytes.

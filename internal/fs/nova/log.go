@@ -1,9 +1,6 @@
 package nova
 
-import (
-	"chipmunk/internal/bugs"
-	"encoding/binary"
-)
+import "chipmunk/internal/bugs"
 
 // reserveSlot returns the device offset where the next entry at the given
 // tail should be written, chaining a fresh log page when the current one is
@@ -49,16 +46,16 @@ func (fs *FS) reserveSlot(d *dnode, tail int64) (entryOff, newTail int64, err er
 }
 
 // writeEntry stores and flushes the encoded entry bytes at off (no fence).
-func (fs *FS) writeEntry(off int64, raw []byte) {
-	fs.pm.Store(off, raw)
+func (fs *FS) writeEntry(off int64, raw *[EntrySize]byte) {
+	fs.pm.Store(off, raw[:])
 	fs.pm.Flush(off, EntrySize)
 }
 
 // finishEncode stamps the Fortis payload checksum unless the caller asked
 // for the late-checksum path (bug 9).
-func (fs *FS) finishEncode(raw []byte, lateCsum bool) {
+func (fs *FS) finishEncode(raw *[EntrySize]byte, lateCsum bool) {
 	if fs.fortis && !lateCsum {
-		binary.LittleEndian.PutUint32(raw[entCsum:], payloadCsum(raw))
+		fs.stampCsum(raw)
 	}
 }
 
@@ -75,7 +72,7 @@ func (fs *FS) finishEncode(raw []byte, lateCsum bool) {
 func (fs *FS) appendEntry(d *dnode, e entry, risky, lateCsum bool) (int64, error) {
 	lateCsum = lateCsum && fs.has(bugs.FortisCsumNoFlush)
 	raw := e.encode()
-	fs.finishEncode(raw, lateCsum)
+	fs.finishEncode(&raw, lateCsum)
 
 	entryOff, newTail, err := fs.reserveSlot(d, d.tail)
 	if err != nil {
@@ -87,12 +84,12 @@ func (fs *FS) appendEntry(d *dnode, e entry, risky, lateCsum bool) (int64, error
 		// two leaves the tail pointing at garbage.
 		d.tail = newTail
 		fs.syncInode(d, false)
-		fs.writeEntry(entryOff, raw)
+		fs.writeEntry(entryOff, &raw)
 		fs.pm.Fence()
 		return entryOff, nil
 	}
 
-	fs.writeEntry(entryOff, raw)
+	fs.writeEntry(entryOff, &raw)
 	fs.pm.Fence()
 	d.tail = newTail
 	fs.syncInode(d, false)
@@ -100,8 +97,7 @@ func (fs *FS) appendEntry(d *dnode, e entry, risky, lateCsum bool) (int64, error
 	if fs.fortis && lateCsum {
 		// Bug 9: checksum lands in a separate persistence step after the
 		// entry is already reachable.
-		binary.LittleEndian.PutUint32(raw[entCsum:], payloadCsum(raw))
-		fs.pm.Store32(entryOff+entCsum, binary.LittleEndian.Uint32(raw[entCsum:]))
+		fs.pm.Store32(entryOff+entCsum, fs.stampCsum(&raw))
 		fs.pm.Flush(entryOff+entCsum, 4)
 		fs.pm.Fence()
 	}
@@ -114,12 +110,12 @@ func (fs *FS) appendEntry(d *dnode, e entry, risky, lateCsum bool) (int64, error
 func (fs *FS) writeEntryNoPublish(d *dnode, tail int64, e entry, lateCsum bool) (entryOff, newTail int64, err error) {
 	lateCsum = lateCsum && fs.has(bugs.FortisCsumNoFlush)
 	raw := e.encode()
-	fs.finishEncode(raw, lateCsum)
+	fs.finishEncode(&raw, lateCsum)
 	entryOff, newTail, err = fs.reserveSlot(d, tail)
 	if err != nil {
 		return 0, 0, err
 	}
-	fs.writeEntry(entryOff, raw)
+	fs.writeEntry(entryOff, &raw)
 	fs.pm.Fence()
 	if fs.fortis && lateCsum {
 		fs.deferredCsums = append(fs.deferredCsums, deferredCsum{entryOff, raw})
@@ -129,15 +125,15 @@ func (fs *FS) writeEntryNoPublish(d *dnode, tail int64, e entry, lateCsum bool) 
 
 type deferredCsum struct {
 	off int64
-	raw []byte
+	raw [EntrySize]byte
 }
 
 // flushDeferredCsums writes entry checksums that the buggy Fortis path
 // postponed past the publish (bug 9).
 func (fs *FS) flushDeferredCsums() {
-	for _, dc := range fs.deferredCsums {
-		binary.LittleEndian.PutUint32(dc.raw[entCsum:], payloadCsum(dc.raw))
-		fs.pm.Store32(dc.off+entCsum, binary.LittleEndian.Uint32(dc.raw[entCsum:]))
+	for i := range fs.deferredCsums {
+		dc := &fs.deferredCsums[i]
+		fs.pm.Store32(dc.off+entCsum, fs.stampCsum(&dc.raw))
 		fs.pm.Flush(dc.off+entCsum, 4)
 		fs.pm.Fence()
 	}
@@ -167,7 +163,7 @@ func (fs *FS) invalidateEntry(entryOff int64) {
 func (fs *FS) syncInode(d *dnode, lazyReplica bool) {
 	off := inodeOff(d.ino)
 	buf := fs.inodeImage(d)
-	fs.pm.Store(off, buf)
+	fs.pm.Store(off, buf[:])
 	fs.pm.Flush(off, 128)
 	fs.pm.Fence()
 	if !fs.fortis {
@@ -177,7 +173,7 @@ func (fs *FS) syncInode(d *dnode, lazyReplica bool) {
 		fs.lazyReplicas = append(fs.lazyReplicas, d.ino)
 		return
 	}
-	fs.writeReplica(d.ino, buf)
+	fs.writeReplica(d.ino, buf[:])
 }
 
 // writeReplica mirrors the primary inode image into the replica slot.

@@ -2,6 +2,7 @@ package nova
 
 import (
 	"encoding/binary"
+	"hash/crc32"
 	"maps"
 	"slices"
 
@@ -63,19 +64,45 @@ type FS struct {
 	// deferredCsums holds entry checksums postponed past the tail publish
 	// (bug 9).
 	deferredCsums []deferredCsum
+	// csumBuf is csumCopy's scratch; a fork gets its own.
+	csumBuf []byte
+}
+
+// csumCopy is csum32 over b, read through f's small scratch a chunk at a
+// time. crc32 leaks its argument, so checksumming a stack array directly
+// would move the array to the heap on every path, Fortis or not; only the
+// Fortis branches call this, and an FS allocates its scratch once.
+func (f *FS) csumCopy(b []byte) uint32 {
+	if f.csumBuf == nil {
+		f.csumBuf = make([]byte, 256)
+	}
+	var sum uint32
+	for len(b) > 0 {
+		n := copy(f.csumBuf, b)
+		sum = crc32.Update(sum, castagnoli, f.csumBuf[:n])
+		b = b[n:]
+	}
+	return sum
+}
+
+// stampCsum writes the Fortis checksum into an entry being built and
+// returns it.
+func (f *FS) stampCsum(raw *[EntrySize]byte) uint32 {
+	sum := f.csumCopy(raw[8:])
+	binary.LittleEndian.PutUint32(raw[entCsum:], sum)
+	return sum
 }
 
 // inodeImage builds the 128-byte primary on-PM image for d's current DRAM
 // state, with the Fortis checksum stamped when applicable.
-func (f *FS) inodeImage(d *dnode) []byte {
-	buf := make([]byte, 128)
+func (f *FS) inodeImage(d *dnode) (buf [128]byte) {
 	binary.LittleEndian.PutUint32(buf[inoValidOff:], 1)
 	binary.LittleEndian.PutUint32(buf[inoTypeOff:], uint32(d.typ))
 	binary.LittleEndian.PutUint64(buf[inoNlinkOff:], d.nlink)
 	binary.LittleEndian.PutUint64(buf[inoHeadOff:], d.head)
 	binary.LittleEndian.PutUint64(buf[inoTailOff:], uint64(d.tail))
 	if f.fortis {
-		binary.LittleEndian.PutUint32(buf[inoCsumOff:], csum32(buf[:inoCsumOff]))
+		binary.LittleEndian.PutUint32(buf[inoCsumOff:], f.csumCopy(buf[:inoCsumOff]))
 	}
 	return buf
 }
@@ -162,14 +189,14 @@ func (f *FS) Mkfs() error {
 func (f *FS) writeInodeInit(d *dnode, flush bool) {
 	off := inodeOff(d.ino)
 	buf := f.inodeImage(d)
-	f.pm.Store(off, buf)
+	f.pm.Store(off, buf[:])
 	if flush {
 		f.pm.Flush(off, 128)
 	}
 	f.pm.Fence()
 	if f.fortis {
 		// Replica copy of the primary half.
-		f.pm.Store(off+inoReplicaOff, buf)
+		f.pm.Store(off+inoReplicaOff, buf[:])
 		if flush {
 			f.pm.Flush(off+inoReplicaOff, 128)
 		}
@@ -198,7 +225,7 @@ func (f *FS) Fork(pm persist.Space) vfs.FS {
 		return nil
 	}
 	g := *f
-	g.pm, g.descs = p, descs
+	g.pm, g.descs, g.csumBuf = p, descs, nil
 	g.alloc, g.ialloc = f.alloc.Clone(), f.ialloc.Clone()
 	g.inodes = make(map[uint64]*dnode, len(f.inodes))
 	for ino, d := range f.inodes {
