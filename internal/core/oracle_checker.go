@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -159,7 +159,7 @@ func (oc *oracleChecker) buildSnapshot(sys int) *oracleSnapshot {
 			paths = append(paths, p)
 		}
 	}
-	sort.Strings(paths)
+	slices.Sort(paths)
 
 	n := len(paths)
 	snap := &oracleSnapshot{
@@ -354,20 +354,24 @@ func usability(fs vfs.FS, st vfs.State) string {
 			files = append(files, p)
 		}
 	}
-	sort.Strings(dirs)
+	slices.Sort(dirs)
 
 	probe := "chipmunk_probe"
+	// One buffer per call: the bytes every probe file is written from,
+	// then the read-back.
+	data := make([]byte, 10)
+	copy(data, "probe")
+	data, buf := data[:5:5], data[5:]
 	for _, d := range dirs {
 		path := vfs.Join(d, probe)
 		fd, err := fs.Create(path)
 		if err != nil {
 			return fmt.Sprintf("creating %s failed: %v", path, err)
 		}
-		if _, err := fs.Pwrite(fd, []byte("probe"), 0); err != nil {
+		if _, err := fs.Pwrite(fd, data, 0); err != nil {
 			fs.Close(fd)
 			return fmt.Sprintf("writing %s failed: %v", path, err)
 		}
-		buf := make([]byte, 5)
 		if _, err := fs.Pread(fd, buf, 0); err != nil {
 			fs.Close(fd)
 			return fmt.Sprintf("reading %s back failed: %v", path, err)
@@ -382,14 +386,14 @@ func usability(fs vfs.FS, st vfs.State) string {
 		files = append(files, path)
 	}
 
-	sort.Strings(files)
+	slices.Sort(files)
 	for _, p := range files {
 		if err := fs.Unlink(p); err != nil {
 			return fmt.Sprintf("deleting %s failed: %v", p, err)
 		}
 	}
 	// Directories deepest-first; the root stays.
-	sort.Slice(dirs, func(i, j int) bool { return len(dirs[i]) > len(dirs[j]) })
+	slices.SortFunc(dirs, func(a, b string) int { return len(b) - len(a) })
 	for _, d := range dirs {
 		if d == "/" {
 			continue

@@ -140,8 +140,7 @@ func (f *FS) InodeOff(ino uint64) int64 { return f.Table + int64(ino)*InodeSize 
 func BlockOff(b uint64) int64 { return int64(b) * BlockSize }
 
 // Image encodes d's on-PM inode.
-func Image(d *Inode) []byte {
-	buf := make([]byte, InodeSize)
+func Image(d *Inode) (buf [InodeSize]byte) {
 	binary.LittleEndian.PutUint32(buf[inoValidOff:], 1)
 	binary.LittleEndian.PutUint32(buf[inoTypeOff:], uint32(d.Typ))
 	binary.LittleEndian.PutUint64(buf[inoNlinkOff:], d.Nlink)
@@ -153,7 +152,10 @@ func Image(d *Inode) []byte {
 }
 
 // SetInode records d's whole inode image in t.
-func (f *FS) SetInode(t Tx, d *Inode) { t.Set(f.InodeOff(d.Ino), Image(d)) }
+func (f *FS) SetInode(t Tx, d *Inode) {
+	img := Image(d)
+	t.Set(f.InodeOff(d.Ino), img[:])
+}
 
 // Load rebuilds the DRAM state from the inode table and the directory
 // blocks after the host's journal recovery. Every block an inode points to

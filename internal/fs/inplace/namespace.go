@@ -180,8 +180,7 @@ func (f *FS) Truncate(path string, size int64) error {
 }
 
 // direntImage encodes a directory-entry slot.
-func direntImage(ino uint64, name string) []byte {
-	b := make([]byte, DirentSize)
+func direntImage(ino uint64, name string) (b [DirentSize]byte) {
 	binary.LittleEndian.PutUint64(b[deInoOff:], ino)
 	b[deNameLenOff] = byte(len(name))
 	copy(b[deNameOff:], name)
@@ -259,7 +258,8 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 		f.Slots.Release(ino)
 		return -1, err
 	}
-	t.Set(slot, direntImage(ino, name))
+	de := direntImage(ino, name)
+	t.Set(slot, de[:])
 	t.Commit()
 
 	f.Inodes[ino] = d
@@ -291,7 +291,8 @@ func (f *FS) Mkdir(path string) error {
 		f.Slots.Release(ino)
 		return err
 	}
-	t.Set(slot, direntImage(ino, name))
+	de := direntImage(ino, name)
+	t.Set(slot, de[:])
 	f.SetInode(t, p)
 	t.Commit()
 
@@ -324,7 +325,8 @@ func (f *FS) Link(oldPath, newPath string) error {
 		n.Nlink--
 		return err
 	}
-	t.Set(slot, direntImage(n.Ino, name))
+	de := direntImage(n.Ino, name)
+	t.Set(slot, de[:])
 	f.SetInode(t, n)
 	t.Commit()
 	p.Dirents[name] = DirentRef{Ino: n.Ino, Off: slot}
@@ -487,7 +489,8 @@ func (f *FS) Rename(oldPath, newPath string) error {
 			return err
 		}
 	}
-	t.Set(slot, direntImage(n.Ino, nname))
+	de := direntImage(n.Ino, nname)
+	t.Set(slot, de[:])
 	if n.Typ == vfs.TypeDir && op != np {
 		op.Nlink--
 		np.Nlink++

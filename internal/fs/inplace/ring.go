@@ -104,25 +104,33 @@ func (g *Ring) Store(pos int64, data []byte) {
 
 // Load reads n bytes at region offset pos, wrapping like Store.
 func (g *Ring) Load(pos int64, n int) []byte {
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		dev := g.Dev(pos + int64(len(out)))
-		take := min(n-len(out), int(g.Base+g.Size-dev))
-		out = append(out, g.PM.Load(dev, take)...)
-	}
+	out := make([]byte, n)
+	g.LoadInto(pos, out)
 	return out
+}
+
+// LoadInto reads len(dst) bytes at region offset pos into dst, wrapping
+// like Store.
+func (g *Ring) LoadInto(pos int64, dst []byte) {
+	for i := 0; i < len(dst); {
+		dev := g.Dev(pos + int64(i))
+		n := min(len(dst)-i, int(g.Base+g.Size-dev))
+		g.PM.LoadInto(dev, dst[i:i+n])
+		i += n
+	}
 }
 
 // Append writes r at region offset pos, flushed and not fenced, and
 // returns the region offset past it.
 func (g *Ring) Append(pos int64, r Rec) int64 {
-	hdr := make([]byte, RecHdrSize)
-	binary.LittleEndian.PutUint64(hdr, uint64(r.Off))
+	var hdr [RecHdrSize]byte
+	binary.LittleEndian.PutUint64(hdr[:], uint64(r.Off))
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(r.Data)))
-	g.Store(pos, hdr)
-	padded := make([]byte, RecSize(len(r.Data))-RecHdrSize)
-	copy(padded, r.Data)
-	g.Store(pos+RecHdrSize, padded)
+	g.Store(pos, hdr[:])
+	var padded [RecDataMax]byte
+	n := RecSize(len(r.Data)) - RecHdrSize
+	copy(padded[:], r.Data)
+	g.Store(pos+RecHdrSize, padded[:n])
 	return pos + RecSize(len(r.Data))
 }
 
@@ -130,6 +138,7 @@ func (g *Ring) Append(pos int64, r Rec) int64 {
 // and data length, unchecked. The data is at pos+RecHdrSize and the next
 // record at pos+RecSize(n).
 func (g *Ring) Header(pos int64) (target int64, n int) {
-	hdr := g.Load(pos, RecHdrSize)
-	return int64(binary.LittleEndian.Uint64(hdr)), int(binary.LittleEndian.Uint64(hdr[8:]))
+	var hdr [RecHdrSize]byte
+	g.LoadInto(pos, hdr[:])
+	return int64(binary.LittleEndian.Uint64(hdr[:])), int(binary.LittleEndian.Uint64(hdr[8:]))
 }

@@ -123,7 +123,8 @@ func (f *FS) Mkfs() error {
 
 // persistInode writes d's full on-PM inode image (flushed, not fenced).
 func (f *FS) persistInode(d *inplace.Inode) {
-	f.PM.Store(f.InodeOff(d.Ino), inplace.Image(d))
+	img := inplace.Image(d)
+	f.PM.Store(f.InodeOff(d.Ino), img[:])
 	f.PM.Flush(f.InodeOff(d.Ino), inplace.InodeSize)
 }
 

@@ -63,13 +63,13 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 		if err != nil {
 			return 0, err
 		}
-		content := make([]byte, BlockSize)
+		var content [BlockSize]byte
 		if old := d.Blocks[firstBlk]; old != 0 {
-			f.PM.LoadInto(inplace.BlockOff(old), content)
+			f.PM.LoadInto(inplace.BlockOff(old), content[:])
 		}
 		blkStart := int64(firstBlk) * BlockSize
 		copy(content[off-blkStart:], data)
-		f.PM.MemcpyNT(inplace.BlockOff(nb), content)
+		f.PM.MemcpyNT(inplace.BlockOff(nb), content[:])
 		f.PM.Fence()
 
 		old := d.Blocks[firstBlk]
@@ -83,12 +83,19 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 		return len(data), nil
 	}
 
+	// Every new block is built before the first is streamed. A one-block
+	// write builds it on the stack; pending holds no pointer into it.
 	type pending struct {
-		idx     int
-		block   uint64
-		content []byte
+		idx   int
+		block uint64
 	}
 	var pend []pending
+	var one [BlockSize]byte
+	contents := one[:]
+	if lastBlk > firstBlk {
+		contents = make([]byte, (lastBlk-firstBlk+1)*BlockSize)
+	}
+	content := func(i int) []byte { return contents[(i-firstBlk)*BlockSize:][:BlockSize] }
 	for i := firstBlk; i <= lastBlk; i++ {
 		nb, err := f.alloc.Lowest()
 		if err != nil {
@@ -97,35 +104,35 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 			}
 			return 0, err
 		}
-		content := make([]byte, BlockSize)
 		if old := d.Blocks[i]; old != 0 {
-			f.PM.LoadInto(inplace.BlockOff(old), content)
+			f.PM.LoadInto(inplace.BlockOff(old), content(i))
 		}
 		blkStart := int64(i) * BlockSize
 		from := max(off, blkStart)
 		to := min(end, blkStart+BlockSize)
-		copy(content[from-blkStart:], data[from-off:to-off])
-		pend = append(pend, pending{i, nb, content})
+		copy(content(i)[from-blkStart:], data[from-off:to-off])
+		pend = append(pend, pending{i, nb})
 	}
 
 	// Stream the new blocks; the publish must not overtake the data.
 	for pi, p := range pend {
 		last := pi == len(pend)-1
 		dst := inplace.BlockOff(p.block)
+		c := content(p.idx)
 		switch {
 		case last && f.has(bugs.NTTailNotFenced) && int(end)%8 != 0:
 			// The copy helper fences the aligned body only.
 			valid := int(end - int64(p.idx)*BlockSize)
 			body := valid &^ 7
-			f.PM.MemcpyNT(dst, p.content[:body])
+			f.PM.MemcpyNT(dst, c[:body])
 			f.PM.Fence()
-			f.PM.MemcpyNT(dst+int64(body), p.content[body:])
+			f.PM.MemcpyNT(dst+int64(body), c[body:])
 			// Missing fence for the tail.
 		case last && f.has(bugs.WriteNotSync):
 			// Missing fence: the publish below can land without the data.
-			f.PM.MemcpyNT(dst, p.content)
+			f.PM.MemcpyNT(dst, c)
 		default:
-			f.PM.MemcpyNT(dst, p.content)
+			f.PM.MemcpyNT(dst, c)
 			if last {
 				f.PM.Fence()
 			}

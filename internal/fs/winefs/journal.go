@@ -63,11 +63,11 @@ func (t *txn) Commit() {
 // r's tail, flushed and not fenced. It returns the region offset past
 // them.
 func (t *txn) append(r *inplace.Ring) int64 {
-	hdr := make([]byte, jTxHdrSize)
-	binary.LittleEndian.PutUint64(hdr, t.fs.txid)
+	var hdr [jTxHdrSize]byte
+	binary.LittleEndian.PutUint64(hdr[:], t.fs.txid)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(t.Recs)))
 	t.fs.txid++
-	r.Store(r.Tail, hdr)
+	r.Store(r.Tail, hdr[:])
 	pos := r.Tail + jTxHdrSize
 	for _, rec := range t.Recs {
 		pos = r.Append(pos, rec)
@@ -153,8 +153,9 @@ func (f *FS) parseJournal(cpu int) ([]parsedTx, error) {
 	}
 	var txs []parsedTx
 	for pos := head; pos < tail; {
-		hdr := r.Load(pos, jTxHdrSize)
-		txid := binary.LittleEndian.Uint64(hdr)
+		var hdr [jTxHdrSize]byte
+		r.LoadInto(pos, hdr[:])
+		txid := binary.LittleEndian.Uint64(hdr[:])
 		nrecs := binary.LittleEndian.Uint64(hdr[8:])
 		if nrecs > 64 {
 			return nil, vfs.Corruptf("journal %d: tx with %d records", cpu, nrecs)

@@ -151,7 +151,8 @@ func (f *FS) Mkfs() error {
 	pm.Fence()
 
 	root := &inplace.Inode{Ino: inplace.RootIno, Typ: vfs.TypeDir, Nlink: 2, Dirents: map[string]inplace.DirentRef{}}
-	pm.Store(f.InodeOff(inplace.RootIno), inplace.Image(root))
+	img := inplace.Image(root)
+	pm.Store(f.InodeOff(inplace.RootIno), img[:])
 	pm.Flush(f.InodeOff(inplace.RootIno), inplace.InodeSize)
 	pm.Fence()
 	f.Inodes[inplace.RootIno] = root
