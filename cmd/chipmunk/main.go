@@ -43,6 +43,7 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/metrics"
 	"sync"
 	"time"
 
@@ -584,10 +585,29 @@ func reportCensus(fsName string, census *harness.Census, viol []core.Violation, 
 	}
 	if statsOut != "" {
 		fmt.Printf("\n%s", statsOut)
+		end := readGC()
+		fmt.Printf("gc: cpu=%.3fs alloc=%.1fMB (this process)\n", end.cpu-gcStart.cpu, float64(end.alloc-gcStart.alloc)/1e6)
 	}
 	writeReports(cli.OutDir, fsName, clusters, census)
 	return len(viol) > 0
 }
+
+// gcSample is the process's GC CPU time in seconds and its cumulative heap
+// allocation in bytes.
+type gcSample struct {
+	cpu   float64
+	alloc uint64
+}
+
+func readGC() gcSample {
+	s := []metrics.Sample{{Name: "/cpu/classes/gc/total:cpu-seconds"}, {Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s)
+	return gcSample{s[0].Value.Float64(), s[1].Value.Uint64()}
+}
+
+// gcStart is read as the process starts, so -stats's gc line covers the
+// whole run.
+var gcStart = readGC()
 
 // exitCode notes the journal, closes the instrumentation (os.Exit skips
 // defers), and applies the shared status convention (harness.Exit*):
