@@ -100,31 +100,38 @@ type parsedTx struct {
 }
 
 // recoverJournals re-applies committed transactions. Fixed code merges all
-// journals by txid; bug 19 reads only journal[0] (the mounting CPU).
+// journals by txid; bug 19 reads only journal[0] (the mounting CPU). Each
+// journal is parsed once: the parse feeds the merge and the next txid.
 func (f *FS) recoverJournals() error {
-	cpus := NumCPUs
+	merged := NumCPUs
 	if f.has(bugs.WinefsJournalIndex) {
-		cpus = 1 // only the live CPU's journal is consulted
+		merged = 1 // only the live CPU's journal is consulted
 	}
 	epoch := f.PM.Load64(sbReclaimOff)
 	var txs []parsedTx
-	for cpu := 0; cpu < cpus; cpu++ {
+	for cpu := range f.rings {
 		parsed, err := f.parseJournal(cpu)
-		if err != nil {
-			return err
-		}
-		for _, tx := range parsed {
-			if tx.txid >= epoch {
-				txs = append(txs, tx)
+		if cpu < merged {
+			if err != nil {
+				return err
+			}
+			for _, tx := range parsed {
+				if tx.txid >= epoch {
+					txs = append(txs, tx)
+				}
 			}
 		}
-	}
-	// Journals not consulted still need their DRAM tails for later commits.
-	for cpu := range f.rings {
+		// Every journal needs its DRAM tail for later commits, and the next
+		// txid must pass its last one; a journal the merge does not consult
+		// and cannot parse counts as txid 0.
 		r := &f.rings[cpu]
 		r.Tail = int64(f.PM.Load64(r.Base + inplace.RingTailOff))
-		if f.txid <= f.lastTxid(cpu) {
-			f.txid = f.lastTxid(cpu) + 1
+		last := uint64(0)
+		if len(parsed) > 0 {
+			last = parsed[len(parsed)-1].txid
+		}
+		if f.txid <= last {
+			f.txid = last + 1
 		}
 	}
 	sort.Slice(txs, func(i, j int) bool { return txs[i].txid < txs[j].txid })
@@ -133,15 +140,6 @@ func (f *FS) recoverJournals() error {
 	}
 	f.PM.Fence()
 	return nil
-}
-
-// lastTxid scans cpu's window for the highest committed txid.
-func (f *FS) lastTxid(cpu int) uint64 {
-	txs, err := f.parseJournal(cpu)
-	if err != nil || len(txs) == 0 {
-		return 0
-	}
-	return txs[len(txs)-1].txid
 }
 
 func (f *FS) parseJournal(cpu int) ([]parsedTx, error) {
