@@ -11,6 +11,7 @@ import (
 	"chipmunk/internal/obs"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
+	"chipmunk/internal/vfs"
 )
 
 // This file is the observation table: each prefix memo keeps, per crash
@@ -141,13 +142,15 @@ func (ck *checker) stateHash(img []byte, st crashState) imageHash {
 	return h
 }
 
-// Interner shares immutable copies of byte strings among a memo's
-// observations; held counts what it and its table hold. Safe for
-// concurrent use; a nil Interner copies.
+// Interner shares immutable copies among a memo's observations: byte
+// strings, and the oracle's recovered states by digest. held counts what it
+// and its table hold; nothing more is interned once it reaches
+// obsTableBytes. Safe for concurrent use; a nil Interner copies.
 type Interner struct {
-	mu   sync.Mutex
-	m    map[string][]byte
-	held int64
+	mu     sync.Mutex
+	m      map[string][]byte
+	states map[uint64]*oracleObservation
+	held   int64
 }
 
 // Bytes returns a copy of b that is never written, shared with every
@@ -161,6 +164,9 @@ func (in *Interner) Bytes(b []byte) []byte {
 	if v, ok := in.m[string(b)]; ok {
 		return v
 	}
+	if in.held >= obsTableBytes {
+		return bytes.Clone(b)
+	}
 	if in.m == nil {
 		in.m = make(map[string][]byte)
 	}
@@ -168,6 +174,34 @@ func (in *Interner) Bytes(b []byte) []byte {
 	in.m[s] = unsafe.Slice(unsafe.StringData(s), len(s))
 	in.held += int64(len(s)) + obsEntryBytes
 	return in.m[s]
+}
+
+// state returns the interned observation of a state identical to st, whose
+// digest is sum, or nil.
+func (in *Interner) state(sum uint64, st vfs.State) *oracleObservation {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if o := in.states[sum]; o != nil && o.st.Identical(st) {
+		return o
+	}
+	return nil
+}
+
+// keepState interns o, a state whose digest is sum, and charges its bytes
+// here once: o then holds nothing beyond what is interned. Taken digests
+// and a full interner leave o as it is.
+func (in *Interner) keepState(sum uint64, o *oracleObservation) {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if _, ok := in.states[sum]; ok || in.held >= obsTableBytes {
+		return
+	}
+	if in.states == nil {
+		in.states = make(map[uint64]*oracleObservation)
+	}
+	in.states[sum] = o
+	in.held += int64(o.bytes) + obsEntryBytes
+	o.bytes = 0
 }
 
 // obsTable maps image hashes to what mounting them showed: the mount's

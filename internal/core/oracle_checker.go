@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
@@ -57,6 +58,9 @@ func (oc *oracleChecker) Name() string { return "fs-oracle" }
 // runs. Safe because Observe copies the capture out before returning it.
 var captureScratches = sync.Pool{New: func() any { return new(vfs.Scratch) }}
 
+// stateSeed keys the digests Observe interns recovered states by.
+var stateSeed = maphash.MakeSeed()
+
 // oracleObservation is the recovered state, or why it could not be read.
 type oracleObservation struct {
 	st     vfs.State // nil: unreadable
@@ -66,8 +70,10 @@ type oracleObservation struct {
 
 func (o *oracleObservation) Bytes() int { return o.bytes }
 
-// Observe implements Checker: it copies a capture out of its pooled
-// scratch, directory entries into one block, file contents interned.
+// Observe implements Checker: a capture identical to one in has interned
+// is answered with that observation; any other is copied out of its pooled
+// scratch, directory entries into one block, file contents interned, and
+// interned itself.
 func (oc *oracleChecker) Observe(fs vfs.FS, in *Interner) Observation {
 	scr := captureScratches.Get().(*vfs.Scratch)
 	defer captureScratches.Put(scr)
@@ -76,6 +82,21 @@ func (oc *oracleChecker) Observe(fs vfs.FS, in *Interner) Observation {
 		f := &Finding{Kind: VUnreadable, Detail: fmt.Sprintf("reading recovered state failed: %v", err)}
 		return &oracleObservation{failed: f, bytes: len(f.Detail)}
 	}
+	if in == nil {
+		return copyObservation(st, nil)
+	}
+	sum := st.Digest(stateSeed)
+	if o := in.state(sum, st); o != nil {
+		oc.env.Obs.Inc(obs.CtrObservationsShared)
+		return o
+	}
+	o := copyObservation(st, in)
+	in.keepState(sum, o)
+	return o
+}
+
+// copyObservation copies st out of its scratch, file contents through in.
+func copyObservation(st vfs.State, in *Interner) *oracleObservation {
 	names := 0
 	for _, f := range st {
 		names += len(f.Entries)

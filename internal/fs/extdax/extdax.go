@@ -22,7 +22,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"maps"
-	"sort"
+	"slices"
 
 	"chipmunk/internal/persist"
 	"chipmunk/internal/vfs"
@@ -351,7 +351,7 @@ func (f *FS) encodeBody() []byte {
 		}
 		inos = append(inos, ino)
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
 	for _, ino := range inos {
 		n := f.nodes[ino]
 		if n == nil || n.nlink == 0 {
@@ -366,7 +366,7 @@ func (f *FS) encodeBody() []byte {
 		for name := range n.xattrs {
 			xnames = append(xnames, name)
 		}
-		sort.Strings(xnames)
+		slices.Sort(xnames)
 		out = appendU32(out, uint32(len(xnames)))
 		for _, name := range xnames {
 			out = append(out, byte(len(name)))
@@ -383,7 +383,7 @@ func (f *FS) encodeBody() []byte {
 			for name := range n.children {
 				names = append(names, name)
 			}
-			sort.Strings(names)
+			slices.Sort(names)
 			out = appendU32(out, uint32(len(names)))
 			for _, name := range names {
 				out = append(out, byte(len(name)))
@@ -396,7 +396,7 @@ func (f *FS) encodeBody() []byte {
 	for ino := range f.deleted {
 		dels = append(dels, ino)
 	}
-	sort.Slice(dels, func(i, j int) bool { return dels[i] < dels[j] })
+	slices.Sort(dels)
 	for _, ino := range dels {
 		out = append(out, recDelete)
 		out = appendU64(out, ino)

@@ -68,8 +68,7 @@ type Inode struct {
 	orphan bool
 }
 
-// Zero images invalidate an inode slot or a directory-entry slot. They are
-// shared: a transaction only reads its records.
+// Zero images invalidate an inode slot or a directory-entry slot.
 var (
 	zeroInode  = make([]byte, InodeSize)
 	zeroDirent = make([]byte, DirentSize)
@@ -82,17 +81,19 @@ type DirentRef struct {
 }
 
 // Tx is a redo-journal transaction: byte-range records, made durable
-// together by Commit. Set keeps data, which the caller must not change
-// afterwards.
-type Tx interface {
-	Set(off int64, data []byte)
-	Commit()
+// together by Commit. Each FS has one, which Begin empties.
+type Tx struct {
+	Redo
+	fs *FS
 }
+
+// Commit makes the records durable through the host's journal.
+func (t *Tx) Commit() { t.fs.Host.Commit(&t.Redo) }
 
 // Host is what the namespace needs from the file system it belongs to.
 type Host interface {
-	// Begin opens a transaction on the host's journal.
-	Begin() Tx
+	// Commit journals r's records, then applies them in place.
+	Commit(r *Redo)
 	// AllocDirBlock allocates a block for directory entries.
 	AllocDirBlock() (uint64, error)
 	// Release returns a block to the allocator.
@@ -117,6 +118,16 @@ type FS struct {
 	Inodes map[uint64]*Inode
 	Slots  *vfs.Bitmap // inode slots, from RootIno on
 	Descs  vfs.FDTable[*Inode]
+
+	tx Tx
+}
+
+// Begin opens f's transaction, dropping the records of one left
+// uncommitted.
+func (f *FS) Begin() *Tx {
+	f.tx.Reset()
+	f.tx.fs = f
+	return &f.tx
 }
 
 // Reset empties the DRAM state for a table of n inode slots. Slot 0 is
@@ -152,7 +163,7 @@ func Image(d *Inode) (buf [InodeSize]byte) {
 }
 
 // SetInode records d's whole inode image in t.
-func (f *FS) SetInode(t Tx, d *Inode) {
+func (f *FS) SetInode(t *Tx, d *Inode) {
 	img := Image(d)
 	t.Set(f.InodeOff(d.Ino), img[:])
 }

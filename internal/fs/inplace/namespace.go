@@ -147,7 +147,7 @@ func (f *FS) Truncate(path string, size int64) error {
 	}
 	if size > d.Size {
 		d.Size = size
-		t := f.Host.Begin()
+		t := f.Begin()
 		f.SetInode(t, d)
 		t.Commit()
 		return nil
@@ -160,7 +160,7 @@ func (f *FS) Truncate(path string, size int64) error {
 		d.Blocks[i] = 0
 	}
 	d.Size = size
-	t := f.Host.Begin()
+	t := f.Begin()
 	f.SetInode(t, d)
 	t.Commit()
 
@@ -189,7 +189,7 @@ func direntImage(ino uint64, name string) (b [DirentSize]byte) {
 
 // findFreeSlot locates a free dirent slot in p's blocks, allocating a fresh
 // directory block if needed and publishing its pointer with t.
-func (f *FS) findFreeSlot(p *Inode, t Tx) (int64, error) {
+func (f *FS) findFreeSlot(p *Inode, t *Tx) (int64, error) {
 	for _, b := range p.Blocks {
 		if b == 0 {
 			continue
@@ -251,7 +251,7 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	// The inode image is journaled together with the dirent: redo replay
 	// re-applies transactions in order, so every write that can overlap a
 	// journaled target must itself be journaled (inode slots are reused).
-	t := f.Host.Begin()
+	t := f.Begin()
 	f.SetInode(t, d)
 	slot, err := f.findFreeSlot(p, t)
 	if err != nil {
@@ -283,7 +283,7 @@ func (f *FS) Mkdir(path string) error {
 	}
 	d := &Inode{Ino: ino, Typ: vfs.TypeDir, Nlink: 2, Dirents: map[string]DirentRef{}}
 	p.Nlink++
-	t := f.Host.Begin()
+	t := f.Begin()
 	f.SetInode(t, d)
 	slot, err := f.findFreeSlot(p, t)
 	if err != nil {
@@ -319,7 +319,7 @@ func (f *FS) Link(oldPath, newPath string) error {
 		return vfs.ErrExist
 	}
 	n.Nlink++
-	t := f.Host.Begin()
+	t := f.Begin()
 	slot, err := f.findFreeSlot(p, t)
 	if err != nil {
 		n.Nlink--
@@ -358,7 +358,7 @@ func (f *FS) Unlink(path string) error {
 		f.Host.Freeing(n.Ino)
 	}
 	n.Nlink--
-	t := f.Host.Begin()
+	t := f.Begin()
 	t.Set(ref.Off, zeroDirent)
 	f.dropLink(t, n)
 	t.Commit()
@@ -376,7 +376,7 @@ func (f *FS) Unlink(path string) error {
 // reuse; the lifetime rule then reclaims n right after the commit. An n
 // that a descriptor still holds keeps its image, with nlink 0, until its
 // last Close.
-func (f *FS) dropLink(t Tx, n *Inode) {
+func (f *FS) dropLink(t *Tx, n *Inode) {
 	if n.Nlink == 0 && f.Descs.Opens(n.Ino) == 0 {
 		t.Set(f.InodeOff(n.Ino), zeroInode)
 		return
@@ -392,7 +392,7 @@ func (f *FS) dropLink(t Tx, n *Inode) {
 func (f *FS) reclaim(ino uint64) {
 	n := f.Inodes[ino]
 	if n.orphan {
-		t := f.Host.Begin()
+		t := f.Begin()
 		t.Set(f.InodeOff(ino), zeroInode)
 		t.Commit()
 	}
@@ -424,7 +424,7 @@ func (f *FS) Rmdir(path string) error {
 	f.Host.Freeing(n.Ino)
 	p.Nlink--
 	n.Nlink = 0
-	t := f.Host.Begin()
+	t := f.Begin()
 	t.Set(ref.Off, zeroDirent)
 	f.SetInode(t, p)
 	f.dropLink(t, n)
@@ -480,7 +480,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 		f.Host.Freeing(victim.Ino)
 	}
 
-	t := f.Host.Begin()
+	t := f.Begin()
 	// Clear the old slot; write (or overwrite) the new one.
 	t.Set(oref.Off, zeroDirent)
 	slot := vref.Off

@@ -33,19 +33,24 @@ type Rec struct {
 	Data []byte
 }
 
-// Redo is a transaction's records in commit order. A host's transaction
-// embeds it for Tx's Set and adds Commit.
+// Redo is a transaction's records in commit order. Set copies their data
+// into an arena, which Reset empties for the next transaction.
 type Redo struct {
-	Recs []Rec
+	Recs  []Rec
+	arena []byte
 }
 
-// Set appends a record. It keeps data, which the caller must not change
-// afterwards.
+// Reset drops every record, keeping the storage.
+func (t *Redo) Reset() { t.Recs, t.arena = t.Recs[:0], t.arena[:0] }
+
+// Set appends a record holding a copy of data.
 func (t *Redo) Set(off int64, data []byte) {
 	if len(data) > RecDataMax {
 		panic("inplace: redo record too large")
 	}
-	t.Recs = append(t.Recs, Rec{off, data})
+	n := len(t.arena)
+	t.arena = append(t.arena, data...)
+	t.Recs = append(t.Recs, Rec{off, t.arena[n:len(t.arena):len(t.arena)]})
 }
 
 // Size returns the ring bytes the records take.

@@ -3,7 +3,7 @@ package nova
 import (
 	"bytes"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/vfs"
@@ -147,7 +147,7 @@ func (f *FS) sortedInos() []uint64 {
 	for ino := range f.inodes {
 		inos = append(inos, ino)
 	}
-	sort.Slice(inos, func(i, j int) bool { return inos[i] < inos[j] })
+	slices.Sort(inos)
 	return inos
 }
 
@@ -159,7 +159,7 @@ func sortedPageKeys(pages map[uint64]uint64) []uint64 {
 	for fp := range pages {
 		fps = append(fps, fp)
 	}
-	sort.Slice(fps, func(i, j int) bool { return fps[i] < fps[j] })
+	slices.Sort(fps)
 	return fps
 }
 

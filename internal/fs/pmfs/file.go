@@ -62,7 +62,7 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 		metaDirty = true
 	}
 	if metaDirty {
-		t := f.beginTx()
+		t := f.Begin()
 		f.SetInode(t, d)
 		t.Commit()
 	}
@@ -138,7 +138,7 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 		metaDirty = true
 	}
 	if metaDirty {
-		t := f.beginTx()
+		t := f.Begin()
 		f.SetInode(t, d)
 		t.Commit()
 	}

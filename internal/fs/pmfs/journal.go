@@ -24,17 +24,9 @@ const (
 	jReclaimThreshold = (jAreaSize - inplace.RingStart) * 3 / 4
 )
 
-type txn struct {
-	fs *FS
-	inplace.Redo
-}
-
-func (f *FS) beginTx() *txn { return &txn{fs: f} }
-
-// Commit appends the records, advances the tail (the commit point),
+// commit appends t's records, advances the tail (the commit point),
 // applies the records in place, and occasionally reclaims the log.
-func (t *txn) Commit() {
-	fs := t.fs
+func (fs *FS) commit(t *inplace.Redo) {
 	r := &fs.ring
 	headOff := r.Base + inplace.RingHeadOff
 	// Reclaim eagerly if this transaction would overrun un-reclaimed

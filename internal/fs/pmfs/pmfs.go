@@ -78,7 +78,7 @@ func New(pm *persist.PM, set bugs.Set) *FS {
 // are bracketed by the truncate list.
 type host FS
 
-func (h *host) Begin() inplace.Tx              { return (*FS)(h).beginTx() }
+func (h *host) Commit(r *inplace.Redo)         { (*FS)(h).commit(r) }
 func (h *host) AllocDirBlock() (uint64, error) { return h.alloc.Next() }
 func (h *host) Release(b uint64)               { h.alloc.Release(b) }
 func (h *host) Freeing(ino uint64)             { (*FS)(h).truncAdd(ino) }

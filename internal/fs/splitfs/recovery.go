@@ -1,9 +1,10 @@
 package splitfs
 
 import (
+	"cmp"
 	"encoding/binary"
 	"hash/crc32"
-	"sort"
+	"slices"
 
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/vfs"
@@ -169,7 +170,7 @@ func reorderRunsPerFD(entries []logEntry) {
 			j++
 		}
 		run := entries[i:j]
-		sort.SliceStable(run, func(a, b int) bool { return run[a].fdslot < run[b].fdslot })
+		slices.SortStableFunc(run, func(a, b logEntry) int { return cmp.Compare(a.fdslot, b.fdslot) })
 		i = j
 	}
 }

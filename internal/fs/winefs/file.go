@@ -148,7 +148,7 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 		d.Blocks[p.idx] = p.block
 	}
 	d.Size = newSize
-	t := f.beginTx()
+	t := f.Begin()
 	f.SetInode(t, d)
 	t.Commit()
 	for _, b := range olds {
@@ -182,7 +182,7 @@ func (f *FS) pwriteRelaxed(d *inplace.Inode, data []byte, off, end int64) (int, 
 		metaDirty = true
 	}
 	if metaDirty {
-		t := f.beginTx()
+		t := f.Begin()
 		f.SetInode(t, d)
 		t.Commit()
 	}
@@ -248,7 +248,7 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 		metaDirty = true
 	}
 	if metaDirty {
-		t := f.beginTx()
+		t := f.Begin()
 		f.SetInode(t, d)
 		t.Commit()
 	}

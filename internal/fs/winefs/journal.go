@@ -1,8 +1,9 @@
 package winefs
 
 import (
+	"cmp"
 	"encoding/binary"
-	"sort"
+	"slices"
 
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/fs/inplace"
@@ -26,24 +27,17 @@ const (
 	jReclaimThreshold = (jAreaSize - inplace.RingStart) * 3 / 4
 )
 
-type txn struct {
-	fs  *FS
-	cpu int
-	inplace.Redo
-}
-
-func (f *FS) beginTx() *txn { return &txn{fs: f, cpu: f.curCPU()} }
-
-// Commit writes the tx (header + records), publishes the tail, applies the
-// records in place, and reclaims lazily.
-func (t *txn) Commit() {
-	fs := t.fs
-	r := &fs.rings[t.cpu]
+// commit writes t (header + records) to the current CPU's journal,
+// publishes the tail, applies the records in place, and reclaims lazily.
+// The CPU is the one the transaction began on: it moves only as a system
+// call ends.
+func (fs *FS) commit(t *inplace.Redo) {
+	r := &fs.rings[fs.curCPU()]
 	head := int64(fs.PM.Load64(r.Base + inplace.RingHeadOff))
 	if r.Tail+jTxHdrSize+t.Size()-head > r.Room() {
 		fs.reclaimAll()
 	}
-	pos := t.append(r)
+	pos := fs.appendTx(r, t)
 	fs.PM.Fence()
 
 	r.Tail = pos
@@ -59,14 +53,14 @@ func (t *txn) Commit() {
 	}
 }
 
-// append stamps t with the next txid and writes its header and records at
-// r's tail, flushed and not fenced. It returns the region offset past
+// appendTx stamps t with the next txid and writes its header and records
+// at r's tail, flushed and not fenced. It returns the region offset past
 // them.
-func (t *txn) append(r *inplace.Ring) int64 {
+func (fs *FS) appendTx(r *inplace.Ring, t *inplace.Redo) int64 {
 	var hdr [jTxHdrSize]byte
-	binary.LittleEndian.PutUint64(hdr[:], t.fs.txid)
+	binary.LittleEndian.PutUint64(hdr[:], fs.txid)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(t.Recs)))
-	t.fs.txid++
+	fs.txid++
 	r.Store(r.Tail, hdr[:])
 	pos := r.Tail + jTxHdrSize
 	for _, rec := range t.Recs {
@@ -134,7 +128,7 @@ func (f *FS) recoverJournals() error {
 			f.txid = last + 1
 		}
 	}
-	sort.Slice(txs, func(i, j int) bool { return txs[i].txid < txs[j].txid })
+	slices.SortFunc(txs, func(a, b parsedTx) int { return cmp.Compare(a.txid, b.txid) })
 	for _, tx := range txs {
 		tx.Apply(f.PM)
 	}

@@ -85,7 +85,7 @@ type FS struct {
 // on to the next CPU's journal.
 type host FS
 
-func (h *host) Begin() inplace.Tx              { return (*FS)(h).beginTx() }
+func (h *host) Commit(r *inplace.Redo)         { (*FS)(h).commit(r) }
 func (h *host) AllocDirBlock() (uint64, error) { return h.alloc.Highest() }
 func (h *host) Release(b uint64)               { h.alloc.Release(b) }
 func (h *host) Freeing(uint64)                 {}

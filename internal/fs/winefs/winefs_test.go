@@ -194,7 +194,7 @@ func TestBug19SingleJournalRecovery(t *testing.T) {
 	// a valid inode, simulating a crash before its in-place apply.
 	d := &inplace.Inode{Ino: 9, Typ: vfs.TypeRegular, Nlink: 1}
 	f.Slots.Claim(9)
-	tx := &txn{fs: f, cpu: 2}
+	tx := f.Begin()
 	f.SetInode(tx, d)
 	slotOff := int64(0)
 	for _, b := range f.Inodes[inplace.RootIno].Blocks {
@@ -210,7 +210,7 @@ func TestBug19SingleJournalRecovery(t *testing.T) {
 	tx.Set(slotOff, ghost)
 	// Commit writes + tail publish, but skip the in-place apply: emulate by
 	// committing into the journal only.
-	pos := tx.append(&f.rings[2])
+	pos := f.appendTx(&f.rings[2], &tx.Redo)
 	f.PM.Fence()
 	f.PM.PersistStore64(f.rings[2].Base+inplace.RingTailOff, uint64(pos))
 	f.PM.Fence()

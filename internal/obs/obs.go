@@ -180,6 +180,11 @@ const (
 	// observation table without a mount: a run of the memo had mounted the
 	// same image. Measurement-class like CtrMemoServed.
 	CtrObservationsServed
+	// CtrObservationsShared counts crash states whose recovered state the
+	// memo had already seen on another image, so observing them copied
+	// nothing. Measurement-class like CtrMemoServed: it stops growing once
+	// the table's bound fills.
+	CtrObservationsShared
 	// CtrMkfs counts guest Mkfs calls in record passes, and CtrOpsRecorded
 	// the ops the guest ran in them: a run that forks at an op prefix
 	// formats nothing and runs only its suffix. Measurement-class: which
@@ -218,6 +223,7 @@ var counterNames = [numCounters]string{
 
 	CtrMemoServed:         "memo-served",
 	CtrObservationsServed: "observations-served",
+	CtrObservationsShared: "observations-shared",
 	CtrMkfs:               "mkfs",
 	CtrOpsRecorded:        "ops-recorded",
 }
@@ -241,7 +247,7 @@ func (c Counter) Deterministic() bool {
 		CtrBytesMaterialized, CtrBytesPrimed, CtrBytesRolledBack,
 		CtrShardsQuarantined, CtrOracleSnapshotHits,
 		CtrFuzzExecs, CtrCorpusEntries, CtrCoverageEdges, CtrDistinctBugs,
-		CtrMemoServed, CtrObservationsServed, CtrMkfs, CtrOpsRecorded:
+		CtrMemoServed, CtrObservationsServed, CtrObservationsShared, CtrMkfs, CtrOpsRecorded:
 		return false
 	}
 	return true

@@ -2,7 +2,9 @@ package vfs
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/maphash"
 	"sort"
 	"strings"
 )
@@ -337,6 +339,61 @@ func linkPartition(s State) []string {
 	}
 	sort.Strings(out)
 	return out
+}
+
+// Identical reports whether s and o hold equal files under the same inode
+// numbers, so that no comparison, link partition or SameInode can tell
+// them apart.
+func (s State) Identical(o State) bool {
+	if len(s) != len(o) {
+		return false
+	}
+	for p, f := range s {
+		if g, ok := o[p]; !ok || f.ino != g.ino || !f.Equal(g) {
+			return false
+		}
+	}
+	return true
+}
+
+// Digest hashes s under seed without allocating: the sum of one hash per
+// file over its path, type, nlink, size, data, entries, xattrs and inode
+// number, so map order does not matter. Identical states digest equally.
+func (s State) Digest(seed maphash.Seed) uint64 {
+	var h maphash.Hash
+	h.SetSeed(seed)
+	var sum uint64
+	for p, f := range s {
+		h.Reset()
+		writeString(&h, p)
+		writeUint64(&h, uint64(f.Type))
+		writeUint64(&h, uint64(f.Nlink))
+		writeUint64(&h, uint64(f.Size))
+		writeUint64(&h, f.ino)
+		writeUint64(&h, uint64(len(f.Data)))
+		h.Write(f.Data)
+		for _, l := range [2][]string{f.Entries, f.Xattrs} {
+			writeUint64(&h, uint64(len(l)))
+			for _, e := range l {
+				writeString(&h, e)
+			}
+		}
+		sum += h.Sum64()
+	}
+	return sum
+}
+
+// writeString hashes s behind its length, so adjacent strings cannot run
+// into each other.
+func writeString(h *maphash.Hash, s string) {
+	writeUint64(h, uint64(len(s)))
+	h.WriteString(s)
+}
+
+func writeUint64(h *maphash.Hash, x uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], x)
+	h.Write(b[:])
 }
 
 // SameInode reports whether paths a and b name the same regular file (hard
