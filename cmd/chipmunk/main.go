@@ -558,9 +558,9 @@ func reportCensus(fsName string, census *harness.Census, viol []core.Violation, 
 	fmt.Printf("\n%s: %d workloads, %d crash states (%d deduped, %d truncated fences), %v (%s)\n",
 		status, census.Workloads, census.StatesChecked, census.StatesDeduped,
 		census.TruncatedFences, census.Elapsed.Round(time.Millisecond), modeNote)
-	if n := len(census.Quarantined) + census.SuppressedQuarantine; n > 0 || census.RetriedChecks > 0 {
-		fmt.Printf("sandbox: %d states quarantined (%d suppressed past ledger cap), %d transient retries\n",
-			n, census.SuppressedQuarantine, census.RetriedChecks)
+	if n := len(census.Quarantined) + census.SuppressedQuarantine; n > 0 {
+		fmt.Printf("sandbox: %d states quarantined (%d suppressed past ledger cap)\n",
+			n, census.SuppressedQuarantine)
 		if cli.Verbose {
 			for _, q := range census.Quarantined {
 				fmt.Printf("  %s\n", q)

@@ -204,7 +204,6 @@ type ShardPayload struct {
 	InFlightN            int               `json:"in_flight_n"`
 	ViolationTotal       int               `json:"violation_total"`
 	SuppressedQuarantine int               `json:"suppressed_quarantine"`
-	RetriedChecks        int               `json:"retried_checks"`
 	ElapsedNanos         int64             `json:"elapsed_ns"`
 	Violations           []core.Violation  `json:"violations,omitempty"`
 	Quarantined          []core.Quarantine `json:"quarantined,omitempty"`
@@ -296,7 +295,6 @@ func NewShardPayload(shard int, worker, suiteHash string, c *harness.Census, vio
 		InFlightN:            c.InFlightN,
 		ViolationTotal:       c.Violations,
 		SuppressedQuarantine: c.SuppressedQuarantine,
-		RetriedChecks:        c.RetriedChecks,
 		ElapsedNanos:         int64(c.Elapsed),
 		Violations:           viol,
 		Quarantined:          c.Quarantined,
@@ -330,7 +328,6 @@ func Fold(payloads []*ShardPayload, index map[string]int) (*harness.Census, []co
 		c.InFlightN += p.InFlightN
 		c.Violations += p.ViolationTotal
 		c.SuppressedQuarantine += p.SuppressedQuarantine
-		c.RetriedChecks += p.RetriedChecks
 		c.Quarantined = append(c.Quarantined, p.Quarantined...)
 		viol = append(viol, p.Violations...)
 		elapsed += p.ElapsedNanos
@@ -362,10 +359,10 @@ func Fold(payloads []*ShardPayload, index map[string]int) (*harness.Census, []co
 // measurements, and the materialization/fault counters are per-attempt).
 func Fingerprint(c *harness.Census, viol []core.Violation) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "workloads=%d states=%d deduped=%d truncated=%d fences=%d max-inflight=%d inflight=%d/%d violations=%d suppressed-quarantine=%d retried=%d\n",
+	fmt.Fprintf(&b, "workloads=%d states=%d deduped=%d truncated=%d fences=%d max-inflight=%d inflight=%d/%d violations=%d suppressed-quarantine=%d\n",
 		c.Workloads, c.StatesChecked, c.StatesDeduped, c.TruncatedFences,
 		c.Fences, c.MaxInFlight, c.InFlightSum, c.InFlightN,
-		c.Violations, c.SuppressedQuarantine, c.RetriedChecks)
+		c.Violations, c.SuppressedQuarantine)
 	for _, v := range viol {
 		b.WriteString(v.String())
 		b.WriteByte('\n')

@@ -75,7 +75,7 @@ func TestWireAndCheckpointFormat(t *testing.T) {
 	}
 	want := []string{
 		`{"type":"campaign","campaign_id":"c0de057b7353cfd34","suite_hash":"421ed5dcc3c81fc6","fs":"nova","suite":"seq2","workloads":56,"shards":2,"cut":"a1db330a5c4a29d2"}`,
-		`{"type":"shard","payload":{"shard":0,"worker":"w0","suite_hash":"421ed5dcc3c81fc6","workloads":1,"states_checked":9,"states_deduped":0,"truncated_fences":0,"fences":2,"max_in_flight":0,"in_flight_sum":0,"in_flight_n":0,"violation_total":0,"suppressed_quarantine":0,"retried_checks":0,"elapsed_ns":0,"sum":"de4ee0d5696f21f9"}}`,
+		`{"type":"shard","payload":{"shard":0,"worker":"w0","suite_hash":"421ed5dcc3c81fc6","workloads":1,"states_checked":9,"states_deduped":0,"truncated_fences":0,"fences":2,"max_in_flight":0,"in_flight_sum":0,"in_flight_n":0,"violation_total":0,"suppressed_quarantine":0,"elapsed_ns":0,"sum":"c8cfebcfc7dd8c72"}}`,
 		`{"type":"quarantine","quarantine":{"shard":1,"start":31,"end":56,"suite_hash":"421ed5dcc3c81fc6","worker":"w1","err":"engine: boom","attempts":1}}`,
 		"", // every record ends in a newline
 	}
@@ -87,5 +87,24 @@ func TestWireAndCheckpointFormat(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("checkpoint line %d:\n got %q\nwant %q", i, got[i], want[i])
 		}
+	}
+
+	// A shard line as builds that counted sandbox retries wrote it, field
+	// and checksum included, still resumes as credited.
+	old := filepath.Join(t.TempDir(), "old.ckpt")
+	oldShard := `{"type":"shard","payload":{"shard":0,"worker":"w0","suite_hash":"421ed5dcc3c81fc6","workloads":1,"states_checked":9,"states_deduped":0,"truncated_fences":0,"fences":2,"max_in_flight":0,"in_flight_sum":0,"in_flight_n":0,"violation_total":0,"suppressed_quarantine":0,"retried_checks":0,"elapsed_ns":0,"sum":"de4ee0d5696f21f9"}}`
+	if err := os.WriteFile(old, []byte(want[0]+"\n"+oldShard+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := NewCoordinator(CoordinatorConfig{Spec: spec, ShardRetries: 1, LeaseTTL: time.Minute, CheckpointPath: old})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resumed.Close()
+	if !coordShardDone(resumed, 0) || coordShardDone(resumed, 1) {
+		t.Errorf("the older shard line did not resume as shard 0's credit alone")
+	}
+	if cen, _ := resumed.Merged(); cen.StatesChecked != 9 || cen.Fences != 2 {
+		t.Errorf("resumed census %d states, %d fences; want the line's 9 and 2", cen.StatesChecked, cen.Fences)
 	}
 }

@@ -56,7 +56,6 @@ type checker struct {
 	epoch   time.Time
 	doneC   <-chan struct{}
 	timeout time.Duration
-	retries int
 
 	// cur is the walk's position.
 	cur cursor
@@ -368,12 +367,8 @@ func (ck *checker) enumerate(sys int) {
 		if limit <= 0 {
 			limit = DefaultExhaustiveLimit
 		}
-		fallback := ck.cfg.SafetyCap
-		if fallback <= 0 {
-			fallback = DefaultSafetyCap
-		}
 		if n > limit {
-			cap = fallback
+			cap = DefaultSafetyCap
 			truncated = true
 		} else {
 			cap = n

@@ -21,66 +21,63 @@ import (
 	"chipmunk/internal/workload"
 )
 
-// coldRecheckFS fingerprints every crash image it is handed to mount and
-// panics on every other Mount. The panic retires the image, so the retry of
-// the same state runs on a freshly grabbed image, cold-primed by copying the
-// fence's base in full before the state's writes land; its fingerprint must
-// equal the delta-materialized one. Checks run one at a time on a run's
-// runner, so odd mounts are first attempts and even mounts their retries.
-type coldRecheckFS struct {
+// mountLog records the SHA-256 of every crash image a run hands its guest
+// to mount, in mount order. Checks run one at a time on a run's runner, so
+// the order is the run's state order.
+type mountLog struct {
+	mu   sync.Mutex
+	sums [][sha256.Size]byte
+}
+
+// hashMountFS adds the image it is handed to its log, then mounts it, or,
+// with cold set, panics. The panic retires the image, so the run's next
+// state lands on a freshly grabbed image, cold-primed by copying the fence's
+// base in full before the state's writes land.
+type hashMountFS struct {
 	vfs.FS
-	pm *persist.PM
-	cr *coldRecheck
+	pm   *persist.PM
+	log  *mountLog
+	cold bool
 }
 
-type coldRecheck struct {
-	mu         sync.Mutex
-	mounts     int
-	warm       [sha256.Size]byte
-	mismatches int
-}
-
-func (f coldRecheckFS) Mount() error {
+func (f hashMountFS) Mount() error {
 	img := make([]byte, f.pm.Size())
 	f.pm.Mem().Peek(0, img)
-	sum := sha256.Sum256(img)
-	c := f.cr
-	c.mu.Lock()
-	c.mounts++
-	first := c.mounts%2 == 1
-	if first {
-		c.warm = sum
-	} else if sum != c.warm {
-		c.mismatches++
-	}
-	c.mu.Unlock()
-	if first {
-		panic("recheck on a cold image")
+	f.log.mu.Lock()
+	f.log.sums = append(f.log.sums, sha256.Sum256(img))
+	f.log.mu.Unlock()
+	if f.cold {
+		panic("mount on a cold image")
 	}
 	return f.FS.Mount()
 }
 
-// fullCopyRecheck runs w under cfg plainly and with every crash state
-// rematerialized by coldRecheckFS, and requires each delta-materialized
-// image to equal its full-copy rematerialization and the two runs to
-// classify every state alike, one retry per state apart.
+// fullCopyRecheck runs w under cfg three times: plainly; logging each
+// delta-materialized image as it mounts; and logging each state
+// materialized on a cold image, every mount panicking. The logged run must
+// equal the plain one, and the two logs must agree state by state.
 func fullCopyRecheck(t *testing.T, name string, cfg Config, w workload.Workload) {
 	t.Helper()
 	plain := mustRun(t, cfg, w)
-	cr := &coldRecheck{}
-	inner := cfg.NewFS
-	cfg.NewFS = func(pm *persist.PM) vfs.FS { return coldRecheckFS{inner(pm), pm, cr} }
-	rechecked := mustRun(t, cfg, w)
-	if cr.mismatches != 0 {
-		t.Errorf("%s: %d of %d delta-materialized images differ from their full-copy rematerialization",
-			name, cr.mismatches, cr.mounts/2)
+	run := func(cold bool) (*Result, *mountLog) {
+		log := &mountLog{}
+		c, inner := cfg, cfg.NewFS
+		c.NewFS = func(pm *persist.PM) vfs.FS { return hashMountFS{inner(pm), pm, log, cold} }
+		return mustRun(t, c, w), log
 	}
-	if cr.mounts != 2*rechecked.StatesChecked || rechecked.RetriedChecks != rechecked.StatesChecked {
-		t.Errorf("%s: %d mounts and %d retries over %d states, want two mounts and one retry per state",
-			name, cr.mounts, rechecked.RetriedChecks, rechecked.StatesChecked)
+	warm, warmLog := run(false)
+	sameResult(t, name, plain, warm)
+	cold, coldLog := run(true)
+	if len(warmLog.sums) != warm.StatesChecked || len(coldLog.sums) != cold.StatesChecked ||
+		cold.StatesChecked != warm.StatesChecked {
+		t.Fatalf("%s: %d and %d mounts for %d and %d states, want one per state and equal counts",
+			name, len(warmLog.sums), len(coldLog.sums), warm.StatesChecked, cold.StatesChecked)
 	}
-	rechecked.RetriedChecks = plain.RetriedChecks
-	sameResult(t, name, plain, rechecked)
+	for i := range warmLog.sums {
+		if warmLog.sums[i] != coldLog.sums[i] {
+			t.Errorf("%s: state %d: the delta-materialized image differs from its full-copy rematerialization", name, i)
+		}
+	}
 }
 
 // TestDeltaMaterializeMatchesFullCopy: every crash image the delta path
@@ -331,7 +328,6 @@ func TestDeltaMaterializePanicForfeitsImage(t *testing.T) {
 		NewFS: func(pm *persist.PM) vfs.FS {
 			return scribblePanicFS{nova.New(pm, bugs.None()), pm, &mounts}
 		},
-		CheckRetries: -1,
 		Checker: func(env RunEnv) Checker {
 			return bytesPanicChecker{NewOracleChecker(env)}
 		},
@@ -360,7 +356,7 @@ func TestDeltaMaterializeRetiresPoisonedImages(t *testing.T) {
 	w := sandboxWorkload()
 	col := obs.New()
 	res := mustRun(t, Config{
-		NewFS: panicNovaFS(bugs.None()), CheckRetries: -1, Obs: col,
+		NewFS: panicNovaFS(bugs.None()), Obs: col,
 	}, w)
 	if retired := res.Obs.Count(obs.CtrImagesRetired); retired != int64(res.StatesChecked) || retired == 0 {
 		t.Errorf("panicking guest retired %d images over %d states, want one per state", retired, res.StatesChecked)
@@ -375,7 +371,6 @@ func TestDeltaMaterializeRetiresAbandonedImages(t *testing.T) {
 	res := mustRun(t, Config{
 		NewFS:        hangNovaFS(bugs.None()),
 		CheckTimeout: 40 * time.Millisecond,
-		CheckRetries: -1,
 		Obs:          col,
 	}, sandboxWorkload())
 	if len(res.Violations) == 0 {

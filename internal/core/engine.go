@@ -26,21 +26,17 @@ const DefaultDevSize = 1 << 20
 // DefaultExhaustiveLimit bounds exhaustive subset enumeration: fences with
 // more in-flight writes than this fall back to DefaultSafetyCap and the
 // truncation is counted (never silent — Result.TruncatedFences reports it).
-// Both are configurable per run via Config.ExhaustiveLimit / SafetyCap.
+// The limit is configurable per run via Config.ExhaustiveLimit.
 const (
 	DefaultExhaustiveLimit = 14
 	DefaultSafetyCap       = 3
 )
 
-// Sandbox defaults: every per-crash-state check runs on a supervised runner
-// with panic containment and a deadline (see sandbox.go). A check that panics or
-// exceeds the deadline is retried with backoff to separate transient
-// failures (pool pressure) from deterministic ones; deterministic failures
-// are quarantined, never silently dropped.
-const (
-	DefaultCheckTimeout = time.Second
-	DefaultCheckRetries = 2
-)
+// DefaultCheckTimeout is the sandbox deadline: every per-crash-state check
+// runs once on a supervised runner with panic containment and a deadline
+// (see sandbox.go). A check that panics or exceeds the deadline is
+// quarantined, never silently dropped.
+const DefaultCheckTimeout = time.Second
 
 // Config describes one system under test.
 type Config struct {
@@ -73,18 +69,10 @@ type Config struct {
 	// DefaultCheckTimeout of 1s; negative = no deadline, panic containment
 	// only).
 	CheckTimeout time.Duration
-	// CheckRetries bounds the retry-with-backoff applied to a check that
-	// panicked or timed out, distinguishing transient failures (pool
-	// pressure) from deterministic ones (0 = DefaultCheckRetries;
-	// negative = no retries).
-	CheckRetries int
 	// ExhaustiveLimit overrides the exhaustive-enumeration bound: fences
-	// with more in-flight writes fall back to SafetyCap, counted in
+	// with more in-flight writes fall back to DefaultSafetyCap, counted in
 	// Result.TruncatedFences (0 = DefaultExhaustiveLimit).
 	ExhaustiveLimit int
-	// SafetyCap is the subset-size cap truncated fences fall back to
-	// (0 = DefaultSafetyCap).
-	SafetyCap int
 	// Faults enables the opt-in pmem fault injector for crash-state checks:
 	// torn stores, seeded bit corruption, and read-time media errors (see
 	// pmem.FaultConfig). Faults apply only to the materialized crash images
@@ -248,13 +236,11 @@ type Quarantine struct {
 	// traces contain addresses, so Stack is excluded from the determinism
 	// contract that the rest of the entry honors.
 	Stack string
-	// Attempts is how many times the check was tried before quarantine.
-	Attempts int
 }
 
 func (q Quarantine) String() string {
-	return fmt.Sprintf("quarantined [%s] %s at %s sys=%d (fence %d, rank %d, subset %v, key %016x, %d attempts): %s",
-		q.Workload, q.Kind, q.Phase, q.Sys, q.Fence, q.Rank, q.Subset, q.StateKey, q.Attempts, q.Detail)
+	return fmt.Sprintf("quarantined [%s] %s at %s sys=%d (fence %d, rank %d, subset %v, key %016x): %s",
+		q.Workload, q.Kind, q.Phase, q.Sys, q.Fence, q.Rank, q.Subset, q.StateKey, q.Detail)
 }
 
 // Result aggregates one workload run.
@@ -281,18 +267,14 @@ type Result struct {
 	// SuppressedViolations counts reports beyond the per-run bound.
 	SuppressedViolations int
 	// Quarantined is the quarantine ledger: crash states whose check
-	// panicked or hung on every sandboxed attempt. Each is also classified
+	// panicked or hung on its one sandboxed attempt. Each is also classified
 	// as a VPanic/VTimeout violation; the ledger carries the forensic
 	// identity (fence, rank, byte-diff key) needed to re-materialize the
 	// state. Bounded like Violations; overflow lands in
 	// SuppressedQuarantine, never silently dropped.
 	Quarantined          []Quarantine
 	SuppressedQuarantine int
-	// RetriedChecks counts checks that succeeded only after a sandbox
-	// retry — transient failures (pool pressure), as opposed to the
-	// deterministic ones the ledger records.
-	RetriedChecks int
-	OpResults     []workload.Result
+	OpResults            []workload.Result
 	// Obs is the run's frozen per-stage metrics snapshot (nil when
 	// Config.Obs was nil). Counters mirror the Result fields exactly —
 	// they are set from them at run end — so repeated runs carry identical
@@ -523,7 +505,6 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 		col.Add(obs.CtrStatesChecked, int64(res.StatesChecked))
 		col.Add(obs.CtrDedupHits, int64(res.StatesDeduped))
 		col.Add(obs.CtrTruncatedFences, int64(res.TruncatedFences))
-		col.Add(obs.CtrSandboxRetries, int64(res.RetriedChecks))
 		col.Add(obs.CtrQuarantines, int64(len(res.Quarantined)+res.SuppressedQuarantine))
 		col.Add(obs.CtrViolations, int64(len(res.Violations)+res.SuppressedViolations))
 		snap := col.Snapshot()

@@ -149,7 +149,7 @@ func (ck *checker) recordPoint(pt memoPoint) {
 // was clean.
 func (ck *checker) recordOutcome(out checkOutcome) {
 	r := ck.memo.rec
-	if r == nil || (out.v == nil && out.q == nil && !out.retried) {
+	if r == nil || (out.v == nil && out.q == nil) {
 		return
 	}
 	pt := &r.points[len(r.points)-1]

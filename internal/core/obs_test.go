@@ -33,7 +33,6 @@ func TestObsSnapshotMatchesResult(t *testing.T) {
 		{obs.CtrStatesChecked, res.StatesChecked},
 		{obs.CtrDedupHits, res.StatesDeduped},
 		{obs.CtrTruncatedFences, res.TruncatedFences},
-		{obs.CtrSandboxRetries, res.RetriedChecks},
 		{obs.CtrQuarantines, len(res.Quarantined) + res.SuppressedQuarantine},
 		{obs.CtrViolations, len(res.Violations) + res.SuppressedViolations},
 	} {

@@ -336,10 +336,9 @@ func hotLoopChecker(col *obs.Collector) (ck *checker, base []byte, log *trace.Lo
 		devSize:   len(base),
 		basePages: basePages,
 		scratch:   make([]byte, len(base)),
-		slot:      newSlot(tryState{}),
+		slot:      newSlot(false),
 		epoch:     time.Now(),
 		timeout:   DefaultCheckTimeout,
-		retries:   DefaultCheckRetries,
 	}
 	return ck, base, log, subsets
 }

@@ -29,10 +29,10 @@ import (
 //   - The runner executes walk → enumerate → checks inline. Around each
 //     guest phase (mount, contract check, undo rollback) it arms its slot —
 //     one atomic store of deadline|leaseRunning — runs the guest under a
-//     deferred recover, and settles with one CAS. Panic, media-error, retry
-//     and quarantine handling all happen inline on the runner.
+//     deferred recover, and settles with one CAS. Panic, media-error and
+//     quarantine handling all happen inline on the runner.
 //   - The slot is what the two share: the lease word, the runner's run-long
-//     pooled image, the current state's retry progress.
+//     pooled image, and whether the state at the cursor already timed out.
 //   - The cursor (checker.cur) is the walk's position, kept off the
 //     goroutine stack so it outlives a runner.
 //
@@ -41,10 +41,10 @@ import (
 // running → abandoned — and otherwise re-arms to the deadline still pending.
 // The CAS can only be won during a guest phase, when the runner touches
 // nothing but its image and crash context, so winning it transfers ownership
-// of the checker: the supervisor retires the image, records the timed-out
-// attempt in a fresh slot and starts a fresh runner that resumes at the
-// cursor — backoff and retry, or quarantine and the next state. No earlier
-// check is re-run, no journal event or span emitted twice. A guest that
+// of the checker: the supervisor retires the image, marks a fresh slot as
+// timed out and starts a fresh runner that resumes at the cursor — it
+// quarantines the state there and moves on to the next. No check is re-run,
+// no journal event or span emitted twice. A guest that
 // returns late finds its CAS lost and unwinds touching nothing; one that
 // never returns is leaked with its retired image (Go cannot kill a
 // goroutine) — the price of a census that always terminates, the same trade
@@ -54,13 +54,14 @@ import (
 // (enumeration, an observation's Bytes, fold) are caught at the runner's top
 // frame and re-raised by the supervisor on RunContext's caller.
 //
-// Outcome taxonomy:
+// Outcome taxonomy — each crash state gets exactly one guarded attempt:
 //   - success: the check's verdict (violation or clean) is used as-is;
 //   - media error (*pmem.MediaError): an injected fault — classified as
-//     VUnreadable, no retry (the poison is deterministic by construction);
-//   - panic/timeout: retried with backoff up to Config.CheckRetries times;
-//     a failure that survives every retry is deterministic — the state is
-//     quarantined (Result.Quarantined) and classified VPanic/VTimeout.
+//     VUnreadable (the poison is deterministic by construction);
+//   - panic/timeout: the state is quarantined (Result.Quarantined) and
+//     classified VPanic/VTimeout. Guests are deterministic functions of
+//     their crash image, so a second attempt would either fail the same
+//     way or hide a nondeterministic guest.
 //
 // Crash-image materialization is O(diff), not O(device): a slot's image is
 // primed with the fence's base once per generation, each crash state is
@@ -73,10 +74,9 @@ import (
 // checkOutcome is what one checked crash state contributes to the result;
 // the runner folds it, in canonical rank order, via fold.
 type checkOutcome struct {
-	v       *Violation
-	q       *Quarantine
-	retried bool         // succeeded only after a retry (transient failure)
-	ctx     CheckContext // crash point identity, for journal attribution
+	v   *Violation
+	q   *Quarantine
+	ctx CheckContext // crash point identity, for journal attribution
 }
 
 // attemptResult is the raw outcome of one guarded attempt.
@@ -84,7 +84,6 @@ type attemptResult struct {
 	ok        bool
 	v         *Violation
 	media     *pmem.MediaError
-	panicked  bool
 	panicVal  string
 	stack     string
 	timedOut  bool
@@ -112,14 +111,6 @@ var (
 func (ck *checker) fold(out checkOutcome) {
 	ck.recordOutcome(out)
 	ck.res.StatesChecked++
-	if out.retried {
-		ck.res.RetriedChecks++
-		ck.journal.Emit(obs.Event{
-			Type: "retry", FS: ck.caps.Name, Workload: ck.w.Name,
-			Fence: out.ctx.Fence, Sys: out.ctx.Sys, Rank: out.ctx.Rank,
-			Phase: out.ctx.Phase.String(),
-		})
-	}
 	if out.q != nil {
 		if len(ck.res.Quarantined) >= maxViolationsPerRun {
 			ck.res.SuppressedQuarantine++
@@ -164,13 +155,6 @@ const (
 	leaseBits = 2
 )
 
-// tryState is one crash state's retry progress. It lives in the slot, not on
-// the runner's stack, so a takeover can carry it to the replacement runner.
-type tryState struct {
-	attempts int
-	last     attemptResult
-}
-
 // slot is one runner's half of the supervision protocol. Everything but the
 // lease word is written by the runner only while the lease is not running,
 // and read by the supervisor only after it won the abandoning CAS — the CAS
@@ -183,8 +167,11 @@ type slot struct {
 	lease atomic.Int64
 	// wi is the slot's pooled image, grabbed at the runner's first state and
 	// kept for the life of the run (nil after a retire until the next state).
-	wi  *workerImage
-	try tryState
+	wi *workerImage
+	// timedOut marks a replacement runner's slot: the state at the cursor
+	// was abandoned past its deadline, so the runner quarantines it instead
+	// of mounting it again.
+	timedOut bool
 	// cctx is the state's crash context, which its guest phase reads: a
 	// replacement runner gets a fresh slot, so an abandoned guest's copy is
 	// never rewritten under it.
@@ -195,8 +182,8 @@ type slot struct {
 	hit, kept *obsEntry
 }
 
-func newSlot(try tryState) *slot {
-	sl := &slot{try: try}
+func newSlot(timedOut bool) *slot {
+	sl := &slot{timedOut: timedOut}
 	sl.lease.Store(leaseClean)
 	return sl
 }
@@ -226,11 +213,6 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 	ck.basePages = rg.basePages
 	if ck.timeout = ck.cfg.CheckTimeout; ck.timeout == 0 {
 		ck.timeout = DefaultCheckTimeout
-	}
-	if ck.retries = ck.cfg.CheckRetries; ck.retries == 0 {
-		ck.retries = DefaultCheckRetries
-	} else if ck.retries < 0 {
-		ck.retries = 0
 	}
 	if ck.ctx != nil {
 		ck.doneC = ck.ctx.Done()
@@ -278,7 +260,7 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 		timerC = timer.C
 	}
 	cancelC := ck.doneC
-	ck.startRunner(tryState{})
+	ck.startRunner(false)
 	for {
 		select {
 		case ex := <-ck.exit:
@@ -312,10 +294,7 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 			if cancelErr != nil {
 				return cancelErr
 			}
-			try := sl.try
-			try.attempts++
-			try.last = attemptResult{timedOut: true}
-			ck.startRunner(try)
+			ck.startRunner(true)
 		}
 		if timer != nil {
 			timer.Reset(time.Duration(next - now))
@@ -327,10 +306,10 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 func (ck *checker) now() int64 { return int64(time.Since(ck.epoch)) }
 
 // startRunner starts a runner on a fresh slot — the run's first, or the
-// replacement after a takeover, which resumes the abandoned state from try.
-// Supervisor-only.
-func (ck *checker) startRunner(try tryState) {
-	sl := newSlot(try)
+// replacement after a takeover (timedOut), which quarantines the abandoned
+// state at the cursor. Supervisor-only.
+func (ck *checker) startRunner(timedOut bool) {
+	sl := newSlot(timedOut)
 	// The runner's image is grabbed and primed here (the runner's own prime
 	// is then a no-op): this goroutine just built the base, so the copy is
 	// cache-warm, and a one-state run's runner lives no longer than its
@@ -362,54 +341,36 @@ func (ck *checker) startRunner(try tryState) {
 }
 
 // checkOne checks one crash state (base image + replayed subset) end to end
-// on the calling runner: guarded attempt, bounded retry with backoff,
-// quarantine on deterministic failure. The retry progress lives in sl.try, so
-// a replacement runner entering with attempts already recorded resumes at
-// the classification of the last one.
+// on the calling runner: one guarded attempt, classified, and quarantine if
+// the guest panicked or hung. A replacement runner entering on a timed-out
+// slot classifies the abandoned attempt without mounting the state again.
 func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState, cctx CheckContext) (checkOutcome, error) {
 	cctx.Subset = st.subset
 	sl.cctx = cctx
-	try := &sl.try
-	for resumed := try.attempts > 0; ; resumed = false {
-		if !resumed {
-			r := ck.attempt(sl, img, log, st, &sl.cctx)
-			switch {
-			case r.lost:
-				return checkOutcome{}, errLost
-			case r.cancelled:
-				return checkOutcome{}, ck.cancelled()
-			}
-			try.last = r
-			try.attempts++
-		}
-		last, attempts := try.last, try.attempts
-		switch {
-		case last.ok:
-			*try = tryState{}
-			return checkOutcome{v: last.v, retried: attempts > 1, ctx: cctx}, nil
-		case last.media != nil:
-			// An injected media fault is deterministic by construction:
-			// classify immediately, no retry, no quarantine — it is a
-			// modeled crash outcome, not a checker failure.
-			*try = tryState{}
-			ck.obs.Inc(obs.CtrFaultsInjected)
-			return checkOutcome{v: ck.violation(&cctx, VUnreadable,
-				fmt.Sprintf("reading recovered state failed: %v", last.media)), ctx: cctx}, nil
-		}
-		if attempts > ck.retries {
-			break
-		}
-		// Backoff 1ms, x4 per retry; a cancelled run does not sit it out.
-		if err := ck.sleep(time.Millisecond << (2 * (attempts - 1))); err != nil {
-			return checkOutcome{}, err
-		}
+	r := attemptResult{timedOut: true}
+	if sl.timedOut {
+		sl.timedOut = false
+	} else {
+		r = ck.attempt(sl, img, log, st, &sl.cctx)
+	}
+	switch {
+	case r.lost:
+		return checkOutcome{}, errLost
+	case r.cancelled:
+		return checkOutcome{}, ck.cancelled()
+	case r.ok:
+		return checkOutcome{v: r.v, ctx: cctx}, nil
+	case r.media != nil:
+		// An injected media fault is deterministic by construction: a
+		// modeled crash outcome, not a checker failure — no quarantine.
+		ck.obs.Inc(obs.CtrFaultsInjected)
+		return checkOutcome{v: ck.violation(&cctx, VUnreadable,
+			fmt.Sprintf("reading recovered state failed: %v", r.media)), ctx: cctx}, nil
 	}
 
-	// Deterministic panic or hang: quarantine the state and classify it.
-	last, attempts := try.last, try.attempts
-	*try = tryState{}
-	kind, detail := VPanic, "check panicked: "+firstLine(last.panicVal)
-	if last.timedOut {
+	// The guest panicked or hung: quarantine the state and classify it.
+	kind, detail := VPanic, "check panicked: "+firstLine(r.panicVal)
+	if r.timedOut {
 		kind, detail = VTimeout, fmt.Sprintf("check exceeded %v deadline", ck.timeout)
 	}
 	q := &Quarantine{
@@ -422,21 +383,9 @@ func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState,
 		StateKey: stateDigest(img, st),
 		Kind:     kind,
 		Detail:   detail,
-		Stack:    last.stack,
-		Attempts: attempts,
+		Stack:    r.stack,
 	}
 	return checkOutcome{v: ck.violation(&cctx, kind, detail), q: q, ctx: cctx}, nil
-}
-
-// sleep waits out a retry backoff, or returns the context's error as soon as
-// the run is cancelled.
-func (ck *checker) sleep(d time.Duration) error {
-	select {
-	case <-ck.doneC:
-		return ck.ctx.Err()
-	case <-time.After(d):
-		return nil
-	}
 }
 
 // workerImage is one recycled crash image with its reusable device and undo
@@ -568,7 +517,7 @@ func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx *C
 			res = attemptResult{media: me}
 			return
 		}
-		res = attemptResult{panicked: true, panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
+		res = attemptResult{panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
 	}()
 
 	v, ct := ck.checkState(sl, dev, cctx, mt)
@@ -683,7 +632,7 @@ func beUint32(s string) uint32 {
 // injector builds the per-state fault injector (nil when faults are off).
 // The salt mixes the crash point's identity — fence ordinal, subset rank,
 // syscall, phase — so every state faults independently yet identically on
-// retry and on any runner.
+// any runner.
 func (ck *checker) injector(cctx *CheckContext) *pmem.Injector {
 	if !ck.cfg.Faults.Enabled() {
 		return nil

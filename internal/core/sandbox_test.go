@@ -28,13 +28,22 @@ func sandboxWorkload() workload.Workload {
 
 // panicMountFS panics on every Mount — the in-process analogue of a crash
 // state taking the guest kernel down. Mkfs and the workload ops (the record
-// pass) delegate to the real system underneath.
-type panicMountFS struct{ vfs.FS }
+// pass) delegate to the real system underneath. mounts, when set, counts the
+// Mount calls.
+type panicMountFS struct {
+	vfs.FS
+	mounts *atomic.Int64
+}
 
-func (f panicMountFS) Mount() error { panic("injected mount panic") }
+func (f panicMountFS) Mount() error {
+	if f.mounts != nil {
+		f.mounts.Add(1)
+	}
+	panic("injected mount panic")
+}
 
 func panicNovaFS(set bugs.Set) func(pm *persist.PM) vfs.FS {
-	return func(pm *persist.PM) vfs.FS { return panicMountFS{nova.New(pm, set)} }
+	return func(pm *persist.PM) vfs.FS { return panicMountFS{FS: nova.New(pm, set)} }
 }
 
 // hangReadDirFS mounts fine but hangs forever in vfs.Capture (ReadDir) — a
@@ -48,13 +57,16 @@ func hangNovaFS(set bugs.Set) func(pm *persist.PM) vfs.FS {
 }
 
 // flakyMountFS panics on the first N Mounts across the whole run, then
-// behaves — a transient failure the retry loop must absorb.
+// behaves: a guest that would pass a second attempt at the state it first
+// panicked on. mounts counts every Mount call.
 type flakyMountFS struct {
 	vfs.FS
 	remaining *int32
+	mounts    *atomic.Int64
 }
 
 func (f flakyMountFS) Mount() error {
+	f.mounts.Add(1)
 	if atomic.AddInt32(f.remaining, -1) >= 0 {
 		panic("transient mount panic")
 	}
@@ -64,15 +76,21 @@ func (f flakyMountFS) Mount() error {
 // TestSandboxContainsMountPanic: a guest that panics on every Mount must
 // not take the engine down. The census completes (same state count as the
 // healthy system), every state is classified VPanic, and the quarantine
-// ledger records each one — never silent.
+// ledger records each one — never silent — after exactly one mount.
 func TestSandboxContainsMountPanic(t *testing.T) {
 	w := sandboxWorkload()
 	healthy := mustRun(t, Config{NewFS: novaFS(bugs.None())}, w)
 	if healthy.StatesChecked == 0 {
 		t.Fatal("healthy run checked no states; test workload too small")
 	}
-	res := mustRun(t, Config{NewFS: panicNovaFS(bugs.None()), CheckRetries: -1}, w)
+	var mounts atomic.Int64
+	res := mustRun(t, Config{NewFS: func(pm *persist.PM) vfs.FS {
+		return panicMountFS{nova.New(pm, bugs.None()), &mounts}
+	}}, w)
 
+	if n := mounts.Load(); n != int64(res.StatesChecked) {
+		t.Errorf("%d mounts for %d checked states, want one each", n, res.StatesChecked)
+	}
 	if res.StatesChecked != healthy.StatesChecked {
 		t.Errorf("census incomplete: %d states checked, healthy run checked %d",
 			res.StatesChecked, healthy.StatesChecked)
@@ -97,9 +115,6 @@ func TestSandboxContainsMountPanic(t *testing.T) {
 		if q.Kind != VPanic {
 			t.Fatalf("quarantine %d: kind %v, want VPanic", i, q.Kind)
 		}
-		if q.Attempts != 1 {
-			t.Errorf("quarantine %d: %d attempts with retries disabled, want 1", i, q.Attempts)
-		}
 		if q.Stack == "" {
 			t.Errorf("quarantine %d: no captured stack", i)
 		}
@@ -118,7 +133,6 @@ func TestSandboxContainsCaptureHang(t *testing.T) {
 	res := mustRun(t, Config{
 		NewFS:        hangNovaFS(bugs.None()),
 		CheckTimeout: 40 * time.Millisecond,
-		CheckRetries: -1,
 	}, w)
 
 	if res.StatesChecked != healthy.StatesChecked {
@@ -144,23 +158,28 @@ func TestSandboxContainsCaptureHang(t *testing.T) {
 	}
 }
 
-// TestSandboxRetryAbsorbsTransientPanic: a failure that vanishes on retry is
-// transient — counted in RetriedChecks, not quarantined, not a violation.
-func TestSandboxRetryAbsorbsTransientPanic(t *testing.T) {
+// TestSandboxQuarantinesPanicOnce: each crash state gets one attempt. A
+// guest that panics only on the first state's first mount would pass a
+// second one, yet that state is quarantined and classified VPanic, and no
+// state is mounted twice.
+func TestSandboxQuarantinesPanicOnce(t *testing.T) {
 	w := sandboxWorkload()
 	var remaining int32 = 1
-	cfg := Config{NewFS: func(pm *persist.PM) vfs.FS {
-		return flakyMountFS{nova.New(pm, bugs.None()), &remaining}
-	}}
-	res := mustRun(t, cfg, w)
-	if res.RetriedChecks != 1 {
-		t.Errorf("RetriedChecks = %d, want 1", res.RetriedChecks)
+	var mounts atomic.Int64
+	res := mustRun(t, Config{NewFS: func(pm *persist.PM) vfs.FS {
+		return flakyMountFS{nova.New(pm, bugs.None()), &remaining, &mounts}
+	}}, w)
+	if res.StatesChecked < 2 {
+		t.Fatalf("%d states checked; the test needs a state after the panicking one", res.StatesChecked)
 	}
-	if len(res.Quarantined) != 0 {
-		t.Errorf("transient failure quarantined: %v", res.Quarantined)
+	if n := mounts.Load(); n != int64(res.StatesChecked) {
+		t.Errorf("%d mounts for %d checked states, want one each", n, res.StatesChecked)
 	}
-	if res.Buggy() {
-		t.Errorf("transient failure reported as violation: %v", res.Violations)
+	if len(res.Quarantined) != 1 || res.Quarantined[0].Kind != VPanic {
+		t.Fatalf("quarantine ledger %v, want one VPanic entry", res.Quarantined)
+	}
+	if len(res.Violations) != 1 || res.Violations[0].Kind != VPanic {
+		t.Errorf("violations %v, want the one VPanic", res.Violations)
 	}
 }
 
@@ -327,9 +346,8 @@ func TestSandboxDifferentialAgainstDirect(t *testing.T) {
 			dr := &directRecheck{}
 			sand := mustRun(t, dr.config(Config{NewFS: novaFS(set)}), w)
 			sameResult(t, w.Name, plain, sand)
-			if len(sand.Quarantined) != 0 || sand.RetriedChecks != 0 {
-				t.Errorf("%s: healthy guest quarantined %d states, retried %d",
-					w.Name, len(sand.Quarantined), sand.RetriedChecks)
+			if len(sand.Quarantined) != 0 {
+				t.Errorf("%s: healthy guest quarantined %d states", w.Name, len(sand.Quarantined))
 			}
 			if len(dr.states) == 0 {
 				t.Fatalf("%s: no crash state recorded", w.Name)
@@ -339,13 +357,16 @@ func TestSandboxDifferentialAgainstDirect(t *testing.T) {
 	}
 }
 
-// TestExhaustiveLimitOverride: lowering Config.ExhaustiveLimit/SafetyCap
-// must truncate more fences (visibly, in TruncatedFences) and check fewer
+// TestExhaustiveLimitOverride: lowering Config.ExhaustiveLimit must
+// truncate more fences (visibly, in TruncatedFences) and check fewer
 // states than the defaults.
 func TestExhaustiveLimitOverride(t *testing.T) {
+	// A 32 KiB pwrite leaves eight writes in flight at one fence: more than
+	// DefaultSafetyCap reaches.
 	w := heavyWorkload()
+	w.Ops[1].Size = 32768
 	base := mustRun(t, Config{NewFS: novaFS(bugs.None())}, w)
-	low := mustRun(t, Config{NewFS: novaFS(bugs.None()), ExhaustiveLimit: 2, SafetyCap: 1}, w)
+	low := mustRun(t, Config{NewFS: novaFS(bugs.None()), ExhaustiveLimit: 2}, w)
 	if low.TruncatedFences <= base.TruncatedFences {
 		t.Errorf("TruncatedFences %d with limit 2, want > %d (default limit)",
 			low.TruncatedFences, base.TruncatedFences)

@@ -34,7 +34,7 @@ func takeoverWorkload() workload.Workload { return heavyWorkload() }
 // name a different state for every worker count. hold == 0 hangs until
 // release is closed (test clean-up); otherwise the guest is slow, not hung,
 // and returns after hold. returned is closed when the stalled Judge is back.
-// transient stalls only the first attempt at the state, so a retry succeeds.
+// transient stalls only the first check of the state, so a second would pass.
 type stallChecker struct {
 	Checker
 	fence, rank int
@@ -151,8 +151,8 @@ func checkTakenOver(t *testing.T, name string, healthy, res *Result, hEvents, ev
 		t.Fatalf("%s: %d ledger entries, want 1: %v", name, len(res.Quarantined), res.Quarantined)
 	}
 	q := res.Quarantined[0]
-	if q.Fence != fence || q.Rank != rank || q.Kind != VTimeout || q.Attempts != 1 {
-		t.Errorf("%s: ledger entry %v, want VTimeout at fence %d rank %d after 1 attempt", name, q, fence, rank)
+	if q.Fence != fence || q.Rank != rank || q.Kind != VTimeout {
+		t.Errorf("%s: ledger entry %v, want VTimeout at fence %d rank %d", name, q, fence, rank)
 	}
 	timeouts := 0
 	for _, v := range res.Violations {
@@ -211,7 +211,7 @@ func sameVerdicts(t *testing.T, name string, a, b *Result) {
 // that state and nothing else.
 func TestTakeoverResumesAtCursor(t *testing.T) {
 	w := takeoverWorkload()
-	base := Config{NewFS: novaFS(bugs.AllSet()), CheckTimeout: takeoverTimeout, CheckRetries: -1}
+	base := Config{NewFS: novaFS(bugs.AllSet()), CheckTimeout: takeoverTimeout}
 	healthy, hEvents := journaledRun(t, base, w)
 	if !healthy.Buggy() {
 		t.Fatal("healthy run found no violations; the order comparison needs some")
@@ -230,7 +230,7 @@ func TestTakeoverResumesAtCursor(t *testing.T) {
 // outcome is the hung guest's, and the race detector watches the way out.
 func TestTakeoverLateGuestChangesNothing(t *testing.T) {
 	w := takeoverWorkload()
-	base := Config{NewFS: novaFS(bugs.AllSet()), CheckTimeout: takeoverTimeout, CheckRetries: -1}
+	base := Config{NewFS: novaFS(bugs.AllSet()), CheckTimeout: takeoverTimeout}
 	healthy, hEvents := journaledRun(t, base, w)
 	fence, rank := stallTarget(t, hEvents)
 
@@ -304,48 +304,6 @@ func TestTakeoverCancelDuringHungCheck(t *testing.T) {
 	}
 	if waited := time.Since(cancelled); waited >= deadline {
 		t.Errorf("cancel took %v, a whole %v deadline", waited, deadline)
-	}
-}
-
-// countedPanicFS panics on every Mount and announces the n-th.
-type countedPanicFS struct {
-	vfs.FS
-	mounts *atomic.Int32
-	n      int32
-	nth    chan struct{}
-}
-
-func (f countedPanicFS) Mount() error {
-	if f.mounts.Add(1) == f.n {
-		close(f.nth)
-	}
-	panic("injected mount panic")
-}
-
-// TestRetryBackoffHonoursCancel: the retry backoff (1ms, x4 per retry) must
-// not be slept out once the run is cancelled. The sixth failed attempt is
-// followed by a 1024ms backoff; cancelling there has to end the run at once.
-func TestRetryBackoffHonoursCancel(t *testing.T) {
-	mounts, nth := new(atomic.Int32), make(chan struct{})
-	inner := novaFS(bugs.None())
-	cfg := Config{
-		NewFS:        func(pm *persist.PM) vfs.FS { return countedPanicFS{inner(pm), mounts, 6, nth} },
-		CheckRetries: 8,
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	errc := make(chan error, 1)
-	go func() {
-		_, err := RunContext(ctx, cfg, sandboxWorkload())
-		errc <- err
-	}()
-	<-nth
-	cancelled := time.Now()
-	cancel()
-	if err := <-errc; err != context.Canceled {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-	if waited := time.Since(cancelled); waited > 500*time.Millisecond {
-		t.Errorf("cancel during a 1024ms backoff took %v", waited)
 	}
 }
 
@@ -437,7 +395,8 @@ func TestSandboxRunnersPerRunNotPerState(t *testing.T) {
 		}
 	}
 
-	// The hang-once guest: one more runner per abandonment, nothing else.
+	// The hang-once guest: the hung state is quarantined, not checked again,
+	// and costs one more runner, nothing else.
 	w := takeoverWorkload()
 	base := Config{NewFS: novaFS(bugs.None()), CheckTimeout: takeoverTimeout}
 	_, hEvents := journaledRun(t, base, w)
@@ -447,8 +406,8 @@ func TestSandboxRunnersPerRunNotPerState(t *testing.T) {
 	cfg.Checker, stall = stallAt(t, fence, rank, 0)
 	stall.transient = true
 	res, _ := journaledRun(t, cfg, w)
-	if res.RetriedChecks != 1 || len(res.Quarantined) != 0 {
-		t.Fatalf("hang-once guest: %d retried, %d quarantined; want 1, 0", res.RetriedChecks, len(res.Quarantined))
+	if len(res.Quarantined) != 1 {
+		t.Fatalf("hang-once guest: %d quarantined, want 1", len(res.Quarantined))
 	}
 	if n := res.Obs.Count(obs.CtrSandboxRunners); n != 2 {
 		t.Errorf("hang-once guest: %d runners started, want 2 (one run with states + one abandonment)", n)

@@ -118,7 +118,6 @@ type Coordinator struct {
 
 	execs             int
 	statesChecked     int
-	retriedChecks     int
 	quarantinedChecks int
 	obsMerged         *obs.Snapshot
 }
@@ -547,7 +546,6 @@ func (c *Coordinator) applyRoundLocked(p *FuzzResult) {
 	c.results[p.Round] = p
 	c.execs += p.Execs
 	c.statesChecked += p.StatesChecked
-	c.retriedChecks += p.RetriedChecks
 	c.quarantinedChecks += p.QuarantinedChecks
 	if p.Obs != nil {
 		if c.obsMerged == nil {

@@ -304,7 +304,6 @@ type FuzzResult struct {
 	Round             int             `json:"round,omitempty"`
 	Execs             int             `json:"execs,omitempty"`
 	StatesChecked     int             `json:"states_checked,omitempty"`
-	RetriedChecks     int             `json:"retried_checks,omitempty"`
 	QuarantinedChecks int             `json:"quarantined_checks,omitempty"`
 	ElapsedNanos      int64           `json:"elapsed_ns,omitempty"`
 	NewEntries        []CorpusEntry   `json:"new_entries,omitempty"`

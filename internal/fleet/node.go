@@ -29,7 +29,6 @@ type Node struct {
 type RoundDelta struct {
 	Execs             int
 	StatesChecked     int
-	RetriedChecks     int
 	QuarantinedChecks int
 	NewEntries        []CorpusEntry
 	Violations        []FuzzViolation
@@ -78,7 +77,6 @@ func (n *Node) RunRound(ctx context.Context, execs int) (RoundDelta, error) {
 	}
 	d.Execs = n.fz.Execs
 	d.StatesChecked = n.fz.StatesChecked
-	d.RetriedChecks = n.fz.RetriedChecks
 	d.QuarantinedChecks = n.fz.Quarantined
 	d.Obs = n.fz.ObsTotals
 	return d, nil

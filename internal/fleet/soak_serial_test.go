@@ -64,8 +64,7 @@ func TestSerialSoakNoPanic(t *testing.T) {
 			}
 			res := &FuzzResult{
 				Kind: ResultRound, Worker: "serial", SpecHash: SpecHash(spec),
-				Round: resp.Round, Execs: d.Execs, StatesChecked: d.StatesChecked,
-				RetriedChecks: d.RetriedChecks, QuarantinedChecks: d.QuarantinedChecks,
+				Round: resp.Round, Execs: d.Execs, StatesChecked: d.StatesChecked, QuarantinedChecks: d.QuarantinedChecks,
 				NewEntries: d.NewEntries, Violations: d.Violations, Obs: d.Obs,
 			}
 			res.Sum = ResultSum(res)

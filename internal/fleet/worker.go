@@ -223,7 +223,6 @@ func (j *fuzzJob) Run(ctx context.Context) error {
 		Round:             j.held.Round,
 		Execs:             delta.Execs,
 		StatesChecked:     delta.StatesChecked,
-		RetriedChecks:     delta.RetriedChecks,
 		QuarantinedChecks: delta.QuarantinedChecks,
 		ElapsedNanos:      time.Since(j.start).Nanoseconds(),
 		NewEntries:        delta.NewEntries,

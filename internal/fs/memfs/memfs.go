@@ -30,6 +30,9 @@ type FS struct {
 	nextIno uint64
 	descs   vfs.FDTable[*node]
 	mounted bool
+	// files is the size of the last State, the next one's map hint: one
+	// op changes few paths, so the map is built without regrowing.
+	files int
 }
 
 // New returns an unformatted memfs.
@@ -77,7 +80,7 @@ func (f *FS) Clone() *FS {
 	if !ok {
 		return nil
 	}
-	g := &FS{nextIno: f.nextIno, descs: descs, mounted: f.mounted}
+	g := &FS{nextIno: f.nextIno, descs: descs, mounted: f.mounted, files: f.files}
 	if f.root != nil {
 		g.root = f.root.clone(nil, map[*node]*node{})
 		g.root.parent = g.root
@@ -108,8 +111,9 @@ func (n *node) clone(parent *node, links map[*node]*node) *node {
 // data aliases the nodes', never written in place (vfs.Rewrite), so the
 // state stays as it was however f changes later.
 func (f *FS) State() vfs.State {
-	st := make(vfs.State)
+	st := make(vfs.State, f.files)
 	f.root.state("/", st)
+	f.files = len(st)
 	return st
 }
 

@@ -30,8 +30,7 @@ func TestFuzzerCountsQuarantinedStates(t *testing.T) {
 		NewFS: func(pm *persist.PM) vfs.FS {
 			return mountPanicFS{nova.New(pm, bugs.None())}
 		},
-		Cap:          2,
-		CheckRetries: -1,
+		Cap: 2,
 	}
 	f := New(cfg, 1, nil)
 	if _, _, err := f.Step(); err != nil {

@@ -55,9 +55,8 @@ type Fuzzer struct {
 	StatesChecked int
 	CorpusAdds    int
 	// Quarantined counts crash states the engine's sandbox isolated across
-	// the whole campaign; RetriedChecks counts transient check retries.
-	Quarantined   int
-	RetriedChecks int
+	// the whole campaign.
+	Quarantined int
 	// ObsTotals merges every exec's per-run metrics snapshot — the
 	// campaign-wide stage/counter totals. Nil until an exec runs with
 	// Config.Obs set.
@@ -248,7 +247,6 @@ func (f *Fuzzer) StepDelta() (Delta, error) {
 	}
 	f.Execs++
 	f.StatesChecked += res.StatesChecked
-	f.RetriedChecks += res.RetriedChecks
 	if res.Obs != nil {
 		if f.ObsTotals == nil {
 			f.ObsTotals = &obs.Snapshot{}

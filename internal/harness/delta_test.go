@@ -30,83 +30,74 @@ func crashStateFS(newFS func(*persist.PM) vfs.FS, wrap func(vfs.FS, *persist.PM)
 	}
 }
 
-// coldRecheckFS fingerprints every crash image it is handed to mount and
-// panics on every other Mount. The panic retires the image, so the retry of
-// the same state runs on a freshly grabbed image, cold-primed by copying the
-// fence's base in full before the state's writes land; its fingerprint must
-// equal the delta-materialized one. Checks run one at a time on a run's
-// runner, so odd mounts are first attempts and even mounts their retries.
-type coldRecheckFS struct {
+// mountLog records the SHA-256 of every crash image a run hands its guest
+// to mount, in mount order. Checks run one at a time on a run's runner, so
+// the order is the run's state order.
+type mountLog struct {
+	mu   sync.Mutex
+	sums [][sha256.Size]byte
+}
+
+// hashMountFS adds the image it is handed to its log, then mounts it, or,
+// with cold set, panics. The panic retires the image, so the run's next
+// state lands on a freshly grabbed image, cold-primed by copying the fence's
+// base in full before the state's writes land.
+type hashMountFS struct {
 	vfs.FS
-	pm *persist.PM
-	cr *coldRecheck
+	pm   *persist.PM
+	log  *mountLog
+	cold bool
 }
 
-type coldRecheck struct {
-	mu         sync.Mutex
-	mounts     int
-	warm       [sha256.Size]byte
-	mismatches int
-}
-
-func (f coldRecheckFS) Mount() error {
+func (f hashMountFS) Mount() error {
 	img := make([]byte, f.pm.Size())
 	f.pm.Mem().Peek(0, img)
-	sum := sha256.Sum256(img)
-	c := f.cr
-	c.mu.Lock()
-	c.mounts++
-	first := c.mounts%2 == 1
-	if first {
-		c.warm = sum
-	} else if sum != c.warm {
-		c.mismatches++
-	}
-	c.mu.Unlock()
-	if first {
-		panic("recheck on a cold image")
+	f.log.mu.Lock()
+	f.log.sums = append(f.log.sums, sha256.Sum256(img))
+	f.log.mu.Unlock()
+	if f.cold {
+		panic("mount on a cold image")
 	}
 	return f.FS.Mount()
 }
 
 // TestDeltaMaterializeMatchesFullCopyAllSystems: the O(diff) delta path
 // must match a full copy across all seven systems, on violating runs
-// (published bug sets) and clean ones alike. Each workload must reproduce
-// its engine-matrix golden — the full-copy engine's recorded output — and
-// every crash image the delta path materializes must be byte-identical to
-// the same state rematerialized on a cold image from a full base copy, with
-// every state classified as in the plain run, one retry apart.
+// (published bug sets) and clean ones alike. Each workload runs twice with
+// every mounted image logged: plainly, where it must reproduce its
+// engine-matrix golden — the full-copy engine's recorded output — and with
+// every mount panicking, so each state is rematerialized on a cold image
+// from a full base copy. The two logs must agree state by state.
 func TestDeltaMaterializeMatchesFullCopyAllSystems(t *testing.T) {
 	for _, sys := range Systems() {
 		t.Run(sys.Name, func(t *testing.T) {
 			t.Parallel()
 			cfg, suite, want := matrixSlice(t, sys, 8)
-			for i, w := range suite {
-				plain, err := core.RunContext(context.Background(), cfg, w)
-				if err != nil {
-					t.Fatalf("%s: %v", w.Name, err)
-				}
-				checkGolden(t, w.Name, plain, want[i])
-				cr := &coldRecheck{}
-				cold := cfg
-				cold.NewFS = crashStateFS(cfg.NewFS, func(fs vfs.FS, pm *persist.PM) vfs.FS {
-					return coldRecheckFS{fs, pm, cr}
+			run := func(w workload.Workload, cold bool) (*core.Result, *mountLog) {
+				log := &mountLog{}
+				c := cfg
+				c.NewFS = crashStateFS(cfg.NewFS, func(fs vfs.FS, pm *persist.PM) vfs.FS {
+					return hashMountFS{fs, pm, log, cold}
 				})
-				rechecked, err := core.RunContext(context.Background(), cold, w)
+				res, err := core.RunContext(context.Background(), c, w)
 				if err != nil {
-					t.Fatalf("%s rechecked: %v", w.Name, err)
+					t.Fatalf("%s (cold %v): %v", w.Name, cold, err)
 				}
-				if cr.mismatches != 0 {
-					t.Errorf("%s: %d of %d delta-materialized images differ from their full-copy rematerialization",
-						w.Name, cr.mismatches, cr.mounts/2)
+				return res, log
+			}
+			for i, w := range suite {
+				plain, warmLog := run(w, false)
+				checkGolden(t, w.Name, plain, want[i])
+				cold, coldLog := run(w, true)
+				if len(warmLog.sums) != plain.StatesChecked || len(coldLog.sums) != cold.StatesChecked ||
+					cold.StatesChecked != plain.StatesChecked {
+					t.Fatalf("%s: %d and %d mounts for %d and %d states, want one per state and equal counts",
+						w.Name, len(warmLog.sums), len(coldLog.sums), plain.StatesChecked, cold.StatesChecked)
 				}
-				if cr.mounts != 2*rechecked.StatesChecked || rechecked.RetriedChecks != rechecked.StatesChecked {
-					t.Errorf("%s: %d mounts and %d retries over %d states, want two mounts and one retry per state",
-						w.Name, cr.mounts, rechecked.RetriedChecks, rechecked.StatesChecked)
-				}
-				rechecked.RetriedChecks = plain.RetriedChecks
-				if d := diffButObs(plain, rechecked); d != "" {
-					t.Errorf("%s: the rechecked run differs: %s", w.Name, d)
+				for k := range warmLog.sums {
+					if warmLog.sums[k] != coldLog.sums[k] {
+						t.Errorf("%s: state %d: the delta-materialized image differs from its full-copy rematerialization", w.Name, k)
+					}
 				}
 			}
 		})

@@ -279,9 +279,6 @@ type Census struct {
 	// SuppressedQuarantine counts quarantined states past the per-run
 	// ledger cap — reported, never silent.
 	SuppressedQuarantine int
-	// RetriedChecks counts checks that succeeded only after a sandbox
-	// retry (transient failures, e.g. pool pressure).
-	RetriedChecks int
 	// Obs is the merged per-stage metrics snapshot across the suite's
 	// engine runs — nil unless Config.Obs was set. Merging is commutative
 	// (sums, maxima, histogram-bucket adds), so serial and parallel runs

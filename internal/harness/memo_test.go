@@ -102,14 +102,13 @@ func memoCases(t *testing.T) []memoCase {
 			memoCase{name: "nova/" + bm.name + "/prefix-reversed", cfg: cfg, suite: reversed(tail), shares: true})
 	}
 
-	// The hostile guest: every crash state's Mount panics, and with retries
-	// off each is quarantined on its first attempt, retiring its image.
+	// The hostile guest: every crash state's Mount panics, and each is
+	// quarantined on its one attempt, retiring its image.
 	for _, name := range []string{"nova", "pmfs"} {
 		sys, _ := SystemByName(name)
 		cfg := Options{Bugs: bugs.None(), Obs: obs.New()}.ConfigFor(sys)
 		newFS := cfg.NewFS
 		cfg.NewFS = func(pm *persist.PM) vfs.FS { return mountPanicFS{newFS(pm)} }
-		cfg.CheckRetries = -1
 		cases = append(cases, memoCase{name: name + "/hostile/seq1", cfg: cfg, suite: ace.Seq1(), shares: true, hostile: true})
 	}
 	return cases
@@ -130,9 +129,6 @@ func forkCases() []memoCase {
 		newFS := cfg.NewFS
 		hostile := mode == "hostile"
 		cfg.NewFS = func(pm *persist.PM) vfs.FS { return forking(newFS(pm), mkfs, hostile) }
-		if hostile {
-			cfg.CheckRetries = -1
-		}
 		cases = append(cases, memoCase{name: name + "/" + mode + "/" + suite, cfg: cfg, suite: ws, shares: !sys.Weak, mkfs: mkfs})
 	}
 	for _, s := range []struct {

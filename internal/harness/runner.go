@@ -411,7 +411,6 @@ func (a *aggregator) add(res *core.Result) {
 	a.c.Violations += len(res.Violations)
 	a.c.Quarantined = append(a.c.Quarantined, res.Quarantined...)
 	a.c.SuppressedQuarantine += res.SuppressedQuarantine
-	a.c.RetriedChecks += res.RetriedChecks
 	if res.Obs != nil {
 		if a.c.Obs == nil {
 			a.c.Obs = &obs.Snapshot{}

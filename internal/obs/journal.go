@@ -12,7 +12,7 @@ import (
 
 // Event is one run-journal record: an append-only, self-describing JSONL
 // line. The journal records WHAT the pipeline did — one event per workload,
-// fence, violation, quarantine, and retry — with timestamps and state
+// fence, violation, and quarantine — with timestamps and state
 // digests, so a run can be post-mortemed or diffed without rerunning it.
 //
 // Determinism contract: with Time and DurNanos cleared (CanonicalKey), the
@@ -23,7 +23,7 @@ type Event struct {
 	// Time is when the event was emitted (filled by Emit when zero).
 	Time time.Time `json:"t"`
 	// Type is the event class: "run", "workload", "fence", "violation",
-	// "quarantine", "retry", "span" (see Tracer), or the campaign-side
+	// "quarantine", "span" (see Tracer), or the campaign-side
 	// diagnostics "shard-quarantine", "heartbeat-refused", and
 	// "shard-watchdog".
 	Type string `json:"type"`

@@ -76,8 +76,8 @@ func (s Stage) String() string {
 // functions of the checked suite — never of scheduling — so a serial and a
 // parallel run of the same suite report identical values; Deterministic
 // distinguishes those from the measurement-class counters (fault and
-// materialization accounting), which are recorded per attempt and may vary
-// with retries and abandoned checks.
+// materialization accounting), which are recorded as the work happens and
+// may vary with abandoned checks and pool scheduling.
 type Counter uint8
 
 const (
@@ -94,16 +94,19 @@ const (
 	// CtrTruncatedFences counts fences whose exhaustive enumeration fell
 	// back to the safety cap.
 	CtrTruncatedFences
-	// CtrSandboxRetries counts checks that succeeded only after a sandbox
-	// retry (transient failures).
+	// CtrSandboxRetries is never recorded: each crash state gets exactly
+	// one guarded attempt.
+	//
+	// Deprecated: always zero; kept because the bench module reads it.
 	CtrSandboxRetries
 	// CtrQuarantines counts crash states quarantined after deterministic
 	// sandbox failures (including ledger-cap overflow).
 	CtrQuarantines
 	// CtrFaultsInjected counts injected pmem faults that actually landed:
 	// torn writes, flipped bits, and raised media errors. Unlike the other
-	// counters it is recorded per attempt, so sandbox retries (rare,
-	// transient) can recount a state's faults.
+	// counters it is recorded as faults land, not from the Result, so a
+	// state abandoned past its deadline counts only the faults it met
+	// before the takeover.
 	CtrFaultsInjected
 	// CtrViolations counts reported violations (including suppressed
 	// overflow).
@@ -153,8 +156,8 @@ const (
 	// CtrOracleSnapshotHits counts crash-state checks served by a shared
 	// per-crash-point oracle snapshot instead of re-deriving the
 	// oracle-visible view per check. Measurement-class like
-	// CtrFaultsInjected: recorded per check attempt, so sandbox retries
-	// (rare, transient) recount a state's hit.
+	// CtrFaultsInjected: recorded inside the guest phase, so a check
+	// abandoned past its deadline may or may not have counted its hit.
 	CtrOracleSnapshotHits
 	// CtrFuzzExecs counts fuzzing iterations (engine runs driven by the
 	// coverage-guided mutator) credited by a fleet-fuzzing coordinator.
@@ -236,10 +239,10 @@ func (c Counter) String() string {
 }
 
 // Deterministic reports whether the counter is covered by the engine's
-// serial == parallel == retry determinism contract (its value is a pure
-// function of the checked suite). The measurement-class counters — fault
-// injection and crash-image materialization accounting — are recorded per
-// attempt on the hot path, so retries recount them and pool scheduling
+// serial == parallel determinism contract (its value is a pure function of
+// the checked suite). The measurement-class counters — fault injection and
+// crash-image materialization accounting — are recorded on the hot path, so
+// an abandoned check may have counted part of its work, and pool scheduling
 // shifts prime/rollback work between cold primes and incremental advances.
 func (c Counter) Deterministic() bool {
 	switch c {

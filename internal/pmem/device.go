@@ -61,11 +61,6 @@ type Device struct {
 	persistent []byte
 	inflight   []InFlight
 
-	// dirty tracks cache lines holding store()d bytes that have not been
-	// flushed yet: DirtyUnflushedLines reports them, and Mark saves them
-	// for Restore.
-	dirty map[int64]struct{}
-
 	// faults, when non-nil, poisons cache lines: loads touching one panic
 	// with *MediaError (see InjectFaults).
 	faults *Injector
@@ -103,7 +98,6 @@ func NewDevice(size int64) *Device {
 	return &Device{
 		volatile:   make([]byte, size),
 		persistent: make([]byte, size),
-		dirty:      make(map[int64]struct{}),
 	}
 }
 
@@ -133,7 +127,6 @@ func WrapImages(volatile, persistent []byte) *Device {
 	return &Device{
 		volatile:   volatile,
 		persistent: persistent,
-		dirty:      make(map[int64]struct{}),
 	}
 }
 
@@ -143,8 +136,8 @@ func WrapImages(volatile, persistent []byte) *Device {
 // never examined — so the separation only costs memory and copies there.
 // On a unified device stores are immediately durable: NTStore and Flush
 // capture nothing in flight and Fence has nothing to persist. Guest-visible
-// behavior (loads, media faults, dirty-line tracking) is identical to a
-// two-image device, which the differential tests pin. Do NOT use for
+// behavior (loads and media faults) is identical to a two-image device,
+// which the differential tests pin. Do NOT use for
 // recording: crash-state enumeration needs the real in-flight sets.
 func WrapImage(img []byte) *Device {
 	if len(img) == 0 {
@@ -153,7 +146,6 @@ func WrapImage(img []byte) *Device {
 	return &Device{
 		volatile:   img,
 		persistent: img,
-		dirty:      make(map[int64]struct{}),
 		unified:    true,
 	}
 }
@@ -173,16 +165,13 @@ func (d *Device) TrackUndo(u *UndoLog) { d.undo = u }
 func (d *Device) TrackPages(s *PageSet) { d.pages = s }
 
 // Reset returns the device to the just-rebooted state over its current
-// images without reallocating: in-flight writes, dirty-line tracking, and
-// cost-model counters are cleared, the capture arenas rewind, and any fault
+// images without reallocating: in-flight writes and cost-model counters
+// are cleared, the capture arenas rewind, and any fault
 // injector is detached. The images and an attached undo log and page set
 // are untouched — this is how the engine reuses one pooled device across
 // crash states, and one recording device across runs.
 func (d *Device) Reset() {
 	d.inflight = d.inflight[:0]
-	for k := range d.dirty {
-		delete(d.dirty, k)
-	}
 	d.faults = nil
 	d.reads.reset()
 	d.writes.reset()
@@ -208,9 +197,6 @@ func (d *Device) Store(off int64, p []byte) {
 	}
 	d.mark(off, len(p))
 	copy(d.volatile[off:], p)
-	for line := off / CacheLineSize; line <= (off+int64(len(p))-1)/CacheLineSize; line++ {
-		d.dirty[line] = struct{}{}
-	}
 	d.stats.StoreBytes += int64(len(p))
 	d.stats.SimNanos += costStore(len(p))
 }
@@ -258,7 +244,6 @@ func (d *Device) Flush(off int64, n int) {
 			copy(data, d.volatile[lo:hi])
 			d.inflight = append(d.inflight, InFlight{Kind: KindFlush, Off: lo, Data: data})
 		}
-		delete(d.dirty, line)
 		d.stats.LinesFlushed++
 	}
 	d.stats.Flushes++
@@ -403,31 +388,18 @@ func (d *Device) VolatileImage() []byte {
 	return append([]byte(nil), d.volatile...)
 }
 
-// DirtyUnflushedLines reports cache lines that hold stores never flushed.
-// A well-behaved file system has zero at the end of every operation unless
-// the data is intentionally volatile.
-func (d *Device) DirtyUnflushedLines() []int64 {
-	out := make([]int64, 0, len(d.dirty))
-	for l := range d.dirty {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // DeviceMark is a device's state at one moment: a position in its undo log,
-// and copies of the in-flight writes, dirty lines and counters.
+// and copies of the in-flight writes and counters.
 type DeviceMark struct {
 	undo     UndoMark
 	inflight []InFlight
-	dirty    []int64
 	stats    Stats
 }
 
 // Mark captures the device's state for Restore. The attached undo log (see
 // TrackUndo) must stay attached until the last Restore to the mark.
 func (d *Device) Mark() DeviceMark {
-	return DeviceMark{undo: d.undo.Mark(), inflight: d.InFlightWrites(), dirty: d.DirtyUnflushedLines(), stats: d.stats}
+	return DeviceMark{undo: d.undo.Mark(), inflight: d.InFlightWrites(), stats: d.stats}
 }
 
 // Restore returns the device to mark m at the cost of the bytes written
@@ -435,10 +407,6 @@ func (d *Device) Mark() DeviceMark {
 func (d *Device) Restore(m DeviceMark) {
 	d.undo.RollbackTo(m.undo)
 	d.inflight = append(d.inflight[:0], m.inflight...)
-	clear(d.dirty)
-	for _, l := range m.dirty {
-		d.dirty[l] = struct{}{}
-	}
 	d.writes.reset()
 	d.stats = m.stats
 }

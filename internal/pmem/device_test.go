@@ -172,21 +172,6 @@ func TestFromImage(t *testing.T) {
 	}
 }
 
-func TestDirtyUnflushedLines(t *testing.T) {
-	d := NewDevice(512)
-	d.Store(0, []byte{1})
-	d.Store(130, []byte{2})
-	lines := d.DirtyUnflushedLines()
-	if len(lines) != 2 || lines[0] != 0 || lines[1] != 2 {
-		t.Fatalf("dirty lines = %v, want [0 2]", lines)
-	}
-	d.Flush(0, 1)
-	lines = d.DirtyUnflushedLines()
-	if len(lines) != 1 || lines[0] != 2 {
-		t.Fatalf("dirty lines after flush = %v, want [2]", lines)
-	}
-}
-
 func TestOutOfRangePanics(t *testing.T) {
 	d := NewDevice(64)
 	cases := []func(){

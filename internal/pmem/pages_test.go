@@ -129,17 +129,16 @@ func TestPageSetFlushNeverStoredThenFence(t *testing.T) {
 }
 
 // TestPageSetSurvivesReset: Reset keeps the attachment, so a recycled
-// device goes on marking, while its in-flight set, dirty lines and capture
-// arenas start over.
+// device goes on marking, while its in-flight set and capture arenas start
+// over.
 func TestPageSetSurvivesReset(t *testing.T) {
 	d, s := trackedDevice(8 * PageSize)
 	d.Store(0, []byte{1})
 	d.NTStore(PageSize, make([]byte, 100))
 	d.Load(0, 64)
 	d.Reset()
-	if d.InFlightCount() != 0 || len(d.DirtyUnflushedLines()) != 0 {
-		t.Fatalf("Reset kept %d in-flight writes and %d dirty lines",
-			d.InFlightCount(), len(d.DirtyUnflushedLines()))
+	if d.InFlightCount() != 0 {
+		t.Fatalf("Reset kept %d in-flight writes", d.InFlightCount())
 	}
 	if d.reads.used != 0 || d.writes.used != 0 {
 		t.Fatalf("Reset kept arena use: reads %d, writes %d", d.reads.used, d.writes.used)

@@ -103,9 +103,6 @@ func (t *TrackingDevice) Rollback() {
 	t.undo.Rollback()
 	t.Device.inflight = t.Device.inflight[:0]
 	t.Device.writes.reset()
-	for k := range t.Device.dirty {
-		delete(t.Device.dirty, k)
-	}
 }
 
 // UndoBytes reports how many bytes of undo state are currently held.

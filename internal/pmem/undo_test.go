@@ -77,7 +77,7 @@ func TestDeviceResetPreservesImagesAndUndo(t *testing.T) {
 	d.Flush(0, 1)
 	d.Fence()
 	d.Reset()
-	if d.InFlightCount() != 0 || len(d.DirtyUnflushedLines()) != 0 {
+	if d.InFlightCount() != 0 {
 		t.Fatal("Reset left transient device state")
 	}
 	if d.Stats() != (Stats{}) {
@@ -190,7 +190,7 @@ func BenchmarkAblation_UndoLogVsCopy(b *testing.B) {
 }
 
 // TestDeviceMarkRestore: restoring a mark undoes everything the device did
-// since — both images, the in-flight set, the dirty lines and the counters —
+// since — both images, the in-flight set and the counters —
 // and a mark can be restored again after the device ran on from it.
 func TestDeviceMarkRestore(t *testing.T) {
 	d := NewDevice(4096)
@@ -203,11 +203,10 @@ func TestDeviceMarkRestore(t *testing.T) {
 	type snap struct {
 		vol, pers []byte
 		inflight  []InFlight
-		dirty     []int64
 		stats     Stats
 	}
 	take := func() snap {
-		return snap{d.VolatileImage(), d.CrashImage(), d.InFlightWrites(), d.DirtyUnflushedLines(), d.Stats()}
+		return snap{d.VolatileImage(), d.CrashImage(), d.InFlightWrites(), d.Stats()}
 	}
 	m, want := d.Mark(), take()
 	for round := 0; round < 2; round++ {

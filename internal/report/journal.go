@@ -74,9 +74,6 @@ func WriteJournalSummary(w io.Writer, events []obs.Event, skipped int) error {
 	if len(quarKind) > 0 {
 		fmt.Fprintf(w, "quarantines by kind: %s\n", renderCounts(quarKind))
 	}
-	if n := byType["retry"]; n > 0 {
-		fmt.Fprintf(w, "sandbox retries: %d\n", n)
-	}
 
 	// The slowest workloads are where a tuning pass starts; five is enough
 	// to point at the outliers without drowning the digest.

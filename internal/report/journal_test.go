@@ -20,7 +20,6 @@ func TestJournalSummary(t *testing.T) {
 		{Type: "violation", FS: "nova", Workload: "slow", Kind: "content-mismatch"},
 		{Type: "violation", FS: "nova", Workload: "slow", Kind: "content-mismatch"},
 		{Type: "quarantine", FS: "nova", Workload: "slow", Kind: "panic"},
-		{Type: "retry", FS: "nova", Workload: "slow"},
 	}
 	var sb strings.Builder
 	if err := WriteJournalSummary(&sb, events, 0); err != nil {
@@ -28,13 +27,12 @@ func TestJournalSummary(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"journal: 8 events",
+		"journal: 7 events",
 		"runs: nova",
 		"workloads: 2 (50 crash states checked, 2 violations",
 		"fences: 1 (5 states, 2 deduped",
 		"content-mismatch=2",
 		"quarantines by kind: panic=1",
-		"sandbox retries: 1",
 		"slowest workloads:",
 	} {
 		if !strings.Contains(out, want) {

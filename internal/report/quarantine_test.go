@@ -36,7 +36,6 @@ func TestWriteQuarantineLedger(t *testing.T) {
 		Kind:     core.VPanic,
 		Detail:   "check panicked: boom",
 		Stack:    "goroutine 7 [running]:\nmain.boom()",
-		Attempts: 3,
 	}}
 	path, err = w.WriteQuarantine("nova", entries, 5)
 	if err != nil {
