@@ -60,21 +60,15 @@ type checker struct {
 	// cur is the walk's position.
 	cur cursor
 
-	// scratch is the owner-only buffer state-key computation materializes
-	// written ranges into; keyBuf and spans are its key and merge buffers.
+	// scratch is the rig's buffer state-key computation materializes
+	// written ranges into (owner-only).
 	scratch []byte
-	keyBuf  []byte
-	spans   []span
 
-	// Per-fence scratch reused across fences (owner-only, see arena.go for
-	// the ownership protocol): the dedup map, the distinct state list, the
-	// subset recursion buffer, and the arenas behind every crash state's
-	// subset and key.
-	seen      map[string]struct{}
-	distinct  []crashState
-	subsetBuf []int
-	subArena  sliceArena[int]
-	keyArena  sliceArena[byte]
+	// fenceScratch is kept across the chain's runs (arena.go), with wi, the
+	// crash image the chain's last run ended on: between runs it belongs to
+	// the checker, during one to the runner's slot.
+	fenceScratch
+	wi *workerImage
 
 	// abandoned counts guest phases the supervisor walked away from
 	// (timeout/cancel); abandonedSeen is the owner's high-water mark. When
@@ -84,11 +78,9 @@ type checker struct {
 	abandoned     atomic.Int64
 	abandonedSeen int64
 
-	// runID is this run's process-unique pool token (see arena.go);
-	// devSize the device size every recycled grab is keyed by; basePages
-	// the pages the working image may be non-zero on at any generation
-	// (the rig's, see arena.go), which bounds every cold prime.
-	runID     int64
+	// devSize is the rig's device size; basePages the pages the working
+	// image may be non-zero on at any generation (the rig's, see arena.go),
+	// which bounds every cold prime.
 	devSize   int
 	basePages *pmem.PageSet
 
@@ -111,7 +103,7 @@ type checker struct {
 	// the accumulated write set (valid when advGen == baseGen), baseGen
 	// bumps once — immediately before the next crash point's checks. Committing
 	// lazily means back-to-back fences with no check in between cost ONE
-	// generation, so a pooled image is never more than one generation
+	// generation, so the runner's image is never more than one generation
 	// behind and catches up by replaying advance instead of re-copying the
 	// device; see prime. Written by the owner only, between checks.
 	baseGen   int64
@@ -444,8 +436,8 @@ func (ck *checker) enumerate(sys int) {
 }
 
 // runChecks materializes and checks the fence's distinct subsets from
-// cur.rank on. Outcomes — violations, quarantine entries, retry accounting —
-// are folded in subset-rank order, and StatesChecked counts exactly the
+// cur.rank on. Outcomes — violations and quarantine entries — are folded in
+// subset-rank order, and StatesChecked counts exactly the
 // states whose check reached a classified outcome (clean, violating, or
 // quarantined).
 func (ck *checker) runChecks(sl *slot) error {

@@ -85,8 +85,8 @@ type Config struct {
 	// via the debug server. Nil disables collection at zero hot-path cost.
 	Obs *obs.Collector
 	// Journal, when non-nil, receives one event per workload, fence,
-	// violation, quarantine, and sandbox retry — the append-only JSONL run
-	// journal (-journal). All events are emitted by the run's one walker, in
+	// violation, and quarantine — the append-only JSONL run journal
+	// (-journal). All events are emitted by the run's one walker, in
 	// walk order, so the journal's order-normalized event set depends only on
 	// the suite — not on how harness.WithWorkers spread it over goroutines.
 	Journal *obs.Journal
@@ -206,7 +206,7 @@ func (v Violation) String() string {
 }
 
 // Quarantine is one ledger entry for a crash state whose check failed
-// deterministically inside the sandbox — it panicked or hung on every
+// deterministically inside the sandbox — it panicked or hung on its one
 // attempt. The entry pins down exactly which state was implicated (fence
 // ordinal, canonical subset rank, byte-diff key digest) so the census can
 // complete without it while never silently dropping it: the same
@@ -374,24 +374,28 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 	tr.Span("oracle", obegin, wlSpan, obs.Event{Workload: w.Name})
 
 	// --- Record pass: run the workload on the target, tracing writes. The
-	// recording device, its images and the baseline crash image come from
-	// the chain's rig, which goes back to the free list when the chain
-	// closes (workload results carry no device memory). The recording side
-	// never reaches a runner. The baseline is the runner's working image, but
-	// only engine code on the runner touches it, never a guest phase — and
-	// when Run returns, every runner has either exited or was abandoned
-	// inside a guest phase and unwinds without touching it (arena.go has the
-	// whole protocol). Each step below keeps the rig's page sets covering
-	// its buffers, so a run that panics out of here still leaves a rig the
-	// next grab can clear by pages.
+	// recording device, its images, the baseline crash image, the log and
+	// the checker come from the chain's rig, which goes back to the free
+	// list when the chain closes (workload results carry no device memory).
+	// The recording side never reaches a runner. The baseline is the
+	// runner's working image, but only engine code on the runner touches it,
+	// never a guest phase — and when Run returns, every runner has either
+	// exited or was abandoned inside a guest phase and unwinds without
+	// touching it (arena.go has the one forfeit rule). Each step below keeps
+	// the rig's page sets covering its buffers, so a run that panics out of
+	// here still leaves a rig the next grab can clear by pages.
 	rbegin := tr.Begin()
 	rt := col.Start()
 	target, err := c.restore(from, int(devSize), len(points) > 0)
 	if err != nil {
 		return nil, err
 	}
-	rg, log := c.rg, c.log
-	dev := rg.dev
+	rg := c.rg
+	if rg.ck == nil {
+		rg.ck = new(checker)
+	}
+	ck, log, dev := rg.ck, rg.log, rg.dev
+	ck.clear()
 	targetResults := make([]workload.Result, 0, len(w.Ops))
 	if from != nil {
 		targetResults = append(targetResults, from.results...)
@@ -474,18 +478,18 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 		Obs:          col,
 	})
 	cbegin := tr.Begin()
-	ck := &checker{ctx: ctx, cfg: cfg, caps: caps, w: w, contract: contract, res: res,
-		obs: col, journal: cfg.Journal,
-		tracer: tr, checkSpan: tr.ID("check", w.Name, 0, 0),
-		runID: runIDs.Add(1), memo: memoWalk{m: c.memo, op: -1}}
+	ck.ctx, ck.cfg, ck.caps, ck.w, ck.contract, ck.res = ctx, cfg, caps, w, contract, res
+	ck.obs, ck.journal, ck.tracer, ck.checkSpan = col, cfg.Journal, tr, tr.ID("check", w.Name, 0, 0)
+	ck.memo = memoWalk{m: c.memo, op: -1}
 	if c.memo != nil && !cfg.Faults.Enabled() {
 		ck.table = &c.memo.table
 	}
-	// A guest phase the run abandoned may still read the log: it is left
-	// to it, with the fork points that index into it.
+	// A guest phase the run abandoned may still read the checker, its
+	// scratch and image, and the log: they are left to it, with the fork
+	// points that index into the log.
 	defer func() {
 		if ck.abandoned.Load() != 0 {
-			c.log, c.points, c.path = nil, nil, nil
+			rg.ck, rg.log, c.points, c.path = nil, nil, nil, nil
 		}
 	}()
 	if err := ck.supervise(rg, log); err != nil {

@@ -13,7 +13,7 @@ import (
 
 // This file is the fork chain, harness.Run's work sharing: the prefix memo
 // shares the verdicts of an op prefix's crash points, a chain the work
-// before them. Its runs share one recording rig and one trace log. At an op
+// before them. Its runs share one rig (arena.go), trace log included. At an op
 // boundary a later run shares, a run leaves a fork point — the oracle and
 // the guest copied, the recording device marked in its undo log and its
 // page set copied, the log's length — and the later run restores it and
@@ -23,13 +23,13 @@ import (
 // Result. A guest that is no vfs.Forker starts every run from Mkfs.
 
 // Chain runs workloads one after another, sharing the work of their common
-// op prefixes. It is owned by one goroutine; Close returns its memory.
+// op prefixes. It is owned by one goroutine, and owns the rig its runs reuse
+// (arena.go); Close returns it.
 type Chain struct {
 	memo *PrefixMemo
 	cfg  Config
 	rg   *rig
 	pm   *persist.PM
-	log  *trace.Log
 	// forks says the guest is a vfs.Forker (known from the first Mkfs on).
 	// The device's undo log holds its writes since the last Mkfs that took
 	// points, whose persistent image the rig's template holds. path is the
@@ -59,15 +59,16 @@ type forkPoint struct {
 // (nil: none). All its runs use cfg.
 func (m *PrefixMemo) Chain(cfg Config) *Chain { return &Chain{memo: m, cfg: cfg} }
 
-// Close returns the chain's rig and log for reuse by later runs.
+// Close puts the chain's rig back on the free list for later chains.
 func (c *Chain) Close() {
-	if c.rg != nil {
-		c.rg.dev.TrackUndo(nil)
-		putRig(c.rg)
+	if c.rg == nil {
+		return
 	}
-	if c.log != nil {
-		logPool.Put(c.log)
+	c.rg.dev.TrackUndo(nil)
+	if c.rg.ck != nil {
+		c.rg.ck.clear()
 	}
+	putRig(c.rg)
 }
 
 // plan picks the point w starts from — the deepest on an op prefix of w,
@@ -106,13 +107,13 @@ func (c *Chain) restore(from *forkPoint, size int, mark bool) (vfs.FS, error) {
 	if from != nil {
 		// The last walk wrote the baseline only where it applied entries of
 		// the log: copying the template back there makes it the template.
-		for _, e := range c.log.Entries() {
+		for _, e := range c.rg.log.Entries() {
 			copy(c.rg.baseline[e.Off:], c.rg.tmpl[e.Off:e.Off+int64(len(e.Data))])
 		}
 		c.rg.dev.Restore(from.dev)
 		// The rollback zeroed every page first written since the mark.
 		c.rg.devPages.Assign(from.pages)
-		c.log.Truncate(from.logLen, from.logData)
+		c.rg.log.Truncate(from.logLen, from.logData)
 		return from.guest.(vfs.Forker).Fork(c.pm), nil
 	}
 	if c.rg == nil {
@@ -140,10 +141,10 @@ func (c *Chain) restore(from *forkPoint, size int, mark bool) (vfs.FS, error) {
 		rg.tmplPages.Copy(rg.tmpl, rg.pers, rg.devPages)
 		rg.dev.TrackUndo(pmem.NewUndoLog(nil))
 	}
-	if c.log == nil {
-		c.log = grabLog()
+	if rg.log == nil {
+		rg.log = trace.NewLog()
 	} else {
-		c.log.Reset()
+		rg.log.Reset()
 	}
 	return target, nil
 }

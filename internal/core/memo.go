@@ -79,8 +79,7 @@ func (m *PrefixMemo) publish(key []byte, n *prefixNode) {
 // memoWalk is one run's position in its memo. Owner-only, like the cursor.
 type memoWalk struct {
 	m      *PrefixMemo // nil: no sharing
-	key    []byte      // Format lines of ops[0..keyOps)
-	keyOps int
+	keyOps int         // checker.prefix holds the Format lines of ops[0..keyOps)
 	// op is the op whose crash points are being served from serve (next is
 	// the next one) or recorded into rec; -1 between ops. abandonedAt is the
 	// run's abandonment count when recording began.
@@ -178,9 +177,9 @@ func (ck *checker) closeOp(sys int) error {
 func (ck *checker) prefixKey(sys int) []byte {
 	mw := &ck.memo
 	for ; mw.keyOps <= sys; mw.keyOps++ {
-		mw.key = append(workload.AppendOp(mw.key, ck.w.Ops[mw.keyOps]), '\n')
+		ck.prefix = append(workload.AppendOp(ck.prefix, ck.w.Ops[mw.keyOps]), '\n')
 	}
-	return mw.key
+	return ck.prefix
 }
 
 func (ck *checker) memoDiverged(sys int) error {

@@ -141,53 +141,75 @@ func TestOracleSnapshotMatchesPerCheck(t *testing.T) {
 	})
 }
 
-// drainFreeLists empties the rig and image free lists for size, so the next
-// run allocates fresh zeroed buffers, and returns a func that puts the
-// drained buffers back.
-func drainFreeLists(size int) (restore func()) {
-	var rs []*rig
-	for r, ok := rigs.get(size); ok; r, ok = rigs.get(size) {
-		rs = append(rs, r)
-	}
-	var ws []*workerImage
-	for wi, ok := images.get(size); ok; wi, ok = images.get(size) {
-		ws = append(ws, wi)
-	}
+// drainFreeList empties the free list for size, so the next chain allocates
+// a fresh zeroed rig, checker and image, and returns a func that puts the
+// drained rigs back.
+func drainFreeList(size int) (restore func()) {
+	rigs.Lock()
+	rs := rigs.free[size]
+	delete(rigs.free, size)
+	rigs.Unlock()
 	return func() {
 		for _, r := range rs {
-			rigs.put(size, r)
-		}
-		for _, wi := range ws {
-			images.put(size, wi)
+			putRig(r)
 		}
 	}
 }
 
-// TestBufferReuseMatchesFresh: recycling device-sized rigs and crash images
-// through the cross-run free lists must change nothing. With the lists
-// drained a run allocates fresh zeroed memory; the same run repeated on
-// buffers another system's workload just dirtied, on pages the first system
-// never writes, must agree with it, and every free-listed buffer must stay
-// zero outside its page set.
+// syncWorkload writes one file and fsyncs it: on a weak system its one
+// crash state comes after the fsync, one generation past the Mkfs image.
+func syncWorkload(path string, size int64, seed uint32) workload.Workload {
+	return workload.Workload{Name: "sync" + path, Ops: []workload.Op{
+		{Kind: workload.OpCreat, Path: path, FDSlot: -1},
+		{Kind: workload.OpPwrite, Path: path, FDSlot: -1, Off: 0, Size: size, Seed: seed},
+		{Kind: workload.OpFsync, Path: path, FDSlot: -1},
+	}}
+}
+
+// TestBufferReuseMatchesFresh: reusing device-sized rigs and crash images
+// must change nothing. With the free list drained a run allocates fresh
+// zeroed memory; the same run repeated on buffers another system's workload
+// just dirtied, on pages the first system never writes, must agree with it,
+// and so must the same run made on a fresh chain after a dirtying workload
+// of its own system, which leaves it its checker and crash image. Every
+// free-listed buffer must stay zero outside its page set.
 func TestBufferReuseMatchesFresh(t *testing.T) {
 	systems := []struct {
 		name  string
 		newFS func(bugs.Set) func(*persist.PM) vfs.FS
-	}{{"nova", novaFS}, {"splitfs", splitfsFS}, {"pmfs", pmfsFS}}
+	}{
+		{"nova", novaFS}, {"splitfs", splitfsFS}, {"pmfs", pmfsFS},
+		{"ext4-dax", func(bugs.Set) func(*persist.PM) vfs.FS { return extdaxFS() }},
+	}
 	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
 		for i, sys := range systems {
 			dirty := systems[(i+1)%len(systems)]
 			for _, w := range []struct{ run, dirty workload.Workload }{
 				{mixedWorkload(), renameWorkload()},
 				{renameWorkload(), mixedWorkload()},
+				{syncWorkload("/a", 512, 1), syncWorkload("/b", 64, 7)},
 			} {
+				name := sys.name + " " + w.run.Name + " after "
 				cfg := Config{NewFS: sys.newFS(set)}
-				restore := drainFreeLists(DefaultDevSize)
+				restore := drainFreeList(DefaultDevSize)
 				fresh := mustRun(t, cfg, w.run)
 				restore()
 				mustRun(t, Config{NewFS: dirty.newFS(set)}, w.dirty)
 				warm := mustRun(t, cfg, w.run)
-				sameResult(t, sys.name+" "+w.run.Name+" after "+dirty.name+" "+w.dirty.Name, fresh, warm)
+				sameResult(t, name+dirty.name+" "+w.dirty.Name, fresh, warm)
+
+				restore = drainFreeList(DefaultDevSize)
+				c := (*PrefixMemo)(nil).Chain(cfg)
+				var chained *Result
+				for _, w := range []workload.Workload{w.dirty, w.run} {
+					var err error
+					if chained, err = c.Run(context.Background(), w, nil); err != nil {
+						t.Fatal(err)
+					}
+				}
+				c.Close()
+				restore()
+				sameResult(t, name+w.dirty.Name+" on one chain", fresh, chained)
 				if err := CheckPooledPages(); err != nil {
 					t.Fatal(err)
 				}
@@ -332,7 +354,6 @@ func hotLoopChecker(col *obs.Collector) (ck *checker, base []byte, log *trace.Lo
 		contract:  stubContract{},
 		res:       &Result{},
 		obs:       col,
-		runID:     runIDs.Add(1),
 		devSize:   len(base),
 		basePages: basePages,
 		scratch:   make([]byte, len(base)),
@@ -402,52 +423,74 @@ func TestCheckLoopZeroAlloc(t *testing.T) {
 }
 
 // TestRunAllocBudget pins the allocation budget of a warm engine run. A
-// one-op workload recycles its rig — recording device, capture arenas and
-// all — so what it allocates is the oracle, the guest's own structures and
-// the result. Measured on go1.24 linux/amd64: 6.5 KB per run on ext4-dax
-// and 26.4 KB on nova, against 72.7 KB and 76.2 KB when every run built a
-// fresh recording device and re-grew its 64 KiB memset capture. With 16
-// runs in flight at once, as under a -j 16 suite, it is 6.6 KB and 26.5 KB:
-// the free list keeps every rig its runs return. Capping it at 8 per size
-// made each batch allocate 8 fresh 4 MiB rigs, 2.1 MB per run.
+// one-op workload recycles its rig — recording device, capture arenas,
+// checker and all — so what it allocates is the oracle, the guest's own
+// structures and the result. Measured on go1.24 linux/amd64: 6.5 KB per run
+// on ext4-dax and 26.4 KB on nova, against 72.7 KB and 76.2 KB when every
+// run built a fresh recording device and re-grew its 64 KiB memset capture.
+// With 16 runs in flight at once, as under a -j 16 suite, it is 6.6 KB and
+// 26.5 KB: the free list keeps every rig its runs return. Capping it at 8
+// per size made each batch allocate 8 fresh 4 MiB rigs, 2.1 MB per run.
+// The warm-chain leg repeats the workload on one Chain, as a harness worker
+// does. The chain keeps one checker for all its runs: 4.8 KB per run on
+// ext4-dax and 17.8 KB on nova, against 5.8 KB and 18.8 KB when each run
+// built its own 1 KiB checker. Its budget is the measurement plus half a
+// checker.
 func TestRunAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race-detector instrumentation allocates; the budget is meaningless under -race")
 	}
 	const budget = 40 << 10
 	w := workload.Workload{Name: "one-op", Ops: []workload.Op{{Kind: workload.OpCreat, Path: "/a", FDSlot: -1}}}
+	// perRun returns the bytes allocated per run, batch making runs runs:
+	// the median of five rounds of ten batches, because a GC cycle may empty
+	// the oracle checker's capture-scratch sync.Pool mid-round.
+	perRun := func(runs int, batch func()) uint64 {
+		for i := 0; i < 3; i++ { // warm the free list
+			batch()
+		}
+		const batches = 10
+		var per []uint64
+		for r := 0; r < 5; r++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < batches; i++ {
+				batch()
+			}
+			runtime.ReadMemStats(&after)
+			per = append(per, (after.TotalAlloc-before.TotalAlloc)/uint64(batches*runs))
+		}
+		slices.Sort(per)
+		return per[2]
+	}
 	for _, c := range []struct {
-		name string
-		fs   func(pm *persist.PM) vfs.FS
+		name     string
+		fs       func(pm *persist.PM) vfs.FS
+		chainRun uint64 // a warm chain run's measured bytes
 	}{
-		{"ext4-dax", extdaxFS()},
-		{"nova", novaFS(bugs.None())},
+		{"ext4-dax", extdaxFS(), 4904},
+		{"nova", novaFS(bugs.None()), 18208},
 	} {
+		cfg := Config{NewFS: c.fs}
 		for _, inFlight := range []int{1, 16} {
 			t.Run(fmt.Sprintf("%s/in-flight-%d", c.name, inFlight), func(t *testing.T) {
-				cfg := Config{NewFS: c.fs}
-				for i := 0; i < 3; i++ { // warm the free list and the scratch and log pools
-					runBatch(t, cfg, w, inFlight)
-				}
-				// The median of five rounds: a GC cycle may empty the
-				// sync.Pools mid-round.
-				const batches = 10
-				var perRun []uint64
-				for r := 0; r < 5; r++ {
-					var before, after runtime.MemStats
-					runtime.ReadMemStats(&before)
-					for i := 0; i < batches; i++ {
-						runBatch(t, cfg, w, inFlight)
-					}
-					runtime.ReadMemStats(&after)
-					perRun = append(perRun, (after.TotalAlloc-before.TotalAlloc)/uint64(batches*inFlight))
-				}
-				slices.Sort(perRun)
-				if got := perRun[2]; got > budget {
+				if got := perRun(inFlight, func() { runBatch(t, cfg, w, inFlight) }); got > budget {
 					t.Errorf("warm run allocates %d bytes, budget %d", got, budget)
 				}
 			})
 		}
+		t.Run(c.name+"/warm-chain", func(t *testing.T) {
+			ch := (*PrefixMemo)(nil).Chain(cfg)
+			defer ch.Close()
+			got := perRun(1, func() {
+				if _, err := ch.Run(context.Background(), w, nil); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if budget := c.chainRun + 512; got > budget {
+				t.Errorf("warm chain run allocates %d bytes, budget %d", got, budget)
+			}
+		})
 	}
 }
 
@@ -503,7 +546,7 @@ func BenchmarkDeltaApplyRelease(b *testing.B) {
 	ck.resetFenceScratch()
 	sub := subsets[len(subsets)-1]
 	key := internKey(ck.keyArena.save(ck.stateKey(base, log, sub, nil)))
-	wi := ck.grabImage()
+	wi := newWorkerImage(ck.devSize)
 	ck.prime(wi, base, log)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -31,8 +31,8 @@ import (
 //     one atomic store of deadline|leaseRunning — runs the guest under a
 //     deferred recover, and settles with one CAS. Panic, media-error and
 //     quarantine handling all happen inline on the runner.
-//   - The slot is what the two share: the lease word, the runner's run-long
-//     pooled image, and whether the state at the cursor already timed out.
+//   - The slot is what the two share: the lease word, the runner's crash
+//     image, and whether the state at the cursor already timed out.
 //   - The cursor (checker.cur) is the walk's position, kept off the
 //     goroutine stack so it outlives a runner.
 //
@@ -165,8 +165,8 @@ type slot struct {
 	// the state, so the supervisor's CAS can only abandon the exact guest
 	// phase whose deadline it examined — never one armed in between.
 	lease atomic.Int64
-	// wi is the slot's pooled image, grabbed at the runner's first state and
-	// kept for the life of the run (nil after a retire until the next state).
+	// wi is the runner's crash image, the checker's until the runner starts
+	// and again when it exits (nil after a retire until the next state).
 	wi *workerImage
 	// timedOut marks a replacement runner's slot: the state at the cursor
 	// was abandoned past its deadline, so the runner quarantines it instead
@@ -217,24 +217,11 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 	if ck.ctx != nil {
 		ck.doneC = ck.ctx.Done()
 	}
-	scr := ck.loanScratch()
-	// A runner can be abandoned mid-walk, so the walk's clean-ups run here,
-	// once, after the last runner the supervisor waits for: images no guest
-	// can still be holding go back to the free list, and the fence scratch
-	// is recycled unless an abandoned guest may still be reading it. An
-	// engine panic on its way to RunContext's caller may have left the image
-	// between applyDelta and revert, with bytes outside its page set: it is
-	// forfeited, not recycled.
-	defer func() {
-		r := recover()
-		if sl := ck.slot; r == nil && sl != nil && sl.wi != nil && !sl.abandoned() {
-			ck.putImage(sl.wi)
-		}
-		ck.returnScratch(scr)
-		if r != nil {
-			panic(r)
-		}
-	}()
+	// The image the chain's last run ended on holds that run's generations,
+	// which this run's would alias: it starts unprimed.
+	if ck.wi != nil {
+		ck.wi.gen = -1
+	}
 	ck.cur = cursor{img: rg.baseline, log: log, lastDone: -1, sig: fnvOffset64}
 	if ck.table != nil && rg.hasher == nil {
 		rg.hasher = newImageHasher(ck.devSize)
@@ -264,9 +251,13 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 	for {
 		select {
 		case ex := <-ck.exit:
+			// An engine panic may have left the image between applyDelta and
+			// revert, with bytes outside its page set: it stays with the
+			// slot, forfeited. A runner that exited otherwise left it clean.
 			if ex.panicVal != nil {
 				panic(ex.panicVal)
 			}
+			ck.wi = ck.slot.wi
 			ck.obs.ExtendSince(obs.StageCheck, ex.at)
 			return ex.err
 		case <-timerC:
@@ -310,13 +301,16 @@ func (ck *checker) now() int64 { return int64(time.Since(ck.epoch)) }
 // state at the cursor. Supervisor-only.
 func (ck *checker) startRunner(timedOut bool) {
 	sl := newSlot(timedOut)
-	// The runner's image is grabbed and primed here (the runner's own prime
-	// is then a no-op): this goroutine just built the base, so the copy is
+	// The runner takes the checker's image — a fresh one after a takeover,
+	// whose abandoned slot keeps the old — primed here (the runner's own
+	// prime is then a no-op): this goroutine just built the base, so the copy is
 	// cache-warm, and a one-state run's runner lives no longer than its
 	// guest phase — short enough that the M its start woke is still spinning
 	// when it finishes, which saves the second futex wake-up.
 	rt := ck.obs.Start()
-	sl.wi = ck.grabImage()
+	if sl.wi, ck.wi = ck.wi, nil; sl.wi == nil {
+		sl.wi = newWorkerImage(ck.devSize)
+	}
 	ck.prime(sl.wi, ck.cur.img, ck.cur.log)
 	ck.obs.ObserveSince(obs.StageReplay, rt)
 	ck.slot = sl
@@ -388,16 +382,14 @@ func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState,
 	return checkOutcome{v: ck.violation(&cctx, kind, detail), q: q, ctx: cctx}, nil
 }
 
-// workerImage is one recycled crash image with its reusable device and undo
-// log. Invariant between checks: the image holds exactly the contents of run
-// `run`'s working image at generation gen (-1 = never primed), and is
-// therefore zero outside pages, which is that run's basePages. prime
-// re-establishes the invariant for the current run and generation, applyDelta
-// perturbs it for one crash state, and revert restores it — so a state
-// whose base is already primed costs only its own diff, never a device copy.
-// Images recycle across engine runs through the process-wide free list
-// (arena.go); the run token is what keeps a stale image's generations from
-// aliasing a new run's.
+// workerImage is one reusable crash image with its device and undo log.
+// Invariant between checks: the image holds exactly the contents of the
+// run's working image at generation gen (-1 = unprimed), and is therefore
+// zero outside pages, which is the run's basePages. prime re-establishes the
+// invariant for the current generation, applyDelta perturbs it for one crash
+// state, and revert restores it — so a state whose base is already primed
+// costs only its own diff, never a device copy. A chain's checker keeps its
+// image across runs (arena.go), unprimed at each run's start.
 type workerImage struct {
 	dev *pmem.Device
 	// img is the single buffer serving as BOTH the volatile and persistent
@@ -408,7 +400,6 @@ type workerImage struct {
 	img   []byte
 	pages *pmem.PageSet
 	undo  *pmem.UndoLog
-	run   int64
 	gen   int64
 }
 
@@ -441,7 +432,7 @@ func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, 
 	rt := ck.obs.Start()
 	wi := sl.wi
 	if wi == nil {
-		wi = ck.grabImage()
+		wi = newWorkerImage(ck.devSize)
 		sl.wi = wi
 	}
 	inj := ck.injector(cctx)
@@ -531,34 +522,29 @@ func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx *C
 	return attemptResult{ok: true, v: v, checkStart: ct, rolledBack: rolledBack}
 }
 
-// prime establishes the image invariant for the current run and
-// generation: a current image is untouched (zero copies — the empty-subset
-// fast path), an image exactly one generation behind catches up by replaying
-// the last fence's advance recipe (O(advance bytes)), and anything older —
-// fresh or left over from a previous run — is cold-primed by copying the
-// base over wi.pages ∪ basePages: outside those pages both the stale image
-// and the base are zero. The run-token check comes first: a recycled
-// image's generation numbers are meaningless outside the run that stamped
-// them.
+// prime establishes the image invariant for the current generation: a
+// current image is untouched (zero copies — the empty-subset fast path), an
+// image exactly one generation behind catches up by replaying the last
+// fence's advance recipe (O(advance bytes)), and anything older — or
+// unprimed, fresh or left over from the chain's last run — is cold-primed by
+// copying the base over wi.pages ∪ basePages: outside those pages both the
+// stale image and the base are zero.
 func (ck *checker) prime(wi *workerImage, base []byte, log *trace.Log) {
-	if wi.run == ck.runID {
-		if wi.gen == ck.baseGen {
-			return
+	if wi.gen == ck.baseGen {
+		return
+	}
+	if wi.gen == ck.baseGen-1 && ck.advGen == ck.baseGen {
+		var n int64
+		for _, idx := range ck.advance {
+			e := log.At(idx)
+			trace.Apply(wi.img, e)
+			n += int64(len(e.Data))
 		}
-		if wi.gen == ck.baseGen-1 && ck.advGen == ck.baseGen {
-			var n int64
-			for _, idx := range ck.advance {
-				e := log.At(idx)
-				trace.Apply(wi.img, e)
-				n += int64(len(e.Data))
-			}
-			wi.gen = ck.baseGen
-			ck.obs.Add(obs.CtrBytesPrimed, n)
-			return
-		}
+		wi.gen = ck.baseGen
+		ck.obs.Add(obs.CtrBytesPrimed, n)
+		return
 	}
 	n := wi.pages.Copy(wi.img, base, ck.basePages)
-	wi.run = ck.runID
 	wi.gen = ck.baseGen
 	ck.obs.Inc(obs.CtrImagePrimes)
 	ck.obs.Add(obs.CtrBytesPrimed, n)

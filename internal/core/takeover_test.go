@@ -13,6 +13,8 @@ import (
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/obs"
 	"chipmunk/internal/persist"
+	"chipmunk/internal/pmem"
+	"chipmunk/internal/trace"
 	"chipmunk/internal/vfs"
 	"chipmunk/internal/workload"
 )
@@ -411,5 +413,88 @@ func TestSandboxRunnersPerRunNotPerState(t *testing.T) {
 	}
 	if n := res.Obs.Count(obs.CtrSandboxRunners); n != 2 {
 		t.Errorf("hang-once guest: %d runners started, want 2 (one run with states + one abandonment)", n)
+	}
+}
+
+// TestChainSurvivesTakeover: a chain outlives a run that abandoned a guest
+// phase. That run quarantines the hung state, and gives up to the abandoned
+// guest everything it may still read; the chain's later runs equal a fresh
+// chain's, on a checker, crash images and a log the abandoned run never
+// held, and keep that one checker from run to run.
+func TestChainSurvivesTakeover(t *testing.T) {
+	hung := takeoverWorkload()
+	base := Config{NewFS: novaFS(bugs.None()), CheckTimeout: takeoverTimeout}
+	_, hEvents := journaledRun(t, base, hung)
+	fence, rank := stallTarget(t, hEvents)
+	stall, _ := stallAt(t, fence, rank, 0)
+
+	// Each run's checker and log, as its contract factory finds them on the
+	// chain, and the devices each run's crash states were mounted on.
+	type held struct {
+		ck  *checker
+		log *trace.Log
+	}
+	var (
+		c      *Chain
+		runs   []held
+		mu     sync.Mutex
+		mounts []map[*pmem.Device]bool
+	)
+	cfg := base
+	cfg.NewFS = func(pm *persist.PM) vfs.FS {
+		mu.Lock()
+		mounts[len(mounts)-1][pm.Mem()] = true
+		mu.Unlock()
+		return base.NewFS(pm)
+	}
+	cfg.Checker = func(env RunEnv) Checker {
+		runs = append(runs, held{c.rg.ck, c.rg.log})
+		if env.Workload.Name == hung.Name {
+			return stall(env)
+		}
+		return NewOracleChecker(env)
+	}
+	c = (*PrefixMemo)(nil).Chain(cfg)
+	defer c.Close()
+	var results []*Result
+	for _, w := range []workload.Workload{hung, mixedWorkload(), renameWorkload()} {
+		mu.Lock()
+		mounts = append(mounts, map[*pmem.Device]bool{})
+		mu.Unlock()
+		res, err := c.Run(context.Background(), w, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		results = append(results, res)
+	}
+
+	if q := results[0].Quarantined; len(q) != 1 || q[0].Fence != fence || q[0].Rank != rank || q[0].Kind != VTimeout {
+		t.Fatalf("hung run's ledger %v, want one check-timeout at fence %d rank %d", q, fence, rank)
+	}
+	for i, w := range []workload.Workload{mixedWorkload(), renameWorkload()} {
+		fresh := (*PrefixMemo)(nil).Chain(base)
+		want, err := fresh.Run(context.Background(), w, nil)
+		fresh.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResult(t, w.Name+" after a takeover", want, results[i+1])
+	}
+
+	abandoned := runs[0]
+	mu.Lock()
+	defer mu.Unlock()
+	for i, r := range runs[1:] {
+		if r.ck == abandoned.ck || r.log == abandoned.log {
+			t.Errorf("run %d reuses the abandoned run's checker or log", i+1)
+		}
+		for dev := range mounts[i+1] {
+			if mounts[0][dev] && dev != c.rg.dev {
+				t.Errorf("run %d mounts a crash image the abandoned run held", i+1)
+			}
+		}
+	}
+	if runs[2].ck != runs[1].ck {
+		t.Error("the chain built a checker per run")
 	}
 }
