@@ -210,7 +210,7 @@ func inflight() error {
 	fmt.Printf("%-12s %-10s %-12s %-12s %-10s\n", "system", "workloads", "fences", "avg-inflight", "max")
 	for _, n := range names {
 		c := census[n]
-		fmt.Printf("%-12s %-10d %-12d %-12.2f %-10d\n", n, c.Workloads, c.Fences, c.AvgInFlight, c.MaxInFlight)
+		fmt.Printf("%-12s %-10d %-12d %-12.2f %-10d\n", n, c.Workloads, c.Fences, c.AvgInFlight(), c.MaxInFlight)
 	}
 	fmt.Println("\npaper: average 3, maximum 10 across the tested systems")
 	return nil

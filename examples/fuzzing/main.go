@@ -44,7 +44,7 @@ func main() {
 		}
 	}
 	fmt.Printf("\n%d executions, %d crash states in %v\n",
-		fz.Execs, fz.StatesChecked, time.Since(start).Round(time.Millisecond))
+		fz.Census.Workloads, fz.Census.StatesChecked, time.Since(start).Round(time.Millisecond))
 	clusters := core.Triage(fz.Violations)
 	fmt.Printf("%d raw reports triaged into %d clusters:\n", len(fz.Violations), len(clusters))
 	for i, c := range clusters {

@@ -40,7 +40,6 @@ import (
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
 	"chipmunk/internal/lease"
-	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
 
@@ -185,29 +184,19 @@ type LeaseResponse struct {
 }
 
 // ShardPayload is one completed unit's result (POST /campaign/result): the
-// frozen census of harness.Run over the unit's workloads, carried field by
-// field in wire-friendly integers plus the violation and quarantine ledgers
-// verbatim. Fold puts the ledgers back in suite order, so the distributed
-// census is byte-identical to the serial one.
+// census of harness.Run over the unit's workloads, with its quarantine
+// ledger, and the violation ledger beside it. Fold puts the ledgers back in
+// suite order, so the distributed census is byte-identical to the serial
+// one.
 type ShardPayload struct {
 	Shard     int    `json:"shard"`
 	Worker    string `json:"worker"`
 	SuiteHash string `json:"suite_hash"`
 
-	Workloads            int               `json:"workloads"`
-	StatesChecked        int               `json:"states_checked"`
-	StatesDeduped        int               `json:"states_deduped"`
-	TruncatedFences      int               `json:"truncated_fences"`
-	Fences               int               `json:"fences"`
-	MaxInFlight          int               `json:"max_in_flight"`
-	InFlightSum          int               `json:"in_flight_sum"`
-	InFlightN            int               `json:"in_flight_n"`
-	ViolationTotal       int               `json:"violation_total"`
-	SuppressedQuarantine int               `json:"suppressed_quarantine"`
-	ElapsedNanos         int64             `json:"elapsed_ns"`
-	Violations           []core.Violation  `json:"violations,omitempty"`
-	Quarantined          []core.Quarantine `json:"quarantined,omitempty"`
-	Obs                  *obs.Snapshot     `json:"obs,omitempty"`
+	core.Census
+	// Violations is the unit's violation ledger; the census's own
+	// Violations (violation_total) is their count.
+	Violations []core.Violation `json:"violations,omitempty"`
 
 	// Err reports a shard whose engine call failed — an engine error, a
 	// contained worker panic, or a tripped shard watchdog. The coordinator
@@ -279,63 +268,19 @@ type (
 	CreditResponse    = lease.CreditResponse
 )
 
-// NewShardPayload freezes a shard's harness.Run outcome into its wire form.
-func NewShardPayload(shard int, worker, suiteHash string, c *harness.Census, viol []core.Violation) *ShardPayload {
-	return &ShardPayload{
-		Shard:                shard,
-		Worker:               worker,
-		SuiteHash:            suiteHash,
-		Workloads:            c.Workloads,
-		StatesChecked:        c.StatesChecked,
-		StatesDeduped:        c.StatesDeduped,
-		TruncatedFences:      c.TruncatedFences,
-		Fences:               c.Fences,
-		MaxInFlight:          c.MaxInFlight,
-		InFlightSum:          c.InFlightSum,
-		InFlightN:            c.InFlightN,
-		ViolationTotal:       c.Violations,
-		SuppressedQuarantine: c.SuppressedQuarantine,
-		ElapsedNanos:         int64(c.Elapsed),
-		Violations:           viol,
-		Quarantined:          c.Quarantined,
-		Obs:                  c.Obs,
-	}
-}
-
 // Fold merges unit payloads into one Census plus the violation list,
-// exactly the way the serial aggregator would have built them: the sums and
-// maxima in any order, the violation and quarantine ledgers stable-sorted by
-// the suite index (index, by workload name) of their workload. Elapsed is
-// the sum of unit wall-clocks (the campaign's total compute, not its
-// wall-clock — the coordinator reports its own wall-clock separately).
+// exactly as a serial harness.Run builds them: the census by Merge, the
+// violation and quarantine ledgers stable-sorted by the suite index (index,
+// by workload name) of their workload. Elapsed is the sum of unit
+// wall-clocks (the campaign's total compute, not its wall-clock — the
+// coordinator reports its own wall-clock separately).
 func Fold(payloads []*ShardPayload, index map[string]int) (*harness.Census, []core.Violation) {
 	c := &harness.Census{}
 	var viol []core.Violation
-	var elapsed int64
 	for _, p := range payloads {
-		if p == nil {
-			continue
-		}
-		c.Workloads += p.Workloads
-		c.StatesChecked += p.StatesChecked
-		c.StatesDeduped += p.StatesDeduped
-		c.TruncatedFences += p.TruncatedFences
-		c.Fences += p.Fences
-		if p.MaxInFlight > c.MaxInFlight {
-			c.MaxInFlight = p.MaxInFlight
-		}
-		c.InFlightSum += p.InFlightSum
-		c.InFlightN += p.InFlightN
-		c.Violations += p.ViolationTotal
-		c.SuppressedQuarantine += p.SuppressedQuarantine
-		c.Quarantined = append(c.Quarantined, p.Quarantined...)
-		viol = append(viol, p.Violations...)
-		elapsed += p.ElapsedNanos
-		if p.Obs != nil {
-			if c.Obs == nil {
-				c.Obs = &obs.Snapshot{}
-			}
-			c.Obs.Merge(*p.Obs)
+		if p != nil {
+			c.Merge(p.Census)
+			viol = append(viol, p.Violations...)
 		}
 	}
 	slices.SortStableFunc(viol, func(a, b core.Violation) int {
@@ -344,10 +289,6 @@ func Fold(payloads []*ShardPayload, index map[string]int) (*harness.Census, []co
 	slices.SortStableFunc(c.Quarantined, func(a, b core.Quarantine) int {
 		return cmp.Compare(index[a.Workload], index[b.Workload])
 	})
-	if c.InFlightN > 0 {
-		c.AvgInFlight = float64(c.InFlightSum) / float64(c.InFlightN)
-	}
-	c.Elapsed = time.Duration(elapsed)
 	return c, viol
 }
 

@@ -142,9 +142,9 @@ func TestDistributedMatchesSerial(t *testing.T) {
 			if got := Fingerprint(res.census, res.viol); got != want {
 				t.Fatalf("distributed census diverges from serial:\n--- serial ---\n%s--- distributed ---\n%s", want, got)
 			}
-			if res.census.AvgInFlight != serialCensus.AvgInFlight {
+			if res.census.AvgInFlight() != serialCensus.AvgInFlight() {
 				t.Fatalf("AvgInFlight diverges: serial %v distributed %v",
-					serialCensus.AvgInFlight, res.census.AvgInFlight)
+					serialCensus.AvgInFlight(), res.census.AvgInFlight())
 			}
 			if res.stats.Done != res.stats.Shards || res.stats.Duplicates != 0 {
 				t.Fatalf("stats: %+v", res.stats)
@@ -308,11 +308,11 @@ func TestLeaseExpiryAtMostOnce(t *testing.T) {
 	if err != nil || lb.Status != LeaseGranted || lb.Shard != la.Shard {
 		t.Fatalf("expired lease not re-dispatched: %+v, %v", lb, err)
 	}
-	payload := &ShardPayload{Shard: lb.Shard, Worker: "fast", SuiteHash: hash, Workloads: 1}
+	payload := &ShardPayload{Shard: lb.Shard, Worker: "fast", SuiteHash: hash, Census: core.Census{Workloads: 1}}
 	if cr, err := coord.Credit(payload); err != nil || !cr.Accepted || !cr.Done {
 		t.Fatalf("credit fast: %+v, %v", cr, err)
 	}
-	late := &ShardPayload{Shard: la.Shard, Worker: "slow", SuiteHash: hash, Workloads: 1}
+	late := &ShardPayload{Shard: la.Shard, Worker: "slow", SuiteHash: hash, Census: core.Census{Workloads: 1}}
 	cr, err := coord.Credit(late)
 	if err != nil || cr.Accepted || !cr.Duplicate {
 		t.Fatalf("late result not discarded as duplicate: %+v, %v", cr, err)

@@ -537,7 +537,7 @@ func TestResultChecksumRejected(t *testing.T) {
 		return resp
 	}
 	// Valid JSON, wrong checksum.
-	p := &ShardPayload{Shard: 0, Worker: "w", SuiteHash: coord.Info().SuiteHash, Workloads: 4, Sum: "0000000000000000"}
+	p := &ShardPayload{Shard: 0, Worker: "w", SuiteHash: coord.Info().SuiteHash, Census: core.Census{Workloads: 4}, Sum: "0000000000000000"}
 	b, _ := json.Marshal(p)
 	if resp := post(string(b)); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("checksum mismatch not rejected: %d", resp.StatusCode)
@@ -569,7 +569,7 @@ func TestResultChecksumRejected(t *testing.T) {
 // TestPayloadSumSelfConsistent: the checksum is a pure function of payload
 // content, ignores its own field, and moves when any field moves.
 func TestPayloadSumSelfConsistent(t *testing.T) {
-	p := &ShardPayload{Shard: 3, Worker: "w", SuiteHash: "abc", Workloads: 4, StatesChecked: 99}
+	p := &ShardPayload{Shard: 3, Worker: "w", SuiteHash: "abc", Census: core.Census{Workloads: 4, StatesChecked: 99}}
 	sum := PayloadSum(p)
 	p.Sum = sum
 	if got := PayloadSum(p); got != sum {

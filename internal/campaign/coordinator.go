@@ -526,23 +526,21 @@ type CampaignStatus struct {
 func (c *Coordinator) Status() CampaignStatus {
 	c.Mu.Lock()
 	defer c.Mu.Unlock()
-	var credited int64
-	violations := 0
+	var sum core.Census
 	for _, p := range c.payloads {
 		if p != nil {
-			credited += int64(p.StatesChecked)
-			violations += p.ViolationTotal
+			sum.Merge(p.Census)
 		}
 	}
-	st := c.StatusLocked(time.Now(), credited)
+	st := c.StatusLocked(time.Now(), int64(sum.StatesChecked))
 	info := c.info
 	st.CampaignID, st.FS = info.CampaignID, info.Spec.FS
 	st.Dash.Title = "campaign " + info.CampaignID
 	st.Dash.About = fmt.Sprintf("%s / %s (%d workloads, hash %s)", info.Spec.FS, info.Spec.Suite, info.Workloads, info.SuiteHash)
-	st.Dash.Facts = []string{fmt.Sprintf("%d violations", violations)}
+	st.Dash.Facts = []string{fmt.Sprintf("%d violations", sum.Violations)}
 	return CampaignStatus{
 		Status: st, Suite: info.Spec.Suite, SuiteHash: info.SuiteHash,
 		Workloads: info.Workloads, ShardSize: info.ShardSize,
-		Shards: st.Dash.Units, Quarantined: st.Dash.Spent, ShardMap: st.Dash.Map, Violations: violations,
+		Shards: st.Dash.Units, Quarantined: st.Dash.Spent, ShardMap: st.Dash.Map, Violations: sum.Violations,
 	}
 }

@@ -3,14 +3,18 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"chipmunk/internal/core"
 )
 
 // TestWireAndCheckpointFormat pins the bytes a worker and a resumed
@@ -56,7 +60,7 @@ func TestWireAndCheckpointFormat(t *testing.T) {
 		{"LeaseResponse", post(PathLease, LeaseRequest{Worker: "w0", SuiteHash: hash, Cut: coord.Info().Cut}), `{"status":"lease","end":31,"ttl_ns":60000000000}` + "\n"},
 		{"HeartbeatResponse", post(PathHeartbeat, HeartbeatRequest{Worker: "w0", Shard: 0, SuiteHash: hash, StatesChecked: 3}), `{"extended":true,"ttl_ns":60000000000}` + "\n"},
 		{"HeartbeatResponse (refused)", post(PathHeartbeat, HeartbeatRequest{Worker: "w1", Shard: 0, SuiteHash: hash}), `{"extended":false}` + "\n"},
-		{"CreditResponse", result(&ShardPayload{Shard: 0, Worker: "w0", SuiteHash: hash, Workloads: 1, StatesChecked: 9, Fences: 2}), `{"accepted":true,"duplicate":false,"done":false}` + "\n"},
+		{"CreditResponse", result(&ShardPayload{Shard: 0, Worker: "w0", SuiteHash: hash, Census: core.Census{Workloads: 1, StatesChecked: 9, Fences: 2}}), `{"accepted":true,"duplicate":false,"done":false}` + "\n"},
 		{"LeaseResponse (shard 1)", post(PathLease, LeaseRequest{Worker: "w1", SuiteHash: hash, Cut: coord.Info().Cut}), `{"status":"lease","shard":1,"start":31,"end":56,"ttl_ns":60000000000}` + "\n"},
 		{"CreditResponse (quarantined)", result(&ShardPayload{Shard: 1, Worker: "w1", SuiteHash: hash, Err: "engine: boom"}), `{"accepted":false,"duplicate":false,"quarantined":true,"done":true}` + "\n"},
 		{"LeaseResponse (done)", post(PathLease, LeaseRequest{Worker: "w0", SuiteHash: hash, Cut: coord.Info().Cut}), `{"status":"done"}` + "\n"},
@@ -106,5 +110,84 @@ func TestWireAndCheckpointFormat(t *testing.T) {
 	}
 	if cen, _ := resumed.Merged(); cen.StatesChecked != 9 || cen.Fences != 2 {
 		t.Errorf("resumed census %d states, %d fences; want the line's 9 and 2", cen.StatesChecked, cen.Fences)
+	}
+}
+
+// TestCensusRoundTrip fills every core.Census field with a distinct
+// non-zero value, by reflection so a new field is filled too, and requires
+// the census back unchanged from a unit's payload through its JSON encoding
+// and Fold: no field may be missing from the wire, from Merge or from the
+// ledger sort. The same values as the build before core.Census wrote them
+// (parent, below) must encode to the same shard line and resume to the same
+// census. A new field changes that line; lines without it must then still
+// resume, with the field zero.
+func TestCensusRoundTrip(t *testing.T) {
+	var want core.Census
+	n := 0
+	fillDistinct(t, reflect.ValueOf(&want).Elem(), &n)
+	b, err := json.Marshal(&ShardPayload{Shard: 0, Worker: "w0", SuiteHash: "h", Census: want})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var p ShardPayload
+	if err := json.Unmarshal(b, &p); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := Fold([]*ShardPayload{&p}, nil); !reflect.DeepEqual(*got, want) {
+		t.Errorf("census through the wire and Fold:\n got %+v\nwant %+v", *got, want)
+	}
+
+	const parent = `{"type":"shard","payload":{"shard":0,"worker":"w0","suite_hash":"h","workloads":2,"states_checked":3,"states_deduped":4,"truncated_fences":5,"fences":6,"max_in_flight":7,"in_flight_sum":8,"in_flight_n":9,"violation_total":10,"suppressed_quarantine":11,"elapsed_ns":12,"quarantined":[{"Workload":"s15","Fence":16,"Sys":17,"Phase":18,"Rank":19,"Subset":[21],"StateKey":22,"Kind":23,"Detail":"s24","Stack":"s25"}],"obs":{"stages":{"s29":{"count":31,"nanos":32,"max_nanos":33,"buckets":[35,36,37,38,39,40,41,42,43,44,45,46,47,48,49,50,51,52,53,54,55,56,57,58,59,60,61,62,63,64,65,66,67,68,69,70,71,72,73,74,75]}},"counters":{"s77":78},"pm":{"store_bytes":80,"nt_bytes":81,"flushes":82,"lines_flushed":83,"fences":84,"sim_nanos":85}},"sum":"080458bf580463e7"}}`
+	p.Sum = PayloadSum(&p)
+	if line, _ := json.Marshal(ckptLine{Type: "shard", Payload: &p}); string(line) != parent {
+		t.Errorf("shard line:\n got %s\nwant %s", line, parent)
+	}
+	path := filepath.Join(t.TempDir(), "parent.ckpt")
+	if err := os.WriteFile(path, []byte(parent+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadCheckpoint(path)
+	if err != nil || len(st.Payloads) != 1 {
+		t.Fatalf("checkpoint: %d payloads, %v", len(st.Payloads), err)
+	}
+	if got, _ := Fold(st.Payloads, nil); !reflect.DeepEqual(*got, want) {
+		t.Errorf("census resumed from the older line:\n got %+v\nwant %+v", *got, want)
+	}
+}
+
+// fillDistinct sets every field under v to a distinct non-zero value: one
+// element per slice and map, n counting the values handed out.
+func fillDistinct(t *testing.T, v reflect.Value, n *int) {
+	t.Helper()
+	*n++
+	switch v.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		v.SetInt(int64(*n))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(uint64(*n))
+	case reflect.String:
+		v.SetString(fmt.Sprintf("s%d", *n))
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillDistinct(t, v.Field(i), n)
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			fillDistinct(t, v.Index(i), n)
+		}
+	case reflect.Slice:
+		v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+		fillDistinct(t, v.Index(0), n)
+	case reflect.Pointer:
+		v.Set(reflect.New(v.Type().Elem()))
+		fillDistinct(t, v.Elem(), n)
+	case reflect.Map:
+		k, e := reflect.New(v.Type().Key()).Elem(), reflect.New(v.Type().Elem()).Elem()
+		fillDistinct(t, k, n)
+		fillDistinct(t, e, n)
+		v.Set(reflect.MakeMap(v.Type()))
+		v.SetMapIndex(k, e)
+	default:
+		t.Fatalf("fillDistinct: no value for a %s", v.Type())
 	}
 }

@@ -52,7 +52,7 @@ func TestStatusSnapshot(t *testing.T) {
 	}
 	if cr, err := coord.Credit(&ShardPayload{
 		Shard: 1, Worker: "w1", SuiteHash: hash,
-		Workloads: 1, StatesChecked: 100, ViolationTotal: 2,
+		Census: core.Census{Workloads: 1, StatesChecked: 100, Violations: 2},
 	}); err != nil || !cr.Accepted {
 		t.Fatalf("credit: %+v, %v", cr, err)
 	}
@@ -110,7 +110,7 @@ func TestStatusHTTPSurface(t *testing.T) {
 	snap := col.Snapshot()
 	if cr, err := coord.Credit(&ShardPayload{
 		Shard: 0, Worker: "w0", SuiteHash: hash,
-		Workloads: 4, StatesChecked: 1, Obs: &snap,
+		Census: core.Census{Workloads: 4, StatesChecked: 1, Obs: &snap},
 	}); err != nil || !cr.Accepted || !cr.Done {
 		t.Fatalf("credit: %+v, %v", cr, err)
 	}

@@ -260,7 +260,7 @@ func (j *shardJob) Report(ctx context.Context, o lease.RunOutcome, runErr error)
 	detail := ""
 	switch o {
 	case lease.RunOK:
-		payload = NewShardPayload(shard, j.ID, j.info.SuiteHash, j.census, j.viol)
+		payload.Census, payload.Violations = *j.census, j.viol
 	case lease.RunLost:
 		detail = "abandoned: lease lost mid-run"
 	case lease.RunWatchdog:

@@ -102,7 +102,7 @@ func TestNodeRoundReproducible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func() RoundDelta {
+	run := func() *FuzzResult {
 		n, err := NewNode(cfg, RoundSeed(spec.FuzzSeed, 0), false, nil)
 		if err != nil {
 			t.Fatal(err)

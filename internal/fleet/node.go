@@ -7,7 +7,6 @@ import (
 
 	"chipmunk/internal/core"
 	"chipmunk/internal/fuzz"
-	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
 
@@ -19,20 +18,10 @@ import (
 // produces is a pure function of (spec, round index, corpus cut).
 type Node struct {
 	fz *fuzz.Fuzzer
-	// progress mirrors fz.StatesChecked after each completed iteration; the
-	// heartbeat goroutine reads it concurrently with RunRound, so it cannot
-	// touch the fuzzer's plain fields directly.
+	// progress mirrors fz.Census.StatesChecked after each completed
+	// iteration; the heartbeat goroutine reads it concurrently with
+	// RunRound, so it cannot touch the fuzzer's plain fields directly.
 	progress atomic.Int64
-}
-
-// RoundDelta is what one round contributed, ready for the wire.
-type RoundDelta struct {
-	Execs             int
-	StatesChecked     int
-	QuarantinedChecks int
-	NewEntries        []CorpusEntry
-	Violations        []FuzzViolation
-	Obs               *obs.Snapshot
 }
 
 // NewNode builds a round's fuzzer from the coordinator's corpus cut.
@@ -51,35 +40,35 @@ func NewNode(cfg core.Config, seed int64, kv bool, corpus []CorpusEntry) (*Node,
 	return &Node{fz: fz}, nil
 }
 
-// RunRound executes execs fuzzing iterations and collects the round's
-// delta. Cancellation between iterations returns the partial delta with
-// ctx's error; the caller discards it (the lease expires and the round
-// re-runs whole elsewhere — partial rounds are never credited).
-func (n *Node) RunRound(ctx context.Context, execs int) (RoundDelta, error) {
-	var d RoundDelta
+// RunRound executes execs fuzzing iterations and returns the round's
+// result with its round fields filled in: the census totals, and the corpus
+// entries and violations it produced. Cancellation between iterations
+// returns ctx's error; the lease expires and the round re-runs whole
+// elsewhere — partial rounds are never credited.
+func (n *Node) RunRound(ctx context.Context, execs int) (*FuzzResult, error) {
+	r := &FuzzResult{Kind: ResultRound}
 	for i := 0; i < execs; i++ {
 		if err := ctx.Err(); err != nil {
-			return d, err
+			return nil, err
 		}
 		sd, err := n.fz.StepDelta()
 		if err != nil {
-			return d, err
+			return nil, err
 		}
 		if sd.Admitted {
 			e := CorpusEntry{Text: workload.Format(sd.Workload), Sigs: sd.AllSigs}
 			e.Sum = EntrySum(e)
-			d.NewEntries = append(d.NewEntries, e)
+			r.NewEntries = append(r.NewEntries, e)
 		}
 		for _, v := range sd.Result.Violations {
-			d.Violations = append(d.Violations, NewFuzzViolation(v))
+			r.Violations = append(r.Violations, NewFuzzViolation(v))
 		}
-		n.progress.Store(int64(n.fz.StatesChecked))
+		n.progress.Store(int64(n.fz.Census.StatesChecked))
 	}
-	d.Execs = n.fz.Execs
-	d.StatesChecked = n.fz.StatesChecked
-	d.QuarantinedChecks = n.fz.Quarantined
-	d.Obs = n.fz.ObsTotals
-	return d, nil
+	c := &n.fz.Census
+	r.Execs, r.StatesChecked, r.Obs = c.Workloads, c.StatesChecked, c.Obs
+	r.QuarantinedChecks = len(c.Quarantined) + c.SuppressedQuarantine
+	return r, nil
 }
 
 // Progress reports crash states checked so far (heartbeat piggyback).

@@ -214,21 +214,13 @@ func (j *fuzzJob) Run(ctx context.Context) error {
 		return err
 	}
 	j.node.Store(node)
-	delta, err := node.RunRound(ctx, j.held.Execs)
+	res, err := node.RunRound(ctx, j.held.Execs)
 	if err != nil {
 		return err
 	}
-	j.result = &FuzzResult{
-		Kind: ResultRound, Worker: j.ID, SpecHash: j.hash,
-		Round:             j.held.Round,
-		Execs:             delta.Execs,
-		StatesChecked:     delta.StatesChecked,
-		QuarantinedChecks: delta.QuarantinedChecks,
-		ElapsedNanos:      time.Since(j.start).Nanoseconds(),
-		NewEntries:        delta.NewEntries,
-		Violations:        delta.Violations,
-		Obs:               delta.Obs,
-	}
+	res.Worker, res.SpecHash, res.Round = j.ID, j.hash, j.held.Round
+	res.ElapsedNanos = time.Since(j.start).Nanoseconds()
+	j.result = res
 	return nil
 }
 

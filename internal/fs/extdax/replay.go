@@ -7,9 +7,6 @@ import "chipmunk/internal/vfs"
 // write and the crash), mirroring how the real SplitFS relinks staged
 // extents into inodes rather than paths.
 
-// HasIno reports whether ino names a live node.
-func (f *FS) HasIno(ino uint64) bool { return f.nodes[ino] != nil }
-
 // InoOf resolves a path to its inode number.
 func (f *FS) InoOf(path string) (uint64, error) {
 	n, err := f.node(path)

@@ -24,7 +24,6 @@ import (
 	"sort"
 
 	"chipmunk/internal/core"
-	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
 
@@ -50,17 +49,11 @@ type Fuzzer struct {
 	// Violations accumulates every report; core.Triage clusters them.
 	Violations []core.Violation
 
-	// Stats.
-	Execs         int
-	StatesChecked int
-	CorpusAdds    int
-	// Quarantined counts crash states the engine's sandbox isolated across
-	// the whole campaign.
-	Quarantined int
-	// ObsTotals merges every exec's per-run metrics snapshot — the
-	// campaign-wide stage/counter totals. Nil until an exec runs with
-	// Config.Obs set.
-	ObsTotals *obs.Snapshot
+	// Census folds every exec's engine Result: Workloads counts the execs,
+	// and Obs holds the campaign-wide stage/counter totals (nil unless
+	// Config.Obs is set).
+	Census     core.Census
+	CorpusAdds int
 }
 
 // New builds a fuzzer. seeds may be empty (the paper's runs start with an
@@ -167,7 +160,7 @@ func (f *Fuzzer) generate() workload.Workload {
 	for i := 0; i < n; i++ {
 		ops = append(ops, f.randOp())
 	}
-	return workload.Workload{Name: fmt.Sprintf("fuzz-gen-%d", f.Execs), Ops: ops}
+	return workload.Workload{Name: fmt.Sprintf("fuzz-gen-%d", f.Census.Workloads), Ops: ops}
 }
 
 // mutate applies one genetic operator to a parent workload.
@@ -212,7 +205,7 @@ func (f *Fuzzer) mutate(parent workload.Workload) workload.Workload {
 	if len(ops) > 24 {
 		ops = ops[:24]
 	}
-	return workload.Workload{Name: fmt.Sprintf("fuzz-mut-%d", f.Execs), Ops: ops}
+	return workload.Workload{Name: fmt.Sprintf("fuzz-mut-%d", f.Census.Workloads), Ops: ops}
 }
 
 // Delta is one fuzzing step's contribution: the candidate workload, the
@@ -245,15 +238,7 @@ func (f *Fuzzer) StepDelta() (Delta, error) {
 	if err != nil {
 		return Delta{Workload: w}, err
 	}
-	f.Execs++
-	f.StatesChecked += res.StatesChecked
-	if res.Obs != nil {
-		if f.ObsTotals == nil {
-			f.ObsTotals = &obs.Snapshot{}
-		}
-		f.ObsTotals.Merge(*res.Obs)
-	}
-	f.Quarantined += len(res.Quarantined) + res.SuppressedQuarantine
+	f.Census.Add(res)
 
 	// Coverage feedback: new trace-shape signatures promote the workload
 	// into the corpus.

@@ -24,13 +24,13 @@ func TestFuzzerFindsCoverageAndBuildsCorpus(t *testing.T) {
 	if err := f.Run(30); err != nil {
 		t.Fatal(err)
 	}
-	if f.Execs != 30 {
-		t.Fatalf("execs = %d", f.Execs)
+	if f.Census.Workloads != 30 {
+		t.Fatalf("execs = %d", f.Census.Workloads)
 	}
 	if f.CoverageSize() == 0 || f.CorpusSize() == 0 {
 		t.Fatal("no coverage or corpus growth")
 	}
-	if f.StatesChecked == 0 {
+	if f.Census.StatesChecked == 0 {
 		t.Fatal("no crash states checked")
 	}
 }

@@ -121,14 +121,12 @@ func DetectWithACE(id bugs.ID, maxWorkloads int, opts DetectOptions) (Detection,
 func DetectWithFuzzer(id bugs.ID, seed int64, maxExecs int, opts DetectOptions) (Detection, error) {
 	return detect(id, opts, func(cfg core.Config) (*Census, []core.Violation, error) {
 		fz := fuzz.New(cfg, seed, nil)
-		c := &Census{}
+		c := &fz.Census
 		for c.Workloads < maxExecs {
 			res, _, err := fz.Step()
 			if err != nil {
 				return nil, nil, err
 			}
-			c.Workloads++
-			c.StatesChecked += res.StatesChecked
 			if res.Buggy() {
 				return c, res.Violations, nil
 			}

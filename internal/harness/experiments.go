@@ -10,7 +10,6 @@ import (
 	"chipmunk/internal/ace"
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/core"
-	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
 
@@ -247,45 +246,8 @@ func RenderFig3(aceCurve, fuzzCurve []struct {
 
 // --- §3.2 census: in-flight writes and suite statistics -------------------
 
-// Census aggregates engine statistics across a suite of workloads.
-type Census struct {
-	System        string
-	Workloads     int
-	StatesChecked int
-	// StatesDeduped counts crash states skipped because their replayed
-	// image was identical to an already-checked state at the same crash
-	// point; TruncatedFences counts fences whose exhaustive enumeration
-	// fell back to the safety cap. Both are reported, never silent.
-	StatesDeduped   int
-	TruncatedFences int
-	Fences          int
-	MaxInFlight     int
-	// InFlightSum and InFlightN are the raw accumulators behind
-	// AvgInFlight (sum of nonzero in-flight counts, weighted by how often
-	// each size occurred, and the number of observations). They are
-	// exported so a distributed campaign can fold per-shard censuses and
-	// recompute the exact same average the serial run reports — merging
-	// the float directly would not be associative.
-	InFlightSum int
-	InFlightN   int
-	AvgInFlight float64
-	Violations  int
-	// Quarantined is the suite-wide quarantine ledger: crash states whose
-	// check panicked or hung deterministically inside the sandbox. Entries
-	// appear in suite order regardless of worker count, and every
-	// quarantined state is also counted as a VPanic/VTimeout violation —
-	// the census completes, nothing is silently dropped.
-	Quarantined []core.Quarantine
-	// SuppressedQuarantine counts quarantined states past the per-run
-	// ledger cap — reported, never silent.
-	SuppressedQuarantine int
-	// Obs is the merged per-stage metrics snapshot across the suite's
-	// engine runs — nil unless Config.Obs was set. Merging is commutative
-	// (sums, maxima, histogram-bucket adds), so serial and parallel runs
-	// of the same suite agree on every counter.
-	Obs     *obs.Snapshot
-	Elapsed time.Duration
-}
+// Census is the aggregate of a suite's engine runs (see core.Census).
+type Census = core.Census
 
 // InFlightCensus measures the average and maximum in-flight write counts
 // for metadata operations across the strong fixed systems — the §3.2
@@ -302,7 +264,6 @@ func InFlightCensus() (map[string]*Census, error) {
 		if err != nil {
 			return nil, err
 		}
-		c.System = sys.Name
 		out[sys.Name] = c
 	}
 	return out, nil

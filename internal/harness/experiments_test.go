@@ -154,8 +154,8 @@ func TestInFlightCensusMatchesPaperShape(t *testing.T) {
 		}
 		// §3.2: small in-flight sets for metadata ops (average ~3, max ~10;
 		// we accept the same order of magnitude).
-		if c.AvgInFlight > 8 {
-			t.Errorf("%s: avg in-flight %f too large for metadata ops", name, c.AvgInFlight)
+		if c.AvgInFlight() > 8 {
+			t.Errorf("%s: avg in-flight %f too large for metadata ops", name, c.AvgInFlight())
 		}
 		if c.MaxInFlight > 20 {
 			t.Errorf("%s: max in-flight %d too large", name, c.MaxInFlight)

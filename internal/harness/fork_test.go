@@ -171,7 +171,7 @@ func TestPrefixForkStopOnFirstBugKeepsSuiteOrder(t *testing.T) {
 			suite := slices.Clone(c.suite)
 			rand.New(rand.NewSource(7)).Shuffle(len(suite), func(i, j int) { suite[i], suite[j] = suite[j], suite[i] })
 			ctx := context.Background()
-			want := &aggregator{c: &Census{}}
+			want := &Census{}
 			var wantViol []core.Violation
 			stop := -1
 			for i, w := range suite {
@@ -179,7 +179,7 @@ func TestPrefixForkStopOnFirstBugKeepsSuiteOrder(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want.add(res)
+				want.Add(res)
 				wantViol = append(wantViol, res.Violations...)
 				if res.Buggy() {
 					stop = i
@@ -196,12 +196,12 @@ func TestPrefixForkStopOnFirstBugKeepsSuiteOrder(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want.finish(got.Elapsed)
+			want.Elapsed = got.Elapsed
 			if !slices.Equal(ran, identity(stop+1)) {
 				t.Errorf("ran suite indices %v, want 0..%d", ran, stop)
 			}
-			if !reflect.DeepEqual(got, want.c) {
-				t.Errorf("census %+v, want %+v", *got, *want.c)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("census %+v, want %+v", *got, *want)
 			}
 			if !reflect.DeepEqual(viol, wantViol) {
 				t.Errorf("%d violations differ from the reference's %d", len(viol), len(wantViol))

@@ -226,6 +226,32 @@ func TestProgressNotSerializedBySlowCallback(t *testing.T) {
 	}
 }
 
+// TestProgressSnapshotIsDetached: a progress callback may keep its census
+// and read it after Run returns, on the serial and the notifier path: every
+// kept snapshot's obs counters still count exactly its workloads, because
+// no later fold writes into a snapshot handed out.
+func TestProgressSnapshotIsDetached(t *testing.T) {
+	sys, _ := SystemByName("nova")
+	suite := ace.Seq2()[:200]
+	for _, workers := range []int{1, 2} {
+		var kept []Census
+		cfg := Options{Bugs: bugs.None(), Obs: obs.New()}.ConfigFor(sys)
+		if _, _, err := Run(context.Background(), cfg, suite, WithWorkers(workers),
+			WithProgress(func(done, total int, c Census) { kept = append(kept, c) })); err != nil {
+			t.Fatal(err)
+		}
+		if len(kept) == 0 {
+			t.Fatalf("workers=%d: progress never delivered", workers)
+		}
+		for _, c := range kept {
+			if got := c.Obs.Count(obs.CtrWorkloads); got != int64(c.Workloads) {
+				t.Fatalf("workers=%d: a snapshot of %d workloads counts %d in its obs after Run (of %d snapshots)",
+					workers, c.Workloads, got, len(kept))
+			}
+		}
+	}
+}
+
 // TestObsFlagsInstrument: the shared flag bundle resolves to a working
 // Instrumentation and Apply threads it into Options.
 func TestObsFlagsInstrument(t *testing.T) {

@@ -10,13 +10,15 @@ import (
 	"time"
 
 	"chipmunk/internal/core"
-	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
 
 // Progress is the suite-progress callback: done workloads out of total,
-// with a snapshot of the census so far. Calls are always serialized, and
-// never run under the aggregation lock. In serial mode there is one
+// with a snapshot of the census so far. The snapshot is the callback's own:
+// Run never writes it afterwards, so the callback may keep it and read it
+// after Run returns (done equals its Workloads, and its Obs counts exactly
+// those runs). Calls are always serialized, and never run under the
+// aggregation lock. In serial mode there is one
 // synchronous call per completed workload; in parallel mode updates are
 // delivered from a dedicated goroutine and COALESCED — a slow callback
 // (e.g. a terminal printer) observes the latest census rather than
@@ -81,14 +83,9 @@ type notifier struct {
 	fn      Progress
 	total   int
 	mu      sync.Mutex
-	pending *progressUpdate
+	pending *Census
 	wake    chan struct{}
 	idle    chan struct{}
-}
-
-type progressUpdate struct {
-	done int
-	c    Census
 }
 
 func newNotifier(fn Progress, total int) *notifier {
@@ -97,16 +94,12 @@ func newNotifier(fn Progress, total int) *notifier {
 	return n
 }
 
-// post records an update and nudges the delivery goroutine. Nil-safe
-// (no WithProgress = no notifier) and safe under the aggregation lock's
-// caller — but call it after unlocking anyway; it only takes its own
-// micro-lock.
-func (n *notifier) post(done int, c Census) {
-	if n == nil {
-		return
-	}
+// post records an update and nudges the delivery goroutine. It only takes
+// its own micro-lock, but call it after unlocking the aggregation lock
+// anyway.
+func (n *notifier) post(c Census) {
 	n.mu.Lock()
-	n.pending = &progressUpdate{done: done, c: c}
+	n.pending = &c
 	n.mu.Unlock()
 	select {
 	case n.wake <- struct{}{}:
@@ -122,7 +115,7 @@ func (n *notifier) loop() {
 		n.pending = nil
 		n.mu.Unlock()
 		if u != nil {
-			n.fn(u.done, n.total, u.c)
+			n.fn(u.Workloads, n.total, *u)
 		}
 	}
 }
@@ -143,7 +136,7 @@ func (n *notifier) stop() {
 	n.pending = nil
 	n.mu.Unlock()
 	if u != nil {
-		n.fn(u.done, n.total, u.c)
+		n.fn(u.Workloads, n.total, *u)
 	}
 }
 
@@ -196,19 +189,19 @@ func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.W
 	// results land; the violations and the quarantine ledger are rebuilt
 	// from the results in suite order at the end.
 	start := time.Now()
-	agg := &aggregator{c: &Census{}}
+	census := &Census{}
 	results := make([]*core.Result, len(suite))
 	errs := make([]error, len(suite))
 	var next atomic.Int64
 	var stop atomic.Bool
-	var mu sync.Mutex // guards agg only; progress runs on the notifier goroutine
-	post := func(int, Census) {}
+	var mu sync.Mutex // guards census only; progress runs on the notifier goroutine
+	var post func(Census)
 	var note *notifier
 	if rc.progress != nil && workers > 1 {
 		note = newNotifier(rc.progress, len(suite))
 		post = note.post
 	} else if rc.progress != nil {
-		post = func(done int, c Census) { rc.progress(done, len(suite), c) }
+		post = func(c Census) { rc.progress(c.Workloads, len(suite), c) }
 	}
 	work := func() {
 		c := memo.Chain(cfg)
@@ -228,10 +221,15 @@ func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.W
 				results[j] = res
 				rc.onResult(j, res)
 				mu.Lock()
-				agg.add(res)
-				done, snap := agg.c.Workloads, *agg.c
+				census.Add(res)
+				var snap Census
+				if post != nil {
+					snap = detach(census)
+				}
 				mu.Unlock()
-				post(done, snap)
+				if post != nil {
+					post(snap)
+				}
 				if rc.stopOnce && res.Buggy() {
 					stop.Store(true)
 				}
@@ -254,18 +252,30 @@ func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.W
 	}
 
 	var viol []core.Violation
-	agg.c.Quarantined = nil
+	census.Quarantined = nil
 	for i, res := range results {
 		if err := errs[i]; err != nil && ctx.Err() == nil {
 			return nil, nil, fmt.Errorf("workload %s: %w", suite[i].Name, err)
 		}
 		if res != nil {
 			viol = append(viol, res.Violations...)
-			agg.c.Quarantined = append(agg.c.Quarantined, res.Quarantined...)
+			census.Quarantined = append(census.Quarantined, res.Quarantined...)
 		}
 	}
-	agg.finish(time.Since(start))
-	return agg.c, viol, ctx.Err()
+	census.Elapsed = time.Since(start)
+	return census, viol, ctx.Err()
+}
+
+// detach returns a copy of c that no later Add writes. Only the obs
+// snapshot needs a deep copy: Add merges into it in place, while the
+// ledger's appends land past the copy's length.
+func detach(c *Census) Census {
+	if c.Obs == nil {
+		return *c
+	}
+	var d Census
+	d.Merge(*c)
+	return d
 }
 
 // unitsPerWorker is how many units newPlan cuts each worker's share of a
@@ -385,44 +395,4 @@ func newPlan(suite []workload.Workload, size int, stopOnce bool) Cut {
 		}
 	}
 	return p
-}
-
-// aggregator folds engine results into a Census.
-type aggregator struct {
-	c                      *Census
-	inflightSum, inflightN int
-}
-
-func (a *aggregator) add(res *core.Result) {
-	a.c.Workloads++
-	a.c.StatesChecked += res.StatesChecked
-	a.c.StatesDeduped += res.StatesDeduped
-	a.c.TruncatedFences += res.TruncatedFences
-	a.c.Fences += res.Fences
-	if res.MaxInFlight > a.c.MaxInFlight {
-		a.c.MaxInFlight = res.MaxInFlight
-	}
-	for n, cnt := range res.InFlightCounts {
-		if n > 0 {
-			a.inflightSum += n * cnt
-			a.inflightN += cnt
-		}
-	}
-	a.c.Violations += len(res.Violations)
-	a.c.Quarantined = append(a.c.Quarantined, res.Quarantined...)
-	a.c.SuppressedQuarantine += res.SuppressedQuarantine
-	if res.Obs != nil {
-		if a.c.Obs == nil {
-			a.c.Obs = &obs.Snapshot{}
-		}
-		a.c.Obs.Merge(*res.Obs)
-	}
-}
-
-func (a *aggregator) finish(elapsed time.Duration) {
-	a.c.InFlightSum, a.c.InFlightN = a.inflightSum, a.inflightN
-	if a.inflightN > 0 {
-		a.c.AvgInFlight = float64(a.inflightSum) / float64(a.inflightN)
-	}
-	a.c.Elapsed = elapsed
 }
