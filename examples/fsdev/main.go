@@ -29,7 +29,7 @@ func runSuite(label string, set bugs.Set) int {
 	}}
 	start := time.Now()
 	suite := ace.Seq1()
-	var states int
+	var census core.Census
 	var firstBug *core.Violation
 	buggyWorkloads := 0
 	for _, w := range suite {
@@ -37,7 +37,7 @@ func runSuite(label string, set bugs.Set) int {
 		if err != nil {
 			log.Fatal(err)
 		}
-		states += res.StatesChecked
+		census.Add(res)
 		if res.Buggy() {
 			buggyWorkloads++
 			if firstBug == nil {
@@ -47,7 +47,7 @@ func runSuite(label string, set bugs.Set) int {
 		}
 	}
 	fmt.Printf("%-28s %3d workloads, %5d crash states, %8v: %d buggy workloads\n",
-		label, len(suite), states, time.Since(start).Round(time.Millisecond), buggyWorkloads)
+		label, census.Workloads, census.StatesChecked, time.Since(start).Round(time.Millisecond), buggyWorkloads)
 	if firstBug != nil {
 		fmt.Printf("\n  first report:\n  %s\n\n", firstBug)
 	}
