@@ -183,8 +183,13 @@ func main() {
 	}
 
 	if cli.App != "" {
-		runApp(cli, opts, *suite, suiteWs, fsExplicit, inst)
-		return
+		systems := harness.Systems()
+		if fsExplicit {
+			sys, err := harness.SystemByName(cli.FS)
+			fatalIf(err)
+			systems = []harness.System{sys}
+		}
+		os.Exit(runApp(cli, opts, *suite, suiteWs, systems, inst))
 	}
 
 	sys, cfg, err := opts.Resolve()
@@ -234,18 +239,10 @@ func main() {
 
 // runApp is the -app mode: check the application's crash contract on one
 // file system (explicit -fs) or sweep all of them, then render the
-// durability report. Exit status matches the suite convention: 1 when the
-// contract was violated anywhere, 130 on interrupt.
+// durability report. It returns the exit status, which matches the suite
+// convention: 1 when the contract was violated anywhere, 130 on interrupt.
 func runApp(cli *harness.CLIOptions, opts harness.Options, suiteName string,
-	suiteWs []workload.Workload, fsExplicit bool, inst *harness.Instrumentation) {
-	var systems []harness.System
-	if fsExplicit {
-		sys, err := harness.SystemByName(cli.FS)
-		fatalIf(err)
-		systems = []harness.System{sys}
-	} else {
-		systems = harness.Systems()
-	}
+	suiteWs []workload.Workload, systems []harness.System, inst *harness.Instrumentation) int {
 	fmt.Printf("chipmunk: app=%s (app-bugs %s), suite %s: %d workloads × %d file systems, cap=%d\n",
 		cli.App, cli.AppBugs, suiteName, len(suiteWs), len(systems), opts.Cap)
 
@@ -264,8 +261,11 @@ func runApp(cli *harness.CLIOptions, opts harness.Options, suiteName string,
 			interrupted = true
 			break
 		}
-		cfg := opts.ConfigFor(sys)
-		census, viol, err := harness.Run(ctx, cfg, suiteWs,
+		// Every system runs the same workload names: each gets its own
+		// trace, or their span IDs would collide.
+		sysOpts := opts
+		sysOpts.Tracer = opts.Tracer.Derive(sys.Name)
+		census, viol, err := harness.Run(ctx, sysOpts.ConfigFor(sys), suiteWs,
 			harness.WithWorkers(cli.Jobs),
 			harness.WithProgress(func(done, total int, c harness.Census) {
 				inst.Progress(done, total, c)
@@ -308,7 +308,7 @@ func runApp(cli *harness.CLIOptions, opts harness.Options, suiteName string,
 	}
 	fmt.Printf("%s: %d file systems, %d contract violations in %d clusters\n",
 		status, len(runs), len(all), len(clusters))
-	os.Exit(exitCode(inst, cli.Journal, false, len(all) > 0, interrupted))
+	return exitCode(inst, cli.Journal, false, len(all) > 0, interrupted)
 }
 
 // runWorker is the -worker mode: the engine spec comes from the

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -14,9 +15,11 @@ import (
 	"testing"
 	"time"
 
+	"chipmunk/internal/ace"
 	"chipmunk/internal/campaign"
 	"chipmunk/internal/fleet"
 	"chipmunk/internal/harness"
+	"chipmunk/internal/obs"
 )
 
 // suiteSpec is seq2's first max workloads on NOVA with every bug injected;
@@ -223,5 +226,56 @@ func TestWorkerFetchesSpecOnce(t *testing.T) {
 		if n := gets.Load(); n != 1 {
 			t.Errorf("fuzz=%v: %d spec GETs, want 1", spec.Fuzz, n)
 		}
+	}
+}
+
+// TestAppSweepSpanIDsUnique: an -app sweep runs the same workload names on
+// every system, so each system traces on its own and the journal holds no
+// (trace, span) pair twice.
+func TestAppSweepSpanIDsUnique(t *testing.T) {
+	dir := t.TempDir()
+	journal := filepath.Join(dir, "sweep.jsonl")
+	fl := flag.NewFlagSet("chipmunk", flag.ContinueOnError)
+	cli := harness.BindCLI(fl)
+	args := []string{"-app", "kv", "-journal", journal, "-durability-report", filepath.Join(dir, "DURABILITY.md")}
+	if err := fl.Parse(args); err != nil {
+		t.Fatal(err)
+	}
+	opts, err := cli.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := cli.Instrument()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst.Apply(&opts)
+	suite, err := ace.SuiteByName("kv-smoke")
+	if err != nil {
+		t.Fatal(err)
+	}
+	systems := harness.Systems()[:2]
+	if code := runApp(cli, opts, "kv-smoke", suite, systems, inst); code != harness.ExitClean {
+		t.Fatalf("sweep exit %d, want %d", code, harness.ExitClean)
+	}
+	events, skipped, err := obs.ReadJournalFile(journal)
+	if err != nil || skipped != 0 {
+		t.Fatalf("journal read: err=%v skipped=%d", err, skipped)
+	}
+	seen := map[[2]string]bool{}
+	traces := map[string]bool{}
+	for _, e := range events {
+		if e.Type != "span" {
+			continue
+		}
+		id := [2]string{e.Trace, e.Span}
+		if seen[id] {
+			t.Fatalf("(trace, span) %v emitted twice: %+v", id, e)
+		}
+		seen[id] = true
+		traces[e.Trace] = true
+	}
+	if len(traces) != len(systems) {
+		t.Fatalf("%d spans in %d traces, want one trace per system (%d)", len(seen), len(traces), len(systems))
 	}
 }

@@ -102,7 +102,7 @@ func finish(start time.Time) {
 // detectOpts builds the DetectOptions every detection-based experiment
 // shares, with the instrumentation wired in.
 func detectOpts(cap int) harness.DetectOptions {
-	return harness.DetectOptions{Cap: cap, Obs: inst.Col, Journal: inst.Journal}
+	return harness.DetectOptions{Cap: cap, Obs: inst.Col, Tracer: inst.Tracer}
 }
 
 func fatalIfErr(err error) {
@@ -223,7 +223,7 @@ func coalesce() error {
 		{Kind: workload.OpPwrite, Path: "/f0", FDSlot: -1, Off: 0, Size: 1024, Seed: 1},
 	}}
 	sys, _ := harness.SystemByName("nova")
-	cfg := harness.Options{Bugs: bugs.None(), Obs: inst.Col, Journal: inst.Journal}.ConfigFor(sys)
+	cfg := harness.Options{Bugs: bugs.None(), Obs: inst.Col, Tracer: inst.Tracer}.ConfigFor(sys)
 	cfg.TraceStores = true
 	res, err := core.RunContext(context.Background(), cfg, w)
 	if err != nil {
@@ -248,7 +248,9 @@ func vinter() error {
 	sys, _ := harness.SystemByName("nova")
 	fmt.Printf("%-10s %-14s %-16s %s\n", "filter", "crash states", "filtered writes", "violations")
 	for _, filter := range []bool{false, true} {
-		cfg := harness.Options{Bugs: bugs.None(), Obs: inst.Col, Journal: inst.Journal}.ConfigFor(sys)
+		// Both passes run the one workload: each gets its own trace.
+		cfg := harness.Options{Bugs: bugs.None(), Obs: inst.Col,
+			Tracer: inst.Tracer.Derive(fmt.Sprintf("vinter filter=%v", filter))}.ConfigFor(sys)
 		cfg.VinterFilter = filter
 		res, err := core.RunContext(context.Background(), cfg, w)
 		if err != nil {

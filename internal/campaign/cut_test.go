@@ -145,8 +145,8 @@ func TestIndexShardWorkerRefused(t *testing.T) {
 	}
 	var l LeaseResponse
 	err = lease.PostJSON(context.Background(), &http.Client{}, srv.URL+PathLease, json.RawMessage(old), &l, 50*time.Millisecond)
-	if !errors.Is(err, lease.ErrCoordinatorGone) {
-		t.Fatalf("this build gave up on a 412 before its budget: %v", err)
+	if err == nil || errors.Is(err, lease.ErrCoordinatorGone) || !strings.Contains(err.Error(), "older build") {
+		t.Fatalf("a 412 on every attempt must end as that rejection, not as a gone coordinator: %v", err)
 	}
 	if st := coord.Stats(); st.Granted != 0 || st.Rejected < 2 {
 		t.Fatalf("stats after the cut-less requests: %+v", st)

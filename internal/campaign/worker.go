@@ -44,7 +44,7 @@ type WorkerConfig struct {
 	// over (completed, or crashed with its checkpoint safe) and the worker
 	// exits cleanly.
 	DialBudget time.Duration
-	// Journal, when non-nil, receives this worker's run-journal events —
+	// Journal, when non-nil, receives this worker's run journal —
 	// per-worker journals are merged afterwards with journaltool -merge.
 	Journal *obs.Journal
 	// OnLease, when set, is called after each granted lease before the
@@ -125,7 +125,6 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	if info.Spec.Stats {
 		opts.Obs = obs.New()
 	}
-	opts.Journal = wc.Journal
 	sys, cfg, err := opts.Resolve()
 	if err != nil {
 		return err
@@ -154,10 +153,10 @@ type shardJob struct {
 	traceSeed uint64
 
 	held LeaseResponse
-	// The shard's measurement trace: a "shard" span over the engine call,
-	// with wire:lease/wire:heartbeat/wire:result children. These spans
-	// measure the fleet (latency, retries), not the suite — they are never
-	// part of the local span-determinism differential.
+	// The shard's trace, which the engine's spans join: a "shard" span over
+	// the engine call, with wire:lease/wire:heartbeat/wire:result children.
+	// These measure the fleet (latency, retries), not the suite — they are
+	// never part of the local span-determinism differential.
 	tr     *obs.Tracer
 	span   string
 	sbegin time.Time
@@ -208,6 +207,7 @@ func (j *shardJob) Lease(ctx context.Context) (lease.Poll, time.Duration, error)
 	j.held, j.census, j.viol = l, nil, nil
 	j.progress.Store(0)
 	j.tr = obs.NewTracer(j.wc.Journal, j.traceSeed, l.Shard)
+	j.cfg.Tracer = j.tr
 	j.span = j.tr.ID("shard", j.info.Spec.Suite, 0, l.Shard)
 	j.tr.Span("wire:lease", lstart, j.span, j.event(l.Shard, 0))
 	return lease.PollRun, time.Duration(l.TTLNanos), nil

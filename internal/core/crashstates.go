@@ -34,17 +34,13 @@ type checker struct {
 	// starts the run's runner, then that runner, and after a takeover its
 	// replacement (sandbox.go).
 	//
-	// obs is the run's private metrics collector and journal the shared
-	// event stream; both are nil-safe no-ops when observability is off.
-	// obs is recorded into by the supervisor and the runner alike (atomics
-	// only); journal events are emitted by the owner exclusively, in walk
-	// order.
-	obs     *obs.Collector
-	journal *obs.Journal
-
-	// tracer emits deterministic "span" events (owner-only, like the
-	// journal); checkSpan is the precomputed ID of the run's "check" span,
-	// the parent every fence span hangs off.
+	// obs is the run's private metrics collector and tracer its event
+	// sink; both are nil-safe no-ops when observability is off. obs is
+	// recorded into by the supervisor and the runner alike (atomics only);
+	// spans and events are emitted by the owner exclusively, in walk order.
+	// checkSpan is the precomputed ID of the run's "check" span, the parent
+	// every fence span hangs off.
+	obs       *obs.Collector
 	tracer    *obs.Tracer
 	checkSpan string
 
@@ -168,13 +164,12 @@ type cursor struct {
 	sig      uint64 // FNV-64a state of the enclosing call's trace-shape signature
 
 	// The fence being checked (stageFence): its crash context, the next rank
-	// to check, and what the closing journal event and span report.
-	cctx       CheckContext
-	rank       int
-	inFlight   int
-	deduped    int
-	fenceStart time.Time
-	spanStart  time.Time
+	// to check, and what its closing span reports.
+	cctx      CheckContext
+	rank      int
+	inFlight  int
+	deduped   int
+	spanStart time.Time
 }
 
 // walk replays the trace from the cursor on, generating crash states at
@@ -295,19 +290,14 @@ func (ck *checker) checkPoint(sl *slot, sys int) error {
 	return nil
 }
 
-// fenceDone emits the closing journal event and span of the fence at the
-// cursor, which had states distinct states.
+// fenceDone emits the closing span of the fence at the cursor, which had
+// states distinct states.
 func (ck *checker) fenceDone(sys, states int) {
 	c := &ck.cur
-	ck.journal.Emit(obs.Event{
-		Type: "fence", FS: ck.caps.Name, Workload: ck.w.Name,
-		Fence: c.cctx.Fence, Sys: sys, Phase: c.cctx.Phase.String(),
-		InFlight: c.inFlight, States: states, Deduped: c.deduped,
-		DurNanos: sinceNanos(c.fenceStart),
-	})
 	ck.tracer.Span("fence", c.spanStart, ck.checkSpan, obs.Event{
 		FS: ck.caps.Name, Workload: ck.w.Name,
-		Fence: c.cctx.Fence, Sys: sys, States: states,
+		Fence: c.cctx.Fence, Sys: sys, Phase: c.cctx.Phase.String(),
+		InFlight: c.inFlight, States: states, Deduped: c.deduped,
 	})
 }
 
@@ -376,10 +366,6 @@ func (ck *checker) enumerate(sys int) {
 	ctx := fenceCtx(sys, c.lastDone)
 	ctx.Fence = ck.res.Fences // enter increments before enumerating: 1-based
 
-	c.fenceStart = time.Time{}
-	if ck.journal != nil {
-		c.fenceStart = time.Now()
-	}
 	c.spanStart = ck.tracer.Begin()
 	dt := ck.obs.Start()
 

@@ -84,19 +84,15 @@ type Config struct {
 	// into Obs at workload end so a long campaign's live totals can be watched
 	// via the debug server. Nil disables collection at zero hot-path cost.
 	Obs *obs.Collector
-	// Journal, when non-nil, receives one event per workload, fence,
-	// violation, and quarantine — the append-only JSONL run journal
-	// (-journal). All events are emitted by the run's one walker, in
-	// walk order, so the journal's order-normalized event set depends only on
-	// the suite — not on how harness.WithWorkers spread it over goroutines.
-	Journal *obs.Journal
-	// Tracer, when non-nil, emits deterministic "span" events into its
-	// journal covering the engine stages of this run: a "workload" root span
-	// with "oracle", "record", and "check" children, plus one "fence" span
-	// per enumerated fence. Span IDs are pure functions of work coordinates
-	// (see obs.Tracer), and all engine spans are emitted by the run's one
-	// walker, so the canonical span multiset is identical across suite-level
-	// worker counts — the same contract Journal events honor.
+	// Tracer, when non-nil, is the run's one event sink, writing into its
+	// append-only JSONL run journal (-journal): a "workload" root span
+	// (states, deduped, fences, violations) with "oracle", "record", and
+	// "check" children, one "fence" span per enumerated fence (phase,
+	// in-flight, states, deduped), and one event per violation and
+	// quarantine. Span IDs are pure functions of work coordinates (see
+	// obs.Tracer), and everything is emitted by the run's one walker, so
+	// the journal's canonical multiset depends only on the suite — not on
+	// how harness.WithWorkers spread it over goroutines.
 	Tracer *obs.Tracer
 	// Checker selects the correctness contract applied to every mounted
 	// crash state (nil = NewOracleChecker, the classic FS-oracle comparison,
@@ -324,10 +320,6 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 	if cfg.Obs != nil {
 		col = obs.New()
 	}
-	var runStart time.Time
-	if cfg.Obs != nil || cfg.Journal != nil {
-		runStart = time.Now()
-	}
 	// Spans: the root "workload" span is emitted last (after its children —
 	// parents complete after children), so its ID is precomputed here for
 	// the children to reference.
@@ -479,7 +471,7 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 	})
 	cbegin := tr.Begin()
 	ck.ctx, ck.cfg, ck.caps, ck.w, ck.contract, ck.res = ctx, cfg, caps, w, contract, res
-	ck.obs, ck.journal, ck.tracer, ck.checkSpan = col, cfg.Journal, tr, tr.ID("check", w.Name, 0, 0)
+	ck.obs, ck.tracer, ck.checkSpan = col, tr, tr.ID("check", w.Name, 0, 0)
 	ck.memo = memoWalk{m: c.memo, op: -1}
 	if c.memo != nil && !cfg.Faults.Enabled() {
 		ck.table = &c.memo.table
@@ -517,22 +509,8 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 	}
 	tr.Span("workload", runBegin, "", obs.Event{
 		FS: caps.Name, Workload: w.Name,
-		Fences: res.Fences, Violations: len(res.Violations) + res.SuppressedViolations,
-	})
-	cfg.Journal.Emit(obs.Event{
-		Type: "workload", FS: caps.Name, Workload: w.Name, Sys: -1,
 		States: res.StatesChecked, Deduped: res.StatesDeduped,
 		Fences: res.Fences, Violations: len(res.Violations) + res.SuppressedViolations,
-		DurNanos: sinceNanos(runStart),
 	})
 	return res, nil
-}
-
-// sinceNanos returns the elapsed nanoseconds since start, or 0 for the
-// zero time (observability disabled).
-func sinceNanos(start time.Time) int64 {
-	if start.IsZero() {
-		return 0
-	}
-	return time.Since(start).Nanoseconds()
 }

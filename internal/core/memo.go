@@ -130,7 +130,7 @@ func (ck *checker) serveMemo(sys, fence int) (bool, error) {
 		c.cctx = fenceCtx(sys, c.lastDone)
 		c.cctx.Fence = fence
 		c.inFlight, c.deduped = pt.inFlight, pt.deduped
-		c.fenceStart, c.spanStart = time.Time{}, time.Time{}
+		c.spanStart = time.Time{}
 		ck.fenceDone(sys, pt.states)
 	}
 	return true, nil

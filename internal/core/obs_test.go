@@ -93,7 +93,7 @@ func journalKeys(t *testing.T, cfg Config, w workload.Workload, runs int) []stri
 	t.Helper()
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf)
-	cfg.Journal = j
+	cfg.Tracer = obs.NewTracer(j, 0, 0)
 	var wg sync.WaitGroup
 	for range runs {
 		wg.Add(1)
@@ -123,8 +123,8 @@ func journalKeys(t *testing.T, cfg Config, w workload.Workload, runs int) []stri
 // TestJournalDeterministicAcrossWorkers: a workload journals the same event
 // multiset (order-normalized; wall-clock fields excluded by CanonicalKey)
 // whether it runs alone or beside other engine runs sharing the journal —
-// what harness.WithWorkers does to a suite. Exercises fence, workload, and
-// violation events on both a clean and a buggy system.
+// what harness.WithWorkers does to a suite. Exercises fence and workload
+// spans and violation events on both a clean and a buggy system.
 func TestJournalDeterministicAcrossWorkers(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -153,14 +153,17 @@ func TestJournalDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestJournalEventShape: the journal carries the event types the summary
-// and CI validation rely on, with workload totals matching the Result.
+// TestJournalEventShape: each engine stage's span carries the counts the
+// summary and CI validation rely on, matching the Result: one fence span
+// per fence, in order, whose deduped counts sum to the run's; one workload
+// span with the run's states, deduped, fences, violations and a duration;
+// and one violation event per violation.
 func TestJournalEventShape(t *testing.T) {
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf)
 	res := mustRun(t, Config{
-		NewFS:   novaFS(bugs.Of(bugs.NovaRenameInPlaceDelete)),
-		Journal: j,
+		NewFS:  novaFS(bugs.Of(bugs.NovaRenameInPlaceDelete)),
+		Tracer: obs.NewTracer(j, 0, 0),
 	}, renameWorkload())
 	if err := j.Flush(); err != nil {
 		t.Fatal(err)
@@ -169,25 +172,43 @@ func TestJournalEventShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	byType := map[string][]obs.Event{}
+	byName := map[string][]obs.Event{}
 	for _, e := range events {
-		byType[e.Type] = append(byType[e.Type], e)
+		if e.Type == "span" {
+			byName[e.Name] = append(byName[e.Name], e)
+		} else {
+			byName[e.Type] = append(byName[e.Type], e)
+		}
 	}
-	if len(byType["fence"]) != res.Fences {
-		t.Errorf("%d fence events, want %d", len(byType["fence"]), res.Fences)
+	fences := byName["fence"]
+	if len(fences) != res.Fences {
+		t.Errorf("%d fence spans, want %d", len(fences), res.Fences)
 	}
-	if len(byType["violation"]) != len(res.Violations) {
-		t.Errorf("%d violation events, want %d", len(byType["violation"]), len(res.Violations))
+	fenceStates, deduped := 0, 0
+	for i, e := range fences {
+		if e.Fence != i+1 || e.Phase == "" || e.InFlight <= 0 || e.States <= 0 {
+			t.Errorf("fence span %d = %+v, want ordinal %d with phase, in-flight and states", i, e, i+1)
+		}
+		fenceStates += e.States
+		deduped += e.Deduped
 	}
-	wl := byType["workload"]
+	if deduped != res.StatesDeduped || fenceStates > res.StatesChecked {
+		t.Errorf("fence spans: %d states, %d deduped; result checked %d, deduped %d",
+			fenceStates, deduped, res.StatesChecked, res.StatesDeduped)
+	}
+	if len(byName["violation"]) != len(res.Violations) {
+		t.Errorf("%d violation events, want %d", len(byName["violation"]), len(res.Violations))
+	}
+	wl := byName["workload"]
 	if len(wl) != 1 {
-		t.Fatalf("%d workload events, want 1", len(wl))
+		t.Fatalf("%d workload spans, want 1", len(wl))
 	}
-	if wl[0].States != res.StatesChecked || wl[0].Violations != len(res.Violations) {
-		t.Errorf("workload event %+v disagrees with result (states %d, violations %d)",
-			wl[0], res.StatesChecked, len(res.Violations))
+	if wl[0].States != res.StatesChecked || wl[0].Deduped != res.StatesDeduped ||
+		wl[0].Fences != res.Fences || wl[0].Violations != len(res.Violations) {
+		t.Errorf("workload span %+v disagrees with result (states %d, deduped %d, fences %d, violations %d)",
+			wl[0], res.StatesChecked, res.StatesDeduped, res.Fences, len(res.Violations))
 	}
 	if wl[0].DurNanos <= 0 {
-		t.Error("workload event missing duration")
+		t.Error("workload span missing duration")
 	}
 }

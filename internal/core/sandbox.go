@@ -117,7 +117,7 @@ func (ck *checker) fold(out checkOutcome) {
 		} else {
 			ck.res.Quarantined = append(ck.res.Quarantined, *out.q)
 		}
-		ck.journal.Emit(obs.Event{
+		ck.tracer.Emit(obs.Event{
 			Type: "quarantine", FS: ck.caps.Name, Workload: ck.w.Name,
 			Fence: out.q.Fence, Sys: out.q.Sys, Rank: out.q.Rank,
 			Phase: out.q.Phase.String(), Kind: out.q.Kind.String(),
@@ -127,7 +127,7 @@ func (ck *checker) fold(out checkOutcome) {
 	}
 	if out.v != nil {
 		ck.reportViolation(*out.v)
-		ck.journal.Emit(obs.Event{
+		ck.tracer.Emit(obs.Event{
 			Type: "violation", FS: ck.caps.Name, Workload: ck.w.Name,
 			Fence: out.ctx.Fence, Sys: out.ctx.Sys, Rank: out.ctx.Rank,
 			Phase: out.v.Phase.String(), Kind: out.v.Kind.String(),

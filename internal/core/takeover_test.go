@@ -83,7 +83,7 @@ func journaled(t *testing.T, cfg Config) (Config, func() []obs.Event) {
 	t.Helper()
 	var buf bytes.Buffer
 	j := obs.NewJournal(&buf)
-	cfg.Journal, cfg.Tracer, cfg.Obs = j, obs.NewTracer(j, 0, 0), obs.New()
+	cfg.Tracer, cfg.Obs = obs.NewTracer(j, 0, 0), obs.New()
 	return cfg, func() []obs.Event {
 		t.Helper()
 		if err := j.Flush(); err != nil {
@@ -110,7 +110,7 @@ func stallTarget(t *testing.T, healthy []obs.Event) (fence, rank int) {
 	t.Helper()
 	var fences []obs.Event
 	for _, e := range healthy {
-		if e.Type == "fence" {
+		if e.Type == "span" && e.Name == "fence" {
 			fences = append(fences, e)
 		}
 	}
@@ -129,7 +129,7 @@ func keysWithout(events []obs.Event, fence, rank int) []string {
 	var keys []string
 	for _, e := range events {
 		own := (e.Type == "violation" || e.Type == "quarantine") && e.Fence == fence && e.Rank == rank
-		if own || e.Type == "workload" || e.Name == "workload" {
+		if own || e.Name == "workload" {
 			continue
 		}
 		keys = append(keys, e.CanonicalKey())

@@ -76,7 +76,6 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	if spec.Stats {
 		opts.Obs = obs.New()
 	}
-	opts.Journal = wc.Journal
 	sys, cfg, err := opts.Resolve()
 	if err != nil {
 		return err
@@ -202,6 +201,9 @@ func (j *fuzzJob) Beat(ctx context.Context, budget time.Duration, n int) (bool, 
 
 func (j *fuzzJob) Run(ctx context.Context) error {
 	j.start = time.Now()
+	// Each unit gets a trace of its own, keyed by (soak, unit) like a
+	// campaign shard's: fuzz workload names restart with every round.
+	j.cfg.Tracer = obs.NewTracer(j.wc.Journal, 0, 0).Derive(fmt.Sprintf("%s %s %d", j.hash, j.kind, j.id))
 	if j.kind == ResultMinimize {
 		if j.memo == nil {
 			j.memo = core.NewPrefixMemo()

@@ -4,6 +4,7 @@ import (
 	"chipmunk/internal/core"
 	"chipmunk/internal/workload"
 	"context"
+	"fmt"
 )
 
 // Minimize shrinks a violating workload to a minimal reproducer, the way
@@ -15,6 +16,7 @@ import (
 // Every candidate runs under ctx through m, which serves the crash points of
 // the op prefixes candidates share (nil: unshared); a cancelled ctx stops the
 // shrink with its error. budget bounds the number of engine invocations.
+// Candidates are numbered, so no two runs of a shrink share a name.
 func Minimize(ctx context.Context, m *core.PrefixMemo, cfg core.Config, w workload.Workload, budget int) (workload.Workload, int, error) {
 	execs := 0
 	stillBuggy := func(cand workload.Workload) (bool, error) {
@@ -55,7 +57,7 @@ func Minimize(ctx context.Context, m *core.PrefixMemo, cfg core.Config, w worklo
 				start += chunk
 				continue
 			}
-			ok, err := stillBuggy(workload.Workload{Name: w.Name + "-min", Ops: cand})
+			ok, err := stillBuggy(workload.Workload{Name: fmt.Sprintf("%s-min%d", w.Name, execs), Ops: cand})
 			if err != nil {
 				return w, execs, err
 			}

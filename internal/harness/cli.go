@@ -90,7 +90,7 @@ func BindObsCLI(fl *flag.FlagSet) *CLIOptions {
 	fl.BoolVar(&c.Stats, "stats", false,
 		"print the per-stage time/counter breakdown after the run")
 	fl.StringVar(&c.Journal, "journal", "",
-		"append one JSONL event per workload/fence/violation/quarantine/span to this file")
+		"append one JSONL span per engine stage and one event per violation/quarantine to this file")
 	fl.StringVar(&c.DebugAddr, "debug-addr", "",
 		"serve live introspection (/debug/vars, /debug/metrics, /debug/pprof/, /progress) on this host:port")
 	return c

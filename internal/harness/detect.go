@@ -34,14 +34,15 @@ type DetectOptions struct {
 	// PostOnly restricts crash points to syscall boundaries (Obs 5).
 	PostOnly bool
 	// Obs receives per-stage metrics from the detection's engine runs
-	// (nil = off); Journal receives their run-journal events.
-	Obs     *obs.Collector
-	Journal *obs.Journal
+	// (nil = off); Tracer their spans and events, each (system, bug set)
+	// on a trace of its own, since detections rerun the same workloads.
+	Obs    *obs.Collector
+	Tracer *obs.Tracer
 }
 
 // config builds the engine Config for one detection run.
 func (o DetectOptions) config(sys System, set bugs.Set) core.Config {
-	cfg := Options{Bugs: set, Cap: o.Cap, Obs: o.Obs, Journal: o.Journal}.ConfigFor(sys)
+	cfg := Options{Bugs: set, Cap: o.Cap, Obs: o.Obs, Tracer: o.Tracer.Derive(sys.Name + " bugs " + set.String())}.ConfigFor(sys)
 	cfg.PostOnly = o.PostOnly
 	return cfg
 }

@@ -313,11 +313,12 @@ func resultDiff(a, b *core.Result) string {
 func hasTailCrashPoint(t *testing.T, cfg core.Config, w workload.Workload) bool {
 	t.Helper()
 	var buf bytes.Buffer
-	cfg.Journal = obs.NewJournal(&buf)
+	j := obs.NewJournal(&buf)
+	cfg.Tracer = obs.NewTracer(j, 0, 0)
 	if _, err := core.RunContext(context.Background(), cfg, w); err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Journal.Flush(); err != nil {
+	if err := j.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	events, _, err := obs.ReadJournal(&buf)
@@ -325,7 +326,7 @@ func hasTailCrashPoint(t *testing.T, cfg core.Config, w workload.Workload) bool 
 		t.Fatal(err)
 	}
 	return slices.ContainsFunc(events, func(e obs.Event) bool {
-		return e.Type == "fence" && e.Sys < 0 && e.States > 0
+		return e.Type == "span" && e.Name == "fence" && e.Sys < 0 && e.States > 0
 	})
 }
 

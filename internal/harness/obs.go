@@ -13,9 +13,9 @@ import (
 // it to their Options, and close it on exit.
 
 // Instrumentation bundles one run's observability plumbing: the live
-// metrics collector, the run journal, and the debug listener. Any field
-// may be nil (that facility is off); all methods are nil-safe on the
-// receiver too, so call sites need no guards.
+// metrics collector, the run journal and the local run's tracer on it, and
+// the debug listener. Any field may be nil (that facility is off); all
+// methods are nil-safe on the receiver too, so call sites need no guards.
 type Instrumentation struct {
 	Col     *obs.Collector
 	Journal *obs.Journal
@@ -30,7 +30,6 @@ func (in *Instrumentation) Apply(o *Options) {
 		return
 	}
 	o.Obs = in.Col
-	o.Journal = in.Journal
 	o.Tracer = in.Tracer
 }
 
@@ -39,7 +38,7 @@ func (in *Instrumentation) EmitRun(fsName string, workloads int) {
 	if in == nil {
 		return
 	}
-	in.Journal.Emit(obs.Event{Type: "run", FS: fsName, Sys: -1, States: workloads})
+	in.Tracer.Emit(obs.Event{Type: "run", FS: fsName, Sys: -1, States: workloads})
 }
 
 // Progress publishes suite progress to the debug listener; shaped to slot

@@ -78,24 +78,32 @@ func runJournalMode(t *testing.T, workers int, cfg core.Config, suite []workload
 	}
 }
 
-// TestSuiteJournalDeterministic: a whole suite's journal is the same
-// canonical multiset unshared, and shared serially or across 4 workers.
-func TestSuiteJournalDeterministic(t *testing.T) {
+// suiteJournal runs the first six Seq1 workloads on pmfs in the given
+// journal mode with a tracer attached, and returns the journal it wrote.
+func suiteJournal(t *testing.T, workers int) []obs.Event {
+	t.Helper()
 	sys, _ := SystemByName("pmfs")
-	suite := ace.Seq1()[:6]
+	var buf bytes.Buffer
+	jr := obs.NewJournal(&buf)
+	opts := Options{Bugs: bugs.None(), Cap: 2, Tracer: obs.NewTracer(jr, 0, 0)}
+	runJournalMode(t, workers, opts.ConfigFor(sys), ace.Seq1()[:6])
+	if err := jr.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	events, skipped, err := obs.ReadJournal(&buf)
+	if err != nil || skipped != 0 {
+		t.Fatalf("journal read: err=%v skipped=%d", err, skipped)
+	}
+	return events
+}
+
+// TestSuiteJournalDeterministic: a whole suite's journal — engine spans and
+// events alike — is the same canonical multiset unshared, and shared
+// serially or across 4 workers.
+func TestSuiteJournalDeterministic(t *testing.T) {
 	keys := map[string][]string{}
 	for _, mode := range journalModes {
-		var buf bytes.Buffer
-		jr := obs.NewJournal(&buf)
-		opts := Options{Bugs: bugs.None(), Cap: 2, Journal: jr}
-		runJournalMode(t, mode.workers, opts.ConfigFor(sys), suite)
-		if err := jr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		events, skipped, err := obs.ReadJournal(&buf)
-		if err != nil || skipped != 0 {
-			t.Fatalf("journal read: err=%v skipped=%d", err, skipped)
-		}
+		events := suiteJournal(t, mode.workers)
 		ks := make([]string, len(events))
 		for i, e := range events {
 			ks[i] = e.CanonicalKey()
@@ -120,28 +128,13 @@ func TestSuiteJournalDeterministic(t *testing.T) {
 // functions of work coordinates, so only wall-clock fields (cleared by
 // CanonicalKey) may differ.
 func TestSpanMultisetDeterministic(t *testing.T) {
-	sys, _ := SystemByName("pmfs")
-	suite := ace.Seq1()[:6]
+	const suiteLen = 6
 	multisets := map[string]string{}
 	spanCount := 0
 	for _, mode := range journalModes {
-		var buf bytes.Buffer
-		jr := obs.NewJournal(&buf)
-		opts := Options{
-			Bugs: bugs.None(), Cap: 2,
-			Journal: jr, Tracer: obs.NewTracer(jr, 0, 0),
-		}
-		runJournalMode(t, mode.workers, opts.ConfigFor(sys), suite)
-		if err := jr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		events, skipped, err := obs.ReadJournal(&buf)
-		if err != nil || skipped != 0 {
-			t.Fatalf("journal read: err=%v skipped=%d", err, skipped)
-		}
 		var ks []string
 		roots := 0
-		for _, e := range events {
+		for _, e := range suiteJournal(t, mode.workers) {
 			if e.Type != "span" {
 				continue
 			}
@@ -153,8 +146,8 @@ func TestSpanMultisetDeterministic(t *testing.T) {
 			}
 			ks = append(ks, e.CanonicalKey())
 		}
-		if roots != len(suite) {
-			t.Fatalf("%s: %d root spans, want %d", mode.name, roots, len(suite))
+		if roots != suiteLen {
+			t.Fatalf("%s: %d root spans, want %d", mode.name, roots, suiteLen)
 		}
 		sort.Strings(ks)
 		spanCount = len(ks)
@@ -273,7 +266,7 @@ func TestObsFlagsInstrument(t *testing.T) {
 	}
 	var o Options
 	in.Apply(&o)
-	if o.Obs != in.Col || o.Journal != in.Journal {
+	if o.Obs != in.Col || o.Tracer != in.Tracer || o.Tracer == nil {
 		t.Fatal("Apply did not thread the instrumentation")
 	}
 	in.EmitRun("nova", 3)
@@ -307,7 +300,7 @@ func TestObsFlagsInstrument(t *testing.T) {
 	}
 	var o2 Options
 	off.Apply(&o2)
-	if o2.Obs != nil || o2.Journal != nil {
+	if o2.Obs != nil || o2.Tracer != nil {
 		t.Fatal("Apply leaked non-nil sinks")
 	}
 	if err := off.Close(); err != nil {

@@ -41,10 +41,8 @@ type Options struct {
 	// Obs receives per-stage metrics from every engine run (nil = off;
 	// the engine then skips all clock reads).
 	Obs *obs.Collector
-	// Journal receives run-journal events from every engine run (nil = off).
-	Journal *obs.Journal
-	// Tracer emits deterministic engine-stage spans into the journal
-	// (nil = off; see obs.Tracer).
+	// Tracer receives every engine run's spans and events in its run
+	// journal (nil = off; see core.Config.Tracer).
 	Tracer *obs.Tracer
 	// App selects an application-level workload and its crash-contract
 	// checker instead of the FS-oracle comparison: "" (none, the default)
@@ -75,7 +73,6 @@ func (o Options) ConfigFor(sys System) core.Config {
 		ExhaustiveLimit: o.ExhaustiveLimit,
 		Faults:          o.Faults,
 		Obs:             o.Obs,
-		Journal:         o.Journal,
 		Tracer:          o.Tracer,
 	}
 	if o.App == "kv" {

@@ -396,3 +396,27 @@ func TestWaitRepollsWithBackoff(t *testing.T) {
 		t.Errorf("cancelled Work = %v", err)
 	}
 }
+
+// TestRepeatedRejectionIsNotGone: a coordinator that answers every attempt
+// of a POST with HTTP 400 is up and refusing the bytes, so PostJSON fails
+// without ErrCoordinatorGone (a worker then exits with an error instead of
+// assuming the run is over); a refused connection still is ErrCoordinatorGone.
+func TestRepeatedRejectionIsNotGone(t *testing.T) {
+	var posts atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		posts.Add(1)
+		WriteJSONError(w, http.StatusBadRequest, "payload checksum mismatch")
+	}))
+	err := PostJSON(context.Background(), srv.Client(), srv.URL+"/result", map[string]int{"shard": 0}, nil, 50*time.Millisecond)
+	srv.Close()
+	if err == nil || errors.Is(err, ErrCoordinatorGone) || !strings.Contains(err.Error(), "checksum mismatch") {
+		t.Fatalf("always-400 coordinator: err = %v, want a rejection that is not ErrCoordinatorGone", err)
+	}
+	if n := posts.Load(); n < 2 {
+		t.Fatalf("%d POSTs: a 400 must be retried within the budget", n)
+	}
+	err = PostJSON(context.Background(), &http.Client{}, srv.URL+"/result", map[string]int{"shard": 0}, nil, 50*time.Millisecond)
+	if !errors.Is(err, ErrCoordinatorGone) {
+		t.Fatalf("refused connection: err = %v, want ErrCoordinatorGone", err)
+	}
+}

@@ -166,8 +166,9 @@ func GetJSON(ctx context.Context, client *http.Client, url string, out any, budg
 // like transport errors: 400 means the coordinator could not parse or verify
 // the body, and 409 and 412 mean it refused the identity it carried — and
 // since an honest worker's fingerprint is verified at handshake, all three
-// can only mean the request was corrupted in flight; the next attempt sends
-// a fresh copy.
+// usually mean the request was corrupted in flight; the next attempt sends
+// a fresh copy. A budget of nothing but such rejections means the
+// coordinator is up and refuses the bytes: that error is not ErrCoordinatorGone.
 // Any other non-2xx response is returned immediately, never retried.
 func PostJSON(ctx context.Context, client *http.Client, url string, body, out any, budget time.Duration) error {
 	b, err := json.Marshal(body)
@@ -208,12 +209,16 @@ func doJSON(ctx context.Context, client *http.Client, method, url string, body [
 	}
 	maxSleep := budget / 4
 	var lastErr error
+	rejected := 0 // attempts answered with 400, 409 or 412
 	for attempt := 0; ; attempt++ {
 		if attempt > 0 {
 			// Jittered: spreads a fleet of workers hammering a restarting
 			// coordinator, instead of the old fixed-250ms lockstep.
 			sleep := jitter(base, attempt, maxSleep)
 			if time.Now().Add(sleep).After(deadline) {
+				if rejected == attempt {
+					return fmt.Errorf("coordinator rejected all %d attempts over %v: %v", attempt, budget, lastErr)
+				}
 				return fmt.Errorf("%w after %d attempts over %v: %v", ErrCoordinatorGone, attempt, budget, lastErr)
 			}
 			select {
@@ -253,6 +258,7 @@ func doJSON(ctx context.Context, client *http.Client, method, url string, body [
 			// — truncation or corruption on the wire. Retrying sends a fresh,
 			// intact copy; the budget bounds a genuinely bad sender.
 			lastErr = fmt.Errorf("coordinator rejected body: %s", rejection(resp, data))
+			rejected++
 			continue
 		}
 		if resp.StatusCode/100 != 2 {

@@ -11,9 +11,10 @@ import (
 )
 
 // Event is one run-journal record: an append-only, self-describing JSONL
-// line. The journal records WHAT the pipeline did — one event per workload,
-// fence, violation, and quarantine — with timestamps and state
-// digests, so a run can be post-mortemed or diffed without rerunning it.
+// line. The journal records WHAT the pipeline did — one span per engine
+// stage (workload, oracle, record, check, fence) and one event per
+// violation and quarantine — with timestamps and state digests, so a run
+// can be post-mortemed or diffed without rerunning it.
 //
 // Determinism contract: with Time and DurNanos cleared (CanonicalKey), the
 // multiset of events a suite produces is a pure function of the suite and
@@ -22,10 +23,10 @@ import (
 type Event struct {
 	// Time is when the event was emitted (filled by Emit when zero).
 	Time time.Time `json:"t"`
-	// Type is the event class: "run", "workload", "fence", "violation",
-	// "quarantine", "span" (see Tracer), or the campaign-side
-	// diagnostics "shard-quarantine", "heartbeat-refused", and
-	// "shard-watchdog".
+	// Type is the event class: "run", "violation", "quarantine", "span"
+	// (see Tracer; an engine stage's one record, its counts included), or
+	// the campaign-side diagnostics "shard-quarantine",
+	// "heartbeat-refused", and "shard-watchdog".
 	Type string `json:"type"`
 	// FS names the system under test; Workload the workload involved.
 	FS       string `json:"fs,omitempty"`
@@ -37,13 +38,13 @@ type Event struct {
 	Sys   int    `json:"sys"`
 	Rank  int    `json:"rank"`
 	Phase string `json:"phase,omitempty"`
-	// InFlight is the fence's in-flight write count; States the distinct
-	// crash states checked there; Deduped how many subsets were skipped
-	// as byte-identical.
+	// InFlight is a fence span's in-flight write count; States the
+	// distinct crash states checked under the span; Deduped how many
+	// subsets were skipped as byte-identical.
 	InFlight int `json:"inflight,omitempty"`
 	States   int `json:"states,omitempty"`
 	Deduped  int `json:"deduped,omitempty"`
-	// Fences/Violations summarize a whole workload (type "workload").
+	// Fences/Violations summarize a "workload" or "shard" span.
 	Fences     int `json:"fences,omitempty"`
 	Violations int `json:"violations,omitempty"`
 	// Kind classifies violation/quarantine events (ViolationKind string).
@@ -68,8 +69,7 @@ type Event struct {
 	// A pure function of the workload, it is the clustering key
 	// journaltool -triage groups violations by (with Kind and FS).
 	Prefix string `json:"prefix,omitempty"`
-	// DurNanos is the event's measured duration, where one applies
-	// (workload and fence events).
+	// DurNanos is a span's measured duration (0 when it measured none).
 	DurNanos int64 `json:"dur_ns,omitempty"`
 }
 

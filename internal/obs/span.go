@@ -10,17 +10,17 @@ import (
 // This file is the deterministic span layer: completed spans land in the
 // run journal as `"span"` events, giving the timeline tooling
 // (journaltool -timeline) per-trace waterfalls without a second sink or an
-// external tracing dependency.
+// external tracing dependency. A span is an engine stage's one record,
+// counts included; Tracer.Emit writes the events that are not spans.
 //
 // Determinism contract: trace and span IDs are pure functions of work
 // coordinates, never of scheduling. A trace ID derives from (seed, shard
-// index) via splitmix64; a span ID derives from (trace ID, span name,
-// workload name, fence ordinal, rank/call index) via FNV-64a. Because the
-// engine emits spans from the coordinator goroutine only (the same rule
-// the journal events follow) and IDs carry no counter state, a serial and
-// a parallel run of the same suite emit identical canonical span
-// multisets — Time and DurNanos are wall-clock measurements, cleared by
-// Event.CanonicalKey like every other event's.
+// index) via splitmix64, or from a parent trace and a key (Derive); a span
+// ID derives from (trace ID, span name, workload name, fence ordinal,
+// rank/call index) via FNV-64a. Because each engine run emits from its one
+// walker and IDs carry no counter state, a serial and a parallel run of
+// the same suite emit identical canonical multisets — Time and DurNanos
+// are wall-clock measurements, cleared by Event.CanonicalKey.
 //
 // A nil *Tracer is a no-op sink: every method returns immediately without
 // allocating and Begin never reads the clock, preserving the package's
@@ -45,6 +45,25 @@ func NewTracer(j *Journal, seed uint64, shard int) *Tracer {
 	}
 	id := splitmix64(seed ^ splitmix64(uint64(int64(shard))+0x9e3779b97f4a7c15))
 	return &Tracer{j: j, trace: fmt.Sprintf("%016x", id)}
+}
+
+// Derive returns a tracer on the same journal whose trace ID is a pure
+// function of this trace and key: a trace per unit of work (a system in a
+// sweep, a fuzz round) keeps reused workload names from sharing span IDs.
+func (t *Tracer) Derive(key string) *Tracer {
+	if t == nil {
+		return nil
+	}
+	return &Tracer{j: t.j, trace: t.ID("trace", key, 0, 0)}
+}
+
+// Emit appends a non-span event (run, violation, quarantine) to the
+// tracer's journal; a nil tracer discards it.
+func (t *Tracer) Emit(e Event) {
+	if t == nil {
+		return
+	}
+	t.j.Emit(e)
 }
 
 // Enabled reports whether spans land anywhere.

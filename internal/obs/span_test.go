@@ -128,3 +128,31 @@ func TestTraceIDFormat(t *testing.T) {
 		}
 	}
 }
+
+// TestTracerDeriveAndEmit: a derived trace is a pure function of (trace,
+// key), distinct from its parent and its siblings, and writes to the same
+// journal; Emit passes non-span events through. Both are no-ops on nil.
+func TestTracerDeriveAndEmit(t *testing.T) {
+	var buf bytes.Buffer
+	j := NewJournal(&buf)
+	tr := NewTracer(j, 0, 0)
+	a, b := tr.Derive("nova"), tr.Derive("pmfs")
+	if a.Trace() != NewTracer(j, 0, 0).Derive("nova").Trace() {
+		t.Fatal("derived trace IDs diverge for one key")
+	}
+	if a.Trace() == tr.Trace() || a.Trace() == b.Trace() || a.ID("workload", "wl", 0, 0) == b.ID("workload", "wl", 0, 0) {
+		t.Fatalf("derived traces collide: parent %s, %s, %s", tr.Trace(), a.Trace(), b.Trace())
+	}
+	a.Span("workload", time.Time{}, "", Event{Workload: "wl"})
+	b.Emit(Event{Type: "violation", Workload: "wl"})
+	var off *Tracer
+	off.Emit(Event{Type: "violation"})
+	if off.Derive("nova") != nil {
+		t.Fatal("nil tracer derived a live one")
+	}
+	j.Flush()
+	events, _, _ := ReadJournal(&buf)
+	if len(events) != 2 || events[0].Trace != a.Trace() || events[1].Type != "violation" || events[1].Trace != "" {
+		t.Fatalf("events = %+v", events)
+	}
+}

@@ -152,7 +152,7 @@ func WriteDurability(path string, rep DurabilityReport) error {
 	b.WriteString("```\n\n")
 	b.WriteString("The engine is deterministic: the same command reproduces the same crash states and the same reports, byte for byte, at any worker count.\n")
 	if rep.Journal != "" {
-		fmt.Fprintf(&b, "\nPer-state evidence (one JSONL event per workload, fence, and violation) is in `%s`.\n", rep.Journal)
+		fmt.Fprintf(&b, "\nPer-state evidence (one JSONL span per workload and fence, one event per violation) is in `%s`.\n", rep.Journal)
 	}
 	return os.WriteFile(path, []byte(b.String()), 0o644)
 }

@@ -13,6 +13,7 @@ import (
 // WriteJournalSummary renders a human-readable digest of a run journal:
 // what ran, what it found, and where the time went — the §6.3-style
 // breakdown recoverable from the JSONL stream without rerunning anything.
+// Workload and fence totals come from their spans.
 // Corrupt or truncated lines were already skipped by the tolerant reader;
 // skipped says how many, and is surfaced as a warning, never an error — a
 // journal from a killed run must still summarize.
@@ -33,13 +34,16 @@ func WriteJournalSummary(w io.Writer, events []obs.Event, skipped int) error {
 		switch e.Type {
 		case "run":
 			runFS = append(runFS, e.FS)
-		case "workload":
-			workloads = append(workloads, e)
-		case "fence":
-			fences++
-			states += e.States
-			deduped += e.Deduped
-			fenceNanos += e.DurNanos
+		case "span":
+			switch e.Name {
+			case "workload":
+				workloads = append(workloads, e)
+			case "fence":
+				fences++
+				states += e.States
+				deduped += e.Deduped
+				fenceNanos += e.DurNanos
+			}
 		case "violation":
 			violKind[e.Kind]++
 		case "quarantine":

@@ -9,14 +9,16 @@ import (
 	"chipmunk/internal/obs"
 )
 
-// TestJournalSummary: the digest covers runs, workloads, fences, and
-// per-kind violation/quarantine tallies, and ranks slow workloads.
+// TestJournalSummary: the digest covers runs, workloads and fences (read
+// from their spans; other spans count toward neither), and per-kind
+// violation/quarantine tallies, and ranks slow workloads.
 func TestJournalSummary(t *testing.T) {
 	events := []obs.Event{
 		{Type: "run", FS: "nova"},
-		{Type: "workload", FS: "nova", Workload: "fast", States: 10, Violations: 0, DurNanos: 1e6},
-		{Type: "workload", FS: "nova", Workload: "slow", States: 40, Violations: 2, DurNanos: 9e6},
-		{Type: "fence", FS: "nova", Workload: "slow", Fence: 1, States: 5, Deduped: 2, DurNanos: 4e5},
+		{Type: "span", Name: "workload", FS: "nova", Workload: "fast", States: 10, Violations: 0, DurNanos: 1e6},
+		{Type: "span", Name: "workload", FS: "nova", Workload: "slow", States: 40, Violations: 2, DurNanos: 9e6},
+		{Type: "span", Name: "fence", FS: "nova", Workload: "slow", Fence: 1, States: 5, Deduped: 2, DurNanos: 4e5},
+		{Type: "span", Name: "check", FS: "nova", Workload: "slow", States: 40, DurNanos: 8e6},
 		{Type: "violation", FS: "nova", Workload: "slow", Kind: "content-mismatch"},
 		{Type: "violation", FS: "nova", Workload: "slow", Kind: "content-mismatch"},
 		{Type: "quarantine", FS: "nova", Workload: "slow", Kind: "panic"},
@@ -27,7 +29,7 @@ func TestJournalSummary(t *testing.T) {
 	}
 	out := sb.String()
 	for _, want := range []string{
-		"journal: 7 events",
+		"journal: 8 events",
 		"runs: nova",
 		"workloads: 2 (50 crash states checked, 2 violations",
 		"fences: 1 (5 states, 2 deduped",
@@ -54,8 +56,8 @@ func TestJournalSummary(t *testing.T) {
 func TestJournalSummaryTolerant(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.jsonl")
 	raw := `{"type":"run","fs":"pmfs"}
-{"type":"workload","fs":"pmfs","workload":"w0","states":3,"dur_ns":1000}
-{"type":"fence","fs":"pmfs","workload":"w0","fence":0,"st
+{"type":"span","name":"workload","fs":"pmfs","workload":"w0","states":3,"dur_ns":1000}
+{"type":"span","name":"fence","fs":"pmfs","workload":"w0","fence":0,"st
 this is not json at all
 {"no_type_field":true}
 `
