@@ -57,103 +57,138 @@ import (
 	"chipmunk/internal/workload"
 )
 
+// command is chipmunk's parsed command line: the run selection (spec, whose
+// engine flags campaign.Spec binds), the execution, output and
+// observability flags (cli), and each mode's own flags.
+type command struct {
+	fl   *flag.FlagSet
+	spec campaign.Spec
+	cli  *harness.CLIOptions
+
+	suite, repro string
+	max          int
+	stopOne      bool
+
+	serve, workerFor, resume string
+	leaseTTL, shardTimeout   time.Duration
+	shardRetries, poison     int
+	retryQuarantined         bool
+	wireFaults               uint64
+
+	fuzz                  bool
+	budget                string
+	fuzzSeed              int64
+	roundExecs, genRounds int
+}
+
+// parseCommand binds chipmunk's flags on fl and parses args. -app changes
+// the -suite default to the KV suite.
+func parseCommand(fl *flag.FlagSet, args []string) (*command, error) {
+	// The removed -workers flag defaulted to 1, and the campaign ID hashes
+	// the spec: keeping the 1 keeps -resume checkpoints written by earlier
+	// builds valid.
+	c := &command{fl: fl, spec: campaign.Spec{Workers: 1}}
+	c.spec.BindFlags(fl)
+	c.cli = harness.BindCLI(fl)
+	fl.StringVar(&c.suite, "suite", "seq1", "workload suite: seq1, seq2, seq3m, seq1dax, seq2dax, kv, kv-smoke")
+	fl.IntVar(&c.max, "max", 0, "stop after N workloads (0 = whole suite)")
+	fl.BoolVar(&c.stopOne, "stop-on-bug", false, "stop at the first violating workload")
+	fl.StringVar(&c.repro, "repro", "", "run a single reproducer file (workload.Format syntax) instead of a suite")
+	fl.StringVar(&c.serve, "serve", "", "coordinate a distributed campaign on this host:port instead of running locally")
+	fl.StringVar(&c.workerFor, "worker", "", "join the distributed campaign coordinated at this host:port (spec comes from the coordinator)")
+	fl.StringVar(&c.resume, "resume", "", "(with -serve or -fuzz) append completed units to this checkpoint file and skip the units it already records")
+	fl.DurationVar(&c.leaseTTL, "lease", lease.DefaultTTL, "(with -serve) lease deadline before a shard is re-dispatched")
+
+	fl.IntVar(&c.shardRetries, "shard-retries", lease.DefaultRetries,
+		"(with -serve) failed dispatch attempts before a shard is quarantined instead of re-dispatched")
+	fl.BoolVar(&c.retryQuarantined, "retry-quarantined", false,
+		"(with -serve -resume) re-run the shards the checkpoint records as quarantined")
+	fl.Uint64Var(&c.wireFaults, "wire-faults", 0,
+		"(with -serve) seed the deterministic wire-fault injector — chaos testing only (0 = off)")
+	fl.DurationVar(&c.shardTimeout, "shard-timeout", campaign.DefaultShardTimeout,
+		"(with -worker) watchdog deadline per shard engine call (negative = no watchdog)")
+	fl.IntVar(&c.poison, "poison-shard", -1,
+		"(with -worker) chaos hook: panic on this shard id to model a crash-looping workload (-1 = off)")
+
+	fl.BoolVar(&c.fuzz, "fuzz", false,
+		"run a coverage-guided fuzzing soak instead of a suite: on -j in-process workers, or distributed with -serve")
+	fl.StringVar(&c.budget, "budget", "",
+		"(with -fuzz) soak budget: a duration (\"2h\") or a total exec count (\"2000\"; exec budgets make the soak byte-reproducible)")
+	fl.Int64Var(&c.fuzzSeed, "fuzz-seed", 1,
+		"(with -fuzz) master fuzzing seed; round r runs with RNG stream splitmix64(seed, r)")
+	fl.IntVar(&c.roundExecs, "round-execs", fleet.DefaultRoundExecs,
+		"(with -fuzz) fuzzing iterations per round lease")
+	fl.IntVar(&c.genRounds, "gen-rounds", fleet.DefaultGenRounds,
+		"(with -fuzz) rounds per generation (the corpus-fold barrier width)")
+	if err := fl.Parse(args); err != nil {
+		return nil, err
+	}
+	if c.spec.App != "" && !c.explicit("suite") {
+		c.suite = "kv"
+	}
+	return c, nil
+}
+
+// explicit reports whether the command line set flag name.
+func (c *command) explicit(name string) bool {
+	set := false
+	c.fl.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
+}
+
+// coordinatorSpec is the spec -serve and -fuzz coordinate: the run
+// selection plus the mode's fields, the suite or the soak. A soak replays
+// at most 2 in-flight writes unless -cap says otherwise, the paper's choice
+// for open-ended search.
+func (c *command) coordinatorSpec() (campaign.Spec, error) {
+	spec := c.spec
+	spec.Stats = c.cli.Stats
+	if !c.fuzz {
+		spec.Suite, spec.Max = c.suite, c.max
+		return spec, nil
+	}
+	execs, dur, err := fleet.ParseBudget(c.budget)
+	if err != nil {
+		return campaign.Spec{}, err
+	}
+	spec.Fuzz, spec.FuzzSeed, spec.RoundExecs, spec.GenRounds = true, c.fuzzSeed, c.roundExecs, c.genRounds
+	spec.BudgetExecs, spec.BudgetNanos = execs, int64(dur)
+	if !c.explicit("cap") {
+		spec.Cap = 2
+	}
+	return spec, nil
+}
+
 func main() {
-	var (
-		cli       = harness.BindCLI(flag.CommandLine)
-		suite     = flag.String("suite", "seq1", "workload suite: seq1, seq2, seq3m, seq1dax, seq2dax, kv, kv-smoke")
-		max       = flag.Int("max", 0, "stop after N workloads (0 = whole suite)")
-		stopOne   = flag.Bool("stop-on-bug", false, "stop at the first violating workload")
-		repro     = flag.String("repro", "", "run a single reproducer file (workload.Format syntax) instead of a suite")
-		serve     = flag.String("serve", "", "coordinate a distributed campaign on this host:port instead of running locally")
-		workerFor = flag.String("worker", "", "join the distributed campaign coordinated at this host:port (spec comes from the coordinator)")
-		resume    = flag.String("resume", "", "(with -serve or -fuzz) append completed units to this checkpoint file and skip the units it already records")
-		leaseTTL  = flag.Duration("lease", lease.DefaultTTL, "(with -serve) lease deadline before a shard is re-dispatched")
-
-		shardRetries = flag.Int("shard-retries", lease.DefaultRetries,
-			"(with -serve) failed dispatch attempts before a shard is quarantined instead of re-dispatched")
-		retryQuar = flag.Bool("retry-quarantined", false,
-			"(with -serve -resume) re-run the shards the checkpoint records as quarantined")
-		wireFaults = flag.Uint64("wire-faults", 0,
-			"(with -serve) seed the deterministic wire-fault injector — chaos testing only (0 = off)")
-		shardTimeout = flag.Duration("shard-timeout", campaign.DefaultShardTimeout,
-			"(with -worker) watchdog deadline per shard engine call (negative = no watchdog)")
-		poisonShard = flag.Int("poison-shard", -1,
-			"(with -worker) chaos hook: panic on this shard id to model a crash-looping workload (-1 = off)")
-
-		fuzzMode = flag.Bool("fuzz", false,
-			"run a coverage-guided fuzzing soak instead of a suite: on -j in-process workers, or distributed with -serve")
-		budget = flag.String("budget", "",
-			"(with -fuzz) soak budget: a duration (\"2h\") or a total exec count (\"2000\"; exec budgets make the soak byte-reproducible)")
-		fuzzSeed = flag.Int64("fuzz-seed", 1,
-			"(with -fuzz) master fuzzing seed; round r runs with RNG stream splitmix64(seed, r)")
-		roundExecs = flag.Int("round-execs", fleet.DefaultRoundExecs,
-			"(with -fuzz) fuzzing iterations per round lease")
-		genRounds = flag.Int("gen-rounds", fleet.DefaultGenRounds,
-			"(with -fuzz) rounds per generation (the corpus-fold barrier width)")
-	)
-	flag.Parse()
-
-	// -app changes the defaults: the KV suite, and (without an explicit
-	// -fs) a sweep over every supported file system. -fuzz changes the -cap
-	// default to the fuzzer's 2 (the paper's choice for open-ended search).
-	fsExplicit, suiteExplicit, capExplicit := false, false, false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "fs":
-			fsExplicit = true
-		case "suite":
-			suiteExplicit = true
-		case "cap":
-			capExplicit = true
-		}
-	})
-	if cli.App != "" && !suiteExplicit {
-		*suite = "kv"
+	cmd, err := parseCommand(flag.CommandLine, os.Args[1:])
+	fatalIf(err)
+	cli := cmd.cli
+	if cmd.workerFor != "" {
+		os.Exit(runWorker(cmd.workerFor, cli, cmd.shardTimeout, cmd.poison))
 	}
 
-	if *workerFor != "" {
-		os.Exit(runWorker(*workerFor, cli, *shardTimeout, *poisonShard))
-	}
-
-	opts, err := cli.Options()
+	opts, err := cmd.spec.Options()
 	fatalIf(err)
 	inst, err := cli.Instrument()
 	fatalIf(err)
 	defer inst.Close() //nolint:errcheck // re-checked explicitly below
 	inst.Apply(&opts)
 
-	if *serve != "" || *fuzzMode {
-		if *repro != "" {
+	if cmd.serve != "" || cmd.fuzz {
+		if cmd.repro != "" {
 			fatalIf(errors.New("-repro runs one workload locally; it combines with neither -serve nor -fuzz"))
 		}
 		_, _, err := opts.Resolve()
 		fatalIf(err)
-		// The removed -workers flag defaulted to 1, and the campaign ID hashes
-		// the spec: keeping the 1 keeps -resume checkpoints written by earlier
-		// builds valid.
-		spec := campaign.Spec{
-			FS: cli.FS, Bugs: cli.Bugs, Cap: opts.Cap, Workers: 1,
-			CheckTimeoutNanos: int64(opts.CheckTimeout), ExhaustiveLimit: opts.ExhaustiveLimit,
-			Faults: cli.Faults, FaultSeed: cli.FaultSeed, Stats: cli.Stats, App: cli.App, AppBugs: cli.AppBugs,
-		}
-		if *fuzzMode {
-			execs, dur, err := fleet.ParseBudget(*budget)
-			fatalIf(err)
-			spec.Fuzz, spec.FuzzSeed, spec.RoundExecs, spec.GenRounds = true, *fuzzSeed, *roundExecs, *genRounds
-			spec.BudgetExecs, spec.BudgetNanos = execs, int64(dur)
-			if !capExplicit {
-				spec.Cap = 2
-			}
-		} else {
-			spec.Suite, spec.Max = *suite, *max
-		}
+		spec, err := cmd.coordinatorSpec()
+		fatalIf(err)
 		k := serveKnobs{
-			retries: *shardRetries, leaseTTL: *leaseTTL, checkpoint: *resume,
-			retryQuarantined: *retryQuar, wireFaultSeed: *wireFaults,
+			retries: cmd.shardRetries, leaseTTL: cmd.leaseTTL, checkpoint: cmd.resume,
+			retryQuarantined: cmd.retryQuarantined, wireFaultSeed: cmd.wireFaults,
 		}
 		// Local fuzzing is a one-process fleet soak: the coordinator on a
 		// loopback port, and -j fleet workers in process against it.
-		addr := *serve
+		addr := cmd.serve
 		if addr == "" {
 			addr, k.localWorkers = "127.0.0.1:0", cli.Jobs
 			if k.localWorkers <= 0 {
@@ -164,43 +199,45 @@ func main() {
 	}
 
 	var suiteWs []workload.Workload
-	if *repro != "" {
-		data, err := os.ReadFile(*repro)
+	suite := cmd.suite
+	if cmd.repro != "" {
+		data, err := os.ReadFile(cmd.repro)
 		fatalIf(err)
 		w, err := workload.Parse(string(data))
 		fatalIf(err)
 		if w.Name == "" {
-			w.Name = *repro
+			w.Name = cmd.repro
 		}
 		suiteWs = []workload.Workload{w}
-		*suite = "repro"
+		suite = "repro"
 	} else {
-		suiteWs, err = ace.SuiteByName(*suite)
+		suiteWs, err = ace.SuiteByName(suite)
 		fatalIf(err)
 	}
-	if *max > 0 && *max < len(suiteWs) {
-		suiteWs = suiteWs[:*max]
+	if cmd.max > 0 && cmd.max < len(suiteWs) {
+		suiteWs = suiteWs[:cmd.max]
 	}
 
-	if cli.App != "" {
+	// -app without -fs sweeps every supported file system.
+	if cmd.spec.App != "" {
 		systems := harness.Systems()
-		if fsExplicit {
-			sys, err := harness.SystemByName(cli.FS)
+		if cmd.explicit("fs") {
+			sys, err := harness.SystemByName(cmd.spec.FS)
 			fatalIf(err)
 			systems = []harness.System{sys}
 		}
-		os.Exit(runApp(cli, opts, *suite, suiteWs, systems, inst))
+		os.Exit(runApp(cli, cmd.spec, opts, suite, suiteWs, systems, inst))
 	}
 
 	sys, cfg, err := opts.Resolve()
 	fatalIf(err)
 
 	faultNote := ""
-	if cli.Faults {
-		faultNote = fmt.Sprintf(", faults on (seed %d)", cli.FaultSeed)
+	if cmd.spec.Faults {
+		faultNote = fmt.Sprintf(", faults on (seed %d)", cmd.spec.FaultSeed)
 	}
 	fmt.Printf("chipmunk: %s (bugs %s), suite %s: %d workloads, cap=%d%s\n",
-		sys.Name, opts.Bugs, *suite, len(suiteWs), opts.Cap, faultNote)
+		sys.Name, opts.Bugs, suite, len(suiteWs), opts.Cap, faultNote)
 
 	ctx, stop := harness.SignalContext(context.Background())
 	defer stop()
@@ -211,7 +248,7 @@ func main() {
 	}
 
 	runOpts := []harness.Option{harness.WithWorkers(cli.Jobs)}
-	if *stopOne {
+	if cmd.stopOne {
 		runOpts = append(runOpts, harness.WithStopOnFirstBug())
 	}
 	lastBugs := 0
@@ -239,16 +276,17 @@ func main() {
 
 // runApp is the -app mode: check the application's crash contract on one
 // file system (explicit -fs) or sweep all of them, then render the
-// durability report. It returns the exit status, which matches the suite
-// convention: 1 when the contract was violated anywhere, 130 on interrupt.
-func runApp(cli *harness.CLIOptions, opts harness.Options, suiteName string,
+// durability report. opts is spec resolved. It returns the exit status,
+// which matches the suite convention: 1 when the contract was violated
+// anywhere, 130 on interrupt.
+func runApp(cli *harness.CLIOptions, spec campaign.Spec, opts harness.Options, suiteName string,
 	suiteWs []workload.Workload, systems []harness.System, inst *harness.Instrumentation) int {
 	fmt.Printf("chipmunk: app=%s (app-bugs %s), suite %s: %d workloads × %d file systems, cap=%d\n",
-		cli.App, cli.AppBugs, suiteName, len(suiteWs), len(systems), opts.Cap)
+		spec.App, spec.AppBugs, suiteName, len(suiteWs), len(systems), opts.Cap)
 
 	ctx, stop := harness.SignalContext(context.Background())
 	defer stop()
-	inst.EmitRun("app/"+cli.App, len(suiteWs)*len(systems))
+	inst.EmitRun("app/"+spec.App, len(suiteWs)*len(systems))
 	if addr := inst.Debug.Addr(); addr != "" {
 		fmt.Printf("debug listener on http://%s (/debug/vars, /debug/pprof/, /progress)\n", addr)
 	}
@@ -296,7 +334,7 @@ func runApp(cli *harness.CLIOptions, opts harness.Options, suiteName string,
 
 	if cli.DurabilityReport != "" && len(runs) > 0 {
 		fatalIf(report.WriteDurability(cli.DurabilityReport, report.DurabilityReport{
-			App: cli.App, AppBugs: cli.AppBugs, Suite: suiteName,
+			App: spec.App, AppBugs: spec.AppBugs, Suite: suiteName,
 			Cap: opts.Cap, Journal: cli.Journal, Runs: runs,
 		}))
 		fmt.Printf("\nwrote durability report to %s\n", cli.DurabilityReport)
@@ -493,22 +531,9 @@ func writeCampaignSummary(dir string, c *campaign.Coordinator, st campaign.Stats
 	if dir == "" {
 		return
 	}
-	quarantined := make([]report.QuarantinedShard, 0)
-	for _, q := range c.Quarantined() {
-		quarantined = append(quarantined, report.QuarantinedShard{
-			Shard: q.Shard, Start: q.Start, End: q.End, Worker: q.Worker, Err: q.Err, Attempts: q.Attempts,
-		})
-	}
 	wr, err := report.NewWriter(dir)
 	fatalIf(err)
-	info := c.Info()
-	path, err := wr.WriteCampaignSummary(report.CampaignSummary{
-		CampaignID: info.CampaignID, FS: info.Spec.FS, Suite: info.Spec.Suite,
-		SuiteHash: info.SuiteHash, Workloads: info.Workloads, Shards: info.Shards, ShardSize: info.ShardSize,
-		Resumed: st.Resumed, Redispatched: st.Redispatched, Duplicates: st.Duplicates, Rejected: st.Rejected,
-		BadPayloads: st.BadPayloads, Heartbeats: st.Heartbeats, PerWorker: st.PerWorker,
-		Quarantined: quarantined, Fingerprint: campaign.Fingerprint(census, viol),
-	})
+	path, err := wr.WriteCampaignSummary(c.Info(), st, c.Quarantined(), campaign.Fingerprint(census, viol))
 	fatalIf(err)
 	fmt.Printf("wrote campaign summary to %s\n", path)
 }

@@ -53,7 +53,7 @@ func freeAddr(t *testing.T) string {
 func serveRun(t *testing.T, spec campaign.Spec, outDir string, n int, poison ...int) int {
 	t.Helper()
 	addr := freeAddr(t)
-	cli := &harness.CLIOptions{FS: spec.FS, Bugs: spec.Bugs, OutDir: outDir}
+	cli := &harness.CLIOptions{OutDir: outDir}
 	inst, err := cli.Instrument()
 	if err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestServeFuzzSoak(t *testing.T) {
 // loopback port with n in-process workers. It returns the exit code.
 func localRun(t *testing.T, spec campaign.Spec, outDir string, n int) int {
 	t.Helper()
-	cli := &harness.CLIOptions{FS: spec.FS, Bugs: spec.Bugs, OutDir: outDir}
+	cli := &harness.CLIOptions{OutDir: outDir}
 	inst, err := cli.Instrument()
 	if err != nil {
 		t.Fatal(err)
@@ -235,17 +235,16 @@ func TestWorkerFetchesSpecOnce(t *testing.T) {
 func TestAppSweepSpanIDsUnique(t *testing.T) {
 	dir := t.TempDir()
 	journal := filepath.Join(dir, "sweep.jsonl")
-	fl := flag.NewFlagSet("chipmunk", flag.ContinueOnError)
-	cli := harness.BindCLI(fl)
 	args := []string{"-app", "kv", "-journal", journal, "-durability-report", filepath.Join(dir, "DURABILITY.md")}
-	if err := fl.Parse(args); err != nil {
-		t.Fatal(err)
-	}
-	opts, err := cli.Options()
+	cmd, err := parseCommand(flag.NewFlagSet("chipmunk", flag.ContinueOnError), args)
 	if err != nil {
 		t.Fatal(err)
 	}
-	inst, err := cli.Instrument()
+	opts, err := cmd.spec.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := cmd.cli.Instrument()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +254,7 @@ func TestAppSweepSpanIDsUnique(t *testing.T) {
 		t.Fatal(err)
 	}
 	systems := harness.Systems()[:2]
-	if code := runApp(cli, opts, "kv-smoke", suite, systems, inst); code != harness.ExitClean {
+	if code := runApp(cmd.cli, cmd.spec, opts, "kv-smoke", suite, systems, inst); code != harness.ExitClean {
 		t.Fatalf("sweep exit %d, want %d", code, harness.ExitClean)
 	}
 	events, skipped, err := obs.ReadJournalFile(journal)
@@ -277,5 +276,44 @@ func TestAppSweepSpanIDsUnique(t *testing.T) {
 	}
 	if len(traces) != len(systems) {
 		t.Fatalf("%d spans in %d traces, want one trace per system (%d)", len(seen), len(traces), len(systems))
+	}
+}
+
+// TestCoordinatorSpecCampaignIDs pins the wire identity of the spec -serve
+// and -fuzz coordinate: each command line's campaign ID (a hash of the
+// spec's JSON) is the one earlier builds printed, so their -resume
+// checkpoints stay valid.
+func TestCoordinatorSpecCampaignIDs(t *testing.T) {
+	for _, tc := range []struct{ args, id string }{
+		{"-fs nova -suite seq2", "c93b3bc9bec561198"},
+		{"-fs pmfs -bugs 13,16 -suite seq1 -max 50 -cap 2 -faults -fault-seed 7", "c9dec495296923f4e"},
+		{"-app kv -fs winefs -check-timeout 2s -exhaustive-limit 10 -stats", "c0c0ece604dda491a"},
+		{"-fuzz -budget 300 -bugs 4,5 -fs nova", "feebf1e61ada82199"},
+		{"-fuzz -budget 90s -fuzz-seed 3 -round-execs 40 -gen-rounds 4 -cap 3 -app kv -app-bugs ack-loss", "f57d76345545c2f43"},
+	} {
+		cmd, err := parseCommand(flag.NewFlagSet("chipmunk", flag.ContinueOnError), strings.Fields(tc.args))
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := cmd.coordinatorSpec()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var coord interface {
+			Info() campaign.SpecInfo
+			Close() error
+		}
+		if spec.Fuzz {
+			coord, err = fleet.NewCoordinator(fleet.CoordinatorConfig{Spec: spec})
+		} else {
+			coord, err = campaign.NewCoordinator(campaign.CoordinatorConfig{Spec: spec})
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.args, err)
+		}
+		if got := coord.Info().CampaignID; got != tc.id {
+			t.Errorf("%s: campaign %s, want %s (spec %+v)", tc.args, got, tc.id, spec)
+		}
+		coord.Close()
 	}
 }

@@ -99,10 +99,10 @@ func finish(start time.Time) {
 	fatalIfErr(inst.Close())
 }
 
-// detectOpts builds the DetectOptions every detection-based experiment
+// detectConfig builds the engine Config every detection-based experiment
 // shares, with the instrumentation wired in.
-func detectOpts(cap int) harness.DetectOptions {
-	return harness.DetectOptions{Cap: cap, Obs: inst.Col, Tracer: inst.Tracer}
+func detectConfig(cap int) core.Config {
+	return core.Config{Cap: cap, Obs: inst.Col, Tracer: inst.Tracer}
 }
 
 func fatalIfErr(err error) {
@@ -117,7 +117,7 @@ func header(s string) {
 
 func table1() error {
 	header("Table 1 — bugs found by Chipmunk (targeted workloads, exhaustive replay)")
-	rows, err := harness.RunTable1(detectOpts(*capFlag))
+	rows, err := harness.RunTable1(detectConfig(*capFlag))
 	if err != nil {
 		return err
 	}
@@ -145,12 +145,12 @@ func table2() error {
 func fig3() error {
 	header("Figure 3 — cumulative time to find bugs: ACE vs fuzzer")
 	fmt.Println("running per-bug ACE scans (bounded at 600 workloads/bug)...")
-	acePts, err := harness.Fig3ACE(600, detectOpts(2))
+	acePts, err := harness.Fig3ACE(600, detectConfig(2))
 	if err != nil {
 		return err
 	}
 	fmt.Println("running per-bug fuzzer campaigns (bounded at 1500 execs/bug)...")
-	fuzzPts, err := harness.Fig3Fuzz(42, 1500, detectOpts(2))
+	fuzzPts, err := harness.Fig3Fuzz(42, 1500, detectConfig(2))
 	if err != nil {
 		return err
 	}

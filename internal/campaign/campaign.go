@@ -29,6 +29,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"fmt"
 	"hash/fnv"
 	"slices"
@@ -37,17 +38,22 @@ import (
 	"time"
 
 	"chipmunk/internal/ace"
+	"chipmunk/internal/app/kvwork"
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
 	"chipmunk/internal/lease"
+	"chipmunk/internal/obs"
+	"chipmunk/internal/pmem"
 	"chipmunk/internal/workload"
 )
 
-// Spec is the campaign configuration the coordinator is authoritative for.
-// Workers fetch it on handshake and resolve it locally — the suite itself
-// never crosses the wire, only its name plus the fingerprint that proves
-// both sides generated the same workloads. Fields mirror the shared CLI
-// flags (harness.BindCLI), in wire-friendly types.
+// Spec is the run selection: the system under test, the engine tuning and
+// the work (a suite, or a fuzz soak). BindFlags declares its engine flags,
+// and every mode resolves it through Options — a local run, the -serve and
+// -fuzz coordinators, which are authoritative for it, and the workers,
+// which fetch it on handshake. The suite itself never crosses the wire,
+// only its name plus the fingerprint that proves both sides generated the
+// same workloads.
 type Spec struct {
 	// FS and Bugs select the system under test (Bugs in -bugs syntax:
 	// "none", "all", or a comma-separated ID list).
@@ -71,8 +77,9 @@ type Spec struct {
 	// Faults/FaultSeed enable the deterministic pmem fault injector.
 	Faults    bool   `json:"faults,omitempty"`
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
-	// Stats asks workers to run with a metrics collector so shard
-	// censuses carry obs snapshots (merged like the serial path would).
+	// Stats asks for a metrics collector on every run (Options attaches a
+	// fresh one), so shard censuses carry obs snapshots, merged as the
+	// serial path would.
 	Stats bool `json:"stats,omitempty"`
 	// App selects an application-level workload and contract checker
 	// ("" = FS-oracle checking); AppBugs is its -app-bugs spec. Every
@@ -115,24 +122,58 @@ func (s Spec) BuildSuite() ([]workload.Workload, error) {
 	return suite, nil
 }
 
-// Options resolves the spec into the harness Options a worker runs with.
+// BindFlags declares the engine flags on fl, bound into s: the target
+// (-fs, -bugs), the engine tuning (-cap, -check-timeout, -exhaustive-limit),
+// the fault model (-faults, -fault-seed) and the application (-app,
+// -app-bugs). Options parses the values, and its Resolve looks up -fs.
+func (s *Spec) BindFlags(fl *flag.FlagSet) {
+	fl.StringVar(&s.FS, "fs", "nova", "file system: nova, nova-fortis, pmfs, winefs, splitfs, ext4-dax, xfs-dax")
+	fl.StringVar(&s.Bugs, "bugs", "none", `injected bugs: "none", "all", or comma-separated IDs (e.g. "4,5")`)
+	fl.IntVar(&s.Cap, "cap", 0, "max in-flight writes replayed per crash state (0 = exhaustive)")
+	fl.DurationVar((*time.Duration)(&s.CheckTimeoutNanos), "check-timeout", core.DefaultCheckTimeout,
+		"per-crash-state check deadline; hung checks are quarantined as check-timeout (negative = no deadline)")
+	fl.IntVar(&s.ExhaustiveLimit, "exhaustive-limit", core.DefaultExhaustiveLimit,
+		"max in-flight writes for exhaustive subset enumeration before falling back to the safety cap")
+	fl.StringVar(&s.App, "app", "",
+		`application-level durability checking: "kv" runs the WAL KV store workload and checks its crash contract instead of the FS oracle`)
+	fl.StringVar(&s.AppBugs, "app-bugs", "none",
+		`seeded application bugs for -app: "none", or comma-separated of ack-loss, bad-crc`)
+	fl.BoolVar(&s.Faults, "faults", false,
+		"inject pmem faults (torn stores, bit flips, media errors) into crash states")
+	fl.Uint64Var(&s.FaultSeed, "fault-seed", 1, "deterministic seed for -faults")
+}
+
+// Options resolves the spec into the harness Options a run uses: the bug
+// set, application and fault model parsed, and, when Stats is set, a fresh
+// collector for the run's metrics.
 func (s Spec) Options() (harness.Options, error) {
-	cli := harness.CLIOptions{
+	set, err := harness.ParseBugSpec(s.Bugs)
+	if err != nil {
+		return harness.Options{}, err
+	}
+	if err := harness.AppByName(s.App); err != nil {
+		return harness.Options{}, err
+	}
+	appBugs, err := kvwork.ParseBugs(s.AppBugs)
+	if err != nil {
+		return harness.Options{}, err
+	}
+	o := harness.Options{
 		FS:              s.FS,
-		Bugs:            s.Bugs,
+		Bugs:            set,
 		Cap:             s.Cap,
 		CheckTimeout:    time.Duration(s.CheckTimeoutNanos),
 		ExhaustiveLimit: s.ExhaustiveLimit,
 		App:             s.App,
-		AppBugs:         s.AppBugs,
-		Faults:          s.Faults,
-		FaultSeed:       s.FaultSeed,
+		AppBugs:         appBugs,
 	}
-	opts, err := cli.Options()
-	if err != nil {
-		return harness.Options{}, fmt.Errorf("campaign spec: %w", err)
+	if s.Faults {
+		o.Faults = pmem.DefaultFaults(s.FaultSeed)
 	}
-	return opts, nil
+	if s.Stats {
+		o.Obs = obs.New()
+	}
+	return o, nil
 }
 
 // SpecInfo is the handshake response (GET /campaign/spec): the spec plus

@@ -17,7 +17,6 @@ import (
 	"chipmunk/internal/core"
 	"chipmunk/internal/harness"
 	"chipmunk/internal/lease"
-	"chipmunk/internal/obs"
 	"path/filepath"
 )
 
@@ -60,7 +59,6 @@ func serialRun(spec Spec, optWorkers int) (*harness.Census, []core.Violation, er
 		return nil, nil, err
 	}
 	opts.Workers = optWorkers
-	opts.Obs = obs.New()
 	_, cfg, err := opts.Resolve()
 	if err != nil {
 		return nil, nil, err
@@ -600,5 +598,38 @@ func TestSpecWorkersIgnoredButKept(t *testing.T) {
 	defer coord.Close()
 	if id := coord.Info().CampaignID; id != "c08cd1578b3d5ee8e" {
 		t.Errorf("campaign ID %s, want c08cd1578b3d5ee8e", id)
+	}
+}
+
+// TestSpecOptions: Options names a bad bug, app or app-bug value, and
+// attaches a collector of its own to each resolution exactly when Stats is
+// set.
+func TestSpecOptions(t *testing.T) {
+	for _, tc := range []struct {
+		spec Spec
+		bad  string
+	}{
+		{Spec{FS: "nova", Bugs: "99"}, "99"},
+		{Spec{FS: "nova", Bugs: "4,x"}, `"x"`},
+		{Spec{FS: "nova", App: "nope"}, `"nope"`},
+		{Spec{FS: "nova", App: "kv", AppBugs: "nope"}, `"nope"`},
+	} {
+		if _, err := tc.spec.Options(); err == nil || !strings.Contains(err.Error(), tc.bad) {
+			t.Errorf("%+v: err %v, want one naming %s", tc.spec, err, tc.bad)
+		}
+	}
+	spec := Spec{FS: "nova", Bugs: "4,5", Faults: true, FaultSeed: 7}
+	opts, err := spec.Options()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Obs != nil || opts.Faults == nil || opts.Faults.Seed != 7 || len(opts.Bugs) != 2 {
+		t.Fatalf("opts = %+v", opts)
+	}
+	spec.Stats = true
+	a, errA := spec.Options()
+	b, errB := spec.Options()
+	if errA != nil || errB != nil || a.Obs == nil || b.Obs == nil || a.Obs == b.Obs {
+		t.Fatalf("Stats: collectors %p, %p (errors %v, %v), want two distinct", a.Obs, b.Obs, errA, errB)
 	}
 }

@@ -52,7 +52,6 @@ func restrictedBaseline(t *testing.T, spec Spec, exclude map[int]bool) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Obs = obs.New()
 	_, cfg, err := opts.Resolve()
 	if err != nil {
 		t.Fatal(err)

@@ -107,7 +107,8 @@ var (
 )
 
 // fold applies one outcome to the result, and keeps it for the prefix memo
-// when the run is recording its op.
+// when the run is recording its op. Journal events are built only when a
+// tracer will write them.
 func (ck *checker) fold(out checkOutcome) {
 	ck.recordOutcome(out)
 	ck.res.StatesChecked++
@@ -117,23 +118,27 @@ func (ck *checker) fold(out checkOutcome) {
 		} else {
 			ck.res.Quarantined = append(ck.res.Quarantined, *out.q)
 		}
-		ck.tracer.Emit(obs.Event{
-			Type: "quarantine", FS: ck.caps.Name, Workload: ck.w.Name,
-			Fence: out.q.Fence, Sys: out.q.Sys, Rank: out.q.Rank,
-			Phase: out.q.Phase.String(), Kind: out.q.Kind.String(),
-			StateKey: fmt.Sprintf("%016x", out.q.StateKey),
-			Detail:   out.q.Detail,
-		})
+		if ck.tracer.Enabled() {
+			ck.tracer.Emit(obs.Event{
+				Type: "quarantine", FS: ck.caps.Name, Workload: ck.w.Name,
+				Fence: out.q.Fence, Sys: out.q.Sys, Rank: out.q.Rank,
+				Phase: out.q.Phase.String(), Kind: out.q.Kind.String(),
+				StateKey: fmt.Sprintf("%016x", out.q.StateKey),
+				Detail:   out.q.Detail,
+			})
+		}
 	}
 	if out.v != nil {
 		ck.reportViolation(*out.v)
-		ck.tracer.Emit(obs.Event{
-			Type: "violation", FS: ck.caps.Name, Workload: ck.w.Name,
-			Fence: out.ctx.Fence, Sys: out.ctx.Sys, Rank: out.ctx.Rank,
-			Phase: out.v.Phase.String(), Kind: out.v.Kind.String(),
-			Detail: firstLine(out.v.Detail),
-			Prefix: ck.tracePrefix(out.ctx.Sys),
-		})
+		if ck.tracer.Enabled() {
+			ck.tracer.Emit(obs.Event{
+				Type: "violation", FS: ck.caps.Name, Workload: ck.w.Name,
+				Fence: out.ctx.Fence, Sys: out.ctx.Sys, Rank: out.ctx.Rank,
+				Phase: out.v.Phase.String(), Kind: out.v.Kind.String(),
+				Detail: firstLine(out.v.Detail),
+				Prefix: ck.tracePrefix(out.ctx.Sys),
+			})
+		}
 	}
 }
 

@@ -376,3 +376,28 @@ func TestExhaustiveLimitOverride(t *testing.T) {
 			low.StatesChecked, base.StatesChecked)
 	}
 }
+
+// TestFoldBuildsNoEventWithoutTracer: with journaling off, folding a
+// violation and a quarantine into a pre-sized ledger allocates nothing, so
+// neither journal event (a violation's trace prefix, a quarantine's state
+// key) is built only for a nil tracer to drop.
+func TestFoldBuildsNoEventWithoutTracer(t *testing.T) {
+	if raceDetectorEnabled {
+		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless under -race")
+	}
+	w := sandboxWorkload()
+	ck := &checker{w: w, res: &Result{
+		Violations:  make([]Violation, 0, maxViolationsPerRun),
+		Quarantined: make([]Quarantine, 0, maxViolationsPerRun),
+	}}
+	ctx := CheckContext{Fence: 2, Sys: len(w.Ops) - 1, Rank: 1}
+	v := &Violation{Kind: VAtomicity, Workload: w, Syscall: ctx.Sys, Detail: "lost\nwrite"}
+	q := &Quarantine{Workload: w.Name, Fence: 2, Sys: ctx.Sys, StateKey: 0xfeed, Kind: VPanic, Detail: "boom"}
+	out := checkOutcome{v: v, q: q, ctx: ctx}
+	if allocs := testing.AllocsPerRun(100, func() { ck.fold(out) }); allocs != 0 {
+		t.Fatalf("fold without a tracer: %.1f allocs per call, want 0", allocs)
+	}
+	if ck.res.StatesChecked != 101 || len(ck.res.Violations) == 0 || len(ck.res.Quarantined) == 0 {
+		t.Fatalf("fold did not record: %+v", ck.res)
+	}
+}

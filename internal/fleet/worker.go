@@ -73,9 +73,6 @@ func RunWorker(ctx context.Context, wc WorkerConfig) error {
 	if err != nil {
 		return err
 	}
-	if spec.Stats {
-		opts.Obs = obs.New()
-	}
 	sys, cfg, err := opts.Resolve()
 	if err != nil {
 		return err

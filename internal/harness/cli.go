@@ -2,50 +2,33 @@ package harness
 
 import (
 	"flag"
-	"time"
 
-	"chipmunk/internal/app/kvwork"
-	"chipmunk/internal/core"
 	"chipmunk/internal/obs"
-	"chipmunk/internal/pmem"
 )
 
-// This file is the CLIs' single flag frontend: every shared flag — engine
-// tuning, application selection, fault injection, output, and
-// observability — binds through one BindCLI call into one CLIOptions value;
+// This file is the CLIs' flag frontend for what is not the run selection:
+// suite-level execution, output and observability. The engine flags bind
+// into the run's campaign.Spec (Spec.BindFlags), which resolves them;
 // cmd/experiments, which builds its own engine configurations, binds only
 // the observability flags through BindObsCLI. Lifecycle:
 //
+//	spec := campaign.Spec{Workers: 1}
+//	spec.BindFlags(flag.CommandLine)
 //	cli := harness.BindCLI(flag.CommandLine)
 //	flag.Parse()
-//	opts, err := cli.Options()     // engine Options (validated)
+//	opts, err := spec.Options()    // engine Options (validated)
 //	inst, err := cli.Instrument()  // -stats/-journal/-debug-addr plumbing
 //	defer inst.Close()
 //	inst.Apply(&opts)
 
-// CLIOptions holds the parsed values of every shared CLI flag. Fields are
-// plain values (not pointers): read them after flag parsing.
+// CLIOptions holds the parsed values of the flags BindCLI binds. Fields
+// are plain values (not pointers): read them after flag parsing.
 type CLIOptions struct {
-	// Engine selection and tuning.
-	FS              string
-	Bugs            string
-	Cap             int
-	CheckTimeout    time.Duration
-	ExhaustiveLimit int
-
-	// Application-level durability checking.
-	App              string
-	AppBugs          string
-	DurabilityReport string
-
-	// Fault injection.
-	Faults    bool
-	FaultSeed uint64
-
 	// Suite-level execution and output.
-	Jobs    int
-	OutDir  string
-	Verbose bool
+	Jobs             int
+	OutDir           string
+	Verbose          bool
+	DurabilityReport string
 
 	// Observability.
 	Stats     bool
@@ -53,30 +36,13 @@ type CLIOptions struct {
 	DebugAddr string
 }
 
-// BindCLI registers the shared flags on fl. Call fl.Parse (or flag.Parse
-// for the default set), then Options and Instrument to resolve the parsed
-// values.
+// BindCLI registers the execution, output and observability flags on fl.
+// Call fl.Parse (or flag.Parse for the default set), then Instrument to
+// resolve the observability flags.
 func BindCLI(fl *flag.FlagSet) *CLIOptions {
 	c := BindObsCLI(fl)
-	fl.StringVar(&c.FS, "fs", "nova", "file system: nova, nova-fortis, pmfs, winefs, splitfs, ext4-dax, xfs-dax")
-	fl.StringVar(&c.Bugs, "bugs", "none", `injected bugs: "none", "all", or comma-separated IDs (e.g. "4,5")`)
-	fl.IntVar(&c.Cap, "cap", 0, "max in-flight writes replayed per crash state (0 = exhaustive)")
-	fl.DurationVar(&c.CheckTimeout, "check-timeout", core.DefaultCheckTimeout,
-		"per-crash-state check deadline; hung checks are quarantined as check-timeout (negative = no deadline)")
-	fl.IntVar(&c.ExhaustiveLimit, "exhaustive-limit", core.DefaultExhaustiveLimit,
-		"max in-flight writes for exhaustive subset enumeration before falling back to the safety cap")
-
-	fl.StringVar(&c.App, "app", "",
-		`application-level durability checking: "kv" runs the WAL KV store workload and checks its crash contract instead of the FS oracle`)
-	fl.StringVar(&c.AppBugs, "app-bugs", "none",
-		`seeded application bugs for -app: "none", or comma-separated of ack-loss, bad-crc`)
 	fl.StringVar(&c.DurabilityReport, "durability-report", "DURABILITY.md",
 		"(with -app) write the application-durability report to this path")
-
-	fl.BoolVar(&c.Faults, "faults", false,
-		"inject pmem faults (torn stores, bit flips, media errors) into crash states")
-	fl.Uint64Var(&c.FaultSeed, "fault-seed", 1, "deterministic seed for -faults")
-
 	fl.IntVar(&c.Jobs, "j", 1, "suite-level workers (like the paper's VM sharding; 0 = all cores)")
 	fl.StringVar(&c.OutDir, "o", "", "write triaged bug reports and reproducers to this directory")
 	fl.BoolVar(&c.Verbose, "v", false, "print every violation")
@@ -94,36 +60,6 @@ func BindObsCLI(fl *flag.FlagSet) *CLIOptions {
 	fl.StringVar(&c.DebugAddr, "debug-addr", "",
 		"serve live introspection (/debug/vars, /debug/metrics, /debug/pprof/, /progress) on this host:port")
 	return c
-}
-
-// Options validates the parsed flag values into an engine Options,
-// including the -app wiring (application factory + contract checker) and
-// -faults configuration.
-func (c *CLIOptions) Options() (Options, error) {
-	set, err := ParseBugSpec(c.Bugs)
-	if err != nil {
-		return Options{}, err
-	}
-	if err := AppByName(c.App); err != nil {
-		return Options{}, err
-	}
-	appBugs, err := kvwork.ParseBugs(c.AppBugs)
-	if err != nil {
-		return Options{}, err
-	}
-	o := Options{
-		FS:              c.FS,
-		Bugs:            set,
-		Cap:             c.Cap,
-		CheckTimeout:    c.CheckTimeout,
-		ExhaustiveLimit: c.ExhaustiveLimit,
-		App:             c.App,
-		AppBugs:         appBugs,
-	}
-	if c.Faults {
-		o.Faults = pmem.DefaultFaults(c.FaultSeed)
-	}
-	return o, nil
 }
 
 // Instrument resolves the parsed observability flags into an

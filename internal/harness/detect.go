@@ -10,7 +10,6 @@ import (
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/core"
 	"chipmunk/internal/fuzz"
-	"chipmunk/internal/obs"
 	"chipmunk/internal/workload"
 )
 
@@ -27,30 +26,18 @@ type Detection struct {
 	Elapsed       time.Duration
 }
 
-// DetectOptions tune a detection run.
-type DetectOptions struct {
-	// Cap bounds replayed subset sizes (0 = exhaustive).
-	Cap int
-	// PostOnly restricts crash points to syscall boundaries (Obs 5).
-	PostOnly bool
-	// Obs receives per-stage metrics from the detection's engine runs
-	// (nil = off); Tracer their spans and events, each (system, bug set)
-	// on a trace of its own, since detections rerun the same workloads.
-	Obs    *obs.Collector
-	Tracer *obs.Tracer
-}
-
-// config builds the engine Config for one detection run.
-func (o DetectOptions) config(sys System, set bugs.Set) core.Config {
-	cfg := Options{Bugs: set, Cap: o.Cap, Obs: o.Obs, Tracer: o.Tracer.Derive(sys.Name + " bugs " + set.String())}.ConfigFor(sys)
-	cfg.PostOnly = o.PostOnly
+// detectConfig aims cfg at sys with set injected. Detections rerun the
+// same workloads on every (system, bug set), so each traces on its own.
+func detectConfig(cfg core.Config, sys System, set bugs.Set) core.Config {
+	cfg.NewFS = sys.Factory(set)
+	cfg.Tracer = cfg.Tracer.Derive(sys.Name + " bugs " + set.String())
 	return cfg
 }
 
 // detect scans for bug id on its system and times the scan: scan runs its
 // workloads in order, stopping at the first violating one, and returns
 // what it ran and the violations it found in order.
-func detect(id bugs.ID, opts DetectOptions, scan func(cfg core.Config) (*Census, []core.Violation, error)) (Detection, error) {
+func detect(id bugs.ID, cfg core.Config, scan func(cfg core.Config) (*Census, []core.Violation, error)) (Detection, error) {
 	info, ok := bugs.Lookup(id)
 	if !ok {
 		return Detection{}, fmt.Errorf("unknown bug %d", id)
@@ -61,7 +48,7 @@ func detect(id bugs.ID, opts DetectOptions, scan func(cfg core.Config) (*Census,
 	}
 	det := Detection{Bug: info, System: sys.Name}
 	start := time.Now()
-	c, viol, err := scan(opts.config(sys, bugs.Of(id)))
+	c, viol, err := scan(detectConfig(cfg, sys, bugs.Of(id)))
 	det.Elapsed = time.Since(start)
 	if err != nil {
 		return det, fmt.Errorf("bug %d: %w", id, err)
@@ -84,13 +71,15 @@ func scanSuite(suite []workload.Workload) func(core.Config) (*Census, []core.Vio
 
 // DetectWithTargeted checks whether the generic checker flags the bug on
 // its minimal reproduction workloads — the fast developer-loop validation.
-func DetectWithTargeted(id bugs.ID, opts DetectOptions) (Detection, error) {
-	return detect(id, opts, scanSuite(TargetedWorkloads(id)))
+// cfg is the engine configuration of every detection here: the bug's
+// system and the bug set fill in its NewFS.
+func DetectWithTargeted(id bugs.ID, cfg core.Config) (Detection, error) {
+	return detect(id, cfg, scanSuite(TargetedWorkloads(id)))
 }
 
 // VerifyFixedClean runs the bug's targeted workloads against the FIXED
 // system and reports any violation (a checker false positive).
-func VerifyFixedClean(id bugs.ID, opts DetectOptions) ([]core.Violation, error) {
+func VerifyFixedClean(id bugs.ID, cfg core.Config) ([]core.Violation, error) {
 	info, ok := bugs.Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("unknown bug %d", id)
@@ -99,7 +88,7 @@ func VerifyFixedClean(id bugs.ID, opts DetectOptions) ([]core.Violation, error) 
 	if err != nil {
 		return nil, err
 	}
-	_, viol, err := Run(context.Background(), opts.config(sys, bugs.None()), TargetedWorkloads(id))
+	_, viol, err := Run(context.Background(), detectConfig(cfg, sys, bugs.None()), TargetedWorkloads(id))
 	return viol, err
 }
 
@@ -108,19 +97,19 @@ func VerifyFixedClean(id bugs.ID, opts DetectOptions) ([]core.Violation, error) 
 // bounds the scan (0 = the full seq-1 + seq-2 + seq-3-metadata corpus).
 // seq-1, seq-2 and seq-3-metadata are products over one op alphabet, so
 // one Run's memo serves the whole scan.
-func DetectWithACE(id bugs.ID, maxWorkloads int, opts DetectOptions) (Detection, error) {
+func DetectWithACE(id bugs.ID, maxWorkloads int, cfg core.Config) (Detection, error) {
 	suite := slices.Concat(ace.Seq1(), ace.Seq2(), ace.Seq3Metadata())
 	if maxWorkloads > 0 {
 		suite = suite[:min(maxWorkloads, len(suite))]
 	}
-	return detect(id, opts, scanSuite(suite))
+	return detect(id, cfg, scanSuite(suite))
 }
 
 // DetectWithFuzzer fuzzes until the bug is found or the exec budget runs
-// out, mirroring the paper's Syzkaller runs (cap 2, §4.2, when opts.Cap is
+// out, mirroring the paper's Syzkaller runs (cap 2, §4.2, when cfg.Cap is
 // 2).
-func DetectWithFuzzer(id bugs.ID, seed int64, maxExecs int, opts DetectOptions) (Detection, error) {
-	return detect(id, opts, func(cfg core.Config) (*Census, []core.Violation, error) {
+func DetectWithFuzzer(id bugs.ID, seed int64, maxExecs int, cfg core.Config) (Detection, error) {
+	return detect(id, cfg, func(cfg core.Config) (*Census, []core.Violation, error) {
 		fz := fuzz.New(cfg, seed, nil)
 		c := &fz.Census
 		for c.Workloads < maxExecs {

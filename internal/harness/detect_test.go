@@ -21,7 +21,7 @@ func TestTable1AllBugsDetected(t *testing.T) {
 	for _, info := range bugs.All() {
 		info := info
 		t.Run(info.TableRow()[:20], func(t *testing.T) {
-			det, err := DetectWithTargeted(info.ID, DetectOptions{})
+			det, err := DetectWithTargeted(info.ID, core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -29,7 +29,7 @@ func TestTable1AllBugsDetected(t *testing.T) {
 				t.Fatalf("bug %d (%s) NOT detected on %s (checked %d states over %d workloads)",
 					info.ID, info.Consequence, det.System, det.StatesChecked, det.Workloads)
 			}
-			clean, err := VerifyFixedClean(info.ID, DetectOptions{})
+			clean, err := VerifyFixedClean(info.ID, core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +44,7 @@ func TestTable1AllBugsDetected(t *testing.T) {
 // is enough to find every bug.
 func TestCapTwoSufficient(t *testing.T) {
 	for _, info := range bugs.All() {
-		det, err := DetectWithTargeted(info.ID, DetectOptions{Cap: 2})
+		det, err := DetectWithTargeted(info.ID, core.Config{Cap: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,11 +55,11 @@ func TestCapTwoSufficient(t *testing.T) {
 }
 
 // TestDetectWithFuzzerInstruments: the fuzzer half of Figure 3 feeds the
-// DetectOptions collector like its ACE and targeted siblings, so
+// configured collector (cfg.Obs) like its ACE and targeted siblings, so
 // `experiments -stats fig3` counts every fuzzer exec.
 func TestDetectWithFuzzerInstruments(t *testing.T) {
 	col := obs.New()
-	det, err := DetectWithFuzzer(bugs.NovaRenameInPlaceDelete, 42, 20, DetectOptions{Cap: 2, Obs: col})
+	det, err := DetectWithFuzzer(bugs.NovaRenameInPlaceDelete, 42, 20, core.Config{Cap: 2, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestDetectWithFuzzerInstruments(t *testing.T) {
 // mid-syscall-dependent become invisible.
 func TestObservation5MidSyscallRequirement(t *testing.T) {
 	for _, info := range bugs.All() {
-		det, err := DetectWithTargeted(info.ID, DetectOptions{PostOnly: true})
+		det, err := DetectWithTargeted(info.ID, core.Config{PostOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestDetectPrefixMemoMatchesUnshared(t *testing.T) {
 		id := c.id
 		t.Run(fmt.Sprint(id), func(t *testing.T) {
 			t.Parallel()
-			got, err := DetectWithACE(id, maxWorkloads, DetectOptions{})
+			got, err := DetectWithACE(id, maxWorkloads, core.Config{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestDetectPrefixMemoMatchesUnshared(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := DetectOptions{}.config(sys, bugs.Of(id))
+			cfg := detectConfig(core.Config{}, sys, bugs.Of(id))
 			want := Detection{Bug: info, System: sys.Name}
 			scan := slices.Concat(ace.Seq1(), ace.Seq2(), ace.Seq3Metadata())
 			for _, w := range scan[:maxWorkloads] {

@@ -23,10 +23,10 @@ type Table1Row struct {
 
 // RunTable1 verifies every Table 1 bug with its targeted workloads and
 // renders the matrix.
-func RunTable1(opts DetectOptions) ([]Table1Row, error) {
+func RunTable1(cfg core.Config) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, info := range bugs.All() {
-		det, err := DetectWithTargeted(info.ID, opts)
+		det, err := DetectWithTargeted(info.ID, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -94,7 +94,7 @@ func RunTable2() (*Table2, error) {
 		t2.ShortWorkload = append(t2.ShortWorkload, info.ID)
 
 		// Measure the mid-syscall requirement.
-		postOnly, err := DetectWithTargeted(info.ID, DetectOptions{PostOnly: true})
+		postOnly, err := DetectWithTargeted(info.ID, core.Config{PostOnly: true})
 		if err != nil {
 			return nil, err
 		}
@@ -102,7 +102,7 @@ func RunTable2() (*Table2, error) {
 			t2.MidSyscallMeasured = append(t2.MidSyscallMeasured, info.ID)
 			// Measure the smallest sufficient replay cap.
 			for cap := 1; cap <= 3; cap++ {
-				det, err := DetectWithTargeted(info.ID, DetectOptions{Cap: cap})
+				det, err := DetectWithTargeted(info.ID, core.Config{Cap: cap})
 				if err != nil {
 					return nil, err
 				}
@@ -162,10 +162,10 @@ type DiscoveryPoint struct {
 
 // Fig3ACE measures, per bug, how long the systematic ACE scan takes to find
 // it (maxPerBug bounds the scan; unreachable bugs exhaust the budget).
-func Fig3ACE(maxPerBug int, opts DetectOptions) ([]DiscoveryPoint, error) {
+func Fig3ACE(maxPerBug int, cfg core.Config) ([]DiscoveryPoint, error) {
 	var out []DiscoveryPoint
 	for _, info := range bugs.All() {
-		det, err := DetectWithACE(info.ID, maxPerBug, opts)
+		det, err := DetectWithACE(info.ID, maxPerBug, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -178,10 +178,10 @@ func Fig3ACE(maxPerBug int, opts DetectOptions) ([]DiscoveryPoint, error) {
 }
 
 // Fig3Fuzz measures per-bug discovery with the fuzzer.
-func Fig3Fuzz(seed int64, maxExecs int, opts DetectOptions) ([]DiscoveryPoint, error) {
+func Fig3Fuzz(seed int64, maxExecs int, cfg core.Config) ([]DiscoveryPoint, error) {
 	var out []DiscoveryPoint
 	for _, info := range bugs.All() {
-		det, err := DetectWithFuzzer(info.ID, seed+int64(info.ID), maxExecs, opts)
+		det, err := DetectWithFuzzer(info.ID, seed+int64(info.ID), maxExecs, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -14,7 +14,7 @@ func TestRunTable1AllFound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("Table 1 runs exhaustive targeted detection for all 23 bugs; slow in -short mode")
 	}
-	rows, err := RunTable1(DetectOptions{})
+	rows, err := RunTable1(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestACEFindsReachableBugsQuickly(t *testing.T) {
 		if !info.ACEReachable {
 			continue
 		}
-		det, err := DetectWithACE(info.ID, 400, DetectOptions{Cap: 2})
+		det, err := DetectWithACE(info.ID, 400, core.Config{Cap: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -111,7 +111,7 @@ func TestACEMissesUnreachableBugs(t *testing.T) {
 		if info.ACEReachable {
 			continue
 		}
-		det, err := DetectWithACE(info.ID, 300, DetectOptions{Cap: 2})
+		det, err := DetectWithACE(info.ID, 300, core.Config{Cap: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,7 +130,7 @@ func TestFuzzerFindsACEUnreachableBugs(t *testing.T) {
 		if info.ACEReachable {
 			continue
 		}
-		det, err := DetectWithFuzzer(info.ID, 42, 600, DetectOptions{Cap: 2})
+		det, err := DetectWithFuzzer(info.ID, 42, 600, core.Config{Cap: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

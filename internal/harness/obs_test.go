@@ -3,7 +3,6 @@ package harness
 import (
 	"bytes"
 	"context"
-	"flag"
 	"reflect"
 	"sort"
 	"strings"
@@ -242,68 +241,5 @@ func TestProgressSnapshotIsDetached(t *testing.T) {
 					workers, c.Workloads, got, len(kept))
 			}
 		}
-	}
-}
-
-// TestObsFlagsInstrument: the shared flag bundle resolves to a working
-// Instrumentation and Apply threads it into Options.
-func TestObsFlagsInstrument(t *testing.T) {
-	fl := flag.NewFlagSet("test", flag.ContinueOnError)
-	spec := BindCLI(fl)
-	journal := t.TempDir() + "/run.jsonl"
-	if err := fl.Parse([]string{"-stats", "-journal", journal, "-debug-addr", "127.0.0.1:0"}); err != nil {
-		t.Fatal(err)
-	}
-	in, err := spec.Instrument()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if in.Col == nil || in.Journal == nil || in.Debug == nil {
-		t.Fatalf("instrumentation incomplete: %+v", in)
-	}
-	if in.Debug.Addr() == "" {
-		t.Fatal("debug listener has no address")
-	}
-	var o Options
-	in.Apply(&o)
-	if o.Obs != in.Col || o.Tracer != in.Tracer || o.Tracer == nil {
-		t.Fatal("Apply did not thread the instrumentation")
-	}
-	in.EmitRun("nova", 3)
-	in.Col.Inc(obs.CtrStatesChecked)
-	if s := in.RenderStats(time.Second); s == "" {
-		t.Fatal("RenderStats empty with -stats set")
-	}
-	if err := in.Close(); err != nil {
-		t.Fatal(err)
-	}
-	events, skipped, err := obs.ReadJournalFile(journal)
-	if err != nil || skipped != 0 || len(events) != 1 || events[0].Type != "run" {
-		t.Fatalf("journal after close: events=%v skipped=%d err=%v", events, skipped, err)
-	}
-
-	// All facilities off: Instrument still returns a safe bundle.
-	fl2 := flag.NewFlagSet("test2", flag.ContinueOnError)
-	spec2 := BindCLI(fl2)
-	if err := fl2.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	off, err := spec2.Instrument()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off.Col != nil || off.Journal != nil || off.Debug != nil {
-		t.Fatal("disabled instrumentation not empty")
-	}
-	if s := off.RenderStats(time.Second); s != "" {
-		t.Fatalf("RenderStats with everything off = %q", s)
-	}
-	var o2 Options
-	off.Apply(&o2)
-	if o2.Obs != nil || o2.Tracer != nil {
-		t.Fatal("Apply leaked non-nil sinks")
-	}
-	if err := off.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

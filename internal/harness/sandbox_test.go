@@ -3,12 +3,10 @@ package harness
 import (
 	"bytes"
 	"context"
-	"flag"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"chipmunk/internal/ace"
 	"chipmunk/internal/bugs"
@@ -240,46 +238,5 @@ func TestCensusCarriesQuarantine(t *testing.T) {
 			t.Errorf("ledger entry %d out of suite order under workers\nserial:   %s\nparallel: %s",
 				i, serial.Quarantined[i], par.Quarantined[i])
 		}
-	}
-}
-
-// TestBindCLISandboxOptions: -check-timeout and -exhaustive-limit plumb
-// from the shared flag surface through Options into the engine Config.
-func TestBindCLISandboxOptions(t *testing.T) {
-	fl := flag.NewFlagSet("test", flag.ContinueOnError)
-	spec := BindCLI(fl)
-	if err := fl.Parse([]string{"-check-timeout", "250ms", "-exhaustive-limit", "10"}); err != nil {
-		t.Fatal(err)
-	}
-	opts, err := spec.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts.CheckTimeout != 250*time.Millisecond || opts.ExhaustiveLimit != 10 {
-		t.Fatalf("opts = %+v", opts)
-	}
-	sys, cfg, err := opts.Resolve()
-	if err != nil || sys.Name != "nova" {
-		t.Fatalf("Resolve: %v, %v", sys.Name, err)
-	}
-	if cfg.CheckTimeout != 250*time.Millisecond || cfg.ExhaustiveLimit != 10 {
-		t.Fatalf("cfg = %+v", cfg)
-	}
-
-	// Defaults: unparsed flags resolve to the engine defaults.
-	fl2 := flag.NewFlagSet("test2", flag.ContinueOnError)
-	spec2 := BindCLI(fl2)
-	if err := fl2.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if spec2.FS != "nova" || spec2.Bugs != "none" || spec2.Cap != 0 {
-		t.Fatalf("default flags: -fs %q -bugs %q -cap %d", spec2.FS, spec2.Bugs, spec2.Cap)
-	}
-	opts2, err := spec2.Options()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if opts2.CheckTimeout != core.DefaultCheckTimeout || opts2.ExhaustiveLimit != core.DefaultExhaustiveLimit {
-		t.Fatalf("default opts = %+v", opts2)
 	}
 }
