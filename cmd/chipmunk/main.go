@@ -44,6 +44,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/metrics"
+	"strings"
 	"sync"
 	"time"
 
@@ -123,10 +124,29 @@ func parseCommand(fl *flag.FlagSet, args []string) (*command, error) {
 	if err := fl.Parse(args); err != nil {
 		return nil, err
 	}
+	if c.workerFor != "" {
+		if set := c.engineFlagsSet(); len(set) > 0 {
+			return nil, fmt.Errorf("-worker takes the run selection from the coordinator's spec; drop %s", strings.Join(set, " "))
+		}
+	}
 	if c.spec.App != "" && !c.explicit("suite") {
 		c.suite = "kv"
 	}
 	return c, nil
+}
+
+// engineFlagsSet names the flags the command line set that campaign.Spec
+// binds: the run selection, which a worker takes from its coordinator.
+func (c *command) engineFlagsSet() []string {
+	engine := flag.NewFlagSet("", flag.ContinueOnError)
+	new(campaign.Spec).BindFlags(engine)
+	var set []string
+	c.fl.Visit(func(f *flag.Flag) {
+		if engine.Lookup(f.Name) != nil {
+			set = append(set, "-"+f.Name)
+		}
+	})
+	return set
 }
 
 // explicit reports whether the command line set flag name.

@@ -317,3 +317,32 @@ func TestCoordinatorSpecCampaignIDs(t *testing.T) {
 		coord.Close()
 	}
 }
+
+// TestWorkerRefusesEngineFlags: a worker takes its run selection from the
+// coordinator, so -worker refuses every flag campaign.Spec binds, naming
+// each one the command line set, before it dials anything; the worker's own
+// and the observability flags still parse.
+func TestWorkerRefusesEngineFlags(t *testing.T) {
+	parse := func(args string) error {
+		fl := flag.NewFlagSet("chipmunk", flag.ContinueOnError)
+		_, err := parseCommand(fl, strings.Fields(args))
+		return err
+	}
+	err := parse("-worker 127.0.0.1:1 -bugs 99 -fs nope")
+	if err == nil || !strings.Contains(err.Error(), "-bugs -fs") {
+		t.Errorf("-worker with -bugs and -fs: err %v, want both named", err)
+	}
+	for _, set := range []string{"-fs pmfs", "-bugs 4", "-cap 2", "-check-timeout 2s", "-exhaustive-limit 9",
+		"-app kv", "-app-bugs ack-loss", "-faults", "-fault-seed 3"} {
+		name := strings.Fields(set)[0]
+		if err := parse("-worker 127.0.0.1:1 " + set); err == nil || !strings.HasSuffix(err.Error(), "drop "+name) {
+			t.Errorf("-worker %s: err %v, want %s named", set, err, name)
+		}
+	}
+	if err := parse("-worker 127.0.0.1:1 -j 2 -stats -journal J -shard-timeout 1m -poison-shard 3"); err != nil {
+		t.Errorf("-worker with its own flags: %v", err)
+	}
+	if err := parse("-bugs 4,5 -fs pmfs"); err != nil {
+		t.Errorf("engine flags without -worker: %v", err)
+	}
+}

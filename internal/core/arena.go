@@ -19,39 +19,44 @@ import (
 //
 // One owner. A Chain (fork.go) owns everything its runs reuse: at its first
 // run it takes one rig — recording device, baseline, key scratch, template,
-// hasher, trace log, and the checker with its fence scratch and crash image —
-// keeps it across its runs, which it makes one at a time, and puts it back in
-// Close, emptied of everything but buffers. Within a run the checker's owner
-// is the supervisor until it starts the run's runner, then that runner, and
-// after a takeover its replacement (sandbox.go). Arena memory is written only
-// by the owner, during enumerate; checks only read it, and run on the owner
-// too, so every in-fence reader finishes before the next fence's reset.
+// hasher, trace log, and the checker with its fence scratch and the crash
+// device over the baseline — keeps it across its runs, which it makes one at
+// a time, and puts it back in Close, emptied of everything but buffers.
+// Within a run the checker's owner is the supervisor until it starts the
+// run's runner, then that runner, and after a takeover its replacement
+// (sandbox.go). Arena memory is written only by the owner, during enumerate;
+// checks only read it, and run on the owner too, so every in-fence reader
+// finishes before the next fence's reset.
 //
-// One forfeit rule. An ABANDONED guest phase may go on reading, for as long
-// as it runs, everything its check reads: the checker (its Config, contract,
-// workload and result), the crash context whose subset lives in the arenas,
-// its image, and — conservatively — the trace log. None of it is reused:
-// within the run the next fence drops the arenas instead of resetting them
-// and the replacement runner takes a fresh image; at the run's end the chain
-// drops the checker with its scratch and image, the log, and the fork points
-// that index into the log. The rest of the rig — device, baseline, key
+// One forfeit rule. An ABANDONED guest phase may go on, for as long as it
+// runs, reading everything its check reads — the checker (its Config,
+// contract, workload and result), the crash context whose subset lives in
+// the arenas, and, conservatively, the trace log — and writing the crash
+// image it was mounted on: the baseline buffer of the moment, with the crash
+// device and undo log over it. None of it is reused: the supervisor rebuilds
+// the baseline in a fresh buffer, device and undo log before it starts the
+// replacement runner (sandbox.go, repair), within the run the next fence
+// drops the arenas instead of resetting them, and at the run's end the chain
+// drops the checker with its scratch, the log, and the fork points that
+// index into the log. The rest of the rig — recording device, baseline, key
 // scratch, template, hasher — is touched only by engine code on the owner,
-// never by a guest phase, and an abandoned runner unwinds touching nothing
-// but its image, so the rig serves the chain's next run. An image a guest
-// poisoned (a panic or media error left it half-restored), or one an engine
-// panic unwound through, is retired and replaced by a fresh one.
+// never by an abandoned guest, and an abandoned runner unwinds touching
+// nothing but its crash image, so the rig serves the chain's next run. An
+// image a guest poisoned (a panic or media error left it half-restored) is
+// repaired in place.
 //
 // Page sets. Every buffer in the free list except the key scratch has a
 // pmem.PageSet, and every byte outside its set pages is zero — so a grab
-// clears, and a baseline or cold prime copies, only pages some run touched.
-// The writers of each buffer keep its set: the recording device marks
-// devPages itself (Store, NTStore, Fence, Patch); the baseline is written by
-// the page-union copy from the persistent image and then by walker applies,
-// all inside devPages, which is why basePages = devPages after recording; a
-// fork chain's template is written only by the page-union copy from the
-// persistent image; a crash image equals some generation of the baseline
-// between checks (prime, and revert after every clean check), so its set is
-// basePages. stateKey's scratch needs none: it reads only bytes it has just
+// clears, and a baseline or template copy copies, only pages some run
+// touched. The writers of each buffer keep its set: the recording device
+// marks devPages itself (Store, NTStore, Fence, Patch); the template is
+// written only by the page-union copy from the persistent image after Mkfs;
+// the baseline is written by page-union copies from the persistent image or
+// the template and by walker applies, all inside devPages, which is why
+// basePages = devPages after recording. A check writes the baseline too, but
+// only through the crash device, whose undo log takes every such byte back —
+// after a clean check in its rollback, after a poisoned one at the start of
+// the repair. stateKey's scratch needs none: it reads only bytes it has just
 // written. TestDeltaMaterializePagedPoolsMatchFresh (harness) checks the
 // invariant with CheckPooledPages after every run.
 
@@ -136,10 +141,10 @@ type fenceScratch struct {
 }
 
 // clear empties a checker for its chain's next run, or for the free list: it
-// keeps its buffers, the fence scratch and the crash image, and nothing of
+// keeps its buffers, the fence scratch and the crash device, and nothing of
 // the run before (no Config, workload, contract or Result).
 func (ck *checker) clear() {
-	*ck = checker{fenceScratch: ck.fenceScratch, wi: ck.wi}
+	*ck = checker{fenceScratch: ck.fenceScratch, dev: ck.dev, undo: ck.undo}
 	ck.prefix = ck.prefix[:0]
 }
 
@@ -155,12 +160,12 @@ var rigs struct {
 }
 
 // rig is everything a chain reuses: the recording device and its two
-// images, the baseline the walk advances in place as its working image,
-// stateKey's scratch, the hasher, the trace log, and the checker with its
-// fence scratch and crash image. devPages is the page set the recording
-// device marks, covering both of its images; basePages covers the baseline.
-// A fork chain (fork.go) adds tmpl, the post-Mkfs persistent image its runs'
-// baselines start from, covered by tmplPages.
+// images, the baseline the walk advances in place as its working image and
+// mounts every crash state on, stateKey's scratch, tmpl, the post-Mkfs
+// persistent image fork restores and repairs start from, the hasher, the
+// trace log, and the checker with its fence scratch and crash device.
+// devPages is the page set the recording device marks, covering both of its
+// images; basePages covers the baseline and tmplPages the template.
 type rig struct {
 	vol, pers, baseline, scratch, tmpl []byte
 	dev                                *pmem.Device
@@ -179,8 +184,10 @@ func newRig(size int) *rig {
 		pers:      make([]byte, size),
 		baseline:  make([]byte, size),
 		scratch:   make([]byte, size),
+		tmpl:      make([]byte, size),
 		devPages:  pmem.NewPageSet(int64(size)),
 		basePages: pmem.NewPageSet(int64(size)),
+		tmplPages: pmem.NewPageSet(int64(size)),
 	}
 	// WrapImages requires the just-rebooted volatile == persistent
 	// invariant, which two zeroed buffers satisfy.
@@ -190,9 +197,9 @@ func newRig(size int) *rig {
 }
 
 // grabRig returns a rig whose recording device is just-rebooted over two
-// zeroed images; the baseline and scratch hold stale bytes until the run
-// writes them. A recycled rig clears only the pages its last run's device
-// wrote.
+// zeroed images; the baseline, template and scratch hold stale bytes until
+// the run writes them. A recycled rig clears only the pages its last run's
+// device wrote.
 func grabRig(size int) *rig {
 	rigs.Lock()
 	l := rigs.free[size]
@@ -236,10 +243,8 @@ func CheckPooledPages() error {
 				return fmt.Errorf("free rig %d (size %d): persistent image non-zero outside its pages", i, size)
 			case !r.basePages.Covers(r.baseline):
 				return fmt.Errorf("free rig %d (size %d): baseline non-zero outside its pages", i, size)
-			case r.tmpl != nil && !r.tmplPages.Covers(r.tmpl):
+			case !r.tmplPages.Covers(r.tmpl):
 				return fmt.Errorf("free rig %d (size %d): template non-zero outside its pages", i, size)
-			case r.ck != nil && r.ck.wi != nil && !r.ck.wi.pages.Covers(r.ck.wi.img):
-				return fmt.Errorf("free rig %d (size %d): crash image non-zero outside its pages", i, size)
 			}
 		}
 	}

@@ -60,11 +60,12 @@ type checker struct {
 	// written ranges into (owner-only).
 	scratch []byte
 
-	// fenceScratch is kept across the chain's runs (arena.go), with wi, the
-	// crash image the chain's last run ended on: between runs it belongs to
-	// the checker, during one to the runner's slot.
+	// fenceScratch is kept across the chain's runs (arena.go), with the
+	// crash device every state is mounted on — the rig's baseline wrapped —
+	// and its undo log.
 	fenceScratch
-	wi *workerImage
+	dev  *pmem.Device
+	undo *pmem.UndoLog
 
 	// abandoned counts guest phases the supervisor walked away from
 	// (timeout/cancel); abandonedSeen is the owner's high-water mark. When
@@ -74,11 +75,9 @@ type checker struct {
 	abandoned     atomic.Int64
 	abandonedSeen int64
 
-	// devSize is the rig's device size; basePages the pages the working
-	// image may be non-zero on at any generation (the rig's, see arena.go),
-	// which bounds every cold prime.
-	devSize   int
-	basePages *pmem.PageSet
+	// rg is the rig the run walks on: its baseline is the working image,
+	// its template and page sets what a repair rebuilds it from.
+	rg *rig
 
 	// spansCoalesced counts raw write spans merged away during dedup
 	// keying (owner-only; mapped to obs.CtrSpansCoalesced at run end).
@@ -87,26 +86,11 @@ type checker struct {
 	// memo is the run's position in its prefix memo (memo.go).
 	memo memoWalk
 
-	// The observation table (observe.go), nil when the run shares no mounts;
-	// the rig's hasher, valid at hashGen.
-	table   *obsTable
-	hasher  *imageHasher
-	hashGen int64
-
-	// baseGen is the generation of the walk's working image: the
-	// walk accumulates fence-applied writes into advAccum (baseDirty set)
-	// and commitBase folds them into one generation step — advance becomes
-	// the accumulated write set (valid when advGen == baseGen), baseGen
-	// bumps once — immediately before the next crash point's checks. Committing
-	// lazily means back-to-back fences with no check in between cost ONE
-	// generation, so the runner's image is never more than one generation
-	// behind and catches up by replaying advance instead of re-copying the
-	// device; see prime. Written by the owner only, between checks.
-	baseGen   int64
-	advance   []int
-	advGen    int64
-	advAccum  []int
-	baseDirty bool
+	// The observation table (observe.go), nil when the run shares no mounts,
+	// and the rig's hasher, nil until the run's first state takes it up
+	// (syncHasher); from then on it describes the working image's base.
+	table  *obsTable
+	hasher *imageHasher
 }
 
 // cancelled polls the run context (nil doneC: a bare test checker or a
@@ -127,9 +111,9 @@ type span struct{ lo, hi int64 }
 // crashState is one distinct crash state queued for checking: the replayed
 // in-flight subset and its byte-diff dedup key. The key's (offset, length,
 // bytes) runs are the state's minimal diff against the fence base, and so
-// its materialization recipe: the materializer applies and reverts exactly
-// those runs, one copy per merged run, and the quarantine digest hashes the
-// key instead of re-deriving the diff. Under fault injection the recipe is
+// its materialization recipe: the materializer patches exactly those runs,
+// one copy per merged run, and the quarantine digest hashes the key instead
+// of re-deriving the diff. Under fault injection the recipe is
 // the same key computed over torn write lengths (attempt). Both slices are
 // arena-backed and valid until the fence after next begins (see arena.go).
 // The zero value is a post-syscall state: empty subset, no key, the base
@@ -155,7 +139,7 @@ const (
 // mid-fence without re-running a check or re-emitting an event. Owner-only:
 // a runner writes it only while its lease is not running.
 type cursor struct {
-	img      []byte // the working image: baseline, advanced in place
+	img      []byte // the working image: baseline, advanced in place, mounted for every state
 	log      *trace.Log
 	idx      int
 	stage    walkStage
@@ -209,18 +193,11 @@ func (ck *checker) walk(sl *slot) error {
 				return err
 			}
 		}
-		// Advancing the persistent base past the fence is replay work.
-		// The applied writes accumulate as the pending advance recipe;
-		// commitBase folds them into one generation step right before
-		// the next check. A fence with nothing in flight changes no bytes
-		// and costs nothing.
+		// Advancing the persistent base past the fence is replay work. A
+		// fence with nothing in flight changes no bytes and costs nothing.
 		if e.Kind == trace.KindFence && len(c.pending) > 0 {
 			at := ck.obs.Start()
-			for _, idx := range c.pending {
-				trace.Apply(c.img, c.log.At(idx))
-			}
-			ck.advAccum = append(ck.advAccum, c.pending...)
-			ck.baseDirty = true
+			ck.applyFence(c.pending)
 			ck.obs.ObserveSince(obs.StageReplay, at)
 			c.pending = c.pending[:0]
 		}
@@ -261,7 +238,6 @@ func (ck *checker) enter(e trace.Entry) error {
 				return err
 			}
 			ck.recordPoint(memoPoint{states: 1})
-			ck.commitBase()
 			c.stage = stagePost
 		}
 	}
@@ -282,7 +258,7 @@ func (ck *checker) checkPoint(sl *slot, sys int) error {
 	if err := ck.cancelled(); err != nil {
 		return err
 	}
-	out, err := ck.checkOne(sl, c.img, c.log, crashState{}, CheckContext{Phase: PhasePost, Sys: sys, AckedOps: sys + 1})
+	out, err := ck.checkOne(sl, crashState{}, CheckContext{Phase: PhasePost, Sys: sys, AckedOps: sys + 1})
 	if err != nil {
 		return err
 	}
@@ -326,7 +302,6 @@ func (ck *checker) shouldCheckPost(sys int) bool {
 func (ck *checker) enumerate(sys int) {
 	c := &ck.cur
 	img, log, pending := c.img, c.log, c.pending
-	ck.commitBase()
 	full := pending
 	if ck.cfg.VinterFilter {
 		reads := ck.recoveryReadSet(img)
@@ -434,7 +409,7 @@ func (ck *checker) runChecks(sl *slot) error {
 		}
 		cctx := c.cctx
 		cctx.Rank = c.rank
-		out, err := ck.checkOne(sl, c.img, c.log, ck.distinct[c.rank], cctx)
+		out, err := ck.checkOne(sl, ck.distinct[c.rank], cctx)
 		if err != nil {
 			return err
 		}
@@ -582,19 +557,21 @@ func (ck *checker) resetFenceScratch() {
 	}
 }
 
-// commitBase folds the writes fences applied since the last check into one
-// generation step: advance becomes the accumulated recipe and baseGen bumps
-// once. Owner-only, called immediately before a crash point's checks — so
-// the runner's image, primed at the previous one, is exactly one
-// generation (one advance replay) behind, never more.
-func (ck *checker) commitBase() {
-	if !ck.baseDirty {
+// applyFence lands a fence's in-flight writes on the working image, in
+// program order, and syncs the observation table's hasher over them.
+// Owner-only, between checks.
+func (ck *checker) applyFence(pending []int) {
+	c := &ck.cur
+	for _, idx := range pending {
+		trace.Apply(c.img, c.log.At(idx))
+	}
+	if ck.hasher == nil {
 		return
 	}
-	ck.advance, ck.advAccum = ck.advAccum, ck.advance[:0]
-	ck.baseGen++
-	ck.advGen = ck.baseGen
-	ck.baseDirty = false
+	for _, idx := range pending {
+		e := c.log.At(idx)
+		ck.hasher.sync(c.img, e.Off, e.Off+int64(len(e.Data)))
+	}
 }
 
 // fenceCtx builds the crash context for a fence inside syscall sys (or

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -30,9 +31,9 @@ type mountLog struct {
 }
 
 // hashMountFS adds the image it is handed to its log, then mounts it, or,
-// with cold set, panics. The panic retires the image, so the run's next
-// state lands on a freshly grabbed image, cold-primed by copying the fence's
-// base in full before the state's writes land.
+// with cold set, panics. The panic has the engine repair the working image,
+// rebuilding it from the post-Mkfs template and every fence's writes, so the
+// run's next state lands on an image rebuilt in full before its writes land.
 type hashMountFS struct {
 	vfs.FS
 	pm   *persist.PM
@@ -54,7 +55,7 @@ func (f hashMountFS) Mount() error {
 
 // fullCopyRecheck runs w under cfg three times: plainly; logging each
 // delta-materialized image as it mounts; and logging each state
-// materialized on a cold image, every mount panicking. The logged run must
+// materialized on a rebuilt image, every mount panicking. The logged run must
 // equal the plain one, and the two logs must agree state by state.
 func fullCopyRecheck(t *testing.T, name string, cfg Config, w workload.Workload) {
 	t.Helper()
@@ -81,11 +82,11 @@ func fullCopyRecheck(t *testing.T, name string, cfg Config, w workload.Workload)
 }
 
 // TestDeltaMaterializeMatchesFullCopy: every crash image the delta path
-// materializes — a recycled image advanced, perturbed and reverted state by
-// state — must be byte-identical to the same state rematerialized on a cold
-// image from a full copy of the fence's base, on clean and violating runs,
-// exhaustive and capped: the prime/apply/rollback lifecycle never leaks one
-// crash state's bytes into the next.
+// materializes — the working image advanced, perturbed and rolled back state
+// by state — must be byte-identical to the same state materialized on an
+// image rebuilt in full, on clean and violating runs, exhaustive and capped:
+// the apply/rollback lifecycle never leaks one crash state's bytes into the
+// next.
 func TestDeltaMaterializeMatchesFullCopy(t *testing.T) {
 	for _, set := range []bugs.Set{bugs.None(), bugs.AllSet()} {
 		for _, cap := range []int{0, 2} {
@@ -101,9 +102,9 @@ func TestDeltaMaterializeMatchesFullCopy(t *testing.T) {
 }
 
 // TestDeltaMaterializeMatchesFullCopyUnderFaults: with the fault injector
-// on, tears and bit flips must land identically on a recycled image and on
-// a cold full copy — the injector is a pure function of (seed, state
-// identity), and revert restores the torn key's runs and the flipped byte.
+// on, tears and bit flips must land identically on the working image and on
+// a rebuilt one — the injector is a pure function of (seed, state identity),
+// and the rollback restores the torn key's runs and the flipped byte.
 func TestDeltaMaterializeMatchesFullCopyUnderFaults(t *testing.T) {
 	fc := &pmem.FaultConfig{Seed: 11, TearOneInN: 2, FlipOneInN: 3}
 	fullCopyRecheck(t, "faults", Config{NewFS: novaFS(bugs.None()), Faults: fc, Obs: obs.New()}, mixedWorkload())
@@ -128,9 +129,9 @@ func (refImage) Bytes() int { return 0 }
 // replay over its own recording of the workload: the fence's base, then
 // the subset's writes in program order, each cut to its torn prefix, then
 // the state's bit flip. The engine's image must equal it; so must the
-// engine's recipe applied to a primed image of the contract's own, and
-// reverting that recipe must give the base back. Checks run one at a time,
-// and a refFS guest never hangs, so no call overlaps another.
+// engine's recipe applied through a crash device of the contract's own, and
+// rolling that device's undo log back must give the base back. Checks run
+// one at a time, and a refFS guest never hangs, so no call overlaps another.
 type refContract struct {
 	t       *testing.T
 	name    string
@@ -144,8 +145,7 @@ type refContract struct {
 	states  int
 	tears   int
 	flips   int
-	ck      *checker
-	wi      *workerImage
+	ck      *checker // applies recipes to its working image, ck.cur.img
 }
 
 func newRefContract(t *testing.T, name string, fc *pmem.FaultConfig, newFS func(*persist.PM) vfs.FS, w workload.Workload) *refContract {
@@ -155,8 +155,9 @@ func newRefContract(t *testing.T, name string, fc *pmem.FaultConfig, newFS func(
 	if err := fs.Mkfs(); err != nil {
 		t.Fatal(err)
 	}
-	c := &refContract{t: t, name: name, fc: fc, log: trace.NewLog(), base: dev.CrashImage(),
-		ck: &checker{scratch: make([]byte, DefaultDevSize)}, wi: newWorkerImage(DefaultDevSize)}
+	ck := &checker{scratch: make([]byte, DefaultDevSize), cur: cursor{img: make([]byte, DefaultDevSize)}}
+	ck.dev, ck.undo = crashDevice(ck.cur.img)
+	c := &refContract{t: t, name: name, fc: fc, log: trace.NewLog(), base: dev.CrashImage(), ck: ck}
 	pm.Attach(persist.NewRecorder(c.log))
 	workload.Resume(fs, w, nil, workload.Hooks{
 		Before: func(i int, op workload.Op) { c.log.BeginSyscall(i, op.String()) },
@@ -216,22 +217,24 @@ func (c *refContract) Judge(o Observation, cctx *CheckContext) *Finding {
 		}
 		copy(ref[e.Off:], e.Data[:n])
 	}
-	if _, _, flipped := inj.FlipBit(ref); flipped {
+	if off, bit, flipped := inj.FlipSite(len(ref)); flipped {
+		ref[off] ^= 1 << bit
 		c.flips++
 	}
 	c.states++
 	if !bytes.Equal(o.(refImage), ref) {
 		c.t.Errorf("%s: engine image of %+v differs from its per-store replay", c.name, *cctx)
 	}
-	copy(c.wi.img, c.base)
+	img := c.ck.cur.img
+	copy(img, c.base)
 	key := internKey(c.ck.stateKey(c.base, c.log, cctx.Subset, inj))
-	off, flipped := c.ck.applyDelta(c.wi, key, inj)
-	if !bytes.Equal(c.wi.img, ref) {
+	c.ck.applyDelta(key, inj)
+	if !bytes.Equal(img, ref) {
 		c.t.Errorf("%s: the recipe of %+v builds another image than its per-store replay", c.name, *cctx)
 	}
-	c.ck.revert(c.wi, c.base, key, off, flipped)
-	if !bytes.Equal(c.wi.img, c.base) {
-		c.t.Errorf("%s: reverting the recipe of %+v leaves the image off its base", c.name, *cctx)
+	c.ck.undo.Rollback()
+	if !bytes.Equal(img, c.base) {
+		c.t.Errorf("%s: rolling back the recipe of %+v leaves the image off its base", c.name, *cctx)
 	}
 	return nil
 }
@@ -273,7 +276,7 @@ func TestStateKeyTornWriteExposesEarlierWrite(t *testing.T) {
 // every crash state the engine materializes from its one recipe — the diff
 // key over torn write lengths, plus the flip — must equal a per-store replay
 // built independently of the engine's keys, at every fence and after every
-// call, on two systems with every bug injected; and reverting the recipe
+// call, on two systems with every bug injected; and rolling the recipe back
 // must restore the base.
 func TestDeltaMaterializeMatchesReference(t *testing.T) {
 	fc := &pmem.FaultConfig{Seed: 5, TearOneInN: 2, FlipOneInN: 3}
@@ -318,10 +321,11 @@ func (f scribblePanicFS) Mount() error {
 }
 
 // TestDeltaMaterializePanicForfeitsImage: a guest that scribbles outside the
-// run's pages and panics poisons its image, and an engine panic after the
-// next state's check then unwinds the run. Neither image may be recycled: a
-// byte outside the pages would survive every later cold prime, which copies
-// only set pages.
+// run's pages and panics poisons the working image, and an engine panic after
+// the next state's check then unwinds the run. The repair must take the
+// scribble back before the rig returns to the free list: a byte outside the
+// pages would survive every later page-union copy, which covers only set
+// pages.
 func TestDeltaMaterializePanicForfeitsImage(t *testing.T) {
 	var mounts atomic.Int32
 	cfg := Config{
@@ -349,9 +353,10 @@ func TestDeltaMaterializePanicForfeitsImage(t *testing.T) {
 }
 
 // TestDeltaMaterializeRetiresPoisonedImages: a guest that panics during
-// Mount leaves its pooled image in an unknown state; the lease protocol
-// must retire it (never return it to the pool). The hostile column of the
-// engine matrix (internal/harness) pins the classification.
+// Mount leaves the working image in an unknown state; the lease protocol
+// must have it repaired, once per state, never merely rolled back. The
+// hostile column of the engine matrix (internal/harness) pins the
+// classification.
 func TestDeltaMaterializeRetiresPoisonedImages(t *testing.T) {
 	w := sandboxWorkload()
 	col := obs.New()
@@ -359,13 +364,14 @@ func TestDeltaMaterializeRetiresPoisonedImages(t *testing.T) {
 		NewFS: panicNovaFS(bugs.None()), Obs: col,
 	}, w)
 	if retired := res.Obs.Count(obs.CtrImagesRetired); retired != int64(res.StatesChecked) || retired == 0 {
-		t.Errorf("panicking guest retired %d images over %d states, want one per state", retired, res.StatesChecked)
+		t.Errorf("panicking guest repaired %d images over %d states, want one per state", retired, res.StatesChecked)
 	}
 }
 
 // TestDeltaMaterializeRetiresAbandonedImages: a check that outlives its
-// deadline abandons its goroutine, which still owns the image — the
-// dispatcher must retire it rather than race the rollback.
+// deadline abandons its goroutine, which still owns the buffer it mounted —
+// the supervisor must rebuild the image in a fresh one rather than race the
+// rollback.
 func TestDeltaMaterializeRetiresAbandonedImages(t *testing.T) {
 	col := obs.New()
 	res := mustRun(t, Config{
@@ -382,20 +388,15 @@ func TestDeltaMaterializeRetiresAbandonedImages(t *testing.T) {
 		}
 	}
 	if retired := res.Obs.Count(obs.CtrImagesRetired); retired == 0 {
-		t.Error("timed-out checks retired no images")
+		t.Error("timed-out checks repaired no images")
 	}
 }
 
 // TestDeltaMaterializeBytesScaleWithDiff: the perf contract. Per-state
 // materialization cost must track the crash state's diff (subset bytes +
-// guest-mutated bytes), not the device size; cold primes must be rare
-// (image reuse + advance-by-recipe), not once per state; and a run's prime
-// traffic must track the pages it touched, not the device size either.
+// guest-mutated bytes), not the device size.
 func TestDeltaMaterializeBytesScaleWithDiff(t *testing.T) {
-	// Warm each size first: a recycled image then carries the pages of this
-	// same workload, not of whatever ran before on that size.
 	run := func(devSize int64) *Result {
-		mustRun(t, Config{NewFS: novaFS(bugs.None()), DevSize: devSize}, mixedWorkload())
 		return mustRun(t, Config{NewFS: novaFS(bugs.None()), DevSize: devSize, Obs: obs.New()}, mixedWorkload())
 	}
 	res := run(DefaultDevSize)
@@ -409,22 +410,14 @@ func TestDeltaMaterializeBytesScaleWithDiff(t *testing.T) {
 		t.Errorf("bytes materialized per state = %d, want well under device size %d",
 			perState, int64(DefaultDevSize))
 	}
-	primes := res.Obs.Count(obs.CtrImagePrimes)
-	if primes >= states {
-		t.Errorf("full primes %d >= states %d; pool reuse never engaged", primes, states)
-	}
-	if primes == 0 {
-		t.Error("no cold prime recorded; the first state must prime its image")
-	}
 	// Every clean check rolls its image back; the counter proves the undo
 	// log is engaged on the hot path.
 	if res.Obs.Count(obs.CtrBytesRolledBack) == 0 {
 		t.Error("no bytes rolled back on a clean run")
 	}
 	// The same workload on a device eight times the size copies the same
-	// bytes per state — apply and revert traffic is a property of the diff
-	// alone — and primes the same bytes per run: a cold prime copies the
-	// pages the run touched.
+	// bytes per state: apply and rollback traffic is a property of the diff
+	// alone.
 	big := run(8 * DefaultDevSize)
 	copied := func(r *Result) float64 {
 		return float64(r.Obs.Count(obs.CtrBytesMaterialized)+r.Obs.Count(obs.CtrBytesRolledBack)) /
@@ -433,14 +426,11 @@ func TestDeltaMaterializeBytesScaleWithDiff(t *testing.T) {
 	if small, large := copied(res), copied(big); large > small*1.1 || small > large*1.1 {
 		t.Errorf("copied bytes per state moved with device size: 1x=%.0f 8x=%.0f", small, large)
 	}
-	primed := func(r *Result) float64 { return float64(r.Obs.Count(obs.CtrBytesPrimed)) }
-	if small, large := primed(res), primed(big); large > small*1.1 || small > large*1.1 {
-		t.Errorf("bytes primed per run moved with device size: 1x=%.0f 8x=%.0f", small, large)
-	}
 }
 
 // TestDeltaMaterializePostSyscallSkipsCopy: post-syscall states (empty
-// subset) on an already-primed image need no materialization work at all —
+// subset) are the working image as it stands and need no materialization
+// work at all —
 // nothing beyond the guest's own mutations is copied for them. Observable
 // as total materialized bytes staying below one device copy on a workload
 // dominated by post-syscall states.
@@ -454,5 +444,107 @@ func TestDeltaMaterializePostSyscallSkipsCopy(t *testing.T) {
 	if mat >= DefaultDevSize {
 		t.Errorf("tiny workload materialized %d bytes, want < one device copy (%d)",
 			mat, int64(DefaultDevSize))
+	}
+}
+
+// hostileFS logs the SHA-256 of every image it is handed to mount, as
+// hashMountFS does, and turns hostile at the mount ordinals its plan names:
+// it scribbles over the whole device, inside and outside the run's pages,
+// and then hangs, panics or raises a media error. The hung guest scribbles
+// only once the next mount has begun — on the replacement runner, after the
+// repair — and that mount logs its image only after the scribble landed.
+type hostileFS struct {
+	vfs.FS
+	pm   *persist.PM
+	plan *hostilePlan
+}
+
+// hostilePlan names 1-based mount ordinals (0: none) and records the mounts.
+type hostilePlan struct {
+	hang, panicAt, mediaAt int32
+	mounts                 atomic.Int32
+	log                    mountLog
+	next, scribbled        chan struct{}
+	release                chan struct{}
+}
+
+func (f hostileFS) Mount() error {
+	p := f.plan
+	n := p.mounts.Add(1)
+	if p.hang != 0 && n == p.hang+1 {
+		close(p.next)
+		<-p.scribbled
+	}
+	img := make([]byte, f.pm.Size())
+	f.pm.Mem().Peek(0, img)
+	p.log.mu.Lock()
+	p.log.sums = append(p.log.sums, sha256.Sum256(img))
+	p.log.mu.Unlock()
+	scribble := func() { f.pm.Mem().Patch(0, bytes.Repeat([]byte{0xA5}, int(f.pm.Size()))) }
+	switch n {
+	case p.hang:
+		<-p.next
+		scribble()
+		close(p.scribbled)
+		<-p.release
+		return errors.New("released after the test")
+	case p.panicAt:
+		scribble()
+		panic("scribbled, then crashed")
+	case p.mediaAt:
+		scribble()
+		panic(&pmem.MediaError{Off: 0})
+	}
+	return f.FS.Mount()
+}
+
+// TestRepairMatchesUnhinderedRun: after a takeover, a guest panic and a
+// media error, each at a mid-run state, and after all three in one run,
+// every later state of that run mounts an image whose SHA-256 equals the
+// unhindered run's: the repair rebuilds exactly the walk's base, in place
+// or, after the takeover, in a buffer the late guest's scribble cannot
+// reach.
+func TestRepairMatchesUnhinderedRun(t *testing.T) {
+	w := takeoverWorkload()
+	run := func(plan *hostilePlan) (*Result, [][sha256.Size]byte) {
+		plan.next, plan.scribbled, plan.release = make(chan struct{}), make(chan struct{}), make(chan struct{})
+		t.Cleanup(func() { close(plan.release) })
+		inner := novaFS(bugs.AllSet())
+		res := mustRun(t, Config{
+			NewFS:        func(pm *persist.PM) vfs.FS { return hostileFS{inner(pm), pm, plan} },
+			CheckTimeout: takeoverTimeout,
+			Obs:          obs.New(),
+		}, w)
+		plan.log.mu.Lock()
+		defer plan.log.mu.Unlock()
+		return res, plan.log.sums
+	}
+	healthy, want := run(&hostilePlan{})
+	n := int32(len(want))
+	if int(n) != healthy.StatesChecked || n < 8 {
+		t.Fatalf("%d mounts for %d states; want one per state, and enough states to disrupt", n, healthy.StatesChecked)
+	}
+	for _, tc := range []struct {
+		name                string
+		plan                *hostilePlan
+		repairs, quarantine int
+	}{
+		{"takeover", &hostilePlan{hang: n / 4}, 1, 1},
+		{"panic", &hostilePlan{panicAt: n / 2}, 1, 1},
+		{"media error", &hostilePlan{mediaAt: 3 * n / 4}, 1, 0},
+		{"all three", &hostilePlan{hang: n / 4, panicAt: n / 2, mediaAt: 3 * n / 4}, 3, 2},
+	} {
+		res, got := run(tc.plan)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d mounts, the unhindered run made %d", tc.name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: mount %d of %d: the image differs from the unhindered run's", tc.name, i+1, n)
+			}
+		}
+		if r := res.Obs.Count(obs.CtrImagesRetired); r != int64(tc.repairs) || len(res.Quarantined) != tc.quarantine {
+			t.Errorf("%s: %d repairs and %d quarantined, want %d and %d", tc.name, r, len(res.Quarantined), tc.repairs, tc.quarantine)
+		}
 	}
 }

@@ -369,13 +369,13 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 	// recording device, its images, the baseline crash image, the log and
 	// the checker come from the chain's rig, which goes back to the free
 	// list when the chain closes (workload results carry no device memory).
-	// The recording side never reaches a runner. The baseline is the
-	// runner's working image, but only engine code on the runner touches it,
-	// never a guest phase — and when Run returns, every runner has either
-	// exited or was abandoned inside a guest phase and unwinds without
-	// touching it (arena.go has the one forfeit rule). Each step below keeps
-	// the rig's page sets covering its buffers, so a run that panics out of
-	// here still leaves a rig the next grab can clear by pages.
+	// The recording side never reaches a runner. The baseline is the walk's
+	// working image, and every crash state is mounted on it: a guest phase
+	// writes it only through the checker's crash device, whose undo log
+	// takes the writes back, and an abandoned phase keeps a buffer the rig
+	// no longer holds (arena.go has the one forfeit rule). Each step below
+	// keeps the rig's page sets covering its buffers, so a run that panics
+	// out of here still leaves a rig the next grab can clear by pages.
 	rbegin := tr.Begin()
 	rt := col.Start()
 	target, err := c.restore(from, int(devSize), len(points) > 0)
@@ -477,8 +477,8 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 		ck.table = &c.memo.table
 	}
 	// A guest phase the run abandoned may still read the checker, its
-	// scratch and image, and the log: they are left to it, with the fork
-	// points that index into the log.
+	// scratch and the log: they are left to it, with the fork points that
+	// index into the log.
 	defer func() {
 		if ck.abandoned.Load() != 0 {
 			rg.ck, rg.log, c.points, c.path = nil, nil, nil, nil

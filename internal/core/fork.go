@@ -31,9 +31,9 @@ type Chain struct {
 	rg   *rig
 	pm   *persist.PM
 	// forks says the guest is a vfs.Forker (known from the first Mkfs on).
-	// The device's undo log holds its writes since the last Mkfs that took
-	// points, whose persistent image the rig's template holds. path is the
-	// ops of the last run, points its fork points on them by depth.
+	// The rig's template holds the last Mkfs's persistent image, and the
+	// device's undo log the writes since, when that Mkfs took points. path
+	// is the ops of the last run, points its fork points on them by depth.
 	forks  bool
 	path   []workload.Op
 	points []*forkPoint
@@ -101,8 +101,7 @@ func (c *Chain) plan(w workload.Workload, keep []int) (from *forkPoint, pts []*f
 
 // restore readies the rig and log for a run from point from (nil: from
 // Mkfs) and returns the target as it stands there. mark says the run takes
-// fork points, so a run from Mkfs starts the undo log and the template they
-// need.
+// fork points, so a run from Mkfs starts the undo log they need.
 func (c *Chain) restore(from *forkPoint, size int, mark bool) (vfs.FS, error) {
 	if from != nil {
 		// The last walk wrote the baseline only where it applied entries of
@@ -131,14 +130,11 @@ func (c *Chain) restore(from *forkPoint, size int, mark bool) (vfs.FS, error) {
 		return nil, fmt.Errorf("target mkfs: %w", err)
 	}
 	_, c.forks = target.(vfs.Forker)
-	// The baseline is the persistent image after Mkfs, copied over the
-	// pages either may hold non-zero bytes on.
+	// The baseline and the template are the persistent image after Mkfs,
+	// copied over the pages either may hold non-zero bytes on.
 	rg.basePages.Copy(rg.baseline, rg.pers, rg.devPages)
+	rg.tmplPages.Copy(rg.tmpl, rg.pers, rg.devPages)
 	if mark {
-		if rg.tmpl == nil {
-			rg.tmpl, rg.tmplPages = make([]byte, size), pmem.NewPageSet(int64(size))
-		}
-		rg.tmplPages.Copy(rg.tmpl, rg.pers, rg.devPages)
 		rg.dev.TrackUndo(pmem.NewUndoLog(nil))
 	}
 	if rg.log == nil {

@@ -102,36 +102,32 @@ func (h *imageHasher) sync(img []byte, lo, hi int64) {
 	}
 }
 
-// hashBase brings the hasher to the working image: one advance past it
-// syncs the advance's writes, anything else every page either image may be
-// non-zero on. Owner-only, between checks, like prime.
-func (ck *checker) hashBase() {
-	h, img := ck.hasher, ck.cur.img
-	switch {
-	case ck.hashGen == ck.baseGen:
-	case ck.hashGen == ck.baseGen-1 && ck.advGen == ck.baseGen:
-		for _, idx := range ck.advance {
-			e := ck.cur.log.At(idx)
-			h.sync(img, e.Off, e.Off+int64(len(e.Data)))
-		}
-	default:
-		ck.basePages.Runs(h.pages, func(lo, hi int64) {
-			for p := lo; p < hi; p += pmem.PageSize {
-				if end := min(p+pmem.PageSize, hi); !bytes.Equal(img[p:end], h.mirror[p:end]) {
-					h.sync(img, p, end)
-				}
-			}
-		})
-		h.pages.Assign(ck.basePages)
+// syncHasher takes up the rig's hasher for the run and brings it to the
+// working image over every page either may be non-zero on. It runs once per
+// run, before its first state's delta lands (attempt); from then on the walk
+// syncs the writes it lands at each fence (applyFence), so the hasher
+// describes the base at every stateHash.
+func (ck *checker) syncHasher() {
+	rg := ck.rg
+	if rg.hasher == nil {
+		rg.hasher = newImageHasher(len(rg.baseline))
 	}
-	ck.hashGen = ck.baseGen
+	h, img := rg.hasher, ck.cur.img
+	rg.basePages.Runs(h.pages, func(lo, hi int64) {
+		for p := lo; p < hi; p += pmem.PageSize {
+			if end := min(p+pmem.PageSize, hi); !bytes.Equal(img[p:end], h.mirror[p:end]) {
+				h.sync(img, p, end)
+			}
+		}
+	})
+	h.pages.Assign(rg.basePages)
+	ck.hasher = h
 }
 
 // stateHash returns the image hash of crash state st materialized in img
 // on the current base: the base's, with the lines its key's runs touch
 // rehashed. A post-syscall state is its base.
 func (ck *checker) stateHash(img []byte, st crashState) imageHash {
-	ck.hashBase()
 	h, last := ck.hasher.total, int64(-1)
 	forEachKeyRun(st.key, func(off int64, data string) {
 		for l := max(off/hashLine, last+1); l*hashLine < off+int64(len(data)); l, last = l+1, l {

@@ -46,8 +46,8 @@ func TestImageHashKeysLines(t *testing.T) {
 
 // TestStateHashMatchesImageHash holds the incremental hash to hashImage:
 // every subset of writes that straddle lines and pages, materialized on the
-// base, after each advance of the base, and after the hasher moves to
-// another run's start image.
+// base, after each fence lands writes on the base, and after the hasher
+// moves to another run's start image.
 func TestStateHashMatchesImageHash(t *testing.T) {
 	const size = 4 * pmem.PageSize
 	base := make([]byte, size)
@@ -70,14 +70,13 @@ func TestStateHashMatchesImageHash(t *testing.T) {
 	pages := pmem.NewPageSet(size)
 	pages.Mark(0, size)
 
-	newChecker := func(img []byte) *checker {
-		return &checker{
-			scratch: make([]byte, size), basePages: pages,
-			cur: cursor{img: img, log: log}, advGen: -1, hashGen: -1,
-		}
+	newChecker := func(img []byte, h *imageHasher) *checker {
+		ck := &checker{scratch: make([]byte, size), rg: &rig{baseline: img, basePages: pages, hasher: h},
+			cur: cursor{img: img, log: log}}
+		ck.syncHasher()
+		return ck
 	}
-	ck := newChecker(base)
-	ck.hasher = newImageHasher(size)
+	ck := newChecker(base, nil)
 	all := []int{0, 1, 2, 3, 4}
 	checkStates := func(when string) {
 		t.Helper()
@@ -101,21 +100,15 @@ func TestStateHashMatchesImageHash(t *testing.T) {
 			}
 		}
 	}
-	checkStates("generation 0")
-	for gen, adv := range [][]int{{0, 3}, {1, 4}, {2}} {
-		for _, idx := range adv {
-			trace.Apply(ck.cur.img, log.At(idx))
-		}
-		ck.advAccum, ck.baseDirty = append(ck.advAccum, adv...), true
-		ck.commitBase()
-		checkStates(fmt.Sprintf("generation %d", gen+1))
+	checkStates("no fence")
+	for gen, fence := range [][]int{{0, 3}, {1, 4}, {2}} {
+		ck.applyFence(fence)
+		checkStates(fmt.Sprintf("fence %d", gen+1))
 	}
 
 	other := make([]byte, size)
 	copy(other[pmem.PageSize:], base[:pmem.PageSize])
-	next := newChecker(other)
-	next.hasher = ck.hasher
-	ck = next
+	ck = newChecker(other, ck.hasher)
 	checkStates("another start image")
 }
 
@@ -184,7 +177,7 @@ func (h *hangOnceJudge) Judge(o Observation, cctx *CheckContext) *Finding {
 	f := h.Checker.Judge(o, cctx)
 	if f != nil && h.hung.CompareAndSwap(false, true) {
 		for end := time.Now().Add(10 * time.Second); h.runners() < 2 && time.Now().Before(end); {
-			time.Sleep(50 * time.Microsecond)
+			time.Sleep(50 * time.Microsecond) // the poll only waits for the takeover: its pace cannot change the verdict
 		}
 	}
 	return f
@@ -230,7 +223,7 @@ func TestObservationNotStoredFromAbandonedPhase(t *testing.T) {
 		if time.Now().After(patience) {
 			t.Fatal("the abandoned guest's goroutine never exited")
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(time.Millisecond) // the poll only waits: a slower exit costs time, never the verdict
 	}
 	again, err := memo.Run(ctx, cfg, w)
 	if err != nil {

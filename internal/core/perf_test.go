@@ -319,9 +319,9 @@ func (stubContract) Probe(vfs.FS, Observation) *Finding        { return nil }
 // hotLoopChecker builds a bare checker plus a replayed-write log shaped like
 // one fence: overlapping and disjoint in-flight stores over a pool-sized
 // device. It drives exactly the per-state hot path the engine's runner
-// executes — dedup keying, arena saves, prime, key apply, arm → guard →
-// settle around a stub guest, rollback, revert — through checkOne, the same
-// entry point walk uses.
+// executes — dedup keying, arena saves, key apply, arm → guard → settle
+// around a stub guest, rollback — through checkOne, the same entry point
+// walk uses, with base as the working image.
 func hotLoopChecker(col *obs.Collector) (ck *checker, base []byte, log *trace.Log, subsets [][]int) {
 	base = make([]byte, 1<<16)
 	for i := range base {
@@ -345,22 +345,19 @@ func hotLoopChecker(col *obs.Collector) (ck *checker, base []byte, log *trace.Lo
 		{0, 1}, {1, 0}, // same bytes, opposite order: the dedup-hit path
 		{0, 1, 2}, {3, 4}, {0, 1, 2, 3, 4},
 	}
-	// Every page of base is non-zero, so basePages covers them all.
-	basePages := pmem.NewPageSet(int64(len(base)))
-	basePages.Mark(0, len(base))
 	guest := &stubGuest{}
 	ck = &checker{
-		cfg:       Config{NewFS: func(*persist.PM) vfs.FS { return guest }},
-		contract:  stubContract{},
-		res:       &Result{},
-		obs:       col,
-		devSize:   len(base),
-		basePages: basePages,
-		scratch:   make([]byte, len(base)),
-		slot:      newSlot(false),
-		epoch:     time.Now(),
-		timeout:   DefaultCheckTimeout,
+		cfg:      Config{NewFS: func(*persist.PM) vfs.FS { return guest }},
+		contract: stubContract{},
+		res:      &Result{},
+		obs:      col,
+		scratch:  make([]byte, len(base)),
+		slot:     newSlot(false),
+		epoch:    time.Now(),
+		timeout:  DefaultCheckTimeout,
+		cur:      cursor{img: base, log: log},
 	}
+	ck.dev, ck.undo = crashDevice(base)
 	return ck, base, log, subsets
 }
 
@@ -376,7 +373,7 @@ func runHotLoop(ck *checker, base []byte, log *trace.Log, subsets [][]int) (stat
 		key := internKey(ck.keyArena.save(k))
 		ck.seen[key] = struct{}{}
 		st := crashState{subset: ck.subArena.save(sub), key: key}
-		out, err := ck.checkOne(ck.slot, base, log, st, CheckContext{Phase: PhaseMid, Fence: 1, Rank: states})
+		out, err := ck.checkOne(ck.slot, st, CheckContext{Phase: PhaseMid, Fence: 1, Rank: states})
 		if err != nil || out.v != nil {
 			panic(fmt.Sprintf("hot-loop check: outcome %+v, err %v", out, err))
 		}
@@ -404,10 +401,10 @@ func TestCheckLoopZeroAlloc(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			ck, base, log, subsets := hotLoopChecker(c.col)
 			states := 0
-			for i := 0; i < 3; i++ { // warm arenas, the slot's image, dedup map
+			for i := 0; i < 3; i++ { // warm arenas, the undo log, dedup map
 				states = runHotLoop(ck, base, log, subsets)
 			}
-			dev, cctx := ck.slot.wi.dev, &CheckContext{Phase: PhaseMid}
+			dev, cctx := ck.dev, &CheckContext{Phase: PhaseMid}
 			guest := testing.AllocsPerRun(20, func() {
 				ck.checkState(ck.slot, dev, cctx, time.Time{})
 			})
@@ -546,18 +543,16 @@ func BenchmarkDeltaApplyRelease(b *testing.B) {
 	ck.resetFenceScratch()
 	sub := subsets[len(subsets)-1]
 	key := internKey(ck.keyArena.save(ck.stateKey(base, log, sub, nil)))
-	wi := newWorkerImage(ck.devSize)
-	ck.prime(wi, base, log)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ck.applyDelta(wi, key, nil)
-		ck.revert(wi, base, key, 0, false)
+		ck.applyDelta(key, nil)
+		ck.undo.Rollback()
 	}
 }
 
 // BenchmarkMaterializeState is the end-to-end per-state hot loop (keying,
-// dedup, apply, guard, rollback, revert) the zero-alloc test pins.
+// dedup, apply, guard, rollback) the zero-alloc test pins.
 func BenchmarkMaterializeState(b *testing.B) {
 	ck, base, log, subsets := hotLoopChecker(nil)
 	runHotLoop(ck, base, log, subsets)

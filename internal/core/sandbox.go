@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"chipmunk/internal/obs"
 	"chipmunk/internal/pmem"
@@ -31,8 +32,8 @@ import (
 //     one atomic store of deadline|leaseRunning — runs the guest under a
 //     deferred recover, and settles with one CAS. Panic, media-error and
 //     quarantine handling all happen inline on the runner.
-//   - The slot is what the two share: the lease word, the runner's crash
-//     image, and whether the state at the cursor already timed out.
+//   - The slot is what the two share: the lease word, the state's crash
+//     context, and whether the state at the cursor already timed out.
 //   - The cursor (checker.cur) is the walk's position, kept off the
 //     goroutine stack so it outlives a runner.
 //
@@ -40,15 +41,16 @@ import (
 // supervisor abandons the slot if its armed deadline has passed — CAS
 // running → abandoned — and otherwise re-arms to the deadline still pending.
 // The CAS can only be won during a guest phase, when the runner touches
-// nothing but its image and crash context, so winning it transfers ownership
-// of the checker: the supervisor retires the image, marks a fresh slot as
-// timed out and starts a fresh runner that resumes at the cursor — it
-// quarantines the state there and moves on to the next. No check is re-run,
-// no journal event or span emitted twice. A guest that
-// returns late finds its CAS lost and unwinds touching nothing; one that
-// never returns is leaked with its retired image (Go cannot kill a
-// goroutine) — the price of a census that always terminates, the same trade
-// the paper makes when it shoots a wedged VM. Cancellation abandons a
+// nothing but the crash image and context, so winning it transfers ownership
+// of the checker: the supervisor repairs the working image into a fresh
+// buffer, marks a fresh slot as timed out and starts a fresh runner that
+// resumes at the cursor — it quarantines the state there and moves on to the
+// next. No check is re-run, no journal event or span emitted twice. A guest
+// that returns late finds its CAS lost and unwinds touching nothing but the
+// buffer it was mounted on, which nobody reads any more; one that never
+// returns is leaked with that buffer (Go cannot kill a goroutine) — the
+// price of a census that always terminates, the same trade the paper makes
+// when it shoots a wedged VM. Cancellation abandons a
 // running guest phase the same way and returns ctx.Err(); a runner between
 // guest phases notices by itself. Engine panics outside the guard
 // (enumeration, an observation's Bytes, fold) are caught at the runner's top
@@ -63,13 +65,13 @@ import (
 //     their crash image, so a second attempt would either fail the same
 //     way or hide a nondeterministic guest.
 //
-// Crash-image materialization is O(diff), not O(device): a slot's image is
-// primed with the fence's base once per generation, each crash state is
-// materialized by applying only its diff key's runs (the key stateKey
-// already computed during dedup, or its torn-length twin under faults) plus
-// an injected bit flip, and after the check the image is restored — guest
-// mount-time mutations via the device's undo log, the key runs and the
-// flipped byte by re-copying them from the base.
+// Crash-image materialization is O(diff), not O(device), on one buffer:
+// every crash state is mounted on the walk's working image itself. The
+// state's diff key runs (the key stateKey already computed during dedup, or
+// its torn-length twin under faults) and its injected bit flip land through
+// the crash device's undo log, so the one Rollback after the check restores
+// the guest's writes and the delta together. A guest phase that does not
+// settle clean has the image repaired instead (repair).
 
 // checkOutcome is what one checked crash state contributes to the result;
 // the runner folds it, in canonical rank order, via fold.
@@ -148,10 +150,10 @@ func (ck *checker) fold(out checkOutcome) {
 // rolled back) or running → poisoned (panic or media error left the check
 // half-done); the supervisor transitions running → abandoned when the armed
 // deadline passes or the run is cancelled. Exactly one side wins the CAS,
-// and with it ownership of the image and the checker: a clean image stays in
-// its slot, everything else is retired — an abandoned guest may still be
-// scribbling on its buffers, and a poisoned image can no longer be trusted
-// to equal base-plus-delta.
+// and with it ownership of the image and the checker: a clean image is
+// already rolled back, everything else is repaired — a poisoned image in
+// place, an abandoned one in a fresh buffer, as its guest may still be
+// scribbling on the old one.
 const (
 	leaseRunning int64 = iota
 	leaseClean
@@ -170,9 +172,6 @@ type slot struct {
 	// the state, so the supervisor's CAS can only abandon the exact guest
 	// phase whose deadline it examined — never one armed in between.
 	lease atomic.Int64
-	// wi is the runner's crash image, the checker's until the runner starts
-	// and again when it exits (nil after a retire until the next state).
-	wi *workerImage
 	// timedOut marks a replacement runner's slot: the state at the cursor
 	// was abandoned past its deadline, so the runner quarantines it instead
 	// of mounting it again.
@@ -207,34 +206,23 @@ type runnerExit struct {
 // supervise drives the check phase of one engine run: the trace walk, the
 // runner that executes it once a guest check is due, and the clean-ups that
 // must outlive any runner. It advances the rig's baseline in place as the
-// working image and uses its key scratch; basePages must already cover
-// every page the walk will write.
+// working image, mounts every crash state on it, and uses its key scratch;
+// basePages must already cover every page the walk will write.
 func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 	// Scratch set-up is a crash-state construction cost: bill it to the
 	// replay stage so the -stats sum tracks wall-clock.
 	wt := ck.obs.Start()
-	ck.devSize = len(rg.baseline)
-	ck.scratch = rg.scratch
-	ck.basePages = rg.basePages
+	ck.rg, ck.scratch = rg, rg.scratch
 	if ck.timeout = ck.cfg.CheckTimeout; ck.timeout == 0 {
 		ck.timeout = DefaultCheckTimeout
 	}
 	if ck.ctx != nil {
 		ck.doneC = ck.ctx.Done()
 	}
-	// The image the chain's last run ended on holds that run's generations,
-	// which this run's would alias: it starts unprimed.
-	if ck.wi != nil {
-		ck.wi.gen = -1
+	if ck.dev == nil {
+		ck.dev, ck.undo = crashDevice(rg.baseline)
 	}
 	ck.cur = cursor{img: rg.baseline, log: log, lastDone: -1, sig: fnvOffset64}
-	if ck.table != nil && rg.hasher == nil {
-		rg.hasher = newImageHasher(ck.devSize)
-	}
-	ck.hasher, ck.hashGen = rg.hasher, -1
-	// No advance recipe exists yet: a fresh image (gen -1) at generation 0
-	// must cold-prime, not replay an empty recipe.
-	ck.advGen = -1
 	ck.obs.ObserveSince(obs.StageReplay, wt)
 
 	// Walk inline until the first guest check is due; most short runs on
@@ -256,13 +244,12 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 	for {
 		select {
 		case ex := <-ck.exit:
-			// An engine panic may have left the image between applyDelta and
-			// revert, with bytes outside its page set: it stays with the
-			// slot, forfeited. A runner that exited otherwise left it clean.
+			// An engine panic may have unwound between a state's delta and
+			// its rollback: take the delta back, so the rig keeps its base.
 			if ex.panicVal != nil {
+				ck.undo.Rollback()
 				panic(ex.panicVal)
 			}
-			ck.wi = ck.slot.wi
 			ck.obs.ExtendSince(obs.StageCheck, ex.at)
 			return ex.err
 		case <-timerC:
@@ -285,8 +272,8 @@ func (ck *checker) supervise(rg *rig, log *trace.Log) error {
 		case sl.lease.CompareAndSwap(w, leaseAbandoned):
 			// (A lost CAS means the phase settled in the race window: the
 			// runner kept it.)
-			ck.obs.Inc(obs.CtrImagesRetired)
 			ck.abandoned.Add(1)
+			ck.repair(true)
 			if cancelErr != nil {
 				return cancelErr
 			}
@@ -306,18 +293,6 @@ func (ck *checker) now() int64 { return int64(time.Since(ck.epoch)) }
 // state at the cursor. Supervisor-only.
 func (ck *checker) startRunner(timedOut bool) {
 	sl := newSlot(timedOut)
-	// The runner takes the checker's image — a fresh one after a takeover,
-	// whose abandoned slot keeps the old — primed here (the runner's own
-	// prime is then a no-op): this goroutine just built the base, so the copy is
-	// cache-warm, and a one-state run's runner lives no longer than its
-	// guest phase — short enough that the M its start woke is still spinning
-	// when it finishes, which saves the second futex wake-up.
-	rt := ck.obs.Start()
-	if sl.wi, ck.wi = ck.wi, nil; sl.wi == nil {
-		sl.wi = newWorkerImage(ck.devSize)
-	}
-	ck.prime(sl.wi, ck.cur.img, ck.cur.log)
-	ck.obs.ObserveSince(obs.StageReplay, rt)
 	ck.slot = sl
 	ck.obs.Inc(obs.CtrSandboxRunners)
 	// The two hand-offs of a run bill their time, but no count, where the
@@ -343,14 +318,14 @@ func (ck *checker) startRunner(timedOut bool) {
 // on the calling runner: one guarded attempt, classified, and quarantine if
 // the guest panicked or hung. A replacement runner entering on a timed-out
 // slot classifies the abandoned attempt without mounting the state again.
-func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState, cctx CheckContext) (checkOutcome, error) {
+func (ck *checker) checkOne(sl *slot, st crashState, cctx CheckContext) (checkOutcome, error) {
 	cctx.Subset = st.subset
 	sl.cctx = cctx
 	r := attemptResult{timedOut: true}
 	if sl.timedOut {
 		sl.timedOut = false
 	} else {
-		r = ck.attempt(sl, img, log, st, &sl.cctx)
+		r = ck.attempt(sl, st, &sl.cctx)
 	}
 	switch {
 	case r.lost:
@@ -379,7 +354,7 @@ func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState,
 		Phase:    cctx.Phase,
 		Rank:     cctx.Rank,
 		Subset:   append([]int(nil), st.subset...),
-		StateKey: stateDigest(img, st),
+		StateKey: stateDigest(ck.cur.img, st),
 		Kind:     kind,
 		Detail:   detail,
 		Stack:    r.stack,
@@ -387,90 +362,64 @@ func (ck *checker) checkOne(sl *slot, img []byte, log *trace.Log, st crashState,
 	return checkOutcome{v: ck.violation(&cctx, kind, detail), q: q, ctx: cctx}, nil
 }
 
-// workerImage is one reusable crash image with its device and undo log.
-// Invariant between checks: the image holds exactly the contents of the
-// run's working image at generation gen (-1 = unprimed), and is therefore
-// zero outside pages, which is the run's basePages. prime re-establishes the
-// invariant for the current generation, applyDelta perturbs it for one crash
-// state, and revert restores it — so a state whose base is already primed
-// costs only its own diff, never a device copy. A chain's checker keeps its
-// image across runs (arena.go), unprimed at each run's start.
-type workerImage struct {
-	dev *pmem.Device
-	// img is the single buffer serving as BOTH the volatile and persistent
-	// image: a just-rebooted device starts with the two identical, and a
-	// crash-state check never examines durability again, so the unified
-	// device (pmem.WrapImage) keeps them fused — halving prime, delta, and
-	// rollback traffic relative to a two-image pair.
-	img   []byte
-	pages *pmem.PageSet
-	undo  *pmem.UndoLog
-	gen   int64
+// crashDevice wraps the working image in the device every crash state is
+// mounted on, with the undo log that restores it. The one buffer serves as
+// BOTH the volatile and persistent image: a just-rebooted device starts with
+// the two identical, and a crash-state check never examines durability
+// again, so the unified device (pmem.WrapImage) keeps them fused.
+func crashDevice(img []byte) (*pmem.Device, *pmem.UndoLog) {
+	dev, undo := pmem.WrapImage(img), pmem.NewUndoLog(nil)
+	dev.TrackUndo(undo)
+	return dev, undo
 }
 
-func newWorkerImage(size int) *workerImage {
-	wi := &workerImage{
-		img:   make([]byte, size),
-		pages: pmem.NewPageSet(int64(size)),
-		undo:  pmem.NewUndoLog(nil),
-		gen:   -1,
-	}
-	wi.dev = pmem.WrapImage(wi.img)
-	wi.dev.TrackUndo(wi.undo)
-	return wi
-}
-
-// attempt runs one check attempt on the calling runner: prime the slot's
-// image with the fence's base if its generation is stale, apply the crash
-// state's delta (its key's runs and an injected bit flip), then mount and
-// check under the guard. On a clean finish the delta is reverted and the image
-// stays in the slot; a poisoned image is retired.
+// attempt runs one check attempt on the calling runner: apply the crash
+// state's delta (its key's runs and an injected bit flip) to the working
+// image, then mount and check under the guard, whose rollback takes the
+// guest's writes and the delta back together. A phase that did not settle
+// clean leaves the image to repair.
 //
 // Replay runs OUTSIDE the guard on purpose: only while the lease is running
 // may the supervisor take the checker away, and the argument that makes that
-// safe is that a guest phase touches nothing but its image. Replay reads the
-// working image and the log, which the replacement runner keeps advancing.
-// It is trusted engine code (no guest involvement), so only the guest-facing
-// mount/check phase needs containment; media-error panics are raised at read
-// time, inside that phase.
-func (ck *checker) attempt(sl *slot, img []byte, log *trace.Log, st crashState, cctx *CheckContext) attemptResult {
+// safe is that a guest phase touches nothing but its crash image and
+// context. Replay reads the working image and the log, which the replacement
+// runner keeps advancing. It is trusted engine code (no guest involvement),
+// so only the guest-facing mount/check phase needs containment; media-error
+// panics are raised at read time, inside that phase.
+func (ck *checker) attempt(sl *slot, st crashState, cctx *CheckContext) attemptResult {
 	rt := ck.obs.Start()
-	wi := sl.wi
-	if wi == nil {
-		wi = newWorkerImage(ck.devSize)
-		sl.wi = wi
-	}
+	dev, undo := ck.dev, ck.undo
 	inj := ck.injector(cctx)
 	// The state's diff key is its exact materialization recipe. A faulted
 	// state's is the same key over its writes' torn prefixes; it aliases
-	// keyBuf, which nothing else on this runner writes before revert.
+	// keyBuf, which nothing else on this runner writes before the rollback.
 	key := st.key
 	if inj != nil {
-		key = internKey(ck.stateKey(img, log, st.subset, inj))
+		key = internKey(ck.stateKey(ck.cur.img, ck.cur.log, st.subset, inj))
 	}
-	ck.prime(wi, img, log)
-	flipOff, flipped := ck.applyDelta(wi, key, inj)
+	if ck.table != nil && ck.hasher == nil {
+		ck.syncHasher() // the hasher describes the base: before the delta lands
+	}
+	ck.applyDelta(key, inj)
 	if ck.table != nil {
-		sl.key = ck.stateHash(wi.img, st)
+		sl.key = ck.stateHash(ck.cur.img, st)
 		sl.hit, sl.kept = ck.table.lookup(sl.key), nil
 	}
 	ck.obs.ObserveSince(obs.StageReplay, rt)
-	wi.dev.Reset()
-	wi.dev.InjectFaults(inj)
+	dev.Reset()
+	dev.InjectFaults(inj)
 
-	r := ck.guard(sl, wi.dev, wi.undo, cctx, ck.obs.Start())
+	r := ck.guard(sl, dev, undo, cctx, ck.obs.Start())
 	switch {
 	case r.lost:
 		return r
-	case r.ok || r.cancelled:
-		// The guest's mutations are already rolled back; exactly the delta
-		// this attempt applied remains.
-		ck.obs.Add(obs.CtrBytesRolledBack, r.rolledBack)
-		ck.revert(wi, img, key, flipOff, flipped)
-	default:
-		sl.wi = nil
-		ck.obs.Inc(obs.CtrImagesRetired)
+	case r.cancelled:
+		// The guest never ran: the delta alone is on the image.
+		r.rolledBack = undo.Rollback()
+	case !r.ok:
+		ck.repair(false)
 	}
+	ck.obs.Add(obs.CtrBytesRolledBack, r.rolledBack)
 	if r.ok {
 		if sl.kept != nil {
 			ck.table.store(sl.key, sl.kept)
@@ -505,7 +454,7 @@ func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx *C
 			return
 		}
 		if !sl.lease.CompareAndSwap(armed, leasePoisoned) {
-			// Abandoned mid-check: the supervisor already retired the image.
+			// Abandoned mid-check: the image is the supervisor's to repair.
 			res = attemptResult{lost: true}
 			return
 		}
@@ -517,9 +466,9 @@ func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx *C
 	}()
 
 	v, ct := ck.checkState(sl, dev, cctx, mt)
-	// Undo the guest's mount-time mutations while still holding the lease,
-	// THEN settle: the caller reverts only the delta. If abandonment
-	// won the CAS the rollback was wasted work on a retired buffer — harmless.
+	// Undo the guest's mount-time mutations and the state's delta while
+	// still holding the lease, THEN settle. If abandonment won the CAS the
+	// rollback was wasted work on a forfeited buffer — harmless.
 	rolledBack := undo.Rollback()
 	if !sl.lease.CompareAndSwap(armed, leaseClean) {
 		return attemptResult{lost: true}
@@ -527,72 +476,59 @@ func (ck *checker) guard(sl *slot, dev *pmem.Device, undo *pmem.UndoLog, cctx *C
 	return attemptResult{ok: true, v: v, checkStart: ct, rolledBack: rolledBack}
 }
 
-// prime establishes the image invariant for the current generation: a
-// current image is untouched (zero copies — the empty-subset fast path), an
-// image exactly one generation behind catches up by replaying the last
-// fence's advance recipe (O(advance bytes)), and anything older — or
-// unprimed, fresh or left over from the chain's last run — is cold-primed by
-// copying the base over wi.pages ∪ basePages: outside those pages both the
-// stale image and the base are zero.
-func (ck *checker) prime(wi *workerImage, base []byte, log *trace.Log) {
-	if wi.gen == ck.baseGen {
-		return
-	}
-	if wi.gen == ck.baseGen-1 && ck.advGen == ck.baseGen {
-		var n int64
-		for _, idx := range ck.advance {
-			e := log.At(idx)
-			trace.Apply(wi.img, e)
-			n += int64(len(e.Data))
-		}
-		wi.gen = ck.baseGen
-		ck.obs.Add(obs.CtrBytesPrimed, n)
-		return
-	}
-	n := wi.pages.Copy(wi.img, base, ck.basePages)
-	wi.gen = ck.baseGen
-	ck.obs.Inc(obs.CtrImagePrimes)
-	ck.obs.Add(obs.CtrBytesPrimed, n)
-}
-
-// applyDelta perturbs a primed image into one crash state: each of key's
-// (offset, length, bytes) runs lands on the unified image exactly once —
-// overlapping stores were already resolved, last-writer-wins, when the key
-// was computed — then the injected bit flip, if any. The just-rebooted
-// volatile == persistent invariant is structural: the unified device serves
-// both images from wi.img. Cost is O(diff bytes), independent of device
-// size.
-func (ck *checker) applyDelta(wi *workerImage, key string, inj *pmem.Injector) (flipOff int64, flipped bool) {
+// applyDelta perturbs the working image into one crash state through the
+// crash device, whose undo log saves every byte it overwrites: each of key's
+// (offset, length, bytes) runs lands exactly once — overlapping stores were
+// already resolved, last-writer-wins, when the key was computed — then the
+// injected bit flip, if any. The just-rebooted volatile == persistent
+// invariant is structural: the unified device serves both images from one
+// buffer. Cost is O(diff bytes), independent of device size.
+func (ck *checker) applyDelta(key string, inj *pmem.Injector) {
 	var n int64
 	forEachKeyRun(key, func(off int64, data string) {
-		copy(wi.img[off:off+int64(len(data))], data)
+		ck.dev.Patch(off, unsafe.Slice(unsafe.StringData(data), len(data)))
 		n += int64(len(data))
 	})
-	if flipOff, _, flipped = inj.FlipBit(wi.img); flipped {
+	if off, bit, flipped := inj.FlipSite(len(ck.cur.img)); flipped {
+		ck.dev.Patch(off, []byte{ck.cur.img[off] ^ 1<<bit})
 		ck.obs.Inc(obs.CtrFaultsInjected)
 		n++
 	}
 	ck.obs.Add(obs.CtrBytesMaterialized, n)
-	return flipOff, flipped
 }
 
-// revert restores a cleanly-finished image to the fence's base. The guard
-// already rolled back the guest's mutations, so exactly the delta this
-// attempt applied remains: key's runs, re-copied from the base — the
-// minimal restore — and the flipped byte, which may land outside every run
-// (inside one, its second restore is a same-value no-op). The image
-// invariant (contents == base at wi.gen) holds afterward.
-func (ck *checker) revert(wi *workerImage, base []byte, key string, flipOff int64, flipped bool) {
-	var n int64
-	forEachKeyRun(key, func(off int64, data string) {
-		copy(wi.img[off:off+int64(len(data))], base[off:off+int64(len(data))])
-		n += int64(len(data))
-	})
-	if flipped {
-		wi.img[flipOff] = base[flipOff]
-		n++
+// repair rebuilds the working image after a guest phase that did not settle
+// clean — a panic, a media error, a takeover or a cancel: the rig's
+// post-Mkfs template, plus every write the walk applied at a fence before
+// the cursor, in log order, the order the walk applied them in. The walk's
+// base at the cursor is a function of the template and the log alone, so
+// the repaired image is the one a clean phase would have left. A poisoned
+// image is rebuilt in place, after its undo log took back whatever the guest
+// wrote outside the pages the copy covers. An abandoned phase's guest may
+// still write its buffer, device and undo log: they are forfeited (arena.go)
+// and the image is rebuilt in fresh ones. Owner-only.
+func (ck *checker) repair(fresh bool) {
+	rg, c := ck.rg, &ck.cur
+	ck.obs.Inc(obs.CtrImagesRetired)
+	if fresh {
+		rg.baseline = make([]byte, len(rg.baseline))
+		ck.dev, ck.undo = crashDevice(rg.baseline)
+	} else {
+		ck.undo.Rollback()
 	}
-	ck.obs.Add(obs.CtrBytesRolledBack, n)
+	c.img = rg.baseline
+	rg.basePages.Copy(c.img, rg.tmpl, rg.tmplPages)
+	rg.basePages.Assign(rg.devPages)
+	entries := c.log.Entries()[:c.idx]
+	last := 0
+	for i, e := range entries {
+		if e.Kind == trace.KindFence {
+			last = i
+		}
+	}
+	for _, e := range entries[:last] {
+		trace.Apply(c.img, e)
+	}
 }
 
 // forEachKeyRun decodes a byte-diff key's (offset, length, bytes) records.

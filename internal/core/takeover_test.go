@@ -33,19 +33,24 @@ func takeoverWorkload() workload.Workload { return heavyWorkload() }
 
 // stallChecker wraps the run's real contract and stalls inside the guest
 // phase of one crash state, named by its coordinates — a Mount ordinal would
-// name a different state for every worker count. hold == 0 hangs until
-// release is closed (test clean-up); otherwise the guest is slow, not hung,
-// and returns after hold. returned is closed when the stalled Judge is back.
-// transient stalls only the first check of the state, so a second would pass.
+// name a different state for every worker count. A hung guest waits until
+// release is closed (test clean-up). A late one — slow, not hung — waits
+// until resumed is closed, which the run's NewFS does (see newFS) once the
+// replacement runner mounts a later state, so it always returns after its
+// takeover. returned is closed when the stalled Judge is back. transient
+// stalls only the first check of the state, so a second would pass.
 type stallChecker struct {
 	Checker
 	fence, rank int
-	hold        time.Duration
+	late        bool
 	transient   bool
 	attempts    atomic.Int32
+	stalling    atomic.Bool
 	release     chan struct{}
+	resumed     chan struct{}
 	returned    chan struct{}
 	once        sync.Once
+	resume      sync.Once
 }
 
 func (s *stallChecker) Judge(o Observation, cctx *CheckContext) *Finding {
@@ -55,21 +60,34 @@ func (s *stallChecker) Judge(o Observation, cctx *CheckContext) *Finding {
 	// runner's way out with no accidental happens-before edge to hide behind.
 	f := s.Checker.Judge(o, cctx)
 	if cctx.Fence == s.fence && cctx.Rank == s.rank && (s.attempts.Add(1) == 1 || !s.transient) {
-		if s.hold > 0 {
-			time.Sleep(s.hold)
-		} else {
-			<-s.release
+		wait := s.release
+		if s.late {
+			wait = s.resumed
 		}
+		s.stalling.Store(true)
+		<-wait
 		s.once.Do(func() { close(s.returned) })
 	}
 	return f
 }
 
-// stallAt returns a Config.Checker factory stalling at (fence, rank), and
-// the stall's handle. A hang is released when the test ends.
-func stallAt(t *testing.T, fence, rank int, hold time.Duration) (CheckerFactory, *stallChecker) {
-	s := &stallChecker{fence: fence, rank: rank, hold: hold,
-		release: make(chan struct{}), returned: make(chan struct{})}
+// newFS wraps a Config.NewFS for a late stall: the first file system made
+// once the stall has begun is the replacement runner's next mount, and
+// resumes the late guest.
+func (s *stallChecker) newFS(inner func(*persist.PM) vfs.FS) func(*persist.PM) vfs.FS {
+	return func(pm *persist.PM) vfs.FS {
+		if s.stalling.Load() {
+			s.resume.Do(func() { close(s.resumed) })
+		}
+		return inner(pm)
+	}
+}
+
+// stallAt returns a Config.Checker factory stalling at (fence, rank), late
+// or hung, and the stall's handle. A hang is released when the test ends.
+func stallAt(t *testing.T, fence, rank int, late bool) (CheckerFactory, *stallChecker) {
+	s := &stallChecker{fence: fence, rank: rank, late: late,
+		release: make(chan struct{}), resumed: make(chan struct{}), returned: make(chan struct{})}
 	t.Cleanup(func() { close(s.release) })
 	return func(env RunEnv) Checker {
 		s.Checker = NewOracleChecker(env)
@@ -221,7 +239,7 @@ func TestTakeoverResumesAtCursor(t *testing.T) {
 	fence, rank := stallTarget(t, hEvents)
 
 	cfg := base
-	cfg.Checker, _ = stallAt(t, fence, rank, 0)
+	cfg.Checker, _ = stallAt(t, fence, rank, false)
 	res, events := journaledRun(t, cfg, w)
 	checkTakenOver(t, "hung guest", healthy, res, hEvents, events, fence, rank)
 }
@@ -237,12 +255,13 @@ func TestTakeoverLateGuestChangesNothing(t *testing.T) {
 	fence, rank := stallTarget(t, hEvents)
 
 	hung := base
-	hung.Checker, _ = stallAt(t, fence, rank, 0)
+	hung.Checker, _ = stallAt(t, fence, rank, false)
 	hungRes, _ := journaledRun(t, hung, w)
 
 	slow := base
 	var stall *stallChecker
-	slow.Checker, stall = stallAt(t, fence, rank, 3*takeoverTimeout)
+	slow.Checker, stall = stallAt(t, fence, rank, true)
+	slow.NewFS = stall.newFS(base.NewFS)
 	slow, readEvents := journaled(t, slow)
 	goroutines := runtime.NumGoroutine()
 	res := mustRun(t, slow, w)
@@ -256,7 +275,7 @@ func TestTakeoverLateGuestChangesNothing(t *testing.T) {
 		if time.Now().After(patience) {
 			t.Fatal("the late guest's goroutine never exited")
 		}
-		time.Sleep(time.Millisecond)
+		time.Sleep(time.Millisecond) // the poll only waits: a slower exit costs time, never the verdict
 	}
 	// A further run recycles the slow run's pooled buffers and overwrites
 	// them: had the late guest still read one, this is where it shows.
@@ -405,7 +424,7 @@ func TestSandboxRunnersPerRunNotPerState(t *testing.T) {
 	fence, rank := stallTarget(t, hEvents)
 	cfg := base
 	var stall *stallChecker
-	cfg.Checker, stall = stallAt(t, fence, rank, 0)
+	cfg.Checker, stall = stallAt(t, fence, rank, false)
 	stall.transient = true
 	res, _ := journaledRun(t, cfg, w)
 	if len(res.Quarantined) != 1 {
@@ -426,7 +445,7 @@ func TestChainSurvivesTakeover(t *testing.T) {
 	base := Config{NewFS: novaFS(bugs.None()), CheckTimeout: takeoverTimeout}
 	_, hEvents := journaledRun(t, base, hung)
 	fence, rank := stallTarget(t, hEvents)
-	stall, _ := stallAt(t, fence, rank, 0)
+	stall, _ := stallAt(t, fence, rank, false)
 
 	// Each run's checker and log, as its contract factory finds them on the
 	// chain, and the devices each run's crash states were mounted on.

@@ -45,24 +45,14 @@ func costCases() []costCase {
 	return cases
 }
 
-// unpinnedCosts are the counters the golden leaves out. Every other counter
-// a serial Run records came out equal over ten serial runs of every case
-// and is pinned. bytes-primed moved by a few 4 KiB pages between them: a
-// chain's rig comes from the process-wide free list (core/arena.go), and a
-// cold prime copies the union of its image's pages and the fence's, so it
-// depends on which earlier run last used the rig.
-var unpinnedCosts = []string{"bytes-primed"}
-
-// costLine renders a serial census as its golden line: every pinned counter
-// in name order, the mount count, and the simulated-PM traffic.
+// costLine renders a serial census as its golden line: every counter in
+// name order, the mount count, and the simulated-PM traffic.
 func costLine(name string, c *Census) string {
 	var b strings.Builder
 	b.WriteString(name)
 	names := make([]string, 0, len(c.Obs.Counters))
 	for n := range c.Obs.Counters {
-		if !slices.Contains(unpinnedCosts, n) {
-			names = append(names, n)
-		}
+		names = append(names, n)
 	}
 	slices.Sort(names)
 	for _, n := range names {

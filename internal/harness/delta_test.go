@@ -39,9 +39,9 @@ type mountLog struct {
 }
 
 // hashMountFS adds the image it is handed to its log, then mounts it, or,
-// with cold set, panics. The panic retires the image, so the run's next
-// state lands on a freshly grabbed image, cold-primed by copying the fence's
-// base in full before the state's writes land.
+// with cold set, panics. The panic has the engine repair the working image,
+// rebuilding it from the post-Mkfs template and every fence's writes, so the
+// run's next state lands on an image rebuilt in full before its writes land.
 type hashMountFS struct {
 	vfs.FS
 	pm   *persist.PM
@@ -66,8 +66,8 @@ func (f hashMountFS) Mount() error {
 // (published bug sets) and clean ones alike. Each workload runs twice with
 // every mounted image logged: plainly, where it must reproduce its
 // engine-matrix golden — the full-copy engine's recorded output — and with
-// every mount panicking, so each state is rematerialized on a cold image
-// from a full base copy. The two logs must agree state by state.
+// every mount panicking, so each state is materialized on an image rebuilt
+// in full. The two logs must agree state by state.
 func TestDeltaMaterializeMatchesFullCopyAllSystems(t *testing.T) {
 	for _, sys := range Systems() {
 		t.Run(sys.Name, func(t *testing.T) {
@@ -121,14 +121,13 @@ func (f unflushedFS) Mkfs() error {
 	return nil
 }
 
-// TestDeltaMaterializePagedPoolsMatchFresh: recycled rigs and crash images
-// are cleared and copied only over their page sets, so a byte some writer
-// failed to mark would survive into whichever run recycles the buffer next.
-// A rotation of the seven systems over distinct seq-1 / seq-1-dax workloads
-// on one device size — clean, with every published bug, and with faults
-// injected (the torn-write and bit-flip revert paths) — runs forward and
-// then reversed, so every run inherits its rig and image from a different
-// predecessor each time; each run's Result must be the same both ways, and
+// TestDeltaMaterializePagedPoolsMatchFresh: recycled rigs are cleared and
+// copied only over their page sets, so a byte some writer failed to mark
+// would survive into whichever run recycles the buffer next. A rotation of
+// the seven systems over distinct seq-1 / seq-1-dax workloads on one device
+// size — clean, with every published bug, and with faults injected (the
+// torn-write and bit-flip rollback paths) — runs forward and then reversed,
+// so every run inherits its rig from a different predecessor each time; each run's Result must be the same both ways, and
 // every free-listed buffer must stay zero outside its page set.
 func TestDeltaMaterializePagedPoolsMatchFresh(t *testing.T) {
 	type pooledRun struct {

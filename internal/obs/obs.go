@@ -111,35 +111,33 @@ const (
 	// CtrViolations counts reported violations (including suppressed
 	// overflow).
 	CtrViolations
-	// CtrImagePrimes counts cold primes (page-union copy) of recycled
-	// crash-state images (delta materialization): the image is made equal to
-	// the fence's base by copying the pages either may be non-zero on.
-	// Measurement-class like CtrFaultsInjected:
-	// recorded per attempt — one per run that checks a state, plus one for
-	// every image a run retires and replaces.
+	// CtrImagePrimes is never recorded: crash states are mounted on the
+	// walk's working image, which no copy has to catch up with.
+	//
+	// Deprecated: always zero; kept because the bench module reads it.
 	CtrImagePrimes
-	// CtrImagesRetired counts pooled images retired instead of rolled back:
-	// their check was abandoned (timeout, cancellation) or poisoned the
-	// image (guest panic, media error), so the buffer can no longer be
-	// trusted to equal base-plus-delta. Measurement-class.
+	// CtrImagesRetired counts working-image repairs: a check that was
+	// abandoned (timeout, cancellation) or poisoned the image (guest panic,
+	// media error) has it rebuilt from the post-Mkfs template and the
+	// fences' writes instead of rolled back — in a fresh buffer when
+	// abandoned. Measurement-class like CtrFaultsInjected.
 	CtrImagesRetired
 	// CtrSandboxRunners counts check-sandbox runner goroutines started: one
 	// per engine run that reaches a guest check, plus one per takeover after
 	// a timed-out check (never one per crash state). Measurement-class.
 	CtrSandboxRunners
 	// CtrBytesMaterialized counts bytes copied applying crash-state deltas
-	// (replayed subset writes) onto primed images. Per-state this scales
+	// (replayed subset writes and flipped bytes) onto the working image. Per-state this scales
 	// with the subset's span size, never with the device size — the O(diff)
 	// claim BenchmarkMaterializeState asserts. Measurement-class.
 	CtrBytesMaterialized
-	// CtrBytesPrimed counts bytes copied (re)priming recycled images with a
-	// fence's base image, cold primes and incremental advances alike — the
-	// bytes actually copied, which track the pages a run touched, not the
-	// device size. Measurement-class.
+	// CtrBytesPrimed is never recorded, like CtrImagePrimes.
+	//
+	// Deprecated: always zero; kept because the bench module reads it.
 	CtrBytesPrimed
-	// CtrBytesRolledBack counts bytes restored returning a pooled image to
-	// its base: guest-mutation undo plus delta-span reverts.
-	// Measurement-class.
+	// CtrBytesRolledBack counts bytes the undo log restores returning the
+	// working image to its base after a check: the guest's writes and the
+	// state's delta together. Measurement-class.
 	CtrBytesRolledBack
 	// CtrShardsQuarantined counts campaign shards the coordinator moved to
 	// the shard-quarantine ledger after exhausting their dispatch attempts.
@@ -242,8 +240,7 @@ func (c Counter) String() string {
 // serial == parallel determinism contract (its value is a pure function of
 // the checked suite). The measurement-class counters — fault injection and
 // crash-image materialization accounting — are recorded on the hot path, so
-// an abandoned check may have counted part of its work, and pool scheduling
-// shifts prime/rollback work between cold primes and incremental advances.
+// an abandoned check may have counted part of its work.
 func (c Counter) Deterministic() bool {
 	switch c {
 	case CtrFaultsInjected, CtrImagePrimes, CtrImagesRetired, CtrSandboxRunners,

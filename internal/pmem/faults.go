@@ -118,21 +118,19 @@ func (in *Injector) TornPrefix(seq uint64, n int) int {
 	return WordSize * (1 + int(mix(h)%uint64(words)))
 }
 
-// FlipBit corrupts at most one bit of img in place, returning where (or
-// flipped=false). Keyed by the per-state salt: the same state always flips
-// the same bit, different states flip different ones.
-func (in *Injector) FlipBit(img []byte) (off int64, bit int, flipped bool) {
-	if in == nil || in.cfg.FlipOneInN <= 0 || len(img) == 0 {
+// FlipSite picks the bit, if any, that this state's corruption flips in an
+// image of size bytes: the caller flips it, so it can land through an undo
+// log. Keyed by the per-state salt: the same state always flips the same
+// bit, different states flip different ones.
+func (in *Injector) FlipSite(size int) (off int64, bit int, flipped bool) {
+	if in == nil || in.cfg.FlipOneInN <= 0 || size == 0 {
 		return 0, 0, false
 	}
 	h := mix(in.cfg.Seed ^ flipDomain ^ in.salt*0x9e3779b97f4a7c15)
 	if h%uint64(in.cfg.FlipOneInN) != 0 {
 		return 0, 0, false
 	}
-	off = int64(mix(h+1) % uint64(len(img)))
-	bit = int(mix(h+2) % 8)
-	img[off] ^= 1 << bit
-	return off, bit, true
+	return int64(mix(h+1) % uint64(size)), int(mix(h+2) % 8), true
 }
 
 // Poisoned reports whether reads of the given cache line raise a media
