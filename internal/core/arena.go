@@ -124,15 +124,16 @@ func internKey(b []byte) string {
 
 // fenceScratch is the owner's scratch a checker keeps across its chain's
 // runs: the dedup map, the distinct state list, the subset recursion buffer,
-// the arenas behind every crash state's subset and key, stateKey's key and
-// merge buffers, and the prefix memo's key. Stale contents are harmless:
-// every consumer truncates or clears before use (enumerate resets the arenas
-// and the dedup map at each fence, stateKey rewinds keyBuf and spans per
-// state, clear empties prefix).
+// the Vinter filter's kept writes, the arenas behind every crash state's
+// subset and key, stateKey's key and merge buffers, and the prefix memo's
+// key. Stale contents are harmless: every consumer truncates or clears
+// before use (enumerate resets the arenas and the dedup map at each fence,
+// stateKey rewinds keyBuf and spans per state, clear empties prefix).
 type fenceScratch struct {
 	seen      map[string]struct{}
 	distinct  []crashState
 	subsetBuf []int
+	kept      []int
 	subArena  sliceArena[int]
 	keyArena  sliceArena[byte]
 	keyBuf    []byte

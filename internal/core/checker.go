@@ -1,9 +1,6 @@
 package core
 
-import (
-	"chipmunk/internal/persist"
-	"chipmunk/internal/pmem"
-)
+import "chipmunk/internal/persist"
 
 // finding builds the violation a failed check reports (nil: none).
 func (ck *checker) finding(ctx *CheckContext, f *Finding) *Violation {
@@ -15,23 +12,26 @@ func (ck *checker) finding(ctx *CheckContext, f *Finding) *Violation {
 	return v
 }
 
-// recoveryReadSet mounts the base image once with PM reads recorded,
-// returning the cache lines recovery consulted — the Vinter heuristic's
-// input. A failed mount returns nil (no filtering: everything is relevant
-// when recovery itself is broken); a panicking mount is contained the same
-// way — this runs during enumeration, outside the per-state guard.
-func (ck *checker) recoveryReadSet(img []byte) (rs *persist.ReadSet) {
+// recoveryReadSet mounts the fence's base — the working image, through the
+// crash device with no injector attached (the previous state's may still
+// be) — with PM reads recorded, returning the cache lines recovery
+// consulted: the Vinter heuristic's input. The undo log takes the mount's
+// writes back, also after a panic. A failed mount returns nil (no
+// filtering: everything is relevant when recovery itself is broken); a
+// panicking mount is contained the same way — this runs during
+// enumeration, outside the per-state guard.
+func (ck *checker) recoveryReadSet() (rs *persist.ReadSet) {
 	defer func() {
+		ck.undo.Rollback()
 		if recover() != nil {
 			rs = nil
 		}
 	}()
-	dev := pmem.FromImage(img)
-	pm := persist.New(dev)
+	ck.dev.Reset()
+	pm := persist.New(ck.dev)
 	reads := persist.NewReadSet()
 	pm.Attach(reads)
-	fs := ck.cfg.NewFS(pm)
-	if err := fs.Mount(); err != nil {
+	if err := ck.cfg.NewFS(pm).Mount(); err != nil {
 		return nil
 	}
 	return reads

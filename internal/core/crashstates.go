@@ -304,8 +304,10 @@ func (ck *checker) enumerate(sys int) {
 	img, log, pending := c.img, c.log, c.pending
 	full := pending
 	if ck.cfg.VinterFilter {
-		reads := ck.recoveryReadSet(img)
-		kept := pending[:0:len(pending)]
+		// The kept list is the checker's own: pending is the fence's full
+		// set, which the last state and the next base still replay.
+		reads := ck.recoveryReadSet()
+		kept := ck.kept[:0]
 		for _, idx := range pending {
 			e := log.At(idx)
 			if reads == nil || reads.Overlaps(e.Off, len(e.Data)) {
@@ -314,7 +316,7 @@ func (ck *checker) enumerate(sys int) {
 				ck.res.FilteredWrites++
 			}
 		}
-		pending = kept
+		ck.kept, pending = kept, kept
 	}
 	n := len(pending)
 	cap := ck.cfg.Cap

@@ -13,9 +13,7 @@
 package inplace
 
 import (
-	"cmp"
 	"encoding/binary"
-	"slices"
 
 	"chipmunk/internal/persist"
 	"chipmunk/internal/vfs"
@@ -49,19 +47,11 @@ const (
 	direntsPerBlock = BlockSize / DirentSize
 )
 
-// Inode is an inode's DRAM copy.
+// Inode is an inode's DRAM copy. A directory entry's Off is its slot.
 type Inode struct {
-	Ino    uint64
-	Typ    vfs.FileType
-	Nlink  uint64
-	Size   int64
+	vfs.Inode
 	Blocks [NDirect]uint64
 
-	// Dirents maps a directory's names to their slots.
-	Dirents map[string]DirentRef
-	// Bad marks a placeholder for a dirent whose inode recovery did not
-	// find: every use of it is ErrIO.
-	Bad bool
 	// orphan marks an inode that lost its last link while a descriptor
 	// held it open: its slot keeps its image, with nlink 0, until the last
 	// Close reclaims it.
@@ -74,11 +64,9 @@ var (
 	zeroDirent = make([]byte, DirentSize)
 )
 
-// DirentRef locates a name's directory-entry slot.
-type DirentRef struct {
-	Ino uint64
-	Off int64 // device offset of the slot
-}
+// Placeholder is the damaged inode Orphans gives a dirent whose inode
+// recovery did not find: every use of it is ErrIO.
+func Placeholder(ino uint64) *Inode { return &Inode{Inode: vfs.Inode{Ino: ino, Damaged: true}} }
 
 // Tx is a redo-journal transaction: byte-range records, made durable
 // together by Commit. Each FS has one, which Begin empties.
@@ -107,17 +95,16 @@ type Host interface {
 	EndOp()
 }
 
-// FS is the namespace half of an in-place file system: the DRAM inodes,
-// the inode-slot map and the descriptor table, over the inode table at
+// FS is the namespace half of an in-place file system: the DRAM namespace
+// (the embedded Tree) and the inode-slot map, over the inode table at
 // device offset Table. The host embeds it and sets PM, Host and Table.
 type FS struct {
 	PM    *persist.PM
 	Host  Host
 	Table int64
 
-	Inodes map[uint64]*Inode
-	Slots  *vfs.Bitmap // inode slots, from RootIno on
-	Descs  vfs.FDTable[*Inode]
+	vfs.Tree[*Inode]
+	Slots *vfs.Bitmap // inode slots, from RootIno on
 
 	tx Tx
 }
@@ -133,15 +120,8 @@ func (f *FS) Begin() *Tx {
 // Reset empties the DRAM state for a table of n inode slots. Slot 0 is
 // never used.
 func (f *FS) Reset(n int) {
-	f.Inodes = map[uint64]*Inode{}
+	f.Tree.Reset(RootIno)
 	f.Slots = vfs.NewBitmap(RootIno, uint64(n))
-	f.Descs.Reset()
-}
-
-// Drop discards the DRAM state at unmount.
-func (f *FS) Drop() {
-	f.Inodes = nil
-	f.Descs.Reset()
 }
 
 // InodeOff returns the device offset of inode slot ino.
@@ -153,7 +133,7 @@ func BlockOff(b uint64) int64 { return int64(b) * BlockSize }
 // Image encodes d's on-PM inode.
 func Image(d *Inode) (buf [InodeSize]byte) {
 	binary.LittleEndian.PutUint32(buf[inoValidOff:], 1)
-	binary.LittleEndian.PutUint32(buf[inoTypeOff:], uint32(d.Typ))
+	binary.LittleEndian.PutUint32(buf[inoTypeOff:], uint32(d.Type))
 	binary.LittleEndian.PutUint64(buf[inoNlinkOff:], d.Nlink)
 	binary.LittleEndian.PutUint64(buf[InoSizeOff:], uint64(d.Size))
 	for i, b := range d.Blocks {
@@ -179,30 +159,30 @@ func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 		if binary.LittleEndian.Uint32(img[inoValidOff:]) != 1 {
 			continue
 		}
-		d := &Inode{
+		d := &Inode{Inode: vfs.Inode{
 			Ino:   ino,
-			Typ:   vfs.FileType(binary.LittleEndian.Uint32(img[inoTypeOff:])),
+			Type:  vfs.FileType(binary.LittleEndian.Uint32(img[inoTypeOff:])),
 			Nlink: binary.LittleEndian.Uint64(img[inoNlinkOff:]),
 			Size:  int64(binary.LittleEndian.Uint64(img[InoSizeOff:])),
-		}
+		}}
 		for i := range d.Blocks {
 			d.Blocks[i] = binary.LittleEndian.Uint64(img[InoBlocksOff+i*8:])
 		}
-		if d.Typ == vfs.TypeDir {
-			d.Dirents = map[string]DirentRef{}
+		if d.Type == vfs.TypeDir {
+			d.Dirents = map[string]vfs.Dirent{}
 		}
 		f.Slots.Claim(ino)
-		f.Inodes[ino] = d
+		f.Nodes[ino] = d
 	}
-	root := f.Inodes[RootIno]
-	if root == nil || root.Typ != vfs.TypeDir {
+	root := f.Nodes[RootIno]
+	if root == nil || root.Type != vfs.TypeDir {
 		return vfs.Corruptf("root inode missing or not a directory")
 	}
 
 	// Walk the inodes in slot order, not map order: when an image holds
 	// two faults, the one a mount reports is decided by the image.
 	for ino, ok := f.Slots.NextUsed(RootIno); ok; ino, ok = f.Slots.NextUsed(ino + 1) {
-		d := f.Inodes[ino]
+		d := f.Nodes[ino]
 		for i, b := range d.Blocks {
 			if b == 0 {
 				continue
@@ -217,8 +197,8 @@ func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 	}
 
 	for ino, ok := f.Slots.NextUsed(RootIno); ok; ino, ok = f.Slots.NextUsed(ino + 1) {
-		d := f.Inodes[ino]
-		if d.Typ != vfs.TypeDir {
+		d := f.Nodes[ino]
+		if d.Type != vfs.TypeDir {
 			continue
 		}
 		for _, b := range d.Blocks {
@@ -236,57 +216,11 @@ func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 				if child >= uint64(slots) || nameLen == 0 || nameLen > DirentSize-deNameOff {
 					return vfs.Corruptf("bad dirent in block %d slot %d", b, s)
 				}
-				d.Dirents[string(slot[deNameOff:deNameOff+nameLen])] = DirentRef{Ino: child, Off: off}
+				d.Dirents[string(slot[deNameOff:deNameOff+nameLen])] = vfs.Dirent{Ino: child, Off: off}
 			}
 		}
 	}
 	return nil
-}
-
-// Orphans finishes the namespace rebuild: a dirent whose inode is missing
-// gets a Bad placeholder, and a valid inode no directory reaches — left by
-// an interrupted operation, or unlinked while open — is returned, in inode
-// order, for the host's orphan pass to reclaim.
-func (f *FS) Orphans() []*Inode {
-	for _, d := range f.Inodes {
-		if d.Typ != vfs.TypeDir {
-			continue
-		}
-		for _, ref := range d.Dirents {
-			if f.Inodes[ref.Ino] == nil {
-				f.Inodes[ref.Ino] = &Inode{Ino: ref.Ino, Typ: vfs.TypeRegular, Bad: true}
-			}
-		}
-	}
-	reachable := map[uint64]bool{RootIno: true}
-	f.markReachable(f.Inodes[RootIno], reachable)
-	var out []*Inode
-	for ino, d := range f.Inodes {
-		switch {
-		case reachable[ino]:
-		case d.Bad:
-			delete(f.Inodes, ino)
-		default:
-			out = append(out, d)
-		}
-	}
-	slices.SortFunc(out, func(a, b *Inode) int { return cmp.Compare(a.Ino, b.Ino) })
-	return out
-}
-
-func (f *FS) markReachable(d *Inode, seen map[uint64]bool) {
-	if d.Typ != vfs.TypeDir || d.Bad {
-		return
-	}
-	for _, ref := range d.Dirents {
-		if seen[ref.Ino] {
-			continue
-		}
-		seen[ref.Ino] = true
-		if c := f.Inodes[ref.Ino]; c != nil {
-			f.markReachable(c, seen)
-		}
-	}
 }
 
 // Destroy frees an inode's blocks, slot and DRAM state. Its on-PM slot is
@@ -298,5 +232,5 @@ func (f *FS) Destroy(n *Inode) {
 		}
 	}
 	f.Slots.Release(n.Ino)
-	delete(f.Inodes, n.Ino)
+	delete(f.Nodes, n.Ino)
 }

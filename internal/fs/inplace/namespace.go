@@ -6,81 +6,6 @@ import (
 	"chipmunk/internal/vfs"
 )
 
-// child is the path walk's step (vfs.Walk): a dirent whose inode recovery
-// found missing is ErrIO.
-func (f *FS) child(d *Inode, name string) (*Inode, error) {
-	if d.Bad {
-		return nil, vfs.ErrIO
-	}
-	if d.Typ != vfs.TypeDir {
-		return nil, vfs.ErrNotDir
-	}
-	ref, ok := d.Dirents[name]
-	if !ok {
-		return nil, vfs.ErrNotExist
-	}
-	if c := f.Inodes[ref.Ino]; c != nil {
-		return c, nil
-	}
-	return nil, vfs.ErrIO
-}
-
-// Node resolves path to an inode that can be used: a missing one is ErrIO.
-func (f *FS) Node(path string) (*Inode, error) {
-	d, err := vfs.Walk(f.Inodes[RootIno], path, f.child)
-	if err == nil && d.Bad {
-		return nil, vfs.ErrIO
-	}
-	return d, err
-}
-
-// parent resolves the directory that holds path's last component.
-func (f *FS) parent(path string) (*Inode, string, error) {
-	return vfs.WalkParent(f.Inodes[RootIno], path, f.child)
-}
-
-// Stat implements vfs.FS.
-func (f *FS) Stat(path string) (vfs.Stat, error) {
-	d, err := f.Node(path)
-	if err != nil {
-		return vfs.Stat{}, err
-	}
-	return vfs.Stat{Ino: d.Ino, Type: d.Typ, Nlink: uint32(d.Nlink), Size: d.Size}, nil
-}
-
-// ReadDir implements vfs.FS.
-func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
-	d, err := f.Node(path)
-	if err != nil {
-		return nil, err
-	}
-	if d.Typ != vfs.TypeDir {
-		return nil, vfs.ErrNotDir
-	}
-	out := make([]vfs.DirEnt, 0, len(d.Dirents))
-	for name, ref := range d.Dirents {
-		typ := vfs.TypeRegular
-		if c := f.Inodes[ref.Ino]; c != nil {
-			typ = c.Typ
-		}
-		out = append(out, vfs.DirEnt{Name: name, Ino: ref.Ino, Type: typ})
-	}
-	vfs.SortDirEnts(out)
-	return out, nil
-}
-
-// Open implements vfs.FS.
-func (f *FS) Open(path string) (vfs.FD, error) {
-	d, err := f.Node(path)
-	if err != nil {
-		return -1, err
-	}
-	if d.Typ == vfs.TypeDir {
-		return -1, vfs.ErrIsDir
-	}
-	return f.Descs.Open(d.Ino, d), nil
-}
-
 // Close implements vfs.FS.
 func (f *FS) Close(fd vfs.FD) error { return f.Descs.Close(fd, f.reclaim) }
 
@@ -93,9 +18,6 @@ func (f *FS) Fsync(fd vfs.FD) error {
 
 // Sync implements vfs.FS.
 func (f *FS) Sync() error { return nil }
-
-// OpenFDs implements vfs.FDCounter.
-func (f *FS) OpenFDs() int { return f.Descs.OpenFDs() }
 
 // Pread implements vfs.FS.
 func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
@@ -135,11 +57,11 @@ func (f *FS) Truncate(path string, size int64) error {
 	if size > MaxFileSize {
 		return vfs.ErrNoSpace
 	}
-	d, err := f.Node(path)
+	d, err := f.Lookup(path)
 	if err != nil {
 		return err
 	}
-	if d.Typ == vfs.TypeDir {
+	if d.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
 	if size == d.Size {
@@ -236,7 +158,7 @@ func slotPending(p *Inode, off int64) bool {
 // Create implements vfs.FS.
 func (f *FS) Create(path string) (vfs.FD, error) {
 	defer f.Host.EndOp()
-	p, name, err := f.parent(path)
+	p, name, err := f.Parent(path)
 	if err != nil {
 		return -1, err
 	}
@@ -247,7 +169,7 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	if err != nil {
 		return -1, err
 	}
-	d := &Inode{Ino: ino, Typ: vfs.TypeRegular, Nlink: 1}
+	d := &Inode{Inode: vfs.Inode{Ino: ino, Type: vfs.TypeRegular, Nlink: 1}}
 	// The inode image is journaled together with the dirent: redo replay
 	// re-applies transactions in order, so every write that can overlap a
 	// journaled target must itself be journaled (inode slots are reused).
@@ -262,15 +184,15 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	t.Set(slot, de[:])
 	t.Commit()
 
-	f.Inodes[ino] = d
-	p.Dirents[name] = DirentRef{Ino: ino, Off: slot}
+	f.Nodes[ino] = d
+	p.Dirents[name] = vfs.Dirent{Ino: ino, Off: slot}
 	return f.Descs.Open(ino, d), nil
 }
 
 // Mkdir implements vfs.FS.
 func (f *FS) Mkdir(path string) error {
 	defer f.Host.EndOp()
-	p, name, err := f.parent(path)
+	p, name, err := f.Parent(path)
 	if err != nil {
 		return err
 	}
@@ -281,7 +203,7 @@ func (f *FS) Mkdir(path string) error {
 	if err != nil {
 		return err
 	}
-	d := &Inode{Ino: ino, Typ: vfs.TypeDir, Nlink: 2, Dirents: map[string]DirentRef{}}
+	d := &Inode{Inode: vfs.Inode{Ino: ino, Type: vfs.TypeDir, Nlink: 2, Dirents: map[string]vfs.Dirent{}}}
 	p.Nlink++
 	t := f.Begin()
 	f.SetInode(t, d)
@@ -296,22 +218,22 @@ func (f *FS) Mkdir(path string) error {
 	f.SetInode(t, p)
 	t.Commit()
 
-	f.Inodes[ino] = d
-	p.Dirents[name] = DirentRef{Ino: ino, Off: slot}
+	f.Nodes[ino] = d
+	p.Dirents[name] = vfs.Dirent{Ino: ino, Off: slot}
 	return nil
 }
 
 // Link implements vfs.FS.
 func (f *FS) Link(oldPath, newPath string) error {
 	defer f.Host.EndOp()
-	n, err := f.Node(oldPath)
+	n, err := f.Lookup(oldPath)
 	if err != nil {
 		return err
 	}
-	if n.Typ == vfs.TypeDir {
+	if n.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	p, name, err := f.parent(newPath)
+	p, name, err := f.Parent(newPath)
 	if err != nil {
 		return err
 	}
@@ -329,7 +251,7 @@ func (f *FS) Link(oldPath, newPath string) error {
 	t.Set(slot, de[:])
 	f.SetInode(t, n)
 	t.Commit()
-	p.Dirents[name] = DirentRef{Ino: n.Ino, Off: slot}
+	p.Dirents[name] = vfs.Dirent{Ino: n.Ino, Off: slot}
 	return nil
 }
 
@@ -337,7 +259,7 @@ func (f *FS) Link(oldPath, newPath string) error {
 // blocks, inside the host's Freeing/Freed bracket.
 func (f *FS) Unlink(path string) error {
 	defer f.Host.EndOp()
-	p, name, err := f.parent(path)
+	p, name, err := f.Parent(path)
 	if err != nil {
 		return err
 	}
@@ -345,11 +267,11 @@ func (f *FS) Unlink(path string) error {
 	if !ok {
 		return vfs.ErrNotExist
 	}
-	n := f.Inodes[ref.Ino]
-	if n == nil || n.Bad {
+	n := f.Nodes[ref.Ino]
+	if n == nil || n.Damaged {
 		return vfs.ErrIO
 	}
-	if n.Typ == vfs.TypeDir {
+	if n.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
 
@@ -390,7 +312,7 @@ func (f *FS) dropLink(t *Tx, n *Inode) {
 // it is invalidated now; a crash before that leaves it to the host's
 // orphan pass at mount.
 func (f *FS) reclaim(ino uint64) {
-	n := f.Inodes[ino]
+	n := f.Nodes[ino]
 	if n.orphan {
 		t := f.Begin()
 		t.Set(f.InodeOff(ino), zeroInode)
@@ -402,7 +324,7 @@ func (f *FS) reclaim(ino uint64) {
 // Rmdir implements vfs.FS.
 func (f *FS) Rmdir(path string) error {
 	defer f.Host.EndOp()
-	p, name, err := f.parent(path)
+	p, name, err := f.Parent(path)
 	if err != nil {
 		return err
 	}
@@ -410,11 +332,11 @@ func (f *FS) Rmdir(path string) error {
 	if !ok {
 		return vfs.ErrNotExist
 	}
-	n := f.Inodes[ref.Ino]
-	if n == nil || n.Bad {
+	n := f.Nodes[ref.Ino]
+	if n == nil || n.Damaged {
 		return vfs.ErrIO
 	}
-	if n.Typ != vfs.TypeDir {
+	if n.Type != vfs.TypeDir {
 		return vfs.ErrNotDir
 	}
 	if len(n.Dirents) > 0 {
@@ -447,7 +369,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if vfs.IsAncestor(oldPath, newPath) {
 		return vfs.ErrInvalid
 	}
-	op, oname, err := f.parent(oldPath)
+	op, oname, err := f.Parent(oldPath)
 	if err != nil {
 		return err
 	}
@@ -455,11 +377,11 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if !ok {
 		return vfs.ErrNotExist
 	}
-	n := f.Inodes[oref.Ino]
-	if n == nil || n.Bad {
+	n := f.Nodes[oref.Ino]
+	if n == nil || n.Damaged {
 		return vfs.ErrIO
 	}
-	np, nname, err := f.parent(newPath)
+	np, nname, err := f.Parent(newPath)
 	if err != nil {
 		return err
 	}
@@ -467,15 +389,15 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	var victim *Inode
 	vref, hasVictim := np.Dirents[nname]
 	if hasVictim {
-		victim = f.Inodes[vref.Ino]
+		victim = f.Nodes[vref.Ino]
 		if victim == nil {
 			return vfs.ErrIO
 		}
-		if err := vfs.CheckReplace(n.Typ, victim.Typ, len(victim.Dirents) == 0); err != nil {
+		if err := vfs.CheckReplace(n.Type, victim.Type, len(victim.Dirents) == 0); err != nil {
 			return err
 		}
 	}
-	victimDies := victim != nil && (victim.Typ == vfs.TypeDir || victim.Nlink == 1)
+	victimDies := victim != nil && (victim.Type == vfs.TypeDir || victim.Nlink == 1)
 	if victimDies {
 		f.Host.Freeing(victim.Ino)
 	}
@@ -491,14 +413,14 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	}
 	de := direntImage(n.Ino, nname)
 	t.Set(slot, de[:])
-	if n.Typ == vfs.TypeDir && op != np {
+	if n.Type == vfs.TypeDir && op != np {
 		op.Nlink--
 		np.Nlink++
 		f.SetInode(t, op)
 		f.SetInode(t, np)
 	}
 	if victim != nil {
-		if victim.Typ == vfs.TypeDir {
+		if victim.Type == vfs.TypeDir {
 			np.Nlink--
 			victim.Nlink = 0
 			f.SetInode(t, np)
@@ -510,7 +432,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	t.Commit()
 
 	delete(op.Dirents, oname)
-	np.Dirents[nname] = DirentRef{Ino: n.Ino, Off: slot}
+	np.Dirents[nname] = vfs.Dirent{Ino: n.Ino, Off: slot}
 	if victim != nil {
 		f.Descs.Unlinked(victim.Ino, victim.Nlink, f.reclaim)
 	}

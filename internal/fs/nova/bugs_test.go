@@ -136,12 +136,12 @@ func TestJournalRecoveryRedoesCommitted(t *testing.T) {
 	f, dev := newNova(t, bugs.None())
 	f.Create("/a")
 	// Manually stage a journal record changing /a's inode nlink to 5.
-	d := f.inodes[f.inodes[RootIno].dirents["a"].ino]
+	d := f.Nodes[f.Nodes[RootIno].Dirents["a"].Ino]
 	img := f.inodeImage(d)
 	binary.LittleEndian.PutUint64(img[inoNlinkOff:], 5)
 	base := int64(journalPage) * PageSize
 	off := base + jRecsOff
-	f.pm.Store64(off, uint64(inodeOff(d.ino)))
+	f.pm.Store64(off, uint64(inodeOff(d.Ino)))
 	f.pm.Store64(off+8, uint64(len(img)))
 	f.pm.Store(off+16, img[:])
 	f.pm.Store64(base+jCountOff, 1)

@@ -45,7 +45,7 @@ func (f *FS) verifyPageCsum(poolPage uint64) bool {
 // update, making multi-page writes crash-atomic. Old pages are freed in
 // DRAM only after the publish.
 func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
-	d, err := f.descs.Get(fd)
+	d, err := f.Descs.Get(fd)
 	if err != nil {
 		return 0, err
 	}
@@ -59,7 +59,7 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 	if end > maxFileSize {
 		return 0, vfs.ErrNoSpace
 	}
-	newSize := d.size
+	newSize := d.Size
 	if end > newSize {
 		newSize = end
 	}
@@ -145,7 +145,7 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 		}
 		d.pages[p.filePage] = p.poolPage
 	}
-	d.size = newSize
+	d.Size = newSize
 	f.endOp()
 	f.maybeGC(d)
 	return len(data), nil
@@ -153,19 +153,19 @@ func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
 
 // Pread implements vfs.FS.
 func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
-	d, err := f.descs.Get(fd)
+	d, err := f.Descs.Get(fd)
 	if err != nil {
 		return 0, err
 	}
 	if off < 0 {
 		return 0, vfs.ErrInvalid
 	}
-	if off >= d.size {
+	if off >= d.Size {
 		return 0, nil
 	}
 	n := int64(len(buf))
-	if off+n > d.size {
-		n = d.size - off
+	if off+n > d.Size {
+		n = d.Size - off
 	}
 	for pos := off; pos < off+n; {
 		fp := uint64(pos / PageSize)
@@ -199,22 +199,22 @@ func (f *FS) Truncate(path string, size int64) error {
 	if size > maxFileSize {
 		return vfs.ErrNoSpace
 	}
-	d, err := f.node(path)
+	d, err := f.Lookup(path)
 	if err != nil {
 		return err
 	}
-	if d.typ == vfs.TypeDir {
+	if d.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	if size == d.size {
+	if size == d.Size {
 		return nil
 	}
-	if size > d.size {
+	if size > d.Size {
 		// Extension: a single attr entry.
 		if _, err := f.appendEntry(d, entry{typ: etAttr, size: uint64(size)}, false, true); err != nil {
 			return err
 		}
-		d.size = size
+		d.Size = size
 		f.endOp()
 		return nil
 	}
@@ -222,14 +222,14 @@ func (f *FS) Truncate(path string, size int64) error {
 }
 
 func (f *FS) truncateShrink(d *dnode, size int64) error {
-	oldSize := d.size
+	oldSize := d.Size
 
 	// Pages fully beyond the new size will be freed. Collected in file-page
 	// order: the list lands on PM via the Fortis free-log, so its order is
 	// image content, not a DRAM detail.
 	var freed []uint64
 	firstDead := uint64((size + PageSize - 1) / PageSize)
-	for _, fp := range sortedPageKeys(d.pages) {
+	for _, fp := range sortedKeys(d.pages) {
 		if fp >= firstDead {
 			freed = append(freed, d.pages[fp])
 		}
@@ -304,7 +304,7 @@ func (f *FS) truncateShrink(d *dnode, size int64) error {
 			delete(d.pages, fp)
 		}
 	}
-	d.size = size
+	d.Size = size
 
 	// Fortis: the free-log is cleared once the truncate is fully applied.
 	if f.fortis && f.has(bugs.FortisDoubleFree) && len(freed) > 0 {
@@ -383,7 +383,7 @@ func (f *FS) clearFreeLog() {
 // emits them for every page in the range; the live DRAM state stays correct
 // but the rebuild maps the fresh zero pages over existing data.
 func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
-	d, err := f.descs.Get(fd)
+	d, err := f.Descs.Get(fd)
 	if err != nil {
 		return err
 	}
@@ -394,7 +394,7 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 	if end > maxFileSize {
 		return vfs.ErrNoSpace
 	}
-	newSize := d.size
+	newSize := d.Size
 	if end > newSize {
 		newSize = end
 	}
@@ -438,7 +438,7 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 			return err
 		}
 	}
-	if len(pend) == 0 && newSize != d.size {
+	if len(pend) == 0 && newSize != d.Size {
 		var err error
 		_, tail, err = f.writeEntryNoPublish(d, tail, entry{typ: etAttr, size: uint64(newSize)}, false)
 		if err != nil {
@@ -458,7 +458,7 @@ func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
 		}
 		d.pages[p.filePage] = p.poolPage
 	}
-	d.size = newSize
+	d.Size = newSize
 	f.endOp()
 	return nil
 }

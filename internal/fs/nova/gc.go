@@ -38,8 +38,8 @@ func (fs *FS) maybeGC(d *dnode) {
 
 // liveEntries counts the entries a rebuild would still need.
 func (fs *FS) liveEntries(d *dnode) int {
-	if d.typ == vfs.TypeDir {
-		return len(d.dirents)
+	if d.Type == vfs.TypeDir {
+		return len(d.Dirents)
 	}
 	// Files: one write entry per mapped page plus one attr entry for size.
 	return len(d.pages) + 1
@@ -89,37 +89,37 @@ func (fs *FS) collectLog(d *dnode, live int) {
 	// The compacted log's on-PM entry order is part of the image: walk the
 	// DRAM maps in sorted order, never map order, so collecting the same
 	// inode state always produces byte-identical log pages.
-	newDirents := map[string]*dirent{}
+	newDirents := map[string]vfs.Dirent{}
 	ok := true
-	if d.typ == vfs.TypeDir {
-		names := make([]string, 0, len(d.dirents))
-		for name := range d.dirents {
+	if d.Type == vfs.TypeDir {
+		names := make([]string, 0, len(d.Dirents))
+		for name := range d.Dirents {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			de := d.dirents[name]
-			child := fs.inodes[de.ino]
+			de := d.Dirents[name]
+			child := fs.Nodes[de.Ino]
 			ftype := vfs.TypeRegular
 			if child != nil {
-				ftype = child.typ
+				ftype = child.Type
 			}
 			off := tail
-			if !writeOne(entry{typ: etDentryAdd, ino: de.ino, ftype: ftype, name: name}) {
+			if !writeOne(entry{typ: etDentryAdd, ino: de.Ino, ftype: ftype, name: name}) {
 				ok = false
 				break
 			}
-			newDirents[name] = &dirent{ino: de.ino, entryOff: off}
+			newDirents[name] = vfs.Dirent{Ino: de.Ino, Off: off}
 		}
 	} else {
-		for _, fp := range sortedPageKeys(d.pages) {
-			if !writeOne(entry{typ: etWrite, filePage: fp, poolPage: d.pages[fp], sizeHint: uint64(d.size)}) {
+		for _, fp := range sortedKeys(d.pages) {
+			if !writeOne(entry{typ: etWrite, filePage: fp, poolPage: d.pages[fp], sizeHint: uint64(d.Size)}) {
 				ok = false
 				break
 			}
 		}
 		if ok {
-			ok = writeOne(entry{typ: etAttr, size: uint64(d.size)})
+			ok = writeOne(entry{typ: etAttr, size: uint64(d.Size)})
 		}
 	}
 	if !ok {
@@ -138,8 +138,8 @@ func (fs *FS) collectLog(d *dnode, live int) {
 	t := fs.beginTx()
 	t.addInode(d, false)
 	t.commit()
-	if d.typ == vfs.TypeDir {
-		d.dirents = newDirents
+	if d.Type == vfs.TypeDir {
+		d.Dirents = newDirents
 	}
 	for _, p := range oldPages {
 		fs.alloc.Release(p)

@@ -71,12 +71,12 @@ func (r *jrec) bytes() []byte { return r.data[:r.n] }
 // replica image as well.
 func (t *txn) addInode(d *dnode, lazyReplica bool) {
 	img := t.fs.inodeImage(d)
-	t.setBytes(inodeOff(d.ino), img[:])
+	t.setBytes(inodeOff(d.Ino), img[:])
 	if t.fs.fortis {
 		if lazyReplica && t.fs.has(bugs.FortisReplicaSkew) {
-			t.fs.lazyReplicas = append(t.fs.lazyReplicas, d.ino)
+			t.fs.lazyReplicas = append(t.fs.lazyReplicas, d.Ino)
 		} else {
-			t.setBytes(inodeOff(d.ino)+inoReplicaOff, img[:])
+			t.setBytes(inodeOff(d.Ino)+inoReplicaOff, img[:])
 		}
 	}
 }

@@ -161,7 +161,7 @@ func (fs *FS) invalidateEntry(entryOff int64) {
 // copy is deferred to the end of the system call, opening the
 // primary/replica skew window.
 func (fs *FS) syncInode(d *dnode, lazyReplica bool) {
-	off := inodeOff(d.ino)
+	off := inodeOff(d.Ino)
 	buf := fs.inodeImage(d)
 	fs.pm.Store(off, buf[:])
 	fs.pm.Flush(off, 128)
@@ -170,10 +170,10 @@ func (fs *FS) syncInode(d *dnode, lazyReplica bool) {
 		return
 	}
 	if lazyReplica && fs.has(bugs.FortisReplicaSkew) {
-		fs.lazyReplicas = append(fs.lazyReplicas, d.ino)
+		fs.lazyReplicas = append(fs.lazyReplicas, d.Ino)
 		return
 	}
-	fs.writeReplica(d.ino, buf[:])
+	fs.writeReplica(d.Ino, buf[:])
 }
 
 // writeReplica mirrors the primary inode image into the replica slot.

@@ -11,31 +11,19 @@ import (
 	"chipmunk/internal/vfs"
 )
 
-// dirent is a directory entry held in DRAM, remembering where its
-// dentry-add log entry lives so rename can invalidate it in place
-// (the optimization behind bugs 4 and 5).
-type dirent struct {
-	ino      uint64
-	entryOff int64
-}
-
 // dnode is the DRAM inode: everything except nlink and the log pointers is
-// volatile and rebuilt at mount.
+// volatile and rebuilt at mount. A directory entry's Off is its dentry-add
+// log entry, so rename can invalidate it in place (the optimization behind
+// bugs 4 and 5). Damaged marks an inode that a dentry references but whose
+// on-PM state is invalid or inconsistent (bugs 2, 9 and 10).
 type dnode struct {
-	ino   uint64
-	typ   vfs.FileType
-	nlink uint64
-	size  int64
-	tail  int64 // mirrors the on-PM log tail
-	head  uint64
+	vfs.Inode
+	tail int64 // mirrors the on-PM log tail
+	head uint64
 
-	pages    map[uint64]uint64  // file page -> pool page (regular files)
-	dirents  map[string]*dirent // name -> entry (directories)
-	logPages []uint64           // log-page chain (DRAM bookkeeping)
+	pages    map[uint64]uint64 // file page -> pool page (regular files)
+	logPages []uint64          // log-page chain (DRAM bookkeeping)
 
-	// bad marks an inode that a dentry references but whose on-PM state is
-	// invalid or inconsistent (bugs 2 and 10); operations return ErrIO.
-	bad bool
 	// conflicted marks a Fortis primary/replica mismatch: reads work from
 	// the primary but deletion is refused (bug 10's consequence).
 	conflicted bool
@@ -54,9 +42,10 @@ type FS struct {
 	// which makes the rebuild a bug hotspot.
 	alloc   *vfs.Bitmap
 	ialloc  *vfs.Bitmap
-	inodes  map[uint64]*dnode
-	descs   vfs.FDTable[*dnode]
 	mounted bool
+	// Tree holds the DRAM inodes and the descriptor table, and answers
+	// lookup, Stat, ReadDir and Open.
+	vfs.Tree[*dnode]
 
 	// lazyReplicas holds inodes whose Fortis replica update was deferred
 	// to the end of the system call (bug 10).
@@ -97,8 +86,8 @@ func (f *FS) stampCsum(raw *[EntrySize]byte) uint32 {
 // state, with the Fortis checksum stamped when applicable.
 func (f *FS) inodeImage(d *dnode) (buf [128]byte) {
 	binary.LittleEndian.PutUint32(buf[inoValidOff:], 1)
-	binary.LittleEndian.PutUint32(buf[inoTypeOff:], uint32(d.typ))
-	binary.LittleEndian.PutUint64(buf[inoNlinkOff:], d.nlink)
+	binary.LittleEndian.PutUint32(buf[inoTypeOff:], uint32(d.Type))
+	binary.LittleEndian.PutUint64(buf[inoNlinkOff:], d.Nlink)
 	binary.LittleEndian.PutUint64(buf[inoHeadOff:], d.head)
 	binary.LittleEndian.PutUint64(buf[inoTailOff:], uint64(d.tail))
 	if f.fortis {
@@ -148,8 +137,7 @@ func (f *FS) Mkfs() error {
 
 	f.alloc, f.ialloc = vfs.NewBitmap(poolStartPage, f.totalPages), vfs.NewBitmap(RootIno, InodeCount)
 	f.ialloc.Claim(RootIno)
-	f.inodes = map[uint64]*dnode{}
-	f.descs.Reset()
+	f.Reset(RootIno)
 
 	// Root directory inode with an empty log page.
 	headPage, err := f.alloc.Next()
@@ -159,12 +147,11 @@ func (f *FS) Mkfs() error {
 	pm.MemsetNT(pageOff(headPage), 0, PageSize)
 	pm.Fence()
 	root := &dnode{
-		ino: RootIno, typ: vfs.TypeDir, nlink: 2,
-		head: headPage, tail: pageOff(headPage),
-		dirents: map[string]*dirent{},
+		Inode: vfs.Inode{Ino: RootIno, Type: vfs.TypeDir, Nlink: 2, Dirents: map[string]vfs.Dirent{}},
+		head:  headPage, tail: pageOff(headPage),
 	}
 	f.writeInodeInit(root, true)
-	f.inodes[RootIno] = root
+	f.Nodes[RootIno] = root
 
 	// Superblock last: its magic validates the whole image.
 	pm.Store64(sbMagicOff, Magic)
@@ -187,7 +174,7 @@ func (f *FS) Mkfs() error {
 // flush is skipped under bug 2 (for non-root inodes), leaving the new inode
 // volatile — the "unreadable and undeletable file" PM bug.
 func (f *FS) writeInodeInit(d *dnode, flush bool) {
-	off := inodeOff(d.ino)
+	off := inodeOff(d.Ino)
 	buf := f.inodeImage(d)
 	f.pm.Store(off, buf[:])
 	if flush {
@@ -207,8 +194,7 @@ func (f *FS) writeInodeInit(d *dnode, flush bool) {
 // Unmount implements vfs.FS.
 func (f *FS) Unmount() error {
 	f.mounted = false
-	f.descs.Reset()
-	f.inodes = nil
+	f.Drop()
 	f.alloc = nil
 	f.ialloc = nil
 	return nil
@@ -220,111 +206,30 @@ func (f *FS) Unmount() error {
 // whole-device PM with no deferred per-syscall work pending forks.
 func (f *FS) Fork(pm persist.Space) vfs.FS {
 	p, isPM := pm.(*persist.PM)
-	descs, ok := f.descs.Fork()
-	if !ok || !isPM || len(f.lazyReplicas) > 0 || len(f.deferredCsums) > 0 {
+	if !isPM || len(f.lazyReplicas) > 0 || len(f.deferredCsums) > 0 {
+		return nil
+	}
+	tree, ok := f.Tree.Fork(func(d *dnode) *dnode {
+		c := *d
+		c.pages, c.logPages = maps.Clone(d.pages), slices.Clone(d.logPages)
+		return &c
+	})
+	if !ok {
 		return nil
 	}
 	g := *f
-	g.pm, g.descs, g.csumBuf = p, descs, nil
+	g.pm, g.Tree, g.csumBuf = p, tree, nil
 	g.alloc, g.ialloc = f.alloc.Clone(), f.ialloc.Clone()
-	g.inodes = make(map[uint64]*dnode, len(f.inodes))
-	for ino, d := range f.inodes {
-		c := *d
-		c.pages, c.logPages = maps.Clone(d.pages), slices.Clone(d.logPages)
-		if d.dirents != nil {
-			c.dirents = make(map[string]*dirent, len(d.dirents))
-			for name, de := range d.dirents {
-				e := *de
-				c.dirents[name] = &e
-			}
-		}
-		g.inodes[ino] = &c
-	}
 	return &g
 }
 
-// child is the path walk's step (vfs.Walk): a directory the log scan found
-// damaged, or an entry whose inode is gone, is ErrIO.
-func (f *FS) child(d *dnode, name string) (*dnode, error) {
-	if d.bad {
-		return nil, vfs.ErrIO
-	}
-	if d.typ != vfs.TypeDir {
-		return nil, vfs.ErrNotDir
-	}
-	de, ok := d.dirents[name]
-	if !ok {
-		return nil, vfs.ErrNotExist
-	}
-	if c := f.inodes[de.ino]; c != nil {
-		return c, nil
-	}
-	return nil, vfs.ErrIO
-}
-
-// node resolves path to an inode that can be used: a damaged one is ErrIO.
-func (f *FS) node(path string) (*dnode, error) {
-	d, err := vfs.Walk(f.inodes[RootIno], path, f.child)
-	if err == nil && d.bad {
-		return nil, vfs.ErrIO
-	}
-	return d, err
-}
-
-// parent resolves the directory that holds path's last component.
-func (f *FS) parent(path string) (*dnode, string, error) {
-	return vfs.WalkParent(f.inodes[RootIno], path, f.child)
-}
-
-// Stat implements vfs.FS.
-func (f *FS) Stat(path string) (vfs.Stat, error) {
-	d, err := f.node(path)
-	if err != nil {
-		return vfs.Stat{}, err
-	}
-	return vfs.Stat{Ino: d.ino, Type: d.typ, Nlink: uint32(d.nlink), Size: d.size}, nil
-}
-
-// ReadDir implements vfs.FS.
-func (f *FS) ReadDir(path string) ([]vfs.DirEnt, error) {
-	d, err := f.node(path)
-	if err != nil {
-		return nil, err
-	}
-	if d.typ != vfs.TypeDir {
-		return nil, vfs.ErrNotDir
-	}
-	out := make([]vfs.DirEnt, 0, len(d.dirents))
-	for name, de := range d.dirents {
-		typ := vfs.TypeRegular
-		if child := f.inodes[de.ino]; child != nil {
-			typ = child.typ
-		}
-		out = append(out, vfs.DirEnt{Name: name, Ino: de.ino, Type: typ})
-	}
-	vfs.SortDirEnts(out)
-	return out, nil
-}
-
-// Open implements vfs.FS.
-func (f *FS) Open(path string) (vfs.FD, error) {
-	d, err := f.node(path)
-	if err != nil {
-		return -1, err
-	}
-	if d.typ == vfs.TypeDir {
-		return -1, vfs.ErrIsDir
-	}
-	return f.descs.Open(d.ino, d), nil
-}
-
 // Close implements vfs.FS.
-func (f *FS) Close(fd vfs.FD) error { return f.descs.Close(fd, f.reclaim) }
+func (f *FS) Close(fd vfs.FD) error { return f.Descs.Close(fd, f.reclaim) }
 
 // Fsync implements vfs.FS. NOVA is synchronous: every operation is durable
 // when it returns, so fsync only validates the descriptor.
 func (f *FS) Fsync(fd vfs.FD) error {
-	_, err := f.descs.Get(fd)
+	_, err := f.Descs.Get(fd)
 	return err
 }
 
@@ -335,6 +240,3 @@ var (
 	_ vfs.FS     = (*FS)(nil)
 	_ vfs.Forker = (*FS)(nil)
 )
-
-// OpenFDs implements vfs.FDCounter.
-func (f *FS) OpenFDs() int { return f.descs.OpenFDs() }

@@ -630,7 +630,7 @@ func TestLogGCReclaimsDeadEntries(t *testing.T) {
 		}
 	}
 	f.Create("/keep")
-	root := f.inodes[RootIno]
+	root := f.Nodes[RootIno]
 	if len(root.logPages) > 10 {
 		t.Fatalf("root log grew to %d pages despite GC", len(root.logPages))
 	}
@@ -653,7 +653,7 @@ func TestLogGCOnFileOverwrites(t *testing.T) {
 		}
 	}
 	f.Pwrite(fd, []byte("final"), 0)
-	d, _ := f.descs.Get(fd)
+	d, _ := f.Descs.Get(fd)
 	if len(d.logPages) > 10 {
 		t.Fatalf("file log grew to %d pages despite GC", len(d.logPages))
 	}

@@ -13,18 +13,18 @@ import (
 // that mount-time GC reclaims. Bug 2 omits the flush of the inode
 // initialization, so the dentry can point at an all-zero inode slot.
 func (f *FS) Create(path string) (vfs.FD, error) {
-	p, name, err := f.parent(path)
+	p, name, err := f.Parent(path)
 	if err != nil {
 		return -1, err
 	}
-	if _, ok := p.dirents[name]; ok {
+	if _, ok := p.Dirents[name]; ok {
 		return -1, vfs.ErrExist
 	}
 	ino, err := f.ialloc.Lowest()
 	if err != nil {
 		return -1, err
 	}
-	d := &dnode{ino: ino, typ: vfs.TypeRegular, nlink: 1, pages: map[uint64]uint64{}}
+	d := &dnode{Inode: vfs.Inode{Ino: ino, Type: vfs.TypeRegular, Nlink: 1}, pages: map[uint64]uint64{}}
 	f.writeInodeInit(d, !f.has(bugs.NovaInodeInitNoFlush))
 
 	entryOff, err := f.appendEntry(p, entry{
@@ -34,19 +34,19 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 		f.ialloc.Release(ino)
 		return -1, err
 	}
-	f.inodes[ino] = d
-	p.dirents[name] = &dirent{ino: ino, entryOff: entryOff}
-	return f.descs.Open(ino, d), nil
+	f.Nodes[ino] = d
+	p.Dirents[name] = vfs.Dirent{Ino: ino, Off: entryOff}
+	return f.Descs.Open(ino, d), nil
 }
 
 // Mkdir implements vfs.FS. The parent's tail and nlink change together, so
 // the publish is journaled.
 func (f *FS) Mkdir(path string) error {
-	p, name, err := f.parent(path)
+	p, name, err := f.Parent(path)
 	if err != nil {
 		return err
 	}
-	if _, ok := p.dirents[name]; ok {
+	if _, ok := p.Dirents[name]; ok {
 		return vfs.ErrExist
 	}
 	ino, err := f.ialloc.Lowest()
@@ -61,9 +61,8 @@ func (f *FS) Mkdir(path string) error {
 	f.pm.MemsetNT(pageOff(headPage), 0, PageSize)
 	f.pm.Fence()
 	child := &dnode{
-		ino: ino, typ: vfs.TypeDir, nlink: 2,
-		head: headPage, tail: pageOff(headPage),
-		dirents:  map[string]*dirent{},
+		Inode: vfs.Inode{Ino: ino, Type: vfs.TypeDir, Nlink: 2, Dirents: map[string]vfs.Dirent{}},
+		head:  headPage, tail: pageOff(headPage),
 		logPages: []uint64{headPage},
 	}
 	f.writeInodeInit(child, !f.has(bugs.NovaInodeInitNoFlush))
@@ -77,13 +76,13 @@ func (f *FS) Mkdir(path string) error {
 		return err
 	}
 	p.tail = newTail
-	p.nlink++
+	p.Nlink++
 	t := f.beginTx()
 	t.addInode(p, false)
 	t.commit()
 
-	f.inodes[ino] = child
-	p.dirents[name] = &dirent{ino: ino, entryOff: entryOff}
+	f.Nodes[ino] = child
+	p.Dirents[name] = vfs.Dirent{Ino: ino, Off: entryOff}
 	return nil
 }
 
@@ -94,18 +93,18 @@ func (f *FS) Mkdir(path string) error {
 // dentry is durable; bug 3 additionally publishes the directory tail before
 // the dentry bytes.
 func (f *FS) Link(oldPath, newPath string) error {
-	n, err := f.node(oldPath)
+	n, err := f.Lookup(oldPath)
 	if err != nil {
 		return err
 	}
-	if n.typ == vfs.TypeDir {
+	if n.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	p, name, err := f.parent(newPath)
+	p, name, err := f.Parent(newPath)
 	if err != nil {
 		return err
 	}
-	if _, ok := p.dirents[name]; ok {
+	if _, ok := p.Dirents[name]; ok {
 		return vfs.ErrExist
 	}
 
@@ -119,35 +118,35 @@ func (f *FS) Link(oldPath, newPath string) error {
 			lastPage := n.logPages[len(n.logPages)-1]
 			_ = f.pm.Load(pageOff(lastPage), PageSize/2)
 		}
-		_ = f.pm.Load(inodeOff(n.ino), 128)
-		n.nlink++
+		_ = f.pm.Load(inodeOff(n.Ino), 128)
+		n.Nlink++
 		f.syncInode(n, true)
 		entryOff, err := f.appendEntry(p, entry{
-			typ: etDentryAdd, ino: n.ino, ftype: n.typ, name: name,
+			typ: etDentryAdd, ino: n.Ino, ftype: n.Type, name: name,
 		}, true, false)
 		if err != nil {
-			n.nlink--
+			n.Nlink--
 			f.syncInode(n, true)
 			return err
 		}
-		p.dirents[name] = &dirent{ino: n.ino, entryOff: entryOff}
+		p.Dirents[name] = vfs.Dirent{Ino: n.Ino, Off: entryOff}
 		f.endOp()
 		return nil
 	}
 
 	entryOff, newTail, err := f.writeEntryNoPublish(p, p.tail, entry{
-		typ: etDentryAdd, ino: n.ino, ftype: n.typ, name: name,
+		typ: etDentryAdd, ino: n.Ino, ftype: n.Type, name: name,
 	}, false)
 	if err != nil {
 		return err
 	}
 	p.tail = newTail
-	n.nlink++
+	n.Nlink++
 	t := f.beginTx()
 	t.addInode(p, true)
 	t.addInode(n, true)
 	t.commit()
-	p.dirents[name] = &dirent{ino: n.ino, entryOff: entryOff}
+	p.Dirents[name] = vfs.Dirent{Ino: n.Ino, Off: entryOff}
 	f.endOp()
 	return nil
 }
@@ -156,19 +155,19 @@ func (f *FS) Link(oldPath, newPath string) error {
 // are journaled together; under bug 3 the listed fast path appends the
 // remove entry with the tail-first ordering instead.
 func (f *FS) Unlink(path string) error {
-	p, name, err := f.parent(path)
+	p, name, err := f.Parent(path)
 	if err != nil {
 		return err
 	}
-	de, ok := p.dirents[name]
+	de, ok := p.Dirents[name]
 	if !ok {
 		return vfs.ErrNotExist
 	}
-	n := f.inodes[de.ino]
-	if n == nil || n.bad {
+	n := f.Nodes[de.Ino]
+	if n == nil || n.Damaged {
 		return vfs.ErrIO
 	}
-	if n.typ == vfs.TypeDir {
+	if n.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
 	if n.conflicted {
@@ -179,29 +178,29 @@ func (f *FS) Unlink(path string) error {
 	if f.has(bugs.NovaEntryAfterTail) {
 		// Fast path: un-journaled remove entry with risky ordering.
 		if _, err := f.appendEntry(p, entry{
-			typ: etDentryRemove, ino: n.ino, name: name,
+			typ: etDentryRemove, ino: n.Ino, name: name,
 		}, true, true); err != nil {
 			return err
 		}
-		n.nlink--
+		n.Nlink--
 		f.syncInode(n, false)
 	} else {
 		_, newTail, err := f.writeEntryNoPublish(p, p.tail, entry{
-			typ: etDentryRemove, ino: n.ino, name: name,
+			typ: etDentryRemove, ino: n.Ino, name: name,
 		}, true)
 		if err != nil {
 			return err
 		}
 		p.tail = newTail
-		n.nlink--
+		n.Nlink--
 		t := f.beginTx()
 		t.addInode(p, false)
 		t.addInode(n, false)
 		t.commit()
 	}
 
-	delete(p.dirents, name)
-	f.descs.Unlinked(n.ino, n.nlink, f.reclaim)
+	delete(p.Dirents, name)
+	f.Descs.Unlinked(n.Ino, n.Nlink, f.reclaim)
 	f.endOp()
 	f.maybeGC(p)
 	return nil
@@ -209,12 +208,12 @@ func (f *FS) Unlink(path string) error {
 
 // reclaim destroys an inode with no links and no open descriptors (the
 // vfs.FDTable lifetime rule), as real NOVA does at inode eviction.
-func (f *FS) reclaim(ino uint64) { f.destroyInode(f.inodes[ino]) }
+func (f *FS) reclaim(ino uint64) { f.destroyInode(f.Nodes[ino]) }
 
 // destroyInode frees n: PM valid flag cleared, data and log pages returned
 // to the DRAM allocator.
 func (f *FS) destroyInode(n *dnode) {
-	f.invalidateInode(n.ino)
+	f.invalidateInode(n.Ino)
 	for _, pp := range n.pages {
 		f.alloc.Release(pp)
 	}
@@ -224,8 +223,8 @@ func (f *FS) destroyInode(n *dnode) {
 	if n.head != 0 && len(n.logPages) == 0 {
 		f.releaseLogChain(n.head)
 	}
-	f.ialloc.Release(n.ino)
-	delete(f.inodes, n.ino)
+	f.ialloc.Release(n.Ino)
+	delete(f.Nodes, n.Ino)
 }
 
 // releaseLogChain frees a log-page chain by following on-PM links (used
@@ -242,22 +241,22 @@ func (f *FS) releaseLogChain(head uint64) {
 
 // Rmdir implements vfs.FS.
 func (f *FS) Rmdir(path string) error {
-	p, name, err := f.parent(path)
+	p, name, err := f.Parent(path)
 	if err != nil {
 		return err
 	}
-	de, ok := p.dirents[name]
+	de, ok := p.Dirents[name]
 	if !ok {
 		return vfs.ErrNotExist
 	}
-	n := f.inodes[de.ino]
-	if n == nil || n.bad {
+	n := f.Nodes[de.Ino]
+	if n == nil || n.Damaged {
 		return vfs.ErrIO
 	}
-	if n.typ != vfs.TypeDir {
+	if n.Type != vfs.TypeDir {
 		return vfs.ErrNotDir
 	}
-	if len(n.dirents) > 0 {
+	if len(n.Dirents) > 0 {
 		return vfs.ErrNotEmpty
 	}
 	if n.conflicted {
@@ -265,24 +264,24 @@ func (f *FS) Rmdir(path string) error {
 	}
 
 	_, newTail, err := f.writeEntryNoPublish(p, p.tail, entry{
-		typ: etDentryRemove, ino: n.ino, name: name,
+		typ: etDentryRemove, ino: n.Ino, name: name,
 	}, true)
 	if err != nil {
 		return err
 	}
 	p.tail = newTail
-	p.nlink--
+	p.Nlink--
 	t := f.beginTx()
 	t.addInode(p, false)
-	t.set(inodeOff(n.ino), 0) // clear child valid+type words
+	t.set(inodeOff(n.Ino), 0) // clear child valid+type words
 	if f.fortis {
-		t.set(inodeOff(n.ino)+inoReplicaOff, 0)
+		t.set(inodeOff(n.Ino)+inoReplicaOff, 0)
 	}
 	t.commit()
 
-	delete(p.dirents, name)
-	n.nlink = 0
-	f.descs.Unlinked(n.ino, 0, f.reclaim)
+	delete(p.Dirents, name)
+	n.Nlink = 0
+	f.Descs.Unlinked(n.Ino, 0, f.reclaim)
 	f.endOp()
 	f.maybeGC(p)
 	return nil
@@ -306,31 +305,31 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	if vfs.IsAncestor(oldPath, newPath) {
 		return vfs.ErrInvalid
 	}
-	op, oname, err := f.parent(oldPath)
+	op, oname, err := f.Parent(oldPath)
 	if err != nil {
 		return err
 	}
-	ode, ok := op.dirents[oname]
+	ode, ok := op.Dirents[oname]
 	if !ok {
 		return vfs.ErrNotExist
 	}
-	n := f.inodes[ode.ino]
-	if n == nil || n.bad {
+	n := f.Nodes[ode.Ino]
+	if n == nil || n.Damaged {
 		return vfs.ErrIO
 	}
-	np, nname, err := f.parent(newPath)
+	np, nname, err := f.Parent(newPath)
 	if err != nil {
 		return err
 	}
 
 	// Victim handling.
 	var victim *dnode
-	if vde, ok := np.dirents[nname]; ok {
-		victim = f.inodes[vde.ino]
+	if vde, ok := np.Dirents[nname]; ok {
+		victim = f.Nodes[vde.Ino]
 		if victim == nil {
 			return vfs.ErrIO
 		}
-		if err := vfs.CheckReplace(n.typ, victim.typ, len(victim.dirents) == 0); err != nil {
+		if err := vfs.CheckReplace(n.Type, victim.Type, len(victim.Dirents) == 0); err != nil {
 			return err
 		}
 		if victim.conflicted {
@@ -362,7 +361,7 @@ func (f *FS) Rename(oldPath, newPath string) error {
 func (f *FS) renameJournaled(op *dnode, oname string, np *dnode, nname string, n, victim *dnode) error {
 	opTail := op.tail
 	_, opTail, err := f.writeEntryNoPublish(op, opTail, entry{
-		typ: etDentryRemove, ino: n.ino, name: oname,
+		typ: etDentryRemove, ino: n.Ino, name: oname,
 	}, false)
 	if err != nil {
 		return err
@@ -372,7 +371,7 @@ func (f *FS) renameJournaled(op *dnode, oname string, np *dnode, nname string, n
 		npTail = opTail
 	}
 	addOff, npTail, err := f.writeEntryNoPublish(np, npTail, entry{
-		typ: etDentryAdd, ino: n.ino, ftype: n.typ, name: nname,
+		typ: etDentryAdd, ino: n.Ino, ftype: n.Type, name: nname,
 	}, false)
 	if err != nil {
 		return err
@@ -385,16 +384,16 @@ func (f *FS) renameJournaled(op *dnode, oname string, np *dnode, nname string, n
 		op.tail = opTail
 		np.tail = npTail
 	}
-	if n.typ == vfs.TypeDir && op != np {
-		op.nlink--
-		np.nlink++
+	if n.Type == vfs.TypeDir && op != np {
+		op.Nlink--
+		np.Nlink++
 	}
 	if victim != nil {
-		if victim.typ == vfs.TypeDir {
-			np.nlink--
-			victim.nlink = 0
+		if victim.Type == vfs.TypeDir {
+			np.Nlink--
+			victim.Nlink = 0
 		} else {
-			victim.nlink--
+			victim.Nlink--
 		}
 	}
 
@@ -404,10 +403,10 @@ func (f *FS) renameJournaled(op *dnode, oname string, np *dnode, nname string, n
 		t.addInode(np, true)
 	}
 	if victim != nil {
-		if victim.typ == vfs.TypeDir {
-			t.set(inodeOff(victim.ino), 0)
+		if victim.Type == vfs.TypeDir {
+			t.set(inodeOff(victim.Ino), 0)
 			if f.fortis {
-				t.set(inodeOff(victim.ino)+inoReplicaOff, 0)
+				t.set(inodeOff(victim.Ino)+inoReplicaOff, 0)
 			}
 		} else {
 			t.addInode(victim, true)
@@ -421,10 +420,10 @@ func (f *FS) renameJournaled(op *dnode, oname string, np *dnode, nname string, n
 
 // renameBuggyDeleteFirst is bug 4: invalidate the old dentry in place, then
 // publish the new one.
-func (f *FS) renameBuggyDeleteFirst(op *dnode, oname string, ode *dirent, np *dnode, nname string, n, victim *dnode) error {
-	f.invalidateEntry(ode.entryOff)
+func (f *FS) renameBuggyDeleteFirst(op *dnode, oname string, ode vfs.Dirent, np *dnode, nname string, n, victim *dnode) error {
+	f.invalidateEntry(ode.Off)
 	addOff, err := f.appendEntry(np, entry{
-		typ: etDentryAdd, ino: n.ino, ftype: n.typ, name: nname,
+		typ: etDentryAdd, ino: n.Ino, ftype: n.Type, name: nname,
 	}, true, false)
 	if err != nil {
 		return err
@@ -436,14 +435,14 @@ func (f *FS) renameBuggyDeleteFirst(op *dnode, oname string, ode *dirent, np *dn
 
 // renameBuggyAddFirst is bug 5: publish the new dentry, then invalidate the
 // old one in place.
-func (f *FS) renameBuggyAddFirst(op *dnode, oname string, ode *dirent, np *dnode, nname string, n, victim *dnode) error {
+func (f *FS) renameBuggyAddFirst(op *dnode, oname string, ode vfs.Dirent, np *dnode, nname string, n, victim *dnode) error {
 	addOff, err := f.appendEntry(np, entry{
-		typ: etDentryAdd, ino: n.ino, ftype: n.typ, name: nname,
+		typ: etDentryAdd, ino: n.Ino, ftype: n.Type, name: nname,
 	}, true, false)
 	if err != nil {
 		return err
 	}
-	f.invalidateEntry(ode.entryOff)
+	f.invalidateEntry(ode.Off)
 	f.renameFinishVictim(np, n, victim, op)
 	f.renameApplyDRAM(op, oname, np, nname, n, victim, addOff)
 	return nil
@@ -452,20 +451,20 @@ func (f *FS) renameBuggyAddFirst(op *dnode, oname string, ode *dirent, np *dnode
 // renameFinishVictim persists the leftover metadata words the buggy rename
 // paths update outside any transaction.
 func (f *FS) renameFinishVictim(np *dnode, n, victim *dnode, op *dnode) {
-	if n.typ == vfs.TypeDir && op != np {
-		op.nlink--
-		np.nlink++
+	if n.Type == vfs.TypeDir && op != np {
+		op.Nlink--
+		np.Nlink++
 		f.syncInode(op, true)
 		f.syncInode(np, true)
 	}
 	if victim != nil {
-		if victim.typ == vfs.TypeDir {
-			np.nlink--
-			victim.nlink = 0
+		if victim.Type == vfs.TypeDir {
+			np.Nlink--
+			victim.Nlink = 0
 			f.syncInode(np, true)
-			f.invalidateInode(victim.ino)
+			f.invalidateInode(victim.Ino)
 		} else {
-			victim.nlink--
+			victim.Nlink--
 			f.syncInode(victim, true)
 		}
 	}
@@ -474,10 +473,10 @@ func (f *FS) renameFinishVictim(np *dnode, n, victim *dnode, op *dnode) {
 // renameApplyDRAM applies the rename to the DRAM maps and frees a victim
 // whose last link went away.
 func (f *FS) renameApplyDRAM(op *dnode, oname string, np *dnode, nname string, n, victim *dnode, addOff int64) {
-	delete(op.dirents, oname)
-	np.dirents[nname] = &dirent{ino: n.ino, entryOff: addOff}
+	delete(op.Dirents, oname)
+	np.Dirents[nname] = vfs.Dirent{Ino: n.Ino, Off: addOff}
 	if victim != nil {
-		f.descs.Unlinked(victim.ino, victim.nlink, f.reclaim)
+		f.Descs.Unlinked(victim.Ino, victim.Nlink, f.reclaim)
 	}
 }
 

@@ -26,8 +26,7 @@ func (f *FS) Mount() error {
 	}
 
 	f.alloc, f.ialloc = vfs.NewBitmap(poolStartPage, f.totalPages), vfs.NewBitmap(RootIno, InodeCount)
-	f.inodes = map[uint64]*dnode{}
-	f.descs.Reset()
+	f.Reset(RootIno)
 	f.lazyReplicas = nil
 	f.deferredCsums = nil
 
@@ -43,35 +42,35 @@ func (f *FS) Mount() error {
 		if !f.ialloc.Claim(ino) {
 			return vfs.Corruptf("inode %d claimed twice", ino)
 		}
-		f.inodes[ino] = d
+		f.Nodes[ino] = d
 	}
-	root, ok := f.inodes[RootIno]
-	if !ok || root.typ != vfs.TypeDir {
+	root, ok := f.Nodes[RootIno]
+	if !ok || root.Type != vfs.TypeDir {
 		return vfs.Corruptf("root inode missing or not a directory")
 	}
 
-	// Passes 2, 3, 5 and 6 iterate inodes in ascending order, never in map
+	// Passes 2, 3 and 6 iterate inodes in ascending order, never in map
 	// order: with several inodes corrupt, WHICH one aborts the mount (and
 	// so the error a crash-state check reports) must be a function of the
 	// image alone, or two mounts of the same crash image classify it
 	// differently and bug triage stops being reproducible.
-	for _, ino := range f.sortedInos() {
-		if err := f.rebuildLog(f.inodes[ino]); err != nil {
+	for _, ino := range sortedKeys(f.Nodes) {
+		if err := f.rebuildLog(f.Nodes[ino]); err != nil {
 			return err
 		}
 	}
 
 	// Pass 3: claim referenced pages; double references are corruption.
 	refset := map[uint64]bool{}
-	for _, ino := range f.sortedInos() {
-		d := f.inodes[ino]
+	for _, ino := range sortedKeys(f.Nodes) {
+		d := f.Nodes[ino]
 		for _, lp := range d.logPages {
 			if !f.alloc.Claim(lp) {
 				return vfs.Corruptf("log page %d referenced twice", lp)
 			}
 			refset[lp] = true
 		}
-		for _, fp := range sortedPageKeys(d.pages) {
+		for _, fp := range sortedKeys(d.pages) {
 			if !f.alloc.Claim(d.pages[fp]) {
 				return vfs.Corruptf("data page %d referenced twice", d.pages[fp])
 			}
@@ -99,83 +98,31 @@ func (f *FS) Mount() error {
 		}
 	}
 
-	// Pass 5: resolve directory entries; a dentry pointing at a dead inode
-	// slot (bug 2's consequence) becomes a "bad" node that fails with EIO.
-	// (Sorted snapshot also because placeholder creation below inserts into
-	// f.inodes mid-walk; ranging the map while growing it may skip them.)
-	referenced := map[uint64]bool{RootIno: true}
-	for _, ino := range f.sortedInos() {
-		d := f.inodes[ino]
-		if d.typ != vfs.TypeDir {
-			continue
-		}
-		for name, de := range d.dirents {
-			referenced[de.ino] = true
-			if f.inodes[de.ino] == nil {
-				f.inodes[de.ino] = &dnode{ino: de.ino, typ: vfs.TypeRegular, bad: true}
-				_ = name
-			}
-		}
-	}
-
+	// Pass 5: a dentry pointing at a dead inode slot (bug 2's
+	// consequence) resolves to a damaged placeholder that fails with EIO.
 	// Pass 6: orphan GC — valid inodes unreachable from the root are
-	// left-overs of interrupted operations and are reclaimed.
-	reachable := map[uint64]bool{RootIno: true}
-	f.markReachable(root, reachable)
-	for _, ino := range f.sortedInos() {
-		d := f.inodes[ino]
-		if reachable[ino] || d.bad {
-			continue
-		}
+	// left-overs of interrupted operations and are reclaimed, in inode
+	// order.
+	for _, d := range f.Orphans(func(ino uint64) *dnode {
+		return &dnode{Inode: vfs.Inode{Ino: ino, Damaged: true}}
+	}) {
 		f.destroyInode(d)
-	}
-	// Bad placeholders that are not referenced by any reachable dir vanish.
-	for ino, d := range f.inodes {
-		if d.bad && !reachable[ino] {
-			delete(f.inodes, ino)
-		}
 	}
 
 	f.mounted = true
 	return nil
 }
 
-// sortedInos returns the cached inode numbers in ascending order, the
-// canonical walk order for every multi-inode pass.
-func (f *FS) sortedInos() []uint64 {
-	inos := make([]uint64, 0, len(f.inodes))
-	for ino := range f.inodes {
-		inos = append(inos, ino)
+// sortedKeys returns m's keys in ascending order: the canonical walk order
+// of inode numbers and page indices, for passes whose side effects (PM
+// writes, error selection) must not depend on map order.
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	slices.Sort(inos)
-	return inos
-}
-
-// sortedPageKeys returns a file's mapped page indices in ascending order,
-// for walks whose side effects (PM writes, error selection) must not depend
-// on map order.
-func sortedPageKeys(pages map[uint64]uint64) []uint64 {
-	fps := make([]uint64, 0, len(pages))
-	for fp := range pages {
-		fps = append(fps, fp)
-	}
-	slices.Sort(fps)
-	return fps
-}
-
-func (f *FS) markReachable(d *dnode, seen map[uint64]bool) {
-	if d.typ != vfs.TypeDir || d.bad {
-		return
-	}
-	for _, de := range d.dirents {
-		if seen[de.ino] {
-			continue
-		}
-		seen[de.ino] = true
-		if child := f.inodes[de.ino]; child != nil {
-			f.markReachable(child, seen)
-		}
-	}
+	slices.Sort(keys)
+	return keys
 }
 
 // readInode loads inode slot ino, handling Fortis checksum validation and
@@ -223,14 +170,16 @@ func (f *FS) readInode(ino uint64) (*dnode, bool) {
 
 func (f *FS) dnodeFromImage(ino uint64, img []byte) *dnode {
 	d := &dnode{
-		ino:   ino,
-		typ:   vfs.FileType(binary.LittleEndian.Uint32(img[inoTypeOff:])),
-		nlink: binary.LittleEndian.Uint64(img[inoNlinkOff:]),
-		head:  binary.LittleEndian.Uint64(img[inoHeadOff:]),
-		tail:  int64(binary.LittleEndian.Uint64(img[inoTailOff:])),
+		Inode: vfs.Inode{
+			Ino:   ino,
+			Type:  vfs.FileType(binary.LittleEndian.Uint32(img[inoTypeOff:])),
+			Nlink: binary.LittleEndian.Uint64(img[inoNlinkOff:]),
+		},
+		head: binary.LittleEndian.Uint64(img[inoHeadOff:]),
+		tail: int64(binary.LittleEndian.Uint64(img[inoTailOff:])),
 	}
-	if d.typ == vfs.TypeDir {
-		d.dirents = map[string]*dirent{}
+	if d.Type == vfs.TypeDir {
+		d.Dirents = map[string]vfs.Dirent{}
 	} else {
 		d.pages = map[uint64]uint64{}
 	}
@@ -243,12 +192,12 @@ func (f *FS) dnodeFromImage(ino uint64, img []byte) *dnode {
 func (f *FS) rebuildLog(d *dnode) error {
 	if d.head == 0 {
 		if d.tail != 0 {
-			return vfs.Corruptf("inode %d: tail %d with no log", d.ino, d.tail)
+			return vfs.Corruptf("inode %d: tail %d with no log", d.Ino, d.tail)
 		}
 		return nil
 	}
 	if d.head < poolStartPage || d.head >= f.totalPages {
-		return vfs.Corruptf("inode %d: log head %d out of range", d.ino, d.head)
+		return vfs.Corruptf("inode %d: log head %d out of range", d.Ino, d.head)
 	}
 	page := d.head
 	pos := pageOff(page)
@@ -261,10 +210,10 @@ func (f *FS) rebuildLog(d *dnode) error {
 			if next == 0 {
 				// The tail says more entries follow, but the link that
 				// reaches them was lost — bug 1's crash signature.
-				return vfs.Corruptf("inode %d: log ends at %d before tail %d", d.ino, pos, d.tail)
+				return vfs.Corruptf("inode %d: log ends at %d before tail %d", d.Ino, pos, d.tail)
 			}
 			if next < poolStartPage || next >= f.totalPages || seen[next] {
-				return vfs.Corruptf("inode %d: bad log link %d", d.ino, next)
+				return vfs.Corruptf("inode %d: bad log link %d", d.Ino, next)
 			}
 			seen[next] = true
 			d.logPages = append(d.logPages, next)
@@ -277,12 +226,12 @@ func (f *FS) rebuildLog(d *dnode) error {
 		if e.typ == etInvalid || e.typ > etAttr {
 			// The tail points past bytes that never became a valid entry —
 			// bug 3's crash signature.
-			return vfs.Corruptf("inode %d: invalid log entry type %d at %d", d.ino, e.typ, pos)
+			return vfs.Corruptf("inode %d: invalid log entry type %d at %d", d.Ino, e.typ, pos)
 		}
 		if f.fortis && payloadCsum(raw) != e.csum {
 			// Bug 9: a published entry whose checksum never landed.
-			if d.typ == vfs.TypeDir {
-				d.bad = true
+			if d.Type == vfs.TypeDir {
+				d.Damaged = true
 				return nil
 			}
 			// File entry: treated as unreadable and skipped — data loss.
@@ -303,12 +252,12 @@ func (f *FS) rebuildLog(d *dnode) error {
 func (f *FS) replayEntry(d *dnode, e entry, pos int64) {
 	switch e.typ {
 	case etDentryAdd:
-		if d.dirents != nil {
-			d.dirents[e.name] = &dirent{ino: e.ino, entryOff: pos}
+		if d.Dirents != nil {
+			d.Dirents[e.name] = vfs.Dirent{Ino: e.ino, Off: pos}
 		}
 	case etDentryRemove:
-		if d.dirents != nil {
-			delete(d.dirents, e.name)
+		if d.Dirents != nil {
+			delete(d.Dirents, e.name)
 		}
 	case etWrite:
 		if d.pages == nil {
@@ -323,11 +272,11 @@ func (f *FS) replayEntry(d *dnode, e entry, pos int64) {
 			// Buggy (bug 8): fallocate entries clobber existing mappings.
 			d.pages[e.filePage] = e.poolPage
 		}
-		d.size = int64(e.sizeHint)
+		d.Size = int64(e.sizeHint)
 	case etAttr:
-		d.size = int64(e.size)
+		d.Size = int64(e.size)
 		if d.pages != nil {
-			first := uint64((d.size + PageSize - 1) / PageSize)
+			first := uint64((d.Size + PageSize - 1) / PageSize)
 			for fp := range d.pages {
 				if fp >= first {
 					delete(d.pages, fp)

@@ -108,10 +108,10 @@ func (f *FS) Mkfs() error {
 	f.ring.Format()
 	pm.Fence()
 
-	root := &inplace.Inode{Ino: inplace.RootIno, Typ: vfs.TypeDir, Nlink: 2, Dirents: map[string]inplace.DirentRef{}}
+	root := &inplace.Inode{Inode: vfs.Inode{Ino: inplace.RootIno, Type: vfs.TypeDir, Nlink: 2, Dirents: map[string]vfs.Dirent{}}}
 	f.persistInode(root)
 	pm.Fence()
-	f.Inodes[inplace.RootIno] = root
+	f.Nodes[inplace.RootIno] = root
 
 	pm.Store64(sbMagicOff, Magic)
 	pm.Store64(sbBlocksOff, f.totalBlocks)

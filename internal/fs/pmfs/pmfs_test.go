@@ -182,7 +182,7 @@ func TestMountReportsBadDirentsInSlotOrder(t *testing.T) {
 	// ino).
 	f.PM.PersistStore64(f.ring.Base+inplace.RingHeadOff, uint64(f.ring.Tail))
 	for _, dir := range []string{"a", "b"} {
-		d := f.Inodes[f.Inodes[inplace.RootIno].Dirents[dir].Ino]
+		d := f.Nodes[f.Nodes[inplace.RootIno].Dirents[dir].Ino]
 		f.PM.PersistStore(d.Dirents["x"].Off+8, []byte{0})
 	}
 	f.PM.Fence()

@@ -67,7 +67,7 @@ func (f *FS) Mount() error {
 	}
 	if count > 0 {
 		ino := pm.Load64(int64(truncBlock)*BlockSize + truncEntsOff)
-		if d := f.Inodes[ino]; d != nil {
+		if d := f.Nodes[ino]; d != nil {
 			// Free blocks beyond the committed size and persist the
 			// cleaned pointers — finishing the interrupted operation.
 			firstDead := int((d.Size + BlockSize - 1) / BlockSize)
@@ -89,7 +89,7 @@ func (f *FS) Mount() error {
 
 	// Orphan GC: reclaiming in DRAM is enough, a free slot is rewritten
 	// whole by the transaction that reuses it.
-	for _, d := range f.Orphans() {
+	for _, d := range f.Orphans(inplace.Placeholder) {
 		f.Destroy(d)
 	}
 	f.mounted = true

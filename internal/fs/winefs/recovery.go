@@ -1,6 +1,9 @@
 package winefs
 
-import "chipmunk/internal/vfs"
+import (
+	"chipmunk/internal/fs/inplace"
+	"chipmunk/internal/vfs"
+)
 
 // Mount implements vfs.FS: per-CPU journal recovery (merged by transaction
 // id), inode scan, allocator rebuild, orphan GC.
@@ -26,7 +29,7 @@ func (f *FS) Mount() error {
 		return err
 	}
 	// Orphan GC clears each orphan's slot on PM as it reclaims it.
-	for _, d := range f.Orphans() {
+	for _, d := range f.Orphans(inplace.Placeholder) {
 		f.PM.PersistStore64(f.InodeOff(d.Ino), 0)
 		f.PM.Fence()
 		f.Destroy(d)

@@ -150,12 +150,12 @@ func (f *FS) Mkfs() error {
 	}
 	pm.Fence()
 
-	root := &inplace.Inode{Ino: inplace.RootIno, Typ: vfs.TypeDir, Nlink: 2, Dirents: map[string]inplace.DirentRef{}}
+	root := &inplace.Inode{Inode: vfs.Inode{Ino: inplace.RootIno, Type: vfs.TypeDir, Nlink: 2, Dirents: map[string]vfs.Dirent{}}}
 	img := inplace.Image(root)
 	pm.Store(f.InodeOff(inplace.RootIno), img[:])
 	pm.Flush(f.InodeOff(inplace.RootIno), inplace.InodeSize)
 	pm.Fence()
-	f.Inodes[inplace.RootIno] = root
+	f.Nodes[inplace.RootIno] = root
 
 	pm.Store64(sbMagicOff, Magic)
 	pm.Store64(sbBlocksOff, f.totalBlocks)

@@ -192,12 +192,12 @@ func TestBug19SingleJournalRecovery(t *testing.T) {
 	f.Create("/b") // cpu 1
 	// Manually append a committed tx to journal 2 that creates a dirent for
 	// a valid inode, simulating a crash before its in-place apply.
-	d := &inplace.Inode{Ino: 9, Typ: vfs.TypeRegular, Nlink: 1}
+	d := &inplace.Inode{Inode: vfs.Inode{Ino: 9, Type: vfs.TypeRegular, Nlink: 1}}
 	f.Slots.Claim(9)
 	tx := f.Begin()
 	f.SetInode(tx, d)
 	slotOff := int64(0)
-	for _, b := range f.Inodes[inplace.RootIno].Blocks {
+	for _, b := range f.Nodes[inplace.RootIno].Blocks {
 		if b != 0 {
 			slotOff = inplace.BlockOff(b) + 2*inplace.DirentSize
 			break

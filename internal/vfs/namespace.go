@@ -1,14 +1,225 @@
 package vfs
 
 import (
+	"cmp"
+	"maps"
 	"slices"
 	"strings"
 )
 
 // The DRAM side every guest model shares: one path walk over the model's
-// own node type, one descriptor table, and one inode lifetime rule. What
-// stays per model — persistent layout, journal or log discipline, recovery
-// and its orphan pass, and every bug-injection site — never runs in here.
+// own node type, one descriptor table, one inode lifetime rule, and, for
+// the models whose nodes embed Inode, one Tree that answers the read side.
+// What stays per model — persistent layout, journal or log discipline,
+// recovery and the reclaim of its orphans, and every bug-injection site —
+// never runs in here.
+
+// Inode is the DRAM inode NOVA and the in-place layer under PMFS and
+// WineFS share; each model's node type embeds it beside its own extras.
+// The two one-byte fields come last, where they share one padded word:
+// that keeps NOVA's node in the 96-byte size class and the in-place one in
+// the 144-byte class, and every mount allocates each node anew.
+type Inode struct {
+	Ino   uint64
+	Nlink uint64
+	Size  int64
+	// Dirents maps a directory's names to its entries; nil for a file.
+	Dirents map[string]Dirent
+	Type    FileType
+	// Damaged marks a node whose on-media state recovery found invalid,
+	// or a placeholder for an entry whose inode it did not find: every
+	// use of it is ErrIO.
+	Damaged bool
+}
+
+// Dirent is one directory entry: the inode it links, and where the model
+// keeps the entry on media (NOVA: its dentry-add log entry; PMFS and
+// WineFS: its slot), so an op can rewrite it in place.
+type Dirent struct {
+	Ino uint64
+	Off int64
+}
+
+func (n *Inode) inode() *Inode { return n }
+
+// Node is a model's DRAM node type: a pointer to a struct that embeds
+// Inode.
+type Node interface {
+	comparable
+	inode() *Inode
+}
+
+// Tree is a model's DRAM namespace: its nodes by inode number, the root's
+// number, and its descriptor table, whose per-open value is the node. It
+// answers lookup, Stat, ReadDir, Open and OpenFDs for the model, which
+// embeds it; every op that writes media stays the model's.
+type Tree[N Node] struct {
+	Nodes map[uint64]N
+	Root  uint64
+	Descs FDTable[N]
+}
+
+// Reset empties t for a model that formats or mounts, with root as the
+// root's inode number.
+func (t *Tree[N]) Reset(root uint64) {
+	t.Nodes, t.Root = map[uint64]N{}, root
+	t.Descs.Reset()
+}
+
+// Drop discards t at unmount.
+func (t *Tree[N]) Drop() {
+	t.Nodes = nil
+	t.Descs.Reset()
+}
+
+// step is the path walk's step (Walk): a damaged directory is ErrIO, a
+// non-directory ErrNotDir, a missing name ErrNotExist, and an entry whose
+// inode is gone ErrIO.
+func (t *Tree[N]) step(dir N, name string) (N, error) {
+	var zero N
+	d := dir.inode()
+	if d.Damaged {
+		return zero, ErrIO
+	}
+	if d.Type != TypeDir {
+		return zero, ErrNotDir
+	}
+	de, ok := d.Dirents[name]
+	if !ok {
+		return zero, ErrNotExist
+	}
+	if c, ok := t.Nodes[de.Ino]; ok {
+		return c, nil
+	}
+	return zero, ErrIO
+}
+
+// Lookup resolves path to a node that can be used: a damaged one is ErrIO.
+func (t *Tree[N]) Lookup(path string) (N, error) {
+	n, err := Walk(t.Nodes[t.Root], path, t.step)
+	if err == nil && n.inode().Damaged {
+		var zero N
+		return zero, ErrIO
+	}
+	return n, err
+}
+
+// Parent resolves the directory that holds path's last component.
+func (t *Tree[N]) Parent(path string) (N, string, error) {
+	return WalkParent(t.Nodes[t.Root], path, t.step)
+}
+
+// Stat implements FS.
+func (t *Tree[N]) Stat(path string) (Stat, error) {
+	n, err := t.Lookup(path)
+	if err != nil {
+		return Stat{}, err
+	}
+	d := n.inode()
+	return Stat{Ino: d.Ino, Type: d.Type, Nlink: uint32(d.Nlink), Size: d.Size}, nil
+}
+
+// ReadDir implements FS. An entry whose inode is gone lists as a file.
+func (t *Tree[N]) ReadDir(path string) ([]DirEnt, error) {
+	n, err := t.Lookup(path)
+	if err != nil {
+		return nil, err
+	}
+	d := n.inode()
+	if d.Type != TypeDir {
+		return nil, ErrNotDir
+	}
+	out := make([]DirEnt, 0, len(d.Dirents))
+	for name, de := range d.Dirents {
+		typ := TypeRegular
+		if c, ok := t.Nodes[de.Ino]; ok {
+			typ = c.inode().Type
+		}
+		out = append(out, DirEnt{Name: name, Ino: de.Ino, Type: typ})
+	}
+	SortDirEnts(out)
+	return out, nil
+}
+
+// Open implements FS.
+func (t *Tree[N]) Open(path string) (FD, error) {
+	n, err := t.Lookup(path)
+	if err != nil {
+		return -1, err
+	}
+	if n.inode().Type == TypeDir {
+		return -1, ErrIsDir
+	}
+	return t.Descs.Open(n.inode().Ino, n), nil
+}
+
+// OpenFDs implements FDCounter.
+func (t *Tree[N]) OpenFDs() int { return t.Descs.OpenFDs() }
+
+// Fork returns a copy of t that shares no node and no entry map with it,
+// and false when a descriptor is open (see Forker). copyNode copies one
+// node with the model's extras; Fork gives the copy its own entry map.
+func (t *Tree[N]) Fork(copyNode func(N) N) (Tree[N], bool) {
+	descs, ok := t.Descs.Fork()
+	if !ok {
+		return Tree[N]{}, false
+	}
+	nodes := make(map[uint64]N, len(t.Nodes))
+	for ino, n := range t.Nodes {
+		c := copyNode(n)
+		c.inode().Dirents = maps.Clone(n.inode().Dirents)
+		nodes[ino] = c
+	}
+	return Tree[N]{Nodes: nodes, Root: t.Root, Descs: descs}, true
+}
+
+// Orphans finishes a mount's namespace rebuild. An entry whose inode the
+// model did not find gets a damaged placeholder from stub; the nodes the
+// root reaches through undamaged directories are marked; a damaged node
+// none reaches is dropped, and every other node none reaches — left by an
+// interrupted operation, or unlinked while open — is returned, in inode
+// order, for the model's orphan pass to reclaim.
+func (t *Tree[N]) Orphans(stub func(ino uint64) N) []N {
+	for _, n := range t.Nodes {
+		for _, de := range n.inode().Dirents {
+			if _, ok := t.Nodes[de.Ino]; !ok {
+				t.Nodes[de.Ino] = stub(de.Ino)
+			}
+		}
+	}
+	seen := map[uint64]bool{t.Root: true}
+	t.mark(t.Nodes[t.Root], seen)
+	var out []N
+	for ino, n := range t.Nodes {
+		switch {
+		case seen[ino]:
+		case n.inode().Damaged:
+			delete(t.Nodes, ino)
+		default:
+			out = append(out, n)
+		}
+	}
+	slices.SortFunc(out, func(a, b N) int { return cmp.Compare(a.inode().Ino, b.inode().Ino) })
+	return out
+}
+
+// mark adds every node n reaches to seen; a damaged directory reaches
+// nothing.
+func (t *Tree[N]) mark(n N, seen map[uint64]bool) {
+	d := n.inode()
+	if d.Type != TypeDir || d.Damaged {
+		return
+	}
+	for _, de := range d.Dirents {
+		if seen[de.Ino] {
+			continue
+		}
+		seen[de.Ino] = true
+		if c, ok := t.Nodes[de.Ino]; ok {
+			t.mark(c, seen)
+		}
+	}
+}
 
 // Walk resolves path from root one component at a time. step(dir, name)
 // returns dir's child called name: it first checks that dir can be walked

@@ -1,0 +1,183 @@
+package vfs_test
+
+import (
+	"errors"
+	"slices"
+	"testing"
+
+	"chipmunk/internal/vfs"
+)
+
+// tnode is a model's DRAM node: the shared inode plus an extra of its own.
+type tnode struct {
+	vfs.Inode
+	extra []int
+}
+
+func dir(ino uint64, ents map[string]uint64) *tnode {
+	n := &tnode{Inode: vfs.Inode{Ino: ino, Type: vfs.TypeDir, Nlink: 2, Dirents: map[string]vfs.Dirent{}}}
+	for name, c := range ents {
+		n.Dirents[name] = vfs.Dirent{Ino: c, Off: int64(c) * 64}
+	}
+	return n
+}
+
+func file(ino uint64) *tnode {
+	return &tnode{Inode: vfs.Inode{Ino: ino, Type: vfs.TypeRegular, Nlink: 1, Size: 5}}
+}
+
+// newTree builds
+//
+//	/        1  {d: 2, f: 3, gone: 9, bad: 4, sick: 5}
+//	/d       2  {x: 6}
+//	/f       3  file with a stray entry map {w: 13}
+//	/bad     4  damaged directory {y: 7}
+//	/sick    5  damaged file
+//	/d/x     6  file
+//	7           file only the damaged directory links
+//	8           directory nothing links {z: 10}
+//	10          file only 8 links
+//	11          damaged file nothing links
+//	13          file only 3's stray entry links
+//
+// and entry gone names inode 9, which is not there.
+func newTree() *vfs.Tree[*tnode] {
+	var t vfs.Tree[*tnode]
+	t.Reset(1)
+	bad := dir(4, map[string]uint64{"y": 7})
+	bad.Damaged = true
+	sick := file(5)
+	sick.Damaged = true
+	lost := file(11)
+	lost.Damaged = true
+	stray := file(3)
+	stray.Dirents = map[string]vfs.Dirent{"w": {Ino: 13}}
+	for _, n := range []*tnode{
+		dir(1, map[string]uint64{"d": 2, "f": 3, "gone": 9, "bad": 4, "sick": 5}),
+		dir(2, map[string]uint64{"x": 6}), stray, bad, sick, file(6), file(7),
+		dir(8, map[string]uint64{"z": 10}), file(10), lost, file(13),
+	} {
+		t.Nodes[n.Ino] = n
+	}
+	return &t
+}
+
+// TestTree: the read side every embedding model answers through — the walk
+// step's error order, lookup, ReadDir, Open, the orphan pass's reachability
+// mark, and a fork's independence.
+func TestTree(t *testing.T) {
+	tr := newTree()
+
+	// A damaged node is ErrIO before it is ErrNotDir or ErrNotExist; a
+	// non-directory is ErrNotDir before a name is missing; an entry whose
+	// inode is gone is ErrIO.
+	for _, c := range []struct {
+		path string
+		ino  uint64
+		err  error
+	}{
+		{"/", 1, nil},
+		{"/d/x", 6, nil},
+		{"/f/x", 0, vfs.ErrNotDir},
+		{"/d/missing", 0, vfs.ErrNotExist},
+		{"/gone", 0, vfs.ErrIO},
+		{"/bad", 0, vfs.ErrIO},
+		{"/bad/missing", 0, vfs.ErrIO},
+		{"/sick", 0, vfs.ErrIO},
+		{"/sick/x", 0, vfs.ErrIO},
+	} {
+		n, err := tr.Lookup(c.path)
+		if err != c.err || (err == nil && n.Ino != c.ino) || (err != nil && n != nil) {
+			t.Errorf("Lookup(%q) = %v, %v; want inode %d, %v", c.path, n, err, c.ino, c.err)
+		}
+	}
+	if p, name, err := tr.Parent("/d/new"); err != nil || p.Ino != 2 || name != "new" {
+		t.Errorf("Parent(/d/new) = %v, %q, %v", p, name, err)
+	}
+	if _, _, err := tr.Parent("/bad/new"); err != vfs.ErrIO {
+		t.Errorf("Parent(/bad/new): %v, want ErrIO", err)
+	}
+	if st, err := tr.Stat("/f"); err != nil || st != (vfs.Stat{Ino: 3, Type: vfs.TypeRegular, Nlink: 1, Size: 5}) {
+		t.Errorf("Stat(/f) = %+v, %v", st, err)
+	}
+	var zero vfs.Tree[*tnode]
+	if _, err := zero.Stat("/"); err != vfs.ErrCorrupt {
+		t.Errorf("Stat on an empty tree: %v, want ErrCorrupt", err)
+	}
+
+	// ReadDir lists names in order, each with its node's type; an entry
+	// whose inode is gone lists as a file.
+	ents, err := tr.ReadDir("/")
+	want := []vfs.DirEnt{
+		{"bad", 4, vfs.TypeDir}, {"d", 2, vfs.TypeDir}, {"f", 3, vfs.TypeRegular},
+		{"gone", 9, vfs.TypeRegular}, {"sick", 5, vfs.TypeRegular},
+	}
+	if err != nil || !slices.Equal(ents, want) {
+		t.Errorf("ReadDir(/) = %v, %v; want %v", ents, err, want)
+	}
+	if _, err := tr.ReadDir("/f"); err != vfs.ErrNotDir {
+		t.Errorf("ReadDir(/f): %v, want ErrNotDir", err)
+	}
+
+	if _, err := tr.Open("/d"); err != vfs.ErrIsDir {
+		t.Errorf("Open(/d): %v, want ErrIsDir", err)
+	}
+	fd, err := tr.Open("/d/x")
+	if n, gerr := tr.Descs.Get(fd); err != nil || gerr != nil || n != tr.Nodes[6] || tr.OpenFDs() != 1 {
+		t.Errorf("Open(/d/x) = %d, %v; descriptor holds %v, %v; %d open", fd, err, n, gerr, tr.OpenFDs())
+	}
+	if _, ok := tr.Fork(func(n *tnode) *tnode { c := *n; return &c }); ok {
+		t.Error("a tree with a descriptor open forked")
+	}
+	if err := tr.Descs.Close(fd, func(uint64) {}); err != nil {
+		t.Fatal(err)
+	}
+
+	// A fork shares no node and no entry map with its parent.
+	fork, ok := tr.Fork(func(n *tnode) *tnode {
+		c := *n
+		c.extra = slices.Clone(n.extra)
+		return &c
+	})
+	if !ok || len(fork.Nodes) != len(tr.Nodes) || fork.Root != 1 {
+		t.Fatalf("fork: ok %v, %d nodes of %d, root %d", ok, len(fork.Nodes), len(tr.Nodes), fork.Root)
+	}
+	fork.Nodes[1].Dirents["new"] = vfs.Dirent{Ino: 3}
+	delete(fork.Nodes[2].Dirents, "x")
+	fork.Nodes[3].Size = 99
+	if _, ok := tr.Nodes[1].Dirents["new"]; ok || len(tr.Nodes[2].Dirents) != 1 || tr.Nodes[3].Size != 5 {
+		t.Error("a fork's change reached its parent")
+	}
+	tr.Nodes[2].Dirents["y"] = vfs.Dirent{Ino: 3}
+	if _, ok := fork.Nodes[2].Dirents["y"]; ok {
+		t.Error("a parent's change reached its fork")
+	}
+	delete(tr.Nodes[2].Dirents, "y")
+
+	// The mark reaches through undamaged directories only, never through a
+	// file's entries. The dangling entry gets a placeholder, which the root
+	// reaches; the damaged file no one reaches goes; every other node no one
+	// reaches is an orphan, in inode order.
+	var stubbed []uint64
+	orphans := tr.Orphans(func(ino uint64) *tnode {
+		stubbed = append(stubbed, ino)
+		return &tnode{Inode: vfs.Inode{Ino: ino, Damaged: true}}
+	})
+	var inos []uint64
+	for _, n := range orphans {
+		inos = append(inos, n.Ino)
+	}
+	if !slices.Equal(stubbed, []uint64{9}) || !slices.Equal(inos, []uint64{7, 8, 10, 13}) {
+		t.Errorf("Orphans stubbed %v and returned %v; want [9] and [7 8 10 13]", stubbed, inos)
+	}
+	if _, ok := tr.Nodes[11]; ok {
+		t.Error("an unreachable damaged node survived the orphan pass")
+	}
+	if _, err := tr.Stat("/gone"); !errors.Is(err, vfs.ErrIO) {
+		t.Errorf("Stat(/gone) after the orphan pass: %v, want ErrIO", err)
+	}
+	tr.Drop()
+	if _, err := tr.Stat("/"); err != vfs.ErrCorrupt || tr.OpenFDs() != 0 {
+		t.Errorf("after Drop: %v, %d open", err, tr.OpenFDs())
+	}
+}
