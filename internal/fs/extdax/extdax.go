@@ -96,6 +96,13 @@ type FS struct {
 	jLimit  int64 // one past the end of the active journal area
 	tag     uint64
 	mounted bool
+
+	// enc is the buffer a commit frames its transaction in, one per fork
+	// family: the first commit (Mkfs's, on a formatted instance) makes it
+	// and Fork hands every copy the same pointer. Sharing is safe because
+	// one goroutine owns a family (core.Chain), the device copies what it
+	// stores, and a frame is dead once its commit returns.
+	enc *[]byte
 }
 
 // areaBounds returns the [base, limit) bounds of journal area 0 or 1.
@@ -213,6 +220,10 @@ func (f *FS) Mount() error {
 // Fork implements vfs.Forker. Everything before a commit lives in DRAM, so
 // the copy takes the whole tree, the dirty and deleted sets, and the
 // journal cursors. File data is shared: no node's is written in place.
+// The copy joins f's fork family and shares its commit buffer. A mounted
+// instance's file data lives in the device's read arena until the next
+// Device.Reset, so it is never forked: the engine forks only the guests
+// it formatted and recorded on.
 func (f *FS) Fork(pm persist.Space) vfs.FS {
 	descs, ok := f.descs.Fork()
 	if !ok || !f.mounted {
@@ -247,45 +258,23 @@ func (f *FS) commitTagged(tag uint64) error {
 	if len(f.dirty) == 0 && len(f.deleted) == 0 && tag == f.tag {
 		return nil
 	}
-	body := f.encodeBody()
-	need := int64(txHdrSize + len(body) + txCommitSize)
-	if f.jTail+need > f.jLimit {
+	tx := f.frame(f.txid, tag, false)
+	if f.jTail+int64(len(tx)) > f.jLimit {
 		if err := f.compact(); err != nil {
 			return err
 		}
-		if f.jTail+need > f.jLimit {
+		// The snapshot took the buffer and the txid: frame again.
+		tx = f.frame(f.txid, tag, false)
+		if f.jTail+int64(len(tx)) > f.jLimit {
 			return vfs.ErrNoSpace
 		}
 	}
-	hdr := make([]byte, txHdrSize)
-	binary.LittleEndian.PutUint32(hdr, txMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], f.txid)
-	binary.LittleEndian.PutUint64(hdr[16:], tag)
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(body)))
-
-	// jbd2-style: descriptor + data blocks first, fence, then the commit
-	// record, fence.
-	f.pm.Store(f.jTail, hdr)
-	f.pm.Flush(f.jTail, len(hdr))
-	if len(body) > 0 {
-		f.pm.Store(f.jTail+txHdrSize, body)
-		f.pm.Flush(f.jTail+txHdrSize, len(body))
-	}
-	f.pm.Fence()
-
-	commit := make([]byte, txCommitSize)
-	binary.LittleEndian.PutUint32(commit, commitMagic)
-	binary.LittleEndian.PutUint32(commit[4:], crc32.Checksum(body, castagnoli))
-	binary.LittleEndian.PutUint64(commit[8:], f.txid)
-	f.pm.Store(f.jTail+txHdrSize+int64(len(body)), commit)
-	f.pm.Flush(f.jTail+txHdrSize+int64(len(body)), txCommitSize)
-	f.pm.Fence()
-
-	f.jTail += need
+	f.writeTx(f.jTail, tx)
+	f.jTail += int64(len(tx))
 	f.txid++
 	f.tag = tag
-	f.dirty = map[uint64]bool{}
-	f.deleted = map[uint64]bool{}
+	clear(f.dirty)
+	clear(f.deleted)
 	return nil
 }
 
@@ -297,59 +286,71 @@ func (f *FS) compact() error {
 	if f.jBase == newBase {
 		newBase, newLimit = f.areaBounds(1)
 	}
-	// Serialize everything as the snapshot body.
-	allDirty := map[uint64]bool{}
-	for ino := range f.nodes {
-		allDirty[ino] = true
-	}
-	savedDirty, savedDeleted := f.dirty, f.deleted
-	f.dirty, f.deleted = allDirty, map[uint64]bool{}
-	body := f.encodeBody()
-	f.dirty, f.deleted = savedDirty, savedDeleted
-
-	need := int64(txHdrSize + len(body) + txCommitSize)
-	if newBase+need > newLimit {
+	tx := f.frame(f.txid, f.tag, true)
+	if newBase+int64(len(tx)) > newLimit {
 		return vfs.ErrNoSpace
 	}
-	snapID := f.txid
-	hdr := make([]byte, txHdrSize)
-	binary.LittleEndian.PutUint32(hdr, txMagic)
-	binary.LittleEndian.PutUint64(hdr[8:], snapID)
-	binary.LittleEndian.PutUint64(hdr[16:], f.tag)
-	binary.LittleEndian.PutUint64(hdr[24:], uint64(len(body)))
-	f.pm.Store(newBase, hdr)
-	f.pm.Flush(newBase, len(hdr))
-	if len(body) > 0 {
-		f.pm.Store(newBase+txHdrSize, body)
-		f.pm.Flush(newBase+txHdrSize, len(body))
-	}
-	f.pm.Fence()
-	commit := make([]byte, txCommitSize)
-	binary.LittleEndian.PutUint32(commit, commitMagic)
-	binary.LittleEndian.PutUint32(commit[4:], crc32.Checksum(body, castagnoli))
-	binary.LittleEndian.PutUint64(commit[8:], snapID)
-	f.pm.Store(newBase+txHdrSize+int64(len(body)), commit)
-	f.pm.Flush(newBase+txHdrSize+int64(len(body)), txCommitSize)
-	f.pm.Fence()
+	f.writeTx(newBase, tx)
 	// The atomic flip.
 	f.pm.PersistStore64(sbActiveOff, uint64(newBase))
 	f.pm.Fence()
 
 	f.jBase, f.jLimit = newBase, newLimit
-	f.jTail = newBase + need
-	f.txid = snapID + 1
+	f.jTail = newBase + int64(len(tx))
+	f.txid++
 	return nil
 }
 
-// encodeBody serializes the dirty and deleted nodes.
-func (f *FS) encodeBody() []byte {
-	var out []byte
+// frame lays out transaction txid in the family's buffer: the header, the
+// body (every node with snapshot, else the dirty and deleted ones) and
+// the commit record. It stays valid until the family's next frame.
+func (f *FS) frame(txid, tag uint64, snapshot bool) []byte {
+	if f.enc == nil {
+		f.enc = new([]byte)
+	}
+	tx := f.encodeBody(append((*f.enc)[:0], make([]byte, txHdrSize)...), snapshot)
+	body := tx[txHdrSize:]
+	binary.LittleEndian.PutUint32(tx, txMagic)
+	binary.LittleEndian.PutUint64(tx[8:], txid)
+	binary.LittleEndian.PutUint64(tx[16:], tag)
+	binary.LittleEndian.PutUint64(tx[24:], uint64(len(body)))
+	tx = binary.LittleEndian.AppendUint32(tx, commitMagic)
+	tx = binary.LittleEndian.AppendUint32(tx, crc32.Checksum(body, castagnoli))
+	tx = binary.LittleEndian.AppendUint64(tx, txid)
+	*f.enc = tx
+	return tx
+}
+
+// writeTx writes the framed tx at off, jbd2-style: descriptor and data
+// blocks first, fence, then the commit record, fence.
+func (f *FS) writeTx(off int64, tx []byte) {
+	end := int64(len(tx) - txCommitSize)
+	f.pm.Store(off, tx[:txHdrSize])
+	f.pm.Flush(off, txHdrSize)
+	if end > txHdrSize {
+		f.pm.Store(off+txHdrSize, tx[txHdrSize:end])
+		f.pm.Flush(off+txHdrSize, int(end-txHdrSize))
+	}
+	f.pm.Fence()
+	f.pm.Store(off+end, tx[end:])
+	f.pm.Flush(off+end, txCommitSize)
+	f.pm.Fence()
+}
+
+// encodeBody appends the serialized dirty and deleted nodes to out, or
+// with snapshot every node and no deletions.
+func (f *FS) encodeBody(out []byte, snapshot bool) []byte {
 	inos := make([]uint64, 0, len(f.dirty))
-	for ino := range f.dirty {
-		if f.deleted[ino] {
-			continue
+	if snapshot {
+		for ino := range f.nodes {
+			inos = append(inos, ino)
 		}
-		inos = append(inos, ino)
+	} else {
+		for ino := range f.dirty {
+			if !f.deleted[ino] {
+				inos = append(inos, ino)
+			}
+		}
 	}
 	slices.Sort(inos)
 	for _, ino := range inos {
@@ -391,6 +392,9 @@ func (f *FS) encodeBody() []byte {
 				out = appendU64(out, n.children[name])
 			}
 		}
+	}
+	if snapshot {
+		return out
 	}
 	dels := make([]uint64, 0, len(f.deleted))
 	for ino := range f.deleted {
@@ -467,7 +471,9 @@ func (f *FS) applyBody(body []byte) {
 			if typ == vfs.TypeRegular {
 				dataLen := int(binary.LittleEndian.Uint64(body[i:]))
 				i += 8
-				n.data = append([]byte(nil), body[i:i+dataLen]...)
+				// An alias of the read arena, not a copy: the instance
+				// lives for one mount, and no write lands in place.
+				n.data = body[i : i+dataLen : i+dataLen]
 				i += dataLen
 			} else {
 				n.children = map[string]uint64{}

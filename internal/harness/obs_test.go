@@ -219,26 +219,36 @@ func TestProgressNotSerializedBySlowCallback(t *testing.T) {
 }
 
 // TestProgressSnapshotIsDetached: a progress callback may keep its census
-// and read it after Run returns, on the serial and the notifier path: every
-// kept snapshot's obs counters still count exactly its workloads, because
-// no later fold writes into a snapshot handed out.
+// and read it after Run returns, on the serial and the notifier path: no
+// later fold moves a kept snapshot's counts, and a snapshot carries counts
+// only, no obs.
 func TestProgressSnapshotIsDetached(t *testing.T) {
 	sys, _ := SystemByName("nova")
 	suite := ace.Seq2()[:200]
 	for _, workers := range []int{1, 2} {
 		var kept []Census
+		var dones []int
 		cfg := Options{Bugs: bugs.None(), Obs: obs.New()}.ConfigFor(sys)
-		if _, _, err := Run(context.Background(), cfg, suite, WithWorkers(workers),
-			WithProgress(func(done, total int, c Census) { kept = append(kept, c) })); err != nil {
+		final, _, err := Run(context.Background(), cfg, suite, WithWorkers(workers),
+			WithProgress(func(done, total int, c Census) {
+				kept, dones = append(kept, c), append(dones, done)
+			}))
+		if err != nil {
 			t.Fatal(err)
 		}
 		if len(kept) == 0 {
 			t.Fatalf("workers=%d: progress never delivered", workers)
 		}
-		for _, c := range kept {
-			if got := c.Obs.Count(obs.CtrWorkloads); got != int64(c.Workloads) {
-				t.Fatalf("workers=%d: a snapshot of %d workloads counts %d in its obs after Run (of %d snapshots)",
-					workers, c.Workloads, got, len(kept))
+		if final.Obs == nil {
+			t.Fatalf("workers=%d: the final census lost its obs", workers)
+		}
+		for i, c := range kept {
+			if c.Obs != nil {
+				t.Fatalf("workers=%d: snapshot %d carries an obs snapshot", workers, i)
+			}
+			if c.Workloads != dones[i] || (i > 0 && c.StatesChecked < kept[i-1].StatesChecked) {
+				t.Fatalf("workers=%d: snapshot %d moved after delivery: %d workloads at done=%d",
+					workers, i, c.Workloads, dones[i])
 			}
 		}
 	}

@@ -14,15 +14,16 @@ import (
 )
 
 // Progress is the suite-progress callback: done workloads out of total,
-// with a snapshot of the census so far. The snapshot is the callback's own:
-// Run never writes it afterwards, so the callback may keep it and read it
-// after Run returns (done equals its Workloads, and its Obs counts exactly
-// those runs). Calls are always serialized, and never run under the
-// aggregation lock. In serial mode there is one
-// synchronous call per completed workload; in parallel mode updates are
-// delivered from a dedicated goroutine and COALESCED — a slow callback
-// (e.g. a terminal printer) observes the latest census rather than
-// queueing one call per workload, so it can never serialize the workers.
+// with a snapshot of the census's counts so far (its Obs is nil: the
+// merged stage metrics arrive with the final census). The snapshot is the
+// callback's own: Run never writes it afterwards, so the callback may keep
+// it and read it after Run returns (done equals its Workloads). Calls are
+// always serialized, and never run under the aggregation lock. In serial
+// mode there is one synchronous call per completed workload; in parallel
+// mode updates are delivered from a dedicated goroutine and COALESCED — a
+// slow callback (e.g. a terminal printer) observes the latest census
+// rather than queueing one call per workload, so it can never serialize
+// the workers.
 // The final completed-workload update is always delivered before Run
 // returns.
 type Progress func(done, total int, c Census)
@@ -266,15 +267,12 @@ func (rc runConfig) run(ctx context.Context, cfg core.Config, suite []workload.W
 	return census, viol, ctx.Err()
 }
 
-// detach returns a copy of c that no later Add writes. Only the obs
-// snapshot needs a deep copy: Add merges into it in place, while the
-// ledger's appends land past the copy's length.
+// detach returns the counts of c, which no later Add writes: the ledger's
+// appends land past the copy's length, and the obs snapshot, which Add
+// merges into in place, is left out.
 func detach(c *Census) Census {
-	if c.Obs == nil {
-		return *c
-	}
-	var d Census
-	d.Merge(*c)
+	d := *c
+	d.Obs = nil
 	return d
 }
 

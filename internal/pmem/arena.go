@@ -12,7 +12,10 @@ package pmem
 //
 //   - the read arena at Device.Reset, which the engine calls before mounting
 //     the next crash state (file-system instances, and thus every Load
-//     result they hold, are per-mount);
+//     result they hold, are per-mount). ext4-DAX and XFS-DAX keep a
+//     replayed file's data as a slice of the Load that read its
+//     transaction, so a mounted instance's file data lives here until the
+//     next Reset; the engine never forks a mounted guest;
 //   - the write arena at Fence / Reset / TrackingDevice.Rollback, the three
 //     places the in-flight list is truncated (everything that outlives an
 //     InFlight — trace entries, InFlightWrites results — is deep-copied).
