@@ -3,18 +3,21 @@
 // pointers in an inode table, 64-byte directory-entry slots in directory
 // blocks, and every metadata change written in place through a redo
 // journal. This package holds the inode and namespace layer, its rebuild
-// at mount, and the redo ring both journals are made of (ring.go): the
-// record format, the wrapped store and load, record append and header
-// read, and the in-place apply. What differs between the two — block
-// layout, how many rings and what frames a transaction in them, when a
-// ring's head moves, how the block allocator hands out blocks, PMFS's
-// truncate list, recovery order, corruption messages, and every injected
-// bug — stays in the host package, behind Host.
+// at mount, PMFS's in-place data write that WineFS's relaxed mode
+// inherits (file.go, with its bugs 14&15 and 17&18), and the redo ring
+// both journals are made of (ring.go): the record format, the wrapped
+// store and load, record append and header read, and the in-place apply.
+// What differs between the two — block layout, how many rings and what
+// frames a transaction in them, when a ring's head moves, where the block
+// allocator looks first, PMFS's truncate list, recovery order, corruption
+// messages, WineFS's copy-on-write write, and every other injected bug —
+// stays in the host package, behind Host.
 package inplace
 
 import (
 	"encoding/binary"
 
+	"chipmunk/internal/bugs"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/vfs"
 )
@@ -82,10 +85,10 @@ func (t *Tx) Commit() { t.fs.Host.Commit(&t.Redo) }
 type Host interface {
 	// Commit journals r's records, then applies them in place.
 	Commit(r *Redo)
-	// AllocDirBlock allocates a block for directory entries.
+	// AllocDirBlock and AllocData claim a block of Pool for directory
+	// entries and for file data: the host's allocator policy.
 	AllocDirBlock() (uint64, error)
-	// Release returns a block to the allocator.
-	Release(b uint64)
+	AllocData() (uint64, error)
 	// Freeing runs before a transaction after which ino's blocks are
 	// freed, and Freed once they are: PMFS's truncate list.
 	Freeing(ino uint64)
@@ -95,16 +98,19 @@ type Host interface {
 	EndOp()
 }
 
-// FS is the namespace half of an in-place file system: the DRAM namespace
-// (the embedded Tree) and the inode-slot map, over the inode table at
-// device offset Table. The host embeds it and sets PM, Host and Table.
+// FS is the shared half of an in-place file system: the DRAM namespace
+// (the embedded Tree), the inode-slot map and the block pool, over the
+// inode table at device offset Table. The host embeds it and sets PM,
+// Host, Table and Bugs.
 type FS struct {
 	PM    *persist.PM
 	Host  Host
 	Table int64
+	Bugs  bugs.Set
 
 	vfs.Tree[*Inode]
 	Slots *vfs.Bitmap // inode slots, from RootIno on
+	Pool  *vfs.Bitmap // data and directory blocks, rebuilt at mount
 
 	tx Tx
 }
@@ -117,11 +123,12 @@ func (f *FS) Begin() *Tx {
 	return &f.tx
 }
 
-// Reset empties the DRAM state for a table of n inode slots. Slot 0 is
-// never used.
-func (f *FS) Reset(n int) {
+// Reset empties the DRAM state for a table of n inode slots, with pool as
+// the block pool. Slot 0 is never used.
+func (f *FS) Reset(n int, pool *vfs.Bitmap) {
 	f.Tree.Reset(RootIno)
 	f.Slots = vfs.NewBitmap(RootIno, uint64(n))
+	f.Pool = pool
 }
 
 // InodeOff returns the device offset of inode slot ino.
@@ -150,10 +157,10 @@ func (f *FS) SetInode(t *Tx, d *Inode) {
 
 // Load rebuilds the DRAM state from the inode table and the directory
 // blocks after the host's journal recovery. Every block an inode points to
-// must lie in the pool and is claimed in blocks; a block claimed twice is
+// must lie in pool and is claimed there; a block claimed twice is
 // corruption.
-func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
-	f.Reset(slots)
+func (f *FS) Load(slots int, pool *vfs.Bitmap) error {
+	f.Reset(slots, pool)
 	for ino := uint64(1); ino < uint64(slots); ino++ {
 		img := f.PM.Load(f.InodeOff(ino), InodeSize)
 		if binary.LittleEndian.Uint32(img[inoValidOff:]) != 1 {
@@ -187,8 +194,8 @@ func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 			if b == 0 {
 				continue
 			}
-			if !blocks.Claim(b) {
-				if blocks.Used(b) {
+			if !pool.Claim(b) {
+				if pool.Used(b) {
 					return vfs.Corruptf("block %d referenced twice", b)
 				}
 				return vfs.Corruptf("inode %d block[%d]=%d out of range", d.Ino, i, b)
@@ -228,7 +235,7 @@ func (f *FS) Load(slots int, blocks *vfs.Bitmap) error {
 func (f *FS) Destroy(n *Inode) {
 	for _, b := range n.Blocks {
 		if b != 0 {
-			f.Host.Release(b)
+			f.Pool.Release(b)
 		}
 	}
 	f.Slots.Release(n.Ino)

@@ -19,88 +19,6 @@ func (f *FS) Fsync(fd vfs.FD) error {
 // Sync implements vfs.FS.
 func (f *FS) Sync() error { return nil }
 
-// Pread implements vfs.FS.
-func (f *FS) Pread(fd vfs.FD, buf []byte, off int64) (int, error) {
-	d, err := f.Descs.Get(fd)
-	if err != nil {
-		return 0, err
-	}
-	if off < 0 {
-		return 0, vfs.ErrInvalid
-	}
-	if off >= d.Size {
-		return 0, nil
-	}
-	n := min(int64(len(buf)), d.Size-off)
-	for pos := off; pos < off+n; {
-		i := int(pos / BlockSize)
-		blkStart := int64(i) * BlockSize
-		chunk := min(blkStart+BlockSize, off+n) - pos
-		if b := d.Blocks[i]; b != 0 {
-			f.PM.LoadInto(BlockOff(b)+(pos-blkStart), buf[pos-off:pos-off+chunk])
-		} else {
-			clear(buf[pos-off : pos-off+chunk])
-		}
-		pos += chunk
-	}
-	return int(n), nil
-}
-
-// Truncate implements vfs.FS. A shrink commits the new size and block
-// pointers first and frees the blocks beyond it after, inside the host's
-// Freeing/Freed bracket.
-func (f *FS) Truncate(path string, size int64) error {
-	defer f.Host.EndOp()
-	if size < 0 {
-		return vfs.ErrInvalid
-	}
-	if size > MaxFileSize {
-		return vfs.ErrNoSpace
-	}
-	d, err := f.Lookup(path)
-	if err != nil {
-		return err
-	}
-	if d.Type == vfs.TypeDir {
-		return vfs.ErrIsDir
-	}
-	if size == d.Size {
-		return nil
-	}
-	if size > d.Size {
-		d.Size = size
-		t := f.Begin()
-		f.SetInode(t, d)
-		t.Commit()
-		return nil
-	}
-
-	f.Host.Freeing(d.Ino)
-	oldBlocks := d.Blocks
-	firstDead := int((size + BlockSize - 1) / BlockSize)
-	for i := firstDead; i < NDirect; i++ {
-		d.Blocks[i] = 0
-	}
-	d.Size = size
-	t := f.Begin()
-	f.SetInode(t, d)
-	t.Commit()
-
-	// Zero the tail remainder so a later extension reads zeros (beyond the
-	// committed size, hence crash-invisible).
-	if rem := size % BlockSize; rem != 0 && d.Blocks[size/BlockSize] != 0 {
-		f.PM.MemsetNT(BlockOff(d.Blocks[size/BlockSize])+rem, 0, int(BlockSize-rem))
-		f.PM.Fence()
-	}
-	for i := firstDead; i < NDirect; i++ {
-		if oldBlocks[i] != 0 {
-			f.Host.Release(oldBlocks[i])
-		}
-	}
-	f.Host.Freed()
-	return nil
-}
-
 // direntImage encodes a directory-entry slot.
 func direntImage(ino uint64, name string) (b [DirentSize]byte) {
 	binary.LittleEndian.PutUint64(b[deInoOff:], ino)
@@ -158,12 +76,9 @@ func slotPending(p *Inode, off int64) bool {
 // Create implements vfs.FS.
 func (f *FS) Create(path string) (vfs.FD, error) {
 	defer f.Host.EndOp()
-	p, name, err := f.Parent(path)
+	p, name, err := f.Vacant(path)
 	if err != nil {
 		return -1, err
-	}
-	if _, ok := p.Dirents[name]; ok {
-		return -1, vfs.ErrExist
 	}
 	ino, err := f.Slots.Lowest()
 	if err != nil {
@@ -192,12 +107,9 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 // Mkdir implements vfs.FS.
 func (f *FS) Mkdir(path string) error {
 	defer f.Host.EndOp()
-	p, name, err := f.Parent(path)
+	p, name, err := f.Vacant(path)
 	if err != nil {
 		return err
-	}
-	if _, ok := p.Dirents[name]; ok {
-		return vfs.ErrExist
 	}
 	ino, err := f.Slots.Lowest()
 	if err != nil {
@@ -233,12 +145,9 @@ func (f *FS) Link(oldPath, newPath string) error {
 	if n.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	p, name, err := f.Parent(newPath)
+	p, name, err := f.Vacant(newPath)
 	if err != nil {
 		return err
-	}
-	if _, ok := p.Dirents[name]; ok {
-		return vfs.ErrExist
 	}
 	n.Nlink++
 	t := f.Begin()
@@ -259,32 +168,21 @@ func (f *FS) Link(oldPath, newPath string) error {
 // blocks, inside the host's Freeing/Freed bracket.
 func (f *FS) Unlink(path string) error {
 	defer f.Host.EndOp()
-	p, name, err := f.Parent(path)
+	r, err := f.Removable(path, false)
 	if err != nil {
 		return err
 	}
-	ref, ok := p.Dirents[name]
-	if !ok {
-		return vfs.ErrNotExist
-	}
-	n := f.Nodes[ref.Ino]
-	if n == nil || n.Damaged {
-		return vfs.ErrIO
-	}
-	if n.Type == vfs.TypeDir {
-		return vfs.ErrIsDir
-	}
-
+	n := r.Node
 	lastLink := n.Nlink == 1
 	if lastLink {
 		f.Host.Freeing(n.Ino)
 	}
 	n.Nlink--
 	t := f.Begin()
-	t.Set(ref.Off, zeroDirent)
+	t.Set(r.Off, zeroDirent)
 	f.dropLink(t, n)
 	t.Commit()
-	delete(p.Dirents, name)
+	delete(r.Dir.Dirents, r.Name)
 	f.Descs.Unlinked(n.Ino, n.Nlink, f.reclaim)
 	if lastLink {
 		f.Host.Freed()
@@ -324,34 +222,20 @@ func (f *FS) reclaim(ino uint64) {
 // Rmdir implements vfs.FS.
 func (f *FS) Rmdir(path string) error {
 	defer f.Host.EndOp()
-	p, name, err := f.Parent(path)
+	r, err := f.Removable(path, true)
 	if err != nil {
 		return err
 	}
-	ref, ok := p.Dirents[name]
-	if !ok {
-		return vfs.ErrNotExist
-	}
-	n := f.Nodes[ref.Ino]
-	if n == nil || n.Damaged {
-		return vfs.ErrIO
-	}
-	if n.Type != vfs.TypeDir {
-		return vfs.ErrNotDir
-	}
-	if len(n.Dirents) > 0 {
-		return vfs.ErrNotEmpty
-	}
-
+	p, n := r.Dir, r.Node
 	f.Host.Freeing(n.Ino)
 	p.Nlink--
 	n.Nlink = 0
 	t := f.Begin()
-	t.Set(ref.Off, zeroDirent)
+	t.Set(r.Off, zeroDirent)
 	f.SetInode(t, p)
 	f.dropLink(t, n)
 	t.Commit()
-	delete(p.Dirents, name)
+	delete(p.Dirents, r.Name)
 	f.Descs.Unlinked(n.Ino, 0, f.reclaim)
 	f.Host.Freed()
 	return nil
@@ -362,41 +246,11 @@ func (f *FS) Rmdir(path string) error {
 // Freeing/Freed bracket, like unlink.
 func (f *FS) Rename(oldPath, newPath string) error {
 	defer f.Host.EndOp()
-	oldPath, newPath = vfs.Clean(oldPath), vfs.Clean(newPath)
-	if oldPath == newPath {
-		return nil
-	}
-	if vfs.IsAncestor(oldPath, newPath) {
-		return vfs.ErrInvalid
-	}
-	op, oname, err := f.Parent(oldPath)
-	if err != nil {
+	from, to, err := f.Move(oldPath, newPath)
+	if err != nil || from.Node == nil {
 		return err
 	}
-	oref, ok := op.Dirents[oname]
-	if !ok {
-		return vfs.ErrNotExist
-	}
-	n := f.Nodes[oref.Ino]
-	if n == nil || n.Damaged {
-		return vfs.ErrIO
-	}
-	np, nname, err := f.Parent(newPath)
-	if err != nil {
-		return err
-	}
-
-	var victim *Inode
-	vref, hasVictim := np.Dirents[nname]
-	if hasVictim {
-		victim = f.Nodes[vref.Ino]
-		if victim == nil {
-			return vfs.ErrIO
-		}
-		if err := vfs.CheckReplace(n.Type, victim.Type, len(victim.Dirents) == 0); err != nil {
-			return err
-		}
-	}
+	op, np, n, victim := from.Dir, to.Dir, from.Node, to.Node
 	victimDies := victim != nil && (victim.Type == vfs.TypeDir || victim.Nlink == 1)
 	if victimDies {
 		f.Host.Freeing(victim.Ino)
@@ -404,14 +258,14 @@ func (f *FS) Rename(oldPath, newPath string) error {
 
 	t := f.Begin()
 	// Clear the old slot; write (or overwrite) the new one.
-	t.Set(oref.Off, zeroDirent)
-	slot := vref.Off
+	t.Set(from.Off, zeroDirent)
+	slot := to.Off
 	if victim == nil {
 		if slot, err = f.findFreeSlot(np, t); err != nil {
 			return err
 		}
 	}
-	de := direntImage(n.Ino, nname)
+	de := direntImage(n.Ino, to.Name)
 	t.Set(slot, de[:])
 	if n.Type == vfs.TypeDir && op != np {
 		op.Nlink--
@@ -431,8 +285,8 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	}
 	t.Commit()
 
-	delete(op.Dirents, oname)
-	np.Dirents[nname] = vfs.Dirent{Ino: n.Ino, Off: slot}
+	delete(op.Dirents, from.Name)
+	np.Dirents[to.Name] = vfs.Dirent{Ino: n.Ino, Off: slot}
 	if victim != nil {
 		f.Descs.Unlinked(victim.Ino, victim.Nlink, f.reclaim)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chipmunk/internal/bugs"
+	"chipmunk/internal/fs/inplace"
 	"chipmunk/internal/fs/pmfs"
 	"chipmunk/internal/fs/winefs"
 	"chipmunk/internal/persist"
@@ -12,22 +13,40 @@ import (
 )
 
 // TestInplaceTxAllocBudget pins what a create and an unlink, one journal
-// transaction each, cost on a mounted PMFS and WineFS. The budgets are the
-// values measured on go1.24 linux/amd64 plus 10%, rounded down: one
-// allocation on each, the new inode, against 9 when a transaction was an
-// interface that kept its callers' inode and dirent images, so every image
-// moved to the heap.
+// transaction each, cost on a mounted PMFS and WineFS, and what the shared
+// in-place write and fallocate of three blocks add between them. The
+// budgets are the values measured on go1.24 linux/amd64 plus 10%, rounded
+// down: one allocation on each, the new inode, against 9 when a
+// transaction was an interface that kept its callers' inode and dirent
+// images, so every image moved to the heap, and against 4 when the write
+// and fallocate kept a slice of the blocks they took.
 func TestInplaceTxAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
+	newPmfs := func(pm *persist.PM) vfs.FS { return pmfs.New(pm, bugs.None()) }
+	newRelaxed := func(pm *persist.PM) vfs.FS {
+		return winefs.New(pm, bugs.None(), winefs.WithMode(winefs.Relaxed))
+	}
+	data := make([]byte, 3*inplace.BlockSize)
+	write := func(fs vfs.FS, fd vfs.FD) error {
+		_, err := fs.Pwrite(fd, data, 0)
+		return err
+	}
+	fallocate := func(fs vfs.FS, fd vfs.FD) error { return fs.Fallocate(fd, 0, int64(len(data))) }
 	for _, c := range []struct {
 		name   string
 		budget float64
 		newFS  func(*persist.PM) vfs.FS
+		// fill, when set, runs on the new file before it is closed.
+		fill func(vfs.FS, vfs.FD) error
 	}{
-		{"pmfs", 1, func(pm *persist.PM) vfs.FS { return pmfs.New(pm, bugs.None()) }},
-		{"winefs", 1, func(pm *persist.PM) vfs.FS { return winefs.New(pm, bugs.None()) }},
+		{"pmfs", 1, newPmfs, nil},
+		{"winefs", 1, func(pm *persist.PM) vfs.FS { return winefs.New(pm, bugs.None()) }, nil},
+		{"pmfs-write", 1, newPmfs, write},
+		{"pmfs-fallocate", 1, newPmfs, fallocate},
+		{"winefs-relaxed-write", 1, newRelaxed, write},
+		{"winefs-relaxed-fallocate", 1, newRelaxed, fallocate},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			dev := pmem.NewDevice(1 << 20)
@@ -47,6 +66,11 @@ func TestInplaceTxAllocBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				if c.fill != nil {
+					if err := c.fill(fs, fd); err != nil {
+						t.Fatal(err)
+					}
+				}
 				if err := fs.Close(fd); err != nil {
 					t.Fatal(err)
 				}
@@ -55,7 +79,7 @@ func TestInplaceTxAllocBudget(t *testing.T) {
 				}
 			})
 			if got > c.budget {
-				t.Errorf("a create and an unlink allocate %.0f times, budget %.0f", got, c.budget)
+				t.Errorf("%s allocates %.0f times, budget %.0f", c.name, got, c.budget)
 			}
 		})
 	}

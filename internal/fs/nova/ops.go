@@ -13,12 +13,9 @@ import (
 // that mount-time GC reclaims. Bug 2 omits the flush of the inode
 // initialization, so the dentry can point at an all-zero inode slot.
 func (f *FS) Create(path string) (vfs.FD, error) {
-	p, name, err := f.Parent(path)
+	p, name, err := f.Vacant(path)
 	if err != nil {
 		return -1, err
-	}
-	if _, ok := p.Dirents[name]; ok {
-		return -1, vfs.ErrExist
 	}
 	ino, err := f.ialloc.Lowest()
 	if err != nil {
@@ -42,12 +39,9 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 // Mkdir implements vfs.FS. The parent's tail and nlink change together, so
 // the publish is journaled.
 func (f *FS) Mkdir(path string) error {
-	p, name, err := f.Parent(path)
+	p, name, err := f.Vacant(path)
 	if err != nil {
 		return err
-	}
-	if _, ok := p.Dirents[name]; ok {
-		return vfs.ErrExist
 	}
 	ino, err := f.ialloc.Lowest()
 	if err != nil {
@@ -100,12 +94,9 @@ func (f *FS) Link(oldPath, newPath string) error {
 	if n.Type == vfs.TypeDir {
 		return vfs.ErrIsDir
 	}
-	p, name, err := f.Parent(newPath)
+	p, name, err := f.Vacant(newPath)
 	if err != nil {
 		return err
-	}
-	if _, ok := p.Dirents[name]; ok {
-		return vfs.ErrExist
 	}
 
 	if f.has(bugs.NovaLinkCountEarly) {
@@ -155,21 +146,11 @@ func (f *FS) Link(oldPath, newPath string) error {
 // are journaled together; under bug 3 the listed fast path appends the
 // remove entry with the tail-first ordering instead.
 func (f *FS) Unlink(path string) error {
-	p, name, err := f.Parent(path)
+	r, err := f.Removable(path, false)
 	if err != nil {
 		return err
 	}
-	de, ok := p.Dirents[name]
-	if !ok {
-		return vfs.ErrNotExist
-	}
-	n := f.Nodes[de.Ino]
-	if n == nil || n.Damaged {
-		return vfs.ErrIO
-	}
-	if n.Type == vfs.TypeDir {
-		return vfs.ErrIsDir
-	}
+	p, name, n := r.Dir, r.Name, r.Node
 	if n.conflicted {
 		// Bug 10's consequence: the replica mismatch makes deletion fail.
 		return vfs.ErrIO
@@ -241,24 +222,11 @@ func (f *FS) releaseLogChain(head uint64) {
 
 // Rmdir implements vfs.FS.
 func (f *FS) Rmdir(path string) error {
-	p, name, err := f.Parent(path)
+	r, err := f.Removable(path, true)
 	if err != nil {
 		return err
 	}
-	de, ok := p.Dirents[name]
-	if !ok {
-		return vfs.ErrNotExist
-	}
-	n := f.Nodes[de.Ino]
-	if n == nil || n.Damaged {
-		return vfs.ErrIO
-	}
-	if n.Type != vfs.TypeDir {
-		return vfs.ErrNotDir
-	}
-	if len(n.Dirents) > 0 {
-		return vfs.ErrNotEmpty
-	}
+	p, name, n := r.Dir, r.Name, r.Node
 	if n.conflicted {
 		return vfs.ErrIO
 	}
@@ -298,43 +266,14 @@ func (f *FS) Rmdir(path string) error {
 // Bug 5 (cross-directory path): the add is published first and the old
 // dentry is invalidated in place afterwards — a crash between leaves both.
 func (f *FS) Rename(oldPath, newPath string) error {
-	oldPath, newPath = vfs.Clean(oldPath), vfs.Clean(newPath)
-	if oldPath == newPath {
-		return nil
-	}
-	if vfs.IsAncestor(oldPath, newPath) {
-		return vfs.ErrInvalid
-	}
-	op, oname, err := f.Parent(oldPath)
-	if err != nil {
+	from, to, err := f.Move(oldPath, newPath)
+	if err != nil || from.Node == nil {
 		return err
 	}
-	ode, ok := op.Dirents[oname]
-	if !ok {
-		return vfs.ErrNotExist
-	}
-	n := f.Nodes[ode.Ino]
-	if n == nil || n.Damaged {
+	op, oname, ode, n := from.Dir, from.Name, from.Dirent, from.Node
+	np, nname, victim := to.Dir, to.Name, to.Node
+	if victim != nil && victim.conflicted {
 		return vfs.ErrIO
-	}
-	np, nname, err := f.Parent(newPath)
-	if err != nil {
-		return err
-	}
-
-	// Victim handling.
-	var victim *dnode
-	if vde, ok := np.Dirents[nname]; ok {
-		victim = f.Nodes[vde.Ino]
-		if victim == nil {
-			return vfs.ErrIO
-		}
-		if err := vfs.CheckReplace(n.Type, victim.Type, len(victim.Dirents) == 0); err != nil {
-			return err
-		}
-		if victim.conflicted {
-			return vfs.ErrIO
-		}
 	}
 
 	sameDir := op == np

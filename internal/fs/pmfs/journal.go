@@ -66,7 +66,7 @@ func (f *FS) recoverJournal() error {
 		return vfs.Corruptf("journal pointers head=%d tail=%d", head, tail)
 	}
 	r.Tail = tail
-	oob := f.has(bugs.PmfsJournalOOB)
+	oob := f.Bugs.Has(bugs.PmfsJournalOOB)
 	end := r.Base + r.Size
 	for pos := head; pos < tail; {
 		if oob {

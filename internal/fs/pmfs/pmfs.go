@@ -55,32 +55,30 @@ const (
 // allocator.
 type FS struct {
 	inplace.FS
-	bugs bugs.Set
 
+	// totalBlocks bounds Pool, the DRAM-only free-block list, rebuilt at
+	// mount by scanning inode block pointers and handed out next fit. Bug
+	// 13 is the truncate-list replay touching it before that rebuild.
 	totalBlocks uint64
-	// alloc is the DRAM-only free-block list, rebuilt at mount by scanning
-	// inode block pointers and handed out next fit. Bug 13 is the
-	// truncate-list replay touching it before that rebuild.
-	alloc   *vfs.Bitmap
-	mounted bool
+	mounted     bool
 
 	ring inplace.Ring // the metadata journal
 }
 
 // New creates a PMFS instance on pm with the given injected bug set.
 func New(pm *persist.PM, set bugs.Set) *FS {
-	f := &FS{bugs: set, ring: inplace.Ring{PM: pm, Base: journalBlock * BlockSize, Size: jAreaSize}}
-	f.PM, f.Host, f.Table = pm, (*host)(f), inodeTblBlock*BlockSize
+	f := &FS{ring: inplace.Ring{PM: pm, Base: journalBlock * BlockSize, Size: jAreaSize}}
+	f.PM, f.Host, f.Table, f.Bugs = pm, (*host)(f), inodeTblBlock*BlockSize, set
 	return f
 }
 
-// host is FS as the namespace layer's inplace.Host: deletions and shrinks
-// are bracketed by the truncate list.
+// host is FS as the shared layer's inplace.Host: blocks are handed out
+// next fit, and deletions and shrinks are bracketed by the truncate list.
 type host FS
 
 func (h *host) Commit(r *inplace.Redo)         { (*FS)(h).commit(r) }
-func (h *host) AllocDirBlock() (uint64, error) { return h.alloc.Next() }
-func (h *host) Release(b uint64)               { h.alloc.Release(b) }
+func (h *host) AllocDirBlock() (uint64, error) { return h.Pool.Next() }
+func (h *host) AllocData() (uint64, error)     { return h.Pool.Next() }
 func (h *host) Freeing(ino uint64)             { (*FS)(h).truncAdd(ino) }
 func (h *host) Freed()                         { (*FS)(h).truncRemove() }
 func (h *host) EndOp()                         {}
@@ -89,8 +87,6 @@ func (h *host) EndOp()                         {}
 func (f *FS) Caps() vfs.Caps {
 	return vfs.Caps{Name: "pmfs", Strong: true, AtomicWrite: false, SyncDataWrites: true}
 }
-
-func (f *FS) has(id bugs.ID) bool { return f.bugs.Has(id) }
 
 // Mkfs implements vfs.FS.
 func (f *FS) Mkfs() error {
@@ -102,8 +98,7 @@ func (f *FS) Mkfs() error {
 	pm.MemsetNT(0, 0, poolStart*BlockSize)
 	pm.Fence()
 
-	f.alloc = vfs.NewBitmap(poolStart, f.totalBlocks)
-	f.Reset(InodeCount)
+	f.Reset(InodeCount, vfs.NewBitmap(poolStart, f.totalBlocks))
 	f.Slots.Claim(inplace.RootIno)
 	f.ring.Format()
 	pm.Fence()
@@ -132,7 +127,7 @@ func (f *FS) persistInode(d *inplace.Inode) {
 func (f *FS) Unmount() error {
 	f.mounted = false
 	f.Drop()
-	f.alloc = nil
+	f.Pool = nil
 	return nil
 }
 

@@ -452,7 +452,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	if _, err := f.Create("/keep"); err != nil {
 		t.Fatal(err)
 	}
-	blocks, inodes := f.alloc.Free(), f.Slots.Free()
+	blocks, inodes := f.Pool.Free(), f.Slots.Free()
 	fd, err := f.Create("/victim")
 	if err != nil {
 		t.Fatal(err)
@@ -463,7 +463,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	if err := f.Unlink("/victim"); err != nil {
 		t.Fatal(err)
 	}
-	if f.alloc.Free() >= blocks || f.Slots.Free() >= inodes {
+	if f.Pool.Free() >= blocks || f.Slots.Free() >= inodes {
 		t.Fatal("the unlinked-but-open file is already reclaimed")
 	}
 	mounted := func(img []byte) *FS {
@@ -476,7 +476,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	}
 	check := func(when string, f *FS) {
 		t.Helper()
-		if got, gotI := f.alloc.Free(), f.Slots.Free(); got != blocks || gotI != inodes {
+		if got, gotI := f.Pool.Free(), f.Slots.Free(); got != blocks || gotI != inodes {
 			t.Errorf("%s: %d free blocks, %d free inodes; want %d, %d", when, got, gotI, blocks, inodes)
 		}
 	}

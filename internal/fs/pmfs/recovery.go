@@ -44,9 +44,9 @@ func (f *FS) Mount() error {
 		return err
 	}
 
-	if f.has(bugs.PmfsTruncateListNull) {
+	if f.Bugs.Has(bugs.PmfsTruncateListNull) {
 		// Published ordering: replay the truncate list now. The DRAM free
-		// list (f.alloc) has not been rebuilt yet; touching it is the null
+		// list (f.Pool) has not been rebuilt yet; touching it is the null
 		// dereference.
 		count := pm.Load64(int64(truncBlock)*BlockSize + truncCountOff)
 		if count > 0 {
@@ -55,8 +55,7 @@ func (f *FS) Mount() error {
 		}
 	}
 
-	f.alloc = vfs.NewBitmap(poolStart, f.totalBlocks)
-	if err := f.Load(InodeCount, f.alloc); err != nil {
+	if err := f.Load(InodeCount, vfs.NewBitmap(poolStart, f.totalBlocks)); err != nil {
 		return err
 	}
 
@@ -74,7 +73,7 @@ func (f *FS) Mount() error {
 			dirty := false
 			for i := firstDead; i < inplace.NDirect; i++ {
 				if d.Blocks[i] != 0 {
-					f.alloc.Release(d.Blocks[i])
+					f.Pool.Release(d.Blocks[i])
 					d.Blocks[i] = 0
 					dirty = true
 				}

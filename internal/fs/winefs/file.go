@@ -11,33 +11,23 @@ import (
 //
 // Strict mode (the default) makes data writes crash-atomic: new blocks are
 // built copy-on-write and published by the journaled block-pointer/size
-// update. Relaxed mode writes in place, PMFS-style.
+// update. Relaxed mode writes in place: PMFS's write, shared through
+// inplace, as is Fallocate in both modes.
 //
 // Injected bugs: 14&15 skip the data fence before the publish; 17&18 leave
 // the sub-word tail of unaligned writes unfenced; 20 is the strict-mode
 // fast path that modifies an existing block in place (two fences apart)
 // when the write starts at a sub-cache-line offset, breaking atomicity.
 func (f *FS) Pwrite(fd vfs.FD, data []byte, off int64) (int, error) {
+	if f.mode == Relaxed {
+		return f.FS.Pwrite(fd, data, off)
+	}
 	defer f.nextOp()
-	d, err := f.Descs.Get(fd)
-	if err != nil {
+	d, end, err := f.Span(fd, off, int64(len(data)))
+	if err != nil || end == off {
 		return 0, err
 	}
-	if off < 0 {
-		return 0, vfs.ErrInvalid
-	}
-	if len(data) == 0 {
-		return 0, nil
-	}
-	end := off + int64(len(data))
-	if end > MaxFileSize {
-		return 0, vfs.ErrNoSpace
-	}
-
-	if f.mode == Strict {
-		return f.pwriteStrict(d, data, off, end)
-	}
-	return f.pwriteRelaxed(d, data, off, end)
+	return f.pwriteStrict(d, data, off, end)
 }
 
 // pwriteStrict is the copy-on-write path.
@@ -57,9 +47,9 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 	// extended range then reads zeros: the write was not atomic. Exposing
 	// it requires replaying exactly two in-flight writes (the size record
 	// and the commit), the "one bug needs two writes" of Observation 7.
-	if f.has(bugs.WinefsStrictInPlace) && off%pmem.CacheLineSize != 0 &&
+	if f.Bugs.Has(bugs.WinefsStrictInPlace) && off%pmem.CacheLineSize != 0 &&
 		firstBlk == lastBlk && end > d.Size {
-		nb, err := f.alloc.Lowest()
+		nb, err := f.Host.AllocData()
 		if err != nil {
 			return 0, err
 		}
@@ -78,7 +68,7 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 		f.fastPublish(f.InodeOff(d.Ino)+inplace.InoBlocksOff+int64(firstBlk)*8, nb,
 			f.InodeOff(d.Ino)+inplace.InoSizeOff, uint64(end))
 		if old != 0 {
-			f.alloc.Release(old)
+			f.Pool.Release(old)
 		}
 		return len(data), nil
 	}
@@ -97,10 +87,10 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 	}
 	content := func(i int) []byte { return contents[(i-firstBlk)*BlockSize:][:BlockSize] }
 	for i := firstBlk; i <= lastBlk; i++ {
-		nb, err := f.alloc.Lowest()
+		nb, err := f.Host.AllocData()
 		if err != nil {
 			for _, p := range pend {
-				f.alloc.Release(p.block)
+				f.Pool.Release(p.block)
 			}
 			return 0, err
 		}
@@ -120,7 +110,7 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 		dst := inplace.BlockOff(p.block)
 		c := content(p.idx)
 		switch {
-		case last && f.has(bugs.NTTailNotFenced) && int(end)%8 != 0:
+		case last && f.Bugs.Has(bugs.NTTailNotFenced) && int(end)%8 != 0:
 			// The copy helper fences the aligned body only.
 			valid := int(end - int64(p.idx)*BlockSize)
 			body := valid &^ 7
@@ -128,7 +118,7 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 			f.PM.Fence()
 			f.PM.MemcpyNT(dst+int64(body), c[body:])
 			// Missing fence for the tail.
-		case last && f.has(bugs.WriteNotSync):
+		case last && f.Bugs.Has(bugs.WriteNotSync):
 			// Missing fence: the publish below can land without the data.
 			f.PM.MemcpyNT(dst, c)
 		default:
@@ -152,105 +142,7 @@ func (f *FS) pwriteStrict(d *inplace.Inode, data []byte, off, end int64) (int, e
 	f.SetInode(t, d)
 	t.Commit()
 	for _, b := range olds {
-		f.alloc.Release(b)
+		f.Pool.Release(b)
 	}
 	return int(end - off), nil
-}
-
-// pwriteRelaxed is the PMFS-style in-place path.
-func (f *FS) pwriteRelaxed(d *inplace.Inode, data []byte, off, end int64) (int, error) {
-	firstBlk := int(off / BlockSize)
-	lastBlk := int((end - 1) / BlockSize)
-	metaDirty := false
-	for i := firstBlk; i <= lastBlk; i++ {
-		if d.Blocks[i] != 0 {
-			continue
-		}
-		nb, err := f.alloc.Lowest()
-		if err != nil {
-			return 0, err
-		}
-		f.PM.MemsetNT(inplace.BlockOff(nb), 0, BlockSize)
-		d.Blocks[i] = nb
-		metaDirty = true
-	}
-	if metaDirty {
-		f.PM.Fence()
-	}
-	if end > d.Size {
-		d.Size = end
-		metaDirty = true
-	}
-	if metaDirty {
-		t := f.Begin()
-		f.SetInode(t, d)
-		t.Commit()
-	}
-	for i := firstBlk; i <= lastBlk; i++ {
-		blkStart := int64(i) * BlockSize
-		from := max(off, blkStart)
-		to := min(end, blkStart+BlockSize)
-		chunk := data[from-off : to-off]
-		dst := inplace.BlockOff(d.Blocks[i]) + (from - blkStart)
-		last := i == lastBlk
-		switch {
-		case last && f.has(bugs.NTTailNotFenced) && len(chunk)%8 != 0:
-			body := len(chunk) &^ 7
-			if body > 0 {
-				f.PM.MemcpyNT(dst, chunk[:body])
-			}
-			f.PM.Fence()
-			f.PM.MemcpyNT(dst+int64(body), chunk[body:])
-		case last && f.has(bugs.WriteNotSync):
-			f.PM.MemcpyNT(dst, chunk)
-		default:
-			f.PM.MemcpyNT(dst, chunk)
-			if last {
-				f.PM.Fence()
-			}
-		}
-	}
-	return len(data), nil
-}
-
-// Fallocate implements vfs.FS.
-func (f *FS) Fallocate(fd vfs.FD, off, length int64) error {
-	defer f.nextOp()
-	d, err := f.Descs.Get(fd)
-	if err != nil {
-		return err
-	}
-	if off < 0 || length <= 0 {
-		return vfs.ErrInvalid
-	}
-	end := off + length
-	if end > MaxFileSize {
-		return vfs.ErrNoSpace
-	}
-	metaDirty := false
-	for i := int(off / BlockSize); i <= int((end-1)/BlockSize); i++ {
-		if d.Blocks[i] != 0 {
-			continue
-		}
-		nb, err := f.alloc.Lowest()
-		if err != nil {
-			return err
-		}
-		f.PM.MemsetNT(inplace.BlockOff(nb), 0, BlockSize)
-		d.Blocks[i] = nb
-		metaDirty = true
-	}
-	if metaDirty {
-		f.PM.Fence()
-	}
-	if end > d.Size {
-		d.Size = end
-		metaDirty = true
-	}
-	if metaDirty {
-		t := f.Begin()
-		f.SetInode(t, d)
-		t.Commit()
-	}
-	return nil
 }

@@ -98,7 +98,7 @@ type parsedTx struct {
 // journal is parsed once: the parse feeds the merge and the next txid.
 func (f *FS) recoverJournals() error {
 	merged := NumCPUs
-	if f.has(bugs.WinefsJournalIndex) {
+	if f.Bugs.Has(bugs.WinefsJournalIndex) {
 		merged = 1 // only the live CPU's journal is consulted
 	}
 	epoch := f.PM.Load64(sbReclaimOff)

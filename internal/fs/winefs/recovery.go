@@ -24,8 +24,7 @@ func (f *FS) Mount() error {
 		return err
 	}
 
-	f.alloc = vfs.NewBitmap(poolStart, f.totalBlocks)
-	if err := f.Load(InodeCount, f.alloc); err != nil {
+	if err := f.Load(InodeCount, vfs.NewBitmap(poolStart, f.totalBlocks)); err != nil {
 		return err
 	}
 	// Orphan GC clears each orphan's slot on PM as it reclaims it.

@@ -64,15 +64,13 @@ const (
 // shares with PMFS, over WineFS's per-CPU journals and aligned allocator.
 type FS struct {
 	inplace.FS
-	bugs bugs.Set
 	mode Mode
 
+	// totalBlocks bounds Pool, the DRAM-only block pool, rebuilt at mount.
+	// Data blocks come from its bottom and metadata blocks from its top,
+	// so long runs of huge-page-aligned free space survive metadata churn.
 	totalBlocks uint64
-	// alloc is the DRAM-only block pool, rebuilt at mount. Data blocks
-	// come from its bottom and metadata blocks from its top, so long runs
-	// of huge-page-aligned free space survive metadata churn.
-	alloc   *vfs.Bitmap
-	mounted bool
+	mounted     bool
 
 	// The per-CPU journals and the global tx counter.
 	rings [NumCPUs]inplace.Ring
@@ -80,14 +78,14 @@ type FS struct {
 	opSeq uint64 // drives the CPU assignment of operations
 }
 
-// host is FS as the namespace layer's inplace.Host: directory blocks come
-// from the metadata end of the pool, and every mutating system call moves
-// on to the next CPU's journal.
+// host is FS as the shared layer's inplace.Host: directory blocks come
+// from the metadata end of the pool and data blocks from the other, and
+// every mutating system call moves on to the next CPU's journal.
 type host FS
 
 func (h *host) Commit(r *inplace.Redo)         { (*FS)(h).commit(r) }
-func (h *host) AllocDirBlock() (uint64, error) { return h.alloc.Highest() }
-func (h *host) Release(b uint64)               { h.alloc.Release(b) }
+func (h *host) AllocDirBlock() (uint64, error) { return h.Pool.Highest() }
+func (h *host) AllocData() (uint64, error)     { return h.Pool.Lowest() }
 func (h *host) Freeing(uint64)                 {}
 func (h *host) Freed()                         {}
 func (h *host) EndOp()                         { (*FS)(h).nextOp() }
@@ -100,8 +98,8 @@ func WithMode(m Mode) Option { return func(f *FS) { f.mode = m } }
 
 // New creates a WineFS instance with the given injected bug set.
 func New(pm *persist.PM, set bugs.Set, opts ...Option) *FS {
-	f := &FS{bugs: set, mode: Strict}
-	f.PM, f.Host, f.Table = pm, (*host)(f), inodeTblBlock*BlockSize
+	f := &FS{mode: Strict}
+	f.PM, f.Host, f.Table, f.Bugs = pm, (*host)(f), inodeTblBlock*BlockSize, set
 	for c := range f.rings {
 		f.rings[c] = inplace.Ring{PM: pm, Base: int64(journalBlock0+c) * BlockSize, Size: jAreaSize}
 	}
@@ -121,8 +119,6 @@ func (f *FS) Caps() vfs.Caps {
 	}
 }
 
-func (f *FS) has(id bugs.ID) bool { return f.bugs.Has(id) }
-
 // curCPU returns the CPU the current operation runs on. Operations are
 // spread round-robin across CPUs, exercising every journal.
 func (f *FS) curCPU() int { return int(f.opSeq % NumCPUs) }
@@ -141,8 +137,7 @@ func (f *FS) Mkfs() error {
 	pm.MemsetNT(0, 0, poolStart*BlockSize)
 	pm.Fence()
 
-	f.alloc = vfs.NewBitmap(poolStart, f.totalBlocks)
-	f.Reset(InodeCount)
+	f.Reset(InodeCount, vfs.NewBitmap(poolStart, f.totalBlocks))
 	f.Slots.Claim(inplace.RootIno)
 	f.txid = 1
 	for c := range f.rings {
@@ -169,7 +164,7 @@ func (f *FS) Mkfs() error {
 func (f *FS) Unmount() error {
 	f.mounted = false
 	f.Drop()
-	f.alloc = nil
+	f.Pool = nil
 	return nil
 }
 

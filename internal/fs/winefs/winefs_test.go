@@ -138,11 +138,11 @@ func TestRemountAfterJournalWrap(t *testing.T) {
 
 func TestAlignedAllocatorSeparatesKinds(t *testing.T) {
 	f, _ := newWinefs(t, bugs.None())
-	data, err := f.alloc.Lowest()
+	data, err := f.Pool.Lowest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, err := f.alloc.Highest()
+	meta, err := f.Pool.Highest()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestAlignedAllocatorSeparatesKinds(t *testing.T) {
 	before := alignedFreeExtents(f)
 	// Metadata churn must not erode aligned extents faster than data.
 	for i := 0; i < 8; i++ {
-		f.alloc.Highest()
+		f.Pool.Highest()
 	}
 	after := alignedFreeExtents(f)
 	if before-after > 1 {
@@ -169,7 +169,7 @@ func alignedFreeExtents(f *FS) int {
 	for b := uint64(poolStart+hugeRun-1) / hugeRun * hugeRun; b+hugeRun <= f.totalBlocks; b += hugeRun {
 		free := true
 		for i := uint64(0); i < hugeRun; i++ {
-			free = free && !f.alloc.Used(b+i)
+			free = free && !f.Pool.Used(b+i)
 		}
 		if free {
 			n++
@@ -399,7 +399,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	if _, err := f.Create("/keep"); err != nil {
 		t.Fatal(err)
 	}
-	blocks, inodes := f.alloc.Free(), f.Slots.Free()
+	blocks, inodes := f.Pool.Free(), f.Slots.Free()
 	fd, err := f.Create("/victim")
 	if err != nil {
 		t.Fatal(err)
@@ -410,7 +410,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	if err := f.Unlink("/victim"); err != nil {
 		t.Fatal(err)
 	}
-	if f.alloc.Free() >= blocks || f.Slots.Free() >= inodes {
+	if f.Pool.Free() >= blocks || f.Slots.Free() >= inodes {
 		t.Fatal("the unlinked-but-open file is already reclaimed")
 	}
 	mounted := func(img []byte) *FS {
@@ -423,7 +423,7 @@ func TestUnlinkWhileOpenCrashReclaims(t *testing.T) {
 	}
 	check := func(when string, f *FS) {
 		t.Helper()
-		if got, gotI := f.alloc.Free(), f.Slots.Free(); got != blocks || gotI != inodes {
+		if got, gotI := f.Pool.Free(), f.Slots.Free(); got != blocks || gotI != inodes {
 			t.Errorf("%s: %d free blocks, %d free inodes; want %d, %d", when, got, gotI, blocks, inodes)
 		}
 	}

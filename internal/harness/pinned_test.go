@@ -15,6 +15,7 @@ import (
 	"chipmunk/internal/app/kvwork"
 	"chipmunk/internal/bugs"
 	"chipmunk/internal/core"
+	"chipmunk/internal/fs/winefs"
 	"chipmunk/internal/harness"
 	"chipmunk/internal/persist"
 	"chipmunk/internal/pmem"
@@ -24,8 +25,9 @@ import (
 )
 
 // TestGuestTracesPinned pins what every guest model writes and reads. For
-// each system, with no bugs and with all bugs, over seq1, kv-smoke and a
-// namespace churn workload, it keeps two digests: one of the recorded
+// each system, and WineFS in relaxed mode besides, with no bugs and with
+// all bugs, over seq1, kv-smoke, a namespace churn workload and a data
+// churn workload, it keeps two digests: one of the recorded
 // trace (every persistence call and, with TraceStores on, every plain
 // store, plus each op's result), and one of what mounting the persistent
 // image after every op shows (the mount's error, the writes recovery makes,
@@ -42,8 +44,12 @@ func TestGuestTracesPinned(t *testing.T) {
 		{"seq1", ace.Seq1()},
 		{"kv-smoke", ace.KVSmoke()},
 		{"churn", []workload.Workload{churnWorkload()}},
+		{"datachurn", []workload.Workload{dataChurnWorkload()}},
 	}
-	systems := harness.Systems()
+	systems := append(harness.Systems(), harness.System{Name: "winefs-relaxed",
+		Factory: func(set bugs.Set) func(pm *persist.PM) vfs.FS {
+			return func(pm *persist.PM) vfs.FS { return winefs.New(pm, set, winefs.WithMode(winefs.Relaxed)) }
+		}})
 	lines := make([]string, len(systems))
 	t.Run("systems", func(t *testing.T) {
 		for i, sys := range systems {
@@ -102,6 +108,22 @@ func churnWorkload() workload.Workload {
 			workload.Op{Kind: workload.OpUnlink, Path: "/r", FDSlot: -1})
 	}
 	return workload.Workload{Name: "churn", Ops: ops}
+}
+
+// dataChurnWorkload writes three blocks to a new file six times over
+// three names, and unlinks the previous round's file each round: the
+// freed blocks are handed out again, so where a model's data allocator
+// looks first shows in the trace.
+func dataChurnWorkload() workload.Workload {
+	var ops []workload.Op
+	for i := 0; i < 6; i++ {
+		f := fmt.Sprintf("/f%d", i%3)
+		ops = append(ops,
+			workload.Op{Kind: workload.OpCreat, Path: f, FDSlot: -1},
+			workload.Op{Kind: workload.OpWrite, Path: f, FDSlot: -1, Size: 3 * 4096, Seed: uint32(i + 1)},
+			workload.Op{Kind: workload.OpUnlink, Path: fmt.Sprintf("/f%d", (i+2)%3), FDSlot: -1})
+	}
+	return workload.Workload{Name: "datachurn", Ops: ops}
 }
 
 // pinRun formats a device, runs w on it with every store traced, and hashes

@@ -104,9 +104,108 @@ func (t *Tree[N]) Lookup(path string) (N, error) {
 	return n, err
 }
 
-// Parent resolves the directory that holds path's last component.
-func (t *Tree[N]) Parent(path string) (N, string, error) {
+// parent resolves the directory that holds path's last component.
+func (t *Tree[N]) parent(path string) (N, string, error) {
 	return WalkParent(t.Nodes[t.Root], path, t.step)
+}
+
+// Ref is one resolved directory entry: the directory that holds it, the
+// name, the entry, and the node it links (zero for a vacant name).
+type Ref[N Node] struct {
+	Dir  N
+	Name string
+	Dirent
+	Node N
+}
+
+// Vacant resolves the directory a create, mkdir or link puts path's last
+// component in: after parent's errors, a name that is taken is ErrExist.
+func (t *Tree[N]) Vacant(path string) (N, string, error) {
+	p, name, err := t.parent(path)
+	if err == nil {
+		if _, ok := p.inode().Dirents[name]; ok {
+			var zero N
+			return zero, "", ErrExist
+		}
+	}
+	return p, name, err
+}
+
+// entry resolves the entry path names: after parent's errors, a missing
+// name is ErrNotExist, and an entry whose node is gone or damaged ErrIO.
+func (t *Tree[N]) entry(path string) (Ref[N], error) {
+	p, name, err := t.parent(path)
+	if err != nil {
+		return Ref[N]{}, err
+	}
+	de, ok := p.inode().Dirents[name]
+	if !ok {
+		return Ref[N]{}, ErrNotExist
+	}
+	var zero N
+	n := t.Nodes[de.Ino]
+	if n == zero || n.inode().Damaged {
+		return Ref[N]{}, ErrIO
+	}
+	return Ref[N]{Dir: p, Name: name, Dirent: de, Node: n}, nil
+}
+
+// Removable resolves the entry unlink (dir false) or rmdir (dir true)
+// removes: after entry's errors, unlink of a directory is ErrIsDir, and
+// rmdir of a non-directory ErrNotDir and of a directory with entries
+// ErrNotEmpty.
+func (t *Tree[N]) Removable(path string, dir bool) (Ref[N], error) {
+	r, err := t.entry(path)
+	if err != nil {
+		return r, err
+	}
+	d := r.Node.inode()
+	switch {
+	case !dir && d.Type == TypeDir:
+		return Ref[N]{}, ErrIsDir
+	case dir && d.Type != TypeDir:
+		return Ref[N]{}, ErrNotDir
+	case dir && len(d.Dirents) > 0:
+		return Ref[N]{}, ErrNotEmpty
+	}
+	return r, nil
+}
+
+// Move resolves a rename: from is the source's entry, and to the target's
+// directory and name, with the entry and node it replaces when the name is
+// taken. A path renamed onto itself resolves to zero Refs: there is nothing
+// to move. The errors come in this order: a rename into the source's own
+// subtree is ErrInvalid, then entry's errors for the source, parent's for
+// the target, a victim whose node is gone ErrIO, and CheckReplace's.
+func (t *Tree[N]) Move(oldPath, newPath string) (from, to Ref[N], err error) {
+	oldPath, newPath = Clean(oldPath), Clean(newPath)
+	if oldPath == newPath {
+		return from, to, nil
+	}
+	if IsAncestor(oldPath, newPath) {
+		return from, to, ErrInvalid
+	}
+	if from, err = t.entry(oldPath); err != nil {
+		return Ref[N]{}, to, err
+	}
+	np, name, err := t.parent(newPath)
+	if err != nil {
+		return Ref[N]{}, to, err
+	}
+	to = Ref[N]{Dir: np, Name: name}
+	if de, ok := np.inode().Dirents[name]; ok {
+		var zero N
+		v := t.Nodes[de.Ino]
+		if v == zero {
+			return Ref[N]{}, Ref[N]{}, ErrIO
+		}
+		vd := v.inode()
+		if err := CheckReplace(from.Node.inode().Type, vd.Type, len(vd.Dirents) == 0); err != nil {
+			return Ref[N]{}, Ref[N]{}, err
+		}
+		to.Dirent, to.Node = de, v
+	}
+	return from, to, nil
 }
 
 // Stat implements FS.

@@ -63,8 +63,9 @@ func newTree() *vfs.Tree[*tnode] {
 }
 
 // TestTree: the read side every embedding model answers through — the walk
-// step's error order, lookup, ReadDir, Open, the orphan pass's reachability
-// mark, and a fork's independence.
+// step's error order, lookup, the resolution that begins each namespace op
+// and its error order, ReadDir, Open, the orphan pass's reachability mark,
+// and a fork's independence.
 func TestTree(t *testing.T) {
 	tr := newTree()
 
@@ -91,18 +92,99 @@ func TestTree(t *testing.T) {
 			t.Errorf("Lookup(%q) = %v, %v; want inode %d, %v", c.path, n, err, c.ino, c.err)
 		}
 	}
-	if p, name, err := tr.Parent("/d/new"); err != nil || p.Ino != 2 || name != "new" {
-		t.Errorf("Parent(/d/new) = %v, %q, %v", p, name, err)
-	}
-	if _, _, err := tr.Parent("/bad/new"); err != vfs.ErrIO {
-		t.Errorf("Parent(/bad/new): %v, want ErrIO", err)
-	}
 	if st, err := tr.Stat("/f"); err != nil || st != (vfs.Stat{Ino: 3, Type: vfs.TypeRegular, Nlink: 1, Size: 5}) {
 		t.Errorf("Stat(/f) = %+v, %v", st, err)
 	}
 	var zero vfs.Tree[*tnode]
 	if _, err := zero.Stat("/"); err != vfs.ErrCorrupt {
 		t.Errorf("Stat on an empty tree: %v, want ErrCorrupt", err)
+	}
+
+	// The namespace ops' resolution, on a tree with an empty directory
+	// /e (inode 12) besides. A vacant name's parent fails as the walk
+	// does, then a taken name, dangling or not, is ErrExist.
+	ns := newTree()
+	ns.Nodes[12] = dir(12, nil)
+	ns.Nodes[1].Dirents["e"] = vfs.Dirent{Ino: 12, Off: 12 * 64}
+	for _, c := range []struct {
+		path string
+		dir  uint64
+		err  error
+	}{
+		{"/d/new", 2, nil},
+		{"/d/x", 0, vfs.ErrExist},
+		{"/gone", 0, vfs.ErrExist},
+		{"/bad/new", 0, vfs.ErrIO},
+		{"/f/new", 0, vfs.ErrNotDir},
+		{"/missing/new", 0, vfs.ErrNotExist},
+		{"/", 0, vfs.ErrInvalid},
+	} {
+		p, name, err := ns.Vacant(c.path)
+		if err != c.err || (err == nil && (p.Ino != c.dir || name != "new")) || (err != nil && p != nil) {
+			t.Errorf("Vacant(%q) = %v, %q, %v; want directory %d, %v", c.path, p, name, err, c.dir, c.err)
+		}
+	}
+	// An existing entry: a missing name is ErrNotExist, and an entry whose
+	// node is gone or damaged ErrIO, before unlink's ErrIsDir or rmdir's
+	// ErrNotDir and ErrNotEmpty.
+	for _, c := range []struct {
+		path string
+		dir  bool
+		ino  uint64
+		err  error
+	}{
+		{"/d/x", false, 6, nil},
+		{"/e", true, 12, nil},
+		{"/d/missing", false, 0, vfs.ErrNotExist},
+		{"/bad/y", false, 0, vfs.ErrIO},
+		{"/gone", false, 0, vfs.ErrIO},
+		{"/gone", true, 0, vfs.ErrIO},
+		{"/sick", true, 0, vfs.ErrIO},
+		{"/d", false, 0, vfs.ErrIsDir},
+		{"/f", true, 0, vfs.ErrNotDir},
+		{"/d", true, 0, vfs.ErrNotEmpty},
+	} {
+		r, err := ns.Removable(c.path, c.dir)
+		if err != c.err || (err == nil && (r.Node.Ino != c.ino || r.Ino != c.ino || r.Dir != ns.Nodes[r.Dir.Ino])) ||
+			(err != nil && r != (vfs.Ref[*tnode]{})) {
+			t.Errorf("Removable(%q, %v) = %+v, %v; want inode %d, %v", c.path, c.dir, r, err, c.ino, c.err)
+		}
+	}
+	// A rename onto itself moves nothing; one into its own subtree is
+	// ErrInvalid before the source resolves; the source's errors come
+	// before the target's, and a dangling victim before CheckReplace.
+	for _, c := range []struct {
+		from, to    string
+		ino, victim uint64
+		err         error
+	}{
+		{"/d/x", "/d//x", 0, 0, nil},
+		{"/d/x", "/new", 6, 0, nil},
+		{"/d", "/e", 2, 12, nil},
+		{"/d/x", "/f", 6, 3, nil},
+		{"/d", "/d/x/y", 0, 0, vfs.ErrInvalid},
+		{"/missing", "/missing/y", 0, 0, vfs.ErrInvalid},
+		{"/missing", "/bad/y", 0, 0, vfs.ErrNotExist},
+		{"/sick", "/new", 0, 0, vfs.ErrIO},
+		{"/d/x", "/bad/y", 0, 0, vfs.ErrIO},
+		{"/d/x", "/f/y", 0, 0, vfs.ErrNotDir},
+		{"/d", "/gone", 0, 0, vfs.ErrIO},
+		{"/e", "/d", 0, 0, vfs.ErrNotEmpty},
+		{"/e", "/f", 0, 0, vfs.ErrNotDir},
+		{"/f", "/e", 0, 0, vfs.ErrIsDir},
+	} {
+		from, to, err := ns.Move(c.from, c.to)
+		var ino, victim uint64
+		if from.Node != nil {
+			ino = from.Node.Ino
+		}
+		if to.Node != nil {
+			victim = to.Node.Ino
+		}
+		_, name := vfs.SplitPath(c.to)
+		if err != c.err || ino != c.ino || victim != c.victim || (ino != 0 && (to.Dir == nil || to.Name != name)) {
+			t.Errorf("Move(%q, %q) = %+v, %+v, %v; want inode %d over %d, %v", c.from, c.to, from, to, err, c.ino, c.victim, c.err)
+		}
 	}
 
 	// ReadDir lists names in order, each with its node's type; an entry
