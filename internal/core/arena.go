@@ -19,9 +19,14 @@ import (
 //
 // One owner. A Chain (fork.go) owns everything its runs reuse: at its first
 // run it takes one rig — recording device, baseline, key scratch, template,
-// hasher, trace log, and the checker with its fence scratch and the crash
-// device over the baseline — keeps it across its runs, which it makes one at
-// a time, and puts it back in Close, emptied of everything but buffers.
+// hasher, trace log, and the checker with its fence scratch, the crash
+// device over the baseline, its capture storage and its guest — keeps it
+// across its runs, which it makes one at a time, and puts it back in Close,
+// emptied of everything but buffers. The guest lives for one mount at a
+// time: each crash state remounts it (vfs.Remounter), which rewinds it to
+// what its constructor made, keeping only emptied storage; a guest phase
+// that does not settle clean drops it (sandbox.go, repair), and so does
+// Close, since the rig may next serve another system.
 // Within a run the checker's owner is the supervisor until it starts the
 // run's runner, then that runner, and after a takeover its replacement
 // (sandbox.go). Arena memory is written only by the owner, during enumerate;
@@ -33,15 +38,19 @@ import (
 // contract, workload and result), the crash context whose subset lives in
 // the arenas, and, conservatively, the trace log — and writing the crash
 // image it was mounted on: the baseline buffer of the moment, with the crash
-// device and undo log over it. None of it is reused: the supervisor rebuilds
-// the baseline in a fresh buffer, device and undo log before it starts the
-// replacement runner (sandbox.go, repair), within the run the next fence
-// drops the arenas instead of resetting them, and at the run's end the chain
-// drops the checker with its scratch, the log, and the fork points that
-// index into the log. The rest of the rig — recording device, baseline, key
-// scratch, template, hasher — is touched only by engine code on the owner,
-// never by an abandoned guest, and an abandoned runner unwinds touching
-// nothing but its crash image, so the rig serves the chain's next run. An
+// device and undo log over it, and the guest it mounted, which it reached
+// through its slot. None of it is reused: the supervisor drops the guest and
+// rebuilds the baseline in a fresh buffer, device and undo log before it
+// starts the replacement runner (sandbox.go, repair), within the run the
+// next fence drops the arenas instead of resetting them, and at the run's
+// end the chain drops the checker with its guest and scratch, the log, and
+// the fork points that index into the log. The capture storage the run's
+// contract holds is claimed per Observe (Scratch), so the replacement's
+// Observe never shares it with the abandoned one. The rest of the rig —
+// recording device, baseline, key scratch, template, hasher — is touched
+// only by engine code on the owner, never by an abandoned guest, and an
+// abandoned runner unwinds touching nothing but its crash image, so the rig
+// serves the chain's next run. An
 // image a guest poisoned (a panic or media error left it half-restored) is
 // repaired in place.
 //
@@ -141,11 +150,11 @@ type fenceScratch struct {
 	prefix    []byte
 }
 
-// clear empties a checker for its chain's next run, or for the free list: it
-// keeps its buffers, the fence scratch and the crash device, and nothing of
-// the run before (no Config, workload, contract or Result).
+// clear empties a checker for its chain's next run: it keeps its buffers —
+// the fence scratch, the crash device, the capture storage — and its guest,
+// and nothing of the run before (no Config, workload, contract or Result).
 func (ck *checker) clear() {
-	*ck = checker{fenceScratch: ck.fenceScratch, dev: ck.dev, undo: ck.undo}
+	*ck = checker{fenceScratch: ck.fenceScratch, dev: ck.dev, undo: ck.undo, guest: ck.guest, capture: ck.capture}
 	ck.prefix = ck.prefix[:0]
 }
 

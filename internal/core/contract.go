@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync/atomic"
+
 	"chipmunk/internal/obs"
 	"chipmunk/internal/vfs"
 	"chipmunk/internal/workload"
@@ -73,9 +75,10 @@ type Finding struct {
 // goroutine while the replacement runner checks the following states.
 // Implementations must therefore be safe for concurrent calls — anything a
 // call caches for later ones is built once and never changed — and must not
-// retain fs or cctx past the call: the device behind fs is rolled back and
-// reused as soon as the call returns, and cctx is rewritten for the next
-// state.
+// retain fs or cctx past the call, nor anything fs returned without
+// copying it: the device behind fs is rolled back and reused as soon as the
+// call returns, fs itself is remounted on the next state, and cctx is
+// rewritten for it.
 //
 // Judgements must be prefix-pure. harness.Run's prefix memo (memo.go) hands
 // the verdicts of a crash point in op s to every workload of the suite that
@@ -114,7 +117,31 @@ type RunEnv struct {
 	// oracle-snapshot-hits). Nil when observability is off; the Collector's
 	// methods are nil-safe, so checkers record unconditionally.
 	Obs *obs.Collector
+	// Scratch is capture storage the engine keeps beside its guest for the
+	// runs' Observe calls (nil: none); see Scratch.
+	Scratch *Scratch
 }
+
+// Scratch is capture storage one Observe at a time may use: take claims it
+// and put gives it back. A guest phase the engine abandoned may still hold
+// it while the run's next state is observed, so take claims by CAS and
+// reports nil when the storage is taken, or when s is nil; the call then
+// captures into storage of its own.
+type Scratch struct {
+	taken atomic.Bool
+	scr   vfs.Scratch
+}
+
+// take claims s's storage, or returns nil.
+func (s *Scratch) take() *vfs.Scratch {
+	if s == nil || !s.taken.CompareAndSwap(false, true) {
+		return nil
+	}
+	return &s.scr
+}
+
+// put gives back the storage take returned.
+func (s *Scratch) put() { s.taken.Store(false) }
 
 // CheckerFactory builds the run's Checker. It is invoked once per workload,
 // after the oracle and record passes and before any crash state is checked.

@@ -67,6 +67,15 @@ type checker struct {
 	dev  *pmem.Device
 	undo *pmem.UndoLog
 
+	// guest is the file system crash states are mounted on, over dev: kept
+	// across states and across the chain's runs when it is a
+	// vfs.Remounter, and nil until a mount builds one, again after a guest
+	// phase that did not settle clean (repair) and once the chain closes.
+	// capture is the storage the runs' contracts observe into
+	// (RunEnv.Scratch). Both are owner-only.
+	guest   vfs.FS
+	capture *Scratch
+
 	// abandoned counts guest phases the supervisor walked away from
 	// (timeout/cancel); abandonedSeen is the owner's high-water mark. When
 	// they differ at a fence boundary the arenas are dropped instead of

@@ -34,6 +34,9 @@ type mountLog struct {
 // with cold set, panics. The panic has the engine repair the working image,
 // rebuilding it from the post-Mkfs template and every fence's writes, so the
 // run's next state lands on an image rebuilt in full before its writes land.
+// It forwards Remount, logging the image there too, so the engine keeps it
+// across states as it keeps the system it wraps: the log covers the fresh
+// mounts and the remounts alike.
 type hashMountFS struct {
 	vfs.FS
 	pm   *persist.PM
@@ -41,7 +44,11 @@ type hashMountFS struct {
 	cold bool
 }
 
-func (f hashMountFS) Mount() error {
+func (f hashMountFS) Mount() error { return f.mount(f.FS.Mount) }
+
+func (f hashMountFS) Remount() error { return f.mount(f.FS.(vfs.Remounter).Remount) }
+
+func (f hashMountFS) mount(mount func() error) error {
 	img := make([]byte, f.pm.Size())
 	f.pm.Mem().Peek(0, img)
 	f.log.mu.Lock()
@@ -50,7 +57,7 @@ func (f hashMountFS) Mount() error {
 	if f.cold {
 		panic("mount on a cold image")
 	}
-	return f.FS.Mount()
+	return mount()
 }
 
 // fullCopyRecheck runs w under cfg three times: plainly; logging each

@@ -41,7 +41,10 @@ const DefaultCheckTimeout = time.Second
 // Config describes one system under test.
 type Config struct {
 	// NewFS builds the file system (with its bug set baked in) over a PM.
-	// It is called once for the execution device and once per crash state.
+	// It is called for the execution device, and for the crash states: once
+	// per state, or, when the file system is a vfs.Remounter, once per
+	// chain's checker, which remounts it state after state and builds it
+	// again only after a guest phase that did not settle clean.
 	NewFS func(pm *persist.PM) vfs.FS
 	// DevSize is the simulated device size (DefaultDevSize if zero).
 	DevSize int64
@@ -384,7 +387,7 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 	}
 	rg := c.rg
 	if rg.ck == nil {
-		rg.ck = new(checker)
+		rg.ck = &checker{capture: new(Scratch)}
 	}
 	ck, log, dev := rg.ck, rg.log, rg.dev
 	ck.clear()
@@ -468,6 +471,7 @@ func (c *Chain) Run(ctx context.Context, w workload.Workload, keep []int) (*Resu
 		OracleStates: states,
 		OpResults:    targetResults,
 		Obs:          col,
+		Scratch:      ck.capture,
 	})
 	cbegin := tr.Begin()
 	ck.ctx, ck.cfg, ck.caps, ck.w, ck.contract, ck.res = ctx, cfg, caps, w, contract, res

@@ -59,14 +59,16 @@ type forkPoint struct {
 // (nil: none). All its runs use cfg.
 func (m *PrefixMemo) Chain(cfg Config) *Chain { return &Chain{memo: m, cfg: cfg} }
 
-// Close puts the chain's rig back on the free list for later chains.
+// Close puts the chain's rig back on the free list for later chains. Its
+// checker drops the guest: the rig's next chain may check another system.
 func (c *Chain) Close() {
 	if c.rg == nil {
 		return
 	}
 	c.rg.dev.TrackUndo(nil)
-	if c.rg.ck != nil {
-		c.rg.ck.clear()
+	if ck := c.rg.ck; ck != nil {
+		ck.clear()
+		ck.guest = nil
 	}
 	putRig(c.rg)
 }

@@ -238,9 +238,10 @@ func (t *obsTable) store(key imageHash, e *obsEntry) {
 // from the entry. Anything else is mounted on dev — a failed mount is
 // classified here, as recovery itself failing is a bug no contract needs to
 // see — observed, judged, and probed after a passing judgement; with a
-// table, the entry is left in sl.kept. The device is this call's private,
-// just-rebooted view of the crash image (optionally carrying an attached
-// fault injector), so checkState is goroutine-safe; it normally runs under
+// table, the entry is left in sl.kept. The guest is the checker's, remounted,
+// or a fresh one (mount). The device is this call's private, just-rebooted
+// view of the crash image (optionally carrying an attached fault injector),
+// so checkState is goroutine-safe; it normally runs under
 // the sandbox's guard (sandbox.go), which converts guest panics, media
 // faults, and hangs into classified outcomes.
 //
@@ -264,8 +265,7 @@ func (ck *checker) checkState(sl *slot, dev *pmem.Device, ctx *CheckContext, mou
 			return ck.finding(ctx, f), mountStart
 		}
 	}
-	fs := ck.cfg.NewFS(persist.New(dev))
-	err := fs.Mount()
+	fs, err := ck.mount(sl, dev)
 	ck.obs.ObserveSince(obs.StageMount, mountStart)
 	checkStart = ck.obs.Start()
 	var e obsEntry
@@ -289,4 +289,15 @@ func (ck *checker) checkState(sl *slot, dev *pmem.Device, ctx *CheckContext, mou
 		sl.kept = &kept
 	}
 	return ck.finding(ctx, f), checkStart
+}
+
+// mount mounts the crash image on dev in the guest phase: it remounts the
+// guest attempt handed the slot, or builds a fresh one and leaves it on
+// the slot, for attempt to keep once the phase settles clean.
+func (ck *checker) mount(sl *slot, dev *pmem.Device) (vfs.FS, error) {
+	if g, ok := sl.guest.(vfs.Remounter); ok {
+		return sl.guest, g.Remount()
+	}
+	sl.guest = ck.cfg.NewFS(persist.New(dev))
+	return sl.guest, sl.guest.Mount()
 }

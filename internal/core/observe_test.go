@@ -370,7 +370,7 @@ func TestObserveRepeatAllocBudget(t *testing.T) {
 	if err := fs.Mkdir("/e"); err != nil {
 		t.Fatal(err)
 	}
-	chk := NewOracleChecker(RunEnv{})
+	chk := NewOracleChecker(RunEnv{Scratch: new(Scratch)})
 	in := &Interner{}
 	first := chk.Observe(fs, in)
 	scr := new(vfs.Scratch)

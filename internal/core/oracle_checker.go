@@ -5,7 +5,6 @@ import (
 	"hash/maphash"
 	"slices"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -54,10 +53,6 @@ func NewOracleChecker(env RunEnv) Checker {
 
 func (oc *oracleChecker) Name() string { return "fs-oracle" }
 
-// captureScratches recycles crash-state capture storage across checks and
-// runs. Safe because Observe copies the capture out before returning it.
-var captureScratches = sync.Pool{New: func() any { return new(vfs.Scratch) }}
-
 // stateSeed keys the digests Observe interns recovered states by.
 var stateSeed = maphash.MakeSeed()
 
@@ -71,12 +66,14 @@ type oracleObservation struct {
 func (o *oracleObservation) Bytes() int { return o.bytes }
 
 // Observe implements Checker: a capture identical to one in has interned
-// is answered with that observation; any other is copied out of its pooled
-// scratch, directory entries into one block, file contents interned, and
-// interned itself.
+// is answered with that observation; any other is copied out of the run's
+// capture storage (RunEnv.Scratch), directory entries into one block, file
+// contents interned, and interned itself.
 func (oc *oracleChecker) Observe(fs vfs.FS, in *Interner) Observation {
-	scr := captureScratches.Get().(*vfs.Scratch)
-	defer captureScratches.Put(scr)
+	scr := oc.env.Scratch.take()
+	if scr != nil {
+		defer oc.env.Scratch.put()
+	}
 	st, err := vfs.CaptureWith(fs, scr)
 	if err != nil {
 		f := &Finding{Kind: VUnreadable, Detail: fmt.Sprintf("reading recovered state failed: %v", err)}

@@ -6,7 +6,6 @@ import (
 	"math"
 	"reflect"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -422,18 +421,20 @@ func TestCheckLoopZeroAlloc(t *testing.T) {
 // TestRunAllocBudget pins the allocation budget of a warm engine run. A
 // one-op workload recycles its rig — recording device, capture arenas,
 // checker and all — so what it allocates is the oracle, the guest's own
-// structures and the result. Measured on go1.24 linux/amd64: 6.5 KB per run
-// on ext4-dax and 26.4 KB on nova, against 72.7 KB and 76.2 KB when every
+// structures and the result. Measured on go1.24 linux/amd64: 5.3 KB per run
+// on ext4-dax and 15.5 KB on nova, against 72.7 KB and 76.2 KB when every
 // run built a fresh recording device and re-grew its 64 KiB memset capture.
-// With 16 runs in flight at once, as under a -j 16 suite, it is 6.6 KB and
-// 26.5 KB: the free list keeps every rig its runs return. Capping it at 8
+// With 16 runs in flight at once, as under a -j 16 suite, it is 5.0 KB and
+// 15.2 KB: the free list keeps every rig its runs return. Capping it at 8
 // per size made each batch allocate 8 fresh 4 MiB rigs, 2.1 MB per run.
 // The warm-chain leg repeats the workload on one Chain, as a harness worker
-// does. The chain keeps one checker for all its runs: 4.8 KB per run on
-// ext4-dax and 17.8 KB on nova, against 5.8 KB and 18.8 KB when each run
-// built its own 1 KiB checker. Its budget is the measurement plus half a
-// checker. The ext4-dax commit leg runs a workload that commits twice on a
-// warm chain: 69.4 KB per run, against 85.7 KB when every commit
+// does. The chain keeps one checker for all its runs, and the checker one
+// guest it remounts per crash state: 4.8 KB per run on ext4-dax and 12.4 KB
+// on nova, against 4.9 KB and 18.2 KB with a fresh guest per state, and
+// 5.8 KB and 18.8 KB when each run built its own 1 KiB checker. Its budget
+// is the measurement plus half a checker. The ext4-dax commit leg runs a
+// workload that commits twice on a warm chain: 67.8 KB per run, against
+// 69.4 KB with a fresh guest per state and 85.7 KB when every commit
 // allocated its transaction and every mount copied its file data.
 func TestRunAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
@@ -453,8 +454,8 @@ func TestRunAllocBudget(t *testing.T) {
 		fs       func(pm *persist.PM) vfs.FS
 		chainRun uint64 // a warm chain run's measured bytes
 	}{
-		{"ext4-dax", extdaxFS(), 4904},
-		{"nova", novaFS(bugs.None()), 18208},
+		{"ext4-dax", extdaxFS(), 4824},
+		{"nova", novaFS(bugs.None()), 12416},
 	} {
 		cfg := Config{NewFS: c.fs}
 		for _, inFlight := range []int{1, 16} {
@@ -467,30 +468,26 @@ func TestRunAllocBudget(t *testing.T) {
 		t.Run(c.name+"/warm-chain", func(t *testing.T) { warmChain(t, cfg, w, c.chainRun) })
 	}
 	t.Run("ext4-dax/warm-chain-commits", func(t *testing.T) {
-		warmChain(t, Config{NewFS: extdaxFS()}, commits, 69417)
+		warmChain(t, Config{NewFS: extdaxFS()}, commits, 67817)
 	})
 }
 
-// perRun returns the bytes allocated per run, batch making runs runs:
-// the median of five rounds of ten batches, because a GC cycle may empty
-// the oracle checker's capture-scratch sync.Pool mid-round.
+// perRun returns the bytes allocated per run over ten batches, batch
+// making runs runs. One round is enough: nothing a run reuses lives in a
+// pool a GC cycle could empty (under -count=5 every leg reads the same
+// bytes five times, but the 16-in-flight legs, which spread by 2%).
 func perRun(runs int, batch func()) uint64 {
 	for i := 0; i < 3; i++ { // warm the free list
 		batch()
 	}
 	const batches = 10
-	var per []uint64
-	for r := 0; r < 5; r++ {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < batches; i++ {
-			batch()
-		}
-		runtime.ReadMemStats(&after)
-		per = append(per, (after.TotalAlloc-before.TotalAlloc)/uint64(batches*runs))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < batches; i++ {
+		batch()
 	}
-	slices.Sort(per)
-	return per[2]
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(batches*runs)
 }
 
 // warmChain fails t if a run of w on a warm Chain allocates more than
@@ -585,16 +582,19 @@ func BenchmarkMaterializeState(b *testing.B) {
 // holding two directories and three files, with the mount's own share
 // measured alone and subtracted. The probe writes and deletes a file in
 // every directory, so the guest's write path runs here once per directory,
-// as it does on every distinct crash state a suite checks. Measured on
-// go1.24 linux/amd64: 64 allocations (the mount alone makes 62 more),
-// against 210 when persist.PM handed probes the caller's buffer, so every
+// as it does on every distinct crash state a suite checks. The guest is
+// remounted per state and the contract captures into the storage the
+// engine keeps beside it, as in a run. Measured on go1.24 linux/amd64: 38
+// allocations (a remount alone makes none), against 64 (and 62 for the
+// mount) when every state had a fresh guest and a pooled capture scratch,
+// and 210 when persist.PM handed probes the caller's buffer, so every
 // buffer a guest wrote from escaped, and NOVA built its inode images, log
 // entries and journal records on the heap.
 func TestProbeAllocBudget(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("race-detector instrumentation allocates; AllocsPerRun is meaningless under -race")
 	}
-	const budget = 72
+	const budget = 38
 	dev := pmem.NewDevice(1 << 20)
 	fs := nova.New(persist.New(dev), bugs.None())
 	if err := fs.Mkfs(); err != nil {
@@ -624,16 +624,20 @@ func TestProbeAllocBudget(t *testing.T) {
 
 	work := make([]byte, len(img))
 	wdev := pmem.WrapImage(work)
+	g := nova.New(persist.New(wdev), bugs.None())
+	copy(work, img)
+	if err := g.Mount(); err != nil {
+		t.Fatal(err)
+	}
 	mount := func() vfs.FS {
 		copy(work, img)
 		wdev.Reset()
-		g := nova.New(persist.New(wdev), bugs.None())
-		if err := g.Mount(); err != nil {
+		if err := g.Remount(); err != nil {
 			t.Fatal(err)
 		}
 		return g
 	}
-	chk := NewOracleChecker(RunEnv{OracleStates: []vfs.State{st}})
+	chk := NewOracleChecker(RunEnv{OracleStates: []vfs.State{st}, Scratch: new(Scratch)})
 	in, cctx := &Interner{}, &CheckContext{Phase: PhasePost}
 	check := func() {
 		g := mount()

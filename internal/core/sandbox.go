@@ -13,6 +13,7 @@ import (
 	"chipmunk/internal/obs"
 	"chipmunk/internal/pmem"
 	"chipmunk/internal/trace"
+	"chipmunk/internal/vfs"
 )
 
 // This file is the check sandbox: the in-process analogue of the paper's VM
@@ -184,6 +185,9 @@ type slot struct {
 	// entry the table held for it, and the entry its guest phase made.
 	key       imageHash
 	hit, kept *obsEntry
+	// guest is the file system the phase mounts on: the checker's, handed
+	// over by attempt, or the fresh one the phase built (nil until then).
+	guest vfs.FS
 }
 
 func newSlot(timedOut bool) *slot {
@@ -409,6 +413,7 @@ func (ck *checker) attempt(sl *slot, st crashState, cctx *CheckContext) attemptR
 	dev.Reset()
 	dev.InjectFaults(inj)
 
+	sl.guest = ck.guest
 	r := ck.guard(sl, dev, undo, cctx, ck.obs.Start())
 	switch {
 	case r.lost:
@@ -421,6 +426,10 @@ func (ck *checker) attempt(sl *slot, st crashState, cctx *CheckContext) attemptR
 	}
 	ck.obs.Add(obs.CtrBytesRolledBack, r.rolledBack)
 	if r.ok {
+		// A guest that remounts serves the next state too.
+		if _, ok := sl.guest.(vfs.Remounter); ok {
+			ck.guest = sl.guest
+		}
 		if sl.kept != nil {
 			ck.table.store(sl.key, sl.kept)
 		}
@@ -506,10 +515,13 @@ func (ck *checker) applyDelta(key string, inj *pmem.Injector) {
 // image is rebuilt in place, after its undo log took back whatever the guest
 // wrote outside the pages the copy covers. An abandoned phase's guest may
 // still write its buffer, device and undo log: they are forfeited (arena.go)
-// and the image is rebuilt in fresh ones. Owner-only.
+// and the image is rebuilt in fresh ones. Either way the checker drops its
+// guest, which the phase may have left half-mounted or may still be
+// running: the next state mounts on a fresh one. Owner-only.
 func (ck *checker) repair(fresh bool) {
 	rg, c := ck.rg, &ck.cur
 	ck.obs.Inc(obs.CtrImagesRetired)
+	ck.guest = nil
 	if fresh {
 		rg.baseline = make([]byte, len(rg.baseline))
 		ck.dev, ck.undo = crashDevice(rg.baseline)

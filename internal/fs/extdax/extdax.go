@@ -170,13 +170,16 @@ func (f *FS) Unmount() error {
 
 // Mount implements vfs.FS: replay all committed transactions.
 func (f *FS) Mount() error {
+	if f.nodes == nil {
+		f.nodes, f.dirty, f.deleted = map[uint64]*node{}, map[uint64]bool{}, map[uint64]bool{}
+	}
+	clear(f.nodes)
+	clear(f.dirty)
+	clear(f.deleted)
+	f.descs.Reset()
 	if f.pm.Load64(sbMagicOff) != f.magic() {
 		return vfs.Corruptf("bad superblock magic")
 	}
-	f.nodes = map[uint64]*node{}
-	f.descs.Reset()
-	f.dirty = map[uint64]bool{}
-	f.deleted = map[uint64]bool{}
 	f.nextIno = 2
 	f.tag = 0
 
@@ -215,6 +218,17 @@ func (f *FS) Mount() error {
 	}
 	f.mounted = true
 	return nil
+}
+
+// Remount implements vfs.Remounter. It rebuilds f as New did, keeping the
+// storage of the tree, the dirty and deleted sets, the descriptor table
+// and the commit buffer, which Mount empties before it reads the image.
+func (f *FS) Remount() error {
+	*f = FS{
+		pm: f.pm, variant: f.variant,
+		nodes: f.nodes, descs: f.descs, dirty: f.dirty, deleted: f.deleted, enc: f.enc,
+	}
+	return f.Mount()
 }
 
 // Fork implements vfs.Forker. Everything before a commit lives in DRAM, so
@@ -472,7 +486,9 @@ func (f *FS) applyBody(body []byte) {
 				dataLen := int(binary.LittleEndian.Uint64(body[i:]))
 				i += 8
 				// An alias of the read arena, not a copy: the instance
-				// lives for one mount, and no write lands in place.
+				// lives for one mount at a time — Mount and Remount drop
+				// every node before they read the image again — and no
+				// write lands in place.
 				n.data = body[i : i+dataLen : i+dataLen]
 				i += dataLen
 			} else {
@@ -513,8 +529,9 @@ func appendU32(b []byte, v uint32) []byte {
 }
 
 var (
-	_ vfs.FS     = (*FS)(nil)
-	_ vfs.Forker = (*FS)(nil)
+	_ vfs.FS        = (*FS)(nil)
+	_ vfs.Forker    = (*FS)(nil)
+	_ vfs.Remounter = (*FS)(nil)
 )
 
 // OpenFDs implements vfs.FDCounter.

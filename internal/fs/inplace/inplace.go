@@ -67,6 +67,22 @@ var (
 	zeroDirent = make([]byte, DirentSize)
 )
 
+// newInode returns an inode of type typ for ino: a spare of an earlier
+// mount, its entry map emptied, or a new one. Only a directory has an
+// entry map.
+func (f *FS) newInode(ino uint64, typ vfs.FileType) *Inode {
+	d, ok := f.Spare(typ)
+	if !ok {
+		d = new(Inode)
+	}
+	dirents := d.Dirents
+	*d = Inode{Inode: vfs.Inode{Ino: ino, Type: typ}}
+	if typ == vfs.TypeDir {
+		d.Dirents = vfs.Emptied(dirents)
+	}
+	return d
+}
+
 // Placeholder is the damaged inode Orphans gives a dirent whose inode
 // recovery did not find: every use of it is ErrIO.
 func Placeholder(ino uint64) *Inode { return &Inode{Inode: vfs.Inode{Ino: ino, Damaged: true}} }
@@ -127,8 +143,22 @@ func (f *FS) Begin() *Tx {
 // the block pool. Slot 0 is never used.
 func (f *FS) Reset(n int, pool *vfs.Bitmap) {
 	f.Tree.Reset(RootIno)
-	f.Slots = vfs.NewBitmap(RootIno, uint64(n))
+	f.Slots = f.Slots.Reset(RootIno, uint64(n))
 	f.Pool = pool
+}
+
+// Rewind empties f for its host's Remount: it keeps what the host set and
+// the storage of the tree — its inodes become spares — both bitmaps and the
+// transaction's records, and nothing of the last mount. The host's Mount
+// resets the pool (Pool.Reset) before Load.
+func (f *FS) Rewind() {
+	f.Tree.Rewind()
+	f.tx.Reset()
+	*f = FS{
+		PM: f.PM, Host: f.Host, Table: f.Table, Bugs: f.Bugs,
+		Tree: f.Tree, Slots: f.Slots.Reset(0, 0), Pool: f.Pool.Reset(0, 0),
+		tx: Tx{Redo: f.tx.Redo},
+	}
 }
 
 // InodeOff returns the device offset of inode slot ino.
@@ -166,17 +196,11 @@ func (f *FS) Load(slots int, pool *vfs.Bitmap) error {
 		if binary.LittleEndian.Uint32(img[inoValidOff:]) != 1 {
 			continue
 		}
-		d := &Inode{Inode: vfs.Inode{
-			Ino:   ino,
-			Type:  vfs.FileType(binary.LittleEndian.Uint32(img[inoTypeOff:])),
-			Nlink: binary.LittleEndian.Uint64(img[inoNlinkOff:]),
-			Size:  int64(binary.LittleEndian.Uint64(img[InoSizeOff:])),
-		}}
+		d := f.newInode(ino, vfs.FileType(binary.LittleEndian.Uint32(img[inoTypeOff:])))
+		d.Nlink = binary.LittleEndian.Uint64(img[inoNlinkOff:])
+		d.Size = int64(binary.LittleEndian.Uint64(img[InoSizeOff:]))
 		for i := range d.Blocks {
 			d.Blocks[i] = binary.LittleEndian.Uint64(img[InoBlocksOff+i*8:])
-		}
-		if d.Type == vfs.TypeDir {
-			d.Dirents = map[string]vfs.Dirent{}
 		}
 		f.Slots.Claim(ino)
 		f.Nodes[ino] = d
@@ -239,5 +263,5 @@ func (f *FS) Destroy(n *Inode) {
 		}
 	}
 	f.Slots.Release(n.Ino)
-	delete(f.Nodes, n.Ino)
+	f.Remove(n.Ino)
 }

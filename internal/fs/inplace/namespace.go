@@ -84,7 +84,8 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	if err != nil {
 		return -1, err
 	}
-	d := &Inode{Inode: vfs.Inode{Ino: ino, Type: vfs.TypeRegular, Nlink: 1}}
+	d := f.newInode(ino, vfs.TypeRegular)
+	d.Nlink = 1
 	// The inode image is journaled together with the dirent: redo replay
 	// re-applies transactions in order, so every write that can overlap a
 	// journaled target must itself be journaled (inode slots are reused).
@@ -115,7 +116,8 @@ func (f *FS) Mkdir(path string) error {
 	if err != nil {
 		return err
 	}
-	d := &Inode{Inode: vfs.Inode{Ino: ino, Type: vfs.TypeDir, Nlink: 2, Dirents: map[string]vfs.Dirent{}}}
+	d := f.newInode(ino, vfs.TypeDir)
+	d.Nlink = 2
 	p.Nlink++
 	t := f.Begin()
 	f.SetInode(t, d)

@@ -107,13 +107,6 @@ func (g *Ring) Store(pos int64, data []byte) {
 	}
 }
 
-// Load reads n bytes at region offset pos, wrapping like Store.
-func (g *Ring) Load(pos int64, n int) []byte {
-	out := make([]byte, n)
-	g.LoadInto(pos, out)
-	return out
-}
-
 // LoadInto reads len(dst) bytes at region offset pos into dst, wrapping
 // like Store.
 func (g *Ring) LoadInto(pos int64, dst []byte) {

@@ -35,7 +35,8 @@ func TestRingWrapsRecords(t *testing.T) {
 		if target != want.Off || n != len(want.Data) {
 			t.Fatalf("record %d header: target %d len %d, want %d %d", i, target, n, want.Off, len(want.Data))
 		}
-		if got := r.Load(pos+RecHdrSize, n); !bytes.Equal(got, want.Data) {
+		got := make([]byte, n)
+		if r.LoadInto(pos+RecHdrSize, got); !bytes.Equal(got, want.Data) {
 			t.Fatalf("record %d data %x, want %x", i, got, want.Data)
 		}
 		pos += RecSize(n)

@@ -33,6 +33,7 @@ type dnode struct {
 type FS struct {
 	pm     *persist.PM
 	bugs   bugs.Set
+	opts   []Option
 	fortis bool
 
 	totalPages uint64
@@ -55,6 +56,8 @@ type FS struct {
 	deferredCsums []deferredCsum
 	// csumBuf is csumCopy's scratch; a fork gets its own.
 	csumBuf []byte
+	// keys is Mount's scratch for a file's page indices in order.
+	keys []uint64
 }
 
 // csumCopy is csum32 over b, read through f's small scratch a chunk at a
@@ -96,6 +99,24 @@ func (f *FS) inodeImage(d *dnode) (buf [128]byte) {
 	return buf
 }
 
+// newDnode returns a DRAM inode of type typ for ino: a spare of an earlier
+// mount, with its map and log-page chain emptied, or a new one. A
+// directory gets an entry map, anything else a page map.
+func (f *FS) newDnode(ino uint64, typ vfs.FileType) *dnode {
+	d, ok := f.Spare(typ)
+	if !ok {
+		d = new(dnode)
+	}
+	dirents, pages, logPages := d.Dirents, d.pages, d.logPages
+	*d = dnode{Inode: vfs.Inode{Ino: ino, Type: typ}, logPages: logPages[:0]}
+	if typ == vfs.TypeDir {
+		d.Dirents = vfs.Emptied(dirents)
+	} else {
+		d.pages = vfs.Emptied(pages)
+	}
+	return d
+}
+
 // Option configures the file system.
 type Option func(*FS)
 
@@ -106,11 +127,28 @@ func WithFortis() Option { return func(f *FS) { f.fortis = true } }
 // New creates a NOVA instance on pm with the given injected bug set.
 // bugSet = bugs.None() builds the fixed system.
 func New(pm *persist.PM, bugSet bugs.Set, opts ...Option) *FS {
-	f := &FS{pm: pm, bugs: bugSet}
+	f := &FS{pm: pm, bugs: bugSet, opts: opts}
 	for _, o := range opts {
 		o(f)
 	}
 	return f
+}
+
+// Remount implements vfs.Remounter. It rebuilds f as New did, keeping
+// the storage of the DRAM inode table — the inodes themselves become its
+// spares — both bitmaps and the scratch buffers, emptied, and mounts
+// again.
+func (f *FS) Remount() error {
+	f.Rewind()
+	*f = FS{
+		pm: f.pm, bugs: f.bugs, opts: f.opts,
+		Tree: f.Tree, alloc: f.alloc.Reset(0, 0), ialloc: f.ialloc.Reset(0, 0),
+		csumBuf: f.csumBuf, keys: f.keys[:0],
+	}
+	for _, o := range f.opts {
+		o(f)
+	}
+	return f.Mount()
 }
 
 // Caps implements vfs.FS.
@@ -146,10 +184,8 @@ func (f *FS) Mkfs() error {
 	}
 	pm.MemsetNT(pageOff(headPage), 0, PageSize)
 	pm.Fence()
-	root := &dnode{
-		Inode: vfs.Inode{Ino: RootIno, Type: vfs.TypeDir, Nlink: 2, Dirents: map[string]vfs.Dirent{}},
-		head:  headPage, tail: pageOff(headPage),
-	}
+	root := f.newDnode(RootIno, vfs.TypeDir)
+	root.Nlink, root.head, root.tail = 2, headPage, pageOff(headPage)
 	f.writeInodeInit(root, true)
 	f.Nodes[RootIno] = root
 
@@ -218,7 +254,7 @@ func (f *FS) Fork(pm persist.Space) vfs.FS {
 		return nil
 	}
 	g := *f
-	g.pm, g.Tree, g.csumBuf = p, tree, nil
+	g.pm, g.Tree, g.csumBuf, g.keys = p, tree, nil, nil
 	g.alloc, g.ialloc = f.alloc.Clone(), f.ialloc.Clone()
 	return &g
 }
@@ -237,6 +273,7 @@ func (f *FS) Fsync(fd vfs.FD) error {
 func (f *FS) Sync() error { return nil }
 
 var (
-	_ vfs.FS     = (*FS)(nil)
-	_ vfs.Forker = (*FS)(nil)
+	_ vfs.FS        = (*FS)(nil)
+	_ vfs.Forker    = (*FS)(nil)
+	_ vfs.Remounter = (*FS)(nil)
 )

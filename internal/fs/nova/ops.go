@@ -21,7 +21,8 @@ func (f *FS) Create(path string) (vfs.FD, error) {
 	if err != nil {
 		return -1, err
 	}
-	d := &dnode{Inode: vfs.Inode{Ino: ino, Type: vfs.TypeRegular, Nlink: 1}, pages: map[uint64]uint64{}}
+	d := f.newDnode(ino, vfs.TypeRegular)
+	d.Nlink = 1
 	f.writeInodeInit(d, !f.has(bugs.NovaInodeInitNoFlush))
 
 	entryOff, err := f.appendEntry(p, entry{
@@ -54,11 +55,9 @@ func (f *FS) Mkdir(path string) error {
 	}
 	f.pm.MemsetNT(pageOff(headPage), 0, PageSize)
 	f.pm.Fence()
-	child := &dnode{
-		Inode: vfs.Inode{Ino: ino, Type: vfs.TypeDir, Nlink: 2, Dirents: map[string]vfs.Dirent{}},
-		head:  headPage, tail: pageOff(headPage),
-		logPages: []uint64{headPage},
-	}
+	child := f.newDnode(ino, vfs.TypeDir)
+	child.Nlink, child.head, child.tail = 2, headPage, pageOff(headPage)
+	child.logPages = append(child.logPages, headPage)
 	f.writeInodeInit(child, !f.has(bugs.NovaInodeInitNoFlush))
 
 	entryOff, newTail, err := f.writeEntryNoPublish(p, p.tail, entry{
@@ -205,7 +204,7 @@ func (f *FS) destroyInode(n *dnode) {
 		f.releaseLogChain(n.head)
 	}
 	f.ialloc.Release(n.Ino)
-	delete(f.Nodes, n.Ino)
+	f.Remove(n.Ino)
 }
 
 // releaseLogChain frees a log-page chain by following on-PM links (used

@@ -25,7 +25,7 @@ func (f *FS) Mount() error {
 		return vfs.Corruptf("superblock page count %d exceeds device", f.totalPages)
 	}
 
-	f.alloc, f.ialloc = vfs.NewBitmap(poolStartPage, f.totalPages), vfs.NewBitmap(RootIno, InodeCount)
+	f.alloc, f.ialloc = f.alloc.Reset(poolStartPage, f.totalPages), f.ialloc.Reset(RootIno, InodeCount)
 	f.Reset(RootIno)
 	f.lazyReplicas = nil
 	f.deferredCsums = nil
@@ -49,32 +49,33 @@ func (f *FS) Mount() error {
 		return vfs.Corruptf("root inode missing or not a directory")
 	}
 
-	// Passes 2, 3 and 6 iterate inodes in ascending order, never in map
-	// order: with several inodes corrupt, WHICH one aborts the mount (and
-	// so the error a crash-state check reports) must be a function of the
-	// image alone, or two mounts of the same crash image classify it
-	// differently and bug triage stops being reproducible.
-	for _, ino := range sortedKeys(f.Nodes) {
+	// Passes 2, 3 and 6 iterate inodes in ascending order — the inode
+	// slots pass 1 claimed — never in map order: with several inodes
+	// corrupt, WHICH one aborts the mount (and so the error a crash-state
+	// check reports) must be a function of the image alone, or two mounts
+	// of the same crash image classify it differently and bug triage stops
+	// being reproducible.
+	for ino, ok := f.ialloc.NextUsed(RootIno); ok; ino, ok = f.ialloc.NextUsed(ino + 1) {
 		if err := f.rebuildLog(f.Nodes[ino]); err != nil {
 			return err
 		}
 	}
 
 	// Pass 3: claim referenced pages; double references are corruption.
-	refset := map[uint64]bool{}
-	for _, ino := range sortedKeys(f.Nodes) {
+	// Only this pass claims pages, so until pass 4 frees one, a page is
+	// in use exactly when an inode references it.
+	for ino, ok := f.ialloc.NextUsed(RootIno); ok; ino, ok = f.ialloc.NextUsed(ino + 1) {
 		d := f.Nodes[ino]
 		for _, lp := range d.logPages {
 			if !f.alloc.Claim(lp) {
 				return vfs.Corruptf("log page %d referenced twice", lp)
 			}
-			refset[lp] = true
 		}
-		for _, fp := range sortedKeys(d.pages) {
+		f.keys = appendSortedKeys(f.keys[:0], d.pages)
+		for _, fp := range f.keys {
 			if !f.alloc.Claim(d.pages[fp]) {
 				return vfs.Corruptf("data page %d referenced twice", d.pages[fp])
 			}
-			refset[d.pages[fp]] = true
 		}
 	}
 
@@ -89,7 +90,7 @@ func (f *FS) Mount() error {
 		}
 		for i := uint64(0); i < count; i++ {
 			p := pm.Load64(base + 8 + int64(i)*8)
-			if refset[p] {
+			if f.alloc.Used(p) {
 				return vfs.Corruptf("free-log deallocates in-use page %d", p)
 			}
 			if !f.alloc.Release(p) {
@@ -117,12 +118,17 @@ func (f *FS) Mount() error {
 // of inode numbers and page indices, for passes whose side effects (PM
 // writes, error selection) must not depend on map order.
 func sortedKeys[V any](m map[uint64]V) []uint64 {
-	keys := make([]uint64, 0, len(m))
+	return appendSortedKeys(make([]uint64, 0, len(m)), m)
+}
+
+// appendSortedKeys appends m's keys to dst and sorts what it appended.
+func appendSortedKeys[V any](dst []uint64, m map[uint64]V) []uint64 {
+	n := len(dst)
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	slices.Sort(keys)
-	return keys
+	slices.Sort(dst[n:])
+	return dst
 }
 
 // readInode loads inode slot ino, handling Fortis checksum validation and
@@ -169,20 +175,10 @@ func (f *FS) readInode(ino uint64) (*dnode, bool) {
 }
 
 func (f *FS) dnodeFromImage(ino uint64, img []byte) *dnode {
-	d := &dnode{
-		Inode: vfs.Inode{
-			Ino:   ino,
-			Type:  vfs.FileType(binary.LittleEndian.Uint32(img[inoTypeOff:])),
-			Nlink: binary.LittleEndian.Uint64(img[inoNlinkOff:]),
-		},
-		head: binary.LittleEndian.Uint64(img[inoHeadOff:]),
-		tail: int64(binary.LittleEndian.Uint64(img[inoTailOff:])),
-	}
-	if d.Type == vfs.TypeDir {
-		d.Dirents = map[string]vfs.Dirent{}
-	} else {
-		d.pages = map[uint64]uint64{}
-	}
+	d := f.newDnode(ino, vfs.FileType(binary.LittleEndian.Uint32(img[inoTypeOff:])))
+	d.Nlink = binary.LittleEndian.Uint64(img[inoNlinkOff:])
+	d.head = binary.LittleEndian.Uint64(img[inoHeadOff:])
+	d.tail = int64(binary.LittleEndian.Uint64(img[inoTailOff:]))
 	return d
 }
 
@@ -201,8 +197,7 @@ func (f *FS) rebuildLog(d *dnode) error {
 	}
 	page := d.head
 	pos := pageOff(page)
-	d.logPages = []uint64{page}
-	seen := map[uint64]bool{page: true}
+	d.logPages = append(d.logPages[:0], page)
 
 	for pos != d.tail {
 		if pos%PageSize == logNextOff {
@@ -212,10 +207,9 @@ func (f *FS) rebuildLog(d *dnode) error {
 				// reaches them was lost — bug 1's crash signature.
 				return vfs.Corruptf("inode %d: log ends at %d before tail %d", d.Ino, pos, d.tail)
 			}
-			if next < poolStartPage || next >= f.totalPages || seen[next] {
+			if next < poolStartPage || next >= f.totalPages || slices.Contains(d.logPages, next) {
 				return vfs.Corruptf("inode %d: bad log link %d", d.Ino, next)
 			}
-			seen[next] = true
 			d.logPages = append(d.logPages, next)
 			page = next
 			pos = pageOff(page)

@@ -100,7 +100,9 @@ func (f *FS) recoverJournal() error {
 		if target < 0 || target+int64(recLen) > f.PM.Size() {
 			return vfs.Corruptf("journal replay targets invalid offset %d", target)
 		}
-		f.PM.PersistStore(target, r.Load(pos+inplace.RecHdrSize, recLen))
+		var data [inplace.RecDataMax]byte
+		r.LoadInto(pos+inplace.RecHdrSize, data[:recLen])
+		f.PM.PersistStore(target, data[:recLen])
 		pos += inplace.RecSize(recLen)
 	}
 	f.PM.Fence()

@@ -72,6 +72,14 @@ func New(pm *persist.PM, set bugs.Set) *FS {
 	return f
 }
 
+// Remount implements vfs.Remounter: the shared layer rewinds, keeping its
+// storage, the journal ring forgets its tail, and the image mounts again.
+func (f *FS) Remount() error {
+	f.Rewind()
+	*f = FS{FS: f.FS, ring: inplace.Ring{PM: f.PM, Base: f.ring.Base, Size: f.ring.Size}}
+	return f.Mount()
+}
+
 // host is FS as the shared layer's inplace.Host: blocks are handed out
 // next fit, and deletions and shrinks are bracketed by the truncate list.
 type host FS
@@ -98,7 +106,7 @@ func (f *FS) Mkfs() error {
 	pm.MemsetNT(0, 0, poolStart*BlockSize)
 	pm.Fence()
 
-	f.Reset(InodeCount, vfs.NewBitmap(poolStart, f.totalBlocks))
+	f.Reset(InodeCount, f.Pool.Reset(poolStart, f.totalBlocks))
 	f.Slots.Claim(inplace.RootIno)
 	f.ring.Format()
 	pm.Fence()
@@ -131,4 +139,7 @@ func (f *FS) Unmount() error {
 	return nil
 }
 
-var _ vfs.FS = (*FS)(nil)
+var (
+	_ vfs.FS        = (*FS)(nil)
+	_ vfs.Remounter = (*FS)(nil)
+)

@@ -55,7 +55,7 @@ func (f *FS) Mount() error {
 		}
 	}
 
-	if err := f.Load(InodeCount, vfs.NewBitmap(poolStart, f.totalBlocks)); err != nil {
+	if err := f.Load(InodeCount, f.Pool.Reset(poolStart, f.totalBlocks)); err != nil {
 		return err
 	}
 

@@ -20,14 +20,19 @@ type logEntry struct {
 
 // Mount implements vfs.FS: recover the kernel file system, then replay the
 // op-log records the kernel commit does not cover.
-func (f *FS) Mount() error {
-	if err := f.kernel.Mount(); err != nil {
+func (f *FS) Mount() error { return f.mount(f.kernel.Mount) }
+
+// mount recovers the kernel file system with kernel — its Mount, or its
+// Remount when f remounts — then replays the op log.
+func (f *FS) mount(kernel func() error) error {
+	f.resetVolatile()
+	if err := kernel(); err != nil {
 		return err
 	}
-	f.resetVolatile()
 	tag := f.kernel.Tag()
 
-	entries, scanEnd := f.scanLog()
+	entries, scanEnd := f.scanLog(f.entries[:0])
+	f.entries = entries
 	f.logTail = scanEnd
 	f.seq = tag
 	for _, e := range entries {
@@ -36,12 +41,13 @@ func (f *FS) Mount() error {
 		}
 	}
 
-	var replay []logEntry
-	for _, e := range entries {
-		if e.seq > tag {
-			replay = append(replay, e)
-		}
+	// Sequence numbers increase along the log, so the records the kernel
+	// commit does not cover are a suffix of it.
+	i := 0
+	for i < len(entries) && entries[i].seq <= tag {
+		i++
 	}
+	replay := entries[i:]
 	if f.has(bugs.SplitfsRelinkSkip) {
 		// Bug 23: within a run of consecutive write records to one inode,
 		// the replay loop drains each descriptor's records as a group
@@ -64,11 +70,11 @@ func (f *FS) Mount() error {
 	return nil
 }
 
-// scanLog parses records from the log start: a record is accepted while its
-// payload checksum matches and sequence numbers strictly increase (stale
-// records from before the last relink fail the monotonicity check).
-func (f *FS) scanLog() ([]logEntry, int64) {
-	var out []logEntry
+// scanLog appends to out the records it parses from the log start: a
+// record is accepted while its payload checksum matches and sequence
+// numbers strictly increase (stale records from before the last relink
+// fail the monotonicity check).
+func (f *FS) scanLog(out []logEntry) ([]logEntry, int64) {
 	pos := int64(logStart)
 	lastSeq := uint64(0)
 	for pos+entHdrSize <= f.logRg.Size() {

@@ -95,6 +95,9 @@ type FS struct {
 	inoCursor  map[uint64]int64
 	fdCursor   map[vfs.FD]int64
 	pendingOps [][]byte // bug 25: deferred delete-old records
+
+	// entries is Mount's parse of the op log, kept for the next mount.
+	entries []logEntry
 }
 
 // New creates a SplitFS over pm. The device must be large enough for the
@@ -136,11 +139,31 @@ func (f *FS) Mkfs() error {
 
 func (f *FS) resetVolatile() {
 	f.descs.Reset()
-	f.stageBump = 0
-	f.stageBase = map[uint64]int64{}
-	f.inoCursor = map[uint64]int64{}
-	f.fdCursor = map[vfs.FD]int64{}
+	f.resetStage()
 	f.pendingOps = nil
+}
+
+// resetStage empties the staging state, keeping the maps' storage.
+func (f *FS) resetStage() {
+	f.stageBump = 0
+	if f.stageBase == nil {
+		f.stageBase, f.inoCursor, f.fdCursor = map[uint64]int64{}, map[uint64]int64{}, map[vfs.FD]int64{}
+	}
+	clear(f.stageBase)
+	clear(f.inoCursor)
+	clear(f.fdCursor)
+}
+
+// Remount implements vfs.Remounter. It rebuilds f as New did, keeping the
+// staging maps, the descriptor table and the log parse, which Mount
+// empties, and the kernel file system, which it remounts.
+func (f *FS) Remount() error {
+	*f = FS{
+		pm: f.pm, bugs: f.bugs, kernel: f.kernel, logRg: f.logRg, stage: f.stage,
+		descs: f.descs, stageBase: f.stageBase, inoCursor: f.inoCursor, fdCursor: f.fdCursor,
+		entries: f.entries[:0],
+	}
+	return f.mount(f.kernel.Remount)
 }
 
 // Unmount implements vfs.FS.
@@ -160,10 +183,7 @@ func (f *FS) relink() error {
 		return err
 	}
 	f.logTail = logStart
-	f.stageBump = 0
-	f.stageBase = map[uint64]int64{}
-	f.inoCursor = map[uint64]int64{}
-	f.fdCursor = map[vfs.FD]int64{}
+	f.resetStage()
 	return nil
 }
 
@@ -237,7 +257,10 @@ func pu64(v uint64) []byte {
 	return b[:]
 }
 
-var _ vfs.FS = (*FS)(nil)
+var (
+	_ vfs.FS        = (*FS)(nil)
+	_ vfs.Remounter = (*FS)(nil)
+)
 
 // OpenFDs implements vfs.FDCounter. Every SplitFS descriptor wraps one
 // kernel descriptor, so the two tables must agree; reporting the larger

@@ -87,10 +87,11 @@ func (fs *FS) reclaimAll() {
 	fs.PM.Fence()
 }
 
-// parsedTx is one transaction recovered from a journal window.
+// parsedTx is one transaction recovered from a journal window: its
+// records are replay.Recs[lo:hi].
 type parsedTx struct {
-	txid uint64
-	inplace.Redo
+	txid   uint64
+	lo, hi int
 }
 
 // recoverJournals re-applies committed transactions. Fixed code merges all
@@ -102,18 +103,13 @@ func (f *FS) recoverJournals() error {
 		merged = 1 // only the live CPU's journal is consulted
 	}
 	epoch := f.PM.Load64(sbReclaimOff)
-	var txs []parsedTx
+	f.replay.Reset()
+	f.txs = f.txs[:0]
 	for cpu := range f.rings {
-		parsed, err := f.parseJournal(cpu)
-		if cpu < merged {
-			if err != nil {
-				return err
-			}
-			for _, tx := range parsed {
-				if tx.txid >= epoch {
-					txs = append(txs, tx)
-				}
-			}
+		n := len(f.txs)
+		err := f.parseJournal(cpu)
+		if cpu < merged && err != nil {
+			return err
 		}
 		// Every journal needs its DRAM tail for later commits, and the next
 		// txid must pass its last one; a journal the merge does not consult
@@ -121,51 +117,66 @@ func (f *FS) recoverJournals() error {
 		r := &f.rings[cpu]
 		r.Tail = int64(f.PM.Load64(r.Base + inplace.RingTailOff))
 		last := uint64(0)
-		if len(parsed) > 0 {
-			last = parsed[len(parsed)-1].txid
+		if err == nil && len(f.txs) > n {
+			last = f.txs[len(f.txs)-1].txid
 		}
 		if f.txid <= last {
 			f.txid = last + 1
 		}
+		kept := f.txs[:n]
+		if cpu < merged {
+			for _, tx := range f.txs[n:] {
+				if tx.txid >= epoch {
+					kept = append(kept, tx)
+				}
+			}
+		}
+		f.txs = kept
 	}
-	slices.SortFunc(txs, func(a, b parsedTx) int { return cmp.Compare(a.txid, b.txid) })
-	for _, tx := range txs {
-		tx.Apply(f.PM)
+	slices.SortFunc(f.txs, func(a, b parsedTx) int { return cmp.Compare(a.txid, b.txid) })
+	for _, tx := range f.txs {
+		for _, rec := range f.replay.Recs[tx.lo:tx.hi] {
+			f.PM.PersistStore(rec.Off, rec.Data)
+		}
 	}
 	f.PM.Fence()
 	return nil
 }
 
-func (f *FS) parseJournal(cpu int) ([]parsedTx, error) {
+// parseJournal appends the transactions of cpu's journal window to f.txs,
+// their records to f.replay.
+func (f *FS) parseJournal(cpu int) error {
 	r := &f.rings[cpu]
 	head := int64(f.PM.Load64(r.Base + inplace.RingHeadOff))
 	tail := int64(f.PM.Load64(r.Base + inplace.RingTailOff))
 	if head < inplace.RingStart || tail < head {
-		return nil, vfs.Corruptf("journal %d pointers head=%d tail=%d", cpu, head, tail)
+		return vfs.Corruptf("journal %d pointers head=%d tail=%d", cpu, head, tail)
 	}
-	var txs []parsedTx
 	for pos := head; pos < tail; {
 		var hdr [jTxHdrSize]byte
 		r.LoadInto(pos, hdr[:])
 		txid := binary.LittleEndian.Uint64(hdr[:])
 		nrecs := binary.LittleEndian.Uint64(hdr[8:])
 		if nrecs > 64 {
-			return nil, vfs.Corruptf("journal %d: tx with %d records", cpu, nrecs)
+			return vfs.Corruptf("journal %d: tx with %d records", cpu, nrecs)
 		}
 		pos += jTxHdrSize
-		tx := parsedTx{txid: txid}
+		tx := parsedTx{txid: txid, lo: len(f.replay.Recs)}
 		for i := uint64(0); i < nrecs; i++ {
 			target, n := r.Header(pos)
 			if n > inplace.RecDataMax {
-				return nil, vfs.Corruptf("journal %d: record length %d", cpu, n)
+				return vfs.Corruptf("journal %d: record length %d", cpu, n)
 			}
 			if target < 0 || target+int64(n) > f.PM.Size() {
-				return nil, vfs.Corruptf("journal %d: record target %d", cpu, target)
+				return vfs.Corruptf("journal %d: record target %d", cpu, target)
 			}
-			tx.Recs = append(tx.Recs, inplace.Rec{Off: target, Data: r.Load(pos+inplace.RecHdrSize, n)})
+			var data [inplace.RecDataMax]byte
+			r.LoadInto(pos+inplace.RecHdrSize, data[:n])
+			f.replay.Set(target, data[:n])
 			pos += inplace.RecSize(n)
 		}
-		txs = append(txs, tx)
+		tx.hi = len(f.replay.Recs)
+		f.txs = append(f.txs, tx)
 	}
-	return txs, nil
+	return nil
 }

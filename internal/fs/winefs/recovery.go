@@ -24,7 +24,7 @@ func (f *FS) Mount() error {
 		return err
 	}
 
-	if err := f.Load(InodeCount, vfs.NewBitmap(poolStart, f.totalBlocks)); err != nil {
+	if err := f.Load(InodeCount, f.Pool.Reset(poolStart, f.totalBlocks)); err != nil {
 		return err
 	}
 	// Orphan GC clears each orphan's slot on PM as it reclaims it.

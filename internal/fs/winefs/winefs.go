@@ -76,6 +76,12 @@ type FS struct {
 	rings [NumCPUs]inplace.Ring
 	txid  uint64
 	opSeq uint64 // drives the CPU assignment of operations
+
+	// replay and txs are recovery's parse of the journal windows, kept for
+	// the next mount: every record in one Redo, and each transaction's
+	// txid and records.
+	replay inplace.Redo
+	txs    []parsedTx
 }
 
 // host is FS as the shared layer's inplace.Host: directory blocks come
@@ -109,6 +115,20 @@ func New(pm *persist.PM, set bugs.Set, opts ...Option) *FS {
 	return f
 }
 
+// Remount implements vfs.Remounter: the shared layer rewinds, keeping its
+// storage, the rings forget their tails, the transaction counters restart,
+// and the image mounts again with recovery's parse storage kept.
+func (f *FS) Remount() error {
+	f.Rewind()
+	rings := f.rings
+	for c := range rings {
+		rings[c].Tail = 0
+	}
+	f.replay.Reset()
+	*f = FS{FS: f.FS, mode: f.mode, rings: rings, replay: f.replay, txs: f.txs[:0]}
+	return f.Mount()
+}
+
 // Caps implements vfs.FS.
 func (f *FS) Caps() vfs.Caps {
 	return vfs.Caps{
@@ -137,7 +157,7 @@ func (f *FS) Mkfs() error {
 	pm.MemsetNT(0, 0, poolStart*BlockSize)
 	pm.Fence()
 
-	f.Reset(InodeCount, vfs.NewBitmap(poolStart, f.totalBlocks))
+	f.Reset(InodeCount, f.Pool.Reset(poolStart, f.totalBlocks))
 	f.Slots.Claim(inplace.RootIno)
 	f.txid = 1
 	for c := range f.rings {
@@ -168,4 +188,7 @@ func (f *FS) Unmount() error {
 	return nil
 }
 
-var _ vfs.FS = (*FS)(nil)
+var (
+	_ vfs.FS        = (*FS)(nil)
+	_ vfs.Remounter = (*FS)(nil)
+)

@@ -11,8 +11,9 @@ package pmem
 // boundaries where every outstanding slice is provably dead:
 //
 //   - the read arena at Device.Reset, which the engine calls before mounting
-//     the next crash state (file-system instances, and thus every Load
-//     result they hold, are per-mount). ext4-DAX and XFS-DAX keep a
+//     the next crash state (a file-system instance lives for one mount at a
+//     time, and its Remount drops every Load result it held before reading
+//     the image again). ext4-DAX and XFS-DAX keep a
 //     replayed file's data as a slice of the Load that read its
 //     transaction, so a mounted instance's file data lives here until the
 //     next Reset; the engine never forks a mounted guest;

@@ -301,7 +301,8 @@ func (d *Device) failOnPoisoned(off int64, n int) {
 // Load copies n bytes at off into an arena-backed slice, observing the
 // volatile image (i.e. the most recent stores, durable or not). The slice is
 // valid until the device is Reset; callers that outlive a reset (none of the
-// file systems do — they are constructed per mount) must copy.
+// file systems do — an instance lives for one mount at a time, and a
+// remount reads the image anew) must copy.
 func (d *Device) Load(off int64, n int) []byte {
 	d.checkRange(off, n)
 	d.failOnPoisoned(off, n)

@@ -21,6 +21,20 @@ func NewBitmap(lo, hi uint64) *Bitmap {
 	return &Bitmap{words: make([]uint64, (hi+63)/64), lo: lo, hi: hi, hint: lo}
 }
 
+// Reset returns a bitmap over [lo, hi) with every unit free: b itself,
+// emptied and reusing its words, or a new one when b is nil. Reset(0, 0)
+// leaves a bitmap no unit can be claimed from.
+func (b *Bitmap) Reset(lo, hi uint64) *Bitmap {
+	if b == nil {
+		return NewBitmap(lo, hi)
+	}
+	n := int((hi + 63) / 64)
+	b.words = slices.Grow(b.words[:0], n)[:n]
+	clear(b.words)
+	b.lo, b.hi, b.hint = lo, hi, lo
+	return b
+}
+
 func (b *Bitmap) set(u uint64)   { b.words[u/64] |= 1 << (u % 64) }
 func (b *Bitmap) clear(u uint64) { b.words[u/64] &^= 1 << (u % 64) }
 func (b *Bitmap) isSet(u uint64) bool {

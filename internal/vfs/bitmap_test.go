@@ -60,3 +60,26 @@ func TestBitmap(t *testing.T) {
 		t.Fatalf("the clone's Next = %d, want 6 (its hint is copied)", u)
 	}
 }
+
+// TestBitmapReset: Reset empties a bitmap over a new range in place, a nil
+// one included, and Reset(0, 0) leaves one no unit can be claimed from.
+func TestBitmapReset(t *testing.T) {
+	var nilMap *Bitmap
+	b := nilMap.Reset(0, 200)
+	for b.Free() > 0 {
+		b.Next()
+	}
+	if b.Reset(0, 0) != b || b.Claim(0) || b.Free() != 0 {
+		t.Fatal("Reset(0, 0) must keep the bitmap and leave nothing to claim")
+	}
+	if _, err := b.Next(); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("Next on an empty range: %v", err)
+	}
+	b.Reset(5, 70)
+	if b.Free() != 65 || b.Used(64) {
+		t.Fatalf("after Reset(5, 70): Free = %d, unit 64 used %v; want 65 free", b.Free(), b.Used(64))
+	}
+	if u, _ := b.Next(); u != 5 {
+		t.Fatalf("Next after Reset = %d, want 5 (the hint restarts at lo)", u)
+	}
+}

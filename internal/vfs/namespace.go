@@ -18,7 +18,8 @@ import (
 // WineFS share; each model's node type embeds it beside its own extras.
 // The two one-byte fields come last, where they share one padded word:
 // that keeps NOVA's node in the 96-byte size class and the in-place one in
-// the 144-byte class, and every mount allocates each node anew.
+// the 144-byte class. A remounted model takes its nodes from the spares of
+// the mount before (Tree.Spare) and allocates only what they lack.
 type Inode struct {
 	Ino   uint64
 	Nlink uint64
@@ -57,13 +58,95 @@ type Tree[N Node] struct {
 	Nodes map[uint64]N
 	Root  uint64
 	Descs FDTable[N]
+	// seen is Orphans' reachability mark, kept for the next mount; spare
+	// holds the nodes of earlier mounts, files and directories apart, for
+	// Spare to hand out again, and removed the nodes this mount removed,
+	// once the tree has rewound (a tree that never does keeps none).
+	seen    map[uint64]bool
+	spare   [2][]N
+	removed []N
+	rewound bool
 }
 
 // Reset empties t for a model that formats or mounts, with root as the
-// root's inode number.
+// root's inode number; the node map keeps its storage. Reset(0) leaves a
+// tree no path resolves in (Walk: ErrCorrupt), as a model's Remount does
+// until its mount finds the root.
 func (t *Tree[N]) Reset(root uint64) {
-	t.Nodes, t.Root = map[uint64]N{}, root
+	if t.Nodes == nil {
+		t.Nodes = map[uint64]N{}
+	}
+	clear(t.Nodes)
+	t.Root = root
 	t.Descs.Reset()
+}
+
+// Rewind empties t for a model's Remount: its nodes and those the mount
+// removed become spares, and no path resolves until the mount's Reset. A
+// model rewinds only once nothing holds a node of the mount before: the
+// next mount overwrites them.
+func (t *Tree[N]) Rewind() {
+	for _, n := range t.Nodes {
+		t.addSpare(n)
+	}
+	for _, n := range t.removed {
+		t.addSpare(n)
+	}
+	clear(t.removed)
+	t.removed = t.removed[:0]
+	t.rewound = true
+	t.Reset(0)
+}
+
+// Remove deletes node ino, which the model has reclaimed. On a tree that
+// has rewound it becomes a spare at the next Rewind, when nothing of this
+// mount holds it.
+func (t *Tree[N]) Remove(ino uint64) {
+	n, ok := t.Nodes[ino]
+	if !ok {
+		return
+	}
+	delete(t.Nodes, ino)
+	if t.rewound {
+		t.removed = append(t.removed, n)
+	}
+}
+
+// Spare returns a node an earlier mount held, of a directory when typ is
+// TypeDir (with its entry map) and else of a file, for the model to
+// overwrite whole; ok is false when none is left.
+func (t *Tree[N]) Spare(typ FileType) (n N, ok bool) {
+	l := t.spare[spareKind(typ)]
+	if len(l) == 0 {
+		return n, false
+	}
+	n = l[len(l)-1]
+	var zero N
+	l[len(l)-1] = zero
+	t.spare[spareKind(typ)] = l[:len(l)-1]
+	return n, true
+}
+
+func (t *Tree[N]) addSpare(n N) {
+	k := spareKind(n.inode().Type)
+	t.spare[k] = append(t.spare[k], n)
+}
+
+func spareKind(typ FileType) int {
+	if typ == TypeDir {
+		return 1
+	}
+	return 0
+}
+
+// Emptied returns m emptied, or a new map when m is nil: a spare node's
+// map, ready for the mount that takes it.
+func Emptied[K comparable, V any](m map[K]V) map[K]V {
+	if m == nil {
+		return map[K]V{}
+	}
+	clear(m)
+	return m
 }
 
 // Drop discards t at unmount.
@@ -286,7 +369,12 @@ func (t *Tree[N]) Orphans(stub func(ino uint64) N) []N {
 			}
 		}
 	}
-	seen := map[uint64]bool{t.Root: true}
+	if t.seen == nil {
+		t.seen = map[uint64]bool{}
+	}
+	seen := t.seen
+	clear(seen)
+	seen[t.Root] = true
 	t.mark(t.Nodes[t.Root], seen)
 	var out []N
 	for ino, n := range t.Nodes {

@@ -91,8 +91,12 @@ type Scratch struct {
 	nNeed int
 }
 
-// takeData returns an n-byte buffer from the scratch's content arena.
+// takeData returns an n-byte buffer from the scratch's content arena, nil
+// for none whatever the arena held before.
 func (s *Scratch) takeData(n int) []byte {
+	if n == 0 {
+		return nil
+	}
 	s.dNeed += n
 	if s.dUsed+n > len(s.data) {
 		size := s.dNeed
@@ -111,8 +115,11 @@ func (s *Scratch) takeData(n int) []byte {
 }
 
 // takeNames returns an empty string slice with capacity n from the
-// scratch's name arena.
+// scratch's name arena, nil for none.
 func (s *Scratch) takeNames(n int) []string {
+	if n == 0 {
+		return nil
+	}
 	s.nNeed += n
 	if s.nUsed+n > len(s.names) {
 		size := s.nNeed

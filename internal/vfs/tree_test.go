@@ -263,3 +263,44 @@ func TestTree(t *testing.T) {
 		t.Errorf("after Drop: %v, %d open", err, tr.OpenFDs())
 	}
 }
+
+// TestTreeRewindSpares: a tree that rewinds for a remount resolves nothing
+// until the mount resets it, and hands the nodes it held, and those the
+// mount removed, back as spares of their kind, each once; a tree that
+// never rewound keeps no node it removed.
+func TestTreeRewindSpares(t *testing.T) {
+	tr := newTree()
+	tr.Remove(6)
+	if _, ok := tr.Nodes[6]; ok {
+		t.Fatal("Remove left the node in the tree")
+	}
+	if _, ok := tr.Spare(vfs.TypeRegular); ok {
+		t.Fatal("a tree that never rewound handed out a spare")
+	}
+	tr.Rewind()
+	if _, err := tr.Stat("/"); err != vfs.ErrCorrupt || len(tr.Nodes) != 0 {
+		t.Fatalf("after Rewind: Stat(/) %v with %d nodes, want ErrCorrupt and none", err, len(tr.Nodes))
+	}
+	tr.Reset(1)
+	tr.Nodes[1] = dir(1, nil)
+	tr.Remove(1)
+	tr.Rewind()
+	got := map[vfs.FileType][]uint64{}
+	for _, typ := range []vfs.FileType{vfs.TypeDir, vfs.TypeRegular} {
+		for n, ok := tr.Spare(typ); ok; n, ok = tr.Spare(typ) {
+			if n.Type != typ {
+				t.Fatalf("Spare(%v) handed out a %v", typ, n.Type)
+			}
+			got[typ] = append(got[typ], n.Ino)
+		}
+		slices.Sort(got[typ])
+	}
+	// The first mount's ten nodes but the removed 6, then the second's
+	// root, removed in its mount.
+	if want := []uint64{1, 1, 2, 4, 8}; !slices.Equal(got[vfs.TypeDir], want) {
+		t.Errorf("directory spares %v, want %v", got[vfs.TypeDir], want)
+	}
+	if want := []uint64{3, 5, 7, 10, 11, 13}; !slices.Equal(got[vfs.TypeRegular], want) {
+		t.Errorf("file spares %v, want %v", got[vfs.TypeRegular], want)
+	}
+}

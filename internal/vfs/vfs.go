@@ -129,3 +129,16 @@ type FDCounter interface {
 type Forker interface {
 	Fork(pm persist.Space) FS
 }
+
+// Remounter is an optional interface: a model that mounts again in place.
+// An instance lives for one mount at a time, and Remount rewinds it: it
+// drops every DRAM structure the last Mkfs or mount built — keeping the
+// storage of each for the next — and mounts the space the model was built
+// over again, whatever that space now holds. The result must equal Mount's
+// on a fresh instance from the same constructor: the same error, and the
+// same reads, writes and answers after it, never anything of an earlier
+// mount. What the rewind does not clear it leaves unusable (an emptied
+// map, an empty free bitmap) until the mount sets it again.
+type Remounter interface {
+	Remount() error
+}
